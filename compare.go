@@ -1,13 +1,12 @@
 package swole
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	"github.com/reprolab/swole/internal/core"
-	"github.com/reprolab/swole/internal/expr"
-	"github.com/reprolab/swole/internal/plan"
 )
 
 // StrategyRun is one strategy's execution of a query in CompareStrategies.
@@ -22,76 +21,40 @@ type StrategyRun struct {
 // — returning per-strategy runtimes and (identical) answers. It is the
 // paper's Figure 1/3/4 experiment on your own data. Supported shapes:
 // single-table scalar or single-key group-by aggregation with a single
-// sum (or count(*)) aggregate.
+// sum (or count(*)) aggregate. Each strategy's plan is prepared before its
+// timed run, so the runtimes compare kernels, not who paid for sampling.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	p, err := d.Plan(q)
 	if err != nil {
 		return nil, err
 	}
-	m, ok := p.(*plan.Map)
+	spec, ok := d.synthesize(p)
 	if !ok {
 		return nil, fmt.Errorf("swole: CompareStrategies supports aggregation queries")
 	}
-	agg, ok := m.Input.(*plan.Aggregate)
-	if !ok || len(agg.Aggs) != 1 {
-		return nil, fmt.Errorf("swole: CompareStrategies supports a single aggregate")
+	techs := []core.Technique{core.TechDataCentric, core.TechHybrid, core.TechValueMasking}
+	if len(spec.GroupBy) > 0 {
+		techs = append(techs, core.TechKeyMasking)
 	}
-	scan, ok := agg.Input.(*plan.Scan)
-	if !ok {
-		return nil, fmt.Errorf("swole: CompareStrategies supports single-table queries")
-	}
-	spec := agg.Aggs[0]
-	switch {
-	case spec.Func == plan.Sum && spec.Arg != nil:
-	case spec.Func == plan.Count && spec.Arg == nil:
-		spec.Arg = &expr.Const{Val: 1}
-	default:
-		return nil, fmt.Errorf("swole: CompareStrategies supports sum(expr) or count(*)")
-	}
-
-	timeRun := func(fn func() (*Result, error)) (StrategyRun, error) {
-		start := time.Now()
-		res, err := fn()
-		return StrategyRun{Runtime: time.Since(start), Result: res}, err
-	}
-
 	var runs []StrategyRun
-	if len(agg.GroupBy) == 0 {
-		cq := core.ScalarAgg{Table: scan.Table, Filter: scan.Filter, Agg: spec.Arg}
-		for _, tech := range []core.Technique{core.TechDataCentric, core.TechHybrid, core.TechValueMasking} {
-			run, err := timeRun(func() (*Result, error) {
-				sum, err := d.engine.ScalarAggForced(cq, tech)
-				if err != nil {
-					return nil, err
-				}
-				return scalarResult(spec.As, sum), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			run.Strategy = tech.String()
-			runs = append(runs, run)
+	for _, tech := range techs {
+		// Plans run one after another, so they can share the spec's trees.
+		forced, err := d.engine.PrepareForced(spec, tech)
+		if err != nil {
+			return nil, fmt.Errorf("swole: CompareStrategies supports a single sum or count(*) over one table with at most one group-by key: %w", err)
 		}
-		return runs, nil
-	}
-	if len(agg.GroupBy) != 1 {
-		return nil, fmt.Errorf("swole: CompareStrategies supports at most one group-by key")
-	}
-	cq := core.GroupAgg{Table: scan.Table, Filter: scan.Filter,
-		Key: expr.NewCol(agg.GroupBy[0]), Agg: spec.Arg}
-	for _, tech := range []core.Technique{core.TechDataCentric, core.TechHybrid, core.TechValueMasking, core.TechKeyMasking} {
-		run, err := timeRun(func() (*Result, error) {
-			groups, err := d.engine.GroupAggForced(cq, tech)
-			if err != nil {
-				return nil, err
-			}
-			return groupResult(agg.GroupBy[0], spec.As, groups), nil
-		})
+		start := time.Now()
+		part, _, err := forced.RunPartial(context.Background())
+		runtime := time.Since(start)
 		if err != nil {
 			return nil, err
 		}
-		run.Strategy = tech.String()
-		runs = append(runs, run)
+		// The forced plan is dropped here, so the result may keep aliasing
+		// its buffers.
+		c := &cachedPlan{}
+		c.setFields(forced.Fields())
+		c.put(part)
+		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res})
 	}
 	return runs, nil
 }

@@ -6,39 +6,36 @@ import (
 	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
-	"github.com/reprolab/swole/internal/cost"
 	"github.com/reprolab/swole/internal/exec"
 	"github.com/reprolab/swole/internal/ht"
 )
 
-// The compiled-plan layer. Every shape executes through one pipeline:
+// The compiled-plan layer. Every statement executes through one pipeline
+// with one mode — compile, keep, re-run:
 //
-//	compile(shape) — validate and bind expressions, sample statistics
+//	Prepare(spec)   — lower the Select onto the hand-specialized plan it
+//	                 collapses to, or onto the generic executor
+//	                 (prepare.go)
+//	compile(shape)  — validate and bind expressions, sample statistics
 //	                 (through the cache), evaluate the cost models, pick
-//	                 the technique and the direct-vs-partitioned mode
-//	bind            — point the plan's prebuilt kernel closures at the
-//	                 chosen technique and size its owned buffers (worker
-//	                 scratch, hash tables, bitmaps, partials), reusing
-//	                 whatever a previous binding left behind
-//	run()           — scan on the engine's persistent worker gang and
+//	                 the technique and the direct-vs-partitioned mode,
+//	                 point the plan's kernel at the chosen technique and
+//	                 allocate its buffers (worker scratch, hash tables,
+//	                 bitmaps, partials)
+//	run             — scan on the engine's persistent worker gang and
 //	                 merge per-worker partials; no planning, no
 //	                 allocation in the steady state
 //
-// The three public entry points are thin modes of this pipeline. Prepare*
-// is compile-and-keep: the caller owns the plan and re-runs it. One-shot
-// (ScalarAgg, GroupAgg, ...) is compile-once-and-cache: the engine keys
-// the compiled plan by the query value, and a repeated query whose
-// environment and input tables are unchanged replays the plan without
-// recompiling — the warm one-shot path allocates nothing but the result
-// map for group shapes. *Forced is compile-with-override: the technique
-// is the caller's, the scan is sequential (forced runs measure kernel
-// character, not parallel speedup), and the plan husk returns to a free
-// list afterwards so comparison loops recycle buffers across techniques.
+// A plan is compiled exactly once and belongs to whoever prepared it; the
+// engine keeps no plans, so invalidation is the owner's business (the
+// root package's statement cache pins table versions and shard epochs).
+// PrepareForced is the same compile with the technique named by the
+// caller and the scan sequential: forced runs measure kernel character,
+// not parallel speedup.
 //
-// A plan's kernels are closures built once per husk (newScalarPlan and
-// friends) that read the plan's current fields, so rebinding a recycled
-// husk to a new query never rebuilds closures. Kernels are the single
-// implementation per (shape, technique); no other execution path exists.
+// A plan's kernels are closures built with it (newScalarPlan and friends)
+// over the plan's own fields. Kernels are the single implementation per
+// (shape, technique); no other execution path exists.
 
 // kernelFn is a morsel kernel: worker w processes rows [base, base+length).
 type kernelFn = func(w, base, length int)
@@ -47,90 +44,42 @@ type kernelFn = func(w, base, length int)
 // any real Technique value forces it.
 const techAuto Technique = -1
 
-// planEnv snapshots everything outside the query that a compiled plan
-// baked in. A cached plan is replayable only while the engine's current
-// environment compares equal to the one it was compiled under.
-type planEnv struct {
-	workers   int
-	morsel    int
-	partition PartitionMode
-	params    cost.Params
-}
-
-func (e *Engine) planEnv() planEnv {
-	return planEnv{
-		workers:   e.workers(),
-		morsel:    e.MorselRows,
-		partition: e.Partition,
-		params:    e.Params,
-	}
-}
-
-// planDep pins one input table at the version the plan was compiled
-// against.
-type planDep struct {
-	table string
-	ver   uint64
-}
-
-// planCore is the part of a compiled plan every shape shares: the engine,
-// the environment snapshot, the table dependencies, the Explain record
-// the compile filled in, and the per-worker scratch states.
+// planCore is the part of a compiled plan every hand-specialized shape
+// shares: the engine, the worker count, the Explain record the compile
+// filled in, the per-worker scratch states, and the result header.
 type planCore struct {
 	e      *Engine
-	env    planEnv
 	nw     int  // worker count the kernels run on (1 when seq)
 	seq    bool // forced plans scan inline, off the gang
-	nd     int
-	deps   [2]planDep
 	ex     Explain
 	states []workerState
+	fields []OutField // set by Engine.Prepare's lowering; nil for a bare Prepare*Agg
 }
 
-// bindCore resets the shared plan state for a (re)compile and sizes the
-// worker scratch. It returns the number of freshly allocated states.
-func (p *planCore) bindCore(e *Engine, env planEnv, seq bool) int {
-	p.e, p.env, p.seq = e, env, seq
-	p.nw = env.workers
+// bindCore initializes the shared plan state and allocates the worker
+// scratch. It returns the number of states allocated.
+func (p *planCore) bindCore(e *Engine, seq bool) int {
+	p.e, p.seq = e, seq
+	p.nw = e.workers()
 	if seq {
 		p.nw = 1
 	}
-	p.nd = 0
-	var fresh int
-	p.states, fresh = ensureStates(p.states, p.nw)
-	return fresh
+	p.states = make([]workerState, p.nw)
+	for i := range p.states {
+		p.states[i] = newWorkerState()
+	}
+	return p.nw
 }
 
-// dep records an input-table dependency at its current version.
-func (p *planCore) dep(table string) {
-	p.deps[p.nd] = planDep{table: table, ver: p.e.DB.TableVersion(table)}
-	p.nd++
-}
+// Fields is the result header of a plan prepared through Engine.Prepare.
+func (p *planCore) Fields() []OutField { return p.fields }
 
-// valid reports whether the plan can replay under the given environment:
-// same environment snapshot and every input table still at its compiled
-// version. Sequential (forced) plans never replay.
-func (p *planCore) valid(env planEnv) bool {
-	if p.seq || p.env != env {
-		return false
-	}
-	for i := 0; i < p.nd; i++ {
-		if p.e.DB.TableVersion(p.deps[i].table) != p.deps[i].ver {
-			return false
-		}
-	}
-	return true
-}
+// Mergeable reports that the hand-specialized shapes' partials combine
+// across disjoint row ranges of the driving table: sums add, and group
+// partials merge through GroupMerger.
+func (p *planCore) Mergeable() bool { return true }
 
-// dependsOn reports whether the plan reads the named table.
-func (p *planCore) dependsOn(table string) bool {
-	for i := 0; i < p.nd; i++ {
-		if p.deps[i].table == table {
-			return true
-		}
-	}
-	return false
-}
+func (p *planCore) setFields(f []OutField) { p.fields = f }
 
 // ctxErr reports the context's cancellation state; nil contexts (internal
 // callers without a deadline) never cancel.
@@ -166,21 +115,10 @@ func (p *planCore) scan(ctx context.Context, rows int, kernel kernelFn) {
 }
 
 // scanTwoPhase runs the partitioned two-phase form (morsel scatter,
-// barrier, partition-wise fold) and returns the phase-1 duration, polling
-// the context like scan. Callers hold e.execMu.
+// barrier, partition-wise fold) on the gang and returns the phase-1
+// duration, polling the context like scan. Sequential plans never
+// partition, so there is no inline form. Callers hold e.execMu.
 func (p *planCore) scanTwoPhase(ctx context.Context, rows int, kernel kernelFn, parts int, phase2 func(w, part int)) time.Duration {
-	if p.seq {
-		start := time.Now()
-		p.scan(ctx, rows, kernel)
-		d := time.Since(start)
-		for part := 0; part < parts; part++ {
-			if ctxErr(ctx) != nil {
-				break
-			}
-			phase2(0, part)
-		}
-		return d
-	}
 	return p.e.steadyLocked(p.nw).RunTwoPhaseCtx(ctx, rows, kernel, parts, phase2)
 }
 
@@ -214,17 +152,6 @@ func (p *planCore) canceled(err error) error {
 	return err
 }
 
-// finishOneShot adjusts a plan's Explain for the one-shot entry points:
-// a replayed plan implies both caches hit; a fresh compile is, by
-// definition, not a plan-cache hit.
-func finishOneShot(ex *Explain, replayed bool) {
-	if replayed {
-		ex.StatsCached = true
-	} else {
-		ex.PlanCached = false
-	}
-}
-
 // GroupResult is a reusable grouped-aggregation answer: the groups as
 // interleaved (key, sum) pairs with keys ascending. The backing array is
 // owned by the compiled plan and overwritten by its next run. The
@@ -244,16 +171,6 @@ func (g *GroupResult) Key(i int) int64 { return g.Flat[2*i] }
 
 // Sum returns group i's aggregate.
 func (g *GroupResult) Sum(i int) int64 { return g.Flat[2*i+1] }
-
-// Map copies the result into a freshly allocated map (the one-shot API's
-// shape).
-func (g *GroupResult) Map() map[int64]int64 {
-	out := make(map[int64]int64, g.Len())
-	for i := 0; i < len(g.Flat); i += 2 {
-		out[g.Flat[i]] = g.Flat[i+1]
-	}
-	return out
-}
 
 // groupEmit collects a group-shape plan's merge output as interleaved
 // (key, sum) pairs and materializes it sorted. Both buffers persist
@@ -520,7 +437,7 @@ const (
 // are biased by the minimum so the digit width adapts to the occupied
 // key range, not the type width — a 0..1M key space needs two passes, a
 // 0..1000 space one — and the bias makes negative keys order correctly
-// as unsigned distances. The scratch buffer persists in the husk, so
+// as unsigned distances. The scratch buffer persists in the plan, so
 // steady-state runs stay allocation-free.
 func (g *groupEmit) sortPairs() {
 	n := len(g.pairs) / 2
@@ -606,103 +523,35 @@ func (g *groupEmit) sortPairs() {
 	}
 }
 
-// ensure helpers: size a plan-owned buffer slice to exactly n entries,
-// recycling what a previous binding allocated. Shrinking keeps the extra
-// entries alive in the backing array, so a later wider binding recovers
-// them instead of reallocating. Each returns the fresh-allocation count
-// feeding Explain.FreshAllocs.
+// Constructors for the buffer sets a compile allocates; each set's length
+// is what the compile bills to Explain.FreshAllocs.
 
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	ns := make([]T, n)
-	copy(ns, s[:cap(s)])
-	return ns
-}
-
-func ensureStates(states []workerState, n int) ([]workerState, int) {
-	states = growSlice(states, n)
-	fresh := 0
-	for i := range states {
-		if states[i].ev == nil {
-			states[i] = newWorkerState()
-			fresh++
-		}
-	}
-	return states, fresh
-}
-
-func ensureTables(tabs []*ht.AggTable, n, hint int) ([]*ht.AggTable, int) {
-	tabs = growSlice(tabs, n)
-	fresh := 0
+func newTables(n, hint int) []*ht.AggTable {
+	tabs := make([]*ht.AggTable, n)
 	for i := range tabs {
-		if tabs[i] == nil {
-			tabs[i] = ht.NewAggTable(1, hint)
-			fresh++
-		} else {
-			tabs[i].Reset()
-			tabs[i].Reserve(hint)
-		}
+		tabs[i] = ht.NewAggTable(1, hint)
 	}
-	return tabs, fresh
+	return tabs
 }
 
-func ensureTable(tab *ht.AggTable, hint int) (*ht.AggTable, int) {
-	if tab == nil {
-		return ht.NewAggTable(1, hint), 1
-	}
-	tab.Reset()
-	tab.Reserve(hint)
-	return tab, 0
-}
-
-func ensureBitmaps(bms []*bitmap.Bitmap, n, rows int) ([]*bitmap.Bitmap, int) {
-	bms = growSlice(bms, n)
-	fresh := 0
+func newBitmaps(n, rows int) []*bitmap.Bitmap {
+	bms := make([]*bitmap.Bitmap, n)
 	for i := range bms {
-		if bms[i] == nil {
-			bms[i] = bitmap.New(rows)
-			fresh++
-		} else {
-			bms[i].Reset(rows)
-		}
+		bms[i] = bitmap.New(rows)
 	}
-	return bms, fresh
+	return bms
 }
 
-func ensurePartitioners(ps []*ht.Partitioner, n, parts int, pool *ht.ScatterPool) ([]*ht.Partitioner, int) {
-	ps = growSlice(ps, n)
-	fresh := 0
+func newPartitioners(n, parts int, pool *ht.ScatterPool) []*ht.Partitioner {
+	ps := make([]*ht.Partitioner, n)
 	for i := range ps {
-		if ps[i] == nil || ps[i].Parts() != parts || ps[i].Pool() != pool {
-			ps[i] = ht.NewPartitionerOn(pool, parts)
-			fresh++
-		} else {
-			ps[i].Reset()
-		}
+		ps[i] = ht.NewPartitionerOn(pool, parts)
 	}
-	return ps, fresh
+	return ps
 }
 
-// ensurePartials reuses a partials block when it already covers n workers
-// (summing a wider block's zero tail is free); have tracks the allocated
-// width.
-func ensurePartials(cur *exec.Partials, have, n int) (*exec.Partials, int, int) {
-	if cur == nil || have < n {
-		return exec.NewPartials(n), n, 1
-	}
-	return cur, have, 0
-}
-
-// ensureEmit sizes the per-partition emission buffers, each holding a
-// partition's final groups as interleaved (key, sum) pairs.
-func ensureEmit(emit [][]int64, n int) [][]int64 {
-	return growSlice(emit, n)
-}
-
-// Close releases the engine's persistent worker gang. Pools and caches
-// are garbage-collected with the engine; Close only matters for goroutine
+// Close releases the engine's persistent worker gang. The statistics cache
+// is garbage-collected with the engine; Close only matters for goroutine
 // hygiene when engines are created in bulk (tests, short-lived tools).
 func (e *Engine) Close() {
 	e.execMu.Lock()

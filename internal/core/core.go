@@ -6,14 +6,15 @@
 // kernels. Each execution returns an Explain describing the decision, the
 // model costs, and the statistics they were based on.
 //
-// Every shape executes through one compiled-plan pipeline (compile.go):
-// compile validates and plans the query, binds the chosen kernel and
-// plan-owned buffers, and run() executes on the engine's persistent
-// morsel-worker gang. The public entry points are modes of that pipeline —
-// Prepare* compiles and keeps, the one-shot methods compile once and cache
-// the plan by query value (replays allocate nothing), and *Forced compiles
-// with a technique override and recycles the plan husk through a free
-// list. There is exactly one kernel per (shape, technique).
+// Every statement executes through one compiled-plan pipeline (compile.go)
+// with one mode, compile-and-keep: Prepare lowers a Select spec onto the
+// hand-specialized plan it collapses to (or the generic executor), compile
+// validates and plans the query and binds the chosen kernel and plan-owned
+// buffers exactly once, and the caller keeps the Plan and re-runs it on the
+// engine's persistent morsel-worker gang. The engine holds no plans: whoever
+// prepared a plan owns it and decides when it is stale. PrepareForced is the
+// same compile with the technique named by the caller. There is exactly one
+// kernel per (shape, technique).
 //
 // The hand-specialized kernels in internal/micro and internal/tpch are the
 // measured reproductions of the paper's figures (the paper hand-coded each
@@ -100,8 +101,8 @@ type Explain struct {
 	// phases; 0 means the cardinality-hinted preallocation was sufficient.
 	HTGrows int
 	// FreshAllocs counts execution resources (worker scratch sets, hash
-	// tables, bitmaps) newly allocated for this execution rather than
-	// recycled from the engine's pools; 0 in steady state.
+	// tables, bitmaps) allocated since the plan's previous run: the compile's
+	// allocations on a plan's first run, 0 in steady state.
 	FreshAllocs int
 
 	// Variants aggregates the kernel-variant selection counters across the
@@ -158,14 +159,13 @@ func (m PartitionMode) String() string {
 
 // Engine executes queries over a database with a given cost model.
 //
-// The engine recycles execution state at plan granularity: each shape's
-// one-shot entry point caches its compiled plans by query value and
-// replays them (re-running an unchanged query samples nothing, plans
-// nothing, and allocates nothing), the forced entry points recycle plan
-// husks through bounded free lists, and sampled statistics are cached per
-// (table version, expression) so even a fresh compile of a repeated shape
-// skips the sampling pass. Engine methods are safe for concurrent use;
-// executions serialize on the persistent worker gang's lock.
+// The engine compiles plans and lends them its worker gang; it does not
+// keep them. A compiled plan owns every buffer its runs need, so re-running
+// one samples nothing, plans nothing, and allocates nothing. Sampled
+// statistics are cached per (table version, expression), so a fresh compile
+// of a repeated shape skips the sampling pass. Engine methods are safe for
+// concurrent use; executions serialize on the persistent worker gang's
+// lock.
 type Engine struct {
 	DB     *storage.Database
 	Params cost.Params
@@ -182,18 +182,9 @@ type Engine struct {
 	// the zero value (PartitionAuto) defers to the cost model.
 	Partition PartitionMode
 
-	// The statistics cache (stats.go), the per-shape one-shot plan caches,
-	// and the husk free lists (pools.go); mu guards them all.
-	mu         sync.Mutex
-	stats      statsCache
-	planScalar map[ScalarAgg]*PreparedScalarAgg
-	planGroup  map[GroupAgg]*PreparedGroupAgg
-	planSemi   map[SemiJoinAgg]*PreparedSemiJoinAgg
-	planGJoin  map[GroupJoinAgg]*PreparedGroupJoinAgg
-	freeScalar []*PreparedScalarAgg
-	freeGroup  []*PreparedGroupAgg
-	freeSemi   []*PreparedSemiJoinAgg
-	freeGJoin  []*PreparedGroupJoinAgg
+	// The statistics cache (stats.go), guarded by mu.
+	mu    sync.Mutex
+	stats statsCache
 
 	// The persistent worker gang every plan scans on; execMu serializes
 	// executions on it. The scatter arena rides under the same lock: every
@@ -224,8 +215,8 @@ func (e *Engine) workers() int {
 // workerState is the private scratch one morsel worker evaluates tiles
 // with: an expression evaluator plus the tile buffers (exec.Scratch) the
 // kernels in this package share. Workers never exchange scratch, so the
-// tiled kernels run exactly as in the sequential engine. States are
-// recycled across queries via the engine's pool (getStates/putStates).
+// tiled kernels run exactly as in the sequential engine. A plan allocates
+// its states when it is compiled and keeps them for every run.
 type workerState struct {
 	ev *expr.Evaluator
 	// ctr is this worker's kernel-variant counters. The evaluator shares
@@ -347,9 +338,7 @@ const forcedPartitions = 16
 // group-by of rows tuples into a table of htBytes. It returns whether to
 // run the radix-partitioned path, the fan-out, and the modeled partitioned
 // cost (meaningful whenever parts > 1, so callers can record it in
-// Explain.Costs even when the direct path wins). The mode comes from the
-// plan's environment snapshot, not the live engine, so a replay validity
-// check and the decision it guards always agree.
+// Explain.Costs even when the direct path wins).
 func choosePartition(mode PartitionMode, params cost.Params, rows int, comp float64, htBytes int, directCost float64) (bool, int, float64) {
 	switch mode {
 	case PartitionOff:

@@ -70,7 +70,7 @@ func TestScalarAggBothTechniques(t *testing.T) {
 	// Cheap aggregation: value masking should win at high selectivity,
 	// hybrid at very low.
 	for _, sel := range []int64{1, 30, 95} {
-		got, ex, err := e.ScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")})
+		got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +79,11 @@ func TestScalarAggBothTechniques(t *testing.T) {
 		}
 	}
 	// Decision direction check.
-	_, exLow, _ := e.ScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")})
+	_, exLow, _ := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")}))
 	if exLow.Technique != TechHybrid {
 		t.Errorf("1%% selectivity chose %s, want hybrid", exLow.Technique)
 	}
-	_, exHigh, _ := e.ScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: expr.NewCol("r_a")})
+	_, exHigh, _ := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: expr.NewCol("r_a")}))
 	if exHigh.Technique == TechHybrid {
 		t.Errorf("95%% selectivity chose hybrid; pullup expected")
 	}
@@ -95,7 +95,7 @@ func TestScalarAggBothTechniques(t *testing.T) {
 func TestScalarAggNoFilter(t *testing.T) {
 	db := testDB(t, 5_000, 10, 10)
 	e := NewEngine(db)
-	got, ex, err := e.ScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")})
+	got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestScalarAggAccessMergingDetected(t *testing.T) {
 	e := NewEngine(db)
 	// r_x appears in both filter and aggregate at high selectivity.
 	agg := &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_x"), R: expr.NewCol("r_a")}
-	got, ex, err := e.ScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 90), Agg: agg})
+	got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 90), Agg: agg}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestGroupAggAllRegimes(t *testing.T) {
 	} {
 		db := testDB(t, 40_000, 10, tc.ccard)
 		e := NewEngine(db)
-		got, ex, err := e.GroupAgg(GroupAgg{
+		got, ex, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{
 			Table: "r", Filter: lt("r_x", tc.sel),
 			Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a"),
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestGroupAggDecisions(t *testing.T) {
 	// Small table, high selectivity: a masking technique.
 	db := testDB(t, 40_000, 10, 8)
 	e := NewEngine(db)
-	_, ex, err := e.GroupAgg(GroupAgg{Table: "r", Filter: lt("r_x", 90), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")})
+	_, ex, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Filter: lt("r_x", 90), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +202,12 @@ func TestSemiJoinAgg(t *testing.T) {
 	db := testDB(t, 20_000, 500, 10)
 	e := NewEngine(db)
 	for _, tc := range []struct{ selR, selS int64 }{{10, 90}, {90, 10}, {100, 100}, {0, 50}} {
-		got, ex, err := e.SemiJoinAgg(SemiJoinAgg{
+		got, ex, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
 			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 			ProbeFilter: lt("r_x", tc.selR),
 			BuildFilter: lt("s_x", tc.selS),
 			Agg:         expr.NewCol("r_a"),
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +240,11 @@ func TestGroupJoinAggBothPaths(t *testing.T) {
 	for _, nS := range []int{100, 5000} {
 		db := testDB(t, 30_000, nS, 10)
 		e := NewEngine(db)
-		got, ex, err := e.GroupJoinAgg(GroupJoinAgg{
+		got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{
 			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 			BuildFilter: lt("s_x", 50),
 			Agg:         expr.NewCol("r_a"),
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +272,10 @@ func TestGroupJoinAggBothPaths(t *testing.T) {
 	// Small S must choose eager aggregation (paper Fig 12a).
 	db := testDB(t, 30_000, 100, 10)
 	e := NewEngine(db)
-	_, ex, _ := e.GroupJoinAgg(GroupJoinAgg{
+	_, ex, _ := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 		BuildFilter: lt("s_x", 50), Agg: expr.NewCol("r_a"),
-	})
+	}))
 	if ex.Technique != TechEagerAggregation {
 		t.Errorf("small S chose %s, want eager-aggregation", ex.Technique)
 	}
@@ -284,19 +284,19 @@ func TestGroupJoinAggBothPaths(t *testing.T) {
 func TestErrors(t *testing.T) {
 	db := testDB(t, 100, 10, 5)
 	e := NewEngine(db)
-	if _, _, err := e.ScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}); err == nil {
+	if _, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, _, err := e.ScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("zz")}); err == nil {
+	if _, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("zz")})); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, _, err := e.GroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("zz"), Agg: expr.NewCol("r_a")}); err == nil {
+	if _, _, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("zz"), Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown key accepted")
 	}
-	if _, _, err := e.SemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")}); err == nil {
+	if _, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown fk accepted")
 	}
-	if _, _, err := e.GroupJoinAgg(GroupJoinAgg{Probe: "zz", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}); err == nil {
+	if _, _, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "zz", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown probe accepted")
 	}
 }

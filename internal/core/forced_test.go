@@ -12,7 +12,7 @@ func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 40), Agg: expr.NewCol("r_a")}
 	want := refScalar(db, 40)
 	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging} {
-		got, err := e.ScalarAggForced(q, tech)
+		got, err := forcedScalar(e, q, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
 		}
@@ -22,8 +22,8 @@ func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
 	}
 	// No filter.
 	nf := ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}
-	a, _ := e.ScalarAggForced(nf, TechDataCentric)
-	b, _ := e.ScalarAggForced(nf, TechValueMasking)
+	a, _ := forcedScalar(e, nf, TechDataCentric)
+	b, _ := forcedScalar(e, nf, TechValueMasking)
 	if a != b {
 		t.Errorf("unfiltered mismatch: %d vs %d", a, b)
 	}
@@ -35,7 +35,7 @@ func TestGroupAggForcedAllTechniquesAgree(t *testing.T) {
 	q := GroupAgg{Table: "r", Filter: lt("r_x", 65), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 	want := refGroup(db, 65)
 	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking} {
-		got, err := e.GroupAggForced(q, tech)
+		got, err := forcedGroups(e, q, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
 		}
@@ -53,26 +53,26 @@ func TestGroupAggForcedAllTechniquesAgree(t *testing.T) {
 func TestForcedErrors(t *testing.T) {
 	db := testDB(t, 100, 10, 5)
 	e := NewEngine(db)
-	if _, err := e.ScalarAggForced(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
+	if _, err := forcedScalar(e, ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := e.ScalarAggForced(ScalarAgg{Table: "r", Agg: expr.NewCol("zz")}, TechHybrid); err == nil {
+	if _, err := forcedScalar(e, ScalarAgg{Table: "r", Agg: expr.NewCol("zz")}, TechHybrid); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := e.ScalarAggForced(ScalarAgg{Table: "r", Filter: lt("zz", 1), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
+	if _, err := forcedScalar(e, ScalarAgg{Table: "r", Filter: lt("zz", 1), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
 		t.Error("unknown filter column accepted")
 	}
-	if _, err := e.ScalarAggForced(ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}, TechPositionalBitmap); err == nil {
+	if _, err := forcedScalar(e, ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}, TechPositionalBitmap); err == nil {
 		t.Error("inapplicable technique accepted")
 	}
 	gq := GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-	if _, err := e.GroupAggForced(gq, TechPositionalBitmap); err == nil {
+	if _, err := forcedGroups(e, gq, TechPositionalBitmap); err == nil {
 		t.Error("inapplicable group technique accepted")
 	}
-	if _, err := e.GroupAggForced(GroupAgg{Table: "zz", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
+	if _, err := forcedGroups(e, GroupAgg{Table: "zz", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
 		t.Error("unknown group table accepted")
 	}
-	if _, err := e.GroupAggForced(GroupAgg{Table: "r", Key: expr.NewCol("zz"), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
+	if _, err := forcedGroups(e, GroupAgg{Table: "r", Key: expr.NewCol("zz"), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
 		t.Error("unknown group key accepted")
 	}
 }
@@ -82,11 +82,11 @@ func TestSemiJoinAggSparseBuild(t *testing.T) {
 	// path (Section III-D option 2).
 	db := testDB(t, 20_000, 2_000, 10)
 	e := NewEngine(db)
-	got, _, err := e.SemiJoinAgg(SemiJoinAgg{
+	got, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 		BuildFilter: lt("s_x", 2), // ~2%
 		Agg:         expr.NewCol("r_a"),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestSemiJoinAggSparseBuild(t *testing.T) {
 func TestSemiJoinAggNoFilters(t *testing.T) {
 	db := testDB(t, 5_000, 100, 10)
 	e := NewEngine(db)
-	got, _, err := e.SemiJoinAgg(SemiJoinAgg{
+	got, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a"),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestSemiJoinAggNoFilters(t *testing.T) {
 func TestGroupJoinAggNoFilter(t *testing.T) {
 	db := testDB(t, 5_000, 50, 10)
 	e := NewEngine(db)
-	got, ex, err := e.GroupJoinAgg(GroupJoinAgg{
+	got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a"),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ type PreparedGroupAgg struct {
 	kFold        func(w, part int)
 }
 
-// newGroupPlan builds an empty husk with its kernel menu.
+// newGroupPlan builds an empty plan with its kernel menu.
 func newGroupPlan() *PreparedGroupAgg {
 	p := &PreparedGroupAgg{}
 	p.kTuple = func(w, base, length int) {
@@ -198,7 +198,7 @@ func newGroupPlan() *PreparedGroupAgg {
 // headroom: the table's own hint-to-capacity doubling already leaves the
 // expected load under 50%, the sampled group count skews high, and
 // morsel-claim imbalance beyond that grows the table once and the
-// capacity ratchets in the recycled husk — a misestimate costs one
+// capacity ratchets in the plan's table — a misestimate costs one
 // rehash, never steady-state allocation. Undershooting the power-of-two
 // capacity step matters here: at high cardinality it is what keeps a
 // worker's table within the last-level cache, which is the direct path's
@@ -238,10 +238,12 @@ func (p *PreparedGroupAgg) maskKeys(s *workerState, b, tl int) {
 	s.ctr.KeyMask++
 }
 
-// compileGroupAgg plans a group-by aggregation into p: masking strategy
-// from the Section III-B models, direct-vs-radix from the partition
-// crossover, kernels and buffers bound for the winner.
-func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique, env planEnv) (*PreparedGroupAgg, error) {
+// compileGroupAgg plans a group-by aggregation: masking strategy from the
+// Section III-B models, direct-vs-radix from the partition crossover,
+// kernels and buffers bound for the winner. It takes the execution lock: a
+// partitioned compile may grow the shared scatter arena, which must not
+// happen under a running scan.
+func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg, error) {
 	t := e.DB.Table(q.Table)
 	if t == nil {
 		return nil, errNoTable(q.Table)
@@ -254,21 +256,17 @@ func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique
 			return nil, err
 		}
 	}
-	if p == nil {
-		if p = popFree(e, &e.freeGroup); p == nil {
-			p = newGroupPlan()
-		}
-	}
-	fresh := p.bindCore(e, env, tech != techAuto)
-	p.dep(q.Table)
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	p := newGroupPlan()
+	fresh := p.bindCore(e, tech != techAuto)
 	p.rows = t.Rows()
 	p.filter, p.key, p.agg = q.Filter, q.Key, q.Agg
-	p.keyCol = nil
 	if c, ok := q.Key.(*expr.Col); ok {
 		p.keyCol = c.Column()
 	}
 
-	params := env.params.ForWorkers(p.nw)
+	params := e.Params.ForWorkers(p.nw)
 	sel, selHit := e.selectivity(q.Table, p.rows, q.Filter, 16384)
 	comp := expr.CompCost(q.Agg, params)
 	groups, grpHit := e.groupCount(q.Table, p.rows, q.Key, 16384)
@@ -299,9 +297,8 @@ func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique
 
 	// The radix decision applies only to gang execution; forced runs
 	// measure the masking kernel itself.
-	p.partitioned = false
 	if !p.seq {
-		usePart, parts, partCost := choosePartition(env.partition, params, p.rows, comp, htBytes, directCost)
+		usePart, parts, partCost := choosePartition(e.Partition, params, p.rows, comp, htBytes, directCost)
 		if parts > 1 {
 			p.ex.Costs["partitioned"] = partCost
 		}
@@ -309,12 +306,10 @@ func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique
 			p.partitioned, p.parts = true, parts
 			p.ex.Partitioned, p.ex.Partitions = true, parts
 			pool, f := e.ensureScatterLocked(p.rows, p.nw, parts)
-			fresh += f
-			p.parters, f = ensurePartitioners(p.parters, p.nw, parts, pool)
-			fresh += f
-			p.smalls, f = ensureTables(p.smalls, p.nw, subTableHint(groups, parts))
-			fresh += f
-			p.emit = ensureEmit(p.emit, parts)
+			p.parters = newPartitioners(p.nw, parts, pool)
+			p.smalls = newTables(p.nw, subTableHint(groups, parts))
+			p.emit = make([][]int64, parts)
+			fresh += f + 2*p.nw
 			if tech == TechHybrid {
 				p.kernel = p.kScatterHyb
 			} else {
@@ -330,9 +325,8 @@ func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique
 			// values), so each worker's key draw spans the whole scan.
 			inserted = p.rows
 		}
-		var f int
-		p.tabs, f = ensureTables(p.tabs, p.nw, perWorkerHint(groups, p.nw, inserted))
-		fresh += f
+		p.tabs = newTables(p.nw, perWorkerHint(groups, p.nw, inserted))
+		fresh += p.nw
 		switch tech {
 		case TechDataCentric:
 			p.kernel = p.kTuple
@@ -346,20 +340,6 @@ func (e *Engine) compileGroupAgg(p *PreparedGroupAgg, q GroupAgg, tech Technique
 	}
 	p.ex.FreshAllocs = fresh
 	return p, nil
-}
-
-// runLocked executes the bound plan. Callers hold e.execMu.
-func (p *PreparedGroupAgg) runLocked(ctx context.Context) (*GroupResult, Explain, error) {
-	var err error
-	if p.partitioned {
-		err = p.runRadix(ctx)
-	} else {
-		err = p.runDirect(ctx)
-	}
-	if err != nil {
-		return nil, Explain{}, p.canceled(err)
-	}
-	return &p.out, p.snapshot(), nil
 }
 
 // runDirect scans into per-worker tables, merges them into worker 0's,
@@ -435,28 +415,6 @@ func (p *PreparedGroupAgg) Run() (*GroupResult, Explain) {
 // RunContext executes the prepared aggregation under the context's
 // deadline; see PreparedScalarAgg.RunContext for the cancellation
 // contract.
-func (p *PreparedGroupAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
-	p.e.execMu.Lock()
-	res, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return res, ex, err
-}
-
-// PrepareGroupAgg compiles a group-by aggregation once, sizing each
-// worker's hash table for the estimated group count so steady-state runs
-// never rehash. It takes the execution lock: a partitioned compile may
-// grow the shared scatter arena, which must not happen under a running
-// scan.
-func (e *Engine) PrepareGroupAgg(q GroupAgg) (*PreparedGroupAgg, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return e.compileGroupAgg(nil, q, techAuto, e.planEnv())
-}
-
-// GroupAgg plans and executes the aggregation, choosing among hybrid
-// pushdown, value masking, and key masking with the Section III-B cost
-// models evaluated with each worker's bandwidth share, and returns the
-// per-group sums.
 //
 // Execution is morsel-parallel with per-worker hash tables: each worker
 // aggregates the morsels it claims into a private ht.AggTable (masked
@@ -467,35 +425,33 @@ func (e *Engine) PrepareGroupAgg(q GroupAgg) (*PreparedGroupAgg, error) {
 // partial sums of rejected tuples are zero under masking, so the merged
 // result is identical to the sequential one. When the estimated table
 // overflows the cache budget, the radix-partitioned two-phase path runs
-// instead (see partition.go). The compiled plan is cached by query value
-// and replayed while tables and engine settings are unchanged.
-func (e *Engine) GroupAgg(q GroupAgg) (map[int64]int64, Explain, error) {
-	return e.GroupAggContext(nil, q)
+// instead (see partition.go).
+func (p *PreparedGroupAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
+	p.e.execMu.Lock()
+	defer p.e.execMu.Unlock()
+	var err error
+	if p.partitioned {
+		err = p.runRadix(ctx)
+	} else {
+		err = p.runDirect(ctx)
+	}
+	if err != nil {
+		return nil, Explain{}, p.canceled(err)
+	}
+	return &p.out, p.snapshot(), nil
 }
 
-// GroupAggContext is GroupAgg under a context deadline; see
-// PreparedScalarAgg.RunContext for the cancellation contract.
-func (e *Engine) GroupAggContext(ctx context.Context, q GroupAgg) (map[int64]int64, Explain, error) {
-	e.execMu.Lock()
-	env := e.planEnv()
-	p := lookupPlan(e, e.planGroup, q)
-	replay := p != nil && p.valid(env)
-	if !replay {
-		var err error
-		if p, err = e.compileGroupAgg(p, q, techAuto, env); err != nil {
-			dropPlan(e, e.planGroup, q)
-			e.execMu.Unlock()
-			return nil, Explain{}, err
-		}
-		cachePlan(e, &e.planGroup, q, p)
-	}
-	res, ex, err := p.runLocked(ctx)
-	if err != nil {
-		e.execMu.Unlock()
-		return nil, Explain{}, err
-	}
-	out := res.Map()
-	e.execMu.Unlock()
-	finishOneShot(&ex, replay)
-	return out, ex, nil
+// RunPartial implements Plan.
+func (p *PreparedGroupAgg) RunPartial(ctx context.Context) (Partial, Explain, error) {
+	g, ex, err := p.RunContext(ctx)
+	return Partial{Groups: g}, ex, err
+}
+
+// PrepareGroupAgg compiles a group-by aggregation once — choosing among
+// hybrid pushdown, value masking, and key masking with the Section III-B
+// cost models evaluated with each worker's bandwidth share — sizing each
+// worker's hash table for the estimated group count so steady-state runs
+// never rehash.
+func (e *Engine) PrepareGroupAgg(q GroupAgg) (*PreparedGroupAgg, error) {
+	return e.compileGroupAgg(q, techAuto)
 }

@@ -1,0 +1,113 @@
+package core
+
+import (
+	"context"
+
+	"github.com/reprolab/swole/internal/expr"
+)
+
+// once runs a freshly prepared plan a single time — the whole prepare-and-
+// run life cycle in one expression: once(e.PrepareScalarAgg(q)).
+func once[R any](p interface {
+	RunContext(context.Context) (R, Explain, error)
+}, err error) (R, Explain, error) {
+	if err != nil {
+		var zero R
+		return zero, Explain{}, err
+	}
+	return p.RunContext(context.Background())
+}
+
+// groupsOnce is once for the group shapes, flattened to a key→sum map.
+func groupsOnce(p interface {
+	RunContext(context.Context) (*GroupResult, Explain, error)
+}, err error) (map[int64]int64, Explain, error) {
+	res, ex, err := once(p, err)
+	if err != nil {
+		return nil, ex, err
+	}
+	return groupMap(res), ex, nil
+}
+
+// groupMap flattens a GroupResult to a key→sum map.
+func groupMap(g *GroupResult) map[int64]int64 {
+	out := make(map[int64]int64, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		out[g.Key(i)] = g.Sum(i)
+	}
+	return out
+}
+
+// partialMap flattens a plan's answer the way volcanoMap flattens the
+// interpreter's: single values under key 0, (key, sum) rows by key.
+func partialMap(p Partial) map[int64]int64 {
+	switch {
+	case p.Groups != nil:
+		return groupMap(p.Groups)
+	case p.Rows != nil:
+		out := map[int64]int64{}
+		for _, row := range p.Rows.Rows {
+			if len(row) == 1 {
+				out[0] = row[0]
+			} else {
+				out[row[0]] = row[1]
+			}
+		}
+		return out
+	}
+	return map[int64]int64{0: p.Sum}
+}
+
+// classicSpec spells a hand-shape query as the Select the plan synthesizer
+// emits for it: one sum aliased "s" and the canonical projection.
+func classicSpec(root string, filter expr.Expr, groupBy []string, edges []SelectEdge, agg expr.Expr) Select {
+	spec := Select{
+		Root: root, Filter: filter, Edges: edges, GroupBy: groupBy,
+		Aggs: []SelectAgg{{Kind: AggSum, Arg: agg, As: "s"}},
+	}
+	for _, name := range append(append([]string(nil), groupBy...), "s") {
+		spec.Project = append(spec.Project, SelectProj{Expr: expr.NewCol(name), As: name})
+	}
+	return spec
+}
+
+func scalarSpec(q ScalarAgg) Select {
+	return classicSpec(q.Table, q.Filter, nil, nil, q.Agg)
+}
+
+func groupSpec(q GroupAgg) Select {
+	return classicSpec(q.Table, q.Filter, []string{q.Key.(*expr.Col).Name}, nil, q.Agg)
+}
+
+func semiSpec(q SemiJoinAgg) Select {
+	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}
+	return classicSpec(q.Probe, q.ProbeFilter, nil, []SelectEdge{edge}, q.Agg)
+}
+
+func gjoinSpec(q GroupJoinAgg) Select {
+	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}
+	return classicSpec(q.Probe, nil, []string{q.FK}, []SelectEdge{edge}, q.Agg)
+}
+
+// forcedOnce prepares the spec under a forced technique and runs it once.
+func forcedOnce(e *Engine, spec Select, tech Technique) (Partial, error) {
+	p, err := e.PrepareForced(spec, tech)
+	if err != nil {
+		return Partial{}, err
+	}
+	part, _, err := p.RunPartial(context.Background())
+	return part, err
+}
+
+func forcedScalar(e *Engine, q ScalarAgg, tech Technique) (int64, error) {
+	part, err := forcedOnce(e, scalarSpec(q), tech)
+	return part.Sum, err
+}
+
+func forcedGroups(e *Engine, q GroupAgg, tech Technique) (map[int64]int64, error) {
+	part, err := forcedOnce(e, groupSpec(q), tech)
+	if err != nil {
+		return nil, err
+	}
+	return groupMap(part.Groups), nil
+}

@@ -43,7 +43,6 @@ type PreparedSemiJoinAgg struct {
 	agg         expr.Expr
 	fkCol       *storage.Column
 	parts       *exec.Partials
-	partsN      int
 	bms         []*bitmap.Bitmap
 	buildKernel kernelFn
 	probeKernel kernelFn
@@ -55,7 +54,7 @@ type PreparedSemiJoinAgg struct {
 	kProbe     kernelFn
 }
 
-// newSemiPlan builds an empty husk with its kernel menu.
+// newSemiPlan builds an empty plan with its kernel menu.
 func newSemiPlan() *PreparedSemiJoinAgg {
 	p := &PreparedSemiJoinAgg{}
 	p.kBuildSel = func(w, base, length int) {
@@ -98,11 +97,12 @@ func newSemiPlan() *PreparedSemiJoinAgg {
 	return p
 }
 
-// compileSemiJoinAgg plans a semijoin into p. The positional bitmap needs
-// no cost decision ("Always Better" in Figure 2), only the choice between
+// PrepareSemiJoinAgg compiles a semijoin aggregation once for the caller
+// to keep and re-run. SWOLE's positional bitmap needs no cost decision
+// ("Always Better" in Figure 2, Section III-D), only the choice between
 // predicated and selection-vector construction, which the value-masking
 // model makes.
-func (e *Engine) compileSemiJoinAgg(p *PreparedSemiJoinAgg, q SemiJoinAgg, env planEnv) (*PreparedSemiJoinAgg, error) {
+func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error) {
 	probe := e.DB.Table(q.Probe)
 	build := e.DB.Table(q.Build)
 	if probe == nil {
@@ -128,22 +128,14 @@ func (e *Engine) compileSemiJoinAgg(p *PreparedSemiJoinAgg, q SemiJoinAgg, env p
 	if err := expr.Bind(q.Agg, probe); err != nil {
 		return nil, err
 	}
-	if p == nil {
-		if p = popFree(e, &e.freeSemi); p == nil {
-			p = newSemiPlan()
-		}
-	}
-	fresh := p.bindCore(e, env, false)
-	p.dep(q.Probe)
-	p.dep(q.Build)
+	p := newSemiPlan()
+	fresh := p.bindCore(e, false) + 1
 	p.probeRows, p.buildRows = probe.Rows(), build.Rows()
 	p.probeFilter, p.buildFilter, p.agg = q.ProbeFilter, q.BuildFilter, q.Agg
 	p.fkCol = fkCol
-	var f int
-	p.parts, p.partsN, f = ensurePartials(p.parts, p.partsN, p.nw)
-	fresh += f
-	p.bms, f = ensureBitmaps(p.bms, p.nw, p.buildRows)
-	fresh += f
+	p.parts = exec.NewPartials(p.nw)
+	p.bms = newBitmaps(p.nw, p.buildRows)
+	fresh += p.nw
 
 	buildSel, statsHit := e.selectivity(q.Build, p.buildRows, q.BuildFilter, 16384)
 	p.ex = Explain{
@@ -167,8 +159,23 @@ func (e *Engine) compileSemiJoinAgg(p *PreparedSemiJoinAgg, q SemiJoinAgg, env p
 	return p, nil
 }
 
-// runLocked executes the bound plan. Callers hold e.execMu.
-func (p *PreparedSemiJoinAgg) runLocked(ctx context.Context) (int64, Explain, error) {
+// Run executes the prepared semijoin. Allocation-free after the first
+// call.
+func (p *PreparedSemiJoinAgg) Run() (int64, Explain) {
+	sum, ex, _ := p.RunContext(nil)
+	return sum, ex
+}
+
+// RunContext executes the prepared semijoin under the context's deadline;
+// see PreparedScalarAgg.RunContext for the cancellation contract.
+//
+// Both passes are morsel-parallel. Build-side workers set bits in private
+// positional bitmaps that are OR-merged into the first worker's bitmap
+// once the scan finishes; probe-side workers then read the merged bitmap
+// — immutable from here on — and accumulate masked partial sums.
+func (p *PreparedSemiJoinAgg) RunContext(ctx context.Context) (int64, Explain, error) {
+	p.e.execMu.Lock()
+	defer p.e.execMu.Unlock()
 	for _, bm := range p.bms {
 		bm.Reset(p.buildRows)
 	}
@@ -197,63 +204,10 @@ func (p *PreparedSemiJoinAgg) runLocked(ctx context.Context) (int64, Explain, er
 	return sum, p.snapshot(), nil
 }
 
-// Run executes the prepared semijoin. Allocation-free after the first
-// call.
-func (p *PreparedSemiJoinAgg) Run() (int64, Explain) {
-	sum, ex, _ := p.RunContext(nil)
-	return sum, ex
-}
-
-// RunContext executes the prepared semijoin under the context's deadline;
-// see PreparedScalarAgg.RunContext for the cancellation contract.
-func (p *PreparedSemiJoinAgg) RunContext(ctx context.Context) (int64, Explain, error) {
-	p.e.execMu.Lock()
-	sum, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return sum, ex, err
-}
-
-// PrepareSemiJoinAgg compiles a semijoin aggregation once for the caller
-// to keep and re-run.
-func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error) {
-	return e.compileSemiJoinAgg(nil, q, e.planEnv())
-}
-
-// SemiJoinAgg executes the semijoin with SWOLE's positional bitmap
-// (Section III-D: "Always Better" in Figure 2).
-//
-// Both passes are morsel-parallel. Build-side workers set bits in private
-// positional bitmaps that are OR-merged into the first worker's bitmap
-// once the scan finishes; probe-side workers then read the merged bitmap
-// — immutable from here on — and accumulate masked partial sums. The
-// compiled plan is cached by query value and replayed while tables and
-// engine settings are unchanged.
-func (e *Engine) SemiJoinAgg(q SemiJoinAgg) (int64, Explain, error) {
-	return e.SemiJoinAggContext(nil, q)
-}
-
-// SemiJoinAggContext is SemiJoinAgg under a context deadline; see
-// PreparedScalarAgg.RunContext for the cancellation contract.
-func (e *Engine) SemiJoinAggContext(ctx context.Context, q SemiJoinAgg) (int64, Explain, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	env := e.planEnv()
-	p := lookupPlan(e, e.planSemi, q)
-	replay := p != nil && p.valid(env)
-	if !replay {
-		var err error
-		if p, err = e.compileSemiJoinAgg(p, q, env); err != nil {
-			dropPlan(e, e.planSemi, q)
-			return 0, Explain{}, err
-		}
-		cachePlan(e, &e.planSemi, q, p)
-	}
-	sum, ex, err := p.runLocked(ctx)
-	if err != nil {
-		return 0, Explain{}, err
-	}
-	finishOneShot(&ex, replay)
-	return sum, ex, nil
+// RunPartial implements Plan.
+func (p *PreparedSemiJoinAgg) RunPartial(ctx context.Context) (Partial, Explain, error) {
+	sum, ex, err := p.RunContext(ctx)
+	return Partial{Sum: sum}, ex, err
 }
 
 // GroupJoinAgg is a groupjoin keyed by the probe's foreign key:
@@ -318,7 +272,7 @@ type PreparedGroupJoinAgg struct {
 	kFold       func(w, part int)
 }
 
-// newGJoinPlan builds an empty husk with its kernel menu.
+// newGJoinPlan builds an empty plan with its kernel menu.
 func newGJoinPlan() *PreparedGroupJoinAgg {
 	p := &PreparedGroupJoinAgg{}
 	p.kProbeEager = func(w, base, length int) {
@@ -423,11 +377,14 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 	return p
 }
 
-// compileGroupJoinAgg plans a groupjoin into p, freezing the eager-vs-
-// traditional decision (Section III-E cost models) and — on the eager
+// PrepareGroupJoinAgg compiles a groupjoin once for the caller to keep and
+// re-run, freezing the eager-vs-traditional decision (Section III-E cost
+// models evaluated with each worker's bandwidth share) and — on the eager
 // side, itself a group-by of the probe into |Build| groups — the radix
-// partition decision.
-func (e *Engine) compileGroupJoinAgg(p *PreparedGroupJoinAgg, q GroupJoinAgg, env planEnv) (*PreparedGroupJoinAgg, error) {
+// partition decision. It takes the execution lock: a partitioned compile
+// may grow the shared scatter arena, which must not happen under a running
+// scan.
+func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, error) {
 	probe := e.DB.Table(q.Probe)
 	build := e.DB.Table(q.Build)
 	if probe == nil {
@@ -452,26 +409,21 @@ func (e *Engine) compileGroupJoinAgg(p *PreparedGroupJoinAgg, q GroupJoinAgg, en
 	if err := expr.Bind(q.Agg, probe); err != nil {
 		return nil, err
 	}
-	if p == nil {
-		if p = popFree(e, &e.freeGJoin); p == nil {
-			p = newGJoinPlan()
-		}
-	}
-	fresh := p.bindCore(e, env, false)
-	p.dep(q.Probe)
-	p.dep(q.Build)
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	p := newGJoinPlan()
+	fresh := p.bindCore(e, false)
 	rows := probe.Rows()
 	p.probeRows, p.buildRows = rows, build.Rows()
 	p.buildFilter, p.agg = q.BuildFilter, q.Agg
 	p.fkCol, p.pkCol = fkCol, pkCol
 
-	params := env.params.ForWorkers(p.nw)
+	params := e.Params.ForWorkers(p.nw)
 	selS, statsHit := e.selectivity(q.Build, p.buildRows, q.BuildFilter, 16384)
 	comp := expr.CompCost(q.Agg, params)
 	htBytes := p.buildRows * aggSlotBytes(1)
 	eager, gj, ea := params.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, htBytes)
 	p.eager = eager
-	p.partitioned = false
 	p.ex = Explain{
 		Selectivity: selS,
 		CompCost:    comp,
@@ -483,68 +435,46 @@ func (e *Engine) compileGroupJoinAgg(p *PreparedGroupJoinAgg, q GroupJoinAgg, en
 		Costs:       map[string]float64{"groupjoin": gj, "eager-aggregation": ea},
 	}
 
-	var f int
 	if eager {
 		p.ex.Technique = TechEagerAggregation
-		p.fails, f = ensureBitmaps(p.fails, p.nw, p.buildRows)
-		fresh += f
+		p.fails = newBitmaps(p.nw, p.buildRows)
+		fresh += p.nw
 		p.buildKernel = p.kBuildFail
 
 		// The eager build is a group-by of the probe side into |Build|
 		// groups; the radix decision applies to it.
 		probeDirect := float64(rows) * params.BestAggPerTuple(rows, 1.0, comp, 1, htBytes)
-		usePart, parts, partCost := choosePartition(env.partition, params, rows, comp, htBytes, probeDirect)
+		usePart, parts, partCost := choosePartition(e.Partition, params, rows, comp, htBytes, probeDirect)
 		if parts > 1 {
 			p.ex.Costs["partitioned"] = partCost
 		}
 		if usePart {
 			p.partitioned, p.parts = true, parts
 			p.ex.Partitioned, p.ex.Partitions = true, parts
-			pool, fp := e.ensureScatterLocked(rows, p.nw, parts)
-			fresh += fp
-			p.parters, f = ensurePartitioners(p.parters, p.nw, parts, pool)
-			fresh += f
-			p.smalls, f = ensureTables(p.smalls, p.nw, subTableHint(p.buildRows, parts))
-			fresh += f
-			p.emit = ensureEmit(p.emit, parts)
+			pool, f := e.ensureScatterLocked(rows, p.nw, parts)
+			p.parters = newPartitioners(p.nw, parts, pool)
+			p.smalls = newTables(p.nw, subTableHint(p.buildRows, parts))
+			p.emit = make([][]int64, parts)
+			fresh += f + 2*p.nw
 			p.probeKernel = p.kScatter
 			p.phase2 = p.kFold
 		} else {
-			p.tabs, f = ensureTables(p.tabs, p.nw, p.buildRows)
-			fresh += f
+			p.tabs = newTables(p.nw, p.buildRows)
+			fresh += p.nw
 			p.probeKernel = p.kProbeEager
 		}
 	} else {
 		p.ex.Technique = TechHybrid
 		hint := int(selS*float64(p.buildRows)) + 1
-		p.keyTabs, f = ensureTables(p.keyTabs, p.nw, hint)
-		fresh += f
-		p.keys, f = ensureTable(p.keys, hint)
-		fresh += f
-		p.tabs, f = ensureTables(p.tabs, p.nw, hint)
-		fresh += f
+		p.keyTabs = newTables(p.nw, hint)
+		p.keys = ht.NewAggTable(1, hint)
+		p.tabs = newTables(p.nw, hint)
+		fresh += 2*p.nw + 1
 		p.buildKernel = p.kBuildTrad
 		p.aggKernel = p.kAgg
 	}
 	p.ex.FreshAllocs = fresh
 	return p, nil
-}
-
-// runLocked executes the bound plan. Callers hold e.execMu.
-func (p *PreparedGroupJoinAgg) runLocked(ctx context.Context) (*GroupResult, Explain, error) {
-	var err error
-	switch {
-	case p.partitioned:
-		err = p.runRadixEager(ctx)
-	case p.eager:
-		err = p.runEager(ctx)
-	default:
-		err = p.runTraditional(ctx)
-	}
-	if err != nil {
-		return nil, Explain{}, p.canceled(err)
-	}
-	return &p.out, p.snapshot(), nil
 }
 
 // runRadixEager: fail bitmap first — phase-2 emission reads it — then one
@@ -687,52 +617,24 @@ func (p *PreparedGroupJoinAgg) Run() (*GroupResult, Explain) {
 // see PreparedScalarAgg.RunContext for the cancellation contract.
 func (p *PreparedGroupJoinAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
 	p.e.execMu.Lock()
-	res, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return res, ex, err
-}
-
-// PrepareGroupJoinAgg compiles a groupjoin once for the caller to keep and
-// re-run. It takes the execution lock: a partitioned compile may grow the
-// shared scatter arena, which must not happen under a running scan.
-func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return e.compileGroupJoinAgg(nil, q, e.planEnv())
-}
-
-// GroupJoinAgg chooses between the traditional groupjoin and eager
-// aggregation using the Section III-E cost models evaluated with each
-// worker's bandwidth share, and executes the winner morsel-parallel. The
-// compiled plan is cached by query value and replayed while tables and
-// engine settings are unchanged.
-func (e *Engine) GroupJoinAgg(q GroupJoinAgg) (map[int64]int64, Explain, error) {
-	return e.GroupJoinAggContext(nil, q)
-}
-
-// GroupJoinAggContext is GroupJoinAgg under a context deadline; see
-// PreparedScalarAgg.RunContext for the cancellation contract.
-func (e *Engine) GroupJoinAggContext(ctx context.Context, q GroupJoinAgg) (map[int64]int64, Explain, error) {
-	e.execMu.Lock()
-	env := e.planEnv()
-	p := lookupPlan(e, e.planGJoin, q)
-	replay := p != nil && p.valid(env)
-	if !replay {
-		var err error
-		if p, err = e.compileGroupJoinAgg(p, q, env); err != nil {
-			dropPlan(e, e.planGJoin, q)
-			e.execMu.Unlock()
-			return nil, Explain{}, err
-		}
-		cachePlan(e, &e.planGJoin, q, p)
+	defer p.e.execMu.Unlock()
+	var err error
+	switch {
+	case p.partitioned:
+		err = p.runRadixEager(ctx)
+	case p.eager:
+		err = p.runEager(ctx)
+	default:
+		err = p.runTraditional(ctx)
 	}
-	res, ex, err := p.runLocked(ctx)
 	if err != nil {
-		e.execMu.Unlock()
-		return nil, Explain{}, err
+		return nil, Explain{}, p.canceled(err)
 	}
-	out := res.Map()
-	e.execMu.Unlock()
-	finishOneShot(&ex, replay)
-	return out, ex, nil
+	return &p.out, p.snapshot(), nil
+}
+
+// RunPartial implements Plan.
+func (p *PreparedGroupJoinAgg) RunPartial(ctx context.Context) (Partial, Explain, error) {
+	g, ex, err := p.RunContext(ctx)
+	return Partial{Groups: g}, ex, err
 }

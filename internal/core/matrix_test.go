@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,12 +12,13 @@ import (
 	"github.com/reprolab/swole/internal/volcano"
 )
 
-// The entry-point parity matrix: every shape runs through every mode of
-// the compiled-plan layer — one-shot (cold and replayed), forced per
-// applicable technique, and prepared re-run — at one worker and several,
-// and every answer must be bit-identical to the Volcano interpreter's.
-// This is the contract the unified layer exists to keep: one kernel per
-// (shape, technique), reached from any entry point, same answer.
+// The entry-point parity matrix: every shape is lowered from its Select
+// spec through both entry points of the compiled-plan layer — Prepare
+// (re-run three times) and PrepareForced per applicable technique — at one
+// worker and several, and every answer must be bit-identical to the
+// Volcano interpreter's. This is the contract the layer exists to keep:
+// one kernel per (shape, technique), reached from either entry point, same
+// answer.
 
 // volcanoMap runs a logical plan on the interpreter and flattens the
 // answer to a key→sum map (single-row results under key 0).
@@ -33,15 +35,6 @@ func volcanoMap(t *testing.T, db *storage.Database, n plan.Node) map[int64]int64
 		} else {
 			out[row[0]] = row[1]
 		}
-	}
-	return out
-}
-
-// groupMap flattens a GroupResult the same way.
-func groupMap(g *GroupResult) map[int64]int64 {
-	out := make(map[int64]int64, g.Len())
-	for i := 0; i < g.Len(); i++ {
-		out[g.Key(i)] = g.Sum(i)
 	}
 	return out
 }
@@ -83,108 +76,144 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 		Aggs:    sumAgg("r_a"),
 	})
 
+	sq := ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}
+	gq := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
+	mq := SemiJoinAgg{
+		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
+		ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50),
+		Agg: expr.NewCol("r_a"),
+	}
+	jq := GroupJoinAgg{
+		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
+		BuildFilter: lt("s_x", 50), Agg: expr.NewCol("r_a"),
+	}
+	// The join shapes have no forced techniques: the semijoin has exactly
+	// one physical technique, the positional bitmap, and the groupjoin's is
+	// the cost model's eager-vs-traditional pick (both exercised elsewhere).
+	shapes := []struct {
+		name   string
+		spec   Select
+		want   map[int64]int64
+		forced []Technique
+	}{
+		{"scalar", scalarSpec(sq), wantScalar, scalarTechs},
+		{"group", groupSpec(gq), wantGroup, groupTechs},
+		{"semijoin", semiSpec(mq), wantSemi, nil},
+		{"groupjoin", gjoinSpec(jq), wantGJoin, nil},
+	}
 	for _, workers := range []int{1, 4} {
 		e := NewEngine(db)
 		e.Workers = workers
 		e.MorselRows = 4096
 		defer e.Close()
-		tag := func(shape, entry string) string {
-			return fmt.Sprintf("workers=%d %s %s", workers, shape, entry)
+		for _, sh := range shapes {
+			tag := fmt.Sprintf("workers=%d %s ", workers, sh.name)
+			p, err := e.Prepare(sh.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 3; rep++ {
+				part, _, err := p.RunPartial(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameGroups(t, tag+"prepared", partialMap(part), sh.want)
+			}
+			for _, tech := range sh.forced {
+				part, err := forcedOnce(e, sh.spec, tech)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameGroups(t, tag+"forced-"+tech.String(), partialMap(part), sh.want)
+			}
+			if _, err := e.PrepareForced(sh.spec, TechPositionalBitmap); err == nil {
+				t.Errorf("%sforced positional-bitmap accepted", tag)
+			}
 		}
+	}
+}
 
-		// Scalar aggregation.
-		sq := ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}
-		for rep := 0; rep < 2; rep++ { // cold one-shot, then replay
-			got, _, err := e.ScalarAgg(sq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("scalar", "one-shot"), map[int64]int64{0: got}, wantScalar)
+// TestPrepareLowering pins the in-core lowering: the four classic
+// statements land on their hand-specialized plan types, and each near-miss
+// — one step outside a hand shape's restrictions — lands on the generic
+// executor. Shard fan-out is offered only for the former.
+func TestPrepareLowering(t *testing.T) {
+	db := testDB(t, 5000, 200, 16)
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(db)
+	defer e.Close()
+	col := expr.NewCol
+	sum := func(arg expr.Expr, as string) SelectAgg { return SelectAgg{Kind: AggSum, Arg: arg, As: as} }
+	proj := func(names ...string) []SelectProj {
+		var out []SelectProj
+		for _, n := range names {
+			out = append(out, SelectProj{Expr: col(n), As: n})
 		}
-		for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging} {
-			got, err := e.ScalarAggForced(sq, tech)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("scalar", "forced-"+tech.String()), map[int64]int64{0: got}, wantScalar)
-		}
-		sp, err := e.PrepareScalarAgg(sq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 3; rep++ {
-			got, _ := sp.Run()
-			sameGroups(t, tag("scalar", "prepared"), map[int64]int64{0: got}, wantScalar)
-		}
+		return out
+	}
+	edge := func(filter expr.Expr) []SelectEdge {
+		return []SelectEdge{{Src: -1, FK: "r_fk", Parent: "s", PK: "s_pk", Filter: filter}}
+	}
+	gjoin := func() Select {
+		return gjoinSpec(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", BuildFilter: lt("s_x", 50), Agg: col("r_a")})
+	}
+	with := func(spec Select, edit func(*Select)) Select { edit(&spec); return spec }
 
-		// Group-by aggregation.
-		gq := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-		for rep := 0; rep < 2; rep++ {
-			got, _, err := e.GroupAgg(gq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("group", "one-shot"), got, wantGroup)
-		}
-		for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking} {
-			got, err := e.GroupAggForced(gq, tech)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("group", "forced-"+tech.String()), got, wantGroup)
-		}
-		gp, err := e.PrepareGroupAgg(gq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 3; rep++ {
-			res, _ := gp.Run()
-			sameGroups(t, tag("group", "prepared"), groupMap(res), wantGroup)
-		}
+	cases := []struct {
+		name string
+		spec Select
+		want Plan
+	}{
+		{"scalar", scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: col("r_a")}), &PreparedScalarAgg{}},
+		{"count(*)", with(scalarSpec(ScalarAgg{Table: "r"}), func(s *Select) { s.Aggs[0].Kind = AggCount }), &PreparedScalarAgg{}},
+		{"group", groupSpec(GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: col("r_c"), Agg: col("r_a")}), &PreparedGroupAgg{}},
+		{"semijoin", semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50), Agg: col("r_a")}), &PreparedSemiJoinAgg{}},
+		{"groupjoin", gjoin(), &PreparedGroupJoinAgg{}},
 
-		// Semijoin aggregation (no forced techniques apply: the shape has
-		// exactly one physical technique, the positional bitmap).
-		mq := SemiJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50),
-			Agg: expr.NewCol("r_a"),
-		}
-		for rep := 0; rep < 2; rep++ {
-			got, _, err := e.SemiJoinAgg(mq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("semijoin", "one-shot"), map[int64]int64{0: got}, wantSemi)
-		}
-		mp, err := e.PrepareSemiJoinAgg(mq)
+		{"two aggregates", Select{Root: "r", Aggs: []SelectAgg{sum(col("r_a"), "s"), sum(col("r_x"), "u")}, Project: proj("s", "u")}, &PreparedSelect{}},
+		{"min", with(scalarSpec(ScalarAgg{Table: "r", Agg: col("r_a")}), func(s *Select) { s.Aggs[0].Kind = AggMin }), &PreparedSelect{}},
+		{"having", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
+			s.Having = &expr.Cmp{Op: expr.GT, L: col("s"), R: &expr.Const{Val: 0}}
+		}), &PreparedSelect{}},
+		{"aliased projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
+			s.Project[0].As = "k"
+		}), &PreparedSelect{}},
+		{"reordered projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
+			s.Project[0], s.Project[1] = s.Project[1], s.Project[0]
+		}), &PreparedSelect{}},
+		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, &PreparedSelect{}},
+		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), &PreparedSelect{}},
+		{"groupjoin keyed off the FK", with(gjoin(), func(s *Select) {
+			s.GroupBy = []string{"r_c"}
+			s.Project = proj("r_c", "s")
+		}), &PreparedSelect{}},
+		{"aggregate over a parent column", Select{Root: "r", Edges: edge(nil), Aggs: []SelectAgg{sum(col("s_x"), "s")}, Project: proj("s")}, &PreparedSelect{}},
+		{"join residual", with(semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: col("r_a")}), func(s *Select) {
+			s.Residual = &expr.Cmp{Op: expr.LT, L: col("r_x"), R: col("s_x")}
+		}), &PreparedSelect{}},
+		{"two join edges", Select{Root: "r", Edges: append(edge(nil), edge(lt("s_x", 50))...), Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("s")}, &PreparedSelect{}},
+	}
+	for _, c := range cases {
+		p, err := e.Prepare(c.spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: %v", c.name, err)
+			continue
 		}
-		for rep := 0; rep < 3; rep++ {
-			got, _ := mp.Run()
-			sameGroups(t, tag("semijoin", "prepared"), map[int64]int64{0: got}, wantSemi)
+		if got, want := reflect.TypeOf(p), reflect.TypeOf(c.want); got != want {
+			t.Errorf("%s: lowered onto %v, want %v", c.name, got, want)
+			continue
 		}
-
-		// Groupjoin aggregation (technique is the cost model's
-		// eager-vs-traditional pick; both are exercised elsewhere).
-		jq := GroupJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			BuildFilter: lt("s_x", 50), Agg: expr.NewCol("r_a"),
+		_, generic := p.(*PreparedSelect)
+		if p.Mergeable() == generic {
+			t.Errorf("%s: Mergeable()=%t on %T", c.name, p.Mergeable(), p)
 		}
-		for rep := 0; rep < 2; rep++ {
-			got, _, err := e.GroupJoinAgg(jq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameGroups(t, tag("groupjoin", "one-shot"), got, wantGJoin)
+		if len(p.Fields()) != len(c.spec.Project) {
+			t.Errorf("%s: header %v for %d projected columns", c.name, p.Fields(), len(c.spec.Project))
 		}
-		jp, err := e.PrepareGroupJoinAgg(jq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 3; rep++ {
-			res, _ := jp.Run()
-			sameGroups(t, tag("groupjoin", "prepared"), groupMap(res), wantGJoin)
+		if _, _, err := p.RunPartial(context.Background()); err != nil {
+			t.Errorf("%s: run: %v", c.name, err)
 		}
 	}
 }
@@ -197,90 +226,6 @@ func settle(ex Explain) Explain {
 	ex.ScanTime, ex.MergeTime, ex.PartitionTime = 0, 0, 0
 	ex.Variants.PrefetchProbe, ex.Variants.PrefetchScatter = 0, 0
 	return ex
-}
-
-// TestOneShotPreparedExplainParity pins the observability contract of the
-// unified layer: a warm one-shot replay and a warm prepared re-run of the
-// same query report the same Explain, field for field — same technique,
-// same costs, PlanCached and StatsCached set, FreshAllocs zero. Before
-// the compiled-plan layer the two paths drifted (the one-shot path
-// re-reported first-run FreshAllocs forever); this test keeps them fused.
-func TestOneShotPreparedExplainParity(t *testing.T) {
-	db := testDB(t, 40_000, 500, 64)
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(db)
-		e.Workers = workers
-		e.MorselRows = 4096
-		defer e.Close()
-
-		// check runs the one-shot cold (compiling, sampling, and caching
-		// the plan), then compiles the prepared form — against the now-warm
-		// stats cache, exactly like the replayed one-shot — and compares
-		// the two warm Explains. prepare must not run before the cold
-		// one-shot or the two compiles would see different cache states.
-		check := func(shape string, oneShot func() Explain, prepare func() func() Explain) {
-			t.Helper()
-			oneShot() // cold: compiles, samples, caches the plan
-			warm := settle(oneShot())
-			prepared := prepare()
-			if !warm.PlanCached || !warm.StatsCached {
-				t.Errorf("workers=%d %s: warm one-shot PlanCached=%t StatsCached=%t, want both",
-					workers, shape, warm.PlanCached, warm.StatsCached)
-			}
-			if warm.FreshAllocs != 0 {
-				t.Errorf("workers=%d %s: warm one-shot FreshAllocs=%d, want 0", workers, shape, warm.FreshAllocs)
-			}
-			prepared() // first prepared run settles FreshAllocs
-			prep := settle(prepared())
-			if !reflect.DeepEqual(warm, prep) {
-				t.Errorf("workers=%d %s: one-shot and prepared Explain drifted\none-shot: %s\nprepared: %s",
-					workers, shape, warm, prep)
-			}
-		}
-
-		sq := ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}
-		check("scalar",
-			func() Explain { _, ex, err := e.ScalarAgg(sq); requireNoErr(t, err); return ex },
-			func() func() Explain {
-				p, err := e.PrepareScalarAgg(sq)
-				requireNoErr(t, err)
-				return func() Explain { _, ex := p.Run(); return ex }
-			})
-
-		gq := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-		check("group",
-			func() Explain { _, ex, err := e.GroupAgg(gq); requireNoErr(t, err); return ex },
-			func() func() Explain {
-				p, err := e.PrepareGroupAgg(gq)
-				requireNoErr(t, err)
-				return func() Explain { _, ex := p.Run(); return ex }
-			})
-
-		mq := SemiJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50),
-			Agg: expr.NewCol("r_a"),
-		}
-		check("semijoin",
-			func() Explain { _, ex, err := e.SemiJoinAgg(mq); requireNoErr(t, err); return ex },
-			func() func() Explain {
-				p, err := e.PrepareSemiJoinAgg(mq)
-				requireNoErr(t, err)
-				return func() Explain { _, ex := p.Run(); return ex }
-			})
-
-		jq := GroupJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			BuildFilter: lt("s_x", 50), Agg: expr.NewCol("r_a"),
-		}
-		check("groupjoin",
-			func() Explain { _, ex, err := e.GroupJoinAgg(jq); requireNoErr(t, err); return ex },
-			func() func() Explain {
-				p, err := e.PrepareGroupJoinAgg(jq)
-				requireNoErr(t, err)
-				return func() Explain { _, ex := p.Run(); return ex }
-			})
-	}
 }
 
 func requireNoErr(t *testing.T, err error) {

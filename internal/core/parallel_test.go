@@ -79,7 +79,7 @@ func TestScalarAggWorkersIdentical(t *testing.T) {
 	db := parallelDB(t, 30_000, 100, 10)
 	for _, sel := range selPoints {
 		q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
-		base, ex, err := engineAt(t, db, 1).ScalarAgg(q)
+		base, ex, err := once(engineAt(t, db, 1).PrepareScalarAgg(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestScalarAggWorkersIdentical(t *testing.T) {
 			t.Errorf("sel=%d: explain reports %d workers, want 1", sel, ex.Workers)
 		}
 		for _, w := range workerCounts[1:] {
-			got, ex, err := engineAt(t, db, w).ScalarAgg(q)
+			got, ex, err := once(engineAt(t, db, w).PrepareScalarAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,14 +117,14 @@ func TestScalarAggWorkersIdenticalForcedTechniques(t *testing.T) {
 			q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
 			ref := engineAt(t, db, 1)
 			force.tune(ref)
-			base, exBase, err := ref.ScalarAgg(q)
+			base, exBase, err := once(ref.PrepareScalarAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts[1:] {
 				e := engineAt(t, db, w)
 				force.tune(e)
-				got, ex, err := e.ScalarAgg(q)
+				got, ex, err := once(e.PrepareScalarAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,14 +158,14 @@ func TestGroupAggWorkersIdentical(t *testing.T) {
 				q := GroupAgg{Table: "r", Filter: lt("r_x", sel), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 				ref := engineAt(t, db, 1)
 				force.tune(ref)
-				base, exBase, err := ref.GroupAgg(q)
+				base, exBase, err := groupsOnce(ref.PrepareGroupAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range workerCounts[1:] {
 					e := engineAt(t, db, w)
 					force.tune(e)
-					got, ex, err := e.GroupAgg(q)
+					got, ex, err := groupsOnce(e.PrepareGroupAgg(q))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -195,12 +195,12 @@ func TestSemiJoinAggWorkersIdentical(t *testing.T) {
 				BuildFilter: lt("s_x", selS),
 				Agg:         expr.NewCol("r_a"),
 			}
-			base, _, err := engineAt(t, db, 1).SemiJoinAgg(q)
+			base, _, err := once(engineAt(t, db, 1).PrepareSemiJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts[1:] {
-				got, _, err := engineAt(t, db, w).SemiJoinAgg(q)
+				got, _, err := once(engineAt(t, db, w).PrepareSemiJoinAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -232,7 +232,7 @@ func TestGroupJoinAggWorkersIdentical(t *testing.T) {
 			}
 			ref := engineAt(t, db, 1)
 			force.tune(ref)
-			base, exBase, err := ref.GroupJoinAgg(q)
+			base, exBase, err := groupsOnce(ref.PrepareGroupJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestGroupJoinAggWorkersIdentical(t *testing.T) {
 			for _, w := range workerCounts[1:] {
 				e := engineAt(t, db, w)
 				force.tune(e)
-				got, ex, err := e.GroupJoinAgg(q)
+				got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,19 +262,19 @@ func TestParallelEmptyTables(t *testing.T) {
 	db := parallelDB(t, 0, 0, 1)
 	for _, w := range workerCounts {
 		e := engineAt(t, db, w)
-		sum, _, err := e.ScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 100), Agg: expr.NewCol("r_a")})
+		sum, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 100), Agg: expr.NewCol("r_a")}))
 		if err != nil || sum != 0 {
 			t.Errorf("workers=%d: scalar agg over empty table = %d, %v", w, sum, err)
 		}
-		groups, _, err := e.GroupAgg(GroupAgg{Table: "r", Filter: lt("r_x", 100), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")})
+		groups, _, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Filter: lt("r_x", 100), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}))
 		if err != nil || len(groups) != 0 {
 			t.Errorf("workers=%d: group agg over empty table = %v, %v", w, groups, err)
 		}
-		sum, _, err = e.SemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})
+		sum, _, err = once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 		if err != nil || sum != 0 {
 			t.Errorf("workers=%d: semijoin over empty tables = %d, %v", w, sum, err)
 		}
-		groups, _, err = e.GroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})
+		groups, _, err = groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 		if err != nil || len(groups) != 0 {
 			t.Errorf("workers=%d: groupjoin over empty tables = %v, %v", w, groups, err)
 		}
@@ -286,11 +286,11 @@ func TestParallelSingleMorsel(t *testing.T) {
 	// the pool must fall back to one worker and still merge correctly.
 	db := parallelDB(t, 100, 10, 4)
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 500), Agg: expr.NewCol("r_a")}
-	base, _, err := engineAt(t, db, 1).ScalarAgg(q)
+	base, _, err := once(engineAt(t, db, 1).PrepareScalarAgg(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ex, err := engineAt(t, db, 16).ScalarAgg(q)
+	got, ex, err := once(engineAt(t, db, 16).PrepareScalarAgg(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestParallelSingleMorsel(t *testing.T) {
 		t.Errorf("explain workers = %d", ex.Workers)
 	}
 	gq := GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-	gbase, _, err := engineAt(t, db, 1).GroupAgg(gq)
+	gbase, _, err := groupsOnce(engineAt(t, db, 1).PrepareGroupAgg(gq))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ggot, _, err := engineAt(t, db, 16).GroupAgg(gq)
+	ggot, _, err := groupsOnce(engineAt(t, db, 16).PrepareGroupAgg(gq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,19 +317,19 @@ func TestParallelSingleMorsel(t *testing.T) {
 func TestErrorSentinelsWrapped(t *testing.T) {
 	db := parallelDB(t, 100, 10, 4)
 	e := NewEngine(db)
-	_, _, err := e.ScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")})
+	_, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoTable) {
 		t.Errorf("ScalarAgg unknown table: errors.Is(err, ErrNoTable) false for %v", err)
 	}
-	_, _, err = e.GroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "zz", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})
+	_, _, err = groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "zz", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoTable) {
 		t.Errorf("GroupJoinAgg unknown build: errors.Is(err, ErrNoTable) false for %v", err)
 	}
-	_, _, err = e.SemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")})
+	_, _, err = once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoColumn) {
 		t.Errorf("SemiJoinAgg unknown fk: errors.Is(err, ErrNoColumn) false for %v", err)
 	}
-	_, _, err = e.GroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "zz", Agg: expr.NewCol("r_a")})
+	_, _, err = groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "zz", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoColumn) {
 		t.Errorf("GroupJoinAgg unknown pk: errors.Is(err, ErrNoColumn) false for %v", err)
 	}

@@ -21,10 +21,9 @@ import (
 //	         emit its groups directly.
 //
 // Because a radix partition owns its keys exclusively, phase 2 needs no
-// cross-worker merge: the per-group fold into a Go map that dominates the
-// direct path's merge at high cardinality disappears from the hot path
-// (the map remains only as the one-shot API's result container, filled
-// from already-final per-partition emissions).
+// cross-worker merge: each partition's groups are final when its fold
+// ends, and the result is gathered straight from the per-partition
+// emissions (groupEmit.finishFrom).
 
 // subTableHint sizes a phase-2 partition table: the estimated groups
 // spread evenly over the fan-out. No extra skew headroom: the radix hash
@@ -34,7 +33,7 @@ import (
 // under the power-of-two capacity step matters twice per run — the fold
 // probes a table half the footprint, and the emission scan walks half
 // the slots — and an underestimate costs one rehash whose capacity
-// ratchets in the recycled table.
+// ratchets in the plan's table.
 func subTableHint(groups, parts int) int {
 	return groups/parts + 8
 }

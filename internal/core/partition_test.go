@@ -50,7 +50,7 @@ func TestPartitionedGroupAggParity(t *testing.T) {
 				e := NewEngine(db)
 				e.Workers = workers
 				e.Partition = PartitionOff
-				direct, exD, err := e.GroupAgg(q)
+				direct, exD, err := groupsOnce(e.PrepareGroupAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,7 +59,7 @@ func TestPartitionedGroupAggParity(t *testing.T) {
 				}
 
 				e.Partition = PartitionOn
-				part, exP, err := e.GroupAgg(q)
+				part, exP, err := groupsOnce(e.PrepareGroupAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestPartitionedAutoDecision(t *testing.T) {
 	e := NewEngine(db)
 	defer e.Close()
 	q := GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-	_, ex, err := e.GroupAgg(q)
+	_, ex, err := groupsOnce(e.PrepareGroupAgg(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestPartitionedGroupJoinAggParity(t *testing.T) {
 			e := NewEngine(db)
 			e.Workers = workers
 			e.Partition = PartitionOff
-			direct, exD, err := e.GroupJoinAgg(q)
+			direct, exD, err := groupsOnce(e.PrepareGroupJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			e.Partition = PartitionOn
-			part, exP, err := e.GroupJoinAgg(q)
+			part, exP, err := groupsOnce(e.PrepareGroupJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,8 +147,8 @@ func TestPartitionedGroupJoinAggParity(t *testing.T) {
 }
 
 // TestPreparedPartitionedParity checks prepared radix runs against the
-// one-shot direct result, repeatedly (recycled buffers must not leak
-// state between runs).
+// direct path's result, repeatedly (reused buffers must not leak state
+// between runs).
 func TestPreparedPartitionedParity(t *testing.T) {
 	db := testDB(t, 150_000, 1000, 5000)
 	for _, workers := range []int{1, 4, 8} {
@@ -156,7 +156,7 @@ func TestPreparedPartitionedParity(t *testing.T) {
 		e.Workers = workers
 		q := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 		e.Partition = PartitionOff
-		want, _, err := e.GroupAgg(q)
+		want, _, err := groupsOnce(e.PrepareGroupAgg(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestPreparedPartitionedParity(t *testing.T) {
 			if !ex.Partitioned || ex.Partitions < 2 {
 				t.Fatalf("workers=%d run=%d: Partitioned=%v Partitions=%d", workers, run, ex.Partitioned, ex.Partitions)
 			}
-			sameGroups(t, "workers="+itoa(workers)+" run="+itoa(run), res.Map(), want)
+			sameGroups(t, "workers="+itoa(workers)+" run="+itoa(run), groupMap(res), want)
 			// Keys must come out sorted — the GroupResult contract.
 			for i := 1; i < res.Len(); i++ {
 				if res.Key(i-1) >= res.Key(i) {
@@ -187,7 +187,7 @@ func TestPreparedPartitionedParity(t *testing.T) {
 			Agg:         expr.NewCol("r_a"),
 		}
 		e.Partition = PartitionOff
-		wantJ, exJ, err := e.GroupJoinAgg(gq)
+		wantJ, exJ, err := groupsOnce(e.PrepareGroupJoinAgg(gq))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestPreparedPartitionedParity(t *testing.T) {
 				if !ex.Partitioned {
 					t.Fatalf("prepared groupjoin run %d not partitioned", run)
 				}
-				sameGroups(t, "groupjoin workers="+itoa(workers)+" run="+itoa(run), res.Map(), wantJ)
+				sameGroups(t, "groupjoin workers="+itoa(workers)+" run="+itoa(run), groupMap(res), wantJ)
 			}
 		}
 		e.Close()

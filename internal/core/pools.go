@@ -5,85 +5,12 @@ import (
 	"github.com/reprolab/swole/internal/ht"
 )
 
-// Plan recycling. Compiled plans own every transient resource an
-// execution needs — per-worker tile scratch, aggregation hash tables,
-// positional bitmaps, partitioners — so recycling happens at plan
-// granularity: the one-shot entry points cache whole compiled plans by
-// query value and replay them, and the forced entry points return their
-// plan husks (prebuilt kernel closures plus grown buffers) to bounded
-// per-shape free lists for the next compile to rebind. Both structures
-// live on the engine, guarded by e.mu.
-
-const (
-	// maxCachedCorePlans bounds each shape's one-shot plan cache; past it
-	// the map is cleared wholesale, like the public plan cache.
-	maxCachedCorePlans = 64
-	// maxFreePlans bounds each shape's husk free list.
-	maxFreePlans = 8
-)
-
-// lookupPlan returns the cached plan compiled for the query value, or nil.
-func lookupPlan[K comparable, P any](e *Engine, m map[K]*P, q K) *P {
-	e.mu.Lock()
-	p := m[q]
-	e.mu.Unlock()
-	return p
-}
-
-// cachePlan stores a compiled plan under its query value, clearing the
-// cache wholesale when a new key would push it past the bound.
-func cachePlan[K comparable, P any](e *Engine, m *map[K]*P, q K, p *P) {
-	e.mu.Lock()
-	if *m == nil || (len(*m) >= maxCachedCorePlans && (*m)[q] == nil) {
-		*m = make(map[K]*P)
-	}
-	(*m)[q] = p
-	e.mu.Unlock()
-}
-
-// dropPlan evicts one cached plan (failed recompiles must not leave the
-// stale plan behind).
-func dropPlan[K comparable, P any](e *Engine, m map[K]*P, q K) {
-	e.mu.Lock()
-	delete(m, q)
-	e.mu.Unlock()
-}
-
-// dropDependentPlans evicts cached plans reading the named table. Evicted
-// plans are left for the garbage collector rather than recycled: a
-// Prepare running on another goroutine may pop husks concurrently, and a
-// husk must never be rebound while a cached copy of it could still run.
-func dropDependentPlans[K comparable, P interface{ dependsOn(string) bool }](m map[K]P, table string) {
-	for k, p := range m {
-		if p.dependsOn(table) {
-			delete(m, k)
-		}
-	}
-}
-
-// popFree draws a recycled husk from a free list, or nil.
-func popFree[P any](e *Engine, free *[]*P) *P {
-	e.mu.Lock()
-	var p *P
-	if n := len(*free); n > 0 {
-		p = (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
-	}
-	e.mu.Unlock()
-	return p
-}
-
-// pushFree returns a husk to its free list. Only plans whose every cached
-// reference is gone may be pushed (the forced entry points qualify: their
-// plans are never cached).
-func pushFree[P any](e *Engine, free *[]*P, p *P) {
-	e.mu.Lock()
-	if len(*free) < maxFreePlans {
-		*free = append(*free, p)
-	}
-	e.mu.Unlock()
-}
+// Engine-owned execution resources. A compiled plan owns everything
+// specific to it — per-worker tile scratch, aggregation hash tables,
+// positional bitmaps, partitioners — for its whole life. What lives on the
+// engine is only what every plan shares: the persistent worker gang and
+// the scatter arena partitioned plans append into, both guarded by
+// e.execMu.
 
 // ensureScatterLocked sizes the engine's shared scatter arena — the chunk
 // pool every partitioned plan's workers append into — for a scan of rows

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"slices"
+
+	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/storage"
+)
+
+// Plan is a compiled statement, owned by whoever prepared it.
+type Plan interface {
+	// RunPartial executes the plan and returns its answer; see Partial.
+	RunPartial(ctx context.Context) (Partial, Explain, error)
+	// Fields is the result header.
+	Fields() []OutField
+	// Mergeable reports whether partials computed over disjoint row ranges
+	// of the driving table combine into the whole answer (sums add, group
+	// partials merge through GroupMerger). Only mergeable plans may be
+	// prepared per shard and fanned out.
+	Mergeable() bool
+}
+
+// Partial is one plan run's answer: Rows for a generic plan, Groups for a
+// grouped hand-specialized plan, Sum otherwise. Groups and Rows alias
+// plan-owned buffers overwritten by the plan's next run.
+type Partial struct {
+	Sum    int64
+	Groups *GroupResult
+	Rows   *SelectResult
+}
+
+// Prepare compiles a statement for the caller to keep and re-run. A spec
+// that collapses to one of the paper's four shapes — scalar, group-by,
+// semijoin, or groupjoin aggregation — lowers onto that shape's hand-
+// specialized plan (morsel-parallel kernels, radix partitioning, zero-alloc
+// re-runs, mergeable partials); everything else compiles through
+// PrepareSelect.
+func (e *Engine) Prepare(spec Select) (Plan, error) {
+	return e.prepare(spec, techAuto)
+}
+
+// PrepareForced compiles a scalar or single-key group-by statement under
+// the caller's technique instead of the cost model's pick — strategy
+// comparisons on user queries, ablation studies. Forced plans scan
+// sequentially: they measure kernel character, not parallel speedup.
+func (e *Engine) PrepareForced(spec Select, tech Technique) (Plan, error) {
+	return e.prepare(spec, tech)
+}
+
+// The techniques a forced compile may name, per shape.
+var (
+	scalarTechs = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging}
+	groupTechs  = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}
+)
+
+func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
+	arg, fields := e.classic(spec)
+	if tech != techAuto {
+		menu := scalarTechs
+		if len(spec.GroupBy) == 1 {
+			menu = groupTechs
+		}
+		if arg == nil || len(spec.Edges) > 0 || !slices.Contains(menu, tech) {
+			return nil, fmt.Errorf("core: technique %s cannot be forced on this statement", tech)
+		}
+	}
+	if arg == nil {
+		p, err := e.PrepareSelect(spec)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	var (
+		hand interface {
+			Plan
+			setFields([]OutField)
+		}
+		err error
+	)
+	switch {
+	case len(spec.Edges) == 0 && len(spec.GroupBy) == 0:
+		hand, err = e.compileScalarAgg(ScalarAgg{Table: spec.Root, Filter: spec.Filter, Agg: arg}, tech)
+	case len(spec.Edges) == 0:
+		hand, err = e.compileGroupAgg(GroupAgg{
+			Table: spec.Root, Filter: spec.Filter, Key: expr.NewCol(spec.GroupBy[0]), Agg: arg,
+		}, tech)
+	case len(spec.GroupBy) == 0:
+		ed := spec.Edges[0]
+		hand, err = e.PrepareSemiJoinAgg(SemiJoinAgg{
+			Probe: spec.Root, Build: ed.Parent, FK: ed.FK, PK: ed.PK,
+			ProbeFilter: spec.Filter, BuildFilter: ed.Filter, Agg: arg,
+		})
+	default:
+		ed := spec.Edges[0]
+		hand, err = e.PrepareGroupJoinAgg(GroupJoinAgg{
+			Probe: spec.Root, Build: ed.Parent, FK: ed.FK, PK: ed.PK,
+			BuildFilter: ed.Filter, Agg: arg,
+		})
+	}
+	if err != nil {
+		return nil, err // not hand: a failed compile's nil pointer must not reach the interface
+	}
+	hand.setFields(fields)
+	return hand, nil
+}
+
+// classic recognizes the statements the four hand-specialized plans cover:
+// a single sum(expr) or count(*), no HAVING or residual, at most one group
+// key and one join edge, and the canonical projection (the group key under
+// its own name, then the aggregate alias — reordered or aliased output
+// needs the generic executor's projection stage). The join shapes
+// aggregate probe columns only, and the groupjoin is keyed by the foreign
+// key with no probe filter. It returns the summed expression and the
+// result header; a nil expression sends the statement to PrepareSelect.
+func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
+	root := e.DB.Table(spec.Root)
+	if root == nil || len(spec.Aggs) != 1 || spec.Having != nil || spec.Residual != nil ||
+		len(spec.GroupBy) > 1 || len(spec.Edges) > 1 || len(spec.Project) != len(spec.GroupBy)+1 {
+		return nil, nil
+	}
+	arg := spec.Aggs[0].Arg
+	switch {
+	case spec.Aggs[0].Kind == AggSum && arg != nil:
+	case spec.Aggs[0].Kind == AggCount && arg == nil:
+		arg = &expr.Const{Val: 1} // count(*) is sum(1)
+	default:
+		return nil, nil
+	}
+	fields := make([]OutField, 0, 2)
+	for _, g := range spec.GroupBy {
+		key := root.Column(g)
+		if key == nil {
+			return nil, nil
+		}
+		fields = append(fields, OutField{Name: g, Dict: key.Dict, Log: key.Log})
+	}
+	fields = append(fields, OutField{Name: spec.Aggs[0].As, Log: storage.LogInt})
+	for i, f := range fields {
+		c, ok := spec.Project[i].Expr.(*expr.Col)
+		if !ok || c.Name != f.Name || spec.Project[i].As != f.Name {
+			return nil, nil
+		}
+	}
+	if len(spec.Edges) == 1 {
+		for _, c := range expr.Cols(arg) {
+			if root.Column(c) == nil {
+				return nil, nil
+			}
+		}
+		if ed := spec.Edges[0]; ed.Src >= 0 || len(spec.GroupBy) == 1 && (spec.GroupBy[0] != ed.FK || spec.Filter != nil) {
+			return nil, nil
+		}
+	}
+	return arg, fields
+}

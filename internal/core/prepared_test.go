@@ -7,7 +7,7 @@ import (
 )
 
 // TestPreparedScalarAggParity checks a prepared scalar aggregation returns
-// the one-shot engine's answers run after run, at one worker and several.
+// a single-run plan's answers run after run, at one worker and several.
 func TestPreparedScalarAggParity(t *testing.T) {
 	db := testDB(t, 50_000, 100, 10)
 	for _, workers := range []int{1, 4} {
@@ -17,7 +17,7 @@ func TestPreparedScalarAggParity(t *testing.T) {
 		defer e.Close()
 		for _, sel := range []int64{1, 30, 95} {
 			q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
-			want, wantEx, err := e.ScalarAgg(q)
+			want, wantEx, err := once(e.PrepareScalarAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestPreparedScalarAggParity(t *testing.T) {
 					t.Errorf("workers=%d sel=%d rep=%d: got %d, want %d", workers, sel, rep, got, want)
 				}
 				if ex.Technique != wantEx.Technique {
-					t.Errorf("workers=%d sel=%d: prepared technique %s, one-shot %s", workers, sel, ex.Technique, wantEx.Technique)
+					t.Errorf("workers=%d sel=%d: prepared technique %s, first run %s", workers, sel, ex.Technique, wantEx.Technique)
 				}
 				if !ex.PlanCached {
 					t.Error("prepared Explain should report PlanCached")
@@ -42,7 +42,7 @@ func TestPreparedScalarAggParity(t *testing.T) {
 }
 
 // TestPreparedGroupAggParity checks the prepared group-by aggregation
-// against the one-shot map result, across techniques and worker counts.
+// against a single-run plan's result, across techniques and worker counts.
 func TestPreparedGroupAggParity(t *testing.T) {
 	for _, ccard := range []int{10, 3000} {
 		db := testDB(t, 50_000, 100, ccard)
@@ -53,7 +53,7 @@ func TestPreparedGroupAggParity(t *testing.T) {
 			defer e.Close()
 			for _, sel := range []int64{5, 60} {
 				q := GroupAgg{Table: "r", Filter: lt("r_x", sel), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-				want, wantEx, err := e.GroupAgg(q)
+				want, wantEx, err := groupsOnce(e.PrepareGroupAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +64,7 @@ func TestPreparedGroupAggParity(t *testing.T) {
 				for rep := 0; rep < 3; rep++ {
 					res, ex := p.Run()
 					if ex.Technique != wantEx.Technique {
-						t.Errorf("ccard=%d workers=%d sel=%d: technique %s, one-shot %s", ccard, workers, sel, ex.Technique, wantEx.Technique)
+						t.Errorf("ccard=%d workers=%d sel=%d: technique %s, first run %s", ccard, workers, sel, ex.Technique, wantEx.Technique)
 					}
 					if res.Len() != len(want) {
 						t.Fatalf("ccard=%d workers=%d sel=%d rep=%d: %d groups, want %d", ccard, workers, sel, rep, res.Len(), len(want))
@@ -99,7 +99,7 @@ func TestPreparedSemiJoinAggParity(t *testing.T) {
 				ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", buildSel),
 				Agg: expr.NewCol("r_a"),
 			}
-			want, _, err := e.SemiJoinAgg(q)
+			want, _, err := once(e.PrepareSemiJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestPreparedSemiJoinAggParity(t *testing.T) {
 }
 
 // TestPreparedGroupJoinAggParity checks the prepared groupjoin on both the
-// eager and traditional paths against the one-shot result.
+// eager and traditional paths against a single-run plan's result.
 func TestPreparedGroupJoinAggParity(t *testing.T) {
 	db := testDB(t, 50_000, 1000, 10)
 	for _, workers := range []int{1, 4} {
@@ -131,7 +131,7 @@ func TestPreparedGroupJoinAggParity(t *testing.T) {
 				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 				BuildFilter: lt("s_x", buildSel), Agg: expr.NewCol("r_a"),
 			}
-			want, wantEx, err := e.GroupJoinAgg(q)
+			want, wantEx, err := groupsOnce(e.PrepareGroupJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestPreparedGroupJoinAggParity(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				res, ex := p.Run()
 				if ex.Technique != wantEx.Technique {
-					t.Errorf("workers=%d buildSel=%d: technique %s, one-shot %s", workers, buildSel, ex.Technique, wantEx.Technique)
+					t.Errorf("workers=%d buildSel=%d: technique %s, first run %s", workers, buildSel, ex.Technique, wantEx.Technique)
 				}
 				if res.Len() != len(want) {
 					t.Fatalf("workers=%d buildSel=%d rep=%d: %d groups, want %d", workers, buildSel, rep, res.Len(), len(want))
@@ -208,56 +208,6 @@ func TestPreparedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOneShotZeroAlloc is the one-shot side of the gate: a replayed
-// one-shot execution goes through the same compiled plan as a prepared
-// re-run, so the scalar and semijoin entry points (whose results are plain
-// int64s) must not allocate either. The group-shape one-shot APIs return a
-// freshly allocated map by contract; their replay guarantee is asserted
-// through the Explain counters instead.
-func TestOneShotZeroAlloc(t *testing.T) {
-	db := testDB(t, 64_000, 1000, 100)
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(db)
-		e.Workers = workers
-		e.MorselRows = 4096
-		defer e.Close()
-
-		sq := ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}
-		gq := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-		mq := SemiJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50),
-			Agg: expr.NewCol("r_a"),
-		}
-		// Cold runs compile and cache the plans; the second run settles
-		// any lazily sized scratch.
-		for rep := 0; rep < 2; rep++ {
-			if _, _, err := e.ScalarAgg(sq); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := e.GroupAgg(gq); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := e.SemiJoinAgg(mq); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		if allocs := testing.AllocsPerRun(20, func() { e.ScalarAgg(sq) }); allocs != 0 {
-			t.Errorf("workers=%d: one-shot scalar replay allocates %.1f per run, want 0", workers, allocs)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.SemiJoinAgg(mq) }); allocs != 0 {
-			t.Errorf("workers=%d: one-shot semijoin replay allocates %.1f per run, want 0", workers, allocs)
-		}
-		if _, ex, err := e.GroupAgg(gq); err != nil {
-			t.Fatal(err)
-		} else if ex.FreshAllocs != 0 || ex.HTGrows != 0 {
-			t.Errorf("workers=%d: one-shot group replay FreshAllocs=%d HTGrows=%d, want 0/0",
-				workers, ex.FreshAllocs, ex.HTGrows)
-		}
-	}
-}
-
 // TestStatsCacheHits checks the second planning of a shape reports cached
 // statistics and that invalidation brings sampling back.
 func TestStatsCacheHits(t *testing.T) {
@@ -265,10 +215,10 @@ func TestStatsCacheHits(t *testing.T) {
 	e := NewEngine(db)
 	defer e.Close()
 	q := GroupAgg{Table: "r", Filter: lt("r_x", 30), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-	if _, ex, err := e.GroupAgg(q); err != nil || ex.StatsCached {
+	if _, ex, err := groupsOnce(e.PrepareGroupAgg(q)); err != nil || ex.StatsCached {
 		t.Fatalf("first run: err=%v StatsCached=%v, want miss", err, ex.StatsCached)
 	}
-	if _, ex, err := e.GroupAgg(q); err != nil || !ex.StatsCached {
+	if _, ex, err := groupsOnce(e.PrepareGroupAgg(q)); err != nil || !ex.StatsCached {
 		t.Fatalf("second run: err=%v StatsCached=%v, want hit", err, ex.StatsCached)
 	}
 	if e.StatsCacheLen() == 0 {
@@ -278,7 +228,7 @@ func TestStatsCacheHits(t *testing.T) {
 	if e.StatsCacheLen() != 0 {
 		t.Fatalf("stats cache holds %d entries after invalidation", e.StatsCacheLen())
 	}
-	if _, ex, err := e.GroupAgg(q); err != nil || ex.StatsCached {
+	if _, ex, err := groupsOnce(e.PrepareGroupAgg(q)); err != nil || ex.StatsCached {
 		t.Fatalf("post-invalidation run: err=%v StatsCached=%v, want miss", err, ex.StatsCached)
 	}
 }
@@ -290,42 +240,39 @@ func TestStatsCacheVersioned(t *testing.T) {
 	e := NewEngine(db)
 	defer e.Close()
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 30), Agg: expr.NewCol("r_a")}
-	if _, _, err := e.ScalarAgg(q); err != nil {
+	if _, _, err := once(e.PrepareScalarAgg(q)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ex, _ := e.ScalarAgg(q); !ex.StatsCached {
+	if _, ex, _ := once(e.PrepareScalarAgg(q)); !ex.StatsCached {
 		t.Fatal("want stats hit before table replacement")
 	}
 	// Re-register r (same contents, new version): the old entry's version
 	// no longer matches, so the next plan samples afresh.
 	db.AddTable(db.MustTable("r"))
-	if _, ex, _ := e.ScalarAgg(q); ex.StatsCached {
+	if _, ex, _ := once(e.PrepareScalarAgg(q)); ex.StatsCached {
 		t.Fatal("stats reported cached across a table replacement")
 	}
 }
 
-// TestPoolRecycling checks FreshAllocs drops to zero once the engine pools
-// are warm, and that HTGrows stays zero when the cardinality hint holds.
+// TestPoolRecycling checks a plan bills its compile's allocations to its
+// first run only — FreshAllocs drops to zero on every later run of the
+// same plan — and that HTGrows stays zero when the cardinality hint holds.
 func TestPoolRecycling(t *testing.T) {
 	db := testDB(t, 30_000, 100, 1000)
 	e := NewEngine(db)
 	e.Workers = 2
 	defer e.Close()
-	q := GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
-	_, ex, err := e.GroupAgg(q)
+	p, err := e.PrepareGroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.FreshAllocs == 0 {
+	if _, ex := p.Run(); ex.FreshAllocs == 0 {
 		t.Fatal("first run should report fresh resource allocations")
 	}
 	for rep := 0; rep < 3; rep++ {
-		_, ex, err = e.GroupAgg(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, ex := p.Run()
 		if ex.FreshAllocs != 0 {
-			t.Errorf("rep %d: %d fresh allocations on a warm pool", rep, ex.FreshAllocs)
+			t.Errorf("rep %d: %d fresh allocations on a warm plan", rep, ex.FreshAllocs)
 		}
 		if ex.HTGrows != 0 {
 			t.Errorf("rep %d: %d hash growths despite cardinality hint", rep, ex.HTGrows)

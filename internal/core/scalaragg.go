@@ -22,14 +22,13 @@ type ScalarAgg struct {
 
 // PreparedScalarAgg is the compiled plan for a scalar aggregation: the
 // technique decision, the kernel for it, and every buffer the execution
-// needs. See compile.go for the compile/bind/run contract.
+// needs. See compile.go for the compile/run contract.
 type PreparedScalarAgg struct {
 	planCore
 	rows   int
 	filter expr.Expr
 	agg    expr.Expr
 	parts  *exec.Partials
-	partsN int
 	kernel kernelFn
 
 	// aggCol is the aggregate's storage column when the aggregate is a
@@ -38,15 +37,14 @@ type PreparedScalarAgg struct {
 	// instead of widening through the evaluator. Nil otherwise.
 	aggCol *storage.Column
 
-	// The technique menu, built once per husk over the fields above.
+	// The technique menu, built with the plan over the fields above.
 	kTuple  kernelFn // data-centric tuple-at-a-time (forced only)
 	kHybrid kernelFn // pushdown through a selection vector
 	kMask   kernelFn // value masking / access merging
 }
 
-// newScalarPlan builds an empty husk with its kernel menu. The closures
-// read the husk's current fields, so rebinding the husk to another query
-// or environment never rebuilds them.
+// newScalarPlan builds an empty plan with its kernel menu; the closures
+// read the fields compileScalarAgg fills in.
 func newScalarPlan() *PreparedScalarAgg {
 	p := &PreparedScalarAgg{}
 	p.kTuple = func(w, base, length int) {
@@ -97,12 +95,11 @@ func newScalarPlan() *PreparedScalarAgg {
 	return p
 }
 
-// compileScalarAgg plans a scalar aggregation into p (a recycled husk, or
-// nil to draw one from the free list): it validates and binds the query,
-// samples statistics through the cache, evaluates the Section III-A cost
-// models, and binds the chosen kernel and resources. tech overrides the
-// decision (forced execution); techAuto defers to the model.
-func (e *Engine) compileScalarAgg(p *PreparedScalarAgg, q ScalarAgg, tech Technique, env planEnv) (*PreparedScalarAgg, error) {
+// compileScalarAgg plans a scalar aggregation: it validates and binds the
+// query, samples statistics through the cache, evaluates the Section III-A
+// cost models, and binds the chosen kernel and resources. tech overrides
+// the decision (forced execution); techAuto defers to the model.
+func (e *Engine) compileScalarAgg(q ScalarAgg, tech Technique) (*PreparedScalarAgg, error) {
 	t := e.DB.Table(q.Table)
 	if t == nil {
 		return nil, errNoTable(q.Table)
@@ -115,24 +112,16 @@ func (e *Engine) compileScalarAgg(p *PreparedScalarAgg, q ScalarAgg, tech Techni
 	if err := expr.Bind(q.Agg, t); err != nil {
 		return nil, err
 	}
-	if p == nil {
-		if p = popFree(e, &e.freeScalar); p == nil {
-			p = newScalarPlan()
-		}
-	}
-	fresh := p.bindCore(e, env, tech != techAuto)
-	p.dep(q.Table)
+	p := newScalarPlan()
+	fresh := p.bindCore(e, tech != techAuto) + 1
 	p.rows = t.Rows()
 	p.filter, p.agg = q.Filter, q.Agg
-	p.aggCol = nil
 	if c, ok := q.Agg.(*expr.Col); ok {
 		p.aggCol = c.Column()
 	}
-	var f int
-	p.parts, p.partsN, f = ensurePartials(p.parts, p.partsN, p.nw)
-	fresh += f
+	p.parts = exec.NewPartials(p.nw)
 
-	params := env.params.ForWorkers(p.nw)
+	params := e.Params.ForWorkers(p.nw)
 	sel, statsHit := e.selectivity(q.Table, p.rows, q.Filter, 16384)
 	comp := expr.CompCost(q.Agg, params)
 	p.ex = Explain{
@@ -174,8 +163,26 @@ func (e *Engine) compileScalarAgg(p *PreparedScalarAgg, q ScalarAgg, tech Techni
 	return p, nil
 }
 
-// runLocked executes the bound plan. Callers hold e.execMu.
-func (p *PreparedScalarAgg) runLocked(ctx context.Context) (int64, Explain, error) {
+// Run executes the prepared aggregation. Allocation-free after the first
+// call.
+func (p *PreparedScalarAgg) Run() (int64, Explain) {
+	sum, ex, _ := p.RunContext(nil)
+	return sum, ex
+}
+
+// RunContext executes the prepared aggregation under the context's
+// deadline: workers poll it at morsel granularity, so cancellation stops
+// the scan within one morsel and returns ctx's error with the plan's
+// buffers intact for the next run.
+//
+// Execution is morsel-parallel on the engine's persistent worker gang:
+// workers claim cache-sized row ranges, run the chosen tiled kernel
+// branch-free within each morsel, and accumulate into private partials;
+// the merge phase sums the partials, so the result is identical at every
+// worker count.
+func (p *PreparedScalarAgg) RunContext(ctx context.Context) (int64, Explain, error) {
+	p.e.execMu.Lock()
+	defer p.e.execMu.Unlock()
 	p.parts.Reset()
 	start := time.Now()
 	p.scan(ctx, p.rows, p.kernel)
@@ -190,69 +197,18 @@ func (p *PreparedScalarAgg) runLocked(ctx context.Context) (int64, Explain, erro
 	return sum, p.snapshot(), nil
 }
 
-// Run executes the prepared aggregation. Allocation-free after the first
-// call.
-func (p *PreparedScalarAgg) Run() (int64, Explain) {
-	sum, ex, _ := p.RunContext(nil)
-	return sum, ex
-}
-
-// RunContext executes the prepared aggregation under the context's
-// deadline: workers poll it at morsel granularity, so cancellation stops
-// the scan within one morsel and returns ctx's error with the plan's
-// pooled resources intact for the next run.
-func (p *PreparedScalarAgg) RunContext(ctx context.Context) (int64, Explain, error) {
-	p.e.execMu.Lock()
-	sum, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return sum, ex, err
+// RunPartial implements Plan.
+func (p *PreparedScalarAgg) RunPartial(ctx context.Context) (Partial, Explain, error) {
+	sum, ex, err := p.RunContext(ctx)
+	return Partial{Sum: sum}, ex, err
 }
 
 // PrepareScalarAgg compiles a scalar aggregation once — statistics
-// (through the cache), the cost-model decision, kernel and buffer binding
-// — for the caller to keep and re-run.
+// (through the cache), the cost-model decision between the hybrid pushdown
+// and value masking (Section III-A, evaluated with each worker's bandwidth
+// share), kernel and buffer binding — for the caller to keep and re-run.
 func (e *Engine) PrepareScalarAgg(q ScalarAgg) (*PreparedScalarAgg, error) {
-	return e.compileScalarAgg(nil, q, techAuto, e.planEnv())
-}
-
-// ScalarAgg plans and executes the aggregation, returning the sum and the
-// decision record. The planner chooses between the hybrid pushdown and
-// value masking using the Section III-A cost models evaluated with each
-// worker's bandwidth share.
-//
-// Execution is morsel-parallel on the engine's persistent worker gang:
-// workers claim cache-sized row ranges, run the chosen tiled kernel
-// branch-free within each morsel, and accumulate into private partials;
-// the merge phase sums the partials, so the result is identical at every
-// worker count. The compiled plan is cached by query value: re-running
-// the same query against unchanged tables and engine settings replays it
-// without sampling, cost evaluation, or allocation.
-func (e *Engine) ScalarAgg(q ScalarAgg) (int64, Explain, error) {
-	return e.ScalarAggContext(nil, q)
-}
-
-// ScalarAggContext is ScalarAgg under a context deadline; see
-// PreparedScalarAgg.RunContext for the cancellation contract.
-func (e *Engine) ScalarAggContext(ctx context.Context, q ScalarAgg) (int64, Explain, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	env := e.planEnv()
-	p := lookupPlan(e, e.planScalar, q)
-	replay := p != nil && p.valid(env)
-	if !replay {
-		var err error
-		if p, err = e.compileScalarAgg(p, q, techAuto, env); err != nil {
-			dropPlan(e, e.planScalar, q)
-			return 0, Explain{}, err
-		}
-		cachePlan(e, &e.planScalar, q, p)
-	}
-	sum, ex, err := p.runLocked(ctx)
-	if err != nil {
-		return 0, Explain{}, err
-	}
-	finishOneShot(&ex, replay)
-	return sum, ex, nil
+	return e.compileScalarAgg(q, techAuto)
 }
 
 // shared returns attributes referenced by both expressions.

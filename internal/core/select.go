@@ -18,7 +18,7 @@ import (
 // This file is the compositional executor behind the plan synthesizer: any
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
 // edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
-// PreparedSelect husk. Each join edge resolves build rows positionally
+// PreparedSelect. Each join edge resolves build rows positionally
 // through the registered foreign-key index and applies its build-side
 // predicate as a positional bitmap (Section III-D), so no hash table is
 // built. Root disjunctions choose, via the cost model, between fused
@@ -83,6 +83,40 @@ type Select struct {
 	Aggs     []SelectAgg
 	Having   expr.Expr // evaluated over the aggregate output row
 	Project  []SelectProj
+}
+
+// Clone deep-copies the spec's expression trees. Bind mutates expression
+// nodes in place, so every engine a statement is prepared on needs a
+// private tree; sharing one would leave all of them reading whichever
+// engine's columns bound last.
+func (q Select) Clone() Select {
+	q.Filter = expr.Clone(q.Filter)
+	q.Residual = expr.Clone(q.Residual)
+	q.Having = expr.Clone(q.Having)
+	q.Edges = append([]SelectEdge(nil), q.Edges...)
+	for i := range q.Edges {
+		q.Edges[i].Filter = expr.Clone(q.Edges[i].Filter)
+	}
+	q.Aggs = append([]SelectAgg(nil), q.Aggs...)
+	for i := range q.Aggs {
+		q.Aggs[i].Arg = expr.Clone(q.Aggs[i].Arg)
+	}
+	q.Project = append([]SelectProj(nil), q.Project...)
+	for i := range q.Project {
+		q.Project[i].Expr = expr.Clone(q.Project[i].Expr)
+	}
+	return q
+}
+
+// Tables lists the tables a plan for the spec reads: the root — the
+// driving table, whose shard layout a fan-out follows — then each edge's
+// parent.
+func (q Select) Tables() []string {
+	tabs := []string{q.Root}
+	for _, e := range q.Edges {
+		tabs = append(tabs, e.Parent)
+	}
+	return tabs
 }
 
 // OutField describes one output (or intermediate) column of a synthesized
@@ -182,9 +216,9 @@ type selGroup struct {
 }
 
 // PreparedSelect is a compiled synthesized plan. It executes
-// single-threaded over the engine's column store (the fan-out machinery of
-// the degenerate shapes does not apply here) and recycles its buffers
-// across runs; RunContext is safe for concurrent use.
+// single-threaded over the engine's column store (the gang and shard
+// fan-out machinery of the hand-specialized shapes does not apply here) and
+// reuses its buffers across runs; RunContext is safe for concurrent use.
 type PreparedSelect struct {
 	e    *Engine
 	spec Select
@@ -215,7 +249,7 @@ type PreparedSelect struct {
 }
 
 // PrepareSelect compiles a synthesized single-block SELECT into a reusable
-// husk: it resolves tables and foreign-key indexes, binds every expression
+// plan: it resolves tables and foreign-key indexes, binds every expression
 // tree, samples term selectivities, and fixes the disjunction strategy via
 // the cost model.
 func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
@@ -416,15 +450,19 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 	return p, nil
 }
 
-// Explain returns the compile-time planning decision.
-func (p *PreparedSelect) Explain() Explain { return p.ex }
+// Fields returns the prepared plan's output header.
+func (p *PreparedSelect) Fields() []OutField { return p.resFields }
 
-// ResultFields returns the prepared plan's output header.
-func (p *PreparedSelect) ResultFields() []OutField { return p.resFields }
+// Mergeable reports false: HAVING, avg/min/max, and multi-key grouping are
+// not distributive over partials the way the hand-specialized shapes' sums
+// are, so a generic plan must see every row of its tables.
+func (p *PreparedSelect) Mergeable() bool { return false }
 
-// Strategy returns the chosen disjunction strategy (meaningful when the
-// root filter is a disjunction).
-func (p *PreparedSelect) Strategy() cost.DisjunctionStrategy { return p.strategy }
+// RunPartial implements Plan.
+func (p *PreparedSelect) RunPartial(ctx context.Context) (Partial, Explain, error) {
+	res, ex, err := p.RunContext(ctx)
+	return Partial{Rows: res}, ex, err
+}
 
 // RunContext executes the plan, honoring ctx between tile batches.
 func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {

@@ -90,17 +90,12 @@ func (c *statsCache) invalidate(table string) {
 	}
 }
 
-// InvalidateStats drops cached statistics — and cached one-shot plans —
-// for the named table. Both self-invalidate via table versions, so this is
-// about reclaiming memory (and about making eviction observable to tests),
-// not correctness.
+// InvalidateStats drops cached statistics for the named table. Entries
+// self-invalidate via table versions, so this is about reclaiming memory
+// (and about making eviction observable to tests), not correctness.
 func (e *Engine) InvalidateStats(table string) {
 	e.mu.Lock()
 	e.stats.invalidate(table)
-	dropDependentPlans(e.planScalar, table)
-	dropDependentPlans(e.planGroup, table)
-	dropDependentPlans(e.planSemi, table)
-	dropDependentPlans(e.planGJoin, table)
 	e.mu.Unlock()
 }
 
@@ -168,8 +163,7 @@ func (e *Engine) groupCount(table string, rows int, key expr.Expr, maxSample int
 // [oldRows, Rows). Selectivities merge as row-count-weighted averages;
 // group counts union the delta's keys into the retained distinct-sample.
 // Entries without merge state (or whose expressions no longer bind) are
-// dropped and re-sampled lazily. One-shot plans over the table are dropped
-// the same way InvalidateStats drops them — their bound arrays are stale.
+// dropped and re-sampled lazily.
 func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 	t := e.DB.Table(table)
 	newVer := e.DB.TableVersion(table)
@@ -182,10 +176,6 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	dropDependentPlans(e.planScalar, table)
-	dropDependentPlans(e.planGroup, table)
-	dropDependentPlans(e.planSemi, table)
-	dropDependentPlans(e.planGJoin, table)
 	type rekeyed struct {
 		k statsKey
 		e statsEntry

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/reprolab/swole/internal/core"
@@ -64,58 +65,56 @@ func (cfg Config) FigScaling() []Figure {
 	d := micro.Generate(micro.Config{NR: cfg.MicroR, NS: ns, CCard: 1000, Seed: 1})
 	db := microStorageDB(d)
 
-	// The scalar-agg query is micro Q1's shape at 90% selectivity with a
-	// multiply aggregate: firmly memory-bound, so the planner picks value
-	// masking and the sweep measures pure scan scaling.
+	// Each query prepares its plan on the engine and returns the timed run
+	// (a sum, or a group count). The scalar-agg query is micro Q1's shape
+	// at 90% selectivity with a multiply aggregate: firmly memory-bound, so
+	// the planner picks value masking and the sweep measures pure scan
+	// scaling.
+	run := func(p core.Plan, err error) func() int64 {
+		if err != nil {
+			panic(err)
+		}
+		return func() int64 {
+			part, _, _ := p.RunPartial(context.Background())
+			if part.Groups != nil {
+				return int64(part.Groups.Len())
+			}
+			return part.Sum
+		}
+	}
 	queries := []struct {
-		name string
-		run  func(e *core.Engine) int64
+		name    string
+		prepare func(e *core.Engine) func() int64
 	}{
-		{"scalar-agg", func(e *core.Engine) int64 {
-			sum, _, err := e.ScalarAgg(core.ScalarAgg{
+		{"scalar-agg", func(e *core.Engine) func() int64 {
+			return run(e.PrepareScalarAgg(core.ScalarAgg{
 				Table:  "r",
 				Filter: lt("r_x", 90),
 				Agg:    &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_a"), R: expr.NewCol("r_b")},
-			})
-			if err != nil {
-				panic(err)
-			}
-			return sum
+			}))
 		}},
-		{"group-agg", func(e *core.Engine) int64 {
-			groups, _, err := e.GroupAgg(core.GroupAgg{
+		{"group-agg", func(e *core.Engine) func() int64 {
+			return run(e.PrepareGroupAgg(core.GroupAgg{
 				Table:  "r",
 				Filter: lt("r_x", 90),
 				Key:    expr.NewCol("r_c"),
 				Agg:    expr.NewCol("r_a"),
-			})
-			if err != nil {
-				panic(err)
-			}
-			return int64(len(groups))
+			}))
 		}},
-		{"semijoin-agg", func(e *core.Engine) int64 {
-			sum, _, err := e.SemiJoinAgg(core.SemiJoinAgg{
+		{"semijoin-agg", func(e *core.Engine) func() int64 {
+			return run(e.PrepareSemiJoinAgg(core.SemiJoinAgg{
 				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 				ProbeFilter: lt("r_x", 90),
 				BuildFilter: lt("s_x", 50),
 				Agg:         expr.NewCol("r_a"),
-			})
-			if err != nil {
-				panic(err)
-			}
-			return sum
+			}))
 		}},
-		{"groupjoin-agg", func(e *core.Engine) int64 {
-			groups, _, err := e.GroupJoinAgg(core.GroupJoinAgg{
+		{"groupjoin-agg", func(e *core.Engine) func() int64 {
+			return run(e.PrepareGroupJoinAgg(core.GroupJoinAgg{
 				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 				BuildFilter: lt("s_x", 50),
 				Agg:         expr.NewCol("r_a"),
-			})
-			if err != nil {
-				panic(err)
-			}
-			return int64(len(groups))
+			}))
 		}},
 	}
 
@@ -130,15 +129,16 @@ func (cfg Config) FigScaling() []Figure {
 	for qi, q := range queries {
 		e := core.NewEngine(db)
 		e.Workers = 1
-		baseline[qi] = q.run(e)
+		baseline[qi] = q.prepare(e)()
 	}
 	for qi, q := range queries {
 		series := Series{Name: q.name}
 		for _, w := range workerSweep(cfg.Workers) {
 			e := core.NewEngine(db)
 			e.Workers = w
+			rerun := q.prepare(e)
 			dur := cfg.timeBest(func() int64 {
-				got := q.run(e)
+				got := rerun()
 				if got != baseline[qi] {
 					panic(fmt.Sprintf("harness: %s at %d workers returned %d, 1 worker returned %d",
 						q.name, w, got, baseline[qi]))

@@ -3,7 +3,6 @@ package swole
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/sql"
-	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 	"github.com/reprolab/swole/internal/volcano"
 )
@@ -125,7 +123,7 @@ func fromCore(ex core.Explain) Explain {
 // OR/NOT predicate trees, multiple aggregates (sum, count, avg, min,
 // max), GROUP BY, and HAVING — is synthesized into one compiled plan; the
 // four classic SWOLE shapes (scalar, group-by, semijoin, and groupjoin
-// aggregation) are degenerate cases that compile onto their hand-
+// aggregation) are the special cases that compile onto their hand-
 // specialized kernels. Statements outside that grammar (no aggregate,
 // ORDER BY, unsupported joins) fall back to the interpreted engine,
 // reported in the Explain as "interpreter-fallback".
@@ -172,8 +170,8 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 	if err != nil {
 		return nil, Explain{}, err
 	}
-	if shape, sig, ok := d.synthesize(p); ok {
-		c, err := d.prepareShape(sig, shape)
+	if spec, ok := d.synthesize(p); ok {
+		c, err := d.prepareShape(spec)
 		if err != nil {
 			return nil, Explain{}, err
 		}
@@ -203,41 +201,17 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 	return &Result{res: vres}, Explain{Technique: "interpreter-fallback", Shape: "interpreter-fallback"}, nil
 }
 
-// The plan synthesizer. A compiled statement is no longer pattern-matched
+// The plan synthesizer. A compiled statement is not pattern-matched
 // against a registry of fixed shapes: synthesize destructures the logical
 // plan's aggregate spine (Map over Aggregate over a Scan or a left-deep
 // FK join chain) into a compositional core.Select spec — root scan, join
-// edges, residual, group keys, aggregates, HAVING, projection — and
-// assembles one compiled plan from kernel-closure plan cores. The four
-// classic SWOLE shapes remain as degenerate cases: when a statement's
-// spec collapses to one of them, it compiles onto the hand-specialized
-// kernel husk (keeping their multi-worker morsel parallelism, zero-alloc
-// warm replays, and shard fan-out); everything else compiles through
-// core.PrepareSelect, whose per-edge positional bitmaps and cost-chosen
-// disjunction strategy cover the general grammar.
-
-// queryShape is a synthesized SWOLE statement, ready to prepare.
-type queryShape interface {
-	// tables lists the input tables the compiled plan will read, in the
-	// order their versions should be pinned. The first entry is the
-	// driving table — the one whose shard layout the fan-out follows.
-	tables() []string
-	// fields is the result header the statement materializes. It may be
-	// called only after prepare.
-	fields() volcano.Fields
-	// grouped reports whether the statement materializes (key, sum) rows
-	// (and its shard partials merge through the GroupMerger) rather than
-	// a single scalar (partials sum).
-	grouped() bool
-	// prepare compiles the shape on the engine and wraps the compiled
-	// plan as a cache-entry runner.
-	prepare(e *core.Engine) (planRunner, error)
-	// clone deep-copies the shape's expression trees. Bind mutates
-	// expression nodes in place, so every shard's compile needs a private
-	// tree (expr.Clone); sharing one would leave all shards' kernels
-	// reading whichever shard's columns bound last.
-	clone() queryShape
-}
+// edges, residual, group keys, aggregates, HAVING, projection — the one
+// statement shape this package knows. core.Engine.Prepare decides what
+// the spec compiles onto: a spec that collapses to one of the four classic
+// SWOLE shapes lands on its hand-specialized plan (multi-worker morsel
+// parallelism, zero-alloc warm replays, shard fan-out); everything else
+// goes through core.PrepareSelect, whose per-edge positional bitmaps and
+// cost-chosen disjunction strategy cover the general grammar.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can
@@ -298,9 +272,9 @@ func ShapeBucket(sig string) string {
 // its OR width when the root predicate is a disjunction), join edge
 // count, the aggregate class (with count and non-additive functions when
 // beyond a single sum/count), and HAVING. The signature is Explain.Shape
-// for every synthesized statement — including the degenerate ones — and
+// for every synthesized statement — the classic shapes included — and
 // buckets through ShapeBucket for metrics.
-func planSignature(spec *core.Select) string {
+func planSignature(spec core.Select) string {
 	var b strings.Builder
 	b.WriteString("scan")
 	if spec.Filter != nil {
@@ -340,20 +314,20 @@ func planSignature(spec *core.Select) string {
 	return b.String()
 }
 
-// synthesize destructures a compiled logical plan into a queryShape and
-// its plan signature. It accepts any Map-over-Aggregate spine whose input
-// is a Scan or a left-deep chain of FK joins with Scan build sides —
-// exactly what the SQL frontend emits for a single-block aggregate SELECT
-// without ORDER BY. The root filter is normalized to NNF first, so the
-// disjunction planner sees the top-level OR terms.
-func (d *DB) synthesize(p plan.Node) (queryShape, string, bool) {
+// synthesize destructures a compiled logical plan into a core.Select
+// spec. It accepts any Map-over-Aggregate spine whose input is a Scan or a
+// left-deep chain of FK joins with Scan build sides — exactly what the SQL
+// frontend emits for a single-block aggregate SELECT without ORDER BY. The
+// root filter is normalized to NNF first, so the disjunction planner sees
+// the top-level OR terms.
+func (d *DB) synthesize(p plan.Node) (core.Select, bool) {
 	m, ok := p.(*plan.Map)
 	if !ok {
-		return nil, "", false
+		return core.Select{}, false
 	}
 	agg, ok := m.Input.(*plan.Aggregate)
 	if !ok || len(agg.Aggs) == 0 {
-		return nil, "", false
+		return core.Select{}, false
 	}
 
 	// Destructure the join chain bottom-up: the probe spine ends at the
@@ -366,32 +340,30 @@ func (d *DB) synthesize(p plan.Node) (queryShape, string, bool) {
 			break
 		}
 		if j.Semi {
-			return nil, "", false
+			return core.Select{}, false
 		}
 		joins = append(joins, j)
 		node = j.Probe
 	}
 	root, ok := node.(*plan.Scan)
 	if !ok {
-		return nil, "", false
+		return core.Select{}, false
 	}
 	for i, j := 0, len(joins)-1; i < j; i, j = i+1, j-1 {
 		joins[i], joins[j] = joins[j], joins[i]
 	}
 	for _, j := range joins {
 		if _, bok := j.Build.(*plan.Scan); !bok {
-			return nil, "", false
+			return core.Select{}, false
 		}
 	}
 
 	// NNF the root predicate (structure-sharing; the compiled tree is
 	// ours) so OrTerms exposes the disjuncts to the cost model, for the
-	// degenerate kernels and the generic executor alike.
-	rootFilter := expr.NNF(root.Filter)
-
+	// hand-specialized kernels and the generic executor alike.
 	spec := core.Select{
 		Root:    root.Table,
-		Filter:  rootFilter,
+		Filter:  expr.NNF(root.Filter),
 		GroupBy: agg.GroupBy,
 		Having:  agg.Having,
 	}
@@ -410,7 +382,7 @@ func (d *DB) synthesize(p plan.Node) (queryShape, string, bool) {
 				}
 			}
 			if src == -2 {
-				return nil, "", false
+				return core.Select{}, false
 			}
 		}
 		spec.Edges = append(spec.Edges, core.SelectEdge{
@@ -440,318 +412,33 @@ func (d *DB) synthesize(p plan.Node) (queryShape, string, bool) {
 		spec.Project = append(spec.Project, core.SelectProj{Expr: e.Expr, As: e.As})
 	}
 
-	sig := planSignature(&spec)
-	if s, ok := d.degenerate(m, agg, root, rootFilter, joins); ok {
-		return s, sig, true
-	}
-	tabs := []string{spec.Root}
-	for _, e := range spec.Edges {
-		tabs = append(tabs, e.Parent)
-	}
-	return &selectShape{spec: spec, tabs: tabs}, sig, true
-}
-
-// degenerate recognizes the statements the four hand-specialized husks
-// cover — a single sum/count(*) aggregate, no HAVING, canonical
-// projection, at most one join edge with the classic restrictions — and
-// returns the matching shape. These keep their multi-worker kernels,
-// shard fan-out, and zero-alloc warm paths; anything richer compiles
-// through the generic executor.
-func (d *DB) degenerate(m *plan.Map, agg *plan.Aggregate, root *plan.Scan, rootFilter expr.Expr, joins []*plan.Join) (queryShape, bool) {
-	if len(agg.Aggs) != 1 || agg.Having != nil || len(joins) > 1 {
-		return nil, false
-	}
-	spec := agg.Aggs[0]
-	switch {
-	case spec.Func == plan.Sum && spec.Arg != nil:
-		// sum(expr) passes through.
-	case spec.Func == plan.Count && spec.Arg == nil:
-		// count(*) is sum(1).
-		spec.Arg = &expr.Const{Val: 1}
-	default:
-		return nil, false
-	}
-	// Canonical projection: the group keys in order under their own names,
-	// then the aggregate alias. Anything else (reordered or aliased output
-	// columns) needs the generic executor's projection stage.
-	if len(m.Exprs) != len(agg.GroupBy)+1 {
-		return nil, false
-	}
-	for i, g := range agg.GroupBy {
-		c, cok := m.Exprs[i].Expr.(*expr.Col)
-		if !cok || c.Name != g || m.Exprs[i].As != g {
-			return nil, false
-		}
-	}
-	if c, cok := m.Exprs[len(agg.GroupBy)].Expr.(*expr.Col); !cok || c.Name != spec.As || m.Exprs[len(agg.GroupBy)].As != spec.As {
-		return nil, false
-	}
-
-	if len(joins) == 0 {
-		switch len(agg.GroupBy) {
-		case 0:
-			return scalarShape{
-				q:       core.ScalarAgg{Table: root.Table, Filter: rootFilter, Agg: spec.Arg},
-				aggName: spec.As,
-			}, true
-		case 1:
-			return groupShape{
-				q: core.GroupAgg{
-					Table: root.Table, Filter: rootFilter,
-					Key: expr.NewCol(agg.GroupBy[0]), Agg: spec.Arg,
-				},
-				keyName: agg.GroupBy[0],
-				aggName: spec.As,
-			}, true
-		}
-		return nil, false
-	}
-
-	j := joins[0]
-	build := j.Build.(*plan.Scan)
-	if j.Residual != nil || !colsSubset(expr.Cols(spec.Arg), d.db.MustTable(root.Table)) {
-		return nil, false
-	}
-	switch {
-	case len(agg.GroupBy) == 0:
-		return semiShape{
-			q: core.SemiJoinAgg{
-				Probe: root.Table, Build: build.Table,
-				FK: j.ProbeKey, PK: j.BuildKey,
-				ProbeFilter: rootFilter, BuildFilter: build.Filter,
-				Agg: spec.Arg,
-			},
-			aggName: spec.As,
-		}, true
-	case len(agg.GroupBy) == 1 && agg.GroupBy[0] == j.ProbeKey && rootFilter == nil:
-		return gjoinShape{
-			q: core.GroupJoinAgg{
-				Probe: root.Table, Build: build.Table,
-				FK: j.ProbeKey, PK: j.BuildKey,
-				BuildFilter: build.Filter, Agg: spec.Arg,
-			},
-			keyName: agg.GroupBy[0],
-			aggName: spec.As,
-		}, true
-	}
-	return nil, false
-}
-
-// scalarShape: filtered scalar aggregation over one table.
-type scalarShape struct {
-	q       core.ScalarAgg
-	aggName string
-}
-
-func (s scalarShape) tables() []string       { return []string{s.q.Table} }
-func (s scalarShape) fields() volcano.Fields { return volcano.Fields{{Name: s.aggName}} }
-func (s scalarShape) grouped() bool          { return false }
-func (s scalarShape) prepare(e *core.Engine) (planRunner, error) {
-	p, err := e.PrepareScalarAgg(s.q)
-	if err != nil {
-		return nil, err
-	}
-	return scalarRunner{p}, nil
-}
-func (s scalarShape) clone() queryShape {
-	s.q.Filter = expr.Clone(s.q.Filter)
-	s.q.Agg = expr.Clone(s.q.Agg)
-	return s
-}
-
-// groupShape: filtered single-key group-by aggregation over one table.
-type groupShape struct {
-	q       core.GroupAgg
-	keyName string
-	aggName string
-}
-
-func (s groupShape) tables() []string { return []string{s.q.Table} }
-func (s groupShape) fields() volcano.Fields {
-	return volcano.Fields{{Name: s.keyName}, {Name: s.aggName}}
-}
-func (s groupShape) grouped() bool { return true }
-func (s groupShape) prepare(e *core.Engine) (planRunner, error) {
-	p, err := e.PrepareGroupAgg(s.q)
-	if err != nil {
-		return nil, err
-	}
-	return groupRunner{p}, nil
-}
-func (s groupShape) clone() queryShape {
-	s.q.Filter = expr.Clone(s.q.Filter)
-	s.q.Key = expr.Clone(s.q.Key)
-	s.q.Agg = expr.Clone(s.q.Agg)
-	return s
-}
-
-// semiShape: semijoin aggregation over a registered foreign key.
-type semiShape struct {
-	q       core.SemiJoinAgg
-	aggName string
-}
-
-func (s semiShape) tables() []string       { return []string{s.q.Probe, s.q.Build} }
-func (s semiShape) fields() volcano.Fields { return volcano.Fields{{Name: s.aggName}} }
-func (s semiShape) grouped() bool          { return false }
-func (s semiShape) prepare(e *core.Engine) (planRunner, error) {
-	p, err := e.PrepareSemiJoinAgg(s.q)
-	if err != nil {
-		return nil, err
-	}
-	return semiRunner{p}, nil
-}
-func (s semiShape) clone() queryShape {
-	s.q.ProbeFilter = expr.Clone(s.q.ProbeFilter)
-	s.q.BuildFilter = expr.Clone(s.q.BuildFilter)
-	s.q.Agg = expr.Clone(s.q.Agg)
-	return s
-}
-
-// gjoinShape: groupjoin aggregation keyed by the probe's foreign key.
-type gjoinShape struct {
-	q       core.GroupJoinAgg
-	keyName string
-	aggName string
-}
-
-func (s gjoinShape) tables() []string { return []string{s.q.Probe, s.q.Build} }
-func (s gjoinShape) fields() volcano.Fields {
-	return volcano.Fields{{Name: s.keyName}, {Name: s.aggName}}
-}
-func (s gjoinShape) grouped() bool { return true }
-func (s gjoinShape) prepare(e *core.Engine) (planRunner, error) {
-	p, err := e.PrepareGroupJoinAgg(s.q)
-	if err != nil {
-		return nil, err
-	}
-	return gjoinRunner{p}, nil
-}
-func (s gjoinShape) clone() queryShape {
-	s.q.BuildFilter = expr.Clone(s.q.BuildFilter)
-	s.q.Agg = expr.Clone(s.q.Agg)
-	return s
-}
-
-// selectShape: the generic synthesized statement, compiled through
-// core.PrepareSelect. It always executes single-arm on the catalog
-// engine — which holds the full concatenated tables even when a table is
-// sharded — because the general grammar (HAVING, avg/min/max, multi-key
-// grouping) is not distributive over shard partials the way the
-// degenerate shapes' sums are.
-type selectShape struct {
-	spec core.Select
-	tabs []string
-	prep *core.PreparedSelect // set by prepare; fields() reads its header
-}
-
-func (s *selectShape) tables() []string { return s.tabs }
-func (s *selectShape) fields() volcano.Fields {
-	rf := s.prep.ResultFields()
-	fs := make(volcano.Fields, len(rf))
-	for i, f := range rf {
-		fs[i] = volcano.Field{Name: f.Name, Dict: f.Dict, Log: f.Log}
-	}
-	return fs
-}
-func (s *selectShape) grouped() bool { return len(s.spec.GroupBy) > 0 }
-func (s *selectShape) prepare(e *core.Engine) (planRunner, error) {
-	p, err := e.PrepareSelect(s.spec)
-	if err != nil {
-		return nil, err
-	}
-	s.prep = p
-	return selectRunner{p}, nil
-}
-func (s *selectShape) clone() queryShape {
-	c := *s
-	c.prep = nil
-	c.spec.Filter = expr.Clone(s.spec.Filter)
-	c.spec.Residual = expr.Clone(s.spec.Residual)
-	c.spec.Having = expr.Clone(s.spec.Having)
-	c.spec.Edges = append([]core.SelectEdge(nil), s.spec.Edges...)
-	for i := range c.spec.Edges {
-		c.spec.Edges[i].Filter = expr.Clone(c.spec.Edges[i].Filter)
-	}
-	c.spec.Aggs = append([]core.SelectAgg(nil), s.spec.Aggs...)
-	for i := range c.spec.Aggs {
-		c.spec.Aggs[i].Arg = expr.Clone(c.spec.Aggs[i].Arg)
-	}
-	c.spec.Project = append([]core.SelectProj(nil), s.spec.Project...)
-	for i := range c.spec.Project {
-		c.spec.Project[i].Expr = expr.Clone(c.spec.Project[i].Expr)
-	}
-	return &c
+	return spec, true
 }
 
 // prepareShape compiles the synthesized statement and wraps it as a cache
 // entry with its table-version and shard-epoch dependencies and reusable
-// result. Over an unsharded driving table the statement compiles once on
-// the catalog engine; over a sharded one it compiles one plan per shard
-// — the same shape cloned (private expression trees) and prepared
-// against each shard's engine, whose database holds that shard's row
-// range — and the entry's fan carries each arm with its shard read lock.
-// Generic selectShape statements never fan out: their answers are not
-// mergeable from shard partials, and the catalog engine's tables always
-// hold every shard's rows, so the single-arm plan stays correct under
-// any shard layout (the shard-epoch dependency still drops it when a
-// shard's data changes).
-func (d *DB) prepareShape(sig string, s queryShape) (*cachedPlan, error) {
-	c := &cachedPlan{shape: sig, grouped: s.grouped()}
-	for _, tn := range s.tables() {
+// result. Over a sharded driving table a mergeable statement compiles one
+// plan per shard (prepareFan) and the entry's fan carries each arm with
+// its shard read lock. Everything else compiles once on the catalog
+// engine, whose tables always hold every shard's rows, so a single-arm
+// plan stays correct under any shard layout (the shard-epoch dependency
+// still drops it when a shard's data changes).
+func (d *DB) prepareShape(spec core.Select) (*cachedPlan, error) {
+	c := &cachedPlan{shape: planSignature(spec)}
+	for _, tn := range spec.Tables() {
 		c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn), epoch: d.shardEpoch(tn)})
 	}
-	meta, fleet := d.shardFanFor(s.tables()[0])
-	if _, generic := s.(*selectShape); generic {
-		meta = nil
+	var err error
+	if c.fan, err = d.prepareFan(spec); err != nil {
+		return nil, err
 	}
-	if meta == nil {
-		r, err := s.prepare(d.engine)
+	if c.fan == nil {
+		p, err := d.engine.Prepare(spec)
 		if err != nil {
 			return nil, err
 		}
-		c.fan = []shardRun{{exec: r}}
-	} else {
-		for i := 0; i < meta.k; i++ {
-			r, err := s.clone().prepare(fleet[i].engine)
-			if err != nil {
-				return nil, err
-			}
-			c.fan = append(c.fan, shardRun{shard: i, exec: r, lock: meta.locks[i]})
-		}
+		c.fan = []shardRun{{plan: p}}
 	}
-	c.vres.Fields = s.fields()
-	c.res = Result{res: &c.vres}
+	c.setFields(c.fan[0].plan.Fields())
 	return c, nil
-}
-
-func colsSubset(cols []string, t *storage.Table) bool {
-	for _, c := range cols {
-		if t.Column(c) == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// scalarResult and groupResult materialize one-off results for paths that
-// bypass the plan cache (CompareStrategies).
-func scalarResult(name string, v int64) *Result {
-	return &Result{res: &volcano.Result{
-		Fields: volcano.Fields{{Name: name}},
-		Rows:   []volcano.Row{{v}},
-	}}
-}
-
-func groupResult(keyName, aggName string, groups map[int64]int64) *Result {
-	keys := make([]int64, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	res := &volcano.Result{Fields: volcano.Fields{{Name: keyName}, {Name: aggName}}}
-	for _, k := range keys {
-		res.Rows = append(res.Rows, volcano.Row{k, groups[k]})
-	}
-	return &Result{res: res}
 }

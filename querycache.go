@@ -12,7 +12,9 @@ import (
 )
 
 // Plan cache: QuerySwole remembers every SWOLE-shaped statement it has
-// executed as a prepared query (see core's Prepared* types). A repeated
+// executed as a prepared plan (core.Plan). It is the only plan cache in
+// the system — the core engine compiles plans but keeps none — and its
+// tableDeps are the only invalidation path. A repeated
 // statement skips the SQL frontend, the sampling pass, and the cost-model
 // evaluation entirely, and executes on preallocated resources — the
 // steady-state path allocates nothing after its first execution.
@@ -22,8 +24,8 @@ import (
 // allocations. A whitespace-normalized form is the slow key, so that
 // reformatted spellings of one statement ("select  sum(x)\nfrom t" vs
 // "select sum(x) from t") share one prepared plan; raw-text aliases are
-// installed on normalized hits, making every spelling fast from its
-// second use.
+// installed on normalized hits (up to the cache bound), making every
+// spelling fast from its second use.
 //
 // Each entry records the versions of the tables it reads. Entries whose
 // tables have been replaced are dropped lazily on lookup, and
@@ -52,54 +54,12 @@ type tableDep struct {
 	epoch uint64
 }
 
-// planRunner executes one compiled core plan under a context deadline
-// and returns its partial answer: the scalar sum for single-value
-// shapes, the sorted group partial for group shapes, or the materialized
-// row set for generic synthesized plans (which never fan out). Returning
-// partials rather than writing the entry's result directly is what lets
-// the fan-out path collect per-shard answers and merge them afterwards;
-// the cache itself stays shape-blind.
-type planRunner interface {
-	run(ctx context.Context) (sum int64, groups *core.GroupResult, rows *core.SelectResult, ex core.Explain, err error)
-}
-
-type scalarRunner struct{ p *core.PreparedScalarAgg }
-type groupRunner struct{ p *core.PreparedGroupAgg }
-type semiRunner struct{ p *core.PreparedSemiJoinAgg }
-type gjoinRunner struct{ p *core.PreparedGroupJoinAgg }
-type selectRunner struct{ p *core.PreparedSelect }
-
-func (r scalarRunner) run(ctx context.Context) (int64, *core.GroupResult, *core.SelectResult, core.Explain, error) {
-	sum, ex, err := r.p.RunContext(ctx)
-	return sum, nil, nil, ex, err
-}
-
-func (r groupRunner) run(ctx context.Context) (int64, *core.GroupResult, *core.SelectResult, core.Explain, error) {
-	g, ex, err := r.p.RunContext(ctx)
-	return 0, g, nil, ex, err
-}
-
-func (r semiRunner) run(ctx context.Context) (int64, *core.GroupResult, *core.SelectResult, core.Explain, error) {
-	sum, ex, err := r.p.RunContext(ctx)
-	return sum, nil, nil, ex, err
-}
-
-func (r gjoinRunner) run(ctx context.Context) (int64, *core.GroupResult, *core.SelectResult, core.Explain, error) {
-	g, ex, err := r.p.RunContext(ctx)
-	return 0, g, nil, ex, err
-}
-
-func (r selectRunner) run(ctx context.Context) (int64, *core.GroupResult, *core.SelectResult, core.Explain, error) {
-	res, ex, err := r.p.RunContext(ctx)
-	return 0, nil, res, ex, err
-}
-
 // shardRun is one arm of a statement's fan-out: the plan compiled
 // against one shard's engine plus that shard's read lock. Unsharded
 // statements have a single arm with a nil lock.
 type shardRun struct {
 	shard int
-	exec  planRunner
+	plan  core.Plan
 	lock  *sync.RWMutex
 }
 
@@ -109,11 +69,10 @@ type cachedPlan struct {
 	// mu serializes executions of this statement: the fan scratch, the
 	// merger, and the result buffers below are all per-entry and reused
 	// across runs. Different statements run in parallel.
-	mu      sync.Mutex
-	fan     []shardRun
-	grouped bool // shape materializes (key, sum) rows
-	shape   string
-	deps    []tableDep
+	mu    sync.Mutex
+	fan   []shardRun
+	shape string
+	deps  []tableDep
 
 	// Fan-out scratch and the cross-shard merger (reused across runs; the
 	// merge is the same finishCombine path the worker merge uses).
@@ -128,6 +87,28 @@ type cachedPlan struct {
 	res  Result
 	vres volcano.Result
 	flat []int64
+}
+
+// setFields installs the result header and points the entry's Result at
+// its reusable materialization.
+func (c *cachedPlan) setFields(fields []core.OutField) {
+	for _, f := range fields {
+		c.vres.Fields = append(c.vres.Fields, volcano.Field{Name: f.Name, Dict: f.Dict, Log: f.Log})
+	}
+	c.res = Result{res: &c.vres}
+}
+
+// put rematerializes the entry's result from a plan's (or the fan-out
+// merge's) answer; see core.Partial for which arm is set.
+func (c *cachedPlan) put(part core.Partial) {
+	switch {
+	case part.Rows != nil:
+		c.putRows(part.Rows)
+	case part.Groups != nil:
+		c.putGroups(part.Groups)
+	default:
+		c.putScalar(part.Sum)
+	}
 }
 
 // putScalar rematerializes a single-value result.
@@ -200,20 +181,13 @@ func (c *cachedPlan) dependsOn(table string) bool {
 // Callers hold c.mu.
 func (c *cachedPlan) run(ctx context.Context) (*Result, Explain, error) {
 	if len(c.fan) == 1 && c.fan[0].lock == nil {
-		sum, g, rows, cex, err := c.fan[0].exec.run(ctx)
+		part, cex, err := c.fan[0].plan.RunPartial(ctx)
 		ex := fromCore(cex)
 		ex.Shape = c.shape
 		if err != nil {
 			return nil, ex, err
 		}
-		switch {
-		case rows != nil:
-			c.putRows(rows)
-		case c.grouped:
-			c.putGroups(g)
-		default:
-			c.putScalar(sum)
-		}
+		c.put(part)
 		return &c.res, ex, nil
 	}
 	return c.runFan(ctx)
@@ -246,7 +220,9 @@ func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
 			arm := &c.fan[i]
 			start := time.Now()
 			arm.lock.RLock()
-			sums[i], partials[i], _, exs[i], errs[i] = arm.exec.run(fanCtx)
+			var part core.Partial
+			part, exs[i], errs[i] = arm.plan.RunPartial(fanCtx)
+			sums[i], partials[i] = part.Sum, part.Groups
 			arm.lock.RUnlock()
 			times[i] = time.Since(start)
 			if errs[i] != nil {
@@ -273,15 +249,15 @@ func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
 		}
 	}
 	mergeStart := time.Now()
-	if c.grouped {
-		c.putGroups(c.merger.Merge(partials))
+	var merged core.Partial
+	if partials[0] != nil {
+		merged.Groups = c.merger.Merge(partials)
 	} else {
-		total := int64(0)
 		for _, s := range sums {
-			total += s
+			merged.Sum += s
 		}
-		c.putScalar(total)
 	}
+	c.put(merged)
 	ex.ShardMergeTime = time.Since(mergeStart)
 	return &c.res, ex, nil
 }
@@ -367,8 +343,12 @@ func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result
 			d.mu.Unlock()
 			return nil, Explain{}, false, nil
 		}
-		// Alias the raw spelling so its next execution is a single lookup.
-		d.plans[q] = c
+		// Alias the raw spelling so its next execution is a single lookup —
+		// within the cache bound: past it the spelling keeps resolving
+		// through its normalized form.
+		if len(d.plans) < maxCachedPlans {
+			d.plans[q] = c
+		}
 	}
 	d.mu.Unlock()
 	// The freshness check reads shard epochs (shardMu), so it must run

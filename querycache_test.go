@@ -1,6 +1,7 @@
 package swole
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -398,5 +399,84 @@ func TestFallbackNotCached(t *testing.T) {
 	}
 	if d.PlanCacheLen() != 0 {
 		t.Errorf("fallback statement was cached")
+	}
+}
+
+// TestClassicGroupKeyHeader pins the single header source: a classic
+// GROUP BY lowered onto a hand-specialized plan keeps the key column's
+// dictionary and logical type, so the compiled path renders exactly what
+// the interpreter renders.
+func TestClassicGroupKeyHeader(t *testing.T) {
+	db := NewDB()
+	err := db.CreateTable("t",
+		StringColumn("flag", []string{"A", "B", "A", "B", "A"}),
+		DateColumn("day", []string{"1994-01-01", "1994-01-01", "1995-06-01", "1995-06-01", "1995-06-01"}),
+		DateColumn("t_fk", []string{"1970-01-01", "1970-01-02", "1970-01-01", "1970-01-03", "1970-01-02"}),
+		DecimalColumn("price", []int64{100, 200, 300, 400, 100}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent's key is a date column whose day numbers are the dense row
+	// ids, so the groupjoin key carries a logical type too.
+	err = db.CreateTable("p",
+		DateColumn("p_pk", []string{"1970-01-01", "1970-01-02", "1970-01-03"}),
+		IntColumn("p_x", []int64{1, 2, 3}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddForeignKey("t", "t_fk", "p", "p_pk"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ q, shape string }{
+		{"select flag, sum(price) from t group by flag", "scan+groupagg"},
+		{"select day, sum(price) from t group by day", "scan+groupagg"},
+		{"select t_fk, sum(price) from t, p where t_fk = p_pk and p_x < 3 group by t_fk", "scan+join:1+groupagg"},
+	} {
+		want, err := db.Query(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ex, err := db.QuerySwole(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Shape != c.shape {
+			t.Errorf("%s: shape %q, want %q", c.q, ex.Shape, c.shape)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s:\nQuerySwole renders\n%sQuery renders\n%s", c.q, got.String(), want.String())
+		}
+	}
+}
+
+// TestPlanCacheAliasBound pins the cache bound on the raw-text alias path:
+// a client that varies only whitespace reaches one prepared plan through
+// ever-new spellings, and those aliases must not grow the map past
+// maxCachedPlans.
+func TestPlanCacheAliasBound(t *testing.T) {
+	db := demoDB(t)
+	q := "select sum(r_a) from r where r_x < 50"
+	want, _, err := db.QuerySwole(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := want.Rows()[0][0]
+	for i := 0; i < 3*maxCachedPlans; i++ {
+		res, ex, err := db.QuerySwole(q + strings.Repeat(" ", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows()[0][0] != sum {
+			t.Fatalf("spelling %d: %d, want %d", i, res.Rows()[0][0], sum)
+		}
+		if n := db.PlanCacheLen(); n > maxCachedPlans {
+			t.Fatalf("spelling %d: %d cached keys, bound %d", i, n, maxCachedPlans)
+		}
+		// Dropping aliases must not cost the plan itself.
+		if i > 0 && !ex.PlanCached {
+			t.Fatalf("spelling %d recompiled", i)
+		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // Intra-process table sharding (DESIGN.md §12). ShardTable splits a table
 // into K contiguous row-range shards. Each shard lives in its own
 // storage database inside a fleet member that also owns a private engine
-// — its own stats cache, resource pools, scatter arena, and worker gang —
-// so K shards scan on K independent gangs with no shared execution
-// state. A sharded statement compiles one plan husk per shard through
-// the ordinary compile→bind→run pipeline and the plan cache fans its
+// — its own stats cache, scatter arena, and worker gang — so K shards
+// scan on K independent gangs with no shared execution state. A sharded
+// statement compiles one plan per shard through the ordinary
+// Prepare→run pipeline (prepareFan) and the plan cache fans its
 // executions out (querycache.go), merging group partials with the same
 // sorted merge-combine the worker merge uses (core.GroupMerger).
 //
@@ -353,15 +353,31 @@ func shardBounds(parts []*storage.Table) []int {
 	return bounds
 }
 
-// shardFanFor snapshots the fan-out a freshly prepared statement over
-// the named driving table should use: the shard metadata and the fleet
-// prefix covering it, or nil for unsharded tables.
-func (d *DB) shardFanFor(table string) (*tableShards, []*fleetShard) {
+// prepareFan compiles the fan-out of a statement over a sharded driving
+// table: the spec cloned (private expression trees) and prepared on each
+// shard's engine, paired with that shard's lock. It returns a nil fan when
+// the table is unsharded or the statement's partials do not merge (it
+// lowered onto the generic executor). The compiles run inside one shardMu
+// read section: an append that grows the layout by a shard rewrites the layout
+// metadata and every fleet engine's cost parameters, and must do neither
+// under a compile reading them.
+func (d *DB) prepareFan(spec core.Select) ([]shardRun, error) {
 	d.shardMu.RLock()
 	defer d.shardMu.RUnlock()
-	m := d.shardMeta[table]
+	m := d.shardMeta[spec.Root]
 	if m == nil || m.k <= 1 {
 		return nil, nil
 	}
-	return m, d.fleet[:m.k]
+	fan := make([]shardRun, 0, m.k)
+	for i := 0; i < m.k; i++ {
+		p, err := d.fleet[i].engine.Prepare(spec.Clone())
+		if err != nil {
+			return nil, err
+		}
+		if !p.Mergeable() {
+			return nil, nil
+		}
+		fan = append(fan, shardRun{shard: i, plan: p, lock: m.locks[i]})
+	}
+	return fan, nil
 }

@@ -53,7 +53,7 @@ func BenchmarkShardGroupAgg1M(b *testing.B) {
 			}
 			d.SetWorkers(1)
 			defer d.SetWorkers(0)
-			// Cold run compiles one plan husk per shard; two extra warm
+			// Cold run compiles one plan per shard; two extra warm
 			// runs let buffer high-water marks converge.
 			_, ex, err := d.QuerySwole(q)
 			if err != nil {

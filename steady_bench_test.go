@@ -15,9 +15,6 @@ package swole
 import (
 	"fmt"
 	"testing"
-
-	"github.com/reprolab/swole/internal/core"
-	"github.com/reprolab/swole/internal/expr"
 )
 
 // steadyDB memoizes one micro dataset per configuration across benchmarks.
@@ -78,53 +75,4 @@ func BenchmarkSteadyGroupAgg100K(b *testing.B) {
 func BenchmarkSteadySemiJoinAgg(b *testing.B) {
 	db := steadyDB(b, benchR(), 100_000, 1000)
 	benchSteady(b, db, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50")
-}
-
-// The OneShot variants measure the engine's one-shot entry points on a
-// warm plan cache — the compiled-plan layer's replay path, below the SQL
-// frontend and the DB statement cache. A replay looks the plan up by query
-// value, validates its environment snapshot, and runs it; like the
-// prepared and cached-statement paths above, it must not allocate. (The
-// group shapes are absent: their one-shot API returns a freshly allocated
-// map by contract, so their replay guarantee is asserted through Explain
-// counters in the core tests instead.)
-
-func ltExpr(col string, v int64) expr.Expr {
-	return &expr.Cmp{Op: expr.LT, L: expr.NewCol(col), R: &expr.Const{Val: v}}
-}
-
-func benchSteadyOneShot[Q any](b *testing.B, q Q, run func(Q) (int64, core.Explain, error)) {
-	b.Helper()
-	if _, _, err := run(q); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, _, err := run(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += sum
-	}
-}
-
-// BenchmarkSteadyOneShotScalarAgg replays a filtered scalar aggregation
-// through the one-shot entry point.
-func BenchmarkSteadyOneShotScalarAgg(b *testing.B) {
-	db := steadyDB(b, benchR(), 1000, 1000)
-	q := core.ScalarAgg{Table: "r", Filter: ltExpr("r_x", 50), Agg: expr.NewCol("r_a")}
-	benchSteadyOneShot(b, q, db.engine.ScalarAgg)
-}
-
-// BenchmarkSteadyOneShotSemiJoinAgg replays a filtered semijoin
-// aggregation through the one-shot entry point.
-func BenchmarkSteadyOneShotSemiJoinAgg(b *testing.B) {
-	db := steadyDB(b, benchR(), 100_000, 1000)
-	q := core.SemiJoinAgg{
-		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-		ProbeFilter: ltExpr("r_x", 50), BuildFilter: ltExpr("s_x", 50),
-		Agg: expr.NewCol("r_a"),
-	}
-	benchSteadyOneShot(b, q, db.engine.SemiJoinAgg)
 }
