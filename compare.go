@@ -16,13 +16,17 @@ type StrategyRun struct {
 	Result   *Result
 }
 
-// CompareStrategies executes a supported aggregation query under every
-// applicable strategy — data-centric, hybrid, and SWOLE's masking pullups
-// — returning per-strategy runtimes and (identical) answers. It is the
-// paper's Figure 1/3/4 experiment on your own data. Supported shapes:
-// single-table scalar or single-key group-by aggregation with a single
-// sum (or count(*)) aggregate. Each strategy's plan is prepared before its
-// timed run, so the runtimes compare kernels, not who paid for sampling.
+// CompareStrategies executes an aggregation query under every strategy it
+// can be forced onto — data-centric, hybrid, and SWOLE's masking pullups —
+// returning per-strategy runtimes and (identical) answers. It is the
+// paper's Figure 1/3/4 experiment on your own data. The classic scalar and
+// single-key group-by shapes race all of their hand-specialized kernels;
+// any other synthesized statement (several aggregates, min/max, HAVING,
+// joins with a residual, composite keys) races the generic executor's
+// hybrid, value-masking and — when grouped — key-masking kernels. The
+// classic join shapes have one technique and nothing to compare. Each
+// strategy's plan is prepared before its timed run, so the runtimes compare
+// kernels, not who paid for sampling.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	p, err := d.Plan(q)
 	if err != nil {
@@ -32,16 +36,15 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	if !ok {
 		return nil, fmt.Errorf("swole: CompareStrategies supports aggregation queries")
 	}
-	techs := []core.Technique{core.TechDataCentric, core.TechHybrid, core.TechValueMasking}
-	if len(spec.GroupBy) > 0 {
-		techs = append(techs, core.TechKeyMasking)
-	}
 	var runs []StrategyRun
-	for _, tech := range techs {
+	for _, tech := range d.engine.Techniques(spec) {
+		if tech == core.TechAccessMerging {
+			continue // value masking under another name: same kernel
+		}
 		// Plans run one after another, so they can share the spec's trees.
 		forced, err := d.engine.PrepareForced(spec, tech)
 		if err != nil {
-			return nil, fmt.Errorf("swole: CompareStrategies supports a single sum or count(*) over one table with at most one group-by key: %w", err)
+			return nil, err
 		}
 		start := time.Now()
 		part, _, err := forced.RunPartial(context.Background())
@@ -55,6 +58,9 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 		c.setFields(forced.Fields())
 		c.put(part)
 		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res})
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("swole: CompareStrategies: this statement has a single technique, nothing to compare")
 	}
 	return runs, nil
 }

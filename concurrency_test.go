@@ -210,3 +210,93 @@ func TestCancellationSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestReconfigureUnderLoad pins SetWorkers and SetPartitionMode against
+// concurrent compiles: eight goroutines run four hand-plan statements while
+// a ninth flips the worker count and the partition mode, ending on two
+// workers. Run with -race — the configuration is written under the lock
+// compiles hold — and no statement compiled in a flip's window may stay
+// cached with the old configuration: afterwards every cached plan runs on
+// two workers.
+func TestReconfigureUnderLoad(t *testing.T) {
+	d, err := LoadMicro(MicroConfig{Rows: 20_000, DimRows: 256, GroupKeys: 64, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	queries := []string{
+		"select sum(r_a * r_b) from r where r_x < 50",
+		"select r_c, sum(r_a) from r where r_x < 50 group by r_c",
+		"select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50",
+		"select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk",
+	}
+	want := make([][][]int64, len(queries))
+	for i, q := range queries {
+		res, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sortedRows(res.Rows())
+	}
+
+	ctx := context.Background()
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; ; it++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				qi := (g + it) % len(queries)
+				res, _, err := d.QueryContext(ctx, queries[qi])
+				if err == nil && !rowsEqual(sortedRows(res.Rows()), want[qi]) {
+					err = fmt.Errorf("wrong answer")
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %q: %w", g, queries[qi], err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 40; i++ {
+		d.SetWorkers(1 + i%2)
+		d.SetPartitionMode([]PartitionMode{PartitionOff, PartitionAuto}[i%2])
+		time.Sleep(time.Millisecond)
+	}
+	d.SetWorkers(2)
+	time.Sleep(5 * time.Millisecond) // let in-flight compiles land (or be dropped)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for _, q := range queries {
+		if _, _, err := d.QueryContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.RLock()
+		c := d.plans[q]
+		d.mu.RUnlock()
+		if c == nil {
+			t.Fatalf("%q not cached", q)
+		}
+		c.mu.Lock()
+		_, ex, err := c.fan[0].plan.RunPartial(ctx)
+		c.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Workers != 2 {
+			t.Errorf("%q: cached plan runs on %d workers after SetWorkers(2)", q, ex.Workers)
+		}
+	}
+}

@@ -114,6 +114,31 @@ func (b *Bitmap) ReadCmp(base int, cmp []byte) {
 	}
 }
 
+// AndGather ANDs bit pos[j] into cmp[j] for every lane — the probe side of a
+// positional-bitmap join a tile at a time: pos holds the parent positions
+// the foreign-key index resolved for the tile's rows, and a lane survives
+// only if its parent qualified.
+func (b *Bitmap) AndGather(pos []int32, cmp []byte) {
+	if len(pos) == 0 {
+		return
+	}
+	words := b.words
+	_ = cmp[len(pos)-1]
+	for j, p := range pos {
+		cmp[j] &= byte(words[uint32(p)>>6] >> (uint32(p) & 63) & 1)
+	}
+}
+
+// AndGatherSel is AndGather over the lanes sel names only; the other lanes
+// of pos and cmp are not read.
+func (b *Bitmap) AndGatherSel(pos []int32, sel []int32, cmp []byte) {
+	words := b.words
+	for _, j := range sel {
+		p := uint32(pos[j])
+		cmp[j] &= byte(words[p>>6] >> (p & 63) & 1)
+	}
+}
+
 // SetFromSel sets bits for the first n entries of a tile-local selection
 // vector offset by base — the pushdown-style construction the cost model
 // picks at very low selectivities.

@@ -291,3 +291,47 @@ func TestOrInto(t *testing.T) {
 		t.Errorf("Reset+OrInto allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// AndGather and AndGatherSel against TestBit, lane by lane.
+func TestAndGatherMatchesTestBit(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	const rows = 5000
+	b := New(rows)
+	for i := 0; i < rows; i++ {
+		if r.Intn(3) == 0 {
+			b.Set(i)
+		}
+	}
+	for _, n := range []int{0, 1, 1023, 1024} {
+		pos := make([]int32, n)
+		cmp := make([]byte, n)
+		var sel []int32
+		for j := range pos {
+			pos[j] = int32(r.Intn(rows))
+			cmp[j] = byte(r.Intn(2))
+			if r.Intn(2) == 0 {
+				sel = append(sel, int32(j))
+			}
+		}
+		all := append([]byte(nil), cmp...)
+		some := append([]byte(nil), cmp...)
+		b.AndGather(pos, all)
+		b.AndGatherSel(pos, sel, some)
+		picked := map[int32]bool{}
+		for _, j := range sel {
+			picked[j] = true
+		}
+		for j := range pos {
+			want := cmp[j] & b.TestBit(int(pos[j]))
+			if all[j] != want {
+				t.Fatalf("n=%d AndGather lane %d: %d, want %d", n, j, all[j], want)
+			}
+			if !picked[int32(j)] {
+				want = cmp[j] // untouched
+			}
+			if some[j] != want {
+				t.Fatalf("n=%d AndGatherSel lane %d: %d, want %d", n, j, some[j], want)
+			}
+		}
+	}
+}

@@ -196,6 +196,11 @@ type Engine struct {
 	gangN      int
 	gangMorsel int
 	scatter    *ht.ScatterPool
+
+	// The generic executor's tile scratch (pools.go), indexed by worker and
+	// shared by every PreparedSelect under execMu.
+	genStates []workerState
+	genTiles  []tileScratch
 }
 
 // NewEngine returns an engine with default cost parameters and one morsel

@@ -128,6 +128,8 @@ func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error)
 	if err := expr.Bind(q.Agg, probe); err != nil {
 		return nil, err
 	}
+	e.execMu.Lock() // the worker count is configuration: see Reconfigure
+	defer e.execMu.Unlock()
 	p := newSemiPlan()
 	fresh := p.bindCore(e, false) + 1
 	p.probeRows, p.buildRows = probe.Rows(), build.Rows()

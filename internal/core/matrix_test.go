@@ -136,7 +136,10 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 // TestPrepareLowering pins the in-core lowering: the four classic
 // statements land on their hand-specialized plan types, and each near-miss
 // — one step outside a hand shape's restrictions — lands on the generic
-// executor. Shard fan-out is offered only for the former.
+// executor. Shard fan-out is offered only for the former. Each row also
+// pins the technique the cost model picks: for a generic plan the
+// aggregation technique (Explain leads with positional-bitmap when the
+// statement has join edges).
 func TestPrepareLowering(t *testing.T) {
 	db := testDB(t, 5000, 200, 16)
 	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
@@ -161,39 +164,51 @@ func TestPrepareLowering(t *testing.T) {
 	}
 	with := func(spec Select, edit func(*Select)) Select { edit(&spec); return spec }
 
+	sums := func(n int) (aggs []SelectAgg, names []string) {
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("s%d", i))
+			aggs = append(aggs, sum(col([]string{"r_a", "r_x", "r_c"}[i%3]), names[i]))
+		}
+		return aggs, names
+	}
+	fiveSums, fiveNames := sums(5)
+
 	cases := []struct {
 		name string
 		spec Select
 		want Plan
+		tech Technique
 	}{
-		{"scalar", scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: col("r_a")}), &PreparedScalarAgg{}},
-		{"count(*)", with(scalarSpec(ScalarAgg{Table: "r"}), func(s *Select) { s.Aggs[0].Kind = AggCount }), &PreparedScalarAgg{}},
-		{"group", groupSpec(GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: col("r_c"), Agg: col("r_a")}), &PreparedGroupAgg{}},
-		{"semijoin", semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50), Agg: col("r_a")}), &PreparedSemiJoinAgg{}},
-		{"groupjoin", gjoin(), &PreparedGroupJoinAgg{}},
+		{"scalar", scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: col("r_a")}), &PreparedScalarAgg{}, TechValueMasking},
+		{"count(*)", with(scalarSpec(ScalarAgg{Table: "r"}), func(s *Select) { s.Aggs[0].Kind = AggCount }), &PreparedScalarAgg{}, TechValueMasking},
+		{"group", groupSpec(GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: col("r_c"), Agg: col("r_a")}), &PreparedGroupAgg{}, TechValueMasking},
+		{"semijoin", semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50), Agg: col("r_a")}), &PreparedSemiJoinAgg{}, TechPositionalBitmap},
+		{"groupjoin", gjoin(), &PreparedGroupJoinAgg{}, TechEagerAggregation},
 
-		{"two aggregates", Select{Root: "r", Aggs: []SelectAgg{sum(col("r_a"), "s"), sum(col("r_x"), "u")}, Project: proj("s", "u")}, &PreparedSelect{}},
-		{"min", with(scalarSpec(ScalarAgg{Table: "r", Agg: col("r_a")}), func(s *Select) { s.Aggs[0].Kind = AggMin }), &PreparedSelect{}},
+		{"two aggregates", Select{Root: "r", Aggs: []SelectAgg{sum(col("r_a"), "s"), sum(col("r_x"), "u")}, Project: proj("s", "u")}, &PreparedSelect{}, TechValueMasking},
+		{"min", with(scalarSpec(ScalarAgg{Table: "r", Agg: col("r_a")}), func(s *Select) { s.Aggs[0].Kind = AggMin }), &PreparedSelect{}, TechValueMasking},
 		{"having", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Having = &expr.Cmp{Op: expr.GT, L: col("s"), R: &expr.Const{Val: 0}}
-		}), &PreparedSelect{}},
+		}), &PreparedSelect{}, TechValueMasking},
 		{"aliased projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Project[0].As = "k"
-		}), &PreparedSelect{}},
+		}), &PreparedSelect{}, TechValueMasking},
 		{"reordered projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Project[0], s.Project[1] = s.Project[1], s.Project[0]
-		}), &PreparedSelect{}},
-		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, &PreparedSelect{}},
-		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), &PreparedSelect{}},
+		}), &PreparedSelect{}, TechValueMasking},
+		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, &PreparedSelect{}, TechValueMasking},
+		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), &PreparedSelect{}, TechHybrid},
 		{"groupjoin keyed off the FK", with(gjoin(), func(s *Select) {
 			s.GroupBy = []string{"r_c"}
 			s.Project = proj("r_c", "s")
-		}), &PreparedSelect{}},
-		{"aggregate over a parent column", Select{Root: "r", Edges: edge(nil), Aggs: []SelectAgg{sum(col("s_x"), "s")}, Project: proj("s")}, &PreparedSelect{}},
+		}), &PreparedSelect{}, TechValueMasking},
+		{"aggregate over a parent column", Select{Root: "r", Edges: edge(nil), Aggs: []SelectAgg{sum(col("s_x"), "s")}, Project: proj("s")}, &PreparedSelect{}, TechValueMasking},
 		{"join residual", with(semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: col("r_a")}), func(s *Select) {
 			s.Residual = &expr.Cmp{Op: expr.LT, L: col("r_x"), R: col("s_x")}
-		}), &PreparedSelect{}},
-		{"two join edges", Select{Root: "r", Edges: append(edge(nil), edge(lt("s_x", 50))...), Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("s")}, &PreparedSelect{}},
+		}), &PreparedSelect{}, TechValueMasking},
+		{"selective filter", Select{Root: "r", Filter: lt("r_x", 5), Aggs: []SelectAgg{sum(col("r_a"), "s"), sum(col("r_x"), "u")}, Project: proj("s", "u")}, &PreparedSelect{}, TechHybrid},
+		{"five sums per group", Select{Root: "r", GroupBy: []string{"r_c"}, Aggs: fiveSums, Project: proj(append([]string{"r_c"}, fiveNames...)...)}, &PreparedSelect{}, TechKeyMasking},
+		{"two join edges", Select{Root: "r", Edges: append(edge(nil), edge(lt("s_x", 50))...), Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("s")}, &PreparedSelect{}, TechValueMasking},
 	}
 	for _, c := range cases {
 		p, err := e.Prepare(c.spec)
@@ -212,8 +227,21 @@ func TestPrepareLowering(t *testing.T) {
 		if len(p.Fields()) != len(c.spec.Project) {
 			t.Errorf("%s: header %v for %d projected columns", c.name, p.Fields(), len(c.spec.Project))
 		}
-		if _, _, err := p.RunPartial(context.Background()); err != nil {
+		_, ex, err := p.RunPartial(context.Background())
+		if err != nil {
 			t.Errorf("%s: run: %v", c.name, err)
+		}
+		want := c.tech
+		if ps, ok := p.(*PreparedSelect); ok {
+			if ps.tech != c.tech {
+				t.Errorf("%s: aggregation technique %s, want %s (costs %v)", c.name, ps.tech, c.tech, ex.Costs)
+			}
+			if len(c.spec.Edges) > 0 {
+				want = TechPositionalBitmap
+			}
+		}
+		if ex.Technique != want {
+			t.Errorf("%s: Explain.Technique %s, want %s (costs %v)", c.name, ex.Technique, want, ex.Costs)
 		}
 	}
 }

@@ -3,14 +3,61 @@ package core
 import (
 	"github.com/reprolab/swole/internal/exec"
 	"github.com/reprolab/swole/internal/ht"
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // Engine-owned execution resources. A compiled plan owns everything
-// specific to it — per-worker tile scratch, aggregation hash tables,
-// positional bitmaps, partitioners — for its whole life. What lives on the
-// engine is only what every plan shares: the persistent worker gang and
-// the scatter arena partitioned plans append into, both guarded by
-// e.execMu.
+// specific to it — aggregation hash tables, positional bitmaps,
+// partitioners, result buffers, and for the hand-specialized plans their
+// per-worker tile scratch — for its whole life. What lives on the engine is
+// only what every plan shares: the persistent worker gang, the scatter
+// arena partitioned plans append into, and the tile scratch every generic
+// plan (select.go) runs on, all guarded by e.execMu.
+
+// tileScratch is one worker's tile buffers for the generic executor beyond
+// the shared workerState set: the residual mask, per-edge parent positions,
+// gather positions, group slots, and one int64 vector per joined-schema
+// column a statement reads. Nothing in it outlives a tile, so one set
+// serves every generic plan on the engine and a never-seen statement's
+// compile allocates no tile buffers.
+type tileScratch struct {
+	tcmp   []byte
+	slots  []int32
+	gpos   []int32
+	pos    [maxSelectEdges][]int32 // lane-indexed parent positions per edge
+	posBuf [maxSelectEdges][]int32 // backing for edges chained off another edge
+	vecs   [][]int64
+}
+
+// ensureGenLocked makes the generic executor's scratch hold at least nVecs
+// tile vectors, creating the worker state on first use. Like
+// ensureScatterLocked it returns the pool-miss count billed to
+// Explain.FreshAllocs: 1 when anything was allocated, 0 on a pure reuse.
+// Callers hold e.execMu.
+func (e *Engine) ensureGenLocked(nVecs int) int {
+	fresh := 0
+	if e.genStates == nil {
+		e.genStates = []workerState{newWorkerState()}
+		t := tileScratch{
+			tcmp:  make([]byte, vec.TileSize),
+			slots: make([]int32, vec.TileSize),
+			gpos:  make([]int32, vec.TileSize),
+		}
+		for i := range t.posBuf {
+			t.posBuf[i] = make([]int32, vec.TileSize)
+		}
+		e.genTiles = []tileScratch{t}
+		fresh = 1
+	}
+	for w := range e.genTiles {
+		t := &e.genTiles[w]
+		for len(t.vecs) < nVecs {
+			t.vecs = append(t.vecs, make([]int64, vec.TileSize))
+			fresh = 1
+		}
+	}
+	return fresh
+}
 
 // ensureScatterLocked sizes the engine's shared scatter arena — the chunk
 // pool every partitioned plan's workers append into — for a scan of rows
@@ -30,6 +77,17 @@ func (e *Engine) ensureScatterLocked(rows, nw, parts int) (*ht.ScatterPool, int)
 		return e.scatter, 1
 	}
 	return e.scatter, 0
+}
+
+// Reconfigure runs f with no compile or execution in flight on the engine —
+// the one safe place to write the configuration fields compiles read
+// (Workers, MorselRows, Partition, Params). Every compile holds the same
+// lock from its first configuration read to its last, so a plan is built
+// under exactly one configuration.
+func (e *Engine) Reconfigure(f func()) {
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	f()
 }
 
 // growsSum totals the cumulative grow counters of a table set; the delta

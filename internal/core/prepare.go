@@ -23,7 +23,7 @@ type Plan interface {
 }
 
 // Partial is one plan run's answer: Rows for a generic plan, Groups for a
-// grouped hand-specialized plan, Sum otherwise. Groups and Rows alias
+// grouped hand-specialized plan, Sum otherwise. Groups and Rows are
 // plan-owned buffers overwritten by the plan's next run.
 type Partial struct {
 	Sum    int64
@@ -34,42 +34,54 @@ type Partial struct {
 // Prepare compiles a statement for the caller to keep and re-run. A spec
 // that collapses to one of the paper's four shapes — scalar, group-by,
 // semijoin, or groupjoin aggregation — lowers onto that shape's hand-
-// specialized plan (morsel-parallel kernels, radix partitioning, zero-alloc
-// re-runs, mergeable partials); everything else compiles through
-// PrepareSelect.
+// specialized plan (morsel-parallel kernels, radix partitioning, mergeable
+// partials); everything else compiles through PrepareSelect onto the
+// generic tile pipeline. Either way a warm re-run allocates nothing.
 func (e *Engine) Prepare(spec Select) (Plan, error) {
 	return e.prepare(spec, techAuto)
 }
 
-// PrepareForced compiles a scalar or single-key group-by statement under
-// the caller's technique instead of the cost model's pick — strategy
-// comparisons on user queries, ablation studies. Forced plans scan
-// sequentially: they measure kernel character, not parallel speedup.
+// PrepareForced compiles a statement under the caller's technique instead
+// of the cost model's pick — strategy comparisons on user queries, ablation
+// studies, kernel parity tests. Techniques lists what a statement accepts.
+// Forced plans scan sequentially: they measure kernel character, not
+// parallel speedup.
 func (e *Engine) PrepareForced(spec Select, tech Technique) (Plan, error) {
+	if !slices.Contains(e.Techniques(spec), tech) {
+		return nil, fmt.Errorf("core: technique %s cannot be forced on this statement", tech)
+	}
 	return e.prepare(spec, tech)
 }
 
-// The techniques a forced compile may name, per shape.
+// The techniques a forced compile of a classic shape may name.
 var (
 	scalarTechs = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging}
 	groupTechs  = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}
 )
 
+// Techniques is the menu PrepareForced accepts for the statement: the
+// classic scalar and group-by shapes' kernels, the generic executor's three
+// techniques for everything it runs, and nothing for the classic join
+// shapes, whose technique is not a choice.
+func (e *Engine) Techniques(spec Select) []Technique {
+	arg, _ := e.classic(spec)
+	switch {
+	case arg == nil:
+		return selectTechs(spec)
+	case len(spec.Edges) > 0:
+		return nil
+	case len(spec.GroupBy) == 1:
+		return groupTechs
+	}
+	return scalarTechs
+}
+
 func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
 	arg, fields := e.classic(spec)
-	if tech != techAuto {
-		menu := scalarTechs
-		if len(spec.GroupBy) == 1 {
-			menu = groupTechs
-		}
-		if arg == nil || len(spec.Edges) > 0 || !slices.Contains(menu, tech) {
-			return nil, fmt.Errorf("core: technique %s cannot be forced on this statement", tech)
-		}
-	}
 	if arg == nil {
-		p, err := e.PrepareSelect(spec)
+		p, err := e.prepareSelect(spec, tech)
 		if err != nil {
-			return nil, err
+			return nil, err // not p: a failed compile's nil pointer must not reach the interface
 		}
 		return p, nil
 	}

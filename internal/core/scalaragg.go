@@ -112,6 +112,8 @@ func (e *Engine) compileScalarAgg(q ScalarAgg, tech Technique) (*PreparedScalarA
 	if err := expr.Bind(q.Agg, t); err != nil {
 		return nil, err
 	}
+	e.execMu.Lock() // the worker count is configuration: see Reconfigure
+	defer e.execMu.Unlock()
 	p := newScalarPlan()
 	fresh := p.bindCore(e, tech != techAuto) + 1
 	p.rows = t.Rows()

@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
-	"github.com/reprolab/swole/internal/cost"
 	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
@@ -18,11 +14,31 @@ import (
 // This file is the compositional executor behind the plan synthesizer: any
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
 // edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
-// PreparedSelect. Each join edge resolves build rows positionally
-// through the registered foreign-key index and applies its build-side
-// predicate as a positional bitmap (Section III-D), so no hash table is
-// built. Root disjunctions choose, via the cost model, between fused
-// branchless evaluation and term-at-a-time positional-bitmap OR-combination.
+// PreparedSelect, a tile pipeline assembled from the same primitives the
+// hand-specialized plans use. Per vec.TileSize tile:
+//
+//	root mask      the root predicate (or the prebuilt disjunction bitmap)
+//	               fills the byte mask
+//	edges          each join edge resolves parent positions through its
+//	               foreign-key index and ANDs its positional bitmap in
+//	               (Section III-D), so no hash table is built
+//	tile vectors   every joined-schema column the statement reads becomes
+//	               one []int64 vector: widened in place for root columns,
+//	               gathered by position for parent columns
+//	row stage      residual and aggregate arguments evaluate over whole
+//	               vectors; a residual is one more AND into the mask
+//	group slot     GROUP BY keys pack into one int64 (selectkeys.go) and
+//	               resolve to slots of one ht.AggTable, a tile at a time
+//	accumulate     one lane per aggregate folds its value vector
+//
+// The cost model picks, per statement at prepare time, how the mask is
+// paid for: hybrid compacts the tile to a selection vector and runs the row
+// stage over selected lanes only; value masking and key masking stay
+// full-width and mask values (to the aggregate's identity) or keys (to
+// ht.NullKey, the throwaway entry). Root disjunctions additionally choose
+// between fused evaluation and term-at-a-time positional-bitmap
+// OR-combination. Nothing on the run path works a row at a time; HAVING and
+// the projection run once per group.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -149,10 +165,27 @@ func (f fieldSchema) index(name string) int {
 	return -1
 }
 
-// SelectResult is a materialized synthesized-plan answer.
+// SelectResult is a generic plan's answer, owned by the plan and overwritten
+// by its next run: row i is Flat[i*w:(i+1)*w] for w = len(Fields), and Rows
+// holds one header per row into Flat.
 type SelectResult struct {
 	Fields []OutField
+	Flat   []int64
 	Rows   [][]int64
+}
+
+// frame points the row headers at Flat. A run that produced the same row
+// count into the same backing array keeps the headers it has.
+func (r *SelectResult) frame() {
+	w := len(r.Fields)
+	n := len(r.Flat) / w
+	if n == len(r.Rows) && (n == 0 || &r.Rows[0][0] == &r.Flat[0]) {
+		return
+	}
+	r.Rows = r.Rows[:0]
+	for i := 0; i < n; i++ {
+		r.Rows = append(r.Rows, r.Flat[i*w:(i+1)*w:(i+1)*w])
+	}
 }
 
 // boundEdge is a compiled join edge.
@@ -162,300 +195,126 @@ type boundEdge struct {
 	parent *storage.Table
 	filter expr.Expr      // bound to parent
 	bm     *bitmap.Bitmap // parent-side qualifying positions; nil without filter
+	used   bool           // a filter, a column or a later edge needs its positions
 }
 
-// gatherField is one joined-schema column the row stage actually reads.
-type gatherField struct {
-	at  int // index in the joined row buffer
-	src int // -1 root, else edge index
-	col *storage.Column
+// tileCol is one joined-schema column the row stage reads through a tile
+// vector; its index in PreparedSelect.cols is the vector's slot.
+type tileCol struct {
+	name string
+	src  int // -1 root, else edge index
+	col  *storage.Column
 }
 
-type accSt struct {
-	sum, cnt, mn, mx int64
-}
+// tileSchema binds row expressions to tile-vector slots.
+type tileSchema []tileCol
 
-func (a *accSt) add(v int64) {
-	a.sum += v
-	a.cnt++
-	if v < a.mn {
-		a.mn = v
-	}
-	if v > a.mx {
-		a.mx = v
-	}
-}
-
-func (a *accSt) finalize(k AggKind) int64 {
-	switch k {
-	case AggSum:
-		return a.sum
-	case AggCount:
-		return a.cnt
-	case AggAvg:
-		if a.cnt == 0 {
-			return 0
+// Resolve implements expr.SchemaSource.
+func (t tileSchema) Resolve(name string) (int, *storage.Dict, bool) {
+	for i := range t {
+		if t[i].name == name {
+			return i, t[i].col.Dict, true
 		}
-		return a.sum * storage.DecimalOne / a.cnt
+	}
+	return 0, nil, false
+}
+
+// rowExpr is an expression of the row stage (the residual or an aggregate
+// argument) with how it evaluates over a tile.
+type rowExpr struct {
+	e expr.Expr
+	// root: e reads root columns only, cannot fault on a masked lane, and the
+	// lanes are the tile's rows, so it evaluates through Evaluator.EvalInt /
+	// EvalBool on (base, n) with the native-width kernels. Otherwise e is
+	// bound to tile-vector slots and evaluates through EvalRowInt/EvalRowBool.
+	root bool
+	slot int             // the tile vector holding e when e is a bare column, else -1
+	col  *storage.Column // the storage column when root and e is a bare column
+}
+
+// selAgg is one aggregate with its accumulator lane.
+type selAgg struct {
+	kind AggKind
+	arg  rowExpr   // arg.e == nil for count(*)
+	mul  []rowExpr // the two factors when arg is a product of bare columns
+	lane int       // accumulator lane; -1 for count, which reads the shared tuple count
+}
+
+// identity is what a rejected lane contributes under value masking, and
+// what the lane starts from.
+func (a *selAgg) identity() int64 {
+	switch a.kind {
 	case AggMin:
-		if a.cnt == 0 {
-			return 0
-		}
-		return a.mn
-	default: // AggMax
-		if a.cnt == 0 {
-			return 0
-		}
-		return a.mx
+		return vec.MinIdentity
+	case AggMax:
+		return vec.MaxIdentity
 	}
+	return 0
 }
 
-type selGroup struct {
-	keys []int64
-	accs []accSt
+// final turns the lane value v and the group's tuple count into the
+// aggregate's answer. An aggregate over no tuples is 0 (only a scalar
+// statement can get there).
+func (a *selAgg) final(v, cnt int64) int64 {
+	switch {
+	case a.kind == AggCount:
+		return cnt
+	case cnt == 0:
+		return 0
+	case a.kind == AggAvg:
+		return v * storage.DecimalOne / cnt
+	}
+	return v
 }
 
-// PreparedSelect is a compiled synthesized plan. It executes
-// single-threaded over the engine's column store (the gang and shard
-// fan-out machinery of the hand-specialized shapes does not apply here) and
-// reuses its buffers across runs; RunContext is safe for concurrent use.
+// PreparedSelect is a compiled synthesized plan: the tile pipeline described
+// at the top of this file with its technique fixed. It owns what must
+// outlive a run — the group table, the edge and disjunction bitmaps, the
+// result buffer — and borrows its tile scratch from the engine, so a warm
+// run allocates nothing. Runs serialize on the engine's execution lock like
+// every other plan's; the scan is sequential (Workers == 1).
 type PreparedSelect struct {
-	e    *Engine
-	spec Select
+	planCore
+	groupEmit // the emission's (order key, slot) pairs and their sorter
 
-	root  *storage.Table
+	spec  Select
+	rows  int
 	edges []boundEdge
+	// filtered: edges [0, filtered) end at the last one with a positional
+	// bitmap; 0 when none has one.
+	filtered int
 
-	strategy cost.DisjunctionStrategy
-	terms    []expr.Expr // top-level OR terms of the bound root filter
+	terms  []expr.Expr    // top-level OR terms of the bound root filter
+	rootBM *bitmap.Bitmap // the disjunction's positional bitmap (cost.DisjBitmap); nil when fused
 
-	rowFields fieldSchema
-	gather    []gatherField
-	groupAt   []int // joined-row index per group key
-	outFields fieldSchema
-	resFields []OutField
+	tech     Technique
+	cols     []tileCol
+	residual rowExpr
+	aggs     []selAgg
 
-	ex Explain
+	// Grouped statements: key packing and the one group table. Scalar
+	// statements (tab == nil) accumulate into acc, one lane per aggregate,
+	// and count tuples in cnt; the emission stages each group's lanes in acc.
+	keys groupKeys
+	tab  *ht.AggTable
+	acc  []int64
+	cnt  int64
 
-	// run-owned, guarded by mu
-	mu      chan struct{} // 1-slot semaphore; also the buffer guard
-	rootBM  *bitmap.Bitmap
-	cmp     []byte
-	tcmp    []byte
-	pos     [][]int32
-	rowBuf  []int64
-	keyBuf  []byte
-	evLocal *expr.Evaluator
+	outFields fieldSchema // group keys then aggregate aliases: HAVING's and the projection's row
+	outRow    []int64
+	res       SelectResult
+
+	// Kernels, bound once so a run builds no closures. kEdge reads the edge
+	// the run is currently on.
+	kMain, kEdge, kTerm kernelFn
+	curEdge             *boundEdge
 }
 
-// PrepareSelect compiles a synthesized single-block SELECT into a reusable
-// plan: it resolves tables and foreign-key indexes, binds every expression
-// tree, samples term selectivities, and fixes the disjunction strategy via
-// the cost model.
-func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
-	if len(q.Edges) > maxSelectEdges {
-		return nil, fmt.Errorf("core: %d join edges unsupported (max %d)", len(q.Edges), maxSelectEdges)
-	}
-	if len(q.Aggs) == 0 {
-		return nil, fmt.Errorf("core: select without aggregates")
-	}
-	root := e.DB.Table(q.Root)
-	if root == nil {
-		return nil, errNoTable(q.Root)
-	}
-	p := &PreparedSelect{e: e, spec: q, root: root, mu: make(chan struct{}, 1)}
-
-	// Joined-row schema: root columns, then each edge's parent columns.
-	addCols := func(t *storage.Table) {
-		for _, c := range t.Columns {
-			p.rowFields = append(p.rowFields, OutField{Name: c.Name, Dict: c.Dict, Log: c.Log})
-		}
-	}
-	addCols(root)
-	for i, ed := range q.Edges {
-		childName := q.Root
-		if ed.Src >= 0 {
-			if ed.Src >= i {
-				return nil, fmt.Errorf("core: edge %d references later edge %d", i, ed.Src)
-			}
-			childName = q.Edges[ed.Src].Parent
-		}
-		idx := e.DB.FK(childName, ed.FK, ed.Parent, ed.PK)
-		if idx == nil {
-			return nil, fmt.Errorf("core: no foreign key %s.%s -> %s.%s", childName, ed.FK, ed.Parent, ed.PK)
-		}
-		parent := e.DB.Table(ed.Parent)
-		if parent == nil {
-			return nil, errNoTable(ed.Parent)
-		}
-		be := boundEdge{src: ed.Src, idx: idx, parent: parent, filter: ed.Filter}
-		if be.filter != nil {
-			if err := expr.Bind(be.filter, parent); err != nil {
-				return nil, err
-			}
-			be.bm = bitmap.New(parent.Rows())
-		}
-		p.edges = append(p.edges, be)
-		addCols(parent)
-	}
-
-	// Root filter: bind, expose OR terms, choose the disjunction strategy.
-	params := e.Params.ForWorkers(1)
-	// PlanCached is baked in like the other Prepared* types: every run of
-	// this plan replays the prepare-time decision; the plan cache's first
-	// execution resets it to false.
-	p.ex = Explain{Technique: TechDataCentric, Workers: 1, PlanCached: true, Costs: map[string]float64{}}
-	if len(p.edges) > 0 {
-		p.ex.Technique = TechPositionalBitmap
-	}
-	for i, be := range p.edges {
-		if be.bm != nil {
-			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
-			p.ex.HTBytes += be.bm.Bytes()
-		}
-	}
-	rows := root.Rows()
-	if q.Filter != nil {
-		if err := expr.Bind(q.Filter, root); err != nil {
-			return nil, err
-		}
-		sel, cached := e.selectivity(q.Root, rows, q.Filter, 16384)
-		p.ex.Selectivity, p.ex.StatsCached = sel, cached
-		p.ex.CompCost = expr.CompCost(q.Filter, params)
-		p.terms = expr.OrTerms(q.Filter)
-		if len(p.terms) > 1 {
-			termComp := make([]float64, len(p.terms))
-			termSel := make([]float64, len(p.terms))
-			for i, t := range p.terms {
-				termComp[i] = expr.CompCost(t, params)
-				termSel[i], _ = e.selectivity(q.Root, rows, t, 16384)
-			}
-			var fused, bm float64
-			p.strategy, fused, bm = params.ChooseDisjunction(rows, termComp, termSel)
-			p.ex.Costs["disjunction-fused"] = fused
-			p.ex.Costs["disjunction-bitmap"] = bm
-			if p.strategy == cost.DisjBitmap {
-				p.rootBM = bitmap.New(rows)
-			}
-		}
-	} else {
-		p.ex.Selectivity = 1
-	}
-
-	// Row stage: bind residual, group keys, and aggregate arguments against
-	// the joined schema, then plan the per-row gather of referenced columns.
-	needed := map[string]bool{}
-	noteCols := func(ex expr.Expr) {
-		for _, c := range expr.Cols(ex) {
-			needed[c] = true
-		}
-	}
-	if q.Residual != nil {
-		if err := expr.BindRow(q.Residual, p.rowFields); err != nil {
-			return nil, err
-		}
-		noteCols(q.Residual)
-	}
-	for _, g := range q.GroupBy {
-		needed[g] = true
-	}
-	for i := range q.Aggs {
-		if q.Aggs[i].Arg != nil {
-			if err := expr.BindRow(q.Aggs[i].Arg, p.rowFields); err != nil {
-				return nil, err
-			}
-			noteCols(q.Aggs[i].Arg)
-		}
-	}
-	colAt := func(fieldIdx int) (int, *storage.Column, error) {
-		// Recover (source, column) from the joined-schema position.
-		off := 0
-		if fieldIdx < len(root.Columns) {
-			return -1, root.Columns[fieldIdx], nil
-		}
-		off = len(root.Columns)
-		for i, be := range p.edges {
-			if fieldIdx < off+len(be.parent.Columns) {
-				return i, be.parent.Columns[fieldIdx-off], nil
-			}
-			off += len(be.parent.Columns)
-		}
-		return 0, nil, fmt.Errorf("core: joined field %d out of range", fieldIdx)
-	}
-	for name := range needed {
-		at := p.rowFields.index(name)
-		if at < 0 {
-			return nil, errNoColumn(q.Root, name)
-		}
-		src, col, err := colAt(at)
-		if err != nil {
-			return nil, err
-		}
-		p.gather = append(p.gather, gatherField{at: at, src: src, col: col})
-	}
-	sort.Slice(p.gather, func(i, j int) bool { return p.gather[i].at < p.gather[j].at })
-
-	// Aggregate output schema: group keys (with their dictionaries), then
-	// aggregate aliases.
-	for _, g := range q.GroupBy {
-		at := p.rowFields.index(g)
-		if at < 0 {
-			return nil, errNoColumn(q.Root, g)
-		}
-		p.groupAt = append(p.groupAt, at)
-		p.outFields = append(p.outFields, p.rowFields[at])
-	}
-	for _, a := range q.Aggs {
-		p.outFields = append(p.outFields, OutField{Name: a.As, Log: storage.LogInt})
-	}
-	if q.Having != nil {
-		if err := expr.BindRow(q.Having, p.outFields); err != nil {
-			return nil, err
-		}
-	}
-	if len(q.Project) == 0 {
-		return nil, fmt.Errorf("core: select without projection")
-	}
-	for i := range q.Project {
-		if err := expr.BindRow(q.Project[i].Expr, p.outFields); err != nil {
-			return nil, err
-		}
-		f := OutField{Name: q.Project[i].As, Log: storage.LogInt}
-		if c, ok := q.Project[i].Expr.(*expr.Col); ok {
-			if at := p.outFields.index(c.Name); at >= 0 {
-				f.Dict, f.Log = p.outFields[at].Dict, p.outFields[at].Log
-			}
-		}
-		p.resFields = append(p.resFields, f)
-	}
-
-	// Group-count estimate for Explain (first key only; joint cardinality
-	// sampling would need the joined row).
-	if len(q.GroupBy) > 0 && root.Column(q.GroupBy[0]) != nil {
-		key := expr.NewCol(q.GroupBy[0])
-		if err := expr.Bind(key, root); err == nil {
-			g, _ := e.groupCount(q.Root, rows, key, 16384)
-			p.ex.Groups = g
-		}
-	}
-
-	p.cmp = make([]byte, vec.TileSize)
-	p.tcmp = make([]byte, vec.TileSize)
-	p.pos = make([][]int32, len(p.edges))
-	for i := range p.pos {
-		p.pos[i] = make([]int32, vec.TileSize)
-	}
-	p.rowBuf = make([]int64, len(p.rowFields))
-	p.evLocal = expr.NewEvaluator()
-	return p, nil
-}
-
-// Fields returns the prepared plan's output header.
-func (p *PreparedSelect) Fields() []OutField { return p.resFields }
-
-// Mergeable reports false: HAVING, avg/min/max, and multi-key grouping are
-// not distributive over partials the way the hand-specialized shapes' sums
-// are, so a generic plan must see every row of its tables.
+// Mergeable reports false: a generic plan's answer is finished rows — avg,
+// min/max, HAVING and the projection are already applied — which do not
+// combine across disjoint row ranges the way the hand-specialized plans'
+// sums do, so it must see every row of its tables. Its partial state (the
+// group table's lanes) would merge; exposing that is the fan-out's job.
 func (p *PreparedSelect) Mergeable() bool { return false }
 
 // RunPartial implements Plan.
@@ -464,195 +323,392 @@ func (p *PreparedSelect) RunPartial(ctx context.Context) (Partial, Explain, erro
 	return Partial{Rows: res}, ex, err
 }
 
-// RunContext executes the plan, honoring ctx between tile batches.
+// RunContext executes the plan under the context's deadline; see
+// PreparedScalarAgg.RunContext for the cancellation contract. The result
+// aliases plan-owned buffers and is overwritten by the next run.
 func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {
-	p.mu <- struct{}{}
-	defer func() { <-p.mu }()
+	p.e.execMu.Lock()
+	defer p.e.execMu.Unlock()
+	if err := p.run(ctx); err != nil {
+		// The engine's states are shared by every generic plan: drain the
+		// canceled scan's counters so they cannot surface in another plan.
+		p.sumVariants()
+		return nil, Explain{}, p.canceled(err)
+	}
+	return &p.res, p.snapshot(), nil
+}
 
-	ex := p.ex
+func (p *PreparedSelect) run(ctx context.Context) error {
 	start := time.Now()
-	rows := p.root.Rows()
-	ev := p.evLocal
-
-	// Phase 1: build each filtered edge's positional bitmap over the parent.
+	// Phase 1: each filtered edge's positional bitmap over its parent.
 	for i := range p.edges {
 		be := &p.edges[i]
 		if be.bm == nil {
 			continue
 		}
 		be.bm.Reset(be.parent.Rows())
-		if err := p.scanTiles(ctx, be.parent.Rows(), func(base, n int) {
-			ev.EvalBool(be.filter, base, n, p.tcmp[:n])
-			be.bm.SetFromCmp(base, p.tcmp[:n])
-		}); err != nil {
-			return nil, ex, err
+		p.curEdge = be
+		p.scan(ctx, be.parent.Rows(), p.kEdge)
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
 	}
-
-	// Phase 2 (term-bitmap strategy): OR each disjunct into the root bitmap
-	// term at a time, skipping tiles earlier terms already saturated.
+	// Phase 2 (term-bitmap strategy): the disjuncts, term at a time, into the
+	// root's positional bitmap.
 	if p.rootBM != nil {
-		p.rootBM.Reset(rows)
-		for _, term := range p.terms {
-			if err := p.scanTiles(ctx, rows, func(base, n int) {
-				if p.rootBM.RangeAllSet(base, n) {
-					return
-				}
-				ev.EvalBool(term, base, n, p.tcmp[:n])
-				p.rootBM.OrFromCmp(base, p.tcmp[:n])
-			}); err != nil {
-				return nil, ex, err
+		p.rootBM.Reset(p.rows)
+		p.scan(ctx, p.rows, p.kTerm)
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+	}
+	// Phase 3: the main scan through the tile pipeline.
+	var grows0 uint64
+	if p.tab != nil {
+		p.tab.Reset()
+		p.keys.reset()
+		grows0 = p.tab.Grows
+	} else {
+		p.cnt = 0
+		for i := range p.aggs {
+			if a := &p.aggs[i]; a.lane >= 0 {
+				p.acc[a.lane] = a.identity()
 			}
 		}
 	}
+	p.scan(ctx, p.rows, p.kMain)
+	p.ex.ScanTime = time.Since(start)
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
 
-	// Phase 3: the main scan. Each tile evaluates the root predicate (or
-	// reads the prebuilt bitmap), resolves every edge positionally and ANDs
-	// its bitmap in, then the row stage gathers referenced columns and
-	// accumulates aggregates.
-	groups := map[string]*selGroup{}
-	var order []*selGroup
-	passed := 0
-	scalarAccs := len(p.groupAt) == 0
-	if err := p.scanTiles(ctx, rows, func(base, n int) {
-		cmp := p.cmp[:n]
-		switch {
-		case p.rootBM != nil:
-			p.rootBM.ReadCmp(base, cmp)
-		case p.spec.Filter != nil:
-			ev.EvalBool(p.spec.Filter, base, n, cmp)
-		default:
-			vec.Fill(cmp, 1)
+	// Emission: groups in key order through HAVING and the projection into
+	// the flat result.
+	start = time.Now()
+	p.res.Flat = p.res.Flat[:0]
+	if p.tab == nil {
+		p.emitRow(p.cnt)
+	} else {
+		p.ex.HTGrows = int(p.tab.Grows - grows0)
+		p.keys.rank(&p.groupEmit)
+		p.reset()
+		// Value masking inserts groups only rejected tuples reached; their
+		// count stays zero.
+		for slot := p.tab.NextLive(0, true); slot >= 0; slot = p.tab.NextLive(slot+1, true) {
+			if p.tab.Count(slot) > 0 {
+				p.add(p.keys.sortKey(p.tab.Key(slot)), int64(slot))
+			}
 		}
-		for i := range p.edges {
-			be := &p.edges[i]
-			pos := p.pos[i][:n]
-			if be.src < 0 {
-				for j := 0; j < n; j++ {
-					pos[j] = be.idx.Pos[base+j]
-				}
+		p.sortPairs()
+		for i := 0; i < len(p.pairs); i += 2 {
+			slot := int(p.pairs[i+1])
+			p.keys.decode(p.tab.Key(slot), p.outRow)
+			for lane := range p.acc {
+				p.acc[lane] = p.tab.Acc(slot, lane)
+			}
+			p.emitRow(p.tab.Count(slot))
+		}
+	}
+	p.res.frame()
+	p.sumVariants()
+	p.ex.MergeTime = time.Since(start)
+	return nil
+}
+
+// emitRow finalizes one group — its key columns already in outRow, its lanes
+// in acc, cnt tuples — passes the aggregate output row through HAVING and
+// the projection, and appends the projected row to the result.
+func (p *PreparedSelect) emitRow(cnt int64) {
+	nk := len(p.spec.GroupBy)
+	for i := range p.aggs {
+		a := &p.aggs[i]
+		v := int64(0)
+		if a.lane >= 0 {
+			v = p.acc[a.lane]
+		}
+		p.outRow[nk+i] = a.final(v, cnt)
+	}
+	if p.spec.Having != nil && expr.EvalRow(p.spec.Having, p.outRow) == 0 {
+		return
+	}
+	for i := range p.spec.Project {
+		p.res.Flat = append(p.res.Flat, expr.EvalRow(p.spec.Project[i].Expr, p.outRow))
+	}
+}
+
+// edgeKernel evaluates the current edge's parent-side filter into its
+// positional bitmap.
+func (p *PreparedSelect) edgeKernel(w, base, length int) {
+	s, be := &p.states[w], p.curEdge
+	for tb := 0; tb < length; tb += vec.TileSize {
+		b, n := base+tb, min(vec.TileSize, length-tb)
+		s.ev.EvalBool(be.filter, b, n, s.Cmp)
+		be.bm.SetFromCmp(b, s.Cmp[:n])
+	}
+}
+
+// termKernel evaluates the root disjunction term at a time into the root
+// bitmap: within a tile each disjunct ORs into the byte mask, the remaining
+// ones are skipped once earlier terms accepted the whole tile, and the mask
+// is stored once.
+func (p *PreparedSelect) termKernel(w, base, length int) {
+	s, tcmp := &p.states[w], p.e.genTiles[w].tcmp
+	for tb := 0; tb < length; tb += vec.TileSize {
+		b, n := base+tb, min(vec.TileSize, length-tb)
+		cmp := s.Cmp[:n]
+		s.ev.EvalBool(p.terms[0], b, n, cmp)
+		for _, term := range p.terms[1:] {
+			if vec.AllOnes(cmp) {
+				break
+			}
+			s.ev.EvalBool(term, b, n, tcmp)
+			vec.Or(cmp, tcmp[:n])
+		}
+		p.rootBM.SetFromCmp(b, cmp)
+	}
+}
+
+// mainKernel runs the tile pipeline over one morsel.
+func (p *PreparedSelect) mainKernel(w, base, length int) {
+	s, t := &p.states[w], &p.e.genTiles[w]
+	for tb := 0; tb < length; tb += vec.TileSize {
+		p.tile(s, t, base+tb, min(vec.TileSize, length-tb))
+	}
+}
+
+// tile takes rows [base, base+n) from root mask to accumulator lanes.
+func (p *PreparedSelect) tile(s *workerState, t *tileScratch, base, n int) {
+	cmp := s.Cmp[:n]
+	switch {
+	case p.rootBM != nil:
+		p.rootBM.ReadCmp(base, cmp)
+	case p.spec.Filter != nil:
+		s.ev.EvalBool(p.spec.Filter, base, n, cmp)
+	default:
+		vec.Fill(cmp, 1)
+	}
+	m := n // lanes the row stage works on
+	if p.tech == TechHybrid {
+		if m = p.compact(s, t, base, n); m == 0 {
+			return
+		}
+		cmp = cmp[:m]
+	} else {
+		p.resolveEdges(s, t, base, n, nil, 0, len(p.edges))
+		for c := range p.cols {
+			tc := &p.cols[c]
+			if tc.src < 0 {
+				tc.col.WidenInto(base, n, t.vecs[c])
+				s.ctr.Widen[int(tc.col.Kind)]++
 			} else {
-				src := p.pos[be.src][:n]
-				for j := 0; j < n; j++ {
-					pos[j] = be.idx.Pos[src[j]]
-				}
-			}
-			if be.bm != nil {
-				for j := 0; j < n; j++ {
-					cmp[j] &= be.bm.TestBit(int(pos[j]))
-				}
+				tc.col.GatherInto(t.pos[tc.src][:n], t.vecs[c])
 			}
 		}
-		passed += vec.CountMask(cmp)
-		for j := 0; j < n; j++ {
-			if cmp[j] == 0 {
-				continue
+		if x := &p.residual; x.e != nil {
+			if x.root {
+				s.ev.EvalBool(x.e, base, n, t.tcmp)
+			} else {
+				s.ev.EvalRowBool(x.e, t.vecs, n, t.tcmp)
 			}
-			for _, g := range p.gather {
-				r := base + j
-				if g.src >= 0 {
-					r = int(p.pos[g.src][j])
-				}
-				p.rowBuf[g.at] = g.col.Get(r)
-			}
-			if p.spec.Residual != nil && expr.EvalRow(p.spec.Residual, p.rowBuf) == 0 {
-				continue
-			}
-			p.keyBuf = p.keyBuf[:0]
-			for _, at := range p.groupAt {
-				p.keyBuf = binary.LittleEndian.AppendUint64(p.keyBuf, uint64(p.rowBuf[at]))
-			}
-			g := groups[string(p.keyBuf)]
-			if g == nil {
-				g = newSelGroup(p, scalarAccs)
-				groups[string(p.keyBuf)] = g
-				order = append(order, g)
-			}
-			for i := range p.spec.Aggs {
-				v := int64(0)
-				if arg := p.spec.Aggs[i].Arg; arg != nil {
-					v = expr.EvalRow(arg, p.rowBuf)
-				}
-				g.accs[i].add(v)
-			}
+			vec.And(cmp, t.tcmp[:n])
 		}
-	}); err != nil {
-		return nil, ex, err
 	}
-
-	// A scalar aggregation over zero rows still produces one row.
-	if scalarAccs && len(order) == 0 {
-		order = append(order, newSelGroup(p, true))
+	if p.tab == nil {
+		p.foldScalar(s, t, base, m, cmp)
+	} else {
+		p.foldGroups(s, t, base, m, cmp)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := order[a].keys, order[b].keys
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
-	})
+}
 
-	res := &SelectResult{Fields: p.resFields}
-	outRow := make([]int64, len(p.outFields))
-	for _, g := range order {
-		copy(outRow, g.keys)
-		for i := range g.accs {
-			outRow[len(g.keys)+i] = g.accs[i].finalize(p.spec.Aggs[i].Kind)
-		}
-		if p.spec.Having != nil && expr.EvalRow(p.spec.Having, outRow) == 0 {
+// resolveEdges fills the lane-indexed parent positions of the used edges in
+// [from, to) and ANDs filtered edges' bitmaps into the mask. With sel
+// (hybrid) only the selected lanes are touched. An edge off the root reads its positions
+// straight from the foreign-key index.
+func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n int, sel []int32, from, to int) {
+	cmp := s.Cmp[:n]
+	for i := from; i < to; i++ {
+		be := &p.edges[i]
+		if !be.used {
 			continue
 		}
-		final := make([]int64, len(p.spec.Project))
-		for i := range p.spec.Project {
-			final[i] = expr.EvalRow(p.spec.Project[i].Expr, outRow)
-		}
-		res.Rows = append(res.Rows, final)
-	}
-
-	if rows > 0 {
-		ex.Selectivity = float64(passed) / float64(rows)
-	}
-	ex.Groups = len(res.Rows)
-	ex.ScanTime = time.Since(start)
-	return res, ex, nil
-}
-
-// newSelGroup allocates one group's key copy and accumulator row. In the
-// scalar case keys stay empty.
-func newSelGroup(p *PreparedSelect, scalar bool) *selGroup {
-	g := &selGroup{accs: make([]accSt, len(p.spec.Aggs))}
-	for i := range g.accs {
-		g.accs[i].mn = math.MaxInt64
-		g.accs[i].mx = math.MinInt64
-	}
-	if !scalar {
-		g.keys = make([]int64, len(p.groupAt))
-		for i, at := range p.groupAt {
-			g.keys[i] = p.rowBuf[at]
-		}
-	}
-	return g
-}
-
-// scanTiles drives fn over [0, rows) in vec.TileSize tiles, checking ctx
-// between batches so cancellation stays cooperative.
-func (p *PreparedSelect) scanTiles(ctx context.Context, rows int, fn func(base, n int)) error {
-	const checkEvery = 64
-	tile := 0
-	for base := 0; base < rows; base += vec.TileSize {
-		if tile%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+		var pos []int32
+		if be.src < 0 {
+			pos = be.idx.Pos[base : base+n]
+		} else {
+			pos = t.posBuf[i][:n]
+			src, fk := t.pos[be.src], be.idx.Pos
+			if sel == nil {
+				for j := range pos {
+					pos[j] = fk[src[j]]
+				}
+			} else {
+				for _, j := range sel {
+					pos[j] = fk[src[j]]
+				}
 			}
 		}
-		tile++
-		n := rows - base
-		if n > vec.TileSize {
-			n = vec.TileSize
+		t.pos[i] = pos
+		switch {
+		case be.bm == nil:
+		case sel == nil:
+			be.bm.AndGather(pos, cmp)
+		default:
+			be.bm.AndGatherSel(pos, sel, cmp)
 		}
-		fn(base, n)
 	}
-	return nil
+}
+
+// compact is the hybrid technique's front half: the mask becomes a
+// selection vector, edges resolve for selected lanes only, and every tile
+// vector is gathered compacted, so the lanes of the row stage are exactly
+// the rows that passed. It returns the lane count; the mask is all ones
+// over them afterwards.
+func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) int {
+	// Edges resolve only for lanes the root mask kept — unless it kept nearly
+	// all of them, where the tile-wide loops beat the indirect ones.
+	k, masked := n, p.spec.Filter != nil
+	var kept []int32
+	if masked {
+		var d vec.Density
+		k, d = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
+		s.ctr.CountSel(d)
+		if k == 0 {
+			return 0
+		}
+		if d != vec.DensityDense {
+			kept = s.Idx[:k]
+		}
+	}
+	// Edges up to the last filtered one decide the mask; the edges after it
+	// only carry columns and resolve for the final selection.
+	p.resolveEdges(s, t, base, n, kept, 0, p.filtered)
+	if !masked || p.filtered > 0 {
+		var d vec.Density
+		k, d = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
+		s.ctr.CountSel(d)
+		if k == 0 {
+			return 0
+		}
+		if kept = s.Idx[:k]; d == vec.DensityDense {
+			kept = nil
+		}
+	}
+	p.resolveEdges(s, t, base, n, kept, p.filtered, len(p.edges))
+	sel, gpos := s.Idx[:k], t.gpos[:k]
+	for c, at := 0, -2; c < len(p.cols); c++ {
+		tc := &p.cols[c]
+		if tc.src != at { // cols are grouped by source: one position vector each
+			if at = tc.src; at < 0 {
+				for j, l := range sel {
+					gpos[j] = int32(base) + l
+				}
+			} else {
+				src := t.pos[at]
+				for j, l := range sel {
+					gpos[j] = src[l]
+				}
+			}
+		}
+		tc.col.GatherInto(gpos, t.vecs[c])
+	}
+	if x := &p.residual; x.e != nil {
+		s.ev.EvalRowBool(x.e, t.vecs, k, t.tcmp)
+		k2, _ := vec.SelFromCmpAdaptive(t.tcmp[:k], s.Idx)
+		if k2 < k {
+			keep := s.Idx[:k2]
+			for c := range p.cols {
+				v := t.vecs[c]
+				for j, l := range keep {
+					v[j] = v[l]
+				}
+			}
+			k = k2
+		}
+	}
+	vec.Fill(s.Cmp[:k], 1)
+	return k
+}
+
+// operand returns x's value for each of the m lanes: its tile vector, or
+// buf after evaluating into it.
+func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, base, m int, buf []int64) []int64 {
+	switch {
+	case x.slot >= 0:
+		return t.vecs[x.slot][:m]
+	case x.root:
+		s.ev.EvalInt(x.e, base, m, buf)
+	default:
+		s.ev.EvalRowInt(x.e, t.vecs, m, buf)
+	}
+	return buf[:m]
+}
+
+// foldScalar folds one tile into the scalar lanes with the masked
+// reduction kernels (under hybrid the lanes are compacted and the mask all
+// ones).
+func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, base, m int, cmp []byte) {
+	cnt := vec.CountMask(cmp)
+	if cnt == 0 {
+		return
+	}
+	p.cnt += int64(cnt)
+	if p.tech != TechHybrid {
+		s.ctr.MaskedAgg++
+	}
+	for i := range p.aggs {
+		a := &p.aggs[i]
+		if a.lane < 0 {
+			continue
+		}
+		acc := &p.acc[a.lane]
+		switch {
+		case a.kind == AggMin:
+			*acc = min(*acc, vec.MinMasked(p.operand(s, t, &a.arg, base, m, s.Vals), cmp))
+		case a.kind == AggMax:
+			*acc = max(*acc, vec.MaxMasked(p.operand(s, t, &a.arg, base, m, s.Vals), cmp))
+		case a.mul != nil:
+			l := p.operand(s, t, &a.mul[0], base, m, s.Keys)
+			r := p.operand(s, t, &a.mul[1], base, m, s.Vals)
+			*acc += vec.SumProdMaskedU(l, r, cmp)
+		case a.arg.col != nil:
+			*acc += a.arg.col.SumMaskedRange(base, m, cmp)
+		default:
+			*acc += vec.SumMaskedU(p.operand(s, t, &a.arg, base, m, s.Vals), cmp)
+		}
+	}
+}
+
+// foldGroups resolves one tile's lanes to group slots and folds every
+// accumulator lane under the mask. Hybrid lanes all qualify (the mask is all
+// ones). Key masking routes rejected lanes to the throwaway entry through
+// ht.NullKey, so they never probe the table. Value masking looks every
+// lane's real key up and has rejected lanes contribute the aggregate's
+// identity and no count.
+func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, base, m int, cmp []byte) {
+	keys, slots := s.Keys[:m], t.slots[:m]
+	p.keys.fill(t.vecs, m, keys)
+	if p.tech == TechKeyMasking {
+		vec.MaskKeysU(keys, cmp, ht.NullKey, keys)
+		s.ctr.KeyMask++
+	}
+	p.tab.LookupTile(keys, slots)
+	p.tab.CountTile(slots, cmp)
+	if p.tech == TechValueMasking {
+		s.ctr.MaskedAgg++
+	}
+	for i := range p.aggs {
+		a := &p.aggs[i]
+		if a.lane < 0 {
+			continue
+		}
+		v := p.operand(s, t, &a.arg, base, m, s.Vals)
+		switch a.kind {
+		case AggMin:
+			p.tab.MinTile(slots, a.lane, v, cmp)
+		case AggMax:
+			p.tab.MaxTile(slots, a.lane, v, cmp)
+		default:
+			p.tab.SumTile(slots, a.lane, v, cmp)
+		}
+	}
 }

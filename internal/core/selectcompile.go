@@ -1,0 +1,499 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"github.com/reprolab/swole/internal/bitmap"
+	"github.com/reprolab/swole/internal/cost"
+	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/ht"
+	"github.com/reprolab/swole/internal/storage"
+)
+
+// The generic executor's compile: PrepareSelect resolves a Select spec
+// against the catalog, estimates what the cost models need, picks the
+// disjunction strategy and the aggregation technique, and binds the tile
+// pipeline of select.go. One variant of the pipeline per statement, derived
+// from the spec; nothing here runs again.
+
+// selectTechs is the menu of a generic statement: the techniques the cost
+// model chooses among, which are also the ones PrepareForced may name. Key
+// masking needs a key.
+func selectTechs(q Select) []Technique {
+	if len(q.GroupBy) == 0 {
+		return []Technique{TechHybrid, TechValueMasking}
+	}
+	return []Technique{TechHybrid, TechValueMasking, TechKeyMasking}
+}
+
+// mayFault reports whether evaluating e on a lane the predicate rejected
+// could panic in the columnar evaluator: a division whose divisor is not a
+// nonzero literal. Such expressions take the tile-vector evaluator, whose
+// division is total.
+func mayFault(e expr.Expr) bool {
+	bad := false
+	expr.Walk(e, func(n expr.Expr) {
+		if a, ok := n.(*expr.Arith); ok && a.Op == expr.Div {
+			if c, isConst := a.R.(*expr.Const); !isConst || c.Val == 0 {
+				bad = true
+			}
+		}
+	})
+	return bad
+}
+
+// PrepareSelect compiles a synthesized single-block SELECT into a reusable
+// plan: it resolves tables and foreign-key indexes, binds every expression
+// tree, samples selectivities and group counts (through the statistics
+// cache), and fixes the disjunction strategy and the aggregation technique
+// via the cost model.
+func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
+	return e.prepareSelect(q, techAuto)
+}
+
+// staged is a row-stage expression on its way to being bound, with the
+// joined-schema columns it reads.
+type staged struct {
+	x    *rowExpr
+	cols []tileCol
+}
+
+// selectCompile carries one statement through the compile's steps.
+type selectCompile struct {
+	e      *Engine
+	q      Select
+	p      *PreparedSelect
+	root   *storage.Table
+	params cost.Params
+
+	sel     float64 // estimated selectivity of the root and edge filters together
+	comp    float64 // the row stage's computation cost per tuple
+	groups  int     // estimated group count (1 for a scalar statement)
+	lanes   int     // accumulator lanes
+	keyCols []tileCol
+	stages  []staged
+	fresh   int // plan-owned buffers allocated, billed to Explain.FreshAllocs
+
+	// Statistics looked up and served from the cache: Explain.StatsCached
+	// when every lookup hit.
+	statLookups, statHits int
+}
+
+func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error) {
+	if len(q.Edges) > maxSelectEdges {
+		return nil, fmt.Errorf("core: %d join edges unsupported (max %d)", len(q.Edges), maxSelectEdges)
+	}
+	if len(q.Aggs) == 0 {
+		return nil, fmt.Errorf("core: select without aggregates")
+	}
+	if len(q.Project) == 0 {
+		return nil, fmt.Errorf("core: select without projection")
+	}
+	root := e.DB.Table(q.Root)
+	if root == nil {
+		return nil, errNoTable(q.Root)
+	}
+	// The compile reads the engine's configuration and may grow its shared
+	// tile scratch; both belong to the execution lock.
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	p := &PreparedSelect{spec: q, rows: root.Rows()}
+	p.e, p.nw, p.seq = e, 1, true
+	// PlanCached is baked in like the other Prepared* types: every run of
+	// this plan replays the prepare-time decision; the plan cache's first
+	// execution resets it to false.
+	p.ex = Explain{Workers: 1, PlanCached: true, Costs: map[string]float64{}}
+	c := &selectCompile{e: e, q: q, p: p, root: root, params: e.Params.ForWorkers(1), sel: 1, groups: 1}
+	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.stageExprs} {
+		if err := step(); err != nil {
+			return nil, err
+		}
+	}
+	c.chooseTechnique(tech)
+	if err := c.bindRowStage(); err != nil {
+		return nil, err
+	}
+	if err := c.bindOutput(); err != nil {
+		return nil, err
+	}
+	c.fresh += e.ensureGenLocked(len(p.cols))
+	p.states = e.genStates
+	p.ex.FreshAllocs = c.fresh
+	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
+	p.kMain, p.kEdge, p.kTerm = p.mainKernel, p.edgeKernel, p.termKernel
+	return p, nil
+}
+
+// selectivity samples a filter through the statistics cache and folds it
+// into the statement's estimate.
+func (c *selectCompile) selectivity(table string, rows int, filter expr.Expr) {
+	s, hit := c.e.selectivity(table, rows, filter, statsMaxSample)
+	c.sel *= s
+	c.stat(hit)
+}
+
+func (c *selectCompile) stat(hit bool) {
+	c.statLookups++
+	if hit {
+		c.statHits++
+	}
+}
+
+// bindEdges resolves each join edge's foreign-key index and parent table
+// and gives filtered edges their positional bitmap.
+func (c *selectCompile) bindEdges() error {
+	p := c.p
+	for i, ed := range c.q.Edges {
+		childName := c.q.Root
+		if ed.Src >= 0 {
+			if ed.Src >= i {
+				return fmt.Errorf("core: edge %d references later edge %d", i, ed.Src)
+			}
+			childName = c.q.Edges[ed.Src].Parent
+		}
+		idx := c.e.DB.FK(childName, ed.FK, ed.Parent, ed.PK)
+		if idx == nil {
+			return fmt.Errorf("core: no foreign key %s.%s -> %s.%s", childName, ed.FK, ed.Parent, ed.PK)
+		}
+		parent := c.e.DB.Table(ed.Parent)
+		if parent == nil {
+			return errNoTable(ed.Parent)
+		}
+		be := boundEdge{src: ed.Src, idx: idx, parent: parent, filter: ed.Filter}
+		if be.filter != nil {
+			if err := expr.Bind(be.filter, parent); err != nil {
+				return err
+			}
+			be.bm, be.used, p.filtered = bitmap.New(parent.Rows()), true, i+1
+			c.fresh++
+			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
+			p.ex.HTBytes += be.bm.Bytes()
+			c.selectivity(ed.Parent, parent.Rows(), be.filter)
+		}
+		p.edges = append(p.edges, be)
+	}
+	return nil
+}
+
+// bindFilter binds the root predicate, exposes its OR terms, and chooses
+// the disjunction strategy.
+func (c *selectCompile) bindFilter() error {
+	p, q := c.p, c.q
+	if q.Filter == nil {
+		return nil
+	}
+	if err := expr.Bind(q.Filter, c.root); err != nil {
+		return err
+	}
+	c.selectivity(q.Root, p.rows, q.Filter)
+	if p.terms = expr.OrTerms(q.Filter); len(p.terms) < 2 {
+		return nil
+	}
+	termComp := make([]float64, len(p.terms))
+	termSel := make([]float64, len(p.terms))
+	for i, t := range p.terms {
+		termComp[i] = expr.CompCost(t, c.params)
+		termSel[i], _ = c.e.selectivity(q.Root, p.rows, t, statsMaxSample)
+	}
+	strategy, fused, bm := c.params.ChooseDisjunction(p.rows, termComp, termSel)
+	p.ex.Costs["disjunction-fused"] = fused
+	p.ex.Costs["disjunction-bitmap"] = bm
+	if strategy == cost.DisjBitmap {
+		p.rootBM = bitmap.New(p.rows)
+		c.fresh++
+	}
+	return nil
+}
+
+// locate finds a joined-schema column and the table owning it: root
+// columns first, then each edge's parent in order (column names are
+// query-unique).
+func (c *selectCompile) locate(name string) (tileCol, string, error) {
+	if col := c.root.Column(name); col != nil {
+		return tileCol{name: name, src: -1, col: col}, c.q.Root, nil
+	}
+	for i := range c.p.edges {
+		if col := c.p.edges[i].parent.Column(name); col != nil {
+			return tileCol{name: name, src: i, col: col}, c.q.Edges[i].Parent, nil
+		}
+	}
+	return tileCol{}, "", errNoColumn(c.q.Root, name)
+}
+
+// planKeys plans the GROUP BY columns' packing — each column's value range
+// sizes its digit: the dictionary for strings, the physical width for 8-
+// and 16-bit columns, the measured min/max for wider ones — and estimates
+// the group count.
+func (c *selectCompile) planKeys() error {
+	p, nk := c.p, len(c.q.GroupBy)
+	if nk == 0 {
+		return nil
+	}
+	lo, hi := make([]int64, nk), make([]int64, nk)
+	tables := make([]string, nk)
+	for i, g := range c.q.GroupBy {
+		tc, table, err := c.locate(g)
+		if err != nil {
+			return err
+		}
+		c.keyCols, tables[i] = append(c.keyCols, tc), table
+		switch bits := uint(8 * tc.col.Kind.Bytes()); {
+		case tc.col.Dict != nil:
+			hi[i] = int64(max(tc.col.Dict.Len(), 1) - 1)
+		case bits <= 16:
+			lo[i], hi[i] = -1<<(bits-1), 1<<(bits-1)-1
+		default:
+			lo[i], hi[i] = c.e.colRange(table, tc.col)
+		}
+		p.outFields = append(p.outFields, OutField{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
+	}
+	var domain uint64
+	p.keys, domain = planGroupKeys(lo, hi)
+	est := 1.0
+	for i, tc := range c.keyCols {
+		key := expr.NewCol(tc.name)
+		if err := expr.Bind(key, c.e.DB.Table(tables[i])); err != nil {
+			return err
+		}
+		g, hit := c.e.groupCount(tables[i], tc.col.Len(), key, statsMaxSample)
+		est *= float64(max(g, 1))
+		c.stat(hit)
+	}
+	limit := float64(max(p.rows, 1))
+	if domain > 0 {
+		limit = min(limit, float64(domain))
+	}
+	c.groups = int(min(est, limit))
+	return nil
+}
+
+// stageExprs collects the row stage's expressions — the residual and the
+// aggregate arguments — with the columns each reads and whether it can run
+// columnar on the root table, assigns accumulator lanes, and prices the
+// stage: the expressions' operators plus one random access per lane for
+// every parent column read and every chained edge on the way to it.
+func (c *selectCompile) stageExprs() error {
+	p, q := c.p, c.q
+	stage := func(x *rowExpr, e expr.Expr) error {
+		*x = rowExpr{e: e, root: !mayFault(e), slot: -1}
+		st := staged{x: x}
+		for _, name := range expr.Cols(e) {
+			tc, _, err := c.locate(name)
+			if err != nil {
+				return err
+			}
+			x.root = x.root && tc.src < 0
+			st.cols = append(st.cols, tc)
+		}
+		c.stages = append(c.stages, st)
+		return nil
+	}
+	if q.Residual != nil {
+		if err := stage(&p.residual, q.Residual); err != nil {
+			return err
+		}
+	}
+	p.aggs = make([]selAgg, len(q.Aggs))
+	for i, a := range q.Aggs {
+		p.aggs[i] = selAgg{kind: a.Kind, lane: -1, arg: rowExpr{slot: -1}}
+		if a.Arg != nil {
+			if err := stage(&p.aggs[i].arg, a.Arg); err != nil {
+				return err
+			}
+			c.comp += expr.CompCost(a.Arg, c.params)
+		}
+		if a.Kind != AggCount {
+			p.aggs[i].lane = c.lanes
+			c.lanes++
+		}
+		p.outFields = append(p.outFields, OutField{Name: a.As, Log: storage.LogInt})
+	}
+
+	reached := make([]bool, len(p.edges))
+	gather := func(cols []tileCol) {
+		for _, tc := range cols {
+			if tc.src >= 0 {
+				c.comp += c.params.HTLookup(tc.col.MemBytes())
+				reached[tc.src] = true
+			}
+		}
+	}
+	gather(c.keyCols)
+	for _, st := range c.stages {
+		gather(st.cols)
+	}
+	for i := len(p.edges) - 1; i >= 0; i-- {
+		if src := p.edges[i].src; reached[i] && src >= 0 {
+			c.comp += c.params.HTLookup(4 * len(p.edges[i].idx.Pos))
+			reached[src] = true
+		}
+	}
+	return nil
+}
+
+// chooseTechnique evaluates the Section III-A/III-B models over the
+// estimated mask selectivity, the row stage's computation cost, the
+// aggregate count and the table estimate, records every alternative's cost,
+// and fixes the technique: the cheapest, or the caller's.
+func (c *selectCompile) chooseTechnique(tech Technique) {
+	p, params, rows := c.p, c.params, c.p.rows
+	htBytes, auto := 0, tech == techAuto
+	var strat cost.AggStrategy
+	if len(c.q.GroupBy) == 0 {
+		strat, _ = params.ChooseScalarAgg(rows, c.sel, c.comp)
+		p.ex.Costs["hybrid"] = params.Hybrid(rows, c.sel, c.comp)
+		p.ex.Costs["value-masking"] = params.ValueMasking(rows, c.comp)
+	} else {
+		nAggs := c.lanes + 1 // the shared count is masked like a lane
+		htBytes = c.groups * aggSlotBytes(c.lanes)
+		strat, _ = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, htBytes)
+		p.ex.Costs["hybrid"] = params.HybridGroup(rows, c.sel, c.comp, htBytes)
+		p.ex.Costs["value-masking"] = params.ValueMaskingGroup(rows, c.comp+float64(nAggs)*params.CompMul, htBytes)
+		p.ex.Costs["key-masking"] = params.KeyMasking(rows, c.sel, c.comp+params.CompCmp, htBytes)
+	}
+	if auto {
+		tech = [...]Technique{
+			cost.ChooseHybrid:       TechHybrid,
+			cost.ChooseValueMasking: TechValueMasking,
+			cost.ChooseKeyMasking:   TechKeyMasking,
+		}[strat]
+	}
+	p.tech, p.ex.Technique = tech, tech
+	if auto && len(p.edges) > 0 {
+		// Every join edge is a positional-bitmap probe and Explain leads with
+		// that; the aggregation technique is the cheapest entry of Costs.
+		p.ex.Technique = TechPositionalBitmap
+	}
+	p.ex.Selectivity, p.ex.CompCost, p.ex.Groups = c.sel, c.comp, c.groups
+	p.ex.HTBytes += htBytes
+}
+
+// bindRowStage decides which columns become tile vectors, binds every
+// row-stage expression, and allocates the aggregation state. Under hybrid
+// the lanes are the selected rows, so every expression reads tile vectors;
+// under masking the lanes are the tile's rows and root-only expressions
+// stay columnar.
+func (c *selectCompile) bindRowStage() error {
+	p := c.p
+	need := func(tc tileCol) {
+		if _, _, ok := tileSchema(p.cols).Resolve(tc.name); !ok {
+			p.cols = append(p.cols, tc)
+		}
+	}
+	for _, tc := range c.keyCols {
+		need(tc)
+	}
+	for _, st := range c.stages {
+		if st.x.root = st.x.root && p.tech != TechHybrid; st.x.root {
+			if err := expr.Bind(st.x.e, c.root); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, tc := range st.cols {
+			need(tc)
+		}
+	}
+	// Vectors are grouped by source, so a compacting gather builds one
+	// position vector per source.
+	slices.SortStableFunc(p.cols, func(a, b tileCol) int { return a.src - b.src })
+	slot := func(name string) int {
+		i, _, _ := tileSchema(p.cols).Resolve(name)
+		return i
+	}
+	for _, tc := range c.keyCols {
+		p.keys.cols = append(p.keys.cols, slot(tc.name))
+	}
+	for _, st := range c.stages {
+		x := st.x
+		col, isCol := x.e.(*expr.Col)
+		switch {
+		case x.root && isCol:
+			x.col = col.Column()
+		case x.root:
+		default:
+			if err := expr.BindRow(x.e, tileSchema(p.cols)); err != nil {
+				return err
+			}
+			if isCol {
+				x.slot = slot(col.Name)
+			}
+		}
+	}
+	// A scalar sum over a product of two bare columns folds fused: split it
+	// into its factors, bound the way the product is.
+	factor := func(col *expr.Col, root bool) rowExpr {
+		if root {
+			return rowExpr{e: col, root: true, slot: -1, col: col.Column()}
+		}
+		return rowExpr{e: col, slot: slot(col.Name)}
+	}
+	for i := range p.aggs {
+		a := &p.aggs[i]
+		m, ok := a.arg.e.(*expr.Arith)
+		if !ok || m.Op != expr.Mul || len(c.q.GroupBy) > 0 || a.kind == AggMin || a.kind == AggMax {
+			continue
+		}
+		l, lok := m.L.(*expr.Col)
+		r, rok := m.R.(*expr.Col)
+		if lok && rok {
+			a.mul = []rowExpr{factor(l, a.arg.root), factor(r, a.arg.root)}
+		}
+	}
+	// An edge's positions are needed by its own bitmap, by its columns, and
+	// by every edge chained off it.
+	for _, tc := range p.cols {
+		if tc.src >= 0 {
+			p.edges[tc.src].used = true
+		}
+	}
+	for i := len(p.edges) - 1; i >= 0; i-- {
+		if src := p.edges[i].src; p.edges[i].used && src >= 0 {
+			p.edges[src].used = true
+		}
+	}
+
+	// Aggregation state: the group table sized from the estimate, or the
+	// scalar lanes.
+	c.fresh++
+	p.acc = make([]int64, c.lanes)
+	if len(c.q.GroupBy) == 0 {
+		return nil
+	}
+	p.tab = ht.NewAggTable(c.lanes, c.groups)
+	for i := range p.aggs {
+		if a := &p.aggs[i]; a.lane >= 0 {
+			p.tab.SetIdentity(a.lane, a.identity())
+		}
+	}
+	p.keys.alloc(c.groups)
+	return nil
+}
+
+// bindOutput binds HAVING and the projection to the aggregate output row
+// (group keys, then aggregate aliases) and builds the result header.
+func (c *selectCompile) bindOutput() error {
+	p, q := c.p, c.q
+	if q.Having != nil {
+		if err := expr.BindRow(q.Having, p.outFields); err != nil {
+			return err
+		}
+	}
+	for i := range q.Project {
+		if err := expr.BindRow(q.Project[i].Expr, p.outFields); err != nil {
+			return err
+		}
+		f := OutField{Name: q.Project[i].As, Log: storage.LogInt}
+		if col, ok := q.Project[i].Expr.(*expr.Col); ok {
+			if at := p.outFields.index(col.Name); at >= 0 {
+				f.Dict, f.Log = p.outFields[at].Dict, p.outFields[at].Log
+			}
+		}
+		p.fields = append(p.fields, f)
+	}
+	p.outRow = make([]int64, len(p.outFields))
+	p.res.Fields = p.fields
+	c.fresh++
+	return nil
+}

@@ -21,6 +21,7 @@ type statsKind uint8
 const (
 	statSelectivity statsKind = iota // value stores a float64 in selBits
 	statGroups                       // value stores an int group count
+	statRange                        // value stores a column's [lo, hi]; expr is the column name
 )
 
 // statsKey identifies one cached statistic. The expression's String() form
@@ -36,6 +37,8 @@ type statsKey struct {
 type statsEntry struct {
 	sel    float64
 	groups int
+	lo, hi int64
+	col    *storage.Column // the column lo and hi were read from
 
 	// Incremental-merge state for the append path (MergeStatsOnAppend):
 	// e is an unbound clone of the sampled expression, owned by the cache
@@ -155,6 +158,27 @@ func (e *Engine) groupCount(table string, rows int, key expr.Expr, maxSample int
 	e.stats.put(k, fresh)
 	e.mu.Unlock()
 	return groups, false
+}
+
+// colRange returns the smallest and largest value of a column of the named
+// table, from cache when a current-version entry exists. Group-key packing
+// sizes wide key columns from it, so a stale answer would be a wrong
+// result, not a worse plan: a hit must come from this very column object
+// (columns are immutable; an append or a replacement makes new ones). The
+// entry carries no merge state, so an append drops it.
+func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
+	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statRange, expr: c.Name}
+	e.mu.Lock()
+	ent, ok := e.stats.get(k)
+	e.mu.Unlock()
+	if ok && ent.col == c {
+		return ent.lo, ent.hi
+	}
+	lo, hi = c.Range()
+	e.mu.Lock()
+	e.stats.put(k, statsEntry{lo: lo, hi: hi, col: c})
+	e.mu.Unlock()
+	return lo, hi
 }
 
 // MergeStatsOnAppend folds appended rows into the cached statistics of the

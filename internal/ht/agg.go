@@ -26,6 +26,7 @@ package ht
 // state a reclaimed slot carries.
 type AggTable struct {
 	nAccs int
+	ident []int64 // per-lane value a new group starts from; nil means all zero
 	keys  []int64
 	state []byte
 	epoch []uint32 // slot is from the current generation iff epoch[i] == cur
@@ -177,8 +178,12 @@ func (t *AggTable) Lookup(key int64) int {
 			t.count[j] = 0
 			t.valid[j] = 0
 			base := j * t.nAccs
-			for a := 0; a < t.nAccs; a++ {
-				t.accs[base+a] = 0
+			if t.ident != nil {
+				copy(t.accs[base:base+t.nAccs], t.ident)
+			} else {
+				for a := 0; a < t.nAccs; a++ {
+					t.accs[base+a] = 0
+				}
 			}
 			t.len++
 			return j

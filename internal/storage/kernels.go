@@ -109,3 +109,62 @@ func (c *Column) SumMaskedRange(base, n int, cmp []byte) int64 {
 		return vec.SumMaskedU(c.I64[base:base+n], cmp)
 	}
 }
+
+// GatherInto reads the rows named by pos into out[:len(pos)] widened to
+// int64 — the positional access of a join edge: pos holds parent-row
+// positions resolved through a foreign-key index (or the selected rows of a
+// tile), and the Kind switch runs once per tile, never per value.
+func (c *Column) GatherInto(pos []int32, out []int64) {
+	switch c.Kind {
+	case KindInt8:
+		gather(c.I8, pos, out)
+	case KindInt16:
+		gather(c.I16, pos, out)
+	case KindInt32:
+		gather(c.I32, pos, out)
+	default:
+		gather(c.I64, pos, out)
+	}
+}
+
+func gather[T vec.Number](vals []T, pos []int32, out []int64) {
+	if len(pos) == 0 {
+		return
+	}
+	_ = out[len(pos)-1]
+	for i, p := range pos {
+		out[i] = int64(vals[p])
+	}
+}
+
+// Range returns the smallest and largest value the column holds, (0, 0)
+// for an empty column. Group-key packing sizes a key component's digit from
+// it when the physical width alone would not fit.
+func (c *Column) Range() (lo, hi int64) {
+	switch c.Kind {
+	case KindInt8:
+		return valueRange(c.I8)
+	case KindInt16:
+		return valueRange(c.I16)
+	case KindInt32:
+		return valueRange(c.I32)
+	default:
+		return valueRange(c.I64)
+	}
+}
+
+func valueRange[T vec.Number](vals []T) (lo, hi int64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return int64(mn), int64(mx)
+}

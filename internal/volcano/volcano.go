@@ -47,8 +47,9 @@ func (f Fields) Index(name string) int {
 	return -1
 }
 
-// Row is one widened intermediate tuple.
-type Row []int64
+// Row is one widened intermediate tuple. An alias, so a result's rows can
+// be the [][]int64 headers a compiled plan already holds (core.SelectResult).
+type Row = []int64
 
 // Result is a fully materialized query answer.
 type Result struct {

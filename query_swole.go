@@ -209,9 +209,11 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 // statement shape this package knows. core.Engine.Prepare decides what
 // the spec compiles onto: a spec that collapses to one of the four classic
 // SWOLE shapes lands on its hand-specialized plan (multi-worker morsel
-// parallelism, zero-alloc warm replays, shard fan-out); everything else
-// goes through core.PrepareSelect, whose per-edge positional bitmaps and
-// cost-chosen disjunction strategy cover the general grammar.
+// parallelism, radix partitioning, shard fan-out); everything else goes
+// through core.PrepareSelect, a tile pipeline with per-edge positional
+// bitmaps, packed group keys, a cost-chosen disjunction strategy and a
+// cost-chosen masking technique that covers the general grammar. Both
+// replay warm without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can
@@ -424,7 +426,9 @@ func (d *DB) synthesize(p plan.Node) (core.Select, bool) {
 // plan stays correct under any shard layout (the shard-epoch dependency
 // still drops it when a shard's data changes).
 func (d *DB) prepareShape(spec core.Select) (*cachedPlan, error) {
-	c := &cachedPlan{shape: planSignature(spec)}
+	d.mu.RLock()
+	c := &cachedPlan{shape: planSignature(spec), gen: d.configGen}
+	d.mu.RUnlock()
 	for _, tn := range spec.Tables() {
 		c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn), epoch: d.shardEpoch(tn)})
 	}

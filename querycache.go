@@ -73,6 +73,7 @@ type cachedPlan struct {
 	fan   []shardRun
 	shape string
 	deps  []tableDep
+	gen   uint64 // DB.configGen when the compile began
 
 	// Fan-out scratch and the cross-shard merger (reused across runs; the
 	// merge is the same finishCombine path the worker merge uses).
@@ -137,20 +138,13 @@ func (c *cachedPlan) putGroups(g *core.GroupResult) {
 	}
 }
 
-// putRows rematerializes an arbitrary-width row set (a generic
-// synthesized plan's answer) into the entry's flat buffer and row
-// headers, reusing both across runs.
+// putRows hands over a generic plan's answer without a copy:
+// core.SelectResult is the plan-owned flat buffer with its row headers, so
+// the entry aliases the headers the plan already built. The same ownership
+// contract as putGroups applies: the entry's result and the plan's buffer
+// are overwritten together by the next execution.
 func (c *cachedPlan) putRows(res *core.SelectResult) {
-	c.flat = c.flat[:0]
-	for _, r := range res.Rows {
-		c.flat = append(c.flat, r...)
-	}
-	c.vres.Rows = c.vres.Rows[:0]
-	off := 0
-	for _, r := range res.Rows {
-		c.vres.Rows = append(c.vres.Rows, c.flat[off:off+len(r)])
-		off += len(r)
-	}
+	c.vres.Rows = res.Rows
 }
 
 // fresh reports whether every input table is still at its prepared
@@ -374,9 +368,16 @@ func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result
 	return res, ex, true, nil
 }
 
-// storePlan inserts a freshly prepared statement under both keys.
+// storePlan inserts a freshly prepared statement under both keys — unless
+// the engine configuration changed since the compile began (c.gen), in
+// which case the plan bakes in a configuration the cache was just cleared
+// of and must not outlive this one execution.
 func (d *DB) storePlan(q string, c *cachedPlan) {
 	d.mu.Lock()
+	if c.gen != d.configGen {
+		d.mu.Unlock()
+		return
+	}
 	if len(d.plans) >= maxCachedPlans || len(d.normPlans) >= maxCachedPlans {
 		d.plans = map[string]*cachedPlan{}
 		d.normPlans = map[string]*cachedPlan{}
@@ -443,16 +444,28 @@ func (d *DB) PlanCacheLen() int {
 // the default (one per CPU). Prepared plans bake in their worker count,
 // so changing it clears the plan cache.
 func (d *DB) SetWorkers(n int) {
+	d.reconfigure(func(e *core.Engine) { e.Workers = n })
+}
+
+// reconfigure applies set to the catalog engine and every fleet engine and
+// then clears the plan cache. Each engine's fields are written under the
+// lock its compiles hold (core.Engine.Reconfigure), so a compile sees one
+// configuration throughout; the cache is cleared after the writes, and the
+// generation bump makes storePlan drop a statement that compiled under the
+// old configuration but had not been stored yet — it answers its caller
+// once and never enters the cache.
+func (d *DB) reconfigure(set func(*core.Engine)) {
+	d.shardMu.RLock()
+	d.engine.Reconfigure(func() { set(d.engine) })
+	for _, fs := range d.fleet {
+		fs.engine.Reconfigure(func() { set(fs.engine) })
+	}
+	d.shardMu.RUnlock()
 	d.mu.Lock()
+	d.configGen++
 	d.plans = map[string]*cachedPlan{}
 	d.normPlans = map[string]*cachedPlan{}
 	d.mu.Unlock()
-	d.engine.Workers = n
-	d.shardMu.RLock()
-	for _, fs := range d.fleet {
-		fs.engine.Workers = n
-	}
-	d.shardMu.RUnlock()
 }
 
 // PartitionMode selects how the SWOLE executor decides between direct
@@ -476,16 +489,7 @@ const (
 // group-by aggregations. Prepared plans bake the decision in, so changing
 // the mode clears the plan cache, like SetWorkers.
 func (d *DB) SetPartitionMode(m PartitionMode) {
-	d.mu.Lock()
-	d.plans = map[string]*cachedPlan{}
-	d.normPlans = map[string]*cachedPlan{}
-	d.mu.Unlock()
-	d.engine.Partition = m
-	d.shardMu.RLock()
-	for _, fs := range d.fleet {
-		fs.engine.Partition = m
-	}
-	d.shardMu.RUnlock()
+	d.reconfigure(func(e *core.Engine) { e.Partition = m })
 }
 
 // Close releases the executor's persistent worker goroutines, including

@@ -1,8 +1,11 @@
 package swole
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"github.com/reprolab/swole/internal/core"
 )
 
 // cacheTestDB builds a small mutable table for invalidation tests.
@@ -478,5 +481,85 @@ func TestPlanCacheAliasBound(t *testing.T) {
 		if i > 0 && !ex.PlanCached {
 			t.Fatalf("spelling %d recompiled", i)
 		}
+	}
+}
+
+// TestGenericResultAliasesPlanBuffer pins the generic path's hand-off: a
+// cached generic statement's result rows are headers into the plan-owned
+// flat buffer — nothing is copied — so the entry's result and the plan's
+// buffer are overwritten together by the statement's next run, QueryContext
+// still hands out a detached copy, and after an append evicts the plan the
+// recompiled statement answers from a buffer of its own.
+func TestGenericResultAliasesPlanBuffer(t *testing.T) {
+	d := cacheTestDB(t, 1)
+	defer d.Close()
+	q := "select c, sum(a) as s, count(*) as n from t where x < 7 group by c having count(*) > 0"
+	res1, _, err := d.QuerySwole(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cloneResult(res1.res).Rows()
+	d.mu.RLock()
+	entry := d.plans[q]
+	d.mu.RUnlock()
+	plan, ok := entry.fan[0].plan.(*core.PreparedSelect)
+	if !ok {
+		t.Fatalf("%q lowered onto %T, want the generic executor", q, entry.fan[0].plan)
+	}
+
+	// Same plan, next run: same backing array, same row headers.
+	res2, ex, err := d.QuerySwole(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.PlanCached || &res2.Rows()[0][0] != &res1.Rows()[0][0] {
+		t.Error("warm rerun did not reuse the entry's row headers")
+	}
+	own, _, err := plan.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &own.Flat[0] != &res2.Rows()[0][0] {
+		t.Error("result rows do not alias the plan's flat buffer")
+	}
+	// Scribbling on the plan's buffer shows through the entry's result (they
+	// are one array), not through a QueryContext copy; the next run rewrites
+	// both.
+	copied, _, err := d.QueryContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own.Flat[1] = -12345
+	if res2.Rows()[0][1] != -12345 {
+		t.Error("entry result is detached from the plan buffer")
+	}
+	if copied.Rows()[0][1] == -12345 {
+		t.Error("QueryContext copy aliases the plan buffer")
+	}
+	if res3, _, err := d.QuerySwole(q); err != nil || !rowsEqual(res3.Rows(), first) {
+		t.Errorf("rerun did not overwrite the scribbled buffer: %v (err %v)", res3.Rows(), err)
+	}
+
+	// An append evicts the plan: the recompiled statement sees the new rows
+	// in a new buffer, and the old result keeps reading the old one.
+	if err := d.AppendRows("t", [][]int64{{1000, 0, 2}, {2000, 1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res4, ex, err := d.QuerySwole(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.PlanCached {
+		t.Error("append did not evict the generic plan")
+	}
+	if !rowsEqual(sortedRows(res4.Rows()), sortedRows(want.Rows())) || rowsEqual(res4.Rows(), first) {
+		t.Errorf("after append: %v, want %v", res4.Rows(), want.Rows())
+	}
+	if !rowsEqual(res2.Rows(), first) {
+		t.Error("the evicted plan's result was disturbed by its successor")
 	}
 }

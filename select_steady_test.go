@@ -1,0 +1,138 @@
+package swole
+
+import (
+	"context"
+	"testing"
+
+	"github.com/reprolab/swole/internal/core"
+)
+
+// selectForms are the eight tpch_generic statement forms (benchmark/
+// workloads.go) transcribed onto the test schemas: none collapses to a
+// classic shape, so each runs on the generic executor. The single-edge and
+// no-edge forms use the micro schema, the multi-edge ones the fuzz schema.
+var selectForms = []struct {
+	name string
+	fuzz bool // runs on fuzzDB instead of the micro dataset
+	q    string
+}{
+	{"two-key multi-aggregate", false,
+		"select r_a, r_y, sum(r_b) as sb, sum(r_c) as sc, count(*) as n from r where r_x <= 97 group by r_a, r_y"},
+	{"3-term OR + HAVING", false,
+		"select r_a, sum(r_b) as q, count(*) as n from r where r_x < 5 or r_b > 92 or r_c < 10 group by r_a having count(*) > 3"},
+	{"NOT scalar", false,
+		"select count(*) as n, sum(r_c) as s from r where not (r_x between 10 and 40) and r_b < 50 and r_a >= 2"},
+	{"2-edge join group", true,
+		"select d1_w, sum(f_a) as q, count(*) as n from f, d1, d2 where f_d1 = d1_pk and f_d2 = d2_pk and d1_v < 20 and d2_v < 15 group by d1_w"},
+	{"3-edge snowflake", true,
+		"select d3_v, sum(f_b) as rev, count(*) as n from f, d1, d2, d3 where f_d1 = d1_pk and f_d2 = d2_pk and d1_fk3 = d3_pk and d1_v >= 5 and f_a < 15 group by d3_v"},
+	{"min/max group", false,
+		"select r_a, min(r_c) as lo, max(r_c) as hi from r where r_x > 25 and r_b >= 2 group by r_a"},
+	{"join min/max", false,
+		"select min(r_c) as lo, max(r_c) as hi, count(*) as n from r, s where r_fk = s_pk and s_x < 10 and r_x >= 1"},
+	{"OR over a join + HAVING", false,
+		"select s_x, sum(r_b) as q, max(r_a) as d from r, s where r_fk = s_pk and (r_y = 0 or r_a = 7 or r_b > 45) group by s_x having sum(r_b) > 1000"},
+}
+
+// selectFormDBs builds the two datasets selectForms run on.
+func selectFormDBs(t testing.TB) (micro, fuzz *DB) {
+	t.Helper()
+	micro, err := LoadMicro(MicroConfig{Rows: 20_000, DimRows: 512, GroupKeys: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return micro, fuzzDB(t, 5000)
+}
+
+// TestSelectSteadyZeroAlloc is the generic executor's steady-state gate:
+// the third and later QuerySwole executions of every statement form — SQL
+// text in, materialized rows out — allocate nothing.
+func TestSelectSteadyZeroAlloc(t *testing.T) {
+	micro, fuzz := selectFormDBs(t)
+	defer micro.Close()
+	defer fuzz.Close()
+	for _, f := range selectForms {
+		d := micro
+		if f.fuzz {
+			d = fuzz
+		}
+		for rep := 0; rep < 2; rep++ {
+			_, ex, err := d.QuerySwole(f.q)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			if ShapeBucket(ex.Shape) == "interpreter-fallback" {
+				t.Fatalf("%s fell back to the interpreter", f.name)
+			}
+			if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
+				t.Errorf("%s: second run PlanCached=%t FreshAllocs=%d", f.name, ex.PlanCached, ex.FreshAllocs)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, _, err := d.QuerySwole(f.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warm execution, want 0", f.name, allocs)
+		}
+	}
+}
+
+// TestSelectForcedTechniqueParity pins every kernel of the generic
+// executor: each statement form under each technique of its menu answers
+// exactly as the interpreter does.
+func TestSelectForcedTechniqueParity(t *testing.T) {
+	micro, fuzz := selectFormDBs(t)
+	defer micro.Close()
+	defer fuzz.Close()
+	for _, f := range selectForms {
+		d := micro
+		if f.fuzz {
+			d = fuzz
+		}
+		want, err := d.Query(f.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows()) == 0 {
+			t.Fatalf("%s: empty answer proves nothing", f.name)
+		}
+		p, err := d.Plan(f.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, ok := d.synthesize(p)
+		if !ok {
+			t.Fatalf("%s: not synthesized", f.name)
+		}
+		menu := d.engine.Techniques(spec)
+		if wantN := 2 + min(len(spec.GroupBy), 1); len(menu) != wantN {
+			t.Fatalf("%s: menu %v, want %d techniques", f.name, menu, wantN)
+		}
+		for _, tech := range menu {
+			forced, err := d.engine.PrepareForced(spec.Clone(), tech)
+			if err != nil {
+				t.Fatalf("%s forced %s: %v", f.name, tech, err)
+			}
+			for rep := 0; rep < 2; rep++ {
+				part, ex, err := forced.RunPartial(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Technique != tech {
+					t.Errorf("%s forced %s: Explain.Technique=%s", f.name, tech, ex.Technique)
+				}
+				c := &cachedPlan{}
+				c.setFields(forced.Fields())
+				c.put(part)
+				if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
+					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
+				}
+			}
+		}
+		if _, err := d.engine.PrepareForced(spec.Clone(), core.TechDataCentric); err == nil {
+			t.Errorf("%s: data-centric accepted on a generic statement", f.name)
+		}
+	}
+}

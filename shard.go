@@ -94,14 +94,14 @@ func (d *DB) ShardTable(name string, k int) error {
 			return fmt.Errorf("swole: ShardTable: %s is the parent of foreign key %s.%s and must stay replicated", name, idx.Child, idx.FK)
 		}
 	}
+	d.shardMu.Lock()
+	defer d.shardMu.Unlock()
 	if k <= 0 {
 		k = d.autoShards(t.Rows())
 	}
 	if k > t.Rows() && t.Rows() > 0 {
 		k = t.Rows()
 	}
-	d.shardMu.Lock()
-	defer d.shardMu.Unlock()
 	if err := d.ensureFleetLocked(k); err != nil {
 		return err
 	}
@@ -156,7 +156,8 @@ func (d *DB) ShardTable(name string, k int) error {
 // autoShards is the cost model's fan-out choice for a table of the given
 // size: at most one shard per CPU (a shard's gain is a private worker
 // gang; past the core count extra shards only add merge work), sized
-// against a nominal steady-state group count.
+// against a nominal steady-state group count. Callers hold d.shardMu
+// exclusively: SetWorkers writes engine.Workers under its read side.
 func (d *DB) autoShards(rows int) int {
 	w := d.engine.Workers
 	if w <= 0 {

@@ -76,3 +76,29 @@ func BenchmarkSteadySemiJoinAgg(b *testing.B) {
 	db := steadyDB(b, benchR(), 100_000, 1000)
 	benchSteady(b, db, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50")
 }
+
+// The BenchmarkSteadySelect rows repeat statements only the generic
+// executor runs (three of selectForms), so the steady-state job's
+// zero-allocation gate covers its tile pipeline, key packing and result
+// hand-off as well as the hand-specialized plans.
+
+// BenchmarkSteadySelectMultiAgg repeats a two-key, three-aggregate group-by
+// (the TPC-H Q1 form: masked lanes over a packed composite key).
+func BenchmarkSteadySelectMultiAgg(b *testing.B) {
+	db := steadyDB(b, benchR(), 1000, 1000)
+	benchSteady(b, db, selectForms[0].q)
+}
+
+// BenchmarkSteadySelectOrHaving repeats a three-term disjunction with
+// HAVING (term-at-a-time bitmap, selection-vector row stage).
+func BenchmarkSteadySelectOrHaving(b *testing.B) {
+	db := steadyDB(b, benchR(), 1000, 1000)
+	benchSteady(b, db, selectForms[1].q)
+}
+
+// BenchmarkSteadySelectJoinMinMax repeats a scalar min/max/count over a
+// filtered join edge (positional bitmap, masked reductions).
+func BenchmarkSteadySelectJoinMinMax(b *testing.B) {
+	db := steadyDB(b, benchR(), 1000, 1000)
+	benchSteady(b, db, selectForms[6].q)
+}

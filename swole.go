@@ -59,6 +59,7 @@ type DB struct {
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
 	normPlans map[string]*cachedPlan
+	configGen uint64 // bumped by SetWorkers/SetPartitionMode; see storePlan
 
 	// Shard fleet (shard.go): per-shard databases and engines for tables
 	// split with ShardTable, plus the per-table shard layout and epochs.

@@ -303,13 +303,39 @@ func TestCompareStrategiesGroup(t *testing.T) {
 func TestCompareStrategiesUnsupported(t *testing.T) {
 	db := demoDB(t)
 	for _, q := range []string{
-		"select r_c from r",                                    // no aggregate
-		"select min(r_a) from r",                               // min unsupported
-		"select sum(r_a) from r, s where r_fk = s_pk",          // join
-		"select r_c, r_fk, sum(r_a) from r group by r_c, r_fk", // two keys
+		"select r_c from r",                           // no aggregate
+		"select sum(r_a) from r, s where r_fk = s_pk", // classic semijoin: one technique
 	} {
 		if _, err := db.CompareStrategies(q); err == nil {
 			t.Errorf("accepted %q", q)
+		}
+	}
+}
+
+// Statements only the generic executor runs race its three kernels (two
+// when scalar), all agreeing with the interpreter.
+func TestCompareStrategiesGeneric(t *testing.T) {
+	db := demoDB(t)
+	for q, n := range map[string]int{
+		"select min(r_a), max(r_b) from r where r_x < 30":                                       2,
+		"select r_c, r_fk, sum(r_a) from r group by r_c, r_fk":                                  3,
+		"select r_c, sum(r_a), count(*) from r where r_x < 70 group by r_c having count(*) > 1": 3,
+	} {
+		runs, err := db.CompareStrategies(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if len(runs) != n {
+			t.Errorf("%q: %d strategies, want %d", q, len(runs), n)
+		}
+		ref, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			if !rowsEqual(sortedRows(ref.Rows()), sortedRows(r.Result.Rows())) {
+				t.Errorf("%q under %s disagrees with the interpreter", q, r.Strategy)
+			}
 		}
 	}
 }
