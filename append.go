@@ -2,7 +2,6 @@ package swole
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/reprolab/swole/internal/ingest"
 	"github.com/reprolab/swole/internal/storage"
@@ -13,17 +12,19 @@ import (
 // columns with storage.Column.Append (sharing backing arrays whenever the
 // physical width holds), registers the replacement table, and lets the
 // existing invalidation machinery do exactly — and only — the work the
-// change requires: the table's version and shard epoch advance, its
-// cached plans are evicted, and its cached statistics are merged
-// incrementally with the delta instead of being dropped. Other tables'
-// plans and statistics are untouched.
+// change requires: the table's version advances, its cached plans are
+// evicted, and its cached statistics are merged incrementally with the
+// delta instead of being dropped. Other tables' plans and statistics are
+// untouched, and no reader waits: a query in flight finishes on the arrays
+// it compiled against.
 //
-// Sharded tables route appends to the last row-range shard (swapped under
-// that one shard's write lock, so readers of every other shard never
-// block) until it reaches twice the nominal shard size fixed at
-// ShardTable time, then grow a fresh shard covering exactly the delta.
+// On a sharded table the appended rows extend the last row-range shard
+// until it reaches twice the nominal shard size fixed at ShardTable time;
+// after that the delta becomes a fresh shard. Either way only the layout's
+// bounds move (shard.go).
 //
 // Lock order: ingestMu → shardMu → d.mu; engine mutexes are leaves.
+// shardMu guards the shard layouts and serializes table writers.
 
 // IngestPolicy controls what a malformed CSV row does to a batch.
 type IngestPolicy = ingest.Policy
@@ -52,7 +53,7 @@ type IngestReport struct {
 // fixed-point decimals ("12.34"), dates ("2024-01-31"), and
 // dictionary-encoded strings (the value must already be in the column's
 // dictionary — appends never grow dictionaries, which is what keeps
-// shard replicas and cached predicates valid).
+// cached predicates valid).
 //
 // Under IngestStrict a malformed row fails the whole batch: the report
 // carries the offending line and nothing is appended. Under IngestSkip
@@ -162,8 +163,8 @@ func kernelMatches(s ingest.Schema, t *storage.Table) bool {
 
 // appendColumns is the one write path under AppendCSV and AppendRows:
 // build the replacement table, verify every constraint before registering
-// anything, swap registrations (catalog, fleet, shard layout), then run
-// the invalidation protocol. Callers hold ingestMu.
+// anything, register it and move the shard bounds, then run the
+// invalidation protocol. Callers hold ingestMu.
 func (d *DB) appendColumns(name string, cols [][]int64) error {
 	d.shardMu.Lock()
 	defer d.shardMu.Unlock()
@@ -185,11 +186,7 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 	}
 	oldRows := t.Rows()
 	newRows := oldRows + n
-	catVer := d.db.TableVersion(name)
-	memberVers := make([]uint64, len(d.fleet))
-	for i, fs := range d.fleet {
-		memberVers[i] = fs.db.TableVersion(name)
-	}
+	oldVer := d.db.TableVersion(name)
 
 	// Build the replacement table and verify every constraint — foreign-key
 	// extension, parent-key uniqueness — before registering anything, so a
@@ -222,98 +219,23 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 		}
 	}
 
-	meta := d.shardMeta[name]
-	grew := false
-	switch {
-	case meta == nil:
-		// Unsharded: the catalog and every fleet member hold the full table.
-		d.db.AddTable(newTab)
-		for _, idx := range childIdx {
-			d.db.PutFKIndex(idx)
-		}
-		for _, fs := range d.fleet {
-			fs.db.AddTable(newTab)
-			for _, idx := range childIdx {
-				fs.db.PutFKIndex(idx)
-			}
-		}
-	default:
-		k := meta.k
-		lastLo := meta.bounds[k-1]
-		grew = oldRows-lastLo >= 2*meta.target
-		if grew {
+	d.db.AddTable(newTab, childIdx...)
+	if meta := d.shardMeta[name]; meta != nil {
+		k := meta.k()
+		if oldRows-meta.bounds[k-1] >= 2*meta.target {
 			// Shard-growth rule: the last shard is already at twice its
-			// nominal size; the delta becomes shard k. ensureFleetLocked
-			// installs the pre-append layout into any new member, which the
-			// registrations below then overwrite for this table.
-			if err := d.ensureFleetLocked(k + 1); err != nil {
-				return err
-			}
-			newShard, err := newTab.Slice(oldRows, newRows)
-			if err != nil {
-				return err
-			}
-			d.fleet[k].db.AddTable(newShard)
-			for _, idx := range childIdx {
-				d.fleet[k].db.PutFKIndex(idx.Slice(oldRows, newRows))
-			}
+			// nominal size; the delta becomes shard k.
 			meta.bounds = append(meta.bounds, newRows)
-			meta.locks = append(meta.locks, &sync.RWMutex{})
-			meta.k++
 		} else {
-			// Swap the last shard under its own write lock: readers of
-			// shards 0..k-2 never block, in-flight readers of shard k-1
-			// finish on the old (immutable) arrays.
-			newLast, err := newTab.Slice(lastLo, newRows)
-			if err != nil {
-				return err
-			}
-			meta.locks[k-1].Lock()
-			d.fleet[k-1].db.AddTable(newLast)
-			for _, idx := range childIdx {
-				d.fleet[k-1].db.PutFKIndex(idx.Slice(lastLo, newRows))
-			}
-			meta.locks[k-1].Unlock()
 			meta.bounds[k] = newRows
-		}
-		// Members past the shard fan-out hold full replicas; the catalog
-		// serves the interpreter and unsharded engine.
-		for i := meta.k; i < len(d.fleet); i++ {
-			d.fleet[i].db.AddTable(newTab)
-			for _, idx := range childIdx {
-				d.fleet[i].db.PutFKIndex(idx)
-			}
-		}
-		d.db.AddTable(newTab)
-		for _, idx := range childIdx {
-			d.db.PutFKIndex(idx)
 		}
 	}
 
-	// Invalidation protocol: the epoch and eviction cover cached plans
-	// (their bound arrays are length-capped views of the old data); the
-	// stats merge folds the delta into cached statistics instead of
-	// dropping them. Only this table is touched.
-	d.shardEpochs[name]++
+	// Invalidation protocol: the eviction covers cached plans (their bound
+	// arrays are length-capped views of the old data); the stats merge
+	// folds the delta into cached statistics instead of dropping them.
+	// Only this table is touched.
 	d.evictPlans(name)
-	d.engine.MergeStatsOnAppend(name, catVer, oldRows)
-	for i, fs := range d.fleet {
-		switch {
-		case meta == nil:
-			fs.engine.MergeStatsOnAppend(name, memberVers[i], oldRows)
-		case grew && i == meta.k-1:
-			// This member went from full replica (or nothing) to the new
-			// delta shard — its view shrank; merged stats would describe
-			// the wrong rows.
-			fs.engine.InvalidateStats(name)
-		case !grew && i == meta.k-1:
-			// The swapped last shard: its delta starts at its old length.
-			fs.engine.MergeStatsOnAppend(name, memberVers[i], oldRows-meta.bounds[meta.k-1])
-		case i >= meta.k:
-			fs.engine.MergeStatsOnAppend(name, memberVers[i], oldRows)
-		}
-		// Members holding untouched shards saw no change: their
-		// registration, version, and statistics all stay valid.
-	}
+	d.engine.MergeStatsOnAppend(name, oldVer, oldRows)
 	return nil
 }

@@ -198,7 +198,7 @@ func TestAppendShardedRoutesToLastShard(t *testing.T) {
 	}
 	ref := func() int64 { return sumQty(t, d, "select sum(a) from t where x < 5") }
 	want := ref()
-	// A small append fits the last shard: fan-out stays at 4.
+	// A small append fits the last shard: the layout stays at 4.
 	rows := make([][]int64, 100)
 	for i := range rows {
 		rows[i] = []int64{int64(i % 7), int64(i % 10), int64(i % 5)}
@@ -213,15 +213,15 @@ func TestAppendShardedRoutesToLastShard(t *testing.T) {
 	if got := meta.bounds[4]; got != 4196 {
 		t.Fatalf("last bound = %d, want 4196", got)
 	}
-	if got := d.fleet[3].db.Table("t").Rows(); got != 4196-meta.bounds[3] {
-		t.Errorf("last shard rows = %d, want %d", got, 4196-meta.bounds[3])
+	if got := meta.bounds[3]; got != 3072 {
+		t.Errorf("append moved shard 3's lower bound to %d, want 3072", got)
 	}
 	res, ex, err := d.QuerySwole("select sum(a) from t where x < 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.ShardCount != 4 {
-		t.Errorf("query fan-out = %d, want 4", ex.ShardCount)
+	if ex.ShardCount != 0 {
+		t.Errorf("in-process Explain reports a %d-way fan-out", ex.ShardCount)
 	}
 	newWant := ref()
 	if newWant == want {
@@ -262,15 +262,15 @@ func TestAppendShardGrowth(t *testing.T) {
 	if got := meta.bounds[3] - meta.bounds[2]; got != 300 {
 		t.Errorf("grown shard rows = %d, want 300", got)
 	}
-	if got := d.fleet[2].db.Table("t").Rows(); got != 300 {
-		t.Errorf("member 2 holds %d rows, want 300", got)
+	if got := d.db.Table("t").Rows(); got != meta.bounds[3] {
+		t.Errorf("table holds %d rows, the layout ends at %d", got, meta.bounds[3])
 	}
 	res, ex, err := d.QuerySwole("select c, sum(a) from t where x < 5 group by c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.ShardCount != 3 {
-		t.Errorf("query fan-out = %d, want 3", ex.ShardCount)
+	if ex.ShardCount != 0 {
+		t.Errorf("in-process Explain reports a %d-way fan-out", ex.ShardCount)
 	}
 	refRes, err := d.Query("select c, sum(a) from t where x < 5 group by c")
 	if err != nil {

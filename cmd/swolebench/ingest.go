@@ -15,7 +15,7 @@ import (
 // compiled ingestion kernel -repeat times, and report per-batch decode+
 // append throughput plus what the appends did to a warm read plan (the
 // eviction, the incremental stats merge, and the recompile).
-func runIngest(cfg harness.Config, path, table, policy string, repeat, shards int) error {
+func runIngest(cfg harness.Config, path, table, policy string, repeat int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -38,7 +38,7 @@ func runIngest(cfg harness.Config, path, table, policy string, repeat, shards in
 		groups = 100_000
 	}
 	db, err := swole.LoadMicro(swole.MicroConfig{
-		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42, Shards: shards,
+		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42,
 	})
 	if err != nil {
 		return err
@@ -47,7 +47,7 @@ func runIngest(cfg harness.Config, path, table, policy string, repeat, shards in
 	db.SetWorkers(cfg.Workers)
 	fmt.Printf("ingest: %s → table %s (policy %s, %d batch(es) of %d bytes)\n",
 		path, table, policy, repeat, len(data))
-	fmt.Printf("dataset: R=%d rows, workers=%d, shards=%d\n\n", cfg.MicroR, cfg.Workers, shards)
+	fmt.Printf("dataset: R=%d rows, workers=%d\n\n", cfg.MicroR, cfg.Workers)
 
 	// Warm a read plan first so the post-append run shows the
 	// invalidation protocol (evict + stats merge + recompile), not a

@@ -49,7 +49,6 @@ func realMain() error {
 	workers := flag.Int("workers", 0, "max morsel workers the scaling figure sweeps to (0 = SWOLE_WORKERS or NumCPU)")
 	repeat := flag.Int("repeat", 0, "steady-state demo: run each supported query shape N times and report cold vs plan-cached warm timings")
 	query := flag.String("query", "", "run one arbitrary SQL statement against the micro dataset and report its synthesized plan, cold timing, and plan-cached warm timing")
-	shards := flag.Int("shards", 0, "split the fact table into this many in-process shards for -repeat (negative = cost model decides, 0/1 = unsharded)")
 	variants := flag.Bool("kernel-variants", false, "run each supported query shape and report the kernel-variant selection counters from Explain")
 	ingestFile := flag.String("ingest", "", "append this CSV file to the micro dataset through the table's ingestion kernel and report decode+append throughput (-repeat batches)")
 	ingestTable := flag.String("ingest-table", "r", "table -ingest appends to (CSV fields line up with its columns)")
@@ -93,13 +92,13 @@ func realMain() error {
 		return runKernelVariants(cfg)
 	}
 	if *ingestFile != "" {
-		return runIngest(cfg, *ingestFile, *ingestTable, *ingestPolicy, *repeat, *shards)
+		return runIngest(cfg, *ingestFile, *ingestTable, *ingestPolicy, *repeat)
 	}
 	if *query != "" {
-		return runQuery(cfg, *query, *repeat, *timeout, *shards)
+		return runQuery(cfg, *query, *repeat, *timeout)
 	}
 	if *repeat > 0 {
-		return runSteady(cfg, *repeat, *timeout, *shards)
+		return runSteady(cfg, *repeat, *timeout)
 	}
 	fmt.Printf("config: SF=%g micro R=%d reps=%d workers=%d\n\n", cfg.SF, cfg.MicroR, cfg.Reps, cfg.Workers)
 

@@ -28,7 +28,7 @@ var steadyQueries = []struct {
 // chosen technique, and the steady-state counters alongside the timings
 // and a preview of the answer. Statements outside the synthesizer's
 // grammar run on the interpreter and say so.
-func runQuery(cfg harness.Config, q string, reps int, timeout time.Duration, shards int) error {
+func runQuery(cfg harness.Config, q string, reps int, timeout time.Duration) error {
 	if reps < 2 {
 		reps = 5
 	}
@@ -37,7 +37,7 @@ func runQuery(cfg harness.Config, q string, reps int, timeout time.Duration, sha
 		groups = 100_000
 	}
 	db, err := swole.LoadMicro(swole.MicroConfig{
-		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42, Shards: shards,
+		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42,
 	})
 	if err != nil {
 		return err
@@ -94,7 +94,7 @@ func runQuery(cfg harness.Config, q string, reps int, timeout time.Duration, sha
 // counted separately (they are not failures — cooperative cancellation
 // returning promptly with pools intact is the behavior under test) and
 // excluded from the warm minimum.
-func runSteady(cfg harness.Config, reps int, timeout time.Duration, shards int) error {
+func runSteady(cfg harness.Config, reps int, timeout time.Duration) error {
 	if reps < 2 {
 		reps = 2
 	}
@@ -107,21 +107,15 @@ func runSteady(cfg harness.Config, reps int, timeout time.Duration, shards int) 
 	if timeout > 0 {
 		fmt.Printf(", per-query deadline=%s", timeout)
 	}
-	if shards > 1 || shards < 0 {
-		fmt.Printf(", shards=%d", shards)
-	}
 	fmt.Printf("\n\n")
 	db, err := swole.LoadMicro(swole.MicroConfig{
-		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42, Shards: shards,
+		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42,
 	})
 	if err != nil {
 		return err
 	}
 	defer db.Close()
 	db.SetWorkers(cfg.Workers)
-	if k := db.ShardCount("r"); k > 1 {
-		fmt.Printf("fact table r sharded %d ways\n\n", k)
-	}
 
 	// run executes one repetition under the configured deadline, reporting
 	// whether the deadline canceled it.
@@ -175,10 +169,6 @@ func runSteady(cfg harness.Config, reps int, timeout time.Duration, shards int) 
 		}
 		counters := fmt.Sprintf("plan-cached=%v fresh-allocs=%d ht-grows=%d",
 			lastEx.PlanCached, lastEx.FreshAllocs, lastEx.HTGrows)
-		if lastEx.ShardCount > 1 {
-			counters += fmt.Sprintf(" shards=%d(merge=%s)",
-				lastEx.ShardCount, lastEx.ShardMergeTime.Round(time.Microsecond))
-		}
 		if lastEx.Partitioned {
 			counters += fmt.Sprintf(" partitioned=%d(p1=%s)",
 				lastEx.Partitions, lastEx.PartitionTime.Round(time.Microsecond))

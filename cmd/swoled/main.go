@@ -22,11 +22,9 @@
 // swole_ingest_rows_total, and swole_ingest_duration_seconds. Coordinator
 // mode has no local data and answers /ingest with 501.
 //
-// Two scaling modes ride on top (see README "Scaling out"):
+// Inside one process the cores are used one way: -workers sizes the morsel
+// gang every query scans on. Across processes (see README "Scaling out"):
 //
-//	-table-shards K   splits the microbenchmark fact table into K
-//	                  in-process row-range shards, each scanning on its
-//	                  own engine (negative K asks the cost model)
 //	-shards a,b,...   coordinator mode: no local data — every query
 //	                  scatter-gathers over the listed shard processes
 //	                  (each an ordinary swoled serving one row range)
@@ -68,9 +66,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "morsel worker count per query (0 = GOMAXPROCS)")
 		partition = flag.String("partition", "auto", "radix partitioning mode: auto, on, or off")
 
-		tableShards = flag.Int("table-shards", 0, "split the microbenchmark fact table into this many in-process shards (negative = cost model decides)")
-		shards      = flag.String("shards", "", "coordinator mode: comma-separated shard addresses (host:port); no local data is loaded")
-		perShard    = flag.Int("per-shard", 4, "coordinator mode: outstanding requests per shard")
+		shards   = flag.String("shards", "", "coordinator mode: comma-separated shard addresses (host:port); no local data is loaded")
+		perShard = flag.Int("per-shard", 4, "coordinator mode: outstanding requests per shard")
 	)
 	flag.Parse()
 
@@ -124,8 +121,8 @@ func main() {
 			log.Printf("loading TPC-H sf=%g ...", *tpch)
 			db = swole.LoadTPCH(*tpch)
 		} else {
-			log.Printf("loading microbenchmark (rows=%d dim=%d groups=%d shards=%d) ...", *rows, *dim, *groups, *tableShards)
-			db, err = swole.LoadMicro(swole.MicroConfig{Rows: *rows, DimRows: *dim, GroupKeys: *groups, Shards: *tableShards})
+			log.Printf("loading microbenchmark (rows=%d dim=%d groups=%d) ...", *rows, *dim, *groups)
+			db, err = swole.LoadMicro(swole.MicroConfig{Rows: *rows, DimRows: *dim, GroupKeys: *groups})
 			if err != nil {
 				log.Fatalf("load dataset: %v", err)
 			}

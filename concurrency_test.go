@@ -283,20 +283,8 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		if _, _, err := d.QueryContext(ctx, q); err != nil {
 			t.Fatal(err)
 		}
-		d.mu.RLock()
-		c := d.plans[q]
-		d.mu.RUnlock()
-		if c == nil {
-			t.Fatalf("%q not cached", q)
-		}
-		c.mu.Lock()
-		_, ex, err := c.fan[0].plan.RunPartial(ctx)
-		c.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Workers != 2 {
-			t.Errorf("%q: cached plan runs on %d workers after SetWorkers(2)", q, ex.Workers)
+		if got, _ := planWorkers(t, d, q); got != 2 {
+			t.Errorf("%q: cached plan runs on %d workers after SetWorkers(2)", q, got)
 		}
 	}
 }

@@ -22,11 +22,6 @@ type MicroConfig struct {
 	DimRows   int // tuples in S (paper: 1K or 1M)
 	GroupKeys int // cardinality of r_c (paper: 10 .. 10M)
 	Seed      uint64
-	// Shards splits R into row-range shards (DB.ShardTable): > 1 fans
-	// queries over R out across that many shard engines, < 0 asks the
-	// cost model to choose, 0 or 1 keeps R unsharded. S stays replicated
-	// (it is the foreign-key parent).
-	Shards int
 }
 
 // LoadMicro generates the Figure 7 microbenchmark tables R and S as a DB.
@@ -70,15 +65,6 @@ func LoadMicro(cfg MicroConfig) (*DB, error) {
 	}
 	if err := db.AddForeignKey("r", "r_fk", "s", "s_pk"); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 || cfg.Shards < 0 {
-		k := cfg.Shards
-		if k < 0 {
-			k = 0 // cost-model choice
-		}
-		if err := db.ShardTable("r", k); err != nil {
-			return nil, err
-		}
 	}
 	return db, nil
 }

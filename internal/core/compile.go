@@ -74,11 +74,6 @@ func (p *planCore) bindCore(e *Engine, seq bool) int {
 // Fields is the result header of a plan prepared through Engine.Prepare.
 func (p *planCore) Fields() []OutField { return p.fields }
 
-// Mergeable reports that the hand-specialized shapes' partials combine
-// across disjoint row ranges of the driving table: sums add, and group
-// partials merge through GroupMerger.
-func (p *planCore) Mergeable() bool { return true }
-
 func (p *planCore) setFields(f []OutField) { p.fields = f }
 
 // ctxErr reports the context's cancellation state; nil contexts (internal

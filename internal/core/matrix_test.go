@@ -220,10 +220,6 @@ func TestPrepareLowering(t *testing.T) {
 			t.Errorf("%s: lowered onto %v, want %v", c.name, got, want)
 			continue
 		}
-		_, generic := p.(*PreparedSelect)
-		if p.Mergeable() == generic {
-			t.Errorf("%s: Mergeable()=%t on %T", c.name, p.Mergeable(), p)
-		}
 		if len(p.Fields()) != len(c.spec.Project) {
 			t.Errorf("%s: header %v for %d projected columns", c.name, p.Fields(), len(c.spec.Project))
 		}

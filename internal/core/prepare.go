@@ -15,11 +15,6 @@ type Plan interface {
 	RunPartial(ctx context.Context) (Partial, Explain, error)
 	// Fields is the result header.
 	Fields() []OutField
-	// Mergeable reports whether partials computed over disjoint row ranges
-	// of the driving table combine into the whole answer (sums add, group
-	// partials merge through GroupMerger). Only mergeable plans may be
-	// prepared per shard and fanned out.
-	Mergeable() bool
 }
 
 // Partial is one plan run's answer: Rows for a generic plan, Groups for a
@@ -34,9 +29,9 @@ type Partial struct {
 // Prepare compiles a statement for the caller to keep and re-run. A spec
 // that collapses to one of the paper's four shapes — scalar, group-by,
 // semijoin, or groupjoin aggregation — lowers onto that shape's hand-
-// specialized plan (morsel-parallel kernels, radix partitioning, mergeable
-// partials); everything else compiles through PrepareSelect onto the
-// generic tile pipeline. Either way a warm re-run allocates nothing.
+// specialized plan (morsel-parallel kernels, radix partitioning); everything
+// else compiles through PrepareSelect onto the generic tile pipeline. Either
+// way a warm re-run allocates nothing.
 func (e *Engine) Prepare(spec Select) (Plan, error) {
 	return e.prepare(spec, techAuto)
 }

@@ -310,13 +310,6 @@ type PreparedSelect struct {
 	curEdge             *boundEdge
 }
 
-// Mergeable reports false: a generic plan's answer is finished rows — avg,
-// min/max, HAVING and the projection are already applied — which do not
-// combine across disjoint row ranges the way the hand-specialized plans'
-// sums do, so it must see every row of its tables. Its partial state (the
-// group table's lanes) would merge; exposing that is the fan-out's job.
-func (p *PreparedSelect) Mergeable() bool { return false }
-
 // RunPartial implements Plan.
 func (p *PreparedSelect) RunPartial(ctx context.Context) (Partial, Explain, error) {
 	res, ex, err := p.RunContext(ctx)

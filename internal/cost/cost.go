@@ -81,27 +81,6 @@ type Params struct {
 	// line for write (read-for-ownership traffic on top of the store), so
 	// scatter demand sits between a pure stream and a random probe.
 	ScatterMul float64
-
-	// Shards is the number of sibling table-shard executors scanning
-	// concurrently with this one. Shard engines run side by side on the
-	// same memory bus, so a gang of `workers` morsel workers inside one
-	// shard really competes with workers*Shards scanners fleet-wide;
-	// ForWorkers prices contention against that product. 0 or 1 means
-	// unsharded and leaves every decision exactly as before.
-	Shards int
-
-	// ShardMergePair is the per-group cost of the cross-shard sorted
-	// merge-combine: each shard's partial groups are radix-sorted together
-	// and duplicate keys summed in one compaction pass — streaming work,
-	// a couple of sequential reads and one write per pair. ShardFanout
-	// charges k*groups of these against the fan-out's scan savings.
-	ShardMergePair float64
-	// ShardDispatch is the fixed per-shard cost of a fan-out: waking the
-	// shard's goroutine, binding its locks, and folding its partial into
-	// the gather. It is what keeps small tables at K=1 — a table whose
-	// whole scan costs less than a few dispatches has nothing to gain
-	// from splitting.
-	ShardDispatch float64
 }
 
 // Default returns parameters approximating the paper's evaluation machine.
@@ -138,14 +117,6 @@ func Default() Params {
 		// Calibrate re-measures both on the host.
 		ProbeMul:   4,
 		ScatterMul: 2,
-
-		// A merge pair is read once from the partial, written once into the
-		// sorted run, and read once by the combine pass — three streaming
-		// touches of 16 bytes. A dispatch is a goroutine handoff plus the
-		// shard's share of gather bookkeeping, tens of microseconds in
-		// cost units (1 unit ≈ 1 cycle).
-		ShardMergePair: 3,
-		ShardDispatch:  120_000,
 	}
 }
 
@@ -171,21 +142,13 @@ func Default() Params {
 // more expensive than compute, so whichever side of a decision leans
 // harder on contended primitives loses ground as workers grow (see
 // DESIGN.md, "Per-worker bandwidth share").
-// The shard-fanout term: `workers` is one shard's gang, but the bus is
-// shared by every shard's gang, so the contention factors scale with the
-// fleet-wide scanner count workers*Shards. Shards <= 1 degenerates to the
-// pre-shard model exactly.
 func (p Params) ForWorkers(workers int) Params {
-	gang := workers
-	if p.Shards > 1 {
-		gang *= p.Shards
-	}
-	if gang <= 1 || p.MemSaturation <= 0 {
+	if workers <= 1 || p.MemSaturation <= 0 {
 		return p
 	}
 	q := p
 	// Streaming primitives: demand 1 per worker.
-	if f := float64(gang) / p.MemSaturation; f > 1 {
+	if f := float64(workers) / p.MemSaturation; f > 1 {
 		q.ReadSeq *= f
 		q.ReadCond *= f
 		q.HitLLC *= f
@@ -193,75 +156,16 @@ func (p Params) ForWorkers(workers int) Params {
 	// Random DRAM probes: each worker demands ProbeMul bandwidth shares.
 	// max2(·, 1) keeps zero-valued Params (hand-built test fixtures)
 	// behaving like the old flat model.
-	if f := float64(gang) * max2(p.ProbeMul, 1) / p.MemSaturation; f > 1 {
+	if f := float64(workers) * max2(p.ProbeMul, 1) / p.MemSaturation; f > 1 {
 		q.HitMem *= f
 	}
 	// Scatter writes: read-for-ownership makes each append cost
 	// ScatterMul shares.
-	if f := float64(gang) * max2(p.ScatterMul, 1) / p.MemSaturation; f > 1 {
+	if f := float64(workers) * max2(p.ScatterMul, 1) / p.MemSaturation; f > 1 {
 		q.PartitionWrite *= f
 	}
 	return q
 }
-
-// ShardFanout chooses the row-range shard count for a table of `rows`
-// tuples whose group-by answers hold about `groups` groups, considering
-// power-of-two fan-outs up to maxK (plus maxK itself). The model charges
-// each candidate k the per-shard scan of rows/k tuples — under the
-// contention k concurrent shard gangs of `workers` create — plus the
-// cross-shard merge of up to k*min(groups, rows/k) sorted pairs, and
-// keeps the cheapest. Small tables lose more to the merge than the
-// split scan saves and stay at K=1, which is what protects the
-// steady-state benchmarks from fan-out overhead.
-func (p Params) ShardFanout(rows, groups, workers, maxK int) int {
-	if maxK < 1 {
-		maxK = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if groups < 1 {
-		groups = 1
-	}
-	bestK, bestCost := 1, p.shardCost(rows, groups, workers, 1)
-	for k := 2; k <= maxK; k <<= 1 {
-		if c := p.shardCost(rows, groups, workers, k); c < bestCost {
-			bestK, bestCost = k, c
-		}
-	}
-	if maxK > 1 && maxK&(maxK-1) != 0 {
-		if c := p.shardCost(rows, groups, workers, maxK); c < bestCost {
-			bestK = maxK
-		}
-	}
-	return bestK
-}
-
-// shardCost is the modeled wall-clock cost of a k-shard group-by fan-out:
-// the slowest shard's scan (rows/k tuples through the value-masking
-// group model at that fleet's contention) plus the single-threaded merge
-// of every shard's partial groups.
-func (p Params) shardCost(rows, groups, workers, k int) float64 {
-	q := p
-	q.Shards = k
-	q = q.ForWorkers(workers)
-	perShard := (rows + k - 1) / k
-	shardGroups := groups
-	if perShard < shardGroups {
-		shardGroups = perShard
-	}
-	scan := q.ValueMaskingGroup(perShard, 0, shardGroups*aggPairBytes)
-	merge := 0.0
-	if k > 1 {
-		merge = float64(k*shardGroups)*max2(p.ShardMergePair, 1) +
-			float64(k)*max2(p.ShardDispatch, 0)
-	}
-	return scan + merge
-}
-
-// aggPairBytes approximates the per-group hash-table footprint the shard
-// model sizes lookups with (key, sum, and slot overhead).
-const aggPairBytes = 26
 
 // HTLookup returns the cost of one random probe into a structure of the
 // given size, classified by the cache level it fits in.

@@ -384,59 +384,3 @@ func TestForWorkersShiftsCrossover(t *testing.T) {
 		t.Fatalf("16-worker choice = %v, want value-masking", par)
 	}
 }
-
-func TestForWorkersShardGangContention(t *testing.T) {
-	// A 4-worker gang inside one of 4 shards competes with 16 scanners
-	// fleet-wide: the contended primitives must price exactly as a flat
-	// 16-worker gang would, and Shards<=1 must leave the model untouched.
-	p := Default()
-	sharded := p
-	sharded.Shards = 4
-	got := sharded.ForWorkers(4)
-	want := p.ForWorkers(16)
-	if got.HitMem != want.HitMem || got.ReadSeq != want.ReadSeq ||
-		got.PartitionWrite != want.PartitionWrite {
-		t.Errorf("Shards=4 x workers=4: HitMem=%v ReadSeq=%v PartitionWrite=%v, want flat-16 %v %v %v",
-			got.HitMem, got.ReadSeq, got.PartitionWrite,
-			want.HitMem, want.ReadSeq, want.PartitionWrite)
-	}
-	one := p
-	one.Shards = 1
-	if g := one.ForWorkers(4); g.HitMem != p.ForWorkers(4).HitMem {
-		t.Errorf("Shards=1 changed ForWorkers: %v vs %v", g.HitMem, p.ForWorkers(4).HitMem)
-	}
-	if g := p.ForWorkers(1); g != p {
-		t.Errorf("single worker, unsharded must be identity")
-	}
-}
-
-func TestShardFanoutCrossovers(t *testing.T) {
-	p := Default()
-	// Small tables lose more to dispatch+merge than the split saves.
-	if k := p.ShardFanout(4096, 64, 1, 8); k != 1 {
-		t.Errorf("4K rows: K=%d, want 1", k)
-	}
-	if k := p.ShardFanout(50_000, 500, 1, 8); k != 1 {
-		t.Errorf("50K rows: K=%d, want 1", k)
-	}
-	// The steady-state serving shape: ~100K groups. Merging 100K pairs
-	// per shard swamps the scan savings, so the planner must hold K=1 —
-	// this is what protects the steady benchmark from fan-out overhead.
-	if k := p.ShardFanout(1_000_000, 100_000, 4, 8); k != 1 {
-		t.Errorf("1M rows/100K groups: K=%d, want 1", k)
-	}
-	// Big scans with modest group counts fan all the way out.
-	if k := p.ShardFanout(1_000_000, 1_000, 1, 8); k != 8 {
-		t.Errorf("1M rows/1K groups: K=%d, want 8", k)
-	}
-	if k := p.ShardFanout(4_000_000, 1_000_000, 1, 4); k != 4 {
-		t.Errorf("4M rows/1M groups: K=%d, want 4", k)
-	}
-	// Fan-out never exceeds maxK, and degenerate inputs clamp safely.
-	if k := p.ShardFanout(8_000_000, 1_000, 1, 3); k > 3 {
-		t.Errorf("maxK=3 exceeded: K=%d", k)
-	}
-	if k := p.ShardFanout(0, 0, 0, 0); k != 1 {
-		t.Errorf("degenerate input: K=%d, want 1", k)
-	}
-}

@@ -2,13 +2,12 @@ package storage
 
 import "fmt"
 
-// Row-range shard views. A shard of a table is an ordinary *Table whose
-// columns are re-slices of the full table's arrays — no data is copied,
-// the dictionary is shared, and the shard stays valid for as long as the
-// arrays it references are reachable. The shard layer in the public
-// package registers such views into per-shard databases so each shard's
-// engine compiles and scans over [0, shardRows) exactly as it would over
-// a standalone table.
+// Row-range views. A view of a table is an ordinary *Table whose columns
+// are re-slices of the full table's arrays — no data is copied, the
+// dictionary is shared, and the view stays valid for as long as the arrays
+// it references are reachable. The write paths use them to address the
+// rows an append added (statistics merge over the delta only) and the rows
+// a shard replacement keeps.
 
 // Slice returns a view of values [lo, hi) sharing the backing array and
 // dictionary.
@@ -38,17 +37,6 @@ func (t *Table) Slice(lo, hi int) (*Table, error) {
 		cols[i] = c.Slice(lo, hi)
 	}
 	return NewTable(t.Name, cols...)
-}
-
-// Slice returns the index restricted to child rows [lo, hi). Positions
-// keep pointing into the full parent table, so a shard view of the child
-// joined against the replicated parent probes the same rows the full
-// index would.
-func (idx *FKIndex) Slice(lo, hi int) *FKIndex {
-	return &FKIndex{
-		Child: idx.Child, FK: idx.FK, Parent: idx.Parent, PK: idx.PK,
-		Pos: idx.Pos[lo:hi:hi],
-	}
 }
 
 // ShardRanges splits rows into k contiguous ranges of near-equal length;

@@ -66,19 +66,3 @@ func TestTableSlice(t *testing.T) {
 		t.Fatal("negative slice must error")
 	}
 }
-
-func TestFKIndexSlice(t *testing.T) {
-	parent := MustNewTable("p", Compress("pk", []int64{100, 200, 300}, LogInt))
-	child := MustNewTable("c", Compress("fk", []int64{300, 100, 200, 100}, LogInt))
-	idx, err := BuildFKIndex(child, "fk", parent, "pk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl := idx.Slice(1, 3)
-	if len(sl.Pos) != 2 || sl.Pos[0] != 0 || sl.Pos[1] != 1 {
-		t.Fatalf("sliced positions = %v, want [0 1]", sl.Pos)
-	}
-	if sl.Child != "c" || sl.Parent != "p" {
-		t.Fatalf("sliced index metadata lost: %+v", sl)
-	}
-}

@@ -117,8 +117,8 @@ func BuildFKIndex(child *Table, fk string, parent *Table, pk string) (*FKIndex, 
 // with AddTable/PutFKIndex: a reader sees either the old or the new
 // registration, never a torn map. Column data itself is immutable once
 // registered, so a stale *Table stays readable for as long as anyone
-// holds it — which is what lets the shard layer replace one shard's
-// rows while queries over other shards keep running.
+// holds it — which is what lets a writer replace a table while queries
+// over the old registration keep running.
 type Database struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
@@ -141,11 +141,16 @@ func NewDatabase() *Database {
 }
 
 // AddTable registers a table, replacing any previous table of that name
-// and bumping the table's version so caches keyed on it invalidate.
-func (db *Database) AddTable(t *Table) {
+// and bumping the table's version so caches keyed on it invalidate. A
+// write path that rebuilt the table's child foreign-key indexes passes
+// them along: table and indexes then swap under one lock acquisition.
+func (db *Database) AddTable(t *Table, childIdx ...*FKIndex) {
 	db.mu.Lock()
 	db.tables[t.Name] = t
 	db.versions[t.Name]++
+	for _, idx := range childIdx {
+		db.indexes[fkKey(idx.Child, idx.FK, idx.Parent, idx.PK)] = idx
+	}
 	db.mu.Unlock()
 }
 
@@ -203,8 +208,7 @@ func (db *Database) AddFKIndex(child, fk, parent, pk string) error {
 }
 
 // PutFKIndex registers a pre-built foreign-key index, replacing any
-// previous index over the same columns. The shard layer uses it to
-// install row-range slices of an already-verified index.
+// previous index over the same columns.
 func (db *Database) PutFKIndex(idx *FKIndex) {
 	db.mu.Lock()
 	db.indexes[fkKey(idx.Child, idx.FK, idx.Parent, idx.PK)] = idx

@@ -79,22 +79,21 @@ type Explain struct {
 	// plans forced onto the tuple-at-a-time kernel.
 	Variants KernelVariants
 
-	// ShardCount is the number of row-range table shards the execution
-	// fanned out over; 0 or 1 means unsharded (see DB.ShardTable).
+	// The Shard* fields describe a coordinator scatter-gather over shard
+	// processes (cmd/swoled -shards) and are set by the coordinator only.
+	// An in-process execution leaves them zero, whatever the table's
+	// ShardTable layout: that layout is write-side, and the query is one
+	// plan on one engine.
+	//
+	// ShardCount is the number of shard processes the query was sent to.
 	ShardCount int
-	// ShardTimes holds each shard's partial wall time for a fan-out
-	// execution, indexed by shard; nil when unsharded.
+	// ShardTimes holds each shard process's response time, indexed by shard.
 	ShardTimes []time.Duration
-	// ShardMergeTime is the wall time of folding the shard partials into
-	// the final answer (the cross-shard sorted merge-combine for group
-	// shapes, summation for scalar ones).
+	// ShardMergeTime is the wall time of folding the shards' answers into
+	// the final one (group rows combine by key, scalars by summation).
 	ShardMergeTime time.Duration
-
-	// ShardErrors attributes per-shard failures of a coordinator
-	// scatter-gather (cmd/swoled -shards): entry i names what shard i
-	// returned when the query failed partially. Empty on success and for
-	// in-process executions, which fail the whole query with the shard
-	// attributed in the error instead.
+	// ShardErrors attributes per-shard failures: entry i names what shard i
+	// returned when the query failed partially. Empty on success.
 	ShardErrors []string
 }
 
@@ -209,11 +208,11 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 // statement shape this package knows. core.Engine.Prepare decides what
 // the spec compiles onto: a spec that collapses to one of the four classic
 // SWOLE shapes lands on its hand-specialized plan (multi-worker morsel
-// parallelism, radix partitioning, shard fan-out); everything else goes
-// through core.PrepareSelect, a tile pipeline with per-edge positional
-// bitmaps, packed group keys, a cost-chosen disjunction strategy and a
-// cost-chosen masking technique that covers the general grammar. Both
-// replay warm without allocating.
+// parallelism, radix partitioning); everything else goes through
+// core.PrepareSelect, a tile pipeline with per-edge positional bitmaps,
+// packed group keys, a cost-chosen disjunction strategy and a cost-chosen
+// masking technique that covers the general grammar. Both replay warm
+// without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can
@@ -417,32 +416,32 @@ func (d *DB) synthesize(p plan.Node) (core.Select, bool) {
 	return spec, true
 }
 
-// prepareShape compiles the synthesized statement and wraps it as a cache
-// entry with its table-version and shard-epoch dependencies and reusable
-// result. Over a sharded driving table a mergeable statement compiles one
-// plan per shard (prepareFan) and the entry's fan carries each arm with
-// its shard read lock. Everything else compiles once on the catalog
-// engine, whose tables always hold every shard's rows, so a single-arm
-// plan stays correct under any shard layout (the shard-epoch dependency
-// still drops it when a shard's data changes).
+// prepareShape compiles the synthesized statement on the engine and wraps
+// it as a cache entry with its table-version dependencies and reusable
+// result. The catalog tables always hold every row, so the one plan is the
+// whole statement under any shard layout.
 func (d *DB) prepareShape(spec core.Select) (*cachedPlan, error) {
 	d.mu.RLock()
 	c := &cachedPlan{shape: planSignature(spec), gen: d.configGen}
 	d.mu.RUnlock()
-	for _, tn := range spec.Tables() {
-		c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn), epoch: d.shardEpoch(tn)})
-	}
-	var err error
-	if c.fan, err = d.prepareFan(spec); err != nil {
-		return nil, err
-	}
-	if c.fan == nil {
-		p, err := d.engine.Prepare(spec)
-		if err != nil {
+	// A compile looks its tables and foreign-key indexes up one at a time,
+	// so one that overlaps a write could pair the old table with the new
+	// index. Such a compile always straddles a version bump: recompile until
+	// one ran entirely inside a single version of every table it reads.
+	for {
+		c.deps = c.deps[:0]
+		for _, tn := range spec.Tables() {
+			c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn)})
+		}
+		var err error
+		if c.plan, err = d.engine.Prepare(spec); err != nil {
 			return nil, err
 		}
-		c.fan = []shardRun{{plan: p}}
+		if c.fresh(d) {
+			break
+		}
+		spec = spec.Clone()
 	}
-	c.setFields(c.fan[0].plan.Fields())
+	c.setFields(c.plan.Fields())
 	return c, nil
 }

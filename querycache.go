@@ -2,10 +2,8 @@ package swole
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/reprolab/swole/internal/core"
 	"github.com/reprolab/swole/internal/volcano"
@@ -42,47 +40,26 @@ import (
 // than maxCachedPlans distinct steady-state statements is not steady.
 const maxCachedPlans = 256
 
-// tableDep pins one input table at the version AND shard epoch the plan
-// was prepared against. The epoch moves on ShardTable (layout change, no
-// data change) and ReplaceShard (data change in one shard), so a plan
-// whose fan-out no longer matches the table's layout is dropped on its
-// next lookup — and only that table's plans are, which is the shard-
-// aware invalidation granularity TestInvalidationGranularity pins.
+// tableDep pins one input table at the version the plan was prepared
+// against. Every write — CreateTable, an append, ReplaceShard — registers a
+// replacement table and so moves the version; a plan bound to the old
+// arrays is dropped on its next lookup, and only that table's plans are.
 type tableDep struct {
-	name  string
-	ver   uint64
-	epoch uint64
-}
-
-// shardRun is one arm of a statement's fan-out: the plan compiled
-// against one shard's engine plus that shard's read lock. Unsharded
-// statements have a single arm with a nil lock.
-type shardRun struct {
-	shard int
-	plan  core.Plan
-	lock  *sync.RWMutex
+	name string
+	ver  uint64
 }
 
 // cachedPlan is one prepared statement plus its reusable result
 // materialization.
 type cachedPlan struct {
-	// mu serializes executions of this statement: the fan scratch, the
-	// merger, and the result buffers below are all per-entry and reused
-	// across runs. Different statements run in parallel.
+	// mu serializes executions of this statement: the plan's state and the
+	// result buffers below are per-entry and reused across runs. Different
+	// statements run in parallel.
 	mu    sync.Mutex
-	fan   []shardRun
+	plan  core.Plan
 	shape string
 	deps  []tableDep
 	gen   uint64 // DB.configGen when the compile began
-
-	// Fan-out scratch and the cross-shard merger (reused across runs; the
-	// merge is the same finishCombine path the worker merge uses).
-	merger   core.GroupMerger
-	partials []*core.GroupResult
-	sums     []int64
-	exs      []core.Explain
-	errs     []error
-	times    []time.Duration
 
 	// Reused result: vres's rows are slice headers into flat.
 	res  Result
@@ -99,8 +76,8 @@ func (c *cachedPlan) setFields(fields []core.OutField) {
 	c.res = Result{res: &c.vres}
 }
 
-// put rematerializes the entry's result from a plan's (or the fan-out
-// merge's) answer; see core.Partial for which arm is set.
+// put rematerializes the entry's result from a plan's answer; see
+// core.Partial for which arm is set.
 func (c *cachedPlan) put(part core.Partial) {
 	switch {
 	case part.Rows != nil:
@@ -148,10 +125,10 @@ func (c *cachedPlan) putRows(res *core.SelectResult) {
 }
 
 // fresh reports whether every input table is still at its prepared
-// version and shard epoch.
+// version.
 func (c *cachedPlan) fresh(d *DB) bool {
 	for _, dep := range c.deps {
-		if d.db.TableVersion(dep.name) != dep.ver || d.shardEpoch(dep.name) != dep.epoch {
+		if d.db.TableVersion(dep.name) != dep.ver {
 			return false
 		}
 	}
@@ -174,85 +151,13 @@ func (c *cachedPlan) dependsOn(table string) bool {
 // entry (and the plan's pooled resources) intact for the next execution.
 // Callers hold c.mu.
 func (c *cachedPlan) run(ctx context.Context) (*Result, Explain, error) {
-	if len(c.fan) == 1 && c.fan[0].lock == nil {
-		part, cex, err := c.fan[0].plan.RunPartial(ctx)
-		ex := fromCore(cex)
-		ex.Shape = c.shape
-		if err != nil {
-			return nil, ex, err
-		}
-		c.put(part)
-		return &c.res, ex, nil
-	}
-	return c.runFan(ctx)
-}
-
-// runFan scatter-gathers the statement across its shards: each arm runs
-// on its own engine (its own worker gang) concurrently, holding only its
-// shard's read lock, and the partials merge on this goroutine — group
-// shapes through the merger's sorted merge-combine, scalar shapes by
-// summation. A failed or canceled arm cancels the rest and the error
-// carries the shard's attribution.
-func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
-	n := len(c.fan)
-	if cap(c.partials) < n {
-		c.partials = make([]*core.GroupResult, n)
-		c.sums = make([]int64, n)
-		c.exs = make([]core.Explain, n)
-		c.errs = make([]error, n)
-		c.times = make([]time.Duration, n)
-	}
-	partials, sums := c.partials[:n], c.sums[:n]
-	exs, errs, times := c.exs[:n], c.errs[:n], c.times[:n]
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range c.fan {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			arm := &c.fan[i]
-			start := time.Now()
-			arm.lock.RLock()
-			var part core.Partial
-			part, exs[i], errs[i] = arm.plan.RunPartial(fanCtx)
-			sums[i], partials[i] = part.Sum, part.Groups
-			arm.lock.RUnlock()
-			times[i] = time.Since(start)
-			if errs[i] != nil {
-				cancel() // a lost shard fails the query; stop the others
-			}
-		}(i)
-	}
-	wg.Wait()
-	ex := fromCore(exs[0])
+	part, cex, err := c.plan.RunPartial(ctx)
+	ex := fromCore(cex)
 	ex.Shape = c.shape
-	ex.ShardCount = n
-	ex.ShardTimes = append([]time.Duration(nil), times...)
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, ex, fmt.Errorf("shard %d: %w", c.fan[i].shard, errs[i])
-		}
+	if err != nil {
+		return nil, ex, err
 	}
-	for i := 1; i < n; i++ {
-		ex.FreshAllocs += exs[i].FreshAllocs
-		ex.HTGrows += exs[i].HTGrows
-		ex.Variants.Add(&exs[i].Variants)
-		if exs[i].PartitionTime > ex.PartitionTime {
-			ex.PartitionTime = exs[i].PartitionTime
-		}
-	}
-	mergeStart := time.Now()
-	var merged core.Partial
-	if partials[0] != nil {
-		merged.Groups = c.merger.Merge(partials)
-	} else {
-		for _, s := range sums {
-			merged.Sum += s
-		}
-	}
-	c.put(merged)
-	ex.ShardMergeTime = time.Since(mergeStart)
+	c.put(part)
 	return &c.res, ex, nil
 }
 
@@ -345,11 +250,9 @@ func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result
 		}
 	}
 	d.mu.Unlock()
-	// The freshness check reads shard epochs (shardMu), so it must run
-	// outside d.mu: the lock order is shardMu before d.mu (ReplaceShard
-	// holds shardMu while evicting plans). A plan going stale between this
-	// check and the run is benign — it executes against the immutable
-	// arrays it was bound to, answering as of just before the swap.
+	// A plan going stale between this check and the run is benign — it
+	// executes against the immutable arrays it was bound to, answering as of
+	// just before the swap.
 	if !c.fresh(d) {
 		d.mu.Lock()
 		d.dropPlanLocked(c)
@@ -406,17 +309,12 @@ func (d *DB) dropPlanLocked(c *cachedPlan) {
 // table. Called on every CreateTable.
 func (d *DB) invalidateTable(table string) {
 	d.engine.InvalidateStats(table)
-	d.shardMu.RLock()
-	for _, fs := range d.fleet {
-		fs.engine.InvalidateStats(table)
-	}
-	d.shardMu.RUnlock()
 	d.evictPlans(table)
 }
 
 // evictPlans drops the cached plans that read the named table — and only
-// those; other tables' plans stay warm. ShardTable uses it directly
-// (layout changed, data and statistics did not).
+// those; other tables' plans stay warm. The append path uses it directly
+// (it merges the table's statistics instead of dropping them).
 func (d *DB) evictPlans(table string) {
 	d.mu.Lock()
 	for k, c := range d.plans {
@@ -447,20 +345,15 @@ func (d *DB) SetWorkers(n int) {
 	d.reconfigure(func(e *core.Engine) { e.Workers = n })
 }
 
-// reconfigure applies set to the catalog engine and every fleet engine and
-// then clears the plan cache. Each engine's fields are written under the
-// lock its compiles hold (core.Engine.Reconfigure), so a compile sees one
-// configuration throughout; the cache is cleared after the writes, and the
-// generation bump makes storePlan drop a statement that compiled under the
-// old configuration but had not been stored yet — it answers its caller
-// once and never enters the cache.
+// reconfigure applies set to the engine and then clears the plan cache. The
+// engine's fields are written under the lock its compiles hold
+// (core.Engine.Reconfigure), so a compile sees one configuration
+// throughout; the cache is cleared after the write, and the generation bump
+// makes storePlan drop a statement that compiled under the old
+// configuration but had not been stored yet — it answers its caller once
+// and never enters the cache.
 func (d *DB) reconfigure(set func(*core.Engine)) {
-	d.shardMu.RLock()
 	d.engine.Reconfigure(func() { set(d.engine) })
-	for _, fs := range d.fleet {
-		fs.engine.Reconfigure(func() { set(fs.engine) })
-	}
-	d.shardMu.RUnlock()
 	d.mu.Lock()
 	d.configGen++
 	d.plans = map[string]*cachedPlan{}
@@ -492,15 +385,7 @@ func (d *DB) SetPartitionMode(m PartitionMode) {
 	d.reconfigure(func(e *core.Engine) { e.Partition = m })
 }
 
-// Close releases the executor's persistent worker goroutines, including
-// every shard engine's gang. The DB remains usable after Close (gangs
-// respawn on demand); Close exists for goroutine hygiene when many DBs
-// are created in one process.
-func (d *DB) Close() {
-	d.engine.Close()
-	d.shardMu.RLock()
-	for _, fs := range d.fleet {
-		fs.engine.Close()
-	}
-	d.shardMu.RUnlock()
-}
+// Close releases the executor's persistent worker goroutines. The DB
+// remains usable after Close (the gang respawns on demand); Close exists
+// for goroutine hygiene when many DBs are created in one process.
+func (d *DB) Close() { d.engine.Close() }

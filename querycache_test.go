@@ -224,9 +224,9 @@ func TestInvalidationGranularity(t *testing.T) {
 		t.Error("t's plan evicted by u's replacement")
 	}
 
-	// Re-sharding is a layout change, not a data change: it must evict
-	// exactly the re-sharded table's plans (they bake in the fan-out) while
-	// other tables' plans and the sampling statistics survive.
+	// Re-sharding is a layout change, not a data change, and no plan bakes
+	// the layout in: it evicts nothing and drops no statistic, for either
+	// table.
 	if _, _, err := d.QuerySwole("select sum(v) from u where v < 100"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,8 @@ func TestInvalidationGranularity(t *testing.T) {
 	if err := d.ShardTable("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	if d.PlanCacheLen() != 1 {
-		t.Errorf("re-sharding t left cache len %d, want 1 (u's plan only)", d.PlanCacheLen())
+	if d.PlanCacheLen() != 2 {
+		t.Errorf("re-sharding t left cache len %d, want 2 (nothing evicted)", d.PlanCacheLen())
 	}
 	if got := d.engine.StatsCacheLen(); got != statsBefore {
 		t.Errorf("re-sharding dropped statistics: %d, want %d (layout changes keep stats)", got, statsBefore)
@@ -252,14 +252,41 @@ func TestInvalidationGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.PlanCached {
-		t.Error("t's sharded recompile claims a cache hit")
-	}
-	if ex.ShardCount != 2 {
-		t.Errorf("ShardCount = %d after ShardTable(t, 2), want 2", ex.ShardCount)
+	if !ex.PlanCached {
+		t.Error("t's plan evicted by its own re-sharding")
 	}
 	if got := res3.Rows()[0][0]; got != want {
 		t.Errorf("answer changed after sharding: got %d, want %d", got, want)
+	}
+
+	// Replacing a shard is a data change in one table: exactly that
+	// table's plans go (and its statistics with them); the other table's
+	// plan stays warm. Shard 1 is rows 2048..4095; its replacement is one
+	// row that passes the filter.
+	if err := d.ReplaceShard("t", 1, IntColumn("a", []int64{11}), IntColumn("x", []int64{0}), IntColumn("c", []int64{0})); err != nil {
+		t.Fatal(err)
+	}
+	if d.PlanCacheLen() != 1 {
+		t.Errorf("ReplaceShard on t left cache len %d, want 1 (u's plan only)", d.PlanCacheLen())
+	}
+	if _, ex, err = d.QuerySwole("select sum(v) from u where v < 100"); err != nil {
+		t.Fatal(err)
+	} else if !ex.PlanCached {
+		t.Error("u's plan evicted by t's ReplaceShard")
+	}
+	res3, ex, err = d.QuerySwole(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.PlanCached {
+		t.Error("t's stale plan served after ReplaceShard")
+	}
+	ref, err := d.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = ref.Rows()[0][0]; res3.Rows()[0][0] != want {
+		t.Errorf("post-ReplaceShard answer = %d, interpreter says %d", res3.Rows()[0][0], want)
 	}
 
 	// Appending is a data change in one table: it must evict exactly that
@@ -502,9 +529,9 @@ func TestGenericResultAliasesPlanBuffer(t *testing.T) {
 	d.mu.RLock()
 	entry := d.plans[q]
 	d.mu.RUnlock()
-	plan, ok := entry.fan[0].plan.(*core.PreparedSelect)
+	plan, ok := entry.plan.(*core.PreparedSelect)
 	if !ok {
-		t.Fatalf("%q lowered onto %T, want the generic executor", q, entry.fan[0].plan)
+		t.Fatalf("%q lowered onto %T, want the generic executor", q, entry.plan)
 	}
 
 	// Same plan, next run: same backing array, same row headers.

@@ -46,35 +46,43 @@ func selectFormDBs(t testing.TB) (micro, fuzz *DB) {
 
 // TestSelectSteadyZeroAlloc is the generic executor's steady-state gate:
 // the third and later QuerySwole executions of every statement form — SQL
-// text in, materialized rows out — allocate nothing.
+// text in, materialized rows out — allocate nothing, over unsharded fact
+// tables and over fact tables split four ways.
 func TestSelectSteadyZeroAlloc(t *testing.T) {
-	micro, fuzz := selectFormDBs(t)
-	defer micro.Close()
-	defer fuzz.Close()
-	for _, f := range selectForms {
-		d := micro
-		if f.fuzz {
-			d = fuzz
-		}
-		for rep := 0; rep < 2; rep++ {
-			_, ex, err := d.QuerySwole(f.q)
-			if err != nil {
-				t.Fatalf("%s: %v", f.name, err)
-			}
-			if ShapeBucket(ex.Shape) == "interpreter-fallback" {
-				t.Fatalf("%s fell back to the interpreter", f.name)
-			}
-			if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
-				t.Errorf("%s: second run PlanCached=%t FreshAllocs=%d", f.name, ex.PlanCached, ex.FreshAllocs)
-			}
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := d.QuerySwole(f.q); err != nil {
+	for _, shards := range []int{1, 4} {
+		micro, fuzz := selectFormDBs(t)
+		defer micro.Close()
+		defer fuzz.Close()
+		for d, fact := range map[*DB]string{micro: "r", fuzz: "f"} {
+			if err := d.ShardTable(fact, shards); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per warm execution, want 0", f.name, allocs)
+		}
+		for _, f := range selectForms {
+			d := micro
+			if f.fuzz {
+				d = fuzz
+			}
+			for rep := 0; rep < 2; rep++ {
+				_, ex, err := d.QuerySwole(f.q)
+				if err != nil {
+					t.Fatalf("%s: %v", f.name, err)
+				}
+				if ShapeBucket(ex.Shape) == "interpreter-fallback" {
+					t.Fatalf("%s fell back to the interpreter", f.name)
+				}
+				if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
+					t.Errorf("shards=%d %s: second run PlanCached=%t FreshAllocs=%d", shards, f.name, ex.PlanCached, ex.FreshAllocs)
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, _, err := d.QuerySwole(f.q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("shards=%d %s: %.1f allocs per warm execution, want 0", shards, f.name, allocs)
+			}
 		}
 	}
 }

@@ -29,31 +29,37 @@ var steadyQueries = []struct {
 // TestQuerySwoleSteadyZeroAlloc is the end-to-end tentpole gate: the
 // second and later executions of each supported query shape through the
 // full QuerySwole path — SQL text in, materialized result out — must not
-// allocate, at one worker and at four.
+// allocate, at one worker and at four, whether or not the fact table is
+// sharded (a shard layout is write-side only; the read path never sees it).
 func TestQuerySwoleSteadyZeroAlloc(t *testing.T) {
-	d := steadyTestDB(t)
-	defer d.Close()
-	for _, workers := range []int{1, 4} {
-		d.SetWorkers(workers)
-		for _, tc := range steadyQueries {
-			if _, ex, err := d.QuerySwole(tc.q); err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, tc.name, err)
-			} else if ex.Technique == "interpreter-fallback" {
-				t.Fatalf("workers=%d %s: shape fell back to the interpreter", workers, tc.name)
-			}
-			// Second execution settles result-array capacity.
-			if _, ex, err := d.QuerySwole(tc.q); err != nil {
-				t.Fatal(err)
-			} else if !ex.PlanCached {
-				t.Fatalf("workers=%d %s: second execution missed the plan cache", workers, tc.name)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, _, err := d.QuerySwole(tc.q); err != nil {
-					t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		d := steadyTestDB(t)
+		defer d.Close()
+		if err := d.ShardTable("r", shards); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			d.SetWorkers(workers)
+			for _, tc := range steadyQueries {
+				if _, ex, err := d.QuerySwole(tc.q); err != nil {
+					t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, tc.name, err)
+				} else if ex.Technique == "interpreter-fallback" {
+					t.Fatalf("shards=%d workers=%d %s: shape fell back to the interpreter", shards, workers, tc.name)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("workers=%d %s: %.1f allocs per cached execution, want 0", workers, tc.name, allocs)
+				// Second execution settles result-array capacity.
+				if _, ex, err := d.QuerySwole(tc.q); err != nil {
+					t.Fatal(err)
+				} else if !ex.PlanCached {
+					t.Fatalf("shards=%d workers=%d %s: second execution missed the plan cache", shards, workers, tc.name)
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					if _, _, err := d.QuerySwole(tc.q); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("shards=%d workers=%d %s: %.1f allocs per cached execution, want 0", shards, workers, tc.name, allocs)
+				}
 			}
 		}
 	}

@@ -44,29 +44,27 @@ import (
 // read until the same statement runs again; concurrent callers should
 // use QueryContext, which returns a private copy. Schema changes
 // (CreateTable, AddForeignKey, ShardTable) and engine reconfiguration
-// (SetWorkers, SetPartitionMode) may run concurrently with queries —
-// in-flight scans finish on the immutable arrays they started on — but
-// the per-shard write path is ReplaceShard, whose write lock covers only
-// the one shard it swaps (see shard.go).
+// (SetWorkers, SetPartitionMode) may run concurrently with queries, and so
+// may the write paths (AppendRows, AppendCSV, ReplaceShard): a writer
+// registers a replacement table and never blocks a reader — in-flight
+// scans finish on the immutable arrays they started on (see shard.go).
 type DB struct {
 	db     *storage.Database
 	engine *core.Engine
 
 	// Plan cache (querycache.go): prepared SWOLE statements keyed by raw
-	// and whitespace-normalized query text, invalidated by table version
-	// and shard epoch. mu guards only the maps; executions run under each
-	// entry's own lock.
+	// and whitespace-normalized query text, invalidated by table version.
+	// mu guards only the maps; executions run under each entry's own lock.
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
 	normPlans map[string]*cachedPlan
 	configGen uint64 // bumped by SetWorkers/SetPartitionMode; see storePlan
 
-	// Shard fleet (shard.go): per-shard databases and engines for tables
-	// split with ShardTable, plus the per-table shard layout and epochs.
-	shardMu     sync.RWMutex
-	fleet       []*fleetShard
-	shardMeta   map[string]*tableShards
-	shardEpochs map[string]uint64
+	// Shard layouts (shard.go): the row ranges of tables split with
+	// ShardTable. shardMu guards shardMeta and, held exclusively, serializes
+	// the writers that replace a catalog table.
+	shardMu   sync.RWMutex
+	shardMeta map[string]*tableShards
 
 	// Ingestion (append.go): per-table compiled CSV kernels, reused across
 	// batches so the warm parse path allocates nothing. ingestMu also
@@ -84,13 +82,12 @@ func NewDB() *DB {
 // generators use this).
 func newDBWith(db *storage.Database) *DB {
 	return &DB{
-		db:          db,
-		engine:      core.NewEngine(db),
-		plans:       map[string]*cachedPlan{},
-		normPlans:   map[string]*cachedPlan{},
-		shardMeta:   map[string]*tableShards{},
-		shardEpochs: map[string]uint64{},
-		kernels:     map[string]*ingest.Kernel{},
+		db:        db,
+		engine:    core.NewEngine(db),
+		plans:     map[string]*cachedPlan{},
+		normPlans: map[string]*cachedPlan{},
+		shardMeta: map[string]*tableShards{},
+		kernels:   map[string]*ingest.Kernel{},
 	}
 }
 
@@ -148,17 +145,10 @@ func (d *DB) CreateTable(name string, cols ...Column) error {
 	if err != nil {
 		return err
 	}
-	d.db.AddTable(t)
-	// A (re)created table starts unsharded: clear any shard layout and
-	// replicate the full table to every fleet member.
+	// A (re)created table starts unsharded.
 	d.shardMu.Lock()
-	if d.shardMeta[name] != nil {
-		delete(d.shardMeta, name)
-		d.shardEpochs[name]++
-	}
-	for _, fs := range d.fleet {
-		fs.db.AddTable(t)
-	}
+	d.db.AddTable(t)
+	delete(d.shardMeta, name)
 	d.shardMu.Unlock()
 	// Registering a name — first time or replacement — bumps the table's
 	// version; drop statistics and plans that read the old data.
@@ -168,26 +158,15 @@ func (d *DB) CreateTable(name string, cols ...Column) error {
 
 // AddForeignKey declares and verifies a foreign key from child.fk to
 // parent.pk, building the positional index SWOLE's bitmap joins use.
-// The parent must be unsharded (replicated): shard slices of the child's
-// index address the full parent by position.
+// The parent must be unsharded: the index addresses parent rows by
+// position, which replacing a shard of the parent would move.
 func (d *DB) AddForeignKey(child, fk, parent, pk string) error {
 	d.shardMu.Lock()
 	defer d.shardMu.Unlock()
 	if d.shardMeta[parent] != nil {
-		return fmt.Errorf("swole: AddForeignKey: parent table %s is sharded; foreign-key parents must stay replicated", parent)
+		return fmt.Errorf("swole: AddForeignKey: parent table %s is sharded; foreign-key parents cannot be", parent)
 	}
-	if err := d.db.AddFKIndex(child, fk, parent, pk); err != nil {
-		return err
-	}
-	idx := d.db.FK(child, fk, parent, pk)
-	for i, fs := range d.fleet {
-		if m := d.shardMeta[child]; m != nil && i < m.k {
-			fs.db.PutFKIndex(idx.Slice(m.bounds[i], m.bounds[i+1]))
-		} else {
-			fs.db.PutFKIndex(idx)
-		}
-	}
-	return nil
+	return d.db.AddFKIndex(child, fk, parent, pk)
 }
 
 // Result is a materialized query answer.
