@@ -169,6 +169,9 @@ func runSteady(cfg harness.Config, reps int, timeout time.Duration) error {
 		}
 		counters := fmt.Sprintf("plan-cached=%v fresh-allocs=%d ht-grows=%d",
 			lastEx.PlanCached, lastEx.FreshAllocs, lastEx.HTGrows)
+		if lastEx.DenseDomain > 0 {
+			counters += fmt.Sprintf(" dense=%d", lastEx.DenseDomain)
+		}
 		if lastEx.Partitioned {
 			counters += fmt.Sprintf(" partitioned=%d(p1=%s)",
 				lastEx.Partitions, lastEx.PartitionTime.Round(time.Microsecond))

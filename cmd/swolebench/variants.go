@@ -43,6 +43,9 @@ func runKernelVariants(cfg harness.Config) error {
 		v := ex.Variants
 		fmt.Printf("%s: %s\n", tc.name, tc.q)
 		path := "direct"
+		if ex.DenseDomain > 0 {
+			path = fmt.Sprintf("direct dense=%d", ex.DenseDomain)
+		}
 		if ex.Partitioned {
 			path = fmt.Sprintf("radix-partitioned (%d partitions)", ex.Partitions)
 		}

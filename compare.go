@@ -14,6 +14,9 @@ type StrategyRun struct {
 	Strategy string
 	Runtime  time.Duration
 	Result   *Result
+	// Explain is the forced plan's record: the table form the strategy ran
+	// on (DenseDomain) and the priced alternatives (Costs).
+	Explain Explain
 }
 
 // CompareStrategies executes an aggregation query under every strategy it
@@ -47,7 +50,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 			return nil, err
 		}
 		start := time.Now()
-		part, _, err := forced.RunPartial(context.Background())
+		part, ex, err := forced.RunPartial(context.Background())
 		runtime := time.Since(start)
 		if err != nil {
 			return nil, err
@@ -57,7 +60,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 		c := &cachedPlan{}
 		c.setFields(forced.Fields())
 		c.put(part)
-		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res})
+		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res, Explain: fromCore(ex)})
 	}
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("swole: CompareStrategies: this statement has a single technique, nothing to compare")

@@ -529,6 +529,14 @@ func newTables(n, hint int) []*ht.AggTable {
 	return tabs
 }
 
+func newDenseTables(n int, lo, hi int64) []*ht.AggTable {
+	tabs := make([]*ht.AggTable, n)
+	for i := range tabs {
+		tabs[i] = ht.NewDenseAggTable(1, lo, hi)
+	}
+	return tabs
+}
+
 func newBitmaps(n, rows int) []*bitmap.Bitmap {
 	bms := make([]*bitmap.Bitmap, n)
 	for i := range bms {

@@ -64,7 +64,7 @@ type Explain struct {
 	Technique   Technique
 	Selectivity float64 // estimated predicate selectivity
 	Groups      int     // estimated group count (group-by shapes)
-	HTBytes     int     // estimated hash table footprint
+	HTBytes     int     // group table footprint: exact when DenseDomain > 0, else the hashed estimate
 	CompCost    float64 // estimated per-tuple computation cost
 	Costs       map[string]float64
 	Merged      []string // attributes whose accesses were merged
@@ -78,6 +78,13 @@ type Explain struct {
 	// MergeTime is the wall time of the final single-threaded merge of
 	// per-worker partial states.
 	MergeTime time.Duration
+
+	// DenseDomain is the key domain of the key-addressed group table the
+	// plan aggregates into (slot = key - lo, emission in key order without a
+	// sort); 0 means the hashed table ran. The compile picks the form from
+	// what it knows about the key (see tableForm); Costs["dense"] and
+	// Costs["hashed"] hold the priced alternatives.
+	DenseDomain int
 
 	// Partitioned reports that the radix-partitioned two-phase path ran
 	// instead of direct per-worker hash tables: phase 1 scatters (key,
@@ -116,6 +123,9 @@ type Explain struct {
 
 func (e Explain) String() string {
 	part := ""
+	if e.DenseDomain > 0 {
+		part = fmt.Sprintf(" dense=%d", e.DenseDomain)
+	}
 	if e.Partitioned {
 		part = fmt.Sprintf(" partitioned=%d(p1=%s)", e.Partitions, e.PartitionTime)
 	}
@@ -331,8 +341,33 @@ func sampleGroups(key expr.Expr, rows, maxSample int) int {
 	return estimateGroups(len(seen), n, rows)
 }
 
-// aggSlotBytes approximates ht.AggTable's per-group footprint.
+// aggSlotBytes approximates the hashed ht.AggTable's per-group footprint.
 func aggSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
+
+// tableForm is the rule that picks a group table's form, and its price. The
+// keys are known to lie in [lo, hi] — a fact of the very column object the
+// plan binds: a dictionary's size, a cached exact colRange, a packed-key
+// domain; pass an empty range when nothing is known — and the key-addressed
+// form runs when its record array, one record of lanes accumulators plus the
+// count per key of the domain, is no larger than the hashed table sized for
+// the estimated groups, or than L2 (where it costs nothing to be sparse).
+// It returns the parameters the Section III models price the form's
+// accesses with, the table's footprint, and the domain: the key-addressed
+// view of params and the record array's exact bytes, or — for an unknown or
+// too-wide range, or one that holds ht.NullKey — params themselves, the
+// hashed estimate, and a zero domain.
+func tableForm(params cost.Params, lo, hi int64, lanes, groups int) (form cost.Params, bytes, domain int) {
+	hashed := groups * aggSlotBytes(lanes)
+	span := uint64(hi) - uint64(lo) + 1 // 0 when the range is all of int64
+	if hi < lo || lo == ht.NullKey || span == 0 || span > ht.MaxDenseDomain {
+		return params, hashed, 0
+	}
+	b := ht.DenseBytes(lanes, span)
+	if b > uint64(max(ht.HashedBytes(lanes, groups), params.L2Bytes)) {
+		return params, hashed, 0
+	}
+	return params.KeyAddressed(), int(b), int(span)
+}
 
 // forcedPartitions is the minimum fan-out under PartitionOn, so forced
 // runs exercise a real multi-partition shape even on tables the budget

@@ -1,0 +1,297 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"github.com/reprolab/swole/internal/cost"
+	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/ht"
+	"github.com/reprolab/swole/internal/storage"
+)
+
+// TestTableFormRule pins the form rule on both sides of each of its
+// clauses: the record array against the hashed table it would replace,
+// against L2, and the ranges no key-addressed table can cover.
+func TestTableFormRule(t *testing.T) {
+	p := cost.Default() // L2Bytes = 256 KB
+	cases := []struct {
+		name          string
+		lo, hi        int64
+		lanes, groups int
+		want          int
+	}{
+		{"dictionary codes", 0, 24, 1, 25, 25},
+		{"every key a group", 0, 999_999, 1, 1_000_000, 1_000_000},
+		{"negative origin", -50, 49, 1, 100, 100},
+		{"few groups, range inside L2", 0, 9_999, 1, 10, 10_000},
+		{"few groups, range past L2 and past the hashed table", 0, 99_999, 1, 10, 0},
+		{"sparse: a million-wide range holding a thousand groups", 0, 999_999, 1, 1000, 0},
+		{"five lanes widen the record", 0, 9_999, 5, 10, 0},
+		{"range inside the hashed footprint", 0, 399_999, 1, 100_000, 400_000}, // 6.4 MB against 262144·29 B
+		{"range past the hashed footprint", 0, 499_999, 1, 100_000, 0},
+		{"all of int64", math.MinInt64, math.MaxInt64, 1, 1 << 20, 0},
+		{"range holding NullKey", ht.NullKey, ht.NullKey + 10, 1, 11, 0},
+		{"past int32 slots", 0, ht.MaxDenseDomain, 1, 1 << 40, 0},
+		{"empty range", 1, 0, 1, 1, 0},
+	}
+	for _, c := range cases {
+		form, bytes, d := tableForm(p, c.lo, c.hi, c.lanes, c.groups)
+		if d != c.want {
+			t.Errorf("%s: domain %d, want %d", c.name, d, c.want)
+		}
+		want, price := c.want*8*(c.lanes+1), p.KeyAddressed()
+		if c.want == 0 {
+			want, price = c.groups*aggSlotBytes(c.lanes), p
+		}
+		if bytes != want || form != price {
+			t.Errorf("%s: %d bytes (want %d), key-addressed pricing = %v", c.name, bytes, want, form != p)
+		}
+	}
+}
+
+// rangeEntry reads the cached range of r.col at the table's current
+// version without going through colRange, so a hit proves an earlier
+// merge wrote it.
+func rangeEntry(e *Engine, col string) (statsEntry, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats.get(statsKey{table: "r", ver: e.DB.TableVersion("r"), kind: statRange, expr: col})
+}
+
+// appendKeys registers r with extra rows whose r_c values are keys.
+func appendKeys(t *testing.T, db *storage.Database, keys ...int64) {
+	t.Helper()
+	r := db.MustTable("r")
+	cols := make([]*storage.Column, len(r.Columns))
+	for i, c := range r.Columns {
+		delta := make([]int64, len(keys))
+		if c.Name == "r_c" {
+			copy(delta, keys)
+		}
+		cols[i] = c.Append(delta)
+	}
+	db.AddTable(storage.MustNewTable("r", cols...))
+}
+
+// TestMergeStatsOnAppendRange: an append merges a cached column range —
+// old ∪ the delta's, pinned to the new column object — instead of dropping
+// it, whether the new keys fall inside, below or above the old range; a
+// replacement still drops it.
+func TestMergeStatsOnAppendRange(t *testing.T) {
+	db := testDB(t, 10_000, 100, 8)
+	e := NewEngine(db)
+	if lo, hi := e.colRange("r", db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 7 {
+		t.Fatalf("initial range [%d, %d], want [0, 7]", lo, hi)
+	}
+	for _, step := range []struct {
+		name   string
+		keys   []int64
+		lo, hi int64
+	}{
+		{"inside", []int64{3, 5, 0}, 0, 7},
+		{"below", []int64{-40, 2}, -40, 7},
+		{"above", []int64{1, 90_000, 12}, -40, 90_000},
+	} {
+		oldVer, oldRows := db.TableVersion("r"), db.MustTable("r").Rows()
+		appendKeys(t, db, step.keys...)
+		e.MergeStatsOnAppend("r", oldVer, oldRows)
+		col := db.MustTable("r").MustColumn("r_c")
+		ent, ok := rangeEntry(e, "r_c")
+		if !ok {
+			t.Fatalf("%s: range entry dropped by the append: the next compile rescans the column", step.name)
+		}
+		if ent.col != col {
+			t.Fatalf("%s: merged entry is pinned to the old column object", step.name)
+		}
+		if lo, hi := col.Range(); ent.lo != lo || ent.hi != hi || lo != step.lo || hi != step.hi {
+			t.Fatalf("%s: merged range [%d, %d], fresh scan [%d, %d], want [%d, %d]",
+				step.name, ent.lo, ent.hi, lo, hi, step.lo, step.hi)
+		}
+		if lo, hi := e.colRange("r", col); lo != step.lo || hi != step.hi {
+			t.Fatalf("%s: colRange [%d, %d] after the merge", step.name, lo, hi)
+		}
+	}
+
+	// A replacement (ReplaceShard, CreateTable) drops the entry: the new
+	// column shares no prefix with the old one.
+	e.InvalidateStats("r")
+	if _, ok := rangeEntry(e, "r_c"); ok {
+		t.Fatal("range entry survived InvalidateStats")
+	}
+}
+
+// TestColRangeIgnoresForeignColumns: a compile that overlaps a write can
+// hold a column the catalog has already replaced. colRange answers for the
+// column it was handed and leaves the cache to the catalog's own columns —
+// an entry must describe its version's column, or an append would merge
+// the wrong range forward.
+func TestColRangeIgnoresForeignColumns(t *testing.T) {
+	db := testDB(t, 1000, 10, 8)
+	e := NewEngine(db)
+	old := db.MustTable("r").MustColumn("r_c")
+	appendKeys(t, db, 500)
+	if lo, hi := e.colRange("r", old); lo != 0 || hi != 7 {
+		t.Fatalf("stale column's range [%d, %d], want its own [0, 7]", lo, hi)
+	}
+	if _, ok := rangeEntry(e, "r_c"); ok {
+		t.Fatal("a replaced column's range was cached under the current version")
+	}
+	if lo, hi := e.colRange("r", db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 500 {
+		t.Fatalf("current column's range [%d, %d], want [0, 500]", lo, hi)
+	}
+	if ent, ok := rangeEntry(e, "r_c"); !ok || ent.hi != 500 {
+		t.Fatal("the catalog column's range was not cached")
+	}
+}
+
+// narrowKeysDB is one table with two int16 group keys holding five and
+// three distinct values, and a value column.
+func narrowKeysDB(rows int) *storage.Database {
+	k1, k2, v := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range k1 {
+		k1[i] = int64(1000 + i%5)
+		k2[i] = int64(-300 + 100*(i%3))
+		v[i] = int64(i % 11)
+	}
+	db := storage.NewDatabase()
+	db.AddTable(storage.MustNewTable("t",
+		storage.Compress("k1", k1, storage.LogInt),
+		storage.Compress("k2", k2, storage.LogInt),
+		storage.Compress("v", v, storage.LogInt)))
+	return db
+}
+
+// TestNarrowKeysPackByRange: 8- and 16-bit key columns are sized by the
+// values they hold, not by their physical width — two int16 keys with a
+// handful of values pack to a few hundred slots instead of 2^32.
+func TestNarrowKeysPackByRange(t *testing.T) {
+	const rows = 3000
+	db := narrowKeysDB(rows)
+	if k := db.MustTable("t").MustColumn("k1").Kind; k != storage.KindInt16 {
+		t.Fatalf("fixture key stored as %v, want int16", k)
+	}
+	e := NewEngine(db)
+	defer e.Close()
+	p, err := e.PrepareSelect(Select{
+		Root: "t", GroupBy: []string{"k1", "k2"},
+		Aggs:    []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("v"), As: "s"}, {Kind: AggCount, As: "n"}},
+		Project: []SelectProj{{Expr: expr.NewCol("k1"), As: "k1"}, {Expr: expr.NewCol("k2"), As: "k2"}, {Expr: expr.NewCol("s"), As: "s"}, {Expr: expr.NewCol("n"), As: "n"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ex, err := p.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 5 * 201; ex.DenseDomain != want {
+		t.Fatalf("DenseDomain = %d, want %d (5 values of k1 × the 201-wide range of k2)", ex.DenseDomain, want)
+	}
+	type key struct{ k1, k2 int64 }
+	want := map[key][2]int64{}
+	for i := 0; i < rows; i++ {
+		k := key{int64(1000 + i%5), int64(-300 + 100*(i%3))}
+		want[k] = [2]int64{want[k][0] + int64(i%11), want[k][1] + 1}
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d groups, want %d", len(res.Rows), len(want))
+	}
+	for i, row := range res.Rows {
+		if w := want[key{row[0], row[1]}]; row[2] != w[0] || row[3] != w[1] {
+			t.Errorf("group (%d, %d) = (%d, %d), want %v", row[0], row[1], row[2], row[3], w)
+		}
+		if i > 0 {
+			if prev := res.Rows[i-1]; prev[0] > row[0] || prev[0] == row[0] && prev[1] >= row[1] {
+				t.Errorf("rows %d and %d out of key order", i-1, i)
+			}
+		}
+	}
+}
+
+// TestRankSortStillReachable shows groupEmit.rankSort's remaining callers:
+// the radix fold still hands finishFrom dense key spans when the mode
+// forces partitioning of a bare-column key, and under PartitionAuto when
+// the key is an expression, which no table can address by value.
+func TestRankSortStillReachable(t *testing.T) {
+	db := testDB(t, 200_000, 100, 100_000)
+	for _, c := range []struct {
+		name string
+		mode PartitionMode
+		key  expr.Expr
+	}{
+		{"PartitionOn, bare column", PartitionOn, expr.NewCol("r_c")},
+		{"PartitionAuto, expression key", PartitionAuto, &expr.Arith{Op: expr.Add, L: expr.NewCol("r_c"), R: &expr.Const{Val: 0}}},
+	} {
+		e := NewEngine(db)
+		e.Workers, e.Partition = 2, c.mode
+		p, err := e.PrepareGroupAgg(GroupAgg{Table: "r", Key: c.key, Agg: expr.NewCol("r_a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ex, err := groupsOnce(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ex.Partitioned || ex.DenseDomain != 0 {
+			t.Errorf("%s: Partitioned=%v DenseDomain=%d, want the radix path on hashed sub-tables", c.name, ex.Partitioned, ex.DenseDomain)
+		}
+		if len(p.rankBits) == 0 {
+			t.Errorf("%s: emission did not take rankSort", c.name)
+		}
+		sameGroups(t, c.name, got, refGroupAgg(db, -1))
+		e.Close()
+	}
+}
+
+// TestDenseFormChoice runs the classic compile sites on each side of the
+// rule and checks the form, the pricing and the answers.
+func TestDenseFormChoice(t *testing.T) {
+	db := testDB(t, 60_000, 500, 2000)
+	e := NewEngine(db)
+	defer e.Close()
+	e.Workers = 2
+	col := expr.NewCol
+	for _, c := range []struct {
+		name string
+		key  expr.Expr
+		want int
+	}{
+		{"bare column", col("r_c"), 2000},
+		{"expression", &expr.Arith{Op: expr.Mul, L: col("r_c"), R: &expr.Const{Val: 1}}, 0},
+	} {
+		q := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: c.key, Agg: col("r_a")}
+		got, ex, err := groupsOnce(e.PrepareGroupAgg(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.DenseDomain != c.want {
+			t.Errorf("%s key: DenseDomain = %d, want %d", c.name, ex.DenseDomain, c.want)
+		}
+		if _, ok := ex.Costs["dense"]; ok != (c.want > 0) {
+			t.Errorf("%s key: Costs has a dense entry = %v", c.name, ok)
+		}
+		if c.want > 0 {
+			if ex.HTBytes != 16*c.want {
+				t.Errorf("%s key: HTBytes = %d, want the record array's %d", c.name, ex.HTBytes, 16*c.want)
+			}
+			if ex.Costs["dense"] > ex.Costs["hashed"] {
+				t.Errorf("%s key: dense priced %v above hashed %v", c.name, ex.Costs["dense"], ex.Costs["hashed"])
+			}
+		}
+		sameGroups(t, c.name, got, refGroupAgg(db, 50))
+	}
+
+	gj := GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", BuildFilter: lt("s_x", 50), Agg: col("r_a")}
+	for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
+		e.Partition = mode
+		_, ex, err := groupsOnce(e.PrepareGroupJoinAgg(gj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense := mode != PartitionOn; (ex.DenseDomain == 500) != dense || ex.Partitioned == dense {
+			t.Errorf("groupjoin under %s: DenseDomain=%d Partitioned=%v", mode, ex.DenseDomain, ex.Partitioned)
+		}
+	}
+}

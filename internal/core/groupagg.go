@@ -23,9 +23,11 @@ type GroupAgg struct {
 }
 
 // PreparedGroupAgg is the compiled plan for a group-by aggregation. The
-// compile decides the masking strategy AND the direct-vs-radix execution
-// mode; the plan owns per-worker hash tables (direct) or partitioners,
-// cache-resident fold tables, and emission buffers (radix).
+// compile decides the masking strategy, the form of the group table
+// (key-addressed when the key's domain is known and dense, hashed
+// otherwise) AND the direct-vs-radix execution mode; the plan owns
+// per-worker tables (direct) or partitioners, cache-resident fold tables,
+// and emission buffers (radix).
 type PreparedGroupAgg struct {
 	planCore
 	groupEmit
@@ -33,7 +35,7 @@ type PreparedGroupAgg struct {
 	filter expr.Expr
 	key    expr.Expr
 	agg    expr.Expr
-	tabs   []*ht.AggTable
+	tabs   []*ht.AggTable // key-addressed when ex.DenseDomain > 0: merge by addition, emit in slot order
 
 	// keyCol is the key's storage column when the key is a bare column
 	// reference — the common case — bound at compile time so the masking
@@ -107,9 +109,7 @@ func newGroupPlan() *PreparedGroupAgg {
 			s.fillCmp(p.filter, b, tl)
 			s.ev.EvalInt(p.key, b, tl, s.Keys)
 			s.ev.EvalInt(p.agg, b, tl, s.Vals)
-			for j := 0; j < tl; j++ {
-				tab.AddMasked(tab.Lookup(s.Keys[j]), 0, s.Vals[j], s.Cmp[j])
-			}
+			tab.AddPairsMasked(s.Keys[:tl], s.Vals[:tl], s.Cmp[:tl])
 			s.ctr.MaskedAgg++
 		})
 	}
@@ -120,9 +120,7 @@ func newGroupPlan() *PreparedGroupAgg {
 			s.fillCmp(p.filter, b, tl)
 			p.maskKeys(s, b, tl)
 			s.ev.EvalInt(p.agg, b, tl, s.Vals)
-			for j := 0; j < tl; j++ {
-				tab.Add(tab.Lookup(s.Keys[j]), 0, s.Vals[j])
-			}
+			tab.AddPairs(s.Keys[:tl], s.Vals[:tl])
 		})
 	}
 	// Phase-1 scatters: hybrid appends only selected tuples through its
@@ -182,9 +180,7 @@ func newGroupPlan() *PreparedGroupAgg {
 	p.kFold = func(w, part int) {
 		s, tab := &p.states[w], p.smalls[w]
 		s.ctr.PrefetchProbe += uint64(foldPartition(tab, p.parters, part))
-		tab.ForEach(false, func(key int64, slot int) {
-			p.emit[part] = append(p.emit[part], key, tab.Acc(slot, 0))
-		})
+		p.emit[part] = tab.AppendGroups(p.emit[part])
 	}
 	return p
 }
@@ -270,21 +266,39 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	sel, selHit := e.selectivity(q.Table, p.rows, q.Filter, 16384)
 	comp := expr.CompCost(q.Agg, params)
 	groups, grpHit := e.groupCount(q.Table, p.rows, q.Key, 16384)
-	htBytes := groups * aggSlotBytes(1)
-	strat, directCost := params.ChooseGroupAgg(p.rows, sel, comp, 1, htBytes)
+
+	// The table's form, from what the catalog knows about a bare-column key:
+	// a dictionary's codes, or the column's exact cached range.
+	hashedBytes := groups * aggSlotBytes(1)
+	lo, hi := int64(1), int64(0) // nothing known
+	if p.keyCol != nil && p.rows > 0 {
+		if d := p.keyCol.Dict; d != nil {
+			lo, hi = 0, int64(max(d.Len(), 1)-1)
+		} else {
+			lo, hi = e.colRange(q.Table, p.keyCol)
+		}
+	}
+	form, htBytes, domain := tableForm(params, lo, hi, 1, groups)
+	strat, directCost := form.ChooseGroupAgg(p.rows, sel, comp, 1, htBytes)
+	_, hashedCost := params.ChooseGroupAgg(p.rows, sel, comp, 1, hashedBytes)
 	p.ex = Explain{
 		Selectivity: sel,
 		CompCost:    comp,
 		Groups:      groups,
 		HTBytes:     htBytes,
+		DenseDomain: domain,
 		Workers:     p.nw,
 		StatsCached: selHit && grpHit,
 		PlanCached:  true,
 		Costs: map[string]float64{
-			"hybrid":        params.HybridGroup(p.rows, sel, comp, htBytes),
-			"value-masking": params.ValueMaskingGroup(p.rows, comp+params.CompMul, htBytes),
-			"key-masking":   params.KeyMasking(p.rows, sel, comp+params.CompCmp, htBytes),
+			"hybrid":        form.HybridGroup(p.rows, sel, comp, htBytes),
+			"value-masking": form.ValueMaskingGroup(p.rows, comp+params.CompMul, htBytes),
+			"key-masking":   form.KeyMasking(p.rows, sel, comp+params.CompCmp, htBytes),
+			"hashed":        hashedCost,
 		},
+	}
+	if domain > 0 {
+		p.ex.Costs["dense"] = directCost
 	}
 	if tech == techAuto {
 		tech = [...]Technique{
@@ -296,15 +310,20 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	p.ex.Technique = tech
 
 	// The radix decision applies only to gang execution; forced runs
-	// measure the masking kernel itself.
+	// measure the masking kernel itself. The partitioned alternative folds
+	// into hashed sub-tables (a radix partition is a slice of the hash
+	// space, not of the key range), so it is sized and priced from the
+	// hashed footprint and weighed against the direct path in the form
+	// chosen above.
 	if !p.seq {
-		usePart, parts, partCost := choosePartition(e.Partition, params, p.rows, comp, htBytes, directCost)
+		usePart, parts, partCost := choosePartition(e.Partition, params, p.rows, comp, hashedBytes, directCost)
 		if parts > 1 {
 			p.ex.Costs["partitioned"] = partCost
 		}
 		if usePart {
 			p.partitioned, p.parts = true, parts
 			p.ex.Partitioned, p.ex.Partitions = true, parts
+			p.ex.DenseDomain, p.ex.HTBytes = 0, hashedBytes
 			pool, f := e.ensureScatterLocked(p.rows, p.nw, parts)
 			p.parters = newPartitioners(p.nw, parts, pool)
 			p.smalls = newTables(p.nw, subTableHint(groups, parts))
@@ -319,13 +338,17 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 		}
 	}
 	if !p.partitioned {
-		inserted := int(float64(p.rows) * sel)
-		if tech == TechValueMasking {
-			// Value masking inserts every tuple (rejected ones carry masked
-			// values), so each worker's key draw spans the whole scan.
-			inserted = p.rows
+		if domain > 0 {
+			p.tabs = newDenseTables(p.nw, lo, hi)
+		} else {
+			inserted := int(float64(p.rows) * sel)
+			if tech == TechValueMasking {
+				// Value masking inserts every tuple (rejected ones carry masked
+				// values), so each worker's key draw spans the whole scan.
+				inserted = p.rows
+			}
+			p.tabs = newTables(p.nw, perWorkerHint(groups, p.nw, inserted))
 		}
-		p.tabs = newTables(p.nw, perWorkerHint(groups, p.nw, inserted))
 		fresh += p.nw
 		switch tech {
 		case TechDataCentric:
@@ -342,8 +365,8 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	return p, nil
 }
 
-// runDirect scans into per-worker tables, merges them into worker 0's,
-// and emits the result sorted.
+// runDirect scans into per-worker tables, merges them, and emits the
+// result in key order.
 func (p *PreparedGroupAgg) runDirect(ctx context.Context) error {
 	for _, tab := range p.tabs {
 		tab.Reset()
@@ -357,20 +380,30 @@ func (p *PreparedGroupAgg) runDirect(ctx context.Context) error {
 		return err
 	}
 
-	// Merge by sort, not by table: every worker's (key, partial) pairs go
-	// into the emission buffer and the radix sort brings each group's
-	// partials adjacent, where finishCombine sums them. A table merge
-	// would probe the destination once per source group — random DRAM
-	// reads — while the sort's passes stream; at 1M groups the sorted
-	// merge is several times cheaper and the emission sorts anyway.
 	start = time.Now()
 	p.reset()
-	for _, tab := range p.tabs {
-		tab.ForEach(false, func(key int64, s int) {
-			p.add(key, tab.Acc(s, 0))
-		})
+	if p.ex.DenseDomain > 0 {
+		// Key-addressed tables share one slot per key: the workers' partials
+		// merge by adding the record arrays, and the merged array walks in key
+		// order, so the walk writes the sorted answer.
+		merged := p.tabs[0]
+		for _, tab := range p.tabs[1:] {
+			merged.MergeFrom(tab)
+		}
+		p.pairs = merged.AppendGroups(p.pairs)
+		p.out.Flat = p.pairs
+	} else {
+		// Merge by sort, not by table: every worker's (key, partial) pairs go
+		// into the emission buffer and the radix sort brings each group's
+		// partials adjacent, where finishCombine sums them. A hashed-table
+		// merge would probe the destination once per source group — random
+		// DRAM reads — while the sort's passes stream; at 1M groups the sorted
+		// merge is several times cheaper and the emission sorts anyway.
+		for _, tab := range p.tabs {
+			p.pairs = tab.AppendGroups(p.pairs)
+		}
+		p.finishCombine()
 	}
-	p.finishCombine()
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil

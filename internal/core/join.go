@@ -242,7 +242,7 @@ type PreparedGroupJoinAgg struct {
 	eager       bool
 
 	// Eager-aggregation path.
-	tabs        []*ht.AggTable
+	tabs        []*ht.AggTable // key-addressed when ex.DenseDomain > 0
 	fails       []*bitmap.Bitmap
 	probeKernel kernelFn
 	buildKernel kernelFn
@@ -279,25 +279,13 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 	p := &PreparedGroupJoinAgg{}
 	p.kProbeEager = func(w, base, length int) {
 		s, tab := &p.states[w], p.tabs[w]
-		d := ht.PrefetchDist
-		var sink uint64
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
 			s.ev.EvalInt(p.agg, b, tl, s.Vals)
 			p.fkCol.WidenInto(b, tl, s.Keys)
 			s.ctr.Widen[int(p.fkCol.Kind)]++
-			for j := 0; j < d && j < tl; j++ {
-				sink += tab.Touch(s.Keys[j])
-			}
-			for j := 0; j < tl; j++ {
-				if j+d < tl {
-					sink += tab.Touch(s.Keys[j+d])
-				}
-				tab.Add(tab.Lookup(s.Keys[j]), 0, s.Vals[j])
-			}
-			s.ctr.PrefetchProbe += uint64(tl)
+			s.ctr.PrefetchProbe += uint64(tab.FoldPairs(s.Keys[:tl], s.Vals[:tl]))
 		})
-		s.pf += sink
 	}
 	p.kBuildFail = func(w, base, length int) {
 		// Inverted predicate marks non-qualifying groups — the parallel
@@ -423,34 +411,54 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 	params := e.Params.ForWorkers(p.nw)
 	selS, statsHit := e.selectivity(q.Build, p.buildRows, q.BuildFilter, 16384)
 	comp := expr.CompCost(q.Agg, params)
-	htBytes := p.buildRows * aggSlotBytes(1)
-	eager, gj, ea := params.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, htBytes)
-	p.eager = eager
+
+	// The eager path aggregates the probe side by its foreign key into one
+	// group per build row. The foreign key's exact cached range is the
+	// table's key domain — for keys that are build row positions, the index
+	// space of the fail bitmap — and decides the table's form. The
+	// traditional path builds its tables from the qualifying build keys and
+	// stays hashed.
+	hashedBytes := p.buildRows * aggSlotBytes(1)
+	lo, hi := int64(1), int64(0) // nothing known about an empty column
+	if rows > 0 {
+		lo, hi = e.colRange(q.Probe, fkCol)
+	}
+	form, htBytes, domain := tableForm(params, lo, hi, 1, p.buildRows)
+	_, gj, _ := params.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, hashedBytes)
+	_, _, ea := form.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, htBytes)
+	p.eager = ea < gj
 	p.ex = Explain{
 		Selectivity: selS,
 		CompCost:    comp,
 		Groups:      p.buildRows,
-		HTBytes:     htBytes,
+		HTBytes:     hashedBytes,
 		Workers:     p.nw,
 		StatsCached: statsHit,
 		PlanCached:  true,
 		Costs:       map[string]float64{"groupjoin": gj, "eager-aggregation": ea},
 	}
 
-	if eager {
+	if p.eager {
 		p.ex.Technique = TechEagerAggregation
 		p.fails = newBitmaps(p.nw, p.buildRows)
 		fresh += p.nw
 		p.buildKernel = p.kBuildFail
 
 		// The eager build is a group-by of the probe side into |Build|
-		// groups; the radix decision applies to it.
-		probeDirect := float64(rows) * params.BestAggPerTuple(rows, 1.0, comp, 1, htBytes)
-		usePart, parts, partCost := choosePartition(e.Partition, params, rows, comp, htBytes, probeDirect)
+		// groups; the radix decision applies to it, the partitioned
+		// alternative sized and priced from the hashed footprint (see
+		// compileGroupAgg).
+		probeDirect := float64(rows) * form.BestAggPerTuple(rows, 1.0, comp, 1, htBytes)
+		p.ex.Costs["hashed"] = float64(rows) * params.BestAggPerTuple(rows, 1.0, comp, 1, hashedBytes)
+		if domain > 0 {
+			p.ex.Costs["dense"] = probeDirect
+		}
+		usePart, parts, partCost := choosePartition(e.Partition, params, rows, comp, hashedBytes, probeDirect)
 		if parts > 1 {
 			p.ex.Costs["partitioned"] = partCost
 		}
-		if usePart {
+		switch {
+		case usePart:
 			p.partitioned, p.parts = true, parts
 			p.ex.Partitioned, p.ex.Partitions = true, parts
 			pool, f := e.ensureScatterLocked(rows, p.nw, parts)
@@ -460,7 +468,12 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 			fresh += f + 2*p.nw
 			p.probeKernel = p.kScatter
 			p.phase2 = p.kFold
-		} else {
+		case domain > 0:
+			p.ex.DenseDomain, p.ex.HTBytes = domain, htBytes
+			p.tabs = newDenseTables(p.nw, lo, hi)
+			fresh += p.nw
+			p.probeKernel = p.kProbeEager
+		default:
 			p.tabs = newTables(p.nw, p.buildRows)
 			fresh += p.nw
 			p.probeKernel = p.kProbeEager
@@ -554,7 +567,11 @@ func (p *PreparedGroupJoinAgg) runEager(ctx context.Context) error {
 		}
 		p.add(key, merged.Acc(s, 0))
 	})
-	p.finish()
+	if p.ex.DenseDomain > 0 {
+		p.out.Flat = p.pairs // the key-addressed walk was in key order
+	} else {
+		p.finish()
+	}
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil

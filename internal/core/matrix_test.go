@@ -139,7 +139,9 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 // executor. Shard fan-out is offered only for the former. Each row also
 // pins the technique the cost model picks: for a generic plan the
 // aggregation technique (Explain leads with positional-bitmap when the
-// statement has join edges).
+// statement has join edges). The unfiltered 16-group statements aggregate
+// into an L1-resident key-addressed table, whose access is cheaper than
+// masking the sum and the count, so masking the one key wins.
 func TestPrepareLowering(t *testing.T) {
 	db := testDB(t, 5000, 200, 16)
 	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
@@ -189,13 +191,13 @@ func TestPrepareLowering(t *testing.T) {
 		{"min", with(scalarSpec(ScalarAgg{Table: "r", Agg: col("r_a")}), func(s *Select) { s.Aggs[0].Kind = AggMin }), &PreparedSelect{}, TechValueMasking},
 		{"having", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Having = &expr.Cmp{Op: expr.GT, L: col("s"), R: &expr.Const{Val: 0}}
-		}), &PreparedSelect{}, TechValueMasking},
+		}), &PreparedSelect{}, TechKeyMasking},
 		{"aliased projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Project[0].As = "k"
-		}), &PreparedSelect{}, TechValueMasking},
+		}), &PreparedSelect{}, TechKeyMasking},
 		{"reordered projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Project[0], s.Project[1] = s.Project[1], s.Project[0]
-		}), &PreparedSelect{}, TechValueMasking},
+		}), &PreparedSelect{}, TechKeyMasking},
 		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, &PreparedSelect{}, TechValueMasking},
 		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), &PreparedSelect{}, TechHybrid},
 		{"groupjoin keyed off the FK", with(gjoin(), func(s *Select) {

@@ -383,29 +383,40 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		p.emitRow(p.cnt)
 	} else {
 		p.ex.HTGrows = int(p.tab.Grows - grows0)
-		p.keys.rank(&p.groupEmit)
-		p.reset()
-		// Value masking inserts groups only rejected tuples reached; their
-		// count stays zero.
-		for slot := p.tab.NextLive(0, true); slot >= 0; slot = p.tab.NextLive(slot+1, true) {
-			if p.tab.Count(slot) > 0 {
+		// Value masking reaches groups only rejected tuples touched; their
+		// count stays zero and keeps them out of the walk.
+		if p.ex.DenseDomain > 0 {
+			// A packed key is its slot, and packed-key order is the result
+			// order: the walk needs no sort.
+			for slot := p.tab.NextLive(0, false); slot >= 0; slot = p.tab.NextLive(slot+1, false) {
+				p.emitGroup(slot)
+			}
+		} else {
+			p.keys.rank(&p.groupEmit)
+			p.reset()
+			for slot := p.tab.NextLive(0, false); slot >= 0; slot = p.tab.NextLive(slot+1, false) {
 				p.add(p.keys.sortKey(p.tab.Key(slot)), int64(slot))
 			}
-		}
-		p.sortPairs()
-		for i := 0; i < len(p.pairs); i += 2 {
-			slot := int(p.pairs[i+1])
-			p.keys.decode(p.tab.Key(slot), p.outRow)
-			for lane := range p.acc {
-				p.acc[lane] = p.tab.Acc(slot, lane)
+			p.sortPairs()
+			for i := 0; i < len(p.pairs); i += 2 {
+				p.emitGroup(int(p.pairs[i+1]))
 			}
-			p.emitRow(p.tab.Count(slot))
 		}
 	}
 	p.res.frame()
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil
+}
+
+// emitGroup stages the group in slot — its key columns into outRow, its
+// lanes into acc — and emits its row.
+func (p *PreparedSelect) emitGroup(slot int) {
+	p.keys.decode(p.tab.Key(slot), p.outRow)
+	for lane := range p.acc {
+		p.acc[lane] = p.tab.Acc(slot, lane)
+	}
+	p.emitRow(p.tab.Count(slot))
 }
 
 // emitRow finalizes one group — its key columns already in outRow, its lanes

@@ -70,6 +70,7 @@ type selectCompile struct {
 	sel     float64 // estimated selectivity of the root and edge filters together
 	comp    float64 // the row stage's computation cost per tuple
 	groups  int     // estimated group count (1 for a scalar statement)
+	domain  uint64  // distinct packed group keys; 0 when chained or scalar
 	lanes   int     // accumulator lanes
 	keyCols []tileCol
 	stages  []staged
@@ -222,9 +223,9 @@ func (c *selectCompile) locate(name string) (tileCol, string, error) {
 }
 
 // planKeys plans the GROUP BY columns' packing — each column's value range
-// sizes its digit: the dictionary for strings, the physical width for 8-
-// and 16-bit columns, the measured min/max for wider ones — and estimates
-// the group count.
+// sizes its digit: the dictionary for strings, the exact cached min/max for
+// everything else, so narrow columns holding a handful of values pack
+// narrowly — and estimates the group count.
 func (c *selectCompile) planKeys() error {
 	p, nk := c.p, len(c.q.GroupBy)
 	if nk == 0 {
@@ -238,18 +239,14 @@ func (c *selectCompile) planKeys() error {
 			return err
 		}
 		c.keyCols, tables[i] = append(c.keyCols, tc), table
-		switch bits := uint(8 * tc.col.Kind.Bytes()); {
-		case tc.col.Dict != nil:
+		if tc.col.Dict != nil {
 			hi[i] = int64(max(tc.col.Dict.Len(), 1) - 1)
-		case bits <= 16:
-			lo[i], hi[i] = -1<<(bits-1), 1<<(bits-1)-1
-		default:
+		} else {
 			lo[i], hi[i] = c.e.colRange(table, tc.col)
 		}
 		p.outFields = append(p.outFields, OutField{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
 	}
-	var domain uint64
-	p.keys, domain = planGroupKeys(lo, hi)
+	p.keys, c.domain = planGroupKeys(lo, hi)
 	est := 1.0
 	for i, tc := range c.keyCols {
 		key := expr.NewCol(tc.name)
@@ -261,8 +258,8 @@ func (c *selectCompile) planKeys() error {
 		c.stat(hit)
 	}
 	limit := float64(max(p.rows, 1))
-	if domain > 0 {
-		limit = min(limit, float64(domain))
+	if c.domain > 0 {
+		limit = min(limit, float64(c.domain))
 	}
 	c.groups = int(min(est, limit))
 	return nil
@@ -346,8 +343,19 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		p.ex.Costs["value-masking"] = params.ValueMasking(rows, c.comp)
 	} else {
 		nAggs := c.lanes + 1 // the shared count is masked like a lane
-		htBytes = c.groups * aggSlotBytes(c.lanes)
-		strat, _ = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, htBytes)
+		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, c.groups*aggSlotBytes(c.lanes))
+		// A packed key is its own slot: when the packed domain passes the
+		// form rule the one group table is key-addressed.
+		hi := int64(-1) // chained keys have no domain
+		if c.domain > 0 {
+			hi = int64(c.domain - 1)
+		}
+		params, htBytes, p.ex.DenseDomain = tableForm(params, 0, hi, c.lanes, c.groups)
+		var direct float64
+		strat, direct = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, htBytes)
+		if p.ex.DenseDomain > 0 {
+			p.ex.Costs["dense"] = direct
+		}
 		p.ex.Costs["hybrid"] = params.HybridGroup(rows, c.sel, c.comp, htBytes)
 		p.ex.Costs["value-masking"] = params.ValueMaskingGroup(rows, c.comp+float64(nAggs)*params.CompMul, htBytes)
 		p.ex.Costs["key-masking"] = params.KeyMasking(rows, c.sel, c.comp+params.CompCmp, htBytes)
@@ -461,7 +469,11 @@ func (c *selectCompile) bindRowStage() error {
 	if len(c.q.GroupBy) == 0 {
 		return nil
 	}
-	p.tab = ht.NewAggTable(c.lanes, c.groups)
+	if d := p.ex.DenseDomain; d > 0 {
+		p.tab = ht.NewDenseAggTable(c.lanes, 0, int64(d-1))
+	} else {
+		p.tab = ht.NewAggTable(c.lanes, c.groups)
+	}
 	for i := range p.aggs {
 		if a := &p.aggs[i]; a.lane >= 0 {
 			p.tab.SetIdentity(a.lane, a.identity())

@@ -162,10 +162,14 @@ func (e *Engine) groupCount(table string, rows int, key expr.Expr, maxSample int
 
 // colRange returns the smallest and largest value of a column of the named
 // table, from cache when a current-version entry exists. Group-key packing
-// sizes wide key columns from it, so a stale answer would be a wrong
-// result, not a worse plan: a hit must come from this very column object
-// (columns are immutable; an append or a replacement makes new ones). The
-// entry carries no merge state, so an append drops it.
+// sizes key columns from it and a key-addressed group table bakes it in, so
+// a stale answer would be a wrong result, not a worse plan: a hit must come
+// from this very column object (columns are immutable; an append or a
+// replacement makes new ones). The answer is cached only when c is the
+// catalog's column at the version the key names — a compile that overlaps a
+// write may hold an older table — so an entry's column is always its
+// version's column, which is what lets an append merge the entry instead of
+// dropping it.
 func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
 	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statRange, expr: c.Name}
 	e.mu.Lock()
@@ -175,19 +179,22 @@ func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
 		return ent.lo, ent.hi
 	}
 	lo, hi = c.Range()
-	e.mu.Lock()
-	e.stats.put(k, statsEntry{lo: lo, hi: hi, col: c})
-	e.mu.Unlock()
+	if t := e.DB.Table(table); t != nil && t.Column(c.Name) == c && e.DB.TableVersion(table) == k.ver {
+		e.mu.Lock()
+		e.stats.put(k, statsEntry{lo: lo, hi: hi, col: c})
+		e.mu.Unlock()
+	}
 	return lo, hi
 }
 
 // MergeStatsOnAppend folds appended rows into the cached statistics of the
 // named table instead of dropping them: each entry recorded at oldVer is
-// re-keyed to the current version after sampling only the delta rows
+// re-keyed to the current version after reading only the delta rows
 // [oldRows, Rows). Selectivities merge as row-count-weighted averages;
-// group counts union the delta's keys into the retained distinct-sample.
-// Entries without merge state (or whose expressions no longer bind) are
-// dropped and re-sampled lazily.
+// group counts union the delta's keys into the retained distinct-sample; a
+// column range becomes the union of the old range and the delta's, pinned
+// to the new column object. Entries without merge state (or whose
+// expressions no longer bind) are dropped and re-sampled lazily.
 func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 	t := e.DB.Table(table)
 	newVer := e.DB.TableVersion(table)
@@ -210,13 +217,35 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 			continue
 		}
 		delete(e.stats.m, k)
-		if k.ver != oldVer || ent.e == nil || delta == nil {
-			continue // stale or unmergeable: re-sample lazily
+		if k.ver != oldVer || delta == nil {
+			continue // stale: re-sample lazily
+		}
+		dn := delta.Rows()
+		if k.kind == statRange {
+			// The entry's column held rows [0, oldRows) of the new one (see
+			// colRange), so old range ∪ delta range is the new column's.
+			nc, dc := t.Column(k.expr), delta.Column(k.expr)
+			if nc == nil || ent.col == nil || ent.col.Len() != oldRows {
+				continue
+			}
+			if dn > 0 {
+				dlo, dhi := dc.Range()
+				if oldRows == 0 {
+					ent.lo, ent.hi = dlo, dhi
+				} else {
+					ent.lo, ent.hi = min(ent.lo, dlo), max(ent.hi, dhi)
+				}
+			}
+			ent.col = nc
+			out = append(out, rekeyed{statsKey{table: table, ver: newVer, kind: k.kind, expr: k.expr}, ent})
+			continue
+		}
+		if ent.e == nil {
+			continue // unmergeable: re-sample lazily
 		}
 		if err := expr.Bind(ent.e, delta); err != nil {
 			continue // column vanished; shouldn't happen on appends
 		}
-		dn := delta.Rows()
 		switch k.kind {
 		case statSelectivity:
 			if dn > 0 {

@@ -167,6 +167,36 @@ func (p Params) ForWorkers(workers int) Params {
 	return q
 }
 
+// keyAddressedLines is how many independent cache lines a hashed
+// probe-and-accumulate touches for every one a key-addressed accumulate
+// does: the hashed table reads its key, epoch-stamp and slot-state arrays to
+// find the slot and then the group's record; a table indexed by key-lo goes
+// straight to the record.
+const keyAddressedLines = 4
+
+// KeyAddressed returns the parameters as a key-addressed (direct-indexed)
+// group table observes them. Every random-access latency is paid for one
+// line instead of keyAddressedLines, so the Hit* terms shrink by that
+// factor. And the throwaway entry gains the price of reaching it: a hashed
+// probe ends in data-dependent branches on every lane (key compare, slot
+// state), among which key masking's NullKey test is one more, already in
+// the calibrated probe cost; a key-addressed accumulate is otherwise
+// branch-free, so routing a rejected lane around it is the loop's one
+// unpredictable branch — the conditional-access penalty ReadCond — on top of
+// the entry's own access. Sequential reads and computation are the same
+// accesses they were. Evaluating the Section III models on the result, with
+// the table's own footprint, prices the key-addressed form through the
+// terms that price the hashed one.
+func (p Params) KeyAddressed() Params {
+	q := p
+	q.HitL1 /= keyAddressedLines
+	q.HitL2 /= keyAddressedLines
+	q.HitLLC /= keyAddressedLines
+	q.HitMem /= keyAddressedLines
+	q.HTNull += p.ReadCond
+	return q
+}
+
 // HTLookup returns the cost of one random probe into a structure of the
 // given size, classified by the cache level it fits in.
 func (p Params) HTLookup(bytes int) float64 {

@@ -384,3 +384,36 @@ func TestForWorkersShiftsCrossover(t *testing.T) {
 		t.Fatalf("16-worker choice = %v, want value-masking", par)
 	}
 }
+
+// KeyAddressed shrinks the random-access latencies — by one factor, at every
+// cache level — prices the throwaway entry's conditional route, and changes
+// nothing else; a key-addressed table prices below a hashed one of the same
+// footprint, and on a cache-resident one key masking at mid selectivity no
+// longer undercuts value masking (the NullKey route is its one unpredictable
+// branch).
+func TestKeyAddressedScalesOnlyRandomAccess(t *testing.T) {
+	p := Default().ForWorkers(4)
+	q := p.KeyAddressed()
+	for _, bytes := range []int{1 << 10, 100 << 10, 10 << 20, 100 << 20} {
+		if got, want := q.HTLookup(bytes), p.HTLookup(bytes)/keyAddressedLines; got != want {
+			t.Errorf("HTLookup(%d) = %v, want %v", bytes, got, want)
+		}
+		_, hashed := p.ChooseGroupAgg(1_000_000, 0.5, 1, 1, bytes)
+		if _, dense := q.ChooseGroupAgg(1_000_000, 0.5, 1, 1, bytes); dense > hashed {
+			t.Errorf("%d B: key-addressed %v priced above hashed %v", bytes, dense, hashed)
+		}
+	}
+	if s, _ := q.ChooseGroupAgg(1_000_000, 0.5, 0, 3, 1<<10); s == ChooseKeyMasking {
+		t.Error("key masking chosen at 50% selectivity over an L1-resident key-addressed table")
+	}
+	if s, _ := q.ChooseGroupAgg(1_000_000, 0.98, 5, 8, 1<<10); s != ChooseKeyMasking {
+		t.Errorf("8 aggregates at 98%% selectivity: got %v, want key-masking (the Q1 regime survives)", s)
+	}
+	if q.HTNull != p.HTNull+p.ReadCond {
+		t.Errorf("HTNull = %v, want %v", q.HTNull, p.HTNull+p.ReadCond)
+	}
+	q.HitL1, q.HitL2, q.HitLLC, q.HitMem, q.HTNull = p.HitL1, p.HitL2, p.HitLLC, p.HitMem, p.HTNull
+	if q != p {
+		t.Errorf("KeyAddressed changed a term besides the Hit* latencies and HTNull:\n%+v\n%+v", q, p)
+	}
+}

@@ -1,99 +1,175 @@
 package ht
 
-// AggTable is a group-by aggregation hash table. Each group carries a fixed
-// number of int64 accumulators plus a tuple count, which is enough for the
-// sum/avg/count aggregates of the paper's workloads (avg = sum/count at
-// finalization; decimals are fixed-point int64 per Section IV).
+import "fmt"
+
+// AggTable is the group-by aggregation table. Each group carries a fixed
+// number of int64 accumulator lanes plus a tuple count, stored together as
+// one record, which is enough for the sum/avg/count/min/max aggregates of
+// the paper's workloads (avg = sum/count at finalization; decimals are
+// fixed-point int64 per Section IV).
+//
+// One table, two addressing forms behind one method set:
+//
+//   - Hashed (NewAggTable): open addressing over power-of-two capacities;
+//     a key's slot is found by probing. Works for any key.
+//   - Key-addressed (NewDenseAggTable): the key domain [lo, hi] is known
+//     and dense, so the slot IS key-lo behind a range check — no hash, no
+//     key array, one record line per access — and the slots walk in
+//     ascending key order, so an emission needs no sort.
+//
+// The form is fixed at construction; callers pick it once, when a plan is
+// compiled, and the kernels run the same calls against either.
 //
 // Three features exist specifically for SWOLE:
 //
 //   - A throwaway entry reached via NullKey (key masking, Section III-B):
 //     masked tuples aggregate into Throwaway, off the main array, so the
 //     access stays cache-resident no matter how large the table grows.
-//   - A per-group validity flag (value masking, Section III-B): when values
+//   - Validity by tuple count (value masking, Section III-B): when values
 //     are masked rather than keys, every tuple performs a real lookup, so
-//     groups can be created by tuples that the predicate rejected; OR-ing
-//     the predicate bit into the flag distinguishes them from real groups
-//     whose aggregate happens to be zero.
-//   - Tombstone deletion (eager aggregation, Section III-E): after the
-//     unconditional aggregation, keys filtered by the join are deleted.
+//     groups can be reached by tuples that the predicate rejected. Such a
+//     tuple adds mask 0 to the count, so a group whose count stayed zero is
+//     distinguished from a real group whose aggregate happens to be zero.
+//   - Deletion (eager aggregation, Section III-E): after the unconditional
+//     aggregation, keys filtered by the join are deleted.
 //
-// Tables are built to be recycled across queries: Reset invalidates every
-// slot by bumping an epoch stamp instead of zeroing the arrays, so a
-// steady-state workload reuses one table (and its capacity) forever with
-// an O(1) reset. A slot is live only when its epoch matches the table's
-// current generation; inserts lazily re-zero whatever stale accumulator
-// state a reclaimed slot carries.
+// Tables are built to be recycled across queries. The hashed form's Reset
+// invalidates every slot by bumping an epoch stamp instead of zeroing the
+// arrays; a slot is live only when its epoch matches the table's current
+// generation, and inserts lazily re-initialize whatever stale record a
+// reclaimed slot carries. The key-addressed form's Reset clears its record
+// array, which the selection rule keeps no larger than the hashed table it
+// replaces.
 type AggTable struct {
-	nAccs int
-	ident []int64 // per-lane value a new group starts from; nil means all zero
+	nAccs  int
+	stride int     // nAccs+1: a record is the group's lanes, then its tuple count
+	ident  []int64 // per-lane value a new group starts from; nil means all zero
+	recs   []int64 // slot-major records
+
+	// Hashed form.
 	keys  []int64
 	state []byte
 	epoch []uint32 // slot is from the current generation iff epoch[i] == cur
 	cur   uint32   // current generation
-	accs  []int64  // capacity * nAccs, slot-major
-	count []int64
-	valid []byte
-	len   int // live groups
-	used  int // full + tombstone slots this generation; growth trigger
+	len   int      // live groups
+	used  int      // full + tombstone slots this generation; growth trigger
 	mask  uint64
+
+	// Key-addressed form: slot = key-lo for keys in [lo, lo+span); span is
+	// zero on a hashed table.
+	lo   int64
+	span uint64
 
 	// Throwaway receives aggregates for NullKey lookups. Its contents are
 	// never part of a query result.
 	Throwaway      []int64
 	ThrowawayCount int64
 
-	// Probes counts total probe steps, exposed for cost-model validation.
+	// Probes counts total probe steps of the hashed form, exposed for
+	// cost-model validation.
 	Probes uint64
 	// Grows counts capacity doublings triggered by Lookup. A caller that
 	// preallocated from a cardinality hint (Reserve) can assert that a
-	// scan never grew the table mid-flight: Grows stays 0.
+	// scan never grew the table mid-flight: Grows stays 0. The
+	// key-addressed form never grows.
 	Grows uint64
 
 	// pf sinks the loads issued by Touch so they cannot be eliminated.
 	pf uint64
 }
 
-// NewAggTable returns a table with nAccs accumulators per group and room
-// for about hint groups before growing. Non-positive hints get the
+// NewAggTable returns a hashed table with nAccs accumulators per group and
+// room for about hint groups before growing. Non-positive hints get the
 // minimum capacity.
 func NewAggTable(nAccs, hint int) *AggTable {
 	capacity := hintCap(hint)
 	return &AggTable{
 		nAccs:     nAccs,
+		stride:    nAccs + 1,
 		cur:       1,
+		recs:      make([]int64, capacity*(nAccs+1)),
 		keys:      make([]int64, capacity),
 		state:     make([]byte, capacity),
 		epoch:     make([]uint32, capacity),
-		accs:      make([]int64, capacity*nAccs),
-		count:     make([]int64, capacity),
-		valid:     make([]byte, capacity),
 		mask:      uint64(capacity - 1),
 		Throwaway: make([]int64, nAccs),
 	}
 }
 
-// Reset empties the table in O(1) by advancing the generation counter,
-// keeping the allocated capacity for reuse. Slots from earlier generations
-// read as empty and are re-initialized lazily when an insert reclaims
-// them. The Probes and Grows statistics are preserved (they are
-// cumulative); the throwaway entry is cleared.
+// MaxDenseDomain bounds the key-addressed form's domain: slots travel as
+// int32 through the tile operations.
+const MaxDenseDomain = 1<<31 - 1
+
+// NewDenseAggTable returns a key-addressed table over the key domain
+// [lo, hi]: two allocations (the record array and the throwaway entry)
+// where the hashed form makes five. Any other key except NullKey panics
+// on access — a domain is a fact of the column object it was read from,
+// so a key outside it means the caller ran a plan against data it was not
+// compiled for, and the range check turns that into a loud failure instead
+// of an out-of-range write. The domain must exclude NullKey and hold at
+// most MaxDenseDomain keys.
+func NewDenseAggTable(nAccs int, lo, hi int64) *AggTable {
+	span := uint64(hi) - uint64(lo) + 1
+	if hi < lo || lo == NullKey || span > MaxDenseDomain {
+		panic(fmt.Sprintf("ht: key domain [%d, %d] cannot be key-addressed", lo, hi))
+	}
+	return &AggTable{
+		nAccs:     nAccs,
+		stride:    nAccs + 1,
+		recs:      make([]int64, int(span)*(nAccs+1)),
+		lo:        lo,
+		span:      span,
+		Throwaway: make([]int64, nAccs),
+	}
+}
+
+// HashedBytes is the footprint of the hashed table NewAggTable(nAccs, hint)
+// builds: with DenseBytes, the two sides of the rule by which a compile
+// picks the form.
+func HashedBytes(nAccs, hint int) int { return hintCap(hint) * (8 + 1 + 4 + 8*(nAccs+1)) }
+
+// DenseBytes is the footprint of a key-addressed table over domain keys.
+func DenseBytes(nAccs int, domain uint64) uint64 { return domain * 8 * uint64(nAccs+1) }
+
+// Reset empties the table, keeping the allocated capacity for reuse. The
+// hashed form does it in O(1) by advancing the generation counter: slots
+// from earlier generations read as empty and are re-initialized lazily when
+// an insert reclaims them. The key-addressed form clears its records. The
+// Probes and Grows statistics are preserved (they are cumulative); the
+// throwaway entry is cleared.
 func (t *AggTable) Reset() {
-	t.cur++
-	if t.cur == 0 {
-		// The 32-bit generation wrapped (after ~4 billion resets): stale
-		// stamps could now collide with the new generation, so fall back
-		// to a hard clear once.
-		for i := range t.epoch {
-			t.epoch[i] = 0
+	if t.span != 0 {
+		t.initRecs(t.recs)
+	} else {
+		t.cur++
+		if t.cur == 0 {
+			// The 32-bit generation wrapped (after ~4 billion resets): stale
+			// stamps could now collide with the new generation, so fall back
+			// to a hard clear once.
+			clear(t.epoch)
+			t.cur = 1
 		}
-		t.cur = 1
+		t.len, t.used = 0, 0
 	}
-	t.len, t.used = 0, 0
-	for a := range t.Throwaway {
-		t.Throwaway[a] = 0
-	}
+	clear(t.Throwaway)
 	t.ThrowawayCount = 0
+}
+
+// initRecs resets whole records to what a new group starts from: the lane
+// identities and a zero count.
+func (t *AggTable) initRecs(recs []int64) {
+	if t.ident == nil {
+		clear(recs)
+		return
+	}
+	if len(recs) == 0 {
+		return
+	}
+	n := copy(recs, t.ident)
+	recs[n] = 0
+	for n++; n < len(recs); n *= 2 {
+		copy(recs[n:], recs[:n])
+	}
 }
 
 // setEpochForTest forces the generation counter to cur, re-stamping every
@@ -108,14 +184,15 @@ func (t *AggTable) setEpochForTest(cur uint32) {
 	t.cur = cur
 }
 
-// Reserve grows the table, if needed, so that about hint groups fit
+// Reserve grows a hashed table, if needed, so that about hint groups fit
 // without Lookup ever triggering grow() — the cardinality-hinted
 // preallocation used when cached statistics predict the group count. It
 // rehashes any live groups and does not count toward Grows. Non-positive
-// hints never shrink the table and are no-ops.
+// hints never shrink the table and are no-ops, as is any hint on a
+// key-addressed table.
 func (t *AggTable) Reserve(hint int) {
 	capacity := hintCap(hint)
-	if capacity <= len(t.keys) {
+	if t.span != 0 || capacity <= len(t.keys) {
 		return
 	}
 	t.rehash(capacity)
@@ -124,16 +201,34 @@ func (t *AggTable) Reserve(hint int) {
 // NAccs returns the number of accumulators per group.
 func (t *AggTable) NAccs() int { return t.nAccs }
 
-// Len returns the number of groups, excluding the throwaway entry.
-func (t *AggTable) Len() int { return t.len }
+// Len returns the number of groups, excluding the throwaway entry. On a
+// key-addressed table a group exists once a tuple counted into it, and Len
+// walks the records.
+func (t *AggTable) Len() int {
+	if t.span == 0 {
+		return t.len
+	}
+	n := 0
+	for i := t.nAccs; i < len(t.recs); i += t.stride {
+		if t.recs[i] > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Cap returns the current slot capacity; the cost model uses it to place
 // the table in a cache class.
-func (t *AggTable) Cap() int { return len(t.keys) }
+func (t *AggTable) Cap() int { return len(t.recs) / t.stride }
 
 // SlotBytes returns the approximate in-memory size of one slot, used by the
 // cost model to decide which cache level the table occupies.
-func (t *AggTable) SlotBytes() int { return 8 + 1 + 8*t.nAccs + 8 + 1 }
+func (t *AggTable) SlotBytes() int {
+	if t.span != 0 {
+		return 8 * t.stride
+	}
+	return 8 + 1 + 8*t.nAccs + 8 + 1
+}
 
 // live returns the effective state of slot i in the current generation.
 func (t *AggTable) live(i uint64) byte {
@@ -143,12 +238,39 @@ func (t *AggTable) live(i uint64) byte {
 	return t.state[i]
 }
 
-// Lookup returns the slot index for key, inserting an empty group if
-// absent. A NullKey lookup returns -1, which the Add* methods route to the
-// throwaway entry. The returned slot is only valid until the next Lookup,
-// which may grow the table; callers accumulate immediately, exactly as the
-// generated code in the paper's Figure 4 does.
+// Lookup returns the slot index for key, inserting an empty group into a
+// hashed table if absent. A NullKey lookup returns -1, which the Add*
+// methods route to the throwaway entry. The returned slot is only valid
+// until the next Lookup, which may grow the table; callers accumulate
+// immediately, exactly as the generated code in the paper's Figure 4 does.
 func (t *AggTable) Lookup(key int64) int {
+	// A hashed table's span is zero, so only an in-domain key of a
+	// key-addressed table passes the check; the form is never tested apart.
+	if u := uint64(key) - uint64(t.lo); u < t.span {
+		return int(u)
+	}
+	return t.lookupSlow(key)
+}
+
+// lookupSlow is Lookup past the key-addressed fast path: the hashed form's
+// probe, or a key the range check refused.
+func (t *AggTable) lookupSlow(key int64) int {
+	if t.span != 0 {
+		return t.outside(key)
+	}
+	return t.probeInsert(key)
+}
+
+// outside resolves a key the key-addressed range check refused: the
+// throwaway entry for NullKey, a panic for anything else.
+func (t *AggTable) outside(key int64) int {
+	if key != NullKey {
+		panic(fmt.Sprintf("ht: key %d outside the table's domain [%d, %d]", key, t.lo, t.lo+int64(t.span-1)))
+	}
+	return -1
+}
+
+func (t *AggTable) probeInsert(key int64) int {
 	if key == NullKey {
 		return -1
 	}
@@ -173,18 +295,9 @@ func (t *AggTable) Lookup(key int64) int {
 			t.state[j] = slotFull
 			t.epoch[j] = t.cur
 			t.keys[j] = key
-			// Re-zero whatever a previous generation (or a tombstoned
-			// group) left in the slot.
-			t.count[j] = 0
-			t.valid[j] = 0
-			base := j * t.nAccs
-			if t.ident != nil {
-				copy(t.accs[base:base+t.nAccs], t.ident)
-			} else {
-				for a := 0; a < t.nAccs; a++ {
-					t.accs[base+a] = 0
-				}
-			}
+			// Re-initialize whatever a previous generation (or a
+			// tombstoned group) left in the slot.
+			t.initRecs(t.recs[j*t.stride : (j+1)*t.stride])
 			t.len++
 			return j
 		case slotTombstone:
@@ -206,6 +319,12 @@ func (t *AggTable) Find(key int64) int {
 	if key == NullKey {
 		return -1
 	}
+	if t.span != 0 {
+		if u := uint64(key) - uint64(t.lo); u < t.span && t.recs[int(u)*t.stride+t.nAccs] > 0 {
+			return int(u)
+		}
+		return -2
+	}
 	i := hash64(uint64(key)) & t.mask
 	for {
 		t.Probes++
@@ -221,14 +340,17 @@ func (t *AggTable) Find(key int64) int {
 	}
 }
 
-// Contains reports whether key occupies a live slot — the read-only
-// analogue of Find(key) >= 0 (NullKey is absent: it maps to the throwaway
-// entry, not a slot). It does not touch the Probes statistics counter, so
-// concurrent probe-side workers may call it on a table whose build phase
-// has finished.
+// Contains reports whether key has a group — the read-only analogue of
+// Find(key) >= 0 (NullKey is absent: it maps to the throwaway entry, not a
+// slot). It does not touch the Probes statistics counter, so concurrent
+// probe-side workers may call it on a table whose build phase has finished.
 func (t *AggTable) Contains(key int64) bool {
 	if key == NullKey {
 		return false
+	}
+	if t.span != 0 {
+		u := uint64(key) - uint64(t.lo)
+		return u < t.span && t.recs[int(u)*t.stride+t.nAccs] > 0
 	}
 	i := hash64(uint64(key)) & t.mask
 	for {
@@ -254,15 +376,16 @@ func (t *AggTable) Add(slot, acc int, v int64) {
 		}
 		return
 	}
-	t.accs[slot*t.nAccs+acc] += v
+	r := t.recs[slot*t.stride : (slot+1)*t.stride]
+	r[acc] += v
 	if acc == 0 {
-		t.count[slot]++
+		r[len(r)-1]++
 	}
-	t.valid[slot] = 1
 }
 
-// AddMasked accumulates v*m and ORs m into the group's validity flag — the
-// value-masking bookkeeping step of Section III-B. m must be 0 or 1.
+// AddMasked accumulates v*m and adds m to the group's tuple count once per
+// acc==0 call — the value-masking bookkeeping step of Section III-B. m
+// must be 0 or 1.
 func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 	if slot < 0 {
 		t.Throwaway[acc] += v * int64(m)
@@ -271,11 +394,11 @@ func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 		}
 		return
 	}
-	t.accs[slot*t.nAccs+acc] += v * int64(m)
+	r := t.recs[slot*t.stride : (slot+1)*t.stride]
+	r[acc] += v * int64(m)
 	if acc == 0 {
-		t.count[slot] += int64(m)
+		r[len(r)-1] += int64(m)
 	}
-	t.valid[slot] |= m
 }
 
 // Acc returns accumulator acc of slot (slot -1 reads the throwaway).
@@ -283,7 +406,7 @@ func (t *AggTable) Acc(slot, acc int) int64 {
 	if slot < 0 {
 		return t.Throwaway[acc]
 	}
-	return t.accs[slot*t.nAccs+acc]
+	return t.recs[slot*t.stride+acc]
 }
 
 // Count returns the tuple count of slot.
@@ -291,14 +414,23 @@ func (t *AggTable) Count(slot int) int64 {
 	if slot < 0 {
 		return t.ThrowawayCount
 	}
-	return t.count[slot]
+	return t.recs[slot*t.stride+t.nAccs]
 }
 
-// Delete removes key from the table, leaving a tombstone so later probes
-// still find keys that collided past it. It reports whether the key was
-// present. Eager aggregation (Section III-E) deletes every build-side key
-// whose probe-side tuple fails the join predicate.
+// Delete removes key's group and reports whether the key was present. The
+// hashed form leaves a tombstone so later probes still find keys that
+// collided past it; the key-addressed form resets the record. Eager
+// aggregation (Section III-E) deletes every build-side key whose
+// probe-side tuple fails the join predicate.
 func (t *AggTable) Delete(key int64) bool {
+	if t.span != 0 {
+		u := uint64(key) - uint64(t.lo)
+		if u >= t.span || t.recs[int(u)*t.stride+t.nAccs] == 0 {
+			return false
+		}
+		t.initRecs(t.recs[int(u)*t.stride : (int(u)+1)*t.stride])
+		return true
+	}
 	i := hash64(uint64(key)) & t.mask
 	for {
 		t.Probes++
@@ -308,12 +440,6 @@ func (t *AggTable) Delete(key int64) bool {
 		case slotFull:
 			if t.keys[i] == key {
 				t.state[i] = slotTombstone
-				t.valid[i] = 0
-				t.count[i] = 0
-				base := int(i) * t.nAccs
-				for a := 0; a < t.nAccs; a++ {
-					t.accs[base+a] = 0
-				}
 				t.len--
 				return true
 			}
@@ -322,14 +448,14 @@ func (t *AggTable) Delete(key int64) bool {
 	}
 }
 
-// ForEach visits every live group in slot order. Groups whose validity flag
-// was never set (possible only under value masking) are skipped unless
-// includeInvalid is true.
+// ForEach visits every group: in slot order on a hashed table, which is
+// ascending key order on a key-addressed one. Groups whose tuple count
+// stayed zero (possible only under value masking, or after a bare Lookup
+// insert into a hashed table) are skipped unless includeInvalid is true; a
+// key-addressed table has no such groups to include.
 func (t *AggTable) ForEach(includeInvalid bool, fn func(key int64, slot int)) {
-	for i := range t.keys {
-		if t.live(uint64(i)) == slotFull && (includeInvalid || t.valid[i] != 0) {
-			fn(t.keys[i], i)
-		}
+	for i := t.NextLive(0, includeInvalid); i >= 0; i = t.NextLive(i+1, includeInvalid) {
+		fn(t.Key(i), i)
 	}
 }
 
@@ -341,9 +467,7 @@ func (t *AggTable) rehash(capacity int) {
 	t.state = make([]byte, capacity)
 	t.epoch = make([]uint32, capacity)
 	t.cur = 1
-	t.accs = make([]int64, capacity*t.nAccs)
-	t.count = make([]int64, capacity)
-	t.valid = make([]byte, capacity)
+	t.recs = make([]int64, capacity*t.stride)
 	t.mask = uint64(capacity - 1)
 	t.len = 0
 	t.used = 0
@@ -351,9 +475,7 @@ func (t *AggTable) rehash(capacity int) {
 		if old.live(uint64(i)) != slotFull {
 			continue
 		}
-		j := t.Lookup(old.keys[i])
-		copy(t.accs[j*t.nAccs:(j+1)*t.nAccs], old.accs[i*old.nAccs:(i+1)*old.nAccs])
-		t.count[j] = old.count[i]
-		t.valid[j] = old.valid[i]
+		j := t.probeInsert(old.keys[i])
+		copy(t.recs[j*t.stride:(j+1)*t.stride], old.recs[i*t.stride:(i+1)*t.stride])
 	}
 }

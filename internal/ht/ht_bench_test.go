@@ -188,3 +188,55 @@ func size(keys int) string {
 		return "mem"
 	}
 }
+
+// BenchmarkAggFoldForms folds the same 2M (key, value, mask) tuples, 50%
+// masked, into each form of the table at three key domains and walks the
+// result: the kernel-level measurement behind the form selection rule
+// (EXPERIMENTS.md). "pertuple" is the Lookup+AddMasked loop a kernel may
+// write itself; "tile" is AddPairsMasked over 1024-pair tiles.
+func BenchmarkAggFoldForms(b *testing.B) {
+	const rows = 2 << 20
+	for _, domain := range []int{100, 100_000, 1_000_000} {
+		keys, vals, cmp := make([]int64, rows), make([]int64, rows), make([]byte, rows)
+		for i := range keys {
+			h := hash64(uint64(i) + 1)
+			keys[i] = int64(h % uint64(domain))
+			vals[i] = int64(h>>40) & 127
+			cmp[i] = byte(h>>20) & 1
+		}
+		forms := []struct {
+			name string
+			tab  *AggTable
+		}{
+			{"hashed", NewAggTable(1, domain)},
+			{"dense", NewDenseAggTable(1, 0, int64(domain-1))},
+		}
+		var out []int64
+		for _, f := range forms {
+			tab := f.tab
+			run := func(b *testing.B, fold func()) {
+				for i := 0; i < b.N; i++ {
+					tab.Reset()
+					fold()
+					out = tab.AppendGroups(out[:0])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			}
+			b.Run(f.name+"/pertuple/"+size(domain), func(b *testing.B) {
+				run(b, func() {
+					for i, k := range keys {
+						tab.AddMasked(tab.Lookup(k), 0, vals[i], cmp[i])
+					}
+				})
+			})
+			b.Run(f.name+"/tile/"+size(domain), func(b *testing.B) {
+				run(b, func() {
+					for t := 0; t < rows; t += 1024 {
+						tab.AddPairsMasked(keys[t:t+1024], vals[t:t+1024], cmp[t:t+1024])
+					}
+				})
+			})
+		}
+		sinkSlot += len(out)
+	}
+}

@@ -14,7 +14,8 @@ import "math"
 
 // SetIdentity makes new groups start lane acc at v instead of zero — the
 // identity of a min or max lane. Set it before the first Lookup; groups
-// already in the table keep their values.
+// already in a hashed table keep their values, and a key-addressed table
+// takes the identity at its next Reset.
 func (t *AggTable) SetIdentity(acc int, v int64) {
 	if t.ident == nil {
 		t.ident = make([]int64, t.nAccs)
@@ -23,17 +24,29 @@ func (t *AggTable) SetIdentity(acc int, v int64) {
 }
 
 // LookupTile resolves keys to slots, inserting absent groups: slots[i] is
-// what Lookup(keys[i]) returns once the whole tile is in the table. Keys
-// already in the table — nearly every lane once a tile's groups exist —
-// resolve with an inline probe; only an absent key goes through Lookup to
-// be inserted (the inline probes are not tallied in Probes). A growth
-// mid-tile moves every group, so the tile is resolved again; the second pass
-// finds every key and cannot grow.
+// what Lookup(keys[i]) returns once the whole tile is in the table. On a
+// key-addressed table that is a range-checked subtraction per lane. On a
+// hashed one, keys already in the table — nearly every lane once a tile's
+// groups exist — resolve with an inline probe; only an absent key goes
+// through Lookup to be inserted (the inline probes are not tallied in
+// Probes). A growth mid-tile moves every group, so the tile is resolved
+// again; the second pass finds every key and cannot grow.
 func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 	if len(keys) == 0 {
 		return
 	}
 	_ = slots[len(keys)-1]
+	if t.span != 0 {
+		lo, span := uint64(t.lo), t.span
+		for i, k := range keys {
+			u := uint64(k) - lo
+			if u >= span {
+				u = uint64(t.outside(k))
+			}
+			slots[i] = int32(u)
+		}
+		return
+	}
 	for {
 		grows := t.Grows
 		tk, epoch, state, cur, mask := t.keys, t.epoch, t.state, t.cur, t.mask
@@ -54,7 +67,7 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 					continue lanes
 				}
 			}
-			slots[i] = int32(t.Lookup(k))
+			slots[i] = int32(t.probeInsert(k))
 			if t.Grows != grows {
 				break
 			}
@@ -66,20 +79,20 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 }
 
 // CountTile counts lane i's tuple into slots[i]'s group when cmp[i] is 1. A
-// group that only rejected tuples reached keeps a zero count; callers walk
-// the table with includeInvalid and skip those (the validity flag is not
-// maintained here: Count(slot) > 0 is the same fact, one store cheaper).
+// group that only rejected tuples reached keeps a zero count, which is what
+// keeps it out of the emission.
 func (t *AggTable) CountTile(slots []int32, cmp []byte) {
 	if len(slots) == 0 {
 		return
 	}
 	_ = cmp[len(slots)-1]
+	n := t.stride
 	for i, s := range slots {
 		if s < 0 {
 			t.ThrowawayCount += int64(cmp[i])
 			continue
 		}
-		t.count[s] += int64(cmp[i])
+		t.recs[int(s)*n+n-1] += int64(cmp[i])
 	}
 }
 
@@ -91,14 +104,14 @@ func (t *AggTable) SumTile(slots []int32, acc int, vals []int64, cmp []byte) {
 		return
 	}
 	_, _ = vals[len(slots)-1], cmp[len(slots)-1]
-	n := t.nAccs
+	n := t.stride
 	for i, s := range slots {
 		v := vals[i] * int64(cmp[i])
 		if s < 0 {
 			t.Throwaway[acc] += v
 			continue
 		}
-		t.accs[int(s)*n+acc] += v
+		t.recs[int(s)*n+acc] += v
 	}
 }
 
@@ -109,11 +122,11 @@ func (t *AggTable) MinTile(slots []int32, acc int, vals []int64, cmp []byte) {
 		return
 	}
 	_, _ = vals[len(slots)-1], cmp[len(slots)-1]
-	n := t.nAccs
+	n := t.stride
 	for i, s := range slots {
 		p := &t.Throwaway[acc]
 		if s >= 0 {
-			p = &t.accs[int(s)*n+acc]
+			p = &t.recs[int(s)*n+acc]
 		}
 		v := vals[i]
 		if cmp[i] == 0 {
@@ -132,11 +145,11 @@ func (t *AggTable) MaxTile(slots []int32, acc int, vals []int64, cmp []byte) {
 		return
 	}
 	_, _ = vals[len(slots)-1], cmp[len(slots)-1]
-	n := t.nAccs
+	n := t.stride
 	for i, s := range slots {
 		p := &t.Throwaway[acc]
 		if s >= 0 {
-			p = &t.accs[int(s)*n+acc]
+			p = &t.recs[int(s)*n+acc]
 		}
 		v := vals[i]
 		if cmp[i] == 0 {

@@ -28,22 +28,32 @@ var PrefetchMinBytes = 8 << 20
 
 // Touch loads key's home cache lines (key, epoch and state arrays) ahead
 // of a Lookup/Find/Add on the same key. The caller accumulates the return
-// value into a live sink.
+// value into a live sink. A key-addressed table has no probe to get ahead
+// of — its one access is the record itself — so Touch loads nothing.
 func (t *AggTable) Touch(key int64) uint64 {
-	if key == NullKey {
+	if key == NullKey || t.span != 0 {
 		return 0
 	}
 	i := hash64(uint64(key)) & t.mask
 	return uint64(t.keys[i]) + uint64(t.epoch[i]) + uint64(t.state[i])
 }
 
-// NextLive returns the first slot at or after i holding a live group, or
-// -1 when none remain. Groups whose validity flag is unset are skipped
-// unless includeInvalid. Together with Key it lets callers walk the table
-// with a lookahead cursor, which ForEach's callback shape cannot express.
+// NextLive returns the first slot at or after i holding a group, or -1 when
+// none remain. Groups whose tuple count is zero are skipped unless
+// includeInvalid (see ForEach). Together with Key it lets callers walk the
+// table with a lookahead cursor, which ForEach's callback shape cannot
+// express.
 func (t *AggTable) NextLive(i int, includeInvalid bool) int {
+	if t.span != 0 {
+		for c := i*t.stride + t.nAccs; c < len(t.recs); c += t.stride {
+			if t.recs[c] > 0 {
+				return c / t.stride
+			}
+		}
+		return -1
+	}
 	for ; i < len(t.keys); i++ {
-		if t.live(uint64(i)) == slotFull && (includeInvalid || t.valid[i] != 0) {
+		if t.live(uint64(i)) == slotFull && (includeInvalid || t.recs[i*t.stride+t.nAccs] > 0) {
 			return i
 		}
 	}
@@ -51,20 +61,65 @@ func (t *AggTable) NextLive(i int, includeInvalid bool) int {
 }
 
 // Key returns the group key in slot (which must be live).
-func (t *AggTable) Key(slot int) int64 { return t.keys[slot] }
+func (t *AggTable) Key(slot int) int64 {
+	if t.span != 0 {
+		return t.lo + int64(slot)
+	}
+	return t.keys[slot]
+}
+
+// AppendGroups appends every group with a positive tuple count to dst as
+// an interleaved (key, lane 0) pair, in ForEach order — ascending keys on a
+// key-addressed table, so the appended run is already the sorted emission.
+func (t *AggTable) AppendGroups(dst []int64) []int64 {
+	n := t.stride
+	if t.span != 0 {
+		for i, c := 0, n-1; c < len(t.recs); i, c = i+1, c+n {
+			if t.recs[c] > 0 {
+				dst = append(dst, t.lo+int64(i), t.recs[c-n+1])
+			}
+		}
+		return dst
+	}
+	for i, k := range t.keys {
+		if t.epoch[i] == t.cur && t.state[i] == slotFull && t.recs[i*n+n-1] > 0 {
+			dst = append(dst, k, t.recs[i*n])
+		}
+	}
+	return dst
+}
 
 // mergeRing bounds the MergeFrom lookahead window; power of two ≥ any
 // sensible PrefetchDist.
 const mergeRing = 32
 
-// MergeFrom folds src's live, valid groups into dst with software
-// prefetch: each group's home line in dst is touched PrefetchDist groups
-// before its Lookup, so the DRAM misses of an out-of-cache destination
-// overlap instead of serializing. Accumulators are added pairwise and the
-// destination count is bumped once per source group — exactly the fold the
-// per-worker merge loops perform. It returns the number of groups merged.
+// MergeFrom folds src's groups with a positive tuple count into dst and
+// returns how many it merged. Two key-addressed tables over one domain
+// merge by element-wise addition of their records — a sequential pass, the
+// per-worker merge of the direct path. Otherwise the groups are looked up
+// with software prefetch: each group's home line in dst is touched
+// PrefetchDist groups before its Lookup, so the DRAM misses of an
+// out-of-cache destination overlap instead of serializing; accumulators are
+// added pairwise and the destination count is bumped once per source group
+// — exactly the fold the per-worker merge loops perform. Lanes merge by
+// addition either way, so only sum lanes may be merged.
 // Single-owner: dst and src must not be concurrently accessed.
 func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
+	if dst.span != 0 && dst.span == src.span && dst.lo == src.lo && dst.nAccs == src.nAccs {
+		var merged uint64
+		n := dst.stride
+		d, s := dst.recs, src.recs[:len(dst.recs)]
+		for c := n - 1; c < len(d); c += n {
+			if s[c] == 0 {
+				continue
+			}
+			for a := c - n + 1; a <= c; a++ {
+				d[a] += s[a]
+			}
+			merged++
+		}
+		return merged
+	}
 	d := PrefetchDist
 	if d < 1 {
 		d = 1
@@ -77,7 +132,7 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 	lead := src.NextLive(0, false)
 	lag, queued := 0, 0
 	for lead >= 0 && queued < d {
-		sink += dst.Touch(src.keys[lead])
+		sink += dst.Touch(src.Key(lead))
 		ring[(lag+queued)&(mergeRing-1)] = int32(lead)
 		queued++
 		lead = src.NextLive(lead+1, false)
@@ -89,14 +144,14 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 		lag++
 		queued--
 		if lead >= 0 {
-			sink += dst.Touch(src.keys[lead])
+			sink += dst.Touch(src.Key(lead))
 			ring[(lag+queued)&(mergeRing-1)] = int32(lead)
 			queued++
 			lead = src.NextLive(lead+1, false)
 		}
-		j := dst.Lookup(src.keys[s])
+		j := dst.Lookup(src.Key(s))
 		for a := 0; a < accs; a++ {
-			dst.Add(j, a, src.accs[s*src.nAccs+a])
+			dst.Add(j, a, src.recs[s*src.stride+a])
 		}
 		merged++
 	}
@@ -104,37 +159,106 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 	return merged
 }
 
+// AddPairs aggregates (key, value) pairs into accumulator 0, counting each
+// tuple: Add(Lookup(keys[i]), 0, vals[i]) for every pair. NullKey pairs
+// land in the throwaway entry. On a key-addressed table the loop is a
+// range check, a subtraction and two adds into one record.
+func (t *AggTable) AddPairs(keys, vals []int64) {
+	if len(keys) == 0 {
+		return
+	}
+	_ = vals[len(keys)-1]
+	if t.span != 0 {
+		t.addPairsDense(keys, vals)
+		return
+	}
+	n := t.stride
+	for i, k := range keys {
+		j := t.probeInsert(k)
+		if j < 0 {
+			t.Throwaway[0] += vals[i]
+			t.ThrowawayCount++
+			continue
+		}
+		t.recs[j*n] += vals[i]
+		t.recs[j*n+n-1]++
+	}
+}
+
+// addPairsDense is AddPairs on a key-addressed table. (Its own function, as
+// is the masked one: sharing a frame with the hashed loop spills the hot
+// loop's registers.)
+func (t *AggTable) addPairsDense(keys, vals []int64) {
+	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
+	for i, k := range keys {
+		u := uint64(k) - lo
+		if u >= span {
+			t.outside(k)
+			t.Throwaway[0] += vals[i]
+			t.ThrowawayCount++
+			continue
+		}
+		recs[u*n] += vals[i]
+		recs[u*n+n-1]++
+	}
+}
+
+// AddPairsMasked is AddPairs under a 0/1 mask, the value-masking fold:
+// AddMasked(Lookup(keys[i]), 0, vals[i], cmp[i]) for every pair. Every
+// lane looks its real key up; a rejected lane adds zero to the sum and to
+// the count.
+func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
+	if len(keys) == 0 {
+		return
+	}
+	_, _ = vals[len(keys)-1], cmp[len(keys)-1]
+	if t.span != 0 {
+		t.addPairsMaskedDense(keys, vals, cmp)
+		return
+	}
+	n := t.stride
+	for i, k := range keys {
+		j := t.probeInsert(k)
+		m := int64(cmp[i])
+		if j < 0 {
+			t.Throwaway[0] += vals[i] * m
+			t.ThrowawayCount += m
+			continue
+		}
+		t.recs[j*n] += vals[i] * m
+		t.recs[j*n+n-1] += m
+	}
+}
+
+func (t *AggTable) addPairsMaskedDense(keys, vals []int64, cmp []byte) {
+	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
+	for i, k := range keys {
+		u := uint64(k) - lo
+		m := int64(cmp[i])
+		if u >= span {
+			t.outside(k)
+			t.Throwaway[0] += vals[i] * m
+			t.ThrowawayCount += m
+			continue
+		}
+		recs[u*n] += vals[i] * m
+		recs[u*n+n-1] += m
+	}
+}
+
 // FoldPairs aggregates a chunk of (key, value) pairs into accumulator 0 —
-// the phase-2 radix fold. When the table's footprint is past
+// the phase-2 radix fold. When a hashed table's footprint is past
 // PrefetchMinBytes, each key's home line is touched PrefetchDist pairs
 // ahead of its Lookup so the probe misses overlap; a cache-resident table
-// (the usual radix sub-table case) takes the plain loop instead. It
-// returns the number of pairs folded with the lookahead (0 for the plain
-// loop), which callers tally as their prefetched-probe count.
+// (the usual radix sub-table case) and a key-addressed one take AddPairs'
+// plain loop instead. It returns the number of pairs folded with the
+// lookahead (0 for the plain loop), which callers tally as their
+// prefetched-probe count.
 // Single-owner: the table must not be concurrently accessed.
 func (t *AggTable) FoldPairs(keys, vals []int64) int {
 	n := len(keys)
-	if len(t.keys)*t.SlotBytes() < PrefetchMinBytes {
-		if t.nAccs == 1 {
-			// The dominant shape (one sum accumulator) folds with the slot
-			// bookkeeping inlined: no accumulator indexing, no acc==0
-			// branch per pair.
-			for i := 0; i < n; i++ {
-				j := t.Lookup(keys[i])
-				if j < 0 {
-					t.Throwaway[0] += vals[i]
-					t.ThrowawayCount++
-					continue
-				}
-				t.accs[j] += vals[i]
-				t.count[j]++
-				t.valid[j] = 1
-			}
-			return 0
-		}
-		for i := 0; i < n; i++ {
-			t.Add(t.Lookup(keys[i]), 0, vals[i])
-		}
+	if t.span != 0 || len(t.keys)*t.SlotBytes() < PrefetchMinBytes {
+		t.AddPairs(keys, vals)
 		return 0
 	}
 	d := PrefetchDist

@@ -39,8 +39,15 @@ type Explain struct {
 	Selectivity float64
 	// Groups is the estimated group count for group-by shapes.
 	Groups int
-	// HTBytes is the estimated hash table (or bitmap) footprint.
+	// HTBytes is the group table (or bitmap) footprint: exact for a
+	// key-addressed table (DenseDomain > 0), the estimate otherwise.
 	HTBytes int
+	// DenseDomain is the key domain of the key-addressed group table the
+	// statement aggregated into — slot = key - lo, emission in key order
+	// without a sort — or 0 when the hashed table ran. The form is chosen at
+	// compile time from the key's known domain; Costs["dense"],
+	// Costs["hashed"] and Costs["partitioned"] hold the priced alternatives.
+	DenseDomain int
 	// Costs holds the per-alternative cost model evaluations.
 	Costs map[string]float64
 	// Merged lists attributes whose accesses were merged.
@@ -103,6 +110,7 @@ func fromCore(ex core.Explain) Explain {
 		Selectivity:   ex.Selectivity,
 		Groups:        ex.Groups,
 		HTBytes:       ex.HTBytes,
+		DenseDomain:   ex.DenseDomain,
 		Costs:         ex.Costs,
 		Merged:        ex.Merged,
 		PlanCached:    ex.PlanCached,

@@ -12,26 +12,31 @@ import (
 // classic shape, so each runs on the generic executor. The single-edge and
 // no-edge forms use the micro schema, the multi-edge ones the fuzz schema.
 var selectForms = []struct {
-	name string
-	fuzz bool // runs on fuzzDB instead of the micro dataset
-	q    string
+	name  string
+	fuzz  bool // runs on fuzzDB instead of the micro dataset
+	dense bool // aggregates into a key-addressed group table
+	q     string
 }{
-	{"two-key multi-aggregate", false,
+	{"two-key multi-aggregate", false, true,
 		"select r_a, r_y, sum(r_b) as sb, sum(r_c) as sc, count(*) as n from r where r_x <= 97 group by r_a, r_y"},
-	{"3-term OR + HAVING", false,
+	{"3-term OR + HAVING", false, true,
 		"select r_a, sum(r_b) as q, count(*) as n from r where r_x < 5 or r_b > 92 or r_c < 10 group by r_a having count(*) > 3"},
-	{"NOT scalar", false,
+	{"NOT scalar", false, false,
 		"select count(*) as n, sum(r_c) as s from r where not (r_x between 10 and 40) and r_b < 50 and r_a >= 2"},
-	{"2-edge join group", true,
+	{"2-edge join group", true, true,
 		"select d1_w, sum(f_a) as q, count(*) as n from f, d1, d2 where f_d1 = d1_pk and f_d2 = d2_pk and d1_v < 20 and d2_v < 15 group by d1_w"},
-	{"3-edge snowflake", true,
+	{"3-edge snowflake", true, true,
 		"select d3_v, sum(f_b) as rev, count(*) as n from f, d1, d2, d3 where f_d1 = d1_pk and f_d2 = d2_pk and d1_fk3 = d3_pk and d1_v >= 5 and f_a < 15 group by d3_v"},
-	{"min/max group", false,
+	{"min/max group", false, true,
 		"select r_a, min(r_c) as lo, max(r_c) as hi from r where r_x > 25 and r_b >= 2 group by r_a"},
-	{"join min/max", false,
+	{"join min/max", false, false,
 		"select min(r_c) as lo, max(r_c) as hi, count(*) as n from r, s where r_fk = s_pk and s_x < 10 and r_x >= 1"},
-	{"OR over a join + HAVING", false,
+	{"OR over a join + HAVING", false, true,
 		"select s_x, sum(r_b) as q, max(r_a) as d from r, s where r_fk = s_pk and (r_y = 0 or r_a = 7 or r_b > 45) group by s_x having sum(r_b) > 1000"},
+	// The grouped forms above all aggregate into key-addressed tables; this
+	// one's composite key spans too wide a domain and stays hashed.
+	{"three-key group", false, false,
+		"select r_c, r_fk, r_a, sum(r_b) as q, count(*) as n from r where r_x < 30 group by r_c, r_fk, r_a"},
 }
 
 // selectFormDBs builds the two datasets selectForms run on.
@@ -73,6 +78,9 @@ func TestSelectSteadyZeroAlloc(t *testing.T) {
 				}
 				if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
 					t.Errorf("shards=%d %s: second run PlanCached=%t FreshAllocs=%d", shards, f.name, ex.PlanCached, ex.FreshAllocs)
+				}
+				if (ex.DenseDomain > 0) != f.dense {
+					t.Errorf("shards=%d %s: DenseDomain=%d, want key-addressed=%v", shards, f.name, ex.DenseDomain, f.dense)
 				}
 			}
 			allocs := testing.AllocsPerRun(10, func() {

@@ -70,6 +70,40 @@ func BenchmarkSteadyGroupAgg100K(b *testing.B) {
 	benchSteady(b, db, "select r_c, sum(r_a) from r where r_x < 50 group by r_c")
 }
 
+// The BenchmarkSteadyGroupDense rows repeat group-bys whose key domain is
+// known and dense, so they aggregate into key-addressed tables: 100 groups
+// (an L1-resident record array), 1M groups (16 MB, cleared and walked every
+// run), and the eager groupjoin keyed by a foreign key.
+
+// benchSteadyDense is benchSteady after checking the plan is key-addressed
+// over wantDomain keys.
+func benchSteadyDense(b *testing.B, db *DB, q string, wantDomain int) {
+	b.Helper()
+	db.SetWorkers(1)
+	defer db.SetWorkers(0)
+	if _, ex, err := db.QuerySwole(q); err != nil {
+		b.Fatal(err)
+	} else if ex.DenseDomain != wantDomain {
+		b.Fatalf("DenseDomain=%d (partitioned=%v), want %d", ex.DenseDomain, ex.Partitioned, wantDomain)
+	}
+	benchSteady(b, db, q)
+}
+
+func BenchmarkSteadyGroupDense100(b *testing.B) {
+	db := steadyDB(b, benchR(), 1000, 1000)
+	benchSteadyDense(b, db, "select r_a, sum(r_b) from r where r_x < 50 group by r_a", 100)
+}
+
+func BenchmarkSteadyGroupDense1M(b *testing.B) {
+	db := steadyDB(b, radixRows, 1024, radixGroups)
+	benchSteadyDense(b, db, "select r_c, sum(r_b) from r where r_x < 50 group by r_c", radixGroups)
+}
+
+func BenchmarkSteadyGroupJoinDense(b *testing.B) {
+	db := steadyDB(b, benchR(), 100_000, 1000)
+	benchSteadyDense(b, db, "select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk", 100_000)
+}
+
 // BenchmarkSteadySemiJoinAgg repeats a filtered semijoin aggregation
 // (positional-bitmap regime, Figure 11).
 func BenchmarkSteadySemiJoinAgg(b *testing.B) {

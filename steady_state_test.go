@@ -15,15 +15,19 @@ func steadyTestDB(t testing.TB) *DB {
 	return d
 }
 
-// steadyQueries are the three gated shapes: scalar aggregation, group-by
-// aggregation, and semijoin aggregation.
+// steadyQueries are the gated shapes: scalar, group-by and semijoin
+// aggregation, and — aggregating into key-addressed tables (dense) — a
+// classic group-by, a groupjoin and a generic grouped statement.
 var steadyQueries = []struct {
-	name string
-	q    string
+	name  string
+	dense bool
+	q     string
 }{
-	{"scalar-agg", "select sum(r_a * r_b) from r where r_x < 50"},
-	{"group-agg", "select r_c, sum(r_a) from r where r_x < 50 group by r_c"},
-	{"semijoin-agg", "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50"},
+	{"scalar-agg", false, "select sum(r_a * r_b) from r where r_x < 50"},
+	{"group-agg", true, "select r_c, sum(r_a) from r where r_x < 50 group by r_c"},
+	{"semijoin-agg", false, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50"},
+	{"groupjoin-agg", true, "select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk"},
+	{"generic-group", true, "select r_c, sum(r_a) as q, count(*) as n from r where r_x < 50 group by r_c having count(*) > 0"},
 }
 
 // TestQuerySwoleSteadyZeroAlloc is the end-to-end tentpole gate: the
@@ -45,6 +49,8 @@ func TestQuerySwoleSteadyZeroAlloc(t *testing.T) {
 					t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, tc.name, err)
 				} else if ex.Technique == "interpreter-fallback" {
 					t.Fatalf("shards=%d workers=%d %s: shape fell back to the interpreter", shards, workers, tc.name)
+				} else if (ex.DenseDomain > 0) != tc.dense {
+					t.Fatalf("shards=%d workers=%d %s: DenseDomain=%d, want key-addressed=%v", shards, workers, tc.name, ex.DenseDomain, tc.dense)
 				}
 				// Second execution settles result-array capacity.
 				if _, ex, err := d.QuerySwole(tc.q); err != nil {
