@@ -129,12 +129,23 @@ func (p *planCore) sumVariants() {
 	}
 }
 
+// compiled stamps the compile's cost into the Explain: its wall time since
+// start and, inside it, the time its statistics lookups took.
+func (p *planCore) compiled(start time.Time, stats time.Duration) {
+	p.ex.PrepareTime, p.ex.StatsTime = time.Since(start), stats
+}
+
 // snapshot copies the Explain for return and zeroes the one-execution
-// counters so replays report a settled steady state.
+// counters — the compile's allocations and its cost — so replays report a
+// settled steady state.
 func (p *planCore) snapshot() Explain {
 	ex := p.ex
-	p.ex.FreshAllocs = 0
+	p.settle()
 	return ex
+}
+
+func (p *planCore) settle() {
+	p.ex.FreshAllocs, p.ex.PrepareTime, p.ex.StatsTime = 0, 0, 0
 }
 
 // canceled settles a plan after a canceled run and passes the context
@@ -143,7 +154,7 @@ func (p *planCore) snapshot() Explain {
 // a cold compile whose first execution was canceled does not re-bill its
 // fresh allocations.
 func (p *planCore) canceled(err error) error {
-	p.ex.FreshAllocs = 0
+	p.settle()
 	return err
 }
 

@@ -78,6 +78,11 @@ type Explain struct {
 	// MergeTime is the wall time of the final single-threaded merge of
 	// per-worker partial states.
 	MergeTime time.Duration
+	// PrepareTime is the wall time of the compile that made the plan and,
+	// inside it, StatsTime the time spent on statistics lookups — cache hits,
+	// sampling passes and column ranges. Both are reported by the plan's
+	// first run and zero on every replay.
+	PrepareTime, StatsTime time.Duration
 
 	// DenseDomain is the key domain of the key-addressed group table the
 	// plan aggregates into (slot = key - lo, emission in key order without a
@@ -133,9 +138,9 @@ func (e Explain) String() string {
 	if e.Variants.Total() > 0 {
 		variants = fmt.Sprintf(" variants=[%s]", e.Variants.String())
 	}
-	return fmt.Sprintf("technique=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
+	return fmt.Sprintf("technique=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s prepare=%s(stats=%s) scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
 		e.Technique, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
-		e.ScanTime, e.MergeTime, e.StatsCached, e.PlanCached, e.HTGrows, e.FreshAllocs,
+		e.PrepareTime, e.StatsTime, e.ScanTime, e.MergeTime, e.StatsCached, e.PlanCached, e.HTGrows, e.FreshAllocs,
 		e.Costs, e.Merged, variants)
 }
 
@@ -192,9 +197,11 @@ type Engine struct {
 	// the zero value (PartitionAuto) defers to the cost model.
 	Partition PartitionMode
 
-	// The statistics cache (stats.go), guarded by mu.
-	mu    sync.Mutex
-	stats statsCache
+	// The statistics cache and the sample store its misses are evaluated
+	// on (stats.go), guarded by mu.
+	mu      sync.Mutex
+	stats   statsCache
+	samples sampler
 
 	// The persistent worker gang every plan scans on; execMu serializes
 	// executions on it. The scatter arena rides under the same lock: every
@@ -279,66 +286,6 @@ func errNoTable(name string) error {
 
 func errNoColumn(table, column string) error {
 	return fmt.Errorf("core: table %q column %q: %w", table, column, ErrNoColumn)
-}
-
-// sampleSelectivity estimates a predicate's selectivity on up to maxSample
-// rows spread across the table. The filter must already be bound.
-func sampleSelectivity(filter expr.Expr, rows, maxSample int) float64 {
-	if filter == nil {
-		return 1.0
-	}
-	if rows == 0 {
-		return 0
-	}
-	step := 1
-	if rows > maxSample {
-		step = rows / maxSample
-	}
-	n, hits := 0, 0
-	for i := 0; i < rows; i += step {
-		n++
-		if expr.Eval(filter, i) != 0 {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
-}
-
-// sampleGroupKeys folds up to maxSample of the bound key expression's
-// values into seen and returns how many rows it sampled. The append path
-// reuses it to merge a delta's keys into an existing distinct-sample.
-func sampleGroupKeys(key expr.Expr, rows, maxSample int, seen map[int64]struct{}) int {
-	step := 1
-	if rows > maxSample {
-		step = rows / maxSample
-	}
-	n := 0
-	for i := 0; i < rows; i += step {
-		n++
-		seen[expr.Eval(key, i)] = struct{}{}
-	}
-	return n
-}
-
-// estimateGroups turns a distinct-sample (d distinct keys in n sampled of
-// rows total) into a group-count estimate; if the sample saturates, the
-// estimate scales linearly.
-func estimateGroups(d, n, rows int) int {
-	if d > n*3/4 {
-		return d * (rows / max(n, 1))
-	}
-	return d
-}
-
-// sampleGroups estimates the number of distinct keys of a bound column
-// expression.
-func sampleGroups(key expr.Expr, rows, maxSample int) int {
-	if rows == 0 {
-		return 1
-	}
-	seen := map[int64]struct{}{}
-	n := sampleGroupKeys(key, rows, maxSample, seen)
-	return estimateGroups(len(seen), n, rows)
 }
 
 // aggSlotBytes approximates the hashed ht.AggTable's per-group footprint.

@@ -240,6 +240,7 @@ func (p *PreparedGroupAgg) maskKeys(s *workerState, b, tl int) {
 // partitioned compile may grow the shared scatter arena, which must not
 // happen under a running scan.
 func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg, error) {
+	start := time.Now()
 	t := e.DB.Table(q.Table)
 	if t == nil {
 		return nil, errNoTable(q.Table)
@@ -263,9 +264,10 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	}
 
 	params := e.Params.ForWorkers(p.nw)
-	sel, selHit := e.selectivity(q.Table, p.rows, q.Filter, 16384)
 	comp := expr.CompCost(q.Agg, params)
-	groups, grpHit := e.groupCount(q.Table, p.rows, q.Key, 16384)
+	statsStart := time.Now()
+	sel, selHit := e.selectivity(t, q.Filter)
+	groups, grpHit := e.groupCount(t, q.Key)
 
 	// The table's form, from what the catalog knows about a bare-column key:
 	// a dictionary's codes, or the column's exact cached range.
@@ -278,6 +280,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 			lo, hi = e.colRange(q.Table, p.keyCol)
 		}
 	}
+	statsTime := time.Since(statsStart)
 	form, htBytes, domain := tableForm(params, lo, hi, 1, groups)
 	strat, directCost := form.ChooseGroupAgg(p.rows, sel, comp, 1, htBytes)
 	_, hashedCost := params.ChooseGroupAgg(p.rows, sel, comp, 1, hashedBytes)
@@ -362,6 +365,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 		}
 	}
 	p.ex.FreshAllocs = fresh
+	p.compiled(start, statsTime)
 	return p, nil
 }
 

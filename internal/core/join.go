@@ -103,6 +103,7 @@ func newSemiPlan() *PreparedSemiJoinAgg {
 // predicated and selection-vector construction, which the value-masking
 // model makes.
 func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error) {
+	start := time.Now()
 	probe := e.DB.Table(q.Probe)
 	build := e.DB.Table(q.Build)
 	if probe == nil {
@@ -139,7 +140,9 @@ func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error)
 	p.bms = newBitmaps(p.nw, p.buildRows)
 	fresh += p.nw
 
-	buildSel, statsHit := e.selectivity(q.Build, p.buildRows, q.BuildFilter, 16384)
+	statsStart := time.Now()
+	buildSel, statsHit := e.selectivity(build, q.BuildFilter)
+	statsTime := time.Since(statsStart)
 	p.ex = Explain{
 		Technique:   TechPositionalBitmap,
 		Selectivity: buildSel,
@@ -158,6 +161,7 @@ func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error)
 		p.buildKernel = p.kBuildPred
 	}
 	p.probeKernel = p.kProbe
+	p.compiled(start, statsTime)
 	return p, nil
 }
 
@@ -375,6 +379,7 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 // may grow the shared scatter arena, which must not happen under a running
 // scan.
 func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, error) {
+	start := time.Now()
 	probe := e.DB.Table(q.Probe)
 	build := e.DB.Table(q.Build)
 	if probe == nil {
@@ -409,8 +414,9 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 	p.fkCol, p.pkCol = fkCol, pkCol
 
 	params := e.Params.ForWorkers(p.nw)
-	selS, statsHit := e.selectivity(q.Build, p.buildRows, q.BuildFilter, 16384)
 	comp := expr.CompCost(q.Agg, params)
+	statsStart := time.Now()
+	selS, statsHit := e.selectivity(build, q.BuildFilter)
 
 	// The eager path aggregates the probe side by its foreign key into one
 	// group per build row. The foreign key's exact cached range is the
@@ -423,6 +429,7 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 	if rows > 0 {
 		lo, hi = e.colRange(q.Probe, fkCol)
 	}
+	statsTime := time.Since(statsStart)
 	form, htBytes, domain := tableForm(params, lo, hi, 1, p.buildRows)
 	_, gj, _ := params.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, hashedBytes)
 	_, _, ea := form.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, htBytes)
@@ -489,6 +496,7 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 		p.aggKernel = p.kAgg
 	}
 	p.ex.FreshAllocs = fresh
+	p.compiled(start, statsTime)
 	return p, nil
 }
 

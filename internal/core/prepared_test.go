@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -276,6 +279,39 @@ func TestPoolRecycling(t *testing.T) {
 		}
 		if ex.HTGrows != 0 {
 			t.Errorf("rep %d: %d hash growths despite cardinality hint", rep, ex.HTGrows)
+		}
+	}
+}
+
+// TestCompileCostReportedOnce: a plan's first run reports what its compile
+// cost — the whole of it and the statistics lookups inside it — on the
+// classic and the generic path alike, Explain.String prints it, and every
+// later run of the plan, which compiled nothing, reports zero.
+func TestCompileCostReportedOnce(t *testing.T) {
+	db := testDB(t, 30_000, 100, 10)
+	e := NewEngine(db)
+	defer e.Close()
+	classic := scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 30), Agg: expr.NewCol("r_a")})
+	generic := classicSpec("r", lt("r_x", 31), []string{"r_c"}, nil, expr.NewCol("r_a"))
+	generic.Aggs = append(generic.Aggs, SelectAgg{Kind: AggCount, As: "n"})
+	generic.Project = append(generic.Project, SelectProj{Expr: expr.NewCol("n"), As: "n"})
+	for name, spec := range map[string]Select{"classic": classic, "generic": generic} {
+		p, err := e.Prepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ex, err := p.RunPartial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.StatsTime <= 0 || ex.StatsTime > ex.PrepareTime {
+			t.Errorf("%s: first run reports prepare=%s stats=%s, want 0 < stats <= prepare", name, ex.PrepareTime, ex.StatsTime)
+		}
+		if want := fmt.Sprintf("prepare=%s(stats=%s)", ex.PrepareTime, ex.StatsTime); !strings.Contains(ex.String(), want) {
+			t.Errorf("%s: %q does not print %s", name, ex.String(), want)
+		}
+		if _, ex, _ = p.RunPartial(context.Background()); ex.PrepareTime != 0 || ex.StatsTime != 0 {
+			t.Errorf("%s: replay reports prepare=%s stats=%s", name, ex.PrepareTime, ex.StatsTime)
 		}
 	}
 }

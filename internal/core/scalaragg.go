@@ -100,6 +100,7 @@ func newScalarPlan() *PreparedScalarAgg {
 // cost models, and binds the chosen kernel and resources. tech overrides
 // the decision (forced execution); techAuto defers to the model.
 func (e *Engine) compileScalarAgg(q ScalarAgg, tech Technique) (*PreparedScalarAgg, error) {
+	start := time.Now()
 	t := e.DB.Table(q.Table)
 	if t == nil {
 		return nil, errNoTable(q.Table)
@@ -124,7 +125,9 @@ func (e *Engine) compileScalarAgg(q ScalarAgg, tech Technique) (*PreparedScalarA
 	p.parts = exec.NewPartials(p.nw)
 
 	params := e.Params.ForWorkers(p.nw)
-	sel, statsHit := e.selectivity(q.Table, p.rows, q.Filter, 16384)
+	statsStart := time.Now()
+	sel, statsHit := e.selectivity(t, q.Filter)
+	statsTime := time.Since(statsStart)
 	comp := expr.CompCost(q.Agg, params)
 	p.ex = Explain{
 		Selectivity: sel,
@@ -162,6 +165,7 @@ func (e *Engine) compileScalarAgg(q ScalarAgg, tech Technique) (*PreparedScalarA
 	default:
 		p.kernel = p.kHybrid
 	}
+	p.compiled(start, statsTime)
 	return p, nil
 }
 

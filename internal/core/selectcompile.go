@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/cost"
@@ -76,12 +77,14 @@ type selectCompile struct {
 	stages  []staged
 	fresh   int // plan-owned buffers allocated, billed to Explain.FreshAllocs
 
-	// Statistics looked up and served from the cache: Explain.StatsCached
-	// when every lookup hit.
+	// Statistics looked up and served from the cache — Explain.StatsCached
+	// when every lookup hit — and the time the lookups took.
 	statLookups, statHits int
+	statsTime             time.Duration
 }
 
 func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error) {
+	start := time.Now()
 	if len(q.Edges) > maxSelectEdges {
 		return nil, fmt.Errorf("core: %d join edges unsupported (max %d)", len(q.Edges), maxSelectEdges)
 	}
@@ -123,18 +126,23 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
 	p.kMain, p.kEdge, p.kTerm = p.mainKernel, p.edgeKernel, p.termKernel
+	p.compiled(start, c.statsTime)
 	return p, nil
 }
 
-// selectivity samples a filter through the statistics cache and folds it
-// into the statement's estimate.
-func (c *selectCompile) selectivity(table string, rows int, filter expr.Expr) {
-	s, hit := c.e.selectivity(table, rows, filter, statsMaxSample)
+// selectivity samples a filter bound to t — and, with termSel, each of its
+// OR terms — through the statistics cache and folds it into the statement's
+// estimate.
+func (c *selectCompile) selectivity(t *storage.Table, filter expr.Expr, termSel []float64) {
+	start := time.Now()
+	s, hit := c.e.selectivities(t, filter, termSel)
 	c.sel *= s
-	c.stat(hit)
+	c.stat(hit, start)
 }
 
-func (c *selectCompile) stat(hit bool) {
+// stat counts one statistics lookup begun at start.
+func (c *selectCompile) stat(hit bool, start time.Time) {
+	c.statsTime += time.Since(start)
 	c.statLookups++
 	if hit {
 		c.statHits++
@@ -170,7 +178,7 @@ func (c *selectCompile) bindEdges() error {
 			c.fresh++
 			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
 			p.ex.HTBytes += be.bm.Bytes()
-			c.selectivity(ed.Parent, parent.Rows(), be.filter)
+			c.selectivity(parent, be.filter, nil)
 		}
 		p.edges = append(p.edges, be)
 	}
@@ -187,15 +195,18 @@ func (c *selectCompile) bindFilter() error {
 	if err := expr.Bind(q.Filter, c.root); err != nil {
 		return err
 	}
-	c.selectivity(q.Root, p.rows, q.Filter)
-	if p.terms = expr.OrTerms(q.Filter); len(p.terms) < 2 {
+	p.terms = expr.OrTerms(q.Filter)
+	var termSel []float64
+	if len(p.terms) > 1 {
+		termSel = make([]float64, len(p.terms))
+	}
+	c.selectivity(c.root, q.Filter, termSel)
+	if termSel == nil {
 		return nil
 	}
 	termComp := make([]float64, len(p.terms))
-	termSel := make([]float64, len(p.terms))
 	for i, t := range p.terms {
 		termComp[i] = expr.CompCost(t, c.params)
-		termSel[i], _ = c.e.selectivity(q.Root, p.rows, t, statsMaxSample)
 	}
 	strategy, fused, bm := c.params.ChooseDisjunction(p.rows, termComp, termSel)
 	p.ex.Costs["disjunction-fused"] = fused
@@ -210,16 +221,17 @@ func (c *selectCompile) bindFilter() error {
 // locate finds a joined-schema column and the table owning it: root
 // columns first, then each edge's parent in order (column names are
 // query-unique).
-func (c *selectCompile) locate(name string) (tileCol, string, error) {
+func (c *selectCompile) locate(name string) (tileCol, *storage.Table, error) {
 	if col := c.root.Column(name); col != nil {
-		return tileCol{name: name, src: -1, col: col}, c.q.Root, nil
+		return tileCol{name: name, src: -1, col: col}, c.root, nil
 	}
 	for i := range c.p.edges {
-		if col := c.p.edges[i].parent.Column(name); col != nil {
-			return tileCol{name: name, src: i, col: col}, c.q.Edges[i].Parent, nil
+		parent := c.p.edges[i].parent
+		if col := parent.Column(name); col != nil {
+			return tileCol{name: name, src: i, col: col}, parent, nil
 		}
 	}
-	return tileCol{}, "", errNoColumn(c.q.Root, name)
+	return tileCol{}, nil, errNoColumn(c.q.Root, name)
 }
 
 // planKeys plans the GROUP BY columns' packing — each column's value range
@@ -232,31 +244,29 @@ func (c *selectCompile) planKeys() error {
 		return nil
 	}
 	lo, hi := make([]int64, nk), make([]int64, nk)
-	tables := make([]string, nk)
+	est := 1.0
 	for i, g := range c.q.GroupBy {
 		tc, table, err := c.locate(g)
 		if err != nil {
 			return err
 		}
-		c.keyCols, tables[i] = append(c.keyCols, tc), table
+		c.keyCols = append(c.keyCols, tc)
+		start := time.Now()
 		if tc.col.Dict != nil {
 			hi[i] = int64(max(tc.col.Dict.Len(), 1) - 1)
 		} else {
-			lo[i], hi[i] = c.e.colRange(table, tc.col)
+			lo[i], hi[i] = c.e.colRange(table.Name, tc.col)
 		}
+		key := expr.NewCol(g)
+		if err := expr.Bind(key, table); err != nil {
+			return err
+		}
+		groups, hit := c.e.groupCount(table, key)
+		est *= float64(max(groups, 1))
+		c.stat(hit, start)
 		p.outFields = append(p.outFields, OutField{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
 	}
 	p.keys, c.domain = planGroupKeys(lo, hi)
-	est := 1.0
-	for i, tc := range c.keyCols {
-		key := expr.NewCol(tc.name)
-		if err := expr.Bind(key, c.e.DB.Table(tables[i])); err != nil {
-			return err
-		}
-		g, hit := c.e.groupCount(tables[i], tc.col.Len(), key, statsMaxSample)
-		est *= float64(max(g, 1))
-		c.stat(hit)
-	}
 	limit := float64(max(p.rows, 1))
 	if c.domain > 0 {
 		limit = min(limit, float64(c.domain))

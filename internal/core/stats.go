@@ -3,23 +3,32 @@ package core
 import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/storage"
+	"github.com/reprolab/swole/internal/vec"
 )
 
-// Statistics cache. Sampling selectivities and group cardinalities is how
-// the engine feeds the cost models, and for a repeated query shape the
-// sampling pass dominates planning time: it touches maxSample rows and —
-// for group counts — builds a throwaway map. Columns are immutable once a
-// table is registered (see storage.Database), so a sampled statistic stays
-// exact until the table name is re-bound. The cache therefore keys each
-// entry on (table name, table version, statistic kind, expression text)
-// and never needs explicit eviction for correctness: a stale entry simply
-// stops matching once the version bumps. InvalidateStats drops entries
-// eagerly so replaced tables do not pin dead statistics.
+// Statistics: the sampled selectivities and group cardinalities that feed
+// the cost models, and the cache in front of them.
+//
+// Sample once, evaluate vectorized. Every sampling site looks at the same
+// rows of a table — positions 0, step, 2·step, … with step =
+// max(1, rows/statsMaxSample) — so the engine keeps, per table, a strided
+// copy of each column some expression has read (tableSample), and a miss
+// binds the cache entry's clone of the expression to those copies and counts
+// hits a tile at a time with the columnar evaluator and the vec kernels, the
+// way the query itself will run. The row-at-a-time sampler survives only for
+// expressions the columnar evaluator may not touch (mayFault).
+//
+// Columns are immutable once a table is registered (see storage.Database),
+// so a sampled statistic stays exact until the table name is re-bound. The
+// cache keys each entry on (table name, table version, statistic kind,
+// expression text): a stale entry simply stops matching once the version
+// bumps. InvalidateStats drops entries eagerly so replaced tables do not pin
+// dead statistics, and an append merges them (MergeStatsOnAppend).
 
 type statsKind uint8
 
 const (
-	statSelectivity statsKind = iota // value stores a float64 in selBits
+	statSelectivity statsKind = iota // value stores a float64 in sel
 	statGroups                       // value stores an int group count
 	statRange                        // value stores a column's [lo, hi]; expr is the column name
 )
@@ -41,11 +50,13 @@ type statsEntry struct {
 	col    *storage.Column // the column lo and hi were read from
 
 	// Incremental-merge state for the append path (MergeStatsOnAppend):
-	// e is an unbound clone of the sampled expression, owned by the cache
-	// so rebinding it against a delta view cannot race with the live plan
-	// that supplied the original; n counts rows sampled so far; keys is
-	// the distinct-sample behind a group-count estimate, retained only
-	// while it stays under mergeableKeyCap.
+	// e is a clone of the sampled expression, owned by the cache so
+	// rebinding it against a sample or a delta view cannot race with the
+	// live plan that supplied the original (a disjunction's term entries
+	// hold subtrees of the whole filter's clone; every rebind happens under
+	// the statistics lock); n counts rows sampled so far; keys is the
+	// distinct-sample behind a group-count estimate, retained only while it
+	// stays under mergeableKeyCap.
 	e    expr.Expr
 	n    int
 	keys map[int64]struct{}
@@ -57,48 +68,314 @@ type statsEntry struct {
 // back to full re-sampling on the next append.
 const mergeableKeyCap = 4096
 
-// statsMaxSample is the sampling budget, shared by the planning-time
-// sampling sites and the append-time delta merge.
+// statsMaxSample is the sampling budget of every sampling site: planning,
+// the append-time delta merge and the row-at-a-time fallback.
 const statsMaxSample = 16384
 
-// statsCache is a bounded map of sampled statistics. Zero value is ready.
+// sampleStep is the distance between sampled rows of a rows-row table.
+func sampleStep(rows int) int { return max(1, rows/statsMaxSample) }
+
+// statsCache holds the sampled statistics. Zero value is ready.
+//
+// Selectivities live in their own bounded map: a stream of never-seen
+// filters adds an entry per filter and per OR term, and must not push out
+// the few range and group-count entries, which cost a pass over a whole key
+// column to rebuild and leave only when their table's version moves.
 type statsCache struct {
-	m map[statsKey]statsEntry
+	sel  map[statsKey]statsEntry // statSelectivity
+	kept map[statsKey]statsEntry // statGroups, statRange
 }
 
-// maxStatsEntries bounds the cache; past it the map is dropped wholesale.
-// Statistics are cheap to recompute relative to queries, so a rare full
-// reset beats LRU bookkeeping on the hit path.
-const maxStatsEntries = 1024
+// maxSelectivityEntries bounds the selectivity map; past it the map is
+// dropped wholesale. A selectivity is cheap to recompute relative to a
+// query, so a rare full reset beats LRU bookkeeping on the hit path.
+const maxSelectivityEntries = 1024
+
+// maxKeptEntries is the size past which a put sweeps its table's entries of
+// other versions out of the kept map.
+const maxKeptEntries = 1024
 
 func (c *statsCache) get(k statsKey) (statsEntry, bool) {
-	e, ok := c.m[k]
+	if k.kind == statSelectivity {
+		e, ok := c.sel[k]
+		return e, ok
+	}
+	e, ok := c.kept[k]
 	return e, ok
 }
 
 func (c *statsCache) put(k statsKey, e statsEntry) {
-	if c.m == nil || len(c.m) >= maxStatsEntries {
-		c.m = make(map[statsKey]statsEntry)
+	if k.kind == statSelectivity {
+		if c.sel == nil || len(c.sel) >= maxSelectivityEntries {
+			c.sel = make(map[statsKey]statsEntry)
+		}
+		c.sel[k] = e
+		return
 	}
-	c.m[k] = e
+	if c.kept == nil {
+		c.kept = make(map[statsKey]statsEntry)
+	}
+	if len(c.kept) >= maxKeptEntries {
+		// Only a table re-registered without InvalidateStats gets here: its
+		// older versions' entries can never match again.
+		for old := range c.kept {
+			if old.table == k.table && old.ver != k.ver {
+				delete(c.kept, old)
+			}
+		}
+	}
+	c.kept[k] = e
+}
+
+// each visits every entry of the named table; fn may delete.
+func (c *statsCache) each(table string, fn func(m map[statsKey]statsEntry, k statsKey, e statsEntry)) {
+	for _, m := range []map[statsKey]statsEntry{c.sel, c.kept} {
+		for k, e := range m {
+			if k.table == table {
+				fn(m, k, e)
+			}
+		}
+	}
 }
 
 // invalidate drops every entry that references the named table at any
 // version.
 func (c *statsCache) invalidate(table string) {
-	for k := range c.m {
-		if k.table == table {
-			delete(c.m, k)
+	c.each(table, func(m map[statsKey]statsEntry, k statsKey, _ statsEntry) { delete(m, k) })
+}
+
+// tableSample is the sampled rows of one table object: the strided copy —
+// same Name, Kind, Log and Dict — of every column an expression has read so
+// far, drawn on first use. A table whose step is 1 is its own sample. The
+// sample is valid for src alone: an append or a replacement registers a new
+// table of new column objects, and gets a new sample.
+type tableSample struct {
+	src  *storage.Table
+	step int
+	view *storage.Table // the sampled columns, bindable like src
+}
+
+func newTableSample(t *storage.Table) *tableSample {
+	ts := &tableSample{src: t, step: sampleStep(t.Rows()), view: t}
+	if ts.step > 1 {
+		ts.view = storage.MustNewTable(t.Name)
+	}
+	return ts
+}
+
+// rows is the number of sampled rows.
+func (ts *tableSample) rows() int { return (ts.src.Rows() + ts.step - 1) / ts.step }
+
+// bind binds x to the sampled columns, drawing the ones no expression has
+// read before.
+func (ts *tableSample) bind(x expr.Expr) error {
+	if expr.Bind(x, ts.view) == nil {
+		return nil
+	}
+	cols := ts.view.Columns[:len(ts.view.Columns):len(ts.view.Columns)]
+	for _, name := range expr.Cols(x) {
+		if ts.view.Column(name) != nil {
+			continue
 		}
+		c := ts.src.Column(name)
+		if c == nil {
+			return errNoColumn(ts.src.Name, name)
+		}
+		cols = append(cols, strided(c, ts.step))
+	}
+	view, err := storage.NewTable(ts.src.Name, cols...)
+	if err != nil {
+		return err
+	}
+	ts.view = view
+	return expr.Bind(x, view)
+}
+
+// strided copies every step-th value of c, from row 0, into a column of the
+// same physical and logical type.
+func strided(c *storage.Column, step int) *storage.Column {
+	out := &storage.Column{Name: c.Name, Kind: c.Kind, Log: c.Log, Dict: c.Dict}
+	switch c.Kind {
+	case storage.KindInt8:
+		out.I8 = everyNth(c.I8, step)
+	case storage.KindInt16:
+		out.I16 = everyNth(c.I16, step)
+	case storage.KindInt32:
+		out.I32 = everyNth(c.I32, step)
+	default:
+		out.I64 = everyNth(c.I64, step)
+	}
+	return out
+}
+
+func everyNth[T any](vals []T, step int) []T {
+	out := make([]T, 0, (len(vals)+step-1)/step)
+	for i := 0; i < len(vals); i += step {
+		out = append(out, vals[i])
+	}
+	return out
+}
+
+// sampler is the sample store and the tile scratch the statistics are
+// evaluated on, all guarded by Engine.mu. Zero value is ready.
+type sampler struct {
+	tables map[string]*tableSample // by table name; each valid for its src only
+
+	ev         *expr.Evaluator
+	mask, term []byte
+	vals       []int64
+	terms      []int      // per-term hit counts of a disjunction
+	keys       []statsKey // a lookup's keys: the filter's, then its terms'
+}
+
+// of returns t's sample. It is kept only while t is what the catalog holds
+// under its name: a compile that overlaps a write may carry an older table,
+// and a dead table's sample must not outlive the call (nor evict the live
+// one).
+func (s *sampler) of(db *storage.Database, t *storage.Table) *tableSample {
+	if ts := s.tables[t.Name]; ts != nil && ts.src == t {
+		return ts
+	}
+	ts := newTableSample(t)
+	if db.Table(t.Name) == t {
+		if s.tables == nil {
+			s.tables = map[string]*tableSample{}
+		}
+		s.tables[t.Name] = ts
+	}
+	return ts
+}
+
+func (s *sampler) scratch() {
+	if s.ev == nil {
+		s.ev = expr.NewEvaluator()
+		s.mask, s.term = make([]byte, vec.TileSize), make([]byte, vec.TileSize)
+		s.vals = make([]int64, vec.TileSize)
 	}
 }
 
-// InvalidateStats drops cached statistics for the named table. Entries
-// self-invalidate via table versions, so this is about reclaiming memory
-// (and about making eviction observable to tests), not correctness.
+// selectivity samples the predicate x, a tree the caller owns, over ts: the
+// share of sampled rows x accepts and, when termSel is non-nil, the share
+// each of x's top-level OR terms accepts, into termSel. All of them come out
+// of one pass: each term is evaluated once per tile and the filter's mask is
+// the OR of its terms'. It returns the number of rows sampled.
+func (s *sampler) selectivity(ts *tableSample, x expr.Expr, termSel []float64) (sel float64, n int, err error) {
+	n = ts.rows()
+	if n == 0 {
+		clear(termSel)
+		return 0, 0, nil
+	}
+	var terms []expr.Expr
+	if len(termSel) > 0 {
+		terms = expr.OrTerms(x)
+	}
+	if mayFault(x) {
+		// The columnar evaluator computes every lane of every operand, so a
+		// division a short-circuit may be protecting stays with the
+		// interpreter, on the table's own rows.
+		if err := expr.Bind(x, ts.src); err != nil {
+			return 0, 0, err
+		}
+		for i, t := range terms {
+			termSel[i] = sampleSelectivity(t, ts.src.Rows())
+		}
+		return sampleSelectivity(x, ts.src.Rows()), n, nil
+	}
+	if err := ts.bind(x); err != nil {
+		return 0, 0, err
+	}
+	s.scratch()
+	s.terms = append(s.terms[:0], make([]int, len(terms))...)
+	hits := 0
+	for base := 0; base < n; base += vec.TileSize {
+		tl := min(vec.TileSize, n-base)
+		mask := s.mask[:tl]
+		if len(terms) == 0 {
+			s.ev.EvalBool(x, base, tl, mask)
+		}
+		for i, t := range terms {
+			out := mask
+			if i > 0 {
+				out = s.term[:tl]
+			}
+			s.ev.EvalBool(t, base, tl, out)
+			s.terms[i] += vec.CountMask(out)
+			if i > 0 {
+				vec.Or(mask, out)
+			}
+		}
+		hits += vec.CountMask(mask)
+	}
+	for i, h := range s.terms {
+		termSel[i] = float64(h) / float64(n)
+	}
+	return float64(hits) / float64(n), n, nil
+}
+
+// groupKeys folds the value of the key expression x, a tree the caller
+// owns, at every sampled row of ts into seen and returns the number of rows
+// sampled.
+func (s *sampler) groupKeys(ts *tableSample, x expr.Expr, seen map[int64]struct{}) (int, error) {
+	n := ts.rows()
+	if mayFault(x) {
+		if err := expr.Bind(x, ts.src); err != nil {
+			return 0, err
+		}
+		for i := 0; i < ts.src.Rows(); i += ts.step {
+			seen[expr.Eval(x, i)] = struct{}{}
+		}
+		return n, nil
+	}
+	if err := ts.bind(x); err != nil {
+		return 0, err
+	}
+	s.scratch()
+	for base := 0; base < n; base += vec.TileSize {
+		tl := min(vec.TileSize, n-base)
+		s.ev.EvalInt(x, base, tl, s.vals)
+		for _, k := range s.vals[:tl] {
+			seen[k] = struct{}{}
+		}
+	}
+	return n, nil
+}
+
+// sampleSelectivity is the row-at-a-time sampler: the bound predicate's
+// selectivity over rows 0, step, 2·step, …, through the interpreter, which
+// short-circuits where the columnar evaluator cannot. It serves filters that
+// may fault, and is what the vectorized sampler is tested against.
+func sampleSelectivity(filter expr.Expr, rows int) float64 {
+	if rows == 0 {
+		return 0
+	}
+	n, hits := 0, 0
+	for i, step := 0, sampleStep(rows); i < rows; i += step {
+		n++
+		if expr.Eval(filter, i) != 0 {
+			hits++
+		}
+	}
+	return float64(hits) / float64(n)
+}
+
+// estimateGroups turns a distinct-sample (d distinct keys in n sampled of
+// rows total) into a group-count estimate; if the sample saturates, the
+// estimate scales linearly.
+func estimateGroups(d, n, rows int) int {
+	if d > n*3/4 {
+		return d * (rows / max(n, 1))
+	}
+	return d
+}
+
+// InvalidateStats drops the named table's cached statistics and its sample.
+// Entries self-invalidate via table versions and a sample via its table's
+// identity, so this is about reclaiming memory (and about making eviction
+// observable to tests), not correctness.
 func (e *Engine) InvalidateStats(table string) {
 	e.mu.Lock()
 	e.stats.invalidate(table)
+	delete(e.samples.tables, table)
 	e.mu.Unlock()
 }
 
@@ -107,56 +384,116 @@ func (e *Engine) InvalidateStats(table string) {
 func (e *Engine) StatsCacheLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.stats.m)
+	return len(e.stats.sel) + len(e.stats.kept)
 }
 
-// selectivity returns the predicate's selectivity on the table, from cache
-// when a current-version entry exists. cached reports a hit. A nil filter
-// is selectivity 1 and never touches the cache.
-func (e *Engine) selectivity(table string, rows int, filter expr.Expr, maxSample int) (sel float64, cached bool) {
+// SampledColumns reports how many column samples the engine holds for the
+// named table; exposed for tests and introspection.
+func (e *Engine) SampledColumns(table string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ts := e.samples.tables[table]; ts != nil && ts.step > 1 {
+		return len(ts.view.Columns)
+	}
+	return 0
+}
+
+// selectivity returns the selectivity on t of a predicate bound to it, from
+// cache when a current-version entry exists. cached reports a hit. A nil
+// filter is selectivity 1 and never touches the cache.
+func (e *Engine) selectivity(t *storage.Table, filter expr.Expr) (sel float64, cached bool) {
+	return e.selectivities(t, filter, nil)
+}
+
+// selectivities is selectivity for a disjunction: termSel, when non-nil,
+// has one slot per top-level OR term of filter (expr.OrTerms) and receives
+// each term's selectivity. The terms are cached under their own text, like
+// the filters they would be on their own; cached reports the whole filter's
+// hit.
+func (e *Engine) selectivities(t *storage.Table, filter expr.Expr, termSel []float64) (sel float64, cached bool) {
 	if filter == nil {
 		return 1.0, false
 	}
-	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statSelectivity, expr: filter.String()}
+	var terms []expr.Expr
+	if len(termSel) > 0 {
+		terms = expr.OrTerms(filter)
+	}
 	e.mu.Lock()
-	ent, ok := e.stats.get(k)
-	e.mu.Unlock()
-	if ok {
+	defer e.mu.Unlock()
+	s := &e.samples
+	whole := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statSelectivity, expr: filter.String()}
+	s.keys = s.keys[:0]
+	for _, term := range terms {
+		k := whole
+		k.expr = term.String()
+		s.keys = append(s.keys, k)
+	}
+	ent, cached := e.stats.get(whole)
+	hits := 0
+	for i := range terms {
+		te, ok := e.stats.get(s.keys[i])
+		if termSel[i] = te.sel; ok {
+			hits++
+		}
+	}
+	if cached && hits == len(terms) {
 		return ent.sel, true
 	}
-	sel = sampleSelectivity(filter, rows, maxSample)
-	e.mu.Lock()
-	e.stats.put(k, statsEntry{sel: sel, e: expr.Clone(filter), n: min(rows, maxSample)})
-	e.mu.Unlock()
-	return sel, false
+	clone := expr.Clone(filter)
+	sel, n, err := s.selectivity(s.of(e.DB, t), clone, termSel)
+	if err != nil {
+		// Unreachable for a filter bound to t: estimate like the absent
+		// filter and cache nothing.
+		for i := range termSel {
+			termSel[i] = 1
+		}
+		return 1.0, false
+	}
+	// The one pass sampled everything; what had hit keeps its cached value,
+	// because an append may have merged it and a merged estimate is not a
+	// fresh one.
+	if cached {
+		sel = ent.sel
+	} else {
+		e.stats.put(whole, statsEntry{sel: sel, e: clone, n: n})
+	}
+	if len(terms) > 0 {
+		for i, term := range expr.OrTerms(clone) {
+			if te, ok := e.stats.get(s.keys[i]); ok {
+				termSel[i] = te.sel
+			} else {
+				e.stats.put(s.keys[i], statsEntry{sel: termSel[i], e: term, n: n})
+			}
+		}
+	}
+	return sel, cached
 }
 
-// groupCount returns the estimated distinct count of the key expression on
-// the table, from cache when a current-version entry exists.
-func (e *Engine) groupCount(table string, rows int, key expr.Expr, maxSample int) (groups int, cached bool) {
-	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statGroups, expr: key.String()}
+// groupCount returns the estimated distinct count on t of a key expression
+// bound to it, from cache when a current-version entry exists.
+func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached bool) {
+	k := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statGroups, expr: key.String()}
 	e.mu.Lock()
-	ent, ok := e.stats.get(k)
-	e.mu.Unlock()
-	if ok {
+	defer e.mu.Unlock()
+	if ent, ok := e.stats.get(k); ok {
 		return ent.groups, true
 	}
+	rows := t.Rows()
 	seen := map[int64]struct{}{}
-	n := 0
-	if rows > 0 {
-		n = sampleGroupKeys(key, rows, maxSample, seen)
+	clone := expr.Clone(key)
+	n, err := e.samples.groupKeys(e.samples.of(e.DB, t), clone, seen)
+	if err != nil {
+		return max(rows, 1), false // unreachable for a key bound to t: every row its own group
 	}
 	groups = 1
 	if rows > 0 {
 		groups = estimateGroups(len(seen), n, rows)
 	}
-	fresh := statsEntry{groups: groups, e: expr.Clone(key), n: n, keys: seen}
+	fresh := statsEntry{groups: groups, e: clone, n: n, keys: seen}
 	if len(seen) > mergeableKeyCap {
 		fresh.e, fresh.keys = nil, nil // too wide to merge; re-sample on append
 	}
-	e.mu.Lock()
 	e.stats.put(k, fresh)
-	e.mu.Unlock()
 	return groups, false
 }
 
@@ -190,43 +527,45 @@ func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
 // MergeStatsOnAppend folds appended rows into the cached statistics of the
 // named table instead of dropping them: each entry recorded at oldVer is
 // re-keyed to the current version after reading only the delta rows
-// [oldRows, Rows). Selectivities merge as row-count-weighted averages;
-// group counts union the delta's keys into the retained distinct-sample; a
-// column range becomes the union of the old range and the delta's, pinned
-// to the new column object. Entries without merge state (or whose
-// expressions no longer bind) are dropped and re-sampled lazily.
+// [oldRows, Rows), sampled and evaluated like a table of their own.
+// Selectivities merge as row-count-weighted averages; group counts union the
+// delta's keys into the retained distinct-sample; a column range becomes the
+// union of the old range and the delta's, pinned to the new column object.
+// Entries without merge state (or whose expressions no longer bind) are
+// dropped and re-sampled lazily, and so is the old table's sample.
 func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 	t := e.DB.Table(table)
 	newVer := e.DB.TableVersion(table)
 	if t == nil || newVer == oldVer {
 		return
 	}
-	var delta *storage.Table
+	var delta *tableSample
 	if oldRows <= t.Rows() {
-		delta, _ = t.Slice(oldRows, t.Rows())
+		if d, err := t.Slice(oldRows, t.Rows()); err == nil {
+			delta = newTableSample(d)
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	delete(e.samples.tables, table)
 	type rekeyed struct {
 		k statsKey
 		e statsEntry
 	}
 	var out []rekeyed
-	for k, ent := range e.stats.m {
-		if k.table != table {
-			continue
-		}
-		delete(e.stats.m, k)
+	e.stats.each(table, func(m map[statsKey]statsEntry, k statsKey, ent statsEntry) {
+		delete(m, k)
 		if k.ver != oldVer || delta == nil {
-			continue // stale: re-sample lazily
+			return // stale: re-sample lazily
 		}
-		dn := delta.Rows()
-		if k.kind == statRange {
+		dn := delta.src.Rows()
+		switch k.kind {
+		case statRange:
 			// The entry's column held rows [0, oldRows) of the new one (see
 			// colRange), so old range ∪ delta range is the new column's.
-			nc, dc := t.Column(k.expr), delta.Column(k.expr)
+			nc, dc := t.Column(k.expr), delta.src.Column(k.expr)
 			if nc == nil || ent.col == nil || ent.col.Len() != oldRows {
-				continue
+				return
 			}
 			if dn > 0 {
 				dlo, dhi := dc.Range()
@@ -237,36 +576,31 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 				}
 			}
 			ent.col = nc
-			out = append(out, rekeyed{statsKey{table: table, ver: newVer, kind: k.kind, expr: k.expr}, ent})
-			continue
-		}
-		if ent.e == nil {
-			continue // unmergeable: re-sample lazily
-		}
-		if err := expr.Bind(ent.e, delta); err != nil {
-			continue // column vanished; shouldn't happen on appends
-		}
-		switch k.kind {
 		case statSelectivity:
+			if ent.e == nil {
+				return // unmergeable: re-sample lazily
+			}
+			dsel, n, err := e.samples.selectivity(delta, ent.e, nil)
+			if err != nil {
+				return // column vanished; shouldn't happen on appends
+			}
 			if dn > 0 {
-				dsel := sampleSelectivity(ent.e, dn, statsMaxSample)
 				ent.sel = (ent.sel*float64(oldRows) + dsel*float64(dn)) / float64(oldRows+dn)
-				ent.n += min(dn, statsMaxSample)
+				ent.n += n
 			}
 		case statGroups:
-			if ent.keys == nil {
-				continue
+			if ent.e == nil || ent.keys == nil {
+				return
 			}
-			if dn > 0 {
-				ent.n += sampleGroupKeys(ent.e, dn, statsMaxSample, ent.keys)
+			n, err := e.samples.groupKeys(delta, ent.e, ent.keys)
+			if err != nil || len(ent.keys) > mergeableKeyCap {
+				return
 			}
-			if len(ent.keys) > mergeableKeyCap {
-				continue
-			}
+			ent.n += n
 			ent.groups = estimateGroups(len(ent.keys), ent.n, t.Rows())
 		}
 		out = append(out, rekeyed{statsKey{table: table, ver: newVer, kind: k.kind, expr: k.expr}, ent})
-	}
+	})
 	for _, r := range out {
 		e.stats.put(r.k, r.e)
 	}

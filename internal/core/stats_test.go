@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -39,7 +40,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	if err := expr.Bind(filter, r); err != nil {
 		t.Fatal(err)
 	}
-	sel0, cached := e.selectivity("r", oldRows, filter, statsMaxSample)
+	sel0, cached := e.selectivity(r, filter)
 	if cached {
 		t.Fatal("first sample reported cached")
 	}
@@ -47,7 +48,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	if err := expr.Bind(key, r); err != nil {
 		t.Fatal(err)
 	}
-	g0, _ := e.groupCount("r", oldRows, key, statsMaxSample)
+	g0, _ := e.groupCount(r, key)
 	if g0 != 8 {
 		t.Fatalf("initial group count = %d, want 8", g0)
 	}
@@ -57,7 +58,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	if err := expr.Bind(sFilter, s); err != nil {
 		t.Fatal(err)
 	}
-	e.selectivity("s", s.Rows(), sFilter, statsMaxSample)
+	e.selectivity(s, sFilter)
 	lenBefore := e.StatsCacheLen()
 
 	const deltaN = 5000
@@ -70,8 +71,8 @@ func TestMergeStatsOnAppend(t *testing.T) {
 
 	// Selectivity must be the row-count-weighted merge: the delta is 100%
 	// selective for r_x < 50.
-	newRows := db.MustTable("r").Rows()
-	sel1, hit := e.selectivity("r", newRows, filter, statsMaxSample)
+	r = db.MustTable("r")
+	sel1, hit := e.selectivity(r, filter)
 	if !hit {
 		t.Fatal("merged selectivity entry missed: merge dropped it")
 	}
@@ -81,7 +82,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	}
 
 	// Group count must have absorbed the delta's 4 new keys.
-	g1, hit := e.groupCount("r", newRows, key, statsMaxSample)
+	g1, hit := e.groupCount(r, key)
 	if !hit {
 		t.Fatal("merged group entry missed: merge dropped it")
 	}
@@ -90,7 +91,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	}
 
 	// The other table's entry is still served from cache.
-	if _, hit := e.selectivity("s", s.Rows(), sFilter, statsMaxSample); !hit {
+	if _, hit := e.selectivity(s, sFilter); !hit {
 		t.Fatal("unrelated table's stats entry was dropped")
 	}
 }
@@ -103,7 +104,7 @@ func TestMergeStatsOnAppendStaleVersion(t *testing.T) {
 	if err := expr.Bind(filter, r); err != nil {
 		t.Fatal(err)
 	}
-	e.selectivity("r", r.Rows(), filter, statsMaxSample)
+	e.selectivity(r, filter)
 	oldRows := r.Rows()
 
 	// Two registrations between sample and merge: the entry's version no
@@ -114,5 +115,314 @@ func TestMergeStatsOnAppendStaleVersion(t *testing.T) {
 	e.MergeStatsOnAppend("r", staleVer, oldRows+100)
 	if got := e.StatsCacheLen(); got != 0 {
 		t.Fatalf("stats entries = %d, want 0 (stale-version entries dropped)", got)
+	}
+}
+
+// samplerDB builds table t of the given length with a column of every
+// physical width, a dictionary column and a date column.
+func samplerDB(rows int) *storage.Database {
+	next := rand.New(rand.NewSource(7)).Int63n
+	words := []string{"air", "mail", "rail", "reg air", "ship", "truck", "fob", "barge"}
+	i8, i16, i32, i64 := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	date, strs := make([]int64, rows), make([]string, rows)
+	for i := 0; i < rows; i++ {
+		i8[i], i16[i], i32[i] = next(100), next(2000)-1000, next(100_000)
+		i64[i], date[i], strs[i] = next(1<<40)-(1<<39), 9000+next(400), words[next(int64(len(words)))]
+	}
+	db := storage.NewDatabase()
+	db.AddTable(storage.MustNewTable("t",
+		storage.Compress("i8", i8, storage.LogInt),
+		storage.Compress("i16", i16, storage.LogInt),
+		storage.Compress("i32", i32, storage.LogInt),
+		storage.NewInt64("i64", i64, storage.LogInt),
+		storage.Compress("d", date, storage.LogDate),
+		storage.NewStrings("s", strs),
+	))
+	return db
+}
+
+// predGen draws predicate trees from the parity fuzzer's grammar
+// (parity_fuzz_test.go): OR of two or three terms, AND, NOT to depth three
+// over comparison, BETWEEN, IN and column-plus-column leaves.
+type predGen struct{ r *rand.Rand }
+
+var predCols = []struct {
+	name string
+	lo   int64
+	card int64
+}{{"i8", 0, 100}, {"i16", -1000, 2000}, {"i32", 0, 100_000}, {"i64", -(1 << 39), 1 << 40}, {"d", 9000, 400}}
+
+func (g predGen) lit(lo, card int64) *expr.Const { return &expr.Const{Val: lo + g.r.Int63n(card)} }
+
+func (g predGen) pred(depth int) expr.Expr {
+	if depth <= 0 || g.r.Intn(3) == 0 {
+		return g.leaf()
+	}
+	switch g.r.Intn(3) {
+	case 0:
+		or := &expr.Logic{Op: expr.Or}
+		for n := 2 + g.r.Intn(2); n > 0; n-- {
+			or.Args = append(or.Args, g.pred(depth-1))
+		}
+		return or
+	case 1:
+		return &expr.Logic{Op: expr.And, Args: []expr.Expr{g.pred(depth - 1), g.pred(depth - 1)}}
+	}
+	return &expr.Logic{Op: expr.Not, Args: []expr.Expr{g.pred(depth - 1)}}
+}
+
+func (g predGen) leaf() expr.Expr {
+	c := predCols[g.r.Intn(len(predCols))]
+	switch g.r.Intn(4) {
+	case 0:
+		return &expr.Cmp{Op: expr.CmpOp(g.r.Intn(6)), L: expr.NewCol(c.name), R: g.lit(c.lo, c.card)}
+	case 1:
+		lo := g.lit(c.lo, c.card)
+		return &expr.Between{X: expr.NewCol(c.name), Lo: lo, Hi: &expr.Const{Val: lo.Val + g.r.Int63n(c.card)}}
+	case 2:
+		in := &expr.In{X: expr.NewCol(c.name)}
+		for n := 1 + g.r.Intn(3); n > 0; n-- {
+			in.List = append(in.List, g.lit(c.lo, c.card))
+		}
+		return in
+	}
+	c2 := predCols[g.r.Intn(len(predCols))]
+	sum := &expr.Arith{Op: expr.Add, L: expr.NewCol(c.name), R: expr.NewCol(c2.name)}
+	return &expr.Cmp{Op: expr.LT, L: sum, R: g.lit(c.lo+c2.lo, c.card+c2.card)}
+}
+
+// TestVectorSamplerMatchesRowSampler pins "no estimate moved": for every
+// filter the vectorized sampler's selectivity — the whole filter's and, from
+// the same pass, each OR term's — equals the row-at-a-time sampler's bit for
+// bit, at table lengths on both sides of every stride, and the group-count
+// sampler folds exactly the keys of the sampled rows.
+func TestVectorSamplerMatchesRowSampler(t *testing.T) {
+	col, num, str := expr.NewCol, func(v int64) expr.Expr { return &expr.Const{Val: v} }, func(s string) expr.Expr { return &expr.StrConst{Val: s} }
+	cmp := func(op expr.CmpOp, l, r expr.Expr) expr.Expr { return &expr.Cmp{Op: op, L: l, R: r} }
+	logic := func(op expr.LogicOp, args ...expr.Expr) expr.Expr { return &expr.Logic{Op: op, Args: args} }
+	hand := func() []expr.Expr {
+		return []expr.Expr{
+			cmp(expr.EQ, col("s"), str("mail")),
+			cmp(expr.NE, col("s"), str("truck")),
+			cmp(expr.EQ, col("s"), str("no such mode")),
+			cmp(expr.GE, str("rail"), col("s")),
+			&expr.Like{X: col("s"), Pattern: "%air%"},
+			&expr.Like{X: col("s"), Pattern: "_ail", Negate: true},
+			&expr.In{X: col("s"), List: []expr.Expr{str("ship"), str("fob"), str("absent")}},
+			&expr.In{X: col("i16"), List: []expr.Expr{num(-3), num(0), num(999)}},
+			&expr.Between{X: col("d"), Lo: num(9100), Hi: num(9200)},
+			&expr.Between{X: col("i64"), Lo: num(-1 << 30), Hi: num(1 << 38)},
+			&expr.Between{X: col("i8"), Lo: col("i16"), Hi: num(80)},
+			logic(expr.Not, &expr.Between{X: col("i32"), Lo: num(10), Hi: num(90_000)}),
+			cmp(expr.LT, col("i8"), num(1000)),  // a literal past the column's width
+			cmp(expr.GT, col("i16"), num(-1e6)), // always true
+			cmp(expr.LT, col("i8"), col("i16")),
+			cmp(expr.LE, col("i32"), col("i64")),
+			cmp(expr.GT, &expr.Arith{Op: expr.Mul, L: col("i8"), R: col("i16")}, &expr.Arith{Op: expr.Sub, L: col("i32"), R: num(50_000)}),
+			cmp(expr.LT, &expr.Arith{Op: expr.Div, L: col("i32"), R: num(7)}, num(5000)),
+			cmp(expr.EQ, &expr.Case{
+				Whens: []expr.CaseWhen{{Cond: cmp(expr.LT, col("i8"), num(30)), Then: num(1)}, {Cond: cmp(expr.LT, col("i8"), num(60)), Then: col("i16")}},
+				Else:  num(2),
+			}, num(1)),
+			logic(expr.And, cmp(expr.LT, col("i8"), num(50)), logic(expr.Or, cmp(expr.EQ, col("s"), str("air")), cmp(expr.GT, col("i32"), num(70_000)))),
+			logic(expr.Or,
+				logic(expr.And, cmp(expr.LT, col("i8"), num(20)), cmp(expr.EQ, col("s"), str("ship"))),
+				logic(expr.Not, cmp(expr.GE, col("i16"), num(-900))),
+				&expr.Like{X: col("s"), Pattern: "r%"},
+			),
+			logic(expr.Or, cmp(expr.LT, col("i8"), num(0)), cmp(expr.GT, col("i8"), num(1000))), // nothing qualifies
+			col("i8"), // a bare integer as a predicate
+		}
+	}
+	keys := func() []expr.Expr {
+		return []expr.Expr{col("s"), col("i8"), col("i32"), &expr.Arith{Op: expr.Add, L: col("i8"), R: col("d")}}
+	}
+	for _, rows := range []int{0, 1, statsMaxSample - 1, statsMaxSample, 2*statsMaxSample + 7, 5*statsMaxSample - 1} {
+		db := samplerDB(rows)
+		tab := db.MustTable("t")
+		e := NewEngine(db)
+		filters := hand()
+		g := predGen{rand.New(rand.NewSource(int64(rows) + 1))}
+		random := 150
+		if testing.Short() {
+			random = 30 // the row-at-a-time oracle is slow under the race detector
+		}
+		for i := 0; i < random; i++ {
+			p := g.pred(3)
+			filters = append(filters, p, expr.NNF(expr.Clone(p)))
+		}
+		for _, f := range filters {
+			if err := expr.Bind(f, tab); err != nil {
+				t.Fatalf("rows=%d: %s: %v", rows, f, err)
+			}
+			var termSel []float64
+			terms := expr.OrTerms(f)
+			if len(terms) > 1 {
+				termSel = make([]float64, len(terms))
+			}
+			got, _ := e.selectivities(tab, f, termSel)
+			if want := sampleSelectivity(f, rows); got != want {
+				t.Errorf("rows=%d: %s: vectorized %v, row-at-a-time %v", rows, f, got, want)
+			}
+			for i := range termSel {
+				if want := sampleSelectivity(terms[i], rows); termSel[i] != want {
+					t.Errorf("rows=%d: term %d of %s: single pass %v, its own row-at-a-time pass %v", rows, i, f, termSel[i], want)
+				}
+				if own, _ := e.selectivity(tab, terms[i]); own != termSel[i] {
+					t.Errorf("rows=%d: term %d of %s: %v from the cache, %v from the pass", rows, i, f, own, termSel[i])
+				}
+			}
+		}
+		for _, k := range keys() {
+			if err := expr.Bind(k, tab); err != nil {
+				t.Fatal(err)
+			}
+			seen, n := map[int64]struct{}{}, 0
+			for i := 0; i < rows; i += sampleStep(rows) {
+				seen[expr.Eval(k, i)] = struct{}{}
+				n++
+			}
+			want := 1
+			if rows > 0 {
+				want = estimateGroups(len(seen), n, rows)
+			}
+			if got, _ := e.groupCount(tab, k); got != want {
+				t.Errorf("rows=%d: group count of %s: vectorized %d, row-at-a-time %d", rows, k, got, want)
+			}
+		}
+		if rows >= 2*statsMaxSample && e.SampledColumns("t") != len(tab.Columns) {
+			t.Errorf("rows=%d: %d column samples, want one per column (%d)", rows, e.SampledColumns("t"), len(tab.Columns))
+		}
+	}
+}
+
+// TestFaultingFilterSamplesRowAtATime: a division a short-circuit protects
+// must not reach the columnar evaluator, which computes every lane; the
+// filter is estimated by the interpreter on the table's own rows, draws no
+// sample, and merges on append the same way.
+func TestFaultingFilterSamplesRowAtATime(t *testing.T) {
+	db := samplerDB(3 * statsMaxSample)
+	tab := db.MustTable("t")
+	e := NewEngine(db)
+	guarded := func() expr.Expr {
+		return &expr.Logic{Op: expr.And, Args: []expr.Expr{
+			&expr.Cmp{Op: expr.NE, L: expr.NewCol("i8"), R: &expr.Const{Val: 0}},
+			&expr.Cmp{Op: expr.GT, L: &expr.Arith{Op: expr.Div, L: &expr.Const{Val: 100}, R: expr.NewCol("i8")}, R: &expr.Const{Val: 3}},
+		}}
+	}
+	f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{guarded(), lt("i16", -990)}}
+	if err := expr.Bind(f, tab); err != nil {
+		t.Fatal(err)
+	}
+	if !mayFault(f) {
+		t.Fatal("a division by a column does not count as faulting")
+	}
+	termSel := make([]float64, 2)
+	got, hit := e.selectivities(tab, f, termSel)
+	if want := sampleSelectivity(f, tab.Rows()); hit || got != want || got <= 0 || got >= 1 {
+		t.Fatalf("selectivity %v (cached=%v), row-at-a-time %v", got, hit, want)
+	}
+	for i, term := range expr.OrTerms(f) {
+		if want := sampleSelectivity(term, tab.Rows()); termSel[i] != want {
+			t.Errorf("term %d: %v, row-at-a-time %v", i, termSel[i], want)
+		}
+	}
+	if n := e.SampledColumns("t"); n != 0 {
+		t.Errorf("the fallback drew %d column samples", n)
+	}
+
+	// The append path keeps such an entry with the interpreter too: a delta
+	// of zero divisors would fault any columnar evaluation of the division.
+	oldVer, oldRows := db.TableVersion("t"), tab.Rows()
+	cols := make([]*storage.Column, len(tab.Columns))
+	for i, c := range tab.Columns {
+		delta := make([]int64, 100)
+		if c.Name == "i16" {
+			for j := range delta {
+				delta[j] = -1000
+			}
+		}
+		cols[i] = c.Append(delta)
+	}
+	db.AddTable(storage.MustNewTable("t", cols...))
+	e.MergeStatsOnAppend("t", oldVer, oldRows)
+	merged, hit := e.selectivity(db.MustTable("t"), f)
+	if want := (got*float64(oldRows) + 100) / float64(oldRows+100); !hit || math.Abs(merged-want) > 1e-12 {
+		t.Errorf("merged selectivity %v (cached=%v), want %v", merged, hit, want)
+	}
+}
+
+// TestNeverSeenFiltersKeepRangeAndGroups: a stream of never-seen filters
+// fills and resets the selectivity map many times over; the table's range
+// and group-count entries, which cost a pass over a whole column to rebuild,
+// must still be there.
+func TestNeverSeenFiltersKeepRangeAndGroups(t *testing.T) {
+	db := testDB(t, 5_000, 100, 2000)
+	e := NewEngine(db)
+	r := db.MustTable("r")
+	key := expr.NewCol("r_c")
+	if err := expr.Bind(key, r); err != nil {
+		t.Fatal(err)
+	}
+	groups, _ := e.groupCount(r, key)
+	lo, hi := e.colRange("r", r.Column("r_c"))
+	for i := 0; i < 3000; i++ {
+		f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{lt("r_x", int64(i)), lt("r_a", int64(-i))}}
+		if err := expr.Bind(f, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit := e.selectivities(r, f, make([]float64, 2)); hit {
+			t.Fatalf("filter %d was seen before", i)
+		}
+	}
+	if n := e.StatsCacheLen(); n > maxSelectivityEntries+2 {
+		t.Errorf("%d entries cached, selectivities are bounded at %d", n, maxSelectivityEntries)
+	}
+	if got, hit := e.groupCount(r, key); !hit || got != groups {
+		t.Errorf("group count %d (cached=%v) after 3000 filters, want the cached %d", got, hit, groups)
+	}
+	if ent, ok := rangeEntry(e, "r_c"); !ok || ent.lo != lo || ent.hi != hi {
+		t.Errorf("range entry %v (present=%v) after 3000 filters, want [%d, %d]", ent, ok, lo, hi)
+	}
+}
+
+// TestSelectivityMissAllocations: a miss on a warm sample allocates no more
+// than the row-at-a-time sampler's miss did — the key's text and the cache's
+// clone of the tree, for the filter and for each OR term — and nothing for
+// the evaluation, which runs on the engine's scratch.
+func TestSelectivityMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := microTable(50_000)
+	r := db.MustTable("r")
+	e := NewEngine(db)
+	for _, leaves := range []int{1, 3, 6} {
+		filter, renew := neverSeen(leaves)
+		if err := expr.Bind(filter, r); err != nil {
+			t.Fatal(err)
+		}
+		keyed := []expr.Expr{filter}
+		var termSel []float64
+		if terms := expr.OrTerms(filter); len(terms) > 1 {
+			keyed, termSel = append(keyed, terms...), make([]float64, len(terms))
+		}
+		i := leaves * 1000 // apart, so that no case's filter is another's OR term
+		miss := testing.AllocsPerRun(200, func() {
+			i++
+			renew(i)
+			if _, hit := e.selectivities(r, filter, termSel); hit {
+				t.Fatal("statistics cache hit")
+			}
+		})
+		parent := testing.AllocsPerRun(200, func() {
+			for _, x := range keyed {
+				_, _ = x.String(), expr.Clone(x)
+			}
+		})
+		if miss > parent {
+			t.Errorf("%d leaves: %v allocations per miss; keys and clones alone, as the row-at-a-time sampler made them, are %v", leaves, miss, parent)
+		}
+		t.Logf("%d leaves: %v allocations per miss (keys and clones per filter and term: %v)", leaves, miss, parent)
 	}
 }

@@ -25,8 +25,6 @@ import (
 type Expr interface {
 	// String renders SQL-ish text for plans, errors, and generated code.
 	String() string
-	// Children returns sub-expressions for generic traversal.
-	Children() []Expr
 }
 
 // Col references a column, optionally qualified. Bind resolves it.
@@ -55,9 +53,6 @@ func (c *Col) String() string {
 	return c.Name
 }
 
-// Children implements Expr.
-func (c *Col) Children() []Expr { return nil }
-
 // Const is an integer (or date, or fixed-point decimal) literal.
 type Const struct {
 	Val int64
@@ -71,9 +66,6 @@ func (c *Const) String() string {
 	}
 	return fmt.Sprintf("%d", c.Val)
 }
-
-// Children implements Expr.
-func (c *Const) Children() []Expr { return nil }
 
 // StrConst is a string literal; Bind resolves it to a dictionary code when
 // compared against a string column.
@@ -95,9 +87,6 @@ func (c *StrConst) Code() int64 {
 }
 
 func (c *StrConst) String() string { return "'" + c.Val + "'" }
-
-// Children implements Expr.
-func (c *StrConst) Children() []Expr { return nil }
 
 // ArithOp is an arithmetic operator.
 type ArithOp int
@@ -135,9 +124,6 @@ func (a *Arith) String() string {
 	return "(" + a.L.String() + " " + a.Op.String() + " " + a.R.String() + ")"
 }
 
-// Children implements Expr.
-func (a *Arith) Children() []Expr { return []Expr{a.L, a.R} }
-
 // CmpOp is a comparison operator (re-exported from vec for convenience).
 type CmpOp int
 
@@ -166,9 +152,6 @@ func (c *Cmp) String() string {
 	return c.L.String() + " " + c.Op.String() + " " + c.R.String()
 }
 
-// Children implements Expr.
-func (c *Cmp) Children() []Expr { return []Expr{c.L, c.R} }
-
 // Between is lo <= x AND x <= hi.
 type Between struct {
 	X, Lo, Hi Expr
@@ -177,9 +160,6 @@ type Between struct {
 func (b *Between) String() string {
 	return b.X.String() + " between " + b.Lo.String() + " and " + b.Hi.String()
 }
-
-// Children implements Expr.
-func (b *Between) Children() []Expr { return []Expr{b.X, b.Lo, b.Hi} }
 
 // In tests membership of x in a literal list.
 type In struct {
@@ -194,9 +174,6 @@ func (in *In) String() string {
 	}
 	return in.X.String() + " in (" + strings.Join(parts, ", ") + ")"
 }
-
-// Children implements Expr.
-func (in *In) Children() []Expr { return append([]Expr{in.X}, in.List...) }
 
 // Like matches a string column against a SQL LIKE pattern with % and _
 // wildcards. At bind time the pattern is evaluated once per distinct
@@ -217,9 +194,6 @@ func (l *Like) String() string {
 	}
 	return l.X.String() + op + "'" + l.Pattern + "'"
 }
-
-// Children implements Expr.
-func (l *Like) Children() []Expr { return []Expr{l.X} }
 
 // Logic is an n-ary AND/OR or unary NOT.
 type Logic struct {
@@ -254,9 +228,6 @@ func (l *Logic) String() string {
 	}
 }
 
-// Children implements Expr.
-func (l *Logic) Children() []Expr { return l.Args }
-
 // CaseWhen is one WHEN cond THEN result arm.
 type CaseWhen struct {
 	Cond, Then Expr
@@ -284,23 +255,41 @@ func (c *Case) String() string {
 	return sb.String()
 }
 
-// Children implements Expr.
-func (c *Case) Children() []Expr {
-	var out []Expr
-	for _, w := range c.Whens {
-		out = append(out, w.Cond, w.Then)
-	}
-	if c.Else != nil {
-		out = append(out, c.Else)
-	}
-	return out
-}
-
-// Walk visits e and all descendants in preorder.
+// Walk visits e and all descendants in preorder. It is the one generic
+// traversal and allocates nothing: a compile walks every tree several times
+// (CompCost, Cols, Bind's check, the statistics sampler).
 func Walk(e Expr, fn func(Expr)) {
 	fn(e)
-	for _, c := range e.Children() {
-		Walk(c, fn)
+	switch x := e.(type) {
+	case *Arith:
+		Walk(x.L, fn)
+		Walk(x.R, fn)
+	case *Cmp:
+		Walk(x.L, fn)
+		Walk(x.R, fn)
+	case *Between:
+		Walk(x.X, fn)
+		Walk(x.Lo, fn)
+		Walk(x.Hi, fn)
+	case *In:
+		Walk(x.X, fn)
+		for _, c := range x.List {
+			Walk(c, fn)
+		}
+	case *Like:
+		Walk(x.X, fn)
+	case *Logic:
+		for _, c := range x.Args {
+			Walk(c, fn)
+		}
+	case *Case:
+		for _, w := range x.Whens {
+			Walk(w.Cond, fn)
+			Walk(w.Then, fn)
+		}
+		if x.Else != nil {
+			Walk(x.Else, fn)
+		}
 	}
 }
 

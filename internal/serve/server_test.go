@@ -114,6 +114,11 @@ func TestQueryEndToEnd(t *testing.T) {
 	if qr.Explain == nil || qr.Explain.Shape == "" {
 		t.Fatalf("explain missing from response: %+v", qr.Explain)
 	}
+	// A cold statement reports what its compile cost, and the statistics
+	// share of it.
+	if c := qr.Explain; c.StatsTime <= 0 || c.StatsTime > c.PrepareTime {
+		t.Fatalf("cold statement: prepare=%s stats=%s, want 0 < stats <= prepare", c.PrepareTime, c.StatsTime)
+	}
 
 	resp, body = get(t, base+"/explain?q="+
 		strings.ReplaceAll("SELECT SUM(b) FROM t WHERE a < 50", " ", "%20"))
@@ -129,6 +134,9 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 	if !ex.PlanCached {
 		t.Fatalf("second execution of the statement should be plan-cached: %+v", ex)
+	}
+	if ex.PrepareTime != 0 || ex.StatsTime != 0 {
+		t.Fatalf("a replayed plan compiled nothing: prepare=%s stats=%s", ex.PrepareTime, ex.StatsTime)
 	}
 
 	resp, body = get(t, base+"/metrics")

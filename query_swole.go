@@ -67,6 +67,11 @@ type Explain struct {
 	// tables, bitmaps) newly allocated rather than recycled; 0 in steady
 	// state.
 	FreshAllocs int
+	// PrepareTime is the wall time the engine took to compile the
+	// statement's plan and, inside it, StatsTime the time spent on
+	// statistics: cache lookups, sampling passes, column ranges. Both are
+	// zero when the plan was replayed from the cache (PlanCached).
+	PrepareTime, StatsTime time.Duration
 
 	// Partitioned reports the radix-partitioned two-phase path executed
 	// the aggregation: phase 1 scattered (key, value) pairs into radix
@@ -117,6 +122,8 @@ func fromCore(ex core.Explain) Explain {
 		StatsCached:   ex.StatsCached,
 		HTGrows:       ex.HTGrows,
 		FreshAllocs:   ex.FreshAllocs,
+		PrepareTime:   ex.PrepareTime,
+		StatsTime:     ex.StatsTime,
 		Partitioned:   ex.Partitioned,
 		Partitions:    ex.Partitions,
 		PartitionTime: ex.PartitionTime,
