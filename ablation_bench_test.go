@@ -4,7 +4,6 @@ package swole
 // calls out:
 //
 //	BenchmarkAblation_SelectionVector  - branching vs no-branch (Ross 2002)
-//	BenchmarkAblation_BitmapCompression - raw vs block-compressed probes
 //	BenchmarkAblation_MaskingBookkeeping - validity flags' overhead
 //	BenchmarkAblation_EagerDeletion    - the EA deletion pass alone
 //	BenchmarkAblation_GroupTableForm   - key-addressed vs hashed vs radix
@@ -30,28 +29,6 @@ func BenchmarkAblation_SelectionVector(b *testing.B) {
 		b.Run("branch/sel"+strconv.Itoa(sel), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchSink += micro.Q1HybridBranching(d, micro.OpMul, sel)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BitmapCompression prices the extra indirection of
-// block-compressed positional bitmaps (paper Section III-D's tradeoff).
-func BenchmarkAblation_BitmapCompression(b *testing.B) {
-	ns := 1_000_000
-	if ns > benchR()/2 {
-		ns = benchR() / 2
-	}
-	d := getMicro(b, ns, 1000)
-	for _, sel2 := range []int{5, 95} { // sparse and dense bitmaps
-		b.Run("raw/build"+strconv.Itoa(sel2), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += micro.Q4Bitmap(d, 50, sel2)
-			}
-		})
-		b.Run("compressed/build"+strconv.Itoa(sel2), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += micro.Q4BitmapCompressed(d, 50, sel2)
 			}
 		})
 	}

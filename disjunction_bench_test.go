@@ -10,10 +10,12 @@ import (
 	"github.com/reprolab/swole/internal/vec"
 )
 
-// Disjunction evaluation benchmarks (DESIGN.md §13): the two compiled
-// strategies the synthesizer's cost model chooses between for an OR tree
-// — fused branchless tile evaluation and term-at-a-time positional
-// bitmaps — against the naive row-at-a-time interpreted loop. The corpus
+// Disjunction evaluation benchmarks (DESIGN.md §13): the in-tile
+// evaluation the engine runs — terms ORed into the tile's byte mask,
+// stopping at a saturated tile — and the alternative it replaced,
+// term-at-a-time passes into a materialized positional bitmap (now on the
+// packed OrFromCmp and word-wise RangeAllSet), against the naive
+// row-at-a-time interpreted loop. The corpus
 // is a three-term OR at ~10% combined selectivity (each term ~3.5%),
 // the regime the issue's CI gate pins: bitmap-OR must beat the naive
 // row loop by at least 1.3x (see the disjunction-bench job).
@@ -92,8 +94,8 @@ func (f *disjFixture) countRowNaive() int {
 	return count
 }
 
-// countFused evaluates the whole OR tree per tile with branchless
-// byte-mask combination (cost.DisjFused).
+// countFused evaluates the OR tree per tile with branchless byte-mask
+// combination, as the engine does.
 func (f *disjFixture) countFused(ev *expr.Evaluator, cmp []byte) int {
 	count := 0
 	for base := 0; base < disjRows; base += vec.TileSize {
@@ -102,16 +104,14 @@ func (f *disjFixture) countFused(ev *expr.Evaluator, cmp []byte) int {
 			n = vec.TileSize
 		}
 		ev.EvalBool(f.orTree, base, n, cmp[:n])
-		for _, v := range cmp[:n] {
-			count += int(v)
-		}
+		count += vec.CountOnes(cmp[:n])
 	}
 	return count
 }
 
-// countBitmapOR evaluates term at a time into a positional bitmap
-// (cost.DisjBitmap): each term ORs its tile verdicts into the bitmap,
-// and later terms skip tiles earlier terms already saturated.
+// countBitmapOR evaluates term at a time into a positional bitmap: each
+// term ORs its tile verdicts into the bitmap, and later terms skip tiles
+// earlier terms already saturated.
 func (f *disjFixture) countBitmapOR(ev *expr.Evaluator, bm *bitmap.Bitmap, cmp []byte) int {
 	bm.Reset(disjRows)
 	terms := f.orTree.(*expr.Logic).Args
@@ -143,8 +143,7 @@ func BenchmarkDisjunctionRowNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkDisjunctionFused is the branchless all-terms-every-tuple
-// compiled strategy.
+// BenchmarkDisjunctionFused is the engine's in-tile evaluation.
 func BenchmarkDisjunctionFused(b *testing.B) {
 	f := newDisjFixture(b)
 	ev := expr.NewEvaluator()
@@ -158,7 +157,7 @@ func BenchmarkDisjunctionFused(b *testing.B) {
 }
 
 // BenchmarkDisjunctionBitmapOR is the term-at-a-time positional-bitmap
-// compiled strategy; the CI gate pins it at >=1.3x over the row-naive
+// alternative; the CI gate pins it at >=1.3x over the row-naive
 // baseline at this corpus's ~10% selectivity.
 func BenchmarkDisjunctionBitmapOR(b *testing.B) {
 	f := newDisjFixture(b)

@@ -9,12 +9,14 @@
 // Construction offers both variants the paper's cost model chooses between:
 // unconditional predicated stores of the predicate result (a pure
 // sequential write, SetFromCmp) and selection-vector driven stores
-// (SetFromSel). The package also provides the word-level helpers and the
-// block compression sketch the paper mentions (replacing entire blocks of
-// repeated values).
+// (SetFromSel). A 0/1 byte mask moves in and out of the bitmap 64 lanes per
+// word (SetFromCmp, OrFromCmp, ReadCmp); combining bitmaps is word-wise.
 package bitmap
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Bitmap is a fixed-length positional bitmap over row offsets [0, Len).
 type Bitmap struct {
@@ -66,23 +68,65 @@ func (b *Bitmap) TestBit(i int) byte {
 	return byte(b.words[i>>6] >> (uint(i) & 63) & 1)
 }
 
+// A 0/1 byte mask and a bitmap hold the same lanes at one byte and one bit
+// each, and eight lanes convert per multiply: pack8 gathers the low bit of
+// each byte of a mask word into a byte (no two partial products share a
+// bit, so nothing carries), spread8 is its inverse.
+const (
+	packMul   = 0x0102040810204080
+	spreadMul = 0x0101010101010101
+	spreadSel = 0x8040201008040201
+	lane7     = 0x7f7f7f7f7f7f7f7f
+)
+
+func pack8(w uint64) uint64 { return w * packMul >> 56 }
+
+func spread8(b uint64) uint64 {
+	return (b*spreadMul&spreadSel + lane7) >> 7 & spreadMul
+}
+
+// pack64 packs the 64 lanes of cmp into a bitmap word.
+func pack64(cmp []byte) uint64 {
+	_ = cmp[63]
+	var w uint64
+	for k := 0; k < 8; k++ {
+		w |= pack8(binary.LittleEndian.Uint64(cmp[8*k:])) << (8 * k)
+	}
+	return w
+}
+
 // SetFromCmp writes a tile of predicate results into positions
 // [base, base+len(cmp)). Every lane is stored unconditionally, so the write
-// pattern is strictly sequential regardless of selectivity. Arbitrary base
-// alignment is handled.
+// pattern is strictly sequential regardless of selectivity: 64 lanes per
+// word store once base reaches a word boundary (a vec.TileSize tile at an
+// aligned base is 16 stores), a bit at a time before and after.
 func (b *Bitmap) SetFromCmp(base int, cmp []byte) {
-	for j, v := range cmp {
-		b.SetTo(base+j, v)
+	j, n := 0, len(cmp)
+	for ; j < n && (base+j)&63 != 0; j++ {
+		b.SetTo(base+j, cmp[j])
+	}
+	for w := (base + j) >> 6; j+64 <= n; j, w = j+64, w+1 {
+		b.words[w] = pack64(cmp[j : j+64])
+	}
+	for ; j < n; j++ {
+		b.SetTo(base+j, cmp[j])
 	}
 }
 
 // OrFromCmp ORs a tile of predicate results into positions
 // [base, base+len(cmp)) — the accumulation step of term-at-a-time
-// disjunction evaluation, where each OR term contributes its accepted
-// positions without disturbing bits earlier terms set.
+// evaluation, where each term contributes its accepted positions without
+// disturbing bits earlier terms set — 64 lanes per word like SetFromCmp.
 func (b *Bitmap) OrFromCmp(base int, cmp []byte) {
-	for j, v := range cmp {
-		b.OrBit(base+j, v)
+	j, n := 0, len(cmp)
+	for ; j < n && (base+j)&63 != 0; j++ {
+		b.OrBit(base+j, cmp[j])
+	}
+	for w := (base + j) >> 6; j+64 <= n; j, w = j+64, w+1 {
+		b.words[w] |= pack64(cmp[j : j+64])
+	}
+	for ; j < n; j++ {
+		b.OrBit(base+j, cmp[j])
 	}
 }
 
@@ -107,9 +151,20 @@ func (b *Bitmap) RangeAllSet(base, n int) bool {
 }
 
 // ReadCmp materializes bits [base, base+len(cmp)) as a 0/1 byte mask — the
-// consumer side of a positional bitmap feeding a tiled kernel.
+// consumer side of a positional bitmap feeding a tiled kernel — one word
+// load per 64 lanes between the unaligned ends.
 func (b *Bitmap) ReadCmp(base int, cmp []byte) {
-	for j := range cmp {
+	j, n := 0, len(cmp)
+	for ; j < n && (base+j)&63 != 0; j++ {
+		cmp[j] = b.TestBit(base + j)
+	}
+	for w := (base + j) >> 6; j+64 <= n; j, w = j+64, w+1 {
+		word, out := b.words[w], cmp[j:j+64]
+		for k := 0; k < 8; k++ {
+			binary.LittleEndian.PutUint64(out[8*k:], spread8(word>>(8*k)&0xff))
+		}
+	}
+	for ; j < n; j++ {
 		cmp[j] = b.TestBit(base + j)
 	}
 }

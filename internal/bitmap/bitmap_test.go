@@ -119,82 +119,6 @@ func TestAndOrClear(t *testing.T) {
 	}
 }
 
-func TestCompressedRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100000)
-		b := New(n)
-		// Mix of dense runs, sparse bits, and empty regions to exercise
-		// all three block classes.
-		mode := rng.Intn(3)
-		for i := 0; i < n; i++ {
-			switch mode {
-			case 0: // sparse
-				if rng.Intn(100) == 0 {
-					b.Set(i)
-				}
-			case 1: // dense
-				if rng.Intn(100) != 0 {
-					b.Set(i)
-				}
-			case 2: // half
-				if i < n/2 {
-					b.Set(i)
-				}
-			}
-		}
-		c := Compress(b)
-		if c.Len() != b.Len() || c.Count() != b.Count() {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if c.Test(i) != b.Test(i) || c.TestBit(i) != b.TestBit(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompressedSavesSpaceOnRuns(t *testing.T) {
-	n := 1 << 20
-	b := New(n) // all zero
-	c := Compress(b)
-	if c.Bytes() >= b.Bytes()/10 {
-		t.Errorf("all-zero bitmap: compressed %d vs raw %d", c.Bytes(), b.Bytes())
-	}
-	for i := 0; i < n; i++ {
-		b.Set(i)
-	}
-	c = Compress(b)
-	if c.Bytes() >= b.Bytes()/10 {
-		t.Errorf("all-one bitmap: compressed %d vs raw %d", c.Bytes(), b.Bytes())
-	}
-	if c.Count() != n {
-		t.Errorf("all-one count=%d", c.Count())
-	}
-}
-
-func TestCompressedShortTail(t *testing.T) {
-	// A bitmap whose final block is short and fully set must survive the
-	// verbatim fallback for short all-one tails.
-	n := blockWords*64 + 100
-	b := New(n)
-	for i := 0; i < n; i++ {
-		b.Set(i)
-	}
-	c := Compress(b)
-	if c.Count() != n {
-		t.Fatalf("count=%d, want %d", c.Count(), n)
-	}
-	if !c.Test(n-1) || !c.Test(blockWords*64) {
-		t.Error("tail bits lost")
-	}
-}
-
 func TestBytes(t *testing.T) {
 	// Paper claim: 100M positions need ~12.5 MB.
 	b := New(100_000_000)

@@ -17,8 +17,8 @@ import (
 // PreparedSelect, a tile pipeline assembled from the same primitives the
 // hand-specialized plans use. Per vec.TileSize tile:
 //
-//	root mask      the root predicate (or the prebuilt disjunction bitmap)
-//	               fills the byte mask
+//	root mask      the root predicate fills the byte mask; a disjunction
+//	               ORs its terms into it and stops at a saturated tile
 //	edges          each join edge resolves parent positions through its
 //	               foreign-key index and ANDs its positional bitmap in
 //	               (Section III-D), so no hash table is built
@@ -35,10 +35,8 @@ import (
 // paid for: hybrid compacts the tile to a selection vector and runs the row
 // stage over selected lanes only; value masking and key masking stay
 // full-width and mask values (to the aggregate's identity) or keys (to
-// ht.NullKey, the throwaway entry). Root disjunctions additionally choose
-// between fused evaluation and term-at-a-time positional-bitmap
-// OR-combination. Nothing on the run path works a row at a time; HAVING and
-// the projection run once per group.
+// ht.NullKey, the throwaway entry). Nothing on the run path works a row at a
+// time; HAVING and the projection run once per group.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -87,9 +85,9 @@ type SelectProj struct {
 }
 
 // Select is the specification of a synthesized single-block SELECT. Filter
-// must be in negation normal form (expr.NNF) so the disjunction planner
-// sees the top-level OR terms. All expression trees must be owned by the
-// spec: Prepare binds them in place.
+// must be in negation normal form (expr.NNF) so a disjunction's terms sit at
+// the top level, where a saturated tile skips the rest. All expression trees
+// must be owned by the spec: Prepare binds them in place.
 type Select struct {
 	Root     string
 	Filter   expr.Expr // root-table predicate
@@ -230,6 +228,10 @@ type rowExpr struct {
 	root bool
 	slot int             // the tile vector holding e when e is a bare column, else -1
 	col  *storage.Column // the storage column when root and e is a bare column
+	// merged: e is an aggregate argument structurally equal to the one folded
+	// just before it, which left the operand vector both fold from (access
+	// merging, Section III-C).
+	merged bool
 }
 
 // selAgg is one aggregate with its accumulator lane.
@@ -269,10 +271,10 @@ func (a *selAgg) final(v, cnt int64) int64 {
 
 // PreparedSelect is a compiled synthesized plan: the tile pipeline described
 // at the top of this file with its technique fixed. It owns what must
-// outlive a run — the group table, the edge and disjunction bitmaps, the
-// result buffer — and borrows its tile scratch from the engine, so a warm
-// run allocates nothing. Runs serialize on the engine's execution lock like
-// every other plan's; the scan is sequential (Workers == 1).
+// outlive a run — the group table, the edge bitmaps, the result buffer — and
+// borrows its tile scratch from the engine, so a warm run allocates nothing.
+// Runs serialize on the engine's execution lock like every other plan's; the
+// scan is sequential (Workers == 1).
 type PreparedSelect struct {
 	planCore
 	groupEmit // the emission's (order key, slot) pairs and their sorter
@@ -284,13 +286,11 @@ type PreparedSelect struct {
 	// bitmap; 0 when none has one.
 	filtered int
 
-	terms  []expr.Expr    // top-level OR terms of the bound root filter
-	rootBM *bitmap.Bitmap // the disjunction's positional bitmap (cost.DisjBitmap); nil when fused
-
 	tech     Technique
 	cols     []tileCol
 	residual rowExpr
 	aggs     []selAgg
+	fold     []int // the aggregates with a lane, equal arguments adjacent
 
 	// Grouped statements: key packing and the one group table. Scalar
 	// statements (tab == nil) accumulate into acc, one lane per aggregate,
@@ -306,8 +306,8 @@ type PreparedSelect struct {
 
 	// Kernels, bound once so a run builds no closures. kEdge reads the edge
 	// the run is currently on.
-	kMain, kEdge, kTerm kernelFn
-	curEdge             *boundEdge
+	kMain, kEdge kernelFn
+	curEdge      *boundEdge
 }
 
 // RunPartial implements Plan.
@@ -346,16 +346,7 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			return err
 		}
 	}
-	// Phase 2 (term-bitmap strategy): the disjuncts, term at a time, into the
-	// root's positional bitmap.
-	if p.rootBM != nil {
-		p.rootBM.Reset(p.rows)
-		p.scan(ctx, p.rows, p.kTerm)
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-	}
-	// Phase 3: the main scan through the tile pipeline.
+	// Phase 2: the main scan through the tile pipeline.
 	var grows0 uint64
 	if p.tab != nil {
 		p.tab.Reset()
@@ -451,27 +442,6 @@ func (p *PreparedSelect) edgeKernel(w, base, length int) {
 	}
 }
 
-// termKernel evaluates the root disjunction term at a time into the root
-// bitmap: within a tile each disjunct ORs into the byte mask, the remaining
-// ones are skipped once earlier terms accepted the whole tile, and the mask
-// is stored once.
-func (p *PreparedSelect) termKernel(w, base, length int) {
-	s, tcmp := &p.states[w], p.e.genTiles[w].tcmp
-	for tb := 0; tb < length; tb += vec.TileSize {
-		b, n := base+tb, min(vec.TileSize, length-tb)
-		cmp := s.Cmp[:n]
-		s.ev.EvalBool(p.terms[0], b, n, cmp)
-		for _, term := range p.terms[1:] {
-			if vec.AllOnes(cmp) {
-				break
-			}
-			s.ev.EvalBool(term, b, n, tcmp)
-			vec.Or(cmp, tcmp[:n])
-		}
-		p.rootBM.SetFromCmp(b, cmp)
-	}
-}
-
 // mainKernel runs the tile pipeline over one morsel.
 func (p *PreparedSelect) mainKernel(w, base, length int) {
 	s, t := &p.states[w], &p.e.genTiles[w]
@@ -483,12 +453,9 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 // tile takes rows [base, base+n) from root mask to accumulator lanes.
 func (p *PreparedSelect) tile(s *workerState, t *tileScratch, base, n int) {
 	cmp := s.Cmp[:n]
-	switch {
-	case p.rootBM != nil:
-		p.rootBM.ReadCmp(base, cmp)
-	case p.spec.Filter != nil:
+	if p.spec.Filter != nil {
 		s.ev.EvalBool(p.spec.Filter, base, n, cmp)
-	default:
+	} else {
 		vec.Fill(cmp, 1)
 	}
 	m := n // lanes the row stage works on
@@ -634,11 +601,12 @@ func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) in
 }
 
 // operand returns x's value for each of the m lanes: its tile vector, or
-// buf after evaluating into it.
+// buf after evaluating into it — unless the aggregate before already did.
 func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, base, m int, buf []int64) []int64 {
 	switch {
 	case x.slot >= 0:
 		return t.vecs[x.slot][:m]
+	case x.merged:
 	case x.root:
 		s.ev.EvalInt(x.e, base, m, buf)
 	default:
@@ -659,11 +627,8 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, base, m int,
 	if p.tech != TechHybrid {
 		s.ctr.MaskedAgg++
 	}
-	for i := range p.aggs {
+	for _, i := range p.fold {
 		a := &p.aggs[i]
-		if a.lane < 0 {
-			continue
-		}
 		acc := &p.acc[a.lane]
 		switch {
 		case a.kind == AggMin:
@@ -700,11 +665,8 @@ func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, base, m int,
 	if p.tech == TechValueMasking {
 		s.ctr.MaskedAgg++
 	}
-	for i := range p.aggs {
+	for _, i := range p.fold {
 		a := &p.aggs[i]
-		if a.lane < 0 {
-			continue
-		}
 		v := p.operand(s, t, &a.arg, base, m, s.Vals)
 		switch a.kind {
 		case AggMin:

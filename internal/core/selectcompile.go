@@ -14,9 +14,9 @@ import (
 
 // The generic executor's compile: PrepareSelect resolves a Select spec
 // against the catalog, estimates what the cost models need, picks the
-// disjunction strategy and the aggregation technique, and binds the tile
-// pipeline of select.go. One variant of the pipeline per statement, derived
-// from the spec; nothing here runs again.
+// aggregation technique, and binds the tile pipeline of select.go. One
+// variant of the pipeline per statement, derived from the spec; nothing here
+// runs again.
 
 // selectTechs is the menu of a generic statement: the techniques the cost
 // model chooses among, which are also the ones PrepareForced may name. Key
@@ -47,8 +47,7 @@ func mayFault(e expr.Expr) bool {
 // PrepareSelect compiles a synthesized single-block SELECT into a reusable
 // plan: it resolves tables and foreign-key indexes, binds every expression
 // tree, samples selectivities and group counts (through the statistics
-// cache), and fixes the disjunction strategy and the aggregation technique
-// via the cost model.
+// cache), and fixes the aggregation technique via the cost model.
 func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 	return e.prepareSelect(q, techAuto)
 }
@@ -125,17 +124,16 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	p.states = e.genStates
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
-	p.kMain, p.kEdge, p.kTerm = p.mainKernel, p.edgeKernel, p.termKernel
+	p.kMain, p.kEdge = p.mainKernel, p.edgeKernel
 	p.compiled(start, c.statsTime)
 	return p, nil
 }
 
-// selectivity samples a filter bound to t — and, with termSel, each of its
-// OR terms — through the statistics cache and folds it into the statement's
-// estimate.
-func (c *selectCompile) selectivity(t *storage.Table, filter expr.Expr, termSel []float64) {
+// selectivity samples a filter bound to t through the statistics cache and
+// folds it into the statement's estimate.
+func (c *selectCompile) selectivity(t *storage.Table, filter expr.Expr) {
 	start := time.Now()
-	s, hit := c.e.selectivities(t, filter, termSel)
+	s, hit := c.e.selectivity(t, filter)
 	c.sel *= s
 	c.stat(hit, start)
 }
@@ -178,43 +176,22 @@ func (c *selectCompile) bindEdges() error {
 			c.fresh++
 			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
 			p.ex.HTBytes += be.bm.Bytes()
-			c.selectivity(parent, be.filter, nil)
+			c.selectivity(parent, be.filter)
 		}
 		p.edges = append(p.edges, be)
 	}
 	return nil
 }
 
-// bindFilter binds the root predicate, exposes its OR terms, and chooses
-// the disjunction strategy.
+// bindFilter binds the root predicate and estimates its selectivity.
 func (c *selectCompile) bindFilter() error {
-	p, q := c.p, c.q
-	if q.Filter == nil {
+	if c.q.Filter == nil {
 		return nil
 	}
-	if err := expr.Bind(q.Filter, c.root); err != nil {
+	if err := expr.Bind(c.q.Filter, c.root); err != nil {
 		return err
 	}
-	p.terms = expr.OrTerms(q.Filter)
-	var termSel []float64
-	if len(p.terms) > 1 {
-		termSel = make([]float64, len(p.terms))
-	}
-	c.selectivity(c.root, q.Filter, termSel)
-	if termSel == nil {
-		return nil
-	}
-	termComp := make([]float64, len(p.terms))
-	for i, t := range p.terms {
-		termComp[i] = expr.CompCost(t, c.params)
-	}
-	strategy, fused, bm := c.params.ChooseDisjunction(p.rows, termComp, termSel)
-	p.ex.Costs["disjunction-fused"] = fused
-	p.ex.Costs["disjunction-bitmap"] = bm
-	if strategy == cost.DisjBitmap {
-		p.rootBM = bitmap.New(p.rows)
-		c.fresh++
-	}
+	c.selectivity(c.root, c.q.Filter)
 	return nil
 }
 
@@ -459,6 +436,7 @@ func (c *selectCompile) bindRowStage() error {
 			a.mul = []rowExpr{factor(l, a.arg.root), factor(r, a.arg.root)}
 		}
 	}
+	c.mergeOperands()
 	// An edge's positions are needed by its own bitmap, by its columns, and
 	// by every edge chained off it.
 	for _, tc := range p.cols {
@@ -491,6 +469,43 @@ func (c *selectCompile) bindRowStage() error {
 	}
 	p.keys.alloc(c.groups)
 	return nil
+}
+
+// mergeOperands is access merging for aggregate operands (Section III-C,
+// "always"): it orders the fold so that aggregates over structurally equal
+// arguments are adjacent and every one after the first folds from the
+// operand vector the first evaluated — min(x) and max(x) read x once per
+// tile. Sharing the vector costs them their fused and native-width folds.
+// The columns read once for several aggregates are Explain.Merged.
+func (c *selectCompile) mergeOperands() {
+	p := c.p
+	text := make([]string, len(p.aggs))
+	for i := range p.aggs {
+		if a := &p.aggs[i]; a.lane >= 0 && c.lanes > 1 {
+			text[i] = a.arg.e.String()
+		}
+	}
+	for i := range p.aggs {
+		a := &p.aggs[i]
+		if a.lane < 0 || a.arg.merged {
+			continue
+		}
+		p.fold = append(p.fold, i)
+		for j := i + 1; j < len(p.aggs); j++ {
+			b := &p.aggs[j]
+			if b.lane < 0 || b.arg.merged || text[j] != text[i] {
+				continue
+			}
+			a.mul, a.arg.col = nil, nil
+			b.mul, b.arg.col, b.arg.merged = nil, nil, true
+			p.fold = append(p.fold, j)
+			for _, name := range expr.Cols(a.arg.e) {
+				if !slices.Contains(p.ex.Merged, name) {
+					p.ex.Merged = append(p.ex.Merged, name)
+				}
+			}
+		}
+	}
 }
 
 // bindOutput binds HAVING and the projection to the aggregate output row

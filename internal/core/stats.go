@@ -52,9 +52,8 @@ type statsEntry struct {
 	// Incremental-merge state for the append path (MergeStatsOnAppend):
 	// e is a clone of the sampled expression, owned by the cache so
 	// rebinding it against a sample or a delta view cannot race with the
-	// live plan that supplied the original (a disjunction's term entries
-	// hold subtrees of the whole filter's clone; every rebind happens under
-	// the statistics lock); n counts rows sampled so far; keys is the
+	// live plan that supplied the original (every rebind happens under the
+	// statistics lock); n counts rows sampled so far; keys is the
 	// distinct-sample behind a group-count estimate, retained only while it
 	// stays under mergeableKeyCap.
 	e    expr.Expr
@@ -78,7 +77,7 @@ func sampleStep(rows int) int { return max(1, rows/statsMaxSample) }
 // statsCache holds the sampled statistics. Zero value is ready.
 //
 // Selectivities live in their own bounded map: a stream of never-seen
-// filters adds an entry per filter and per OR term, and must not push out
+// filters adds an entry per filter, and must not push out
 // the few range and group-count entries, which cost a pass over a whole key
 // column to rebuild and leave only when their table's version moves.
 type statsCache struct {
@@ -221,11 +220,9 @@ func everyNth[T any](vals []T, step int) []T {
 type sampler struct {
 	tables map[string]*tableSample // by table name; each valid for its src only
 
-	ev         *expr.Evaluator
-	mask, term []byte
-	vals       []int64
-	terms      []int      // per-term hit counts of a disjunction
-	keys       []statsKey // a lookup's keys: the filter's, then its terms'
+	ev   *expr.Evaluator
+	mask []byte
+	vals []int64
 }
 
 // of returns t's sample. It is kept only while t is what the catalog holds
@@ -249,25 +246,16 @@ func (s *sampler) of(db *storage.Database, t *storage.Table) *tableSample {
 func (s *sampler) scratch() {
 	if s.ev == nil {
 		s.ev = expr.NewEvaluator()
-		s.mask, s.term = make([]byte, vec.TileSize), make([]byte, vec.TileSize)
-		s.vals = make([]int64, vec.TileSize)
+		s.mask, s.vals = make([]byte, vec.TileSize), make([]int64, vec.TileSize)
 	}
 }
 
 // selectivity samples the predicate x, a tree the caller owns, over ts: the
-// share of sampled rows x accepts and, when termSel is non-nil, the share
-// each of x's top-level OR terms accepts, into termSel. All of them come out
-// of one pass: each term is evaluated once per tile and the filter's mask is
-// the OR of its terms'. It returns the number of rows sampled.
-func (s *sampler) selectivity(ts *tableSample, x expr.Expr, termSel []float64) (sel float64, n int, err error) {
+// share of sampled rows x accepts, and the number of rows sampled.
+func (s *sampler) selectivity(ts *tableSample, x expr.Expr) (sel float64, n int, err error) {
 	n = ts.rows()
 	if n == 0 {
-		clear(termSel)
 		return 0, 0, nil
-	}
-	var terms []expr.Expr
-	if len(termSel) > 0 {
-		terms = expr.OrTerms(x)
 	}
 	if mayFault(x) {
 		// The columnar evaluator computes every lane of every operand, so a
@@ -276,38 +264,17 @@ func (s *sampler) selectivity(ts *tableSample, x expr.Expr, termSel []float64) (
 		if err := expr.Bind(x, ts.src); err != nil {
 			return 0, 0, err
 		}
-		for i, t := range terms {
-			termSel[i] = sampleSelectivity(t, ts.src.Rows())
-		}
 		return sampleSelectivity(x, ts.src.Rows()), n, nil
 	}
 	if err := ts.bind(x); err != nil {
 		return 0, 0, err
 	}
 	s.scratch()
-	s.terms = append(s.terms[:0], make([]int, len(terms))...)
 	hits := 0
 	for base := 0; base < n; base += vec.TileSize {
 		tl := min(vec.TileSize, n-base)
-		mask := s.mask[:tl]
-		if len(terms) == 0 {
-			s.ev.EvalBool(x, base, tl, mask)
-		}
-		for i, t := range terms {
-			out := mask
-			if i > 0 {
-				out = s.term[:tl]
-			}
-			s.ev.EvalBool(t, base, tl, out)
-			s.terms[i] += vec.CountMask(out)
-			if i > 0 {
-				vec.Or(mask, out)
-			}
-		}
-		hits += vec.CountMask(mask)
-	}
-	for i, h := range s.terms {
-		termSel[i] = float64(h) / float64(n)
+		s.ev.EvalBool(x, base, tl, s.mask)
+		hits += vec.CountMask(s.mask[:tl])
 	}
 	return float64(hits) / float64(n), n, nil
 }
@@ -402,71 +369,24 @@ func (e *Engine) SampledColumns(table string) int {
 // cache when a current-version entry exists. cached reports a hit. A nil
 // filter is selectivity 1 and never touches the cache.
 func (e *Engine) selectivity(t *storage.Table, filter expr.Expr) (sel float64, cached bool) {
-	return e.selectivities(t, filter, nil)
-}
-
-// selectivities is selectivity for a disjunction: termSel, when non-nil,
-// has one slot per top-level OR term of filter (expr.OrTerms) and receives
-// each term's selectivity. The terms are cached under their own text, like
-// the filters they would be on their own; cached reports the whole filter's
-// hit.
-func (e *Engine) selectivities(t *storage.Table, filter expr.Expr, termSel []float64) (sel float64, cached bool) {
 	if filter == nil {
 		return 1.0, false
 	}
-	var terms []expr.Expr
-	if len(termSel) > 0 {
-		terms = expr.OrTerms(filter)
-	}
+	k := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statSelectivity, expr: filter.String()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := &e.samples
-	whole := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statSelectivity, expr: filter.String()}
-	s.keys = s.keys[:0]
-	for _, term := range terms {
-		k := whole
-		k.expr = term.String()
-		s.keys = append(s.keys, k)
-	}
-	ent, cached := e.stats.get(whole)
-	hits := 0
-	for i := range terms {
-		te, ok := e.stats.get(s.keys[i])
-		if termSel[i] = te.sel; ok {
-			hits++
-		}
-	}
-	if cached && hits == len(terms) {
+	if ent, ok := e.stats.get(k); ok {
 		return ent.sel, true
 	}
 	clone := expr.Clone(filter)
-	sel, n, err := s.selectivity(s.of(e.DB, t), clone, termSel)
+	sel, n, err := e.samples.selectivity(e.samples.of(e.DB, t), clone)
 	if err != nil {
 		// Unreachable for a filter bound to t: estimate like the absent
 		// filter and cache nothing.
-		for i := range termSel {
-			termSel[i] = 1
-		}
 		return 1.0, false
 	}
-	// The one pass sampled everything; what had hit keeps its cached value,
-	// because an append may have merged it and a merged estimate is not a
-	// fresh one.
-	if cached {
-		sel = ent.sel
-	} else {
-		e.stats.put(whole, statsEntry{sel: sel, e: clone, n: n})
-	}
-	if len(terms) > 0 {
-		for i, term := range expr.OrTerms(clone) {
-			if te, ok := e.stats.get(s.keys[i]); ok {
-				termSel[i] = te.sel
-			} else {
-				e.stats.put(s.keys[i], statsEntry{sel: termSel[i], e: term, n: n})
-			}
-		}
-	}
-	return sel, cached
+	e.stats.put(k, statsEntry{sel: sel, e: clone, n: n})
+	return sel, false
 }
 
 // groupCount returns the estimated distinct count on t of a key expression
@@ -580,7 +500,7 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 			if ent.e == nil {
 				return // unmergeable: re-sample lazily
 			}
-			dsel, n, err := e.samples.selectivity(delta, ent.e, nil)
+			dsel, n, err := e.samples.selectivity(delta, ent.e)
 			if err != nil {
 				return // column vanished; shouldn't happen on appends
 			}

@@ -34,8 +34,7 @@ func microTable(rows int) *storage.Database {
 
 // neverSeen builds a filter of 1, 3 or 6 comparison leaves — one leaf, a
 // conjunction of three, a disjunction of two such conjunctions — whose
-// literals renew(i) changes, so that neither it nor an OR term of it has been
-// seen before.
+// literals renew(i) changes, so that it has not been seen before.
 func neverSeen(leaves int) (filter expr.Expr, renew func(i int)) {
 	fresh, other := &expr.Const{}, &expr.Const{}
 	renew = func(i int) { fresh.Val, other.Val = int64(i), int64(-i-1) }
@@ -66,15 +65,11 @@ func BenchmarkSelectivityMiss(b *testing.B) {
 				if err := expr.Bind(filter, r); err != nil {
 					b.Fatal(err)
 				}
-				var termSel []float64
-				if terms := expr.OrTerms(filter); len(terms) > 1 {
-					termSel = make([]float64, len(terms))
-				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					renew(i)
-					if _, hit := e.selectivities(r, filter, termSel); hit {
+					if _, hit := e.selectivity(r, filter); hit {
 						b.Fatal("statistics cache hit")
 					}
 				}

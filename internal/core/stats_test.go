@@ -192,9 +192,8 @@ func (g predGen) leaf() expr.Expr {
 }
 
 // TestVectorSamplerMatchesRowSampler pins "no estimate moved": for every
-// filter the vectorized sampler's selectivity — the whole filter's and, from
-// the same pass, each OR term's — equals the row-at-a-time sampler's bit for
-// bit, at table lengths on both sides of every stride, and the group-count
+// filter the vectorized sampler's selectivity equals the row-at-a-time
+// sampler's bit for bit, at table lengths on both sides of every stride, and the group-count
 // sampler folds exactly the keys of the sampled rows.
 func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 	col, num, str := expr.NewCol, func(v int64) expr.Expr { return &expr.Const{Val: v} }, func(s string) expr.Expr { return &expr.StrConst{Val: s} }
@@ -255,22 +254,9 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 			if err := expr.Bind(f, tab); err != nil {
 				t.Fatalf("rows=%d: %s: %v", rows, f, err)
 			}
-			var termSel []float64
-			terms := expr.OrTerms(f)
-			if len(terms) > 1 {
-				termSel = make([]float64, len(terms))
-			}
-			got, _ := e.selectivities(tab, f, termSel)
+			got, _ := e.selectivity(tab, f)
 			if want := sampleSelectivity(f, rows); got != want {
 				t.Errorf("rows=%d: %s: vectorized %v, row-at-a-time %v", rows, f, got, want)
-			}
-			for i := range termSel {
-				if want := sampleSelectivity(terms[i], rows); termSel[i] != want {
-					t.Errorf("rows=%d: term %d of %s: single pass %v, its own row-at-a-time pass %v", rows, i, f, termSel[i], want)
-				}
-				if own, _ := e.selectivity(tab, terms[i]); own != termSel[i] {
-					t.Errorf("rows=%d: term %d of %s: %v from the cache, %v from the pass", rows, i, f, own, termSel[i])
-				}
 			}
 		}
 		for _, k := range keys() {
@@ -317,15 +303,9 @@ func TestFaultingFilterSamplesRowAtATime(t *testing.T) {
 	if !mayFault(f) {
 		t.Fatal("a division by a column does not count as faulting")
 	}
-	termSel := make([]float64, 2)
-	got, hit := e.selectivities(tab, f, termSel)
+	got, hit := e.selectivity(tab, f)
 	if want := sampleSelectivity(f, tab.Rows()); hit || got != want || got <= 0 || got >= 1 {
 		t.Fatalf("selectivity %v (cached=%v), row-at-a-time %v", got, hit, want)
-	}
-	for i, term := range expr.OrTerms(f) {
-		if want := sampleSelectivity(term, tab.Rows()); termSel[i] != want {
-			t.Errorf("term %d: %v, row-at-a-time %v", i, termSel[i], want)
-		}
 	}
 	if n := e.SampledColumns("t"); n != 0 {
 		t.Errorf("the fallback drew %d column samples", n)
@@ -371,7 +351,7 @@ func TestNeverSeenFiltersKeepRangeAndGroups(t *testing.T) {
 		if err := expr.Bind(f, r); err != nil {
 			t.Fatal(err)
 		}
-		if _, hit := e.selectivities(r, f, make([]float64, 2)); hit {
+		if _, hit := e.selectivity(r, f); hit {
 			t.Fatalf("filter %d was seen before", i)
 		}
 	}
@@ -388,8 +368,8 @@ func TestNeverSeenFiltersKeepRangeAndGroups(t *testing.T) {
 
 // TestSelectivityMissAllocations: a miss on a warm sample allocates no more
 // than the row-at-a-time sampler's miss did — the key's text and the cache's
-// clone of the tree, for the filter and for each OR term — and nothing for
-// the evaluation, which runs on the engine's scratch.
+// clone of the tree — and nothing for the evaluation, which runs on the
+// engine's scratch.
 func TestSelectivityMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -402,27 +382,20 @@ func TestSelectivityMissAllocations(t *testing.T) {
 		if err := expr.Bind(filter, r); err != nil {
 			t.Fatal(err)
 		}
-		keyed := []expr.Expr{filter}
-		var termSel []float64
-		if terms := expr.OrTerms(filter); len(terms) > 1 {
-			keyed, termSel = append(keyed, terms...), make([]float64, len(terms))
-		}
-		i := leaves * 1000 // apart, so that no case's filter is another's OR term
+		i := leaves * 1000
 		miss := testing.AllocsPerRun(200, func() {
 			i++
 			renew(i)
-			if _, hit := e.selectivities(r, filter, termSel); hit {
+			if _, hit := e.selectivity(r, filter); hit {
 				t.Fatal("statistics cache hit")
 			}
 		})
 		parent := testing.AllocsPerRun(200, func() {
-			for _, x := range keyed {
-				_, _ = x.String(), expr.Clone(x)
-			}
+			_, _ = filter.String(), expr.Clone(filter)
 		})
 		if miss > parent {
-			t.Errorf("%d leaves: %v allocations per miss; keys and clones alone, as the row-at-a-time sampler made them, are %v", leaves, miss, parent)
+			t.Errorf("%d leaves: %v allocations per miss; the key and the clone alone, as the row-at-a-time sampler made them, are %v", leaves, miss, parent)
 		}
-		t.Logf("%d leaves: %v allocations per miss (keys and clones per filter and term: %v)", leaves, miss, parent)
+		t.Logf("%d leaves: %v allocations per miss (key and clone: %v)", leaves, miss, parent)
 	}
 }

@@ -223,27 +223,27 @@ func (ev *Evaluator) EvalBool(e Expr, base, n int, out []byte) {
 		}
 		ev.putInt(v)
 	case *Logic:
-		switch x.Op {
-		case And:
-			ev.EvalBool(x.Args[0], base, n, out)
-			tmp := ev.getBool()
-			for _, a := range x.Args[1:] {
-				ev.EvalBool(a, base, n, tmp)
+		ev.EvalBool(x.Args[0], base, n, out)
+		if x.Op == Not {
+			vec.Not(out[:n])
+			return
+		}
+		// Terms accumulate in the tile's mask, and a tile the earlier terms
+		// decided — every lane accepted under OR, none left under AND — skips
+		// the rest: term-at-a-time evaluation with no bitmap in between.
+		tmp := ev.getBool()
+		for _, a := range x.Args[1:] {
+			if x.Op == Or && vec.AllOnes(out[:n]) || x.Op == And && vec.AllZeros(out[:n]) {
+				break
+			}
+			ev.EvalBool(a, base, n, tmp)
+			if x.Op == Or {
+				vec.Or(out[:n], tmp[:n])
+			} else {
 				vec.And(out[:n], tmp[:n])
 			}
-			ev.putBool(tmp)
-		case Or:
-			ev.EvalBool(x.Args[0], base, n, out)
-			tmp := ev.getBool()
-			for _, a := range x.Args[1:] {
-				ev.EvalBool(a, base, n, tmp)
-				vec.Or(out[:n], tmp[:n])
-			}
-			ev.putBool(tmp)
-		default:
-			ev.EvalBool(x.Args[0], base, n, out)
-			vec.Not(out[:n])
 		}
+		ev.putBool(tmp)
 	default:
 		// Generic integer expression used as a predicate: nonzero is true.
 		v := ev.getInt()

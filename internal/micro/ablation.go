@@ -1,41 +1,10 @@
 package micro
 
-import (
-	"github.com/reprolab/swole/internal/bitmap"
-	"github.com/reprolab/swole/internal/vec"
-)
+import "github.com/reprolab/swole/internal/vec"
 
 // This file holds ablation variants of the SWOLE kernels, isolating the
 // design choices DESIGN.md calls out. They are exercised by the ablation
 // benchmarks in bench_test.go and verified against the primary kernels.
-
-// Q4BitmapCompressed is micro Q4 with the probe running against a
-// block-compressed positional bitmap (Section III-D: "we can always
-// compress the bitmap... but the benefits in size reduction would need to
-// be weighed against the increased access overhead"). The extra
-// indirection per probe is the measured cost; the win is footprint at
-// extreme selectivities.
-func Q4BitmapCompressed(d *Data, sel1, sel2 int) int64 {
-	bm := bitmap.New(d.Cfg.NS)
-	var cmp, tmp [vec.TileSize]byte
-	vec.Tiles(len(d.SX), func(base, length int) {
-		vec.CmpConstLT(d.SX[base:base+length], int8(sel2), cmp[:])
-		bm.SetFromCmp(base, cmp[:length])
-	})
-	cbm := bitmap.Compress(bm)
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel1, cmp[:], tmp[:])
-		fk := d.FK[base : base+length]
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		for j := 0; j < length; j++ {
-			m := cmp[j] & cbm.TestBit(int(fk[j]))
-			sum += int64(a[j]) * int64(b[j]) * int64(m)
-		}
-	})
-	return sum
-}
 
 // Q1HybridBranching is micro Q1 under hybrid with the *branching*
 // selection-vector construction instead of the predicated no-branch form —

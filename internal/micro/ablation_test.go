@@ -2,16 +2,6 @@ package micro
 
 import "testing"
 
-func TestQ4BitmapCompressedMatches(t *testing.T) {
-	d := testData(t, 20_000, 500, 10)
-	for _, sels := range [][2]int{{10, 90}, {90, 10}, {0, 100}, {100, 0}, {50, 50}} {
-		want := Q4Bitmap(d, sels[0], sels[1])
-		if got := Q4BitmapCompressed(d, sels[0], sels[1]); got != want {
-			t.Errorf("sel=%v: compressed=%d, raw=%d", sels, got, want)
-		}
-	}
-}
-
 func TestQ1HybridBranchingMatches(t *testing.T) {
 	d := testData(t, 10_000, 100, 10)
 	for _, op := range []Op{OpMul, OpDiv} {

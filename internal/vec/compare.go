@@ -170,54 +170,3 @@ func CmpCols[T Number](op CmpOp, a, b []T, out []byte) {
 		}
 	}
 }
-
-// And combines a second predicate's results into dst: dst[i] &= src[i].
-// Conjunctions in the prepass are chained this way (paper Fig. 7 queries all
-// carry a conjunct "and r_y = 1").
-func And(dst, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = src[len(dst)-1]
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
-// Or combines a second predicate's results into dst: dst[i] |= src[i].
-// Disjunctions such as TPC-H Q19's three-way OR use this kernel.
-func Or(dst, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = src[len(dst)-1]
-	for i := range dst {
-		dst[i] |= src[i]
-	}
-}
-
-// Not inverts a comparison vector in place. Eager aggregation inverts the
-// build-side predicate to delete non-qualifying keys (paper Section III-E).
-func Not(dst []byte) {
-	for i := range dst {
-		dst[i] ^= 1
-	}
-}
-
-// Fill sets every lane of dst to v. A missing predicate is an all-ones
-// comparison vector.
-func Fill(dst []byte, v byte) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-// CountOnes returns the number of set lanes in a comparison vector; it is
-// the tile-local selectivity numerator.
-func CountOnes(cmp []byte) int {
-	n := 0
-	for _, v := range cmp {
-		n += int(v)
-	}
-	return n
-}

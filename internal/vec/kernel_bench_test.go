@@ -172,3 +172,31 @@ func BenchmarkKernelSumSel(bm *testing.B) {
 		}
 	})
 }
+
+// BenchmarkKernelMaskOps prices the mask plane's word-at-a-time kernels
+// against the byte loops they replaced (the fuzz target's references).
+func BenchmarkKernelMaskOps(bm *testing.B) {
+	_, _, a := kernelData[int8](50)
+	_, _, b := kernelData[int8](30)
+	run := func(name string, fn func()) {
+		bm.Run(name, func(bm *testing.B) {
+			bm.SetBytes(TileSize)
+			for i := 0; i < bm.N; i++ {
+				fn()
+			}
+		})
+	}
+	run("word/and", func() { And(a, b) })
+	run("byte/and", func() { refAnd(a, b) })
+	run("word/or", func() { Or(a, b) })
+	run("byte/or", func() { refOr(a, b) })
+	run("word/not", func() { Not(a) })
+	run("byte/not", func() { refNot(a) })
+	run("word/fill", func() { Fill(a, 1) })
+	run("byte/fill", func() { refFill(a, 1) })
+	_, _, c := kernelData[int8](50)
+	run("word/count", func() { sinkInt += CountOnes(c) })
+	run("byte/count", func() { sinkInt += refCount(c) })
+	Fill(a, 1)
+	run("word/allones", func() { sinkInt += int(b2i(AllOnes(a))) })
+}

@@ -185,24 +185,3 @@ func MulInto[T Number](vals []T, tmp []int64) {
 		tmp[i] *= int64(vals[i])
 	}
 }
-
-// CountMask counts the accepted lanes of a 0/1 byte mask — the measured
-// selectivity feedback the synthesized plans report in Explain.
-func CountMask(cmp []byte) int {
-	n := 0
-	for _, v := range cmp {
-		n += int(v)
-	}
-	return n
-}
-
-// AllOnes reports whether every lane of a 0/1 byte mask is set, the
-// tile-level short circuit of term-at-a-time disjunction evaluation.
-func AllOnes(cmp []byte) bool {
-	for _, v := range cmp {
-		if v == 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -1,0 +1,124 @@
+package vec
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzMaskOps holds the word-at-a-time mask kernels to the byte-at-a-time
+// loops they replaced, kept here as the reference: for masks of any length
+// from 0 to 2·TileSize+63 starting at any offset into their backing array,
+// the results agree lane for lane and no byte outside the mask is written.
+
+func refAnd(dst, src []byte) {
+	for i := range dst {
+		dst[i] &= src[i]
+	}
+}
+
+func refOr(dst, src []byte) {
+	for i := range dst {
+		dst[i] |= src[i]
+	}
+}
+
+func refNot(dst []byte) {
+	for i := range dst {
+		dst[i] ^= 1
+	}
+}
+
+func refFill(dst []byte, v byte) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+func refCount(m []byte) (n int) {
+	for _, v := range m {
+		n += int(v)
+	}
+	return n
+}
+
+// lanes builds a 0/1 mask of n lanes from the fuzzer's bytes, cycled.
+func lanes(data []byte, n, salt int) []byte {
+	m := make([]byte, n)
+	for i := range m {
+		if len(data) > 0 {
+			m[i] = data[(i+salt)%len(data)] >> (uint(salt) & 7) & 1
+		}
+	}
+	return m
+}
+
+func FuzzMaskOps(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 0, 0, 1}, uint16(1), uint16(7))
+	f.Add([]byte{0xff}, uint16(63), uint16(65))
+	f.Add([]byte{0}, uint16(0), uint16(TileSize))
+	f.Add([]byte{1, 1, 1, 0}, uint16(5), uint16(2*TileSize+63))
+	f.Add([]byte{}, uint16(8), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, off, n uint16) {
+		o, l := int(off%64), int(n)%(2*TileSize+64)
+		a, b := lanes(data, l, 0), lanes(data, l, 3)
+		// The mask under test sits at offset o of a sentinel-filled array.
+		frame := func(m []byte) (whole, mask []byte) {
+			whole = bytes.Repeat([]byte{0xaa}, o+l+9)
+			copy(whole[o:], m)
+			return whole, whole[o : o+l : o+l]
+		}
+		check := func(op string, whole []byte, want []byte) {
+			t.Helper()
+			if !bytes.Equal(whole[o:o+l], want) {
+				t.Fatalf("%s: off=%d len=%d differs from the byte loop", op, o, l)
+			}
+			for i, v := range whole {
+				if (i < o || i >= o+l) && v != 0xaa {
+					t.Fatalf("%s: off=%d len=%d wrote byte %d, outside the mask", op, o, l, i)
+				}
+			}
+		}
+		whole, m := frame(a)
+		want := append([]byte(nil), a...)
+		And(m, b)
+		refAnd(want, b)
+		check("And", whole, want)
+
+		whole, m = frame(a)
+		want = append(want[:0], a...)
+		Or(m, b)
+		refOr(want, b)
+		check("Or", whole, want)
+
+		whole, m = frame(a)
+		want = append(want[:0], a...)
+		Not(m)
+		refNot(want)
+		check("Not", whole, want)
+
+		for _, v := range []byte{0, 1} {
+			whole, m = frame(a)
+			Fill(m, v)
+			refFill(want, v)
+			check("Fill", whole, want)
+			if !AllOnes(m) && v == 1 || !AllZeros(m) && v == 0 {
+				t.Fatalf("off=%d len=%d: a mask filled with %d is not all %d", o, l, v, v)
+			}
+		}
+
+		_, m = frame(a)
+		ones := refCount(a)
+		if got := CountOnes(m); got != ones {
+			t.Fatalf("CountOnes: off=%d len=%d: %d, byte loop %d", o, l, got, ones)
+		}
+		if got := CountMask(m); got != ones {
+			t.Fatalf("CountMask: off=%d len=%d: %d, byte loop %d", o, l, got, ones)
+		}
+		if got := AllOnes(m); got != (ones == l) {
+			t.Fatalf("AllOnes: off=%d len=%d with %d set: %t", o, l, ones, got)
+		}
+		if got := AllZeros(m); got != (ones == 0) {
+			t.Fatalf("AllZeros: off=%d len=%d with %d set: %t", o, l, ones, got)
+		}
+	})
+}

@@ -375,8 +375,8 @@ func (d *DB) synthesize(p plan.Node) (core.Select, bool) {
 	}
 
 	// NNF the root predicate (structure-sharing; the compiled tree is
-	// ours) so OrTerms exposes the disjuncts to the cost model, for the
-	// hand-specialized kernels and the generic executor alike.
+	// ours) so a disjunction's OR sits at the top, where the plan signature
+	// counts its terms and the evaluator skips them on a saturated tile.
 	spec := core.Select{
 		Root:    root.Table,
 		Filter:  expr.NNF(root.Filter),

@@ -369,3 +369,128 @@ func TestSelectGuardedDivision(t *testing.T) {
 		checkAllTechniques(t, d, q)
 	}
 }
+
+// tileSortedDB is a fact table f(tile, v, w, fk) whose tile column is the
+// row's tile index, so a predicate on it decides whole vec.TileSize tiles,
+// and a dimension p(pk, x) that f.fk references.
+func tileSortedDB(t *testing.T, tiles int) *DB {
+	t.Helper()
+	rows := tiles*1024 + 300 // a short last tile
+	tile, v, w, fk := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range tile {
+		tile[i], v[i], w[i], fk[i] = int64(i/1024), int64(i%101-50), int64(i%13), int64(i%64)
+	}
+	pk, x := make([]int64, 64), make([]int64, 64)
+	for i := range pk {
+		pk[i], x[i] = int64(i), int64(i%10)
+	}
+	d := NewDB()
+	if err := d.CreateTable("p", IntColumn("pk", pk), IntColumn("x", x)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("f", IntColumn("tile", tile), IntColumn("v", v), IntColumn("w", w), IntColumn("fk", fk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddForeignKey("f", "fk", "p", "pk"); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// A root disjunction accumulates its terms in the tile's mask and stops at
+// a saturated tile; a conjunction stops at an emptied one. Tiles the first
+// term accepts whole, tiles every term rejects whole, and an OR under a join
+// edge with HAVING each equal the interpreter under every technique, at one
+// and four workers, and allocate nothing once warm.
+func TestSelectDisjunctionInTile(t *testing.T) {
+	d := tileSortedDB(t, 6)
+	defer d.Close()
+	defer d.SetWorkers(0)
+	for _, workers := range []int{1, 4} {
+		d.SetWorkers(workers)
+		for _, q := range []string{
+			// Tiles 0-2 saturate on the first term; the later terms run on the rest.
+			"select w, sum(v) as s, count(*) as n from f where tile < 3 or v > 40 or w = 5 group by w",
+			"select sum(v) as s, min(w) as lo, count(*) as n from f where tile <= 6 or v > 1000",
+			// Every term rejects tiles 0 and 3-6 whole.
+			"select w, sum(v) as s, count(*) as n from f where tile = 1 or tile = 2 or (tile = 1 and v > 0) group by w",
+			"select sum(v) as s, count(*) as n from f where tile > 50 or v > 1000 or w > 100",
+			// A conjunction whose first term empties most tiles, and one under an OR.
+			"select w, max(v) as hi, count(*) as n from f where tile = 4 and v < 10 and w <> 3 group by w",
+			"select sum(v) as s, count(*) as n from f where (tile = 2 and v < 0) or (tile = 5 and not (w between 2 and 9))",
+			// An OR under a join edge with HAVING.
+			"select x, sum(v) as s, max(w) as hi from f, p where fk = pk and x < 7 and (tile < 2 or w = 0 or v > 45) group by x having sum(v) > -100000",
+		} {
+			checkAllTechniques(t, d, q)
+			for rep := 0; rep < 2; rep++ {
+				_, ex, err := d.QuerySwole(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
+					t.Errorf("workers=%d %q: warm run PlanCached=%t FreshAllocs=%d", workers, q, ex.PlanCached, ex.FreshAllocs)
+				}
+			}
+			if raceEnabled {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(5, func() {
+				if _, _, err := d.QuerySwole(q); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("workers=%d %q: %.1f allocs per warm execution, want 0", workers, q, allocs)
+			}
+		}
+	}
+}
+
+// Aggregates over structurally equal arguments fold from one operand vector:
+// the answers are the interpreter's under every technique, Explain.Merged
+// names the columns read once, and a masked scan widens them once per tile.
+func TestSelectMergedOperands(t *testing.T) {
+	d := tileSortedDB(t, 3)
+	defer d.Close()
+	for _, c := range []struct {
+		q      string
+		merged string
+	}{
+		{"select w, min(v) as lo, max(v) as hi from f where tile < 3 group by w", "[v]"},
+		{"select min(v) as lo, sum(w) as s, max(v) as hi, avg(v) as m, count(*) as n from f where w > 2", "[v]"},
+		{"select sum(v * w) as s, max(v * w) as hi, min(w) as lo, avg(w) as m from f where v > -20", "[v w]"},
+		{"select x, min(v + x) as lo, max(v + x) as hi, sum(v) as s from f, p where fk = pk and x < 8 group by x", "[v x]"},
+		{"select min(v) as lo, max(w) as hi from f where tile > 0", "[]"},
+	} {
+		checkAllTechniques(t, d, c.q)
+		_, ex, err := d.QuerySwole(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(ex.Merged); got != c.merged {
+			t.Errorf("%q: Merged=%s, want %s", c.q, got, c.merged)
+		}
+	}
+
+	// min(v), max(v) under value masking: the key column and v are each
+	// widened once per tile, not v once per aggregate.
+	p, err := d.Plan("select w, min(v) as lo, max(v) as hi from f where tile < 3 group by w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := d.synthesize(p)
+	forced, err := d.engine.PrepareForced(spec, core.TechValueMasking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ex, err := forced.RunPartial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var widened uint64
+	for _, n := range ex.Variants.Widen {
+		widened += n
+	}
+	if tiles := uint64(4); widened != 2*tiles {
+		t.Errorf("value masking widened %d column tiles over %d tiles, want w and v once each (%d)", widened, tiles, 2*tiles)
+	}
+}
