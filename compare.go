@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"github.com/reprolab/swole/internal/core"
 )
 
 // StrategyRun is one strategy's execution of a query in CompareStrategies.
@@ -23,13 +21,12 @@ type StrategyRun struct {
 // can be forced onto — data-centric, hybrid, and SWOLE's masking pullups —
 // returning per-strategy runtimes and (identical) answers. It is the
 // paper's Figure 1/3/4 experiment on your own data. The classic scalar and
-// single-key group-by shapes race all of their hand-specialized kernels;
-// any other synthesized statement (several aggregates, min/max, HAVING,
-// joins with a residual, composite keys) races the generic executor's
-// hybrid, value-masking and — when grouped — key-masking kernels. The
-// classic join shapes have one technique and nothing to compare. Each
-// strategy's plan is prepared before its timed run, so the runtimes compare
-// kernels, not who paid for sampling.
+// single-key group-by shapes race the data-centric baseline too; any other
+// synthesized statement (several aggregates, min/max, HAVING, joins,
+// composite keys) races the tile pipeline's hybrid, value-masking and — when
+// grouped — key-masking kernels. The classic groupjoin has one technique and
+// nothing to compare. Each strategy's plan is prepared before its timed run,
+// so the runtimes compare kernels, not who paid for sampling.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	p, err := d.Plan(q)
 	if err != nil {
@@ -41,9 +38,6 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	}
 	var runs []StrategyRun
 	for _, tech := range d.engine.Techniques(spec) {
-		if tech == core.TechAccessMerging {
-			continue // value masking under another name: same kernel
-		}
 		// Plans run one after another, so they can share the spec's trees.
 		forced, err := d.engine.PrepareForced(spec, tech)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 	"github.com/reprolab/swole/internal/vec"
 )
 
-// Disjunction evaluation benchmarks (DESIGN.md §13): the in-tile
+// Disjunction evaluation benchmarks (DESIGN.md §7): the in-tile
 // evaluation the engine runs — terms ORed into the tile's byte mask,
 // stopping at a saturated tile — and the alternative it replaced,
 // term-at-a-time passes into a materialized positional bitmap (now on the

@@ -6,11 +6,12 @@
 // ~12.5 MB, which stays cache-resident on the hardware classes the paper
 // targets.
 //
-// Construction offers both variants the paper's cost model chooses between:
-// unconditional predicated stores of the predicate result (a pure
-// sequential write, SetFromCmp) and selection-vector driven stores
-// (SetFromSel). A 0/1 byte mask moves in and out of the bitmap 64 lanes per
-// word (SetFromCmp, OrFromCmp, ReadCmp); combining bitmaps is word-wise.
+// Construction is the unconditional predicated store of the predicate result
+// (a pure sequential write, SetFromCmp): a 0/1 byte mask moves in and out of
+// the bitmap 64 lanes per word (SetFromCmp, OrFromCmp, ReadCmp). The paper's
+// selection-vector driven alternative — one Set per qualifying row — went
+// with its last caller, the semijoin hand plan. Combining bitmaps is
+// word-wise.
 package bitmap
 
 import (
@@ -191,15 +192,6 @@ func (b *Bitmap) AndGatherSel(pos []int32, sel []int32, cmp []byte) {
 	for _, j := range sel {
 		p := uint32(pos[j])
 		cmp[j] &= byte(words[p>>6] >> (p & 63) & 1)
-	}
-}
-
-// SetFromSel sets bits for the first n entries of a tile-local selection
-// vector offset by base — the pushdown-style construction the cost model
-// picks at very low selectivities.
-func (b *Bitmap) SetFromSel(base int, sel []int32, n int) {
-	for j := 0; j < n; j++ {
-		b.Set(base + int(sel[j]))
 	}
 }
 

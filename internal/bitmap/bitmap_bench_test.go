@@ -36,23 +36,10 @@ func BenchmarkBuild(b *testing.B) {
 	for i := range cmp {
 		cmp[i] = byte(i & 1)
 	}
-	sel := make([]int32, 1024)
-	n := 0
-	for i := range cmp {
-		if cmp[i] == 1 {
-			sel[n] = int32(i)
-			n++
-		}
-	}
 	bm := New(1 << 20)
 	b.Run("predicated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bm.SetFromCmp((i*1024)&(1<<20-1024), cmp)
-		}
-	})
-	b.Run("selection-vector", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bm.SetFromSel((i*1024)&(1<<20-1024), sel, n)
 		}
 	})
 }

@@ -13,15 +13,15 @@ import (
 // The compiled-plan layer. Every statement executes through one pipeline
 // with one mode — compile, keep, re-run:
 //
-//	Prepare(spec)   — lower the Select onto the hand-specialized plan it
-//	                 collapses to, or onto the generic executor
-//	                 (prepare.go)
+//	Prepare(spec)   — send the Select to the tile pipeline (select.go), or
+//	                 lower it onto the hand-specialized grouped plan it
+//	                 collapses to (prepare.go)
 //	compile(shape)  — validate and bind expressions, sample statistics
 //	                 (through the cache), evaluate the cost models, pick
 //	                 the technique and the direct-vs-partitioned mode,
 //	                 point the plan's kernel at the chosen technique and
 //	                 allocate its buffers (worker scratch, hash tables,
-//	                 bitmaps, partials)
+//	                 bitmaps, scalar lanes)
 //	run             — scan on the engine's persistent worker gang and
 //	                 merge per-worker partials; no planning, no
 //	                 allocation in the steady state
@@ -33,9 +33,10 @@ import (
 // caller and the scan sequential: forced runs measure kernel character,
 // not parallel speedup.
 //
-// A plan's kernels are closures built with it (newScalarPlan and friends)
-// over the plan's own fields. Kernels are the single implementation per
-// (shape, technique); no other execution path exists.
+// A plan's kernels are closures built with it (newGroupPlan, newGJoinPlan)
+// or methods bound once (PreparedSelect) over the plan's own fields. Kernels
+// are the single implementation per (shape, technique); no other execution
+// path exists.
 
 // kernelFn is a morsel kernel: worker w processes rows [base, base+length).
 type kernelFn = func(w, base, length int)
@@ -44,13 +45,13 @@ type kernelFn = func(w, base, length int)
 // any real Technique value forces it.
 const techAuto Technique = -1
 
-// planCore is the part of a compiled plan every hand-specialized shape
-// shares: the engine, the worker count, the Explain record the compile
-// filled in, the per-worker scratch states, and the result header.
+// planCore is the part of a compiled plan every shape shares: the engine,
+// the worker count, the Explain record the compile filled in, the per-worker
+// scratch states, and the result header.
 type planCore struct {
 	e      *Engine
 	nw     int  // worker count the kernels run on (1 when seq)
-	seq    bool // forced plans scan inline, off the gang
+	seq    bool // forced plans and grouped tile-pipeline plans scan inline, off the gang
 	ex     Explain
 	states []workerState
 	fields []OutField // set by Engine.Prepare's lowering; nil for a bare Prepare*Agg

@@ -7,13 +7,14 @@
 // model costs, and the statistics they were based on.
 //
 // Every statement executes through one compiled-plan pipeline (compile.go)
-// with one mode, compile-and-keep: Prepare lowers a Select spec onto the
-// hand-specialized plan it collapses to (or the generic executor), compile
-// validates and plans the query and binds the chosen kernel and plan-owned
-// buffers exactly once, and the caller keeps the Plan and re-runs it on the
-// engine's persistent morsel-worker gang. The engine holds no plans: whoever
-// prepared a plan owns it and decides when it is stale. PrepareForced is the
-// same compile with the technique named by the caller. There is exactly one
+// with one mode, compile-and-keep: Prepare compiles a Select spec onto the
+// tile pipeline of select.go — or, for the classic group-by and groupjoin,
+// onto the hand-specialized plan the spec collapses to — validating and
+// planning the query and binding the chosen kernel and plan-owned buffers
+// exactly once, and the caller keeps the Plan and re-runs it on the engine's
+// persistent morsel-worker gang. The engine holds no plans: whoever prepared
+// a plan owns it and decides when it is stale. PrepareForced is the same
+// compile with the technique named by the caller. There is exactly one
 // kernel per (shape, technique).
 //
 // The hand-specialized kernels in internal/micro and internal/tpch are the

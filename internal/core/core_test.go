@@ -46,6 +46,10 @@ func testDB(t *testing.T, nR, nS, ccard int) *storage.Database {
 		storage.Compress("s_pk", spk, storage.LogInt),
 		storage.Compress("s_x", sx, storage.LogInt),
 	))
+	// The tile pipeline joins through the registered foreign-key index.
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -70,7 +74,7 @@ func TestScalarAggBothTechniques(t *testing.T) {
 	// Cheap aggregation: value masking should win at high selectivity,
 	// hybrid at very low.
 	for _, sel := range []int64{1, 30, 95} {
-		got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}))
+		got, ex, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +83,11 @@ func TestScalarAggBothTechniques(t *testing.T) {
 		}
 	}
 	// Decision direction check.
-	_, exLow, _ := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")}))
+	_, exLow, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")}))
 	if exLow.Technique != TechHybrid {
 		t.Errorf("1%% selectivity chose %s, want hybrid", exLow.Technique)
 	}
-	_, exHigh, _ := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: expr.NewCol("r_a")}))
+	_, exHigh, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: expr.NewCol("r_a")}))
 	if exHigh.Technique == TechHybrid {
 		t.Errorf("95%% selectivity chose hybrid; pullup expected")
 	}
@@ -95,7 +99,7 @@ func TestScalarAggBothTechniques(t *testing.T) {
 func TestScalarAggNoFilter(t *testing.T) {
 	db := testDB(t, 5_000, 10, 10)
 	e := NewEngine(db)
-	got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}))
+	got, ex, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestScalarAggAccessMergingDetected(t *testing.T) {
 	e := NewEngine(db)
 	// r_x appears in both filter and aggregate at high selectivity.
 	agg := &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_x"), R: expr.NewCol("r_a")}
-	got, ex, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 90), Agg: agg}))
+	got, ex, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 90), Agg: agg}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestSemiJoinAgg(t *testing.T) {
 	db := testDB(t, 20_000, 500, 10)
 	e := NewEngine(db)
 	for _, tc := range []struct{ selR, selS int64 }{{10, 90}, {90, 10}, {100, 100}, {0, 50}} {
-		got, ex, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
+		got, ex, err := sumOnce(e, semiSpec(SemiJoinAgg{
 			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 			ProbeFilter: lt("r_x", tc.selR),
 			BuildFilter: lt("s_x", tc.selS),
@@ -284,16 +288,16 @@ func TestGroupJoinAggBothPaths(t *testing.T) {
 func TestErrors(t *testing.T) {
 	db := testDB(t, 100, 10, 5)
 	e := NewEngine(db)
-	if _, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")})); err == nil {
+	if _, _, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Agg: expr.NewCol("zz")})); err == nil {
+	if _, _, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Agg: expr.NewCol("zz")})); err == nil {
 		t.Error("unknown column accepted")
 	}
 	if _, _, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("zz"), Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown key accepted")
 	}
-	if _, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {
+	if _, _, err := sumOnce(e, semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown fk accepted")
 	}
 	if _, _, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "zz", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {

@@ -11,7 +11,7 @@ func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
 	e := NewEngine(db)
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 40), Agg: expr.NewCol("r_a")}
 	want := refScalar(db, 40)
-	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging} {
+	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking} {
 		got, err := forcedScalar(e, q, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
@@ -62,8 +62,10 @@ func TestForcedErrors(t *testing.T) {
 	if _, err := forcedScalar(e, ScalarAgg{Table: "r", Filter: lt("zz", 1), Agg: expr.NewCol("r_a")}, TechHybrid); err == nil {
 		t.Error("unknown filter column accepted")
 	}
-	if _, err := forcedScalar(e, ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}, TechPositionalBitmap); err == nil {
-		t.Error("inapplicable technique accepted")
+	for _, tech := range []Technique{TechPositionalBitmap, TechAccessMerging} { // labels, not kernels
+		if _, err := forcedScalar(e, ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}, tech); err == nil {
+			t.Errorf("inapplicable technique %s accepted", tech)
+		}
 	}
 	gq := GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 	if _, err := forcedGroups(e, gq, TechPositionalBitmap); err == nil {
@@ -78,11 +80,11 @@ func TestForcedErrors(t *testing.T) {
 }
 
 func TestSemiJoinAggSparseBuild(t *testing.T) {
-	// Build selectivity under 5% takes the selection-vector construction
-	// path (Section III-D option 2).
+	// A ~2% build side: nearly every word of the edge bitmap is stored
+	// zero, and nearly every probe lane is masked.
 	db := testDB(t, 20_000, 2_000, 10)
 	e := NewEngine(db)
-	got, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
+	got, _, err := sumOnce(e, semiSpec(SemiJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 		BuildFilter: lt("s_x", 2), // ~2%
 		Agg:         expr.NewCol("r_a"),
@@ -109,7 +111,7 @@ func TestSemiJoinAggSparseBuild(t *testing.T) {
 func TestSemiJoinAggNoFilters(t *testing.T) {
 	db := testDB(t, 5_000, 100, 10)
 	e := NewEngine(db)
-	got, _, err := once(e.PrepareSemiJoinAgg(SemiJoinAgg{
+	got, _, err := sumOnce(e, semiSpec(SemiJoinAgg{
 		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a"),
 	}))
 	if err != nil {

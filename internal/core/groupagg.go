@@ -450,8 +450,7 @@ func (p *PreparedGroupAgg) Run() (*GroupResult, Explain) {
 }
 
 // RunContext executes the prepared aggregation under the context's
-// deadline; see PreparedScalarAgg.RunContext for the cancellation
-// contract.
+// deadline; see PreparedSelect.RunContext for the cancellation contract.
 //
 // Execution is morsel-parallel with per-worker hash tables: each worker
 // aggregates the morsels it claims into a private ht.AggTable (masked

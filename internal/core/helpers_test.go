@@ -7,7 +7,7 @@ import (
 )
 
 // once runs a freshly prepared plan a single time — the whole prepare-and-
-// run life cycle in one expression: once(e.PrepareScalarAgg(q)).
+// run life cycle in one expression: once(e.PrepareGroupAgg(q)).
 func once[R any](p interface {
 	RunContext(context.Context) (R, Explain, error)
 }, err error) (R, Explain, error) {
@@ -41,47 +41,49 @@ func groupMap(g *GroupResult) map[int64]int64 {
 // partialMap flattens a plan's answer the way volcanoMap flattens the
 // interpreter's: single values under key 0, (key, sum) rows by key.
 func partialMap(p Partial) map[int64]int64 {
-	switch {
-	case p.Groups != nil:
+	if p.Groups != nil {
 		return groupMap(p.Groups)
-	case p.Rows != nil:
-		out := map[int64]int64{}
-		for _, row := range p.Rows.Rows {
-			if len(row) == 1 {
-				out[0] = row[0]
-			} else {
-				out[row[0]] = row[1]
-			}
+	}
+	out := map[int64]int64{}
+	for _, row := range p.Rows.Rows {
+		if len(row) == 1 {
+			out[0] = row[0]
+		} else {
+			out[row[0]] = row[1]
 		}
-		return out
 	}
-	return map[int64]int64{0: p.Sum}
+	return out
 }
 
-// classicSpec spells a hand-shape query as the Select the plan synthesizer
-// emits for it: one sum aliased "s" and the canonical projection.
-func classicSpec(root string, filter expr.Expr, groupBy []string, edges []SelectEdge, agg expr.Expr) Select {
-	spec := Select{
-		Root: root, Filter: filter, Edges: edges, GroupBy: groupBy,
-		Aggs: []SelectAgg{{Kind: AggSum, Arg: agg, As: "s"}},
+// sumRunner prepares an ungrouped single-aggregate spec through
+// Engine.Prepare and returns its re-runnable form: each call runs the plan
+// and reads the one result cell.
+func sumRunner(e *Engine, spec Select) (func() (int64, Explain), error) {
+	p, err := e.Prepare(spec)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range append(append([]string(nil), groupBy...), "s") {
-		spec.Project = append(spec.Project, SelectProj{Expr: expr.NewCol(name), As: name})
-	}
-	return spec
+	return func() (int64, Explain) {
+		part, ex, err := p.RunPartial(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		return part.Rows.Flat[0], ex
+	}, nil
 }
 
-func scalarSpec(q ScalarAgg) Select {
-	return classicSpec(q.Table, q.Filter, nil, nil, q.Agg)
+// sumOnce is sumRunner run a single time.
+func sumOnce(e *Engine, spec Select) (int64, Explain, error) {
+	run, err := sumRunner(e, spec)
+	if err != nil {
+		return 0, Explain{}, err
+	}
+	sum, ex := run()
+	return sum, ex, nil
 }
 
 func groupSpec(q GroupAgg) Select {
 	return classicSpec(q.Table, q.Filter, []string{q.Key.(*expr.Col).Name}, nil, q.Agg)
-}
-
-func semiSpec(q SemiJoinAgg) Select {
-	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}
-	return classicSpec(q.Probe, q.ProbeFilter, nil, []SelectEdge{edge}, q.Agg)
 }
 
 func gjoinSpec(q GroupJoinAgg) Select {
@@ -101,7 +103,10 @@ func forcedOnce(e *Engine, spec Select, tech Technique) (Partial, error) {
 
 func forcedScalar(e *Engine, q ScalarAgg, tech Technique) (int64, error) {
 	part, err := forcedOnce(e, scalarSpec(q), tech)
-	return part.Sum, err
+	if err != nil {
+		return 0, err
+	}
+	return part.Rows.Flat[0], nil
 }
 
 func forcedGroups(e *Engine, q GroupAgg, tech Technique) (map[int64]int64, error) {

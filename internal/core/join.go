@@ -5,216 +5,11 @@ import (
 	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
-	"github.com/reprolab/swole/internal/exec"
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
-
-// SemiJoinAgg is a filtered semijoin aggregation:
-//
-//	select sum(Agg) from Probe, Build
-//	where Probe.FK = Build.PK and ProbeFilter and BuildFilter
-//
-// with no build attributes beyond the join — the shape of Section III-D,
-// micro Q4, and TPC-H Q4. The build side's primary key must be the dense
-// row id (true for every table in the workloads), which is what makes the
-// foreign key double as the positional index.
-type SemiJoinAgg struct {
-	Probe       string
-	Build       string
-	FK          string // probe column holding build row positions
-	PK          string // build primary key (dense)
-	ProbeFilter expr.Expr
-	BuildFilter expr.Expr
-	Agg         expr.Expr // over probe columns
-}
-
-// PreparedSemiJoinAgg is the compiled plan for a semijoin aggregation:
-// the build-side store variant (predicated vs selection-vector), both
-// phase kernels, and the per-worker positional bitmaps.
-type PreparedSemiJoinAgg struct {
-	planCore
-	probeRows   int
-	buildRows   int
-	probeFilter expr.Expr
-	buildFilter expr.Expr
-	agg         expr.Expr
-	fkCol       *storage.Column
-	parts       *exec.Partials
-	bms         []*bitmap.Bitmap
-	buildKernel kernelFn
-	probeKernel kernelFn
-
-	// The build-store menu (Section III-D options 1 and 2); the probe side
-	// has a single masked form.
-	kBuildSel  kernelFn // selection-vector store, for very selective builds
-	kBuildPred kernelFn // predicated store
-	kProbe     kernelFn
-}
-
-// newSemiPlan builds an empty plan with its kernel menu.
-func newSemiPlan() *PreparedSemiJoinAgg {
-	p := &PreparedSemiJoinAgg{}
-	p.kBuildSel = func(w, base, length int) {
-		s, bm := &p.states[w], p.bms[w]
-		vec.Tiles(length, func(tb, tl int) {
-			b := base + tb
-			s.ev.EvalBool(p.buildFilter, b, tl, s.Cmp)
-			n, d := vec.SelFromCmpAdaptive(s.Cmp[:tl], s.Idx)
-			s.ctr.CountSel(d)
-			bm.SetFromSel(b, s.Idx, n)
-		})
-	}
-	p.kBuildPred = func(w, base, length int) {
-		s, bm := &p.states[w], p.bms[w]
-		vec.Tiles(length, func(tb, tl int) {
-			b := base + tb
-			s.fillCmp(p.buildFilter, b, tl)
-			bm.SetFromCmp(b, s.Cmp[:tl])
-		})
-	}
-	p.kProbe = func(w, base, length int) {
-		s, bm := &p.states[w], p.bms[0]
-		var sum int64
-		vec.Tiles(length, func(tb, tl int) {
-			b := base + tb
-			s.fillCmp(p.probeFilter, b, tl)
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
-			// The foreign keys widen once per tile at native lane width
-			// instead of a per-element Kind switch.
-			p.fkCol.WidenInto(b, tl, s.Keys)
-			s.ctr.Widen[int(p.fkCol.Kind)]++
-			for j := 0; j < tl; j++ {
-				m := s.Cmp[j] & bm.TestBit(int(s.Keys[j]))
-				sum += s.Vals[j] * int64(m)
-			}
-			s.ctr.MaskedAgg++
-		})
-		p.parts.Add(w, sum)
-	}
-	return p
-}
-
-// PrepareSemiJoinAgg compiles a semijoin aggregation once for the caller
-// to keep and re-run. SWOLE's positional bitmap needs no cost decision
-// ("Always Better" in Figure 2, Section III-D), only the choice between
-// predicated and selection-vector construction, which the value-masking
-// model makes.
-func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (*PreparedSemiJoinAgg, error) {
-	start := time.Now()
-	probe := e.DB.Table(q.Probe)
-	build := e.DB.Table(q.Build)
-	if probe == nil {
-		return nil, errNoTable(q.Probe)
-	}
-	if build == nil {
-		return nil, errNoTable(q.Build)
-	}
-	fkCol := probe.Column(q.FK)
-	if fkCol == nil {
-		return nil, errNoColumn(q.Probe, q.FK)
-	}
-	if q.ProbeFilter != nil {
-		if err := expr.Bind(q.ProbeFilter, probe); err != nil {
-			return nil, err
-		}
-	}
-	if q.BuildFilter != nil {
-		if err := expr.Bind(q.BuildFilter, build); err != nil {
-			return nil, err
-		}
-	}
-	if err := expr.Bind(q.Agg, probe); err != nil {
-		return nil, err
-	}
-	e.execMu.Lock() // the worker count is configuration: see Reconfigure
-	defer e.execMu.Unlock()
-	p := newSemiPlan()
-	fresh := p.bindCore(e, false) + 1
-	p.probeRows, p.buildRows = probe.Rows(), build.Rows()
-	p.probeFilter, p.buildFilter, p.agg = q.ProbeFilter, q.BuildFilter, q.Agg
-	p.fkCol = fkCol
-	p.parts = exec.NewPartials(p.nw)
-	p.bms = newBitmaps(p.nw, p.buildRows)
-	fresh += p.nw
-
-	statsStart := time.Now()
-	buildSel, statsHit := e.selectivity(build, q.BuildFilter)
-	statsTime := time.Since(statsStart)
-	p.ex = Explain{
-		Technique:   TechPositionalBitmap,
-		Selectivity: buildSel,
-		HTBytes:     (p.buildRows + 7) / 8,
-		Workers:     p.nw,
-		StatsCached: statsHit,
-		PlanCached:  true,
-		FreshAllocs: fresh,
-		Costs: map[string]float64{
-			"bitmap-bytes": float64((p.buildRows + 7) / 8),
-		},
-	}
-	if buildSel < 0.05 && q.BuildFilter != nil {
-		p.buildKernel = p.kBuildSel
-	} else {
-		p.buildKernel = p.kBuildPred
-	}
-	p.probeKernel = p.kProbe
-	p.compiled(start, statsTime)
-	return p, nil
-}
-
-// Run executes the prepared semijoin. Allocation-free after the first
-// call.
-func (p *PreparedSemiJoinAgg) Run() (int64, Explain) {
-	sum, ex, _ := p.RunContext(nil)
-	return sum, ex
-}
-
-// RunContext executes the prepared semijoin under the context's deadline;
-// see PreparedScalarAgg.RunContext for the cancellation contract.
-//
-// Both passes are morsel-parallel. Build-side workers set bits in private
-// positional bitmaps that are OR-merged into the first worker's bitmap
-// once the scan finishes; probe-side workers then read the merged bitmap
-// — immutable from here on — and accumulate masked partial sums.
-func (p *PreparedSemiJoinAgg) RunContext(ctx context.Context) (int64, Explain, error) {
-	p.e.execMu.Lock()
-	defer p.e.execMu.Unlock()
-	for _, bm := range p.bms {
-		bm.Reset(p.buildRows)
-	}
-	p.parts.Reset()
-	start := time.Now()
-	p.scan(ctx, p.buildRows, p.buildKernel)
-	p.ex.ScanTime = time.Since(start)
-	if err := ctxErr(ctx); err != nil {
-		return 0, Explain{}, p.canceled(err)
-	}
-	start = time.Now()
-	// Morsels partition the build range, so each position was written by
-	// exactly one worker; OR-merging is exact.
-	p.bms[0].OrInto(p.bms[1:]...)
-	p.ex.MergeTime = time.Since(start)
-	start = time.Now()
-	p.scan(ctx, p.probeRows, p.probeKernel)
-	p.ex.ScanTime += time.Since(start)
-	if err := ctxErr(ctx); err != nil {
-		return 0, Explain{}, p.canceled(err)
-	}
-	start = time.Now()
-	sum := p.parts.Sum()
-	p.sumVariants()
-	p.ex.MergeTime += time.Since(start)
-	return sum, p.snapshot(), nil
-}
-
-// RunPartial implements Plan.
-func (p *PreparedSemiJoinAgg) RunPartial(ctx context.Context) (Partial, Explain, error) {
-	sum, ex, err := p.RunContext(ctx)
-	return Partial{Sum: sum}, ex, err
-}
 
 // GroupJoinAgg is a groupjoin keyed by the probe's foreign key:
 //
@@ -641,7 +436,7 @@ func (p *PreparedGroupJoinAgg) Run() (*GroupResult, Explain) {
 }
 
 // RunContext executes the prepared groupjoin under the context's deadline;
-// see PreparedScalarAgg.RunContext for the cancellation contract.
+// see PreparedSelect.RunContext for the cancellation contract.
 func (p *PreparedGroupJoinAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
 	p.e.execMu.Lock()
 	defer p.e.execMu.Unlock()

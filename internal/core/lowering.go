@@ -1,0 +1,66 @@
+package core
+
+import (
+	"context"
+
+	"github.com/reprolab/swole/internal/expr"
+)
+
+// benchmark/ still spells the two ungrouped classic statements as ScalarAgg
+// and SemiJoinAgg and runs them through RunContext(ctx) (int64, Explain,
+// error). This file lowers them onto Prepare(Select); it is deleted when
+// benchmark/ migrates to Engine.Prepare (ROADMAP direction 1).
+
+// ScalarAgg is select sum(Agg) from Table where Filter.
+type ScalarAgg struct {
+	Table       string
+	Filter, Agg expr.Expr
+}
+
+// SemiJoinAgg is select sum(Agg) from Probe, Build where Probe.FK = Build.PK
+// and ProbeFilter and BuildFilter.
+type SemiJoinAgg struct {
+	Probe, Build, FK, PK          string
+	ProbeFilter, BuildFilter, Agg expr.Expr
+}
+
+// sumPlan reads a lowered statement's single result cell.
+type sumPlan struct{ Plan }
+
+func (p sumPlan) RunContext(ctx context.Context) (int64, Explain, error) {
+	part, ex, err := p.RunPartial(ctx)
+	if err != nil {
+		return 0, ex, err
+	}
+	return part.Rows.Flat[0], ex, nil
+}
+
+func (e *Engine) PrepareScalarAgg(q ScalarAgg) (sumPlan, error) {
+	p, err := e.Prepare(scalarSpec(q))
+	return sumPlan{p}, err
+}
+
+func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (sumPlan, error) {
+	p, err := e.Prepare(semiSpec(q))
+	return sumPlan{p}, err
+}
+
+func scalarSpec(q ScalarAgg) Select { return classicSpec(q.Table, q.Filter, nil, nil, q.Agg) }
+
+func semiSpec(q SemiJoinAgg) Select {
+	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}
+	return classicSpec(q.Probe, q.ProbeFilter, nil, []SelectEdge{edge}, q.Agg)
+}
+
+// classicSpec spells a classic-shape query as the Select the plan synthesizer
+// emits for it: one sum aliased "s" and the canonical projection.
+func classicSpec(root string, filter expr.Expr, groupBy []string, edges []SelectEdge, agg expr.Expr) Select {
+	spec := Select{
+		Root: root, Filter: filter, Edges: edges, GroupBy: groupBy,
+		Aggs: []SelectAgg{{Kind: AggSum, Arg: agg, As: "s"}},
+	}
+	for _, name := range append(groupBy[:len(groupBy):len(groupBy)], "s") {
+		spec.Project = append(spec.Project, SelectProj{Expr: expr.NewCol(name), As: name})
+	}
+	return spec
+}

@@ -52,6 +52,9 @@ func parallelDB(t *testing.T, nR, nS, ccard int) *storage.Database {
 		storage.Compress("s_pk", spk, storage.LogInt),
 		storage.Compress("s_x", sx, storage.LogInt),
 	))
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -79,7 +82,7 @@ func TestScalarAggWorkersIdentical(t *testing.T) {
 	db := parallelDB(t, 30_000, 100, 10)
 	for _, sel := range selPoints {
 		q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
-		base, ex, err := once(engineAt(t, db, 1).PrepareScalarAgg(q))
+		base, ex, err := sumOnce(engineAt(t, db, 1), scalarSpec(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +90,7 @@ func TestScalarAggWorkersIdentical(t *testing.T) {
 			t.Errorf("sel=%d: explain reports %d workers, want 1", sel, ex.Workers)
 		}
 		for _, w := range workerCounts[1:] {
-			got, ex, err := once(engineAt(t, db, w).PrepareScalarAgg(q))
+			got, ex, err := sumOnce(engineAt(t, db, w), scalarSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,9 +104,9 @@ func TestScalarAggWorkersIdentical(t *testing.T) {
 	}
 }
 
-// forceScalar pins the scalar-agg decision so both parallel kernels are
-// exercised regardless of what the sampled selectivity makes the model
-// choose.
+// The Params tunings pin the scalar decision, so both techniques of the
+// tile pipeline run on the gang regardless of what the sampled selectivity
+// makes the model choose.
 func TestScalarAggWorkersIdenticalForcedTechniques(t *testing.T) {
 	db := parallelDB(t, 30_000, 100, 10)
 	for _, force := range []struct {
@@ -117,14 +120,14 @@ func TestScalarAggWorkersIdenticalForcedTechniques(t *testing.T) {
 			q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
 			ref := engineAt(t, db, 1)
 			force.tune(ref)
-			base, exBase, err := once(ref.PrepareScalarAgg(q))
+			base, exBase, err := sumOnce(ref, scalarSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts[1:] {
 				e := engineAt(t, db, w)
 				force.tune(e)
-				got, ex, err := once(e.PrepareScalarAgg(q))
+				got, ex, err := sumOnce(e, scalarSpec(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,9 +187,10 @@ func TestGroupAggWorkersIdentical(t *testing.T) {
 }
 
 func TestSemiJoinAggWorkersIdentical(t *testing.T) {
-	db := parallelDB(t, 30_000, 2_000, 10)
-	// selS=1 exercises the selection-vector bitmap construction (<5%
-	// build selectivity); the rest use the predicated store.
+	// Workers write word-disjoint ranges of the one shared edge bitmap:
+	// 10,000 build rows are five morsels here, the last one short and ending
+	// mid-word, from a 0.1% build side to a 90% one.
+	db := parallelDB(t, 30_000, 10_000, 10)
 	for _, selS := range selPoints {
 		for _, selR := range selPoints {
 			q := SemiJoinAgg{
@@ -195,12 +199,12 @@ func TestSemiJoinAggWorkersIdentical(t *testing.T) {
 				BuildFilter: lt("s_x", selS),
 				Agg:         expr.NewCol("r_a"),
 			}
-			base, _, err := once(engineAt(t, db, 1).PrepareSemiJoinAgg(q))
+			base, _, err := sumOnce(engineAt(t, db, 1), semiSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts[1:] {
-				got, _, err := once(engineAt(t, db, w).PrepareSemiJoinAgg(q))
+				got, _, err := sumOnce(engineAt(t, db, w), semiSpec(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +266,7 @@ func TestParallelEmptyTables(t *testing.T) {
 	db := parallelDB(t, 0, 0, 1)
 	for _, w := range workerCounts {
 		e := engineAt(t, db, w)
-		sum, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 100), Agg: expr.NewCol("r_a")}))
+		sum, _, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 100), Agg: expr.NewCol("r_a")}))
 		if err != nil || sum != 0 {
 			t.Errorf("workers=%d: scalar agg over empty table = %d, %v", w, sum, err)
 		}
@@ -270,7 +274,7 @@ func TestParallelEmptyTables(t *testing.T) {
 		if err != nil || len(groups) != 0 {
 			t.Errorf("workers=%d: group agg over empty table = %v, %v", w, groups, err)
 		}
-		sum, _, err = once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}))
+		sum, _, err = sumOnce(e, semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 		if err != nil || sum != 0 {
 			t.Errorf("workers=%d: semijoin over empty tables = %d, %v", w, sum, err)
 		}
@@ -286,11 +290,11 @@ func TestParallelSingleMorsel(t *testing.T) {
 	// the pool must fall back to one worker and still merge correctly.
 	db := parallelDB(t, 100, 10, 4)
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 500), Agg: expr.NewCol("r_a")}
-	base, _, err := once(engineAt(t, db, 1).PrepareScalarAgg(q))
+	base, _, err := sumOnce(engineAt(t, db, 1), scalarSpec(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ex, err := once(engineAt(t, db, 16).PrepareScalarAgg(q))
+	got, ex, err := sumOnce(engineAt(t, db, 16), scalarSpec(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func TestParallelSingleMorsel(t *testing.T) {
 func TestErrorSentinelsWrapped(t *testing.T) {
 	db := parallelDB(t, 100, 10, 4)
 	e := NewEngine(db)
-	_, _, err := once(e.PrepareScalarAgg(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}))
+	_, _, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "zz", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoTable) {
 		t.Errorf("ScalarAgg unknown table: errors.Is(err, ErrNoTable) false for %v", err)
 	}
@@ -325,12 +329,61 @@ func TestErrorSentinelsWrapped(t *testing.T) {
 	if !errors.Is(err, ErrNoTable) {
 		t.Errorf("GroupJoinAgg unknown build: errors.Is(err, ErrNoTable) false for %v", err)
 	}
-	_, _, err = once(e.PrepareSemiJoinAgg(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")}))
+	_, _, err = sumOnce(e, semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "zz", PK: "s_pk", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoColumn) {
 		t.Errorf("SemiJoinAgg unknown fk: errors.Is(err, ErrNoColumn) false for %v", err)
 	}
 	_, _, err = groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "zz", Agg: expr.NewCol("r_a")}))
 	if !errors.Is(err, ErrNoColumn) {
 		t.Errorf("GroupJoinAgg unknown pk: errors.Is(err, ErrNoColumn) false for %v", err)
+	}
+}
+
+// TestSelectScratchSurvivesReconfigure pins the tile scratch binding: every
+// tile-pipeline plan runs on the engine's one scratch set, which a compile at
+// a higher worker count grows — and may move. Plan A is compiled at one
+// worker, the engine reconfigured to four, plan B compiled (growing the
+// scratch under A), and then A, B, A run: each on the worker count it was
+// compiled for, each correct, and A's kernel-variant counts the same before
+// and after B ran on the shared states.
+func TestSelectScratchSurvivesReconfigure(t *testing.T) {
+	db := parallelDB(t, 30_000, 2_000, 10)
+	e := engineAt(t, db, 1)
+	qa := ScalarAgg{Table: "r", Filter: lt("r_x", 400), Agg: expr.NewCol("r_a")}
+	qb := SemiJoinAgg{
+		Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
+		ProbeFilter: lt("r_x", 900), BuildFilter: lt("s_x", 500), Agg: expr.NewCol("r_a"),
+	}
+	wantA, _, err := sumOnce(engineAt(t, db, 1), scalarSpec(qa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, _, err := sumOnce(engineAt(t, db, 1), semiSpec(qb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runA, err := sumRunner(e, scalarSpec(qa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reconfigure(func() { e.Workers = 4 })
+	runB, err := sumRunner(e, semiSpec(qb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.genStates) != 4 {
+		t.Fatalf("scratch holds %d worker states after a 4-worker compile", len(e.genStates))
+	}
+	gotA, exA := runA()
+	gotB, exB := runB()
+	gotA2, exA2 := runA()
+	if gotA != wantA || gotA2 != wantA || gotB != wantB {
+		t.Errorf("A=%d, B=%d, A again=%d; want %d, %d, %d", gotA, gotB, gotA2, wantA, wantB, wantA)
+	}
+	if exA.Workers != 1 || exB.Workers != 4 || exA2.Workers != 1 {
+		t.Errorf("workers A=%d B=%d A again=%d, want 1, 4, 1", exA.Workers, exB.Workers, exA2.Workers)
+	}
+	if exA.Variants.Total() == 0 || exA.Variants != exA2.Variants {
+		t.Errorf("A's variants %+v before B ran, %+v after", exA.Variants, exA2.Variants)
 	}
 }

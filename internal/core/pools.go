@@ -29,15 +29,15 @@ type tileScratch struct {
 	vecs   [][]int64
 }
 
-// ensureGenLocked makes the generic executor's scratch hold at least nVecs
-// tile vectors, creating the worker state on first use. Like
+// ensureGenLocked makes the generic executor's scratch hold at least nw
+// workers' sets of at least nVecs tile vectors each. Like
 // ensureScatterLocked it returns the pool-miss count billed to
 // Explain.FreshAllocs: 1 when anything was allocated, 0 on a pure reuse.
-// Callers hold e.execMu.
-func (e *Engine) ensureGenLocked(nVecs int) int {
+// Growing may move both slices, so plans index them per run and keep no
+// header. Callers hold e.execMu.
+func (e *Engine) ensureGenLocked(nw, nVecs int) int {
 	fresh := 0
-	if e.genStates == nil {
-		e.genStates = []workerState{newWorkerState()}
+	for len(e.genStates) < nw {
 		t := tileScratch{
 			tcmp:  make([]byte, vec.TileSize),
 			slots: make([]int32, vec.TileSize),
@@ -46,7 +46,8 @@ func (e *Engine) ensureGenLocked(nVecs int) int {
 		for i := range t.posBuf {
 			t.posBuf[i] = make([]int32, vec.TileSize)
 		}
-		e.genTiles = []tileScratch{t}
+		e.genStates = append(e.genStates, newWorkerState())
+		e.genTiles = append(e.genTiles, t)
 		fresh = 1
 	}
 	for w := range e.genTiles {

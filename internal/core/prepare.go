@@ -17,21 +17,20 @@ type Plan interface {
 	Fields() []OutField
 }
 
-// Partial is one plan run's answer: Rows for a generic plan, Groups for a
-// grouped hand-specialized plan, Sum otherwise. Groups and Rows are
-// plan-owned buffers overwritten by the plan's next run.
+// Partial is one plan run's answer: Groups for a grouped hand-specialized
+// plan, Rows otherwise. Both are plan-owned buffers overwritten by the plan's
+// next run.
 type Partial struct {
-	Sum    int64
 	Groups *GroupResult
 	Rows   *SelectResult
 }
 
 // Prepare compiles a statement for the caller to keep and re-run. A spec
-// that collapses to one of the paper's four shapes — scalar, group-by,
-// semijoin, or groupjoin aggregation — lowers onto that shape's hand-
-// specialized plan (morsel-parallel kernels, radix partitioning); everything
-// else compiles through PrepareSelect onto the generic tile pipeline. Either
-// way a warm re-run allocates nothing.
+// that collapses to one of the paper's two grouped shapes — group-by or
+// groupjoin aggregation — lowers onto that shape's hand-specialized plan
+// (morsel-parallel kernels, radix partitioning); everything else compiles
+// onto the tile pipeline of select.go, which scans on the worker gang when
+// the statement is ungrouped. Either way a warm re-run allocates nothing.
 func (e *Engine) Prepare(spec Select) (Plan, error) {
 	return e.prepare(spec, techAuto)
 }
@@ -48,16 +47,14 @@ func (e *Engine) PrepareForced(spec Select, tech Technique) (Plan, error) {
 	return e.prepare(spec, tech)
 }
 
-// The techniques a forced compile of a classic shape may name.
-var (
-	scalarTechs = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechAccessMerging}
-	groupTechs  = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}
-)
+// groupTechs are the techniques a forced compile of the classic group-by may
+// name.
+var groupTechs = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}
 
 // Techniques is the menu PrepareForced accepts for the statement: the
-// classic scalar and group-by shapes' kernels, the generic executor's three
-// techniques for everything it runs, and nothing for the classic join
-// shapes, whose technique is not a choice.
+// classic group-by's kernels, the tile pipeline's techniques for everything
+// it runs, and nothing for the classic groupjoin, whose technique is not a
+// choice.
 func (e *Engine) Techniques(spec Select) []Technique {
 	arg, _ := e.classic(spec)
 	switch {
@@ -65,10 +62,8 @@ func (e *Engine) Techniques(spec Select) []Technique {
 		return selectTechs(spec)
 	case len(spec.Edges) > 0:
 		return nil
-	case len(spec.GroupBy) == 1:
-		return groupTechs
 	}
-	return scalarTechs
+	return groupTechs
 }
 
 func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
@@ -87,20 +82,11 @@ func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
 		}
 		err error
 	)
-	switch {
-	case len(spec.Edges) == 0 && len(spec.GroupBy) == 0:
-		hand, err = e.compileScalarAgg(ScalarAgg{Table: spec.Root, Filter: spec.Filter, Agg: arg}, tech)
-	case len(spec.Edges) == 0:
+	if len(spec.Edges) == 0 {
 		hand, err = e.compileGroupAgg(GroupAgg{
 			Table: spec.Root, Filter: spec.Filter, Key: expr.NewCol(spec.GroupBy[0]), Agg: arg,
 		}, tech)
-	case len(spec.GroupBy) == 0:
-		ed := spec.Edges[0]
-		hand, err = e.PrepareSemiJoinAgg(SemiJoinAgg{
-			Probe: spec.Root, Build: ed.Parent, FK: ed.FK, PK: ed.PK,
-			ProbeFilter: spec.Filter, BuildFilter: ed.Filter, Agg: arg,
-		})
-	default:
+	} else {
 		ed := spec.Edges[0]
 		hand, err = e.PrepareGroupJoinAgg(GroupJoinAgg{
 			Probe: spec.Root, Build: ed.Parent, FK: ed.FK, PK: ed.PK,
@@ -114,18 +100,18 @@ func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
 	return hand, nil
 }
 
-// classic recognizes the statements the four hand-specialized plans cover:
-// a single sum(expr) or count(*), no HAVING or residual, at most one group
-// key and one join edge, and the canonical projection (the group key under
+// classic recognizes the statements the two hand-specialized plans cover: a
+// single sum(expr) or count(*) under one group key, no HAVING or residual,
+// at most one join edge, and the canonical projection (the group key under
 // its own name, then the aggregate alias — reordered or aliased output
-// needs the generic executor's projection stage). The join shapes
-// aggregate probe columns only, and the groupjoin is keyed by the foreign
-// key with no probe filter. It returns the summed expression and the
-// result header; a nil expression sends the statement to PrepareSelect.
+// needs the tile pipeline's projection stage). The groupjoin aggregates
+// probe columns only and is keyed by the foreign key with no probe filter.
+// It returns the summed expression and the result header; a nil expression
+// sends the statement to the tile pipeline.
 func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
 	root := e.DB.Table(spec.Root)
 	if root == nil || len(spec.Aggs) != 1 || spec.Having != nil || spec.Residual != nil ||
-		len(spec.GroupBy) > 1 || len(spec.Edges) > 1 || len(spec.Project) != len(spec.GroupBy)+1 {
+		len(spec.GroupBy) != 1 || len(spec.Edges) > 1 || len(spec.Project) != 2 {
 		return nil, nil
 	}
 	arg := spec.Aggs[0].Arg
@@ -136,15 +122,14 @@ func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
 	default:
 		return nil, nil
 	}
-	fields := make([]OutField, 0, 2)
-	for _, g := range spec.GroupBy {
-		key := root.Column(g)
-		if key == nil {
-			return nil, nil
-		}
-		fields = append(fields, OutField{Name: g, Dict: key.Dict, Log: key.Log})
+	key := root.Column(spec.GroupBy[0])
+	if key == nil {
+		return nil, nil
 	}
-	fields = append(fields, OutField{Name: spec.Aggs[0].As, Log: storage.LogInt})
+	fields := []OutField{
+		{Name: spec.GroupBy[0], Dict: key.Dict, Log: key.Log},
+		{Name: spec.Aggs[0].As, Log: storage.LogInt},
+	}
 	for i, f := range fields {
 		c, ok := spec.Project[i].Expr.(*expr.Col)
 		if !ok || c.Name != f.Name || spec.Project[i].As != f.Name {
@@ -157,7 +142,7 @@ func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
 				return nil, nil
 			}
 		}
-		if ed := spec.Edges[0]; ed.Src >= 0 || len(spec.GroupBy) == 1 && (spec.GroupBy[0] != ed.FK || spec.Filter != nil) {
+		if ed := spec.Edges[0]; ed.Src >= 0 || spec.GroupBy[0] != ed.FK || spec.Filter != nil {
 			return nil, nil
 		}
 	}

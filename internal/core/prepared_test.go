@@ -9,9 +9,9 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 )
 
-// TestPreparedScalarAggParity checks a prepared scalar aggregation returns
+// TestPreparedScalarParity checks a prepared scalar aggregation returns
 // a single-run plan's answers run after run, at one worker and several.
-func TestPreparedScalarAggParity(t *testing.T) {
+func TestPreparedScalarParity(t *testing.T) {
 	db := testDB(t, 50_000, 100, 10)
 	for _, workers := range []int{1, 4} {
 		e := NewEngine(db)
@@ -20,16 +20,16 @@ func TestPreparedScalarAggParity(t *testing.T) {
 		defer e.Close()
 		for _, sel := range []int64{1, 30, 95} {
 			q := ScalarAgg{Table: "r", Filter: lt("r_x", sel), Agg: expr.NewCol("r_a")}
-			want, wantEx, err := once(e.PrepareScalarAgg(q))
+			want, wantEx, err := sumOnce(e, scalarSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := e.PrepareScalarAgg(q)
+			run, err := sumRunner(e, scalarSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 3; rep++ {
-				got, ex := p.Run()
+				got, ex := run()
 				if got != want {
 					t.Errorf("workers=%d sel=%d rep=%d: got %d, want %d", workers, sel, rep, got, want)
 				}
@@ -87,9 +87,9 @@ func TestPreparedGroupAggParity(t *testing.T) {
 	}
 }
 
-// TestPreparedSemiJoinAggParity checks the prepared semijoin at both build
+// TestPreparedSemiJoinParity checks the prepared semijoin at both build
 // variants (selective and unselective build predicate).
-func TestPreparedSemiJoinAggParity(t *testing.T) {
+func TestPreparedSemiJoinParity(t *testing.T) {
 	db := testDB(t, 50_000, 1000, 10)
 	for _, workers := range []int{1, 4} {
 		e := NewEngine(db)
@@ -102,16 +102,16 @@ func TestPreparedSemiJoinAggParity(t *testing.T) {
 				ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", buildSel),
 				Agg: expr.NewCol("r_a"),
 			}
-			want, _, err := once(e.PrepareSemiJoinAgg(q))
+			want, _, err := sumOnce(e, semiSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := e.PrepareSemiJoinAgg(q)
+			run, err := sumRunner(e, semiSpec(q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 3; rep++ {
-				got, _ := p.Run()
+				got, _ := run()
 				if got != want {
 					t.Errorf("workers=%d buildSel=%d rep=%d: got %d, want %d", workers, buildSel, rep, got, want)
 				}
@@ -172,7 +172,7 @@ func TestPreparedZeroAlloc(t *testing.T) {
 		e.MorselRows = 4096
 		defer e.Close()
 
-		scalar, err := e.PrepareScalarAgg(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")})
+		scalar, err := sumRunner(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,28 +180,28 @@ func TestPreparedZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		semi, err := e.PrepareSemiJoinAgg(SemiJoinAgg{
+		semi, err := sumRunner(e, semiSpec(SemiJoinAgg{
 			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
 			ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50),
 			Agg: expr.NewCol("r_a"),
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Warm run: evaluator scratch, result arrays, any under-estimated
 		// hash capacity, and gang goroutine stacks all settle here.
-		scalar.Run()
+		scalar()
 		group.Run()
-		semi.Run()
+		semi()
 
-		if allocs := testing.AllocsPerRun(20, func() { scalar.Run() }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { scalar() }); allocs != 0 {
 			t.Errorf("workers=%d: scalar Run allocates %.1f per run, want 0", workers, allocs)
 		}
 		if allocs := testing.AllocsPerRun(20, func() { group.Run() }); allocs != 0 {
 			t.Errorf("workers=%d: group Run allocates %.1f per run, want 0", workers, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { semi.Run() }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { semi() }); allocs != 0 {
 			t.Errorf("workers=%d: semijoin Run allocates %.1f per run, want 0", workers, allocs)
 		}
 
@@ -243,16 +243,16 @@ func TestStatsCacheVersioned(t *testing.T) {
 	e := NewEngine(db)
 	defer e.Close()
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 30), Agg: expr.NewCol("r_a")}
-	if _, _, err := once(e.PrepareScalarAgg(q)); err != nil {
+	if _, _, err := sumOnce(e, scalarSpec(q)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ex, _ := once(e.PrepareScalarAgg(q)); !ex.StatsCached {
+	if _, ex, _ := sumOnce(e, scalarSpec(q)); !ex.StatsCached {
 		t.Fatal("want stats hit before table replacement")
 	}
 	// Re-register r (same contents, new version): the old entry's version
 	// no longer matches, so the next plan samples afresh.
 	db.AddTable(db.MustTable("r"))
-	if _, ex, _ := once(e.PrepareScalarAgg(q)); ex.StatsCached {
+	if _, ex, _ := sumOnce(e, scalarSpec(q)); ex.StatsCached {
 		t.Fatal("stats reported cached across a table replacement")
 	}
 }

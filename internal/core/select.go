@@ -15,7 +15,7 @@ import (
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
 // edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
 // PreparedSelect, a tile pipeline assembled from the same primitives the
-// hand-specialized plans use. Per vec.TileSize tile:
+// hand-specialized grouped plans use. Per vec.TileSize tile:
 //
 //	root mask      the root predicate fills the byte mask; a disjunction
 //	               ORs its terms into it and stops at a saturated tile
@@ -36,7 +36,14 @@ import (
 // stage over selected lanes only; value masking and key masking stay
 // full-width and mask values (to the aggregate's identity) or keys (to
 // ht.NullKey, the throwaway entry). Nothing on the run path works a row at a
-// time; HAVING and the projection run once per group.
+// time — except the forced-only data-centric baseline, tupleKernel — and
+// HAVING and the projection run once per group.
+//
+// An ungrouped statement the cost model compiled scans on the engine's worker
+// gang: every worker folds its morsels into a private stripe of scalar lanes
+// and the run merges the stripes by aggregate kind, so the answer is the same
+// at every worker count. Grouped and forced statements scan on the caller's
+// goroutine.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -273,8 +280,7 @@ func (a *selAgg) final(v, cnt int64) int64 {
 // at the top of this file with its technique fixed. It owns what must
 // outlive a run — the group table, the edge bitmaps, the result buffer — and
 // borrows its tile scratch from the engine, so a warm run allocates nothing.
-// Runs serialize on the engine's execution lock like every other plan's; the
-// scan is sequential (Workers == 1).
+// Runs serialize on the engine's execution lock like every other plan's.
 type PreparedSelect struct {
 	planCore
 	groupEmit // the emission's (order key, slot) pairs and their sorter
@@ -292,13 +298,16 @@ type PreparedSelect struct {
 	aggs     []selAgg
 	fold     []int // the aggregates with a lane, equal arguments adjacent
 
-	// Grouped statements: key packing and the one group table. Scalar
-	// statements (tab == nil) accumulate into acc, one lane per aggregate,
-	// and count tuples in cnt; the emission stages each group's lanes in acc.
-	keys groupKeys
-	tab  *ht.AggTable
-	acc  []int64
-	cnt  int64
+	// Grouped statements: key packing and the one group table, whose
+	// emission stages each group's lanes in acc. Scalar statements (tab ==
+	// nil) accumulate into part, one stripe per worker — the tuple count,
+	// then one lane per aggregate, padded to whole cache lines — and acc is
+	// the first stripe's lanes, which the merge folds the others into.
+	keys   groupKeys
+	tab    *ht.AggTable
+	acc    []int64
+	part   []int64
+	stride int
 
 	outFields fieldSchema // group keys then aggregate aliases: HAVING's and the projection's row
 	outRow    []int64
@@ -316,12 +325,17 @@ func (p *PreparedSelect) RunPartial(ctx context.Context) (Partial, Explain, erro
 	return Partial{Rows: res}, ex, err
 }
 
-// RunContext executes the plan under the context's deadline; see
-// PreparedScalarAgg.RunContext for the cancellation contract. The result
-// aliases plan-owned buffers and is overwritten by the next run.
+// RunContext executes the plan under the context's deadline: the scan polls
+// it at morsel granularity, so cancellation stops every worker within one
+// morsel and returns ctx's error with the plan's buffers intact for the next
+// run. The result aliases plan-owned buffers and is overwritten by the next
+// run.
 func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {
 	p.e.execMu.Lock()
 	defer p.e.execMu.Unlock()
+	// Bound per run: a later compile may have grown the engine's scratch and
+	// moved it.
+	p.states = p.e.genStates[:p.nw]
 	if err := p.run(ctx); err != nil {
 		// The engine's states are shared by every generic plan: drain the
 		// canceled scan's counters so they cannot surface in another plan.
@@ -353,10 +367,10 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		p.keys.reset()
 		grows0 = p.tab.Grows
 	} else {
-		p.cnt = 0
-		for i := range p.aggs {
-			if a := &p.aggs[i]; a.lane >= 0 {
-				p.acc[a.lane] = a.identity()
+		for w := 0; w < len(p.part); w += p.stride {
+			p.part[w] = 0
+			for _, i := range p.fold {
+				p.part[w+1+p.aggs[i].lane] = p.aggs[i].identity()
 			}
 		}
 	}
@@ -371,7 +385,7 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 	start = time.Now()
 	p.res.Flat = p.res.Flat[:0]
 	if p.tab == nil {
-		p.emitRow(p.cnt)
+		p.emitRow(p.mergeParts())
 	} else {
 		p.ex.HTGrows = int(p.tab.Grows - grows0)
 		// Value masking reaches groups only rejected tuples touched; their
@@ -398,6 +412,29 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil
+}
+
+// mergeParts folds the other workers' stripes into the first by aggregate
+// kind — counts and sums add, min and max fold — and returns the tuple count.
+// Every fold is exact and commutative, so the answer does not depend on which
+// worker claimed which morsel.
+func (p *PreparedSelect) mergeParts() int64 {
+	for w := p.stride; w < len(p.part); w += p.stride {
+		p.part[0] += p.part[w]
+		for _, i := range p.fold {
+			a := &p.aggs[i]
+			acc, v := &p.acc[a.lane], p.part[w+1+a.lane]
+			switch a.kind {
+			case AggMin:
+				*acc = min(*acc, v)
+			case AggMax:
+				*acc = max(*acc, v)
+			default:
+				*acc += v
+			}
+		}
+	}
+	return p.part[0]
 }
 
 // emitGroup stages the group in slot — its key columns into outRow, its
@@ -432,7 +469,8 @@ func (p *PreparedSelect) emitRow(cnt int64) {
 }
 
 // edgeKernel evaluates the current edge's parent-side filter into its
-// positional bitmap.
+// positional bitmap. Workers share the one bitmap: morsels are multiples of 64
+// rows, so no two of them write the same word.
 func (p *PreparedSelect) edgeKernel(w, base, length int) {
 	s, be := &p.states[w], p.curEdge
 	for tb := 0; tb < length; tb += vec.TileSize {
@@ -445,13 +483,30 @@ func (p *PreparedSelect) edgeKernel(w, base, length int) {
 // mainKernel runs the tile pipeline over one morsel.
 func (p *PreparedSelect) mainKernel(w, base, length int) {
 	s, t := &p.states[w], &p.e.genTiles[w]
+	part := p.part[w*p.stride:] // nil for a grouped statement
 	for tb := 0; tb < length; tb += vec.TileSize {
-		p.tile(s, t, base+tb, min(vec.TileSize, length-tb))
+		p.tile(s, t, part, base+tb, min(vec.TileSize, length-tb))
 	}
 }
 
-// tile takes rows [base, base+n) from root mask to accumulator lanes.
-func (p *PreparedSelect) tile(s *workerState, t *tileScratch, base, n int) {
+// tupleKernel is the data-centric baseline (Figure 1, left), forced only: one
+// tuple-at-a-time loop with a branch over a single sum or count.
+func (p *PreparedSelect) tupleKernel(w, base, length int) {
+	part, a := p.part[w*p.stride:], &p.aggs[0]
+	for i := base; i < base+length; i++ {
+		if p.spec.Filter != nil && expr.Eval(p.spec.Filter, i) == 0 {
+			continue
+		}
+		part[0]++
+		if a.lane >= 0 {
+			part[1] += expr.Eval(a.arg.e, i)
+		}
+	}
+}
+
+// tile takes rows [base, base+n) from root mask to accumulator lanes: the
+// group table's, or for a scalar statement the worker's stripe part.
+func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base, n int) {
 	cmp := s.Cmp[:n]
 	if p.spec.Filter != nil {
 		s.ev.EvalBool(p.spec.Filter, base, n, cmp)
@@ -485,7 +540,7 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, base, n int) {
 		}
 	}
 	if p.tab == nil {
-		p.foldScalar(s, t, base, m, cmp)
+		p.foldScalar(s, t, part, base, m, cmp)
 	} else {
 		p.foldGroups(s, t, base, m, cmp)
 	}
@@ -615,21 +670,21 @@ func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, bas
 	return buf[:m]
 }
 
-// foldScalar folds one tile into the scalar lanes with the masked
+// foldScalar folds one tile into the worker's scalar lanes with the masked
 // reduction kernels (under hybrid the lanes are compacted and the mask all
 // ones).
-func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, base, m int, cmp []byte) {
+func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64, base, m int, cmp []byte) {
 	cnt := vec.CountMask(cmp)
 	if cnt == 0 {
 		return
 	}
-	p.cnt += int64(cnt)
+	part[0] += int64(cnt)
 	if p.tech != TechHybrid {
 		s.ctr.MaskedAgg++
 	}
 	for _, i := range p.fold {
 		a := &p.aggs[i]
-		acc := &p.acc[a.lane]
+		acc := &part[1+a.lane]
 		switch {
 		case a.kind == AggMin:
 			*acc = min(*acc, vec.MinMasked(p.operand(s, t, &a.arg, base, m, s.Vals), cmp))

@@ -18,14 +18,36 @@ import (
 // variant of the pipeline per statement, derived from the spec; nothing here
 // runs again.
 
-// selectTechs is the menu of a generic statement: the techniques the cost
-// model chooses among, which are also the ones PrepareForced may name. Key
-// masking needs a key.
+// selectTechs is the menu of a tile-pipeline statement: the techniques the
+// cost model chooses among, which are also the ones PrepareForced may name.
+// Key masking needs a key. The classic scalar shape adds the data-centric
+// baseline, which only a forced compile runs.
 func selectTechs(q Select) []Technique {
-	if len(q.GroupBy) == 0 {
-		return []Technique{TechHybrid, TechValueMasking}
+	switch {
+	case len(q.GroupBy) > 0:
+		return []Technique{TechHybrid, TechValueMasking, TechKeyMasking}
+	case classicScalar(q):
+		return []Technique{TechDataCentric, TechHybrid, TechValueMasking}
 	}
-	return []Technique{TechHybrid, TechValueMasking, TechKeyMasking}
+	return []Technique{TechHybrid, TechValueMasking}
+}
+
+// classicScalar reports the paper's Section II shape: one sum or count over
+// a filtered scan.
+func classicScalar(q Select) bool {
+	return len(q.GroupBy) == 0 && len(q.Edges) == 0 && q.Residual == nil && len(q.Aggs) == 1 &&
+		(q.Aggs[0].Kind == AggSum || q.Aggs[0].Kind == AggCount)
+}
+
+// shared returns the attributes both expressions reference.
+func shared(a, b expr.Expr) (out []string) {
+	inA := expr.Cols(a)
+	for _, c := range expr.Cols(b) {
+		if slices.Contains(inA, c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // mayFault reports whether evaluating e on a lane the predicate rejected
@@ -103,11 +125,15 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	defer e.execMu.Unlock()
 	p := &PreparedSelect{spec: q, rows: root.Rows()}
 	p.e, p.nw, p.seq = e, 1, true
+	if tech == techAuto && len(q.GroupBy) == 0 {
+		// Scalar lanes merge exactly, so the statement takes the gang.
+		p.nw, p.seq = e.workers(), false
+	}
 	// PlanCached is baked in like the other Prepared* types: every run of
 	// this plan replays the prepare-time decision; the plan cache's first
 	// execution resets it to false.
-	p.ex = Explain{Workers: 1, PlanCached: true, Costs: map[string]float64{}}
-	c := &selectCompile{e: e, q: q, p: p, root: root, params: e.Params.ForWorkers(1), sel: 1, groups: 1}
+	p.ex = Explain{Workers: p.nw, PlanCached: true, Costs: map[string]float64{}}
+	c := &selectCompile{e: e, q: q, p: p, root: root, params: e.Params.ForWorkers(p.nw), sel: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
@@ -120,11 +146,13 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	if err := c.bindOutput(); err != nil {
 		return nil, err
 	}
-	c.fresh += e.ensureGenLocked(len(p.cols))
-	p.states = e.genStates
+	c.fresh += e.ensureGenLocked(p.nw, len(p.cols))
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
 	p.kMain, p.kEdge = p.mainKernel, p.edgeKernel
+	if p.tech == TechDataCentric {
+		p.kMain = p.tupleKernel
+	}
 	p.compiled(start, c.statsTime)
 	return p, nil
 }
@@ -161,6 +189,9 @@ func (c *selectCompile) bindEdges() error {
 		}
 		idx := c.e.DB.FK(childName, ed.FK, ed.Parent, ed.PK)
 		if idx == nil {
+			if child := c.e.DB.Table(childName); child != nil && child.Column(ed.FK) == nil {
+				return errNoColumn(childName, ed.FK)
+			}
 			return fmt.Errorf("core: no foreign key %s.%s -> %s.%s", childName, ed.FK, ed.Parent, ed.PK)
 		}
 		parent := c.e.DB.Table(ed.Parent)
@@ -360,6 +391,16 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		// that; the aggregation technique is the cheapest entry of Costs.
 		p.ex.Technique = TechPositionalBitmap
 	}
+	if classicScalar(c.q) {
+		// A masking win with shared filter/aggregate attributes is reported as
+		// access merging (Section III-C: "always beneficial if it can be
+		// applied"): the shared attribute's second read hits the tile still
+		// resident in cache.
+		p.ex.Merged = shared(c.q.Filter, c.q.Aggs[0].Arg)
+		if auto && tech == TechValueMasking && len(p.ex.Merged) > 0 {
+			p.ex.Technique = TechAccessMerging
+		}
+	}
 	p.ex.Selectivity, p.ex.CompCost, p.ex.Groups = c.sel, c.comp, c.groups
 	p.ex.HTBytes += htBytes
 }
@@ -368,7 +409,8 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 // row-stage expression, and allocates the aggregation state. Under hybrid
 // the lanes are the selected rows, so every expression reads tile vectors;
 // under masking the lanes are the tile's rows and root-only expressions
-// stay columnar.
+// stay columnar. The data-centric loop evaluates the root-bound trees a row
+// at a time, on rows that passed the filter.
 func (c *selectCompile) bindRowStage() error {
 	p := c.p
 	need := func(tc tileCol) {
@@ -380,7 +422,7 @@ func (c *selectCompile) bindRowStage() error {
 		need(tc)
 	}
 	for _, st := range c.stages {
-		if st.x.root = st.x.root && p.tech != TechHybrid; st.x.root {
+		if st.x.root = st.x.root && p.tech != TechHybrid || p.tech == TechDataCentric; st.x.root {
 			if err := expr.Bind(st.x.e, c.root); err != nil {
 				return err
 			}
@@ -450,13 +492,17 @@ func (c *selectCompile) bindRowStage() error {
 		}
 	}
 
-	// Aggregation state: the group table sized from the estimate, or the
-	// scalar lanes.
+	// Aggregation state: the group table sized from the estimate, or one
+	// stripe of scalar lanes per worker, whole cache lines apart so
+	// concurrent folds do not false-share.
 	c.fresh++
-	p.acc = make([]int64, c.lanes)
 	if len(c.q.GroupBy) == 0 {
+		p.stride = (1 + c.lanes + 7) &^ 7
+		p.part = make([]int64, p.nw*p.stride)
+		p.acc = p.part[1 : 1+c.lanes]
 		return nil
 	}
+	p.acc = make([]int64, c.lanes)
 	if d := p.ex.DenseDomain; d > 0 {
 		p.tab = ht.NewDenseAggTable(c.lanes, 0, int64(d-1))
 	} else {

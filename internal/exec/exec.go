@@ -3,24 +3,18 @@
 //
 // The design follows the standard for in-memory OLAP engines (Leis et al.,
 // SIGMOD 2014): a relation's row range is split into cache-sized *morsels*,
-// and a fixed pool of workers claims morsels from a shared atomic counter
+// and a fixed gang of workers claims morsels from a shared atomic counter
 // until the range is exhausted. Dynamic claiming gives load balance without
 // a scheduler; the counter is the only shared mutable state during a scan.
 // Every SWOLE pullup stays branch-free *inside* a morsel — value masking,
 // key masking and positional-bitmap probes run the same tiled kernels as
 // the sequential engine — and each worker accumulates into private partial
-// state (scalar partials, per-worker group hash tables, per-worker
-// positional bitmaps) that the caller merges after Run returns, so no
-// kernel ever synchronizes on the hot path.
+// state (scalar lanes, per-worker group hash tables) or into word-disjoint
+// ranges of a shared positional bitmap, which the caller merges after Run
+// returns, so no kernel ever synchronizes on the hot path.
 package exec
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"github.com/reprolab/swole/internal/vec"
-)
+import "github.com/reprolab/swole/internal/vec"
 
 // DefaultMorselRows is the default morsel length in rows. At 64 tiles
 // (65536 rows) a morsel's widest single-column working set is 512 KB of
@@ -32,33 +26,6 @@ import (
 // global tail, and a multiple of 64 so a morsel's positional-bitmap range
 // never straddles a word boundary shared with another morsel.
 const DefaultMorselRows = 64 * vec.TileSize
-
-// Pool is a morsel-driven worker pool. The zero value is valid and uses
-// runtime.NumCPU() workers with DefaultMorselRows-sized morsels.
-type Pool struct {
-	// Workers is the number of worker goroutines; 0 or negative selects
-	// runtime.NumCPU().
-	Workers int
-	// MorselRows is the morsel length in rows; 0 or negative selects
-	// DefaultMorselRows. Values are rounded up to a multiple of
-	// vec.TileSize.
-	MorselRows int
-}
-
-// New returns a pool with the given worker count (0 = runtime.NumCPU())
-// and default morsel size.
-func New(workers int) *Pool { return &Pool{Workers: workers} }
-
-// NumWorkers returns the resolved worker count.
-func (p *Pool) NumWorkers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.NumCPU()
-}
-
-// morselRows returns the resolved morsel length.
-func (p *Pool) morselRows() int { return resolveMorselRows(p.MorselRows) }
 
 // resolveMorselRows maps a configured morsel length to an executable one:
 // non-positive selects the default, everything else rounds up to a full
@@ -72,137 +39,4 @@ func resolveMorselRows(m int) int {
 		m += vec.TileSize - r
 	}
 	return m
-}
-
-// Run splits [0, n) into morsels and invokes fn once per morsel with the
-// claiming worker's id in [0, NumWorkers()) and the morsel's base row and
-// length. Workers claim morsels dynamically, so which worker sees which
-// morsel varies run to run; callers keep all mutable state private per
-// worker id and merge after Run returns. fn must not retain shared mutable
-// state across workers. When one worker suffices (n fits a single morsel,
-// or the pool is sized to 1) fn runs on the calling goroutine.
-func (p *Pool) Run(n int, fn func(worker, base, length int)) {
-	if n <= 0 {
-		return
-	}
-	m := p.morselRows()
-	morsels := (n + m - 1) / m
-	workers := p.NumWorkers()
-	if workers > morsels {
-		workers = morsels
-	}
-	if workers <= 1 {
-		for i := 0; i < morsels; i++ {
-			base := i * m
-			length := n - base
-			if length > m {
-				length = m
-			}
-			fn(0, base, length)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= morsels {
-					return
-				}
-				base := i * m
-				length := n - base
-				if length > m {
-					length = m
-				}
-				fn(worker, base, length)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// RunParts invokes fn once per partition index in [0, parts) with the
-// claiming worker's id — the one-shot analogue of Workers.RunParts for
-// the radix-partitioned aggregate phase. Partition indices are claimed
-// dynamically; callers keep all mutable state private per worker id or
-// per partition (distinct partitions never share state by construction).
-func (p *Pool) RunParts(parts int, fn func(worker, part int)) {
-	if parts <= 0 {
-		return
-	}
-	workers := p.NumWorkers()
-	if workers > parts {
-		workers = parts
-	}
-	if workers <= 1 {
-		for i := 0; i < parts; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= parts {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// partialStride spaces per-worker int64 partials a cache line apart so
-// concurrent accumulation does not false-share.
-const partialStride = 8
-
-// Partials is a false-sharing-padded array of per-worker int64
-// accumulators for scalar aggregation merges.
-type Partials struct {
-	cells []int64
-}
-
-// NewPartials returns zeroed partials for the given worker count.
-func NewPartials(workers int) *Partials {
-	return &Partials{cells: make([]int64, workers*partialStride)}
-}
-
-// Add accumulates v into worker w's partial.
-func (p *Partials) Add(w int, v int64) { p.cells[w*partialStride] += v }
-
-// Reset zeroes the partials for reuse across scans.
-func (p *Partials) Reset() {
-	for i := range p.cells {
-		p.cells[i] = 0
-	}
-}
-
-// Sum merges the partials. Addition of int64 partials is exact and
-// commutative, so the result is identical at every worker count.
-func (p *Partials) Sum() int64 {
-	var s int64
-	for i := 0; i < len(p.cells); i += partialStride {
-		s += p.cells[i]
-	}
-	return s
-}
-
-// RunSum runs fn over every morsel of [0, n) and returns the sum of its
-// results — the scalar-aggregation convenience over Run.
-func (p *Pool) RunSum(n int, fn func(worker, base, length int) int64) int64 {
-	parts := NewPartials(p.NumWorkers())
-	p.Run(n, func(worker, base, length int) {
-		parts.Add(worker, fn(worker, base, length))
-	})
-	return parts.Sum()
 }

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reprolab/swole/internal/vec"
@@ -13,30 +13,30 @@ func TestRunCoversEveryRowOnce(t *testing.T) {
 	}{
 		{0, 4, 0},                         // empty relation: no calls at all
 		{1, 4, 0},                         // single row
-		{100, 1, 0},                       // sequential fallback
+		{100, 1, 0},                       // gang of one: inline on the caller
 		{DefaultMorselRows - 1, 8, 0},     // single short morsel
 		{DefaultMorselRows, 8, 0},         // exactly one morsel
 		{DefaultMorselRows + 1, 8, 0},     // one full + one short
 		{10 * DefaultMorselRows, 3, 0},    // more morsels than workers
 		{100_000, 16, 2 * vec.TileSize},   // tiny morsels, many workers
 		{100_000, 16, vec.TileSize/2 + 1}, // morsel rounded up to TileSize
+		{100_000, 7, 3 * vec.TileSize},    // worker and morsel counts coprime
 	} {
-		p := &Pool{Workers: tc.workers, MorselRows: tc.morsel}
-		var mu sync.Mutex
-		seen := make([]int, tc.n)
-		p.Run(tc.n, func(worker, base, length int) {
-			if worker < 0 || worker >= p.NumWorkers() {
+		w := NewWorkers(tc.workers, tc.morsel)
+		m := resolveMorselRows(tc.morsel)
+		seen := make([]int32, tc.n)
+		w.Run(tc.n, func(worker, base, length int) {
+			if worker < 0 || worker >= w.NumWorkers() {
 				t.Errorf("worker id %d out of range", worker)
 			}
-			if base%p.morselRows() != 0 {
-				t.Errorf("morsel base %d not aligned to %d", base, p.morselRows())
+			if base%m != 0 || length > m {
+				t.Errorf("morsel [%d, %d) not aligned to %d", base, base+length, m)
 			}
-			mu.Lock()
 			for i := base; i < base+length; i++ {
-				seen[i]++
+				atomic.AddInt32(&seen[i], 1)
 			}
-			mu.Unlock()
 		})
+		w.Close()
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("n=%d workers=%d morsel=%d: row %d covered %d times",
@@ -48,49 +48,25 @@ func TestRunCoversEveryRowOnce(t *testing.T) {
 
 func TestMorselRowsRoundedToTileSize(t *testing.T) {
 	for _, m := range []int{1, vec.TileSize - 1, vec.TileSize, vec.TileSize + 1, 3 * vec.TileSize} {
-		p := &Pool{MorselRows: m}
-		if got := p.morselRows(); got%vec.TileSize != 0 || got < m {
-			t.Errorf("MorselRows=%d resolved to %d", m, got)
+		w := NewWorkers(1, m)
+		if got := w.morsel; got%vec.TileSize != 0 || got < m {
+			t.Errorf("morselRows=%d resolved to %d", m, got)
 		}
+		w.Close()
 	}
-	if got := (&Pool{}).morselRows(); got != DefaultMorselRows {
-		t.Errorf("default morsel = %d, want %d", got, DefaultMorselRows)
+	w := NewWorkers(1, 0)
+	defer w.Close()
+	if w.morsel != DefaultMorselRows {
+		t.Errorf("default morsel = %d, want %d", w.morsel, DefaultMorselRows)
 	}
 }
 
 func TestNumWorkersDefault(t *testing.T) {
-	if (&Pool{}).NumWorkers() < 1 {
-		t.Error("default worker count < 1")
-	}
-	if got := New(3).NumWorkers(); got != 3 {
-		t.Errorf("NumWorkers = %d, want 3", got)
-	}
-}
-
-func TestRunSumDeterministicAcrossWorkerCounts(t *testing.T) {
-	const n = 4*DefaultMorselRows + 12345
-	want := int64(n) * int64(n-1) / 2 // sum of row ids
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := &Pool{Workers: workers, MorselRows: vec.TileSize}
-		got := p.RunSum(n, func(_, base, length int) int64 {
-			var s int64
-			for i := base; i < base+length; i++ {
-				s += int64(i)
-			}
-			return s
-		})
-		if got != want {
-			t.Errorf("workers=%d: sum = %d, want %d", workers, got, want)
+	for want, n := range map[int]int{1: 0, 3: 3} { // below one clamps to one
+		w := NewWorkers(n, 0)
+		if got := w.NumWorkers(); got != want {
+			t.Errorf("NewWorkers(%d).NumWorkers() = %d, want %d", n, got, want)
 		}
-	}
-}
-
-func TestPartials(t *testing.T) {
-	p := NewPartials(4)
-	p.Add(0, 1)
-	p.Add(3, 2)
-	p.Add(3, 3)
-	if got := p.Sum(); got != 6 {
-		t.Errorf("Sum = %d, want 6", got)
+		w.Close()
 	}
 }

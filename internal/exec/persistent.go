@@ -8,13 +8,12 @@ import (
 )
 
 // Workers is a persistent morsel worker gang: the goroutines are spawned
-// once and parked on per-worker wake channels between scans. Pool.Run
-// spawns fresh goroutines (and therefore heap-allocates their closures and
-// stacks) on every call, which is noise for a one-shot query but a
-// steady-state tax for a repeating workload; Workers.Run reuses the parked
-// gang, so the Nth scan of a prepared query performs zero allocations —
-// the only per-scan traffic is one channel token per woken worker and the
-// shared atomic morsel counter.
+// once and parked on per-worker wake channels between scans. Spawning
+// goroutines per scan heap-allocates their closures and stacks, a
+// steady-state tax for a repeating workload; Run reuses the parked gang, so
+// the Nth scan of a prepared query performs zero allocations — the only
+// per-scan traffic is one channel token per woken worker and the shared
+// atomic morsel counter.
 //
 // A Workers gang is NOT safe for concurrent Run calls; callers (the
 // engine's prepared-query path) serialize scans on it. Close releases the
@@ -149,10 +148,12 @@ func StopFunc(ctx context.Context) func() bool {
 }
 
 // Run splits [0, n) into morsels and invokes fn once per morsel with the
-// claiming worker's id and the morsel's base row and length, exactly like
-// Pool.Run but on the parked gang. Only as many helpers are woken as there
-// are morsels; with one morsel (or a gang of one) fn runs entirely on the
-// calling goroutine.
+// claiming worker's id in [0, NumWorkers()) and the morsel's base row and
+// length. Workers claim morsels dynamically, so which worker sees which
+// morsel varies run to run; callers keep all mutable state private per
+// worker id and merge after Run returns. Only as many helpers are woken as
+// there are morsels; with one morsel (or a gang of one) fn runs entirely on
+// the calling goroutine.
 func (w *Workers) Run(n int, fn func(worker, base, length int)) {
 	w.RunCtx(nil, n, fn)
 }

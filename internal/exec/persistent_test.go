@@ -7,8 +7,9 @@ import (
 	"github.com/reprolab/swole/internal/vec"
 )
 
-// TestWorkersMatchesPool checks the parked gang covers exactly the same
-// morsels as the spawning pool, at several sizes and worker counts.
+// TestWorkersMatchesPool checks the parked gang covers every row in exactly
+// the expected morsels, at several sizes and worker counts (the name dates
+// from when a goroutine-spawning pool was the reference).
 func TestWorkersMatchesPool(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		w := NewWorkers(workers, vec.TileSize)
@@ -48,18 +49,17 @@ func TestWorkersReuse(t *testing.T) {
 	w := NewWorkers(4, vec.TileSize)
 	defer w.Close()
 	n := 8 * vec.TileSize
-	parts := NewPartials(4)
 	for rep := 0; rep < 50; rep++ {
-		parts.Reset()
+		var parts [4]atomic.Int64
 		w.Run(n, func(worker, base, length int) {
 			var s int64
 			for i := base; i < base+length; i++ {
 				s += int64(i)
 			}
-			parts.Add(worker, s)
+			parts[worker].Add(s)
 		})
 		want := int64(n) * int64(n-1) / 2
-		if got := parts.Sum(); got != want {
+		if got := parts[0].Load() + parts[1].Load() + parts[2].Load() + parts[3].Load(); got != want {
 			t.Fatalf("rep %d: sum %d, want %d", rep, got, want)
 		}
 	}
@@ -70,29 +70,18 @@ func TestWorkersReuse(t *testing.T) {
 func TestWorkersZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		w := NewWorkers(workers, vec.TileSize)
-		parts := NewPartials(workers)
+		parts := make([]atomic.Int64, workers)
 		n := 8 * vec.TileSize
 		fn := func(worker, base, length int) {
-			parts.Add(worker, int64(length))
+			parts[worker].Add(int64(length))
 		}
 		w.Run(n, fn) // warm: first Run grows goroutine stacks
 		allocs := testing.AllocsPerRun(100, func() {
-			parts.Reset()
 			w.Run(n, fn)
 		})
 		if allocs != 0 {
 			t.Errorf("workers=%d: %.1f allocs per scan, want 0", workers, allocs)
 		}
 		w.Close()
-	}
-}
-
-func TestPartialsReset(t *testing.T) {
-	p := NewPartials(3)
-	p.Add(0, 5)
-	p.Add(2, 7)
-	p.Reset()
-	if got := p.Sum(); got != 0 {
-		t.Errorf("Sum=%d after Reset", got)
 	}
 }

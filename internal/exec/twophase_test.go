@@ -43,23 +43,26 @@ func TestRunTwoPhaseCoverage(t *testing.T) {
 
 // TestRunTwoPhaseBarrier checks the happens-after edge: every phase-2
 // callback must observe the writes of every phase-1 callback, on any
-// worker. Phase 1 accumulates into per-worker padded counters; phase 2
-// sums them and must always see the full row count.
+// worker. Phase 1 accumulates into per-worker counters; phase 2 sums them
+// and must always see the full row count.
 func TestRunTwoPhaseBarrier(t *testing.T) {
 	const n, parts = 100_000, 32
 	for _, workers := range []int{2, 4, 8} {
 		w := NewWorkers(workers, 1024)
-		counts := NewPartials(workers)
 		var violations atomic.Int64
 		for rep := 0; rep < 5; rep++ {
-			counts.Reset()
+			counts := make([]int64, workers*8) // a cache line apart, plain writes: only the barrier orders them
 			w.RunTwoPhase(n,
 				func(worker, base, length int) {
-					counts.Add(worker, int64(length))
+					counts[worker*8] += int64(length)
 				},
 				parts,
 				func(worker, part int) {
-					if counts.Sum() != n {
+					var sum int64
+					for i := 0; i < len(counts); i += 8 {
+						sum += counts[i]
+					}
+					if sum != n {
 						violations.Add(1)
 					}
 				})
@@ -107,21 +110,5 @@ func TestRunTwoPhaseZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm RunTwoPhase allocates %.1f per run, want 0", allocs)
-	}
-}
-
-// TestPoolRunParts checks the one-shot pool's partition claiming.
-func TestPoolRunParts(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, parts := range []int{0, 1, 5, 100} {
-			p := &Pool{Workers: workers}
-			seen := make([]int32, parts)
-			p.RunParts(parts, func(worker, part int) { atomic.AddInt32(&seen[part], 1) })
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("workers=%d parts=%d: partition %d visited %d times", workers, parts, i, c)
-				}
-			}
-		}
 	}
 }

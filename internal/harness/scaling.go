@@ -29,6 +29,10 @@ func microStorageDB(d *micro.Data) *storage.Database {
 	db.AddTable(storage.MustNewTable("s",
 		i32("s_pk", d.SPK), i8("s_x", d.SX),
 	))
+	// Join statements resolve parent positions through the registered index.
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		panic(err)
+	}
 	return db
 }
 
@@ -49,8 +53,10 @@ func lt(col string, v int64) expr.Expr {
 	return &expr.Cmp{Op: expr.LT, L: expr.NewCol(col), R: &expr.Const{Val: v}}
 }
 
-// FigScaling measures the morsel-driven parallel executor: the four core
-// engine operators over the microbenchmark dataset, swept from 1 worker
+// FigScaling measures the morsel-driven parallel executor: the four classic
+// statements over the microbenchmark dataset, through Engine.Prepare like
+// every other statement (the ungrouped two run on the tile pipeline, the
+// grouped two on their hand-specialized plans), swept from 1 worker
 // to cfg.Workers. This is the experiment the paper could not run — its
 // kernels were single-threaded — and it shows where each technique
 // saturates memory bandwidth: the scalar value-masking scan stops scaling
@@ -65,12 +71,39 @@ func (cfg Config) FigScaling() []Figure {
 	d := micro.Generate(micro.Config{NR: cfg.MicroR, NS: ns, CCard: 1000, Seed: 1})
 	db := microStorageDB(d)
 
-	// Each query prepares its plan on the engine and returns the timed run
-	// (a sum, or a group count). The scalar-agg query is micro Q1's shape
-	// at 90% selectivity with a multiply aggregate: firmly memory-bound, so
-	// the planner picks value masking and the sweep measures pure scan
-	// scaling.
-	run := func(p core.Plan, err error) func() int64 {
+	// Each query is the Select spec the SQL frontend would synthesize — one
+	// sum aliased "s" under the canonical projection — prepared on the engine
+	// like any statement; the timed run returns its sum, or its group count.
+	// The scalar-agg query is micro Q1's shape at 90% selectivity with a
+	// multiply aggregate: firmly memory-bound, so the planner picks value
+	// masking and the sweep measures pure scan scaling.
+	sum := func(root string, filter expr.Expr, agg expr.Expr, groupBy ...string) core.Select {
+		spec := core.Select{
+			Root: root, Filter: filter, GroupBy: groupBy,
+			Aggs: []core.SelectAgg{{Kind: core.AggSum, Arg: agg, As: "s"}},
+		}
+		for _, name := range append(groupBy, "s") {
+			spec.Project = append(spec.Project, core.SelectProj{Expr: expr.NewCol(name), As: name})
+		}
+		return spec
+	}
+	joinS := func(spec core.Select) core.Select {
+		spec.Edges = []core.SelectEdge{{Src: -1, FK: "r_fk", Parent: "s", PK: "s_pk", Filter: lt("s_x", 50)}}
+		return spec
+	}
+	queries := []struct {
+		name string
+		spec func() core.Select // fresh trees per engine: Prepare binds them in place
+	}{
+		{"scalar-agg", func() core.Select {
+			return sum("r", lt("r_x", 90), &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_a"), R: expr.NewCol("r_b")})
+		}},
+		{"group-agg", func() core.Select { return sum("r", lt("r_x", 90), expr.NewCol("r_a"), "r_c") }},
+		{"semijoin-agg", func() core.Select { return joinS(sum("r", lt("r_x", 90), expr.NewCol("r_a"))) }},
+		{"groupjoin-agg", func() core.Select { return joinS(sum("r", nil, expr.NewCol("r_a"), "r_fk")) }},
+	}
+	prepare := func(e *core.Engine, spec core.Select) func() int64 {
+		p, err := e.Prepare(spec)
 		if err != nil {
 			panic(err)
 		}
@@ -79,43 +112,8 @@ func (cfg Config) FigScaling() []Figure {
 			if part.Groups != nil {
 				return int64(part.Groups.Len())
 			}
-			return part.Sum
+			return part.Rows.Flat[0]
 		}
-	}
-	queries := []struct {
-		name    string
-		prepare func(e *core.Engine) func() int64
-	}{
-		{"scalar-agg", func(e *core.Engine) func() int64 {
-			return run(e.PrepareScalarAgg(core.ScalarAgg{
-				Table:  "r",
-				Filter: lt("r_x", 90),
-				Agg:    &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_a"), R: expr.NewCol("r_b")},
-			}))
-		}},
-		{"group-agg", func(e *core.Engine) func() int64 {
-			return run(e.PrepareGroupAgg(core.GroupAgg{
-				Table:  "r",
-				Filter: lt("r_x", 90),
-				Key:    expr.NewCol("r_c"),
-				Agg:    expr.NewCol("r_a"),
-			}))
-		}},
-		{"semijoin-agg", func(e *core.Engine) func() int64 {
-			return run(e.PrepareSemiJoinAgg(core.SemiJoinAgg{
-				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-				ProbeFilter: lt("r_x", 90),
-				BuildFilter: lt("s_x", 50),
-				Agg:         expr.NewCol("r_a"),
-			}))
-		}},
-		{"groupjoin-agg", func(e *core.Engine) func() int64 {
-			return run(e.PrepareGroupJoinAgg(core.GroupJoinAgg{
-				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-				BuildFilter: lt("s_x", 50),
-				Agg:         expr.NewCol("r_a"),
-			}))
-		}},
 	}
 
 	fig := Figure{
@@ -129,14 +127,14 @@ func (cfg Config) FigScaling() []Figure {
 	for qi, q := range queries {
 		e := core.NewEngine(db)
 		e.Workers = 1
-		baseline[qi] = q.prepare(e)()
+		baseline[qi] = prepare(e, q.spec())()
 	}
 	for qi, q := range queries {
 		series := Series{Name: q.name}
 		for _, w := range workerSweep(cfg.Workers) {
 			e := core.NewEngine(db)
 			e.Workers = w
-			rerun := q.prepare(e)
+			rerun := prepare(e, q.spec())
 			dur := cfg.timeBest(func() int64 {
 				got := rerun()
 				if got != baseline[qi] {

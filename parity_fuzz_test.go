@@ -14,7 +14,9 @@ import (
 // up to depth three, BETWEEN/IN, one or two aggregates across all five
 // functions, multi-key GROUP BY, HAVING — are pinned against the
 // interpreted volcano engine on both entry points, cold and warm, at
-// worker counts 1 and 4. Every generated statement must also compile
+// worker counts 1 and 4 (ungrouped statements, which scan on the worker
+// gang, draw the second count from 2, 4 and 7). Every generated statement
+// must also compile
 // through the synthesizer (no interpreter fallback): the same corpus is
 // the planner-coverage gate CI runs.
 
@@ -317,8 +319,9 @@ func rowsEqualStr(a, b []string) bool {
 }
 
 // TestSynthesizerParityFuzz is the parity matrix: every generated
-// statement runs on both entry points, cold and warm, at one and four
-// workers, against the interpreted baseline. It doubles as the planner
+// statement runs on both entry points, cold and warm, at one worker and
+// several, against the interpreted baseline. Morsels are one tile, so the
+// 2,000-row fact table is two of them and a gang has stripes to merge. It doubles as the planner
 // coverage gate: any statement in the generated grammar that falls back
 // to the interpreter fails the test.
 func TestSynthesizerParityFuzz(t *testing.T) {
@@ -328,11 +331,17 @@ func TestSynthesizerParityFuzz(t *testing.T) {
 	}
 	d := fuzzDB(t, 2000)
 	defer d.Close()
+	smallMorsels(d)
 	g := &fuzzGen{r: rand.New(rand.NewSource(42))}
+	draw := rand.New(rand.NewSource(43)) // its own stream: the statement corpus stays what it was
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		q := g.query()
-		for _, workers := range []int{1, 4} {
+		counts := []int{1, 4}
+		if !strings.Contains(q, " group by ") {
+			counts[1] = []int{2, 4, 7}[draw.Intn(3)]
+		}
+		for _, workers := range counts {
 			d.SetWorkers(workers) // also clears the plan cache: next run is cold
 			tag := fmt.Sprintf("workers=%d", workers)
 			checkParity(t, d, q, false, "QuerySwole cold "+tag, func() (*Result, Explain, error) { return d.QuerySwole(q) })

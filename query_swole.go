@@ -135,10 +135,10 @@ func fromCore(ex core.Explain) Explain {
 // executor. Any single-block aggregate SELECT the frontend accepts —
 // filtered scans, up to three foreign-key join edges (star or snowflake),
 // OR/NOT predicate trees, multiple aggregates (sum, count, avg, min,
-// max), GROUP BY, and HAVING — is synthesized into one compiled plan; the
-// four classic SWOLE shapes (scalar, group-by, semijoin, and groupjoin
-// aggregation) are the special cases that compile onto their hand-
-// specialized kernels. Statements outside that grammar (no aggregate,
+// max), GROUP BY, and HAVING — is synthesized into one compiled plan on the
+// engine's tile pipeline; the classic group-by and groupjoin aggregations
+// are the two special cases that still compile onto hand-specialized
+// kernels. Statements outside that grammar (no aggregate,
 // ORDER BY, unsupported joins) fall back to the interpreted engine,
 // reported in the Explain as "interpreter-fallback".
 //
@@ -221,13 +221,12 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 // FK join chain) into a compositional core.Select spec — root scan, join
 // edges, residual, group keys, aggregates, HAVING, projection — the one
 // statement shape this package knows. core.Engine.Prepare decides what
-// the spec compiles onto: a spec that collapses to one of the four classic
-// SWOLE shapes lands on its hand-specialized plan (multi-worker morsel
-// parallelism, radix partitioning); everything else goes through
-// core.PrepareSelect, a tile pipeline with per-edge positional bitmaps,
-// packed group keys, a cost-chosen disjunction strategy and a cost-chosen
-// masking technique that covers the general grammar. Both replay warm
-// without allocating.
+// the spec compiles onto: the tile pipeline — per-edge positional bitmaps,
+// packed group keys, a cost-chosen masking technique, the worker gang for
+// ungrouped statements — covers the whole grammar, and a spec that
+// collapses to the classic group-by or groupjoin lands on that shape's
+// hand-specialized plan (multi-worker morsel parallelism, radix
+// partitioning). Both replay warm without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can

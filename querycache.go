@@ -61,10 +61,9 @@ type cachedPlan struct {
 	deps  []tableDep
 	gen   uint64 // DB.configGen when the compile began
 
-	// Reused result: vres's rows are slice headers into flat.
+	// Reused result: vres's rows are slice headers into the plan's buffers.
 	res  Result
 	vres volcano.Result
-	flat []int64
 }
 
 // setFields installs the result header and points the entry's Result at
@@ -79,20 +78,11 @@ func (c *cachedPlan) setFields(fields []core.OutField) {
 // put rematerializes the entry's result from a plan's answer; see
 // core.Partial for which arm is set.
 func (c *cachedPlan) put(part core.Partial) {
-	switch {
-	case part.Rows != nil:
-		c.putRows(part.Rows)
-	case part.Groups != nil:
+	if part.Groups != nil {
 		c.putGroups(part.Groups)
-	default:
-		c.putScalar(part.Sum)
+	} else {
+		c.putRows(part.Rows)
 	}
-}
-
-// putScalar rematerializes a single-value result.
-func (c *cachedPlan) putScalar(sum int64) {
-	c.flat = append(c.flat[:0], sum)
-	c.vres.Rows = append(c.vres.Rows[:0], c.flat[0:1])
 }
 
 // putGroups rematerializes a (key, sum)-per-row result. GroupResult's
@@ -146,8 +136,8 @@ func (c *cachedPlan) dependsOn(table string) bool {
 }
 
 // run executes the prepared plan and rematerializes the entry's result in
-// place. Allocation-free once flat and the row-header array have reached
-// the result's size. A canceled run returns the context's error with the
+// place. Allocation-free once the row-header array has reached the result's
+// size. A canceled run returns the context's error with the
 // entry (and the plan's pooled resources) intact for the next execution.
 // Callers hold c.mu.
 func (c *cachedPlan) run(ctx context.Context) (*Result, Explain, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reprolab/swole/internal/core"
@@ -268,36 +269,48 @@ func TestSelectDictionaryKeyHeader(t *testing.T) {
 	}
 }
 
-// pollCtx reports the deadline as exceeded from its left-th Err call on: a
-// deterministic mid-scan cancellation.
+// pollCtx reports the deadline as exceeded once Err has been called left
+// times: a deterministic mid-scan cancellation, whichever workers poll it.
+// Done is non-nil, as for any context that can be canceled — exec.StopFunc
+// reads a nil Done as "never cancels" and the gang would not poll at all.
 type pollCtx struct {
 	context.Context
-	left int
+	left atomic.Int64
+	done chan struct{}
 }
 
+func newPollCtx(left int64) *pollCtx {
+	c := &pollCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(left)
+	return c
+}
+
+func (c *pollCtx) Done() <-chan struct{} { return c.done }
+
 func (c *pollCtx) Err() error {
-	if c.left <= 0 {
+	if c.left.Add(-1) < 0 {
 		return context.DeadlineExceeded
 	}
-	c.left--
 	return nil
 }
 
 // A canceled first run returns the context's error and settles the plan:
-// the next run of the same cached plan is correct and bills nothing.
+// the next run of the same cached plan is correct and bills nothing. The
+// grouped statement scans inline, the scalar one on a gang of four.
 func TestSelectCancelMidScan(t *testing.T) {
 	d, err := LoadMicro(MicroConfig{Rows: 300_000, DimRows: 512, GroupKeys: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	d.SetWorkers(4)
 	for _, q := range []string{
 		"select r_a, sum(r_b) as s, max(r_c) as hi from r where r_x < 60 group by r_a",
 		"select min(r_c) as lo, max(r_c) as hi, count(*) as n from r, s where r_fk = s_pk and s_x < 40",
 	} {
 		// The query's own entry check and the first morsels pass, then the
 		// deadline hits with most of the scan still ahead.
-		_, _, err := d.QueryContext(&pollCtx{Context: context.Background(), left: 4}, q)
+		_, _, err := d.QueryContext(newPollCtx(4), q)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("canceled run of %q: err=%v, want DeadlineExceeded", q, err)
 		}
@@ -335,7 +348,7 @@ func TestSelectCancelKeepsVariantsPerPlan(t *testing.T) {
 	if clean.Variants.Total() == 0 {
 		t.Fatal("clean run counted no kernel variants: nothing to compare")
 	}
-	if _, _, err := d.QueryContext(&pollCtx{Context: context.Background(), left: 4}, other); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := d.QueryContext(newPollCtx(4), other); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled run: err=%v, want DeadlineExceeded", err)
 	}
 	_, after, err := d.QuerySwole(q)

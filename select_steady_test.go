@@ -52,15 +52,21 @@ func selectFormDBs(t testing.TB) (micro, fuzz *DB) {
 // TestSelectSteadyZeroAlloc is the generic executor's steady-state gate:
 // the third and later QuerySwole executions of every statement form — SQL
 // text in, materialized rows out — allocate nothing, over unsharded fact
-// tables and over fact tables split four ways.
+// tables, over fact tables split four ways, and with the ungrouped forms
+// scanning on a gang of four over many small morsels.
 func TestSelectSteadyZeroAlloc(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, cfg := range []struct{ shards, workers int }{{1, 0}, {4, 0}, {1, 4}} {
+		shards := cfg.shards
 		micro, fuzz := selectFormDBs(t)
 		defer micro.Close()
 		defer fuzz.Close()
 		for d, fact := range map[*DB]string{micro: "r", fuzz: "f"} {
 			if err := d.ShardTable(fact, shards); err != nil {
 				t.Fatal(err)
+			}
+			if cfg.workers > 0 {
+				d.SetWorkers(cfg.workers)
+				smallMorsels(d)
 			}
 		}
 		for _, f := range selectForms {
@@ -90,6 +96,56 @@ func TestSelectSteadyZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("shards=%d %s: %.1f allocs per warm execution, want 0", shards, f.name, allocs)
+			}
+		}
+	}
+}
+
+// smallMorsels shrinks d's morsels to one tile, so test-sized tables span
+// many and every worker of a gang gets some.
+func smallMorsels(d *DB) {
+	d.engine.Reconfigure(func() { d.engine.MorselRows = 1024 })
+}
+
+// ungroupedGang are the statements that scan on the worker gang: the classic
+// scalar and semijoin shapes and the ungrouped selectForms.
+var ungroupedGang = []string{
+	"select sum(r_a * r_b) as s from r where r_x < 50 and r_y = 1",
+	"select count(*) as n from r where r_x < 7",
+	"select sum(r_a) as s from r, s where r_fk = s_pk and s_x < 50 and r_x < 50",
+	selectForms[2].q, // NOT scalar
+	selectForms[6].q, // join min/max
+}
+
+// TestSelectGangParity: every ungrouped statement answers exactly as the
+// interpreter does at every worker count, over morsels small enough that
+// each worker folds several and the merge has stripes to combine. Not
+// skipped under -short: the race job runs it.
+func TestSelectGangParity(t *testing.T) {
+	d, _ := selectFormDBs(t)
+	defer d.Close()
+	smallMorsels(d)
+	for _, q := range ungroupedGang {
+		want, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows()) != 1 {
+			t.Fatalf("%q: %d rows, want the one scalar row", q, len(want.Rows()))
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			d.SetWorkers(workers) // clears the plan cache: the next run compiles at this count
+			for rep := 0; rep < 3; rep++ {
+				res, ex, err := d.QuerySwole(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.PlanCached != (rep > 0) {
+					t.Errorf("workers=%d rep=%d %q: PlanCached=%t", workers, rep, q, ex.PlanCached)
+				}
+				if !rowsEqual(want.Rows(), res.Rows()) {
+					t.Errorf("workers=%d rep=%d %q:\nvolcano: %v\nswole:   %v", workers, rep, q, want.Rows(), res.Rows())
+				}
 			}
 		}
 	}
