@@ -195,15 +195,16 @@ func TestNarrowKeysPackByRange(t *testing.T) {
 		k := key{int64(1000 + i%5), int64(-300 + 100*(i%3))}
 		want[k] = [2]int64{want[k][0] + int64(i%11), want[k][1] + 1}
 	}
-	if len(res.Rows) != len(want) {
-		t.Fatalf("%d groups, want %d", len(res.Rows), len(want))
+	got := selectRows(res)
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
 	}
-	for i, row := range res.Rows {
+	for i, row := range got {
 		if w := want[key{row[0], row[1]}]; row[2] != w[0] || row[3] != w[1] {
 			t.Errorf("group (%d, %d) = (%d, %d), want %v", row[0], row[1], row[2], row[3], w)
 		}
 		if i > 0 {
-			if prev := res.Rows[i-1]; prev[0] > row[0] || prev[0] == row[0] && prev[1] >= row[1] {
+			if prev := got[i-1]; prev[0] > row[0] || prev[0] == row[0] && prev[1] >= row[1] {
 				t.Errorf("rows %d and %d out of key order", i-1, i)
 			}
 		}

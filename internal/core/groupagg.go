@@ -42,7 +42,9 @@ type PreparedGroupAgg struct {
 	// kernels can fuse key materialization and null-masking into one
 	// native-width pass (Column.MaskKeysInto) instead of widening through
 	// the generic evaluator and masking in a second loop. Nil otherwise.
-	keyCol *storage.Column
+	// aggCol is the same for the summed expression: with both bound, a sparse
+	// tile's selected lanes are gathered at native width (gatherSelected).
+	keyCol, aggCol *storage.Column
 
 	// Radix-partitioned two-phase variant (see partition.go): the kernel
 	// becomes the phase-1 scatter (through the engine's shared chunk
@@ -59,14 +61,13 @@ type PreparedGroupAgg struct {
 	kernel kernelFn
 	phase2 func(w, part int)
 
-	// Technique menu (direct kernels, phase-1 scatters, phase-2 fold).
-	kTuple       kernelFn
-	kHybrid      kernelFn
-	kValueMask   kernelFn
-	kKeyMask     kernelFn
-	kScatterHyb  kernelFn
-	kScatterMask kernelFn
-	kFold        func(w, part int)
+	// Technique menu (direct kernels), phase-1 scatter, phase-2 fold.
+	kTuple     kernelFn
+	kHybrid    kernelFn
+	kValueMask kernelFn
+	kKeyMask   kernelFn
+	kScatter   kernelFn
+	kFold      func(w, part int)
 }
 
 // newGroupPlan builds an empty plan with its kernel menu.
@@ -88,11 +89,16 @@ func newGroupPlan() *PreparedGroupAgg {
 			s.fillCmp(p.filter, b, tl)
 			n, d := vec.SelFromCmpAdaptive(s.Cmp[:tl], s.Idx)
 			s.ctr.CountSel(d)
-			for j := 0; j < n; j++ {
-				i := b + int(s.Idx[j])
-				slot := tab.Lookup(expr.Eval(p.key, i))
-				tab.Add(slot, 0, expr.Eval(p.agg, i))
+			if !p.gatherSelected(s, b, n, d) {
+				// Evaluate the whole tile and compact by the selection in place
+				// (Idx ascends: no lane is read after it is written).
+				s.ev.EvalInt(p.key, b, tl, s.Keys)
+				s.ev.EvalInt(p.agg, b, tl, s.Vals)
+				for j, i := range s.Idx[:n] {
+					s.Keys[j], s.Vals[j] = s.Keys[i], s.Vals[i]
+				}
 			}
+			tab.AddPairs(s.Keys[:n], s.Vals[:n])
 		})
 	}
 	// The direct probe kernels run plain insert loops, no touch lookahead:
@@ -123,57 +129,44 @@ func newGroupPlan() *PreparedGroupAgg {
 			tab.AddPairs(s.Keys[:tl], s.Vals[:tl])
 		})
 	}
-	// Phase-1 scatters: hybrid appends only selected tuples through its
-	// selection vector; value and key masking both collapse to key-masked
-	// appends — a rejected tuple's key becomes ht.NullKey, which phase 2
-	// routes to the throwaway entry, so a group is emitted iff some valid
-	// tuple reached it and the result is bit-identical to the direct path
-	// under every strategy.
-	p.kScatterHyb = func(w, base, length int) {
-		s, pr := &p.states[w], p.parters[w]
-		vec.Tiles(length, func(tb, tl int) {
-			b := base + tb
-			s.fillCmp(p.filter, b, tl)
-			n, d := vec.SelFromCmpAdaptive(s.Cmp[:tl], s.Idx)
-			s.ctr.CountSel(d)
-			for j := 0; j < n; j++ {
-				i := b + int(s.Idx[j])
-				pr.Append(expr.Eval(p.key, i), expr.Eval(p.agg, i))
-			}
-		})
-	}
-	// The scatter appends without a touch lookahead: with a radix fan-out
-	// of P partitions the write targets are P chunk tails — a handful of
-	// cache lines that never leave L2 — so touching them ahead only adds
+	// The phase-1 scatter is one kernel under every technique: whichever
+	// masking strategy the direct path would run, only what passed the filter
+	// is worth writing twice. A rejected tuple that does ride along carries
+	// ht.NullKey, which phase 2 routes to the throwaway entry, so a group is
+	// emitted iff some valid tuple reached it and the result is bit-identical
+	// to the direct path. It appends without a touch lookahead: with a radix
+	// fan-out of P partitions the write targets are P chunk tails — a handful
+	// of cache lines that never leave L2 — so touching them ahead only adds
 	// hash work (measured ~7% of scatter time; see DESIGN.md §11.3).
-	p.kScatterMask = func(w, base, length int) {
+	p.kScatter = func(w, base, length int) {
 		s, pr := &p.states[w], p.parters[w]
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
 			s.fillCmp(p.filter, b, tl)
 			n, dc := vec.SelFromCmpAdaptive(s.Cmp[:tl], s.Idx)
 			s.ctr.CountSel(dc)
-			if dc == vec.DensityDense {
+			switch {
+			case dc == vec.DensityDense:
 				// Nearly every lane passes: append the whole masked tile.
-				// The few rejects ride along as NullKey pairs and fold into
-				// the throwaway entry, cheaper than indirecting every lane
-				// through the selection vector.
+				// The few rejects fold into the throwaway entry, cheaper than
+				// indirecting every lane through the selection vector.
 				p.maskKeys(s, b, tl)
 				s.ev.EvalInt(p.agg, b, tl, s.Vals)
-				for j := 0; j < tl; j++ {
-					pr.Append(s.Keys[j], s.Vals[j])
+				n = tl
+			case p.gatherSelected(s, b, n, dc): // the pairs sit in lanes [0, n)
+			default:
+				// Rejected pairs never reach the scatter, so phase 1 writes and
+				// phase 2 folds only the selected (1-selectivity savings on both
+				// passes). The selected keys need no mask: they passed the filter.
+				s.ev.EvalInt(p.key, b, tl, s.Keys)
+				s.ev.EvalInt(p.agg, b, tl, s.Vals)
+				for _, i := range s.Idx[:n] {
+					pr.Append(s.Keys[i], s.Vals[i])
 				}
 				return
 			}
-			// Sparse and mid tiles compact first: rejected pairs never
-			// reach the scatter, so phase 1 writes and phase 2 folds only
-			// the selected (1-selectivity savings on both passes). The
-			// selected keys need no mask — they passed the filter.
-			s.ev.EvalInt(p.key, b, tl, s.Keys)
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
 			for j := 0; j < n; j++ {
-				i := s.Idx[j]
-				pr.Append(s.Keys[i], s.Vals[i])
+				pr.Append(s.Keys[j], s.Vals[j])
 			}
 		})
 	}
@@ -215,6 +208,24 @@ func perWorkerHint(groups, nw, inserted int) int {
 		h = 1
 	}
 	return h
+}
+
+// gatherSelected is the sparse arm of the kernels that fold only selected
+// lanes: when the tile is sparse and key and argument are bare columns, it
+// reads the n rows listed in s.Idx, and nothing else, at native width into
+// s.Keys[:n] and s.Vals[:n]. Otherwise it reports false and touches nothing;
+// the caller evaluates the whole tile.
+func (p *PreparedGroupAgg) gatherSelected(s *workerState, b, n int, d vec.Density) bool {
+	if d != vec.DensitySparse || p.keyCol == nil || p.aggCol == nil {
+		return false
+	}
+	sel := s.Idx[:n]
+	for j := range sel {
+		sel[j] += int32(b)
+	}
+	p.keyCol.GatherInto(sel, s.Keys)
+	p.aggCol.GatherInto(sel, s.Vals)
+	return true
 }
 
 // maskKeys materializes one tile's group-by keys into s.Keys with rejected
@@ -261,6 +272,9 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	p.filter, p.key, p.agg = q.Filter, q.Key, q.Agg
 	if c, ok := q.Key.(*expr.Col); ok {
 		p.keyCol = c.Column()
+	}
+	if c, ok := q.Agg.(*expr.Col); ok {
+		p.aggCol = c.Column()
 	}
 
 	params := e.Params.ForWorkers(p.nw)
@@ -332,12 +346,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 			p.smalls = newTables(p.nw, subTableHint(groups, parts))
 			p.emit = make([][]int64, parts)
 			fresh += f + 2*p.nw
-			if tech == TechHybrid {
-				p.kernel = p.kScatterHyb
-			} else {
-				p.kernel = p.kScatterMask
-			}
-			p.phase2 = p.kFold
+			p.kernel, p.phase2 = p.kScatter, p.kFold
 		}
 	}
 	if !p.partitioned {

@@ -45,7 +45,7 @@ func partialMap(p Partial) map[int64]int64 {
 		return groupMap(p.Groups)
 	}
 	out := map[int64]int64{}
-	for _, row := range p.Rows.Rows {
+	for _, row := range selectRows(p.Rows) {
 		if len(row) == 1 {
 			out[0] = row[0]
 		} else {
@@ -53,6 +53,15 @@ func partialMap(p Partial) map[int64]int64 {
 		}
 	}
 	return out
+}
+
+// selectRows frames a generic plan's flat answer as one header per row.
+func selectRows(r *SelectResult) [][]int64 {
+	var rows [][]int64
+	for w, i := len(r.Fields), 0; i+w <= len(r.Flat); i += w {
+		rows = append(rows, r.Flat[i:i+w])
+	}
+	return rows
 }
 
 // sumRunner prepares an ungrouped single-aggregate spec through

@@ -171,26 +171,11 @@ func (f fieldSchema) index(name string) int {
 }
 
 // SelectResult is a generic plan's answer, owned by the plan and overwritten
-// by its next run: row i is Flat[i*w:(i+1)*w] for w = len(Fields), and Rows
-// holds one header per row into Flat.
+// by its next run: row i is Flat[i*w:(i+1)*w] for w = len(Fields). No row
+// headers are built; the statement cache serves and encodes from Flat.
 type SelectResult struct {
 	Fields []OutField
 	Flat   []int64
-	Rows   [][]int64
-}
-
-// frame points the row headers at Flat. A run that produced the same row
-// count into the same backing array keeps the headers it has.
-func (r *SelectResult) frame() {
-	w := len(r.Fields)
-	n := len(r.Flat) / w
-	if n == len(r.Rows) && (n == 0 || &r.Rows[0][0] == &r.Flat[0]) {
-		return
-	}
-	r.Rows = r.Rows[:0]
-	for i := 0; i < n; i++ {
-		r.Rows = append(r.Rows, r.Flat[i*w:(i+1)*w:(i+1)*w])
-	}
 }
 
 // boundEdge is a compiled join edge.
@@ -408,7 +393,6 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			}
 		}
 	}
-	p.res.frame()
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil

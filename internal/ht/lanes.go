@@ -25,7 +25,9 @@ func (t *AggTable) SetIdentity(acc int, v int64) {
 
 // LookupTile resolves keys to slots, inserting absent groups: slots[i] is
 // what Lookup(keys[i]) returns once the whole tile is in the table. On a
-// key-addressed table that is a range-checked subtraction per lane. On a
+// key-addressed table that is a range-checked subtraction per lane, with a
+// NullKey lane (every rejected lane under key masking) resolved to -1 in
+// line; any other key outside the domain panics in outside. On a
 // hashed one, keys already in the table — nearly every lane once a tile's
 // groups exist — resolve with an inline probe; only an absent key goes
 // through Lookup to be inserted (the inline probes are not tallied in
@@ -41,7 +43,10 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 		for i, k := range keys {
 			u := uint64(k) - lo
 			if u >= span {
-				u = uint64(t.outside(k))
+				if k != NullKey {
+					t.outside(k)
+				}
+				u = ^uint64(0) // slot -1
 			}
 			slots[i] = int32(u)
 		}

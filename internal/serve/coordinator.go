@@ -91,6 +91,14 @@ func distributiveShape(sig string) bool {
 	return true
 }
 
+// queryResponse decodes a shard's /query success body (appendAnswer writes
+// it).
+type queryResponse struct {
+	Columns []string       `json:"columns"`
+	Rows    [][]int64      `json:"rows"`
+	Explain *swole.Explain `json:"explain,omitempty"`
+}
+
 // shardAnswer is one shard's contribution to a scatter-gather.
 type shardAnswer struct {
 	resp queryResponse
@@ -99,7 +107,7 @@ type shardAnswer struct {
 }
 
 // run is the coordinator's QueryFunc: scatter, gather, merge.
-func (c *coordinator) run(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
+func (c *coordinator) run(ctx context.Context, q string, rows func(cols []string, flat []int64, width int)) (swole.Explain, error) {
 	n := len(c.shards)
 	answers := make([]shardAnswer, n)
 	done := make(chan int, n)
@@ -128,7 +136,7 @@ func (c *coordinator) run(ctx context.Context, q string) (*swole.Result, swole.E
 		}
 	}
 	if firstErr != nil {
-		return nil, ex, firstErr
+		return ex, firstErr
 	}
 	// The shards agree on the statement's shape; take shard 0's Explain
 	// as the representative planning record.
@@ -139,32 +147,32 @@ func (c *coordinator) run(ctx context.Context, q string) (*swole.Result, swole.E
 		ex = shardEx
 	}
 	if ex.Shape == "interpreter-fallback" {
-		return nil, ex, fmt.Errorf("serve: statement falls outside the SWOLE shapes and cannot be scatter-gathered (shape %q)", ex.Shape)
+		return ex, fmt.Errorf("serve: statement falls outside the SWOLE shapes and cannot be scatter-gathered (shape %q)", ex.Shape)
 	}
 	if !distributiveShape(ex.Shape) {
-		return nil, ex, fmt.Errorf("serve: shape %q is not distributive over shard partials and cannot be scatter-gathered", ex.Shape)
+		return ex, fmt.Errorf("serve: shape %q is not distributive over shard partials and cannot be scatter-gathered", ex.Shape)
 	}
 	cols := answers[0].resp.Columns
 	mergeStart := time.Now()
-	var res *swole.Result
+	var flat []int64
 	switch len(cols) {
 	case 1: // scalar: one row, one value per shard; the merge is a sum
 		total := int64(0)
 		for i := range answers {
 			for _, row := range answers[i].resp.Rows {
 				if len(row) != 1 {
-					return nil, ex, fmt.Errorf("shard %d (%s): malformed scalar row", i, c.shards[i])
+					return ex, fmt.Errorf("shard %d (%s): malformed scalar row", i, c.shards[i])
 				}
 				total += row[0]
 			}
 		}
-		res = swole.NewResult(cols, [][]int64{{total}})
+		flat = []int64{total}
 	case 2: // grouped: (key, sum) rows; merge by key
 		groups := map[int64]int64{}
 		for i := range answers {
 			for _, row := range answers[i].resp.Rows {
 				if len(row) != 2 {
-					return nil, ex, fmt.Errorf("shard %d (%s): malformed group row", i, c.shards[i])
+					return ex, fmt.Errorf("shard %d (%s): malformed group row", i, c.shards[i])
 				}
 				groups[row[0]] += row[1]
 			}
@@ -174,16 +182,16 @@ func (c *coordinator) run(ctx context.Context, q string) (*swole.Result, swole.E
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		rows := make([][]int64, len(keys))
-		for i, k := range keys {
-			rows[i] = []int64{k, groups[k]}
+		flat = make([]int64, 0, 2*len(keys))
+		for _, k := range keys {
+			flat = append(flat, k, groups[k])
 		}
-		res = swole.NewResult(cols, rows)
 	default:
-		return nil, ex, fmt.Errorf("serve: cannot merge %d-column results", len(cols))
+		return ex, fmt.Errorf("serve: cannot merge %d-column results", len(cols))
 	}
 	ex.ShardMergeTime = time.Since(mergeStart)
-	return res, ex, nil
+	rows(cols, flat, len(cols))
+	return ex, nil
 }
 
 // queryShard sends the statement to one shard under its in-flight bound,

@@ -110,8 +110,8 @@ func TestCoordinatorShardRejectionAttributed(t *testing.T) {
 	healthy := New(newShardDB(t, 0, 2048), Config{Addr: "127.0.0.1:0"})
 	startServer(t, healthy)
 	// A shard whose backend always reports saturation → HTTP 429.
-	saturated := NewWithRunner(func(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
-		return nil, swole.Explain{}, errRejected
+	saturated := NewWithRunner(func(ctx context.Context, q string, _ func([]string, []int64, int)) (swole.Explain, error) {
+		return swole.Explain{}, errRejected
 	}, Config{Addr: "127.0.0.1:0"})
 	startServer(t, saturated)
 
@@ -141,9 +141,9 @@ func TestCoordinatorShardRejectionAttributed(t *testing.T) {
 func TestCoordinatorShardTimeoutAttributed(t *testing.T) {
 	healthy := New(newShardDB(t, 0, 2048), Config{Addr: "127.0.0.1:0"})
 	startServer(t, healthy)
-	stuck := NewWithRunner(func(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
+	stuck := NewWithRunner(func(ctx context.Context, q string, _ func([]string, []int64, int)) (swole.Explain, error) {
 		<-ctx.Done()
-		return nil, swole.Explain{}, ctx.Err()
+		return swole.Explain{}, ctx.Err()
 	}, Config{Addr: "127.0.0.1:0"})
 	startServer(t, stuck)
 
@@ -177,13 +177,13 @@ func TestCoordinatorNeedsShards(t *testing.T) {
 func TestCoordinatorPerShardBound(t *testing.T) {
 	inflight := make(chan int, 16)
 	gate := make(chan struct{})
-	slow := NewWithRunner(func(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
+	slow := NewWithRunner(func(ctx context.Context, q string, _ func([]string, []int64, int)) (swole.Explain, error) {
 		inflight <- 1
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return nil, swole.Explain{}, fmt.Errorf("test shard: no data")
+		return swole.Explain{}, fmt.Errorf("test shard: no data")
 	}, Config{Addr: "127.0.0.1:0", MaxInFlight: 8})
 	startServer(t, slow)
 

@@ -1,0 +1,320 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	swole "github.com/reprolab/swole"
+)
+
+// post drives one POST /query through the server's handler stack (recover
+// wrapper, mux, handler) without a listener.
+func post(s *Server, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.http.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	return rec
+}
+
+func queryBody(q string) []byte {
+	b, _ := json.Marshal(queryRequest{Query: q, TimeoutMS: -1})
+	return b
+}
+
+// reflected is the /query success body as the server wrote it before it
+// stopped reflecting: json.NewEncoder over the response struct.
+func reflected(cols []string, flat []int64, width int, ex swole.Explain) []byte {
+	resp := queryResponse{Columns: append([]string{}, cols...), Rows: [][]int64{}, Explain: &ex}
+	for i := 0; width > 0 && i+width <= len(flat); i += width {
+		resp.Rows = append(resp.Rows, flat[i:i+width])
+	}
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(resp); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// TestQueryBodyMatchesReflectedEncoding is the wire-compatibility property:
+// for randomized answers — no rows, no columns, extreme and negative values,
+// column names encoding/json escapes — the body is byte for byte what
+// json.NewEncoder wrote for the old response struct, with its length
+// announced.
+func TestQueryBodyMatchesReflectedEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	names := []string{"s", "r_c", `say "hi"`, "a<b", "x&y", "q>r", "naïve", "日本", "tab\there", `back\slash`, "", "\x7f", " "}
+	values := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 42, -9_000_000_000}
+	for trial := 0; trial < 300; trial++ {
+		width := rng.Intn(5)
+		nrows := rng.Intn(6)
+		if trial%7 == 0 {
+			nrows = 0
+		}
+		cols := make([]string, width)
+		for i := range cols {
+			cols[i] = names[rng.Intn(len(names))]
+		}
+		flat := make([]int64, width*nrows)
+		for i := range flat {
+			if flat[i] = values[rng.Intn(len(values))]; rng.Intn(2) == 0 {
+				flat[i] = rng.Int63() - rng.Int63()
+			}
+		}
+		ex := swole.Explain{
+			Technique: "hybrid", Shape: names[rng.Intn(len(names))], Selectivity: rng.Float64(),
+			Costs: map[string]float64{"a<b": rng.Float64(), "hashed": 1e21}, PlanCached: trial%2 == 0,
+			PrepareTime: time.Duration(rng.Intn(1e6)), ShardTimes: []time.Duration{1, 2},
+		}
+		s := NewWithRunner(func(_ context.Context, _ string, rows func([]string, []int64, int)) (swole.Explain, error) {
+			rows(cols, flat, width)
+			return ex, nil
+		}, Config{})
+		rec := post(s, queryBody("q"))
+		want := reflected(cols, flat, width, ex)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("trial %d: status %d\n got  %s\n want %s", trial, rec.Code, rec.Body.Bytes(), want)
+		}
+		if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(want)) {
+			t.Fatalf("trial %d: Content-Length %q, body has %d bytes", trial, got, len(want))
+		}
+	}
+}
+
+// TestBackendWithoutRows pins the nil-answer defect: a backend that succeeds
+// without presenting anything (the old signature's (nil, ex, nil), which
+// panicked the connection goroutine) answers no columns and "rows":[].
+func TestBackendWithoutRows(t *testing.T) {
+	s := NewWithRunner(func(context.Context, string, func([]string, []int64, int)) (swole.Explain, error) {
+		return swole.Explain{Shape: "stub"}, nil
+	}, Config{})
+	rec := post(s, queryBody("q"))
+	want := reflected(nil, nil, 0, swole.Explain{Shape: "stub"})
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || !bytes.Contains(want, []byte(`"rows":[]`)) {
+		t.Fatalf("status %d body %s, want %s", rec.Code, rec.Body.Bytes(), want)
+	}
+}
+
+// TestRowFunctionPanicContained pins the other one: the row function runs
+// under the statement's entry lock, so a panic inside it must be answered
+// (500, outcome error, swole_panics_total) with every hold released — the
+// entry lock, the admission slot (one here, so a leaked slot would hang the
+// retry) and the in-flight gauge — and the same statement must answer
+// correctly on the next request.
+func TestRowFunctionPanicContained(t *testing.T) {
+	db := newTestDB(t)
+	const q = "SELECT a, SUM(b) FROM t WHERE a < 3 GROUP BY a"
+	var calls atomic.Int64
+	s := NewWithRunner(func(ctx context.Context, q string, rows func([]string, []int64, int)) (swole.Explain, error) {
+		return db.QueryRows(ctx, q, func(cols []string, flat []int64, width int) {
+			if calls.Add(1) == 2 { // the first call compiled the plan; fail the first cached one
+				panic("encoder fault")
+			}
+			rows(cols, flat, width)
+		})
+	}, Config{MaxInFlight: 1, MaxQueue: -1})
+
+	first := post(s, queryBody(q))
+	if first.Code != http.StatusOK {
+		t.Fatalf("first request: %d %s", first.Code, first.Body.Bytes())
+	}
+	rec := post(s, queryBody(q))
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusInternalServerError ||
+		er.Outcome != outcomeError || !strings.Contains(er.Error, "encoder fault") {
+		t.Fatalf("panicking request: status %d body %s (err %v), want a 500 naming the fault", rec.Code, rec.Body.Bytes(), err)
+	}
+	if n := s.m.panics.Load(); n != 1 {
+		t.Errorf("swole_panics_total = %d, want 1", n)
+	}
+	if n := s.m.inflight.Load(); n != 0 {
+		t.Errorf("in-flight gauge = %d after the panic", n)
+	}
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- post(s, queryBody(q)) }()
+	select {
+	case rec = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the statement's next request hangs: the panic left a lock or the admission slot held")
+	}
+	if rec.Code != http.StatusOK || !bytes.Equal(rowsOf(t, rec.Body.Bytes()), rowsOf(t, first.Body.Bytes())) {
+		t.Fatalf("next request: status %d body %s, want the first answer's rows %s", rec.Code, rec.Body.Bytes(), first.Body.Bytes())
+	}
+	var b strings.Builder
+	s.m.render(&b)
+	if !strings.Contains(b.String(), "swole_panics_total 1") {
+		t.Errorf("metrics missing swole_panics_total 1:\n%s", b.String())
+	}
+}
+
+// rowsOf is the rows member of a success body, re-marshaled.
+func rowsOf(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("body does not parse: %v (%.200s)", err, body)
+	}
+	out, _ := json.Marshal(qr.Rows)
+	return out
+}
+
+// TestEncodeAllocatesNothingWarm: once the pooled buffer has grown to the
+// answer's size, encoding a 10K-row answer allocates nothing — what a
+// request still allocates is the Explain marshal and net/http's own — and a
+// buffer that outgrew the cap is dropped, not pooled.
+func TestEncodeAllocatesNothingWarm(t *testing.T) {
+	cols := []string{"r_c", "s"}
+	flat := make([]int64, 2*10_000)
+	for i := range flat {
+		flat[i] = int64(i)*7919 - 40_000_000
+	}
+	buf := appendAnswer(nil, cols, flat, 2)
+	if allocs := testing.AllocsPerRun(20, func() { buf = appendAnswer(buf[:0], cols, flat, 2) }); allocs != 0 {
+		t.Errorf("warm appendAnswer over 10K rows: %.1f allocations, want 0", allocs)
+	}
+
+	small, big := make([]byte, 0, 64), make([]byte, 0, maxPooledBody+1)
+	p := &small
+	putBody(p, big)
+	if cap(*p) != cap(small) {
+		t.Error("a buffer above maxPooledBody was kept for the pool")
+	}
+	putBody(p, big[:0:maxPooledBody])
+	if cap(*p) != maxPooledBody {
+		t.Error("a buffer at the cap was not kept")
+	}
+}
+
+// FuzzQueryBody: whatever bytes arrive as a POST /query body, the answer is
+// well-formed JSON under a 2xx or 4xx status (504 when the body itself set a
+// deadline) and no handler panics. The committed corpus
+// (testdata/fuzz/FuzzQueryBody) runs under plain `go test`.
+func FuzzQueryBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"query":"SELECT SUM(b) FROM t WHERE a < 50"}`,
+		`{"query":"SELECT a, SUM(b) FROM t WHERE a < 7 OR b > 4000 GROUP BY a HAVING COUNT(*) > 1","timeout_ms":-1}`,
+		`{"query":"SELECT a, b FROM t WHERE a = 3 ORDER BY b"}`,
+		`{"query":"SELECT nope FROM nowhere"}`,
+		`{"query":"select sum(b from t where"}`,
+		`{"query":"SELECT MIN(a), MAX(b), AVG(b) FROM t WHERE NOT (a < 5)","timeout_ms":1}`,
+		`{"query":"  "}`,
+		`{"query":7}`,
+		`{"timeout_ms":"soon"}`,
+		`not json`,
+		``,
+		"{\"query\":\"SELECT '\\u0000' FROM t\"}",
+	} {
+		f.Add([]byte(seed))
+	}
+	db := newTestDB(f)
+	s := New(db, Config{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post(s, body)
+		var req queryRequest
+		_ = json.Unmarshal(body, &req)
+		switch c := rec.Code; {
+		case c >= 200 && c < 300, c >= 400 && c < 500:
+		case c == http.StatusGatewayTimeout && req.TimeoutMS != 0:
+		default:
+			t.Fatalf("status %d for body %q: %s", c, body, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("malformed response to %q: %q", body, rec.Body.Bytes())
+		}
+		if n := s.m.panics.Load(); n != 0 {
+			t.Fatalf("a handler panicked on %q: %s", body, rec.Body.Bytes())
+		}
+	})
+}
+
+// TestServeWhileAppending replays one grouped statement from two connections
+// while a third appends CSV batches (never skipped: it is the race
+// detector's view of the entry lock and the encoder reading plan-owned
+// memory). Every body parses, a connection never sees the answer shrink, and
+// QueryContext results taken before an append still hold their values after
+// it.
+func TestServeWhileAppending(t *testing.T) {
+	db := newTestDB(t)
+	base := startServer(t, New(db, Config{Addr: "127.0.0.1:0"}))
+	const q = "SELECT b, SUM(a) FROM t WHERE a < 90 GROUP BY b"
+	const batches, perBatch = 12, 50
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			client := &http.Client{}
+			defer client.CloseIdleConnections()
+			last := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := client.Post(base+"/query", "application/json", bytes.NewReader(queryBody(q)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var qr queryResponse
+				err = json.NewDecoder(resp.Body).Decode(&qr)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d, decode: %v", resp.StatusCode, err)
+					return
+				}
+				if len(qr.Rows) < last {
+					t.Errorf("answer shrank from %d to %d rows", last, len(qr.Rows))
+					return
+				}
+				last = len(qr.Rows)
+			}
+		}()
+	}
+
+	type snapshot struct {
+		res  *swole.Result
+		rows string
+	}
+	var held []snapshot
+	next := int64(1 << 20) // b values no existing row has: every appended row is a new group
+	for i := 0; i < batches; i++ {
+		res, _, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, snapshot{res, fmt.Sprint(res.Rows())})
+		var csv strings.Builder
+		for j := 0; j < perBatch; j++ {
+			fmt.Fprintf(&csv, "1,%d\n", next)
+			next++
+		}
+		if resp, body := postIngest(t, base, "table=t", csv.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+		}
+	}
+	close(stop)
+	readers.Wait()
+
+	for i, h := range held {
+		if got := fmt.Sprint(h.res.Rows()); got != h.rows {
+			t.Fatalf("QueryContext result %d changed under later appends and queries", i)
+		}
+		if i > 0 && h.res.NumRows() != held[i-1].res.NumRows()+perBatch {
+			t.Fatalf("snapshot %d has %d rows, the one before %d, batch %d", i, h.res.NumRows(), held[i-1].res.NumRows(), perBatch)
+		}
+	}
+}

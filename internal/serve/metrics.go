@@ -91,6 +91,7 @@ type metrics struct {
 
 	inflight atomic.Int64
 	queued   atomic.Int64
+	panics   atomic.Int64 // handler panics answered 500 (Server.recovered)
 }
 
 func newMetrics() *metrics {
@@ -233,6 +234,7 @@ func (m *metrics) render(w *strings.Builder) {
 		name, help string
 		v          uint64
 	}{
+		{"swole_panics_total", "Request handlers that panicked and were answered 500.", uint64(m.panics.Load())},
 		{"swole_plan_cache_hits_total", "Queries whose planning decision was replayed from the plan cache.", m.planCacheHits},
 		{"swole_stats_cache_hits_total", "Queries planned from cached sampling statistics.", m.statsCacheHits},
 		{"swole_ht_grows_total", "Hash-table growth events during query execution.", m.htGrows},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,10 +74,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// QueryFunc is the execution backend: swole.(*DB).QueryContext in
-// production, a stub in tests that need deterministic blocking or
-// failure.
-type QueryFunc func(ctx context.Context, q string) (*swole.Result, swole.Explain, error)
+// QueryFunc is the execution backend: swole.(*DB).QueryRows in production,
+// the coordinator's scatter-gather, a stub in tests. A backend presents its
+// answer by calling rows at most once (never: no columns, no rows) with the
+// column names and the values as one flat row-major array; the server encodes
+// inside the call, and both slices are the backend's again when it returns.
+type QueryFunc func(ctx context.Context, q string, rows func(cols []string, flat []int64, width int)) (swole.Explain, error)
 
 // IngestFunc is the write backend: swole.(*DB).AppendCSV in production.
 // Servers without one (coordinators, NewWithRunner tests) refuse POST
@@ -106,10 +111,10 @@ type Server struct {
 	ln   net.Listener
 }
 
-// New builds a Server over a DB, wiring both the read path (QueryContext)
+// New builds a Server over a DB, wiring both the read path (QueryRows)
 // and the write path (AppendCSV).
 func New(db *swole.DB, cfg Config) *Server {
-	s := NewWithRunner(db.QueryContext, cfg)
+	s := NewWithRunner(db.QueryRows, cfg)
 	s.ingest = db.AppendCSV
 	return s
 }
@@ -129,8 +134,25 @@ func NewWithRunner(run QueryFunc, cfg Config) *Server {
 	mux.HandleFunc("GET /explain", s.handleExplain)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.http = &http.Server{Handler: mux}
+	s.http = &http.Server{Handler: s.recovered(mux)}
 	return s
+}
+
+// recovered contains a fault at the handler boundary: a panic below it — in
+// a backend, in the encoder running under a statement's entry lock — answers
+// 500 and is counted. Whatever the handler held (admission slot, in-flight
+// gauge, the entry lock) was released by defer on the way up, so the next
+// request for the same statement runs.
+func (s *Server) recovered(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if p := recover(); p != nil {
+				s.m.panics.Add(1)
+				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprint("internal error: ", p), Outcome: outcomeError})
+			}
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // Start binds the configured address and begins serving in a background
@@ -202,13 +224,6 @@ type queryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// queryResponse is the POST /query success body.
-type queryResponse struct {
-	Columns []string       `json:"columns"`
-	Rows    [][]int64      `json:"rows"`
-	Explain *swole.Explain `json:"explain,omitempty"`
-}
-
 type errorResponse struct {
 	Error   string `json:"error"`
 	Outcome string `json:"outcome"`
@@ -255,14 +270,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // execute runs one statement through admission, deadline, and the backend,
-// recording metrics. It returns the result (nil on failure), the explain
-// when one was produced, and the classified outcome.
-func (s *Server) execute(parent context.Context, q string, timeoutMS int64) (*swole.Result, *swole.Explain, string, int, error) {
+// recording metrics; the backend presents its answer through rows. It
+// returns the explain when one was produced and the classified outcome.
+func (s *Server) execute(parent context.Context, q string, timeoutMS int64, rows func(cols []string, flat []int64, width int)) (*swole.Explain, string, int, error) {
 	start := time.Now()
-	fail := func(err error) (*swole.Result, *swole.Explain, string, int, error) {
+	fail := func(err error) (*swole.Explain, string, int, error) {
 		outcome, status := outcomeOf(err)
 		s.m.observe("unknown", outcome, time.Since(start), nil)
-		return nil, nil, outcome, status, err
+		return nil, outcome, status, err
 	}
 	if s.draining.Load() {
 		return fail(errRejected)
@@ -274,18 +289,62 @@ func (s *Server) execute(parent context.Context, q string, timeoutMS int64) (*sw
 	if err != nil {
 		return fail(err)
 	}
+	defer release()
 	s.m.observeWait(time.Since(waitStart))
 	s.m.inflight.Add(1)
-	res, ex, err := s.run(ctx, q)
-	s.m.inflight.Add(-1)
-	release()
+	defer s.m.inflight.Add(-1)
+	ex, err := s.run(ctx, q, rows)
 	outcome, status := outcomeOf(err)
 	// Metrics aggregate under the bounded shape bucket, not the raw
 	// synthesized signature: signatures grow with the statement (join
 	// counts, OR widths, aggregate lists) and would make the shape label's
 	// cardinality unbounded. /explain still reports the full signature.
 	s.m.observe(swole.ShapeBucket(ex.Shape), outcome, time.Since(start), &ex)
-	return res, &ex, outcome, status, err
+	return &ex, outcome, status, err
+}
+
+// Response bodies are built in pooled buffers. One that grew past
+// maxPooledBody is dropped rather than pinned: MaxInFlight unusually large
+// answers would otherwise stay resident for the life of the process.
+const maxPooledBody = 8 << 20
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBody(p *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*p = b[:0]
+		bodyPool.Put(p)
+	}
+}
+
+// appendAnswer appends a /query success body up to its explain member —
+// {"columns":[…],"rows":[[…],…] — exactly as encoding/json renders it. It runs
+// inside the backend's rows call and allocates nothing once b has grown.
+func appendAnswer(b []byte, cols []string, flat []int64, width int) []byte {
+	comma := []byte(",")
+	b = append(b, `{"columns":[`...)
+	for _, c := range cols {
+		b = append(appendName(b, c), ',')
+	}
+	b = append(bytes.TrimSuffix(b, comma), `],"rows":[`...)
+	for i := 0; width > 0 && i+width <= len(flat); i += width {
+		b = append(b, '[')
+		for _, v := range flat[i : i+width] {
+			b = append(strconv.AppendInt(b, v, 10), ',')
+		}
+		b = append(b[:len(b)-1], ']', ',') // the row's last comma closes it
+	}
+	return append(bytes.TrimSuffix(b, comma), ']')
+}
+
+// appendName appends a column name as a JSON string: plain ASCII quoted as it
+// stands, anything encoding/json would escape or replace through it.
+func appendName(b []byte, s string) []byte {
+	if strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 || r >= 0x7f || strings.ContainsRune(`"\\<>&`, r) }) {
+		j, _ := json.Marshal(s) // a string always marshals
+		return append(b, j...)
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +357,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty query", Outcome: outcomeError})
 		return
 	}
-	res, ex, outcome, status, err := s.execute(r.Context(), req.Query, req.TimeoutMS)
+	p := bodyPool.Get().(*[]byte)
+	body := (*p)[:0]
+	defer func() { putBody(p, body) }()
+	ex, outcome, status, err := s.execute(r.Context(), req.Query, req.TimeoutMS, func(cols []string, flat []int64, width int) {
+		body = appendAnswer(body, cols, flat, width)
+	})
 	if err != nil {
 		if errors.Is(err, errRejected) && s.draining.Load() {
 			status = http.StatusServiceUnavailable
@@ -310,7 +374,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, eresp)
 		return
 	}
-	writeJSON(w, status, queryResponse{Columns: res.Columns(), Rows: res.Rows(), Explain: ex})
+	if len(body) == 0 { // the backend had nothing to present
+		body = appendAnswer(body, nil, nil, 0)
+	}
+	exJSON, err := json.Marshal(ex)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encoding explain: " + err.Error(), Outcome: outcomeError})
+		return
+	}
+	body = append(append(append(body, `,"explain":`...), exJSON...), "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is a client that went away
 }
 
 // ingestResponse is the POST /ingest body in both directions of success:
@@ -372,10 +448,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		fail(err, swole.IngestReport{})
 		return
 	}
+	defer release()
 	s.m.inflight.Add(1)
+	defer s.m.inflight.Add(-1)
 	rep, err := s.ingest(table, body, policy)
-	s.m.inflight.Add(-1)
-	release()
 	if err != nil {
 		fail(err, rep)
 		return
@@ -393,7 +469,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter", Outcome: outcomeError})
 		return
 	}
-	_, ex, outcome, status, err := s.execute(r.Context(), q, 0)
+	ex, outcome, status, err := s.execute(r.Context(), q, 0, func([]string, []int64, int) {})
 	if err != nil {
 		writeJSON(w, status, errorResponse{Error: err.Error(), Outcome: outcome})
 		return

@@ -17,7 +17,7 @@ import (
 )
 
 // newTestDB builds a tiny DB with one table.
-func newTestDB(t *testing.T) *swole.DB {
+func newTestDB(t testing.TB) *swole.DB {
 	t.Helper()
 	db := swole.NewDB()
 	n := 4096
@@ -191,16 +191,16 @@ func TestBadRequests(t *testing.T) {
 }
 
 // blockingRunner blocks until its context is done (or release is closed),
-// standing in for a long query. Both exits return an error — a *swole.Result
-// cannot be fabricated outside the root package — so released holders
-// finish with outcome "error"; the admission behavior is what's under test.
+// standing in for a long query. Both exits return an error, so released
+// holders finish with outcome "error"; the admission behavior is what's
+// under test.
 func blockingRunner(release <-chan struct{}) QueryFunc {
-	return func(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
+	return func(ctx context.Context, q string, _ func([]string, []int64, int)) (swole.Explain, error) {
 		select {
 		case <-ctx.Done():
-			return nil, swole.Explain{Shape: "stub"}, ctx.Err()
+			return swole.Explain{Shape: "stub"}, ctx.Err()
 		case <-release:
-			return nil, swole.Explain{Shape: "stub"}, errors.New("stub released")
+			return swole.Explain{Shape: "stub"}, errors.New("stub released")
 		}
 	}
 }
@@ -518,8 +518,8 @@ func TestIngestEndToEnd(t *testing.T) {
 
 // TestIngestWithoutBackend asserts a runner-only server refuses ingest.
 func TestIngestWithoutBackend(t *testing.T) {
-	s := NewWithRunner(func(ctx context.Context, q string) (*swole.Result, swole.Explain, error) {
-		return nil, swole.Explain{}, errors.New("unused")
+	s := NewWithRunner(func(ctx context.Context, q string, _ func([]string, []int64, int)) (swole.Explain, error) {
+		return swole.Explain{}, errors.New("unused")
 	}, Config{Addr: "127.0.0.1:0"})
 	base := startServer(t, s)
 	resp, body := postIngest(t, base, "table=t", "1,2\n")

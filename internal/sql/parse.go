@@ -227,6 +227,9 @@ func (p *parser) parseAggCall() (agg string, arg expr.Expr, star bool, err error
 	agg = strings.ToLower(p.next().text)
 	p.next() // (
 	if p.acceptSym("*") {
+		if agg != "count" {
+			return "", nil, false, fmt.Errorf("sql: %s(*) is not defined; only count takes *", agg)
+		}
 		star = true
 	} else {
 		arg, err = p.parseExpr()

@@ -149,12 +149,13 @@ func fromCore(ex core.Explain) Explain {
 // cached statement is overwritten by that statement's next execution;
 // copy what must outlive it. Replacing a table with CreateTable evicts
 // every cached plan and statistic that read it.
-func (d *DB) QuerySwole(q string) (*Result, Explain, error) {
-	return d.query(context.Background(), q, false)
+func (d *DB) QuerySwole(q string) (res *Result, ex Explain, err error) {
+	ex, err = d.query(context.Background(), q, func(r *Result) { res = r })
+	return res, ex, err
 }
 
 // QueryContext is QuerySwole under a context deadline, built for
-// concurrent callers (the swoled server's query path):
+// concurrent callers:
 //
 //   - Cancellation is cooperative at morsel granularity: when ctx is
 //     canceled or its deadline passes, every worker stops within one
@@ -168,51 +169,60 @@ func (d *DB) QuerySwole(q string) (*Result, Explain, error) {
 // Statements outside the SWOLE vocabulary fall back to the interpreted
 // engine, which only honors the deadline between operators, not inside a
 // scan.
-func (d *DB) QueryContext(ctx context.Context, q string) (*Result, Explain, error) {
-	return d.query(ctx, q, true)
+func (d *DB) QueryContext(ctx context.Context, q string) (res *Result, ex Explain, err error) {
+	ex, err = d.query(ctx, q, func(r *Result) {
+		own := *r
+		own.flat = append([]int64(nil), r.flat...)
+		res = &own
+	})
+	return res, ex, err
 }
 
-// query is the shared body of QuerySwole and QueryContext.
-func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explain, error) {
+// QueryRows is QueryContext for a caller that consumes the answer at once
+// (the swoled server encodes it) and so needs no copy: fn receives the column
+// names and the rows as one flat row-major array, row i at
+// flat[i*width:(i+1)*width]. Both belong to the statement's cached plan: read
+// them only until fn returns, never write them. Other executions of the same
+// statement wait while fn runs; a failing statement does not call it.
+func (d *DB) QueryRows(ctx context.Context, q string, fn func(cols []string, flat []int64, width int)) (Explain, error) {
+	return d.query(ctx, q, func(r *Result) { fn(r.cols, r.flat, len(r.cols)) })
+}
+
+// query is the shared body of QuerySwole, QueryContext and QueryRows: fn
+// sees the answer once, before query returns.
+func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Explain{}, err
+		return Explain{}, err
 	}
-	if res, ex, found, err := d.cachedRun(ctx, q, copyRes); found {
-		return res, ex, err
+	if ex, found, err := d.cachedRun(ctx, q, fn); found {
+		return ex, err
 	}
 	p, err := sql.Compile(q, d.db)
 	if err != nil {
-		return nil, Explain{}, err
+		return Explain{}, err
 	}
 	if spec, ok := d.synthesize(p); ok {
 		c, err := d.prepareShape(spec)
 		if err != nil {
-			return nil, Explain{}, err
+			return Explain{}, err
 		}
 		d.storePlan(q, c)
-		c.mu.Lock()
-		res, ex, err := c.run(ctx)
-		if err == nil && copyRes {
-			res = cloneResult(&c.vres)
-		}
-		c.mu.Unlock()
-		if err != nil {
-			return nil, ex, err
-		}
+		ex, err := c.answer(ctx, fn)
 		// First execution: the plan was prepared, not replayed.
 		ex.PlanCached = false
-		return res, ex, nil
+		return ex, err
 	}
 	vres, err := volcano.Run(p, d.db)
 	if err != nil {
-		return nil, Explain{}, err
+		return Explain{}, err
 	}
 	// The interpreter does not poll the context mid-scan; honor an expired
 	// deadline on completion so callers see one consistent contract.
 	if err := ctx.Err(); err != nil {
-		return nil, Explain{}, err
+		return Explain{}, err
 	}
-	return &Result{res: vres}, Explain{Technique: "interpreter-fallback", Shape: "interpreter-fallback"}, nil
+	fn(resultOf(vres))
+	return Explain{Technique: "interpreter-fallback", Shape: "interpreter-fallback"}, nil
 }
 
 // The plan synthesizer. A compiled statement is not pattern-matched

@@ -30,10 +30,11 @@ import (
 // CreateTable evicts eagerly (plans and statistics both), so a mutated
 // table can never serve a stale answer.
 //
-// The *Result returned by a cached execution is owned by the cache entry
-// and overwritten by the next execution of the same statement; callers
-// that need the answer past that point copy it (Rows already copies row
-// headers; the data itself is immutable until the next run).
+// A cached statement's answer stays in the plan: the entry's Result is a
+// header over the plan-owned flat buffer, which the statement's next
+// execution overwrites. Callers take what must outlive that inside
+// cachedPlan.answer: QueryContext copies, /query encodes, QuerySwole keeps
+// the alias and says so.
 
 // maxCachedPlans bounds the cache. Past the bound the cache is cleared
 // wholesale: plans re-prepare in one execution, and a workload with more
@@ -49,11 +50,10 @@ type tableDep struct {
 	ver  uint64
 }
 
-// cachedPlan is one prepared statement plus its reusable result
-// materialization.
+// cachedPlan is one prepared statement and the header of its answer.
 type cachedPlan struct {
-	// mu serializes executions of this statement: the plan's state and the
-	// result buffers below are per-entry and reused across runs. Different
+	// mu serializes executions of this statement: the plan's state and its
+	// result buffer are per-entry and reused across runs. Different
 	// statements run in parallel.
 	mu    sync.Mutex
 	plan  core.Plan
@@ -61,57 +61,28 @@ type cachedPlan struct {
 	deps  []tableDep
 	gen   uint64 // DB.configGen when the compile began
 
-	// Reused result: vres's rows are slice headers into the plan's buffers.
-	res  Result
-	vres volcano.Result
+	// res aliases the plan's flat result buffer; every run repoints it.
+	res Result
 }
 
-// setFields installs the result header and points the entry's Result at
-// its reusable materialization.
+// setFields installs the result header.
 func (c *cachedPlan) setFields(fields []core.OutField) {
-	for _, f := range fields {
-		c.vres.Fields = append(c.vres.Fields, volcano.Field{Name: f.Name, Dict: f.Dict, Log: f.Log})
+	vf := make(volcano.Fields, len(fields))
+	for i, f := range fields {
+		vf[i] = volcano.Field{Name: f.Name, Dict: f.Dict, Log: f.Log}
 	}
-	c.res = Result{res: &c.vres}
+	c.res = newResult(vf)
 }
 
-// put rematerializes the entry's result from a plan's answer; see
-// core.Partial for which arm is set.
+// put points the entry's result at a plan's answer; see core.Partial for
+// which arm is set. Both are the row layout already (a GroupResult's pairs
+// interleave), so nothing is copied and no row header is built.
 func (c *cachedPlan) put(part core.Partial) {
 	if part.Groups != nil {
-		c.putGroups(part.Groups)
+		c.res.flat = part.Groups.Flat
 	} else {
-		c.putRows(part.Rows)
+		c.res.flat = part.Rows.Flat
 	}
-}
-
-// putGroups rematerializes a (key, sum)-per-row result. GroupResult's
-// interleaved layout IS the row layout, so the row headers alias the
-// plan's flat result array directly — nothing is copied. A steady-state
-// rerun whose group count and backing array are unchanged (the common
-// case: the plan's buffers are stable once warm) skips even the header
-// rebuild; at 1M groups that skip is ~24 MB of writes per run. The
-// aliasing is safe under the cache's ownership contract: the entry's
-// result and the plan's buffers are overwritten together by the next
-// execution, and concurrent callers receive a cloneResult copy.
-func (c *cachedPlan) putGroups(g *core.GroupResult) {
-	if n := g.Len(); n == len(c.vres.Rows) &&
-		(n == 0 || &c.vres.Rows[0][0] == &g.Flat[0]) {
-		return
-	}
-	c.vres.Rows = c.vres.Rows[:0]
-	for i := 0; i < len(g.Flat); i += 2 {
-		c.vres.Rows = append(c.vres.Rows, g.Flat[i:i+2])
-	}
-}
-
-// putRows hands over a generic plan's answer without a copy:
-// core.SelectResult is the plan-owned flat buffer with its row headers, so
-// the entry aliases the headers the plan already built. The same ownership
-// contract as putGroups applies: the entry's result and the plan's buffer
-// are overwritten together by the next execution.
-func (c *cachedPlan) putRows(res *core.SelectResult) {
-	c.vres.Rows = res.Rows
 }
 
 // fresh reports whether every input table is still at its prepared
@@ -135,38 +106,25 @@ func (c *cachedPlan) dependsOn(table string) bool {
 	return false
 }
 
-// run executes the prepared plan and rematerializes the entry's result in
-// place. Allocation-free once the row-header array has reached the result's
-// size. A canceled run returns the context's error with the
-// entry (and the plan's pooled resources) intact for the next execution.
-// Callers hold c.mu.
-func (c *cachedPlan) run(ctx context.Context) (*Result, Explain, error) {
+// answer executes the prepared plan and hands the result to fn under the
+// entry lock: fn reads the plan-owned buffer in place while the engine's
+// execution lock is already free for other statements. The lock is released
+// by defer — fn is the caller's code, and its panic must not wedge the
+// statement. A warm run allocates nothing. A canceled run returns the
+// context's error without calling fn, the entry and the plan's pooled
+// resources intact for the next execution.
+func (c *cachedPlan) answer(ctx context.Context, fn func(*Result)) (Explain, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	part, cex, err := c.plan.RunPartial(ctx)
 	ex := fromCore(cex)
 	ex.Shape = c.shape
 	if err != nil {
-		return nil, ex, err
+		return ex, err
 	}
 	c.put(part)
-	return &c.res, ex, nil
-}
-
-// cloneResult deep-copies a materialized result into caller-owned memory,
-// detaching it from the cache entry's reused buffers. Fields are immutable
-// and shared.
-func cloneResult(src *volcano.Result) *Result {
-	total := 0
-	for _, r := range src.Rows {
-		total += len(r)
-	}
-	flat := make([]int64, 0, total)
-	rows := make([]volcano.Row, len(src.Rows))
-	for i, r := range src.Rows {
-		start := len(flat)
-		flat = append(flat, r...)
-		rows[i] = flat[start:]
-	}
-	return &Result{res: &volcano.Result{Fields: src.Fields, Rows: rows}}
+	fn(&c.res)
+	return ex, nil
 }
 
 // normalizeQuery collapses runs of whitespace to single spaces so
@@ -219,18 +177,15 @@ func normalizeQuery(q string) string {
 // execution). The DB mutex covers only the map lookup; the run itself
 // holds the entry's own lock, so different statements execute in
 // parallel (down to the engine locks) while executions of one statement
-// — which reuse per-entry result buffers — still serialize. With copyRes
-// the caller receives a private copy of the result, detached from the
-// entry's reused buffers — the concurrent-caller contract of
-// QueryContext.
-func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result, ex Explain, found bool, err error) {
+// — which reuse the plan's result buffer — still serialize.
+func (d *DB) cachedRun(ctx context.Context, q string, fn func(*Result)) (ex Explain, found bool, err error) {
 	d.mu.Lock()
 	c := d.plans[q]
 	if c == nil {
 		norm := normalizeQuery(q)
 		if c = d.normPlans[norm]; c == nil {
 			d.mu.Unlock()
-			return nil, Explain{}, false, nil
+			return Explain{}, false, nil
 		}
 		// Alias the raw spelling so its next execution is a single lookup —
 		// within the cache bound: past it the spelling keeps resolving
@@ -247,18 +202,10 @@ func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result
 		d.mu.Lock()
 		d.dropPlanLocked(c)
 		d.mu.Unlock()
-		return nil, Explain{}, false, nil
+		return Explain{}, false, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res, ex, err = c.run(ctx)
-	if err != nil {
-		return nil, ex, true, err
-	}
-	if copyRes {
-		res = cloneResult(&c.vres)
-	}
-	return res, ex, true, nil
+	ex, err = c.answer(ctx, fn)
+	return ex, true, err
 }
 
 // storePlan inserts a freshly prepared statement under both keys — unless

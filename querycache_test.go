@@ -2,6 +2,7 @@ package swole
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -525,7 +526,9 @@ func TestGenericResultAliasesPlanBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := cloneResult(res1.res).Rows()
+	own1 := *res1
+	own1.flat = append([]int64(nil), res1.flat...)
+	first := own1.Rows()
 	d.mu.RLock()
 	entry := d.plans[q]
 	d.mu.RUnlock()
@@ -588,5 +591,88 @@ func TestGenericResultAliasesPlanBuffer(t *testing.T) {
 	}
 	if !rowsEqual(res2.Rows(), first) {
 		t.Error("the evicted plan's result was disturbed by its successor")
+	}
+}
+
+// TestQueryRows pins the one hand-out path: the caller's function sees the
+// column names and the plan's flat buffer in place — the same array on every
+// warm run, equal to QueryContext's private copy — for a classic statement, a
+// generic one and an interpreter fallback; a failing statement never calls
+// it; a warm call allocates nothing; and a panic inside it leaves the entry
+// unlocked, so the statement's next execution answers.
+func TestQueryRows(t *testing.T) {
+	d := cacheTestDB(t, 1)
+	defer d.Close()
+	ctx := context.Background()
+	for _, q := range []string{
+		"select c, sum(a) as s from t where x < 7 group by c",
+		"select c, sum(a) as s, count(*) as n from t where x < 7 group by c having count(*) > 0",
+		"select x, a from t where x = 3 and a = 2 order by a",
+	} {
+		want, wex, err := d.QueryContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addr [2]*int64
+		for run := range addr {
+			ex, err := d.QueryRows(ctx, q, func(cols []string, flat []int64, width int) {
+				if fmt.Sprint(cols) != fmt.Sprint(want.Columns()) || width != len(cols) {
+					t.Errorf("%s: columns %v width %d, want %v", q, cols, width, want.Columns())
+				}
+				var rows [][]int64
+				for i := 0; i+width <= len(flat); i += width {
+					rows = append(rows, flat[i:i+width])
+				}
+				if !rowsEqual(rows, want.Rows()) {
+					t.Errorf("%s: rows %v, want %v", q, rows, want.Rows())
+				}
+				addr[run] = &flat[0]
+			})
+			if err != nil || ex.Shape != wex.Shape {
+				t.Fatalf("%s: shape %q err %v, want shape %q", q, ex.Shape, err, wex.Shape)
+			}
+		}
+		if fallback := wex.Shape == "interpreter-fallback"; !fallback && addr[0] != addr[1] {
+			t.Errorf("%s: warm runs handed out different arrays: the answer was copied", q)
+		}
+	}
+
+	if _, err := d.QueryRows(ctx, "select nope from t", func([]string, []int64, int) {
+		t.Error("row function called for a failing statement")
+	}); err == nil {
+		t.Error("unknown column compiled")
+	}
+
+	q := "select c, sum(a) as s from t where x < 7 group by c"
+	fn := func([]string, []int64, int) {}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := d.QueryRows(ctx, q, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm QueryRows: %.1f allocations, want 0", allocs)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the row function's panic did not reach the caller")
+			}
+		}()
+		_, _ = d.QueryRows(ctx, q, func([]string, []int64, int) { panic("caller fault") })
+	}()
+	d.mu.RLock()
+	entry := d.plans[q]
+	d.mu.RUnlock()
+	if !entry.mu.TryLock() {
+		t.Fatal("the panic left the entry locked")
+	}
+	entry.mu.Unlock()
+	want, err := d.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ex, err := d.QuerySwole(q); err != nil || !ex.PlanCached || !rowsEqual(sortedRows(got.Rows()), sortedRows(want.Rows())) {
+		t.Errorf("after the panic: %v (cached %v, err %v), want %v", got.Rows(), ex.PlanCached, err, want.Rows())
 	}
 }

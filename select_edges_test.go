@@ -260,7 +260,7 @@ func TestSelectDictionaryKeyHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := res.res.Fields[0]; f.Dict == nil || f.Name != "fruit" {
+	if f := res.fields[0]; f.Dict == nil || f.Name != "fruit" {
 		t.Fatalf("header lost the dictionary: %+v", f)
 	}
 	out := res.String()

@@ -169,56 +169,63 @@ func (d *DB) AddForeignKey(child, fk, parent, pk string) error {
 	return d.db.AddFKIndex(child, fk, parent, pk)
 }
 
-// Result is a materialized query answer.
+// Result is a materialized query answer: a header and the values row-major
+// in one flat array, the layout the plans emit and /query encodes from.
 type Result struct {
-	res *volcano.Result
+	fields volcano.Fields
+	cols   []string // fields' names, shared by every copy of the header
+	flat   []int64  // row i is flat[i*len(cols) : (i+1)*len(cols)]
 }
 
-// NewResult builds a Result from raw column names and rows. The
-// scatter-gather coordinator (internal/serve) materializes merged
-// cross-process answers with it; values are served as raw int64s
-// (dictionary codes and fixed-point values unrendered), exactly as
-// Rows exposes them.
-func NewResult(cols []string, rows [][]int64) *Result {
-	fields := make(volcano.Fields, len(cols))
-	for i, c := range cols {
-		fields[i] = volcano.Field{Name: c}
+// newResult builds a header over an empty answer.
+func newResult(fields volcano.Fields) Result {
+	cols := make([]string, len(fields))
+	for i, f := range fields {
+		cols[i] = f.Name
 	}
-	vr := make([]volcano.Row, len(rows))
-	for i, r := range rows {
-		vr[i] = r
+	return Result{fields: fields, cols: cols}
+}
+
+// resultOf flattens an interpreted answer.
+func resultOf(v *volcano.Result) *Result {
+	r := newResult(v.Fields)
+	r.flat = make([]int64, 0, len(v.Rows)*len(r.cols))
+	for _, row := range v.Rows {
+		r.flat = append(r.flat, row...)
 	}
-	return &Result{res: &volcano.Result{Fields: fields, Rows: vr}}
+	return &r
 }
 
 // Columns returns the output column names.
-func (r *Result) Columns() []string {
-	out := make([]string, len(r.res.Fields))
-	for i, f := range r.res.Fields {
-		out[i] = f.Name
-	}
-	return out
-}
+func (r *Result) Columns() []string { return append([]string{}, r.cols...) }
 
 // Rows returns the raw int64 rows (dictionary codes, day numbers, and
-// fixed-point values unrendered).
+// fixed-point values unrendered) as headers into the result's flat array.
 func (r *Result) Rows() [][]int64 {
-	out := make([][]int64, len(r.res.Rows))
-	for i, row := range r.res.Rows {
-		out[i] = row
+	w := len(r.cols)
+	out := make([][]int64, r.NumRows())
+	for i := range out {
+		out[i] = r.flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out
 }
 
 // NumRows returns the row count.
-func (r *Result) NumRows() int { return len(r.res.Rows) }
+func (r *Result) NumRows() int {
+	if len(r.cols) == 0 {
+		return 0
+	}
+	return len(r.flat) / len(r.cols)
+}
 
 // String renders the result as a table, decoding strings, dates and
 // decimals.
-func (r *Result) String() string { return r.res.Format(0) }
+func (r *Result) String() string { return r.StringLimit(0) }
 
 // StringLimit renders at most n rows.
-func (r *Result) StringLimit(n int) string { return r.res.Format(n) }
+func (r *Result) StringLimit(n int) string {
+	return (&volcano.Result{Fields: r.fields, Rows: r.Rows()}).Format(n)
+}
 
 // Query parses and executes a SQL statement on the interpreted reference
 // engine (predicate pushdown, tuple at a time). Use QuerySwole for the
@@ -232,7 +239,7 @@ func (d *DB) Query(q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{res: res}, nil
+	return resultOf(res), nil
 }
 
 // ExplainPlan returns the logical plan of a SQL statement.
