@@ -26,8 +26,8 @@ const disjRows = 1 << 20
 // and the three-term disjunction over them.
 type disjFixture struct {
 	tab     *storage.Table
-	orTree  expr.Expr // bound columnar (EvalBool)
-	rowTree expr.Expr // bound row-wise (EvalRow)
+	orTree  expr.Expr // bound to the columns (the tile walker)
+	rowTree expr.Expr // bound to row positions (the scalar walker)
 	want    int       // matching rows, for cross-checking the variants
 }
 
@@ -35,16 +35,11 @@ type disjFixture struct {
 // row buffer the naive loop carries.
 type disjRowSchema struct{}
 
-func (disjRowSchema) Resolve(name string) (int, *storage.Dict, bool) {
-	switch name {
-	case "a":
-		return 0, nil, true
-	case "b":
-		return 1, nil, true
-	case "c":
-		return 2, nil, true
+func (disjRowSchema) Leaf(name string) (expr.Leaf, error) {
+	if len(name) == 1 && name[0] >= 'a' && name[0] <= 'c' {
+		return expr.Leaf{Slot: int(name[0] - 'a')}, nil
 	}
-	return 0, nil, false
+	return expr.Leaf{}, expr.NoColumn(name)
 }
 
 func newDisjFixture(tb testing.TB) *disjFixture {
@@ -67,11 +62,11 @@ func newDisjFixture(tb testing.TB) *disjFixture {
 		}}
 	}
 	f.orTree = tree()
-	if err := expr.Bind(f.orTree, f.tab); err != nil {
+	if err := expr.Bind(f.orTree, expr.Columns(f.tab)); err != nil {
 		tb.Fatal(err)
 	}
 	f.rowTree = tree()
-	if err := expr.BindRow(f.rowTree, disjRowSchema{}); err != nil {
+	if err := expr.Bind(f.rowTree, disjRowSchema{}); err != nil {
 		tb.Fatal(err)
 	}
 	f.want = f.countRowNaive()
@@ -87,7 +82,7 @@ func (f *disjFixture) countRowNaive() int {
 	count := 0
 	for i := 0; i < disjRows; i++ {
 		row[0], row[1], row[2] = a.Get(i), b.Get(i), c.Get(i)
-		if expr.EvalRow(f.rowTree, row) != 0 {
+		if expr.Eval(f.rowTree, 0, row) != 0 {
 			count++
 		}
 	}
@@ -103,7 +98,7 @@ func (f *disjFixture) countFused(ev *expr.Evaluator, cmp []byte) int {
 		if n > vec.TileSize {
 			n = vec.TileSize
 		}
-		ev.EvalBool(f.orTree, base, n, cmp[:n])
+		ev.EvalBool(f.orTree, expr.Rows(base, n), cmp[:n])
 		count += vec.CountOnes(cmp[:n])
 	}
 	return count
@@ -124,7 +119,7 @@ func (f *disjFixture) countBitmapOR(ev *expr.Evaluator, bm *bitmap.Bitmap, cmp [
 			if ti > 0 && bm.RangeAllSet(base, n) {
 				continue
 			}
-			ev.EvalBool(term, base, n, cmp[:n])
+			ev.EvalBool(term, expr.Rows(base, n), cmp[:n])
 			bm.OrFromCmp(base, cmp[:n])
 		}
 	}

@@ -265,7 +265,7 @@ func newWorkerState() workerState {
 // fillCmp evaluates the (possibly nil) filter for one tile into s.Cmp.
 func (s *workerState) fillCmp(filter expr.Expr, base, length int) {
 	if filter != nil {
-		s.ev.EvalBool(filter, base, length, s.Cmp)
+		s.ev.EvalBool(filter, expr.Rows(base, length), s.Cmp)
 	} else {
 		vec.Fill(s.Cmp[:length], 1)
 	}

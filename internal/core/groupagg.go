@@ -76,9 +76,9 @@ func newGroupPlan() *PreparedGroupAgg {
 	p.kTuple = func(w, base, length int) {
 		tab := p.tabs[w]
 		for i := base; i < base+length; i++ {
-			if p.filter == nil || expr.Eval(p.filter, i) != 0 {
-				slot := tab.Lookup(expr.Eval(p.key, i))
-				tab.Add(slot, 0, expr.Eval(p.agg, i))
+			if p.filter == nil || expr.Eval(p.filter, i, nil) != 0 {
+				slot := tab.Lookup(expr.Eval(p.key, i, nil))
+				tab.Add(slot, 0, expr.Eval(p.agg, i, nil))
 			}
 		}
 	}
@@ -92,8 +92,8 @@ func newGroupPlan() *PreparedGroupAgg {
 			if !p.gatherSelected(s, b, n, d) {
 				// Evaluate the whole tile and compact by the selection in place
 				// (Idx ascends: no lane is read after it is written).
-				s.ev.EvalInt(p.key, b, tl, s.Keys)
-				s.ev.EvalInt(p.agg, b, tl, s.Vals)
+				s.ev.EvalInt(p.key, expr.Rows(b, tl), s.Keys)
+				s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 				for j, i := range s.Idx[:n] {
 					s.Keys[j], s.Vals[j] = s.Keys[i], s.Vals[i]
 				}
@@ -113,8 +113,8 @@ func newGroupPlan() *PreparedGroupAgg {
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
 			s.fillCmp(p.filter, b, tl)
-			s.ev.EvalInt(p.key, b, tl, s.Keys)
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
+			s.ev.EvalInt(p.key, expr.Rows(b, tl), s.Keys)
+			s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 			tab.AddPairsMasked(s.Keys[:tl], s.Vals[:tl], s.Cmp[:tl])
 			s.ctr.MaskedAgg++
 		})
@@ -125,7 +125,7 @@ func newGroupPlan() *PreparedGroupAgg {
 			b := base + tb
 			s.fillCmp(p.filter, b, tl)
 			p.maskKeys(s, b, tl)
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
+			s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 			tab.AddPairs(s.Keys[:tl], s.Vals[:tl])
 		})
 	}
@@ -151,15 +151,15 @@ func newGroupPlan() *PreparedGroupAgg {
 				// The few rejects fold into the throwaway entry, cheaper than
 				// indirecting every lane through the selection vector.
 				p.maskKeys(s, b, tl)
-				s.ev.EvalInt(p.agg, b, tl, s.Vals)
+				s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 				n = tl
 			case p.gatherSelected(s, b, n, dc): // the pairs sit in lanes [0, n)
 			default:
 				// Rejected pairs never reach the scatter, so phase 1 writes and
 				// phase 2 folds only the selected (1-selectivity savings on both
 				// passes). The selected keys need no mask: they passed the filter.
-				s.ev.EvalInt(p.key, b, tl, s.Keys)
-				s.ev.EvalInt(p.agg, b, tl, s.Vals)
+				s.ev.EvalInt(p.key, expr.Rows(b, tl), s.Keys)
+				s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 				for _, i := range s.Idx[:n] {
 					pr.Append(s.Keys[i], s.Vals[i])
 				}
@@ -239,7 +239,7 @@ func (p *PreparedGroupAgg) maskKeys(s *workerState, b, tl int) {
 			s.ctr.DictKeys++
 		}
 	} else {
-		s.ev.EvalInt(p.key, b, tl, s.Keys)
+		s.ev.EvalInt(p.key, expr.Rows(b, tl), s.Keys)
 		vec.MaskKeysU(s.Keys[:tl], s.Cmp[:tl], ht.NullKey, s.Keys)
 	}
 	s.ctr.KeyMask++
@@ -260,7 +260,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 		if x == nil {
 			continue
 		}
-		if err := expr.Bind(x, t); err != nil {
+		if err := expr.Bind(x, expr.Columns(t)); err != nil {
 			return nil, err
 		}
 	}

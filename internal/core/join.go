@@ -80,7 +80,7 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 		s, tab := &p.states[w], p.tabs[w]
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
+			s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 			p.fkCol.WidenInto(b, tl, s.Keys)
 			s.ctr.Widen[int(p.fkCol.Kind)]++
 			s.ctr.PrefetchProbe += uint64(tab.FoldPairs(s.Keys[:tl], s.Vals[:tl]))
@@ -107,7 +107,7 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 		var sink uint64
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
+			s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 			p.fkCol.WidenInto(b, tl, s.Keys)
 			s.ctr.Widen[int(p.fkCol.Kind)]++
 			for j := 0; j < tl; j++ {
@@ -138,7 +138,7 @@ func newGJoinPlan() *PreparedGroupJoinAgg {
 		var sink uint64
 		vec.Tiles(length, func(tb, tl int) {
 			b := base + tb
-			s.ev.EvalInt(p.agg, b, tl, s.Vals)
+			s.ev.EvalInt(p.agg, expr.Rows(b, tl), s.Vals)
 			p.fkCol.WidenInto(b, tl, s.Keys)
 			s.ctr.Widen[int(p.fkCol.Kind)]++
 			for j := 0; j < tl; j++ {
@@ -192,11 +192,11 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 		return nil, errNoColumn(q.Build, q.PK)
 	}
 	if q.BuildFilter != nil {
-		if err := expr.Bind(q.BuildFilter, build); err != nil {
+		if err := expr.Bind(q.BuildFilter, expr.Columns(build)); err != nil {
 			return nil, err
 		}
 	}
-	if err := expr.Bind(q.Agg, probe); err != nil {
+	if err := expr.Bind(q.Agg, expr.Columns(probe)); err != nil {
 		return nil, err
 	}
 	e.execMu.Lock()

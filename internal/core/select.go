@@ -148,17 +148,16 @@ type OutField struct {
 	Log  storage.Logical
 }
 
-// fieldSchema implements expr.SchemaSource over OutFields.
+// fieldSchema is the expr.Source of the aggregate output row: HAVING and the
+// projection read OutFields by position.
 type fieldSchema []OutField
 
-// Resolve implements expr.SchemaSource.
-func (f fieldSchema) Resolve(name string) (int, *storage.Dict, bool) {
-	for i, fd := range f {
-		if fd.Name == name {
-			return i, fd.Dict, true
-		}
+// Leaf implements expr.Source.
+func (f fieldSchema) Leaf(name string) (expr.Leaf, error) {
+	if i := f.index(name); i >= 0 {
+		return expr.Leaf{Slot: i, Dict: f[i].Dict}, nil
 	}
-	return 0, nil, false
+	return expr.Leaf{}, expr.NoColumn(name)
 }
 
 func (f fieldSchema) index(name string) int {
@@ -196,30 +195,37 @@ type tileCol struct {
 	col  *storage.Column
 }
 
-// tileSchema binds row expressions to tile-vector slots.
-type tileSchema []tileCol
-
-// Resolve implements expr.SchemaSource.
-func (t tileSchema) Resolve(name string) (int, *storage.Dict, bool) {
-	for i := range t {
-		if t[i].name == name {
-			return i, t[i].col.Dict, true
+// slot is the tile vector holding the named column, or -1.
+func slot(cols []tileCol, name string) int {
+	for i := range cols {
+		if cols[i].name == name {
+			return i
 		}
 	}
-	return 0, nil, false
+	return -1
+}
+
+// stageSource is the expr.Source of the row stage: a column reads its tile
+// vector if the compile gave it one, else the root table's column — which the
+// compile allows only where the lanes are the tile's rows (masking). One
+// word, so binding through it allocates nothing.
+type stageSource struct{ p *PreparedSelect }
+
+// Leaf implements expr.Source.
+func (s stageSource) Leaf(name string) (expr.Leaf, error) {
+	if i := slot(s.p.cols, name); i >= 0 {
+		return expr.Leaf{Slot: i, Dict: s.p.cols[i].col.Dict}, nil
+	}
+	return expr.Columns(s.p.root).Leaf(name)
 }
 
 // rowExpr is an expression of the row stage (the residual or an aggregate
-// argument) with how it evaluates over a tile.
+// argument), bound through stageSource, with where a bare column's values
+// already sit.
 type rowExpr struct {
-	e expr.Expr
-	// root: e reads root columns only, cannot fault on a masked lane, and the
-	// lanes are the tile's rows, so it evaluates through Evaluator.EvalInt /
-	// EvalBool on (base, n) with the native-width kernels. Otherwise e is
-	// bound to tile-vector slots and evaluates through EvalRowInt/EvalRowBool.
-	root bool
-	slot int             // the tile vector holding e when e is a bare column, else -1
-	col  *storage.Column // the storage column when root and e is a bare column
+	e    expr.Expr
+	slot int             // the tile vector holding e when e is a bare column with one, else -1
+	col  *storage.Column // the storage column when e is a bare column without one
 	// merged: e is an aggregate argument structurally equal to the one folded
 	// just before it, which left the operand vector both fold from (access
 	// merging, Section III-C).
@@ -271,7 +277,7 @@ type PreparedSelect struct {
 	groupEmit // the emission's (order key, slot) pairs and their sorter
 
 	spec  Select
-	rows  int
+	root  *storage.Table // immutable once registered: its row count is the scan's
 	edges []boundEdge
 	// filtered: edges [0, filtered) end at the last one with a positional
 	// bitmap; 0 when none has one.
@@ -359,7 +365,7 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			}
 		}
 	}
-	p.scan(ctx, p.rows, p.kMain)
+	p.scan(ctx, p.root.Rows(), p.kMain)
 	p.ex.ScanTime = time.Since(start)
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -444,11 +450,11 @@ func (p *PreparedSelect) emitRow(cnt int64) {
 		}
 		p.outRow[nk+i] = a.final(v, cnt)
 	}
-	if p.spec.Having != nil && expr.EvalRow(p.spec.Having, p.outRow) == 0 {
+	if p.spec.Having != nil && expr.Eval(p.spec.Having, 0, p.outRow) == 0 {
 		return
 	}
 	for i := range p.spec.Project {
-		p.res.Flat = append(p.res.Flat, expr.EvalRow(p.spec.Project[i].Expr, p.outRow))
+		p.res.Flat = append(p.res.Flat, expr.Eval(p.spec.Project[i].Expr, 0, p.outRow))
 	}
 }
 
@@ -459,7 +465,7 @@ func (p *PreparedSelect) edgeKernel(w, base, length int) {
 	s, be := &p.states[w], p.curEdge
 	for tb := 0; tb < length; tb += vec.TileSize {
 		b, n := base+tb, min(vec.TileSize, length-tb)
-		s.ev.EvalBool(be.filter, b, n, s.Cmp)
+		s.ev.EvalBool(be.filter, expr.Rows(b, n), s.Cmp)
 		be.bm.SetFromCmp(b, s.Cmp[:n])
 	}
 }
@@ -478,12 +484,12 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 func (p *PreparedSelect) tupleKernel(w, base, length int) {
 	part, a := p.part[w*p.stride:], &p.aggs[0]
 	for i := base; i < base+length; i++ {
-		if p.spec.Filter != nil && expr.Eval(p.spec.Filter, i) == 0 {
+		if p.spec.Filter != nil && expr.Eval(p.spec.Filter, i, nil) == 0 {
 			continue
 		}
 		part[0]++
 		if a.lane >= 0 {
-			part[1] += expr.Eval(a.arg.e, i)
+			part[1] += expr.Eval(a.arg.e, i, nil)
 		}
 	}
 }
@@ -493,7 +499,7 @@ func (p *PreparedSelect) tupleKernel(w, base, length int) {
 func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base, n int) {
 	cmp := s.Cmp[:n]
 	if p.spec.Filter != nil {
-		s.ev.EvalBool(p.spec.Filter, base, n, cmp)
+		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), cmp)
 	} else {
 		vec.Fill(cmp, 1)
 	}
@@ -515,11 +521,7 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base
 			}
 		}
 		if x := &p.residual; x.e != nil {
-			if x.root {
-				s.ev.EvalBool(x.e, base, n, t.tcmp)
-			} else {
-				s.ev.EvalRowBool(x.e, t.vecs, n, t.tcmp)
-			}
+			s.ev.EvalBool(x.e, expr.Tile{Base: base, N: n, Vecs: t.vecs}, t.tcmp)
 			vec.And(cmp, t.tcmp[:n])
 		}
 	}
@@ -622,7 +624,7 @@ func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) in
 		tc.col.GatherInto(gpos, t.vecs[c])
 	}
 	if x := &p.residual; x.e != nil {
-		s.ev.EvalRowBool(x.e, t.vecs, k, t.tcmp)
+		s.ev.EvalBool(x.e, expr.Tile{N: k, Vecs: t.vecs}, t.tcmp)
 		k2, _ := vec.SelFromCmpAdaptive(t.tcmp[:k], s.Idx)
 		if k2 < k {
 			keep := s.Idx[:k2]
@@ -645,11 +647,8 @@ func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, bas
 	switch {
 	case x.slot >= 0:
 		return t.vecs[x.slot][:m]
-	case x.merged:
-	case x.root:
-		s.ev.EvalInt(x.e, base, m, buf)
-	default:
-		s.ev.EvalRowInt(x.e, t.vecs, m, buf)
+	case !x.merged:
+		s.ev.EvalInt(x.e, expr.Tile{Base: base, N: m, Vecs: t.vecs}, buf)
 	}
 	return buf[:m]
 }

@@ -50,22 +50,6 @@ func shared(a, b expr.Expr) (out []string) {
 	return out
 }
 
-// mayFault reports whether evaluating e on a lane the predicate rejected
-// could panic in the columnar evaluator: a division whose divisor is not a
-// nonzero literal. Such expressions take the tile-vector evaluator, whose
-// division is total.
-func mayFault(e expr.Expr) bool {
-	bad := false
-	expr.Walk(e, func(n expr.Expr) {
-		if a, ok := n.(*expr.Arith); ok && a.Op == expr.Div {
-			if c, isConst := a.R.(*expr.Const); !isConst || c.Val == 0 {
-				bad = true
-			}
-		}
-	})
-	return bad
-}
-
 // PrepareSelect compiles a synthesized single-block SELECT into a reusable
 // plan: it resolves tables and foreign-key indexes, binds every expression
 // tree, samples selectivities and group counts (through the statistics
@@ -75,10 +59,11 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 }
 
 // staged is a row-stage expression on its way to being bound, with the
-// joined-schema columns it reads.
+// joined-schema columns it reads and whether all of them are the root's.
 type staged struct {
 	x    *rowExpr
 	cols []tileCol
+	root bool
 }
 
 // selectCompile carries one statement through the compile's steps.
@@ -86,7 +71,6 @@ type selectCompile struct {
 	e      *Engine
 	q      Select
 	p      *PreparedSelect
-	root   *storage.Table
 	params cost.Params
 
 	sel     float64 // estimated selectivity of the root and edge filters together
@@ -123,7 +107,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	// tile scratch; both belong to the execution lock.
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	p := &PreparedSelect{spec: q, rows: root.Rows()}
+	p := &PreparedSelect{spec: q, root: root}
 	p.e, p.nw, p.seq = e, 1, true
 	if tech == techAuto && len(q.GroupBy) == 0 {
 		// Scalar lanes merge exactly, so the statement takes the gang.
@@ -133,7 +117,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	// this plan replays the prepare-time decision; the plan cache's first
 	// execution resets it to false.
 	p.ex = Explain{Workers: p.nw, PlanCached: true, Costs: map[string]float64{}}
-	c := &selectCompile{e: e, q: q, p: p, root: root, params: e.Params.ForWorkers(p.nw), sel: 1, groups: 1}
+	c := &selectCompile{e: e, q: q, p: p, params: e.Params.ForWorkers(p.nw), sel: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
@@ -200,7 +184,7 @@ func (c *selectCompile) bindEdges() error {
 		}
 		be := boundEdge{src: ed.Src, idx: idx, parent: parent, filter: ed.Filter}
 		if be.filter != nil {
-			if err := expr.Bind(be.filter, parent); err != nil {
+			if err := expr.Bind(be.filter, expr.Columns(parent)); err != nil {
 				return err
 			}
 			be.bm, be.used, p.filtered = bitmap.New(parent.Rows()), true, i+1
@@ -219,10 +203,10 @@ func (c *selectCompile) bindFilter() error {
 	if c.q.Filter == nil {
 		return nil
 	}
-	if err := expr.Bind(c.q.Filter, c.root); err != nil {
+	if err := expr.Bind(c.q.Filter, expr.Columns(c.p.root)); err != nil {
 		return err
 	}
-	c.selectivity(c.root, c.q.Filter)
+	c.selectivity(c.p.root, c.q.Filter)
 	return nil
 }
 
@@ -230,8 +214,8 @@ func (c *selectCompile) bindFilter() error {
 // columns first, then each edge's parent in order (column names are
 // query-unique).
 func (c *selectCompile) locate(name string) (tileCol, *storage.Table, error) {
-	if col := c.root.Column(name); col != nil {
-		return tileCol{name: name, src: -1, col: col}, c.root, nil
+	if col := c.p.root.Column(name); col != nil {
+		return tileCol{name: name, src: -1, col: col}, c.p.root, nil
 	}
 	for i := range c.p.edges {
 		parent := c.p.edges[i].parent
@@ -266,7 +250,7 @@ func (c *selectCompile) planKeys() error {
 			lo[i], hi[i] = c.e.colRange(table.Name, tc.col)
 		}
 		key := expr.NewCol(g)
-		if err := expr.Bind(key, table); err != nil {
+		if err := expr.Bind(key, expr.Columns(table)); err != nil {
 			return err
 		}
 		groups, hit := c.e.groupCount(table, key)
@@ -275,7 +259,7 @@ func (c *selectCompile) planKeys() error {
 		p.outFields = append(p.outFields, OutField{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
 	}
 	p.keys, c.domain = planGroupKeys(lo, hi)
-	limit := float64(max(p.rows, 1))
+	limit := float64(max(p.root.Rows(), 1))
 	if c.domain > 0 {
 		limit = min(limit, float64(c.domain))
 	}
@@ -284,21 +268,21 @@ func (c *selectCompile) planKeys() error {
 }
 
 // stageExprs collects the row stage's expressions — the residual and the
-// aggregate arguments — with the columns each reads and whether it can run
-// columnar on the root table, assigns accumulator lanes, and prices the
-// stage: the expressions' operators plus one random access per lane for
-// every parent column read and every chained edge on the way to it.
+// aggregate arguments — with the columns each reads, assigns accumulator
+// lanes, and prices the stage: the expressions' operators plus one random
+// access per lane for every parent column read and every chained edge on the
+// way to it.
 func (c *selectCompile) stageExprs() error {
 	p, q := c.p, c.q
 	stage := func(x *rowExpr, e expr.Expr) error {
-		*x = rowExpr{e: e, root: !mayFault(e), slot: -1}
-		st := staged{x: x}
+		*x = rowExpr{e: e, slot: -1}
+		st := staged{x: x, root: true}
 		for _, name := range expr.Cols(e) {
 			tc, _, err := c.locate(name)
 			if err != nil {
 				return err
 			}
-			x.root = x.root && tc.src < 0
+			st.root = st.root && tc.src < 0
 			st.cols = append(st.cols, tc)
 		}
 		c.stages = append(c.stages, st)
@@ -352,7 +336,7 @@ func (c *selectCompile) stageExprs() error {
 // aggregate count and the table estimate, records every alternative's cost,
 // and fixes the technique: the cheapest, or the caller's.
 func (c *selectCompile) chooseTechnique(tech Technique) {
-	p, params, rows := c.p, c.params, c.p.rows
+	p, params, rows := c.p, c.params, c.p.root.Rows()
 	htBytes, auto := 0, tech == techAuto
 	var strat cost.AggStrategy
 	if len(c.q.GroupBy) == 0 {
@@ -407,14 +391,15 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 
 // bindRowStage decides which columns become tile vectors, binds every
 // row-stage expression, and allocates the aggregation state. Under hybrid
-// the lanes are the selected rows, so every expression reads tile vectors;
-// under masking the lanes are the tile's rows and root-only expressions
-// stay columnar. The data-centric loop evaluates the root-bound trees a row
-// at a time, on rows that passed the filter.
+// the lanes are the selected rows, so every column read gets a vector;
+// under masking the lanes are the tile's rows and an expression over root
+// columns alone reads them in place, at native width. The data-centric loop
+// evaluates the root-bound trees a row at a time, on rows that passed the
+// filter.
 func (c *selectCompile) bindRowStage() error {
 	p := c.p
 	need := func(tc tileCol) {
-		if _, _, ok := tileSchema(p.cols).Resolve(tc.name); !ok {
+		if slot(p.cols, tc.name) < 0 {
 			p.cols = append(p.cols, tc)
 		}
 	}
@@ -422,10 +407,7 @@ func (c *selectCompile) bindRowStage() error {
 		need(tc)
 	}
 	for _, st := range c.stages {
-		if st.x.root = st.x.root && p.tech != TechHybrid || p.tech == TechDataCentric; st.x.root {
-			if err := expr.Bind(st.x.e, c.root); err != nil {
-				return err
-			}
+		if st.root && p.tech != TechHybrid {
 			continue
 		}
 		for _, tc := range st.cols {
@@ -435,47 +417,35 @@ func (c *selectCompile) bindRowStage() error {
 	// Vectors are grouped by source, so a compacting gather builds one
 	// position vector per source.
 	slices.SortStableFunc(p.cols, func(a, b tileCol) int { return a.src - b.src })
-	slot := func(name string) int {
-		i, _, _ := tileSchema(p.cols).Resolve(name)
-		return i
-	}
 	for _, tc := range c.keyCols {
-		p.keys.cols = append(p.keys.cols, slot(tc.name))
+		p.keys.cols = append(p.keys.cols, slot(p.cols, tc.name))
+	}
+	// bare records where a bare column's values already sit.
+	bare := func(x *rowExpr) {
+		if col, ok := x.e.(*expr.Col); ok {
+			x.slot, x.col = slot(p.cols, col.Name), col.Column()
+		}
 	}
 	for _, st := range c.stages {
-		x := st.x
-		col, isCol := x.e.(*expr.Col)
-		switch {
-		case x.root && isCol:
-			x.col = col.Column()
-		case x.root:
-		default:
-			if err := expr.BindRow(x.e, tileSchema(p.cols)); err != nil {
-				return err
-			}
-			if isCol {
-				x.slot = slot(col.Name)
-			}
+		if err := expr.Bind(st.x.e, stageSource{p}); err != nil {
+			return err
 		}
+		bare(st.x)
 	}
 	// A scalar sum over a product of two bare columns folds fused: split it
-	// into its factors, bound the way the product is.
-	factor := func(col *expr.Col, root bool) rowExpr {
-		if root {
-			return rowExpr{e: col, root: true, slot: -1, col: col.Column()}
-		}
-		return rowExpr{e: col, slot: slot(col.Name)}
-	}
+	// into its factors, bound with the product.
 	for i := range p.aggs {
 		a := &p.aggs[i]
 		m, ok := a.arg.e.(*expr.Arith)
 		if !ok || m.Op != expr.Mul || len(c.q.GroupBy) > 0 || a.kind == AggMin || a.kind == AggMax {
 			continue
 		}
-		l, lok := m.L.(*expr.Col)
-		r, rok := m.R.(*expr.Col)
+		_, lok := m.L.(*expr.Col)
+		_, rok := m.R.(*expr.Col)
 		if lok && rok {
-			a.mul = []rowExpr{factor(l, a.arg.root), factor(r, a.arg.root)}
+			a.mul = []rowExpr{{e: m.L}, {e: m.R}}
+			bare(&a.mul[0])
+			bare(&a.mul[1])
 		}
 	}
 	c.mergeOperands()
@@ -559,12 +529,12 @@ func (c *selectCompile) mergeOperands() {
 func (c *selectCompile) bindOutput() error {
 	p, q := c.p, c.q
 	if q.Having != nil {
-		if err := expr.BindRow(q.Having, p.outFields); err != nil {
+		if err := expr.Bind(q.Having, p.outFields); err != nil {
 			return err
 		}
 	}
 	for i := range q.Project {
-		if err := expr.BindRow(q.Project[i].Expr, p.outFields); err != nil {
+		if err := expr.Bind(q.Project[i].Expr, p.outFields); err != nil {
 			return err
 		}
 		f := OutField{Name: q.Project[i].As, Log: storage.LogInt}

@@ -14,9 +14,8 @@ import (
 // max(1, rows/statsMaxSample) — so the engine keeps, per table, a strided
 // copy of each column some expression has read (tableSample), and a miss
 // binds the cache entry's clone of the expression to those copies and counts
-// hits a tile at a time with the columnar evaluator and the vec kernels, the
-// way the query itself will run. The row-at-a-time sampler survives only for
-// expressions the columnar evaluator may not touch (mayFault).
+// hits a tile at a time with the tile walker and the vec kernels, the way the
+// query itself will run.
 //
 // Columns are immutable once a table is registered (see storage.Database),
 // so a sampled statistic stays exact until the table name is re-bound. The
@@ -67,8 +66,8 @@ type statsEntry struct {
 // back to full re-sampling on the next append.
 const mergeableKeyCap = 4096
 
-// statsMaxSample is the sampling budget of every sampling site: planning,
-// the append-time delta merge and the row-at-a-time fallback.
+// statsMaxSample is the sampling budget of every sampling site: planning and
+// the append-time delta merge.
 const statsMaxSample = 16384
 
 // sampleStep is the distance between sampled rows of a rows-row table.
@@ -168,7 +167,7 @@ func (ts *tableSample) rows() int { return (ts.src.Rows() + ts.step - 1) / ts.st
 // bind binds x to the sampled columns, drawing the ones no expression has
 // read before.
 func (ts *tableSample) bind(x expr.Expr) error {
-	if expr.Bind(x, ts.view) == nil {
+	if expr.Bind(x, expr.Columns(ts.view)) == nil {
 		return nil
 	}
 	cols := ts.view.Columns[:len(ts.view.Columns):len(ts.view.Columns)]
@@ -187,7 +186,7 @@ func (ts *tableSample) bind(x expr.Expr) error {
 		return err
 	}
 	ts.view = view
-	return expr.Bind(x, view)
+	return expr.Bind(x, expr.Columns(view))
 }
 
 // strided copies every step-th value of c, from row 0, into a column of the
@@ -257,15 +256,6 @@ func (s *sampler) selectivity(ts *tableSample, x expr.Expr) (sel float64, n int,
 	if n == 0 {
 		return 0, 0, nil
 	}
-	if mayFault(x) {
-		// The columnar evaluator computes every lane of every operand, so a
-		// division a short-circuit may be protecting stays with the
-		// interpreter, on the table's own rows.
-		if err := expr.Bind(x, ts.src); err != nil {
-			return 0, 0, err
-		}
-		return sampleSelectivity(x, ts.src.Rows()), n, nil
-	}
 	if err := ts.bind(x); err != nil {
 		return 0, 0, err
 	}
@@ -273,7 +263,7 @@ func (s *sampler) selectivity(ts *tableSample, x expr.Expr) (sel float64, n int,
 	hits := 0
 	for base := 0; base < n; base += vec.TileSize {
 		tl := min(vec.TileSize, n-base)
-		s.ev.EvalBool(x, base, tl, s.mask)
+		s.ev.EvalBool(x, expr.Rows(base, tl), s.mask)
 		hits += vec.CountMask(s.mask[:tl])
 	}
 	return float64(hits) / float64(n), n, nil
@@ -284,45 +274,18 @@ func (s *sampler) selectivity(ts *tableSample, x expr.Expr) (sel float64, n int,
 // sampled.
 func (s *sampler) groupKeys(ts *tableSample, x expr.Expr, seen map[int64]struct{}) (int, error) {
 	n := ts.rows()
-	if mayFault(x) {
-		if err := expr.Bind(x, ts.src); err != nil {
-			return 0, err
-		}
-		for i := 0; i < ts.src.Rows(); i += ts.step {
-			seen[expr.Eval(x, i)] = struct{}{}
-		}
-		return n, nil
-	}
 	if err := ts.bind(x); err != nil {
 		return 0, err
 	}
 	s.scratch()
 	for base := 0; base < n; base += vec.TileSize {
 		tl := min(vec.TileSize, n-base)
-		s.ev.EvalInt(x, base, tl, s.vals)
+		s.ev.EvalInt(x, expr.Rows(base, tl), s.vals)
 		for _, k := range s.vals[:tl] {
 			seen[k] = struct{}{}
 		}
 	}
 	return n, nil
-}
-
-// sampleSelectivity is the row-at-a-time sampler: the bound predicate's
-// selectivity over rows 0, step, 2·step, …, through the interpreter, which
-// short-circuits where the columnar evaluator cannot. It serves filters that
-// may fault, and is what the vectorized sampler is tested against.
-func sampleSelectivity(filter expr.Expr, rows int) float64 {
-	if rows == 0 {
-		return 0
-	}
-	n, hits := 0, 0
-	for i, step := 0, sampleStep(rows); i < rows; i += step {
-		n++
-		if expr.Eval(filter, i) != 0 {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
 }
 
 // estimateGroups turns a distinct-sample (d distinct keys in n sampled of

@@ -62,7 +62,7 @@ func BenchmarkSelectivityMiss(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/leaves=%d", rows, leaves), func(b *testing.B) {
 				e := NewEngine(db)
 				filter, renew := neverSeen(leaves)
-				if err := expr.Bind(filter, r); err != nil {
+				if err := expr.Bind(filter, expr.Columns(r)); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()

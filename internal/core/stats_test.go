@@ -37,7 +37,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	oldRows := r.Rows()
 
 	filter := lt("r_x", 50)
-	if err := expr.Bind(filter, r); err != nil {
+	if err := expr.Bind(filter, expr.Columns(r)); err != nil {
 		t.Fatal(err)
 	}
 	sel0, cached := e.selectivity(r, filter)
@@ -45,7 +45,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 		t.Fatal("first sample reported cached")
 	}
 	key := expr.NewCol("r_c")
-	if err := expr.Bind(key, r); err != nil {
+	if err := expr.Bind(key, expr.Columns(r)); err != nil {
 		t.Fatal(err)
 	}
 	g0, _ := e.groupCount(r, key)
@@ -55,7 +55,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	// An entry on another table must survive the merge untouched.
 	s := db.MustTable("s")
 	sFilter := lt("s_x", 10)
-	if err := expr.Bind(sFilter, s); err != nil {
+	if err := expr.Bind(sFilter, expr.Columns(s)); err != nil {
 		t.Fatal(err)
 	}
 	e.selectivity(s, sFilter)
@@ -101,7 +101,7 @@ func TestMergeStatsOnAppendStaleVersion(t *testing.T) {
 	e := NewEngine(db)
 	r := db.MustTable("r")
 	filter := lt("r_x", 50)
-	if err := expr.Bind(filter, r); err != nil {
+	if err := expr.Bind(filter, expr.Columns(r)); err != nil {
 		t.Fatal(err)
 	}
 	e.selectivity(r, filter)
@@ -191,6 +191,20 @@ func (g predGen) leaf() expr.Expr {
 	return &expr.Cmp{Op: expr.LT, L: sum, R: g.lit(c.lo+c2.lo, c.card+c2.card)}
 }
 
+// sampleSelectivity is the row-at-a-time reference the vectorized sampler is
+// pinned to: the bound predicate's selectivity over rows 0, step, 2·step, …
+// through the scalar walker.
+func sampleSelectivity(filter expr.Expr, rows int) float64 {
+	n, hits := 0, 0
+	for i := 0; i < rows; i += sampleStep(rows) {
+		n++
+		if expr.Eval(filter, i, nil) != 0 {
+			hits++
+		}
+	}
+	return float64(hits) / float64(max(n, 1))
+}
+
 // TestVectorSamplerMatchesRowSampler pins "no estimate moved": for every
 // filter the vectorized sampler's selectivity equals the row-at-a-time
 // sampler's bit for bit, at table lengths on both sides of every stride, and the group-count
@@ -219,6 +233,8 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 			cmp(expr.LE, col("i32"), col("i64")),
 			cmp(expr.GT, &expr.Arith{Op: expr.Mul, L: col("i8"), R: col("i16")}, &expr.Arith{Op: expr.Sub, L: col("i32"), R: num(50_000)}),
 			cmp(expr.LT, &expr.Arith{Op: expr.Div, L: col("i32"), R: num(7)}, num(5000)),
+			cmp(expr.GT, &expr.Arith{Op: expr.Div, L: col("i32"), R: col("i8")}, num(900)), // i8 holds zeros
+			&expr.In{X: col("i8"), List: []expr.Expr{col("i16"), &expr.Arith{Op: expr.Div, L: col("d"), R: num(100)}, num(7)}},
 			cmp(expr.EQ, &expr.Case{
 				Whens: []expr.CaseWhen{{Cond: cmp(expr.LT, col("i8"), num(30)), Then: num(1)}, {Cond: cmp(expr.LT, col("i8"), num(60)), Then: col("i16")}},
 				Else:  num(2),
@@ -251,7 +267,7 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 			filters = append(filters, p, expr.NNF(expr.Clone(p)))
 		}
 		for _, f := range filters {
-			if err := expr.Bind(f, tab); err != nil {
+			if err := expr.Bind(f, expr.Columns(tab)); err != nil {
 				t.Fatalf("rows=%d: %s: %v", rows, f, err)
 			}
 			got, _ := e.selectivity(tab, f)
@@ -260,12 +276,12 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 			}
 		}
 		for _, k := range keys() {
-			if err := expr.Bind(k, tab); err != nil {
+			if err := expr.Bind(k, expr.Columns(tab)); err != nil {
 				t.Fatal(err)
 			}
 			seen, n := map[int64]struct{}{}, 0
 			for i := 0; i < rows; i += sampleStep(rows) {
-				seen[expr.Eval(k, i)] = struct{}{}
+				seen[expr.Eval(k, i, nil)] = struct{}{}
 				n++
 			}
 			want := 1
@@ -282,37 +298,37 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 	}
 }
 
-// TestFaultingFilterSamplesRowAtATime: a division a short-circuit protects
-// must not reach the columnar evaluator, which computes every lane; the
-// filter is estimated by the interpreter on the table's own rows, draws no
-// sample, and merges on append the same way.
-func TestFaultingFilterSamplesRowAtATime(t *testing.T) {
+// TestDividingFilterSamplesVectorized: division is total, so a filter that
+// divides by a column — guarded by a short-circuit or not — is estimated like
+// any other, on the sampled columns a tile at a time, equals the row-at-a-time
+// reference bit for bit, and merges on append the same way.
+func TestDividingFilterSamplesVectorized(t *testing.T) {
 	db := samplerDB(3 * statsMaxSample)
 	tab := db.MustTable("t")
 	e := NewEngine(db)
-	guarded := func() expr.Expr {
-		return &expr.Logic{Op: expr.And, Args: []expr.Expr{
-			&expr.Cmp{Op: expr.NE, L: expr.NewCol("i8"), R: &expr.Const{Val: 0}},
-			&expr.Cmp{Op: expr.GT, L: &expr.Arith{Op: expr.Div, L: &expr.Const{Val: 100}, R: expr.NewCol("i8")}, R: &expr.Const{Val: 3}},
-		}}
+	quotient := func() expr.Expr {
+		return &expr.Cmp{Op: expr.GT, L: &expr.Arith{Op: expr.Div, L: &expr.Const{Val: 100}, R: expr.NewCol("i8")}, R: &expr.Const{Val: 3}}
 	}
-	f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{guarded(), lt("i16", -990)}}
-	if err := expr.Bind(f, tab); err != nil {
-		t.Fatal(err)
-	}
-	if !mayFault(f) {
-		t.Fatal("a division by a column does not count as faulting")
+	guarded := &expr.Logic{Op: expr.And, Args: []expr.Expr{&expr.Cmp{Op: expr.NE, L: expr.NewCol("i8"), R: &expr.Const{Val: 0}}, quotient()}}
+	f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{guarded, lt("i16", -990)}}
+	bare := &expr.Logic{Op: expr.Or, Args: []expr.Expr{quotient(), lt("i16", -990)}}
+	for _, x := range []expr.Expr{f, bare} {
+		if err := expr.Bind(x, expr.Columns(tab)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, hit := e.selectivity(tab, f)
 	if want := sampleSelectivity(f, tab.Rows()); hit || got != want || got <= 0 || got >= 1 {
 		t.Fatalf("selectivity %v (cached=%v), row-at-a-time %v", got, hit, want)
 	}
-	if n := e.SampledColumns("t"); n != 0 {
-		t.Errorf("the fallback drew %d column samples", n)
+	if unguarded, _ := e.selectivity(tab, bare); unguarded != got {
+		t.Errorf("the guard moved the estimate: %v without it, %v with", unguarded, got)
+	}
+	if n := e.SampledColumns("t"); n != 2 {
+		t.Errorf("%d column samples drawn, want i8 and i16", n)
 	}
 
-	// The append path keeps such an entry with the interpreter too: a delta
-	// of zero divisors would fault any columnar evaluation of the division.
+	// The append path merges such an entry over a delta of zero divisors.
 	oldVer, oldRows := db.TableVersion("t"), tab.Rows()
 	cols := make([]*storage.Column, len(tab.Columns))
 	for i, c := range tab.Columns {
@@ -341,14 +357,14 @@ func TestNeverSeenFiltersKeepRangeAndGroups(t *testing.T) {
 	e := NewEngine(db)
 	r := db.MustTable("r")
 	key := expr.NewCol("r_c")
-	if err := expr.Bind(key, r); err != nil {
+	if err := expr.Bind(key, expr.Columns(r)); err != nil {
 		t.Fatal(err)
 	}
 	groups, _ := e.groupCount(r, key)
 	lo, hi := e.colRange("r", r.Column("r_c"))
 	for i := 0; i < 3000; i++ {
 		f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{lt("r_x", int64(i)), lt("r_a", int64(-i))}}
-		if err := expr.Bind(f, r); err != nil {
+		if err := expr.Bind(f, expr.Columns(r)); err != nil {
 			t.Fatal(err)
 		}
 		if _, hit := e.selectivity(r, f); hit {
@@ -379,7 +395,7 @@ func TestSelectivityMissAllocations(t *testing.T) {
 	e := NewEngine(db)
 	for _, leaves := range []int{1, 3, 6} {
 		filter, renew := neverSeen(leaves)
-		if err := expr.Bind(filter, r); err != nil {
+		if err := expr.Bind(filter, expr.Columns(r)); err != nil {
 			t.Fatal(err)
 		}
 		i := leaves * 1000

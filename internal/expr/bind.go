@@ -6,134 +6,107 @@ import (
 	"github.com/reprolab/swole/internal/storage"
 )
 
-// Bind resolves every column reference in e against t, resolves string
-// literals to dictionary codes, and precomputes LIKE lookup tables. It is
-// idempotent. Expressions spanning multiple tables are split by the planner
-// before binding; Bind rejects columns absent from t, and rejects string
-// literals that no comparison context resolved (e.g. a bare string used as
-// a boolean operand).
-func Bind(e Expr, t *storage.Table) error {
-	if err := bind(e, t); err != nil {
-		return err
-	}
-	return checkResolved(e)
+// Source resolves a column name to the leaf its values are read from. A
+// stored table (Columns), the Volcano engine's intermediate tuples and the
+// compiled plans' output rows and tile vectors are sources.
+type Source interface {
+	Leaf(name string) (Leaf, error)
 }
 
-// checkResolved rejects string literals left unbound after binding.
-func checkResolved(e Expr) error {
+type tableSource struct{ t *storage.Table }
+
+// Columns is the Source of a stored table: every name binds to its column.
+func Columns(t *storage.Table) Source { return tableSource{t} }
+
+func (s tableSource) Leaf(name string) (Leaf, error) {
+	col := s.t.Column(name)
+	if col == nil {
+		return Leaf{}, fmt.Errorf("expr: table %s has no column %s", s.t.Name, name)
+	}
+	return Leaf{Col: col, Dict: col.Dict}, nil
+}
+
+// NoColumn is the error of a positional Source — a row or a tile's vectors —
+// asked for a name it does not hold.
+func NoColumn(name string) error {
+	return fmt.Errorf("expr: no column %s in row schema", name)
+}
+
+// Bind resolves every column reference in e against src, resolves string
+// literals to dictionary codes, and precomputes LIKE lookup tables. It is
+// idempotent, and rebinding a tree to another source replaces the first
+// binding. Expressions spanning multiple tables are split by the planner
+// before binding; Bind rejects columns absent from src, and rejects string
+// literals that no comparison context resolved (e.g. a bare string used as
+// a boolean operand).
+func Bind(e Expr, src Source) error {
 	var err error
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	// Leaves first: the string contexts below read their column's dictionary.
 	Walk(e, func(n Expr) {
-		if sc, ok := n.(*StrConst); ok && !sc.bound && err == nil {
-			err = fmt.Errorf("expr: string literal %s is not compared against a string column", sc)
+		if c, ok := n.(*Col); ok && err == nil {
+			var leaf Leaf
+			if leaf, err = src.Leaf(c.Name); err == nil {
+				c.leaf, c.bound = leaf, true
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	// Walk is preorder, so a literal's comparison context resolves it before
+	// the walk reaches the literal itself; one still unresolved there has none.
+	Walk(e, func(n Expr) {
+		switch x := n.(type) {
+		case *StrConst:
+			if !x.bound {
+				fail(fmt.Errorf("expr: string literal %s is not compared against a string column", x))
+			}
+		case *Cmp:
+			// Dictionary codes are order-preserving, so any operator works on
+			// the literal's code.
+			if col, sc := asColStr(x.L, x.R); sc != nil {
+				if col.leaf.Dict == nil {
+					fail(fmt.Errorf("expr: string literal %s compared against non-string operand", sc))
+					return
+				}
+				resolveStrConst(sc, col.leaf.Dict)
+			}
+		case *In:
+			col, _ := x.X.(*Col)
+			for _, item := range x.List {
+				if sc, ok := item.(*StrConst); ok {
+					if col == nil || col.leaf.Dict == nil {
+						fail(fmt.Errorf("expr: string literal %s in IN over non-string operand", sc))
+						return
+					}
+					resolveStrConst(sc, col.leaf.Dict)
+				}
+			}
+		case *Like:
+			col, ok := x.X.(*Col)
+			if !ok || col.leaf.Dict == nil {
+				fail(fmt.Errorf("expr: LIKE requires a string column, got %s", x.X))
+				return
+			}
+			pat := x.Pattern
+			x.match = col.leaf.Dict.MatchPred(func(s string) bool { return MatchLike(s, pat) })
+			if x.Negate {
+				for i := range x.match {
+					x.match[i] ^= 1
+				}
+			}
 		}
 	})
 	return err
 }
 
-func bind(e Expr, t *storage.Table) error {
-	switch x := e.(type) {
-	case *Col:
-		col := t.Column(x.Name)
-		if col == nil {
-			return fmt.Errorf("expr: table %s has no column %s", t.Name, x.Name)
-		}
-		x.col = col
-		return nil
-	case *Const, *StrConst:
-		return nil
-	case *Arith:
-		if err := bind(x.L, t); err != nil {
-			return err
-		}
-		return bind(x.R, t)
-	case *Cmp:
-		if err := bind(x.L, t); err != nil {
-			return err
-		}
-		if err := bind(x.R, t); err != nil {
-			return err
-		}
-		return bindStrCmp(x)
-	case *Between:
-		for _, c := range []Expr{x.X, x.Lo, x.Hi} {
-			if err := bind(c, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *In:
-		if err := bind(x.X, t); err != nil {
-			return err
-		}
-		col, _ := x.X.(*Col)
-		for _, item := range x.List {
-			if err := bind(item, t); err != nil {
-				return err
-			}
-			if sc, ok := item.(*StrConst); ok {
-				if col == nil || col.col.Dict == nil {
-					return fmt.Errorf("expr: string literal %s in IN over non-string operand", sc)
-				}
-				resolveStrConst(sc, col.col.Dict)
-			}
-		}
-		return nil
-	case *Like:
-		if err := bind(x.X, t); err != nil {
-			return err
-		}
-		col, ok := x.X.(*Col)
-		if !ok || col.col.Dict == nil {
-			return fmt.Errorf("expr: LIKE requires a string column, got %s", x.X)
-		}
-		pat := x.Pattern
-		x.match = col.col.Dict.MatchPred(func(s string) bool { return MatchLike(s, pat) })
-		if x.Negate {
-			for i := range x.match {
-				x.match[i] ^= 1
-			}
-		}
-		return nil
-	case *Logic:
-		for _, a := range x.Args {
-			if err := bind(a, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Case:
-		for _, w := range x.Whens {
-			if err := bind(w.Cond, t); err != nil {
-				return err
-			}
-			if err := bind(w.Then, t); err != nil {
-				return err
-			}
-		}
-		if x.Else != nil {
-			return bind(x.Else, t)
-		}
-		return nil
-	}
-	return fmt.Errorf("expr: cannot bind %T", e)
-}
-
-// bindStrCmp resolves a comparison of a string column against a string
-// literal into a code comparison. Dictionary codes are order-preserving, so
-// any operator works when the literal is present; an absent literal is
-// resolved to a code that preserves EQ/NE semantics.
-func bindStrCmp(c *Cmp) error {
-	col, sc := asColStr(c.L, c.R)
-	if sc == nil {
-		return nil
-	}
-	if col == nil || col.col.Dict == nil {
-		return fmt.Errorf("expr: string literal %s compared against non-string operand", sc)
-	}
-	resolveStrConst(sc, col.col.Dict)
-	return nil
-}
-
+// asColStr matches a comparison of a bare column against a string literal,
+// on either side.
 func asColStr(a, b Expr) (*Col, *StrConst) {
 	if c, ok := a.(*Col); ok {
 		if s, ok := b.(*StrConst); ok {

@@ -2,7 +2,7 @@ package expr
 
 // Clone returns a deep copy of the expression tree carrying only the
 // public (unbound) query fields. Bind mutates nodes in place — a *Col
-// caches its resolved *storage.Column, a *StrConst its dictionary code —
+// caches its resolved leaf, a *StrConst its dictionary code —
 // so an expression tree compiled against one table view must never be
 // rebound against another while the first binding is still executing.
 // The shard layer therefore clones a statement's trees once per shard

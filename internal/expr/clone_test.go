@@ -43,9 +43,9 @@ func TestCloneDropsBoundState(t *testing.T) {
 	if c.bound {
 		t.Fatal("clone of a bound StrConst must be unbound")
 	}
-	col := &Col{Name: "a", rowIdx: 3, rowBound: true}
+	col := &Col{Name: "a", leaf: Leaf{Slot: 3}, bound: true}
 	cc := Clone(col).(*Col)
-	if cc.rowBound || cc.col != nil {
+	if cc.bound || cc.leaf != (Leaf{}) {
 		t.Fatal("clone of a bound Col must be unbound")
 	}
 }

@@ -1,8 +1,10 @@
 // Package expr provides the expression trees shared by the SQL frontend,
 // the logical planner, the interpreted Volcano engine, and the code
-// generator. Expressions evaluate over the column store in two modes:
-// scalar (tuple at a time, the data-centric and Volcano access path) and
-// tiled (vector at a time, the prepass access path).
+// generator. A tree is bound once (Bind) against whatever its columns are
+// read from and evaluated by one of two walkers that share no code: scalar
+// (Eval: tuple at a time, the data-centric and Volcano access path and the
+// reference) and tiled (Evaluator: vector at a time, the prepass access
+// path).
 //
 // The package also provides the analyses SWOLE's planner needs:
 // computation-cost introspection for the cost models (Section III-A cites
@@ -27,24 +29,43 @@ type Expr interface {
 	String() string
 }
 
-// Col references a column, optionally qualified. Bind resolves it.
+// Leaf is where a bound column's values come from, the one thing that
+// differs between the ways a tree is evaluated: the rows of a stored column,
+// or — when Col is nil — position Slot of a widened row (the scalar walker)
+// or of a tile's vectors (the tile walker). Dict is the column's dictionary
+// either way.
+type Leaf struct {
+	Col  *storage.Column
+	Slot int
+	Dict *storage.Dict
+}
+
+// Col references a column, optionally qualified. Bind resolves it to a Leaf.
 type Col struct {
 	Table string // optional qualifier
 	Name  string
 
-	// bound state (column-store binding via Bind)
-	col *storage.Column
-	// bound state (row binding via BindRow)
-	rowIdx   int
-	rowDict  *storage.Dict
-	rowBound bool
+	leaf  Leaf
+	bound bool
 }
 
 // NewCol returns an unbound column reference.
 func NewCol(name string) *Col { return &Col{Name: name} }
 
-// Column returns the bound storage column (nil before Bind).
-func (c *Col) Column() *storage.Column { return c.col }
+// Column returns the storage column the reference is bound to: nil before
+// Bind, and nil when it is bound to a slot.
+func (c *Col) Column() *storage.Column { return c.leaf.Col }
+
+// at returns the bound leaf. Evaluating an unbound column panics naming it,
+// which flags a planner bug rather than silently reading slot 0.
+func (c *Col) at() *Leaf {
+	if !c.bound {
+		unbound(c)
+	}
+	return &c.leaf
+}
+
+func unbound(c *Col) { panic("expr: column " + c.Name + " is not bound") }
 
 func (c *Col) String() string {
 	if c.Table != "" {

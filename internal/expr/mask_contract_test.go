@@ -12,8 +12,9 @@ import (
 // TestMaskProducersEmitZeroOne pins the contract the word-at-a-time mask
 // plane rests on (vec/maskops.go sums and packs eight lanes per word): every
 // producer of a mask — the vec compare kernels plain and unrolled, the
-// native-width column kernels, both tile evaluators down to their "nonzero
-// integer is true" default, and bitmap.ReadCmp — writes bytes 0 and 1 only,
+// native-width column kernels, the tile walker under both bindings down to
+// its "nonzero integer is true" default, and bitmap.ReadCmp — writes bytes 0
+// and 1 only,
 // over random columns of every physical width. The output is poisoned
 // first, so a lane a producer skipped fails too.
 
@@ -139,25 +140,23 @@ func TestMaskProducersEmitZeroOne(t *testing.T) {
 			&Like{X: col("s"), Pattern: "%ai%"},
 			&Like{X: col("s"), Pattern: "_ail", Negate: true},
 		)
-		// The widened columns are the tile vectors of the row-bound form.
-		var schema rowSchema
+		// The widened columns are the tile vectors of the slot-bound form.
 		tile := make([][]int64, len(cols))
 		for i, c := range cols {
-			schema.names, schema.dicts = append(schema.names, c.Name), append(schema.dicts, c.Dict)
 			tile[i] = make([]int64, n)
 			c.WidenInto(0, n, tile[i])
 		}
 		for _, p := range preds {
-			if err := Bind(p, tab); err != nil {
+			if err := Bind(p, Columns(tab)); err != nil {
 				t.Fatalf("Bind(%s): %v", p, err)
 			}
-			ev.EvalBool(p, 0, n, poison(out[:n]))
-			zeroOne(t, "EvalBool "+p.String(), out[:n])
-			if err := BindRow(p, schema); err != nil {
-				t.Fatalf("BindRow(%s): %v", p, err)
+			ev.EvalBool(p, Rows(0, n), poison(out[:n]))
+			zeroOne(t, "EvalBool over columns "+p.String(), out[:n])
+			if err := Bind(p, schemaOf(tab)); err != nil {
+				t.Fatalf("Bind(%s) to slots: %v", p, err)
 			}
-			ev.EvalRowBool(p, tile, n, poison(out[:n]))
-			zeroOne(t, "EvalRowBool "+p.String(), out[:n])
+			ev.EvalBool(p, Tile{N: n, Vecs: tile}, poison(out[:n]))
+			zeroOne(t, "EvalBool over slots "+p.String(), out[:n])
 		}
 
 		// ReadCmp, at bases on and off a word boundary.

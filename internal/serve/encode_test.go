@@ -195,6 +195,27 @@ func TestEncodeAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
+// edgeStatements are valid statements that used to panic one evaluator or
+// another — column-valued IN items, divisors that reach zero on rows the
+// predicate rejects, on rows it accepts, in the filter itself. They answer
+// 200, and seed FuzzQueryBody.
+var edgeStatements = []string{
+	"SELECT SUM(b) FROM t WHERE a IN (b, 3)",
+	"SELECT a, SUM(b) FROM t WHERE a IN (b - 4000, a / 0, 7) GROUP BY a",
+	"SELECT a, SUM(b / (a - 5)) FROM t WHERE a <> 5 GROUP BY a",
+	"SELECT SUM(b) FROM t WHERE b / (a - 5) > 1",
+	"SELECT SUM(b / (a - 5)) FROM t",
+}
+
+func TestEdgeStatementsAnswer200(t *testing.T) {
+	s := New(newTestDB(t), Config{})
+	for _, q := range edgeStatements {
+		if rec := post(s, queryBody(q)); rec.Code != http.StatusOK || s.m.panics.Load() != 0 {
+			t.Errorf("%q: status %d, %d panics: %s", q, rec.Code, s.m.panics.Load(), rec.Body.Bytes())
+		}
+	}
+}
+
 // FuzzQueryBody: whatever bytes arrive as a POST /query body, the answer is
 // well-formed JSON under a 2xx or 4xx status (504 when the body itself set a
 // deadline) and no handler panics. The committed corpus
@@ -215,6 +236,9 @@ func FuzzQueryBody(f *testing.F) {
 		"{\"query\":\"SELECT '\\u0000' FROM t\"}",
 	} {
 		f.Add([]byte(seed))
+	}
+	for _, q := range edgeStatements {
+		f.Add(queryBody(q))
 	}
 	db := newTestDB(f)
 	s := New(db, Config{})

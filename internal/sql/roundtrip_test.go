@@ -23,12 +23,12 @@ func TestExpressionRoundTrip(t *testing.T) {
 
 		// Reference: bind and evaluate the original tree directly.
 		tab := db.Table("rt")
-		if err := expr.Bind(e, tab); err != nil {
+		if err := expr.Bind(e, expr.Columns(tab)); err != nil {
 			t.Fatalf("bind %s: %v", e, err)
 		}
 		var want int64
 		for i := 0; i < tab.Rows(); i++ {
-			if expr.Eval(e, i) != 0 {
+			if expr.Eval(e, i, nil) != 0 {
 				want++
 			}
 		}

@@ -31,7 +31,7 @@ func updateAccStates(states []accState, aggs []plan.AggSpec, row Row) {
 	for i, a := range aggs {
 		var v int64
 		if a.Arg != nil {
-			v = expr.EvalRow(a.Arg, row)
+			v = expr.Eval(a.Arg, 0, row)
 		}
 		s := &states[i]
 		s.sum += v
@@ -99,7 +99,7 @@ func buildAggregate(a *plan.Aggregate, db *storage.Database) (iterator, Fields, 
 	}
 	for i := range a.Aggs {
 		if a.Aggs[i].Arg != nil {
-			if err := expr.BindRow(a.Aggs[i].Arg, inFields); err != nil {
+			if err := expr.Bind(a.Aggs[i].Arg, inFields); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -107,7 +107,7 @@ func buildAggregate(a *plan.Aggregate, db *storage.Database) (iterator, Fields, 
 	}
 	if a.Having != nil {
 		// HAVING sees the finalized output row: keys then aggregates.
-		if err := expr.BindRow(a.Having, outFields); err != nil {
+		if err := expr.Bind(a.Having, outFields); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -165,7 +165,7 @@ func (it *aggIter) open() error {
 		for i := range g.accs {
 			out = append(out, g.accs[i].finalize(it.spec.Aggs[i].Func))
 		}
-		if it.spec.Having != nil && expr.EvalRow(it.spec.Having, out) == 0 {
+		if it.spec.Having != nil && expr.Eval(it.spec.Having, 0, out) == 0 {
 			continue
 		}
 		it.groups = append(it.groups, out)

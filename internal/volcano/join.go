@@ -51,7 +51,7 @@ func buildJoin(j *plan.Join, db *storage.Database) (iterator, Fields, error) {
 	if j.Residual != nil {
 		// The residual sees the concatenated row (or just the probe row
 		// for semijoins, where build attributes must not escape).
-		if err := expr.BindRow(j.Residual, outFields); err != nil {
+		if err := expr.Bind(j.Residual, outFields); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -109,7 +109,7 @@ func (it *joinIter) next() (Row, bool, error) {
 			if !it.set.Contains(key) {
 				continue
 			}
-			if it.spec.Residual != nil && expr.EvalRow(it.spec.Residual, row) == 0 {
+			if it.spec.Residual != nil && expr.Eval(it.spec.Residual, 0, row) == 0 {
 				continue
 			}
 			return row, true, nil
@@ -120,7 +120,7 @@ func (it *joinIter) next() (Row, bool, error) {
 		}
 		out := make(Row, 0, len(row)+it.nBuildCols)
 		out = append(append(out, row...), it.buildRows[bRow]...)
-		if it.spec.Residual != nil && expr.EvalRow(it.spec.Residual, out) == 0 {
+		if it.spec.Residual != nil && expr.Eval(it.spec.Residual, 0, out) == 0 {
 			continue
 		}
 		return out, true, nil
@@ -158,7 +158,7 @@ func buildGroupJoin(g *plan.GroupJoin, db *storage.Database) (iterator, Fields, 
 	}
 	for i := range g.Aggs {
 		if g.Aggs[i].Arg != nil {
-			if err := expr.BindRow(g.Aggs[i].Arg, probeFields); err != nil {
+			if err := expr.Bind(g.Aggs[i].Arg, probeFields); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -24,17 +24,16 @@ type Field struct {
 	Log  storage.Logical
 }
 
-// Fields is an intermediate row schema. It implements expr.SchemaSource.
+// Fields is an intermediate row schema: the expr.Source of a tuple, whose
+// columns are positions.
 type Fields []Field
 
-// Resolve implements expr.SchemaSource.
-func (f Fields) Resolve(name string) (int, *storage.Dict, bool) {
-	for i, fd := range f {
-		if fd.Name == name {
-			return i, fd.Dict, true
-		}
+// Leaf implements expr.Source.
+func (f Fields) Leaf(name string) (expr.Leaf, error) {
+	if i := f.Index(name); i >= 0 {
+		return expr.Leaf{Slot: i, Dict: f[i].Dict}, nil
 	}
-	return 0, nil, false
+	return expr.Leaf{}, expr.NoColumn(name)
 }
 
 // Index returns the position of name, or -1.
@@ -125,7 +124,7 @@ func buildScan(s *plan.Scan, db *storage.Database) (iterator, Fields, error) {
 		return nil, nil, fmt.Errorf("volcano: no table %s", s.Table)
 	}
 	if s.Filter != nil {
-		if err := expr.Bind(s.Filter, t); err != nil {
+		if err := expr.Bind(s.Filter, expr.Columns(t)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -146,7 +145,7 @@ func (it *scanIter) next() (Row, bool, error) {
 	for it.row < it.table.Rows() {
 		r := it.row
 		it.row++
-		if it.filter != nil && expr.Eval(it.filter, r) == 0 {
+		if it.filter != nil && expr.Eval(it.filter, r, nil) == 0 {
 			continue
 		}
 		out := make(Row, len(it.table.Columns))
@@ -172,7 +171,7 @@ func buildFilter(f *plan.Filter, db *storage.Database) (iterator, Fields, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := expr.BindRow(f.Pred, fields); err != nil {
+	if err := expr.Bind(f.Pred, fields); err != nil {
 		return nil, nil, err
 	}
 	return &filterIter{in: in, pred: f.Pred}, fields, nil
@@ -186,7 +185,7 @@ func (it *filterIter) next() (Row, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		if expr.EvalRow(it.pred, row) != 0 {
+		if expr.Eval(it.pred, 0, row) != 0 {
 			return row, true, nil
 		}
 	}
@@ -208,7 +207,7 @@ func buildMap(m *plan.Map, db *storage.Database) (iterator, Fields, error) {
 	}
 	out := make(Fields, len(m.Exprs))
 	for i, ne := range m.Exprs {
-		if err := expr.BindRow(ne.Expr, fields); err != nil {
+		if err := expr.Bind(ne.Expr, fields); err != nil {
 			return nil, nil, err
 		}
 		out[i] = Field{Name: ne.As, Log: inferLog(ne.Expr, fields)}
@@ -239,7 +238,7 @@ func (it *mapIter) next() (Row, bool, error) {
 	}
 	out := make(Row, len(it.exprs))
 	for i, ne := range it.exprs {
-		out[i] = expr.EvalRow(ne.Expr, row)
+		out[i] = expr.Eval(ne.Expr, 0, row)
 	}
 	return out, true, nil
 }

@@ -11,8 +11,10 @@ import (
 
 // Parity fuzzing for the plan synthesizer: random single-block SELECTs —
 // up to three FK join edges (star and snowflake), OR/NOT predicate trees
-// up to depth three, BETWEEN/IN, one or two aggregates across all five
-// functions, multi-key GROUP BY, HAVING — are pinned against the
+// up to depth three, BETWEEN/IN (literal and column-valued items), quotients
+// by columns and by literals, zero included, in predicates and aggregate
+// arguments, one or two aggregates across all five functions, multi-key
+// GROUP BY, HAVING — are pinned against the
 // interpreted volcano engine on both entry points, cold and warm, at
 // worker counts 1 and 4 (ungrouped statements, which scan on the worker
 // gang, draw the second count from 2, 4 and 7). Every generated statement
@@ -143,7 +145,7 @@ func (g *fuzzGen) pred(tables []string, depth int) string {
 // leaf builds one directly evaluable comparison.
 func (g *fuzzGen) leaf(tables []string) string {
 	c := g.col(tables)
-	switch g.r.Intn(4) {
+	switch g.r.Intn(6) {
 	case 0:
 		ops := []string{"<", "<=", ">", ">=", "=", "<>"}
 		return fmt.Sprintf("%s %s %d", c.name, ops[g.r.Intn(len(ops))], g.r.Int63n(c.card))
@@ -158,6 +160,14 @@ func (g *fuzzGen) leaf(tables []string) string {
 			vals[i] = fmt.Sprint(g.r.Int63n(c.card))
 		}
 		return fmt.Sprintf("%s in (%s)", c.name, strings.Join(vals, ", "))
+	case 3: // IN items that are columns and arithmetic
+		c2 := g.col(tables)
+		return fmt.Sprintf("%s in (%s, %s + 1, %d)", c.name, c2.name, g.col(tables).name, g.r.Int63n(c.card))
+	case 4: // a quotient: every column holds zeros, and so may the literal
+		if g.r.Intn(2) == 0 {
+			return fmt.Sprintf("%s / %s >= %d", c.name, g.col(tables).name, g.r.Int63n(4))
+		}
+		return fmt.Sprintf("%d / %s < %s / %d", 20+g.r.Int63n(40), c.name, g.col(tables).name, g.r.Int63n(3))
 	default:
 		c2 := g.col(tables)
 		return fmt.Sprintf("%s + %s < %d", c.name, c2.name, g.r.Int63n(c.card+c2.card))
@@ -167,11 +177,15 @@ func (g *fuzzGen) leaf(tables []string) string {
 // aggArg builds an aggregate argument expression.
 func (g *fuzzGen) aggArg(tables []string) string {
 	c := g.col(tables)
-	switch g.r.Intn(3) {
+	switch g.r.Intn(5) {
 	case 0:
 		return c.name
 	case 1:
 		return fmt.Sprintf("%s * %d", c.name, 1+g.r.Int63n(3))
+	case 2:
+		return fmt.Sprintf("%s / %s", c.name, g.col(tables).name)
+	case 3:
+		return fmt.Sprintf("%s * 7 / %d", c.name, g.r.Int63n(3))
 	default:
 		return fmt.Sprintf("%s + %s", c.name, g.col(tables).name)
 	}

@@ -18,16 +18,25 @@ import (
 // against the interpreter, and where it matters under every technique.
 
 // checkAllTechniques runs q through QuerySwole (cold and warm) and through
-// every forced technique of its menu, each against the interpreter. It
-// returns the interpreter's answer.
+// every forced technique of its menu, each against the interpreter, and
+// requires the tile pipeline to be what runs it. It returns the interpreter's
+// answer.
 func checkAllTechniques(t *testing.T, d *DB, q string) [][]int64 {
+	t.Helper()
+	return checkEveryPath(t, d, q, "", true)
+}
+
+// checkEveryPath is checkAllTechniques for any statement, hand plan or tile
+// pipeline (generic demands the latter); tag names the configuration in
+// failures.
+func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 {
 	t.Helper()
 	want, err := d.Query(q)
 	if err != nil {
 		t.Fatalf("volcano failed %q: %v", q, err)
 	}
-	checkParity(t, d, q, false, "QuerySwole cold", func() (*Result, Explain, error) { return d.QuerySwole(q) })
-	checkParity(t, d, q, true, "QuerySwole warm", func() (*Result, Explain, error) { return d.QuerySwole(q) })
+	checkParity(t, d, q, false, tag+" QuerySwole cold", func() (*Result, Explain, error) { return d.QuerySwole(q) })
+	checkParity(t, d, q, true, tag+" QuerySwole warm", func() (*Result, Explain, error) { return d.QuerySwole(q) })
 	p, err := d.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +48,9 @@ func checkAllTechniques(t *testing.T, d *DB, q string) [][]int64 {
 	for _, tech := range d.engine.Techniques(spec) {
 		forced, err := d.engine.PrepareForced(spec.Clone(), tech)
 		if err != nil {
-			t.Fatalf("%q forced %s: %v", q, tech, err)
+			t.Fatalf("%s %q forced %s: %v", tag, q, tech, err)
 		}
-		if _, generic := forced.(*core.PreparedSelect); !generic {
+		if _, ok := forced.(*core.PreparedSelect); generic && !ok {
 			t.Fatalf("%q lowered onto %T, not the generic executor", q, forced)
 		}
 		part, _, err := forced.RunPartial(context.Background())
@@ -52,7 +61,7 @@ func checkAllTechniques(t *testing.T, d *DB, q string) [][]int64 {
 		c.setFields(forced.Fields())
 		c.put(part)
 		if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
-			t.Errorf("%q forced %s:\nvolcano: %v\nswole:   %v", q, tech, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
+			t.Errorf("%s %q forced %s:\nvolcano: %.300v\nswole:   %.300v", tag, q, tech, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
 		}
 	}
 	return want.Rows()
