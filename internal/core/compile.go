@@ -541,10 +541,10 @@ func newTables(n, hint int) []*ht.AggTable {
 	return tabs
 }
 
-func newDenseTables(n int, lo, hi int64) []*ht.AggTable {
+func newDenseTables(n int, lo, hi int64, packed bool) []*ht.AggTable {
 	tabs := make([]*ht.AggTable, n)
 	for i := range tabs {
-		tabs[i] = ht.NewDenseAggTable(1, lo, hi)
+		tabs[i] = ht.NewDenseAggTable(1, lo, hi, packed)
 	}
 	return tabs
 }

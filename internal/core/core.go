@@ -296,25 +296,49 @@ func aggSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
 // keys are known to lie in [lo, hi] — a fact of the very column object the
 // plan binds: a dictionary's size, a cached exact colRange, a packed-key
 // domain; pass an empty range when nothing is known — and the key-addressed
-// form runs when its record array, one record of lanes accumulators plus the
-// count per key of the domain, is no larger than the hashed table sized for
-// the estimated groups, or than L2 (where it costs nothing to be sparse).
-// It returns the parameters the Section III models price the form's
-// accesses with, the table's footprint, and the domain: the key-addressed
-// view of params and the record array's exact bytes, or — for an unknown or
+// form runs when its record array, one record per key of the domain, is no
+// larger than the hashed table sized for the estimated groups, or than L2
+// (where it costs nothing to be sparse). A record is the lanes accumulators
+// plus the count, or one packed word when one lane's rows × addBound stay
+// under 2^31, so no sum, partial or whole, leaves int32. It returns the
+// parameters the Section III models price the form's accesses with, the
+// table's footprint, the domain and the packing: the key-addressed view of
+// params and the record array's exact bytes, or — for an unknown or
 // too-wide range, or one that holds ht.NullKey — params themselves, the
-// hashed estimate, and a zero domain.
-func tableForm(params cost.Params, lo, hi int64, lanes, groups int) (form cost.Params, bytes, domain int) {
+// hashed estimate, a zero domain and false.
+func tableForm(params cost.Params, lo, hi int64, lanes, groups, rows int, bound uint64) (form cost.Params, bytes, domain int, packed bool) {
 	hashed := groups * aggSlotBytes(lanes)
 	span := uint64(hi) - uint64(lo) + 1 // 0 when the range is all of int64
 	if hi < lo || lo == ht.NullKey || span == 0 || span > ht.MaxDenseDomain {
-		return params, hashed, 0
+		return params, hashed, 0, false
 	}
-	b := ht.DenseBytes(lanes, span)
+	packed = lanes == 1 && bound > 0 && uint64(rows) <= (1<<31-1)/bound
+	b := ht.DenseBytes(lanes, span, packed)
 	if b > uint64(max(ht.HashedBytes(lanes, groups), params.L2Bytes)) {
-		return params, hashed, 0
+		return params, hashed, 0, false
 	}
-	return params.KeyAddressed(), int(b), int(span)
+	return params.KeyAddressed(), int(b), int(span), packed
+}
+
+// addBound is the most one row adds to a sum of arg, for tableForm: 1 for
+// count(*) (the hand plans' sum(1)), the physical range of its width when
+// arg is a bare column reading col (nil: the column arg is bound to), and 0
+// — no bound — for anything else.
+func addBound(arg expr.Expr, col *storage.Column) uint64 {
+	switch a := arg.(type) {
+	case *expr.Const:
+		if a.Val == 1 {
+			return 1
+		}
+	case *expr.Col:
+		if col == nil {
+			col = a.Column()
+		}
+		if col != nil && col.Kind < storage.KindInt64 {
+			return 1 << (8*col.Kind.Bytes() - 1) // |math.MinInt8|, |math.MinInt16|, |math.MinInt32|
+		}
+	}
+	return 0
 }
 
 // forcedPartitions is the minimum fan-out under PartitionOn, so forced

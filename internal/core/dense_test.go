@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,40 +14,86 @@ import (
 
 // TestTableFormRule pins the form rule on both sides of each of its
 // clauses: the record array against the hashed table it would replace,
-// against L2, and the ranges no key-addressed table can cover.
+// against L2, the ranges no key-addressed table can cover, and the packing
+// bound rows × addBound < 2^31 on one lane.
 func TestTableFormRule(t *testing.T) {
 	p := cost.Default() // L2Bytes = 256 KB
+	const int8Max, int16Max = 1 << 7, 1 << 15
 	cases := []struct {
 		name          string
 		lo, hi        int64
 		lanes, groups int
+		rows          int
+		bound         uint64
 		want          int
+		packed        bool
 	}{
-		{"dictionary codes", 0, 24, 1, 25, 25},
-		{"every key a group", 0, 999_999, 1, 1_000_000, 1_000_000},
-		{"negative origin", -50, 49, 1, 100, 100},
-		{"few groups, range inside L2", 0, 9_999, 1, 10, 10_000},
-		{"few groups, range past L2 and past the hashed table", 0, 99_999, 1, 10, 0},
-		{"sparse: a million-wide range holding a thousand groups", 0, 999_999, 1, 1000, 0},
-		{"five lanes widen the record", 0, 9_999, 5, 10, 0},
-		{"range inside the hashed footprint", 0, 399_999, 1, 100_000, 400_000}, // 6.4 MB against 262144·29 B
-		{"range past the hashed footprint", 0, 499_999, 1, 100_000, 0},
-		{"all of int64", math.MinInt64, math.MaxInt64, 1, 1 << 20, 0},
-		{"range holding NullKey", ht.NullKey, ht.NullKey + 10, 1, 11, 0},
-		{"past int32 slots", 0, ht.MaxDenseDomain, 1, 1 << 40, 0},
-		{"empty range", 1, 0, 1, 1, 0},
+		{"dictionary codes", 0, 24, 1, 25, 0, 0, 25, false},
+		{"every key a group", 0, 999_999, 1, 1_000_000, 0, 0, 1_000_000, false},
+		{"negative origin", -50, 49, 1, 100, 0, 0, 100, false},
+		{"few groups, range inside L2", 0, 9_999, 1, 10, 0, 0, 10_000, false},
+		{"few groups, range past L2 and past the hashed table", 0, 99_999, 1, 10, 0, 0, 0, false},
+		{"sparse: a million-wide range holding a thousand groups", 0, 999_999, 1, 1000, 0, 0, 0, false},
+		{"five lanes widen the record", 0, 9_999, 5, 10, 0, 0, 0, false},
+		{"range inside the hashed footprint", 0, 399_999, 1, 100_000, 0, 0, 400_000, false}, // 6.4 MB against 262144·29 B
+		{"range past the hashed footprint", 0, 499_999, 1, 100_000, 0, 0, 0, false},
+		{"all of int64", math.MinInt64, math.MaxInt64, 1, 1 << 20, 0, 0, 0, false},
+		{"range holding NullKey", ht.NullKey, ht.NullKey + 10, 1, 11, 0, 0, 0, false},
+		{"past int32 slots", 0, ht.MaxDenseDomain, 1, 1 << 40, 0, 0, 0, false},
+		{"empty range", 1, 0, 1, 1, 0, 0, 0, false},
+
+		{"int8 sum over 2^24-1 rows packs", 0, 999_999, 1, 1_000_000, 1<<24 - 1, int8Max, 1_000_000, true},
+		{"int8 sum over 2^24 rows", 0, 999_999, 1, 1_000_000, 1 << 24, int8Max, 1_000_000, false},
+		{"int16 sum over 65,535 rows packs", 0, 99, 1, 100, 65_535, int16Max, 100, true},
+		{"int16 sum over 65,536 rows", 0, 99, 1, 100, 65_536, int16Max, 100, false},
+		{"int32 sum over one row", 0, 99, 1, 100, 1, 1 << 31, 100, false},
+		{"count(*) over 2^31-1 rows packs", 0, 99, 1, 100, 1<<31 - 1, 1, 100, true},
+		{"count(*) over 2^31 rows", 0, 99, 1, 100, 1 << 31, 1, 100, false},
+		{"no bound: an expression", 0, 99, 1, 100, 10, 0, 100, false},
+		{"two lanes never pack", 0, 99, 2, 100, 10, int8Max, 100, false},
+		{"packing brings the range inside the hashed footprint", 0, 499_999, 1, 100_000, 1000, int8Max, 500_000, true},
+		{"a packed record on a hashed-only range", 0, 999_999, 1, 1000, 1000, int8Max, 0, false},
 	}
 	for _, c := range cases {
-		form, bytes, d := tableForm(p, c.lo, c.hi, c.lanes, c.groups)
-		if d != c.want {
-			t.Errorf("%s: domain %d, want %d", c.name, d, c.want)
+		form, bytes, d, packed := tableForm(p, c.lo, c.hi, c.lanes, c.groups, c.rows, c.bound)
+		if d != c.want || packed != c.packed {
+			t.Errorf("%s: domain %d packed %v, want %d and %v", c.name, d, packed, c.want, c.packed)
 		}
 		want, price := c.want*8*(c.lanes+1), p.KeyAddressed()
-		if c.want == 0 {
+		switch {
+		case c.want == 0:
 			want, price = c.groups*aggSlotBytes(c.lanes), p
+		case c.packed:
+			want = c.want * 8
 		}
 		if bytes != want || form != price {
 			t.Errorf("%s: %d bytes (want %d), key-addressed pricing = %v", c.name, bytes, want, form != p)
+		}
+	}
+}
+
+// TestAddBound: count(*) and bare narrow columns bound a row's addition by
+// their physical range; an int64 column, an expression and a constant other
+// than count(*)'s do not.
+func TestAddBound(t *testing.T) {
+	col := func(vals ...int64) *storage.Column { return storage.Compress("c", vals, storage.LogInt) }
+	for _, c := range []struct {
+		name string
+		arg  expr.Expr
+		col  *storage.Column
+		want uint64
+	}{
+		{"count(*)", &expr.Const{Val: 1}, nil, 1},
+		{"int8", expr.NewCol("c"), col(-128, 127), 1 << 7},
+		{"int16", expr.NewCol("c"), col(-32768), 1 << 15},
+		{"int32", expr.NewCol("c"), col(1 << 20), 1 << 31},
+		{"int64", expr.NewCol("c"), col(1 << 40), 0},
+		{"unresolved column", expr.NewCol("c"), nil, 0},
+		{"other constant", &expr.Const{Val: 2}, nil, 0},
+		{"expression", &expr.Arith{Op: expr.Add, L: expr.NewCol("c"), R: &expr.Const{Val: 1}}, col(1), 0},
+	} {
+		if got := addBound(c.arg, c.col); got != c.want {
+			t.Errorf("%s: addBound = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -274,8 +321,9 @@ func TestDenseFormChoice(t *testing.T) {
 			t.Errorf("%s key: Costs has a dense entry = %v", c.name, ok)
 		}
 		if c.want > 0 {
-			if ex.HTBytes != 16*c.want {
-				t.Errorf("%s key: HTBytes = %d, want the record array's %d", c.name, ex.HTBytes, 16*c.want)
+			// r_a is an int8 column over 60K rows: one-word records.
+			if ex.HTBytes != 8*c.want {
+				t.Errorf("%s key: HTBytes = %d, want the packed record array's %d", c.name, ex.HTBytes, 8*c.want)
 			}
 			if ex.Costs["dense"] > ex.Costs["hashed"] {
 				t.Errorf("%s key: dense priced %v above hashed %v", c.name, ex.Costs["dense"], ex.Costs["hashed"])
@@ -294,5 +342,63 @@ func TestDenseFormChoice(t *testing.T) {
 		if dense := mode != PartitionOn; (ex.DenseDomain == 500) != dense || ex.Partitioned == dense {
 			t.Errorf("groupjoin under %s: DenseDomain=%d Partitioned=%v", mode, ex.DenseDomain, ex.Partitioned)
 		}
+	}
+}
+
+// TestPackedCompileSites: the three compiles that build a one-lane
+// key-addressed table — the classic group-by, the eager groupjoin and a
+// grouped tile-pipeline statement — pack an int16 sum over 65,535 rows and
+// not over one row more, each answering the reference at two workers, where
+// the packed partials merge by word addition.
+func TestPackedCompileSites(t *testing.T) {
+	for _, rows := range []int{65_535, 65_536} {
+		c, v, fk := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+		want := map[int64]int64{}
+		for i := range c {
+			c[i], fk[i] = int64(i%7), int64(i%7)
+			v[i] = []int64{math.MinInt16, math.MaxInt16, -3}[i%3]
+			if i%7 != 6 {
+				v[i] = math.MinInt16 // six keys' sums run toward -2^31/7
+			}
+			want[c[i]] += v[i]
+		}
+		db := storage.NewDatabase()
+		db.AddTable(storage.MustNewTable("r", storage.Compress("r_c", c, storage.LogInt),
+			storage.Compress("r_v", v, storage.LogInt), storage.Compress("r_fk", fk, storage.LogInt)))
+		db.AddTable(storage.MustNewTable("s", storage.Compress("s_pk", []int64{0, 1, 2, 3, 4, 5, 6}, storage.LogInt)))
+		if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(db)
+		e.Workers, e.MorselRows = 2, 1024
+		wantBytes := 7 * 16
+		if rows == 65_535 {
+			wantBytes = 7 * 8
+		}
+		group, gex, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_v")}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		join, jex, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_v")}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, sex, err := once(e.PrepareSelect(Select{Root: "r", GroupBy: []string{"r_c"},
+			Aggs:    []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("r_v"), As: "s"}, {Kind: AggCount, As: "n"}},
+			Project: []SelectProj{{Expr: expr.NewCol("r_c"), As: "r_c"}, {Expr: expr.NewCol("s"), As: "s"}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, site := range []struct {
+			name string
+			got  map[int64]int64
+			ex   Explain
+		}{{"group-by", group, gex}, {"groupjoin", join, jex}, {"tile pipeline", partialMap(Partial{Rows: sel}), sex}} {
+			if site.ex.DenseDomain != 7 || site.ex.HTBytes != wantBytes {
+				t.Errorf("%d rows, %s: DenseDomain=%d HTBytes=%d, want 7 and %d", rows, site.name, site.ex.DenseDomain, site.ex.HTBytes, wantBytes)
+			}
+			sameGroups(t, fmt.Sprintf("%d rows, %s", rows, site.name), site.got, want)
+		}
+		e.Close()
 	}
 }

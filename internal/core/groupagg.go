@@ -295,7 +295,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 		}
 	}
 	statsTime := time.Since(statsStart)
-	form, htBytes, domain := tableForm(params, lo, hi, 1, groups)
+	form, htBytes, domain, packed := tableForm(params, lo, hi, 1, groups, p.rows, addBound(q.Agg, p.aggCol))
 	strat, directCost := form.ChooseGroupAgg(p.rows, sel, comp, 1, htBytes)
 	_, hashedCost := params.ChooseGroupAgg(p.rows, sel, comp, 1, hashedBytes)
 	p.ex = Explain{
@@ -351,7 +351,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 	}
 	if !p.partitioned {
 		if domain > 0 {
-			p.tabs = newDenseTables(p.nw, lo, hi)
+			p.tabs = newDenseTables(p.nw, lo, hi, packed)
 		} else {
 			inserted := int(float64(p.rows) * sel)
 			if tech == TechValueMasking {

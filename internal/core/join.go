@@ -225,7 +225,7 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 		lo, hi = e.colRange(q.Probe, fkCol)
 	}
 	statsTime := time.Since(statsStart)
-	form, htBytes, domain := tableForm(params, lo, hi, 1, p.buildRows)
+	form, htBytes, domain, packed := tableForm(params, lo, hi, 1, p.buildRows, rows, addBound(q.Agg, nil))
 	_, gj, _ := params.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, hashedBytes)
 	_, _, ea := form.ChooseGroupjoin(p.buildRows, selS, rows, 1.0, selS, comp, htBytes)
 	p.eager = ea < gj
@@ -272,7 +272,7 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 			p.phase2 = p.kFold
 		case domain > 0:
 			p.ex.DenseDomain, p.ex.HTBytes = domain, htBytes
-			p.tabs = newDenseTables(p.nw, lo, hi)
+			p.tabs = newDenseTables(p.nw, lo, hi, packed)
 			fresh += p.nw
 			p.probeKernel = p.kProbeEager
 		default:

@@ -141,7 +141,8 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 // classic groupjoin's hand plan can answer eager-aggregation. The unfiltered
 // 16-group statements aggregate into an L1-resident key-addressed table,
 // whose access is cheaper than masking the sum and the count, so masking the
-// one key wins.
+// one key wins — as it does for the two-key statement, whose 3,200 packed
+// one-word records fit L1 too.
 func TestPrepareLowering(t *testing.T) {
 	db := testDB(t, 5000, 200, 16)
 	e := NewEngine(db)
@@ -194,7 +195,7 @@ func TestPrepareLowering(t *testing.T) {
 		{"reordered projection", with(groupSpec(GroupAgg{Table: "r", Key: col("r_c"), Agg: col("r_a")}), func(s *Select) {
 			s.Project[0], s.Project[1] = s.Project[1], s.Project[0]
 		}), TechKeyMasking},
-		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, TechValueMasking},
+		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, TechKeyMasking},
 		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), TechHybrid},
 		{"groupjoin keyed off the FK", with(gjoin(), func(s *Select) {
 			s.GroupBy = []string{"r_c"}

@@ -78,6 +78,7 @@ type selectCompile struct {
 	groups  int     // estimated group count (1 for a scalar statement)
 	domain  uint64  // distinct packed group keys; 0 when chained or scalar
 	lanes   int     // accumulator lanes
+	packed  bool    // the group table's records are one word (tableForm)
 	keyCols []tileCol
 	stages  []staged
 	fresh   int // plan-owned buffers allocated, billed to Explain.FreshAllocs
@@ -352,7 +353,7 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		if c.domain > 0 {
 			hi = int64(c.domain - 1)
 		}
-		params, htBytes, p.ex.DenseDomain = tableForm(params, 0, hi, c.lanes, c.groups)
+		params, htBytes, p.ex.DenseDomain, c.packed = tableForm(params, 0, hi, c.lanes, c.groups, rows, c.sumBound())
 		var direct float64
 		strat, direct = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, htBytes)
 		if p.ex.DenseDomain > 0 {
@@ -387,6 +388,18 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 	}
 	p.ex.Selectivity, p.ex.CompCost, p.ex.Groups = c.sel, c.comp, c.groups
 	p.ex.HTBytes += htBytes
+}
+
+// sumBound is addBound for lane 0 when it holds a sum (an average's too)
+// of a bare column, which is not bound yet; 0 otherwise.
+func (c *selectCompile) sumBound() uint64 {
+	for _, a := range c.p.aggs {
+		if col, ok := a.arg.e.(*expr.Col); ok && a.lane == 0 && a.kind != AggMin && a.kind != AggMax {
+			tc, _, _ := c.locate(col.Name)
+			return addBound(col, tc.col)
+		}
+	}
+	return 0
 }
 
 // bindRowStage decides which columns become tile vectors, binds every
@@ -474,12 +487,12 @@ func (c *selectCompile) bindRowStage() error {
 	}
 	p.acc = make([]int64, c.lanes)
 	if d := p.ex.DenseDomain; d > 0 {
-		p.tab = ht.NewDenseAggTable(c.lanes, 0, int64(d-1))
+		p.tab = ht.NewDenseAggTable(c.lanes, 0, int64(d-1), c.packed)
 	} else {
 		p.tab = ht.NewAggTable(c.lanes, c.groups)
 	}
 	for i := range p.aggs {
-		if a := &p.aggs[i]; a.lane >= 0 {
+		if a := &p.aggs[i]; a.lane >= 0 && a.identity() != 0 {
 			p.tab.SetIdentity(a.lane, a.identity())
 		}
 	}

@@ -18,7 +18,9 @@ import "fmt"
 //     ascending key order, so an emission needs no sort.
 //
 // The form is fixed at construction; callers pick it once, when a plan is
-// compiled, and the kernels run the same calls against either.
+// compiled, and the kernels run the same calls against either. A one-lane
+// key-addressed table may be packed — one word, sum<<32 + count, one add per
+// fold — by a caller that proved no sum leaves int32 nor count 2^32.
 //
 // Three features exist specifically for SWOLE:
 //
@@ -42,7 +44,7 @@ import "fmt"
 // replaces.
 type AggTable struct {
 	nAccs  int
-	stride int     // nAccs+1: a record is the group's lanes, then its tuple count
+	stride int     // nAccs+1: a record is the group's lanes, then its tuple count; 1 when packed
 	ident  []int64 // per-lane value a new group starts from; nil means all zero
 	recs   []int64 // slot-major records
 
@@ -107,16 +109,19 @@ const MaxDenseDomain = 1<<31 - 1
 // so a key outside it means the caller ran a plan against data it was not
 // compiled for, and the range check turns that into a loud failure instead
 // of an out-of-range write. The domain must exclude NullKey and hold at
-// most MaxDenseDomain keys.
-func NewDenseAggTable(nAccs int, lo, hi int64) *AggTable {
-	span := uint64(hi) - uint64(lo) + 1
-	if hi < lo || lo == NullKey || span > MaxDenseDomain {
-		panic(fmt.Sprintf("ht: key domain [%d, %d] cannot be key-addressed", lo, hi))
+// most MaxDenseDomain keys; packed needs nAccs == 1.
+func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
+	span, stride := uint64(hi)-uint64(lo)+1, nAccs+1
+	if hi < lo || lo == NullKey || span > MaxDenseDomain || packed && nAccs != 1 {
+		panic(fmt.Sprintf("ht: %d lanes over the key domain [%d, %d] cannot be key-addressed (packed %v)", nAccs, lo, hi, packed))
+	}
+	if packed {
+		stride = 1
 	}
 	return &AggTable{
 		nAccs:     nAccs,
-		stride:    nAccs + 1,
-		recs:      make([]int64, int(span)*(nAccs+1)),
+		stride:    stride,
+		recs:      make([]int64, int(span)*stride),
 		lo:        lo,
 		span:      span,
 		Throwaway: make([]int64, nAccs),
@@ -129,7 +134,23 @@ func NewDenseAggTable(nAccs int, lo, hi int64) *AggTable {
 func HashedBytes(nAccs, hint int) int { return hintCap(hint) * (8 + 1 + 4 + 8*(nAccs+1)) }
 
 // DenseBytes is the footprint of a key-addressed table over domain keys.
-func DenseBytes(nAccs int, domain uint64) uint64 { return domain * 8 * uint64(nAccs+1) }
+func DenseBytes(nAccs int, domain uint64, packed bool) uint64 {
+	if packed {
+		nAccs = 0 // the count shares the lane's word
+	}
+	return domain * 8 * uint64(nAccs+1)
+}
+
+// packed reports the one-word record: the count has no word of its own.
+func (t *AggTable) packed() bool { return t.stride == t.nAccs }
+
+// count reads slot's tuple count from its record.
+func (t *AggTable) count(slot int) int64 {
+	if t.packed() {
+		return int64(uint32(t.recs[slot]))
+	}
+	return t.recs[slot*t.stride+t.nAccs]
+}
 
 // Reset empties the table, keeping the allocated capacity for reuse. The
 // hashed form does it in O(1) by advancing the generation counter: slots
@@ -209,8 +230,8 @@ func (t *AggTable) Len() int {
 		return t.len
 	}
 	n := 0
-	for i := t.nAccs; i < len(t.recs); i += t.stride {
-		if t.recs[i] > 0 {
+	for s := range int(t.span) {
+		if t.count(s) > 0 {
 			n++
 		}
 	}
@@ -320,7 +341,7 @@ func (t *AggTable) Find(key int64) int {
 		return -1
 	}
 	if t.span != 0 {
-		if u := uint64(key) - uint64(t.lo); u < t.span && t.recs[int(u)*t.stride+t.nAccs] > 0 {
+		if u := uint64(key) - uint64(t.lo); u < t.span && t.count(int(u)) > 0 {
 			return int(u)
 		}
 		return -2
@@ -350,7 +371,7 @@ func (t *AggTable) Contains(key int64) bool {
 	}
 	if t.span != 0 {
 		u := uint64(key) - uint64(t.lo)
-		return u < t.span && t.recs[int(u)*t.stride+t.nAccs] > 0
+		return u < t.span && t.count(int(u)) > 0
 	}
 	i := hash64(uint64(key)) & t.mask
 	for {
@@ -376,6 +397,10 @@ func (t *AggTable) Add(slot, acc int, v int64) {
 		}
 		return
 	}
+	if t.packed() {
+		t.recs[slot] += v<<32 + 1
+		return
+	}
 	r := t.recs[slot*t.stride : (slot+1)*t.stride]
 	r[acc] += v
 	if acc == 0 {
@@ -394,6 +419,10 @@ func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 		}
 		return
 	}
+	if t.packed() {
+		t.recs[slot] += (v*int64(m))<<32 + int64(m)
+		return
+	}
 	r := t.recs[slot*t.stride : (slot+1)*t.stride]
 	r[acc] += v * int64(m)
 	if acc == 0 {
@@ -406,6 +435,9 @@ func (t *AggTable) Acc(slot, acc int) int64 {
 	if slot < 0 {
 		return t.Throwaway[acc]
 	}
+	if t.packed() {
+		return t.recs[slot] >> 32
+	}
 	return t.recs[slot*t.stride+acc]
 }
 
@@ -414,7 +446,7 @@ func (t *AggTable) Count(slot int) int64 {
 	if slot < 0 {
 		return t.ThrowawayCount
 	}
-	return t.recs[slot*t.stride+t.nAccs]
+	return t.count(slot)
 }
 
 // Delete removes key's group and reports whether the key was present. The
@@ -425,7 +457,7 @@ func (t *AggTable) Count(slot int) int64 {
 func (t *AggTable) Delete(key int64) bool {
 	if t.span != 0 {
 		u := uint64(key) - uint64(t.lo)
-		if u >= t.span || t.recs[int(u)*t.stride+t.nAccs] == 0 {
+		if u >= t.span || t.count(int(u)) == 0 {
 			return false
 		}
 		t.initRecs(t.recs[int(u)*t.stride : (int(u)+1)*t.stride])

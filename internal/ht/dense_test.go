@@ -13,7 +13,7 @@ import (
 // drives both with one tuple stream.
 
 func TestDenseBasic(t *testing.T) {
-	tab := NewDenseAggTable(2, -5, 20)
+	tab := NewDenseAggTable(2, -5, 20, false)
 	if tab.Cap() != 26 || tab.SlotBytes() != 24 {
 		t.Fatalf("cap=%d slot=%dB, want 26 and 24", tab.Cap(), tab.SlotBytes())
 	}
@@ -45,7 +45,7 @@ func TestDenseBasic(t *testing.T) {
 }
 
 func TestDenseThrowaway(t *testing.T) {
-	tab := NewDenseAggTable(1, 0, 9)
+	tab := NewDenseAggTable(1, 0, 9, false)
 	s := tab.Lookup(NullKey)
 	if s != -1 {
 		t.Fatalf("NullKey slot=%d, want -1", s)
@@ -71,7 +71,7 @@ func TestDenseThrowaway(t *testing.T) {
 // A group only rejected tuples reached keeps a zero count and is never
 // emitted, even though a real group's aggregate may legitimately be zero.
 func TestDenseMaskedZeroCountNotEmitted(t *testing.T) {
-	tab := NewDenseAggTable(1, 0, 9)
+	tab := NewDenseAggTable(1, 0, 9, false)
 	tab.AddMasked(tab.Lookup(1), 0, 42, 0)
 	tab.AddMasked(tab.Lookup(2), 0, 0, 1)
 	tab.AddPairsMasked([]int64{5, 6}, []int64{9, 0}, []byte{0, 1})
@@ -89,7 +89,7 @@ func TestDenseMaskedZeroCountNotEmitted(t *testing.T) {
 }
 
 func TestDenseForEachAscending(t *testing.T) {
-	tab := NewDenseAggTable(1, -100, 100)
+	tab := NewDenseAggTable(1, -100, 100, false)
 	for _, k := range []int64{40, -100, 7, 100, -3, 7} {
 		tab.Add(tab.Lookup(k), 0, 1)
 	}
@@ -105,7 +105,7 @@ func TestDenseForEachAscending(t *testing.T) {
 }
 
 func TestDenseDelete(t *testing.T) {
-	tab := NewDenseAggTable(1, 0, 99)
+	tab := NewDenseAggTable(1, 0, 99, false)
 	tab.SetIdentity(0, 1000)
 	tab.Reset()
 	for k := int64(0); k < 100; k++ {
@@ -135,7 +135,7 @@ func TestDenseDelete(t *testing.T) {
 }
 
 func TestDenseResetReuse(t *testing.T) {
-	tab := NewDenseAggTable(2, 0, 15)
+	tab := NewDenseAggTable(2, 0, 15, false)
 	tab.SetIdentity(1, math.MaxInt64)
 	for gen := int64(0); gen < 3; gen++ {
 		tab.Reset()
@@ -167,7 +167,7 @@ func TestDenseResetReuse(t *testing.T) {
 }
 
 func TestDenseFoldPairsAndMerge(t *testing.T) {
-	a, b := NewDenseAggTable(1, 10, 19), NewDenseAggTable(1, 10, 19)
+	a, b := NewDenseAggTable(1, 10, 19, false), NewDenseAggTable(1, 10, 19, false)
 	if n := a.FoldPairs([]int64{10, 12, 12, NullKey}, []int64{1, 2, 3, 4}); n != 0 {
 		t.Errorf("FoldPairs used the lookahead on a key-addressed table: %d", n)
 	}
@@ -206,8 +206,8 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 		"FoldPairs": func(t *AggTable, k int64) { t.FoldPairs([]int64{k}, []int64{1}) },
 	}
 	for name, call := range entry {
-		for _, k := range []int64{-1, 10, math.MaxInt64, math.MinInt64 + 1} {
-			tab := NewDenseAggTable(1, 0, 9)
+		for i, k := range []int64{-1, 10, math.MaxInt64, math.MinInt64 + 1} {
+			tab := NewDenseAggTable(1, 0, 9, i%2 == 1) // both record forms
 			func() {
 				defer func() {
 					msg, _ := recover().(string)
@@ -231,18 +231,81 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 					t.Errorf("NewDenseAggTable over [%d, %d] did not panic", d[0], d[1])
 				}
 			}()
-			NewDenseAggTable(1, d[0], d[1])
+			NewDenseAggTable(1, d[0], d[1], false)
 		}()
 	}
 }
 
 func TestFormBytes(t *testing.T) {
-	if got := DenseBytes(1, 1_000_000); got != 16_000_000 {
+	if got := DenseBytes(1, 1_000_000, false); got != 16_000_000 {
 		t.Errorf("DenseBytes(1, 1M) = %d", got)
+	}
+	if got := DenseBytes(1, 1_000_000, true); got != 8_000_000 {
+		t.Errorf("DenseBytes(1, 1M, packed) = %d", got)
+	}
+	if tab := NewDenseAggTable(1, 0, 999, true); tab.Cap() != 1000 || tab.SlotBytes() != 8 || len(tab.recs) != 1000 {
+		t.Errorf("packed table: cap=%d slot=%dB words=%d, want 1000, 8 and 1000", tab.Cap(), tab.SlotBytes(), len(tab.recs))
 	}
 	if got, want := HashedBytes(1, 1000), 2048*(8+1+4+16); got != want {
 		t.Errorf("HashedBytes(1, 1000) = %d, want %d", got, want)
 	}
+}
+
+// A packed table folds by addition only: a lane identity, a min or a max
+// there is a caller bug and panics, as does packing more than one lane.
+func TestPackedRefusesNonSums(t *testing.T) {
+	slots, vals, cmp := []int32{0}, []int64{1}, []byte{1}
+	for name, call := range map[string]func(*AggTable){
+		"SetIdentity": func(t *AggTable) { t.SetIdentity(0, math.MaxInt64) },
+		"MinTile":     func(t *AggTable) { t.MinTile(slots, 0, vals, cmp) },
+		"MaxTile":     func(t *AggTable) { t.MaxTile(slots, 0, vals, cmp) },
+		"two lanes":   func(*AggTable) { NewDenseAggTable(2, 0, 9, true) },
+	} {
+		tab := NewDenseAggTable(1, 0, 9, true)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a packed table did not panic", name)
+				}
+			}()
+			call(tab)
+		}()
+		if tab.Len() != 0 || tab.Acc(0, 0) != 0 {
+			t.Errorf("%s wrote before panicking", name)
+		}
+	}
+}
+
+// Both halves of the word at their limits: the largest count the low half
+// holds and a sum at each end of int32 decode exactly.
+func TestPackedWordLimits(t *testing.T) {
+	tab := NewDenseAggTable(1, 0, 2, true)
+	tab.recs[0] = math.MinInt32<<32 + math.MaxUint32
+	tab.Add(1, 0, math.MaxInt32)
+	tab.AddMasked(2, 0, math.MinInt32, 1)
+	tab.AddMasked(2, 0, math.MaxInt32, 0)
+	want := []int64{0, math.MinInt32, 1, math.MaxInt32, 2, math.MinInt32}
+	if got := tab.AppendGroups(nil); !slices.Equal(got, want) {
+		t.Errorf("AppendGroups = %v, want %v", got, want)
+	}
+	if tab.Count(0) != math.MaxUint32 || tab.Count(1) != 1 || tab.Count(2) != 1 {
+		t.Errorf("counts %d %d %d", tab.Count(0), tab.Count(1), tab.Count(2))
+	}
+}
+
+// stream decodes fuzz bytes into (key, value, mask) tuples over the domain
+// [lo, lo+domain): four bytes a tuple, about one in four keys NullKey, int8
+// values.
+func stream(lo int64, domain int, data []byte) (keys, vals []int64, cmp []byte) {
+	for ; len(data) >= 4; data = data[4:] {
+		w := binary.LittleEndian.Uint32(data)
+		k := lo + int64(w>>8)%int64(domain)
+		if w&0xc0 == 0xc0 {
+			k = NullKey
+		}
+		keys, vals, cmp = append(keys, k), append(vals, int64(int8(w>>16))), append(cmp, byte(w)&1)
+	}
+	return keys, vals, cmp
 }
 
 // formsAgree folds one (key, value, mask) stream into both forms through
@@ -252,22 +315,13 @@ func TestFormBytes(t *testing.T) {
 func formsAgree(t *testing.T, domain int, data []byte) {
 	t.Helper()
 	lo := int64(-domain / 2)
-	dense := NewDenseAggTable(2, lo, lo+int64(domain)-1)
+	dense := NewDenseAggTable(2, lo, lo+int64(domain)-1, false)
 	hashed := NewAggTable(2, 1) // grows under the stream
 	for _, tab := range []*AggTable{dense, hashed} {
 		tab.SetIdentity(1, math.MinInt64)
 		tab.Reset()
 	}
-	var keys, vals []int64
-	var cmp []byte
-	for ; len(data) >= 4; data = data[4:] {
-		w := binary.LittleEndian.Uint32(data)
-		k := lo + int64(w>>8)%int64(domain)
-		if w&0xc0 == 0xc0 {
-			k = NullKey
-		}
-		keys, vals, cmp = append(keys, k), append(vals, int64(int8(w>>16))), append(cmp, byte(w)&1)
-	}
+	keys, vals, cmp := stream(lo, domain, data)
 	third := len(keys) / 3
 	slots := make([]int32, third)
 	for _, tab := range []*AggTable{dense, hashed} {
@@ -313,8 +367,129 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 	}
 }
 
-// FuzzAggTableForms is the parity fuzzer of the two addressing forms: the
-// committed seeds run under plain `go test`.
+// packedAgree is formsAgree's one-lane arm: the packed, the int64
+// key-addressed and the hashed table fold one stream through every entry
+// point and hold the same groups after each. The stream's values span all
+// the packing proof admits — |v| ≤ (2^31-1)/n over n tuples, both signs — so
+// no sum of any subset leaves int32. A hashed merge counts one tuple per
+// source group, so from the merge on the hashed table is held to the same
+// keys and sums only.
+func packedAgree(t *testing.T, domain int, data []byte) {
+	t.Helper()
+	lo := int64(-domain / 2)
+	hi := lo + int64(domain) - 1
+	keys, vals, cmp := stream(lo, domain, data)
+	n := len(keys)
+	bound := int64(math.MaxInt32) / int64(max(n, 1))
+	for i, v := range vals {
+		switch v {
+		case math.MaxInt8:
+			vals[i] = bound
+		case math.MinInt8:
+			vals[i] = -bound
+		default:
+			vals[i] = v * (bound / 128)
+		}
+	}
+	tabs := [3]*AggTable{NewDenseAggTable(1, lo, hi, true), NewDenseAggTable(1, lo, hi, false), NewAggTable(1, 1)}
+	srcs := [3]*AggTable{NewDenseAggTable(1, lo, hi, true), NewDenseAggTable(1, lo, hi, false), NewAggTable(1, 1)}
+	type group struct{ key, sum, cnt int64 }
+	collect := func(tab *AggTable, counts bool) []group {
+		var out []group
+		tab.ForEach(false, func(k int64, s int) {
+			g := group{k, tab.Acc(s, 0), 0}
+			if counts {
+				g.cnt = tab.Count(s)
+			}
+			out = append(out, g)
+		})
+		return out
+	}
+	seg := func(i int) ([]int64, []int64, []byte) {
+		a, b := i*n/6, (i+1)*n/6
+		return keys[a:b], vals[a:b], cmp[a:b]
+	}
+	steps := []struct {
+		name string
+		fold func(tab, src *AggTable)
+	}{
+		{"LookupTile+CountTile+SumTile", func(tab, _ *AggTable) {
+			k, v, m := seg(0)
+			slots := make([]int32, len(k))
+			tab.LookupTile(k, slots)
+			tab.CountTile(slots, m)
+			tab.SumTile(slots, 0, v, m)
+		}},
+		{"AddPairs", func(tab, _ *AggTable) { k, v, _ := seg(1); tab.AddPairs(k, v) }},
+		{"AddPairsMasked", func(tab, _ *AggTable) { k, v, m := seg(2); tab.AddPairsMasked(k, v, m) }},
+		{"FoldPairs", func(tab, _ *AggTable) { k, v, _ := seg(3); tab.FoldPairs(k, v) }},
+		{"Add/AddMasked", func(tab, _ *AggTable) {
+			k, v, m := seg(4)
+			for i := range k {
+				if i%2 == 0 {
+					tab.Add(tab.Lookup(k[i]), 0, v[i])
+				} else {
+					tab.AddMasked(tab.Lookup(k[i]), 0, v[i], m[i])
+				}
+			}
+		}},
+		{"MergeFrom", func(tab, src *AggTable) {
+			k, v, m := seg(5)
+			src.AddPairsMasked(k, v, m)
+			tab.MergeFrom(src)
+		}},
+		{"Delete", func(tab, _ *AggTable) {
+			for k := lo; k <= hi; k += 7 {
+				tab.Delete(k)
+			}
+		}},
+	}
+	merged := false
+	for _, st := range steps {
+		for i, tab := range tabs {
+			st.fold(tab, srcs[i])
+		}
+		merged = merged || st.name == "MergeFrom"
+		p, d := collect(tabs[0], true), collect(tabs[1], true)
+		if !slices.IsSortedFunc(p, func(a, b group) int { return int(a.key - b.key) }) {
+			t.Fatalf("after %s: packed walk out of key order", st.name)
+		}
+		if !slices.Equal(p, d) {
+			t.Fatalf("after %s, the record forms disagree over domain %d:\n packed %v\n int64  %v", st.name, domain, p, d)
+		}
+		h, ref := collect(tabs[2], !merged), collect(tabs[0], !merged)
+		slices.SortFunc(h, func(a, b group) int { return int(a.key - b.key) })
+		if !slices.Equal(ref, h) {
+			t.Fatalf("after %s, the addressing forms disagree over domain %d:\n packed %v\n hashed %v", st.name, domain, ref, h)
+		}
+		for i, tab := range tabs {
+			if tab.Throwaway[0] != tabs[2].Throwaway[0] || tab.ThrowawayCount != tabs[2].ThrowawayCount {
+				t.Fatalf("after %s: table %d's throwaway entry %d/%d, hashed %d/%d", st.name, i,
+					tab.Throwaway[0], tab.ThrowawayCount, tabs[2].Throwaway[0], tabs[2].ThrowawayCount)
+			}
+		}
+		// A hashed Len, Contains and Find also see groups only rejected
+		// tuples reached; the key-addressed forms have none to see.
+		if tabs[0].Len() != len(p) || tabs[1].Len() != len(p) {
+			t.Fatalf("after %s: Len %d and %d, the walk %d groups", st.name, tabs[0].Len(), tabs[1].Len(), len(p))
+		}
+		for k := lo; k <= hi; k++ {
+			if in := tabs[0].Contains(k); in != tabs[1].Contains(k) || in != (tabs[0].Find(k) >= 0) || in != (tabs[1].Find(k) >= 0) {
+				t.Fatalf("after %s: the record forms disagree on whether key %d is present", st.name, k)
+			}
+		}
+		var flat []int64
+		for _, g := range p {
+			flat = append(flat, g.key, g.sum)
+		}
+		if !slices.Equal(tabs[0].AppendGroups(nil), flat) || !slices.Equal(tabs[1].AppendGroups(nil), flat) {
+			t.Fatalf("after %s: AppendGroups is not the walk's (key, sum) pairs", st.name)
+		}
+	}
+}
+
+// FuzzAggTableForms is the parity fuzzer of the addressing and record
+// forms: the committed seeds run under plain `go test`.
 func FuzzAggTableForms(f *testing.F) {
 	f.Add(uint16(1), []byte{})
 	f.Add(uint16(3), []byte("aaaabbbbccccddddeeeeffffgggghhhh"))
@@ -322,5 +497,6 @@ func FuzzAggTableForms(f *testing.F) {
 	f.Add(uint16(5000), []byte(strings.Repeat("swole pulls predicates up, not down. ", 300)))
 	f.Fuzz(func(t *testing.T, domain uint16, data []byte) {
 		formsAgree(t, int(domain)+1, data)
+		packedAgree(t, int(domain)+1, data)
 	})
 }

@@ -209,7 +209,8 @@ func BenchmarkAggFoldForms(b *testing.B) {
 			tab  *AggTable
 		}{
 			{"hashed", NewAggTable(1, domain)},
-			{"dense", NewDenseAggTable(1, 0, int64(domain-1))},
+			{"dense", NewDenseAggTable(1, 0, int64(domain-1), false)},
+			{"packed", NewDenseAggTable(1, 0, int64(domain-1), true)}, // 2M values < 128: every sum fits int32
 		}
 		var out []int64
 		for _, f := range forms {

@@ -15,8 +15,10 @@ import "math"
 // SetIdentity makes new groups start lane acc at v instead of zero — the
 // identity of a min or max lane. Set it before the first Lookup; groups
 // already in a hashed table keep their values, and a key-addressed table
-// takes the identity at its next Reset.
+// takes the identity at its next Reset. A packed table's lane is a sum and
+// has none: asking panics.
 func (t *AggTable) SetIdentity(acc int, v int64) {
+	t.sumsOnly("SetIdentity")
 	if t.ident == nil {
 		t.ident = make([]int64, t.nAccs)
 	}
@@ -83,6 +85,13 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 	}
 }
 
+// sumsOnly panics on a packed table, whose lane is a sum: a caller bug.
+func (t *AggTable) sumsOnly(op string) {
+	if t.packed() {
+		panic("ht: " + op + " on a packed table")
+	}
+}
+
 // CountTile counts lane i's tuple into slots[i]'s group when cmp[i] is 1. A
 // group that only rejected tuples reached keeps a zero count, which is what
 // keeps it out of the emission.
@@ -103,26 +112,30 @@ func (t *AggTable) CountTile(slots []int32, cmp []byte) {
 
 // SumTile adds vals[i]*cmp[i] into lane acc of slots[i]'s group: the whole
 // value under an all-ones mask (selected lanes), the value-masking product
-// otherwise.
+// otherwise. On a packed table the sum is the word's high half.
 func (t *AggTable) SumTile(slots []int32, acc int, vals []int64, cmp []byte) {
 	if len(slots) == 0 {
 		return
 	}
 	_, _ = vals[len(slots)-1], cmp[len(slots)-1]
-	n := t.stride
+	n, scale := t.stride, int64(1) // a multiply: a variable shift costs the int64 form 30 %
+	if t.packed() {
+		scale = 1 << 32
+	}
 	for i, s := range slots {
 		v := vals[i] * int64(cmp[i])
 		if s < 0 {
 			t.Throwaway[acc] += v
 			continue
 		}
-		t.recs[int(s)*n+acc] += v
+		t.recs[int(s)*n+acc] += v * scale
 	}
 }
 
 // MinTile lowers lane acc of slots[i]'s group to vals[i] where smaller and
 // cmp[i] is 1. The lane's identity (SetIdentity) should be math.MaxInt64.
 func (t *AggTable) MinTile(slots []int32, acc int, vals []int64, cmp []byte) {
+	t.sumsOnly("MinTile")
 	if len(slots) == 0 {
 		return
 	}
@@ -146,6 +159,7 @@ func (t *AggTable) MinTile(slots []int32, acc int, vals []int64, cmp []byte) {
 // MaxTile raises lane acc of slots[i]'s group to vals[i] where larger and
 // cmp[i] is 1. The lane's identity should be math.MinInt64.
 func (t *AggTable) MaxTile(slots []int32, acc int, vals []int64, cmp []byte) {
+	t.sumsOnly("MaxTile")
 	if len(slots) == 0 {
 		return
 	}

@@ -1,5 +1,10 @@
 package ht
 
+import (
+	"math"
+	"slices"
+)
+
 // Software prefetch for the random-access loops. Go exposes no prefetch
 // intrinsic, so the kernels touch the target cache line with a real load a
 // tunable distance ahead of its use; the out-of-order window then overlaps
@@ -45,9 +50,9 @@ func (t *AggTable) Touch(key int64) uint64 {
 // express.
 func (t *AggTable) NextLive(i int, includeInvalid bool) int {
 	if t.span != 0 {
-		for c := i*t.stride + t.nAccs; c < len(t.recs); c += t.stride {
-			if t.recs[c] > 0 {
-				return c / t.stride
+		for ; i < int(t.span); i++ {
+			if t.count(i) > 0 {
+				return i
 			}
 		}
 		return -1
@@ -73,6 +78,9 @@ func (t *AggTable) Key(slot int) int64 {
 // key-addressed table, so the appended run is already the sorted emission.
 func (t *AggTable) AppendGroups(dst []int64) []int64 {
 	n := t.stride
+	if t.packed() {
+		return t.appendPacked(dst)
+	}
 	if t.span != 0 {
 		for i, c := 0, n-1; c < len(t.recs); i, c = i+1, c+n {
 			if t.recs[c] > 0 {
@@ -89,23 +97,44 @@ func (t *AggTable) AppendGroups(dst []int64) []int64 {
 	return dst
 }
 
+// appendPacked is AppendGroups on a packed table without a branch per word,
+// which live words at random would mispredict: each word's pair is written
+// past dst's end, and kept by moving the end when its count is positive. A
+// chunk at a time, so dst's capacity outgrows the groups by one chunk.
+func (t *AggTable) appendPacked(dst []int64) []int64 {
+	const chunk = 1024
+	for base := 0; base < len(t.recs); base += chunk {
+		words := t.recs[base:min(base+chunk, len(t.recs))]
+		dst = slices.Grow(dst, 2*len(words))
+		n := len(dst)
+		out := dst[n : n+2*len(words)]
+		j, key := 0, t.lo+int64(base)
+		for i, w := range words {
+			out[j+1], out[j] = w>>32, key+int64(i)
+			j += int((uint64(uint32(w))+math.MaxUint32)>>32) * 2 // 2 iff the count is positive
+		}
+		dst = dst[:n+j]
+	}
+	return dst
+}
+
 // mergeRing bounds the MergeFrom lookahead window; power of two ≥ any
 // sensible PrefetchDist.
 const mergeRing = 32
 
 // MergeFrom folds src's groups with a positive tuple count into dst and
-// returns how many it merged. Two key-addressed tables over one domain
-// merge by element-wise addition of their records — a sequential pass, the
-// per-worker merge of the direct path. Otherwise the groups are looked up
-// with software prefetch: each group's home line in dst is touched
-// PrefetchDist groups before its Lookup, so the DRAM misses of an
-// out-of-cache destination overlap instead of serializing; accumulators are
-// added pairwise and the destination count is bumped once per source group
-// — exactly the fold the per-worker merge loops perform. Lanes merge by
-// addition either way, so only sum lanes may be merged.
+// returns how many it merged. Two key-addressed tables of one domain and
+// record form merge by element-wise addition of their records (or words) —
+// a sequential pass, the per-worker merge of the direct path. Otherwise the
+// groups are looked up with software prefetch: each group's home line in
+// dst is touched PrefetchDist groups before its Lookup, so the DRAM misses
+// of an out-of-cache destination overlap instead of serializing;
+// accumulators are added pairwise and the destination count is bumped once
+// per source group — exactly the fold the per-worker merge loops perform.
+// Lanes merge by addition either way, so only sum lanes may be merged.
 // Single-owner: dst and src must not be concurrently accessed.
 func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
-	if dst.span != 0 && dst.span == src.span && dst.lo == src.lo && dst.nAccs == src.nAccs {
+	if dst.span != 0 && dst.span == src.span && dst.lo == src.lo && dst.nAccs == src.nAccs && dst.stride == src.stride {
 		var merged uint64
 		n := dst.stride
 		d, s := dst.recs, src.recs[:len(dst.recs)]
@@ -151,7 +180,7 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 		}
 		j := dst.Lookup(src.Key(s))
 		for a := 0; a < accs; a++ {
-			dst.Add(j, a, src.recs[s*src.stride+a])
+			dst.Add(j, a, src.Acc(s, a))
 		}
 		merged++
 	}
@@ -162,13 +191,17 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 // AddPairs aggregates (key, value) pairs into accumulator 0, counting each
 // tuple: Add(Lookup(keys[i]), 0, vals[i]) for every pair. NullKey pairs
 // land in the throwaway entry. On a key-addressed table the loop is a
-// range check, a subtraction and two adds into one record.
+// range check, a subtraction and two adds into one record (one when packed).
 func (t *AggTable) AddPairs(keys, vals []int64) {
 	if len(keys) == 0 {
 		return
 	}
 	_ = vals[len(keys)-1]
-	if t.span != 0 {
+	switch {
+	case t.packed():
+		t.addPairsPacked(keys, vals)
+		return
+	case t.span != 0:
 		t.addPairsDense(keys, vals)
 		return
 	}
@@ -203,6 +236,20 @@ func (t *AggTable) addPairsDense(keys, vals []int64) {
 	}
 }
 
+// addPairsPacked is AddPairs on a packed table: v<<32 + 1 adds the value to
+// the sum and one to the count. The domain is the record array's length.
+func (t *AggTable) addPairsPacked(keys, vals []int64) {
+	lo, recs, vals := uint64(t.lo), t.recs, vals[:len(keys)]
+	for i, k := range keys {
+		u := uint64(k) - lo
+		if u >= uint64(len(recs)) {
+			t.Add(t.outside(k), 0, vals[i])
+			continue
+		}
+		recs[u] += vals[i]<<32 + 1
+	}
+}
+
 // AddPairsMasked is AddPairs under a 0/1 mask, the value-masking fold:
 // AddMasked(Lookup(keys[i]), 0, vals[i], cmp[i]) for every pair. Every
 // lane looks its real key up; a rejected lane adds zero to the sum and to
@@ -212,7 +259,11 @@ func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
 		return
 	}
 	_, _ = vals[len(keys)-1], cmp[len(keys)-1]
-	if t.span != 0 {
+	switch {
+	case t.packed():
+		t.addPairsMaskedPacked(keys, vals, cmp)
+		return
+	case t.span != 0:
 		t.addPairsMaskedDense(keys, vals, cmp)
 		return
 	}
@@ -243,6 +294,21 @@ func (t *AggTable) addPairsMaskedDense(keys, vals []int64, cmp []byte) {
 		}
 		recs[u*n] += vals[i] * m
 		recs[u*n+n-1] += m
+	}
+}
+
+// addPairsMaskedPacked is AddPairsMasked on a packed table: one add of
+// (v*m)<<32 + m per pair.
+func (t *AggTable) addPairsMaskedPacked(keys, vals []int64, cmp []byte) {
+	lo, recs, vals, cmp := uint64(t.lo), t.recs, vals[:len(keys)], cmp[:len(keys)]
+	for i, k := range keys {
+		u := uint64(k) - lo
+		if u >= uint64(len(recs)) {
+			t.AddMasked(t.outside(k), 0, vals[i], cmp[i])
+			continue
+		}
+		m := int64(cmp[i])
+		recs[u] += (vals[i]*m)<<32 + m
 	}
 }
 

@@ -72,8 +72,9 @@ func BenchmarkSteadyGroupAgg100K(b *testing.B) {
 
 // The BenchmarkSteadyGroupDense rows repeat group-bys whose key domain is
 // known and dense, so they aggregate into key-addressed tables: 100 groups
-// (an L1-resident record array), 1M groups (16 MB, cleared and walked every
-// run), and the eager groupjoin keyed by a foreign key.
+// (an L1-resident record array), 1M groups (8 MB of one-word records — an
+// int8 sum over 2M rows packs — cleared and walked every run), and the eager
+// groupjoin keyed by a foreign key.
 
 // benchSteadyDense is benchSteady after checking the plan is key-addressed
 // over wantDomain keys.
@@ -135,4 +136,26 @@ func BenchmarkSteadySelectOrHaving(b *testing.B) {
 func BenchmarkSteadySelectJoinMinMax(b *testing.B) {
 	db := steadyDB(b, benchR(), 1000, 1000)
 	benchSteady(b, db, selectForms[6].q)
+}
+
+// BenchmarkSteadyMicroClassic repeats each of the benchmark's 15
+// micro_classic statements (benchmark/stmts.go, in workload order) at the
+// workload's shape — R = 2M, S = 100K, 1M keys of r_c, one worker — one
+// sub-benchmark per statement id: the per-statement timings a change to the
+// classic shapes cites. Every one allocates nothing.
+func BenchmarkSteadyMicroClassic(b *testing.B) {
+	db := steadyDB(b, 2_000_000, 100_000, 1_000_000)
+	db.SetWorkers(1)
+	defer db.SetWorkers(0)
+	for _, sel := range []int{5, 50, 95} {
+		for _, s := range []struct{ id, q string }{
+			{"scalar", "select sum(r_a * r_b) as s from r where r_x < %d and r_y = 1"},
+			{"group_r_a", "select r_a, sum(r_b) as s from r where r_x < %d group by r_a"},
+			{"semijoin", "select sum(r_a) as s from r, s where r_fk = s_pk and s_x < %d and r_x < 50"},
+			{"group_r_c", "select r_c, sum(r_b) as s from r where r_x < %d group by r_c"},
+			{"groupjoin", "select r_fk, sum(r_a) as s from r, s where r_fk = s_pk and s_x < %d group by r_fk"},
+		} {
+			b.Run(fmt.Sprintf("%s.s%02d", s.id, sel), func(b *testing.B) { benchSteady(b, db, fmt.Sprintf(s.q, sel)) })
+		}
+	}
 }
