@@ -289,9 +289,6 @@ func errNoColumn(table, column string) error {
 	return fmt.Errorf("core: table %q column %q: %w", table, column, ErrNoColumn)
 }
 
-// aggSlotBytes approximates the hashed ht.AggTable's per-group footprint.
-func aggSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
-
 // tableForm is the rule that picks a group table's form, and its price. The
 // keys are known to lie in [lo, hi] — a fact of the very column object the
 // plan binds: a dictionary's size, a cached exact colRange, a packed-key
@@ -307,7 +304,7 @@ func aggSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
 // too-wide range, or one that holds ht.NullKey — params themselves, the
 // hashed estimate, a zero domain and false.
 func tableForm(params cost.Params, lo, hi int64, lanes, groups, rows int, bound uint64) (form cost.Params, bytes, domain int, packed bool) {
-	hashed := groups * aggSlotBytes(lanes)
+	hashed := groups * ht.HashedSlotBytes(lanes)
 	span := uint64(hi) - uint64(lo) + 1 // 0 when the range is all of int64
 	if hi < lo || lo == ht.NullKey || span == 0 || span > ht.MaxDenseDomain {
 		return params, hashed, 0, false

@@ -62,7 +62,7 @@ func TestTableFormRule(t *testing.T) {
 		want, price := c.want*8*(c.lanes+1), p.KeyAddressed()
 		switch {
 		case c.want == 0:
-			want, price = c.groups*aggSlotBytes(c.lanes), p
+			want, price = c.groups*ht.HashedSlotBytes(c.lanes), p
 		case c.packed:
 			want = c.want * 8
 		}
@@ -400,5 +400,115 @@ func TestPackedCompileSites(t *testing.T) {
 			sameGroups(t, fmt.Sprintf("%d rows, %s", rows, site.name), site.got, want)
 		}
 		e.Close()
+	}
+}
+
+// valueKeysDB is one table with a key column for each way a lone GROUP BY
+// column can meet a key-addressed table — a dictionary, int8 and int16
+// ranges negative at both ends, a measured int32 range, an int64 range
+// starting at ht.NullKey, an int32 range too sparse for any key-addressed
+// table — a filter column and an int8 value column.
+func valueKeysDB(rows int) (*storage.Database, map[string][]int64) {
+	cols := map[string][]int64{}
+	for _, c := range []string{"kd", "k8", "k16", "k32", "k64", "sparse", "x", "v"} {
+		cols[c] = make([]int64, rows)
+	}
+	strs := make([]string, rows)
+	for i := range strs {
+		strs[i] = []string{"AIR", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"}[i%6]
+		cols["kd"][i] = int64(i % 6) // the dictionary's codes, in value order
+		cols["k8"][i] = -128 + int64(i%10)
+		cols["k16"][i] = -30_010 + int64(i*7%10)
+		cols["k32"][i] = 1_000_000 + int64(i%20)
+		cols["k64"][i] = math.MinInt64 + int64(i%8)
+		cols["sparse"][i] = int64(i%4) * 300_000_000
+		cols["x"][i] = int64(i % 3)
+		cols["v"][i] = int64(i%255 - 127)
+	}
+	t := []*storage.Column{storage.NewStrings("kd", strs)}
+	for _, c := range []string{"k8", "k16", "k32", "k64", "sparse", "x", "v"} {
+		t = append(t, storage.Compress(c, cols[c], storage.LogInt))
+	}
+	db := storage.NewDatabase()
+	db.AddTable(storage.MustNewTable("t", t...))
+	return db, cols
+}
+
+// TestValueAddressing: a lone key column whose range a key-addressed table
+// covers addresses it by value — the table starts at the column's origin —
+// under every technique; an origin at ht.NullKey falls back to packed keys
+// over [0, D), and two-column keys never take it. Every compile answers the
+// reference.
+func TestValueAddressing(t *testing.T) {
+	const rows = 5000
+	db, cols := valueKeysDB(rows)
+	e := NewEngine(db)
+	defer e.Close()
+	for _, c := range []struct {
+		keys    []string
+		domain  int
+		byValue bool
+		first   int64 // the key of the table's first slot
+	}{
+		{[]string{"kd"}, 6, true, 0},
+		{[]string{"k8"}, 10, true, -128},
+		{[]string{"k16"}, 10, true, -30_010},
+		{[]string{"k32"}, 20, true, 1_000_000},
+		{[]string{"k64"}, 8, false, 0},
+		{[]string{"sparse"}, 0, false, 0},
+		{[]string{"k8", "k16"}, 100, false, 0},
+		{[]string{"kd", "k32"}, 120, false, 0},
+	} {
+		want := map[string][3]int64{} // sum(v), max(v), count(*) per key tuple
+		for i := 0; i < rows; i++ {
+			if cols["x"][i] >= 2 {
+				continue
+			}
+			k := ""
+			for _, name := range c.keys {
+				k += fmt.Sprint(cols[name][i], " ")
+			}
+			g, ok := want[k]
+			if !ok {
+				g[1] = math.MinInt64
+			}
+			want[k] = [3]int64{g[0] + cols["v"][i], max(g[1], cols["v"][i]), g[2] + 1}
+		}
+		spec := func() Select {
+			q := Select{Root: "t", Filter: lt("x", 2), GroupBy: c.keys, Aggs: []SelectAgg{
+				{Kind: AggSum, Arg: expr.NewCol("v"), As: "s"}, {Kind: AggMax, Arg: expr.NewCol("v"), As: "m"}, {Kind: AggCount, As: "n"}}}
+			for _, name := range append(append([]string(nil), c.keys...), "s", "m", "n") {
+				q.Project = append(q.Project, SelectProj{Expr: expr.NewCol(name), As: name})
+			}
+			return q
+		}
+		for _, tech := range append([]Technique{techAuto}, selectTechs(spec())...) {
+			tag := fmt.Sprintf("%v under %v", c.keys, tech)
+			p, err := e.prepareSelect(spec(), tech)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			res, ex, err := p.RunContext(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if ex.DenseDomain != c.domain || p.keys.byValue != c.byValue || c.domain > 0 && p.tab.Key(0) != c.first {
+				t.Errorf("%s: DenseDomain %d, by value %v, first key %d; want %d, %v and %d",
+					tag, ex.DenseDomain, p.keys.byValue, p.tab.Key(0), c.domain, c.byValue, c.first)
+			}
+			got := selectRows(res)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d groups, want %d", tag, len(got), len(want))
+			}
+			for _, row := range got {
+				k, nk := "", len(c.keys)
+				for _, v := range row[:nk] {
+					k += fmt.Sprint(v, " ")
+				}
+				if w := want[k]; [3]int64(row[nk:]) != w {
+					t.Errorf("%s: group %s= %v, want %v", tag, k, row[nk:], w)
+				}
+			}
+		}
 	}
 }

@@ -285,7 +285,7 @@ func (e *Engine) compileGroupAgg(q GroupAgg, tech Technique) (*PreparedGroupAgg,
 
 	// The table's form, from what the catalog knows about a bare-column key:
 	// a dictionary's codes, or the column's exact cached range.
-	hashedBytes := groups * aggSlotBytes(1)
+	hashedBytes := groups * ht.HashedSlotBytes(1)
 	lo, hi := int64(1), int64(0) // nothing known
 	if p.keyCol != nil && p.rows > 0 {
 		if d := p.keyCol.Dict; d != nil {

@@ -219,7 +219,7 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*PreparedGroupJoinAgg, err
 	// space of the fail bitmap — and decides the table's form. The
 	// traditional path builds its tables from the qualifying build keys and
 	// stays hashed.
-	hashedBytes := p.buildRows * aggSlotBytes(1)
+	hashedBytes := p.buildRows * ht.HashedSlotBytes(1)
 	lo, hi := int64(1), int64(0) // nothing known about an empty column
 	if rows > 0 {
 		lo, hi = e.colRange(q.Probe, fkCol)

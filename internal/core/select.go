@@ -27,9 +27,12 @@ import (
 //	               gathered by position for parent columns
 //	row stage      residual and aggregate arguments evaluate over whole
 //	               vectors; a residual is one more AND into the mask
-//	group slot     GROUP BY keys pack into one int64 (selectkeys.go) and
-//	               resolve to slots of one ht.AggTable, a tile at a time
-//	accumulate     one lane per aggregate folds its value vector
+//	group keys     GROUP BY keys pack into one int64 (selectkeys.go); a lone
+//	               key column whose table is key-addressed is its own key,
+//	               its tile vector passed on unpacked
+//	fold           one pass resolves the keys to slots of one ht.AggTable
+//	               and folds the tuple count and a leading sum (FoldTile);
+//	               each further lane folds its value vector over the slots
 //
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
@@ -382,10 +385,10 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		// Value masking reaches groups only rejected tuples touched; their
 		// count stays zero and keeps them out of the walk.
 		if p.ex.DenseDomain > 0 {
-			// A packed key is its slot, and packed-key order is the result
+			// A slot is its packed key, and packed-key order is the result
 			// order: the walk needs no sort.
 			for slot := p.tab.NextLive(0, false); slot >= 0; slot = p.tab.NextLive(slot+1, false) {
-				p.emitGroup(slot)
+				p.emitGroup(int64(slot), slot)
 			}
 		} else {
 			p.keys.rank(&p.groupEmit)
@@ -395,7 +398,8 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			}
 			p.sortPairs()
 			for i := 0; i < len(p.pairs); i += 2 {
-				p.emitGroup(int(p.pairs[i+1]))
+				slot := int(p.pairs[i+1])
+				p.emitGroup(p.tab.Key(slot), slot)
 			}
 		}
 	}
@@ -427,10 +431,10 @@ func (p *PreparedSelect) mergeParts() int64 {
 	return p.part[0]
 }
 
-// emitGroup stages the group in slot — its key columns into outRow, its
-// lanes into acc — and emits its row.
-func (p *PreparedSelect) emitGroup(slot int) {
-	p.keys.decode(p.tab.Key(slot), p.outRow)
+// emitGroup stages the group in slot — the key columns key decodes to into
+// outRow, its lanes into acc — and emits its row.
+func (p *PreparedSelect) emitGroup(key int64, slot int) {
+	p.keys.decode(key, p.outRow)
 	for lane := range p.acc {
 		p.acc[lane] = p.tab.Acc(slot, lane)
 	}
@@ -690,20 +694,27 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64
 // ones). Key masking routes rejected lanes to the throwaway entry through
 // ht.NullKey, so they never probe the table. Value masking looks every
 // lane's real key up and has rejected lanes contribute the aggregate's
-// identity and no count.
+// identity and no count. The resolve, the count and a leading sum lane fold
+// in one pass (ht.FoldTile); the lanes after it fold over its slots.
 func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, base, m int, cmp []byte) {
-	keys, slots := s.Keys[:m], t.slots[:m]
-	p.keys.fill(t.vecs, m, keys)
+	keys := p.keys.fill(t.vecs, m, s.Keys)
 	if p.tech == TechKeyMasking {
-		vec.MaskKeysU(keys, cmp, ht.NullKey, keys)
+		vec.MaskKeysU(keys, cmp, ht.NullKey, s.Keys[:m])
+		keys = s.Keys[:m]
 		s.ctr.KeyMask++
 	}
-	p.tab.LookupTile(keys, slots)
-	p.tab.CountTile(slots, cmp)
 	if p.tech == TechValueMasking {
 		s.ctr.MaskedAgg++
 	}
-	for _, i := range p.fold {
+	fold, slots, lane := p.fold, t.slots[:m], 0
+	var first []int64
+	if len(fold) > 0 {
+		if a := &p.aggs[fold[0]]; a.kind == AggSum || a.kind == AggAvg {
+			first, lane, fold = p.operand(s, t, &a.arg, base, m, s.Vals), a.lane, fold[1:]
+		}
+	}
+	p.tab.FoldTile(keys, slots, lane, first, cmp)
+	for _, i := range fold {
 		a := &p.aggs[i]
 		v := p.operand(s, t, &a.arg, base, m, s.Vals)
 		switch a.kind {

@@ -346,7 +346,7 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		p.ex.Costs["value-masking"] = params.ValueMasking(rows, c.comp)
 	} else {
 		nAggs := c.lanes + 1 // the shared count is masked like a lane
-		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, c.groups*aggSlotBytes(c.lanes))
+		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, c.groups*ht.HashedSlotBytes(c.lanes))
 		// A packed key is its own slot: when the packed domain passes the
 		// form rule the one group table is key-addressed.
 		hi := int64(-1) // chained keys have no domain
@@ -486,8 +486,14 @@ func (c *selectCompile) bindRowStage() error {
 		return nil
 	}
 	p.acc = make([]int64, c.lanes)
-	if d := p.ex.DenseDomain; d > 0 {
-		p.tab = ht.NewDenseAggTable(c.lanes, 0, int64(d-1), c.packed)
+	if d := int64(p.ex.DenseDomain); d > 0 {
+		// A lone key column addresses the table by value — its slot is still
+		// the packed key — unless no table can start at its digit origin.
+		lo := int64(0)
+		if o := p.keys.lo[0]; len(p.keys.cols) == 1 && o != ht.NullKey && o+(d-1) >= o {
+			lo, p.keys.byValue = o, true
+		}
+		p.tab = ht.NewDenseAggTable(c.lanes, lo, lo+d-1, c.packed)
 	} else {
 		p.tab = ht.NewAggTable(c.lanes, c.groups)
 	}

@@ -54,9 +54,12 @@ func (d *keyDict) reset() {
 type groupKeys struct {
 	cols []int // tile-vector slot per key column
 
-	// Packed form: digit origin and place value per column.
-	lo   []int64
-	mult []int64
+	// Packed form: digit origin and place value per column. byValue: a lone
+	// column's values address a key-addressed table over [lo[0], lo[0]+D-1]
+	// themselves, so fill packs nothing and a slot is still the packed key.
+	lo      []int64
+	mult    []int64
+	byValue bool
 
 	// Chained form (mult == nil): one dictionary per column, plus one per
 	// pair level (pairs[0] is unused: level 0 is the first column's ids).
@@ -101,8 +104,13 @@ func (g *groupKeys) alloc(hint int) {
 	}
 }
 
-// fill resolves the m lanes of the tile vectors to table keys.
-func (g *groupKeys) fill(vecs [][]int64, m int, keys []int64) {
+// fill resolves the m lanes of the tile vectors to table keys: the key
+// column's own vector when it addresses the table by value, else keys after
+// writing them there.
+func (g *groupKeys) fill(vecs [][]int64, m int, keys []int64) []int64 {
+	if g.byValue {
+		return vecs[g.cols[0]][:m]
+	}
 	keys = keys[:m]
 	if g.mult != nil {
 		for c, slot := range g.cols {
@@ -117,7 +125,7 @@ func (g *groupKeys) fill(vecs [][]int64, m int, keys []int64) {
 				}
 			}
 		}
-		return
+		return keys
 	}
 	for c, slot := range g.cols {
 		v := vecs[slot][:m]
@@ -129,6 +137,7 @@ func (g *groupKeys) fill(vecs [][]int64, m int, keys []int64) {
 			keys[i] = id
 		}
 	}
+	return keys
 }
 
 // reset empties the chained form's dictionaries for the next run.

@@ -133,6 +133,11 @@ func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
 // picks the form.
 func HashedBytes(nAccs, hint int) int { return hintCap(hint) * (8 + 1 + 4 + 8*(nAccs+1)) }
 
+// HashedSlotBytes approximates one hashed group's footprint — key, state,
+// lanes, count, epoch — the size cost models estimate a hashed table by.
+// (It counts the epoch as one byte where HashedBytes counts its four.)
+func HashedSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
+
 // DenseBytes is the footprint of a key-addressed table over domain keys.
 func DenseBytes(nAccs int, domain uint64, packed bool) uint64 {
 	if packed {
@@ -248,7 +253,7 @@ func (t *AggTable) SlotBytes() int {
 	if t.span != 0 {
 		return 8 * t.stride
 	}
-	return 8 + 1 + 8*t.nAccs + 8 + 1
+	return HashedSlotBytes(t.nAccs)
 }
 
 // live returns the effective state of slot i in the current generation.

@@ -143,10 +143,8 @@ func TestDenseResetReuse(t *testing.T) {
 			t.Fatalf("generation %d: %d groups, throwaway %d after Reset", gen, tab.Len(), tab.ThrowawayCount)
 		}
 		slots := make([]int32, 3)
-		tab.LookupTile([]int64{7, 9, NullKey}, slots)
 		cmp := []byte{1, 1, 1}
-		tab.CountTile(slots, cmp)
-		tab.SumTile(slots, 0, []int64{gen, 2, 3}, cmp)
+		tab.FoldTile([]int64{7, 9, NullKey}, slots, 0, []int64{gen, 2, 3}, cmp)
 		tab.MinTile(slots, 1, []int64{100 + gen, 5, 1}, cmp)
 		if got := tab.Acc(tab.Find(7), 0); got != gen {
 			t.Fatalf("generation %d: stale sum %d", gen, got)
@@ -204,6 +202,12 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 			t.AddPairsMasked([]int64{3, k}, []int64{1, 1}, []byte{1, 0})
 		},
 		"FoldPairs": func(t *AggTable, k int64) { t.FoldPairs([]int64{k}, []int64{1}) },
+		"FoldTile": func(t *AggTable, k int64) {
+			t.FoldTile([]int64{3, k}, make([]int32, 2), 0, []int64{1, 1}, []byte{1, 0})
+		},
+		"FoldTile count": func(t *AggTable, k int64) {
+			t.FoldTile([]int64{3, k}, make([]int32, 2), 0, nil, []byte{1, 1})
+		},
 	}
 	for name, call := range entry {
 		for i, k := range []int64{-1, 10, math.MaxInt64, math.MinInt64 + 1} {
@@ -325,10 +329,8 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 	third := len(keys) / 3
 	slots := make([]int32, third)
 	for _, tab := range []*AggTable{dense, hashed} {
-		// Tile lanes: count, sum into lane 0, max into lane 1.
-		tab.LookupTile(keys[:third], slots)
-		tab.CountTile(slots, cmp[:third])
-		tab.SumTile(slots, 0, vals[:third], cmp[:third])
+		// Tile lanes: count and sum into lane 0 in one pass, max into lane 1.
+		tab.FoldTile(keys[:third], slots, 0, vals[:third], cmp[:third])
 		tab.MaxTile(slots, 1, vals[:third], cmp[:third])
 		// Fused pair folds, masked then plain.
 		tab.AddPairsMasked(keys[third:2*third], vals[third:2*third], cmp[third:2*third])
@@ -413,12 +415,9 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 		name string
 		fold func(tab, src *AggTable)
 	}{
-		{"LookupTile+CountTile+SumTile", func(tab, _ *AggTable) {
+		{"FoldTile", func(tab, _ *AggTable) {
 			k, v, m := seg(0)
-			slots := make([]int32, len(k))
-			tab.LookupTile(k, slots)
-			tab.CountTile(slots, m)
-			tab.SumTile(slots, 0, v, m)
+			tab.FoldTile(k, make([]int32, len(k)), 0, v, m)
 		}},
 		{"AddPairs", func(tab, _ *AggTable) { k, v, _ := seg(1); tab.AddPairs(k, v) }},
 		{"AddPairsMasked", func(tab, _ *AggTable) { k, v, m := seg(2); tab.AddPairsMasked(k, v, m) }},
@@ -488,6 +487,108 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 	}
 }
 
+// refCount is the count pass FoldTile fuses: lane i's tuple counts into
+// slots[i]'s group when cmp[i] is 1 (a packed word's low half).
+func refCount(t *AggTable, slots []int32, cmp []byte) {
+	n := t.stride
+	for i, s := range slots {
+		if s < 0 {
+			t.ThrowawayCount += int64(cmp[i])
+			continue
+		}
+		t.recs[int(s)*n+n-1] += int64(cmp[i])
+	}
+}
+
+// foldAgree is the fuzzer's FoldTile arm: on hashed, int64 key-addressed,
+// packed and zero-lane tables, FoldTile and then the remaining lanes'
+// SumTile hold what LookupTile, the reference count loop and every lane's
+// SumTile hold — with the last lane's sum fused and with vals nil (the count
+// alone), tile by tile, NullKey lanes and masks included. Wherever lanes
+// fold after it, FoldTile's slots are LookupTile's.
+func foldAgree(t *testing.T, domain int, data []byte) {
+	t.Helper()
+	lo := int64(-domain / 2)
+	hi := lo + int64(domain) - 1
+	keys, vals, cmp := stream(lo, domain, data) // int8 values: packed sums stay inside int32
+	const tile = 100
+	slots, ref := make([]int32, tile), make([]int32, tile)
+	type group struct{ key, sum0, sum1, cnt int64 }
+	collect := func(tab *AggTable) (out []group) {
+		tab.ForEach(true, func(k int64, s int) {
+			g := group{key: k, cnt: tab.Count(s)}
+			if tab.nAccs > 0 {
+				g.sum0 = tab.Acc(s, 0)
+			}
+			if tab.nAccs > 1 {
+				g.sum1 = tab.Acc(s, 1)
+			}
+			out = append(out, g)
+		})
+		return out
+	}
+	for _, form := range []struct {
+		name string
+		make func() *AggTable
+	}{
+		{"hashed", func() *AggTable { return NewAggTable(2, 1) }},
+		{"hashed, no lanes", func() *AggTable { return NewAggTable(0, 1) }},
+		{"key-addressed", func() *AggTable { return NewDenseAggTable(2, lo, hi, false) }},
+		{"key-addressed, one lane", func() *AggTable { return NewDenseAggTable(1, lo, hi, false) }},
+		{"packed", func() *AggTable { return NewDenseAggTable(1, lo, hi, true) }},
+		{"key-addressed, no lanes", func() *AggTable { return NewDenseAggTable(0, lo, hi, false) }},
+	} {
+		for _, fused := range []bool{true, false} {
+			got, want := form.make(), form.make()
+			if fused && got.nAccs == 0 {
+				continue // no lane to fuse
+			}
+			for a := 0; a < len(keys); a += tile {
+				b := min(a+tile, len(keys))
+				k, v, m := keys[a:b], vals[a:b], cmp[a:b]
+				var first []int64
+				lane, rest := got.nAccs-1, 0 // the last lane fuses: lanes after it need not
+				if fused {
+					first, rest = v, 1
+				}
+				got.FoldTile(k, slots, max(lane, 0), first, m)
+				for acc := range got.nAccs {
+					if !fused || acc != lane {
+						got.SumTile(slots[:len(k)], acc, v, m)
+					}
+				}
+				want.LookupTile(k, ref)
+				refCount(want, ref[:len(k)], m)
+				for acc := 0; acc < want.nAccs; acc++ {
+					want.SumTile(ref[:len(k)], acc, v, m)
+				}
+				if got.nAccs > rest && !slices.Equal(slots[:len(k)], ref[:len(k)]) {
+					t.Fatalf("%s (fused %v): FoldTile's slots %v, LookupTile's %v", form.name, fused, slots[:len(k)], ref[:len(k)])
+				}
+			}
+			if g, w := collect(got), collect(want); !slices.Equal(g, w) {
+				t.Fatalf("%s (fused %v) over domain %d:\n FoldTile  %v\n reference %v", form.name, fused, domain, g, w)
+			}
+			if !slices.Equal(got.Throwaway, want.Throwaway) || got.ThrowawayCount != want.ThrowawayCount {
+				t.Fatalf("%s (fused %v): throwaway %v/%d, reference %v/%d", form.name, fused,
+					got.Throwaway, got.ThrowawayCount, want.Throwaway, want.ThrowawayCount)
+			}
+		}
+	}
+}
+
+// A bare count(*) groups into a table with no lanes, whose throwaway entry
+// has no lane either: FoldTile counts NullKey lanes without touching one.
+func TestFoldTileZeroLanes(t *testing.T) {
+	for _, tab := range []*AggTable{NewAggTable(0, 1), NewDenseAggTable(0, 0, 9, false)} {
+		keys := []int64{3, NullKey, 3, 9, NullKey, 3}
+		tab.FoldTile(keys, make([]int32, len(keys)), 0, nil, []byte{1, 1, 0, 1, 0, 1})
+		if c3, c9 := tab.Count(tab.Find(3)), tab.Count(tab.Find(9)); c3 != 2 || c9 != 1 || tab.ThrowawayCount != 1 {
+			t.Errorf("span %d: counts %d and %d, throwaway %d; want 2, 1 and 1", tab.span, c3, c9, tab.ThrowawayCount)
+		}
+	}
+}
+
 // FuzzAggTableForms is the parity fuzzer of the addressing and record
 // forms: the committed seeds run under plain `go test`.
 func FuzzAggTableForms(f *testing.F) {
@@ -498,5 +599,6 @@ func FuzzAggTableForms(f *testing.F) {
 	f.Fuzz(func(t *testing.T, domain uint16, data []byte) {
 		formsAgree(t, int(domain)+1, data)
 		packedAgree(t, int(domain)+1, data)
+		foldAgree(t, int(domain)+1, data)
 	})
 }

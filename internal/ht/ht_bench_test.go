@@ -1,6 +1,7 @@
 package ht
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -193,51 +194,91 @@ func size(keys int) string {
 // masked, into each form of the table at three key domains and walks the
 // result: the kernel-level measurement behind the form selection rule
 // (EXPERIMENTS.md). "pertuple" is the Lookup+AddMasked loop a kernel may
-// write itself; "tile" is AddPairsMasked over 1024-pair tiles.
+// write itself; "tile" is AddPairsMasked over 1024-pair tiles. The fold/*
+// rows are the tile pipeline's grouped fold over 7 skewed keys (half the rows
+// on one), 100 and 100K keys: "onepass" is FoldTile, "threepass" the
+// LookupTile, count loop and SumTile it replaced.
 func BenchmarkAggFoldForms(b *testing.B) {
 	const rows = 2 << 20
-	for _, domain := range []int{100, 100_000, 1_000_000} {
-		keys, vals, cmp := make([]int64, rows), make([]int64, rows), make([]byte, rows)
+	input := func(domain int, skew bool) (keys, vals []int64, cmp []byte) {
+		keys, vals, cmp = make([]int64, rows), make([]int64, rows), make([]byte, rows)
 		for i := range keys {
 			h := hash64(uint64(i) + 1)
 			keys[i] = int64(h % uint64(domain))
+			if skew {
+				keys[i] = int64(min(bits.TrailingZeros64(h), domain-1))
+			}
 			vals[i] = int64(h>>40) & 127
 			cmp[i] = byte(h>>20) & 1
 		}
-		forms := []struct {
-			name string
-			tab  *AggTable
-		}{
+		return keys, vals, cmp
+	}
+	type form struct {
+		name string
+		tab  *AggTable
+	}
+	forms := func(domain int) []form {
+		return []form{
 			{"hashed", NewAggTable(1, domain)},
 			{"dense", NewDenseAggTable(1, 0, int64(domain-1), false)},
 			{"packed", NewDenseAggTable(1, 0, int64(domain-1), true)}, // 2M values < 128: every sum fits int32
 		}
-		var out []int64
-		for _, f := range forms {
+	}
+	var out []int64
+	run := func(b *testing.B, tab *AggTable, fold func()) {
+		for i := 0; i < b.N; i++ {
+			tab.Reset()
+			fold()
+			out = tab.AppendGroups(out[:0])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	}
+	for _, domain := range []int{100, 100_000, 1_000_000} {
+		keys, vals, cmp := input(domain, false)
+		for _, f := range forms(domain) {
 			tab := f.tab
-			run := func(b *testing.B, fold func()) {
-				for i := 0; i < b.N; i++ {
-					tab.Reset()
-					fold()
-					out = tab.AppendGroups(out[:0])
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-			}
 			b.Run(f.name+"/pertuple/"+size(domain), func(b *testing.B) {
-				run(b, func() {
+				run(b, tab, func() {
 					for i, k := range keys {
 						tab.AddMasked(tab.Lookup(k), 0, vals[i], cmp[i])
 					}
 				})
 			})
 			b.Run(f.name+"/tile/"+size(domain), func(b *testing.B) {
-				run(b, func() {
+				run(b, tab, func() {
 					for t := 0; t < rows; t += 1024 {
 						tab.AddPairsMasked(keys[t:t+1024], vals[t:t+1024], cmp[t:t+1024])
 					}
 				})
 			})
 		}
-		sinkSlot += len(out)
 	}
+	slots := make([]int32, 1024)
+	for _, d := range []struct {
+		name   string
+		domain int
+		skew   bool
+	}{{"k7skew", 7, true}, {"k100", 100, false}, {"k100K", 100_000, false}} {
+		keys, vals, cmp := input(d.domain, d.skew)
+		for _, f := range forms(d.domain) {
+			tab := f.tab
+			b.Run("fold/"+f.name+"/onepass/"+d.name, func(b *testing.B) {
+				run(b, tab, func() {
+					for t := 0; t < rows; t += 1024 {
+						tab.FoldTile(keys[t:t+1024], slots, 0, vals[t:t+1024], cmp[t:t+1024])
+					}
+				})
+			})
+			b.Run("fold/"+f.name+"/threepass/"+d.name, func(b *testing.B) {
+				run(b, tab, func() {
+					for t := 0; t < rows; t += 1024 {
+						tab.LookupTile(keys[t:t+1024], slots)
+						refCount(tab, slots, cmp[t:t+1024])
+						tab.SumTile(slots, 0, vals[t:t+1024], cmp[t:t+1024])
+					}
+				})
+			})
+		}
+	}
+	sinkSlot += len(out)
 }

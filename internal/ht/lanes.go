@@ -5,9 +5,10 @@ import "math"
 // Lane operations: the tile-at-a-time face of AggTable. A generic plan
 // keeps one accumulator lane per aggregate (sums, minima, maxima; every
 // group's tuple count is shared) and feeds the table a tile at a time:
-// LookupTile resolves the tile's keys to slots once, then each lane folds
-// its value vector in one tight loop, so the per-aggregate dispatch runs
-// once per tile instead of once per tuple. Every fold takes the tile's 0/1
+// FoldTile resolves the tile's keys to slots and folds the count and the
+// first sum in the same pass, then each further lane folds its value vector
+// in one tight loop, so the per-aggregate dispatch runs once per tile
+// instead of once per tuple. Every fold takes the tile's 0/1
 // mask: all ones over selected lanes (hybrid), the predicate's verdict under
 // masking, where a rejected lane contributes the lane's identity. Slot -1
 // (a NullKey lane, key masking) routes to the throwaway entry as Add does.
@@ -92,21 +93,77 @@ func (t *AggTable) sumsOnly(op string) {
 	}
 }
 
-// CountTile counts lane i's tuple into slots[i]'s group when cmp[i] is 1. A
-// group that only rejected tuples reached keeps a zero count, which is what
-// keeps it out of the emission.
-func (t *AggTable) CountTile(slots []int32, cmp []byte) {
-	if len(slots) == 0 {
+// FoldTile is a tile's first fold in one pass: lane i resolves keys[i] to its
+// slot as LookupTile does, adds cmp[i] to the group's tuple count and, when
+// vals is non-nil, adds vals[i]*cmp[i] into lane acc. A group that only
+// rejected tuples reached keeps a zero count, which keeps it out of the
+// emission. slots (room for len(keys)) receives every lane's slot for the
+// lanes that fold after this one: a one-lane table folded with vals has none
+// and runs the pair loop of AddPairsMasked, which leaves slots alone. The
+// hashed form resolves through LookupTile first, so its growth re-resolves
+// the tile before anything is added.
+func (t *AggTable) FoldTile(keys []int64, slots []int32, acc int, vals []int64, cmp []byte) {
+	if len(keys) == 0 {
 		return
 	}
-	_ = cmp[len(slots)-1]
-	n := t.stride
+	_, slots = cmp[len(keys)-1], slots[:len(keys)]
+	if vals != nil {
+		vals = vals[:len(keys)]
+	}
+	switch {
+	case t.span == 0:
+		t.LookupTile(keys, slots)
+		t.foldSlots(slots, acc, vals, cmp)
+	case t.nAccs == 1 && vals != nil:
+		t.AddPairsMasked(keys, vals, cmp)
+	default:
+		t.foldDense(keys, slots, acc, vals, cmp)
+	}
+}
+
+// foldSlots is FoldTile's fold over resolved slots: the count and, with
+// vals, lane acc in one loop. (Never on a packed table: those are
+// key-addressed.) Slot -1 folds into the throwaway entry, whose lanes a
+// count-only table does not have.
+func (t *AggTable) foldSlots(slots []int32, acc int, vals []int64, cmp []byte) {
+	n, recs := t.stride, t.recs
 	for i, s := range slots {
+		m := int64(cmp[i])
 		if s < 0 {
-			t.ThrowawayCount += int64(cmp[i])
+			t.ThrowawayCount += m
+			if vals != nil {
+				t.Throwaway[acc] += vals[i] * m
+			}
 			continue
 		}
-		t.recs[int(s)*n+n-1] += int64(cmp[i])
+		recs[int(s)*n+n-1] += m
+		if vals != nil {
+			recs[int(s)*n+acc] += vals[i] * m
+		}
+	}
+}
+
+// foldDense is FoldTile on a key-addressed table with lanes folding after
+// it, or none at all: the range check, the slot and the fold in one loop. On
+// a packed table vals is nil, and the count is the word's low half.
+func (t *AggTable) foldDense(keys []int64, slots []int32, acc int, vals []int64, cmp []byte) {
+	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
+	for i, k := range keys {
+		u, m := uint64(k)-lo, int64(cmp[i])
+		if u >= span {
+			t.outside(k)
+			slots[i] = -1
+			t.ThrowawayCount += m
+			if vals != nil {
+				t.Throwaway[acc] += vals[i] * m
+			}
+			continue
+		}
+		slots[i] = int32(u)
+		recs[u*n+n-1] += m
+		if vals != nil {
+			recs[u*n+uint64(acc)] += vals[i] * m
+		}
 	}
 }
 

@@ -31,9 +31,7 @@ func TestLaneOpsMatchScalarReference(t *testing.T) {
 					keys[i] = NullKey // key masking: rejected lanes go to the throwaway
 				}
 			}
-			tab.LookupTile(keys, slots)
-			tab.CountTile(slots, cmp)
-			tab.SumTile(slots, 0, vals, cmp)
+			tab.FoldTile(keys, slots, 0, vals, cmp)
 			tab.MinTile(slots, 1, vals, cmp)
 			tab.MaxTile(slots, 2, vals, cmp)
 			for i, k := range keys {

@@ -159,3 +159,44 @@ func BenchmarkSteadyMicroClassic(b *testing.B) {
 		}
 	}
 }
+
+// tpchStatements are the benchmark's eight tpch_generic statements
+// (benchmark/workloads.go, in workload order) with the literals the workload
+// draws fixed at one value.
+var tpchStatements = []struct{ id, q string }{
+	{"q1_multiagg", "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_price, count(*) as n " +
+		"from lineitem where l_shipdate <= date '1998-09-05' group by l_returnflag, l_linestatus"},
+	{"or3_having", "select l_shipmode, sum(l_quantity) as q, count(*) as n from lineitem " +
+		"where l_quantity < 5 or l_discount > 0.08 or l_shipdate < date '1993-01-05' group by l_shipmode having count(*) > 150"},
+	{"not_scalar", "select count(*) as n, sum(l_extendedprice) as s from lineitem " +
+		"where not (l_quantity between 10 and 40) and l_tax < 0.05 and l_shipdate >= date '1992-01-05'"},
+	{"join2_group", "select p_brand, sum(l_quantity) as q, count(*) as n from lineitem, orders, part " +
+		"where l_orderkey = o_orderkey and l_partkey = p_partkey and o_orderdate < date '1995-01-05' and p_size < 20 group by p_brand"},
+	{"snowflake3", "select n_name, sum(l_extendedprice) as rev, count(*) as n from lineitem, orders, customer, nation " +
+		"where l_orderkey = o_orderkey and o_custkey = c_custkey and c_nationkey = n_nationkey " +
+		"and o_orderdate >= date '1994-01-05' and l_quantity < 30 group by n_name"},
+	{"minmax_group", "select l_shipmode, min(l_extendedprice) as lo, max(l_extendedprice) as hi from lineitem " +
+		"where l_quantity > 25 and l_shipdate >= date '1992-01-05' group by l_shipmode"},
+	{"join_minmax", "select min(l_shipdate) as lo, max(l_shipdate) as hi, count(*) as n from lineitem, supplier " +
+		"where l_suppkey = s_suppkey and s_nationkey < 10 and l_shipdate >= date '1992-01-05'"},
+	{"or3_join_having", "select o_orderpriority, sum(l_quantity) as q, max(l_discount) as d from lineitem, orders " +
+		"where l_orderkey = o_orderkey and (l_shipmode = 'AIR' or l_shipmode = 'RAIL' or l_quantity > 45) " +
+		"group by o_orderpriority having sum(l_quantity) > 1500"},
+}
+
+// BenchmarkSteadyTPCH repeats each of tpchStatements at the workload's shape —
+// TPC-H SF 0.2, one worker — one sub-benchmark per statement id: the
+// per-statement timings a change to the tile pipeline cites. Every one
+// allocates nothing.
+func BenchmarkSteadyTPCH(b *testing.B) {
+	db, ok := steadyCache["tpch"]
+	if !ok {
+		db = LoadTPCH(0.2)
+		steadyCache["tpch"] = db
+	}
+	db.SetWorkers(1)
+	defer db.SetWorkers(0)
+	for _, s := range tpchStatements {
+		b.Run(s.id, func(b *testing.B) { benchSteady(b, db, s.q) })
+	}
+}
