@@ -63,7 +63,7 @@ func runKernelVariants(cfg harness.Config) error {
 			}
 		}
 		fmt.Printf("  masked tiles      value=%d key=%d dict=%d\n", v.MaskedAgg, v.KeyMask, v.DictKeys)
-		fmt.Printf("  prefetched        probe=%d scatter=%d\n\n", v.PrefetchProbe, v.PrefetchScatter)
+		fmt.Printf("  prefetched        probe=%d\n\n", v.PrefetchProbe)
 	}
 	return nil
 }

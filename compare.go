@@ -24,9 +24,9 @@ type StrategyRun struct {
 // single-key group-by shapes race the data-centric baseline too; any other
 // synthesized statement (several aggregates, min/max, HAVING, joins,
 // composite keys) races the tile pipeline's hybrid, value-masking and — when
-// grouped — key-masking kernels. The classic groupjoin has one technique and
-// nothing to compare. Each strategy's plan is prepared before its timed run,
-// so the runtimes compare kernels, not who paid for sampling.
+// grouped — key-masking kernels, and a groupjoin over a filtered parent eager
+// aggregation too. Each strategy's plan is prepared before its timed run, so
+// the runtimes compare kernels, not who paid for sampling.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	p, err := d.Plan(q)
 	if err != nil {
@@ -55,9 +55,6 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 		c.setFields(forced.Fields())
 		c.put(part)
 		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res, Explain: fromCore(ex)})
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("swole: CompareStrategies: this statement has a single technique, nothing to compare")
 	}
 	return runs, nil
 }

@@ -185,14 +185,17 @@ func (b *Bitmap) AndGather(pos []int32, cmp []byte) {
 	}
 }
 
-// AndGatherSel is AndGather over the lanes sel names only; the other lanes
-// of pos and cmp are not read.
-func (b *Bitmap) AndGatherSel(pos []int32, sel []int32, cmp []byte) {
-	words := b.words
+// SelectGather is AndGather for a selection vector: it keeps, in order and in
+// place, the lanes j of sel whose parent pos[j] is set, and returns how many
+// it kept. The other lanes of pos are not read.
+func (b *Bitmap) SelectGather(pos []int32, sel []int32) int {
+	words, k := b.words, 0
 	for _, j := range sel {
 		p := uint32(pos[j])
-		cmp[j] &= byte(words[p>>6] >> (p & 63) & 1)
+		sel[k] = j
+		k += int(words[p>>6] >> (p & 63) & 1)
 	}
+	return k
 }
 
 // Count returns the number of set bits.
@@ -256,12 +259,4 @@ func (b *Bitmap) Reset(n int) {
 		}
 	}
 	b.n = n
-}
-
-// OrInto unions parts into b (which must cover the same length), the
-// allocation-free form of MergeOr for recycled merge targets.
-func (b *Bitmap) OrInto(parts ...*Bitmap) {
-	for _, p := range parts {
-		b.Or(p)
-	}
 }

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -194,31 +195,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestOrInto(t *testing.T) {
-	a, b, c := New(130), New(130), New(130)
-	a.Set(1)
-	b.Set(64)
-	c.Set(129)
-	out := New(130)
-	out.OrInto(a, b, c)
-	for _, i := range []int{1, 64, 129} {
-		if !out.Test(i) {
-			t.Errorf("bit %d missing after OrInto", i)
-		}
-	}
-	if out.Count() != 3 {
-		t.Errorf("count=%d, want 3", out.Count())
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		out.Reset(130)
-		out.OrInto(a, b, c)
-	})
-	if allocs != 0 {
-		t.Errorf("Reset+OrInto allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// AndGather and AndGatherSel against TestBit, lane by lane.
+// AndGather and SelectGather against TestBit, lane by lane.
 func TestAndGatherMatchesTestBit(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	const rows = 5000
@@ -231,33 +208,26 @@ func TestAndGatherMatchesTestBit(t *testing.T) {
 	for _, n := range []int{0, 1, 1023, 1024} {
 		pos := make([]int32, n)
 		cmp := make([]byte, n)
-		var sel []int32
+		var sel, want []int32
 		for j := range pos {
 			pos[j] = int32(r.Intn(rows))
 			cmp[j] = byte(r.Intn(2))
 			if r.Intn(2) == 0 {
 				sel = append(sel, int32(j))
+				if b.Test(int(pos[j])) {
+					want = append(want, int32(j))
+				}
 			}
 		}
 		all := append([]byte(nil), cmp...)
-		some := append([]byte(nil), cmp...)
 		b.AndGather(pos, all)
-		b.AndGatherSel(pos, sel, some)
-		picked := map[int32]bool{}
-		for _, j := range sel {
-			picked[j] = true
-		}
 		for j := range pos {
-			want := cmp[j] & b.TestBit(int(pos[j]))
-			if all[j] != want {
+			if want := cmp[j] & b.TestBit(int(pos[j])); all[j] != want {
 				t.Fatalf("n=%d AndGather lane %d: %d, want %d", n, j, all[j], want)
 			}
-			if !picked[int32(j)] {
-				want = cmp[j] // untouched
-			}
-			if some[j] != want {
-				t.Fatalf("n=%d AndGatherSel lane %d: %d, want %d", n, j, some[j], want)
-			}
+		}
+		if k := b.SelectGather(pos, sel); !slices.Equal(sel[:k], want) {
+			t.Fatalf("n=%d SelectGather kept %v, want %v", n, sel[:k], want)
 		}
 	}
 }

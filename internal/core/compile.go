@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"time"
 
-	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/exec"
 	"github.com/reprolab/swole/internal/ht"
 )
@@ -14,8 +13,8 @@ import (
 // with one mode — compile, keep, re-run:
 //
 //	Prepare(spec)   — send the Select to the tile pipeline (select.go), or
-//	                 lower it onto the hand-specialized grouped plan it
-//	                 collapses to (prepare.go)
+//	                 lower it onto the classic group-by's hand-specialized
+//	                 plan (prepare.go)
 //	compile(shape)  — validate and bind expressions, sample statistics
 //	                 (through the cache), evaluate the cost models, pick
 //	                 the technique and the direct-vs-partitioned mode,
@@ -33,8 +32,8 @@ import (
 // caller and the scan sequential: forced runs measure kernel character,
 // not parallel speedup.
 //
-// A plan's kernels are closures built with it (newGroupPlan, newGJoinPlan)
-// or methods bound once (PreparedSelect) over the plan's own fields. Kernels
+// A plan's kernels are closures built with it (newGroupPlan) or methods
+// bound once (PreparedSelect) over the plan's own fields. Kernels
 // are the single implementation per (shape, technique); no other execution
 // path exists.
 
@@ -51,7 +50,7 @@ const techAuto Technique = -1
 type planCore struct {
 	e      *Engine
 	nw     int  // worker count the kernels run on (1 when seq)
-	seq    bool // forced plans and grouped tile-pipeline plans scan inline, off the gang
+	seq    bool // forced plans, and tile-pipeline plans whose partials do not merge exactly, scan inline
 	ex     Explain
 	states []workerState
 	fields []OutField // set by Engine.Prepare's lowering; nil for a bare Prepare*Agg
@@ -547,14 +546,6 @@ func newDenseTables(n int, lo, hi int64, packed bool) []*ht.AggTable {
 		tabs[i] = ht.NewDenseAggTable(1, lo, hi, packed)
 	}
 	return tabs
-}
-
-func newBitmaps(n, rows int) []*bitmap.Bitmap {
-	bms := make([]*bitmap.Bitmap, n)
-	for i := range bms {
-		bms[i] = bitmap.New(rows)
-	}
-	return bms
 }
 
 func newPartitioners(n, parts int, pool *ht.ScatterPool) []*ht.Partitioner {

@@ -8,14 +8,13 @@
 //
 // Every statement executes through one compiled-plan pipeline (compile.go)
 // with one mode, compile-and-keep: Prepare compiles a Select spec onto the
-// tile pipeline of select.go — or, for the classic group-by and groupjoin,
-// onto the hand-specialized plan the spec collapses to — validating and
-// planning the query and binding the chosen kernel and plan-owned buffers
-// exactly once, and the caller keeps the Plan and re-runs it on the engine's
-// persistent morsel-worker gang. The engine holds no plans: whoever prepared
-// a plan owns it and decides when it is stale. PrepareForced is the same
-// compile with the technique named by the caller. There is exactly one
-// kernel per (shape, technique).
+// tile pipeline of select.go — or, for the classic group-by, onto its
+// hand-specialized plan — validating and planning the query and binding the
+// chosen kernel and plan-owned buffers exactly once, and the caller keeps the
+// Plan and re-runs it on the engine's persistent morsel-worker gang. The
+// engine holds no plans: whoever prepared a plan owns it and decides when it
+// is stale. PrepareForced is the same compile with the technique named by
+// the caller. There is exactly one kernel per (shape, technique).
 //
 // The hand-specialized kernels in internal/micro and internal/tpch are the
 // measured reproductions of the paper's figures (the paper hand-coded each
@@ -122,7 +121,7 @@ type Explain struct {
 	// run's workers: which lane widths the compare/widen prepasses ran at,
 	// how tile selection split across the density classes, how many tiles
 	// went through dict-coded or masked forms, and how many elements the
-	// software-prefetched probe/scatter loops covered. All zero for plans
+	// software-prefetched probe loops covered. All zero for plans
 	// compiled before the variant layer or for the tuple-at-a-time kernel.
 	Variants vec.Counters
 }
@@ -146,7 +145,7 @@ func (e Explain) String() string {
 }
 
 // PartitionMode selects how the engine decides between direct and radix-
-// partitioned group-by execution.
+// partitioned execution of the classic group-by, the only plan it affects.
 type PartitionMode int
 
 // Partition modes.
@@ -194,8 +193,8 @@ type Engine struct {
 	// MorselRows overrides the executor's morsel length in rows; 0 keeps
 	// exec.DefaultMorselRows. Exposed for tests and experiments.
 	MorselRows int
-	// Partition selects direct vs radix-partitioned group-by execution;
-	// the zero value (PartitionAuto) defers to the cost model.
+	// Partition selects direct vs radix-partitioned classic group-by
+	// execution; the zero value (PartitionAuto) defers to the cost model.
 	Partition PartitionMode
 
 	// The statistics cache and the sample store its misses are evaluated
@@ -216,9 +215,11 @@ type Engine struct {
 	scatter    *ht.ScatterPool
 
 	// The generic executor's tile scratch (pools.go), indexed by worker and
-	// shared by every PreparedSelect under execMu.
+	// shared by every PreparedSelect under execMu, and the evaluator its
+	// emissions run HAVING and the projection on.
 	genStates []workerState
 	genTiles  []tileScratch
+	genEmit   *expr.Evaluator
 }
 
 // NewEngine returns an engine with default cost parameters and one morsel
@@ -248,9 +249,6 @@ type workerState struct {
 	// sumVariants folds them into Explain after each run. Heap-allocated so
 	// the evaluator's pointer survives a reallocation of the states slice.
 	ctr *vec.Counters
-	// pf sinks the values returned by the software-prefetch Touch loops so
-	// the loads stay live; per-worker, written once per tile.
-	pf uint64
 	*exec.Scratch
 }
 

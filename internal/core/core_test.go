@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -237,21 +238,10 @@ func TestSemiJoinAgg(t *testing.T) {
 }
 
 func TestGroupJoinAggBothPaths(t *testing.T) {
-	// Tiny S: the model should pick eager aggregation. The decision for
-	// big S flips only when the table leaves cache, which a unit-test
-	// sized dataset cannot do, so force the traditional path by checking
-	// both results against the reference regardless of technique.
+	// Both plans — eager aggregation and the positional-bitmap probe — against
+	// the reference, for a tiny and a larger S.
 	for _, nS := range []int{100, 5000} {
 		db := testDB(t, 30_000, nS, 10)
-		e := NewEngine(db)
-		got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			BuildFilter: lt("s_x", 50),
-			Agg:         expr.NewCol("r_a"),
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
 		r, s := db.MustTable("r"), db.MustTable("s")
 		qual := make([]bool, s.Rows())
 		for i := 0; i < s.Rows(); i++ {
@@ -264,13 +254,22 @@ func TestGroupJoinAggBothPaths(t *testing.T) {
 				want[fk] += r.MustColumn("r_a").Get(i)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("nS=%d (%s): %d groups, want %d", nS, ex.Technique, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("nS=%d (%s): group %d = %d, want %d", nS, ex.Technique, k, got[k], v)
+		for _, plan := range groupjoinPlans {
+			e := NewEngine(db)
+			plan.tune(e)
+			got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{
+				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
+				BuildFilter: lt("s_x", 50),
+				Agg:         expr.NewCol("r_a"),
+			}))
+			e.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
+			if ex.Technique != plan.want {
+				t.Errorf("nS=%d: technique %s, want %s", nS, ex.Technique, plan.want)
+			}
+			sameGroups(t, fmt.Sprintf("nS=%d %s", nS, plan.want), got, want)
 		}
 	}
 	// Small S must choose eager aggregation (paper Fig 12a).

@@ -332,6 +332,9 @@ func TestDenseFormChoice(t *testing.T) {
 		sameGroups(t, c.name, got, refGroupAgg(db, 50))
 	}
 
+	// The eager groupjoin's table is key-addressed over the parent's 500
+	// positions whatever the partition mode, which steers the classic
+	// group-by alone.
 	gj := GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", BuildFilter: lt("s_x", 50), Agg: col("r_a")}
 	for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
 		e.Partition = mode
@@ -339,8 +342,8 @@ func TestDenseFormChoice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dense := mode != PartitionOn; (ex.DenseDomain == 500) != dense || ex.Partitioned == dense {
-			t.Errorf("groupjoin under %s: DenseDomain=%d Partitioned=%v", mode, ex.DenseDomain, ex.Partitioned)
+		if ex.Technique != TechEagerAggregation || ex.DenseDomain != 500 || ex.Partitioned {
+			t.Errorf("groupjoin under %s: %s DenseDomain=%d Partitioned=%v", mode, ex.Technique, ex.DenseDomain, ex.Partitioned)
 		}
 	}
 }

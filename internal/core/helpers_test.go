@@ -95,11 +95,6 @@ func groupSpec(q GroupAgg) Select {
 	return classicSpec(q.Table, q.Filter, []string{q.Key.(*expr.Col).Name}, nil, q.Agg)
 }
 
-func gjoinSpec(q GroupJoinAgg) Select {
-	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}
-	return classicSpec(q.Probe, nil, []string{q.FK}, []SelectEdge{edge}, q.Agg)
-}
-
 // forcedOnce prepares the spec under a forced technique and runs it once.
 func forcedOnce(e *Engine, spec Select, tech Technique) (Partial, error) {
 	p, err := e.PrepareForced(spec, tech)

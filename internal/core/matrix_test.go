@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -87,9 +88,8 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 		BuildFilter: lt("s_x", 50), Agg: expr.NewCol("r_a"),
 	}
 	// The semijoin probes its positional bitmap under either aggregation
-	// technique of the tile pipeline; the groupjoin has no forced technique,
-	// its one choice being the cost model's eager-vs-traditional pick
-	// (exercised elsewhere).
+	// technique of the tile pipeline; the groupjoin does so under every
+	// grouped technique, or aggregates eagerly.
 	shapes := []struct {
 		name   string
 		spec   Select
@@ -99,7 +99,7 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 		{"scalar", scalarSpec(sq), wantScalar, []Technique{TechDataCentric, TechHybrid, TechValueMasking}},
 		{"group", groupSpec(gq), wantGroup, groupTechs},
 		{"semijoin", semiSpec(mq), wantSemi, []Technique{TechHybrid, TechValueMasking}},
-		{"groupjoin", gjoinSpec(jq), wantGJoin, nil},
+		{"groupjoin", gjoinSpec(jq), wantGJoin, []Technique{TechHybrid, TechValueMasking, TechKeyMasking, TechEagerAggregation}},
 	}
 	for _, workers := range []int{1, 4} {
 		e := NewEngine(db)
@@ -119,6 +119,9 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 				}
 				sameGroups(t, tag+"prepared", partialMap(part), sh.want)
 			}
+			if techs := e.Techniques(sh.spec); !slices.Equal(techs, sh.forced) {
+				t.Errorf("%stechniques %v, want %v", tag, techs, sh.forced)
+			}
 			for _, tech := range sh.forced {
 				part, err := forcedOnce(e, sh.spec, tech)
 				if err != nil {
@@ -134,15 +137,16 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 }
 
 // TestPrepareLowering pins what Prepare compiles the four classic
-// statements and each near-miss — one step outside a hand shape's
+// statements and each near-miss — one step outside a classic shape's
 // restrictions — to: the result header, and the technique the cost model
 // picks. For a tile-pipeline plan that is the aggregation technique (Explain
-// leads with positional-bitmap when the statement has join edges); only the
-// classic groupjoin's hand plan can answer eager-aggregation. The unfiltered
-// 16-group statements aggregate into an L1-resident key-addressed table,
-// whose access is cheaper than masking the sum and the count, so masking the
-// one key wins — as it does for the two-key statement, whose 3,200 packed
-// one-word records fit L1 too.
+// leads with eager-aggregation when the plan aggregates eagerly, else with
+// positional-bitmap when the statement has join edges). Both groupjoins
+// aggregate eagerly into 200 L1-resident records. The unfiltered 16-group
+// statements aggregate into an L1-resident key-addressed table, whose access
+// is cheaper than masking the sum and the count, so masking the one key wins
+// — as it does for the two-key statement, whose 3,200 packed one-word
+// records fit L1 too.
 func TestPrepareLowering(t *testing.T) {
 	db := testDB(t, 5000, 200, 16)
 	e := NewEngine(db)
@@ -182,7 +186,7 @@ func TestPrepareLowering(t *testing.T) {
 		{"count(*)", with(scalarSpec(ScalarAgg{Table: "r"}), func(s *Select) { s.Aggs[0].Kind = AggCount }), TechValueMasking},
 		{"group", groupSpec(GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: col("r_c"), Agg: col("r_a")}), TechValueMasking},
 		{"semijoin", semiSpec(SemiJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", ProbeFilter: lt("r_x", 50), BuildFilter: lt("s_x", 50), Agg: col("r_a")}), TechValueMasking},
-		{"groupjoin", gjoin(), TechEagerAggregation},
+		{"groupjoin", gjoin(), TechKeyMasking},
 
 		{"two aggregates", Select{Root: "r", Aggs: []SelectAgg{sum(col("r_a"), "s"), sum(col("r_x"), "u")}, Project: proj("s", "u")}, TechValueMasking},
 		{"min", with(scalarSpec(ScalarAgg{Table: "r", Agg: col("r_a")}), func(s *Select) { s.Aggs[0].Kind = AggMin }), TechValueMasking},
@@ -196,7 +200,7 @@ func TestPrepareLowering(t *testing.T) {
 			s.Project[0], s.Project[1] = s.Project[1], s.Project[0]
 		}), TechKeyMasking},
 		{"two group keys", Select{Root: "r", GroupBy: []string{"r_c", "r_fk"}, Aggs: []SelectAgg{sum(col("r_a"), "s")}, Project: proj("r_c", "r_fk", "s")}, TechKeyMasking},
-		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), TechHybrid},
+		{"groupjoin probe filter", with(gjoin(), func(s *Select) { s.Filter = lt("r_x", 50) }), TechValueMasking},
 		{"groupjoin keyed off the FK", with(gjoin(), func(s *Select) {
 			s.GroupBy = []string{"r_c"}
 			s.Project = proj("r_c", "s")
@@ -233,7 +237,10 @@ func TestPrepareLowering(t *testing.T) {
 			if ps.tech != c.tech {
 				t.Errorf("%s: aggregation technique %s, want %s (costs %v)", c.name, ps.tech, c.tech, ex.Costs)
 			}
-			if len(c.spec.Edges) > 0 {
+			switch {
+			case ps.eager != nil:
+				want = TechEagerAggregation
+			case len(c.spec.Edges) > 0:
 				want = TechPositionalBitmap
 			}
 		}
@@ -249,7 +256,7 @@ func TestPrepareLowering(t *testing.T) {
 // follows the morsel distribution of that particular run, not the plan.
 func settle(ex Explain) Explain {
 	ex.ScanTime, ex.MergeTime, ex.PartitionTime = 0, 0, 0
-	ex.Variants.PrefetchProbe, ex.Variants.PrefetchScatter = 0, 0
+	ex.Variants.PrefetchProbe = 0
 	return ex
 }
 

@@ -216,17 +216,11 @@ func TestSemiJoinAggWorkersIdentical(t *testing.T) {
 	}
 }
 
+// TestGroupJoinAggWorkersIdentical: both groupjoin plans scan on the gang —
+// their group tables are key-addressed and merge by addition — and answer
+// the same at every worker count.
 func TestGroupJoinAggWorkersIdentical(t *testing.T) {
-	// InsertMul=1e9 makes the traditional build prohibitive (forcing
-	// eager aggregation); DeleteMul=1e9 forces the traditional path.
-	for _, force := range []struct {
-		name string
-		tune func(*Engine)
-		want Technique
-	}{
-		{"eager", func(e *Engine) { e.Params.InsertMul = 1e9 }, TechEagerAggregation},
-		{"traditional", func(e *Engine) { e.Params.DeleteMul = 1e9 }, TechHybrid},
-	} {
+	for _, plan := range groupjoinPlans {
 		db := parallelDB(t, 30_000, 2_000, 10)
 		for _, sel := range selPoints {
 			q := GroupJoinAgg{
@@ -235,27 +229,27 @@ func TestGroupJoinAggWorkersIdentical(t *testing.T) {
 				Agg:         expr.NewCol("r_a"),
 			}
 			ref := engineAt(t, db, 1)
-			force.tune(ref)
+			plan.tune(ref)
 			base, exBase, err := groupsOnce(ref.PrepareGroupJoinAgg(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if exBase.Technique != force.want {
-				t.Fatalf("%s sel=%d: tuning chose %s, want %s", force.name, sel, exBase.Technique, force.want)
+			if exBase.Technique != plan.want {
+				t.Fatalf("sel=%d: tuning chose %s, want %s", sel, exBase.Technique, plan.want)
 			}
 			for _, w := range workerCounts[1:] {
 				e := engineAt(t, db, w)
-				force.tune(e)
+				plan.tune(e)
 				got, ex, err := groupsOnce(e.PrepareGroupJoinAgg(q))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ex.Technique != force.want {
-					t.Errorf("%s sel=%d workers=%d: technique %s", force.name, sel, w, ex.Technique)
+				if ex.Technique != plan.want || ex.Workers != w {
+					t.Errorf("%s sel=%d workers=%d: technique %s on %d workers", plan.want, sel, w, ex.Technique, ex.Workers)
 				}
 				if !reflect.DeepEqual(got, base) {
 					t.Errorf("%s sel=%d workers=%d: %d groups vs %d; maps differ",
-						force.name, sel, w, len(got), len(base))
+						plan.want, sel, w, len(got), len(base))
 				}
 			}
 		}

@@ -107,45 +107,6 @@ func TestPartitionedAutoDecision(t *testing.T) {
 	}
 }
 
-// TestPartitionedGroupJoinAggParity forces the radix path through the
-// eager groupjoin and checks parity with the direct path.
-func TestPartitionedGroupJoinAggParity(t *testing.T) {
-	db := testDB(t, 120_000, 1000, 100)
-	for _, workers := range []int{1, 4} {
-		for _, buildSel := range []int64{10, 60, 101} {
-			q := GroupJoinAgg{
-				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-				BuildFilter: lt("s_x", buildSel),
-				Agg:         expr.NewCol("r_a"),
-			}
-			e := NewEngine(db)
-			e.Workers = workers
-			e.Partition = PartitionOff
-			direct, exD, err := groupsOnce(e.PrepareGroupJoinAgg(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			e.Partition = PartitionOn
-			part, exP, err := groupsOnce(e.PrepareGroupJoinAgg(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Close()
-			// PartitionOn only applies to the eager path; the traditional
-			// path has no radix variant.
-			if exD.Technique == TechEagerAggregation {
-				if !exP.Partitioned || exP.Partitions < 2 {
-					t.Fatalf("workers=%d buildSel=%d: eager PartitionOn: Partitioned=%v Partitions=%d",
-						workers, buildSel, exP.Partitioned, exP.Partitions)
-				}
-			}
-			tag := "workers=" + itoa(workers) + " buildSel=" + itoa(int(buildSel))
-			sameGroups(t, tag, part, direct)
-		}
-	}
-}
-
 // TestPreparedPartitionedParity checks prepared radix runs against the
 // direct path's result, repeatedly (reused buffers must not leak state
 // between runs).
@@ -177,32 +138,6 @@ func TestPreparedPartitionedParity(t *testing.T) {
 				if res.Key(i-1) >= res.Key(i) {
 					t.Fatalf("workers=%d run=%d: keys not strictly ascending at %d", workers, run, i)
 				}
-			}
-		}
-
-		// Prepared groupjoin through the radix path.
-		gq := GroupJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			BuildFilter: lt("s_x", 60),
-			Agg:         expr.NewCol("r_a"),
-		}
-		e.Partition = PartitionOff
-		wantJ, exJ, err := groupsOnce(e.PrepareGroupJoinAgg(gq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exJ.Technique == TechEagerAggregation {
-			e.Partition = PartitionOn
-			pj, err := e.PrepareGroupJoinAgg(gq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < 3; run++ {
-				res, ex := pj.Run()
-				if !ex.Partitioned {
-					t.Fatalf("prepared groupjoin run %d not partitioned", run)
-				}
-				sameGroups(t, "groupjoin workers="+itoa(workers)+" run="+itoa(run), groupMap(res), wantJ)
 			}
 		}
 		e.Close()
@@ -306,21 +241,6 @@ func TestPreparedPartitionedZeroAlloc(t *testing.T) {
 		}
 		if _, ex := group.Run(); ex.HTGrows != 0 {
 			t.Errorf("workers=%d: steady partitioned run grew tables %d times", workers, ex.HTGrows)
-		}
-
-		join, err := e.PrepareGroupJoinAgg(GroupJoinAgg{
-			Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-			BuildFilter: lt("s_x", 60),
-			Agg:         expr.NewCol("r_a"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ex := join.Run(); ex.Partitioned {
-			join.Run() // warm
-			if allocs := testing.AllocsPerRun(20, func() { join.Run() }); allocs != 0 {
-				t.Errorf("workers=%d: partitioned groupjoin Run allocates %.1f per run, want 0", workers, allocs)
-			}
 		}
 		e.Close()
 	}

@@ -2,13 +2,14 @@ package core
 
 import (
 	"github.com/reprolab/swole/internal/exec"
+	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/vec"
 )
 
 // Engine-owned execution resources. A compiled plan owns everything
 // specific to it — aggregation hash tables, positional bitmaps,
-// partitioners, result buffers, and for the hand-specialized plans their
+// partitioners, result buffers, and for the hand-specialized group-by its
 // per-worker tile scratch — for its whole life. What lives on the engine is
 // only what every plan shares: the persistent worker gang, the scatter
 // arena partitioned plans append into, and the tile scratch every generic
@@ -30,13 +31,17 @@ type tileScratch struct {
 }
 
 // ensureGenLocked makes the generic executor's scratch hold at least nw
-// workers' sets of at least nVecs tile vectors each. Like
-// ensureScatterLocked it returns the pool-miss count billed to
-// Explain.FreshAllocs: 1 when anything was allocated, 0 on a pure reuse.
+// workers' sets of at least nVecs tile vectors each, and the emission's
+// evaluator. Like ensureScatterLocked it returns the pool-miss count billed
+// to Explain.FreshAllocs: 1 when anything was allocated, 0 on a pure reuse.
 // Growing may move both slices, so plans index them per run and keep no
 // header. Callers hold e.execMu.
 func (e *Engine) ensureGenLocked(nw, nVecs int) int {
 	fresh := 0
+	if e.genEmit == nil {
+		// Uncounted: HAVING and a computed projection are not tile kernels.
+		e.genEmit, fresh = expr.NewEvaluator(), 1
+	}
 	for len(e.genStates) < nw {
 		t := tileScratch{
 			tcmp:  make([]byte, vec.TileSize),

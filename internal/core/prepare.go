@@ -17,20 +17,21 @@ type Plan interface {
 	Fields() []OutField
 }
 
-// Partial is one plan run's answer: Groups for a grouped hand-specialized
-// plan, Rows otherwise. Both are plan-owned buffers overwritten by the plan's
-// next run.
+// Partial is one plan run's answer: Groups for the classic group-by's
+// hand-specialized plan, Rows otherwise. Both are plan-owned buffers
+// overwritten by the plan's next run.
 type Partial struct {
 	Groups *GroupResult
 	Rows   *SelectResult
 }
 
 // Prepare compiles a statement for the caller to keep and re-run. A spec
-// that collapses to one of the paper's two grouped shapes — group-by or
-// groupjoin aggregation — lowers onto that shape's hand-specialized plan
-// (morsel-parallel kernels, radix partitioning); everything else compiles
-// onto the tile pipeline of select.go, which scans on the worker gang when
-// the statement is ungrouped. Either way a warm re-run allocates nothing.
+// that collapses to the paper's classic group-by lowers onto its
+// hand-specialized plan (morsel-parallel kernels, radix partitioning);
+// everything else compiles onto the tile pipeline of select.go, which scans
+// on the worker gang when the statement is ungrouped or its group table is
+// key-addressed and merges by addition. Either way a warm re-run allocates
+// nothing.
 func (e *Engine) Prepare(spec Select) (Plan, error) {
 	return e.prepare(spec, techAuto)
 }
@@ -52,18 +53,18 @@ func (e *Engine) PrepareForced(spec Select, tech Technique) (Plan, error) {
 var groupTechs = []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}
 
 // Techniques is the menu PrepareForced accepts for the statement: the
-// classic group-by's kernels, the tile pipeline's techniques for everything
-// it runs, and nothing for the classic groupjoin, whose technique is not a
-// choice.
+// classic group-by's kernels, or the tile pipeline's techniques for
+// everything it runs — eager aggregation among them when the statement
+// groups by a filtered edge's foreign key (eagerEdge).
 func (e *Engine) Techniques(spec Select) []Technique {
-	arg, _ := e.classic(spec)
-	switch {
-	case arg == nil:
-		return selectTechs(spec)
-	case len(spec.Edges) > 0:
-		return nil
+	if arg, _ := e.classic(spec); arg != nil {
+		return groupTechs
 	}
-	return groupTechs
+	techs := selectTechs(spec)
+	if e.eagerEdge(spec) >= 0 {
+		techs = append(techs, TechEagerAggregation)
+	}
+	return techs
 }
 
 func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
@@ -75,43 +76,27 @@ func (e *Engine) prepare(spec Select, tech Technique) (Plan, error) {
 		}
 		return p, nil
 	}
-	var (
-		hand interface {
-			Plan
-			setFields([]OutField)
-		}
-		err error
-	)
-	if len(spec.Edges) == 0 {
-		hand, err = e.compileGroupAgg(GroupAgg{
-			Table: spec.Root, Filter: spec.Filter, Key: expr.NewCol(spec.GroupBy[0]), Agg: arg,
-		}, tech)
-	} else {
-		ed := spec.Edges[0]
-		hand, err = e.PrepareGroupJoinAgg(GroupJoinAgg{
-			Probe: spec.Root, Build: ed.Parent, FK: ed.FK, PK: ed.PK,
-			BuildFilter: ed.Filter, Agg: arg,
-		})
-	}
+	p, err := e.compileGroupAgg(GroupAgg{
+		Table: spec.Root, Filter: spec.Filter, Key: expr.NewCol(spec.GroupBy[0]), Agg: arg,
+	}, tech)
 	if err != nil {
-		return nil, err // not hand: a failed compile's nil pointer must not reach the interface
+		return nil, err // not p: a failed compile's nil pointer must not reach the interface
 	}
-	hand.setFields(fields)
-	return hand, nil
+	p.setFields(fields)
+	return p, nil
 }
 
-// classic recognizes the statements the two hand-specialized plans cover: a
-// single sum(expr) or count(*) under one group key, no HAVING or residual,
-// at most one join edge, and the canonical projection (the group key under
-// its own name, then the aggregate alias — reordered or aliased output
-// needs the tile pipeline's projection stage). The groupjoin aggregates
-// probe columns only and is keyed by the foreign key with no probe filter.
-// It returns the summed expression and the result header; a nil expression
-// sends the statement to the tile pipeline.
+// classic recognizes the statements the classic group-by's hand plan covers:
+// a single sum(expr) or count(*) under one group key of the root, no join,
+// HAVING or residual, and the canonical projection (the group key under its
+// own name, then the aggregate alias — reordered or aliased output needs the
+// tile pipeline's projection stage). It returns the summed expression and
+// the result header; a nil expression sends the statement to the tile
+// pipeline.
 func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
 	root := e.DB.Table(spec.Root)
 	if root == nil || len(spec.Aggs) != 1 || spec.Having != nil || spec.Residual != nil ||
-		len(spec.GroupBy) != 1 || len(spec.Edges) > 1 || len(spec.Project) != 2 {
+		len(spec.GroupBy) != 1 || len(spec.Edges) > 0 || len(spec.Project) != 2 {
 		return nil, nil
 	}
 	arg := spec.Aggs[0].Arg
@@ -133,16 +118,6 @@ func (e *Engine) classic(spec Select) (expr.Expr, []OutField) {
 	for i, f := range fields {
 		c, ok := spec.Project[i].Expr.(*expr.Col)
 		if !ok || c.Name != f.Name || spec.Project[i].As != f.Name {
-			return nil, nil
-		}
-	}
-	if len(spec.Edges) == 1 {
-		for _, c := range expr.Cols(arg) {
-			if root.Column(c) == nil {
-				return nil, nil
-			}
-		}
-		if ed := spec.Edges[0]; ed.Src >= 0 || spec.GroupBy[0] != ed.FK || spec.Filter != nil {
 			return nil, nil
 		}
 	}

@@ -120,40 +120,62 @@ func TestPreparedSemiJoinParity(t *testing.T) {
 	}
 }
 
-// TestPreparedGroupJoinAggParity checks the prepared groupjoin on both the
-// eager and traditional paths against a single-run plan's result.
+// groupjoinPlans steer the groupjoin's cost-model choice: a dear L1 access
+// prices the positional-bitmap plan's per-row probe out, and dear deletes the
+// eager model's parent pass.
+var groupjoinPlans = []struct {
+	want Technique
+	tune func(*Engine)
+}{
+	{TechEagerAggregation, func(e *Engine) { e.Params.HitL1 = 1e6 }},
+	{TechPositionalBitmap, func(e *Engine) { e.Params.DeleteMul = 1e9 }},
+}
+
+// TestPreparedGroupJoinAggParity checks the prepared groupjoin under both of
+// its plans against a single-run plan's result, run after run, in ascending
+// key order.
 func TestPreparedGroupJoinAggParity(t *testing.T) {
 	db := testDB(t, 50_000, 1000, 10)
 	for _, workers := range []int{1, 4} {
-		for _, buildSel := range []int64{2, 95} {
-			e := NewEngine(db)
-			e.Workers = workers
-			e.MorselRows = 4096
-			defer e.Close()
-			q := GroupJoinAgg{
-				Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
-				BuildFilter: lt("s_x", buildSel), Agg: expr.NewCol("r_a"),
-			}
-			want, wantEx, err := groupsOnce(e.PrepareGroupJoinAgg(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := e.PrepareGroupJoinAgg(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for rep := 0; rep < 3; rep++ {
-				res, ex := p.Run()
-				if ex.Technique != wantEx.Technique {
-					t.Errorf("workers=%d buildSel=%d: technique %s, first run %s", workers, buildSel, ex.Technique, wantEx.Technique)
+		for _, plan := range groupjoinPlans {
+			for _, buildSel := range []int64{2, 95} {
+				e := NewEngine(db)
+				e.Workers = workers
+				e.MorselRows = 4096
+				plan.tune(e)
+				defer e.Close()
+				q := GroupJoinAgg{
+					Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk",
+					BuildFilter: lt("s_x", buildSel), Agg: expr.NewCol("r_a"),
 				}
-				if res.Len() != len(want) {
-					t.Fatalf("workers=%d buildSel=%d rep=%d: %d groups, want %d", workers, buildSel, rep, res.Len(), len(want))
+				tag := fmt.Sprintf("workers=%d %s buildSel=%d", workers, plan.want, buildSel)
+				want, _, err := groupsOnce(e.PrepareGroupJoinAgg(q))
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < res.Len(); i++ {
-					k := res.Key(i)
-					if res.Sum(i) != want[k] {
-						t.Errorf("workers=%d buildSel=%d key=%d: sum %d, want %d", workers, buildSel, k, res.Sum(i), want[k])
+				p, err := e.PrepareGroupJoinAgg(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep := 0; rep < 3; rep++ {
+					res, ex, err := p.RunContext(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ex.Technique != plan.want {
+						t.Errorf("%s: technique %s", tag, ex.Technique)
+					}
+					if res.Len() != len(want) {
+						t.Fatalf("%s rep=%d: %d groups, want %d", tag, rep, res.Len(), len(want))
+					}
+					for i := 0; i < res.Len(); i++ {
+						k := res.Key(i)
+						if i > 0 && res.Key(i-1) >= k {
+							t.Fatalf("%s: keys not strictly ascending at %d", tag, i)
+						}
+						if res.Sum(i) != want[k] {
+							t.Errorf("%s key=%d: sum %d, want %d", tag, k, res.Sum(i), want[k])
+						}
 					}
 				}
 			}

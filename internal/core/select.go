@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
@@ -15,13 +16,15 @@ import (
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
 // edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
 // PreparedSelect, a tile pipeline assembled from the same primitives the
-// hand-specialized grouped plans use. Per vec.TileSize tile:
+// hand-specialized group-by uses. Per vec.TileSize tile:
 //
 //	root mask      the root predicate fills the byte mask; a disjunction
 //	               ORs its terms into it and stops at a saturated tile
 //	edges          each join edge resolves parent positions through its
 //	               foreign-key index and ANDs its positional bitmap in
-//	               (Section III-D), so no hash table is built
+//	               (Section III-D), so no hash table is built — or, under
+//	               hybrid, narrows the selection vector to the lanes whose
+//	               parent qualified
 //	tile vectors   every joined-schema column the statement reads becomes
 //	               one []int64 vector: widened in place for root columns,
 //	               gathered by position for parent columns
@@ -30,23 +33,26 @@ import (
 //	group keys     GROUP BY keys pack into one int64 (selectkeys.go); a lone
 //	               key column whose table is key-addressed is its own key,
 //	               its tile vector passed on unpacked
-//	fold           one pass resolves the keys to slots of one ht.AggTable
-//	               and folds the tuple count and a leading sum (FoldTile);
-//	               each further lane folds its value vector over the slots
+//	fold           one pass resolves the keys to slots of the worker's
+//	               ht.AggTable and folds the tuple count and a leading sum
+//	               (FoldTile); each further lane folds its value vector over
+//	               the slots
 //
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
 // stage over selected lanes only; value masking and key masking stay
 // full-width and mask values (to the aggregate's identity) or keys (to
-// ht.NullKey, the throwaway entry). Nothing on the run path works a row at a
-// time — except the forced-only data-centric baseline, tupleKernel — and
-// HAVING and the projection run once per group.
+// ht.NullKey, the throwaway entry). A statement grouped by a filtered edge's
+// foreign key may instead aggregate eagerly (Section III-E): keyed by the
+// parent's position, with the edge's filter applied once per group when the
+// groups are emitted. Nothing on the run path works a row at a time — except
+// the forced-only data-centric baseline, tupleKernel — and the emission runs
+// HAVING and the projection a tile of groups at a time.
 //
-// An ungrouped statement the cost model compiled scans on the engine's worker
-// gang: every worker folds its morsels into a private stripe of scalar lanes
-// and the run merges the stripes by aggregate kind, so the answer is the same
-// at every worker count. Grouped and forced statements scan on the caller's
-// goroutine.
+// A statement the cost model compiled scans on the engine's worker gang when
+// the workers' partials — stripes of scalar lanes, or key-addressed group
+// tables of sums and counts — merge exactly, so the answer is the same at
+// every worker count. The rest scan on the caller's goroutine.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -282,30 +288,44 @@ type PreparedSelect struct {
 	spec  Select
 	root  *storage.Table // immutable once registered: its row count is the scan's
 	edges []boundEdge
-	// filtered: edges [0, filtered) end at the last one with a positional
-	// bitmap; 0 when none has one.
-	filtered int
 
 	tech     Technique
 	cols     []tileCol
 	residual rowExpr
 	aggs     []selAgg
 	fold     []int // the aggregates with a lane, equal arguments adjacent
+	// pairFold: every lane of a grouped tile passes — hybrid compacted it, or
+	// nothing filters — and a lone sum folds into a key-addressed table, so
+	// the tile folds as unmasked (key, value) pairs (ht.AddPairs).
+	pairFold bool
 
-	// Grouped statements: key packing and the one group table, whose
-	// emission stages each group's lanes in acc. Scalar statements (tab ==
-	// nil) accumulate into part, one stripe per worker — the tuple count,
-	// then one lane per aggregate, padded to whole cache lines — and acc is
-	// the first stripe's lanes, which the merge folds the others into.
+	// Grouped statements: key packing and one group table per worker, which
+	// the run merges into the first, tab. Scalar statements (tab == nil)
+	// accumulate into part, one stripe per worker — the tuple count, then one
+	// lane per aggregate, padded to whole cache lines — and acc is the first
+	// stripe's lanes, which the merge folds the others into.
 	keys   groupKeys
+	tabs   []*ht.AggTable
 	tab    *ht.AggTable
 	acc    []int64
 	part   []int64
 	stride int
 
-	outFields fieldSchema // group keys then aggregate aliases: HAVING's and the projection's row
-	outRow    []int64
-	res       SelectResult
+	// Eager aggregation (nil eager otherwise): a group is a parent position,
+	// emitted keyed by pk if its bit in the edge's bitmap eager is set.
+	eager     *bitmap.Bitmap
+	pk        *storage.Column
+	pkAscends bool
+
+	outFields fieldSchema // group keys then aggregate aliases: HAVING's and the projection's schema
+	// proj maps each output column to its emission vector: the outFields
+	// column it copies, or the one past them the tile walker evaluates it into.
+	proj []int
+	res  SelectResult
+
+	// The emission's tile, bound per run to worker 0's tile scratch: one
+	// vector per outFields column, then one per output column.
+	out [][]int64
 
 	// Kernels, bound once so a run builds no closures. kEdge reads the edge
 	// the run is currently on.
@@ -357,9 +377,11 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 	// Phase 2: the main scan through the tile pipeline.
 	var grows0 uint64
 	if p.tab != nil {
-		p.tab.Reset()
+		for _, tab := range p.tabs {
+			tab.Reset()
+		}
 		p.keys.reset()
-		grows0 = p.tab.Grows
+		grows0 = growsSum(p.tabs)
 	} else {
 		for w := 0; w < len(p.part); w += p.stride {
 			p.part[w] = 0
@@ -377,31 +399,17 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 	// Emission: groups in key order through HAVING and the projection into
 	// the flat result.
 	start = time.Now()
+	p.out = p.e.genTiles[0].vecs[:len(p.outFields)+len(p.proj)]
 	p.res.Flat = p.res.Flat[:0]
 	if p.tab == nil {
-		p.emitRow(p.mergeParts())
+		p.mergeParts()
+		p.emitRows(1)
 	} else {
-		p.ex.HTGrows = int(p.tab.Grows - grows0)
-		// Value masking reaches groups only rejected tuples touched; their
-		// count stays zero and keeps them out of the walk.
-		if p.ex.DenseDomain > 0 {
-			// A slot is its packed key, and packed-key order is the result
-			// order: the walk needs no sort.
-			for slot := p.tab.NextLive(0, false); slot >= 0; slot = p.tab.NextLive(slot+1, false) {
-				p.emitGroup(int64(slot), slot)
-			}
-		} else {
-			p.keys.rank(&p.groupEmit)
-			p.reset()
-			for slot := p.tab.NextLive(0, false); slot >= 0; slot = p.tab.NextLive(slot+1, false) {
-				p.add(p.keys.sortKey(p.tab.Key(slot)), int64(slot))
-			}
-			p.sortPairs()
-			for i := 0; i < len(p.pairs); i += 2 {
-				slot := int(p.pairs[i+1])
-				p.emitGroup(p.tab.Key(slot), slot)
-			}
+		p.ex.HTGrows = int(growsSum(p.tabs) - grows0)
+		for _, tab := range p.tabs[1:] {
+			p.tab.MergeFrom(tab) // key-addressed, one domain: record-wise addition
 		}
+		p.emitGroups()
 	}
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
@@ -409,10 +417,10 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 }
 
 // mergeParts folds the other workers' stripes into the first by aggregate
-// kind — counts and sums add, min and max fold — and returns the tuple count.
-// Every fold is exact and commutative, so the answer does not depend on which
-// worker claimed which morsel.
-func (p *PreparedSelect) mergeParts() int64 {
+// kind — counts and sums add, min and max fold — and writes each aggregate's
+// answer into the output vectors. Every fold is exact and commutative, so the
+// answer does not depend on which worker claimed which morsel.
+func (p *PreparedSelect) mergeParts() {
 	for w := p.stride; w < len(p.part); w += p.stride {
 		p.part[0] += p.part[w]
 		for _, i := range p.fold {
@@ -428,37 +436,111 @@ func (p *PreparedSelect) mergeParts() int64 {
 			}
 		}
 	}
-	return p.part[0]
-}
-
-// emitGroup stages the group in slot — the key columns key decodes to into
-// outRow, its lanes into acc — and emits its row.
-func (p *PreparedSelect) emitGroup(key int64, slot int) {
-	p.keys.decode(key, p.outRow)
-	for lane := range p.acc {
-		p.acc[lane] = p.tab.Acc(slot, lane)
-	}
-	p.emitRow(p.tab.Count(slot))
-}
-
-// emitRow finalizes one group — its key columns already in outRow, its lanes
-// in acc, cnt tuples — passes the aggregate output row through HAVING and
-// the projection, and appends the projected row to the result.
-func (p *PreparedSelect) emitRow(cnt int64) {
-	nk := len(p.spec.GroupBy)
 	for i := range p.aggs {
-		a := &p.aggs[i]
-		v := int64(0)
+		a, v := &p.aggs[i], int64(0)
 		if a.lane >= 0 {
 			v = p.acc[a.lane]
 		}
-		p.outRow[nk+i] = a.final(v, cnt)
+		p.out[i][0] = a.final(v, p.part[0])
 	}
-	if p.spec.Having != nil && expr.Eval(p.spec.Having, 0, p.outRow) == 0 {
+}
+
+// emitGroups emits the merged table's groups in key order, a tile at a time.
+// Value masking reaches groups only rejected tuples touched; their count
+// stays zero and keeps them out of the walk. An eager plan keeps the groups
+// whose parent passed its edge's filter. A key-addressed table's slots are
+// in key order — for an eager plan, when the parent's key ascends — and any
+// other walk sorts (order key, slot) pairs first.
+func (p *PreparedSelect) emitGroups() {
+	tab, bm, slots, d := p.tab, p.eager, p.e.genTiles[0].slots, p.ex.DenseDomain
+	if d > 0 && (bm == nil || p.pkAscends) {
+		for base := 0; base < d; base += vec.TileSize {
+			k := 0
+			for slot := base; slot < min(base+vec.TileSize, d); slot++ {
+				slots[k] = int32(slot)
+				if tab.Count(slot) > 0 && (bm == nil || bm.Test(slot)) {
+					k++
+				}
+			}
+			p.emitTile(slots[:k])
+		}
 		return
 	}
-	for i := range p.spec.Project {
-		p.res.Flat = append(p.res.Flat, expr.Eval(p.spec.Project[i].Expr, 0, p.outRow))
+	p.keys.rank(&p.groupEmit)
+	p.reset()
+	for slot := tab.NextLive(0, false); slot >= 0; slot = tab.NextLive(slot+1, false) {
+		switch {
+		case bm != nil && !bm.Test(slot):
+		case bm != nil:
+			p.add(p.pk.Get(slot), int64(slot))
+		default:
+			p.add(p.keys.sortKey(tab.Key(slot)), int64(slot))
+		}
+	}
+	p.sortPairs()
+	for i := 0; i < len(p.pairs); i += 2 * vec.TileSize {
+		k := 0
+		for j := i + 1; j < min(i+2*vec.TileSize, len(p.pairs)); j += 2 {
+			slots[k] = int32(p.pairs[j])
+			k++
+		}
+		p.emitTile(slots[:k])
+	}
+}
+
+// emitTile writes the key columns and aggregate answers of the groups in
+// slots into the output vectors and emits them.
+func (p *PreparedSelect) emitTile(slots []int32) {
+	tab, nk := p.tab, len(p.spec.GroupBy)
+	if p.eager != nil {
+		p.pk.GatherInto(slots, p.out[0])
+	} else {
+		for r, s := range slots {
+			key := int64(s) // a key-addressed table's slot is its packed key
+			if p.ex.DenseDomain == 0 {
+				key = tab.Key(int(s))
+			}
+			p.keys.decode(key, p.out, r)
+		}
+	}
+	for i := range p.aggs {
+		a, out := &p.aggs[i], p.out[nk+i]
+		for r, s := range slots {
+			v := int64(0)
+			if a.lane >= 0 {
+				v = tab.Acc(int(s), a.lane)
+			}
+			out[r] = a.final(v, tab.Count(int(s)))
+		}
+	}
+	p.emitRows(len(slots))
+}
+
+// emitRows passes the first n rows of the output vectors through HAVING and
+// the projection, both on the tile walker, and appends the projected rows to
+// the result. A bare output column is a copy of its vector.
+func (p *PreparedSelect) emitRows(n int) {
+	s, ev := &p.states[0], p.e.genEmit
+	if p.spec.Having != nil {
+		// The rows HAVING keeps move to the front of every vector.
+		ev.EvalBool(p.spec.Having, expr.Tile{N: n, Vecs: p.out}, s.Cmp)
+		n, _ = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
+		for _, v := range p.out[:len(p.outFields)] {
+			for j, l := range s.Idx[:n] {
+				v[j] = v[l]
+			}
+		}
+	}
+	w, base := len(p.proj), len(p.res.Flat)
+	p.res.Flat = slices.Grow(p.res.Flat, n*w)[:base+n*w]
+	dst := p.res.Flat[base:]
+	for j, i := range p.proj {
+		if i >= len(p.outFields) {
+			ev.EvalInt(p.spec.Project[j].Expr, expr.Tile{N: n, Vecs: p.out}, p.out[i])
+		}
+		for r, v := range p.out[i][:n] {
+			dst[r*w+j] = v
+		}
 	}
 }
 
@@ -477,9 +559,8 @@ func (p *PreparedSelect) edgeKernel(w, base, length int) {
 // mainKernel runs the tile pipeline over one morsel.
 func (p *PreparedSelect) mainKernel(w, base, length int) {
 	s, t := &p.states[w], &p.e.genTiles[w]
-	part := p.part[w*p.stride:] // nil for a grouped statement
 	for tb := 0; tb < length; tb += vec.TileSize {
-		p.tile(s, t, part, base+tb, min(vec.TileSize, length-tb))
+		p.tile(s, t, w, base+tb, min(vec.TileSize, length-tb))
 	}
 }
 
@@ -498,13 +579,14 @@ func (p *PreparedSelect) tupleKernel(w, base, length int) {
 	}
 }
 
-// tile takes rows [base, base+n) from root mask to accumulator lanes: the
-// group table's, or for a scalar statement the worker's stripe part.
-func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base, n int) {
+// tile takes rows [base, base+n) from root mask to worker w's accumulator
+// lanes: its group table, or for a scalar statement its stripe.
+func (p *PreparedSelect) tile(s *workerState, t *tileScratch, w, base, n int) {
 	cmp := s.Cmp[:n]
-	if p.spec.Filter != nil {
+	switch {
+	case p.spec.Filter != nil:
 		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), cmp)
-	} else {
+	case p.tech != TechHybrid && !p.pairFold: // compact selects every lane itself; a pair fold reads no mask
 		vec.Fill(cmp, 1)
 	}
 	m := n // lanes the row stage works on
@@ -514,7 +596,7 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base
 		}
 		cmp = cmp[:m]
 	} else {
-		p.resolveEdges(s, t, base, n, nil, 0, len(p.edges))
+		p.resolveEdges(s, t, base, n, nil)
 		for c := range p.cols {
 			tc := &p.cols[c]
 			if tc.src < 0 {
@@ -530,19 +612,19 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, part []int64, base
 		}
 	}
 	if p.tab == nil {
-		p.foldScalar(s, t, part, base, m, cmp)
+		p.foldScalar(s, t, p.part[w*p.stride:], base, m, cmp)
 	} else {
-		p.foldGroups(s, t, base, m, cmp)
+		p.foldGroups(s, t, p.tabs[w], base, m, cmp)
 	}
 }
 
-// resolveEdges fills the lane-indexed parent positions of the used edges in
-// [from, to) and ANDs filtered edges' bitmaps into the mask. With sel
-// (hybrid) only the selected lanes are touched. An edge off the root reads its positions
-// straight from the foreign-key index.
-func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n int, sel []int32, from, to int) {
-	cmp := s.Cmp[:n]
-	for i := from; i < to; i++ {
+// resolveEdges fills the lane-indexed parent positions of the used edges —
+// for the lanes of sel, or for all n when sel is nil — and applies every
+// filtered edge's bitmap: ANDed into the mask, or narrowing sel to the lanes
+// whose parent qualified, which it returns. An edge off the root reads its
+// positions straight from the foreign-key index.
+func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n int, sel []int32) []int32 {
+	for i := range p.edges {
 		be := &p.edges[i]
 		if !be.used {
 			continue
@@ -557,59 +639,42 @@ func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n in
 				for j := range pos {
 					pos[j] = fk[src[j]]
 				}
-			} else {
-				for _, j := range sel {
-					pos[j] = fk[src[j]]
-				}
+			}
+			for _, j := range sel {
+				pos[j] = fk[src[j]]
 			}
 		}
 		t.pos[i] = pos
 		switch {
 		case be.bm == nil:
 		case sel == nil:
-			be.bm.AndGather(pos, cmp)
+			be.bm.AndGather(pos, s.Cmp[:n])
 		default:
-			be.bm.AndGatherSel(pos, sel, cmp)
+			sel = sel[:be.bm.SelectGather(pos, sel)]
 		}
 	}
+	return sel
 }
 
-// compact is the hybrid technique's front half: the mask becomes a
-// selection vector, edges resolve for selected lanes only, and every tile
-// vector is gathered compacted, so the lanes of the row stage are exactly
-// the rows that passed. It returns the lane count; the mask is all ones
-// over them afterwards.
+// compact is the hybrid technique's front half: the root mask becomes a
+// selection vector, which the edges resolve parent positions for and their
+// bitmaps narrow, and every tile vector is gathered compacted, so the lanes
+// of the row stage are exactly the rows that passed. It returns the lane
+// count; the mask is all ones over them afterwards.
 func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) int {
-	// Edges resolve only for lanes the root mask kept — unless it kept nearly
-	// all of them, where the tile-wide loops beat the indirect ones.
-	k, masked := n, p.spec.Filter != nil
-	var kept []int32
-	if masked {
+	k := n
+	if p.spec.Filter != nil {
 		var d vec.Density
 		k, d = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
 		s.ctr.CountSel(d)
-		if k == 0 {
-			return 0
-		}
-		if d != vec.DensityDense {
-			kept = s.Idx[:k]
+	} else {
+		for j := range s.Idx[:n] {
+			s.Idx[j] = int32(j)
 		}
 	}
-	// Edges up to the last filtered one decide the mask; the edges after it
-	// only carry columns and resolve for the final selection.
-	p.resolveEdges(s, t, base, n, kept, 0, p.filtered)
-	if !masked || p.filtered > 0 {
-		var d vec.Density
-		k, d = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
-		s.ctr.CountSel(d)
-		if k == 0 {
-			return 0
-		}
-		if kept = s.Idx[:k]; d == vec.DensityDense {
-			kept = nil
-		}
+	if k = len(p.resolveEdges(s, t, base, n, s.Idx[:k])); k == 0 {
+		return 0
 	}
-	p.resolveEdges(s, t, base, n, kept, p.filtered, len(p.edges))
 	sel, gpos := s.Idx[:k], t.gpos[:k]
 	for c, at := 0, -2; c < len(p.cols); c++ {
 		tc := &p.cols[c]
@@ -696,9 +761,9 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64
 // lane's real key up and has rejected lanes contribute the aggregate's
 // identity and no count. The resolve, the count and a leading sum lane fold
 // in one pass (ht.FoldTile); the lanes after it fold over its slots.
-func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, base, m int, cmp []byte) {
+func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, tab *ht.AggTable, base, m int, cmp []byte) {
 	keys := p.keys.fill(t.vecs, m, s.Keys)
-	if p.tech == TechKeyMasking {
+	if p.tech == TechKeyMasking && !p.pairFold {
 		vec.MaskKeysU(keys, cmp, ht.NullKey, s.Keys[:m])
 		keys = s.Keys[:m]
 		s.ctr.KeyMask++
@@ -713,17 +778,21 @@ func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, base, m int,
 			first, lane, fold = p.operand(s, t, &a.arg, base, m, s.Vals), a.lane, fold[1:]
 		}
 	}
-	p.tab.FoldTile(keys, slots, lane, first, cmp)
+	if p.pairFold {
+		tab.AddPairs(keys, first)
+		return
+	}
+	tab.FoldTile(keys, slots, lane, first, cmp)
 	for _, i := range fold {
 		a := &p.aggs[i]
 		v := p.operand(s, t, &a.arg, base, m, s.Vals)
 		switch a.kind {
 		case AggMin:
-			p.tab.MinTile(slots, a.lane, v, cmp)
+			tab.MinTile(slots, a.lane, v, cmp)
 		case AggMax:
-			p.tab.MaxTile(slots, a.lane, v, cmp)
+			tab.MaxTile(slots, a.lane, v, cmp)
 		default:
-			p.tab.SumTile(slots, a.lane, v, cmp)
+			tab.SumTile(slots, a.lane, v, cmp)
 		}
 	}
 }

@@ -21,7 +21,8 @@ import (
 // selectTechs is the menu of a tile-pipeline statement: the techniques the
 // cost model chooses among, which are also the ones PrepareForced may name.
 // Key masking needs a key. The classic scalar shape adds the data-centric
-// baseline, which only a forced compile runs.
+// baseline, which only a forced compile runs; Engine.Techniques adds eager
+// aggregation where it applies.
 func selectTechs(q Select) []Technique {
 	switch {
 	case len(q.GroupBy) > 0:
@@ -37,6 +38,29 @@ func selectTechs(q Select) []Technique {
 func classicScalar(q Select) bool {
 	return len(q.GroupBy) == 0 && len(q.Edges) == 0 && q.Residual == nil && len(q.Aggs) == 1 &&
 		(q.Aggs[0].Kind == AggSum || q.Aggs[0].Kind == AggCount)
+}
+
+// eagerEdge is the join edge the statement may aggregate eagerly over
+// (Section III-E), or -1: a filtered edge off the root whose foreign key is
+// the lone GROUP BY column, when nothing but that filter reads its parent —
+// no edge chains off it, and the residual and the aggregates read root
+// columns only.
+func (e *Engine) eagerEdge(q Select) int {
+	at := slices.IndexFunc(q.Edges, func(ed SelectEdge) bool {
+		return len(q.GroupBy) == 1 && ed.Src < 0 && ed.FK == q.GroupBy[0] && ed.Filter != nil
+	})
+	root := e.DB.Table(q.Root)
+	if at < 0 || root == nil || slices.ContainsFunc(q.Edges, func(ed SelectEdge) bool { return ed.Src == at }) {
+		return -1
+	}
+	reads := expr.Cols(q.Residual)
+	for _, a := range q.Aggs {
+		reads = append(reads, expr.Cols(a.Arg)...)
+	}
+	if slices.ContainsFunc(reads, func(name string) bool { return root.Column(name) == nil }) {
+		return -1
+	}
+	return at
 }
 
 // shared returns the attributes both expressions reference.
@@ -71,14 +95,19 @@ type selectCompile struct {
 	e      *Engine
 	q      Select
 	p      *PreparedSelect
+	tech   Technique // the caller's, or techAuto
 	params cost.Params
 
 	sel     float64 // estimated selectivity of the root and edge filters together
+	eager   int     // the edge eager aggregation may run over (eagerEdge), or -1
+	selS    float64 // the eager edge's selectivity
+	selR    float64 // sel without the eager edge's: what the eager plan's root mask keeps
 	comp    float64 // the row stage's computation cost per tuple
 	groups  int     // estimated group count (1 for a scalar statement)
 	domain  uint64  // distinct packed group keys; 0 when chained or scalar
 	lanes   int     // accumulator lanes
 	packed  bool    // the group table's records are one word (tableForm)
+	htBytes int     // the group table's footprint (tableForm)
 	keyCols []tileCol
 	stages  []staged
 	fresh   int // plan-owned buffers allocated, billed to Explain.FreshAllocs
@@ -110,16 +139,12 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	defer e.execMu.Unlock()
 	p := &PreparedSelect{spec: q, root: root}
 	p.e, p.nw, p.seq = e, 1, true
-	if tech == techAuto && len(q.GroupBy) == 0 {
-		// Scalar lanes merge exactly, so the statement takes the gang.
-		p.nw, p.seq = e.workers(), false
-	}
 	// PlanCached is baked in like the other Prepared* types: every run of
 	// this plan replays the prepare-time decision; the plan cache's first
 	// execution resets it to false.
-	p.ex = Explain{Workers: p.nw, PlanCached: true, Costs: map[string]float64{}}
-	c := &selectCompile{e: e, q: q, p: p, params: e.Params.ForWorkers(p.nw), sel: 1, groups: 1}
-	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.stageExprs} {
+	p.ex = Explain{PlanCached: true, Costs: map[string]float64{}}
+	c := &selectCompile{e: e, q: q, p: p, tech: tech, eager: e.eagerEdge(q), sel: 1, selS: 1, selR: 1, groups: 1}
+	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.chooseWorkers, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
 		}
@@ -131,7 +156,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	if err := c.bindOutput(); err != nil {
 		return nil, err
 	}
-	c.fresh += e.ensureGenLocked(p.nw, len(p.cols))
+	c.fresh += e.ensureGenLocked(p.nw, max(len(p.cols), len(p.outFields)+len(p.proj)))
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
 	p.kMain, p.kEdge = p.mainKernel, p.edgeKernel
@@ -142,13 +167,14 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	return p, nil
 }
 
-// selectivity samples a filter bound to t through the statistics cache and
-// folds it into the statement's estimate.
-func (c *selectCompile) selectivity(t *storage.Table, filter expr.Expr) {
+// selectivity samples a filter bound to t through the statistics cache,
+// folds it into the statement's estimate and returns it.
+func (c *selectCompile) selectivity(t *storage.Table, filter expr.Expr) float64 {
 	start := time.Now()
 	s, hit := c.e.selectivity(t, filter)
 	c.sel *= s
 	c.stat(hit, start)
+	return s
 }
 
 // stat counts one statistics lookup begun at start.
@@ -172,27 +198,32 @@ func (c *selectCompile) bindEdges() error {
 			}
 			childName = c.q.Edges[ed.Src].Parent
 		}
-		idx := c.e.DB.FK(childName, ed.FK, ed.Parent, ed.PK)
-		if idx == nil {
-			if child := c.e.DB.Table(childName); child != nil && child.Column(ed.FK) == nil {
-				return errNoColumn(childName, ed.FK)
-			}
-			return fmt.Errorf("core: no foreign key %s.%s -> %s.%s", childName, ed.FK, ed.Parent, ed.PK)
-		}
-		parent := c.e.DB.Table(ed.Parent)
-		if parent == nil {
+		idx, parent := c.e.DB.FK(childName, ed.FK, ed.Parent, ed.PK), c.e.DB.Table(ed.Parent)
+		switch child := c.e.DB.Table(childName); {
+		case parent == nil:
 			return errNoTable(ed.Parent)
+		case idx != nil:
+		case child != nil && child.Column(ed.FK) == nil:
+			return errNoColumn(childName, ed.FK)
+		case parent.Column(ed.PK) == nil:
+			return errNoColumn(ed.Parent, ed.PK)
+		default:
+			return fmt.Errorf("core: no foreign key %s.%s -> %s.%s", childName, ed.FK, ed.Parent, ed.PK)
 		}
 		be := boundEdge{src: ed.Src, idx: idx, parent: parent, filter: ed.Filter}
 		if be.filter != nil {
 			if err := expr.Bind(be.filter, expr.Columns(parent)); err != nil {
 				return err
 			}
-			be.bm, be.used, p.filtered = bitmap.New(parent.Rows()), true, i+1
+			be.bm, be.used = bitmap.New(parent.Rows()), true
 			c.fresh++
 			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
 			p.ex.HTBytes += be.bm.Bytes()
-			c.selectivity(parent, be.filter)
+			if s := c.selectivity(parent, be.filter); i == c.eager {
+				c.selS = s
+			} else {
+				c.selR *= s
+			}
 		}
 		p.edges = append(p.edges, be)
 	}
@@ -207,7 +238,7 @@ func (c *selectCompile) bindFilter() error {
 	if err := expr.Bind(c.q.Filter, expr.Columns(c.p.root)); err != nil {
 		return err
 	}
-	c.selectivity(c.p.root, c.q.Filter)
+	c.selR *= c.selectivity(c.p.root, c.q.Filter)
 	return nil
 }
 
@@ -265,6 +296,29 @@ func (c *selectCompile) planKeys() error {
 		limit = min(limit, float64(c.domain))
 	}
 	c.groups = int(min(est, limit))
+	return nil
+}
+
+// chooseWorkers puts a statement the cost model plans on the worker gang when
+// the workers' partials merge exactly — scalar lanes, or a key-addressed
+// group table of sums and counts (the form rule ignores the worker count:
+// this is the table priceGroups picks) — and prices it for that many workers.
+func (c *selectCompile) chooseWorkers() error {
+	p, grouped, gang, lanes := c.p, len(c.q.GroupBy) > 0, c.tech == techAuto, 0
+	for _, a := range c.q.Aggs {
+		gang = gang && (!grouped || a.Kind != AggMin && a.Kind != AggMax)
+		if a.Kind != AggCount {
+			lanes++
+		}
+	}
+	if grouped {
+		_, _, domain, _ := tableForm(c.e.Params, 0, int64(c.domain-1), lanes, c.groups, p.root.Rows(), c.sumBound())
+		gang = gang && domain > 0
+	}
+	if gang {
+		p.nw, p.seq = c.e.workers(), false
+	}
+	c.params, p.ex.Workers = c.e.Params.ForWorkers(p.nw), p.nw
 	return nil
 }
 
@@ -335,35 +389,26 @@ func (c *selectCompile) stageExprs() error {
 // chooseTechnique evaluates the Section III-A/III-B models over the
 // estimated mask selectivity, the row stage's computation cost, the
 // aggregate count and the table estimate, records every alternative's cost,
-// and fixes the technique: the cheapest, or the caller's.
+// and fixes the technique: the cheapest, or the caller's. A statement with an
+// eager edge weighs eager aggregation against its positional-bitmap plan
+// first (chooseEager).
 func (c *selectCompile) chooseTechnique(tech Technique) {
 	p, params, rows := c.p, c.params, c.p.root.Rows()
-	htBytes, auto := 0, tech == techAuto
+	auto := tech == techAuto
 	var strat cost.AggStrategy
 	if len(c.q.GroupBy) == 0 {
 		strat, _ = params.ChooseScalarAgg(rows, c.sel, c.comp)
 		p.ex.Costs["hybrid"] = params.Hybrid(rows, c.sel, c.comp)
 		p.ex.Costs["value-masking"] = params.ValueMasking(rows, c.comp)
 	} else {
-		nAggs := c.lanes + 1 // the shared count is masked like a lane
-		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, c.groups*ht.HashedSlotBytes(c.lanes))
-		// A packed key is its own slot: when the packed domain passes the
-		// form rule the one group table is key-addressed.
-		hi := int64(-1) // chained keys have no domain
-		if c.domain > 0 {
-			hi = int64(c.domain - 1)
-		}
-		params, htBytes, p.ex.DenseDomain, c.packed = tableForm(params, 0, hi, c.lanes, c.groups, rows, c.sumBound())
+		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, c.lanes+1, c.groups*ht.HashedSlotBytes(c.lanes))
 		var direct float64
-		strat, direct = params.ChooseGroupAgg(rows, c.sel, c.comp, nAggs, htBytes)
-		if p.ex.DenseDomain > 0 {
-			p.ex.Costs["dense"] = direct
+		strat, direct = c.priceGroups(c.sel)
+		if c.eager >= 0 && (auto || tech == TechEagerAggregation) && c.chooseEager(direct, tech) {
+			strat, _ = c.priceGroups(c.selR)
 		}
-		p.ex.Costs["hybrid"] = params.HybridGroup(rows, c.sel, c.comp, htBytes)
-		p.ex.Costs["value-masking"] = params.ValueMaskingGroup(rows, c.comp+float64(nAggs)*params.CompMul, htBytes)
-		p.ex.Costs["key-masking"] = params.KeyMasking(rows, c.sel, c.comp+params.CompCmp, htBytes)
 	}
-	if auto {
+	if auto || p.eager != nil {
 		tech = [...]Technique{
 			cost.ChooseHybrid:       TechHybrid,
 			cost.ChooseValueMasking: TechValueMasking,
@@ -371,7 +416,10 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		}[strat]
 	}
 	p.tech, p.ex.Technique = tech, tech
-	if auto && len(p.edges) > 0 {
+	switch {
+	case p.eager != nil:
+		p.ex.Technique = TechEagerAggregation
+	case auto && len(p.edges) > 0:
 		// Every join edge is a positional-bitmap probe and Explain leads with
 		// that; the aggregation technique is the cheapest entry of Costs.
 		p.ex.Technique = TechPositionalBitmap
@@ -387,17 +435,74 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		}
 	}
 	p.ex.Selectivity, p.ex.CompCost, p.ex.Groups = c.sel, c.comp, c.groups
-	p.ex.HTBytes += htBytes
+	p.ex.HTBytes += c.htBytes
 }
 
-// sumBound is addBound for lane 0 when it holds a sum (an average's too)
-// of a bare column, which is not bound yet; 0 otherwise.
+// priceGroups fixes the group table's form for the planned keys, prices the
+// grouped techniques over it at mask selectivity sel, records them, and
+// returns the cheapest and its cost.
+func (c *selectCompile) priceGroups(sel float64) (cost.AggStrategy, float64) {
+	p, rows, nAggs := c.p, c.p.root.Rows(), c.lanes+1 // the shared count is masked like a lane
+	var form cost.Params
+	// A packed key is its own slot: [0, D) for D packed keys, none (-1) when chained.
+	form, c.htBytes, p.ex.DenseDomain, c.packed = tableForm(c.params, 0, int64(c.domain-1), c.lanes, c.groups, rows, c.sumBound())
+	strat, direct := form.ChooseGroupAgg(rows, sel, c.comp, nAggs, c.htBytes)
+	if p.ex.DenseDomain > 0 {
+		p.ex.Costs["dense"] = direct
+	}
+	p.ex.Costs["hybrid"] = form.HybridGroup(rows, sel, c.comp, c.htBytes)
+	p.ex.Costs["value-masking"] = form.ValueMaskingGroup(rows, c.comp+float64(nAggs)*form.CompMul, c.htBytes)
+	p.ex.Costs["key-masking"] = form.KeyMasking(rows, sel, c.comp+form.CompCmp, c.htBytes)
+	return strat, direct
+}
+
+// chooseEager weighs eager aggregation (the EA term of the Section III-E
+// model, over one group per parent row) against the positional-bitmap plan —
+// direct plus a bitmap probe per row the root mask keeps (Section III-D) —
+// and records both. When eager aggregation is cheaper, or the caller's pick,
+// it rebuilds the plan around it: the parent positions the edge's
+// foreign-key index holds become the group key over [0, |Parent|), and the
+// edge leaves the row stage for the emission.
+func (c *selectCompile) chooseEager(direct float64, tech Technique) bool {
+	p, rows := c.p, c.p.root.Rows()
+	be := &p.edges[c.eager]
+	s := be.parent.Rows()
+	bitmapPlan := direct + float64(rows)*c.selR*c.params.HTLookup(be.bm.Bytes())
+	hi := int64(max(s, 1) - 1) // a parent without rows has no children: a one-slot table stays empty
+	form, bytes, _, _ := tableForm(c.params, 0, hi, c.lanes, s, rows, c.sumBound())
+	_, _, ea := form.ChooseGroupjoin(s, c.selS, rows, c.selR, c.selS, c.comp, bytes)
+	p.ex.Costs["positional-bitmap"], p.ex.Costs["eager-aggregation"] = bitmapPlan, ea
+	if ea >= bitmapPlan && tech != TechEagerAggregation {
+		return false
+	}
+	// The key column is the edge's foreign-key index read as a root column,
+	// under a name no SQL identifier has: a statement that also reads the
+	// foreign key gets the key's values.
+	pos := &storage.Column{Name: "#position", Kind: storage.KindInt32, Log: storage.LogInt, I32: be.idx.Pos}
+	p.eager, be.used, c.keyCols[0] = be.bm, false, tileCol{name: pos.Name, src: -1, col: pos}
+	p.keys, c.domain = planGroupKeys([]int64{0}, []int64{hi})
+	c.groups = s
+	p.pk = be.parent.Column(be.idx.PK)
+	start := time.Now()
+	p.pkAscends = c.e.colFacts(be.parent.Name, p.pk).ascends
+	c.statsTime += time.Since(start)
+	return true
+}
+
+// sumBound is addBound for the first lane — the first aggregate that is not a
+// count — when it is a sum (an average's too) of a bare column, which is not
+// bound yet; 0 otherwise.
 func (c *selectCompile) sumBound() uint64 {
-	for _, a := range c.p.aggs {
-		if col, ok := a.arg.e.(*expr.Col); ok && a.lane == 0 && a.kind != AggMin && a.kind != AggMax {
-			tc, _, _ := c.locate(col.Name)
-			return addBound(col, tc.col)
+	for _, a := range c.q.Aggs {
+		if a.Kind == AggCount {
+			continue
 		}
+		col, ok := a.Arg.(*expr.Col)
+		if !ok || a.Kind == AggMin || a.Kind == AggMax {
+			return 0
+		}
+		tc, _, _ := c.locate(col.Name)
+		return addBound(col, tc.col)
 	}
 	return 0
 }
@@ -475,34 +580,42 @@ func (c *selectCompile) bindRowStage() error {
 		}
 	}
 
-	// Aggregation state: the group table sized from the estimate, or one
-	// stripe of scalar lanes per worker, whole cache lines apart so
-	// concurrent folds do not false-share.
-	c.fresh++
+	// Aggregation state: one stripe of scalar lanes per worker, whole cache
+	// lines apart so concurrent folds do not false-share, or one group table
+	// per worker sized from the estimate.
 	if len(c.q.GroupBy) == 0 {
 		p.stride = (1 + c.lanes + 7) &^ 7
 		p.part = make([]int64, p.nw*p.stride)
 		p.acc = p.part[1 : 1+c.lanes]
+		c.fresh++
 		return nil
 	}
-	p.acc = make([]int64, c.lanes)
-	if d := int64(p.ex.DenseDomain); d > 0 {
-		// A lone key column addresses the table by value — its slot is still
-		// the packed key — unless no table can start at its digit origin.
-		lo := int64(0)
-		if o := p.keys.lo[0]; len(p.keys.cols) == 1 && o != ht.NullKey && o+(d-1) >= o {
-			lo, p.keys.byValue = o, true
-		}
-		p.tab = ht.NewDenseAggTable(c.lanes, lo, lo+d-1, c.packed)
-	} else {
-		p.tab = ht.NewAggTable(c.lanes, c.groups)
+	// A lone key column addresses a key-addressed table by value — its slot
+	// is still the packed key — unless no table can start at its digit origin.
+	d, lo := int64(p.ex.DenseDomain), int64(0)
+	if o := p.keys.lo; d > 0 && len(p.keys.cols) == 1 && o[0] != ht.NullKey && o[0]+(d-1) >= o[0] {
+		lo, p.keys.byValue = o[0], true
 	}
-	for i := range p.aggs {
-		if a := &p.aggs[i]; a.lane >= 0 && a.identity() != 0 {
-			p.tab.SetIdentity(a.lane, a.identity())
+	p.tabs = make([]*ht.AggTable, p.nw)
+	for w := range p.tabs {
+		if d > 0 {
+			p.tabs[w] = ht.NewDenseAggTable(c.lanes, lo, lo+d-1, c.packed)
+		} else {
+			p.tabs[w] = ht.NewAggTable(c.lanes, c.groups)
+		}
+		for i := range p.aggs {
+			if a := &p.aggs[i]; a.lane >= 0 && a.identity() != 0 {
+				p.tabs[w].SetIdentity(a.lane, a.identity())
+			}
 		}
 	}
+	p.tab = p.tabs[0]
+	c.fresh += p.nw
 	p.keys.alloc(c.groups)
+	probes := slices.ContainsFunc(p.edges, func(be boundEdge) bool { return be.used && be.bm != nil })
+	allPass := p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes
+	sum := len(p.fold) == 1 && (p.aggs[p.fold[0]].kind == AggSum || p.aggs[p.fold[0]].kind == AggAvg)
+	p.pairFold = allPass && sum && d > 0
 	return nil
 }
 
@@ -543,8 +656,9 @@ func (c *selectCompile) mergeOperands() {
 	}
 }
 
-// bindOutput binds HAVING and the projection to the aggregate output row
-// (group keys, then aggregate aliases) and builds the result header.
+// bindOutput binds HAVING and the projection to the aggregate output schema
+// (group keys, then aggregate aliases), notes which output columns copy a
+// column of it, and builds the result header.
 func (c *selectCompile) bindOutput() error {
 	p, q := c.p, c.q
 	if q.Having != nil {
@@ -552,20 +666,18 @@ func (c *selectCompile) bindOutput() error {
 			return err
 		}
 	}
+	p.proj = make([]int, len(q.Project))
 	for i := range q.Project {
 		if err := expr.Bind(q.Project[i].Expr, p.outFields); err != nil {
 			return err
 		}
-		f := OutField{Name: q.Project[i].As, Log: storage.LogInt}
+		f, at := OutField{Name: q.Project[i].As, Log: storage.LogInt}, len(p.outFields)+i
 		if col, ok := q.Project[i].Expr.(*expr.Col); ok {
-			if at := p.outFields.index(col.Name); at >= 0 {
-				f.Dict, f.Log = p.outFields[at].Dict, p.outFields[at].Log
-			}
+			at = p.outFields.index(col.Name)
+			f.Dict, f.Log = p.outFields[at].Dict, p.outFields[at].Log
 		}
-		p.fields = append(p.fields, f)
+		p.fields, p.proj[i] = append(p.fields, f), at
 	}
-	p.outRow = make([]int64, len(p.outFields))
 	p.res.Fields = p.fields
-	c.fresh++
 	return nil
 }

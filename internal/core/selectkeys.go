@@ -201,20 +201,23 @@ func (g *groupKeys) sortKey(key int64) int64 {
 	}
 }
 
-// decode writes the key columns' values of a table key into out.
-func (g *groupKeys) decode(key int64, out []int64) {
+// decode writes the key columns' values of a table key into lane r of the
+// key columns' vectors out[0], out[1], ….
+func (g *groupKeys) decode(key int64, out [][]int64, r int) {
 	if g.mult != nil {
-		for c := range g.cols {
+		last := len(g.cols) - 1
+		for c := range last {
 			q := key / g.mult[c]
 			key -= q * g.mult[c]
-			out[c] = g.lo[c] + q
+			out[c][r] = g.lo[c] + q
 		}
+		out[last][r] = g.lo[last] + key // the last place value is 1
 		return
 	}
 	for c := len(g.cols) - 1; c > 0; c-- {
 		v := g.pairs[c].vals[key]
-		out[c] = g.dicts[c].vals[v&(1<<pairShift-1)]
+		out[c][r] = g.dicts[c].vals[v&(1<<pairShift-1)]
 		key = v >> pairShift
 	}
-	out[0] = g.dicts[0].vals[key]
+	out[0][r] = g.dicts[0].vals[key]
 }

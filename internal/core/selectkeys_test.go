@@ -50,12 +50,15 @@ func keyFixture(t *testing.T, name string, vals [][]int64, wantPacked bool) {
 			}
 			return out
 		}
-		got := make([]int64, nk)
+		got, cols := make([]int64, nk), make([][]int64, nk)
+		for c := range cols {
+			cols[c] = got[c : c+1]
+		}
 		for i := 0; i < lanes; i++ {
 			if keys[i] < 0 {
 				t.Fatalf("%s: negative table key %d could collide with ht.NullKey", name, keys[i])
 			}
-			g.decode(keys[i], got)
+			g.decode(keys[i], cols, 0)
 			if !slices.Equal(got, tuple(i)) {
 				t.Fatalf("%s: decode(%d) = %v, want %v", name, keys[i], got, tuple(i))
 			}

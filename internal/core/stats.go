@@ -29,7 +29,7 @@ type statsKind uint8
 const (
 	statSelectivity statsKind = iota // value stores a float64 in sel
 	statGroups                       // value stores an int group count
-	statRange                        // value stores a column's [lo, hi]; expr is the column name
+	statRange                        // value stores a column's [lo, hi] and ascent; expr is the column name
 )
 
 // statsKey identifies one cached statistic. The expression's String() form
@@ -43,10 +43,11 @@ type statsKey struct {
 }
 
 type statsEntry struct {
-	sel    float64
-	groups int
-	lo, hi int64
-	col    *storage.Column // the column lo and hi were read from
+	sel     float64
+	groups  int
+	lo, hi  int64
+	ascends bool
+	col     *storage.Column // the column lo, hi and ascends were read from
 
 	// Incremental-merge state for the append path (MergeStatsOnAppend):
 	// e is a clone of the sampled expression, owned by the cache so
@@ -381,30 +382,45 @@ func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached
 }
 
 // colRange returns the smallest and largest value of a column of the named
-// table, from cache when a current-version entry exists. Group-key packing
-// sizes key columns from it and a key-addressed group table bakes it in, so
-// a stale answer would be a wrong result, not a worse plan: a hit must come
-// from this very column object (columns are immutable; an append or a
-// replacement makes new ones). The answer is cached only when c is the
-// catalog's column at the version the key names — a compile that overlaps a
-// write may hold an older table — so an entry's column is always its
-// version's column, which is what lets an append merge the entry instead of
-// dropping it.
+// table. Group-key packing sizes key columns from it and a key-addressed
+// group table bakes it in.
 func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
+	f := e.colFacts(table, c)
+	return f.lo, f.hi
+}
+
+// ascendsFrom reports whether c ascends at every row from i on, given that
+// it did before.
+func ascendsFrom(c *storage.Column, i int, before bool) bool {
+	for ; i < c.Len() && before; i++ {
+		before = c.Get(i-1) <= c.Get(i)
+	}
+	return before
+}
+
+// colFacts returns a column's range and whether it never decreases from one
+// row to the next (an eager plan sorts its groups unless its parent's key
+// ascends), from cache when a current-version entry exists. Plans bake both
+// in, so a hit must come from this very column object (columns are
+// immutable; an append or a replacement makes new ones), and the answer is
+// cached only when c is the catalog's column at the version the key names —
+// so an entry's column is its version's, which lets an append merge it.
+func (e *Engine) colFacts(table string, c *storage.Column) statsEntry {
 	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statRange, expr: c.Name}
 	e.mu.Lock()
 	ent, ok := e.stats.get(k)
 	e.mu.Unlock()
 	if ok && ent.col == c {
-		return ent.lo, ent.hi
+		return ent
 	}
-	lo, hi = c.Range()
+	ent = statsEntry{col: c, ascends: ascendsFrom(c, 1, true)} // a descent ends the walk: a pass only over an ascending column
+	ent.lo, ent.hi = c.Range()
 	if t := e.DB.Table(table); t != nil && t.Column(c.Name) == c && e.DB.TableVersion(table) == k.ver {
 		e.mu.Lock()
-		e.stats.put(k, statsEntry{lo: lo, hi: hi, col: c})
+		e.stats.put(k, ent)
 		e.mu.Unlock()
 	}
-	return lo, hi
+	return ent
 }
 
 // MergeStatsOnAppend folds appended rows into the cached statistics of the
@@ -413,7 +429,8 @@ func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
 // [oldRows, Rows), sampled and evaluated like a table of their own.
 // Selectivities merge as row-count-weighted averages; group counts union the
 // delta's keys into the retained distinct-sample; a column range becomes the
-// union of the old range and the delta's, pinned to the new column object.
+// union of the old range and the delta's, and an ascent checks the delta's
+// rows, both pinned to the new column object.
 // Entries without merge state (or whose expressions no longer bind) are
 // dropped and re-sampled lazily, and so is the old table's sample.
 func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
@@ -445,7 +462,8 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 		switch k.kind {
 		case statRange:
 			// The entry's column held rows [0, oldRows) of the new one (see
-			// colRange), so old range ∪ delta range is the new column's.
+			// colFacts), so old range ∪ delta range is the new column's, and it
+			// ascends if it did and still does across the delta's rows.
 			nc, dc := t.Column(k.expr), delta.src.Column(k.expr)
 			if nc == nil || ent.col == nil || ent.col.Len() != oldRows {
 				return
@@ -458,6 +476,7 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 					ent.lo, ent.hi = min(ent.lo, dlo), max(ent.hi, dhi)
 				}
 			}
+			ent.ascends = ascendsFrom(nc, max(oldRows, 1), ent.ascends)
 			ent.col = nc
 		case statSelectivity:
 			if ent.e == nil {

@@ -109,8 +109,11 @@ func (cfg Config) FigScaling() []Figure {
 		}
 		return func() int64 {
 			part, _, _ := p.RunPartial(context.Background())
-			if part.Groups != nil {
+			switch {
+			case part.Groups != nil:
 				return int64(part.Groups.Len())
+			case len(spec.GroupBy) > 0:
+				return int64(len(part.Rows.Flat) / len(part.Rows.Fields))
 			}
 			return part.Rows.Flat[0]
 		}

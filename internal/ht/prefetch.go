@@ -354,16 +354,3 @@ func (t *JoinTable) Touch(key int64) uint64 {
 func (t *PartitionedJoinTable) Touch(key int64) uint64 {
 	return t.subs[hash64(uint64(key))>>t.shift].Touch(key)
 }
-
-// TouchAppend loads the scatter-write target for key's partition: the tail
-// chunk slot the next Append to that partition will store into. When the
-// tail chunk is full (the next append claims a fresh chunk) there is no
-// known target and the touch is skipped. The caller accumulates the return
-// value into a live sink.
-func (p *Partitioner) TouchAppend(key int64) uint64 {
-	i := hash64(uint64(key)) >> p.shift
-	if o := p.off[i]; o < p.lim[i] {
-		return uint64(p.pool.keys[o])
-	}
-	return 0
-}

@@ -110,23 +110,3 @@ func TestTouchReturnsWithoutMutating(t *testing.T) {
 		t.Error("PartitionedJoinTable.Touch mutated the table")
 	}
 }
-
-func TestTouchAppendMatchesAppendTarget(t *testing.T) {
-	p := NewPartitioner(4)
-	var sink uint64
-	// Empty partition: tail chunk unclaimed, touch is a no-op.
-	sink += p.TouchAppend(42)
-	p.Append(42, 1)
-	// Now the tail chunk exists; the touch target is the next write slot.
-	sink += p.TouchAppend(42)
-	p.Append(42, 2)
-	if p.Rows() != 2 {
-		t.Fatalf("rows=%d after appends (sink=%d)", p.Rows(), sink)
-	}
-	part := PartitionOf(42, p.Shift())
-	c := p.Head(part)
-	keys, vals := p.Chunk(part, c)
-	if len(keys) != 2 || keys[0] != 42 || vals[1] != 2 {
-		t.Fatalf("chunk contents %v %v", keys, vals)
-	}
-}

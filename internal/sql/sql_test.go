@@ -7,7 +7,7 @@ import (
 	"github.com/reprolab/swole/internal/volcano"
 )
 
-func testDB(t *testing.T) *storage.Database {
+func testDB(t testing.TB) *storage.Database {
 	t.Helper()
 	n := 1000
 	x := make([]int64, n)
@@ -269,34 +269,37 @@ func TestMinMaxAvg(t *testing.T) {
 	}
 }
 
+// badStatements are rejected by Compile or, failing that, by the
+// interpreter.
+var badStatements = []string{
+	"",
+	"select",
+	"select from r",
+	"select r_x r where",
+	"select sum(r_a) from",
+	"select sum(r_a from r",
+	"select count(*) from r where r_x <",
+	"select count(*) from r where r_s like 5",
+	"select count(*) from r limit x",
+	"select count(*) from r where 'unterminated",
+	"select count(*) from r extra",
+	"select r_x from r group by r_x",           // group by without aggregate
+	"select r_a, sum(r_x) from r group by r_c", // non-grouped column
+	"select count(*) from r, dim",              // no join condition
+	"select count(*) from r, dim, r",           // 3 tables
+	"select count(*) from nosuch",
+	"select nosuch from r",
+	"select count(*) from r where price > 1.234", // over-scale decimal
+	"select count(*) from r order by zz",
+	"select case when r_x < 1 then 2 from r", // missing end
+	"select count(*) from r where r_x ? 3",
+	"select sum(*) from r", // only count takes *: a nil argument recursed without end in the evaluator
+	"select count(*) from r group by r_x having max(*) > 1",
+}
+
 func TestParseErrors(t *testing.T) {
 	db := testDB(t)
-	bad := []string{
-		"",
-		"select",
-		"select from r",
-		"select r_x r where",
-		"select sum(r_a) from",
-		"select sum(r_a from r",
-		"select count(*) from r where r_x <",
-		"select count(*) from r where r_s like 5",
-		"select count(*) from r limit x",
-		"select count(*) from r where 'unterminated",
-		"select count(*) from r extra",
-		"select r_x from r group by r_x",           // group by without aggregate
-		"select r_a, sum(r_x) from r group by r_c", // non-grouped column
-		"select count(*) from r, dim",              // no join condition
-		"select count(*) from r, dim, r",           // 3 tables
-		"select count(*) from nosuch",
-		"select nosuch from r",
-		"select count(*) from r where price > 1.234", // over-scale decimal
-		"select count(*) from r order by zz",
-		"select case when r_x < 1 then 2 from r", // missing end
-		"select count(*) from r where r_x ? 3",
-		"select sum(*) from r", // only count takes *: a nil argument recursed without end in the evaluator
-		"select count(*) from r group by r_x having max(*) > 1",
-	}
-	for _, q := range bad {
+	for _, q := range badStatements {
 		if p, err := Compile(q, db); err == nil {
 			if _, err2 := volcano.Run(p, db); err2 == nil {
 				t.Errorf("accepted bad query %q", q)

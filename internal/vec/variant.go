@@ -77,8 +77,7 @@ type Counters struct {
 	MaskedAgg uint64 // unrolled masked-aggregation tiles
 	KeyMask   uint64 // unrolled masked key-materialization tiles
 
-	PrefetchScatter uint64 // radix-scatter tiles run with software prefetch
-	PrefetchProbe   uint64 // hash-probe/merge tiles run with software prefetch
+	PrefetchProbe uint64 // hash-probe/merge tiles run with software prefetch
 }
 
 // Add accumulates o into c; used to merge per-worker counters at the end
@@ -94,7 +93,6 @@ func (c *Counters) Add(o *Counters) {
 	c.DictKeys += o.DictKeys
 	c.MaskedAgg += o.MaskedAgg
 	c.KeyMask += o.KeyMask
-	c.PrefetchScatter += o.PrefetchScatter
 	c.PrefetchProbe += o.PrefetchProbe
 }
 
@@ -117,17 +115,16 @@ func (c *Counters) CountSel(d Density) {
 // cmp/widen tiles by lane width (w8..w64), then the masked and prefetched
 // tallies.
 func (c *Counters) String() string {
-	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d vmask=%d kmask=%d pf_scatter=%d pf_probe=%d",
+	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d vmask=%d kmask=%d pf_probe=%d",
 		c.SelSparse, c.SelMid, c.SelDense, c.Cmp, c.Widen,
-		c.DictKeys, c.MaskedAgg, c.KeyMask, c.PrefetchScatter, c.PrefetchProbe)
+		c.DictKeys, c.MaskedAgg, c.KeyMask, c.PrefetchProbe)
 }
 
 // Total returns the total number of variant decisions recorded, used to
 // tell "no counters collected" apart from "all zero".
 func (c *Counters) Total() uint64 {
 	t := c.SelSparse + c.SelMid + c.SelDense +
-		c.DictKeys + c.MaskedAgg + c.KeyMask +
-		c.PrefetchScatter + c.PrefetchProbe
+		c.DictKeys + c.MaskedAgg + c.KeyMask + c.PrefetchProbe
 	for i := range c.Cmp {
 		t += c.Cmp[i] + c.Widen[i]
 	}

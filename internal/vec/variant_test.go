@@ -256,7 +256,6 @@ func TestCountersAddAndTotal(t *testing.T) {
 	a.DictKeys = 1
 	a.MaskedAgg = 4
 	a.KeyMask = 5
-	a.PrefetchScatter = 6
 	a.PrefetchProbe = 7
 	b.Add(&a)
 	b.Add(&a)

@@ -74,10 +74,10 @@ func packedDB(t testing.TB) *DB {
 	return d
 }
 
-// packedStatements: the hand group-by, count(*) as the hand plans' sum(1),
-// the tile pipeline's one-lane grouped statements, and the eager groupjoin
-// over each argument, with the domain and accumulator lanes of their table
-// and whether it packs at packedRows rows and after one more.
+// packedStatements: the hand group-by, count(*) as the hand plan's sum(1),
+// the tile pipeline's one-lane grouped statements — the eager groupjoin
+// among them — over each argument, with the domain and accumulator lanes of
+// their table and whether it packs at packedRows rows and after one more.
 var packedStatements = []struct {
 	q             string
 	domain, lanes int
@@ -96,8 +96,8 @@ var packedStatements = []struct {
 }
 
 // checkPackedForm runs q through QuerySwole and checks the table it reports:
-// domain×8 bytes when packed, domain×8×(lanes+1) when not, a hashed table on
-// the radix path.
+// domain×8 bytes when packed, domain×8×(lanes+1) when not, beside a join
+// edge's bitmap; a hashed table on the radix path.
 func checkPackedForm(t *testing.T, d *DB, q, tag string, domain, lanes int, packed bool) {
 	t.Helper()
 	_, ex, err := d.QuerySwole(q)
@@ -114,6 +114,7 @@ func checkPackedForm(t *testing.T, d *DB, q, tag string, domain, lanes int, pack
 	if packed {
 		want = domain * 8
 	}
+	want += int(ex.Costs["edge0-bitmap-bytes"])
 	if ex.DenseDomain != domain || ex.HTBytes != want {
 		t.Errorf("%s %q: DenseDomain=%d HTBytes=%d, want %d and %d (packed=%v)", tag, q, ex.DenseDomain, ex.HTBytes, domain, want, packed)
 	}
@@ -155,9 +156,9 @@ func TestPackedFormBoundary(t *testing.T) {
 }
 
 // TestSumOverflowWraps: sums wrap at 64 bits, in two's complement, the same
-// on every path — the hand group-by and groupjoin, the tile pipeline scalar
-// (on the gang) and grouped, every forced technique, the radix path — as in
-// the interpreter.
+// on every path — the hand group-by, the tile pipeline scalar and grouped
+// (both on the gang), the groupjoin, every forced technique, the radix path
+// — as in the interpreter.
 func TestSumOverflowWraps(t *testing.T) {
 	d := packedDB(t)
 	defer d.Close()

@@ -14,13 +14,13 @@ import (
 // up to depth three, BETWEEN/IN (literal and column-valued items), quotients
 // by columns and by literals, zero included, in predicates and aggregate
 // arguments, one or two aggregates across all five functions, multi-key
-// GROUP BY, HAVING — are pinned against the
-// interpreted volcano engine on both entry points, cold and warm, at
-// worker counts 1 and 4 (ungrouped statements, which scan on the worker
-// gang, draw the second count from 2, 4 and 7). Every generated statement
-// must also compile
-// through the synthesizer (no interpreter fallback): the same corpus is
-// the planner-coverage gate CI runs.
+// GROUP BY — the root's foreign key among the keys, the groupjoin shape —
+// HAVING — are pinned against the interpreted volcano engine on both entry
+// points, cold and warm, at one worker and at 2, 4 or 7. No dimension's
+// primary key is its row position: one is offset, one strided, one
+// shuffled. Every generated statement must also compile through the
+// synthesizer (no interpreter fallback): the same corpus is the
+// planner-coverage gate CI runs.
 
 // fuzzSchema describes the generator's star/snowflake schema: fact f with
 // foreign keys into d1 and d2, and d1 with a foreign key into d3.
@@ -51,30 +51,42 @@ func fuzzDB(t testing.TB, rows int) *DB {
 		}
 		return v
 	}
-	seq := func(n int) []int64 {
+	// Primary keys: d1's offset below zero, d2's strided, d3's a shuffle.
+	keys := func(key func(i int) int64) []int64 {
+		v := make([]int64, dim)
+		for i := range v {
+			v[i] = key(i)
+		}
+		return v
+	}
+	perm := r.Perm(dim)
+	pk1 := keys(func(i int) int64 { return int64(i - dim/2) })
+	pk2 := keys(func(i int) int64 { return 1000 + 3*int64(i) })
+	pk3 := keys(func(i int) int64 { return int64(perm[i]) })
+	refs := func(n int, pks []int64) []int64 {
 		v := make([]int64, n)
 		for i := range v {
-			v[i] = int64(i)
+			v[i] = pks[r.Intn(len(pks))]
 		}
 		return v
 	}
 	if err := d.CreateTable("d3",
-		IntColumn("d3_pk", seq(dim)), IntColumn("d3_v", mk(dim, 31))); err != nil {
+		IntColumn("d3_pk", pk3), IntColumn("d3_v", mk(dim, 31))); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CreateTable("d1",
-		IntColumn("d1_pk", seq(dim)), IntColumn("d1_v", mk(dim, 31)),
-		IntColumn("d1_w", mk(dim, 8)), IntColumn("d1_fk3", mk(dim, int64(dim)))); err != nil {
+		IntColumn("d1_pk", pk1), IntColumn("d1_v", mk(dim, 31)),
+		IntColumn("d1_w", mk(dim, 8)), IntColumn("d1_fk3", refs(dim, pk3))); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CreateTable("d2",
-		IntColumn("d2_pk", seq(dim)), IntColumn("d2_v", mk(dim, 31))); err != nil {
+		IntColumn("d2_pk", pk2), IntColumn("d2_v", mk(dim, 31))); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CreateTable("f",
 		IntColumn("f_k", mk(rows, 10)), IntColumn("f_a", mk(rows, 21)),
-		IntColumn("f_b", mk(rows, 51)), IntColumn("f_d1", mk(rows, int64(dim))),
-		IntColumn("f_d2", mk(rows, int64(dim)))); err != nil {
+		IntColumn("f_b", mk(rows, 51)), IntColumn("f_d1", refs(rows, pk1)),
+		IntColumn("f_d2", refs(rows, pk2))); err != nil {
 		t.Fatal(err)
 	}
 	for _, fk := range [][4]string{
@@ -195,10 +207,19 @@ func (g *fuzzGen) aggArg(tables []string) string {
 func (g *fuzzGen) query() string {
 	tables, joins := g.tablesAndJoins()
 
-	// Group keys: 0-2 distinct value columns.
+	// Group keys: 0-2 distinct value columns — or now and then the root's
+	// foreign key into the first joined dimension alone, with a predicate of
+	// that dimension's and aggregates over the root: the groupjoin.
 	nKeys := g.r.Intn(3)
 	keySet := map[string]bool{}
-	var keys []string
+	var keys, conj []string
+	aggTables := tables
+	if nKeys > 0 && len(joins) > 0 && g.r.Intn(3) == 0 {
+		fk := strings.Fields(joins[0])[0]
+		keySet[fk], nKeys, aggTables = true, 1, tables[:1]
+		keys = append(keys, fk)
+		conj = append(conj, g.pred(tables[1:2], 1))
+	}
 	for len(keys) < nKeys {
 		c := g.col(tables)
 		if !keySet[c.name] {
@@ -215,13 +236,13 @@ func (g *fuzzGen) query() string {
 		case 0:
 			aggs = append(aggs, fmt.Sprintf("count(*) as s%d", i))
 		case 1:
-			aggs = append(aggs, fmt.Sprintf("avg(%s) as s%d", g.col(tables).name, i))
+			aggs = append(aggs, fmt.Sprintf("avg(%s) as s%d", g.col(aggTables).name, i))
 		case 2:
-			aggs = append(aggs, fmt.Sprintf("min(%s) as s%d", g.col(tables).name, i))
+			aggs = append(aggs, fmt.Sprintf("min(%s) as s%d", g.col(aggTables).name, i))
 		case 3:
-			aggs = append(aggs, fmt.Sprintf("max(%s) as s%d", g.col(tables).name, i))
+			aggs = append(aggs, fmt.Sprintf("max(%s) as s%d", g.col(aggTables).name, i))
 		default:
-			aggs = append(aggs, fmt.Sprintf("sum(%s) as s%d", g.aggArg(tables), i))
+			aggs = append(aggs, fmt.Sprintf("sum(%s) as s%d", g.aggArg(aggTables), i))
 		}
 	}
 
@@ -236,7 +257,7 @@ func (g *fuzzGen) query() string {
 	sb.WriteString("select " + strings.Join(items, ", "))
 	sb.WriteString(" from " + strings.Join(tables, ", "))
 
-	conj := append([]string(nil), joins...)
+	conj = append(conj, joins...)
 	for n := g.r.Intn(3); n > 0; n-- {
 		conj = append(conj, g.pred(tables, 1+g.r.Intn(3)))
 	}
@@ -351,11 +372,7 @@ func TestSynthesizerParityFuzz(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		q := g.query()
-		counts := []int{1, 4}
-		if !strings.Contains(q, " group by ") {
-			counts[1] = []int{2, 4, 7}[draw.Intn(3)]
-		}
-		for _, workers := range counts {
+		for _, workers := range []int{1, []int{2, 4, 7}[draw.Intn(3)]} {
 			d.SetWorkers(workers) // also clears the plan cache: next run is cold
 			tag := fmt.Sprintf("workers=%d", workers)
 			checkParity(t, d, q, false, "QuerySwole cold "+tag, func() (*Result, Explain, error) { return d.QuerySwole(q) })

@@ -3,13 +3,13 @@ package swole
 import "testing"
 
 // partitionQueries are the group-by shapes the radix path covers
-// end-to-end: plain group-by aggregation and the eager groupjoin.
+// end-to-end: the classic group-by aggregation, the one plan the partition
+// mode steers.
 var partitionQueries = []struct {
 	name string
 	q    string
 }{
 	{"group-agg", "select r_c, sum(r_a) from r where r_x < 50 group by r_c"},
-	{"groupjoin-agg", "select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk"},
 }
 
 // TestQuerySwolePartitionedMatchesVolcano forces the radix-partitioned

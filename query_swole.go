@@ -136,11 +136,11 @@ func fromCore(ex core.Explain) Explain {
 // filtered scans, up to three foreign-key join edges (star or snowflake),
 // OR/NOT predicate trees, multiple aggregates (sum, count, avg, min,
 // max), GROUP BY, and HAVING — is synthesized into one compiled plan on the
-// engine's tile pipeline; the classic group-by and groupjoin aggregations
-// are the two special cases that still compile onto hand-specialized
-// kernels. Statements outside that grammar (no aggregate,
-// ORDER BY, unsupported joins) fall back to the interpreted engine,
-// reported in the Explain as "interpreter-fallback".
+// engine's tile pipeline; the classic group-by aggregation is the one
+// special case that still compiles onto hand-specialized kernels.
+// Statements outside that grammar (no aggregate, ORDER BY, unsupported
+// joins) fall back to the interpreted engine, reported in the Explain as
+// "interpreter-fallback".
 //
 // Synthesized statements are cached as prepared plans: re-executing one —
 // byte-identical or merely whitespace-reformatted — skips parsing,
@@ -231,11 +231,11 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 // FK join chain) into a compositional core.Select spec — root scan, join
 // edges, residual, group keys, aggregates, HAVING, projection — the one
 // statement shape this package knows. core.Engine.Prepare decides what
-// the spec compiles onto: the tile pipeline — per-edge positional bitmaps,
-// packed group keys, a cost-chosen masking technique, the worker gang for
-// ungrouped statements — covers the whole grammar, and a spec that
-// collapses to the classic group-by or groupjoin lands on that shape's
-// hand-specialized plan (multi-worker morsel parallelism, radix
+// the spec compiles onto: the tile pipeline — per-edge positional bitmaps
+// or eager aggregation, packed group keys, a cost-chosen masking technique,
+// the worker gang wherever the workers' partials merge exactly — covers the
+// whole grammar, and a spec that collapses to the classic group-by lands on
+// its hand-specialized plan (multi-worker morsel parallelism, radix
 // partitioning). Both replay warm without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans

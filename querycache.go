@@ -299,7 +299,8 @@ func (d *DB) reconfigure(set func(*core.Engine)) {
 }
 
 // PartitionMode selects how the SWOLE executor decides between direct
-// and radix-partitioned group-by execution; see SetPartitionMode.
+// and radix-partitioned execution of the classic group-by; see
+// SetPartitionMode.
 type PartitionMode = core.PartitionMode
 
 // Partition modes, re-exported from the core engine.
@@ -316,8 +317,9 @@ const (
 )
 
 // SetPartitionMode pins the direct-vs-partitioned execution decision for
-// group-by aggregations. Prepared plans bake the decision in, so changing
-// the mode clears the plan cache, like SetWorkers.
+// the classic group-by (one sum or count under one key of one table), the
+// only plan with a radix path. Prepared plans bake the decision in, so
+// changing the mode clears the plan cache, like SetWorkers.
 func (d *DB) SetPartitionMode(m PartitionMode) {
 	d.reconfigure(func(e *core.Engine) { e.Partition = m })
 }

@@ -124,59 +124,3 @@ func BenchmarkRadixDenseDirect1M(b *testing.B) {
 	}
 	benchSteady(b, d, q)
 }
-
-// BenchmarkRadixGroupJoinAgg1M runs the eager groupjoin over a 1M-key
-// foreign key, direct vs radix-partitioned. A foreign key into a dense
-// primary key is always a dense domain, so "direct" here is the
-// key-addressed table.
-func BenchmarkRadixGroupJoinAgg1M(b *testing.B) {
-	q := "select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk"
-	d := steadyDB(b, radixRows, radixGroups, 128)
-	d.SetPartitionMode(PartitionOff)
-	_, ex, err := d.QuerySwole(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.SetPartitionMode(PartitionAuto)
-	if ex.Technique != "eager-aggregation" {
-		b.Skipf("planner chose %s; the radix path only applies to eager groupjoin", ex.Technique)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("direct/workers%d", workers), func(b *testing.B) {
-			benchRadixJoin(b, PartitionOff, workers, q, false)
-		})
-		b.Run(fmt.Sprintf("partitioned/workers%d", workers), func(b *testing.B) {
-			benchRadixJoin(b, PartitionOn, workers, q, true)
-		})
-	}
-}
-
-func benchRadixJoin(b *testing.B, mode PartitionMode, workers int, q string, wantPartitioned bool) {
-	b.Helper()
-	d := steadyDB(b, radixRows, radixGroups, 128)
-	d.SetPartitionMode(mode)
-	d.SetWorkers(workers)
-	defer d.SetPartitionMode(PartitionAuto)
-	defer d.SetWorkers(0)
-	_, ex, err := d.QuerySwole(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if ex.Partitioned != wantPartitioned {
-		b.Fatalf("Partitioned=%v, want %v (Partitions=%d)", ex.Partitioned, wantPartitioned, ex.Partitions)
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := d.QuerySwole(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := d.QuerySwole(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += int64(res.NumRows())
-	}
-}

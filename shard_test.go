@@ -406,9 +406,10 @@ func TestShardStatefulParity(t *testing.T) {
 			defer d.Close()
 			r := rand.New(rand.NewSource(seed))
 			g := &fuzzGen{r: r}
-			dim := int64(d.db.Table("d1").Rows())
+			// A fact row references a random parent of each dimension by key.
+			pk1, pk2 := d.db.MustTable("d1").MustColumn("d1_pk"), d.db.MustTable("d2").MustColumn("d2_pk")
 			factRow := func() []int64 {
-				return []int64{r.Int63n(10), r.Int63n(21), r.Int63n(51), r.Int63n(dim), r.Int63n(dim)}
+				return []int64{r.Int63n(10), r.Int63n(21), r.Int63n(51), pk1.Get(r.Intn(pk1.Len())), pk2.Get(r.Intn(pk2.Len()))}
 			}
 			factCSV := func(n int, bad string) []byte {
 				var b strings.Builder
