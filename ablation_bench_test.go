@@ -6,7 +6,7 @@ package swole
 //	BenchmarkAblation_SelectionVector  - branching vs no-branch (Ross 2002)
 //	BenchmarkAblation_MaskingBookkeeping - validity flags' overhead
 //	BenchmarkAblation_EagerDeletion    - the EA deletion pass alone
-//	BenchmarkAblation_GroupTableForm   - key-addressed vs hashed vs radix
+//	BenchmarkAblation_GroupTableForm   - key-addressed vs hashed
 
 import (
 	"strconv"
@@ -68,17 +68,16 @@ func BenchmarkAblation_EagerDeletion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_GroupTableForm runs one filtered group-by sum three
-// ways at each of three key domains, one worker: into the key-addressed
-// table (the dense key r_c), into one hashed table (the sparse twin sp_k,
-// same groups and rows, partitioning off) and through the radix path (sp_k,
-// partitioning forced). Each row also reports what the cost model predicted
-// for its way when it compiled the dense statement (Explain.Costs, in
-// millions of cost units), so the predicted order sits next to the measured
-// one (EXPERIMENTS.md).
+// BenchmarkAblation_GroupTableForm runs one filtered group-by sum two ways
+// at each of three key domains, one worker: into the key-addressed table (the
+// dense key r_c) and into one hashed table (the sparse twin sp_k, same groups
+// and rows). Each row also reports what the cost model predicted for its way
+// when it compiled the dense statement (Explain.Costs, in millions of cost
+// units), so the predicted order sits next to the measured one
+// (EXPERIMENTS.md).
 func BenchmarkAblation_GroupTableForm(b *testing.B) {
 	for _, groups := range []int{100, 100_000, 1_000_000} {
-		d := sparseKeyDB(b, radixRows, groups)
+		d := sparseKeyDB(b, rows1M, groups)
 		dense := "select r_c, sum(r_a) from r where r_x < 50 group by r_c"
 		sparse := "select sp_k, sum(sp_a) from sp where sp_x < 50 group by sp_k"
 		d.SetWorkers(1)
@@ -86,25 +85,16 @@ func BenchmarkAblation_GroupTableForm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, form := range []struct {
-			name, q string
-			mode    PartitionMode
-		}{
-			{"dense", dense, PartitionOff},
-			{"hashed", sparse, PartitionOff},
-			{"partitioned", sparse, PartitionOn},
-		} {
+		for _, form := range []struct{ name, q string }{{"dense", dense}, {"hashed", sparse}} {
 			b.Run(form.name+"/groups"+strconv.Itoa(groups), func(b *testing.B) {
-				d.SetPartitionMode(form.mode)
 				d.SetWorkers(1)
-				defer d.SetPartitionMode(PartitionAuto)
 				defer d.SetWorkers(0)
 				_, ex, err := d.QuerySwole(form.q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if (ex.DenseDomain > 0) != (form.name == "dense") || ex.Partitioned != (form.name == "partitioned") {
-					b.Fatalf("DenseDomain=%d Partitioned=%v on the %s row", ex.DenseDomain, ex.Partitioned, form.name)
+				if (ex.DenseDomain > 0) != (form.name == "dense") {
+					b.Fatalf("DenseDomain=%d on the %s row", ex.DenseDomain, form.name)
 				}
 				benchSteady(b, d, form.q)
 				b.ReportMetric(predicted.Costs[form.name]/1e6, "predicted-Mcost")

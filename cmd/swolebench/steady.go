@@ -172,10 +172,6 @@ func runSteady(cfg harness.Config, reps int, timeout time.Duration) error {
 		if lastEx.DenseDomain > 0 {
 			counters += fmt.Sprintf(" dense=%d", lastEx.DenseDomain)
 		}
-		if lastEx.Partitioned {
-			counters += fmt.Sprintf(" partitioned=%d(p1=%s)",
-				lastEx.Partitions, lastEx.PartitionTime.Round(time.Microsecond))
-		}
 		if canceled > 0 {
 			counters += fmt.Sprintf(" canceled=%d/%d", canceled, reps)
 		}

@@ -11,11 +11,10 @@ import (
 // compile, warm for the steady-state reading) and reports the
 // kernel-variant selection counters from the warm Explain: which density
 // class each selection tile took, which native lane widths the compare and
-// widen prepasses ran at, how many tiles used fused dict/key masking, and
-// how many probe/scatter tiles ran with software prefetch. This is the
-// observability face of the variant layer (DESIGN.md §11): the counters
-// come from the same per-worker tallies the engine merges into every
-// Explain.
+// widen prepasses ran at, and how many tiles used fused dict/key masking.
+// This is the observability face of the variant layer (DESIGN.md §11): the
+// counters come from the same per-worker tallies the engine merges into
+// every Explain.
 func runKernelVariants(cfg harness.Config) error {
 	groups := cfg.MicroR / 10
 	if groups > 100_000 {
@@ -46,9 +45,6 @@ func runKernelVariants(cfg harness.Config) error {
 		if ex.DenseDomain > 0 {
 			path = fmt.Sprintf("direct dense=%d", ex.DenseDomain)
 		}
-		if ex.Partitioned {
-			path = fmt.Sprintf("radix-partitioned (%d partitions)", ex.Partitions)
-		}
 		fmt.Printf("  technique=%s path=%s workers=%d\n", ex.Technique, path, cfg.Workers)
 		if v.Total() == 0 {
 			fmt.Printf("  no variant counters (tuple-at-a-time or fallback path)\n\n")
@@ -62,8 +58,7 @@ func runKernelVariants(cfg harness.Config) error {
 				fmt.Printf("  %-6s lanes      cmp=%d widen=%d\n", w, v.Cmp[i], v.Widen[i])
 			}
 		}
-		fmt.Printf("  masked tiles      value=%d key=%d dict=%d\n", v.MaskedAgg, v.KeyMask, v.DictKeys)
-		fmt.Printf("  prefetched        probe=%d\n\n", v.PrefetchProbe)
+		fmt.Printf("  masked tiles      value=%d key=%d dict=%d\n\n", v.MaskedAgg, v.KeyMask, v.DictKeys)
 	}
 	return nil
 }

@@ -63,25 +63,12 @@ func main() {
 		dim    = flag.Int("dim", 1_000, "microbenchmark dimension-table rows")
 		groups = flag.Int("groups", 1_000, "microbenchmark group-key cardinality")
 
-		workers   = flag.Int("workers", 0, "morsel worker count per query (0 = GOMAXPROCS)")
-		partition = flag.String("partition", "auto", "radix partitioning mode: auto, on, or off")
+		workers = flag.Int("workers", 0, "morsel worker count per query (0 = GOMAXPROCS)")
 
 		shards   = flag.String("shards", "", "coordinator mode: comma-separated shard addresses (host:port); no local data is loaded")
 		perShard = flag.Int("per-shard", 4, "coordinator mode: outstanding requests per shard")
 	)
 	flag.Parse()
-
-	var pmode swole.PartitionMode
-	switch *partition {
-	case "auto":
-		pmode = swole.PartitionAuto
-	case "on":
-		pmode = swole.PartitionOn
-	case "off":
-		pmode = swole.PartitionOff
-	default:
-		log.Fatalf("bad -partition %q: want auto, on, or off", *partition)
-	}
 
 	dt := *timeout
 	if dt == 0 {
@@ -129,7 +116,6 @@ func main() {
 		}
 		log.Printf("dataset ready in %v", time.Since(start).Round(time.Millisecond))
 		db.SetWorkers(*workers)
-		db.SetPartitionMode(pmode)
 
 		srv = serve.New(db, scfg)
 		if err := srv.Start(); err != nil {

@@ -44,7 +44,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 			return nil, err
 		}
 		start := time.Now()
-		part, ex, err := forced.RunPartial(context.Background())
+		res, ex, err := forced.RunPartial(context.Background())
 		runtime := time.Since(start)
 		if err != nil {
 			return nil, err
@@ -53,7 +53,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 		// its buffers.
 		c := &cachedPlan{}
 		c.setFields(forced.Fields())
-		c.put(part)
+		c.put(res)
 		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res, Explain: fromCore(ex)})
 	}
 	return runs, nil

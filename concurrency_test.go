@@ -211,10 +211,9 @@ func TestCancellationSemantics(t *testing.T) {
 	}
 }
 
-// TestReconfigureUnderLoad pins SetWorkers and SetPartitionMode against
-// concurrent compiles: eight goroutines run four hand-plan statements while
-// a ninth flips the worker count and the partition mode, ending on two
-// workers. Run with -race — the configuration is written under the lock
+// TestReconfigureUnderLoad pins SetWorkers against concurrent compiles:
+// eight goroutines run the four classic statements while a ninth flips the
+// worker count, ending on two workers. Run with -race — the configuration is written under the lock
 // compiles hold — and no statement compiled in a flip's window may stay
 // cached with the old configuration: afterwards every cached plan runs on
 // two workers.
@@ -267,7 +266,6 @@ func TestReconfigureUnderLoad(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		d.SetWorkers(1 + i%2)
-		d.SetPartitionMode([]PartitionMode{PartitionOff, PartitionAuto}[i%2])
 		time.Sleep(time.Millisecond)
 	}
 	d.SetWorkers(2)
@@ -283,7 +281,7 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		if _, _, err := d.QueryContext(ctx, q); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := planWorkers(t, d, q); got != 2 {
+		if got := planWorkers(t, d, q); got != 2 {
 			t.Errorf("%q: cached plan runs on %d workers after SetWorkers(2)", q, got)
 		}
 	}

@@ -1,13 +1,18 @@
 package swole
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/reprolab/swole/internal/core"
+	"github.com/reprolab/swole/internal/expr"
 )
 
 // denseTestDB is a fact table f whose key columns land on each side of the
@@ -19,6 +24,7 @@ import (
 //	f_wide  [0, 1M), ~unique      a record array four times
 //	                              the hashed table            → hashed
 //	f_full  spans all of int64    no domain                   → hashed
+//	f_sp    50 keys 10^7 apart    few groups, a 490M range    → hashed
 //	f_fk    [0, 2000) into d_pk   dense primary key           → key-addressed
 func denseTestDB(t testing.TB) *DB {
 	t.Helper()
@@ -50,6 +56,7 @@ func denseTestDB(t testing.TB) *DB {
 		IntColumn("f_neg", ints(rows, func(int) int64 { return -5000 + r.Int63n(1001) })),
 		IntColumn("f_wide", ints(rows, func(int) int64 { return r.Int63n(1_000_000) })),
 		IntColumn("f_full", ints(rows, func(int) int64 { return full[r.Intn(len(full))] })),
+		IntColumn("f_sp", ints(rows, func(int) int64 { return 10_000_019 * r.Int63n(50) })),
 		IntColumn("f_fk", ints(rows, func(int) int64 { return r.Int63n(dims) })),
 		IntColumn("f_x", ints(rows, func(int) int64 { return r.Int63n(100) })),
 		IntColumn("f_v", ints(rows, func(int) int64 { return r.Int63n(200) - 50 })),
@@ -63,9 +70,10 @@ func denseTestDB(t testing.TB) *DB {
 }
 
 // denseStatements name, per statement, whether its group table is
-// key-addressed when nothing forces the radix path. %d is the selectivity
-// of the f_x (or d_x) predicate in percent. (An expression key, which SQL's
-// GROUP BY cannot spell, is covered by internal/core's TestDenseFormChoice.)
+// key-addressed. %d is the selectivity of the f_x (or d_x) predicate in
+// percent. The classic group-by's answer is its table's own (key, sum)
+// pairs unless a HAVING or a projection other than the key and the
+// aggregate under their own names asks for the general emission.
 var denseStatements = []struct {
 	name  string
 	dense bool
@@ -76,6 +84,9 @@ var denseStatements = []struct {
 	{"negative origin", true, "select f_neg, sum(f_v) from f where f_x < %d group by f_neg"},
 	{"1M-wide sparse key", false, "select f_wide, sum(f_v) from f where f_x < %d group by f_wide"},
 	{"full int64 range", false, "select f_full, sum(f_v) from f where f_x < %d group by f_full"},
+	{"sparse key, few groups", false, "select f_sp, sum(f_v) from f where f_x < %d group by f_sp"},
+	{"count(*)", true, "select f_k8, count(*) as n from f where f_x < %d group by f_k8"},
+	{"reordered, aliased projection", true, "select sum(f_v) as s, f_neg as k from f where f_x < %d group by f_neg"},
 	{"FK groupjoin", true, "select f_fk, sum(f_v) from f, d where f_fk = d_pk and d_x < %d group by f_fk"},
 	{"two-key packed", true, "select f_k8, f_neg, sum(f_v) as s, count(*) as n from f where f_x < %d group by f_k8, f_neg"},
 	{"generic dict min/max", true, "select f_tag, min(f_v) as lo, max(f_v) as hi, count(*) as n from f where f_x < %d group by f_tag having count(*) > 0"},
@@ -86,8 +97,7 @@ var denseStatements = []struct {
 
 // TestDenseGroupParity: every statement, on each side of the form rule,
 // under the cost model's technique and every technique it can be forced
-// onto, at 1 and 4 workers, with partitioning off, cost-chosen and forced,
-// at a selectivity that leaves many groups reached only by rejected tuples
+// onto, at 1, 2 and 4 workers, at a selectivity that leaves many groups reached only by rejected tuples
 // and one that does not, answers exactly as the interpreter does — in key
 // order — and reports the table form the rule predicts.
 func TestDenseGroupParity(t *testing.T) {
@@ -105,10 +115,6 @@ func TestDenseGroupParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: volcano: %v", tc.name, err)
 			}
-			want := sortedRows(base.Rows())
-			if len(want) == 0 {
-				t.Fatalf("%s: empty answer proves nothing", tc.name)
-			}
 			p, err := d.Plan(q)
 			if err != nil {
 				t.Fatal(err)
@@ -117,53 +123,57 @@ func TestDenseGroupParity(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: not synthesized", tc.name)
 			}
-			for _, workers := range []int{1, 4} {
+			// Groups come in key order, whichever column the key is projected to.
+			key := slices.IndexFunc(spec.Project, func(p core.SelectProj) bool {
+				c, ok := p.Expr.(*expr.Col)
+				return ok && c.Name == spec.GroupBy[0]
+			})
+			want := sortedRows(base.Rows())
+			slices.SortStableFunc(want, func(a, b []int64) int { return cmp.Compare(a[key], b[key]) })
+			if len(want) == 0 {
+				t.Fatalf("%s: empty answer proves nothing", tc.name)
+			}
+			for _, workers := range []int{1, 2, 4} {
 				d.SetWorkers(workers)
-				for _, mode := range []PartitionMode{PartitionOff, PartitionAuto, PartitionOn} {
-					d.SetPartitionMode(mode)
-					tag := fmt.Sprintf("%s sel=%d workers=%d partition=%s", tc.name, sel, workers, mode)
+				tag := fmt.Sprintf("%s sel=%d workers=%d", tc.name, sel, workers)
 
-					// The cost model's technique, cold then plan-cached.
-					for rep := 0; rep < 2; rep++ {
-						res, ex, err := d.QuerySwole(q)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if got := res.Rows(); !rowsEqual(got, want) {
-							t.Fatalf("%s rep %d (%s): rows differ from the interpreter's, or are out of key order\nvolcano: %.200v\nswole:   %.200v",
-								tag, rep, ex.Technique, want, got)
-						}
-						if dense := tc.dense && !ex.Partitioned; (ex.DenseDomain > 0) != dense {
-							t.Errorf("%s: DenseDomain=%d Partitioned=%v, want key-addressed=%v", tag, ex.DenseDomain, ex.Partitioned, dense)
-						}
-						if mode == PartitionOff && ex.Partitioned {
-							t.Errorf("%s: partitioned", tag)
-						}
-						if _, priced := ex.Costs["dense"]; priced != tc.dense {
-							t.Errorf("%s: Costs carries a dense alternative = %v", tag, priced)
-						}
+				// The cost model's technique, cold then plan-cached.
+				for rep := 0; rep < 2; rep++ {
+					res, ex, err := d.QuerySwole(q)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
 					}
+					if got := res.Rows(); !rowsEqual(got, want) {
+						t.Fatalf("%s rep %d (%s): rows differ from the interpreter's, or are out of key order\nvolcano: %.200v\nswole:   %.200v",
+							tag, rep, ex.Technique, want, got)
+					}
+					if (ex.DenseDomain > 0) != tc.dense {
+						t.Errorf("%s: DenseDomain=%d, want key-addressed=%v", tag, ex.DenseDomain, tc.dense)
+					}
+					if _, priced := ex.Costs["dense"]; priced != tc.dense {
+						t.Errorf("%s: Costs carries a dense alternative = %v", tag, priced)
+					}
+				}
 
-					// Every technique the statement can be forced onto.
-					for _, tech := range d.engine.Techniques(spec) {
-						forced, err := d.engine.PrepareForced(spec.Clone(), tech)
+				// Every technique the statement can be forced onto.
+				for _, tech := range d.engine.Techniques(spec) {
+					forced, err := d.engine.PrepareForced(spec.Clone(), tech)
+					if err != nil {
+						t.Fatalf("%s forced %s: %v", tag, tech, err)
+					}
+					for rep := 0; rep < 2; rep++ {
+						res, ex, err := forced.RunPartial(ctx)
 						if err != nil {
-							t.Fatalf("%s forced %s: %v", tag, tech, err)
+							t.Fatal(err)
 						}
-						for rep := 0; rep < 2; rep++ {
-							part, ex, err := forced.RunPartial(ctx)
-							if err != nil {
-								t.Fatal(err)
-							}
-							c := &cachedPlan{}
-							c.setFields(forced.Fields())
-							c.put(part)
-							if got := c.res.Rows(); !rowsEqual(got, want) {
-								t.Fatalf("%s forced %s rep %d:\nvolcano: %.200v\nswole:   %.200v", tag, tech, rep, want, got)
-							}
-							if (ex.DenseDomain > 0) != tc.dense {
-								t.Errorf("%s forced %s: DenseDomain=%d, want key-addressed=%v", tag, tech, ex.DenseDomain, tc.dense)
-							}
+						c := &cachedPlan{}
+						c.setFields(forced.Fields())
+						c.put(res)
+						if got := c.res.Rows(); !rowsEqual(got, want) {
+							t.Fatalf("%s forced %s rep %d:\nvolcano: %.200v\nswole:   %.200v", tag, tech, rep, want, got)
+						}
+						if (ex.DenseDomain > 0) != tc.dense {
+							t.Errorf("%s forced %s: DenseDomain=%d, want key-addressed=%v", tag, tech, ex.DenseDomain, tc.dense)
 						}
 					}
 				}
@@ -221,8 +231,8 @@ func TestDenseDomainOnBenchmarkStatements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s.q, err)
 			}
-			if ex.DenseDomain == 0 || ex.Partitioned {
-				t.Errorf("rep %d: DenseDomain=%d Partitioned=%v (costs %v) for %s", rep, ex.DenseDomain, ex.Partitioned, ex.Costs, s.q)
+			if ex.DenseDomain == 0 {
+				t.Errorf("rep %d: DenseDomain=0 (costs %v) for %s", rep, ex.Costs, s.q)
 			}
 			if !strings.Contains(fmt.Sprint(ex.Costs), "dense") || !strings.Contains(fmt.Sprint(ex.Costs), "hashed") {
 				t.Errorf("Costs %v lacks the priced table forms for %s", ex.Costs, s.q)

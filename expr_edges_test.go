@@ -32,24 +32,30 @@ var exprEdgeStatements = []string{
 	"select sum(r_a / 0) as s, count(*) as n from r where r_x < 50",
 }
 
+// TestExprEdgeStatements runs each statement at 1 and 2 workers under two
+// partitionings of the scan into morsels: partition=auto keeps the engine's
+// morsel length, so the 10,000 rows are one morsel and one partial state;
+// partition=on cuts them into 1,024-row morsels, so the workers fold
+// several partial states and the merge runs.
 func TestExprEdgeStatements(t *testing.T) {
 	d, err := LoadMicro(MicroConfig{Rows: 10_000, DimRows: 256, GroupKeys: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	smallMorsels(d)
 	for _, workers := range []int{1, 2} {
-		for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
-			d.SetWorkers(workers)
-			d.SetPartitionMode(mode)
-			tag := fmt.Sprintf("workers=%d partition=%s", workers, mode)
+		for _, mode := range []struct {
+			name   string
+			morsel int
+		}{{"auto", 0}, {"on", 1024}} {
+			d.engine.Reconfigure(func() { d.engine.MorselRows = mode.morsel })
+			d.SetWorkers(workers) // also drops the plans compiled under the last morsel length
+			tag := fmt.Sprintf("workers=%d partition=%s", workers, mode.name)
 			for i, q := range exprEdgeStatements {
 				t.Run(fmt.Sprintf("%s/%02d", tag, i), func(t *testing.T) { checkEveryPath(t, d, q, tag, false) })
 			}
 		}
 	}
-	d.SetPartitionMode(PartitionAuto)
 	d.SetWorkers(0)
 }
 

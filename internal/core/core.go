@@ -8,13 +8,12 @@
 //
 // Every statement executes through one compiled-plan pipeline (compile.go)
 // with one mode, compile-and-keep: Prepare compiles a Select spec onto the
-// tile pipeline of select.go — or, for the classic group-by, onto its
-// hand-specialized plan — validating and planning the query and binding the
-// chosen kernel and plan-owned buffers exactly once, and the caller keeps the
-// Plan and re-runs it on the engine's persistent morsel-worker gang. The
+// tile pipeline of select.go, validating and planning the query and binding
+// the chosen kernel and plan-owned buffers exactly once, and the caller keeps
+// the Plan and re-runs it on the engine's persistent morsel-worker gang. The
 // engine holds no plans: whoever prepared a plan owns it and decides when it
 // is stale. PrepareForced is the same compile with the technique named by
-// the caller. There is exactly one kernel per (shape, technique).
+// the caller. There is exactly one kernel per technique.
 //
 // The hand-specialized kernels in internal/micro and internal/tpch are the
 // measured reproductions of the paper's figures (the paper hand-coded each
@@ -91,18 +90,6 @@ type Explain struct {
 	// Costs["hashed"] hold the priced alternatives.
 	DenseDomain int
 
-	// Partitioned reports that the radix-partitioned two-phase path ran
-	// instead of direct per-worker hash tables: phase 1 scatters (key,
-	// value) pairs into radix partition buffers, phase 2 aggregates each
-	// partition in a cache-resident table.
-	Partitioned bool
-	// Partitions is the radix fan-out of the partitioned path (power of
-	// two); 0 when Partitioned is false.
-	Partitions int
-	// PartitionTime is the wall time of phase 1, the partition-scatter
-	// scan; included in ScanTime.
-	PartitionTime time.Duration
-
 	// StatsCached reports that the selectivity/group statistics above came
 	// from the engine's statistics cache instead of a fresh sampling pass.
 	StatsCached bool
@@ -120,9 +107,8 @@ type Explain struct {
 	// Variants aggregates the kernel-variant selection counters across the
 	// run's workers: which lane widths the compare/widen prepasses ran at,
 	// how tile selection split across the density classes, how many tiles
-	// went through dict-coded or masked forms, and how many elements the
-	// software-prefetched probe loops covered. All zero for plans
-	// compiled before the variant layer or for the tuple-at-a-time kernel.
+	// went through dict-coded or masked forms. All zero for the
+	// tuple-at-a-time kernel.
 	Variants vec.Counters
 }
 
@@ -130,9 +116,6 @@ func (e Explain) String() string {
 	part := ""
 	if e.DenseDomain > 0 {
 		part = fmt.Sprintf(" dense=%d", e.DenseDomain)
-	}
-	if e.Partitioned {
-		part = fmt.Sprintf(" partitioned=%d(p1=%s)", e.Partitions, e.PartitionTime)
 	}
 	variants := ""
 	if e.Variants.Total() > 0 {
@@ -142,34 +125,6 @@ func (e Explain) String() string {
 		e.Technique, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
 		e.PrepareTime, e.StatsTime, e.ScanTime, e.MergeTime, e.StatsCached, e.PlanCached, e.HTGrows, e.FreshAllocs,
 		e.Costs, e.Merged, variants)
-}
-
-// PartitionMode selects how the engine decides between direct and radix-
-// partitioned execution of the classic group-by, the only plan it affects.
-type PartitionMode int
-
-// Partition modes.
-const (
-	// PartitionAuto lets the cost model choose (the default): partition
-	// when the estimated hash-table footprint overflows the partition
-	// budget and the two-phase model is cheaper than the direct one.
-	PartitionAuto PartitionMode = iota
-	// PartitionOff forces the direct path.
-	PartitionOff
-	// PartitionOn forces the partitioned path regardless of cost (tests,
-	// experiments, benchmarks).
-	PartitionOn
-)
-
-// String names the mode.
-func (m PartitionMode) String() string {
-	switch m {
-	case PartitionOff:
-		return "off"
-	case PartitionOn:
-		return "on"
-	}
-	return "auto"
 }
 
 // Engine executes queries over a database with a given cost model.
@@ -193,9 +148,6 @@ type Engine struct {
 	// MorselRows overrides the executor's morsel length in rows; 0 keeps
 	// exec.DefaultMorselRows. Exposed for tests and experiments.
 	MorselRows int
-	// Partition selects direct vs radix-partitioned classic group-by
-	// execution; the zero value (PartitionAuto) defers to the cost model.
-	Partition PartitionMode
 
 	// The statistics cache and the sample store its misses are evaluated
 	// on (stats.go), guarded by mu.
@@ -204,19 +156,15 @@ type Engine struct {
 	samples sampler
 
 	// The persistent worker gang every plan scans on; execMu serializes
-	// executions on it. The scatter arena rides under the same lock: every
-	// partitioned plan's workers append into this one pool, it is reserved
-	// at bind and reset at the top of each radix run, and it must never
-	// grow while a scan is appending.
+	// executions on it.
 	execMu     sync.Mutex
 	gang       *exec.Workers
 	gangN      int
 	gangMorsel int
-	scatter    *ht.ScatterPool
 
-	// The generic executor's tile scratch (pools.go), indexed by worker and
-	// shared by every PreparedSelect under execMu, and the evaluator its
-	// emissions run HAVING and the projection on.
+	// The tile scratch (pools.go), indexed by worker and shared by every plan
+	// under execMu, and the evaluator emissions run HAVING and the
+	// projection on.
 	genStates []workerState
 	genTiles  []tileScratch
 	genEmit   *expr.Evaluator
@@ -239,8 +187,8 @@ func (e *Engine) workers() int {
 // workerState is the private scratch one morsel worker evaluates tiles
 // with: an expression evaluator plus the tile buffers (exec.Scratch) the
 // kernels in this package share. Workers never exchange scratch, so the
-// tiled kernels run exactly as in the sequential engine. A plan allocates
-// its states when it is compiled and keeps them for every run.
+// tiled kernels run exactly as in the sequential engine. The engine keeps
+// one state per worker for every plan (pools.go).
 type workerState struct {
 	ev *expr.Evaluator
 	// ctr is this worker's kernel-variant counters. The evaluator shares
@@ -258,15 +206,6 @@ func newWorkerState() workerState {
 	ev := expr.NewEvaluator()
 	ev.SetCounters(ctr)
 	return workerState{ev: ev, ctr: ctr, Scratch: exec.NewScratch()}
-}
-
-// fillCmp evaluates the (possibly nil) filter for one tile into s.Cmp.
-func (s *workerState) fillCmp(filter expr.Expr, base, length int) {
-	if filter != nil {
-		s.ev.EvalBool(filter, expr.Rows(base, length), s.Cmp)
-	} else {
-		vec.Fill(s.Cmp[:length], 1)
-	}
 }
 
 // Sentinel errors for query-shape failures. They are wrapped with %w so
@@ -316,9 +255,9 @@ func tableForm(params cost.Params, lo, hi int64, lanes, groups, rows int, bound 
 }
 
 // addBound is the most one row adds to a sum of arg, for tableForm: 1 for
-// count(*) (the hand plans' sum(1)), the physical range of its width when
-// arg is a bare column reading col (nil: the column arg is bound to), and 0
-// — no bound — for anything else.
+// the constant 1, the physical range of its width when arg is a bare column
+// reading col (nil: the column arg is bound to), and 0 — no bound — for
+// anything else.
 func addBound(arg expr.Expr, col *storage.Column) uint64 {
 	switch a := arg.(type) {
 	case *expr.Const:
@@ -334,29 +273,4 @@ func addBound(arg expr.Expr, col *storage.Column) uint64 {
 		}
 	}
 	return 0
-}
-
-// forcedPartitions is the minimum fan-out under PartitionOn, so forced
-// runs exercise a real multi-partition shape even on tables the budget
-// would leave unpartitioned.
-const forcedPartitions = 16
-
-// choosePartition resolves a partition mode against the cost model for a
-// group-by of rows tuples into a table of htBytes. It returns whether to
-// run the radix-partitioned path, the fan-out, and the modeled partitioned
-// cost (meaningful whenever parts > 1, so callers can record it in
-// Explain.Costs even when the direct path wins).
-func choosePartition(mode PartitionMode, params cost.Params, rows int, comp float64, htBytes int, directCost float64) (bool, int, float64) {
-	switch mode {
-	case PartitionOff:
-		return false, 0, 0
-	case PartitionOn:
-		parts := params.PartitionsFor(htBytes)
-		if parts < forcedPartitions {
-			parts = forcedPartitions
-		}
-		return true, parts, params.PartitionedGroup(rows, comp, htBytes, parts)
-	}
-	use, parts, c := params.ChoosePartitionedGroup(rows, comp, htBytes, directCost)
-	return use, parts, c
 }

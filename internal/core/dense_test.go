@@ -258,99 +258,78 @@ func TestNarrowKeysPackByRange(t *testing.T) {
 	}
 }
 
-// TestRankSortStillReachable shows groupEmit.rankSort's remaining callers:
-// the radix fold still hands finishFrom dense key spans when the mode
-// forces partitioning of a bare-column key, and under PartitionAuto when
-// the key is an expression, which no table can address by value.
-func TestRankSortStillReachable(t *testing.T) {
-	db := testDB(t, 200_000, 100, 100_000)
-	for _, c := range []struct {
-		name string
-		mode PartitionMode
-		key  expr.Expr
-	}{
-		{"PartitionOn, bare column", PartitionOn, expr.NewCol("r_c")},
-		{"PartitionAuto, expression key", PartitionAuto, &expr.Arith{Op: expr.Add, L: expr.NewCol("r_c"), R: &expr.Const{Val: 0}}},
-	} {
-		e := NewEngine(db)
-		e.Workers, e.Partition = 2, c.mode
-		p, err := e.PrepareGroupAgg(GroupAgg{Table: "r", Key: c.key, Agg: expr.NewCol("r_a")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ex, err := groupsOnce(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ex.Partitioned || ex.DenseDomain != 0 {
-			t.Errorf("%s: Partitioned=%v DenseDomain=%d, want the radix path on hashed sub-tables", c.name, ex.Partitioned, ex.DenseDomain)
-		}
-		if len(p.rankBits) == 0 {
-			t.Errorf("%s: emission did not take rankSort", c.name)
-		}
-		sameGroups(t, c.name, got, refGroupAgg(db, -1))
-		e.Close()
-	}
-}
-
-// TestDenseFormChoice runs the classic compile sites on each side of the
-// rule and checks the form, the pricing and the answers.
+// TestDenseFormChoice runs the classic group-by on each side of the form
+// rule and checks the form, the pricing and the answers, then the groupjoin's
+// key-addressed table over its parent's positions.
 func TestDenseFormChoice(t *testing.T) {
 	db := testDB(t, 60_000, 500, 2000)
-	e := NewEngine(db)
+	sparse := testDB(t, 60_000, 500, 2000)
+	appendKeys(t, sparse, 1<<40) // one far key: no key-addressed table covers the range
+	e, es := NewEngine(db), NewEngine(sparse)
 	defer e.Close()
-	e.Workers = 2
+	defer es.Close()
+	e.Workers, es.Workers = 2, 2
 	col := expr.NewCol
 	for _, c := range []struct {
 		name string
-		key  expr.Expr
+		e    *Engine
 		want int
 	}{
-		{"bare column", col("r_c"), 2000},
-		{"expression", &expr.Arith{Op: expr.Mul, L: col("r_c"), R: &expr.Const{Val: 1}}, 0},
+		{"dense key", e, 2000},
+		{"sparse key", es, 0},
 	} {
-		q := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: c.key, Agg: col("r_a")}
-		got, ex, err := groupsOnce(e.PrepareGroupAgg(q))
+		q := GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: col("r_c"), Agg: col("r_a")}
+		got, ex, err := groupsOnce(c.e.PrepareGroupAgg(q))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.DenseDomain != c.want {
-			t.Errorf("%s key: DenseDomain = %d, want %d", c.name, ex.DenseDomain, c.want)
+			t.Errorf("%s: DenseDomain = %d, want %d", c.name, ex.DenseDomain, c.want)
 		}
 		if _, ok := ex.Costs["dense"]; ok != (c.want > 0) {
-			t.Errorf("%s key: Costs has a dense entry = %v", c.name, ok)
+			t.Errorf("%s: Costs has a dense entry = %v", c.name, ok)
 		}
 		if c.want > 0 {
 			// r_a is an int8 column over 60K rows: one-word records.
 			if ex.HTBytes != 8*c.want {
-				t.Errorf("%s key: HTBytes = %d, want the packed record array's %d", c.name, ex.HTBytes, 8*c.want)
+				t.Errorf("%s: HTBytes = %d, want the packed record array's %d", c.name, ex.HTBytes, 8*c.want)
 			}
 			if ex.Costs["dense"] > ex.Costs["hashed"] {
-				t.Errorf("%s key: dense priced %v above hashed %v", c.name, ex.Costs["dense"], ex.Costs["hashed"])
+				t.Errorf("%s: dense priced %v above hashed %v", c.name, ex.Costs["dense"], ex.Costs["hashed"])
 			}
 		}
-		sameGroups(t, c.name, got, refGroupAgg(db, 50))
+		sameGroups(t, c.name, got, refGroup(c.e.DB, 50))
 	}
 
+	// A packed table folds a row with one add, the count riding in the sum's
+	// word, so value masking masks one lane, not a lane and the count: at 95 %
+	// it undercuts key masking's throwaway branch on the 16 KB table.
+	q := GroupAgg{Table: "r", Filter: lt("r_x", 95), Key: col("r_c"), Agg: col("r_a")}
+	res, ex, err := once(e.PrepareSelect(groupSpec(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	form := e.Params.KeyAddressed()
+	vm := form.ValueMaskingGroup(60_000, expr.CompCost(q.Agg, e.Params)+form.CompMul, ex.HTBytes)
+	if ex.Technique != TechValueMasking || ex.HTBytes != 8*2000 || ex.Costs["value-masking"] != vm {
+		t.Errorf("packed at 95%%: %s, HTBytes %d, value masking priced %v (want value-masking, %d and %v); costs %v",
+			ex.Technique, ex.HTBytes, ex.Costs["value-masking"], 8*2000, vm, ex.Costs)
+	}
+	sameGroups(t, "packed at 95%", resultMap(res), refGroup(db, 95))
+
 	// The eager groupjoin's table is key-addressed over the parent's 500
-	// positions whatever the partition mode, which steers the classic
-	// group-by alone.
+	// positions.
 	gj := GroupJoinAgg{Probe: "r", Build: "s", FK: "r_fk", PK: "s_pk", BuildFilter: lt("s_x", 50), Agg: col("r_a")}
-	for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
-		e.Partition = mode
-		_, ex, err := groupsOnce(e.PrepareGroupJoinAgg(gj))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Technique != TechEagerAggregation || ex.DenseDomain != 500 || ex.Partitioned {
-			t.Errorf("groupjoin under %s: %s DenseDomain=%d Partitioned=%v", mode, ex.Technique, ex.DenseDomain, ex.Partitioned)
-		}
+	if _, ex, err := groupsOnce(e.PrepareGroupJoinAgg(gj)); err != nil {
+		t.Fatal(err)
+	} else if ex.Technique != TechEagerAggregation || ex.DenseDomain != 500 {
+		t.Errorf("groupjoin: %s DenseDomain=%d", ex.Technique, ex.DenseDomain)
 	}
 }
 
-// TestPackedCompileSites: the three compiles that build a one-lane
+// TestPackedCompileSites: the three statements that build a one-lane
 // key-addressed table — the classic group-by, the eager groupjoin and a
-// grouped tile-pipeline statement — pack an int16 sum over 65,535 rows and
+// grouped statement with a count beside its sum — pack an int16 sum over 65,535 rows and
 // not over one row more, each answering the reference at two workers, where
 // the packed partials merge by word addition.
 func TestPackedCompileSites(t *testing.T) {
@@ -396,7 +375,7 @@ func TestPackedCompileSites(t *testing.T) {
 			name string
 			got  map[int64]int64
 			ex   Explain
-		}{{"group-by", group, gex}, {"groupjoin", join, jex}, {"tile pipeline", partialMap(Partial{Rows: sel}), sex}} {
+		}{{"group-by", group, gex}, {"groupjoin", join, jex}, {"tile pipeline", resultMap(sel), sex}} {
 			if site.ex.DenseDomain != 7 || site.ex.HTBytes != wantBytes {
 				t.Errorf("%d rows, %s: DenseDomain=%d HTBytes=%d, want 7 and %d", rows, site.name, site.ex.DenseDomain, site.ex.HTBytes, wantBytes)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -147,22 +148,23 @@ func TestGroupJoinAggNoFilter(t *testing.T) {
 	}
 }
 
-// TestGroupAggHybridVectorKernel pins the hybrid kernels' tile-at-a-time
-// materialization where the bare-column gather does not apply: a computed key
-// (r_c + 1) and a product argument, at sparse, mid and dense selectivities,
-// on the direct table and through the radix scatter (one kernel under every
-// technique). The bare-column
-// statement runs beside it so the sparse gather and the compaction are
-// checked against one reference.
+// TestGroupAggHybridVectorKernel pins the hybrid kernel's tile-at-a-time
+// materialization where the bare-column gather does not apply — a product
+// argument — at sparse, mid and dense selectivities, forced and as the cost
+// model compiles it at two workers, cold and warm. The bare-column statement
+// runs beside it so the sparse gather and the compaction are checked against
+// one reference.
 func TestGroupAggHybridVectorKernel(t *testing.T) {
 	db := testDB(t, 60_000, 10, 3000)
 	r := db.MustTable("r")
 	x, a, c := r.MustColumn("r_x"), r.MustColumn("r_a"), r.MustColumn("r_c")
+	e := NewEngine(db)
+	defer e.Close()
+	e.Workers = 2
 	for _, computed := range []bool{true, false} {
 		for _, sel := range []int64{5, 50, 95} {
 			q := GroupAgg{Table: "r", Filter: lt("r_x", sel), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 			if computed {
-				q.Key = &expr.Arith{Op: expr.Add, L: expr.NewCol("r_c"), R: &expr.Const{Val: 1}}
 				q.Agg = &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_a"), R: expr.NewCol("r_x")}
 			}
 			want := map[int64]int64{}
@@ -171,37 +173,28 @@ func TestGroupAggHybridVectorKernel(t *testing.T) {
 					continue
 				}
 				if computed {
-					want[c.Get(i)+1] += a.Get(i) * x.Get(i)
+					want[c.Get(i)] += a.Get(i) * x.Get(i)
 				} else {
 					want[c.Get(i)] += a.Get(i)
 				}
 			}
-			tag := "computed=" + map[bool]string{true: "yes", false: "no"}[computed] + " sel=" + itoa(int(sel))
-
-			e := NewEngine(db)
-			e.Workers = 2
-			direct, _, err := groupsOnce(e.compileGroupAgg(q, TechHybrid))
+			tag := fmt.Sprintf("computed=%v sel=%d", computed, sel)
+			forced, err := forcedGroups(e, q, TechHybrid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameGroups(t, tag+" direct", direct, want)
-
-			e.Partition = PartitionOn
+			sameGroups(t, tag+" hybrid", forced, want)
 			p, err := e.PrepareGroupAgg(q)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !p.partitioned {
-				t.Fatalf("%s: PartitionOn compiled a direct plan", tag)
 			}
 			for rep := 0; rep < 2; rep++ {
 				res, _, err := p.RunContext(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameGroups(t, tag+" partitioned", groupMap(res), want)
+				sameGroups(t, fmt.Sprintf("%s prepared run %d", tag, rep), groupMap(res), want)
 			}
-			e.Close()
 		}
 	}
 }

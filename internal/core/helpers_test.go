@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-
-	"github.com/reprolab/swole/internal/expr"
+	"testing"
 )
 
 // once runs a freshly prepared plan a single time — the whole prepare-and-
@@ -38,14 +37,11 @@ func groupMap(g *GroupResult) map[int64]int64 {
 	return out
 }
 
-// partialMap flattens a plan's answer the way volcanoMap flattens the
+// resultMap flattens a plan's answer the way volcanoMap flattens the
 // interpreter's: single values under key 0, (key, sum) rows by key.
-func partialMap(p Partial) map[int64]int64 {
-	if p.Groups != nil {
-		return groupMap(p.Groups)
-	}
+func resultMap(r *SelectResult) map[int64]int64 {
 	out := map[int64]int64{}
-	for _, row := range selectRows(p.Rows) {
+	for _, row := range selectRows(r) {
 		if len(row) == 1 {
 			out[0] = row[0]
 		} else {
@@ -73,11 +69,11 @@ func sumRunner(e *Engine, spec Select) (func() (int64, Explain), error) {
 		return nil, err
 	}
 	return func() (int64, Explain) {
-		part, ex, err := p.RunPartial(context.Background())
+		res, ex, err := p.RunPartial(context.Background())
 		if err != nil {
 			panic(err)
 		}
-		return part.Rows.Flat[0], ex
+		return res.Flat[0], ex
 	}, nil
 }
 
@@ -91,32 +87,43 @@ func sumOnce(e *Engine, spec Select) (int64, Explain, error) {
 	return sum, ex, nil
 }
 
-func groupSpec(q GroupAgg) Select {
-	return classicSpec(q.Table, q.Filter, []string{q.Key.(*expr.Col).Name}, nil, q.Agg)
-}
-
 // forcedOnce prepares the spec under a forced technique and runs it once.
-func forcedOnce(e *Engine, spec Select, tech Technique) (Partial, error) {
+func forcedOnce(e *Engine, spec Select, tech Technique) (*SelectResult, error) {
 	p, err := e.PrepareForced(spec, tech)
-	if err != nil {
-		return Partial{}, err
-	}
-	part, _, err := p.RunPartial(context.Background())
-	return part, err
-}
-
-func forcedScalar(e *Engine, q ScalarAgg, tech Technique) (int64, error) {
-	part, err := forcedOnce(e, scalarSpec(q), tech)
-	if err != nil {
-		return 0, err
-	}
-	return part.Rows.Flat[0], nil
-}
-
-func forcedGroups(e *Engine, q GroupAgg, tech Technique) (map[int64]int64, error) {
-	part, err := forcedOnce(e, groupSpec(q), tech)
 	if err != nil {
 		return nil, err
 	}
-	return groupMap(part.Groups), nil
+	res, _, err := p.RunPartial(context.Background())
+	return res, err
+}
+
+func forcedScalar(e *Engine, q ScalarAgg, tech Technique) (int64, error) {
+	res, err := forcedOnce(e, scalarSpec(q), tech)
+	if err != nil {
+		return 0, err
+	}
+	return res.Flat[0], nil
+}
+
+func forcedGroups(e *Engine, q GroupAgg, tech Technique) (map[int64]int64, error) {
+	res, err := forcedOnce(e, groupSpec(q), tech)
+	if err != nil {
+		return nil, err
+	}
+	return resultMap(res), nil
+}
+
+// sameGroups reports the first group on which got and want disagree.
+func sameGroups(t *testing.T, tag string, got, want map[int64]int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d groups, want %d", tag, len(got), len(want))
+		return
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: key %d = %d, want %d", tag, k, got[k], w)
+			return
+		}
+	}
 }

@@ -6,10 +6,10 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 )
 
-// benchmark/ still spells the two ungrouped classic statements as ScalarAgg
-// and SemiJoinAgg and runs them through RunContext(ctx) (int64, Explain,
-// error), and the groupjoin as GroupJoinAgg through RunContext(ctx)
-// (*GroupResult, Explain, error). This file lowers all three onto
+// benchmark/ still spells the classic statements as ScalarAgg, SemiJoinAgg,
+// GroupAgg and GroupJoinAgg and runs them through RunContext(ctx): the two
+// ungrouped ones answering (int64, Explain, error), the two grouped ones
+// (*GroupResult, Explain, error). This file lowers all four onto
 // Prepare(Select); it is deleted when benchmark/ migrates to Engine.Prepare
 // (ROADMAP direction 1).
 
@@ -26,6 +26,14 @@ type SemiJoinAgg struct {
 	ProbeFilter, BuildFilter, Agg expr.Expr
 }
 
+// GroupAgg is select Key, sum(Agg) from Table where Filter group by Key — the
+// shape of Section III-B and micro Q2.
+type GroupAgg struct {
+	Table       string
+	Filter, Agg expr.Expr
+	Key         *expr.Col
+}
+
 // GroupJoinAgg is select Probe.FK, sum(Agg) from Probe, Build where
 // Probe.FK = Build.PK and BuildFilter group by Probe.FK — the shape of
 // Section III-E and micro Q5.
@@ -34,30 +42,47 @@ type GroupJoinAgg struct {
 	BuildFilter, Agg     expr.Expr
 }
 
+// GroupResult is a lowered grouped statement's answer: the groups as
+// interleaved (key, sum) pairs with keys ascending, aliasing the plan's
+// result buffer.
+type GroupResult struct {
+	// Flat holds group i's key at Flat[2i] and its sum at Flat[2i+1].
+	Flat []int64
+}
+
+// Len returns the number of groups.
+func (g *GroupResult) Len() int { return len(g.Flat) / 2 }
+
+// Key returns group i's key.
+func (g *GroupResult) Key(i int) int64 { return g.Flat[2*i] }
+
+// Sum returns group i's aggregate.
+func (g *GroupResult) Sum(i int) int64 { return g.Flat[2*i+1] }
+
 // sumPlan reads a lowered statement's single result cell.
 type sumPlan struct{ Plan }
 
 func (p sumPlan) RunContext(ctx context.Context) (int64, Explain, error) {
-	part, ex, err := p.RunPartial(ctx)
+	res, ex, err := p.RunPartial(ctx)
 	if err != nil {
 		return 0, ex, err
 	}
-	return part.Rows.Flat[0], ex, nil
+	return res.Flat[0], ex, nil
 }
 
-// pairsPlan reads a lowered groupjoin's two-column answer, which is the
-// interleaved (key, sum) layout of a GroupResult.
+// pairsPlan reads a lowered grouped statement's two-column answer, which is
+// the interleaved (key, sum) layout of a GroupResult.
 type pairsPlan struct {
 	Plan
 	out GroupResult
 }
 
 func (p *pairsPlan) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
-	part, ex, err := p.RunPartial(ctx)
+	res, ex, err := p.RunPartial(ctx)
 	if err != nil {
 		return nil, ex, err
 	}
-	p.out.Flat = part.Rows.Flat
+	p.out.Flat = res.Flat
 	return &p.out, ex, nil
 }
 
@@ -71,8 +96,15 @@ func (e *Engine) PrepareSemiJoinAgg(q SemiJoinAgg) (sumPlan, error) {
 	return sumPlan{p}, err
 }
 
+func (e *Engine) PrepareGroupAgg(q GroupAgg) (*pairsPlan, error) {
+	return pairs(e.Prepare(groupSpec(q)))
+}
+
 func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*pairsPlan, error) {
-	p, err := e.Prepare(gjoinSpec(q))
+	return pairs(e.Prepare(gjoinSpec(q)))
+}
+
+func pairs(p Plan, err error) (*pairsPlan, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +112,10 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*pairsPlan, error) {
 }
 
 func scalarSpec(q ScalarAgg) Select { return classicSpec(q.Table, q.Filter, nil, nil, q.Agg) }
+
+func groupSpec(q GroupAgg) Select {
+	return classicSpec(q.Table, q.Filter, []string{q.Key.Name}, nil, q.Agg)
+}
 
 func semiSpec(q SemiJoinAgg) Select {
 	edge := SelectEdge{Src: -1, FK: q.FK, Parent: q.Build, PK: q.PK, Filter: q.BuildFilter}

@@ -8,19 +8,16 @@ import (
 )
 
 // Engine-owned execution resources. A compiled plan owns everything
-// specific to it — aggregation hash tables, positional bitmaps,
-// partitioners, result buffers, and for the hand-specialized group-by its
-// per-worker tile scratch — for its whole life. What lives on the engine is
-// only what every plan shares: the persistent worker gang, the scatter
-// arena partitioned plans append into, and the tile scratch every generic
-// plan (select.go) runs on, all guarded by e.execMu.
+// specific to it — group tables, positional bitmaps, result buffers — for
+// its whole life. What lives on the engine is only what every plan shares:
+// the persistent worker gang and the tile scratch every plan runs on, both
+// guarded by e.execMu.
 
-// tileScratch is one worker's tile buffers for the generic executor beyond
-// the shared workerState set: the residual mask, per-edge parent positions,
-// gather positions, group slots, and one int64 vector per joined-schema
-// column a statement reads. Nothing in it outlives a tile, so one set
-// serves every generic plan on the engine and a never-seen statement's
-// compile allocates no tile buffers.
+// tileScratch is one worker's tile buffers beyond its workerState: the
+// residual mask, per-edge parent positions, gather positions, group slots,
+// and one int64 vector per joined-schema column a statement reads. Nothing
+// in it outlives a tile, so one set serves every plan on the engine and a
+// never-seen statement's compile allocates no tile buffers.
 type tileScratch struct {
 	tcmp   []byte
 	slots  []int32
@@ -30,12 +27,11 @@ type tileScratch struct {
 	vecs   [][]int64
 }
 
-// ensureGenLocked makes the generic executor's scratch hold at least nw
-// workers' sets of at least nVecs tile vectors each, and the emission's
-// evaluator. Like ensureScatterLocked it returns the pool-miss count billed
-// to Explain.FreshAllocs: 1 when anything was allocated, 0 on a pure reuse.
-// Growing may move both slices, so plans index them per run and keep no
-// header. Callers hold e.execMu.
+// ensureGenLocked makes the engine's scratch hold at least nw workers' sets
+// of at least nVecs tile vectors each, and the emission's evaluator. It
+// returns the pool-miss count billed to Explain.FreshAllocs: 1 when anything
+// was allocated, 0 on a pure reuse. Growing may move both slices, so plans
+// index them per run and keep no header. Callers hold e.execMu.
 func (e *Engine) ensureGenLocked(nw, nVecs int) int {
 	fresh := 0
 	if e.genEmit == nil {
@@ -65,29 +61,9 @@ func (e *Engine) ensureGenLocked(nw, nVecs int) int {
 	return fresh
 }
 
-// ensureScatterLocked sizes the engine's shared scatter arena — the chunk
-// pool every partitioned plan's workers append into — for a scan of rows
-// pairs on nw workers across parts partitions, creating it on first use.
-// ht.ChunksFor makes the reservation exhaustion-proof regardless of how
-// the morsels split across workers, so the scatter phase never allocates
-// mid-scan; the returned count (1 on a create or grow, 0 on a pure reuse)
-// is the pool-miss signal billed to Explain.FreshAllocs. Callers hold
-// e.execMu: the arena must not grow under a concurrently appending scan.
-func (e *Engine) ensureScatterLocked(rows, nw, parts int) (*ht.ScatterPool, int) {
-	need := ht.ChunksFor(rows, nw, parts)
-	if e.scatter == nil {
-		e.scatter = ht.NewScatterPool(need)
-		return e.scatter, 1
-	}
-	if e.scatter.Reserve(need) {
-		return e.scatter, 1
-	}
-	return e.scatter, 0
-}
-
 // Reconfigure runs f with no compile or execution in flight on the engine —
 // the one safe place to write the configuration fields compiles read
-// (Workers, MorselRows, Partition, Params). Every compile holds the same
+// (Workers, MorselRows, Params). Every compile holds the same
 // lock from its first configuration read to its last, so a plan is built
 // under exactly one configuration.
 func (e *Engine) Reconfigure(f func()) {

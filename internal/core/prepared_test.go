@@ -65,7 +65,7 @@ func TestPreparedGroupAggParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for rep := 0; rep < 3; rep++ {
-					res, ex := p.Run()
+					res, ex, _ := p.RunContext(context.Background())
 					if ex.Technique != wantEx.Technique {
 						t.Errorf("ccard=%d workers=%d sel=%d: technique %s, first run %s", ccard, workers, sel, ex.Technique, wantEx.Technique)
 					}
@@ -214,20 +214,20 @@ func TestPreparedZeroAlloc(t *testing.T) {
 		// Warm run: evaluator scratch, result arrays, any under-estimated
 		// hash capacity, and gang goroutine stacks all settle here.
 		scalar()
-		group.Run()
+		group.RunContext(context.Background())
 		semi()
 
 		if allocs := testing.AllocsPerRun(20, func() { scalar() }); allocs != 0 {
 			t.Errorf("workers=%d: scalar Run allocates %.1f per run, want 0", workers, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { group.Run() }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { group.RunContext(context.Background()) }); allocs != 0 {
 			t.Errorf("workers=%d: group Run allocates %.1f per run, want 0", workers, allocs)
 		}
 		if allocs := testing.AllocsPerRun(20, func() { semi() }); allocs != 0 {
 			t.Errorf("workers=%d: semijoin Run allocates %.1f per run, want 0", workers, allocs)
 		}
 
-		if _, ex := group.Run(); ex.HTGrows != 0 {
+		if _, ex, _ := group.RunContext(context.Background()); ex.HTGrows != 0 {
 			t.Errorf("workers=%d: steady-state group run grew its hash tables %d times", workers, ex.HTGrows)
 		}
 	}
@@ -291,11 +291,11 @@ func TestPoolRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ex := p.Run(); ex.FreshAllocs == 0 {
+	if _, ex, _ := p.RunContext(context.Background()); ex.FreshAllocs == 0 {
 		t.Fatal("first run should report fresh resource allocations")
 	}
 	for rep := 0; rep < 3; rep++ {
-		_, ex := p.Run()
+		_, ex, _ := p.RunContext(context.Background())
 		if ex.FreshAllocs != 0 {
 			t.Errorf("rep %d: %d fresh allocations on a warm plan", rep, ex.FreshAllocs)
 		}

@@ -3,5 +3,5 @@
 package core
 
 // raceEnabled reports whether the race detector instruments this build;
-// allocation-count gates are skipped under it (see partition_test.go).
+// allocation-count gates are skipped under it (see stats_test.go).
 const raceEnabled = false

@@ -15,8 +15,8 @@ import (
 // This file is the compositional executor behind the plan synthesizer: any
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
 // edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
-// PreparedSelect, a tile pipeline assembled from the same primitives the
-// hand-specialized group-by uses. Per vec.TileSize tile:
+// PreparedSelect, a tile pipeline of vectorized primitives. Per vec.TileSize
+// tile:
 //
 //	root mask      the root predicate fills the byte mask; a disjunction
 //	               ORs its terms into it and stops at a saturated tile
@@ -47,12 +47,14 @@ import (
 // parent's position, with the edge's filter applied once per group when the
 // groups are emitted. Nothing on the run path works a row at a time — except
 // the forced-only data-centric baseline, tupleKernel — and the emission runs
-// HAVING and the projection a tile of groups at a time.
+// HAVING and the projection a tile of groups at a time, unless the output is
+// the table's own (key, sum) pairs (pairOut).
 //
 // A statement the cost model compiled scans on the engine's worker gang when
 // the workers' partials — stripes of scalar lanes, or key-addressed group
 // tables of sums and counts — merge exactly, so the answer is the same at
-// every worker count. The rest scan on the caller's goroutine.
+// every worker count. The rest — hashed tables, and tables with min or max
+// lanes — scan on the caller's goroutine.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -298,6 +300,11 @@ type PreparedSelect struct {
 	// nothing filters — and a lone sum folds into a key-addressed table, so
 	// the tile folds as unmasked (key, value) pairs (ht.AddPairs).
 	pairFold bool
+	// pairOut: the statement is the classic group-by — one packed key column,
+	// one sum or count(*), no HAVING, and the projection key, aggregate under
+	// their own names — so its answer is the table's (key, lane 0) pairs
+	// (emitPairs).
+	pairOut bool
 
 	// Grouped statements: key packing and one group table per worker, which
 	// the run merges into the first, tab. Scalar statements (tab == nil)
@@ -334,9 +341,8 @@ type PreparedSelect struct {
 }
 
 // RunPartial implements Plan.
-func (p *PreparedSelect) RunPartial(ctx context.Context) (Partial, Explain, error) {
-	res, ex, err := p.RunContext(ctx)
-	return Partial{Rows: res}, ex, err
+func (p *PreparedSelect) RunPartial(ctx context.Context) (*SelectResult, Explain, error) {
+	return p.RunContext(ctx)
 }
 
 // RunContext executes the plan under the context's deadline: the scan polls
@@ -409,7 +415,11 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		for _, tab := range p.tabs[1:] {
 			p.tab.MergeFrom(tab) // key-addressed, one domain: record-wise addition
 		}
-		p.emitGroups()
+		if p.pairOut {
+			p.emitPairs()
+		} else {
+			p.emitGroups()
+		}
 	}
 	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
@@ -486,6 +496,24 @@ func (p *PreparedSelect) emitGroups() {
 		}
 		p.emitTile(slots[:k])
 	}
+}
+
+// emitPairs is the classic group-by's emission: the table appends its groups
+// as (key, lane 0) pairs — the sum, or the count on a table without lanes —
+// which are the result rows once a packed key is decoded (a key addressing
+// the table by value already is its column's value) and, on a hashed table,
+// sorted.
+func (p *PreparedSelect) emitPairs() {
+	p.pairs = p.tab.AppendGroups(p.pairs[:0])
+	if lo := p.keys.lo[0]; !p.keys.byValue && lo != 0 {
+		for i := 0; i < len(p.pairs); i += 2 {
+			p.pairs[i] += lo
+		}
+	}
+	if p.ex.DenseDomain == 0 {
+		p.sortPairs()
+	}
+	p.res.Flat = p.pairs
 }
 
 // emitTile writes the key columns and aggregate answers of the groups in
@@ -565,17 +593,33 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 }
 
 // tupleKernel is the data-centric baseline (Figure 1, left), forced only: one
-// tuple-at-a-time loop with a branch over a single sum or count.
+// tuple-at-a-time loop with a branch over a single sum or count, which a
+// grouped statement folds with a Lookup and an Add per qualifying row.
 func (p *PreparedSelect) tupleKernel(w, base, length int) {
-	part, a := p.part[w*p.stride:], &p.aggs[0]
+	a, tab := &p.aggs[0], p.tab
+	var key *storage.Column
+	var part []int64
+	if tab != nil {
+		tab, key = p.tabs[w], p.cols[p.keys.cols[0]].col
+	} else {
+		part = p.part[w*p.stride:]
+	}
 	for i := base; i < base+length; i++ {
 		if p.spec.Filter != nil && expr.Eval(p.spec.Filter, i, nil) == 0 {
 			continue
 		}
-		part[0]++
+		v := int64(0)
 		if a.lane >= 0 {
-			part[1] += expr.Eval(a.arg.e, i, nil)
+			v = expr.Eval(a.arg.e, i, nil)
 		}
+		if tab == nil {
+			part[0]++
+			part[1] += v
+			continue
+		}
+		// A count's table has no lanes: Add's lane 0 is the count word, so
+		// adding 0 there counts the row once.
+		tab.Add(tab.Lookup(p.keys.key(key.Get(i))), 0, v)
 	}
 }
 

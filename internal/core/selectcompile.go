@@ -18,26 +18,44 @@ import (
 // variant of the pipeline per statement, derived from the spec; nothing here
 // runs again.
 
-// selectTechs is the menu of a tile-pipeline statement: the techniques the
-// cost model chooses among, which are also the ones PrepareForced may name.
-// Key masking needs a key. The classic scalar shape adds the data-centric
-// baseline, which only a forced compile runs; Engine.Techniques adds eager
-// aggregation where it applies.
+// selectTechs is the menu of a statement: the techniques the cost model
+// chooses among, which are also the ones PrepareForced may name. Key masking
+// needs a key. The classic shapes add the data-centric baseline, which only a
+// forced compile runs; Engine.Techniques adds eager aggregation where it
+// applies.
 func selectTechs(q Select) []Technique {
-	switch {
-	case len(q.GroupBy) > 0:
-		return []Technique{TechHybrid, TechValueMasking, TechKeyMasking}
-	case classicScalar(q):
-		return []Technique{TechDataCentric, TechHybrid, TechValueMasking}
+	techs := []Technique{TechHybrid, TechValueMasking}
+	if len(q.GroupBy) > 0 {
+		techs = append(techs, TechKeyMasking)
 	}
-	return []Technique{TechHybrid, TechValueMasking}
+	if classicShape(q) {
+		techs = append([]Technique{TechDataCentric}, techs...)
+	}
+	return techs
 }
 
-// classicScalar reports the paper's Section II shape: one sum or count over
-// a filtered scan.
-func classicScalar(q Select) bool {
-	return len(q.GroupBy) == 0 && len(q.Edges) == 0 && q.Residual == nil && len(q.Aggs) == 1 &&
+// classicShape reports the paper's classic statements: one sum or count over
+// a filtered scan of one table, ungrouped (Section II) or under one key
+// (Section III-B).
+func classicShape(q Select) bool {
+	return len(q.GroupBy) <= 1 && len(q.Edges) == 0 && q.Residual == nil && len(q.Aggs) == 1 &&
 		(q.Aggs[0].Kind == AggSum || q.Aggs[0].Kind == AggCount)
+}
+
+// canonicalGroupBy reports the classic group-by under its canonical
+// projection — the key, then the aggregate, each under its own name — and no
+// HAVING: its answer is the group table's (key, lane 0) pairs
+// (PreparedSelect.pairOut).
+func canonicalGroupBy(q Select) bool {
+	if !classicShape(q) || len(q.GroupBy) != 1 || q.Having != nil || len(q.Project) != 2 {
+		return false
+	}
+	for i, name := range []string{q.GroupBy[0], q.Aggs[0].As} {
+		if c, ok := q.Project[i].Expr.(*expr.Col); !ok || c.Name != name || q.Project[i].As != name {
+			return false
+		}
+	}
+	return true
 }
 
 // eagerEdge is the join edge the statement may aggregate eagerly over
@@ -424,7 +442,7 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		// that; the aggregation technique is the cheapest entry of Costs.
 		p.ex.Technique = TechPositionalBitmap
 	}
-	if classicScalar(c.q) {
+	if classicShape(c.q) && len(c.q.GroupBy) == 0 {
 		// A masking win with shared filter/aggregate attributes is reported as
 		// access merging (Section III-C: "always beneficial if it can be
 		// applied"): the shared attribute's second read hits the tile still
@@ -440,12 +458,18 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 
 // priceGroups fixes the group table's form for the planned keys, prices the
 // grouped techniques over it at mask selectivity sel, records them, and
-// returns the cheapest and its cost.
+// returns the cheapest and its cost. Value masking masks every lane and the
+// shared count — except on a packed table, where the count rides in the sum's
+// word and one add folds both.
 func (c *selectCompile) priceGroups(sel float64) (cost.AggStrategy, float64) {
-	p, rows, nAggs := c.p, c.p.root.Rows(), c.lanes+1 // the shared count is masked like a lane
+	p, rows := c.p, c.p.root.Rows()
 	var form cost.Params
 	// A packed key is its own slot: [0, D) for D packed keys, none (-1) when chained.
 	form, c.htBytes, p.ex.DenseDomain, c.packed = tableForm(c.params, 0, int64(c.domain-1), c.lanes, c.groups, rows, c.sumBound())
+	nAggs := c.lanes + 1
+	if c.packed {
+		nAggs = 1
+	}
 	strat, direct := form.ChooseGroupAgg(rows, sel, c.comp, nAggs, c.htBytes)
 	if p.ex.DenseDomain > 0 {
 		p.ex.Costs["dense"] = direct
@@ -616,6 +640,7 @@ func (c *selectCompile) bindRowStage() error {
 	allPass := p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes
 	sum := len(p.fold) == 1 && (p.aggs[p.fold[0]].kind == AggSum || p.aggs[p.fold[0]].kind == AggAvg)
 	p.pairFold = allPass && sum && d > 0
+	p.pairOut = canonicalGroupBy(c.q) && p.keys.mult != nil
 	return nil
 }
 

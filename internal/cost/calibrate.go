@@ -77,24 +77,6 @@ func Calibrate() Params {
 		sink = s
 	}, n)
 
-	// Scatter-write bandwidth: chunked appends spread over 64 partitions,
-	// the radix phase-1 access pattern (sequential within a partition,
-	// line-allocating across them).
-	scatterBuf := make([]int64, n)
-	scatterOff := make([]int32, 64)
-	scatter := timePerOp(func() {
-		for i := range scatterOff {
-			scatterOff[i] = int32(i) * int32(n/64)
-		}
-		for _, v := range data {
-			part := uint64(v*2654435761) & 63
-			o := scatterOff[part]
-			scatterBuf[o&(n-1)] = v // mask bounds skewed partitions
-			scatterOff[part] = o + 1
-		}
-		sink = scatterBuf[0]
-	}, n)
-
 	// Arithmetic costs.
 	mul := timePerOp(func() {
 		var s int64 = 1
@@ -121,12 +103,11 @@ func Calibrate() Params {
 	p.ReadCond = interp(p.HitL1, p.HitMem, 0.05)
 	p.CompMul = clampMin(mul*scale, 0.5)
 	p.CompDiv = clampMin(div*scale, 2)
-	// Bandwidth-demand ratios for ForWorkers' saturation terms, per-op
-	// time relative to the sequential baseline. Clamped to sane ranges: a
+	// The bandwidth-demand ratio for ForWorkers' saturation term, per-op
+	// time relative to the sequential baseline. Clamped to a sane range: a
 	// probe can't demand less bus than a stream, and past ~8x the latency
 	// hiding has failed and the chase measurement (HitMem) governs anyway.
 	p.ProbeMul = clampRange(probe*scale, 1, 8)
-	p.ScatterMul = clampRange(scatter*scale, 1, 4)
 	return p
 }
 

@@ -47,17 +47,6 @@ type Params struct {
 	CompDiv float64
 	CompCmp float64
 
-	// PartitionBudget is the per-partition hash-table footprint the radix
-	// planner aims for. Partition fan-out is chosen so htBytes/parts fits
-	// the budget; half the per-core L2 by default, leaving room for the
-	// partition buffers being streamed in beside the table.
-	PartitionBudget int
-	// PartitionWrite is the per-tuple cost of appending a (key,value) pair
-	// to a radix partition buffer: one hash, one indexed store, mostly
-	// sequential within a partition. It rides the memory bus, so
-	// ForWorkers inflates it with the other bandwidth-bound primitives.
-	PartitionWrite float64
-
 	// MemSaturation is the number of concurrent scan workers whose
 	// combined sequential-read demand saturates the memory bus. Below it,
 	// adding workers costs nothing per worker; above it, each worker sees
@@ -72,15 +61,10 @@ type Params struct {
 	// cache line (and its prefetch shadow) across the bus for a few useful
 	// bytes, so a probing worker consumes ProbeMul times the bandwidth of
 	// a scanning one and a gang of probers saturates the bus at
-	// MemSaturation/ProbeMul workers. This is what prices the direct
-	// group-by path's negative scaling: R random probes per worker jam the
+	// MemSaturation/ProbeMul workers. This is what prices a DRAM-resident
+	// group table's negative scaling: R random probes per worker jam the
 	// bus long before R sequential reads would (see ForWorkers).
 	ProbeMul float64
-	// ScatterMul is the same demand ratio for radix-partition scatter
-	// writes: sequential within a partition, but each append allocates its
-	// line for write (read-for-ownership traffic on top of the store), so
-	// scatter demand sits between a pure stream and a random probe.
-	ScatterMul float64
 }
 
 // Default returns parameters approximating the paper's evaluation machine.
@@ -106,17 +90,12 @@ func Default() Params {
 		CompDiv: 20,
 		CompCmp: 0.5,
 
-		PartitionBudget: 128 << 10,
-		PartitionWrite:  1.5,
-
 		MemSaturation: 4,
 		// A 64 B line fetched for ~16 useful bytes of slot state ≈ 4x the
-		// per-byte demand of a stream; scatter writes pay the line twice
-		// (read-for-ownership plus write-back) ≈ 2x. Deterministic, like
-		// every other default, so the model's decisions are reproducible;
-		// Calibrate re-measures both on the host.
-		ProbeMul:   4,
-		ScatterMul: 2,
+		// per-byte demand of a stream. Deterministic, like every other
+		// default, so the model's decisions are reproducible; Calibrate
+		// re-measures it on the host.
+		ProbeMul: 4,
 	}
 }
 
@@ -129,15 +108,12 @@ func Default() Params {
 //
 //	sequential/conditional reads, LLC hits   demand 1
 //	random DRAM probes (HitMem)              demand ProbeMul (~4)
-//	partition scatter writes                 demand ScatterMul (~2)
 //
 // Computation costs never change: cores do not share ALUs. The per-
 // primitive demand is what prices the two parallel effects the flat model
-// missed: a gang of workers each hammering a DRAM-resident hash table
-// saturates the bus at MemSaturation/ProbeMul workers — so the direct
-// group-by path regresses as workers grow even while pure scans still
-// scale — and the planner flips to the radix-partitioned path (whose
-// probes stay cache-resident) before that regression, not after. It also
+// missed: a gang of workers each hammering a DRAM-resident group table
+// saturates the bus at MemSaturation/ProbeMul workers — so such a group-by
+// regresses as workers grow even while pure scans still scale. It also
 // moves the pushdown/pullup crossover: contention makes memory relatively
 // more expensive than compute, so whichever side of a decision leans
 // harder on contended primitives loses ground as workers grow (see
@@ -158,11 +134,6 @@ func (p Params) ForWorkers(workers int) Params {
 	// behaving like the old flat model.
 	if f := float64(workers) * max2(p.ProbeMul, 1) / p.MemSaturation; f > 1 {
 		q.HitMem *= f
-	}
-	// Scatter writes: read-for-ownership makes each append cost
-	// ScatterMul shares.
-	if f := float64(workers) * max2(p.ScatterMul, 1) / p.MemSaturation; f > 1 {
-		q.PartitionWrite *= f
 	}
 	return q
 }
@@ -371,68 +342,6 @@ func (p Params) ChooseGroupAgg(r int, sel, comp float64, nAggs, htBytes int) (Ag
 func (p Params) BestAggPerTuple(r int, sel, comp float64, nAggs, htBytes int) float64 {
 	_, c := p.ChooseGroupAgg(r, sel, comp, nAggs, htBytes)
 	return c / float64(r)
-}
-
-// maxPartitions mirrors ht.MaxPartitions (the package is not imported to
-// keep cost dependency-free): past 1024-way fan-out the per-partition
-// buffer tails waste more cache than the smaller sub-tables save.
-const maxPartitions = 1024
-
-// PartitionsFor returns the power-of-two radix fan-out that brings a hash
-// table of htBytes under PartitionBudget per partition, clamped to
-// [1, 1024]. A table already inside the budget needs no partitioning and
-// returns 1.
-func (p Params) PartitionsFor(htBytes int) int {
-	budget := p.PartitionBudget
-	if budget <= 0 {
-		budget = Default().PartitionBudget
-	}
-	parts := 1
-	for parts < maxPartitions && htBytes > parts*budget {
-		parts <<= 1
-	}
-	return parts
-}
-
-// PartitionedGroup is the two-phase radix model for group-by aggregation.
-// Phase 1 streams every tuple once, computes the aggregate input, and
-// appends the (key,value) pair to a radix partition buffer — no hash
-// table is touched, so the random-probe term vanishes:
-//
-//	P1 = R * (read_seq + max(comp, read_seq) + partition_write)
-//
-// Phase 2 re-reads the pairs sequentially and probes a per-partition
-// table of htBytes/parts, which the fan-out was chosen to keep
-// cache-resident:
-//
-//	P2 = R * (read_seq + max(read_seq, ht_lookup(htBytes/parts)))
-//
-// Selectivity does not appear: masked tuples flow through both phases as
-// NullKey pairs (the cheap throwaway probe in phase 2 is approximated by
-// the same small-table lookup). The crossover against the direct models
-// is therefore exactly the paper's logic one level down — pay two
-// guaranteed sequential passes to avoid R random DRAM probes.
-func (p Params) PartitionedGroup(r int, comp float64, htBytes, parts int) float64 {
-	if parts < 1 {
-		parts = 1
-	}
-	phase1 := p.ReadSeq + max2(comp, p.ReadSeq) + p.PartitionWrite
-	phase2 := p.ReadSeq + max2(p.ReadSeq, p.HTLookup(htBytes/parts))
-	return float64(r) * (phase1 + phase2)
-}
-
-// ChoosePartitionedGroup decides direct vs radix-partitioned execution
-// for a group-by aggregation whose direct-path cost is directCost (the
-// winner of ChooseGroupAgg). It returns whether to partition, the chosen
-// fan-out, and the partitioned cost. Partitioning is only considered when
-// the table overflows the budget — a cache-resident table cannot benefit.
-func (p Params) ChoosePartitionedGroup(r int, comp float64, htBytes int, directCost float64) (bool, int, float64) {
-	parts := p.PartitionsFor(htBytes)
-	if parts <= 1 {
-		return false, 1, directCost
-	}
-	pc := p.PartitionedGroup(r, comp, htBytes, parts)
-	return pc < directCost, parts, pc
 }
 
 // ChooseGroupjoin reports whether eager aggregation should replace the

@@ -221,82 +221,11 @@ func TestCalibrateProducesUsableParams(t *testing.T) {
 	if p.ProbeMul < 1 || p.ProbeMul > 8 {
 		t.Errorf("ProbeMul = %v outside [1, 8]", p.ProbeMul)
 	}
-	if p.ScatterMul < 1 || p.ScatterMul > 4 {
-		t.Errorf("ScatterMul = %v outside [1, 4]", p.ScatterMul)
-	}
 }
 
 func TestStrategyStrings(t *testing.T) {
 	if ChooseHybrid.String() != "hybrid" || ChooseValueMasking.String() != "value-masking" || ChooseKeyMasking.String() != "key-masking" {
 		t.Error("bad strategy names")
-	}
-}
-
-func TestPartitionsFor(t *testing.T) {
-	p := Default()
-	// A table inside the budget needs no fan-out.
-	if got := p.PartitionsFor(p.PartitionBudget); got != 1 {
-		t.Errorf("PartitionsFor(budget) = %d, want 1", got)
-	}
-	// Fan-out is the smallest power of two bringing each partition under
-	// budget.
-	for _, tc := range []struct{ bytes, want int }{
-		{p.PartitionBudget + 1, 2},
-		{4 * p.PartitionBudget, 4},
-		{26 << 20, 256}, // ~1M groups at 26 B/slot
-	} {
-		got := p.PartitionsFor(tc.bytes)
-		if got != tc.want {
-			t.Errorf("PartitionsFor(%d) = %d, want %d", tc.bytes, got, tc.want)
-		}
-		if tc.bytes/got > p.PartitionBudget {
-			t.Errorf("PartitionsFor(%d) = %d leaves %d B/partition over budget",
-				tc.bytes, got, tc.bytes/got)
-		}
-	}
-	// Clamped at 1024 even for tables no fan-out can shrink enough.
-	if got := p.PartitionsFor(1 << 40); got != maxPartitions {
-		t.Errorf("PartitionsFor(1TB) = %d, want clamp %d", got, maxPartitions)
-	}
-}
-
-func TestChoosePartitionedGroupCrossover(t *testing.T) {
-	p := Default()
-	r := 4_000_000
-	comp := compMulAgg(p)
-
-	// Cache-resident table: never partitioned, direct cost passes through.
-	_, direct := p.ChooseGroupAgg(r, 1.0, comp, 1, 1000*slotBytes)
-	part, parts, c := p.ChoosePartitionedGroup(r, comp, 1000*slotBytes, direct)
-	if part || parts != 1 || c != direct {
-		t.Errorf("1K groups: partitioned=%v parts=%d cost=%v, want direct passthrough", part, parts, c)
-	}
-
-	// DRAM-resident table (1M groups): two sequential passes plus small-
-	// table probes must beat R random DRAM probes.
-	htBytes := 1_000_000 * slotBytes
-	_, direct = p.ChooseGroupAgg(r, 1.0, comp, 1, htBytes)
-	part, parts, c = p.ChoosePartitionedGroup(r, comp, htBytes, direct)
-	if !part {
-		t.Fatalf("1M groups: partitioned (%.0f) should beat direct (%.0f)", c, direct)
-	}
-	if htBytes/parts > p.PartitionBudget {
-		t.Errorf("chosen fan-out %d leaves partitions over budget", parts)
-	}
-	if c >= direct {
-		t.Errorf("partitioned cost %.0f not below direct %.0f", c, direct)
-	}
-}
-
-func TestPartitionWriteScalesWithWorkers(t *testing.T) {
-	// Partition-buffer appends ride the memory bus with a demand of
-	// ScatterMul bandwidth shares per worker (read-for-ownership).
-	p := Default()
-	w := int(p.MemSaturation) * 2
-	q := p.ForWorkers(w)
-	f := float64(w) * p.ScatterMul / p.MemSaturation
-	if q.PartitionWrite != p.PartitionWrite*f {
-		t.Errorf("PartitionWrite = %v after ForWorkers(%d), want %v", q.PartitionWrite, w, p.PartitionWrite*f)
 	}
 }
 
@@ -330,21 +259,17 @@ func TestForWorkersBandwidthShare(t *testing.T) {
 	if q.HitMem != p.HitMem*f*p.ProbeMul {
 		t.Errorf("HitMem = %v, want %v", q.HitMem, p.HitMem*f*p.ProbeMul)
 	}
-	if q.PartitionWrite != p.PartitionWrite*f*p.ScatterMul {
-		t.Errorf("PartitionWrite = %v, want %v", q.PartitionWrite, p.PartitionWrite*f*p.ScatterMul)
-	}
 	if q.HitL1 != p.HitL1 || q.HitL2 != p.HitL2 || q.HTNull != p.HTNull ||
 		q.CompMul != p.CompMul || q.CompDiv != p.CompDiv {
 		t.Errorf("per-core costs must not scale: %+v", q)
 	}
 }
 
-func TestPartitionedFlipsBeforeDirectRegresses(t *testing.T) {
+func TestDirectCostClimbsWithWorkers(t *testing.T) {
 	// The point of the per-primitive demand factors: a DRAM-resident
-	// group-by's direct cost must climb with workers (ProbeMul prices the
-	// probe-stream saturation the flat model missed), and the partitioned
-	// path — whose probes stay cache-resident — must take over by the time
-	// the gang is wide enough for the direct path to scale negatively.
+	// group-by's cost must climb with workers (ProbeMul prices the
+	// probe-stream saturation the flat model missed), while a cache-resident
+	// table's sees none of it: no probe hits DRAM.
 	p := Default()
 	r := 1_000_000
 	comp := compMulAgg(p)
@@ -354,12 +279,6 @@ func TestPartitionedFlipsBeforeDirectRegresses(t *testing.T) {
 	if d4 <= d1 {
 		t.Errorf("direct cost at 4 workers (%.0f) must exceed 1 worker (%.0f): probe saturation unpriced", d4, d1)
 	}
-	part, _, pc := p.ForWorkers(4).ChoosePartitionedGroup(r, comp, htBytes, d4)
-	if !part {
-		t.Errorf("4 workers, 1M groups: partitioned (%.0f) must beat direct (%.0f)", pc, d4)
-	}
-	// A cache-resident table sees none of this: no probes hit DRAM, no
-	// partition pass is worth two extra streams.
 	_, s1 := p.ForWorkers(1).ChooseGroupAgg(r, 0.5, comp, 1, 1000*slotBytes)
 	_, s4 := p.ForWorkers(4).ChooseGroupAgg(r, 0.5, comp, 1, 1000*slotBytes)
 	if s4 != s1 {

@@ -55,10 +55,9 @@ func lt(col string, v int64) expr.Expr {
 
 // FigScaling measures the morsel-driven parallel executor: the four classic
 // statements over the microbenchmark dataset, through Engine.Prepare like
-// every other statement (the ungrouped two run on the tile pipeline, the
-// grouped two on their hand-specialized plans), swept from 1 worker
-// to cfg.Workers. This is the experiment the paper could not run — its
-// kernels were single-threaded — and it shows where each technique
+// every other statement, swept from 1 worker to cfg.Workers. This is the
+// experiment the paper could not run — its kernels were single-threaded —
+// and it shows where each technique
 // saturates memory bandwidth: the scalar value-masking scan stops scaling
 // first, while compute-heavier shapes keep scaling past the saturation
 // point the cost model's per-worker bandwidth share (cost.ForWorkers)
@@ -108,14 +107,11 @@ func (cfg Config) FigScaling() []Figure {
 			panic(err)
 		}
 		return func() int64 {
-			part, _, _ := p.RunPartial(context.Background())
-			switch {
-			case part.Groups != nil:
-				return int64(part.Groups.Len())
-			case len(spec.GroupBy) > 0:
-				return int64(len(part.Rows.Flat) / len(part.Rows.Fields))
+			res, _, _ := p.RunPartial(context.Background())
+			if len(spec.GroupBy) > 0 {
+				return int64(len(res.Flat) / len(res.Fields))
 			}
-			return part.Rows.Flat[0]
+			return res.Flat[0]
 		}
 	}
 

@@ -75,9 +75,6 @@ type AggTable struct {
 	// scan never grew the table mid-flight: Grows stays 0. The
 	// key-addressed form never grows.
 	Grows uint64
-
-	// pf sinks the loads issued by Touch so they cannot be eliminated.
-	pf uint64
 }
 
 // NewAggTable returns a hashed table with nAccs accumulators per group and
@@ -247,15 +244,6 @@ func (t *AggTable) Len() int {
 // the table in a cache class.
 func (t *AggTable) Cap() int { return len(t.recs) / t.stride }
 
-// SlotBytes returns the approximate in-memory size of one slot, used by the
-// cost model to decide which cache level the table occupies.
-func (t *AggTable) SlotBytes() int {
-	if t.span != 0 {
-		return 8 * t.stride
-	}
-	return HashedSlotBytes(t.nAccs)
-}
-
 // live returns the effective state of slot i in the current generation.
 func (t *AggTable) live(i uint64) byte {
 	if t.epoch[i] != t.cur {
@@ -360,32 +348,6 @@ func (t *AggTable) Find(key int64) int {
 		case slotFull:
 			if t.keys[i] == key {
 				return int(i)
-			}
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// Contains reports whether key has a group — the read-only analogue of
-// Find(key) >= 0 (NullKey is absent: it maps to the throwaway entry, not a
-// slot). It does not touch the Probes statistics counter, so concurrent
-// probe-side workers may call it on a table whose build phase has finished.
-func (t *AggTable) Contains(key int64) bool {
-	if key == NullKey {
-		return false
-	}
-	if t.span != 0 {
-		u := uint64(key) - uint64(t.lo)
-		return u < t.span && t.count(int(u)) > 0
-	}
-	i := hash64(uint64(key)) & t.mask
-	for {
-		switch t.live(i) {
-		case slotEmpty:
-			return false
-		case slotFull:
-			if t.keys[i] == key {
-				return true
 			}
 		}
 		i = (i + 1) & t.mask

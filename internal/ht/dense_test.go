@@ -9,13 +9,13 @@ import (
 )
 
 // The key-addressed form, test for test what ht_test.go, lanes_test.go and
-// prefetch_test.go pin for the hashed form, plus the parity fuzzer that
+// pairs_test.go pin for the hashed form, plus the parity fuzzer that
 // drives both with one tuple stream.
 
 func TestDenseBasic(t *testing.T) {
 	tab := NewDenseAggTable(2, -5, 20, false)
-	if tab.Cap() != 26 || tab.SlotBytes() != 24 {
-		t.Fatalf("cap=%d slot=%dB, want 26 and 24", tab.Cap(), tab.SlotBytes())
+	if tab.Cap() != 26 || len(tab.recs) != 26*3 {
+		t.Fatalf("cap=%d words=%d, want 26 records of three words", tab.Cap(), len(tab.recs))
 	}
 	s := tab.Lookup(-5)
 	tab.Add(s, 0, 5)
@@ -33,11 +33,8 @@ func TestDenseBasic(t *testing.T) {
 	if tab.Key(tab.Find(20)) != 20 {
 		t.Errorf("Key(Find(20)) = %d", tab.Key(tab.Find(20)))
 	}
-	if tab.Find(0) != -2 || tab.Contains(0) || tab.Find(99) != -2 || tab.Contains(99) {
+	if tab.Find(0) != -2 || tab.Find(99) != -2 || tab.Find(NullKey) != -1 {
 		t.Error("a key no tuple counted into reads as present")
-	}
-	if !tab.Contains(20) || tab.Contains(NullKey) {
-		t.Error("Contains disagrees with Find")
 	}
 	if tab.Grows != 0 || tab.Probes != 0 {
 		t.Errorf("grows=%d probes=%d on a key-addressed table", tab.Grows, tab.Probes)
@@ -123,7 +120,7 @@ func TestDenseDelete(t *testing.T) {
 		t.Fatalf("Len=%d, want 50", tab.Len())
 	}
 	for k := int64(0); k < 100; k++ {
-		if odd := k%2 == 1; tab.Contains(k) != odd {
+		if odd := k%2 == 1; (tab.Find(k) >= 0) != odd {
 			t.Fatalf("key %d present=%v", k, !odd)
 		}
 	}
@@ -166,8 +163,9 @@ func TestDenseResetReuse(t *testing.T) {
 
 func TestDenseFoldPairsAndMerge(t *testing.T) {
 	a, b := NewDenseAggTable(1, 10, 19, false), NewDenseAggTable(1, 10, 19, false)
-	if n := a.FoldPairs([]int64{10, 12, 12, NullKey}, []int64{1, 2, 3, 4}); n != 0 {
-		t.Errorf("FoldPairs used the lookahead on a key-addressed table: %d", n)
+	a.AddPairs([]int64{10, 12, 12, NullKey}, []int64{1, 2, 3, 4})
+	if a.Throwaway[0] != 4 || a.ThrowawayCount != 1 {
+		t.Errorf("NullKey pair: throwaway (%d, %d), want (4, 1)", a.Throwaway[0], a.ThrowawayCount)
 	}
 	b.AddPairs([]int64{12, 19}, []int64{10, 20})
 	b.AddMasked(b.Lookup(15), 0, 99, 0) // reached, never counted
@@ -179,15 +177,6 @@ func TestDenseFoldPairsAndMerge(t *testing.T) {
 	}
 	if a.Count(a.Find(12)) != 3 {
 		t.Errorf("count(12)=%d, want 3", a.Count(a.Find(12)))
-	}
-	// A hashed destination takes a key-addressed source through the probe.
-	h := NewAggTable(1, 4)
-	h.Add(h.Lookup(12), 0, 100)
-	if merged := h.MergeFrom(b); merged != 2 {
-		t.Errorf("hashed <- dense merged %d groups, want 2", merged)
-	}
-	if h.Acc(h.Find(12), 0) != 110 || h.Acc(h.Find(19), 0) != 20 || h.Find(15) >= 0 {
-		t.Error("hashed <- dense merge lost or invented a group")
 	}
 }
 
@@ -201,7 +190,6 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 		"AddPairsMasked": func(t *AggTable, k int64) {
 			t.AddPairsMasked([]int64{3, k}, []int64{1, 1}, []byte{1, 0})
 		},
-		"FoldPairs": func(t *AggTable, k int64) { t.FoldPairs([]int64{k}, []int64{1}) },
 		"FoldTile": func(t *AggTable, k int64) {
 			t.FoldTile([]int64{3, k}, make([]int32, 2), 0, []int64{1, 1}, []byte{1, 0})
 		},
@@ -247,8 +235,8 @@ func TestFormBytes(t *testing.T) {
 	if got := DenseBytes(1, 1_000_000, true); got != 8_000_000 {
 		t.Errorf("DenseBytes(1, 1M, packed) = %d", got)
 	}
-	if tab := NewDenseAggTable(1, 0, 999, true); tab.Cap() != 1000 || tab.SlotBytes() != 8 || len(tab.recs) != 1000 {
-		t.Errorf("packed table: cap=%d slot=%dB words=%d, want 1000, 8 and 1000", tab.Cap(), tab.SlotBytes(), len(tab.recs))
+	if tab := NewDenseAggTable(1, 0, 999, true); tab.Cap() != 1000 || len(tab.recs) != 1000 {
+		t.Errorf("packed table: cap=%d words=%d, want 1000 and 1000", tab.Cap(), len(tab.recs))
 	}
 	if got, want := HashedBytes(1, 1000), 2048*(8+1+4+16); got != want {
 		t.Errorf("HashedBytes(1, 1000) = %d, want %d", got, want)
@@ -334,7 +322,7 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 		tab.MaxTile(slots, 1, vals[:third], cmp[:third])
 		// Fused pair folds, masked then plain.
 		tab.AddPairsMasked(keys[third:2*third], vals[third:2*third], cmp[third:2*third])
-		tab.FoldPairs(keys[2*third:], vals[2*third:])
+		tab.AddPairs(keys[2*third:], vals[2*third:])
 		// Eager aggregation: delete every seventh key of the domain.
 		for k := lo; k < lo+int64(domain); k += 7 {
 			tab.Delete(k)
@@ -373,9 +361,8 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 // key-addressed and the hashed table fold one stream through every entry
 // point and hold the same groups after each. The stream's values span all
 // the packing proof admits — |v| ≤ (2^31-1)/n over n tuples, both signs — so
-// no sum of any subset leaves int32. A hashed merge counts one tuple per
-// source group, so from the merge on the hashed table is held to the same
-// keys and sums only.
+// no sum of any subset leaves int32. Only key-addressed tables merge: the
+// hashed one folds the merged segment itself.
 func packedAgree(t *testing.T, domain int, data []byte) {
 	t.Helper()
 	lo := int64(-domain / 2)
@@ -396,15 +383,9 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 	tabs := [3]*AggTable{NewDenseAggTable(1, lo, hi, true), NewDenseAggTable(1, lo, hi, false), NewAggTable(1, 1)}
 	srcs := [3]*AggTable{NewDenseAggTable(1, lo, hi, true), NewDenseAggTable(1, lo, hi, false), NewAggTable(1, 1)}
 	type group struct{ key, sum, cnt int64 }
-	collect := func(tab *AggTable, counts bool) []group {
+	collect := func(tab *AggTable) []group {
 		var out []group
-		tab.ForEach(false, func(k int64, s int) {
-			g := group{k, tab.Acc(s, 0), 0}
-			if counts {
-				g.cnt = tab.Count(s)
-			}
-			out = append(out, g)
-		})
+		tab.ForEach(false, func(k int64, s int) { out = append(out, group{k, tab.Acc(s, 0), tab.Count(s)}) })
 		return out
 	}
 	seg := func(i int) ([]int64, []int64, []byte) {
@@ -421,7 +402,12 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 		}},
 		{"AddPairs", func(tab, _ *AggTable) { k, v, _ := seg(1); tab.AddPairs(k, v) }},
 		{"AddPairsMasked", func(tab, _ *AggTable) { k, v, m := seg(2); tab.AddPairsMasked(k, v, m) }},
-		{"FoldPairs", func(tab, _ *AggTable) { k, v, _ := seg(3); tab.FoldPairs(k, v) }},
+		{"FoldTile, SumTile", func(tab, _ *AggTable) {
+			k, v, m := seg(3)
+			slots := make([]int32, len(k))
+			tab.FoldTile(k, slots, 0, nil, m)
+			tab.SumTile(slots, 0, v, m)
+		}},
 		{"Add/AddMasked", func(tab, _ *AggTable) {
 			k, v, m := seg(4)
 			for i := range k {
@@ -434,6 +420,14 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 		}},
 		{"MergeFrom", func(tab, src *AggTable) {
 			k, v, m := seg(5)
+			if tab.span == 0 { // merged groups, not the source's throwaway entry
+				for i := range k {
+					if k[i] != NullKey {
+						tab.AddMasked(tab.Lookup(k[i]), 0, v[i], m[i])
+					}
+				}
+				return
+			}
 			src.AddPairsMasked(k, v, m)
 			tab.MergeFrom(src)
 		}},
@@ -443,23 +437,21 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 			}
 		}},
 	}
-	merged := false
 	for _, st := range steps {
 		for i, tab := range tabs {
 			st.fold(tab, srcs[i])
 		}
-		merged = merged || st.name == "MergeFrom"
-		p, d := collect(tabs[0], true), collect(tabs[1], true)
+		p, d := collect(tabs[0]), collect(tabs[1])
 		if !slices.IsSortedFunc(p, func(a, b group) int { return int(a.key - b.key) }) {
 			t.Fatalf("after %s: packed walk out of key order", st.name)
 		}
 		if !slices.Equal(p, d) {
 			t.Fatalf("after %s, the record forms disagree over domain %d:\n packed %v\n int64  %v", st.name, domain, p, d)
 		}
-		h, ref := collect(tabs[2], !merged), collect(tabs[0], !merged)
+		h := collect(tabs[2])
 		slices.SortFunc(h, func(a, b group) int { return int(a.key - b.key) })
-		if !slices.Equal(ref, h) {
-			t.Fatalf("after %s, the addressing forms disagree over domain %d:\n packed %v\n hashed %v", st.name, domain, ref, h)
+		if !slices.Equal(p, h) {
+			t.Fatalf("after %s, the addressing forms disagree over domain %d:\n packed %v\n hashed %v", st.name, domain, p, h)
 		}
 		for i, tab := range tabs {
 			if tab.Throwaway[0] != tabs[2].Throwaway[0] || tab.ThrowawayCount != tabs[2].ThrowawayCount {
@@ -467,13 +459,13 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 					tab.Throwaway[0], tab.ThrowawayCount, tabs[2].Throwaway[0], tabs[2].ThrowawayCount)
 			}
 		}
-		// A hashed Len, Contains and Find also see groups only rejected
-		// tuples reached; the key-addressed forms have none to see.
+		// A hashed Len and Find also see groups only rejected tuples
+		// reached; the key-addressed forms have none to see.
 		if tabs[0].Len() != len(p) || tabs[1].Len() != len(p) {
 			t.Fatalf("after %s: Len %d and %d, the walk %d groups", st.name, tabs[0].Len(), tabs[1].Len(), len(p))
 		}
 		for k := lo; k <= hi; k++ {
-			if in := tabs[0].Contains(k); in != tabs[1].Contains(k) || in != (tabs[0].Find(k) >= 0) || in != (tabs[1].Find(k) >= 0) {
+			if (tabs[0].Find(k) >= 0) != (tabs[1].Find(k) >= 0) {
 				t.Fatalf("after %s: the record forms disagree on whether key %d is present", st.name, k)
 			}
 		}

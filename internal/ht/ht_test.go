@@ -272,37 +272,6 @@ func TestHash64Mixes(t *testing.T) {
 	}
 }
 
-func TestAggTableContains(t *testing.T) {
-	tab := NewAggTable(1, 4)
-	for _, k := range []int64{3, 99, -5, 1 << 40} {
-		tab.Lookup(k)
-	}
-	probes := tab.Probes
-	for _, k := range []int64{3, 99, -5, 1 << 40} {
-		if !tab.Contains(k) {
-			t.Errorf("Contains(%d) = false after insert", k)
-		}
-	}
-	for _, k := range []int64{4, 100, 0} {
-		if tab.Contains(k) {
-			t.Errorf("Contains(%d) = true, never inserted", k)
-		}
-	}
-	if tab.Contains(NullKey) {
-		t.Error("Contains(NullKey) must be false (throwaway is not a slot)")
-	}
-	if tab.Probes != probes {
-		t.Errorf("Contains mutated the Probes counter: %d -> %d", probes, tab.Probes)
-	}
-	tab.Delete(99)
-	if tab.Contains(99) {
-		t.Error("Contains(99) = true after delete")
-	}
-	if !tab.Contains(3) {
-		t.Error("Contains(3) = false after unrelated delete")
-	}
-}
-
 func TestAggTableReset(t *testing.T) {
 	tab := NewAggTable(2, 8)
 	for k := int64(0); k < 10; k++ {
@@ -326,9 +295,6 @@ func TestAggTableReset(t *testing.T) {
 	for k := int64(0); k < 10; k++ {
 		if tab.Find(k) != -2 {
 			t.Errorf("key %d survived Reset", k)
-		}
-		if tab.Contains(k) {
-			t.Errorf("Contains(%d) after Reset", k)
 		}
 	}
 	// Reinsert a key that occupied a slot last generation: the slot's

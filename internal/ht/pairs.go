@@ -5,43 +5,10 @@ import (
 	"slices"
 )
 
-// Software prefetch for the random-access loops. Go exposes no prefetch
-// intrinsic, so the kernels touch the target cache line with a real load a
-// tunable distance ahead of its use; the out-of-order window then overlaps
-// the miss with the work in between. Each Touch returns the loaded bytes
-// folded to a uint64 — callers must accumulate it into a live sink (a
-// per-worker field) so the compiler cannot eliminate the loads (a bare
-// `_ = slice[i]` compiles to only a bounds check). Returning instead of
-// writing a shared sink keeps concurrent probe-side workers race-free.
-//
-// The touch targets are home slots: linear probing means a displaced key
-// still starts its chain on the touched line, and at the ≤¾ load factors
-// the tables run at, most probes end there too.
-
-// PrefetchDist is the lookahead distance, in elements, between a touch and
-// the probe/scatter that uses the line. Large enough to cover a DRAM miss
-// (~100ns) with the ~10ns of work per element between them, small enough
-// that touched lines survive in L1. Variable, not constant, so experiments
-// can tune it; kernels read it once per tile.
-var PrefetchDist = 12
-
-// PrefetchMinBytes is the smallest table footprint the touch-lookahead
-// loops bother prefetching. Below it the table lives in the fast cache
-// levels, a probe's home line is a hit anyway, and the touch is pure
-// extra hash-and-load work. Variable for experiments, like PrefetchDist.
-var PrefetchMinBytes = 8 << 20
-
-// Touch loads key's home cache lines (key, epoch and state arrays) ahead
-// of a Lookup/Find/Add on the same key. The caller accumulates the return
-// value into a live sink. A key-addressed table has no probe to get ahead
-// of — its one access is the record itself — so Touch loads nothing.
-func (t *AggTable) Touch(key int64) uint64 {
-	if key == NullKey || t.span != 0 {
-		return 0
-	}
-	i := hash64(uint64(key)) & t.mask
-	return uint64(t.keys[i]) + uint64(t.epoch[i]) + uint64(t.state[i])
-}
+// The pair face of AggTable: walking its groups (NextLive, Key), emitting
+// them as interleaved (key, sum) pairs (AppendGroups), merging two tables
+// (MergeFrom), and folding (key, value) pairs with and without a mask
+// (AddPairs, AddPairsMasked).
 
 // NextLive returns the first slot at or after i holding a group, or -1 when
 // none remain. Groups whose tuple count is zero are skipped unless
@@ -118,73 +85,28 @@ func (t *AggTable) appendPacked(dst []int64) []int64 {
 	return dst
 }
 
-// mergeRing bounds the MergeFrom lookahead window; power of two ≥ any
-// sensible PrefetchDist.
-const mergeRing = 32
-
-// MergeFrom folds src's groups with a positive tuple count into dst and
-// returns how many it merged. Two key-addressed tables of one domain and
-// record form merge by element-wise addition of their records (or words) —
-// a sequential pass, the per-worker merge of the direct path. Otherwise the
-// groups are looked up with software prefetch: each group's home line in
-// dst is touched PrefetchDist groups before its Lookup, so the DRAM misses
-// of an out-of-cache destination overlap instead of serializing;
-// accumulators are added pairwise and the destination count is bumped once
-// per source group — exactly the fold the per-worker merge loops perform.
-// Lanes merge by addition either way, so only sum lanes may be merged.
+// MergeFrom folds src's groups into dst and returns how many it merged: two
+// key-addressed tables of one domain and record form merge by element-wise
+// addition of their records (or words) — a sequential pass, the per-worker
+// merge of a gang scan. Records add lane by lane, so only tables of sums and
+// counts may be merged; any other pair of tables panics.
 // Single-owner: dst and src must not be concurrently accessed.
 func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
-	if dst.span != 0 && dst.span == src.span && dst.lo == src.lo && dst.nAccs == src.nAccs && dst.stride == src.stride {
-		var merged uint64
-		n := dst.stride
-		d, s := dst.recs, src.recs[:len(dst.recs)]
-		for c := n - 1; c < len(d); c += n {
-			if s[c] == 0 {
-				continue
-			}
-			for a := c - n + 1; a <= c; a++ {
-				d[a] += s[a]
-			}
-			merged++
-		}
-		return merged
+	if dst.span == 0 || dst.span != src.span || dst.lo != src.lo || dst.nAccs != src.nAccs || dst.stride != src.stride {
+		panic("ht: MergeFrom needs two key-addressed tables of one domain and record form")
 	}
-	d := PrefetchDist
-	if d < 1 {
-		d = 1
-	}
-	if d > mergeRing-1 {
-		d = mergeRing - 1
-	}
-	var ring [mergeRing]int32
-	var sink uint64
-	lead := src.NextLive(0, false)
-	lag, queued := 0, 0
-	for lead >= 0 && queued < d {
-		sink += dst.Touch(src.Key(lead))
-		ring[(lag+queued)&(mergeRing-1)] = int32(lead)
-		queued++
-		lead = src.NextLive(lead+1, false)
-	}
-	accs := min(src.nAccs, dst.nAccs)
 	var merged uint64
-	for queued > 0 {
-		s := int(ring[lag&(mergeRing-1)])
-		lag++
-		queued--
-		if lead >= 0 {
-			sink += dst.Touch(src.Key(lead))
-			ring[(lag+queued)&(mergeRing-1)] = int32(lead)
-			queued++
-			lead = src.NextLive(lead+1, false)
+	n := dst.stride
+	d, s := dst.recs, src.recs[:len(dst.recs)]
+	for c := n - 1; c < len(d); c += n {
+		if s[c] == 0 {
+			continue
 		}
-		j := dst.Lookup(src.Key(s))
-		for a := 0; a < accs; a++ {
-			dst.Add(j, a, src.Acc(s, a))
+		for a := c - n + 1; a <= c; a++ {
+			d[a] += s[a]
 		}
 		merged++
 	}
-	dst.pf += sink
 	return merged
 }
 
@@ -310,47 +232,4 @@ func (t *AggTable) addPairsMaskedPacked(keys, vals []int64, cmp []byte) {
 		m := int64(cmp[i])
 		recs[u] += (vals[i]*m)<<32 + m
 	}
-}
-
-// FoldPairs aggregates a chunk of (key, value) pairs into accumulator 0 —
-// the phase-2 radix fold. When a hashed table's footprint is past
-// PrefetchMinBytes, each key's home line is touched PrefetchDist pairs
-// ahead of its Lookup so the probe misses overlap; a cache-resident table
-// (the usual radix sub-table case) and a key-addressed one take AddPairs'
-// plain loop instead. It returns the number of pairs folded with the
-// lookahead (0 for the plain loop), which callers tally as their
-// prefetched-probe count.
-// Single-owner: the table must not be concurrently accessed.
-func (t *AggTable) FoldPairs(keys, vals []int64) int {
-	n := len(keys)
-	if t.span != 0 || len(t.keys)*t.SlotBytes() < PrefetchMinBytes {
-		t.AddPairs(keys, vals)
-		return 0
-	}
-	d := PrefetchDist
-	var sink uint64
-	for j := 0; j < d && j < n; j++ {
-		sink += t.Touch(keys[j])
-	}
-	for i := 0; i < n; i++ {
-		if i+d < n {
-			sink += t.Touch(keys[i+d])
-		}
-		t.Add(t.Lookup(keys[i]), 0, vals[i])
-	}
-	t.pf += sink
-	return n
-}
-
-// Touch loads key's home cache lines ahead of a Probe/Insert. The caller
-// accumulates the return value into a live sink.
-func (t *JoinTable) Touch(key int64) uint64 {
-	i := hash64(uint64(key)) & t.mask
-	return uint64(t.keys[i]) + uint64(t.epoch[i]) + uint64(t.state[i])
-}
-
-// Touch loads key's home cache lines in its partition's sub-table ahead of
-// a Probe.
-func (t *PartitionedJoinTable) Touch(key int64) uint64 {
-	return t.subs[hash64(uint64(key))>>t.shift].Touch(key)
 }

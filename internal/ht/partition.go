@@ -1,257 +1,63 @@
 package ht
 
-// Radix partitioning: the paper's pullup philosophy applied one level
-// below the operators. A hash table that exceeds the cache turns every
-// Lookup into a random DRAM access; SWOLE's thesis — trade extra
-// sequential work for access locality — says to split that one random
-// pass into two sequential ones. Phase 1 appends each (key, value) pair
-// into the partition selected by the top bits of the key's hash: a pure
-// sequential write per tuple, no probes. Phase 2 visits one partition at
-// a time and aggregates (or builds) it in a table 1/P the size, which the
-// cost model picks P to make cache-resident. Partitions are disjoint in
-// key space, so phase 2 parallelizes across partitions with no shared
-// mutable state and no final cross-worker fold.
-//
-// Partitioner is one worker's phase-1 buffer set; PartitionedJoinTable is
-// the phase-2 structure for equijoin build sides (AggTable, recycled per
-// partition, serves aggregation phase 2 directly).
+// Partitioner buffers (key, value) pairs in one of a power-of-two number of
+// partitions chosen by the top bits of the key's hash: the scatter of a
+// radix-partitioned aggregation, in which a second pass would fold each
+// partition in a table small enough to stay in cache. The engine runs no
+// such aggregation (every group table is folded in place); the partitioner
+// remains as the measured price of the scatter itself, benchmark/'s
+// ht.scatter_ns_per_row rung, against which a radix technique would be
+// weighed.
+type Partitioner struct {
+	shift uint
+	keys  [][]int64
+	vals  [][]int64
+}
 
-// MaxPartitions bounds the radix fan-out. 1024 partitions keep the
-// per-worker slice-header array trivial while letting a ~256 MB table be
-// cut into L2-sized pieces.
+// MaxPartitions bounds the fan-out.
 const MaxPartitions = 1024
 
-// PartitionCount rounds a requested fan-out to the power of two the
-// partitioning primitives require, clamped to [1, MaxPartitions].
-func PartitionCount(parts int) int {
-	if parts < 1 {
-		return 1
-	}
-	if parts > MaxPartitions {
-		parts = MaxPartitions
-	}
-	p := 1
-	for p < parts {
-		p <<= 1
-	}
-	return p
-}
-
-// partitionShift returns the right-shift that maps a 64-bit hash to a
-// partition index in [0, parts) using the hash's top bits. parts must be
-// a power of two; parts == 1 shifts by 64, which Go defines as 0.
-func partitionShift(parts int) uint {
-	s := uint(64)
-	for p := 1; p < parts; p <<= 1 {
-		s--
-	}
-	return s
-}
-
-// PartitionOf returns key's partition under the given shift — the same
-// routing Partitioner.Append and PartitionedJoinTable use, exposed so
-// tests and phase-2 consumers can agree on placement.
-func PartitionOf(key int64, shift uint) int {
-	return int(hash64(uint64(key)) >> shift)
-}
-
-// Partitioner is one worker's per-partition (key, value) append cursors
-// over a ScatterPool's chunk arena. Each partition holds a linked list of
-// claimed chunks; appends are sequential writes into the tail chunk, and a
-// fold over one partition is a sequential walk of its chunk list. Several
-// partitioners (one per scatter worker) may share one pool and append
-// concurrently: chunk claims are atomic and a claimed chunk is written
-// only by the partitioner that claimed it. Reset drops the chunk lists in
-// O(parts); the pool's chunks become reusable at the pool's own Reset, so
-// a steady-state workload scatters into warm memory and allocates nothing
-// after the pool is reserved — no matter how the rows split across
-// workers (see ScatterPool).
-type Partitioner struct {
-	pool  *ScatterPool
-	owned *ScatterPool // non-nil when the pool is private: Reset resets it
-	shift uint
-	rows  int
-	head  []int32 // per-partition first chunk, -1 when empty
-	tail  []int32 // per-partition last chunk, -1 when empty
-	off   []int32 // absolute next-write index into the pool's pair arrays
-	lim   []int32 // absolute end of the tail chunk; off == lim ⇒ claim
-}
-
-// NewPartitioner returns a standalone partitioner with the given fan-out
-// (rounded to a power of two, clamped to [1, MaxPartitions]) over its own
-// growable pool — the single-goroutine form; Reset recycles the pool too.
+// NewPartitioner returns a partitioner with parts partitions, rounded up to
+// a power of two and clamped to [1, MaxPartitions].
 func NewPartitioner(parts int) *Partitioner {
-	p := NewPartitionerOn(&ScatterPool{}, parts)
-	p.owned = p.pool
-	return p
-}
-
-// NewPartitionerOn returns a partitioner appending into a shared pool.
-// The caller owns the pool's lifecycle: Reserve it for the planned scatter
-// and Reset it (after resetting every partitioner on it) between runs.
-func NewPartitionerOn(pool *ScatterPool, parts int) *Partitioner {
-	parts = PartitionCount(parts)
-	p := &Partitioner{
-		pool:  pool,
-		shift: partitionShift(parts),
-		head:  make([]int32, parts),
-		tail:  make([]int32, parts),
-		off:   make([]int32, parts),
-		lim:   make([]int32, parts),
+	shift, n := uint(64), 1
+	for n < min(parts, MaxPartitions) {
+		shift, n = shift-1, n*2
 	}
-	p.Reset()
-	return p
+	return &Partitioner{shift: shift, keys: make([][]int64, n), vals: make([][]int64, n)}
 }
 
 // Parts returns the fan-out.
-func (p *Partitioner) Parts() int { return len(p.head) }
+func (p *Partitioner) Parts() int { return len(p.keys) }
 
-// Shift returns the hash shift that routes keys to partitions.
-func (p *Partitioner) Shift() uint { return p.shift }
-
-// Pool returns the chunk arena the partitioner appends into.
-func (p *Partitioner) Pool() *ScatterPool { return p.pool }
-
-// Reset drops every partition's chunk list. On a standalone partitioner
-// (NewPartitioner) the private pool is reset too; on a shared pool the
-// owner resets it once after resetting every partitioner.
-func (p *Partitioner) Reset() {
-	for i := range p.head {
-		p.head[i], p.tail[i] = -1, -1
-		p.off[i], p.lim[i] = 0, 0
-	}
-	p.rows = 0
-	if p.owned != nil {
-		p.owned.Reset()
-	}
-}
-
-// Append buffers one (key, value) pair in key's partition.
+// Append buffers one pair in key's partition.
 func (p *Partitioner) Append(key, val int64) {
-	i := hash64(uint64(key)) >> p.shift
-	o := p.off[i]
-	if o == p.lim[i] {
-		o = p.claim(int(i))
-	}
-	p.pool.keys[o] = key
-	p.pool.vals[o] = val
-	p.off[i] = o + 1
-	p.rows++
+	i := p.PartitionOf(key)
+	p.keys[i] = append(p.keys[i], key)
+	p.vals[i] = append(p.vals[i], val)
 }
 
-// claim links a fresh chunk onto partition i's list and returns its base
-// write index.
-func (p *Partitioner) claim(i int) int32 {
-	c := p.pool.get()
-	if t := p.tail[i]; t >= 0 {
-		p.pool.next[t] = c
-	} else {
-		p.head[i] = c
-	}
-	p.tail[i] = c
-	base := c * ChunkPairs
-	p.lim[i] = base + ChunkPairs
-	return base
-}
+// PartitionOf returns the partition key routes to. With one partition the
+// shift is 64, which Go defines to yield 0.
+func (p *Partitioner) PartitionOf(key int64) int { return int(hash64(uint64(key)) >> p.shift) }
 
-// Head returns partition part's first chunk id, -1 when the partition is
-// empty. Iterate with NextChunk and read pairs with Chunk:
-//
-//	for c := p.Head(part); c >= 0; c = p.NextChunk(c) {
-//		keys, vals := p.Chunk(part, c)
-//		...
-//	}
-func (p *Partitioner) Head(part int) int32 { return p.head[part] }
+// Partition returns partition i's buffered pairs, valid until the next
+// Append or Reset.
+func (p *Partitioner) Partition(i int) (keys, vals []int64) { return p.keys[i], p.vals[i] }
 
-// NextChunk returns the chunk after c in its partition's list, -1 at the
-// end.
-func (p *Partitioner) NextChunk(c int32) int32 { return p.pool.next[c] }
-
-// Chunk returns chunk c's buffered pairs for partition part (every chunk
-// is full except the partition's tail). The slices alias the pool and are
-// invalidated by the pool's next Reset.
-func (p *Partitioner) Chunk(part int, c int32) (keys, vals []int64) {
-	base := c * ChunkPairs
-	end := base + ChunkPairs
-	if c == p.tail[part] {
-		end = p.off[part]
-	}
-	return p.pool.keys[base:end], p.pool.vals[base:end]
-}
-
-// Rows returns the total number of buffered pairs.
-func (p *Partitioner) Rows() int { return p.rows }
-
-// PairBytes approximates the partitioner's buffered-data footprint (two
-// int64 per pair), for memory accounting and the cost model.
-func (p *Partitioner) PairBytes() int { return 16 * p.Rows() }
-
-// PartitionedJoinTable is a radix-partitioned equijoin build side: P
-// independent JoinTables, each covering one slice of the hash space. The
-// two-phase build writes (key, row) pairs through Partitioners in phase 1;
-// in phase 2 each worker claims whole partitions and inserts into that
-// partition's sub-table — disjoint key ranges, so no synchronization —
-// each sub-table 1/P the footprint of a monolithic build and therefore
-// cache-resident during both its build and its probes.
-type PartitionedJoinTable struct {
-	shift uint
-	subs  []*JoinTable
-}
-
-// NewPartitionedJoinTable returns a partitioned join table with the given
-// fan-out (rounded to a power of two, clamped to [1, MaxPartitions]) and
-// room for about hint total keys spread across the sub-tables.
-func NewPartitionedJoinTable(parts, hint int) *PartitionedJoinTable {
-	parts = PartitionCount(parts)
-	sub := hint / parts
-	t := &PartitionedJoinTable{
-		shift: partitionShift(parts),
-		subs:  make([]*JoinTable, parts),
-	}
-	for i := range t.subs {
-		t.subs[i] = NewJoinTable(sub)
-	}
-	return t
-}
-
-// Parts returns the fan-out.
-func (t *PartitionedJoinTable) Parts() int { return len(t.subs) }
-
-// Sub returns partition i's sub-table. Phase-2 build workers that have
-// claimed partition i insert into it directly; distinct partitions may be
-// built concurrently.
-func (t *PartitionedJoinTable) Sub(i int) *JoinTable { return t.subs[i] }
-
-// PartitionOf returns the partition key routes to.
-func (t *PartitionedJoinTable) PartitionOf(key int64) int {
-	return int(hash64(uint64(key)) >> t.shift)
-}
-
-// Reset empties every sub-table in O(parts), keeping capacity.
-func (t *PartitionedJoinTable) Reset() {
-	for _, s := range t.subs {
-		s.Reset()
-	}
-}
-
-// Len returns the total number of keys across all partitions.
-func (t *PartitionedJoinTable) Len() int {
+// Rows returns the number of buffered pairs.
+func (p *Partitioner) Rows() int {
 	n := 0
-	for _, s := range t.subs {
-		n += s.Len()
+	for _, k := range p.keys {
+		n += len(k)
 	}
 	return n
 }
 
-// Insert adds key -> row to key's partition, reporting whether the key
-// was new. Safe only for callers that serialize inserts per partition
-// (the phase-2 contract).
-func (t *PartitionedJoinTable) Insert(key int64, row int32) bool {
-	return t.subs[t.PartitionOf(key)].Insert(key, row)
-}
-
-// Probe returns the build row matching key and whether a match exists.
-// Read-only; safe for concurrent probes once the build phase is done.
-func (t *PartitionedJoinTable) Probe(key int64) (int32, bool) {
-	return t.subs[t.PartitionOf(key)].Probe(key)
+// Reset drops every buffered pair and keeps the capacity, so a refill of the
+// same size allocates nothing.
+func (p *Partitioner) Reset() {
+	for i := range p.keys {
+		p.keys[i], p.vals[i] = p.keys[i][:0], p.vals[i][:0]
+	}
 }

@@ -5,47 +5,32 @@ import (
 	"testing"
 )
 
-func TestPartitionCount(t *testing.T) {
-	cases := map[int]int{
-		-4: 1, 0: 1, 1: 1, 2: 2, 3: 4, 64: 64, 65: 128,
-		MaxPartitions: MaxPartitions, MaxPartitions + 1: MaxPartitions,
-	}
-	for in, want := range cases {
-		if got := PartitionCount(in); got != want {
-			t.Errorf("PartitionCount(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-// TestPartitionerRouting checks every appended pair lands in the
-// partition its key hashes to, across fan-outs including the degenerate
-// single partition.
+// TestPartitionerRouting checks every appended pair lands in the partition
+// its key hashes to, across fan-outs including the degenerate single
+// partition and requests that round up or clamp.
 func TestPartitionerRouting(t *testing.T) {
-	for _, parts := range []int{1, 2, 16, 256} {
-		p := NewPartitioner(parts)
-		if p.Parts() != parts {
-			t.Fatalf("parts=%d: Parts()=%d", parts, p.Parts())
+	for _, tc := range []struct{ ask, parts int }{{-4, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {256, 256}, {MaxPartitions + 1, MaxPartitions}} {
+		p := NewPartitioner(tc.ask)
+		if p.Parts() != tc.parts {
+			t.Fatalf("NewPartitioner(%d): Parts()=%d, want %d", tc.ask, p.Parts(), tc.parts)
 		}
 		rng := rand.New(rand.NewSource(1))
 		n := 10_000
 		for i := 0; i < n; i++ {
-			k := rng.Int63n(1 << 40)
-			p.Append(k, int64(i))
+			p.Append(rng.Int63n(1<<40), int64(i))
 		}
 		p.Append(NullKey, 99) // the masked key routes like any other
 		if got := p.Rows(); got != n+1 {
-			t.Fatalf("parts=%d: Rows()=%d, want %d", parts, got, n+1)
+			t.Fatalf("parts=%d: Rows()=%d, want %d", tc.parts, got, n+1)
 		}
-		for i := 0; i < parts; i++ {
-			for c := p.Head(i); c >= 0; c = p.NextChunk(c) {
-				keys, vals := p.Chunk(i, c)
-				if len(keys) != len(vals) {
-					t.Fatalf("parts=%d part=%d: %d keys vs %d vals", parts, i, len(keys), len(vals))
-				}
-				for _, k := range keys {
-					if got := PartitionOf(k, p.Shift()); got != i {
-						t.Fatalf("parts=%d: key %d buffered in partition %d, hashes to %d", parts, k, i, got)
-					}
+		for i := 0; i < tc.parts; i++ {
+			keys, vals := p.Partition(i)
+			if len(keys) != len(vals) {
+				t.Fatalf("parts=%d part=%d: %d keys vs %d vals", tc.parts, i, len(keys), len(vals))
+			}
+			for _, k := range keys {
+				if got := p.PartitionOf(k); got != i {
+					t.Fatalf("parts=%d: key %d buffered in partition %d, hashes to %d", tc.parts, k, i, got)
 				}
 			}
 		}
@@ -78,17 +63,13 @@ func TestPartitionerReset(t *testing.T) {
 	}
 }
 
-// TestPartitionedAggParity drives the full two-phase flow sequentially —
-// per-"worker" partitioners, then per-partition aggregation into one
-// small recycled table — and checks the result is bit-identical to a
-// single monolithic AggTable over the same stream.
+// TestPartitionedAggParity runs the two-pass flow — scatter, then fold each
+// partition into one small recycled table — and checks the groups are
+// bit-identical to a single AggTable over the same stream.
 func TestPartitionedAggParity(t *testing.T) {
-	const workers, parts, n = 3, 16, 30_000
+	const parts, n = 16, 30_000
 	direct := NewAggTable(1, 1024)
-	ps := make([]*Partitioner, workers)
-	for w := range ps {
-		ps[w] = NewPartitioner(parts)
-	}
+	p := NewPartitioner(parts)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
 		k, v := rng.Int63n(5000), rng.Int63n(100)
@@ -96,7 +77,7 @@ func TestPartitionedAggParity(t *testing.T) {
 			k = NullKey // masked tuples flow through both paths
 		}
 		direct.Add(direct.Lookup(k), 0, v)
-		ps[i%workers].Append(k, v)
+		p.Append(k, v)
 	}
 
 	got := map[int64]int64{}
@@ -104,14 +85,7 @@ func TestPartitionedAggParity(t *testing.T) {
 	var throwaway int64
 	for part := 0; part < parts; part++ {
 		small.Reset()
-		for _, p := range ps {
-			for c := p.Head(part); c >= 0; c = p.NextChunk(c) {
-				keys, vals := p.Chunk(part, c)
-				for i, k := range keys {
-					small.Add(small.Lookup(k), 0, vals[i])
-				}
-			}
-		}
+		small.AddPairs(p.Partition(part))
 		throwaway += small.Throwaway[0]
 		small.ForEach(false, func(key int64, s int) { got[key] = small.Acc(s, 0) })
 	}
@@ -128,155 +102,5 @@ func TestPartitionedAggParity(t *testing.T) {
 	}
 	if throwaway != direct.Throwaway[0] {
 		t.Errorf("throwaway sum %d, direct %d", throwaway, direct.Throwaway[0])
-	}
-}
-
-// TestScatterPoolBound checks the ChunksFor sizing contract: however
-// lopsidedly the pairs split across the sharing partitioners, a fixed pool
-// reserved to the bound is never exhausted and a warm re-run claims no new
-// memory.
-func TestScatterPoolBound(t *testing.T) {
-	const workers, parts, pairs = 3, 16, 40_000
-	pool := NewScatterPool(ChunksFor(pairs, workers, parts))
-	ps := make([]*Partitioner, workers)
-	for w := range ps {
-		ps[w] = NewPartitionerOn(pool, parts)
-	}
-	rng := rand.New(rand.NewSource(5))
-	scatter := func(split func(i int) int) {
-		for _, p := range ps {
-			p.Reset()
-		}
-		pool.Reset()
-		for i := 0; i < pairs; i++ {
-			ps[split(i)].Append(rng.Int63n(1<<40), int64(i))
-		}
-	}
-
-	// Worst case for tail slack: all pairs through one partitioner.
-	scatter(func(int) int { return 0 })
-	if used := pool.ChunksUsed(); used > pool.Chunks() {
-		t.Fatalf("one-sided scatter used %d chunks, reserved %d", used, pool.Chunks())
-	}
-	// Then the opposite schedule: round-robin. Same pool, no growth.
-	before := pool.Chunks()
-	allocs := testing.AllocsPerRun(5, func() {
-		scatter(func(i int) int { return i % workers })
-	})
-	if allocs != 0 {
-		t.Errorf("warm re-scatter allocates %.1f per run, want 0", allocs)
-	}
-	if pool.Chunks() != before {
-		t.Errorf("pool grew %d → %d chunks across schedule change", before, pool.Chunks())
-	}
-	total := 0
-	for _, p := range ps {
-		total += p.Rows()
-	}
-	if total != pairs {
-		t.Fatalf("Rows sum %d, want %d", total, pairs)
-	}
-	if pool.Reserve(pool.Chunks()) {
-		t.Error("Reserve at current capacity reported growth")
-	}
-	if !pool.Reserve(pool.Chunks() + 8) {
-		t.Error("Reserve past capacity reported no growth")
-	}
-}
-
-// TestScatterPoolSharedParity checks pairs scattered through several
-// partitioners on one shared pool read back exactly, chunk lists intact,
-// against a per-partition reference.
-func TestScatterPoolSharedParity(t *testing.T) {
-	const workers, parts, pairs = 4, 8, 10_000
-	pool := NewScatterPool(ChunksFor(pairs, workers, parts))
-	ps := make([]*Partitioner, workers)
-	for w := range ps {
-		ps[w] = NewPartitionerOn(pool, parts)
-	}
-	rng := rand.New(rand.NewSource(21))
-	want := map[int64]int64{} // key → sum of vals, across all workers
-	for i := 0; i < pairs; i++ {
-		k, v := rng.Int63n(4096), rng.Int63n(100)
-		ps[rng.Intn(workers)].Append(k, v)
-		want[k] += v
-	}
-	got := map[int64]int64{}
-	for part := 0; part < parts; part++ {
-		for _, p := range ps {
-			for c := p.Head(part); c >= 0; c = p.NextChunk(c) {
-				keys, vals := p.Chunk(part, c)
-				for i, k := range keys {
-					if PartitionOf(k, p.Shift()) != part {
-						t.Fatalf("key %d read from partition %d, hashes elsewhere", k, part)
-					}
-					got[k] += vals[i]
-				}
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d keys read back, want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("key %d: sum %d, want %d", k, got[k], w)
-		}
-	}
-}
-
-// TestPartitionedJoinTable checks the partitioned build/probe against a
-// monolithic JoinTable: same membership, same rows, duplicate handling,
-// and correct sub-table routing.
-func TestPartitionedJoinTable(t *testing.T) {
-	const parts, n = 32, 20_000
-	pt := NewPartitionedJoinTable(parts, n)
-	direct := NewJoinTable(n)
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(1 << 50)
-		pt.Insert(keys[i], int32(i))
-		direct.Insert(keys[i], int32(i))
-	}
-	if pt.Len() != direct.Len() {
-		t.Fatalf("partitioned len %d, direct %d", pt.Len(), direct.Len())
-	}
-	for _, k := range keys {
-		grow, gok := pt.Probe(k)
-		drow, dok := direct.Probe(k)
-		if gok != dok || grow != drow {
-			t.Fatalf("key %d: partitioned %d,%v direct %d,%v", k, grow, gok, drow, dok)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		k := rng.Int63n(1<<50) | (1 << 51) // disjoint from inserted range
-		if _, ok := pt.Probe(k); ok {
-			t.Fatalf("absent key %d probed true", k)
-		}
-	}
-	// Duplicate inserts keep the first row, as in JoinTable.
-	if pt.Insert(keys[0], 999) {
-		t.Error("duplicate insert reported new")
-	}
-	if row, _ := pt.Probe(keys[0]); row != 0 {
-		t.Errorf("duplicate insert overwrote row: %d", row)
-	}
-	// Sub-table routing agrees with PartitionOf.
-	for i := 0; i < parts; i++ {
-		if pt.Sub(i) == nil {
-			t.Fatalf("nil sub-table %d", i)
-		}
-	}
-	if p := pt.PartitionOf(keys[1]); pt.Sub(p).Len() == 0 {
-		t.Errorf("key %d routed to empty sub-table %d", keys[1], p)
-	}
-
-	pt.Reset()
-	if pt.Len() != 0 {
-		t.Fatalf("len %d after Reset", pt.Len())
-	}
-	if _, ok := pt.Probe(keys[0]); ok {
-		t.Error("key survived Reset")
 	}
 }

@@ -80,21 +80,6 @@ func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 	return true
 }
 
-// MaskKeysInto materializes masked group-by keys from rows [base, base+n)
-// at the column's native width: lanes whose cmp lane is 0 receive nullKey.
-func (c *Column) MaskKeysInto(base, n int, cmp []byte, nullKey int64, out []int64) {
-	switch c.Kind {
-	case KindInt8:
-		vec.MaskKeysU(c.I8[base:base+n], cmp, nullKey, out)
-	case KindInt16:
-		vec.MaskKeysU(c.I16[base:base+n], cmp, nullKey, out)
-	case KindInt32:
-		vec.MaskKeysU(c.I32[base:base+n], cmp, nullKey, out)
-	default:
-		vec.MaskKeysU(c.I64[base:base+n], cmp, nullKey, out)
-	}
-}
-
 // SumMaskedRange sums column[base+i]*cmp[i] over [base, base+n) with the
 // unrolled masked-aggregation kernel at native width.
 func (c *Column) SumMaskedRange(base, n int, cmp []byte) int64 {

@@ -76,8 +76,6 @@ type Counters struct {
 	DictKeys  uint64 // tiles whose keys came dict-coded (narrow codes)
 	MaskedAgg uint64 // unrolled masked-aggregation tiles
 	KeyMask   uint64 // unrolled masked key-materialization tiles
-
-	PrefetchProbe uint64 // hash-probe/merge tiles run with software prefetch
 }
 
 // Add accumulates o into c; used to merge per-worker counters at the end
@@ -93,7 +91,6 @@ func (c *Counters) Add(o *Counters) {
 	c.DictKeys += o.DictKeys
 	c.MaskedAgg += o.MaskedAgg
 	c.KeyMask += o.KeyMask
-	c.PrefetchProbe += o.PrefetchProbe
 }
 
 // Reset zeroes the counters in place.
@@ -112,19 +109,19 @@ func (c *Counters) CountSel(d Density) {
 }
 
 // String renders the counters compactly: selection tiles by density class,
-// cmp/widen tiles by lane width (w8..w64), then the masked and prefetched
+// cmp/widen tiles by lane width (w8..w64), then the dict and masked
 // tallies.
 func (c *Counters) String() string {
-	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d vmask=%d kmask=%d pf_probe=%d",
+	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d vmask=%d kmask=%d",
 		c.SelSparse, c.SelMid, c.SelDense, c.Cmp, c.Widen,
-		c.DictKeys, c.MaskedAgg, c.KeyMask, c.PrefetchProbe)
+		c.DictKeys, c.MaskedAgg, c.KeyMask)
 }
 
 // Total returns the total number of variant decisions recorded, used to
 // tell "no counters collected" apart from "all zero".
 func (c *Counters) Total() uint64 {
 	t := c.SelSparse + c.SelMid + c.SelDense +
-		c.DictKeys + c.MaskedAgg + c.KeyMask + c.PrefetchProbe
+		c.DictKeys + c.MaskedAgg + c.KeyMask
 	for i := range c.Cmp {
 		t += c.Cmp[i] + c.Widen[i]
 	}

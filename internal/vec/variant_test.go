@@ -256,13 +256,12 @@ func TestCountersAddAndTotal(t *testing.T) {
 	a.DictKeys = 1
 	a.MaskedAgg = 4
 	a.KeyMask = 5
-	a.PrefetchProbe = 7
 	b.Add(&a)
 	b.Add(&a)
 	if b.SelSparse != 2 || b.SelMid != 2 || b.SelDense != 2 {
 		t.Errorf("sel counters: %+v", b)
 	}
-	if b.Cmp[0] != 4 || b.Widen[3] != 6 || b.PrefetchProbe != 14 {
+	if b.Cmp[0] != 4 || b.Widen[3] != 6 || b.KeyMask != 10 {
 		t.Errorf("merged counters: %+v", b)
 	}
 	if got, want := b.Total(), 2*a.Total(); got != want {

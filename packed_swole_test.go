@@ -74,9 +74,8 @@ func packedDB(t testing.TB) *DB {
 	return d
 }
 
-// packedStatements: the hand group-by, count(*) as the hand plan's sum(1),
-// the tile pipeline's one-lane grouped statements — the eager groupjoin
-// among them — over each argument, with the domain and accumulator lanes of
+// packedStatements: the classic group-by, count(*), and the other one-lane
+// grouped statements — the eager groupjoin among them — over each argument, with the domain and accumulator lanes of
 // their table and whether it packs at packedRows rows and after one more.
 var packedStatements = []struct {
 	q             string
@@ -97,18 +96,12 @@ var packedStatements = []struct {
 
 // checkPackedForm runs q through QuerySwole and checks the table it reports:
 // domain×8 bytes when packed, domain×8×(lanes+1) when not, beside a join
-// edge's bitmap; a hashed table on the radix path.
+// edge's bitmap.
 func checkPackedForm(t *testing.T, d *DB, q, tag string, domain, lanes int, packed bool) {
 	t.Helper()
 	_, ex, err := d.QuerySwole(q)
 	if err != nil {
 		t.Fatalf("%s %q: %v", tag, q, err)
-	}
-	if ex.Partitioned {
-		if ex.DenseDomain != 0 {
-			t.Errorf("%s %q: partitioned onto a key-addressed table", tag, q)
-		}
-		return
 	}
 	want := domain * 8 * (lanes + 1)
 	if packed {
@@ -122,8 +115,7 @@ func checkPackedForm(t *testing.T, d *DB, q, tag string, domain, lanes int, pack
 
 // TestPackedFormBoundary: at 65,535 rows an int16 sum packs and answers as
 // the interpreter does under every technique, at one and two workers (two
-// workers' packed tables merge by word addition) and on the radix path,
-// which stays hashed; one appended row later the recompiled plans are int64
+// workers' packed tables merge by word addition); one appended row later the recompiled plans are int64
 // and still answer the same. int32 and expression arguments, and a second
 // lane, never pack.
 func TestPackedFormBoundary(t *testing.T) {
@@ -136,29 +128,25 @@ func TestPackedFormBoundary(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
-				d.SetWorkers(workers)
-				d.SetPartitionMode(mode)
-				tag := fmt.Sprintf("appended=%v workers=%d partition=%s", after, workers, mode)
-				for _, s := range packedStatements {
-					packed := s.packed
-					if after {
-						packed = s.after
-					}
-					checkPackedForm(t, d, s.q, tag, s.domain, s.lanes, packed)
-					checkEveryPath(t, d, s.q, tag, false)
+			d.SetWorkers(workers)
+			tag := fmt.Sprintf("appended=%v workers=%d", after, workers)
+			for _, s := range packedStatements {
+				packed := s.packed
+				if after {
+					packed = s.after
 				}
+				checkPackedForm(t, d, s.q, tag, s.domain, s.lanes, packed)
+				checkEveryPath(t, d, s.q, tag, false)
 			}
 		}
 	}
-	d.SetPartitionMode(PartitionAuto)
 	d.SetWorkers(0)
 }
 
 // TestSumOverflowWraps: sums wrap at 64 bits, in two's complement, the same
-// on every path — the hand group-by, the tile pipeline scalar and grouped
-// (both on the gang), the groupjoin, every forced technique, the radix path
-// — as in the interpreter.
+// on every path — the tile pipeline scalar and grouped (both on the gang),
+// the classic group-by's pair emission, the groupjoin, every forced
+// technique — as in the interpreter.
 func TestSumOverflowWraps(t *testing.T) {
 	d := packedDB(t)
 	defer d.Close()
@@ -167,25 +155,21 @@ func TestSumOverflowWraps(t *testing.T) {
 		want += math.MaxInt64/3 + int64(i)
 	}
 	for _, workers := range []int{1, 2} {
-		for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
-			d.SetWorkers(workers)
-			d.SetPartitionMode(mode)
-			tag := fmt.Sprintf("workers=%d partition=%s", workers, mode)
-			for _, q := range []string{
-				"select sum(big) as s from t",
-				"select sum(big) as s, count(*) as n from t where x < 50",
-				"select k, sum(big) from t group by k",
-				"select k, sum(big) from t where x < 50 group by k",
-				"select k, sum(big) as s, count(*) as n from t where x < 50 group by k",
-				"select t_fk, sum(big) from t, d where t_fk = d_pk and d_x < 50 group by t_fk",
-			} {
-				rows := checkEveryPath(t, d, q, tag, false)
-				if q == "select sum(big) as s from t" && rows[0][0] != want {
-					t.Fatalf("%s: sum(big) = %d, want the wrapped %d", tag, rows[0][0], want)
-				}
+		d.SetWorkers(workers)
+		tag := fmt.Sprintf("workers=%d", workers)
+		for _, q := range []string{
+			"select sum(big) as s from t",
+			"select sum(big) as s, count(*) as n from t where x < 50",
+			"select k, sum(big) from t group by k",
+			"select k, sum(big) from t where x < 50 group by k",
+			"select k, sum(big) as s, count(*) as n from t where x < 50 group by k",
+			"select t_fk, sum(big) from t, d where t_fk = d_pk and d_x < 50 group by t_fk",
+		} {
+			rows := checkEveryPath(t, d, q, tag, false)
+			if q == "select sum(big) as s from t" && rows[0][0] != want {
+				t.Fatalf("%s: sum(big) = %d, want the wrapped %d", tag, rows[0][0], want)
 			}
 		}
 	}
-	d.SetPartitionMode(PartitionAuto)
 	d.SetWorkers(0)
 }

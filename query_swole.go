@@ -45,8 +45,8 @@ type Explain struct {
 	// DenseDomain is the key domain of the key-addressed group table the
 	// statement aggregated into — slot = key - lo, emission in key order
 	// without a sort — or 0 when the hashed table ran. The form is chosen at
-	// compile time from the key's known domain; Costs["dense"],
-	// Costs["hashed"] and Costs["partitioned"] hold the priced alternatives.
+	// compile time from the key's known domain; Costs["dense"] and
+	// Costs["hashed"] hold the priced alternatives.
 	DenseDomain int
 	// Costs holds the per-alternative cost model evaluations.
 	Costs map[string]float64
@@ -73,22 +73,15 @@ type Explain struct {
 	// zero when the plan was replayed from the cache (PlanCached).
 	PrepareTime, StatsTime time.Duration
 
-	// Partitioned reports the radix-partitioned two-phase path executed
-	// the aggregation: phase 1 scattered (key, value) pairs into radix
-	// partition buffers, phase 2 aggregated each partition in a
-	// cache-resident table (see SetPartitionMode).
+	// Partitioned is always false: the engine has no radix-partitioned
+	// path. The field stays because benchmark/ reads it.
 	Partitioned bool
-	// Partitions is the radix fan-out (power of two); 0 when the direct
-	// path ran.
-	Partitions int
-	// PartitionTime is the wall time of the phase-1 partition scatter.
-	PartitionTime time.Duration
 
 	// Variants aggregates the kernel-variant selection counters across the
 	// run's workers: adaptive selection-build density classes, native-width
-	// compare and widen lanes, fused dict/key masking, and software-prefetch
-	// touch counts. All zero for interpreter-fallback statements and for
-	// plans forced onto the tuple-at-a-time kernel.
+	// compare and widen lanes, and fused dict/key masking. All zero for
+	// interpreter-fallback statements and for plans forced onto the
+	// tuple-at-a-time kernel.
 	Variants KernelVariants
 
 	// The Shard* fields describe a coordinator scatter-gather over shard
@@ -111,23 +104,20 @@ type Explain struct {
 
 func fromCore(ex core.Explain) Explain {
 	return Explain{
-		Technique:     ex.Technique.String(),
-		Selectivity:   ex.Selectivity,
-		Groups:        ex.Groups,
-		HTBytes:       ex.HTBytes,
-		DenseDomain:   ex.DenseDomain,
-		Costs:         ex.Costs,
-		Merged:        ex.Merged,
-		PlanCached:    ex.PlanCached,
-		StatsCached:   ex.StatsCached,
-		HTGrows:       ex.HTGrows,
-		FreshAllocs:   ex.FreshAllocs,
-		PrepareTime:   ex.PrepareTime,
-		StatsTime:     ex.StatsTime,
-		Partitioned:   ex.Partitioned,
-		Partitions:    ex.Partitions,
-		PartitionTime: ex.PartitionTime,
-		Variants:      ex.Variants,
+		Technique:   ex.Technique.String(),
+		Selectivity: ex.Selectivity,
+		Groups:      ex.Groups,
+		HTBytes:     ex.HTBytes,
+		DenseDomain: ex.DenseDomain,
+		Costs:       ex.Costs,
+		Merged:      ex.Merged,
+		PlanCached:  ex.PlanCached,
+		StatsCached: ex.StatsCached,
+		HTGrows:     ex.HTGrows,
+		FreshAllocs: ex.FreshAllocs,
+		PrepareTime: ex.PrepareTime,
+		StatsTime:   ex.StatsTime,
+		Variants:    ex.Variants,
 	}
 }
 
@@ -136,8 +126,7 @@ func fromCore(ex core.Explain) Explain {
 // filtered scans, up to three foreign-key join edges (star or snowflake),
 // OR/NOT predicate trees, multiple aggregates (sum, count, avg, min,
 // max), GROUP BY, and HAVING — is synthesized into one compiled plan on the
-// engine's tile pipeline; the classic group-by aggregation is the one
-// special case that still compiles onto hand-specialized kernels.
+// engine's tile pipeline.
 // Statements outside that grammar (no aggregate, ORDER BY, unsupported
 // joins) fall back to the interpreted engine, reported in the Explain as
 // "interpreter-fallback".
@@ -230,13 +219,11 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 // plan's aggregate spine (Map over Aggregate over a Scan or a left-deep
 // FK join chain) into a compositional core.Select spec — root scan, join
 // edges, residual, group keys, aggregates, HAVING, projection — the one
-// statement shape this package knows. core.Engine.Prepare decides what
-// the spec compiles onto: the tile pipeline — per-edge positional bitmaps
-// or eager aggregation, packed group keys, a cost-chosen masking technique,
-// the worker gang wherever the workers' partials merge exactly — covers the
-// whole grammar, and a spec that collapses to the classic group-by lands on
-// its hand-specialized plan (multi-worker morsel parallelism, radix
-// partitioning). Both replay warm without allocating.
+// statement shape this package knows. core.Engine.Prepare compiles it onto
+// the tile pipeline — per-edge positional bitmaps or eager aggregation,
+// packed group keys, a cost-chosen masking technique, the worker gang
+// wherever the workers' partials merge exactly — which covers the whole
+// grammar and replays warm without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can

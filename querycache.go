@@ -74,16 +74,9 @@ func (c *cachedPlan) setFields(fields []core.OutField) {
 	c.res = newResult(vf)
 }
 
-// put points the entry's result at a plan's answer; see core.Partial for
-// which arm is set. Both are the row layout already (a GroupResult's pairs
-// interleave), so nothing is copied and no row header is built.
-func (c *cachedPlan) put(part core.Partial) {
-	if part.Groups != nil {
-		c.res.flat = part.Groups.Flat
-	} else {
-		c.res.flat = part.Rows.Flat
-	}
-}
+// put points the entry's result at a plan's answer, which is the row
+// layout already: nothing is copied and no row header is built.
+func (c *cachedPlan) put(res *core.SelectResult) { c.res.flat = res.Flat }
 
 // fresh reports whether every input table is still at its prepared
 // version.
@@ -116,13 +109,13 @@ func (c *cachedPlan) dependsOn(table string) bool {
 func (c *cachedPlan) answer(ctx context.Context, fn func(*Result)) (Explain, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	part, cex, err := c.plan.RunPartial(ctx)
+	res, cex, err := c.plan.RunPartial(ctx)
 	ex := fromCore(cex)
 	ex.Shape = c.shape
 	if err != nil {
 		return ex, err
 	}
-	c.put(part)
+	c.put(res)
 	fn(&c.res)
 	return ex, nil
 }
@@ -277,51 +270,19 @@ func (d *DB) PlanCacheLen() int {
 
 // SetWorkers pins the SWOLE executor's morsel worker count; 0 restores
 // the default (one per CPU). Prepared plans bake in their worker count,
-// so changing it clears the plan cache.
+// so changing it clears the plan cache. The count is written under the lock
+// the engine's compiles hold (core.Engine.Reconfigure), so a compile sees one
+// worker count throughout; the cache is cleared after the write, and the
+// generation bump makes storePlan drop a statement that compiled under the
+// old count but had not been stored yet — it answers its caller once and
+// never enters the cache.
 func (d *DB) SetWorkers(n int) {
-	d.reconfigure(func(e *core.Engine) { e.Workers = n })
-}
-
-// reconfigure applies set to the engine and then clears the plan cache. The
-// engine's fields are written under the lock its compiles hold
-// (core.Engine.Reconfigure), so a compile sees one configuration
-// throughout; the cache is cleared after the write, and the generation bump
-// makes storePlan drop a statement that compiled under the old
-// configuration but had not been stored yet — it answers its caller once
-// and never enters the cache.
-func (d *DB) reconfigure(set func(*core.Engine)) {
-	d.engine.Reconfigure(func() { set(d.engine) })
+	d.engine.Reconfigure(func() { d.engine.Workers = n })
 	d.mu.Lock()
 	d.configGen++
 	d.plans = map[string]*cachedPlan{}
 	d.normPlans = map[string]*cachedPlan{}
 	d.mu.Unlock()
-}
-
-// PartitionMode selects how the SWOLE executor decides between direct
-// and radix-partitioned execution of the classic group-by; see
-// SetPartitionMode.
-type PartitionMode = core.PartitionMode
-
-// Partition modes, re-exported from the core engine.
-const (
-	// PartitionAuto defers to the cost model (the default): the radix
-	// path runs when the estimated hash-table footprint overflows the
-	// cache budget and the two-phase model is cheaper.
-	PartitionAuto = core.PartitionAuto
-	// PartitionOff forces the direct per-worker hash-table path.
-	PartitionOff = core.PartitionOff
-	// PartitionOn forces the radix-partitioned path (benchmarks,
-	// experiments).
-	PartitionOn = core.PartitionOn
-)
-
-// SetPartitionMode pins the direct-vs-partitioned execution decision for
-// the classic group-by (one sum or count under one key of one table), the
-// only plan with a radix path. Prepared plans bake the decision in, so
-// changing the mode clears the plan cache, like SetWorkers.
-func (d *DB) SetPartitionMode(m PartitionMode) {
-	d.reconfigure(func(e *core.Engine) { e.Partition = m })
 }
 
 // Close releases the executor's persistent worker goroutines. The DB

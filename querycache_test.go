@@ -434,8 +434,8 @@ func TestFallbackNotCached(t *testing.T) {
 }
 
 // TestClassicGroupKeyHeader pins the single header source: a classic
-// GROUP BY lowered onto a hand-specialized plan keeps the key column's
-// dictionary and logical type, so the compiled path renders exactly what
+// GROUP BY, answered with its table's own (key, sum) pairs, keeps the key
+// column's dictionary and logical type, so the compiled path renders exactly what
 // the interpreter renders.
 func TestClassicGroupKeyHeader(t *testing.T) {
 	db := NewDB()

@@ -26,9 +26,8 @@ func checkAllTechniques(t *testing.T, d *DB, q string) [][]int64 {
 	return checkEveryPath(t, d, q, "", true)
 }
 
-// checkEveryPath is checkAllTechniques for any statement, hand plan or tile
-// pipeline (generic demands the latter); tag names the configuration in
-// failures.
+// checkEveryPath is checkAllTechniques for any statement (generic demands
+// one the synthesizer compiles); tag names the configuration in failures.
 func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 {
 	t.Helper()
 	want, err := d.Query(q)
@@ -53,13 +52,13 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 
 		if _, ok := forced.(*core.PreparedSelect); generic && !ok {
 			t.Fatalf("%q lowered onto %T, not the generic executor", q, forced)
 		}
-		part, _, err := forced.RunPartial(context.Background())
+		res, _, err := forced.RunPartial(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := &cachedPlan{}
 		c.setFields(forced.Fields())
-		c.put(part)
+		c.put(res)
 		if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
 			t.Errorf("%s %q forced %s:\nvolcano: %.300v\nswole:   %.300v", tag, q, tech, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
 		}

@@ -188,7 +188,7 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 				t.Fatalf("%s forced %s: %v", f.name, tech, err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				part, ex, err := forced.RunPartial(context.Background())
+				res, ex, err := forced.RunPartial(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 				}
 				c := &cachedPlan{}
 				c.setFields(forced.Fields())
-				c.put(part)
+				c.put(res)
 				if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
 					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
 				}

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/reprolab/swole/internal/core"
 )
 
 // shardParityQueries are the statements a sharded table must answer
@@ -33,9 +31,8 @@ var shardParityQueries = []struct {
 	{"2-edge join group", true, "select d1_w, sum(f_a) as q, count(*) as n from f, d1, d2 where f_d1 = d1_pk and f_d2 = d2_pk and d1_v < 20 and d2_v < 15 group by d1_w"},
 }
 
-// planWorkers reports how many morsel workers q's cached plan runs on, and
-// whether it is a hand-specialized (classic) plan.
-func planWorkers(t *testing.T, d *DB, q string) (workers int, classic bool) {
+// planWorkers reports how many morsel workers q's cached plan runs on.
+func planWorkers(t *testing.T, d *DB, q string) int {
 	t.Helper()
 	d.mu.RLock()
 	c := d.plans[q]
@@ -49,14 +46,13 @@ func planWorkers(t *testing.T, d *DB, q string) (workers int, classic bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, generic := c.plan.(*core.PreparedSelect)
-	return ex.Workers, !generic
+	return ex.Workers
 }
 
 // TestShardParityMatrixAllEntryPoints runs every statement through both
 // public entry points, cold and plan-cached warm, over fact tables split 1,
-// 2 and 4 ways, at 1 and 4 workers with radix partitioning off and
-// cost-chosen, and requires the interpreted engine's exact answers. A
+// 2 and 4 ways, at 1 and 4 workers, and requires the interpreted engine's
+// exact answers. A
 // shard layout is write-side only: the execution is one plan whose
 // parallelism is the worker gang, so no Explain reports a fan-out.
 func TestShardParityMatrixAllEntryPoints(t *testing.T) {
@@ -79,36 +75,30 @@ func TestShardParityMatrixAllEntryPoints(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 4} {
-				for _, mode := range []PartitionMode{PartitionOff, PartitionAuto} {
-					for _, d := range []*DB{micro, fuzz} {
-						d.SetWorkers(workers) // clears the plan cache: the next run is cold
-						d.SetPartitionMode(mode)
+				for _, d := range []*DB{micro, fuzz} {
+					d.SetWorkers(workers) // clears the plan cache: the next run is cold
+				}
+				for _, tc := range shardParityQueries {
+					d := micro
+					if tc.fuzz {
+						d = fuzz
 					}
-					for _, tc := range shardParityQueries {
-						d := micro
-						if tc.fuzz {
-							d = fuzz
-						}
-						tag := fmt.Sprintf("%s workers=%d partition=%v", tc.name, workers, mode)
-						var ex Explain
-						swole := func() (res *Result, _ Explain, err error) {
-							res, ex, err = d.QuerySwole(tc.q)
-							return res, ex, err
-						}
-						checkParity(t, d, tc.q, false, tag+" QuerySwole cold", swole)
-						if ex.PlanCached {
-							t.Errorf("%s: cold run claims a plan-cache hit", tag)
-						}
-						checkParity(t, d, tc.q, true, tag+" QuerySwole warm", swole)
-						if ex.ShardCount != 0 || ex.ShardTimes != nil || ex.ShardMergeTime != 0 {
-							t.Errorf("%s: in-process Explain reports a fan-out: %d shards, times %v", tag, ex.ShardCount, ex.ShardTimes)
-						}
-						// QueryContext returns a private copy of the same answer.
-						checkParity(t, d, tc.q, true, tag+" QueryContext", func() (*Result, Explain, error) { return d.QueryContext(ctx, tc.q) })
-						if got, classic := planWorkers(t, d, tc.q); classic && got != workers {
-							t.Errorf("%s: plan runs on %d workers, want the gang of %d", tag, got, workers)
-						}
+					tag := fmt.Sprintf("%s workers=%d", tc.name, workers)
+					var ex Explain
+					swole := func() (res *Result, _ Explain, err error) {
+						res, ex, err = d.QuerySwole(tc.q)
+						return res, ex, err
 					}
+					checkParity(t, d, tc.q, false, tag+" QuerySwole cold", swole)
+					if ex.PlanCached {
+						t.Errorf("%s: cold run claims a plan-cache hit", tag)
+					}
+					checkParity(t, d, tc.q, true, tag+" QuerySwole warm", swole)
+					if ex.ShardCount != 0 || ex.ShardTimes != nil || ex.ShardMergeTime != 0 {
+						t.Errorf("%s: in-process Explain reports a fan-out: %d shards, times %v", tag, ex.ShardCount, ex.ShardTimes)
+					}
+					// QueryContext returns a private copy of the same answer.
+					checkParity(t, d, tc.q, true, tag+" QueryContext", func() (*Result, Explain, error) { return d.QueryContext(ctx, tc.q) })
 				}
 			}
 		})

@@ -85,7 +85,7 @@ func benchSteadyDense(b *testing.B, db *DB, q string, wantDomain int) {
 	if _, ex, err := db.QuerySwole(q); err != nil {
 		b.Fatal(err)
 	} else if ex.DenseDomain != wantDomain {
-		b.Fatalf("DenseDomain=%d (partitioned=%v), want %d", ex.DenseDomain, ex.Partitioned, wantDomain)
+		b.Fatalf("DenseDomain=%d, want %d", ex.DenseDomain, wantDomain)
 	}
 	benchSteady(b, db, q)
 }
@@ -96,8 +96,8 @@ func BenchmarkSteadyGroupDense100(b *testing.B) {
 }
 
 func BenchmarkSteadyGroupDense1M(b *testing.B) {
-	db := steadyDB(b, radixRows, 1024, radixGroups)
-	benchSteadyDense(b, db, "select r_c, sum(r_b) from r where r_x < 50 group by r_c", radixGroups)
+	db := steadyDB(b, rows1M, 1024, groups1M)
+	benchSteadyDense(b, db, "select r_c, sum(r_b) from r where r_x < 50 group by r_c", groups1M)
 }
 
 func BenchmarkSteadyGroupJoinDense(b *testing.B) {
@@ -112,10 +112,9 @@ func BenchmarkSteadySemiJoinAgg(b *testing.B) {
 	benchSteady(b, db, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50")
 }
 
-// The BenchmarkSteadySelect rows repeat statements only the generic
-// executor runs (three of selectForms), so the steady-state job's
-// zero-allocation gate covers its tile pipeline, key packing and result
-// hand-off as well as the hand-specialized plans.
+// The BenchmarkSteadySelect rows repeat three of selectForms, so the
+// steady-state job's zero-allocation gate covers multi-key packing,
+// disjunctions, HAVING and min/max beside the classic shapes.
 
 // BenchmarkSteadySelectMultiAgg repeats a two-key, three-aggregate group-by
 // (the TPC-H Q1 form: masked lanes over a packed composite key).

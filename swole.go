@@ -44,7 +44,7 @@ import (
 // read until the same statement runs again; concurrent callers should
 // use QueryContext, which returns a private copy. Schema changes
 // (CreateTable, AddForeignKey, ShardTable) and engine reconfiguration
-// (SetWorkers, SetPartitionMode) may run concurrently with queries, and so
+// (SetWorkers) may run concurrently with queries, and so
 // may the write paths (AppendRows, AppendCSV, ReplaceShard): a writer
 // registers a replacement table and never blocks a reader — in-flight
 // scans finish on the immutable arrays they started on (see shard.go).
@@ -58,7 +58,7 @@ type DB struct {
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
 	normPlans map[string]*cachedPlan
-	configGen uint64 // bumped by SetWorkers/SetPartitionMode; see storePlan
+	configGen uint64 // bumped by SetWorkers; see storePlan
 
 	// Shard layouts (shard.go): the row ranges of tables split with
 	// ShardTable. shardMu guards shardMeta and, held exclusively, serializes

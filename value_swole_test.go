@@ -65,8 +65,7 @@ var valueStatements = []string{
 
 // TestValueAddressingParity: each key type under each statement answers as
 // the interpreter does cold, warm and under every forced technique, at one
-// and two workers and under PartitionOn, over a key-addressed table of the
-// column's domain; after a row outside every int range is appended, the
+// and two workers, over a key-addressed table of the column's domain; after a row outside every int range is appended, the
 // recompiled plans still do.
 func TestValueAddressingParity(t *testing.T) {
 	d := valueKeysDB(t)
@@ -80,24 +79,20 @@ func TestValueAddressingParity(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			for _, mode := range []PartitionMode{PartitionAuto, PartitionOn} {
-				d.SetWorkers(workers)
-				d.SetPartitionMode(mode)
-				for _, key := range []string{"kd", "k8", "k16", "k32", "k64"} {
-					for _, stmt := range valueStatements {
-						q := fmt.Sprintf(stmt, key)
-						tag := fmt.Sprintf("appended=%v workers=%d partition=%s", after, workers, mode)
-						checkEveryPath(t, d, q, tag, true)
-						if _, ex, err := d.QuerySwole(q); err != nil {
-							t.Fatalf("%s %q: %v", tag, q, err)
-						} else if !after && ex.DenseDomain != domains[key] {
-							t.Errorf("%s %q: DenseDomain %d, want %d", tag, q, ex.DenseDomain, domains[key])
-						}
+			d.SetWorkers(workers)
+			for _, key := range []string{"kd", "k8", "k16", "k32", "k64"} {
+				for _, stmt := range valueStatements {
+					q := fmt.Sprintf(stmt, key)
+					tag := fmt.Sprintf("appended=%v workers=%d", after, workers)
+					checkEveryPath(t, d, q, tag, true)
+					if _, ex, err := d.QuerySwole(q); err != nil {
+						t.Fatalf("%s %q: %v", tag, q, err)
+					} else if !after && ex.DenseDomain != domains[key] {
+						t.Errorf("%s %q: DenseDomain %d, want %d", tag, q, ex.DenseDomain, domains[key])
 					}
 				}
 			}
 		}
 	}
-	d.SetPartitionMode(PartitionAuto)
 	d.SetWorkers(0)
 }
