@@ -59,12 +59,12 @@ func TestTableFormRule(t *testing.T) {
 		if d != c.want || packed != c.packed {
 			t.Errorf("%s: domain %d packed %v, want %d and %v", c.name, d, packed, c.want, c.packed)
 		}
-		want, price := c.want*8*(c.lanes+1), p.KeyAddressed()
+		want, price := (c.want+1)*8*(c.lanes+1), p.KeyAddressed() // the domain's records and the throwaway's
 		switch {
 		case c.want == 0:
 			want, price = c.groups*ht.HashedSlotBytes(c.lanes), p
 		case c.packed:
-			want = c.want * 8
+			want = (c.want + 1) * 8
 		}
 		if bytes != want || form != price {
 			t.Errorf("%s: %d bytes (want %d), key-addressed pricing = %v", c.name, bytes, want, form != p)
@@ -290,9 +290,10 @@ func TestDenseFormChoice(t *testing.T) {
 			t.Errorf("%s: Costs has a dense entry = %v", c.name, ok)
 		}
 		if c.want > 0 {
-			// r_a is an int8 column over 60K rows: one-word records.
-			if ex.HTBytes != 8*c.want {
-				t.Errorf("%s: HTBytes = %d, want the packed record array's %d", c.name, ex.HTBytes, 8*c.want)
+			// r_a is an int8 column over 60K rows: one-word records, and
+			// the throwaway record's.
+			if ex.HTBytes != 8*(c.want+1) {
+				t.Errorf("%s: HTBytes = %d, want the packed record array's %d", c.name, ex.HTBytes, 8*(c.want+1))
 			}
 			if ex.Costs["dense"] > ex.Costs["hashed"] {
 				t.Errorf("%s: dense priced %v above hashed %v", c.name, ex.Costs["dense"], ex.Costs["hashed"])
@@ -303,7 +304,7 @@ func TestDenseFormChoice(t *testing.T) {
 
 	// A packed table folds a row with one add, the count riding in the sum's
 	// word, so value masking masks one lane, not a lane and the count: at 95 %
-	// it undercuts key masking's throwaway branch on the 16 KB table.
+	// it undercuts key masking's priced throwaway access on the 16 KB table.
 	q := GroupAgg{Table: "r", Filter: lt("r_x", 95), Key: col("r_c"), Agg: col("r_a")}
 	res, ex, err := once(e.PrepareSelect(groupSpec(q)))
 	if err != nil {
@@ -311,9 +312,9 @@ func TestDenseFormChoice(t *testing.T) {
 	}
 	form := e.Params.KeyAddressed()
 	vm := form.ValueMaskingGroup(60_000, expr.CompCost(q.Agg, e.Params)+form.CompMul, ex.HTBytes)
-	if ex.Technique != TechValueMasking || ex.HTBytes != 8*2000 || ex.Costs["value-masking"] != vm {
+	if ex.Technique != TechValueMasking || ex.HTBytes != 8*2001 || ex.Costs["value-masking"] != vm {
 		t.Errorf("packed at 95%%: %s, HTBytes %d, value masking priced %v (want value-masking, %d and %v); costs %v",
-			ex.Technique, ex.HTBytes, ex.Costs["value-masking"], 8*2000, vm, ex.Costs)
+			ex.Technique, ex.HTBytes, ex.Costs["value-masking"], 8*2001, vm, ex.Costs)
 	}
 	sameGroups(t, "packed at 95%", resultMap(res), refGroup(db, 95))
 
@@ -353,9 +354,9 @@ func TestPackedCompileSites(t *testing.T) {
 		}
 		e := NewEngine(db)
 		e.Workers, e.MorselRows = 2, 1024
-		wantBytes := 7 * 16
+		wantBytes := 8 * 16 // seven groups and the throwaway record
 		if rows == 65_535 {
-			wantBytes = 7 * 8
+			wantBytes = 8 * 8
 		}
 		group, gex, err := groupsOnce(e.PrepareGroupAgg(GroupAgg{Table: "r", Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_v")}))
 		if err != nil {

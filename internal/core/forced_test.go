@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/storage"
 )
 
 func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
@@ -48,6 +50,50 @@ func TestGroupAggForcedAllTechniquesAgree(t *testing.T) {
 				t.Errorf("%s: group %d = %d, want %d", tech, k, got[k], v)
 			}
 		}
+	}
+}
+
+// TestForcedKeyMaskingCountsTiles: a forced key-masking plan counts its
+// tiles in Explain.Variants.KeyMask on both table forms — the key-addressed
+// table, whose rejected lanes reach the throwaway record by slot arithmetic
+// with no masked key vector, each counted there as the paper's throwaway
+// entry counts it, and the hashed one, handed keys masked to ht.NullKey —
+// and answers as the reference does.
+func TestForcedKeyMaskingCountsTiles(t *testing.T) {
+	db := testDB(t, 20_000, 100, 17)
+	sparse := testDB(t, 20_000, 100, 17)
+	appendKeys(t, sparse, 1<<40) // one far key: the table is hashed
+	q := GroupAgg{Table: "r", Filter: lt("r_x", 65), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
+	x := db.MustTable("r").MustColumn("r_x")
+	rejected := int64(0)
+	for i := range x.Len() {
+		if x.Get(i) >= 65 {
+			rejected++
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		db    *storage.Database
+		dense bool
+	}{{"key-addressed", db, true}, {"hashed", sparse, false}} {
+		e := NewEngine(c.db)
+		e.Workers = 1 // one table: its throwaway record saw every rejected row
+		p, err := e.PrepareForced(groupSpec(q), TechKeyMasking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ex, err := p.RunPartial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Technique != TechKeyMasking || (ex.DenseDomain > 0) != c.dense || ex.Variants.KeyMask == 0 {
+			t.Errorf("%s: %s, DenseDomain %d, %d key-masked tiles", c.name, ex.Technique, ex.DenseDomain, ex.Variants.KeyMask)
+		}
+		if tw := p.(*PreparedSelect).tab.Count(-1); c.dense && tw != rejected {
+			t.Errorf("%s: throwaway record counted %d rows, want the %d rejected", c.name, tw, rejected)
+		}
+		sameGroups(t, c.name, resultMap(res), refGroup(c.db, 65))
+		e.Close()
 	}
 }
 

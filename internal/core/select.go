@@ -41,14 +41,16 @@ import (
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
 // stage over selected lanes only; value masking and key masking stay
-// full-width and mask values (to the aggregate's identity) or keys (to
-// ht.NullKey, the throwaway entry). A statement grouped by a filtered edge's
-// foreign key may instead aggregate eagerly (Section III-E): keyed by the
-// parent's position, with the edge's filter applied once per group when the
-// groups are emitted. Nothing on the run path works a row at a time — except
-// the forced-only data-centric baseline, tupleKernel — and the emission runs
-// HAVING and the projection a tile of groups at a time, unless the output is
-// the table's own (key, sum) pairs (pairOut).
+// full-width and mask values (to the aggregate's identity) or keys (to the
+// group table's throwaway record: by slot arithmetic on a key-addressed
+// table, through ht.NullKey on a hashed one). A statement grouped by a
+// filtered edge's foreign key may instead aggregate eagerly (Section
+// III-E): keyed by the parent's position, with the edge's filter applied
+// once per group when the groups are emitted. Nothing on the run path works
+// a row at a time — except the forced-only data-centric baseline,
+// tupleKernel — and the emission runs HAVING and the projection a tile of
+// groups at a time, unless the output is the table's own (key, sum) pairs
+// (pairOut).
 //
 // A statement the cost model compiled scans on the engine's worker gang when
 // the workers' partials — stripes of scalar lanes, or key-addressed group
@@ -800,19 +802,24 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64
 
 // foldGroups resolves one tile's lanes to group slots and folds every
 // accumulator lane under the mask. Hybrid lanes all qualify (the mask is all
-// ones). Key masking routes rejected lanes to the throwaway entry through
-// ht.NullKey, so they never probe the table. Value masking looks every
+// ones). Key masking routes rejected lanes to the table's throwaway record,
+// so they never reach a group: a key-addressed table computes their slot
+// from the mask (ht.FoldTileKeyMasked), and a hashed one, whose probe needs
+// a key, is handed keys masked to ht.NullKey. Value masking looks every
 // lane's real key up and has rejected lanes contribute the aggregate's
 // identity and no count. The resolve, the count and a leading sum lane fold
 // in one pass (ht.FoldTile); the lanes after it fold over its slots.
 func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, tab *ht.AggTable, base, m int, cmp []byte) {
 	keys := p.keys.fill(t.vecs, m, s.Keys)
-	if p.tech == TechKeyMasking && !p.pairFold {
-		vec.MaskKeysU(keys, cmp, ht.NullKey, s.Keys[:m])
-		keys = s.Keys[:m]
+	keyMask := p.tech == TechKeyMasking && !p.pairFold
+	switch {
+	case keyMask:
 		s.ctr.KeyMask++
-	}
-	if p.tech == TechValueMasking {
+		if p.ex.DenseDomain == 0 {
+			vec.MaskKeysU(keys, cmp, ht.NullKey, s.Keys[:m])
+			keys = s.Keys[:m]
+		}
+	case p.tech == TechValueMasking:
 		s.ctr.MaskedAgg++
 	}
 	fold, slots, lane := p.fold, t.slots[:m], 0
@@ -822,11 +829,15 @@ func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, tab *ht.AggT
 			first, lane, fold = p.operand(s, t, &a.arg, base, m, s.Vals), a.lane, fold[1:]
 		}
 	}
-	if p.pairFold {
+	switch {
+	case p.pairFold:
 		tab.AddPairs(keys, first)
 		return
+	case keyMask && p.ex.DenseDomain > 0:
+		tab.FoldTileKeyMasked(keys, slots, lane, first, cmp)
+	default:
+		tab.FoldTile(keys, slots, lane, first, cmp)
 	}
-	tab.FoldTile(keys, slots, lane, first, cmp)
 	for _, i := range fold {
 		a := &p.aggs[i]
 		v := p.operand(s, t, &a.arg, base, m, s.Vals)

@@ -148,16 +148,19 @@ const keyAddressedLines = 4
 // KeyAddressed returns the parameters as a key-addressed (direct-indexed)
 // group table observes them. Every random-access latency is paid for one
 // line instead of keyAddressedLines, so the Hit* terms shrink by that
-// factor. And the throwaway entry gains the price of reaching it: a hashed
-// probe ends in data-dependent branches on every lane (key compare, slot
-// state), among which key masking's NullKey test is one more, already in
-// the calibrated probe cost; a key-addressed accumulate is otherwise
-// branch-free, so routing a rejected lane around it is the loop's one
-// unpredictable branch — the conditional-access penalty ReadCond — on top of
-// the entry's own access. Sequential reads and computation are the same
-// accesses they were. Evaluating the Section III models on the result, with
-// the table's own footprint, prices the key-addressed form through the
-// terms that price the hashed one.
+// factor. And HTNull, the throwaway access, is raised by ReadCond: an
+// empirical correction, not the price of a branch — the key-masking fold
+// reaches the throwaway record by arithmetic on the mask
+// (ht.FoldTileKeyMasked) — kept because key masking still reads slower than
+// the model prices it without the term: without it the planner picks key
+// masking for tpch_generic's minmax_group, which runs 5.6 ms forced where
+// value masking, the pick with it, runs 5.0 ms and hybrid 4.2 ms
+// (EXPERIMENTS.md, "Key masking at its price"). ROADMAP direction 3's
+// fitted model is to re-fit it.
+// Sequential reads and computation are the same accesses they were.
+// Evaluating the Section III models on the result, with the table's own
+// footprint, prices the key-addressed form through the terms that price the
+// hashed one.
 func (p Params) KeyAddressed() Params {
 	q := p
 	q.HitL1 /= keyAddressedLines

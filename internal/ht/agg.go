@@ -24,9 +24,11 @@ import "fmt"
 //
 // Three features exist specifically for SWOLE:
 //
-//   - A throwaway entry reached via NullKey (key masking, Section III-B):
-//     masked tuples aggregate into Throwaway, off the main array, so the
-//     access stays cache-resident no matter how large the table grows.
+//   - A throwaway record reached via NullKey (key masking, Section III-B):
+//     masked tuples aggregate into the record just past the last group, at
+//     slot Cap(), which stays cache-resident no matter how large the table
+//     grows. It is an ordinary record, so the tile kernels index it like any
+//     group's, without a branch, and it is never part of a query result.
 //   - Validity by tuple count (value masking, Section III-B): when values
 //     are masked rather than keys, every tuple performs a real lookup, so
 //     groups can be reached by tuples that the predicate rejected. Such a
@@ -46,7 +48,7 @@ type AggTable struct {
 	nAccs  int
 	stride int     // nAccs+1: a record is the group's lanes, then its tuple count; 1 when packed
 	ident  []int64 // per-lane value a new group starts from; nil means all zero
-	recs   []int64 // slot-major records
+	recs   []int64 // slot-major records: Cap() groups, then the throwaway record
 
 	// Hashed form.
 	keys  []int64
@@ -61,11 +63,6 @@ type AggTable struct {
 	// zero on a hashed table.
 	lo   int64
 	span uint64
-
-	// Throwaway receives aggregates for NullKey lookups. Its contents are
-	// never part of a query result.
-	Throwaway      []int64
-	ThrowawayCount int64
 
 	// Probes counts total probe steps of the hashed form, exposed for
 	// cost-model validation.
@@ -83,15 +80,14 @@ type AggTable struct {
 func NewAggTable(nAccs, hint int) *AggTable {
 	capacity := hintCap(hint)
 	return &AggTable{
-		nAccs:     nAccs,
-		stride:    nAccs + 1,
-		cur:       1,
-		recs:      make([]int64, capacity*(nAccs+1)),
-		keys:      make([]int64, capacity),
-		state:     make([]byte, capacity),
-		epoch:     make([]uint32, capacity),
-		mask:      uint64(capacity - 1),
-		Throwaway: make([]int64, nAccs),
+		nAccs:  nAccs,
+		stride: nAccs + 1,
+		cur:    1,
+		recs:   make([]int64, (capacity+1)*(nAccs+1)),
+		keys:   make([]int64, capacity),
+		state:  make([]byte, capacity),
+		epoch:  make([]uint32, capacity),
+		mask:   uint64(capacity - 1),
 	}
 }
 
@@ -100,13 +96,13 @@ func NewAggTable(nAccs, hint int) *AggTable {
 const MaxDenseDomain = 1<<31 - 1
 
 // NewDenseAggTable returns a key-addressed table over the key domain
-// [lo, hi]: two allocations (the record array and the throwaway entry)
-// where the hashed form makes five. Any other key except NullKey panics
-// on access — a domain is a fact of the column object it was read from,
-// so a key outside it means the caller ran a plan against data it was not
-// compiled for, and the range check turns that into a loud failure instead
-// of an out-of-range write. The domain must exclude NullKey and hold at
-// most MaxDenseDomain keys; packed needs nAccs == 1.
+// [lo, hi]: one allocation, the record array with the throwaway record at
+// its end, where the hashed form makes four. Any other key except NullKey
+// panics on access — a domain is a fact of the column object it was read
+// from, so a key outside it means the caller ran a plan against data it was
+// not compiled for, and the range check turns that into a loud failure
+// instead of an out-of-range write. The domain must exclude NullKey and hold
+// at most MaxDenseDomain keys; packed needs nAccs == 1.
 func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
 	span, stride := uint64(hi)-uint64(lo)+1, nAccs+1
 	if hi < lo || lo == NullKey || span > MaxDenseDomain || packed && nAccs != 1 {
@@ -116,31 +112,34 @@ func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
 		stride = 1
 	}
 	return &AggTable{
-		nAccs:     nAccs,
-		stride:    stride,
-		recs:      make([]int64, int(span)*stride),
-		lo:        lo,
-		span:      span,
-		Throwaway: make([]int64, nAccs),
+		nAccs:  nAccs,
+		stride: stride,
+		recs:   make([]int64, (int(span)+1)*stride),
+		lo:     lo,
+		span:   span,
 	}
 }
 
 // HashedBytes is the footprint of the hashed table NewAggTable(nAccs, hint)
 // builds: with DenseBytes, the two sides of the rule by which a compile
 // picks the form.
-func HashedBytes(nAccs, hint int) int { return hintCap(hint) * (8 + 1 + 4 + 8*(nAccs+1)) }
+func HashedBytes(nAccs, hint int) int {
+	c := hintCap(hint)
+	return c*(8+1+4) + (c+1)*8*(nAccs+1)
+}
 
 // HashedSlotBytes approximates one hashed group's footprint — key, state,
 // lanes, count, epoch — the size cost models estimate a hashed table by.
 // (It counts the epoch as one byte where HashedBytes counts its four.)
 func HashedSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
 
-// DenseBytes is the footprint of a key-addressed table over domain keys.
+// DenseBytes is the footprint of a key-addressed table over domain keys:
+// one record per key and the throwaway record.
 func DenseBytes(nAccs int, domain uint64, packed bool) uint64 {
 	if packed {
 		nAccs = 0 // the count shares the lane's word
 	}
-	return domain * 8 * uint64(nAccs+1)
+	return (domain + 1) * 8 * uint64(nAccs+1)
 }
 
 // packed reports the one-word record: the count has no word of its own.
@@ -159,11 +158,12 @@ func (t *AggTable) count(slot int) int64 {
 // from earlier generations read as empty and are re-initialized lazily when
 // an insert reclaims them. The key-addressed form clears its records. The
 // Probes and Grows statistics are preserved (they are cumulative); the
-// throwaway entry is cleared.
+// throwaway record restarts like a group's.
 func (t *AggTable) Reset() {
 	if t.span != 0 {
 		t.initRecs(t.recs)
 	} else {
+		t.initRecs(t.recs[t.Cap()*t.stride:])
 		t.cur++
 		if t.cur == 0 {
 			// The 32-bit generation wrapped (after ~4 billion resets): stale
@@ -174,8 +174,6 @@ func (t *AggTable) Reset() {
 		}
 		t.len, t.used = 0, 0
 	}
-	clear(t.Throwaway)
-	t.ThrowawayCount = 0
 }
 
 // initRecs resets whole records to what a new group starts from: the lane
@@ -224,7 +222,7 @@ func (t *AggTable) Reserve(hint int) {
 // NAccs returns the number of accumulators per group.
 func (t *AggTable) NAccs() int { return t.nAccs }
 
-// Len returns the number of groups, excluding the throwaway entry. On a
+// Len returns the number of groups, excluding the throwaway record. On a
 // key-addressed table a group exists once a tuple counted into it, and Len
 // walks the records.
 func (t *AggTable) Len() int {
@@ -240,9 +238,9 @@ func (t *AggTable) Len() int {
 	return n
 }
 
-// Cap returns the current slot capacity; the cost model uses it to place
-// the table in a cache class.
-func (t *AggTable) Cap() int { return len(t.recs) / t.stride }
+// Cap returns the current slot capacity, which is also the throwaway
+// record's slot; the cost model uses it to place the table in a cache class.
+func (t *AggTable) Cap() int { return len(t.recs)/t.stride - 1 }
 
 // live returns the effective state of slot i in the current generation.
 func (t *AggTable) live(i uint64) byte {
@@ -254,7 +252,7 @@ func (t *AggTable) live(i uint64) byte {
 
 // Lookup returns the slot index for key, inserting an empty group into a
 // hashed table if absent. A NullKey lookup returns -1, which the Add*
-// methods route to the throwaway entry. The returned slot is only valid
+// methods route to the throwaway record. The returned slot is only valid
 // until the next Lookup, which may grow the table; callers accumulate
 // immediately, exactly as the generated code in the paper's Figure 4 does.
 func (t *AggTable) Lookup(key int64) int {
@@ -270,18 +268,36 @@ func (t *AggTable) Lookup(key int64) int {
 // probe, or a key the range check refused.
 func (t *AggTable) lookupSlow(key int64) int {
 	if t.span != 0 {
-		return t.outside(key)
+		t.outside(key)
+		return -1
 	}
 	return t.probeInsert(key)
 }
 
-// outside resolves a key the key-addressed range check refused: the
-// throwaway entry for NullKey, a panic for anything else.
-func (t *AggTable) outside(key int64) int {
+// outside vets a key the key-addressed range check refused: NullKey goes on
+// to the throwaway record, anything else panics.
+func (t *AggTable) outside(key int64) {
 	if key != NullKey {
 		panic(fmt.Sprintf("ht: key %d outside the table's domain [%d, %d]", key, t.lo, t.lo+int64(t.span-1)))
 	}
-	return -1
+}
+
+// refuse is a tile kernel's out-of-line path for a lane its key-addressed
+// range check refused: it vets the key (outside), folds the lane into the
+// throwaway record — m into the count, v·m into lane acc — and returns the
+// record's slot. The kernel's lane loop ends at the refused lane and resumes
+// after it, so no call sits inside the loop.
+func (t *AggTable) refuse(key int64, acc int, v, m int64) int32 {
+	t.outside(key)
+	tw := t.Cap()
+	if t.packed() {
+		t.recs[tw] += (v*m)<<32 + m
+	} else {
+		r := t.recs[tw*t.stride:]
+		r[t.nAccs] += m
+		r[acc] += v * m
+	}
+	return int32(tw)
 }
 
 func (t *AggTable) probeInsert(key int64) int {
@@ -328,7 +344,7 @@ func (t *AggTable) probeInsert(key int64) int {
 }
 
 // Find returns the slot for key without inserting, or -2 if absent.
-// NullKey returns -1 (the throwaway).
+// NullKey returns -1 (the throwaway record).
 func (t *AggTable) Find(key int64) int {
 	if key == NullKey {
 		return -1
@@ -355,14 +371,11 @@ func (t *AggTable) Find(key int64) int {
 }
 
 // Add accumulates v into accumulator acc of the given slot and bumps the
-// group's tuple count once per acc==0 call. Slot -1 targets the throwaway.
+// group's tuple count once per acc==0 call. Slot -1 targets the throwaway
+// record.
 func (t *AggTable) Add(slot, acc int, v int64) {
 	if slot < 0 {
-		t.Throwaway[acc] += v
-		if acc == 0 {
-			t.ThrowawayCount++
-		}
-		return
+		slot = t.Cap()
 	}
 	if t.packed() {
 		t.recs[slot] += v<<32 + 1
@@ -377,14 +390,10 @@ func (t *AggTable) Add(slot, acc int, v int64) {
 
 // AddMasked accumulates v*m and adds m to the group's tuple count once per
 // acc==0 call — the value-masking bookkeeping step of Section III-B. m
-// must be 0 or 1.
+// must be 0 or 1. Slot -1 targets the throwaway record.
 func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 	if slot < 0 {
-		t.Throwaway[acc] += v * int64(m)
-		if acc == 0 {
-			t.ThrowawayCount += int64(m)
-		}
-		return
+		slot = t.Cap()
 	}
 	if t.packed() {
 		t.recs[slot] += (v*int64(m))<<32 + int64(m)
@@ -397,10 +406,10 @@ func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 	}
 }
 
-// Acc returns accumulator acc of slot (slot -1 reads the throwaway).
+// Acc returns accumulator acc of slot (slot -1 reads the throwaway record).
 func (t *AggTable) Acc(slot, acc int) int64 {
 	if slot < 0 {
-		return t.Throwaway[acc]
+		slot = t.Cap()
 	}
 	if t.packed() {
 		return t.recs[slot] >> 32
@@ -408,10 +417,11 @@ func (t *AggTable) Acc(slot, acc int) int64 {
 	return t.recs[slot*t.stride+acc]
 }
 
-// Count returns the tuple count of slot.
+// Count returns the tuple count of slot (slot -1 reads the throwaway
+// record).
 func (t *AggTable) Count(slot int) int64 {
 	if slot < 0 {
-		return t.ThrowawayCount
+		slot = t.Cap()
 	}
 	return t.count(slot)
 }
@@ -459,14 +469,16 @@ func (t *AggTable) ForEach(includeInvalid bool, fn func(key int64, slot int)) {
 }
 
 // rehash moves the table to a fresh array of the given power-of-two
-// capacity, re-inserting every live group of the current generation.
+// capacity, re-inserting every live group of the current generation and
+// carrying the throwaway record over.
 func (t *AggTable) rehash(capacity int) {
 	old := *t
 	t.keys = make([]int64, capacity)
 	t.state = make([]byte, capacity)
 	t.epoch = make([]uint32, capacity)
 	t.cur = 1
-	t.recs = make([]int64, capacity*t.stride)
+	t.recs = make([]int64, (capacity+1)*t.stride)
+	copy(t.recs[capacity*t.stride:], old.recs[old.Cap()*t.stride:])
 	t.mask = uint64(capacity - 1)
 	t.len = 0
 	t.used = 0

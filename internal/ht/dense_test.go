@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // The key-addressed form, test for test what ht_test.go, lanes_test.go and
@@ -14,8 +16,8 @@ import (
 
 func TestDenseBasic(t *testing.T) {
 	tab := NewDenseAggTable(2, -5, 20, false)
-	if tab.Cap() != 26 || len(tab.recs) != 26*3 {
-		t.Fatalf("cap=%d words=%d, want 26 records of three words", tab.Cap(), len(tab.recs))
+	if tab.Cap() != 26 || len(tab.recs) != 27*3 {
+		t.Fatalf("cap=%d words=%d, want 26 records of three words and the throwaway's", tab.Cap(), len(tab.recs))
 	}
 	s := tab.Lookup(-5)
 	tab.Add(s, 0, 5)
@@ -52,8 +54,8 @@ func TestDenseThrowaway(t *testing.T) {
 	tab.AddMasked(s, 0, 50, 0)
 	tab.AddPairs([]int64{NullKey, 3}, []int64{1, 2})
 	tab.AddPairsMasked([]int64{NullKey, NullKey}, []int64{10, 20}, []byte{1, 0})
-	if tab.Throwaway[0] != 160 || tab.ThrowawayCount != 4 {
-		t.Errorf("throwaway=%d count=%d, want 160 and 4", tab.Throwaway[0], tab.ThrowawayCount)
+	if tab.Acc(-1, 0) != 160 || tab.Count(-1) != 4 {
+		t.Errorf("throwaway=%d count=%d, want 160 and 4", tab.Acc(-1, 0), tab.Count(-1))
 	}
 	if tab.Len() != 1 {
 		t.Errorf("Len=%d: the throwaway must not count as a group", tab.Len())
@@ -63,6 +65,44 @@ func TestDenseThrowaway(t *testing.T) {
 			t.Errorf("visited key %d", k)
 		}
 	})
+}
+
+// The throwaway record sits in the record array past the groups, and no
+// walk, count or merge sees it: a table whose only tuples went there has no
+// groups on any form, and a key-addressed merge leaves the destination's
+// throwaway record as it was.
+func TestThrowawayRecordStaysHidden(t *testing.T) {
+	for name, mk := range map[string]func() *AggTable{
+		"hashed":        func() *AggTable { return NewAggTable(1, 8) },
+		"key-addressed": func() *AggTable { return NewDenseAggTable(1, 0, 9, false) },
+		"packed":        func() *AggTable { return NewDenseAggTable(1, 0, 9, true) },
+	} {
+		tab := mk()
+		capacity := tab.Cap()
+		tab.Add(-1, 0, 5)
+		tab.AddPairs([]int64{NullKey, NullKey}, []int64{1, 2})
+		slots := make([]int32, 3)
+		tab.FoldTile([]int64{NullKey, NullKey, NullKey}, slots, 0, nil, []byte{1, 1, 0})
+		if tab.span != 0 {
+			tab.FoldTileKeyMasked([]int64{4, 5}, slots, 0, []int64{7, 7}, []byte{0, 0})
+		}
+		if tab.Count(-1) == 0 || slots[0] != int32(capacity) {
+			t.Fatalf("%s: throwaway count %d, a NullKey lane's slot %d; want >0 and Cap() = %d", name, tab.Count(-1), slots[0], capacity)
+		}
+		tab.ForEach(true, func(k int64, s int) { t.Errorf("%s: ForEach visited key %d in slot %d", name, k, s) })
+		if tab.Cap() != capacity || tab.Len() != 0 || tab.NextLive(0, true) != -1 || len(tab.AppendGroups(nil)) != 0 {
+			t.Errorf("%s: Cap %d (was %d), Len %d, NextLive %d, AppendGroups %v", name, tab.Cap(), capacity,
+				tab.Len(), tab.NextLive(0, true), tab.AppendGroups(nil))
+		}
+		if tab.span == 0 {
+			continue
+		}
+		dst := mk()
+		dst.Add(dst.Lookup(2), 0, 1)
+		if merged := dst.MergeFrom(tab); merged != 0 || dst.Len() != 1 || dst.Count(-1) != 0 {
+			t.Errorf("%s: merging a throwaway-only table merged %d groups, left %d and a throwaway count of %d", name, merged, dst.Len(), dst.Count(-1))
+		}
+	}
 }
 
 // A group only rejected tuples reached keeps a zero count and is never
@@ -136,8 +176,8 @@ func TestDenseResetReuse(t *testing.T) {
 	tab.SetIdentity(1, math.MaxInt64)
 	for gen := int64(0); gen < 3; gen++ {
 		tab.Reset()
-		if tab.Len() != 0 || tab.ThrowawayCount != 0 {
-			t.Fatalf("generation %d: %d groups, throwaway %d after Reset", gen, tab.Len(), tab.ThrowawayCount)
+		if tab.Len() != 0 || tab.Count(-1) != 0 {
+			t.Fatalf("generation %d: %d groups, throwaway %d after Reset", gen, tab.Len(), tab.Count(-1))
 		}
 		slots := make([]int32, 3)
 		cmp := []byte{1, 1, 1}
@@ -164,8 +204,8 @@ func TestDenseResetReuse(t *testing.T) {
 func TestDenseFoldPairsAndMerge(t *testing.T) {
 	a, b := NewDenseAggTable(1, 10, 19, false), NewDenseAggTable(1, 10, 19, false)
 	a.AddPairs([]int64{10, 12, 12, NullKey}, []int64{1, 2, 3, 4})
-	if a.Throwaway[0] != 4 || a.ThrowawayCount != 1 {
-		t.Errorf("NullKey pair: throwaway (%d, %d), want (4, 1)", a.Throwaway[0], a.ThrowawayCount)
+	if a.Acc(-1, 0) != 4 || a.Count(-1) != 1 {
+		t.Errorf("NullKey pair: throwaway (%d, %d), want (4, 1)", a.Acc(-1, 0), a.Count(-1))
 	}
 	b.AddPairs([]int64{12, 19}, []int64{10, 20})
 	b.AddMasked(b.Lookup(15), 0, 99, 0) // reached, never counted
@@ -229,17 +269,20 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 }
 
 func TestFormBytes(t *testing.T) {
-	if got := DenseBytes(1, 1_000_000, false); got != 16_000_000 {
+	// Every form counts its throwaway record.
+	if got := DenseBytes(1, 1_000_000, false); got != 16_000_016 {
 		t.Errorf("DenseBytes(1, 1M) = %d", got)
 	}
-	if got := DenseBytes(1, 1_000_000, true); got != 8_000_000 {
+	if got := DenseBytes(1, 1_000_000, true); got != 8_000_008 {
 		t.Errorf("DenseBytes(1, 1M, packed) = %d", got)
 	}
-	if tab := NewDenseAggTable(1, 0, 999, true); tab.Cap() != 1000 || len(tab.recs) != 1000 {
-		t.Errorf("packed table: cap=%d words=%d, want 1000 and 1000", tab.Cap(), len(tab.recs))
+	if tab := NewDenseAggTable(1, 0, 999, true); tab.Cap() != 1000 || len(tab.recs) != 1001 || DenseBytes(1, 1000, true) != 8*1001 {
+		t.Errorf("packed table: cap=%d words=%d, want 1000 and 1001", tab.Cap(), len(tab.recs))
 	}
-	if got, want := HashedBytes(1, 1000), 2048*(8+1+4+16); got != want {
-		t.Errorf("HashedBytes(1, 1000) = %d, want %d", got, want)
+	tab := NewAggTable(1, 1000)
+	got, want := HashedBytes(1, 1000), 2048*(8+1+4)+2049*16
+	if got != want || got != 8*(len(tab.keys)+len(tab.recs))+len(tab.state)+4*len(tab.epoch) {
+		t.Errorf("HashedBytes(1, 1000) = %d, want %d, the table's arrays", got, want)
 	}
 }
 
@@ -303,7 +346,7 @@ func stream(lo int64, domain int, data []byte) (keys, vals []int64, cmp []byte) 
 // formsAgree folds one (key, value, mask) stream into both forms through
 // every entry point and compares what they hold: the same groups with the
 // same sums and counts, the key-addressed walk ascending, and the same
-// throwaway entry.
+// throwaway record.
 func formsAgree(t *testing.T, domain int, data []byte) {
 	t.Helper()
 	lo := int64(-domain / 2)
@@ -344,9 +387,8 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 	if !slices.Equal(d, h) {
 		t.Fatalf("forms disagree over domain %d:\n dense  %v\n hashed %v", domain, d, h)
 	}
-	if !slices.Equal(dense.Throwaway, hashed.Throwaway) || dense.ThrowawayCount != hashed.ThrowawayCount {
-		t.Fatalf("throwaway entries disagree: %v/%d vs %v/%d",
-			dense.Throwaway, dense.ThrowawayCount, hashed.Throwaway, hashed.ThrowawayCount)
+	if d, h := throwaway(dense), throwaway(hashed); !slices.Equal(d, h) {
+		t.Fatalf("throwaway records disagree: %v vs %v", d, h)
 	}
 	var flat []int64
 	for _, g := range d {
@@ -420,7 +462,7 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 		}},
 		{"MergeFrom", func(tab, src *AggTable) {
 			k, v, m := seg(5)
-			if tab.span == 0 { // merged groups, not the source's throwaway entry
+			if tab.span == 0 { // merged groups, not the source's throwaway record
 				for i := range k {
 					if k[i] != NullKey {
 						tab.AddMasked(tab.Lookup(k[i]), 0, v[i], m[i])
@@ -454,9 +496,8 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 			t.Fatalf("after %s, the addressing forms disagree over domain %d:\n packed %v\n hashed %v", st.name, domain, p, h)
 		}
 		for i, tab := range tabs {
-			if tab.Throwaway[0] != tabs[2].Throwaway[0] || tab.ThrowawayCount != tabs[2].ThrowawayCount {
-				t.Fatalf("after %s: table %d's throwaway entry %d/%d, hashed %d/%d", st.name, i,
-					tab.Throwaway[0], tab.ThrowawayCount, tabs[2].Throwaway[0], tabs[2].ThrowawayCount)
+			if got, want := throwaway(tab), throwaway(tabs[2]); !slices.Equal(got, want) {
+				t.Fatalf("after %s: table %d's throwaway record %v, hashed %v", st.name, i, got, want)
 			}
 		}
 		// A hashed Len and Find also see groups only rejected tuples
@@ -484,12 +525,18 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 func refCount(t *AggTable, slots []int32, cmp []byte) {
 	n := t.stride
 	for i, s := range slots {
-		if s < 0 {
-			t.ThrowawayCount += int64(cmp[i])
-			continue
-		}
 		t.recs[int(s)*n+n-1] += int64(cmp[i])
 	}
+}
+
+// throwaway reads the throwaway record through the public API: its count,
+// then its lanes.
+func throwaway(t *AggTable) []int64 {
+	out := []int64{t.Count(-1)}
+	for acc := range t.nAccs {
+		out = append(out, t.Acc(-1, acc))
+	}
+	return out
 }
 
 // foldAgree is the fuzzer's FoldTile arm: on hashed, int64 key-addressed,
@@ -561,22 +608,109 @@ func foldAgree(t *testing.T, domain int, data []byte) {
 			if g, w := collect(got), collect(want); !slices.Equal(g, w) {
 				t.Fatalf("%s (fused %v) over domain %d:\n FoldTile  %v\n reference %v", form.name, fused, domain, g, w)
 			}
-			if !slices.Equal(got.Throwaway, want.Throwaway) || got.ThrowawayCount != want.ThrowawayCount {
-				t.Fatalf("%s (fused %v): throwaway %v/%d, reference %v/%d", form.name, fused,
-					got.Throwaway, got.ThrowawayCount, want.Throwaway, want.ThrowawayCount)
+			if g, w := throwaway(got), throwaway(want); !slices.Equal(g, w) {
+				t.Fatalf("%s (fused %v): throwaway %v, reference %v", form.name, fused, g, w)
 			}
 		}
 	}
 }
 
-// A bare count(*) groups into a table with no lanes, whose throwaway entry
+// keyMaskAgree is the fuzzer's key-masking arm: the same keys and mask fold
+// into a key-addressed table by FoldTileKeyMasked, and into a hashed table
+// as the paper writes key masking — keys masked to NullKey (vec.MaskKeysU),
+// folded under an all-ones mask. The lanes after the first fold over the
+// slots under the real mask on both. Groups, lanes and the throwaway record
+// must agree, and FoldTileKeyMasked's slots are the key's offset where the
+// mask is 1 and Cap() where it is 0. The stream's NullKey lanes are keys
+// the domain refuses, which fold into the throwaway record like rejected ones.
+func keyMaskAgree(t *testing.T, domain int, data []byte) {
+	t.Helper()
+	lo := int64(-domain / 2)
+	hi := lo + int64(domain) - 1
+	keys, vals, cmp := stream(lo, domain, data)
+	const tile = 100
+	slots, ref, masked, ones := make([]int32, tile), make([]int32, tile), make([]int64, tile), make([]byte, tile)
+	vec.Fill(ones, 1)
+	type group struct{ key, sum0, max1, cnt int64 }
+	collect := func(tab *AggTable) (out []group) {
+		tab.ForEach(false, func(k int64, s int) {
+			g := group{key: k, cnt: tab.Count(s)}
+			if tab.nAccs > 0 {
+				g.sum0 = tab.Acc(s, 0)
+			}
+			if tab.nAccs > 1 {
+				g.max1 = tab.Acc(s, 1)
+			}
+			out = append(out, g)
+		})
+		slices.SortFunc(out, func(a, b group) int { return int(a.key - b.key) })
+		return out
+	}
+	for _, form := range []struct {
+		name   string
+		lanes  int
+		packed bool
+	}{{"key-addressed, sum and max", 2, false}, {"key-addressed, one lane", 1, false}, {"packed", 1, true}, {"key-addressed, no lanes", 0, false}} {
+		for _, fused := range []bool{true, false} {
+			if fused && form.lanes == 0 {
+				continue
+			}
+			got, want := NewDenseAggTable(form.lanes, lo, hi, form.packed), NewAggTable(form.lanes, 1)
+			if form.lanes > 1 {
+				for _, tab := range []*AggTable{got, want} {
+					tab.SetIdentity(1, math.MinInt64)
+					tab.Reset()
+				}
+			}
+			for a := 0; a < len(keys); a += tile {
+				b := min(a+tile, len(keys))
+				k, v, m := keys[a:b], vals[a:b], cmp[a:b]
+				var first []int64
+				if fused {
+					first = v
+				}
+				got.FoldTileKeyMasked(k, slots, 0, first, m)
+				vec.MaskKeysU(k, m, NullKey, masked)
+				want.FoldTile(masked[:len(k)], ref, 0, first, ones[:len(k)])
+				if !fused && form.lanes > 0 {
+					got.SumTile(slots[:len(k)], 0, v, m)
+					want.SumTile(ref[:len(k)], 0, v, m)
+				}
+				if form.lanes > 1 {
+					got.MaxTile(slots[:len(k)], 1, v, m)
+					want.MaxTile(ref[:len(k)], 1, v, m)
+				}
+				if form.packed && fused {
+					continue // the pair loop leaves slots alone
+				}
+				for i, key := range k {
+					s := int32(got.Cap())
+					if m[i] == 1 && key != NullKey {
+						s = int32(key - lo)
+					}
+					if slots[i] != s {
+						t.Fatalf("%s (fused %v): lane %d (key %d, mask %d) slot %d, want %d", form.name, fused, i, key, m[i], slots[i], s)
+					}
+				}
+			}
+			if g, w := collect(got), collect(want); !slices.Equal(g, w) {
+				t.Fatalf("%s (fused %v) over domain %d:\n key-masked fold %v\n masked keys     %v", form.name, fused, domain, g, w)
+			}
+			if g, w := throwaway(got), throwaway(want); !slices.Equal(g, w) {
+				t.Fatalf("%s (fused %v): throwaway %v, masked keys' %v", form.name, fused, g, w)
+			}
+		}
+	}
+}
+
+// A bare count(*) groups into a table with no lanes, whose throwaway record
 // has no lane either: FoldTile counts NullKey lanes without touching one.
 func TestFoldTileZeroLanes(t *testing.T) {
 	for _, tab := range []*AggTable{NewAggTable(0, 1), NewDenseAggTable(0, 0, 9, false)} {
 		keys := []int64{3, NullKey, 3, 9, NullKey, 3}
 		tab.FoldTile(keys, make([]int32, len(keys)), 0, nil, []byte{1, 1, 0, 1, 0, 1})
-		if c3, c9 := tab.Count(tab.Find(3)), tab.Count(tab.Find(9)); c3 != 2 || c9 != 1 || tab.ThrowawayCount != 1 {
-			t.Errorf("span %d: counts %d and %d, throwaway %d; want 2, 1 and 1", tab.span, c3, c9, tab.ThrowawayCount)
+		if c3, c9 := tab.Count(tab.Find(3)), tab.Count(tab.Find(9)); c3 != 2 || c9 != 1 || tab.Count(-1) != 1 {
+			t.Errorf("span %d: counts %d and %d, throwaway %d; want 2, 1 and 1", tab.span, c3, c9, tab.Count(-1))
 		}
 	}
 }
@@ -592,5 +726,6 @@ func FuzzAggTableForms(f *testing.F) {
 		formsAgree(t, int(domain)+1, data)
 		packedAgree(t, int(domain)+1, data)
 		foldAgree(t, int(domain)+1, data)
+		keyMaskAgree(t, int(domain)+1, data)
 	})
 }

@@ -1,7 +1,9 @@
 package ht
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -142,4 +144,56 @@ func TestJoinTableEpochWrap(t *testing.T) {
 	if row, ok := jt.Probe(4); !ok || row != 7 {
 		t.Errorf("post-wrap Probe(4) = %d,%v, want 7,true", row, ok)
 	}
+}
+
+// The key-masking fold checks the domain as an OR over the tile and panics
+// after the loop: a key outside it still panics, naming the key, wherever it
+// sits in the tile and whether its lane was selected or rejected — having
+// folded only into the throwaway record, so every group but the one the
+// other lanes reach stays clean. NullKey, rejected or not, folds into the
+// throwaway record without a panic.
+func TestKeyMaskedFoldRefusesOutsideKeys(t *testing.T) {
+	forms := []struct {
+		name   string
+		packed bool
+		vals   []int64
+	}{{"int64 record", false, []int64{1, 1, 1, 1}}, {"count only", false, nil}, {"packed pair loop", true, []int64{1, 1, 1, 1}}}
+	for _, form := range forms {
+		for _, k := range []int64{-1, 10, math.MaxInt64, math.MinInt64 + 1, NullKey} {
+			for _, at := range []int{0, 2, 3} { // first, inside and the tile's last lane
+				for _, m := range []byte{0, 1} {
+					tag := fmt.Sprintf("%s: key %d at lane %d, mask %d", form.name, k, at, m)
+					tab := NewDenseAggTable(1, 0, 9, form.packed)
+					keys, cmp := []int64{3, 3, 3, 3}, []byte{1, 1, 1, 1}
+					keys[at], cmp[at] = k, m
+					func() {
+						defer func() {
+							msg, _ := recover().(string)
+							want := fmt.Sprintf("key %d outside the table's domain [0, 9]", k)
+							if k == NullKey && msg != "" || k != NullKey && !strings.Contains(msg, want) {
+								t.Errorf("%s: recovered %q", tag, msg)
+							}
+						}()
+						tab.FoldTileKeyMasked(keys, make([]int32, len(keys)), 0, form.vals, cmp)
+					}()
+					for s := 0; s < tab.Cap(); s++ {
+						if s != 3 && (tab.Acc(s, 0) != 0 || tab.Count(s) != 0) {
+							t.Errorf("%s: slot %d written", tag, s)
+						}
+					}
+					if tab.Count(3) != 3 || tab.Count(-1) != 1 {
+						t.Errorf("%s: counts %d in key 3, %d in the throwaway record; want 3 and 1", tag, tab.Count(3), tab.Count(-1))
+					}
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("FoldTileKeyMasked on a hashed table did not panic")
+			}
+		}()
+		NewAggTable(1, 8).FoldTileKeyMasked([]int64{3}, make([]int32, 1), 0, nil, []byte{1})
+	}()
 }

@@ -1,6 +1,6 @@
 // Package ht implements the open-addressing hash tables used by every
 // strategy in this repository: AggTable for group-by aggregation (including
-// the reserved throwaway entry required by SWOLE's key masking and the
+// the throwaway record required by SWOLE's key masking and the
 // validity bookkeeping required by value masking, paper Section III-B),
 // JoinTable for equijoin build sides, and SetTable for semijoins.
 //
@@ -14,7 +14,9 @@ import "math"
 
 // NullKey is the reserved key used by key masking (Section III-B): tuples
 // filtered by a pulled-up predicate have their group-by key masked to
-// NullKey, which maps to a dedicated throwaway entry that stays cached.
+// NullKey, which maps to a dedicated throwaway record that stays cached. A
+// key-addressed table's tile fold reaches that record from the mask alone
+// (AggTable.FoldTileKeyMasked), with no NullKey written.
 const NullKey int64 = math.MinInt64
 
 // hash64 is the 64-bit finalizer from MurmurHash3, a strong cheap mixer.

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // Benchmarks pinning the cost model's ht_lookup / ht_null / ht_insert /
@@ -91,7 +93,9 @@ func size(keys int) string {
 // write itself; "tile" is AddPairsMasked over 1024-pair tiles. The fold/*
 // rows are the tile pipeline's grouped fold over 7 skewed keys (half the rows
 // on one), 100 and 100K keys: "onepass" is FoldTile, "threepass" the
-// LookupTile, count loop and SumTile it replaced.
+// LookupTile, count loop and SumTile it replaced, and "keymask" key masking
+// under the same 50% mask — FoldTileKeyMasked on a key-addressed table,
+// vec.MaskKeysU and FoldTile on a hashed one.
 func BenchmarkAggFoldForms(b *testing.B) {
 	const rows = 2 << 20
 	input := func(domain int, skew bool) (keys, vals []int64, cmp []byte) {
@@ -147,7 +151,7 @@ func BenchmarkAggFoldForms(b *testing.B) {
 			})
 		}
 	}
-	slots := make([]int32, 1024)
+	slots, masked := make([]int32, 1024), make([]int64, 1024)
 	for _, d := range []struct {
 		name   string
 		domain int
@@ -160,6 +164,19 @@ func BenchmarkAggFoldForms(b *testing.B) {
 				run(b, tab, func() {
 					for t := 0; t < rows; t += 1024 {
 						tab.FoldTile(keys[t:t+1024], slots, 0, vals[t:t+1024], cmp[t:t+1024])
+					}
+				})
+			})
+			b.Run("fold/"+f.name+"/keymask/"+d.name, func(b *testing.B) {
+				run(b, tab, func() {
+					for t := 0; t < rows; t += 1024 {
+						k, v, m := keys[t:t+1024], vals[t:t+1024], cmp[t:t+1024]
+						if tab.span == 0 {
+							vec.MaskKeysU(k, m, NullKey, masked)
+							tab.FoldTile(masked, slots, 0, v, m)
+						} else {
+							tab.FoldTileKeyMasked(k, slots, 0, v, m)
+						}
 					}
 				})
 			})

@@ -42,8 +42,8 @@ func TestAggTableThrowaway(t *testing.T) {
 	tab.Add(s, 0, 99)
 	tab.AddMasked(s, 0, 50, 1)
 	tab.AddMasked(s, 0, 50, 0)
-	if tab.Throwaway[0] != 149 {
-		t.Errorf("throwaway=%d, want 149", tab.Throwaway[0])
+	if tab.Acc(-1, 0) != 149 || tab.Count(-1) != 2 {
+		t.Errorf("throwaway=%d count=%d, want 149 and 2", tab.Acc(-1, 0), tab.Count(-1))
 	}
 	if tab.Len() != 0 {
 		t.Errorf("throwaway must not count as a group")
@@ -289,8 +289,8 @@ func TestAggTableReset(t *testing.T) {
 	if tab.Cap() != capBefore {
 		t.Errorf("Reset changed capacity %d -> %d", capBefore, tab.Cap())
 	}
-	if tab.Throwaway[0] != 0 || tab.ThrowawayCount != 0 {
-		t.Error("Reset did not clear the throwaway entry")
+	if tab.Acc(-1, 0) != 0 || tab.Count(-1) != 0 {
+		t.Error("Reset did not clear the throwaway record")
 	}
 	for k := int64(0); k < 10; k++ {
 		if tab.Find(k) != -2 {

@@ -1,6 +1,7 @@
 package ht
 
 import (
+	"bytes"
 	"math"
 	"slices"
 )
@@ -49,7 +50,7 @@ func (t *AggTable) AppendGroups(dst []int64) []int64 {
 		return t.appendPacked(dst)
 	}
 	if t.span != 0 {
-		for i, c := 0, n-1; c < len(t.recs); i, c = i+1, c+n {
+		for i, c := 0, n-1; c < int(t.span)*n; i, c = i+1, c+n {
 			if t.recs[c] > 0 {
 				dst = append(dst, t.lo+int64(i), t.recs[c-n+1])
 			}
@@ -70,8 +71,8 @@ func (t *AggTable) AppendGroups(dst []int64) []int64 {
 // chunk at a time, so dst's capacity outgrows the groups by one chunk.
 func (t *AggTable) appendPacked(dst []int64) []int64 {
 	const chunk = 1024
-	for base := 0; base < len(t.recs); base += chunk {
-		words := t.recs[base:min(base+chunk, len(t.recs))]
+	for base := 0; base < int(t.span); base += chunk { // the groups' words: a packed table is key-addressed
+		words := t.recs[base:min(base+chunk, int(t.span))]
 		dst = slices.Grow(dst, 2*len(words))
 		n := len(dst)
 		out := dst[n : n+2*len(words)]
@@ -89,7 +90,8 @@ func (t *AggTable) appendPacked(dst []int64) []int64 {
 // key-addressed tables of one domain and record form merge by element-wise
 // addition of their records (or words) — a sequential pass, the per-worker
 // merge of a gang scan. Records add lane by lane, so only tables of sums and
-// counts may be merged; any other pair of tables panics.
+// counts may be merged; any other pair of tables panics. The throwaway
+// records are not merged.
 // Single-owner: dst and src must not be concurrently accessed.
 func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 	if dst.span == 0 || dst.span != src.span || dst.lo != src.lo || dst.nAccs != src.nAccs || dst.stride != src.stride {
@@ -97,7 +99,8 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 	}
 	var merged uint64
 	n := dst.stride
-	d, s := dst.recs, src.recs[:len(dst.recs)]
+	d := dst.recs[:int(dst.span)*n]
+	s := src.recs[:len(d)]
 	for c := n - 1; c < len(d); c += n {
 		if s[c] == 0 {
 			continue
@@ -112,8 +115,10 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 
 // AddPairs aggregates (key, value) pairs into accumulator 0, counting each
 // tuple: Add(Lookup(keys[i]), 0, vals[i]) for every pair. NullKey pairs
-// land in the throwaway entry. On a key-addressed table the loop is a
-// range check, a subtraction and two adds into one record (one when packed).
+// land in the throwaway record. On a key-addressed table the loop is a
+// range check, a subtraction and two adds into one record (one when packed);
+// a hashed table resolves the pairs a chunk at a time (LookupTile) and folds
+// them over their slots.
 func (t *AggTable) AddPairs(keys, vals []int64) {
 	if len(keys) == 0 {
 		return
@@ -122,53 +127,72 @@ func (t *AggTable) AddPairs(keys, vals []int64) {
 	switch {
 	case t.packed():
 		t.addPairsPacked(keys, vals)
-		return
 	case t.span != 0:
 		t.addPairsDense(keys, vals)
-		return
-	}
-	n := t.stride
-	for i, k := range keys {
-		j := t.probeInsert(k)
-		if j < 0 {
-			t.Throwaway[0] += vals[i]
-			t.ThrowawayCount++
-			continue
-		}
-		t.recs[j*n] += vals[i]
-		t.recs[j*n+n-1]++
+	default:
+		t.addPairsHashed(keys, vals, nil)
 	}
 }
 
 // addPairsDense is AddPairs on a key-addressed table. (Its own function, as
-// is the masked one: sharing a frame with the hashed loop spills the hot
-// loop's registers.)
+// is the masked one: sharing a frame with another form's loop spills the
+// hot loop's registers.)
 func (t *AggTable) addPairsDense(keys, vals []int64) {
-	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
-	for i, k := range keys {
-		u := uint64(k) - lo
-		if u >= span {
-			t.outside(k)
-			t.Throwaway[0] += vals[i]
-			t.ThrowawayCount++
-			continue
+	lo, span, n, recs, vals := uint64(t.lo), t.span, uint64(t.stride), t.recs, vals[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u := uint64(keys[i]) - lo
+			if u >= span {
+				break
+			}
+			recs[u*n] += vals[i]
+			recs[u*n+n-1]++
 		}
-		recs[u*n] += vals[i]
-		recs[u*n+n-1]++
+		if i < len(keys) {
+			t.refuse(keys[i], 0, vals[i], 1)
+		}
 	}
 }
 
 // addPairsPacked is AddPairs on a packed table: v<<32 + 1 adds the value to
-// the sum and one to the count. The domain is the record array's length.
+// the sum and one to the count. recs is the groups' words, so the range
+// check is the bounds check.
 func (t *AggTable) addPairsPacked(keys, vals []int64) {
-	lo, recs, vals := uint64(t.lo), t.recs, vals[:len(keys)]
-	for i, k := range keys {
-		u := uint64(k) - lo
-		if u >= uint64(len(recs)) {
-			t.Add(t.outside(k), 0, vals[i])
-			continue
+	lo, recs, vals := uint64(t.lo), t.recs[:t.span], vals[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u := uint64(keys[i]) - lo
+			if u >= uint64(len(recs)) {
+				break
+			}
+			recs[u] += vals[i]<<32 + 1
 		}
-		recs[u] += vals[i]<<32 + 1
+		if i < len(keys) {
+			t.refuse(keys[i], 0, vals[i], 1)
+		}
+	}
+}
+
+// pairChunk is how many pairs a hashed table resolves at a time; ones is the
+// all-ones mask of an unmasked chunk.
+const pairChunk = 256
+
+var ones = bytes.Repeat([]byte{1}, pairChunk)
+
+// addPairsHashed is AddPairs (cmp nil) and AddPairsMasked on a hashed table:
+// LookupTile resolves a chunk of pairs into slots on the stack, and the
+// fold over them (foldSlots) counts NullKey pairs into the throwaway record
+// like any other.
+func (t *AggTable) addPairsHashed(keys, vals []int64, cmp []byte) {
+	var slots [pairChunk]int32
+	for a := 0; a < len(keys); a += pairChunk {
+		b := min(a+pairChunk, len(keys))
+		m := ones[:b-a]
+		if cmp != nil {
+			m = cmp[a:b]
+		}
+		t.LookupTile(keys[a:b], slots[:b-a])
+		t.foldSlots(slots[:b-a], 0, vals[a:b], m)
 	}
 }
 
@@ -184,52 +208,46 @@ func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
 	switch {
 	case t.packed():
 		t.addPairsMaskedPacked(keys, vals, cmp)
-		return
 	case t.span != 0:
 		t.addPairsMaskedDense(keys, vals, cmp)
-		return
-	}
-	n := t.stride
-	for i, k := range keys {
-		j := t.probeInsert(k)
-		m := int64(cmp[i])
-		if j < 0 {
-			t.Throwaway[0] += vals[i] * m
-			t.ThrowawayCount += m
-			continue
-		}
-		t.recs[j*n] += vals[i] * m
-		t.recs[j*n+n-1] += m
+	default:
+		t.addPairsHashed(keys, vals, cmp)
 	}
 }
 
 func (t *AggTable) addPairsMaskedDense(keys, vals []int64, cmp []byte) {
 	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
-	for i, k := range keys {
-		u := uint64(k) - lo
-		m := int64(cmp[i])
-		if u >= span {
-			t.outside(k)
-			t.Throwaway[0] += vals[i] * m
-			t.ThrowawayCount += m
-			continue
+	vals, cmp = vals[:len(keys)], cmp[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u, m := uint64(keys[i])-lo, int64(cmp[i])
+			if u >= span {
+				break
+			}
+			recs[u*n] += vals[i] * m
+			recs[u*n+n-1] += m
 		}
-		recs[u*n] += vals[i] * m
-		recs[u*n+n-1] += m
+		if i < len(keys) {
+			t.refuse(keys[i], 0, vals[i], int64(cmp[i]))
+		}
 	}
 }
 
 // addPairsMaskedPacked is AddPairsMasked on a packed table: one add of
 // (v*m)<<32 + m per pair.
 func (t *AggTable) addPairsMaskedPacked(keys, vals []int64, cmp []byte) {
-	lo, recs, vals, cmp := uint64(t.lo), t.recs, vals[:len(keys)], cmp[:len(keys)]
-	for i, k := range keys {
-		u := uint64(k) - lo
-		if u >= uint64(len(recs)) {
-			t.AddMasked(t.outside(k), 0, vals[i], cmp[i])
-			continue
+	lo, recs := uint64(t.lo), t.recs[:t.span]
+	vals, cmp = vals[:len(keys)], cmp[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u, m := uint64(keys[i])-lo, int64(cmp[i])
+			if u >= uint64(len(recs)) {
+				break
+			}
+			recs[u] += (vals[i]*m)<<32 + m
 		}
-		m := int64(cmp[i])
-		recs[u] += (vals[i]*m)<<32 + m
+		if i < len(keys) {
+			t.refuse(keys[i], 0, vals[i], int64(cmp[i]))
+		}
 	}
 }

@@ -86,7 +86,7 @@ func TestPartitionedAggParity(t *testing.T) {
 	for part := 0; part < parts; part++ {
 		small.Reset()
 		small.AddPairs(p.Partition(part))
-		throwaway += small.Throwaway[0]
+		throwaway += small.Acc(-1, 0)
 		small.ForEach(false, func(key int64, s int) { got[key] = small.Acc(s, 0) })
 	}
 
@@ -100,7 +100,7 @@ func TestPartitionedAggParity(t *testing.T) {
 			t.Errorf("key %d: partitioned %d, direct %d", k, got[k], w)
 		}
 	}
-	if throwaway != direct.Throwaway[0] {
-		t.Errorf("throwaway sum %d, direct %d", throwaway, direct.Throwaway[0])
+	if throwaway != direct.Acc(-1, 0) {
+		t.Errorf("throwaway sum %d, direct %d", throwaway, direct.Acc(-1, 0))
 	}
 }

@@ -30,10 +30,13 @@ const (
 	lineitemPerOrder = 4 // uniform 1..7 in dbgen; expectation 4
 )
 
-// Dates span the dbgen range.
+// Dates span the dbgen range; cutDate is dbgen's "current date", which
+// splits lineitems into returned/shipped and open ones. Parsed once here:
+// the lineitem loop compares against it twice a row.
 var (
 	startDate = storage.MustParseDate("1992-01-01")
 	endDate   = storage.MustParseDate("1998-08-02")
+	cutDate   = storage.MustParseDate("1995-06-17")
 )
 
 // Data holds the generated tables twice: as typed slices for the
@@ -257,7 +260,7 @@ func Generate(sf float64) *Data {
 			li.ReceiptDate = append(li.ReceiptDate, ship+int32(rng.rangeIn(1, 30)))
 			// Return flag: R or A for received in the past, N otherwise
 			// (dbgen keys this off receipt date vs the 1995-06-17 cut).
-			if li.ReceiptDate[len(li.ReceiptDate)-1] <= storage.MustParseDate("1995-06-17") {
+			if li.ReceiptDate[len(li.ReceiptDate)-1] <= cutDate {
 				if rng.intn(2) == 0 {
 					liFlagStrs = append(liFlagStrs, "R")
 				} else {
@@ -266,7 +269,7 @@ func Generate(sf float64) *Data {
 			} else {
 				liFlagStrs = append(liFlagStrs, "N")
 			}
-			if ship <= storage.MustParseDate("1995-06-17") {
+			if ship <= cutDate {
 				liStatusStrs = append(liStatusStrs, "F")
 			} else {
 				liStatusStrs = append(liStatusStrs, "O")

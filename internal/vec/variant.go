@@ -75,7 +75,7 @@ type Counters struct {
 
 	DictKeys  uint64 // tiles whose keys came dict-coded (narrow codes)
 	MaskedAgg uint64 // unrolled masked-aggregation tiles
-	KeyMask   uint64 // unrolled masked key-materialization tiles
+	KeyMask   uint64 // tiles grouped under key masking: masked slots (key-addressed table) or masked keys (hashed)
 }
 
 // Add accumulates o into c; used to merge per-worker counters at the end

@@ -95,17 +95,17 @@ var packedStatements = []struct {
 }
 
 // checkPackedForm runs q through QuerySwole and checks the table it reports:
-// domain×8 bytes when packed, domain×8×(lanes+1) when not, beside a join
-// edge's bitmap.
+// 8 bytes a record when packed, 8×(lanes+1) when not, for the domain's
+// records and the throwaway record, beside a join edge's bitmap.
 func checkPackedForm(t *testing.T, d *DB, q, tag string, domain, lanes int, packed bool) {
 	t.Helper()
 	_, ex, err := d.QuerySwole(q)
 	if err != nil {
 		t.Fatalf("%s %q: %v", tag, q, err)
 	}
-	want := domain * 8 * (lanes + 1)
+	want := (domain + 1) * 8 * (lanes + 1)
 	if packed {
-		want = domain * 8
+		want = (domain + 1) * 8
 	}
 	want += int(ex.Costs["edge0-bitmap-bytes"])
 	if ex.DenseDomain != domain || ex.HTBytes != want {
