@@ -1,72 +1,9 @@
 package swole
 
-// Ablation benchmarks pricing the individual design choices DESIGN.md
-// calls out:
-//
-//	BenchmarkAblation_SelectionVector  - branching vs no-branch (Ross 2002)
-//	BenchmarkAblation_MaskingBookkeeping - validity flags' overhead
-//	BenchmarkAblation_EagerDeletion    - the EA deletion pass alone
-//	BenchmarkAblation_GroupTableForm   - key-addressed vs hashed
-
 import (
 	"strconv"
 	"testing"
-
-	"github.com/reprolab/swole/internal/micro"
 )
-
-// BenchmarkAblation_SelectionVector compares branching and predicated
-// selection-vector construction across selectivities: branching wins at
-// the predictable extremes, no-branch at intermediate selectivities.
-func BenchmarkAblation_SelectionVector(b *testing.B) {
-	d := getMicro(b, 1000, 1000)
-	for _, sel := range []int{1, 50, 99} {
-		b.Run("nobranch/sel"+strconv.Itoa(sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += micro.Q1Hybrid(d, micro.OpMul, sel)
-			}
-		})
-		b.Run("branch/sel"+strconv.Itoa(sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += micro.Q1HybridBranching(d, micro.OpMul, sel)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_MaskingBookkeeping prices the validity-flag
-// bookkeeping value masking needs for group-by correctness.
-func BenchmarkAblation_MaskingBookkeeping(b *testing.B) {
-	d := getMicro(b, 1000, 1000)
-	b.Run("with-flags", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += int64(micro.Q2ValueMasking(d, 50).Len())
-		}
-	})
-	b.Run("without-flags", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += int64(len(micro.Q2ValueMaskingNoFlags(d, 50)))
-		}
-	})
-}
-
-// BenchmarkAblation_EagerDeletion isolates the deletion pass of eager
-// aggregation (the second term of the Section III-E cost model).
-func BenchmarkAblation_EagerDeletion(b *testing.B) {
-	d := getMicro(b, 1000, 1000)
-	b.Run("aggregate-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink += int64(len(micro.Q5EagerNoDelete(d)))
-		}
-	})
-	for _, sel := range []int{10, 90} {
-		b.Run("with-deletion/sel"+strconv.Itoa(sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += int64(micro.Q5EagerAggregation(d, sel).Len())
-			}
-		})
-	}
-}
 
 // BenchmarkAblation_GroupTableForm runs one filtered group-by sum two ways
 // at each of three key domains, one worker: into the key-addressed table (the

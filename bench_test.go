@@ -10,9 +10,12 @@ package swole
 //	BenchmarkFig11_MicroQ4  - Figure 11, positional bitmaps
 //	BenchmarkFig12_MicroQ5  - Figure 12, eager aggregation
 //
-// Benchmarks use laptop-scale defaults (SWOLE_BENCH_SF, SWOLE_BENCH_R to
-// override); cmd/swolebench runs the full selectivity sweeps and prints
-// the paper-format series.
+// The micro families run the series table internal/harness defines for its
+// figures (harness.Config.MicroPanels), at the paper's key selectivities;
+// Figure 6 runs tpch.Data.Prepare's runners. Either way a point is prepared
+// before its timer starts. Benchmarks use laptop-scale defaults
+// (SWOLE_BENCH_SF, SWOLE_BENCH_R to override); cmd/swolebench runs the full
+// selectivity sweeps and prints the paper-format series.
 
 import (
 	"os"
@@ -20,7 +23,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/reprolab/swole/internal/micro"
+	"github.com/reprolab/swole/internal/harness"
 	"github.com/reprolab/swole/internal/tpch"
 )
 
@@ -45,28 +48,12 @@ func benchR() int {
 var (
 	tpchOnce sync.Once
 	tpchData *tpch.Data
-
-	microMu    sync.Mutex
-	microCache = map[string]*micro.Data{}
 )
 
 func getTPCH(b *testing.B) *tpch.Data {
 	b.Helper()
 	tpchOnce.Do(func() { tpchData = tpch.Generate(benchSF()) })
 	return tpchData
-}
-
-func getMicro(b *testing.B, ns, card int) *micro.Data {
-	b.Helper()
-	microMu.Lock()
-	defer microMu.Unlock()
-	key := strconv.Itoa(ns) + "/" + strconv.Itoa(card)
-	if d, ok := microCache[key]; ok {
-		return d
-	}
-	d := micro.Generate(micro.Config{NR: benchR(), NS: ns, CCard: card, Seed: 1})
-	microCache[key] = d
-	return d
 }
 
 var benchSink int64
@@ -79,8 +66,13 @@ func BenchmarkFig6_TPCH(b *testing.B) {
 	for _, q := range tpch.Queries {
 		for _, s := range tpch.Strategies {
 			b.Run(q.String()+"/"+s.String(), func(b *testing.B) {
+				run, err := d.Prepare(q, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rows, err := d.Run(q, s)
+					rows, _, err := run()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -91,135 +83,41 @@ func BenchmarkFig6_TPCH(b *testing.B) {
 	}
 }
 
+// benchFigure runs every series of every panel of micro figure fig at the
+// given selectivities.
+func benchFigure(b *testing.B, fig int, sels ...int) {
+	for _, p := range (harness.Config{MicroR: benchR()}).MicroPanels(fig) {
+		for _, s := range p.Series {
+			for _, sel := range sels {
+				b.Run(p.ID+"/"+s.Name+"/sel"+strconv.Itoa(sel), func(b *testing.B) {
+					run := s.Prepare(sel)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						benchSink += run().Sink()
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkFig8_MicroQ1 regenerates Figure 8 (value masking) at the
 // paper's key selectivities: low, the data-centric misprediction peak,
 // and high.
-func BenchmarkFig8_MicroQ1(b *testing.B) {
-	d := getMicro(b, 1000, 1000)
-	ops := []micro.Op{micro.OpMul, micro.OpDiv}
-	strategies := []struct {
-		name string
-		fn   func(*micro.Data, micro.Op, int) int64
-	}{
-		{"datacentric", micro.Q1DataCentric},
-		{"hybrid", micro.Q1Hybrid},
-		{"rof", micro.Q1ROF},
-		{"value-masking", micro.Q1ValueMasking},
-	}
-	for _, op := range ops {
-		opName := "mul"
-		if op == micro.OpDiv {
-			opName = "div"
-		}
-		for _, s := range strategies {
-			for _, sel := range []int{10, 50, 90} {
-				b.Run(opName+"/"+s.name+"/sel"+strconv.Itoa(sel), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink += s.fn(d, op, sel)
-					}
-				})
-			}
-		}
-	}
-}
+func BenchmarkFig8_MicroQ1(b *testing.B) { benchFigure(b, 8, 10, 50, 90) }
 
 // BenchmarkFig9_MicroQ2 regenerates Figure 9 (key masking) across hash
 // table cache classes.
-func BenchmarkFig9_MicroQ2(b *testing.B) {
-	cards := []int{10, 1000, 100_000}
-	if c := benchR() / 10; c < cards[2] {
-		cards[2] = c
-	}
-	run := func(name string, fn func(*micro.Data, int) int) {
-		for _, card := range cards {
-			d := getMicro(b, 1000, card)
-			for _, sel := range []int{10, 50, 90} {
-				b.Run("card"+strconv.Itoa(card)+"/"+name+"/sel"+strconv.Itoa(sel), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink += int64(fn(d, sel))
-					}
-				})
-			}
-		}
-	}
-	run("datacentric", func(d *micro.Data, sel int) int { return micro.Q2DataCentric(d, sel).Len() })
-	run("hybrid", func(d *micro.Data, sel int) int { return micro.Q2Hybrid(d, sel).Len() })
-	run("value-masking", func(d *micro.Data, sel int) int { return micro.Q2ValueMasking(d, sel).Len() })
-	run("key-masking", func(d *micro.Data, sel int) int { return micro.Q2KeyMasking(d, sel).Len() })
-}
+func BenchmarkFig9_MicroQ2(b *testing.B) { benchFigure(b, 9, 10, 50, 90) }
 
 // BenchmarkFig10_MicroQ3 regenerates Figure 10 (access merging) for both
 // reuse configurations.
-func BenchmarkFig10_MicroQ3(b *testing.B) {
-	d := getMicro(b, 1000, 1000)
-	strategies := []struct {
-		name string
-		fn   func(*micro.Data, micro.Col, int) int64
-	}{
-		{"datacentric", micro.Q3DataCentric},
-		{"hybrid", micro.Q3Hybrid},
-		{"value-masking", micro.Q3ValueMasking},
-		{"access-merging", micro.Q3AccessMerging},
-	}
-	for _, col := range []micro.Col{micro.ColA, micro.ColY} {
-		for _, s := range strategies {
-			b.Run(col.String()+"/"+s.name+"/sel50", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					benchSink += s.fn(d, col, 50)
-				}
-			})
-		}
-	}
-}
+func BenchmarkFig10_MicroQ3(b *testing.B) { benchFigure(b, 10, 50) }
 
-// BenchmarkFig11_MicroQ4 regenerates Figure 11 (positional bitmaps) at the
-// paper's four fixed/swept selectivity corners.
-func BenchmarkFig11_MicroQ4(b *testing.B) {
-	ns := 1_000_000
-	if ns > benchR()/2 {
-		ns = benchR() / 2
-	}
-	d := getMicro(b, ns, 1000)
-	strategies := []struct {
-		name string
-		fn   func(*micro.Data, int, int) int64
-	}{
-		{"datacentric", micro.Q4DataCentric},
-		{"hybrid", micro.Q4Hybrid},
-		{"positional-bitmap", micro.Q4Bitmap},
-	}
-	for _, sels := range [][2]int{{10, 50}, {90, 50}, {50, 10}, {50, 90}} {
-		for _, s := range strategies {
-			name := "sel" + strconv.Itoa(sels[0]) + "x" + strconv.Itoa(sels[1]) + "/" + s.name
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					benchSink += s.fn(d, sels[0], sels[1])
-				}
-			})
-		}
-	}
-}
+// BenchmarkFig11_MicroQ4 regenerates Figure 11 (positional bitmaps): each
+// panel fixes one side at 10% or 90% and runs the other at 50%.
+func BenchmarkFig11_MicroQ4(b *testing.B) { benchFigure(b, 11, 50) }
 
 // BenchmarkFig12_MicroQ5 regenerates Figure 12 (eager aggregation) for
 // small and large build sides.
-func BenchmarkFig12_MicroQ5(b *testing.B) {
-	sizes := []int{1000, 1_000_000}
-	if sizes[1] > benchR()/2 {
-		sizes[1] = benchR() / 2
-	}
-	run := func(name string, fn func(*micro.Data, int) int) {
-		for _, ns := range sizes {
-			d := getMicro(b, ns, 1000)
-			for _, sel := range []int{10, 50, 90} {
-				b.Run("s"+strconv.Itoa(ns)+"/"+name+"/sel"+strconv.Itoa(sel), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink += int64(fn(d, sel))
-					}
-				})
-			}
-		}
-	}
-	run("datacentric", func(d *micro.Data, sel int) int { return micro.Q5DataCentric(d, sel).Len() })
-	run("hybrid", func(d *micro.Data, sel int) int { return micro.Q5Hybrid(d, sel).Len() })
-	run("eager-aggregation", func(d *micro.Data, sel int) int { return micro.Q5EagerAggregation(d, sel).Len() })
-}
+func BenchmarkFig12_MicroQ5(b *testing.B) { benchFigure(b, 12, 10, 50, 90) }

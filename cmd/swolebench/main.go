@@ -1,6 +1,7 @@
 // Command swolebench regenerates the measured experiments of the paper:
 // Figure 6 (TPC-H under volcano/data-centric/hybrid/SWOLE) and Figures
-// 8-12 (the technique microbenchmarks).
+// 8-12 (the technique microbenchmarks). Every series the engine can run is
+// timed on the engine's own plan; see internal/harness.
 //
 // Usage:
 //
@@ -28,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"github.com/reprolab/swole/internal/harness"
 	"github.com/reprolab/swole/internal/tpch"
@@ -120,19 +120,12 @@ func realMain() error {
 			if err != nil {
 				return err
 			}
-			fmt.Println("Figure 6: TPC-H (runtimes; hy/dc and sw/hy are the paper's speedup columns)")
+			fmt.Println("Figure 6: TPC-H (runtimes; hy/dc and sw/hy are the paper's speedup columns;")
+			fmt.Println("swole ran: the engine plan's technique, or a hand-written kernel's)")
 			fmt.Println(harness.FormatFig6(rows))
-			fmt.Println("SWOLE technique per query (paper Section IV-A):")
+			fmt.Println("Hand-written SWOLE kernels (paper Section IV-A):")
 			for _, ex := range tpch.ExplainSwole() {
-				techs := "none (hybrid fallback)"
-				if len(ex.Techniques) > 0 {
-					parts := make([]string, len(ex.Techniques))
-					for i, t := range ex.Techniques {
-						parts[i] = t.String()
-					}
-					techs = strings.Join(parts, " + ")
-				}
-				fmt.Printf("  %-4s %-34s %s\n", ex.Query, techs, ex.Rationale)
+				fmt.Printf("  %-4s %s\n", ex.Query, ex.Rationale)
 			}
 		case "8":
 			show(cfg.Fig8())

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"github.com/reprolab/swole/internal/core"
 )
 
 // StrategyRun is one strategy's execution of a query in CompareStrategies.
@@ -32,7 +34,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, ok := d.synthesize(p)
+	spec, ok := core.Synthesize(d.db, p)
 	if !ok {
 		return nil, fmt.Errorf("swole: CompareStrategies supports aggregation queries")
 	}

@@ -119,7 +119,7 @@ func TestDenseGroupParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, ok := d.synthesize(p)
+			spec, ok := core.Synthesize(d.db, p)
 			if !ok {
 				t.Fatalf("%s: not synthesized", tc.name)
 			}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
@@ -12,13 +11,9 @@ import (
 
 // Disjunction evaluation benchmarks (DESIGN.md §7): the in-tile
 // evaluation the engine runs — terms ORed into the tile's byte mask,
-// stopping at a saturated tile — and the alternative it replaced,
-// term-at-a-time passes into a materialized positional bitmap (now on the
-// packed OrFromCmp and word-wise RangeAllSet), against the naive
-// row-at-a-time interpreted loop. The corpus
-// is a three-term OR at ~10% combined selectivity (each term ~3.5%),
-// the regime the issue's CI gate pins: bitmap-OR must beat the naive
-// row loop by at least 1.3x (see the disjunction-bench job).
+// stopping at a saturated tile — against the naive row-at-a-time
+// interpreted loop. The corpus is a three-term OR at ~10% combined
+// selectivity (each term ~3.5%).
 
 const disjRows = 1 << 20
 
@@ -104,30 +99,8 @@ func (f *disjFixture) countFused(ev *expr.Evaluator, cmp []byte) int {
 	return count
 }
 
-// countBitmapOR evaluates term at a time into a positional bitmap: each
-// term ORs its tile verdicts into the bitmap, and later terms skip tiles
-// earlier terms already saturated.
-func (f *disjFixture) countBitmapOR(ev *expr.Evaluator, bm *bitmap.Bitmap, cmp []byte) int {
-	bm.Reset(disjRows)
-	terms := f.orTree.(*expr.Logic).Args
-	for ti, term := range terms {
-		for base := 0; base < disjRows; base += vec.TileSize {
-			n := disjRows - base
-			if n > vec.TileSize {
-				n = vec.TileSize
-			}
-			if ti > 0 && bm.RangeAllSet(base, n) {
-				continue
-			}
-			ev.EvalBool(term, expr.Rows(base, n), cmp[:n])
-			bm.OrFromCmp(base, cmp[:n])
-		}
-	}
-	return bm.Count()
-}
-
 // BenchmarkDisjunctionRowNaive is the interpreted tuple-at-a-time
-// baseline the CI gate measures the compiled strategies against.
+// baseline.
 func BenchmarkDisjunctionRowNaive(b *testing.B) {
 	f := newDisjFixture(b)
 	b.ResetTimer()
@@ -147,22 +120,6 @@ func BenchmarkDisjunctionFused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := f.countFused(ev, cmp); got != f.want {
 			b.Fatalf("fused count %d, want %d", got, f.want)
-		}
-	}
-}
-
-// BenchmarkDisjunctionBitmapOR is the term-at-a-time positional-bitmap
-// alternative; the CI gate pins it at >=1.3x over the row-naive
-// baseline at this corpus's ~10% selectivity.
-func BenchmarkDisjunctionBitmapOR(b *testing.B) {
-	f := newDisjFixture(b)
-	ev := expr.NewEvaluator()
-	bm := bitmap.New(disjRows)
-	cmp := make([]byte, vec.TileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := f.countBitmapOR(ev, bm, cmp); got != f.want {
-			b.Fatalf("bitmap-OR count %d, want %d", got, f.want)
 		}
 	}
 }

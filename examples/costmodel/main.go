@@ -1,32 +1,43 @@
 // Cost model exploration: sweep predicate selectivity and group-by
 // cardinality, print the technique SWOLE's cost models choose at each
-// point, and compare the prediction against measured kernel runtimes —
-// a miniature of the paper's Figures 8 and 9 with the model overlaid.
+// point, and compare the prediction against the engine's plans forced onto
+// each strategy (DB.CompareStrategies) — a miniature of the paper's Figures
+// 8 and 9 with the model overlaid.
 //
 //	go run ./examples/costmodel
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
+	"github.com/reprolab/swole"
 	"github.com/reprolab/swole/internal/cost"
-	"github.com/reprolab/swole/internal/micro"
 )
 
 func main() {
 	p := cost.Default()
-	d := micro.Generate(micro.Config{NR: 1_000_000, NS: 1000, CCard: 1000, Seed: 1})
+	const rows = 1_000_000
+	db, err := swole.LoadMicro(swole.MicroConfig{Rows: rows})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Println("Scalar aggregation (micro Q1, sum(r_a*r_b)): model choice vs measurement")
-	fmt.Printf("%-8s %-16s %12s %12s %12s\n", "sel(%)", "model picks", "datacentric", "hybrid", "masking")
+	fmt.Println("Scalar aggregation (micro Q1, sum(r_a*r_b)): model choice vs the engine's forced plans")
+	fmt.Printf("%-8s %-16s %s\n", "sel(%)", "model picks", "measured (each run's Explain.Technique)")
 	comp := p.CompMul + p.CompAdd
 	for sel := 0; sel <= 100; sel += 20 {
-		strat, _ := p.ChooseScalarAgg(d.Cfg.NR, float64(sel)/100, comp)
-		dc := timeIt(func() { micro.Q1DataCentric(d, micro.OpMul, sel) })
-		hy := timeIt(func() { micro.Q1Hybrid(d, micro.OpMul, sel) })
-		vm := timeIt(func() { micro.Q1ValueMasking(d, micro.OpMul, sel) })
-		fmt.Printf("%-8d %-16s %12s %12s %12s\n", sel, strat, dc, hy, vm)
+		strat, _ := p.ChooseScalarAgg(rows, float64(sel)/100, comp)
+		runs, err := db.CompareStrategies(fmt.Sprintf("select sum(r_a * r_b) from r where r_x < %d and r_y = 1", sel))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-8d %-16s", sel, strat)
+		for _, r := range runs {
+			fmt.Printf(" %s=%s", r.Explain.Technique, r.Runtime.Round(10*time.Microsecond))
+		}
+		fmt.Println()
 	}
 
 	fmt.Println("\nGroup-by aggregation (micro Q2): model choice across hash table sizes")
@@ -52,10 +63,4 @@ func main() {
 	cal := cost.Calibrate()
 	fmt.Printf("  read_cond=%.1f ht(mem)=%.1f comp(mul)=%.1f comp(div)=%.1f (units of one sequential read)\n",
 		cal.ReadCond, cal.HitMem, cal.CompMul, cal.CompDiv)
-}
-
-func timeIt(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start).Round(10 * time.Microsecond)
 }

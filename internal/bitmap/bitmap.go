@@ -7,8 +7,8 @@
 // targets.
 //
 // Construction is the unconditional predicated store of the predicate result
-// (a pure sequential write, SetFromCmp): a 0/1 byte mask moves in and out of
-// the bitmap 64 lanes per word (SetFromCmp, OrFromCmp, ReadCmp). The paper's
+// (a pure sequential write, SetFromCmp): a 0/1 byte mask moves into the
+// bitmap 64 lanes per word (SetFromCmp, OrFromCmp). The paper's
 // selection-vector driven alternative — one Set per qualifying row — went
 // with its last caller, the semijoin hand plan. Combining bitmaps is
 // word-wise.
@@ -72,19 +72,10 @@ func (b *Bitmap) TestBit(i int) byte {
 // A 0/1 byte mask and a bitmap hold the same lanes at one byte and one bit
 // each, and eight lanes convert per multiply: pack8 gathers the low bit of
 // each byte of a mask word into a byte (no two partial products share a
-// bit, so nothing carries), spread8 is its inverse.
-const (
-	packMul   = 0x0102040810204080
-	spreadMul = 0x0101010101010101
-	spreadSel = 0x8040201008040201
-	lane7     = 0x7f7f7f7f7f7f7f7f
-)
+// bit, so nothing carries).
+const packMul = 0x0102040810204080
 
 func pack8(w uint64) uint64 { return w * packMul >> 56 }
-
-func spread8(b uint64) uint64 {
-	return (b*spreadMul&spreadSel + lane7) >> 7 & spreadMul
-}
 
 // pack64 packs the 64 lanes of cmp into a bitmap word.
 func pack64(cmp []byte) uint64 {
@@ -128,45 +119,6 @@ func (b *Bitmap) OrFromCmp(base int, cmp []byte) {
 	}
 	for ; j < n; j++ {
 		b.OrBit(base+j, cmp[j])
-	}
-}
-
-// RangeAllSet reports whether every bit in [base, base+n) is set — the
-// tile-level short circuit of term-at-a-time disjunction evaluation: once
-// earlier terms accepted an entire tile, later terms skip it.
-func (b *Bitmap) RangeAllSet(base, n int) bool {
-	for i := base; i < base+n; {
-		w := b.words[i>>6]
-		lo := uint(i) & 63
-		span := 64 - int(lo)
-		if rem := base + n - i; span > rem {
-			span = rem
-		}
-		mask := (^uint64(0) >> (64 - uint(span))) << lo
-		if w&mask != mask {
-			return false
-		}
-		i += span
-	}
-	return true
-}
-
-// ReadCmp materializes bits [base, base+len(cmp)) as a 0/1 byte mask — the
-// consumer side of a positional bitmap feeding a tiled kernel — one word
-// load per 64 lanes between the unaligned ends.
-func (b *Bitmap) ReadCmp(base int, cmp []byte) {
-	j, n := 0, len(cmp)
-	for ; j < n && (base+j)&63 != 0; j++ {
-		cmp[j] = b.TestBit(base + j)
-	}
-	for w := (base + j) >> 6; j+64 <= n; j, w = j+64, w+1 {
-		word, out := b.words[w], cmp[j:j+64]
-		for k := 0; k < 8; k++ {
-			binary.LittleEndian.PutUint64(out[8*k:], spread8(word>>(8*k)&0xff))
-		}
-	}
-	for ; j < n; j++ {
-		cmp[j] = b.TestBit(base + j)
 	}
 }
 
@@ -220,27 +172,6 @@ func (b *Bitmap) And(other *Bitmap) {
 func (b *Bitmap) Or(other *Bitmap) {
 	for i := range b.words {
 		b.words[i] |= other.words[i]
-	}
-}
-
-// MergeOr returns the union of the given bitmaps, which must all cover the
-// same length — the merge phase of morsel-parallel bitmap construction:
-// each worker sets bits for the build-side morsels it claimed in a private
-// bitmap, and the partials are OR-ed once all workers finish. Every
-// position is written by exactly one worker (morsels partition the build
-// range), so the union is identical to a sequential construction.
-func MergeOr(parts ...*Bitmap) *Bitmap {
-	out := New(parts[0].n)
-	for _, p := range parts {
-		out.Or(p)
-	}
-	return out
-}
-
-// Clear unsets every bit.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
 	}
 }
 

@@ -116,10 +116,6 @@ func TestAndOrClear(t *testing.T) {
 	if a.Count() != 1 || !a.Test(100) {
 		t.Errorf("And: count=%d", a.Count())
 	}
-	a.Clear()
-	if a.Count() != 0 {
-		t.Error("Clear left bits set")
-	}
 }
 
 func TestBytes(t *testing.T) {
@@ -127,37 +123,6 @@ func TestBytes(t *testing.T) {
 	b := New(100_000_000)
 	if mb := float64(b.Bytes()) / (1 << 20); mb < 11.5 || mb > 13.5 {
 		t.Errorf("100M-position bitmap is %.1f MB, paper says ~12.5", mb)
-	}
-}
-
-func TestMergeOr(t *testing.T) {
-	// Three "workers" set disjoint morsel-aligned ranges; the merge must
-	// equal a sequential construction.
-	const n = 3*128 + 17
-	want := New(n)
-	parts := make([]*Bitmap, 3)
-	for w := range parts {
-		parts[w] = New(n)
-	}
-	for i := 0; i < n; i++ {
-		if i%3 == 0 || i%7 == 0 {
-			want.Set(i)
-			parts[(i/128)%3].Set(i)
-		}
-	}
-	got := MergeOr(parts...)
-	if got.Len() != n {
-		t.Fatalf("merged length %d, want %d", got.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if got.Test(i) != want.Test(i) {
-			t.Fatalf("bit %d: merged %v, sequential %v", i, got.Test(i), want.Test(i))
-		}
-	}
-	// Single partial merges to an identical copy.
-	solo := MergeOr(want)
-	if solo.Count() != want.Count() {
-		t.Errorf("single-part merge count %d, want %d", solo.Count(), want.Count())
 	}
 }
 

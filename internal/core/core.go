@@ -15,10 +15,13 @@
 // is stale. PrepareForced is the same compile with the technique named by
 // the caller. There is exactly one kernel per technique.
 //
-// The hand-specialized kernels in internal/micro and internal/tpch are the
-// measured reproductions of the paper's figures (the paper hand-coded each
-// strategy); this package is what a downstream user calls for their own
-// queries.
+// This package is both what a downstream user calls for their own queries
+// and what the paper's figures time: every series of Figures 6 and 8-12
+// that the engine can run is its plan here, forced onto the series'
+// technique or chosen by the cost model (internal/harness). Only what the
+// engine cannot run — the compiled data-centric baselines, ROF, access
+// merging, hash-join hybrids, and the TPC-H queries Synthesize declines —
+// stays hand-written in internal/micro and internal/tpch.
 package core
 
 import (

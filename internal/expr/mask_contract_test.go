@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
@@ -12,10 +11,9 @@ import (
 // TestMaskProducersEmitZeroOne pins the contract the word-at-a-time mask
 // plane rests on (vec/maskops.go sums and packs eight lanes per word): every
 // producer of a mask — the vec compare kernels plain and unrolled, the
-// native-width column kernels, the tile walker under both bindings down to
-// its "nonzero integer is true" default, and bitmap.ReadCmp — writes bytes 0
-// and 1 only,
-// over random columns of every physical width. The output is poisoned
+// native-width column kernels, and the tile walker under both bindings down
+// to its "nonzero integer is true" default — writes bytes 0 and 1 only, over
+// random columns of every physical width. The output is poisoned
 // first, so a lane a producer skipped fails too.
 
 func zeroOne(t *testing.T, who string, mask []byte) {
@@ -157,18 +155,6 @@ func TestMaskProducersEmitZeroOne(t *testing.T) {
 			}
 			ev.EvalBool(p, Tile{N: n, Vecs: tile}, poison(out[:n]))
 			zeroOne(t, "EvalBool over slots "+p.String(), out[:n])
-		}
-
-		// ReadCmp, at bases on and off a word boundary.
-		bm := bitmap.New(3*vec.TileSize + 200)
-		for i := 0; i < bm.Len(); i++ {
-			if r.Intn(2) == 0 {
-				bm.Set(i)
-			}
-		}
-		for _, base := range []int{0, 1, 63, 64, vec.TileSize + 5} {
-			bm.ReadCmp(base, poison(out[:n]))
-			zeroOne(t, "ReadCmp", out[:n])
 		}
 	}
 }

@@ -2,7 +2,9 @@
 // evaluation: Figure 6 (TPC-H) and Figures 8-12 (microbenchmarks). Each
 // figure function returns a structured result that the CLI renders as the
 // same rows/series the paper plots, and that EXPERIMENTS.md's shape checks
-// consume.
+// consume. Every series the engine can run is timed on the engine's own
+// plan (figures.go); the rest are internal/micro's and internal/tpch's
+// hand-written kernels.
 //
 // Scales are configurable because the paper's hardware (SF 10, 100M-row R,
 // 256 GB RAM) exceeds this environment; defaults preserve the regimes (see

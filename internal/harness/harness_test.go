@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"maps"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/reprolab/swole/internal/micro"
 	"github.com/reprolab/swole/internal/tpch"
 )
 
@@ -90,6 +92,78 @@ func TestMicroFigureStructure(t *testing.T) {
 				t.Errorf("%s: bad format:\n%s", f.ID, text)
 			}
 		}
+	}
+}
+
+// groups returns the answer as group key → aggregate; a scalar answer is the
+// one group 0.
+func (a Answer) groups(t *testing.T) map[int64]int64 {
+	switch {
+	case a.tab != nil:
+		return micro.AggToMap(a.tab)
+	case a.res != nil:
+		if len(a.res.Fields) != 2 {
+			t.Fatalf("grouped answer has %d fields, want key and sum", len(a.res.Fields))
+		}
+		out := map[int64]int64{}
+		for i := 0; i < len(a.res.Flat); i += 2 {
+			out[a.res.Flat[i]] = a.res.Flat[i+1]
+		}
+		return out
+	}
+	return map[int64]int64{0: a.scalar}
+}
+
+// TestFigureSeriesAgree holds every series of Figures 8-12 to its panel's
+// data-centric baseline, for every panel and every selectivity of the sweep.
+func TestFigureSeriesAgree(t *testing.T) {
+	cfg := tiny()
+	for fig := 8; fig <= 12; fig++ {
+		for _, p := range cfg.MicroPanels(fig) {
+			if p.Series[0].Name != "datacentric" {
+				t.Fatalf("%s: first series %s, want the data-centric baseline", p.ID, p.Series[0].Name)
+			}
+			for _, sel := range defaultSels() {
+				want := p.Series[0].Prepare(sel)().groups(t)
+				for _, s := range p.Series[1:] {
+					if got := s.Prepare(sel)().groups(t); !maps.Equal(got, want) {
+						t.Errorf("%s/%s at sel %d: %d groups %v, baseline %d groups", p.ID, s.Name, sel, len(got), sample(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+func sample(m map[int64]int64) map[int64]int64 {
+	out := map[int64]int64{}
+	for k, v := range m {
+		if len(out) == 3 {
+			break
+		}
+		out[k] = v
+	}
+	return out
+}
+
+// TestTinyMicroRFigures: an R too small for the paper's group counts and
+// |S| runs every micro figure on one group key and one S row instead of
+// generating an empty domain.
+func TestTinyMicroRFigures(t *testing.T) {
+	for _, r := range []int{1, 5} {
+		cfg := Config{MicroR: r, Reps: 1}
+		for _, figs := range [][]Figure{cfg.Fig8(), cfg.Fig9(), cfg.Fig10(), cfg.Fig11(), cfg.Fig12(), cfg.FigScaling()} {
+			for _, f := range figs {
+				for _, s := range f.Series {
+					if len(s.Points) == 0 {
+						t.Errorf("R=%d %s/%s: no points", r, f.ID, s.Name)
+					}
+				}
+			}
+		}
+	}
+	if got := (Config{MicroR: 5}).fig9Cards(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("fig9Cards at R=5 = %v, want [1]", got)
 	}
 }
 

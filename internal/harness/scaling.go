@@ -11,9 +11,9 @@ import (
 )
 
 // microStorageDB wraps a generated microbenchmark dataset as storage
-// tables without copying: the engine's generic kernels read the same
-// typed slices the hand-specialized kernels do, so Engine timings are
-// comparable with the per-strategy figures.
+// tables without copying: the engine's plans read the same typed slices the
+// hand-written baselines do, so the series of one figure compare executors,
+// not data layouts.
 func microStorageDB(d *micro.Data) *storage.Database {
 	i8 := func(name string, v []int8) *storage.Column {
 		return &storage.Column{Name: name, Kind: storage.KindInt8, Log: storage.LogInt, I8: v}
@@ -53,6 +53,27 @@ func lt(col string, v int64) expr.Expr {
 	return &expr.Cmp{Op: expr.LT, L: expr.NewCol(col), R: &expr.Const{Val: v}}
 }
 
+// sumSpec is the Select spec the SQL frontend synthesizes for the
+// microbenchmark statements: one sum aliased "s" under the canonical
+// projection, grouped by the optional key.
+func sumSpec(root string, filter, agg expr.Expr, groupBy ...string) core.Select {
+	spec := core.Select{
+		Root: root, Filter: filter, GroupBy: groupBy,
+		Aggs: []core.SelectAgg{{Kind: core.AggSum, Arg: agg, As: "s"}},
+	}
+	for _, name := range append(groupBy, "s") {
+		spec.Project = append(spec.Project, core.SelectProj{Expr: expr.NewCol(name), As: name})
+	}
+	return spec
+}
+
+// joinS joins the spec's r to s through r_fk, keeping the parents with
+// s_x < sel.
+func joinS(spec core.Select, sel int) core.Select {
+	spec.Edges = []core.SelectEdge{{Src: -1, FK: "r_fk", Parent: "s", PK: "s_pk", Filter: lt("s_x", int64(sel))}}
+	return spec
+}
+
 // FigScaling measures the morsel-driven parallel executor: the four classic
 // statements over the microbenchmark dataset, through Engine.Prepare like
 // every other statement, swept from 1 worker to cfg.Workers. This is the
@@ -63,43 +84,24 @@ func lt(col string, v int64) expr.Expr {
 // point the cost model's per-worker bandwidth share (cost.ForWorkers)
 // assumes.
 func (cfg Config) FigScaling() []Figure {
-	ns := 1_000_000
-	if ns > cfg.MicroR/2 {
-		ns = cfg.MicroR / 2
-	}
-	d := micro.Generate(micro.Config{NR: cfg.MicroR, NS: ns, CCard: 1000, Seed: 1})
+	d := micro.Generate(micro.Config{NR: cfg.MicroR, NS: cfg.dimRows(1_000_000), CCard: 1000, Seed: 1})
 	db := microStorageDB(d)
 
-	// Each query is the Select spec the SQL frontend would synthesize — one
-	// sum aliased "s" under the canonical projection — prepared on the engine
-	// like any statement; the timed run returns its sum, or its group count.
-	// The scalar-agg query is micro Q1's shape at 90% selectivity with a
-	// multiply aggregate: firmly memory-bound, so the planner picks value
-	// masking and the sweep measures pure scan scaling.
-	sum := func(root string, filter expr.Expr, agg expr.Expr, groupBy ...string) core.Select {
-		spec := core.Select{
-			Root: root, Filter: filter, GroupBy: groupBy,
-			Aggs: []core.SelectAgg{{Kind: core.AggSum, Arg: agg, As: "s"}},
-		}
-		for _, name := range append(groupBy, "s") {
-			spec.Project = append(spec.Project, core.SelectProj{Expr: expr.NewCol(name), As: name})
-		}
-		return spec
-	}
-	joinS := func(spec core.Select) core.Select {
-		spec.Edges = []core.SelectEdge{{Src: -1, FK: "r_fk", Parent: "s", PK: "s_pk", Filter: lt("s_x", 50)}}
-		return spec
-	}
+	// Each query is prepared on the engine like any statement; the timed run
+	// returns its sum, or its group count. The scalar-agg query is micro Q1's
+	// shape at 90% selectivity with a multiply aggregate: firmly memory-bound,
+	// so the planner picks value masking and the sweep measures pure scan
+	// scaling.
 	queries := []struct {
 		name string
 		spec func() core.Select // fresh trees per engine: Prepare binds them in place
 	}{
 		{"scalar-agg", func() core.Select {
-			return sum("r", lt("r_x", 90), &expr.Arith{Op: expr.Mul, L: expr.NewCol("r_a"), R: expr.NewCol("r_b")})
+			return sumSpec("r", lt("r_x", 90), arith(expr.Mul, "r_a", "r_b"))
 		}},
-		{"group-agg", func() core.Select { return sum("r", lt("r_x", 90), expr.NewCol("r_a"), "r_c") }},
-		{"semijoin-agg", func() core.Select { return joinS(sum("r", lt("r_x", 90), expr.NewCol("r_a"))) }},
-		{"groupjoin-agg", func() core.Select { return joinS(sum("r", nil, expr.NewCol("r_a"), "r_fk")) }},
+		{"group-agg", func() core.Select { return sumSpec("r", lt("r_x", 90), expr.NewCol("r_a"), "r_c") }},
+		{"semijoin-agg", func() core.Select { return joinS(sumSpec("r", lt("r_x", 90), expr.NewCol("r_a")), 50) }},
+		{"groupjoin-agg", func() core.Select { return joinS(sumSpec("r", nil, expr.NewCol("r_a"), "r_fk"), 50) }},
 	}
 	prepare := func(e *core.Engine, spec core.Select) func() int64 {
 		p, err := e.Prepare(spec)

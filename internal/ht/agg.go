@@ -68,9 +68,9 @@ type AggTable struct {
 	// cost-model validation.
 	Probes uint64
 	// Grows counts capacity doublings triggered by Lookup. A caller that
-	// preallocated from a cardinality hint (Reserve) can assert that a
-	// scan never grew the table mid-flight: Grows stays 0. The
-	// key-addressed form never grows.
+	// sized the table from a cardinality hint can assert that a scan never
+	// grew it mid-flight: Grows stays 0. The key-addressed form never
+	// grows.
 	Grows uint64
 }
 
@@ -204,23 +204,6 @@ func (t *AggTable) setEpochForTest(cur uint32) {
 	}
 	t.cur = cur
 }
-
-// Reserve grows a hashed table, if needed, so that about hint groups fit
-// without Lookup ever triggering grow() — the cardinality-hinted
-// preallocation used when cached statistics predict the group count. It
-// rehashes any live groups and does not count toward Grows. Non-positive
-// hints never shrink the table and are no-ops, as is any hint on a
-// key-addressed table.
-func (t *AggTable) Reserve(hint int) {
-	capacity := hintCap(hint)
-	if t.span != 0 || capacity <= len(t.keys) {
-		return
-	}
-	t.rehash(capacity)
-}
-
-// NAccs returns the number of accumulators per group.
-func (t *AggTable) NAccs() int { return t.nAccs }
 
 // Len returns the number of groups, excluding the throwaway record. On a
 // key-addressed table a group exists once a tuple counted into it, and Len

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Hint clamping: every constructor and Reserve must survive zero and
-// negative cardinality hints with the explicit minimum capacity, not
+// Hint clamping: every constructor must survive zero and negative
+// cardinality hints with the explicit minimum capacity, not
 // whatever nextPow2 of a negative product happens to produce.
 
 func TestAggTableHintClamp(t *testing.T) {
@@ -22,14 +22,6 @@ func TestAggTableHintClamp(t *testing.T) {
 		}
 		if tab.Len() != 20 {
 			t.Errorf("NewAggTable(1, %d): %d groups after 20 inserts", hint, tab.Len())
-		}
-	}
-	tab := NewAggTable(1, 1000)
-	capBefore := tab.Cap()
-	for _, hint := range []int{math.MinInt, -1, 0} {
-		tab.Reserve(hint)
-		if tab.Cap() != capBefore {
-			t.Errorf("Reserve(%d) changed capacity %d -> %d", hint, capBefore, tab.Cap())
 		}
 	}
 }
@@ -46,16 +38,14 @@ func TestJoinAndSetTableHintClamp(t *testing.T) {
 		if jt.Len() != 20 {
 			t.Errorf("NewJoinTable(%d): %d keys after 20 inserts", hint, jt.Len())
 		}
-		jt.Reserve(hint)
 		if row, ok := jt.Probe(7); !ok || row != 7 {
-			t.Errorf("NewJoinTable(%d): Probe(7) = %d,%v after no-op Reserve", hint, row, ok)
+			t.Errorf("NewJoinTable(%d): Probe(7) = %d,%v", hint, row, ok)
 		}
 
 		st := NewSetTable(hint)
 		for k := int64(0); k < 20; k++ {
 			st.Insert(k)
 		}
-		st.Reserve(hint)
 		if st.Len() != 20 || !st.Contains(19) {
 			t.Errorf("NewSetTable(%d): len=%d Contains(19)=%v", hint, st.Len(), st.Contains(19))
 		}

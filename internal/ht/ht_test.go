@@ -356,36 +356,6 @@ func TestAggTableResetZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestAggTableReserveAndGrows(t *testing.T) {
-	tab := NewAggTable(1, 4)
-	tab.Add(tab.Lookup(1), 0, 10)
-	tab.Reserve(1000)
-	if tab.Cap() < 2000 {
-		t.Errorf("Cap=%d after Reserve(1000)", tab.Cap())
-	}
-	if tab.Grows != 0 {
-		t.Errorf("Reserve counted as a grow: %d", tab.Grows)
-	}
-	if got := tab.Acc(tab.Find(1), 0); got != 10 {
-		t.Errorf("live group lost by Reserve: acc=%d", got)
-	}
-	for k := int64(0); k < 1000; k++ {
-		tab.Add(tab.Lookup(k), 0, 1)
-	}
-	if tab.Grows != 0 {
-		t.Errorf("grow fired despite Reserve(1000): Grows=%d", tab.Grows)
-	}
-	for k := int64(1000); k < 5000; k++ {
-		tab.Add(tab.Lookup(k), 0, 1)
-	}
-	if tab.Grows == 0 {
-		t.Error("Grows not counted past the reserved capacity")
-	}
-	if tab.Len() != 5000 {
-		t.Errorf("Len=%d, want 5000", tab.Len())
-	}
-}
-
 func TestJoinAndSetTableReset(t *testing.T) {
 	jt := NewJoinTable(8)
 	for k := int64(0); k < 8; k++ {
@@ -430,32 +400,5 @@ func TestJoinAndSetTableReset(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("join/set Reset+refill allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestJoinAndSetTableReserve(t *testing.T) {
-	jt := NewJoinTable(4)
-	jt.Insert(7, 70)
-	jt.Reserve(500)
-	if row, ok := jt.Probe(7); !ok || row != 70 {
-		t.Errorf("JoinTable lost key across Reserve: %d,%v", row, ok)
-	}
-	for k := int64(0); k < 500; k++ {
-		jt.Insert(k, int32(k))
-	}
-	if jt.Grows != 0 {
-		t.Errorf("JoinTable grew despite Reserve(500): %d", jt.Grows)
-	}
-	st := NewSetTable(4)
-	st.Insert(7)
-	st.Reserve(500)
-	if !st.Contains(7) {
-		t.Error("SetTable lost key across Reserve")
-	}
-	for k := int64(0); k < 500; k++ {
-		st.Insert(k)
-	}
-	if st.Grows != 0 {
-		t.Errorf("SetTable grew despite Reserve(500): %d", st.Grows)
 	}
 }

@@ -61,25 +61,11 @@ func (t *JoinTable) setEpochForTest(cur uint32) {
 	t.cur = cur
 }
 
-// Reserve grows the table, if needed, so about hint keys fit without
-// Insert triggering a grow. Non-positive hints are no-ops.
-func (t *JoinTable) Reserve(hint int) {
-	capacity := hintCap(hint)
-	if capacity <= len(t.keys) {
-		return
-	}
-	t.rehash(capacity)
-}
-
 // Len returns the number of keys in the table.
 func (t *JoinTable) Len() int { return t.len }
 
 // Cap returns the slot capacity.
 func (t *JoinTable) Cap() int { return len(t.keys) }
-
-// SlotBytes returns the approximate size of one slot for cache-class
-// placement by the cost model.
-func (t *JoinTable) SlotBytes() int { return 8 + 4 + 1 }
 
 func (t *JoinTable) occupied(i uint64) bool {
 	return t.epoch[i] == t.cur && t.state[i] == slotFull
@@ -180,16 +166,6 @@ func (t *SetTable) Reset() {
 		t.cur = 1
 	}
 	t.len = 0
-}
-
-// Reserve grows the set, if needed, so about hint keys fit without Insert
-// triggering a grow. Non-positive hints are no-ops.
-func (t *SetTable) Reserve(hint int) {
-	capacity := hintCap(hint)
-	if capacity <= len(t.keys) {
-		return
-	}
-	t.rehash(capacity)
 }
 
 // Len returns the number of keys in the set.

@@ -27,9 +27,6 @@ func NewPartitioner(parts int) *Partitioner {
 	return &Partitioner{shift: shift, keys: make([][]int64, n), vals: make([][]int64, n)}
 }
 
-// Parts returns the fan-out.
-func (p *Partitioner) Parts() int { return len(p.keys) }
-
 // Append buffers one pair in key's partition.
 func (p *Partitioner) Append(key, val int64) {
 	i := p.PartitionOf(key)
@@ -40,10 +37,6 @@ func (p *Partitioner) Append(key, val int64) {
 // PartitionOf returns the partition key routes to. With one partition the
 // shift is 64, which Go defines to yield 0.
 func (p *Partitioner) PartitionOf(key int64) int { return int(hash64(uint64(key)) >> p.shift) }
-
-// Partition returns partition i's buffered pairs, valid until the next
-// Append or Reset.
-func (p *Partitioner) Partition(i int) (keys, vals []int64) { return p.keys[i], p.vals[i] }
 
 // Rows returns the number of buffered pairs.
 func (p *Partitioner) Rows() int {

@@ -11,8 +11,8 @@ import (
 func TestPartitionerRouting(t *testing.T) {
 	for _, tc := range []struct{ ask, parts int }{{-4, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {256, 256}, {MaxPartitions + 1, MaxPartitions}} {
 		p := NewPartitioner(tc.ask)
-		if p.Parts() != tc.parts {
-			t.Fatalf("NewPartitioner(%d): Parts()=%d, want %d", tc.ask, p.Parts(), tc.parts)
+		if len(p.keys) != tc.parts {
+			t.Fatalf("NewPartitioner(%d): %d partitions, want %d", tc.ask, len(p.keys), tc.parts)
 		}
 		rng := rand.New(rand.NewSource(1))
 		n := 10_000
@@ -24,7 +24,7 @@ func TestPartitionerRouting(t *testing.T) {
 			t.Fatalf("parts=%d: Rows()=%d, want %d", tc.parts, got, n+1)
 		}
 		for i := 0; i < tc.parts; i++ {
-			keys, vals := p.Partition(i)
+			keys, vals := p.keys[i], p.vals[i]
 			if len(keys) != len(vals) {
 				t.Fatalf("parts=%d part=%d: %d keys vs %d vals", tc.parts, i, len(keys), len(vals))
 			}
@@ -85,7 +85,7 @@ func TestPartitionedAggParity(t *testing.T) {
 	var throwaway int64
 	for part := 0; part < parts; part++ {
 		small.Reset()
-		small.AddPairs(p.Partition(part))
+		small.AddPairs(p.keys[part], p.vals[part])
 		throwaway += small.Acc(-1, 0)
 		small.ForEach(false, func(key int64, s int) { got[key] = small.Acc(s, 0) })
 	}

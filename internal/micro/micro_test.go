@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// The tests below hold the hand-written kernels to first-principles
+// references; internal/harness's TestFigureSeriesAgree holds the engine's
+// series of every figure to these kernels.
+
 func testData(t *testing.T, nr, ns, ccard int) *Data {
 	t.Helper()
 	return Generate(Config{NR: nr, NS: ns, CCard: ccard, Seed: 7})
@@ -32,14 +36,8 @@ func TestQ1AllStrategiesAgree(t *testing.T) {
 			if got := Q1DataCentric(d, op, sel); got != want {
 				t.Errorf("Q1DataCentric(op=%v,sel=%d)=%d, want %d", op, sel, got, want)
 			}
-			if got := Q1Hybrid(d, op, sel); got != want {
-				t.Errorf("Q1Hybrid(op=%v,sel=%d)=%d, want %d", op, sel, got, want)
-			}
 			if got := Q1ROF(d, op, sel); got != want {
 				t.Errorf("Q1ROF(op=%v,sel=%d)=%d, want %d", op, sel, got, want)
-			}
-			if got := Q1ValueMasking(d, op, sel); got != want {
-				t.Errorf("Q1ValueMasking(op=%v,sel=%d)=%d, want %d", op, sel, got, want)
 			}
 		}
 	}
@@ -60,9 +58,7 @@ func TestQ1WithYHalf(t *testing.T) {
 	want := refQ1(d, OpMul, 50)
 	for name, got := range map[string]int64{
 		"datacentric": Q1DataCentric(d, OpMul, 50),
-		"hybrid":      Q1Hybrid(d, OpMul, 50),
 		"rof":         Q1ROF(d, OpMul, 50),
-		"vm":          Q1ValueMasking(d, OpMul, 50),
 	} {
 		if got != want {
 			t.Errorf("%s=%d, want %d", name, got, want)
@@ -100,9 +96,6 @@ func TestQ2AllStrategiesAgree(t *testing.T) {
 			want := refQ2(d, sel)
 			for name, tab := range map[string]map[int64]int64{
 				"datacentric": AggToMap(Q2DataCentric(d, sel)),
-				"hybrid":      AggToMap(Q2Hybrid(d, sel)),
-				"vm":          AggToMap(Q2ValueMasking(d, sel)),
-				"km":          AggToMap(Q2KeyMasking(d, sel)),
 			} {
 				if !mapsEqual(tab, want) {
 					t.Errorf("Q2 %s (card=%d, sel=%d): %d groups vs %d expected",
@@ -110,18 +103,6 @@ func TestQ2AllStrategiesAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestQ2ValueMaskingExcludesPhantomGroups(t *testing.T) {
-	// At sel=0 nothing qualifies: VM performs lookups for every tuple but
-	// the result must be empty thanks to the validity flags.
-	d := testData(t, 5_000, 10, 20)
-	if got := AggToMap(Q2ValueMasking(d, 0)); len(got) != 0 {
-		t.Errorf("VM at sel=0 leaked %d phantom groups", len(got))
-	}
-	if got := AggToMap(Q2KeyMasking(d, 0)); len(got) != 0 {
-		t.Errorf("KM at sel=0 leaked %d phantom groups", len(got))
 	}
 }
 
@@ -147,8 +128,6 @@ func TestQ3AllStrategiesAgree(t *testing.T) {
 			want := refQ3(d, col, sel)
 			for name, got := range map[string]int64{
 				"datacentric": Q3DataCentric(d, col, sel),
-				"hybrid":      Q3Hybrid(d, col, sel),
-				"vm":          Q3ValueMasking(d, col, sel),
 				"am":          Q3AccessMerging(d, col, sel),
 			} {
 				if got != want {
@@ -167,9 +146,6 @@ func TestQ3AccessMergingWithYHalf(t *testing.T) {
 			want := refQ3(d, col, sel)
 			if got := Q3AccessMerging(d, col, sel); got != want {
 				t.Errorf("AM (col=%v, sel=%d)=%d, want %d", col, sel, got, want)
-			}
-			if got := Q3ValueMasking(d, col, sel); got != want {
-				t.Errorf("VM (col=%v, sel=%d)=%d, want %d", col, sel, got, want)
 			}
 		}
 	}
@@ -198,7 +174,6 @@ func TestQ4AllStrategiesAgree(t *testing.T) {
 			for name, got := range map[string]int64{
 				"datacentric": Q4DataCentric(d, sel1, sel2),
 				"hybrid":      Q4Hybrid(d, sel1, sel2),
-				"bitmap":      Q4Bitmap(d, sel1, sel2),
 			} {
 				if got != want {
 					t.Errorf("Q4 %s (sel1=%d, sel2=%d)=%d, want %d", name, sel1, sel2, got, want)
@@ -231,7 +206,6 @@ func TestQ5AllStrategiesAgree(t *testing.T) {
 			for name, tab := range map[string]map[int64]int64{
 				"datacentric": AggToMap(Q5DataCentric(d, sel)),
 				"hybrid":      AggToMap(Q5Hybrid(d, sel)),
-				"eager":       AggToMap(Q5EagerAggregation(d, sel)),
 			} {
 				if !mapsEqual(tab, want) {
 					t.Errorf("Q5 %s (ns=%d, sel=%d): %d groups vs %d expected",
@@ -253,8 +227,8 @@ func TestQ5UnmatchedQualifyingKeysExcluded(t *testing.T) {
 	if !mapsEqual(got, want) {
 		t.Error("datacentric mismatch on sparse probe")
 	}
-	if !mapsEqual(AggToMap(Q5EagerAggregation(d, 100)), want) {
-		t.Error("eager mismatch on sparse probe")
+	if !mapsEqual(AggToMap(Q5Hybrid(d, 100)), want) {
+		t.Error("hybrid mismatch on sparse probe")
 	}
 }
 
@@ -318,14 +292,14 @@ func TestGenerateRanges(t *testing.T) {
 func TestSelectivityEndpoints(t *testing.T) {
 	// sel=0 selects nothing; sel=100 selects everything.
 	d := testData(t, 3000, 20, 5)
-	if Q1ValueMasking(d, OpMul, 0) != 0 {
+	if Q1DataCentric(d, OpMul, 0) != 0 {
 		t.Error("sel=0 must sum to 0")
 	}
 	var all int64
 	for i := range d.A {
 		all += int64(d.A[i]) * int64(d.B[i])
 	}
-	if got := Q1ValueMasking(d, OpMul, 100); got != all {
+	if got := Q1ROF(d, OpMul, 100); got != all {
 		t.Errorf("sel=100: got %d, want %d", got, all)
 	}
 }

@@ -5,9 +5,10 @@ import "github.com/reprolab/swole/internal/vec"
 // Micro Q1 (Figure 8): select sum(r_a [OP] r_b) from R
 //                      where r_x < [SEL] and r_y = 1
 //
-// Each function below is the hand-specialized code one strategy's
-// generator would emit, matching the loop structures of the paper's
-// Figures 1 and 3.
+// The two baselines below are the hand-specialized code their strategies'
+// generators would emit, matching the loop structures of the paper's
+// Figure 1. Hybrid and value masking (Figure 3) are the engine's own plans
+// (internal/harness).
 
 // Q1DataCentric is the single-loop branching implementation (Figure 1,
 // data-centric): excellent locality, but the if statement precludes
@@ -29,34 +30,6 @@ func Q1DataCentric(d *Data, op Op, sel int) int64 {
 			}
 		}
 	}
-	return sum
-}
-
-// Q1Hybrid is the tiled prepass + selection-vector implementation
-// (Figure 1, hybrid): the first inner loop evaluates the predicate into
-// cmp, the second builds the no-branch selection vector, the third
-// aggregates the selected tuples (a conditional access pattern).
-func Q1Hybrid(d *Data, op Op, sel int) int64 {
-	c := int8(sel)
-	var cmp [vec.TileSize]byte
-	var tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		x := d.X[base : base+length]
-		y := d.Y[base : base+length]
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		vec.CmpConstLT(x, c, cmp[:])
-		vec.CmpConstEQ(y, 1, tmp[:])
-		vec.And(cmp[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
-		if op == OpMul {
-			sum += vec.SumProdSel(a, b, idx[:], n)
-		} else {
-			sum += vec.SumQuotSel(a, b, idx[:], n)
-		}
-	})
 	return sum
 }
 
@@ -102,31 +75,5 @@ func Q1ROF(d *Data, op Op, sel int) int64 {
 		}
 	})
 	flush()
-	return sum
-}
-
-// Q1ValueMasking is SWOLE's predicate pullup (Figure 3): the aggregation
-// reads r_a and r_b sequentially and unconditionally, multiplying by the
-// 0/1 predicate result instead of filtering — wasted work traded for a
-// strictly sequential access pattern.
-func Q1ValueMasking(d *Data, op Op, sel int) int64 {
-	c := int8(sel)
-	var cmp [vec.TileSize]byte
-	var tmp [vec.TileSize]byte
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		x := d.X[base : base+length]
-		y := d.Y[base : base+length]
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		vec.CmpConstLT(x, c, cmp[:])
-		vec.CmpConstEQ(y, 1, tmp[:])
-		vec.And(cmp[:length], tmp[:length])
-		if op == OpMul {
-			sum += vec.SumProdMasked(a, b, cmp[:length])
-		} else {
-			sum += vec.SumQuotMasked(a, b, cmp[:length])
-		}
-	})
 	return sum
 }

@@ -1,23 +1,15 @@
 package micro
 
-import (
-	"github.com/reprolab/swole/internal/ht"
-	"github.com/reprolab/swole/internal/vec"
-)
+import "github.com/reprolab/swole/internal/ht"
 
 // Micro Q2 (Figure 9): select r_c, sum(r_a * r_b) from R
 //                      where r_x < [SEL] and r_y = 1 group by r_c
 //
 // The group-by key cardinality |r_c| sweeps the hash table through the
 // cache hierarchy (10, 1K, 100K, 10M in the paper), which is what
-// separates value masking from key masking (Section III-B).
-
-// q2Prepass evaluates the Q2/Q3 predicate for one tile.
-func q2Prepass(d *Data, base, length, sel int, cmp, tmp []byte) {
-	vec.CmpConstLT(d.X[base:base+length], int8(sel), cmp)
-	vec.CmpConstEQ(d.Y[base:base+length], 1, tmp)
-	vec.And(cmp[:length], tmp[:length])
-}
+// separates value masking from key masking (Section III-B). Hybrid, value
+// masking and key masking are the engine's own plans (internal/harness);
+// the data-centric baseline is hand-written here.
 
 // Q2DataCentric branches per tuple and probes the hash table only for
 // selected tuples.
@@ -30,66 +22,6 @@ func Q2DataCentric(d *Data, sel int) *ht.AggTable {
 			tab.Add(s, 0, int64(d.A[i])*int64(d.B[i]))
 		}
 	}
-	return tab
-}
-
-// Q2Hybrid uses the prepass and a selection vector; the group-by key and
-// aggregation inputs are conditional reads driven by idx.
-func Q2Hybrid(d *Data, sel int) *ht.AggTable {
-	tab := ht.NewAggTable(1, d.Cfg.CCard)
-	var cmp, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel, cmp[:], tmp[:])
-		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		cc := d.C[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			s := tab.Lookup(int64(cc[i]))
-			tab.Add(s, 0, int64(a[i])*int64(b[i]))
-		}
-	})
-	return tab
-}
-
-// Q2ValueMasking performs the hash lookup for *every* tuple on the real
-// key and masks the aggregated value (Figure 4, top). The validity-flag
-// bookkeeping distinguishes groups created only by masked tuples.
-func Q2ValueMasking(d *Data, sel int) *ht.AggTable {
-	tab := ht.NewAggTable(1, d.Cfg.CCard)
-	var cmp, tmp [vec.TileSize]byte
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel, cmp[:], tmp[:])
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		cc := d.C[base : base+length]
-		for j := 0; j < length; j++ {
-			s := tab.Lookup(int64(cc[j]))
-			tab.AddMasked(s, 0, int64(a[j])*int64(b[j]), cmp[j])
-		}
-	})
-	return tab
-}
-
-// Q2KeyMasking masks the *key* instead (Figure 4, bottom): filtered tuples
-// aggregate into the throwaway entry, which stays cached however large the
-// real table grows.
-func Q2KeyMasking(d *Data, sel int) *ht.AggTable {
-	tab := ht.NewAggTable(1, d.Cfg.CCard)
-	var cmp, tmp [vec.TileSize]byte
-	var keys [vec.TileSize]int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel, cmp[:], tmp[:])
-		vec.MaskKeys(d.C[base:base+length], cmp[:length], ht.NullKey, keys[:])
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		for j := 0; j < length; j++ {
-			s := tab.Lookup(keys[j])
-			tab.Add(s, 0, int64(a[j])*int64(b[j]))
-		}
-	})
 	return tab
 }
 

@@ -7,7 +7,10 @@ import "github.com/reprolab/swole/internal/vec"
 //
 // r_x appears in both the predicate and the aggregation; with COL = r_y
 // both predicate attributes are reused. Access merging (Section III-C)
-// fuses the predicate with the reuse so each attribute is read once.
+// fuses the predicate with the reuse so each attribute is read once. The
+// engine runs hybrid and value masking (internal/harness) but does not yet
+// merge a filter's read with an aggregate's, so access merging stays
+// hand-written beside the data-centric baseline.
 
 // Q3DataCentric branches per tuple; selected tuples re-read r_x (and the
 // chosen column) conditionally.
@@ -26,55 +29,6 @@ func Q3DataCentric(d *Data, col Col, sel int) int64 {
 				sum += int64(d.X[i]) * int64(d.Y[i])
 			}
 		}
-	}
-	return sum
-}
-
-// Q3Hybrid uses the prepass and selection vector; the aggregation performs
-// conditional reads, touching r_x a second time.
-func Q3Hybrid(d *Data, col Col, sel int) int64 {
-	var cmp, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel, cmp[:], tmp[:])
-		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
-		x := d.X[base : base+length]
-		other := d.A[base : base+length]
-		if col == ColY {
-			other = d.Y[base : base+length]
-		}
-		sum += vec.SumProdSel(x, other, idx[:], n)
-	})
-	return sum
-}
-
-// Q3ValueMasking pulls the predicate up (Figure 5, top): sequential
-// accesses throughout, but r_x is still read twice — once for the
-// selection and again for the aggregation.
-func Q3ValueMasking(d *Data, col Col, sel int) int64 {
-	var cmp, tmp [vec.TileSize]byte
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel, cmp[:], tmp[:])
-		x := d.X[base : base+length]
-		other := d.A[base : base+length]
-		if col == ColY {
-			other = d.Y[base : base+length]
-		}
-		sum += triProdMasked(x, other, cmp[:length])
-	})
-	return sum
-}
-
-// triProdMasked sums x[i]*other[i]*cmp[i], re-reading x (the value-masking
-// form of Figure 5 top, where tmp[j] = a[i+j] * x[i+j] * cmp[j]).
-func triProdMasked(x, other []int8, cmp []byte) int64 {
-	var sum int64
-	_ = other[len(x)-1]
-	_ = cmp[len(x)-1]
-	for i := range x {
-		sum += int64(x[i]) * int64(other[i]) * int64(cmp[i])
 	}
 	return sum
 }

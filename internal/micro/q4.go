@@ -1,7 +1,6 @@
 package micro
 
 import (
-	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/vec"
 )
@@ -11,9 +10,17 @@ import (
 //
 // No S attribute survives the join, so this is a semijoin: the existing
 // strategies build a hash table of qualifying s_pk values and probe it per
-// selected R tuple; SWOLE builds a positional bitmap over S with a purely
-// sequential scan and probes it through the foreign-key index
-// (Section III-D).
+// selected R tuple, as the two kernels below do; SWOLE builds a positional
+// bitmap over S with a purely sequential scan and probes it through the
+// foreign-key index (Section III-D), which is how every engine plan joins
+// (internal/harness).
+
+// rPrepass evaluates R's predicate r_x < SEL and r_y = 1 for one tile.
+func rPrepass(d *Data, base, length, sel int, cmp, tmp []byte) {
+	vec.CmpConstLT(d.X[base:base+length], int8(sel), cmp)
+	vec.CmpConstEQ(d.Y[base:base+length], 1, tmp)
+	vec.And(cmp[:length], tmp[:length])
+}
 
 // Q4DataCentric builds a hash set from S with a branching scan, then
 // branches per R tuple and probes on selection.
@@ -53,7 +60,7 @@ func Q4Hybrid(d *Data, sel1, sel2 int) int64 {
 	})
 	var sum int64
 	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel1, cmp[:], tmp[:])
+		rPrepass(d, base, length, sel1, cmp[:], tmp[:])
 		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
 		fk := d.FK[base : base+length]
 		a := d.A[base : base+length]
@@ -63,32 +70,6 @@ func Q4Hybrid(d *Data, sel1, sel2 int) int64 {
 			if set.Contains(int64(fk[i])) {
 				sum += int64(a[i]) * int64(b[i])
 			}
-		}
-	})
-	return sum
-}
-
-// Q4Bitmap is SWOLE's positional-bitmap semijoin: the build side writes
-// the predicate result sequentially into a bitmap indexed by tuple
-// position; the probe side tests the bit at the foreign-key position and
-// masks the aggregation with it, keeping every access either sequential or
-// confined to the cache-resident bitmap.
-func Q4Bitmap(d *Data, sel1, sel2 int) int64 {
-	bm := bitmap.New(d.Cfg.NS)
-	var cmp, tmp [vec.TileSize]byte
-	vec.Tiles(len(d.SX), func(base, length int) {
-		vec.CmpConstLT(d.SX[base:base+length], int8(sel2), cmp[:])
-		bm.SetFromCmp(base, cmp[:length])
-	})
-	var sum int64
-	vec.Tiles(len(d.X), func(base, length int) {
-		q2Prepass(d, base, length, sel1, cmp[:], tmp[:])
-		fk := d.FK[base : base+length]
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		for j := 0; j < length; j++ {
-			m := cmp[j] & bm.TestBit(int(fk[j]))
-			sum += int64(a[j]) * int64(b[j]) * int64(m)
 		}
 	})
 	return sum

@@ -12,7 +12,9 @@ import (
 // The join key doubles as the group-by key, so this is a groupjoin
 // (Section III-E). The predicate sits on S only — the paper's declared
 // worst case for eager aggregation, which must aggregate *all* of R before
-// deleting the groups whose S tuple fails the predicate.
+// deleting the groups whose S tuple fails the predicate. Eager aggregation
+// is the engine's plan (internal/harness); the hash-join baselines are
+// hand-written here.
 
 // Q5DataCentric is the traditional groupjoin: build a hash table of
 // qualifying s_pk keys, then probe per R tuple and aggregate on match.
@@ -62,30 +64,5 @@ func Q5Hybrid(d *Data, sel int) *ht.AggTable {
 			}
 		}
 	})
-	return tab
-}
-
-// Q5EagerAggregation is SWOLE's pullup (Section III-E): the build and
-// probe sides are reversed — R is aggregated unconditionally, grouped by
-// r_fk, then a sequential scan of S deletes every group whose predicate
-// fails (note the inverted predicate, exactly as in the paper's rewrite).
-func Q5EagerAggregation(d *Data, sel int) *ht.AggTable {
-	tab := ht.NewAggTable(1, d.Cfg.NS)
-	vec.Tiles(len(d.FK), func(base, length int) {
-		fk := d.FK[base : base+length]
-		a := d.A[base : base+length]
-		b := d.B[base : base+length]
-		for j := 0; j < length; j++ {
-			s := tab.Lookup(int64(fk[j]))
-			tab.Add(s, 0, int64(a[j])*int64(b[j]))
-		}
-	})
-	// Inverted predicate: delete non-qualifying keys.
-	c := int8(sel)
-	for i := range d.SX {
-		if !(d.SX[i] < c) {
-			tab.Delete(int64(d.SPK[i]))
-		}
-	}
 	return tab
 }

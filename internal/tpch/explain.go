@@ -3,9 +3,9 @@ package tpch
 import "github.com/reprolab/swole/internal/core"
 
 // SwoleExplain documents which SWOLE techniques the hand-specialized
-// kernel of each query applies, mirroring the paper's per-query analysis
-// in Section IV-A. The harness prints it next to Figure 6 and tests pin
-// it, so the kernel/technique mapping cannot drift silently.
+// kernel of a query applies, mirroring the paper's per-query analysis in
+// Section IV-A. It covers only the queries whose SWOLE strategy is
+// hand-written: an engine plan reports its own technique in its Explain.
 type SwoleExplain struct {
 	Query      Query
 	Techniques []core.Technique
@@ -13,24 +13,17 @@ type SwoleExplain struct {
 	Rationale string
 }
 
-// ExplainSwole returns the technique mapping for all eight queries.
+// ExplainSwole returns the technique mapping of the hand-run queries, in
+// Figure 6 order.
 func ExplainSwole() []SwoleExplain {
 	return []SwoleExplain{
-		{Q1, []core.Technique{core.TechKeyMasking},
-			"98% selectivity, 8 aggregates: masking every value would be expensive, masking the single group-by key is cheap (IV-A1)"},
 		{Q3, []core.Technique{core.TechPositionalBitmap},
 			"bitmap semijoin replaces the customer-orders hash join; eager aggregation rejected (too many keys filtered by the join, IV-A2)"},
 		{Q4, []core.Technique{core.TechPositionalBitmap},
 			"semijoin becomes a positional bitmap over order positions, built and probed with sequential scans (IV-A3)"},
 		{Q5, []core.Technique{core.TechPositionalBitmap},
 			"all joins become bitmap semijoins with late materialization; ~3% of tuples survive to the final aggregation (IV-A4)"},
-		{Q6, []core.Technique{core.TechAccessMerging, core.TechValueMasking},
-			"l_discount is access-merged between predicate and aggregation; residual conjuncts are pulled up and masked (IV-A5)"},
 		{Q13, []core.Technique{core.TechValueMasking},
 			"98% of orders pass the NOT LIKE, so unconditional lookups waste almost nothing; runtime is dominated by string matching (IV-A6)"},
-		{Q14, nil,
-			"1% selectivity with an index join: the cost model finds no beneficial pullup and emits the hybrid plan (IV-A7)"},
-		{Q19, []core.Technique{core.TechPositionalBitmap},
-			"three bitmaps built in one sequential scan of part resolve the disjunctive join as a union of semijoins (IV-A8)"},
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
 )
 
 // TPC-H Q1: pricing summary report. A single scan of lineitem whose
@@ -92,71 +91,5 @@ func q1DataCentric(d *Data) Rows {
 			tab.Add(s, 4, disc)
 		}
 	}
-	return q1Finalize(tab)
-}
-
-func q1Hybrid(d *Data) Rows {
-	li := &d.Lineitem
-	tab := ht.NewAggTable(5, 8)
-	var cmpv [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		vec.CmpConstLE(li.ShipDate[base:base+length], q1Cutoff, cmpv[:])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		for j := 0; j < n; j++ {
-			i := base + int(idx[j])
-			key := int64(li.ReturnFlag[i])*2 + int64(li.LineStatus[i])
-			s := tab.Lookup(key)
-			qty := int64(li.Quantity[i])
-			price := int64(li.ExtendedPrice[i])
-			disc := int64(li.Discount[i])
-			rev := price * (100 - disc)
-			tab.Add(s, 0, qty)
-			tab.Add(s, 1, price)
-			tab.Add(s, 2, rev)
-			tab.Add(s, 3, rev*(100+int64(li.Tax[i])))
-			tab.Add(s, 4, disc)
-		}
-	})
-	return q1Finalize(tab)
-}
-
-// q1Swole applies key masking (Section III-B): the group-by key is masked
-// to the throwaway for filtered tuples, and every other column is read
-// sequentially and unconditionally — no selection vector, no conditional
-// access, very little wasted work at 98% selectivity.
-func q1Swole(d *Data) Rows {
-	li := &d.Lineitem
-	tab := ht.NewAggTable(5, 8)
-	var cmpv [vec.TileSize]byte
-	var keys [vec.TileSize]int64
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		vec.CmpConstLE(li.ShipDate[base:base+length], q1Cutoff, cmpv[:])
-		flag := li.ReturnFlag[base : base+length]
-		status := li.LineStatus[base : base+length]
-		for j := 0; j < length; j++ {
-			k := int64(flag[j])*2 + int64(status[j])
-			if cmpv[j] == 0 {
-				k = ht.NullKey
-			}
-			keys[j] = k
-		}
-		qtyC := li.Quantity[base : base+length]
-		priceC := li.ExtendedPrice[base : base+length]
-		discC := li.Discount[base : base+length]
-		taxC := li.Tax[base : base+length]
-		for j := 0; j < length; j++ {
-			s := tab.Lookup(keys[j])
-			qty := int64(qtyC[j])
-			price := int64(priceC[j])
-			disc := int64(discC[j])
-			rev := price * (100 - disc)
-			tab.Add(s, 0, qty)
-			tab.Add(s, 1, price)
-			tab.Add(s, 2, rev)
-			tab.Add(s, 3, rev*(100+int64(taxC[j])))
-			tab.Add(s, 4, disc)
-		}
-	})
 	return q1Finalize(tab)
 }

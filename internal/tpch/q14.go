@@ -6,7 +6,6 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
 )
 
 // TPC-H Q14: promotion effect. An index join between a ~1% selective month
@@ -92,34 +91,3 @@ func q14DataCentric(d *Data) Rows {
 	}
 	return q14Finalize(promo, total)
 }
-
-func q14Hybrid(d *Data) Rows {
-	isPromo := q14Promo(d)
-	li := &d.Lineitem
-	var cmpv, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var promo, total int64
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		ship := li.ShipDate[base : base+length]
-		vec.CmpConstGE(ship, q14Lo, cmpv[:])
-		vec.CmpConstLT(ship, q14Hi, tmp[:])
-		vec.And(cmpv[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		price := li.ExtendedPrice[base : base+length]
-		disc := li.Discount[base : base+length]
-		pk := li.PartKey[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			rev := int64(price[i]) * (100 - int64(disc[i]))
-			total += rev
-			m := isPromo[d.Part.Type[pk[i]]]
-			promo += rev * int64(m)
-		}
-	})
-	return q14Finalize(promo, total)
-}
-
-// q14Swole: the cost model finds no pullup worth applying at ~1%
-// selectivity with an index join (Section IV-A7), so SWOLE generates the
-// hybrid plan.
-func q14Swole(d *Data) Rows { return q14Hybrid(d) }

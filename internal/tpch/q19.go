@@ -3,7 +3,6 @@ package tpch
 import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
-	"github.com/reprolab/swole/internal/vec"
 )
 
 // TPC-H Q19: discounted revenue. lineitem joins part under a three-way
@@ -111,103 +110,5 @@ func q19DataCentric(d *Data) Rows {
 			}
 		}
 	}
-	return Rows{{revenue}}
-}
-
-func q19Hybrid(d *Data) Rows {
-	c := q19Resolve(d)
-	li := &d.Lineitem
-	var cmpv, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var revenue int64
-	vec.Tiles(len(li.PartKey), func(base, length int) {
-		mode := li.ShipMode[base : base+length]
-		instr := li.ShipInstruct[base : base+length]
-		// Prepass over the vectorizable lineitem predicates.
-		vec.CmpConstEQ(mode, c.air, cmpv[:])
-		vec.CmpConstEQ(mode, c.regAir, tmp[:])
-		vec.Or(cmpv[:length], tmp[:length])
-		vec.CmpConstEQ(instr, c.deliver, tmp[:])
-		vec.And(cmpv[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		qty := li.Quantity[base : base+length]
-		pk := li.PartKey[base : base+length]
-		price := li.ExtendedPrice[base : base+length]
-		disc := li.Discount[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			p := int(pk[i])
-			for k := range q19Branches {
-				if qty[i] >= q19Branches[k].qtyLo && qty[i] <= q19Branches[k].qtyHi && q19PartBranch(d, &c, k, p) {
-					revenue += int64(price[i]) * (100 - int64(disc[i]))
-					break
-				}
-			}
-		}
-	})
-	return Rows{{revenue}}
-}
-
-// q19Swole builds three positional bitmaps — one per disjunct — in a
-// single sequential scan of part, then resolves the join as a union of
-// bitmap semijoins with fully masked arithmetic (Section IV-A8). The
-// three bitmaps are stored interleaved by position (bit k of byte p is
-// branch k's bit for part p), so the whole union costs one load per
-// probe; a strictly sequential write pattern builds them.
-func q19Swole(d *Data) Rows {
-	c := q19Resolve(d)
-	nPart := len(d.Part.Brand)
-	packed := make([]byte, nPart)
-	vec.Tiles(nPart, func(base, length int) {
-		brand := d.Part.Brand[base : base+length]
-		cont := d.Part.Container[base : base+length]
-		size := d.Part.Size[base : base+length]
-		out := packed[base : base+length]
-		for k := 0; k < 3; k++ {
-			hi := q19Branches[k].sizeHi
-			bk := c.brands[k]
-			match := c.contMatch[k]
-			for j := 0; j < length; j++ {
-				bit := b2i(brand[j] == bk) & match[cont[j]] &
-					b2i(size[j] >= 1) & b2i(size[j] <= hi)
-				out[j] |= bit << k
-			}
-		}
-	})
-	// The probe side keeps the prepass + selection vector for the common
-	// predicates (the cost model retains the pushdown: they select ~7%,
-	// and the paper's hybrid gains there too); the *join* is what the
-	// bitmaps replace. Selected tuples resolve the disjunction with three
-	// cache-resident bit tests and fully masked arithmetic — no hash
-	// probe, no branching on the join condition.
-	li := &d.Lineitem
-	var common, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var revenue int64
-	vec.Tiles(len(li.PartKey), func(base, length int) {
-		mode := li.ShipMode[base : base+length]
-		instr := li.ShipInstruct[base : base+length]
-		vec.CmpConstEQ(mode, c.air, common[:])
-		vec.CmpConstEQ(mode, c.regAir, tmp[:])
-		vec.Or(common[:length], tmp[:length])
-		vec.CmpConstEQ(instr, c.deliver, tmp[:])
-		vec.And(common[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(common[:length], idx[:])
-		qty := li.Quantity[base : base+length]
-		pk := li.PartKey[base : base+length]
-		price := li.ExtendedPrice[base : base+length]
-		disc := li.Discount[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			q := qty[i]
-			// Per-branch quantity masks packed to match the bitmap
-			// interleaving; the union is a single AND + zero test.
-			qm := b2i(q >= q19Branches[0].qtyLo)&b2i(q <= q19Branches[0].qtyHi) |
-				(b2i(q >= q19Branches[1].qtyLo)&b2i(q <= q19Branches[1].qtyHi))<<1 |
-				(b2i(q >= q19Branches[2].qtyLo)&b2i(q <= q19Branches[2].qtyHi))<<2
-			m := b2i(qm&packed[pk[i]] != 0)
-			revenue += int64(price[i]) * (100 - int64(disc[i])) * int64(m)
-		}
-	})
 	return Rows{{revenue}}
 }

@@ -4,7 +4,6 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
 )
 
 // TPC-H Q6: forecasting revenue change. A single scan of lineitem with
@@ -51,79 +50,4 @@ func q6DataCentric(d *Data) Rows {
 		}
 	}
 	return Rows{{revenue}}
-}
-
-// q6Hybrid cascades selection vectors through the conjuncts in increasing
-// selectivity order (the Vectorwise discipline the hybrid strategy
-// inherits): the date range prunes to ~15% before the discount and
-// quantity comparisons run, so later predicates evaluate only survivors.
-func q6Hybrid(d *Data) Rows {
-	li := &d.Lineitem
-	var cmpv, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var revenue int64
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		ship := li.ShipDate[base : base+length]
-		disc := li.Discount[base : base+length]
-		qty := li.Quantity[base : base+length]
-		vec.CmpConstGE(ship, q6Lo, cmpv[:])
-		vec.CmpConstLT(ship, q6Hi, tmp[:])
-		vec.And(cmpv[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		// Refine the selection vector with the remaining conjuncts.
-		k := 0
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			idx[k] = i
-			k += int(b2i(disc[i] >= 5) & b2i(disc[i] <= 7) & b2i(qty[i] < q6Qty))
-		}
-		price := li.ExtendedPrice[base : base+length]
-		for j := 0; j < k; j++ {
-			i := idx[j]
-			revenue += int64(price[i]) * int64(disc[i])
-		}
-	})
-	return Rows{{revenue}}
-}
-
-// q6Swole combines a pushdown of the most selective conjunct (the date
-// range, ~15%) with a pullup of the residual conjuncts: surviving tuples
-// are aggregated unconditionally with masked arithmetic, and the
-// l_discount access is merged (Section III-C) — its value feeds both its
-// own range predicate and the aggregation in a single read. The paper's
-// fully-unconditional value masking relies on SIMD to hide the ~98%
-// wasted work; the cost model here keeps the cheap date pushdown and
-// pulls up only the rest, which is the decision the models make for
-// scalar execution (see EXPERIMENTS.md, Q6).
-func q6Swole(d *Data) Rows {
-	li := &d.Lineitem
-	var cmpv, tmp [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	var revenue int64
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		ship := li.ShipDate[base : base+length]
-		disc := li.Discount[base : base+length]
-		qty := li.Quantity[base : base+length]
-		price := li.ExtendedPrice[base : base+length]
-		vec.CmpConstGE(ship, q6Lo, cmpv[:])
-		vec.CmpConstLT(ship, q6Hi, tmp[:])
-		vec.And(cmpv[:length], tmp[:length])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		// Pullup of the residual conjuncts: no second compaction, no
-		// branch — one masked, access-merged pass over the survivors.
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			m := int64(b2i(disc[i] >= 5) & b2i(disc[i] <= 7) & b2i(qty[i] < q6Qty))
-			revenue += int64(price[i]) * int64(disc[i]) * m
-		}
-	})
-	return Rows{{revenue}}
-}
-
-func b2i(b bool) byte {
-	var v byte
-	if b {
-		v = 1
-	}
-	return v
 }

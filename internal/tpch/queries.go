@@ -1,9 +1,12 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 
+	"github.com/reprolab/swole/internal/core"
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
@@ -13,7 +16,9 @@ import (
 // Strategy identifies an execution strategy for a TPC-H query.
 type Strategy int
 
-// Strategies implemented for every query.
+// The strategies of Figure 6. Data-centric is hand-written for every query;
+// hybrid and SWOLE are engine plans wherever the plan synthesizer accepts
+// the query (OnEngine), and hand-written where it does not.
 const (
 	Volcano Strategy = iota // interpreted baseline (HyPer-substitute)
 	DataCentric
@@ -75,35 +80,121 @@ func (r Rows) Equal(other Rows) bool {
 	return true
 }
 
+// hand lists the hand-written strategies: the data-centric baseline of
+// every query, and hybrid and SWOLE of the queries the plan synthesizer
+// declines — Q3's ORDER BY/LIMIT, Q4's EXISTS, Q5's cyclic join and Q13's
+// outer join. Hybrid and SWOLE of the other four run on the engine.
+var hand = map[Query]map[Strategy]func(*Data) Rows{
+	Q1:  {DataCentric: q1DataCentric},
+	Q3:  {DataCentric: q3DataCentric, Hybrid: q3Hybrid, Swole: q3Swole},
+	Q4:  {DataCentric: q4DataCentric, Hybrid: q4Hybrid, Swole: q4Swole},
+	Q5:  {DataCentric: q5DataCentric, Hybrid: q5Hybrid, Swole: q5Swole},
+	Q6:  {DataCentric: q6DataCentric},
+	Q13: {DataCentric: q13DataCentric, Hybrid: q13Hybrid, Swole: q13Swole},
+	Q14: {DataCentric: q14DataCentric},
+	Q19: {DataCentric: q19DataCentric},
+}
+
+// OnEngine reports whether q runs under s as an engine plan: hybrid is the
+// plan forced onto hybrid, SWOLE the cost model's plan.
+func OnEngine(q Query, s Strategy) bool {
+	return (s == Hybrid || s == Swole) && hand[q][s] == nil
+}
+
+// Runner executes a prepared query. An engine plan also returns its Explain;
+// Volcano and the hand-written strategies return a zero one.
+type Runner func() (Rows, core.Explain, error)
+
 // Run executes query q under the given strategy.
 func (d *Data) Run(q Query, s Strategy) (Rows, error) {
-	impls := map[Query]map[Strategy]func(*Data) Rows{
-		Q1:  {DataCentric: q1DataCentric, Hybrid: q1Hybrid, Swole: q1Swole},
-		Q3:  {DataCentric: q3DataCentric, Hybrid: q3Hybrid, Swole: q3Swole},
-		Q4:  {DataCentric: q4DataCentric, Hybrid: q4Hybrid, Swole: q4Swole},
-		Q5:  {DataCentric: q5DataCentric, Hybrid: q5Hybrid, Swole: q5Swole},
-		Q6:  {DataCentric: q6DataCentric, Hybrid: q6Hybrid, Swole: q6Swole},
-		Q13: {DataCentric: q13DataCentric, Hybrid: q13Hybrid, Swole: q13Swole},
-		Q14: {DataCentric: q14DataCentric, Hybrid: q14Hybrid, Swole: q14Swole},
-		Q19: {DataCentric: q19DataCentric, Hybrid: q19Hybrid, Swole: q19Swole},
+	run, err := d.Prepare(q, s)
+	if err != nil {
+		return nil, err
+	}
+	rows, _, err := run()
+	return rows, err
+}
+
+// Prepare readies query q under strategy s and returns its runner, so that
+// a timed run executes and compiles nothing: an engine plan is compiled
+// here, on one worker like the hand-written kernels.
+func (d *Data) Prepare(q Query, s Strategy) (Runner, error) {
+	if !slices.Contains(Queries, q) || !slices.Contains(Strategies, s) {
+		return nil, fmt.Errorf("tpch: no query %d under strategy %d", q, s)
 	}
 	if s == Volcano {
 		p := Plan(q)
-		res, err := volcano.Run(p, d.DB)
+		return func() (Rows, core.Explain, error) {
+			res, err := volcano.Run(p, d.DB)
+			if err != nil {
+				return nil, core.Explain{}, err
+			}
+			out := make(Rows, len(res.Rows))
+			for i, row := range res.Rows {
+				out[i] = row
+			}
+			return out, core.Explain{}, nil
+		}, nil
+	}
+	if fn := hand[q][s]; fn != nil {
+		return func() (Rows, core.Explain, error) { return fn(d), core.Explain{}, nil }, nil
+	}
+	spec, ok := core.Synthesize(d.DB, enginePlan(Plan(q)))
+	if !ok {
+		return nil, fmt.Errorf("tpch: the synthesizer declines %s, which has no hand-written %s", q, s)
+	}
+	d.engineOnce.Do(func() {
+		d.engine = core.NewEngine(d.DB)
+		d.engine.Workers = 1
+	})
+	var prep core.Plan
+	var err error
+	if s == Hybrid {
+		prep, err = d.engine.PrepareForced(spec, core.TechHybrid)
+	} else {
+		prep, err = d.engine.Prepare(spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return func() (Rows, core.Explain, error) {
+		res, ex, err := prep.RunPartial(context.Background())
 		if err != nil {
-			return nil, err
+			return nil, ex, err
 		}
-		out := make(Rows, len(res.Rows))
-		for i, row := range res.Rows {
-			out[i] = row
+		// The plan overwrites its result on the next run: the rows are a copy.
+		flat, w := slices.Clone(res.Flat), len(res.Fields)
+		rows := make(Rows, len(flat)/w)
+		for i := range rows {
+			rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
 		}
-		return out, nil
+		return rows, ex, nil
+	}, nil
+}
+
+// enginePlan adapts a query's logical plan to the synthesizer's spine, Map
+// over Aggregate: a top Sort on the group keys goes, since the engine emits
+// groups in key order, and a bare Aggregate gains the Map that projects its
+// keys and aggregates. Below that it is the tree Volcano runs.
+func enginePlan(p plan.Node) plan.Node {
+	if s, ok := p.(*plan.Sort); ok && s.Limit == 0 {
+		if agg, ok := s.Input.(*plan.Aggregate); ok && slices.EqualFunc(s.Keys, agg.GroupBy,
+			func(k plan.SortKey, g string) bool { return k.Col == g && !k.Desc }) {
+			p = agg
+		}
 	}
-	fn := impls[q][s]
-	if fn == nil {
-		return nil, fmt.Errorf("tpch: no %s implementation of %s", s, q)
+	agg, ok := p.(*plan.Aggregate)
+	if !ok {
+		return p
 	}
-	return fn(d), nil
+	m := &plan.Map{Input: agg}
+	for _, k := range agg.GroupBy {
+		m.Exprs = append(m.Exprs, plan.NamedExpr{Expr: col(k), As: k})
+	}
+	for _, a := range agg.Aggs {
+		m.Exprs = append(m.Exprs, plan.NamedExpr{Expr: col(a.As), As: a.As})
+	}
+	return m
 }
 
 // Plan returns the logical plan for q, used by the Volcano engine and the

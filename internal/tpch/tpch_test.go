@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/reprolab/swole/internal/core"
 )
 
 // Shared tiny dataset; generating once keeps the suite fast.
@@ -18,6 +20,9 @@ func getData(t *testing.T) *Data {
 	return testData
 }
 
+// TestAllQueriesAllStrategiesAgree holds every strategy of every query to
+// Volcano's answer: the hand-written kernels, and the engine's forced-hybrid
+// and cost-model plans of the queries the synthesizer accepts.
 func TestAllQueriesAllStrategiesAgree(t *testing.T) {
 	d := getData(t)
 	for _, q := range Queries {
@@ -29,9 +34,16 @@ func TestAllQueriesAllStrategiesAgree(t *testing.T) {
 			t.Errorf("%s: volcano returned no rows; dataset too small to exercise the query", q)
 		}
 		for _, s := range []Strategy{DataCentric, Hybrid, Swole} {
-			got, err := d.Run(q, s)
+			run, err := d.Prepare(q, s)
 			if err != nil {
 				t.Fatalf("%s %s: %v", q, s, err)
+			}
+			got, ex, err := run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", q, s, err)
+			}
+			if OnEngine(q, s) && s == Hybrid && ex.Technique != core.TechHybrid {
+				t.Errorf("%s hybrid ran %s", q, ex.Technique)
 			}
 			if !got.Equal(ref) {
 				max := len(got)
@@ -57,6 +69,14 @@ func TestAllQueriesAllStrategiesAgree(t *testing.T) {
 				t.Errorf("%s %s: %d rows vs volcano %d; first differing row %d\n got: %v\nwant: %v",
 					q, s, len(got), len(ref), firstDiff, sample(got, firstDiff), sample(ref, firstDiff))
 			}
+		}
+	}
+	// The synthesizer accepts exactly the four queries with no hand-written
+	// hybrid or SWOLE.
+	for _, q := range Queries {
+		_, ok := core.Synthesize(d.DB, enginePlan(Plan(q)))
+		if want := OnEngine(q, Swole); ok != want || OnEngine(q, Hybrid) != want {
+			t.Errorf("%s: synthesizer accepts=%v, runs on the engine=%v", q, ok, want)
 		}
 	}
 }
@@ -228,6 +248,9 @@ func TestRunUnknownCombination(t *testing.T) {
 	if _, err := d.Run(Query(99), DataCentric); err == nil {
 		t.Error("unknown query accepted")
 	}
+	if _, err := d.Run(Query(99), Swole); err == nil {
+		t.Error("unknown query accepted on the engine")
+	}
 }
 
 func TestRowsEqual(t *testing.T) {
@@ -240,28 +263,28 @@ func TestRowsEqual(t *testing.T) {
 	}
 }
 
+// TestExplainSwoleCoversAllQueries holds ExplainSwole to the hand-run
+// queries: one entry each, in Figure 6 order, and none for a query whose
+// SWOLE strategy is an engine plan.
 func TestExplainSwoleCoversAllQueries(t *testing.T) {
-	explains := ExplainSwole()
-	if len(explains) != len(Queries) {
-		t.Fatalf("%d explains for %d queries", len(explains), len(Queries))
+	var handRun []Query
+	for _, q := range Queries {
+		if !OnEngine(q, Swole) {
+			handRun = append(handRun, q)
+		}
 	}
-	seen := map[Query]bool{}
+	explains := ExplainSwole()
+	if len(explains) != len(handRun) {
+		t.Fatalf("%d explains for %d hand-run queries", len(explains), len(handRun))
+	}
 	for i, ex := range explains {
-		if ex.Query != Queries[i] {
-			t.Errorf("explain %d is %s, want %s (Figure 6 order)", i, ex.Query, Queries[i])
+		if ex.Query != handRun[i] {
+			t.Errorf("explain %d is %s, want %s (Figure 6 order)", i, ex.Query, handRun[i])
 		}
-		if seen[ex.Query] {
-			t.Errorf("duplicate explain for %s", ex.Query)
-		}
-		seen[ex.Query] = true
 		if ex.Rationale == "" {
 			t.Errorf("%s: empty rationale", ex.Query)
 		}
-		// Q14 is the only query where SWOLE falls back entirely.
-		if ex.Query == Q14 && len(ex.Techniques) != 0 {
-			t.Errorf("Q14 should apply no pullup technique")
-		}
-		if ex.Query != Q14 && len(ex.Techniques) == 0 {
+		if len(ex.Techniques) == 0 {
 			t.Errorf("%s: no techniques listed", ex.Query)
 		}
 	}

@@ -157,22 +157,6 @@ func BenchmarkKernelSel(bm *testing.B) {
 	}
 }
 
-func BenchmarkKernelSumSel(bm *testing.B) {
-	a, _, cmp := kernelData[int32](50)
-	sel := make([]int32, TileSize)
-	n := SelFromCmpBranch(cmp, sel)
-	bm.Run("generic", func(bm *testing.B) {
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumSel(a, sel, n)
-		}
-	})
-	bm.Run("unrolled", func(bm *testing.B) {
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumSelU(a, sel, n)
-		}
-	})
-}
-
 // BenchmarkKernelMaskOps prices the mask plane's word-at-a-time kernels
 // against the byte loops they replaced (the fuzz target's references).
 func BenchmarkKernelMaskOps(bm *testing.B) {

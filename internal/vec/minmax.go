@@ -49,28 +49,3 @@ func MaxMasked[T Number](vals []T, cmp []byte) int64 {
 	}
 	return best
 }
-
-// MinSel and MaxSel are the selection-vector counterparts (the hybrid
-// strategy's conditional-read form).
-
-// MinSel returns the minimum of vals over the first n selected indexes.
-func MinSel[T Number](vals []T, sel []int32, n int) int64 {
-	best := MinIdentity
-	for j := 0; j < n; j++ {
-		if v := int64(vals[sel[j]]); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// MaxSel returns the maximum of vals over the first n selected indexes.
-func MaxSel[T Number](vals []T, sel []int32, n int) int64 {
-	best := MaxIdentity
-	for j := 0; j < n; j++ {
-		if v := int64(vals[sel[j]]); v > best {
-			best = v
-		}
-	}
-	return best
-}

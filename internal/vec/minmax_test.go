@@ -16,8 +16,6 @@ func TestMinMaxMaskedMatchReference(t *testing.T) {
 				cmp[i] = bits[i] & 1
 			}
 		}
-		sel := make([]int32, len(raw))
-		n := 0
 		wantMin, wantMax := MinIdentity, MaxIdentity
 		for i, v := range raw {
 			if cmp[i] == 1 {
@@ -27,14 +25,9 @@ func TestMinMaxMaskedMatchReference(t *testing.T) {
 				if int64(v) > wantMax {
 					wantMax = int64(v)
 				}
-				sel[n] = int32(i)
-				n++
 			}
 		}
-		return MinMasked(raw, cmp) == wantMin &&
-			MaxMasked(raw, cmp) == wantMax &&
-			MinSel(raw, sel, n) == wantMin &&
-			MaxSel(raw, sel, n) == wantMax
+		return MinMasked(raw, cmp) == wantMin && MaxMasked(raw, cmp) == wantMax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -63,8 +56,5 @@ func TestMinMaxEmptySelection(t *testing.T) {
 	cmp := []byte{0, 0, 0}
 	if MinMasked(vals, cmp) != MinIdentity || MaxMasked(vals, cmp) != MaxIdentity {
 		t.Error("empty selection must yield identities")
-	}
-	if MinSel(vals, nil, 0) != MinIdentity || MaxSel(vals, nil, 0) != MaxIdentity {
-		t.Error("empty selection vector must yield identities")
 	}
 }

@@ -39,26 +39,6 @@ func WidenU[T Number](vals []T, out []int64) {
 	}
 }
 
-// SumAllU adds every lane with four accumulators.
-func SumAllU[T Number](vals []T) int64 {
-	n := len(vals)
-	var s0, s1, s2, s3 int64
-	i := 0
-	for ; i+SubTile <= n; i += SubTile {
-		v := vals[i : i+SubTile : i+SubTile]
-		for j := 0; j < SubTile; j += 4 {
-			s0 += int64(v[j])
-			s1 += int64(v[j+1])
-			s2 += int64(v[j+2])
-			s3 += int64(v[j+3])
-		}
-	}
-	for ; i < n; i++ {
-		s0 += int64(vals[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // SumMaskedU is the unrolled value-masking aggregation: vals[i]*cmp[i]
 // summed into four accumulators.
 func SumMaskedU[T Number](vals []T, cmp []byte) int64 {
@@ -109,27 +89,6 @@ func SumProdMaskedU[T Number](a, b []T, cmp []byte) int64 {
 	}
 	for ; i < n; i++ {
 		s0 += int64(a[i]) * int64(b[i]) * int64(cmp[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// SumSelU adds vals[sel[j]] over a selection vector with four accumulators;
-// the gathers are independent, so the loads overlap.
-func SumSelU[T Number](vals []T, sel []int32, n int) int64 {
-	if n == 0 {
-		return 0
-	}
-	_ = sel[n-1]
-	var s0, s1, s2, s3 int64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s0 += int64(vals[sel[j]])
-		s1 += int64(vals[sel[j+1]])
-		s2 += int64(vals[sel[j+2]])
-		s3 += int64(vals[sel[j+3]])
-	}
-	for ; j < n; j++ {
-		s0 += int64(vals[sel[j]])
 	}
 	return s0 + s1 + s2 + s3
 }

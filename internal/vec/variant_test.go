@@ -93,9 +93,6 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 			if got, want := SumProdMaskedU(a, b, cmp), SumProdMasked(a, b, cmp); got != want {
 				t.Fatalf("n=%d pct=%d SumProdMaskedU: got %d, want %d", n, pct, got, want)
 			}
-			if got, want := SumAllU(a), SumAll(a); got != want {
-				t.Fatalf("n=%d SumAllU: got %d, want %d", n, got, want)
-			}
 
 			// Unrolled masked key materialization.
 			MaskKeysU(a, cmp, -1<<62, wide)
@@ -122,11 +119,6 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 			}
 			if want := ClassifyDensity(ns, n); d != want {
 				t.Fatalf("n=%d pct=%d density=%v, want %v", n, pct, d, want)
-			}
-
-			// Unrolled selection-vector aggregation.
-			if got, want := SumSelU(a, sel, ns), SumSel(a, sel, ns); got != want {
-				t.Fatalf("n=%d pct=%d SumSelU: got %d, want %d", n, pct, got, want)
 			}
 		}
 	}
@@ -168,8 +160,7 @@ func TestVariantsQuickRandomLengths(t *testing.T) {
 				return false
 			}
 		}
-		return SumMaskedU(vals, cmp) == SumMasked(vals, cmp) &&
-			SumSelU(vals, sel, ns) == SumSel(vals, sel, ns)
+		return SumMaskedU(vals, cmp) == SumMasked(vals, cmp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -206,21 +197,14 @@ func TestGenericKernelsEmptyInput(t *testing.T) {
 	if CountOnes(nil) != 0 {
 		t.Error("CountOnes(nil) != 0")
 	}
-	if SumMasked([]int32{}, nil) != 0 || SumProdMasked([]int32{}, nil, nil) != 0 ||
-		SumQuotMasked([]int32{}, nil, nil) != 0 || SumAll([]int32{}) != 0 {
+	if SumMasked([]int32{}, nil) != 0 || SumProdMasked([]int32{}, nil, nil) != 0 {
 		t.Error("masked sums over empty tiles must be 0")
-	}
-	if SumSel([]int32{}, nil, 0) != 0 || SumProdSel([]int32{}, nil, nil, 0) != 0 {
-		t.Error("selection sums over empty tiles must be 0")
 	}
 	MaskKeys([]int32{}, nil, -1, nil)
 	Widen([]int32{}, nil)
-	MulMaskedInto([]int32{}, nil, nil, nil)
-	CmpLTMulInto([]int32{}, 0, nil)
 	if SumProdTmp([]int32{}, nil) != 0 {
 		t.Error("SumProdTmp over empty tiles must be 0")
 	}
-	MulInto([]int32{}, nil)
 }
 
 func TestClassifyDensity(t *testing.T) {

@@ -6,8 +6,8 @@
 // byte-valued comparison vectors, selection-vector construction (both the
 // branching and the predicated "no-branch" variants of Ross, PODS 2002),
 // masked aggregation (the value-masking technique of Section III-A), masked
-// key materialization (key masking, Section III-B), and fused
-// predicate-times-value kernels (access merging, Section III-C).
+// key materialization (key masking, Section III-B), and the sum over a
+// predicate-times-value tile (access merging, Section III-C).
 //
 // All kernels operate on tiles of at most TileSize values, matching the
 // paper's vector size of 1024. Comparison vectors hold exactly 0 or 1 per

@@ -51,46 +51,6 @@ func BenchmarkSelFromCmp(b *testing.B) {
 	}
 }
 
-func BenchmarkSumMaskedVsSel(b *testing.B) {
-	for _, sel := range []int{10, 90} {
-		vals, other, cmp := benchData(sel)
-		idx := make([]int32, TileSize)
-		n := SelFromCmpNoBranch(cmp, idx)
-		b.Run("masked/sel"+itoa(sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkI64 += SumProdMasked(vals, other, cmp)
-			}
-		})
-		b.Run("selvec/sel"+itoa(sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkI64 += SumProdSel(vals, other, idx, n)
-			}
-		})
-	}
-}
-
-func BenchmarkAccessMerging(b *testing.B) {
-	vals, other, _ := benchData(50)
-	tmp := make([]int64, TileSize)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CmpLTMulInto(vals, 50, tmp)
-			sinkI64 += SumProdTmp(other, tmp)
-		}
-	})
-	b.Run("two-pass", func(b *testing.B) {
-		cmp := make([]byte, TileSize)
-		for i := 0; i < b.N; i++ {
-			CmpConstLT(vals, 50, cmp)
-			var s int64
-			for j := range vals {
-				s += int64(vals[j]) * int64(other[j]) * int64(cmp[j])
-			}
-			sinkI64 += s
-		}
-	})
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

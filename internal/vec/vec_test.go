@@ -226,16 +226,11 @@ func TestMaskedSumsMatchBranchingReference(t *testing.T) {
 		b[i] = int32(rng.Intn(99) + 1)
 		cmp[i] = byte(rng.Intn(2))
 	}
-	var wantSum, wantProd, wantQuot int64
-	sel := make([]int32, n)
-	ns := 0
+	var wantSum, wantProd int64
 	for i := 0; i < n; i++ {
 		if cmp[i] == 1 {
 			wantSum += int64(a[i])
 			wantProd += int64(a[i]) * int64(b[i])
-			wantQuot += int64(a[i]) / int64(b[i])
-			sel[ns] = int32(i)
-			ns++
 		}
 	}
 	if got := SumMasked(a, cmp); got != wantSum {
@@ -243,34 +238,6 @@ func TestMaskedSumsMatchBranchingReference(t *testing.T) {
 	}
 	if got := SumProdMasked(a, b, cmp); got != wantProd {
 		t.Errorf("SumProdMasked=%d, want %d", got, wantProd)
-	}
-	if got := SumQuotMasked(a, b, cmp); got != wantQuot {
-		t.Errorf("SumQuotMasked=%d, want %d", got, wantQuot)
-	}
-	if got := SumSel(a, sel, ns); got != wantSum {
-		t.Errorf("SumSel=%d, want %d", got, wantSum)
-	}
-	if got := SumProdSel(a, b, sel, ns); got != wantProd {
-		t.Errorf("SumProdSel=%d, want %d", got, wantProd)
-	}
-	if got := SumQuotSel(a, b, sel, ns); got != wantQuot {
-		t.Errorf("SumQuotSel=%d, want %d", got, wantQuot)
-	}
-}
-
-func TestSumQuotMaskedZeroDivisorMaskedLane(t *testing.T) {
-	// A masked lane with divisor zero must not fault and must contribute 0.
-	a := []int32{10, 20}
-	b := []int32{0, 5}
-	cmp := []byte{0, 1}
-	if got := SumQuotMasked(a, b, cmp); got != 4 {
-		t.Errorf("got %d, want 4", got)
-	}
-}
-
-func TestSumAll(t *testing.T) {
-	if got := SumAll([]int8{1, 2, 3, -1}); got != 5 {
-		t.Errorf("got %d", got)
 	}
 }
 
@@ -293,7 +260,9 @@ func TestWiden(t *testing.T) {
 }
 
 func TestAccessMergingKernels(t *testing.T) {
-	// Property: the fused kernel equals predicate-then-multiply.
+	// Property: Q3's access-merged form — the predicate fused into the read
+	// of x, tmp[i] = x[i] * (x[i] < c), then SumProdTmp — equals
+	// predicate-then-multiply.
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
 			return true
@@ -304,7 +273,9 @@ func TestAccessMergingKernels(t *testing.T) {
 			a[i] = int32(i + 1)
 		}
 		tmp := make([]int64, len(x))
-		CmpLTMulInto(x, 13, tmp)
+		for i := range x {
+			tmp[i] = int64(x[i]) * int64(b2i(x[i] < 13))
+		}
 		var want int64
 		for i := range x {
 			if x[i] < 13 {
@@ -315,24 +286,5 @@ func TestAccessMergingKernels(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulInto(t *testing.T) {
-	tmp := []int64{2, 3, 4}
-	MulInto([]int32{10, 0, -1}, tmp)
-	if tmp[0] != 20 || tmp[1] != 0 || tmp[2] != -4 {
-		t.Errorf("tmp=%v", tmp)
-	}
-}
-
-func TestMulMaskedInto(t *testing.T) {
-	a := []int32{2, 3}
-	b := []int32{5, 7}
-	cmp := []byte{1, 0}
-	tmp := make([]int64, 2)
-	MulMaskedInto(a, b, cmp, tmp)
-	if tmp[0] != 10 || tmp[1] != 0 {
-		t.Errorf("tmp=%v", tmp)
 	}
 }

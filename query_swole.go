@@ -8,7 +8,6 @@ import (
 
 	"github.com/reprolab/swole/internal/core"
 	"github.com/reprolab/swole/internal/expr"
-	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/sql"
 	"github.com/reprolab/swole/internal/vec"
 	"github.com/reprolab/swole/internal/volcano"
@@ -190,7 +189,7 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 	if err != nil {
 		return Explain{}, err
 	}
-	if spec, ok := d.synthesize(p); ok {
+	if spec, ok := core.Synthesize(d.db, p); ok {
 		c, err := d.prepareShape(spec)
 		if err != nil {
 			return Explain{}, err
@@ -213,17 +212,6 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 	fn(resultOf(vres))
 	return Explain{Technique: "interpreter-fallback", Shape: "interpreter-fallback"}, nil
 }
-
-// The plan synthesizer. A compiled statement is not pattern-matched
-// against a registry of fixed shapes: synthesize destructures the logical
-// plan's aggregate spine (Map over Aggregate over a Scan or a left-deep
-// FK join chain) into a compositional core.Select spec — root scan, join
-// edges, residual, group keys, aggregates, HAVING, projection — the one
-// statement shape this package knows. core.Engine.Prepare compiles it onto
-// the tile pipeline — per-edge positional bitmaps or eager aggregation,
-// packed group keys, a cost-chosen masking technique, the worker gang
-// wherever the workers' partials merge exactly — which covers the whole
-// grammar and replays warm without allocating.
 
 // SupportedShapes lists the bounded shape buckets synthesized plans
 // aggregate under (see ShapeBucket): every signature the synthesizer can
@@ -324,107 +312,6 @@ func planSignature(spec core.Select) string {
 		b.WriteString("+having")
 	}
 	return b.String()
-}
-
-// synthesize destructures a compiled logical plan into a core.Select
-// spec. It accepts any Map-over-Aggregate spine whose input is a Scan or a
-// left-deep chain of FK joins with Scan build sides — exactly what the SQL
-// frontend emits for a single-block aggregate SELECT without ORDER BY. The
-// root filter is normalized to NNF first, so the disjunction planner sees
-// the top-level OR terms.
-func (d *DB) synthesize(p plan.Node) (core.Select, bool) {
-	m, ok := p.(*plan.Map)
-	if !ok {
-		return core.Select{}, false
-	}
-	agg, ok := m.Input.(*plan.Aggregate)
-	if !ok || len(agg.Aggs) == 0 {
-		return core.Select{}, false
-	}
-
-	// Destructure the join chain bottom-up: the probe spine ends at the
-	// root scan, each join's build side is a parent scan.
-	var joins []*plan.Join
-	node := agg.Input
-	for {
-		j, jok := node.(*plan.Join)
-		if !jok {
-			break
-		}
-		if j.Semi {
-			return core.Select{}, false
-		}
-		joins = append(joins, j)
-		node = j.Probe
-	}
-	root, ok := node.(*plan.Scan)
-	if !ok {
-		return core.Select{}, false
-	}
-	for i, j := 0, len(joins)-1; i < j; i, j = i+1, j-1 {
-		joins[i], joins[j] = joins[j], joins[i]
-	}
-	for _, j := range joins {
-		if _, bok := j.Build.(*plan.Scan); !bok {
-			return core.Select{}, false
-		}
-	}
-
-	// NNF the root predicate (structure-sharing; the compiled tree is
-	// ours) so a disjunction's OR sits at the top, where the plan signature
-	// counts its terms and the evaluator skips them on a saturated tile.
-	spec := core.Select{
-		Root:    root.Table,
-		Filter:  expr.NNF(root.Filter),
-		GroupBy: agg.GroupBy,
-		Having:  agg.Having,
-	}
-	var residual []expr.Expr
-	for _, j := range joins {
-		b := j.Build.(*plan.Scan)
-		// Src: which side owns the FK column — the root scan or an earlier
-		// edge's parent (snowflake chain). Column names are query-unique.
-		src := -1
-		if d.db.MustTable(root.Table).Column(j.ProbeKey) == nil {
-			src = -2
-			for ei := range spec.Edges {
-				if d.db.MustTable(spec.Edges[ei].Parent).Column(j.ProbeKey) != nil {
-					src = ei
-					break
-				}
-			}
-			if src == -2 {
-				return core.Select{}, false
-			}
-		}
-		spec.Edges = append(spec.Edges, core.SelectEdge{
-			Src: src, FK: j.ProbeKey, Parent: b.Table, PK: j.BuildKey, Filter: b.Filter,
-		})
-		if j.Residual != nil {
-			// FK inner joins never drop or duplicate probe rows, so a
-			// mid-chain residual evaluates identically over the full row.
-			residual = append(residual, j.Residual)
-		}
-	}
-	switch len(residual) {
-	case 0:
-	case 1:
-		spec.Residual = residual[0]
-	default:
-		spec.Residual = &expr.Logic{Op: expr.And, Args: residual}
-	}
-	aggKinds := map[plan.AggFunc]core.AggKind{
-		plan.Sum: core.AggSum, plan.Count: core.AggCount, plan.Avg: core.AggAvg,
-		plan.Min: core.AggMin, plan.Max: core.AggMax,
-	}
-	for _, a := range agg.Aggs {
-		spec.Aggs = append(spec.Aggs, core.SelectAgg{Kind: aggKinds[a.Func], Arg: a.Arg, As: a.As})
-	}
-	for _, e := range m.Exprs {
-		spec.Project = append(spec.Project, core.SelectProj{Expr: e.Expr, As: e.As})
-	}
-
-	return spec, true
 }
 
 // prepareShape compiles the synthesized statement on the engine and wraps

@@ -40,7 +40,7 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := d.synthesize(p)
+	spec, ok := core.Synthesize(d.db, p)
 	if !ok {
 		t.Fatalf("%q: not synthesized", q)
 	}
@@ -498,7 +498,7 @@ func TestSelectMergedOperands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := d.synthesize(p)
+	spec, _ := core.Synthesize(d.db, p)
 	forced, err := d.engine.PrepareForced(spec, core.TechValueMasking)
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, ok := d.synthesize(p)
+		spec, ok := core.Synthesize(d.db, p)
 		if !ok {
 			t.Fatalf("%s: not synthesized", f.name)
 		}
