@@ -16,13 +16,12 @@ func BenchmarkAblation_GroupTableForm(b *testing.B) {
 	for _, groups := range []int{100, 100_000, 1_000_000} {
 		d := sparseKeyDB(b, rows1M, groups)
 		dense := "select r_c, sum(r_a) from r where r_x < 50 group by r_c"
-		sparse := "select sp_k, sum(sp_a) from sp where sp_x < 50 group by sp_k"
 		d.SetWorkers(1)
 		_, predicted, err := d.QuerySwole(dense)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, form := range []struct{ name, q string }{{"dense", dense}, {"hashed", sparse}} {
+		for _, form := range []struct{ name, q string }{{"dense", dense}, {"hashed", sparseKeyQuery}} {
 			b.Run(form.name+"/groups"+strconv.Itoa(groups), func(b *testing.B) {
 				d.SetWorkers(1)
 				defer d.SetWorkers(0)

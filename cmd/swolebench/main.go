@@ -46,7 +46,7 @@ func main() {
 func realMain() error {
 	fig := flag.String("fig", "all", "figure to regenerate: 2, 6, 8, 9, 10, 11, 12, scaling, or all")
 	csv := flag.Bool("csv", false, "emit micro figures as CSV for plotting")
-	workers := flag.Int("workers", 0, "max morsel workers the scaling figure sweeps to (0 = SWOLE_WORKERS or NumCPU)")
+	workers := flag.Int("workers", 0, "max morsel workers the scaling figure sweeps to (0 = SWOLE_WORKERS or GOMAXPROCS)")
 	repeat := flag.Int("repeat", 0, "steady-state demo: run each supported query shape N times and report cold vs plan-cached warm timings")
 	query := flag.String("query", "", "run one arbitrary SQL statement against the micro dataset and report its synthesized plan, cold timing, and plan-cached warm timing")
 	variants := flag.Bool("kernel-variants", false, "run each supported query shape and report the kernel-variant selection counters from Explain")

@@ -4,7 +4,7 @@
 //	swoleload -addr localhost:8080 -qps 200 -conns 8 -duration 30s \
 //	    -query 'select sum(r_a) from r where r_x < 50@3' \
 //	    -query 'select r_c, sum(r_a) from r where r_x < 50 group by r_c@1' \
-//	    -json BENCH_serving.json -gate-p99 250ms -gate-errors 0
+//	    -json serving.json -gate-p99 250ms -gate-errors 0
 //
 // Each -query takes "sql@weight" (weight optional, default 1); the mix is
 // interleaved deterministically across connections. The run prints a

@@ -46,7 +46,7 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, ex, err := forced.RunPartial(context.Background())
+		res, ex, err := forced.RunContext(context.Background())
 		runtime := time.Since(start)
 		if err != nil {
 			return nil, err

@@ -162,7 +162,7 @@ func TestDenseGroupParity(t *testing.T) {
 						t.Fatalf("%s forced %s: %v", tag, tech, err)
 					}
 					for rep := 0; rep < 2; rep++ {
-						res, ex, err := forced.RunPartial(ctx)
+						res, ex, err := forced.RunContext(ctx)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -52,7 +52,7 @@ func TestExprEdgeStatements(t *testing.T) {
 			d.SetWorkers(workers) // also drops the plans compiled under the last morsel length
 			tag := fmt.Sprintf("workers=%d partition=%s", workers, mode.name)
 			for i, q := range exprEdgeStatements {
-				t.Run(fmt.Sprintf("%s/%02d", tag, i), func(t *testing.T) { checkEveryPath(t, d, q, tag, false) })
+				t.Run(fmt.Sprintf("%s/%02d", tag, i), func(t *testing.T) { checkEveryPath(t, d, q, tag) })
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestGroupjoinParentKeys(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				d.SetWorkers(workers)
 				tag := fmt.Sprintf("keys %s workers=%d", c.name, workers)
-				checkEveryPath(t, d, q, tag, true)
+				checkEveryPath(t, d, q, tag)
 				res, _, err := d.QuerySwole(q)
 				if err != nil {
 					t.Fatal(err)

@@ -44,11 +44,18 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelBitmapPack prices moving a 1,024-lane mask into a bitmap
-// 64 lanes per word against the bit-at-a-time loops it replaced (the
-// fuzz target's references), at a word-aligned base and one lane past it.
-func BenchmarkKernelBitmapPack(b *testing.B) {
-	cmp := make([]byte, 1024)
+// packCase is one BenchmarkKernelBitmapPack row: call i moves cmp into the
+// bitmap at the i-th tile base.
+type packCase struct {
+	name string
+	fn   func(i int)
+}
+
+// packCases move a 1,024-lane mask into a bitmap 64 lanes per word, and by
+// the bit-at-a-time loops it replaced (the fuzz target's references), at a
+// word-aligned base and one lane past it.
+func packCases() (cases []packCase, cmp []byte) {
+	cmp = make([]byte, 1024)
 	for i := range cmp {
 		cmp[i] = byte(i>>2) & 1
 	}
@@ -61,12 +68,34 @@ func BenchmarkKernelBitmapPack(b *testing.B) {
 			{"packed/set", (*Bitmap).SetFromCmp}, {"bit/set", refSet},
 			{"packed/or", (*Bitmap).OrFromCmp}, {"bit/or", refOr},
 		} {
-			b.Run(k.name+"/base+"+string(rune('0'+off)), func(b *testing.B) {
-				b.SetBytes(int64(len(cmp)))
-				for i := 0; i < b.N; i++ {
-					k.fn(bm, (i*1024)&(1<<19-1024)+off, cmp)
-				}
-			})
+			cases = append(cases, packCase{k.name + "/base+" + string(rune('0'+off)), func(i int) {
+				k.fn(bm, (i*1024)&(1<<19-1024)+off, cmp)
+			}})
+		}
+	}
+	return cases, cmp
+}
+
+// BenchmarkKernelBitmapPack prices the packCases.
+func BenchmarkKernelBitmapPack(b *testing.B) {
+	cases, cmp := packCases()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(cmp)))
+			for i := 0; i < b.N; i++ {
+				c.fn(i)
+			}
+		})
+	}
+}
+
+// TestPackZeroAlloc: no call of any BenchmarkKernelBitmapPack row allocates.
+func TestPackZeroAlloc(t *testing.T) {
+	cases, _ := packCases()
+	for _, c := range cases {
+		i := 0
+		if allocs := testing.AllocsPerRun(10, func() { c.fn(i); i++ }); allocs != 0 {
+			t.Errorf("BenchmarkKernelBitmapPack/%s: %.1f allocs per call, want 0", c.name, allocs)
 		}
 	}
 }

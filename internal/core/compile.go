@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"time"
-
-	"github.com/reprolab/swole/internal/exec"
 )
 
 // The compiled-plan layer. Every statement executes through one pipeline
@@ -22,10 +20,9 @@ import (
 //
 // A plan is compiled exactly once and belongs to whoever prepared it; the
 // engine keeps no plans, so invalidation is the owner's business (the
-// root package's statement cache pins table versions and shard epochs).
-// PrepareForced is the same compile with the technique named by the
-// caller and the scan sequential: forced runs measure kernel character,
-// not parallel speedup.
+// root package's statement cache pins table versions). PrepareForced is the
+// same compile with the technique named by the caller and the scan on one
+// worker: forced runs measure kernel character, not parallel speedup.
 //
 // A plan's kernels are methods bound once over the plan's own fields, the
 // single implementation per technique; no other execution path exists.
@@ -37,93 +34,42 @@ type kernelFn = func(w, base, length int)
 // any real Technique value forces it.
 const techAuto Technique = -1
 
-// planCore is the part of a compiled plan the compile and the run share:
-// the engine, the worker count, the Explain record the compile filled in,
-// the per-worker scratch states, and the result header.
-type planCore struct {
-	e      *Engine
-	nw     int  // worker count the kernels run on (1 when seq)
-	seq    bool // forced plans, and plans whose partials do not merge exactly, scan inline
-	ex     Explain
-	states []workerState
-	fields []OutField
-}
-
 // Fields is the result header.
-func (p *planCore) Fields() []OutField { return p.fields }
+func (p *PreparedSelect) Fields() []OutField { return p.fields }
 
-// ctxErr reports the context's cancellation state; nil contexts (internal
-// callers without a deadline) never cancel.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
+// scan runs a kernel over [0, rows) on p.nw workers of the engine's gang,
+// which polls the context at morsel granularity, so a canceled scan stops
+// within one morsel per worker; callers detect it via ctx.Err() and must
+// then discard the partial state (every run resets its buffers on entry, so
+// pooled resources survive an early exit intact). Callers hold e.execMu.
+func (p *PreparedSelect) scan(ctx context.Context, rows int, kernel kernelFn) {
+	p.e.gangLocked(p.nw).RunCtx(ctx, rows, p.nw, kernel)
 }
 
-// scan runs a kernel over [0, rows): on the persistent gang normally, or
-// inline on this goroutine for sequential (forced) plans. Both forms poll
-// the context at morsel granularity, so a canceled scan stops within one
-// morsel per worker; callers detect it via ctxErr and must then discard
-// the partial state (every run resets its buffers on entry, so pooled
-// resources survive an early exit intact). Callers hold e.execMu.
-func (p *planCore) scan(ctx context.Context, rows int, kernel kernelFn) {
-	if p.seq {
-		m := exec.DefaultMorselRows
-		for base := 0; base < rows; base += m {
-			if ctxErr(ctx) != nil {
-				return
-			}
-			length := rows - base
-			if length > m {
-				length = m
-			}
-			kernel(0, base, length)
-		}
-		return
-	}
-	p.e.steadyLocked(p.nw).RunCtx(ctx, rows, kernel)
-}
-
-// sumVariants folds every worker's kernel-variant counters into the
+// sumVariants folds the plan's workers' kernel-variant counters into the
 // Explain record and clears them for the next run. Runs call it after
 // their scan phases; merge-side counts bumped on the caller's goroutine
-// land in states[0].ctr before the call, so one fold covers everything.
-func (p *planCore) sumVariants() {
+// land in worker 0's counters before the call, so one fold covers everything.
+func (p *PreparedSelect) sumVariants() {
 	p.ex.Variants.Reset()
-	for i := range p.states {
-		p.ex.Variants.Add(p.states[i].ctr)
-		p.states[i].ctr.Reset()
+	for _, s := range p.e.scratch[:p.nw] {
+		p.ex.Variants.Add(&s.ctr)
+		s.ctr.Reset()
 	}
 }
 
 // compiled stamps the compile's cost into the Explain: its wall time since
 // start and, inside it, the time its statistics lookups took.
-func (p *planCore) compiled(start time.Time, stats time.Duration) {
+func (p *PreparedSelect) compiled(start time.Time, stats time.Duration) {
 	p.ex.PrepareTime, p.ex.StatsTime = time.Since(start), stats
 }
 
-// snapshot copies the Explain for return and zeroes the one-execution
-// counters — the compile's allocations and its cost — so replays report a
-// settled steady state.
-func (p *planCore) snapshot() Explain {
-	ex := p.ex
-	p.settle()
-	return ex
-}
-
-func (p *planCore) settle() {
+// settle zeroes the one-execution counters — the compile's allocations and
+// its cost — once a run has reported them, or was canceled before it could:
+// replays report a settled steady state, and a cold compile whose first
+// execution was canceled does not re-bill its fresh allocations.
+func (p *PreparedSelect) settle() {
 	p.ex.FreshAllocs, p.ex.PrepareTime, p.ex.StatsTime = 0, 0, 0
-}
-
-// canceled settles a plan after a canceled run and passes the context
-// error through: the one-execution counters are consumed exactly as
-// snapshot does, so the next (successful) run reports the steady state —
-// a cold compile whose first execution was canceled does not re-bill its
-// fresh allocations.
-func (p *planCore) canceled(err error) error {
-	p.settle()
-	return err
 }
 
 // groupEmit holds interleaved (order key, value) pairs and sorts them by

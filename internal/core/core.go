@@ -10,7 +10,7 @@
 // with one mode, compile-and-keep: Prepare compiles a Select spec onto the
 // tile pipeline of select.go, validating and planning the query and binding
 // the chosen kernel and plan-owned buffers exactly once, and the caller keeps
-// the Plan and re-runs it on the engine's persistent morsel-worker gang. The
+// the plan and re-runs it on the engine's persistent morsel-worker gang. The
 // engine holds no plans: whoever prepared a plan owns it and decides when it
 // is stale. PrepareForced is the same compile with the technique named by
 // the caller. There is exactly one kernel per technique.
@@ -144,7 +144,7 @@ type Engine struct {
 	Params cost.Params
 
 	// Workers is the number of morsel workers the executor dispatches
-	// kernels on; 0 (the default) selects runtime.NumCPU(). Results are
+	// kernels on; 0 (the default) selects runtime.GOMAXPROCS(0). Results are
 	// identical at every worker count: each worker aggregates into
 	// private partial state and the merges are exact int64 sums.
 	Workers int
@@ -158,23 +158,19 @@ type Engine struct {
 	stats   statsCache
 	samples sampler
 
-	// The persistent worker gang every plan scans on; execMu serializes
-	// executions on it.
+	// The persistent worker gang every plan scans on, and one scratch per
+	// gang worker shared by every plan (pools.go); execMu serializes
+	// executions on them. emit is the evaluator emissions run HAVING and the
+	// projection on.
 	execMu     sync.Mutex
 	gang       *exec.Workers
-	gangN      int
 	gangMorsel int
-
-	// The tile scratch (pools.go), indexed by worker and shared by every plan
-	// under execMu, and the evaluator emissions run HAVING and the
-	// projection on.
-	genStates []workerState
-	genTiles  []tileScratch
-	genEmit   *expr.Evaluator
+	scratch    []*worker
+	emit       *expr.Evaluator
 }
 
 // NewEngine returns an engine with default cost parameters and one morsel
-// worker per CPU.
+// worker per usable CPU.
 func NewEngine(db *storage.Database) *Engine {
 	return &Engine{DB: db, Params: cost.Default()}
 }
@@ -184,31 +180,7 @@ func (e *Engine) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
-	return runtime.NumCPU()
-}
-
-// workerState is the private scratch one morsel worker evaluates tiles
-// with: an expression evaluator plus the tile buffers (exec.Scratch) the
-// kernels in this package share. Workers never exchange scratch, so the
-// tiled kernels run exactly as in the sequential engine. The engine keeps
-// one state per worker for every plan (pools.go).
-type workerState struct {
-	ev *expr.Evaluator
-	// ctr is this worker's kernel-variant counters. The evaluator shares
-	// the same struct (via SetCounters), so the compare/widen prepass
-	// counts and the counts the kernels bump directly land in one place;
-	// sumVariants folds them into Explain after each run. Heap-allocated so
-	// the evaluator's pointer survives a reallocation of the states slice.
-	ctr *vec.Counters
-	*exec.Scratch
-}
-
-// newWorkerState allocates one worker's scratch set.
-func newWorkerState() workerState {
-	ctr := &vec.Counters{}
-	ev := expr.NewEvaluator()
-	ev.SetCounters(ctr)
-	return workerState{ev: ev, ctr: ctr, Scratch: exec.NewScratch()}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Sentinel errors for query-shape failures. They are wrapped with %w so

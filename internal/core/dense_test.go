@@ -221,7 +221,7 @@ func TestNarrowKeysPackByRange(t *testing.T) {
 	}
 	e := NewEngine(db)
 	defer e.Close()
-	p, err := e.PrepareSelect(Select{
+	p, err := e.Prepare(Select{
 		Root: "t", GroupBy: []string{"k1", "k2"},
 		Aggs:    []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("v"), As: "s"}, {Kind: AggCount, As: "n"}},
 		Project: []SelectProj{{Expr: expr.NewCol("k1"), As: "k1"}, {Expr: expr.NewCol("k2"), As: "k2"}, {Expr: expr.NewCol("s"), As: "s"}, {Expr: expr.NewCol("n"), As: "n"}},
@@ -306,7 +306,7 @@ func TestDenseFormChoice(t *testing.T) {
 	// word, so value masking masks one lane, not a lane and the count: at 95 %
 	// it undercuts key masking's priced throwaway access on the 16 KB table.
 	q := GroupAgg{Table: "r", Filter: lt("r_x", 95), Key: col("r_c"), Agg: col("r_a")}
-	res, ex, err := once(e.PrepareSelect(groupSpec(q)))
+	res, ex, err := once(e.Prepare(groupSpec(q)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestPackedCompileSites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, sex, err := once(e.PrepareSelect(Select{Root: "r", GroupBy: []string{"r_c"},
+		sel, sex, err := once(e.Prepare(Select{Root: "r", GroupBy: []string{"r_c"},
 			Aggs:    []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("r_v"), As: "s"}, {Kind: AggCount, As: "n"}},
 			Project: []SelectProj{{Expr: expr.NewCol("r_c"), As: "r_c"}, {Expr: expr.NewCol("s"), As: "s"}}}))
 		if err != nil {

@@ -82,14 +82,14 @@ func TestForcedKeyMaskingCountsTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, ex, err := p.RunPartial(context.Background())
+		res, ex, err := p.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Technique != TechKeyMasking || (ex.DenseDomain > 0) != c.dense || ex.Variants.KeyMask == 0 {
 			t.Errorf("%s: %s, DenseDomain %d, %d key-masked tiles", c.name, ex.Technique, ex.DenseDomain, ex.Variants.KeyMask)
 		}
-		if tw := p.(*PreparedSelect).tab.Count(-1); c.dense && tw != rejected {
+		if tw := p.tab.Count(-1); c.dense && tw != rejected {
 			t.Errorf("%s: throwaway record counted %d rows, want the %d rejected", c.name, tw, rejected)
 		}
 		sameGroups(t, c.name, resultMap(res), refGroup(c.db, 65))
@@ -235,7 +235,7 @@ func TestGroupAggHybridVectorKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				res, _, err := p.RunContext(nil)
+				res, _, err := p.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,7 +69,7 @@ func sumRunner(e *Engine, spec Select) (func() (int64, Explain), error) {
 		return nil, err
 	}
 	return func() (int64, Explain) {
-		res, ex, err := p.RunPartial(context.Background())
+		res, ex, err := p.RunContext(context.Background())
 		if err != nil {
 			panic(err)
 		}
@@ -93,7 +93,7 @@ func forcedOnce(e *Engine, spec Select, tech Technique) (*SelectResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := p.RunPartial(context.Background())
+	res, _, err := p.RunContext(context.Background())
 	return res, err
 }
 

@@ -11,7 +11,7 @@ import (
 // ungrouped ones answering (int64, Explain, error), the two grouped ones
 // (*GroupResult, Explain, error). This file lowers all four onto
 // Prepare(Select); it is deleted when benchmark/ migrates to Engine.Prepare
-// (ROADMAP direction 1).
+// (ROADMAP's "First" item).
 
 // ScalarAgg is select sum(Agg) from Table where Filter.
 type ScalarAgg struct {
@@ -60,10 +60,10 @@ func (g *GroupResult) Key(i int) int64 { return g.Flat[2*i] }
 func (g *GroupResult) Sum(i int) int64 { return g.Flat[2*i+1] }
 
 // sumPlan reads a lowered statement's single result cell.
-type sumPlan struct{ Plan }
+type sumPlan struct{ *PreparedSelect }
 
 func (p sumPlan) RunContext(ctx context.Context) (int64, Explain, error) {
-	res, ex, err := p.RunPartial(ctx)
+	res, ex, err := p.PreparedSelect.RunContext(ctx)
 	if err != nil {
 		return 0, ex, err
 	}
@@ -73,12 +73,12 @@ func (p sumPlan) RunContext(ctx context.Context) (int64, Explain, error) {
 // pairsPlan reads a lowered grouped statement's two-column answer, which is
 // the interleaved (key, sum) layout of a GroupResult.
 type pairsPlan struct {
-	Plan
+	*PreparedSelect
 	out GroupResult
 }
 
 func (p *pairsPlan) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
-	res, ex, err := p.RunPartial(ctx)
+	res, ex, err := p.PreparedSelect.RunContext(ctx)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -104,11 +104,11 @@ func (e *Engine) PrepareGroupJoinAgg(q GroupJoinAgg) (*pairsPlan, error) {
 	return pairs(e.Prepare(gjoinSpec(q)))
 }
 
-func pairs(p Plan, err error) (*pairsPlan, error) {
+func pairs(p *PreparedSelect, err error) (*pairsPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pairsPlan{Plan: p}, nil
+	return &pairsPlan{PreparedSelect: p}, nil
 }
 
 func scalarSpec(q ScalarAgg) Select { return classicSpec(q.Table, q.Filter, nil, nil, q.Agg) }

@@ -113,7 +113,7 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 3; rep++ {
-				res, _, err := p.RunPartial(context.Background())
+				res, _, err := p.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,25 +228,20 @@ func TestPrepareLowering(t *testing.T) {
 				t.Errorf("%s: header column %d is %q, want %q", c.name, i, f.Name, c.spec.Project[i].As)
 			}
 		}
-		_, ex, err := p.RunPartial(context.Background())
+		_, ex, err := p.RunContext(context.Background())
 		if err != nil {
 			t.Errorf("%s: run: %v", c.name, err)
 		}
-		ps, ok := p.(*PreparedSelect)
-		if !ok {
-			t.Errorf("%s: Prepare compiled a %T", c.name, p)
-			continue
-		}
-		if ps.tech != c.tech {
-			t.Errorf("%s: aggregation technique %s, want %s (costs %v)", c.name, ps.tech, c.tech, ex.Costs)
+		if p.tech != c.tech {
+			t.Errorf("%s: aggregation technique %s, want %s (costs %v)", c.name, p.tech, c.tech, ex.Costs)
 		}
 		// Only the classic group-by answers with its table's own pairs.
-		if ps.pairOut != (c.name == "group") {
-			t.Errorf("%s: pair emission %v", c.name, ps.pairOut)
+		if p.pairOut != (c.name == "group") {
+			t.Errorf("%s: pair emission %v", c.name, p.pairOut)
 		}
 		want := c.tech
 		switch {
-		case ps.eager != nil:
+		case p.eager != nil:
 			want = TechEagerAggregation
 		case len(c.spec.Edges) > 0:
 			want = TechPositionalBitmap

@@ -365,8 +365,8 @@ func TestSelectScratchSurvivesReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.genStates) != 4 {
-		t.Fatalf("scratch holds %d worker states after a 4-worker compile", len(e.genStates))
+	if len(e.scratch) != 4 {
+		t.Fatalf("engine holds %d worker scratches after a 4-worker compile", len(e.scratch))
 	}
 	gotA, exA := runA()
 	gotB, exB := runB()

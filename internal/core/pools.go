@@ -10,16 +10,28 @@ import (
 // Engine-owned execution resources. A compiled plan owns everything
 // specific to it — group tables, positional bitmaps, result buffers — for
 // its whole life. What lives on the engine is only what every plan shares:
-// the persistent worker gang and the tile scratch every plan runs on, both
+// the persistent worker gang and one worker scratch per gang worker, both
 // guarded by e.execMu.
 
-// tileScratch is one worker's tile buffers beyond its workerState: the
-// residual mask, per-edge parent positions, gather positions, group slots,
-// and one int64 vector per joined-schema column a statement reads. Nothing
-// in it outlives a tile, so one set serves every plan on the engine and a
-// never-seen statement's compile allocates no tile buffers.
-type tileScratch struct {
-	tcmp   []byte
+// worker is one gang worker's private scratch: its expression evaluator and
+// kernel-variant counters, and its tile buffers — the root mask, the
+// residual's mask, the selection vector, key and value vectors, group slots,
+// gather positions, per-edge parent positions, and one int64 vector per
+// joined-schema column a statement reads. Workers never exchange scratch, and
+// nothing in it outlives a tile, so one set per worker serves every plan on
+// the engine and a never-seen statement's compile allocates none.
+type worker struct {
+	ev *expr.Evaluator
+	// ctr is this worker's kernel-variant counters. The evaluator counts into
+	// it too, so the compare/widen prepass counts and the counts the kernels
+	// bump directly land in one place; sumVariants folds them into Explain
+	// after each run.
+	ctr    vec.Counters
+	cmp    []byte  // 0/1 predicate results, one lane per row
+	tcmp   []byte  // the residual's mask
+	idx    []int32 // tile-local selection vector
+	keys   []int64 // materialized group keys
+	vals   []int64 // materialized aggregate operands
 	slots  []int32
 	gpos   []int32
 	pos    [maxSelectEdges][]int32 // lane-indexed parent positions per edge
@@ -27,35 +39,42 @@ type tileScratch struct {
 	vecs   [][]int64
 }
 
-// ensureGenLocked makes the engine's scratch hold at least nw workers' sets
-// of at least nVecs tile vectors each, and the emission's evaluator. It
-// returns the pool-miss count billed to Explain.FreshAllocs: 1 when anything
-// was allocated, 0 on a pure reuse. Growing may move both slices, so plans
-// index them per run and keep no header. Callers hold e.execMu.
-func (e *Engine) ensureGenLocked(nw, nVecs int) int {
+// newWorker allocates one worker's scratch, without tile vectors.
+func newWorker() *worker {
+	tile := func() []int32 { return make([]int32, vec.TileSize) }
+	s := &worker{
+		ev:    expr.NewEvaluator(),
+		cmp:   make([]byte, vec.TileSize),
+		tcmp:  make([]byte, vec.TileSize),
+		idx:   tile(),
+		keys:  make([]int64, vec.TileSize),
+		vals:  make([]int64, vec.TileSize),
+		slots: tile(),
+		gpos:  tile(),
+	}
+	for i := range s.posBuf {
+		s.posBuf[i] = tile()
+	}
+	s.ev.SetCounters(&s.ctr)
+	return s
+}
+
+// ensureScratchLocked makes the engine hold at least nw workers' scratch of
+// at least nVecs tile vectors each, and the emission's evaluator. It returns
+// the pool-miss count billed to Explain.FreshAllocs: 1 when anything was
+// allocated, 0 on a pure reuse. Callers hold e.execMu.
+func (e *Engine) ensureScratchLocked(nw, nVecs int) int {
 	fresh := 0
-	if e.genEmit == nil {
+	if e.emit == nil {
 		// Uncounted: HAVING and a computed projection are not tile kernels.
-		e.genEmit, fresh = expr.NewEvaluator(), 1
+		e.emit, fresh = expr.NewEvaluator(), 1
 	}
-	for len(e.genStates) < nw {
-		t := tileScratch{
-			tcmp:  make([]byte, vec.TileSize),
-			slots: make([]int32, vec.TileSize),
-			gpos:  make([]int32, vec.TileSize),
-		}
-		for i := range t.posBuf {
-			t.posBuf[i] = make([]int32, vec.TileSize)
-		}
-		e.genStates = append(e.genStates, newWorkerState())
-		e.genTiles = append(e.genTiles, t)
-		fresh = 1
+	for len(e.scratch) < nw {
+		e.scratch, fresh = append(e.scratch, newWorker()), 1
 	}
-	for w := range e.genTiles {
-		t := &e.genTiles[w]
-		for len(t.vecs) < nVecs {
-			t.vecs = append(t.vecs, make([]int64, vec.TileSize))
-			fresh = 1
+	for _, s := range e.scratch {
+		for len(s.vecs) < nVecs {
+			s.vecs, fresh = append(s.vecs, make([]int64, vec.TileSize)), 1
 		}
 	}
 	return fresh
@@ -82,19 +101,20 @@ func growsSum(tabs []*ht.AggTable) uint64 {
 	return s
 }
 
-// steadyLocked returns the persistent worker gang, (re)building it when
-// the requested worker count or the engine's morsel configuration changed.
-// Callers must hold e.execMu for the whole scan, not just this call: the
-// gang is single-flight by design (one parked goroutine set), which
-// serializes scans and lets them share one set of warm resources instead
-// of multiplying per-query state.
-func (e *Engine) steadyLocked(workers int) *exec.Workers {
-	if e.gang == nil || e.gangN != workers || e.gangMorsel != e.MorselRows {
+// gangLocked returns the persistent worker gang with room for at least
+// workers, (re)building it when it is smaller or the engine's morsel
+// configuration changed. The gang only grows: a scan on fewer workers wakes
+// fewer (exec.Workers.RunCtx). Callers must hold e.execMu for the whole
+// scan, not just this call: the gang is single-flight by design (one parked
+// goroutine set), which serializes scans and lets them share one set of warm
+// resources instead of multiplying per-query state.
+func (e *Engine) gangLocked(workers int) *exec.Workers {
+	if e.gang == nil || e.gang.NumWorkers() < workers || e.gangMorsel != e.MorselRows {
 		if e.gang != nil {
+			workers = max(workers, e.gang.NumWorkers())
 			e.gang.Close()
 		}
 		e.gang = exec.NewWorkers(workers, e.MorselRows)
-		e.gangN = workers
 		e.gangMorsel = e.MorselRows
 	}
 	return e.gang

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,6 +234,56 @@ func TestPreparedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPreparedZeroAllocCancelable: a warm run under a context that can be
+// canceled — every served query's — allocates nothing either, for a plan on
+// the engine's workers and a forced one, at one worker and at four.
+func TestPreparedZeroAllocCancelable(t *testing.T) {
+	db := testDB(t, 64_000, 1000, 100)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, workers := range []int{1, 4} {
+		e := NewEngine(db)
+		e.Workers = workers
+		e.MorselRows = 4096
+		defer e.Close()
+		spec := scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")})
+		gang, err := e.Prepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced, err := e.PrepareForced(groupSpec(GroupAgg{Table: "r", Filter: lt("r_x", 50), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}), TechKeyMasking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*PreparedSelect{"gang": gang, "forced": forced} {
+			if _, ex, err := p.RunContext(ctx); err != nil {
+				t.Fatal(err)
+			} else if want := map[string]int{"gang": workers, "forced": 1}[name]; ex.Workers != want {
+				t.Errorf("workers=%d %s: ran on %d workers, want %d", workers, name, ex.Workers, want)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { p.RunContext(ctx) }); allocs != 0 {
+				t.Errorf("workers=%d %s: %.1f allocs per cancelable run, want 0", workers, name, allocs)
+			}
+		}
+	}
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS: an engine left at Workers = 0 runs on
+// as many workers as the runtime may run Go code on, not one per CPU, so a
+// process capped through GOMAXPROCS does not oversubscribe its cores.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := NewEngine(testDB(t, 10_000, 10, 10))
+	defer e.Close()
+	_, ex, err := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 50), Agg: expr.NewCol("r_a")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Workers != 1 {
+		t.Errorf("under GOMAXPROCS(1) on %d CPUs: a scalar plan ran on %d workers, want 1", runtime.NumCPU(), ex.Workers)
+	}
+}
+
 // TestStatsCacheHits checks the second planning of a shape reports cached
 // statistics and that invalidation brings sampling back.
 func TestStatsCacheHits(t *testing.T) {
@@ -322,7 +373,7 @@ func TestCompileCostReportedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ex, err := p.RunPartial(context.Background())
+		_, ex, err := p.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +383,7 @@ func TestCompileCostReportedOnce(t *testing.T) {
 		if want := fmt.Sprintf("prepare=%s(stats=%s)", ex.PrepareTime, ex.StatsTime); !strings.Contains(ex.String(), want) {
 			t.Errorf("%s: %q does not print %s", name, ex.String(), want)
 		}
-		if _, ex, _ = p.RunPartial(context.Background()); ex.PrepareTime != 0 || ex.StatsTime != 0 {
+		if _, ex, _ = p.RunContext(context.Background()); ex.PrepareTime != 0 || ex.StatsTime != 0 {
 			t.Errorf("%s: replay reports prepare=%s stats=%s", name, ex.PrepareTime, ex.StatsTime)
 		}
 	}

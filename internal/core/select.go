@@ -52,11 +52,12 @@ import (
 // groups at a time, unless the output is the table's own (key, sum) pairs
 // (pairOut).
 //
-// A statement the cost model compiled scans on the engine's worker gang when
-// the workers' partials — stripes of scalar lanes, or key-addressed group
-// tables of sums and counts — merge exactly, so the answer is the same at
-// every worker count. The rest — hashed tables, and tables with min or max
-// lanes — scan on the caller's goroutine.
+// Every scan runs on the engine's worker gang. A statement the cost model
+// compiled scans on all the engine's workers when their partials — stripes of
+// scalar lanes, or key-addressed group tables of sums and counts — merge
+// exactly, so the answer is the same at every worker count. The rest —
+// hashed tables, tables with min or max lanes, and every forced plan — scan
+// on one worker.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -280,13 +281,16 @@ func (a *selAgg) final(v, cnt int64) int64 {
 	return v
 }
 
-// PreparedSelect is a compiled synthesized plan: the tile pipeline described
-// at the top of this file with its technique fixed. It owns what must
-// outlive a run — the group table, the edge bitmaps, the result buffer — and
-// borrows its tile scratch from the engine, so a warm run allocates nothing.
-// Runs serialize on the engine's execution lock like every other plan's.
+// PreparedSelect is a compiled statement, owned by whoever prepared it: the
+// tile pipeline described at the top of this file with its technique fixed.
+// It owns what must outlive a run — the group table, the edge bitmaps, the
+// result buffer — and borrows its workers' scratch from the engine, so a
+// warm run allocates nothing. Runs serialize on the engine's execution lock.
 type PreparedSelect struct {
-	planCore
+	e         *Engine
+	nw        int     // workers the scans run on
+	ex        Explain // the compile's record, which every run reports
+	fields    []OutField
 	groupEmit // the emission's (order key, slot) pairs and their sorter
 
 	spec  Select
@@ -332,7 +336,7 @@ type PreparedSelect struct {
 	proj []int
 	res  SelectResult
 
-	// The emission's tile, bound per run to worker 0's tile scratch: one
+	// The emission's tile, bound per run to worker 0's tile vectors: one
 	// vector per outFields column, then one per output column.
 	out [][]int64
 
@@ -340,11 +344,6 @@ type PreparedSelect struct {
 	// the run is currently on.
 	kMain, kEdge kernelFn
 	curEdge      *boundEdge
-}
-
-// RunPartial implements Plan.
-func (p *PreparedSelect) RunPartial(ctx context.Context) (*SelectResult, Explain, error) {
-	return p.RunContext(ctx)
 }
 
 // RunContext executes the plan under the context's deadline: the scan polls
@@ -355,16 +354,16 @@ func (p *PreparedSelect) RunPartial(ctx context.Context) (*SelectResult, Explain
 func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {
 	p.e.execMu.Lock()
 	defer p.e.execMu.Unlock()
-	// Bound per run: a later compile may have grown the engine's scratch and
-	// moved it.
-	p.states = p.e.genStates[:p.nw]
-	if err := p.run(ctx); err != nil {
-		// The engine's states are shared by every generic plan: drain the
-		// canceled scan's counters so they cannot surface in another plan.
-		p.sumVariants()
-		return nil, Explain{}, p.canceled(err)
+	err := p.run(ctx)
+	// The engine's scratch is shared by every plan: a canceled scan's
+	// counters are drained too, so they cannot surface in another plan.
+	p.sumVariants()
+	ex := p.ex
+	p.settle()
+	if err != nil {
+		return nil, Explain{}, err
 	}
-	return &p.res, p.snapshot(), nil
+	return &p.res, ex, nil
 }
 
 func (p *PreparedSelect) run(ctx context.Context) error {
@@ -378,7 +377,7 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		be.bm.Reset(be.parent.Rows())
 		p.curEdge = be
 		p.scan(ctx, be.parent.Rows(), p.kEdge)
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
@@ -400,14 +399,14 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 	}
 	p.scan(ctx, p.root.Rows(), p.kMain)
 	p.ex.ScanTime = time.Since(start)
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	// Emission: groups in key order through HAVING and the projection into
 	// the flat result.
 	start = time.Now()
-	p.out = p.e.genTiles[0].vecs[:len(p.outFields)+len(p.proj)]
+	p.out = p.e.scratch[0].vecs[:len(p.outFields)+len(p.proj)]
 	p.res.Flat = p.res.Flat[:0]
 	if p.tab == nil {
 		p.mergeParts()
@@ -423,7 +422,6 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			p.emitGroups()
 		}
 	}
-	p.sumVariants()
 	p.ex.MergeTime = time.Since(start)
 	return nil
 }
@@ -464,7 +462,7 @@ func (p *PreparedSelect) mergeParts() {
 // in key order — for an eager plan, when the parent's key ascends — and any
 // other walk sorts (order key, slot) pairs first.
 func (p *PreparedSelect) emitGroups() {
-	tab, bm, slots, d := p.tab, p.eager, p.e.genTiles[0].slots, p.ex.DenseDomain
+	tab, bm, slots, d := p.tab, p.eager, p.e.scratch[0].slots, p.ex.DenseDomain
 	if d > 0 && (bm == nil || p.pkAscends) {
 		for base := 0; base < d; base += vec.TileSize {
 			k := 0
@@ -480,7 +478,7 @@ func (p *PreparedSelect) emitGroups() {
 	}
 	p.keys.rank(&p.groupEmit)
 	p.reset()
-	for slot := tab.NextLive(0, false); slot >= 0; slot = tab.NextLive(slot+1, false) {
+	for slot := tab.NextLive(0); slot >= 0; slot = tab.NextLive(slot + 1) {
 		switch {
 		case bm != nil && !bm.Test(slot):
 		case bm != nil:
@@ -550,13 +548,13 @@ func (p *PreparedSelect) emitTile(slots []int32) {
 // the projection, both on the tile walker, and appends the projected rows to
 // the result. A bare output column is a copy of its vector.
 func (p *PreparedSelect) emitRows(n int) {
-	s, ev := &p.states[0], p.e.genEmit
+	s, ev := p.e.scratch[0], p.e.emit
 	if p.spec.Having != nil {
 		// The rows HAVING keeps move to the front of every vector.
-		ev.EvalBool(p.spec.Having, expr.Tile{N: n, Vecs: p.out}, s.Cmp)
-		n, _ = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
+		ev.EvalBool(p.spec.Having, expr.Tile{N: n, Vecs: p.out}, s.cmp)
+		n, _ = vec.SelFromCmpAdaptive(s.cmp[:n], s.idx)
 		for _, v := range p.out[:len(p.outFields)] {
-			for j, l := range s.Idx[:n] {
+			for j, l := range s.idx[:n] {
 				v[j] = v[l]
 			}
 		}
@@ -578,19 +576,19 @@ func (p *PreparedSelect) emitRows(n int) {
 // positional bitmap. Workers share the one bitmap: morsels are multiples of 64
 // rows, so no two of them write the same word.
 func (p *PreparedSelect) edgeKernel(w, base, length int) {
-	s, be := &p.states[w], p.curEdge
+	s, be := p.e.scratch[w], p.curEdge
 	for tb := 0; tb < length; tb += vec.TileSize {
 		b, n := base+tb, min(vec.TileSize, length-tb)
-		s.ev.EvalBool(be.filter, expr.Rows(b, n), s.Cmp)
-		be.bm.SetFromCmp(b, s.Cmp[:n])
+		s.ev.EvalBool(be.filter, expr.Rows(b, n), s.cmp)
+		be.bm.SetFromCmp(b, s.cmp[:n])
 	}
 }
 
 // mainKernel runs the tile pipeline over one morsel.
 func (p *PreparedSelect) mainKernel(w, base, length int) {
-	s, t := &p.states[w], &p.e.genTiles[w]
+	s := p.e.scratch[w]
 	for tb := 0; tb < length; tb += vec.TileSize {
-		p.tile(s, t, w, base+tb, min(vec.TileSize, length-tb))
+		p.tile(s, w, base+tb, min(vec.TileSize, length-tb))
 	}
 }
 
@@ -626,9 +624,10 @@ func (p *PreparedSelect) tupleKernel(w, base, length int) {
 }
 
 // tile takes rows [base, base+n) from root mask to worker w's accumulator
-// lanes: its group table, or for a scalar statement its stripe.
-func (p *PreparedSelect) tile(s *workerState, t *tileScratch, w, base, n int) {
-	cmp := s.Cmp[:n]
+// lanes: its group table, or for a scalar statement its stripe. s is worker
+// w's scratch.
+func (p *PreparedSelect) tile(s *worker, w, base, n int) {
+	cmp := s.cmp[:n]
 	switch {
 	case p.spec.Filter != nil:
 		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), cmp)
@@ -637,30 +636,30 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, w, base, n int) {
 	}
 	m := n // lanes the row stage works on
 	if p.tech == TechHybrid {
-		if m = p.compact(s, t, base, n); m == 0 {
+		if m = p.compact(s, base, n); m == 0 {
 			return
 		}
 		cmp = cmp[:m]
 	} else {
-		p.resolveEdges(s, t, base, n, nil)
+		p.resolveEdges(s, base, n, nil)
 		for c := range p.cols {
 			tc := &p.cols[c]
 			if tc.src < 0 {
-				tc.col.WidenInto(base, n, t.vecs[c])
+				tc.col.WidenInto(base, n, s.vecs[c])
 				s.ctr.Widen[int(tc.col.Kind)]++
 			} else {
-				tc.col.GatherInto(t.pos[tc.src][:n], t.vecs[c])
+				tc.col.GatherInto(s.pos[tc.src][:n], s.vecs[c])
 			}
 		}
 		if x := &p.residual; x.e != nil {
-			s.ev.EvalBool(x.e, expr.Tile{Base: base, N: n, Vecs: t.vecs}, t.tcmp)
-			vec.And(cmp, t.tcmp[:n])
+			s.ev.EvalBool(x.e, expr.Tile{Base: base, N: n, Vecs: s.vecs}, s.tcmp)
+			vec.And(cmp, s.tcmp[:n])
 		}
 	}
 	if p.tab == nil {
-		p.foldScalar(s, t, p.part[w*p.stride:], base, m, cmp)
+		p.foldScalar(s, p.part[w*p.stride:], base, m, cmp)
 	} else {
-		p.foldGroups(s, t, p.tabs[w], base, m, cmp)
+		p.foldGroups(s, p.tabs[w], base, m, cmp)
 	}
 }
 
@@ -669,7 +668,7 @@ func (p *PreparedSelect) tile(s *workerState, t *tileScratch, w, base, n int) {
 // filtered edge's bitmap: ANDed into the mask, or narrowing sel to the lanes
 // whose parent qualified, which it returns. An edge off the root reads its
 // positions straight from the foreign-key index.
-func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n int, sel []int32) []int32 {
+func (p *PreparedSelect) resolveEdges(s *worker, base, n int, sel []int32) []int32 {
 	for i := range p.edges {
 		be := &p.edges[i]
 		if !be.used {
@@ -679,8 +678,8 @@ func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n in
 		if be.src < 0 {
 			pos = be.idx.Pos[base : base+n]
 		} else {
-			pos = t.posBuf[i][:n]
-			src, fk := t.pos[be.src], be.idx.Pos
+			pos = s.posBuf[i][:n]
+			src, fk := s.pos[be.src], be.idx.Pos
 			if sel == nil {
 				for j := range pos {
 					pos[j] = fk[src[j]]
@@ -690,11 +689,11 @@ func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n in
 				pos[j] = fk[src[j]]
 			}
 		}
-		t.pos[i] = pos
+		s.pos[i] = pos
 		switch {
 		case be.bm == nil:
 		case sel == nil:
-			be.bm.AndGather(pos, s.Cmp[:n])
+			be.bm.AndGather(pos, s.cmp[:n])
 		default:
 			sel = sel[:be.bm.SelectGather(pos, sel)]
 		}
@@ -707,21 +706,21 @@ func (p *PreparedSelect) resolveEdges(s *workerState, t *tileScratch, base, n in
 // bitmaps narrow, and every tile vector is gathered compacted, so the lanes
 // of the row stage are exactly the rows that passed. It returns the lane
 // count; the mask is all ones over them afterwards.
-func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) int {
+func (p *PreparedSelect) compact(s *worker, base, n int) int {
 	k := n
 	if p.spec.Filter != nil {
 		var d vec.Density
-		k, d = vec.SelFromCmpAdaptive(s.Cmp[:n], s.Idx)
+		k, d = vec.SelFromCmpAdaptive(s.cmp[:n], s.idx)
 		s.ctr.CountSel(d)
 	} else {
-		for j := range s.Idx[:n] {
-			s.Idx[j] = int32(j)
+		for j := range s.idx[:n] {
+			s.idx[j] = int32(j)
 		}
 	}
-	if k = len(p.resolveEdges(s, t, base, n, s.Idx[:k])); k == 0 {
+	if k = len(p.resolveEdges(s, base, n, s.idx[:k])); k == 0 {
 		return 0
 	}
-	sel, gpos := s.Idx[:k], t.gpos[:k]
+	sel, gpos := s.idx[:k], s.gpos[:k]
 	for c, at := 0, -2; c < len(p.cols); c++ {
 		tc := &p.cols[c]
 		if tc.src != at { // cols are grouped by source: one position vector each
@@ -730,21 +729,21 @@ func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) in
 					gpos[j] = int32(base) + l
 				}
 			} else {
-				src := t.pos[at]
+				src := s.pos[at]
 				for j, l := range sel {
 					gpos[j] = src[l]
 				}
 			}
 		}
-		tc.col.GatherInto(gpos, t.vecs[c])
+		tc.col.GatherInto(gpos, s.vecs[c])
 	}
 	if x := &p.residual; x.e != nil {
-		s.ev.EvalBool(x.e, expr.Tile{N: k, Vecs: t.vecs}, t.tcmp)
-		k2, _ := vec.SelFromCmpAdaptive(t.tcmp[:k], s.Idx)
+		s.ev.EvalBool(x.e, expr.Tile{N: k, Vecs: s.vecs}, s.tcmp)
+		k2, _ := vec.SelFromCmpAdaptive(s.tcmp[:k], s.idx)
 		if k2 < k {
-			keep := s.Idx[:k2]
+			keep := s.idx[:k2]
 			for c := range p.cols {
-				v := t.vecs[c]
+				v := s.vecs[c]
 				for j, l := range keep {
 					v[j] = v[l]
 				}
@@ -752,18 +751,18 @@ func (p *PreparedSelect) compact(s *workerState, t *tileScratch, base, n int) in
 			k = k2
 		}
 	}
-	vec.Fill(s.Cmp[:k], 1)
+	vec.Fill(s.cmp[:k], 1)
 	return k
 }
 
 // operand returns x's value for each of the m lanes: its tile vector, or
 // buf after evaluating into it — unless the aggregate before already did.
-func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, base, m int, buf []int64) []int64 {
+func (p *PreparedSelect) operand(s *worker, x *rowExpr, base, m int, buf []int64) []int64 {
 	switch {
 	case x.slot >= 0:
-		return t.vecs[x.slot][:m]
+		return s.vecs[x.slot][:m]
 	case !x.merged:
-		s.ev.EvalInt(x.e, expr.Tile{Base: base, N: m, Vecs: t.vecs}, buf)
+		s.ev.EvalInt(x.e, expr.Tile{Base: base, N: m, Vecs: s.vecs}, buf)
 	}
 	return buf[:m]
 }
@@ -771,7 +770,7 @@ func (p *PreparedSelect) operand(s *workerState, t *tileScratch, x *rowExpr, bas
 // foldScalar folds one tile into the worker's scalar lanes with the masked
 // reduction kernels (under hybrid the lanes are compacted and the mask all
 // ones).
-func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64, base, m int, cmp []byte) {
+func (p *PreparedSelect) foldScalar(s *worker, part []int64, base, m int, cmp []byte) {
 	cnt := vec.CountMask(cmp)
 	if cnt == 0 {
 		return
@@ -785,17 +784,17 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64
 		acc := &part[1+a.lane]
 		switch {
 		case a.kind == AggMin:
-			*acc = min(*acc, vec.MinMasked(p.operand(s, t, &a.arg, base, m, s.Vals), cmp))
+			*acc = min(*acc, vec.MinMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
 		case a.kind == AggMax:
-			*acc = max(*acc, vec.MaxMasked(p.operand(s, t, &a.arg, base, m, s.Vals), cmp))
+			*acc = max(*acc, vec.MaxMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
 		case a.mul != nil:
-			l := p.operand(s, t, &a.mul[0], base, m, s.Keys)
-			r := p.operand(s, t, &a.mul[1], base, m, s.Vals)
+			l := p.operand(s, &a.mul[0], base, m, s.keys)
+			r := p.operand(s, &a.mul[1], base, m, s.vals)
 			*acc += vec.SumProdMaskedU(l, r, cmp)
 		case a.arg.col != nil:
 			*acc += a.arg.col.SumMaskedRange(base, m, cmp)
 		default:
-			*acc += vec.SumMaskedU(p.operand(s, t, &a.arg, base, m, s.Vals), cmp)
+			*acc += vec.SumMaskedU(p.operand(s, &a.arg, base, m, s.vals), cmp)
 		}
 	}
 }
@@ -809,24 +808,24 @@ func (p *PreparedSelect) foldScalar(s *workerState, t *tileScratch, part []int64
 // lane's real key up and has rejected lanes contribute the aggregate's
 // identity and no count. The resolve, the count and a leading sum lane fold
 // in one pass (ht.FoldTile); the lanes after it fold over its slots.
-func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, tab *ht.AggTable, base, m int, cmp []byte) {
-	keys := p.keys.fill(t.vecs, m, s.Keys)
+func (p *PreparedSelect) foldGroups(s *worker, tab *ht.AggTable, base, m int, cmp []byte) {
+	keys := p.keys.fill(s.vecs, m, s.keys)
 	keyMask := p.tech == TechKeyMasking && !p.pairFold
 	switch {
 	case keyMask:
 		s.ctr.KeyMask++
 		if p.ex.DenseDomain == 0 {
-			vec.MaskKeysU(keys, cmp, ht.NullKey, s.Keys[:m])
-			keys = s.Keys[:m]
+			vec.MaskKeysU(keys, cmp, ht.NullKey, s.keys[:m])
+			keys = s.keys[:m]
 		}
 	case p.tech == TechValueMasking:
 		s.ctr.MaskedAgg++
 	}
-	fold, slots, lane := p.fold, t.slots[:m], 0
+	fold, slots, lane := p.fold, s.slots[:m], 0
 	var first []int64
 	if len(fold) > 0 {
 		if a := &p.aggs[fold[0]]; a.kind == AggSum || a.kind == AggAvg {
-			first, lane, fold = p.operand(s, t, &a.arg, base, m, s.Vals), a.lane, fold[1:]
+			first, lane, fold = p.operand(s, &a.arg, base, m, s.vals), a.lane, fold[1:]
 		}
 	}
 	switch {
@@ -840,7 +839,7 @@ func (p *PreparedSelect) foldGroups(s *workerState, t *tileScratch, tab *ht.AggT
 	}
 	for _, i := range fold {
 		a := &p.aggs[i]
-		v := p.operand(s, t, &a.arg, base, m, s.Vals)
+		v := p.operand(s, &a.arg, base, m, s.vals)
 		switch a.kind {
 		case AggMin:
 			tab.MinTile(slots, a.lane, v, cmp)

@@ -12,11 +12,43 @@ import (
 	"github.com/reprolab/swole/internal/storage"
 )
 
-// The generic executor's compile: PrepareSelect resolves a Select spec
-// against the catalog, estimates what the cost models need, picks the
-// aggregation technique, and binds the tile pipeline of select.go. One
-// variant of the pipeline per statement, derived from the spec; nothing here
-// runs again.
+// The executor's compile: Prepare resolves a Select spec against the
+// catalog, estimates what the cost models need, picks the aggregation
+// technique, and binds the tile pipeline of select.go. One variant of the
+// pipeline per statement, derived from the spec; nothing here runs again.
+
+// Prepare compiles a statement for the caller to keep and re-run: it resolves
+// tables and foreign-key indexes, binds every expression tree, samples
+// selectivities and group counts (through the statistics cache), and fixes
+// the aggregation technique via the cost model. The plan scans on all the
+// engine's workers when the statement is ungrouped or its group table is
+// key-addressed and merges by addition, and a warm re-run allocates nothing.
+func (e *Engine) Prepare(spec Select) (*PreparedSelect, error) {
+	return e.prepareSelect(spec, techAuto)
+}
+
+// PrepareForced compiles a statement under the caller's technique instead
+// of the cost model's pick — strategy comparisons on user queries, ablation
+// studies, kernel parity tests. Techniques lists what a statement accepts.
+// Forced plans scan on one worker: they measure kernel character, not
+// parallel speedup.
+func (e *Engine) PrepareForced(spec Select, tech Technique) (*PreparedSelect, error) {
+	if !slices.Contains(e.Techniques(spec), tech) {
+		return nil, fmt.Errorf("core: technique %s cannot be forced on this statement", tech)
+	}
+	return e.prepareSelect(spec, tech)
+}
+
+// Techniques is the menu PrepareForced accepts for the statement: the tile
+// pipeline's techniques, eager aggregation among them when the statement
+// groups by a filtered edge's foreign key (eagerEdge).
+func (e *Engine) Techniques(spec Select) []Technique {
+	techs := selectTechs(spec)
+	if e.eagerEdge(spec) >= 0 {
+		techs = append(techs, TechEagerAggregation)
+	}
+	return techs
+}
 
 // selectTechs is the menu of a statement: the techniques the cost model
 // chooses among, which are also the ones PrepareForced may name. Key masking
@@ -92,14 +124,6 @@ func shared(a, b expr.Expr) (out []string) {
 	return out
 }
 
-// PrepareSelect compiles a synthesized single-block SELECT into a reusable
-// plan: it resolves tables and foreign-key indexes, binds every expression
-// tree, samples selectivities and group counts (through the statistics
-// cache), and fixes the aggregation technique via the cost model.
-func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
-	return e.prepareSelect(q, techAuto)
-}
-
 // staged is a row-stage expression on its way to being bound, with the
 // joined-schema columns it reads and whether all of them are the root's.
 type staged struct {
@@ -155,12 +179,9 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	// tile scratch; both belong to the execution lock.
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	p := &PreparedSelect{spec: q, root: root}
-	p.e, p.nw, p.seq = e, 1, true
-	// PlanCached is baked in like the other Prepared* types: every run of
-	// this plan replays the prepare-time decision; the plan cache's first
-	// execution resets it to false.
-	p.ex = Explain{PlanCached: true, Costs: map[string]float64{}}
+	// PlanCached is baked in: every run of this plan replays the prepare-time
+	// decision; the statement cache's first execution resets it to false.
+	p := &PreparedSelect{e: e, nw: 1, spec: q, root: root, ex: Explain{PlanCached: true, Costs: map[string]float64{}}}
 	c := &selectCompile{e: e, q: q, p: p, tech: tech, eager: e.eagerEdge(q), sel: 1, selS: 1, selR: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.chooseWorkers, c.stageExprs} {
 		if err := step(); err != nil {
@@ -174,7 +195,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	if err := c.bindOutput(); err != nil {
 		return nil, err
 	}
-	c.fresh += e.ensureGenLocked(p.nw, max(len(p.cols), len(p.outFields)+len(p.proj)))
+	c.fresh += e.ensureScratchLocked(p.nw, max(len(p.cols), len(p.outFields)+len(p.proj)))
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
 	p.kMain, p.kEdge = p.mainKernel, p.edgeKernel
@@ -317,8 +338,8 @@ func (c *selectCompile) planKeys() error {
 	return nil
 }
 
-// chooseWorkers puts a statement the cost model plans on the worker gang when
-// the workers' partials merge exactly — scalar lanes, or a key-addressed
+// chooseWorkers puts a statement the cost model plans on all the engine's
+// workers when their partials merge exactly — scalar lanes, or a key-addressed
 // group table of sums and counts (the form rule ignores the worker count:
 // this is the table priceGroups picks) — and prices it for that many workers.
 func (c *selectCompile) chooseWorkers() error {
@@ -334,7 +355,7 @@ func (c *selectCompile) chooseWorkers() error {
 		gang = gang && domain > 0
 	}
 	if gang {
-		p.nw, p.seq = c.e.workers(), false
+		p.nw = c.e.workers()
 	}
 	c.params, p.ex.Workers = c.e.Params.ForWorkers(p.nw), p.nw
 	return nil

@@ -88,7 +88,7 @@ func BenchmarkPrepareSelectNeverSeen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				filter, renew := neverSeen(6)
 				renew(i)
-				p, err := e.PrepareSelect(Select{
+				p, err := e.Prepare(Select{
 					Root: "r", Filter: filter, GroupBy: []string{"r_y"},
 					Aggs: []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("r_a"), As: "s"}, {Kind: AggCount, As: "n"}},
 					Project: []SelectProj{

@@ -139,10 +139,13 @@ func (p Params) ForWorkers(workers int) Params {
 }
 
 // keyAddressedLines is how many independent cache lines a hashed
-// probe-and-accumulate touches for every one a key-addressed accumulate
-// does: the hashed table reads its key, epoch-stamp and slot-state arrays to
-// find the slot and then the group's record; a table indexed by key-lo goes
-// straight to the record.
+// probe-and-accumulate is priced at for every one a key-addressed accumulate
+// touches. The hashed table reads its key and epoch-stamp arrays to find the
+// slot and then the group's record — three lines — while a table indexed by
+// key-lo goes straight to the record. The factor is four, set when the hashed
+// table had a slot-state array too; it is kept because the planner's picks
+// were validated at four, and ROADMAP direction 3's fitted model is to
+// re-fit it with the other terms.
 const keyAddressedLines = 4
 
 // KeyAddressed returns the parameters as a key-addressed (direct-indexed)

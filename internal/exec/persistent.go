@@ -21,21 +21,18 @@ type Workers struct {
 	n      int
 	morsel int
 
-	// Per-scan job state: written by Run before the wake tokens are sent,
+	// Per-scan job state: written by RunCtx before the wake tokens are sent,
 	// read by workers only between wake and done (the channel send/receive
-	// pair orders the accesses).
+	// pair orders the accesses). Every worker polls ctx before each morsel
+	// claim: once it is done workers stop claiming and the scan winds down
+	// within one morsel per worker. The wake/done protocol always completes
+	// normally, so a canceled scan leaves the gang and the caller's
+	// per-worker state reusable.
+	ctx     context.Context
 	fn      func(worker, base, length int)
 	total   int
 	morsels int
 	next    atomic.Int64
-
-	// stop, when non-nil, is polled before every morsel claim: once it
-	// reports true workers stop claiming and the scan winds down within one
-	// morsel per worker. This is the cooperative
-	// cancellation hook RunCtx installs from a context; the gang's
-	// wake/done protocol always completes normally, so a canceled scan
-	// leaves the gang and the caller's per-worker state reusable.
-	stop func() bool
 
 	wake []chan struct{}
 	done sync.WaitGroup
@@ -80,14 +77,11 @@ func (w *Workers) park(id int) {
 	}
 }
 
-// drain claims and executes morsels until the counter is exhausted or
-// stopped.
+// drain claims and executes morsels until the counter is exhausted or the
+// scan's context is done.
 func (w *Workers) drain(id int) {
 	m := w.morsel
-	for {
-		if w.stop != nil && w.stop() {
-			return
-		}
+	for w.ctx.Err() == nil {
 		i := int(w.next.Add(1)) - 1
 		if i >= w.morsels {
 			return
@@ -101,44 +95,30 @@ func (w *Workers) drain(id int) {
 	}
 }
 
-// StopFunc converts a context into the per-morsel stop predicate the
-// gang polls: nil for a context that can never be canceled (so the hot
-// path stays branch-predicted away), ctx.Err-backed otherwise.
-func StopFunc(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
-}
-
 // Run splits [0, n) into morsels and invokes fn once per morsel with the
 // claiming worker's id in [0, NumWorkers()) and the morsel's base row and
-// length. Workers claim morsels dynamically, so which worker sees which
-// morsel varies run to run; callers keep all mutable state private per
-// worker id and merge after Run returns. Only as many helpers are woken as
-// there are morsels; with one morsel (or a gang of one) fn runs entirely on
-// the calling goroutine.
+// length, on the whole gang and without a deadline.
 func (w *Workers) Run(n int, fn func(worker, base, length int)) {
-	w.RunCtx(nil, n, fn)
+	w.RunCtx(context.Background(), n, w.n, fn)
 }
 
-// RunCtx is Run with cooperative cancellation: every worker polls the
-// context before each morsel claim, so a canceled or deadline-exceeded
-// scan stops within one morsel per worker and returns normally — the
-// caller detects cancellation via ctx.Err() and must treat the scanned
-// partial state as garbage (it is reset by the next run).
-func (w *Workers) RunCtx(ctx context.Context, n int, fn func(worker, base, length int)) {
+// RunCtx is Run on at most workers of the gang, under ctx. Workers claim
+// morsels dynamically, so which worker sees which morsel varies run to run;
+// callers keep all mutable state private per worker id, which stays below
+// workers, and merge after RunCtx returns. Only as many helpers are woken as
+// there are morsels; with one morsel (or one worker) fn runs entirely on the
+// calling goroutine. Every worker polls ctx before each morsel claim, so a
+// canceled or deadline-exceeded scan stops within one morsel per worker and
+// returns normally — the caller detects cancellation via ctx.Err() and must
+// treat the scanned partial state as garbage (it is reset by the next run).
+func (w *Workers) RunCtx(ctx context.Context, n, workers int, fn func(worker, base, length int)) {
 	if n <= 0 {
 		return
 	}
-	w.stop = StopFunc(ctx)
 	m := w.morsel
 	morsels := (n + m - 1) / m
-	active := w.n
-	if active > morsels {
-		active = morsels
-	}
-	w.fn, w.total, w.morsels = fn, n, morsels
+	active := min(workers, w.n, morsels)
+	w.ctx, w.fn, w.total, w.morsels = ctx, fn, n, morsels
 	w.next.Store(0)
 	if active > 1 {
 		w.done.Add(active - 1)
@@ -150,7 +130,7 @@ func (w *Workers) RunCtx(ctx context.Context, n int, fn func(worker, base, lengt
 	if active > 1 {
 		w.done.Wait()
 	}
-	w.fn, w.stop = nil, nil
+	w.ctx, w.fn = nil, nil
 }
 
 // Close releases the gang's goroutines. The gang must be idle.

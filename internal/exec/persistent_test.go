@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -65,9 +66,50 @@ func TestWorkersReuse(t *testing.T) {
 	}
 }
 
+// TestRunCtxWorkerCap: a scan asking for fewer workers than the gang holds
+// runs on that many, ids below the cap, and still covers every row once.
+func TestRunCtxWorkerCap(t *testing.T) {
+	w := NewWorkers(4, vec.TileSize)
+	defer w.Close()
+	n := 16 * vec.TileSize
+	for _, workers := range []int{1, 2, 4, 9} {
+		var rows atomic.Int64
+		w.RunCtx(context.Background(), n, workers, func(worker, _, length int) {
+			if worker >= min(workers, 4) {
+				t.Errorf("cap %d: worker id %d", workers, worker)
+			}
+			rows.Add(int64(length))
+		})
+		if rows.Load() != int64(n) {
+			t.Errorf("cap %d: covered %d rows, want %d", workers, rows.Load(), n)
+		}
+	}
+}
+
+// TestRunCtxStopsOnCancel: workers poll the context before every claim, so a
+// context canceled mid-scan stops the scan after the morsel in flight.
+func TestRunCtxStopsOnCancel(t *testing.T) {
+	w := NewWorkers(1, vec.TileSize)
+	defer w.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	w.RunCtx(ctx, 16*vec.TileSize, 1, func(int, int, int) {
+		if calls++; calls == 3 {
+			cancel()
+		}
+	})
+	if calls != 3 {
+		t.Errorf("%d morsels ran, want 3: the claim after cancel must not", calls)
+	}
+}
+
 // TestWorkersZeroAlloc is the allocation regression the gang exists for:
-// a scan on a warmed gang must not allocate, at one worker and several.
+// a scan on a warmed gang must not allocate, at one worker and several, with
+// or without a context that can be canceled.
 func TestWorkersZeroAlloc(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 4} {
 		w := NewWorkers(workers, vec.TileSize)
 		parts := make([]atomic.Int64, workers)
@@ -76,11 +118,11 @@ func TestWorkersZeroAlloc(t *testing.T) {
 			parts[worker].Add(int64(length))
 		}
 		w.Run(n, fn) // warm: first Run grows goroutine stacks
-		allocs := testing.AllocsPerRun(100, func() {
-			w.Run(n, fn)
-		})
-		if allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { w.Run(n, fn) }); allocs != 0 {
 			t.Errorf("workers=%d: %.1f allocs per scan, want 0", workers, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { w.RunCtx(ctx, n, workers, fn) }); allocs != 0 {
+			t.Errorf("workers=%d: %.1f allocs per cancelable scan, want 0", workers, allocs)
 		}
 		w.Close()
 	}

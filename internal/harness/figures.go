@@ -163,7 +163,7 @@ func (m microSet) engine(name string, tech core.Technique, spec func(sel int) co
 // plan prepares spec under tech, the cost model's pick for costModel, and
 // returns its run. The figures' specs are fixed, so a failure is a bug.
 func (m microSet) plan(tech core.Technique, spec core.Select) Run {
-	var p core.Plan
+	var p *core.PreparedSelect
 	var err error
 	if tech == costModel {
 		p, err = m.e.Prepare(spec)
@@ -175,7 +175,7 @@ func (m microSet) plan(tech core.Technique, spec core.Select) Run {
 	}
 	grouped := len(spec.GroupBy) > 0
 	return func() Answer {
-		res, _, err := p.RunPartial(context.Background())
+		res, _, err := p.RunContext(context.Background())
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}

@@ -13,7 +13,7 @@
 //	SWOLE_SF       TPC-H scale factor       (default 0.1)
 //	SWOLE_MICRO_R  microbenchmark R rows    (default 2000000)
 //	SWOLE_REPS     timing repetitions       (default 3)
-//	SWOLE_WORKERS  max morsel workers       (default runtime.NumCPU())
+//	SWOLE_WORKERS  max morsel workers       (default runtime.GOMAXPROCS(0))
 package harness
 
 import (
@@ -36,7 +36,7 @@ type Config struct {
 
 // Default returns the laptop-scale defaults.
 func Default() Config {
-	return Config{SF: 0.1, MicroR: 2_000_000, Reps: 3, Workers: runtime.NumCPU()}
+	return Config{SF: 0.1, MicroR: 2_000_000, Reps: 3, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // FromEnv reads overrides from the environment.

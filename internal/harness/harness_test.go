@@ -3,6 +3,7 @@ package harness
 import (
 	"maps"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,17 @@ func TestFromEnv(t *testing.T) {
 	cfg = FromEnv()
 	if cfg.SF != Default().SF || cfg.MicroR != Default().MicroR || cfg.Reps != Default().Reps {
 		t.Errorf("bad env not defaulted: %+v", cfg)
+	}
+}
+
+// The default worker count is the processes the runtime may run Go code on,
+// not the machine's CPUs: a process capped through GOMAXPROCS sweeps to its
+// cap.
+func TestFromEnvWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	t.Setenv("SWOLE_WORKERS", "")
+	if cfg := FromEnv(); cfg.Workers != 1 {
+		t.Errorf("under GOMAXPROCS(1) on %d CPUs: Workers = %d, want 1", runtime.NumCPU(), cfg.Workers)
 	}
 }
 

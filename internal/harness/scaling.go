@@ -109,7 +109,7 @@ func (cfg Config) FigScaling() []Figure {
 			panic(err)
 		}
 		return func() int64 {
-			res, _, _ := p.RunPartial(context.Background())
+			res, _, _ := p.RunContext(context.Background())
 			if len(spec.GroupBy) > 0 {
 				return int64(len(res.Flat) / len(res.Fields))
 			}

@@ -22,7 +22,7 @@ import "fmt"
 // key-addressed table may be packed — one word, sum<<32 + count, one add per
 // fold — by a caller that proved no sum leaves int32 nor count 2^32.
 //
-// Three features exist specifically for SWOLE:
+// Two features exist specifically for SWOLE:
 //
 //   - A throwaway record reached via NullKey (key masking, Section III-B):
 //     masked tuples aggregate into the record just past the last group, at
@@ -34,14 +34,12 @@ import "fmt"
 //     groups can be reached by tuples that the predicate rejected. Such a
 //     tuple adds mask 0 to the count, so a group whose count stayed zero is
 //     distinguished from a real group whose aggregate happens to be zero.
-//   - Deletion (eager aggregation, Section III-E): after the unconditional
-//     aggregation, keys filtered by the join are deleted.
 //
 // Tables are built to be recycled across queries. The hashed form's Reset
 // invalidates every slot by bumping an epoch stamp instead of zeroing the
-// arrays; a slot is live only when its epoch matches the table's current
-// generation, and inserts lazily re-initialize whatever stale record a
-// reclaimed slot carries. The key-addressed form's Reset clears its record
+// arrays; a slot holds a group only when its epoch matches the table's
+// current generation, and inserts lazily re-initialize whatever stale record
+// a reclaimed slot carries. The key-addressed form's Reset clears its record
 // array, which the selection rule keeps no larger than the hashed table it
 // replaces.
 type AggTable struct {
@@ -52,11 +50,9 @@ type AggTable struct {
 
 	// Hashed form.
 	keys  []int64
-	state []byte
-	epoch []uint32 // slot is from the current generation iff epoch[i] == cur
+	epoch []uint32 // slot i holds a group iff epoch[i] == cur
 	cur   uint32   // current generation
-	len   int      // live groups
-	used  int      // full + tombstone slots this generation; growth trigger
+	len   int      // groups; growth trigger
 	mask  uint64
 
 	// Key-addressed form: slot = key-lo for keys in [lo, lo+span); span is
@@ -64,9 +60,6 @@ type AggTable struct {
 	lo   int64
 	span uint64
 
-	// Probes counts total probe steps of the hashed form, exposed for
-	// cost-model validation.
-	Probes uint64
 	// Grows counts capacity doublings triggered by Lookup. A caller that
 	// sized the table from a cardinality hint can assert that a scan never
 	// grew it mid-flight: Grows stays 0. The key-addressed form never
@@ -85,7 +78,6 @@ func NewAggTable(nAccs, hint int) *AggTable {
 		cur:    1,
 		recs:   make([]int64, (capacity+1)*(nAccs+1)),
 		keys:   make([]int64, capacity),
-		state:  make([]byte, capacity),
 		epoch:  make([]uint32, capacity),
 		mask:   uint64(capacity - 1),
 	}
@@ -97,7 +89,7 @@ const MaxDenseDomain = 1<<31 - 1
 
 // NewDenseAggTable returns a key-addressed table over the key domain
 // [lo, hi]: one allocation, the record array with the throwaway record at
-// its end, where the hashed form makes four. Any other key except NullKey
+// its end, where the hashed form makes three. Any other key except NullKey
 // panics on access — a domain is a fact of the column object it was read
 // from, so a key outside it means the caller ran a plan against data it was
 // not compiled for, and the range check turns that into a loud failure
@@ -121,17 +113,16 @@ func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
 }
 
 // HashedBytes is the footprint of the hashed table NewAggTable(nAccs, hint)
-// builds: with DenseBytes, the two sides of the rule by which a compile
-// picks the form.
+// builds — its slots and the throwaway record: with DenseBytes, the two sides
+// of the rule by which a compile picks the form.
 func HashedBytes(nAccs, hint int) int {
-	c := hintCap(hint)
-	return c*(8+1+4) + (c+1)*8*(nAccs+1)
+	return hintCap(hint)*HashedSlotBytes(nAccs) + 8*(nAccs+1)
 }
 
-// HashedSlotBytes approximates one hashed group's footprint — key, state,
-// lanes, count, epoch — the size cost models estimate a hashed table by.
-// (It counts the epoch as one byte where HashedBytes counts its four.)
-func HashedSlotBytes(nAccs int) int { return 8 + 1 + 8*nAccs + 8 + 1 }
+// HashedSlotBytes is one hashed slot's footprint — its key, its epoch stamp,
+// and its record of lanes and count — the size cost models estimate a hashed
+// table by.
+func HashedSlotBytes(nAccs int) int { return 8 + 4 + 8*(nAccs+1) }
 
 // DenseBytes is the footprint of a key-addressed table over domain keys:
 // one record per key and the throwaway record.
@@ -157,8 +148,8 @@ func (t *AggTable) count(slot int) int64 {
 // hashed form does it in O(1) by advancing the generation counter: slots
 // from earlier generations read as empty and are re-initialized lazily when
 // an insert reclaims them. The key-addressed form clears its records. The
-// Probes and Grows statistics are preserved (they are cumulative); the
-// throwaway record restarts like a group's.
+// Grows statistic is preserved (it is cumulative); the throwaway record
+// restarts like a group's.
 func (t *AggTable) Reset() {
 	if t.span != 0 {
 		t.initRecs(t.recs)
@@ -172,7 +163,7 @@ func (t *AggTable) Reset() {
 			clear(t.epoch)
 			t.cur = 1
 		}
-		t.len, t.used = 0, 0
+		t.len = 0
 	}
 }
 
@@ -224,14 +215,6 @@ func (t *AggTable) Len() int {
 // Cap returns the current slot capacity, which is also the throwaway
 // record's slot; the cost model uses it to place the table in a cache class.
 func (t *AggTable) Cap() int { return len(t.recs)/t.stride - 1 }
-
-// live returns the effective state of slot i in the current generation.
-func (t *AggTable) live(i uint64) byte {
-	if t.epoch[i] != t.cur {
-		return slotEmpty
-	}
-	return t.state[i]
-}
 
 // Lookup returns the slot index for key, inserting an empty group into a
 // hashed table if absent. A NullKey lookup returns -1, which the Add*
@@ -287,43 +270,29 @@ func (t *AggTable) probeInsert(key int64) int {
 	if key == NullKey {
 		return -1
 	}
-	if t.used >= len(t.keys)*3/4 {
+	if t.len >= len(t.keys)*3/4 {
 		t.Grows++
 		t.rehash(len(t.keys) * 2)
 	}
+	j := t.probe(key)
+	if t.epoch[j] != t.cur {
+		// Key is absent: claim the free slot, re-initializing whatever a
+		// previous generation left in it.
+		t.epoch[j], t.keys[j] = t.cur, key
+		t.initRecs(t.recs[j*t.stride : (j+1)*t.stride])
+		t.len++
+	}
+	return j
+}
+
+// probe returns key's slot in the hashed form, or the free slot its probe
+// chain ends at when the key is absent.
+func (t *AggTable) probe(key int64) int {
 	i := hash64(uint64(key)) & t.mask
-	grave := -1
-	for {
-		t.Probes++
-		switch t.live(i) {
-		case slotEmpty:
-			// Key is absent; insert into the earliest tombstone on the
-			// probe chain if one was seen, else into this empty slot.
-			j := int(i)
-			if grave >= 0 {
-				j = grave
-			} else {
-				t.used++
-			}
-			t.state[j] = slotFull
-			t.epoch[j] = t.cur
-			t.keys[j] = key
-			// Re-initialize whatever a previous generation (or a
-			// tombstoned group) left in the slot.
-			t.initRecs(t.recs[j*t.stride : (j+1)*t.stride])
-			t.len++
-			return j
-		case slotTombstone:
-			if grave < 0 {
-				grave = int(i)
-			}
-		case slotFull:
-			if t.keys[i] == key {
-				return int(i)
-			}
-		}
+	for t.epoch[i] == t.cur && t.keys[i] != key {
 		i = (i + 1) & t.mask
 	}
+	return int(i)
 }
 
 // Find returns the slot for key without inserting, or -2 if absent.
@@ -338,19 +307,10 @@ func (t *AggTable) Find(key int64) int {
 		}
 		return -2
 	}
-	i := hash64(uint64(key)) & t.mask
-	for {
-		t.Probes++
-		switch t.live(i) {
-		case slotEmpty:
-			return -2
-		case slotFull:
-			if t.keys[i] == key {
-				return int(i)
-			}
-		}
-		i = (i + 1) & t.mask
+	if i := t.probe(key); t.epoch[i] == t.cur {
+		return i
 	}
+	return -2
 }
 
 // Add accumulates v into accumulator acc of the given slot and bumps the
@@ -409,64 +369,30 @@ func (t *AggTable) Count(slot int) int64 {
 	return t.count(slot)
 }
 
-// Delete removes key's group and reports whether the key was present. The
-// hashed form leaves a tombstone so later probes still find keys that
-// collided past it; the key-addressed form resets the record. Eager
-// aggregation (Section III-E) deletes every build-side key whose
-// probe-side tuple fails the join predicate.
-func (t *AggTable) Delete(key int64) bool {
-	if t.span != 0 {
-		u := uint64(key) - uint64(t.lo)
-		if u >= t.span || t.count(int(u)) == 0 {
-			return false
-		}
-		t.initRecs(t.recs[int(u)*t.stride : (int(u)+1)*t.stride])
-		return true
-	}
-	i := hash64(uint64(key)) & t.mask
-	for {
-		t.Probes++
-		switch t.live(i) {
-		case slotEmpty:
-			return false
-		case slotFull:
-			if t.keys[i] == key {
-				t.state[i] = slotTombstone
-				t.len--
-				return true
-			}
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// ForEach visits every group: in slot order on a hashed table, which is
-// ascending key order on a key-addressed one. Groups whose tuple count
-// stayed zero (possible only under value masking, or after a bare Lookup
-// insert into a hashed table) are skipped unless includeInvalid is true; a
-// key-addressed table has no such groups to include.
-func (t *AggTable) ForEach(includeInvalid bool, fn func(key int64, slot int)) {
-	for i := t.NextLive(0, includeInvalid); i >= 0; i = t.NextLive(i+1, includeInvalid) {
+// ForEach visits every group with a positive tuple count: in slot order on a
+// hashed table, which is ascending key order on a key-addressed one. A group
+// whose count stayed zero — reached only under value masking, or by a bare
+// Lookup insert into a hashed table — is skipped.
+func (t *AggTable) ForEach(fn func(key int64, slot int)) {
+	for i := t.NextLive(0); i >= 0; i = t.NextLive(i + 1) {
 		fn(t.Key(i), i)
 	}
 }
 
 // rehash moves the table to a fresh array of the given power-of-two
-// capacity, re-inserting every live group of the current generation and
+// capacity, re-inserting every group of the current generation and
 // carrying the throwaway record over.
 func (t *AggTable) rehash(capacity int) {
 	old := *t
 	t.keys = make([]int64, capacity)
-	t.state = make([]byte, capacity)
 	t.epoch = make([]uint32, capacity)
 	t.cur = 1
 	t.recs = make([]int64, (capacity+1)*t.stride)
 	copy(t.recs[capacity*t.stride:], old.recs[old.Cap()*t.stride:])
 	t.mask = uint64(capacity - 1)
 	t.len = 0
-	t.used = 0
 	for i := range old.keys {
-		if old.live(uint64(i)) != slotFull {
+		if old.epoch[i] != old.cur {
 			continue
 		}
 		j := t.probeInsert(old.keys[i])

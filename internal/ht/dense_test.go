@@ -38,8 +38,8 @@ func TestDenseBasic(t *testing.T) {
 	if tab.Find(0) != -2 || tab.Find(99) != -2 || tab.Find(NullKey) != -1 {
 		t.Error("a key no tuple counted into reads as present")
 	}
-	if tab.Grows != 0 || tab.Probes != 0 {
-		t.Errorf("grows=%d probes=%d on a key-addressed table", tab.Grows, tab.Probes)
+	if tab.Grows != 0 {
+		t.Errorf("grows=%d on a key-addressed table", tab.Grows)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestDenseThrowaway(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Errorf("Len=%d: the throwaway must not count as a group", tab.Len())
 	}
-	tab.ForEach(true, func(k int64, _ int) {
+	tab.ForEach(func(k int64, _ int) {
 		if k != 3 {
 			t.Errorf("visited key %d", k)
 		}
@@ -89,10 +89,10 @@ func TestThrowawayRecordStaysHidden(t *testing.T) {
 		if tab.Count(-1) == 0 || slots[0] != int32(capacity) {
 			t.Fatalf("%s: throwaway count %d, a NullKey lane's slot %d; want >0 and Cap() = %d", name, tab.Count(-1), slots[0], capacity)
 		}
-		tab.ForEach(true, func(k int64, s int) { t.Errorf("%s: ForEach visited key %d in slot %d", name, k, s) })
-		if tab.Cap() != capacity || tab.Len() != 0 || tab.NextLive(0, true) != -1 || len(tab.AppendGroups(nil)) != 0 {
+		tab.ForEach(func(k int64, s int) { t.Errorf("%s: ForEach visited key %d in slot %d", name, k, s) })
+		if tab.Cap() != capacity || tab.Len() != 0 || tab.NextLive(0) != -1 || len(tab.AppendGroups(nil)) != 0 {
 			t.Errorf("%s: Cap %d (was %d), Len %d, NextLive %d, AppendGroups %v", name, tab.Cap(), capacity,
-				tab.Len(), tab.NextLive(0, true), tab.AppendGroups(nil))
+				tab.Len(), tab.NextLive(0), tab.AppendGroups(nil))
 		}
 		if tab.span == 0 {
 			continue
@@ -113,7 +113,7 @@ func TestDenseMaskedZeroCountNotEmitted(t *testing.T) {
 	tab.AddMasked(tab.Lookup(2), 0, 0, 1)
 	tab.AddPairsMasked([]int64{5, 6}, []int64{9, 0}, []byte{0, 1})
 	var keys []int64
-	tab.ForEach(false, func(k int64, _ int) { keys = append(keys, k) })
+	tab.ForEach(func(k int64, _ int) { keys = append(keys, k) })
 	if !slices.Equal(keys, []int64{2, 6}) {
 		t.Errorf("emitted %v, want [2 6]", keys)
 	}
@@ -131,43 +131,13 @@ func TestDenseForEachAscending(t *testing.T) {
 		tab.Add(tab.Lookup(k), 0, 1)
 	}
 	var got, walked []int64
-	tab.ForEach(false, func(k int64, _ int) { got = append(got, k) })
-	for s := tab.NextLive(0, false); s >= 0; s = tab.NextLive(s+1, false) {
+	tab.ForEach(func(k int64, _ int) { got = append(got, k) })
+	for s := tab.NextLive(0); s >= 0; s = tab.NextLive(s + 1) {
 		walked = append(walked, tab.Key(s))
 	}
 	want := []int64{-100, -3, 7, 40, 100}
 	if !slices.Equal(got, want) || !slices.Equal(walked, want) {
 		t.Errorf("ForEach %v, NextLive %v, want %v", got, walked, want)
-	}
-}
-
-func TestDenseDelete(t *testing.T) {
-	tab := NewDenseAggTable(1, 0, 99, false)
-	tab.SetIdentity(0, 1000)
-	tab.Reset()
-	for k := int64(0); k < 100; k++ {
-		tab.Add(tab.Lookup(k), 0, k)
-	}
-	for k := int64(0); k < 100; k += 2 {
-		if !tab.Delete(k) {
-			t.Fatalf("Delete(%d) missed", k)
-		}
-	}
-	if tab.Delete(0) || tab.Delete(1000) || tab.Delete(NullKey) {
-		t.Error("deleting an absent key succeeded")
-	}
-	if tab.Len() != 50 {
-		t.Fatalf("Len=%d, want 50", tab.Len())
-	}
-	for k := int64(0); k < 100; k++ {
-		if odd := k%2 == 1; (tab.Find(k) >= 0) != odd {
-			t.Fatalf("key %d present=%v", k, !odd)
-		}
-	}
-	// A deleted group restarts from the identity, like a new one.
-	tab.Add(tab.Lookup(4), 0, 1)
-	if got := tab.Acc(tab.Find(4), 0); got != 1001 {
-		t.Errorf("re-added key: acc %d, want 1001", got)
 	}
 }
 
@@ -280,9 +250,24 @@ func TestFormBytes(t *testing.T) {
 		t.Errorf("packed table: cap=%d words=%d, want 1000 and 1001", tab.Cap(), len(tab.recs))
 	}
 	tab := NewAggTable(1, 1000)
-	got, want := HashedBytes(1, 1000), 2048*(8+1+4)+2049*16
-	if got != want || got != 8*(len(tab.keys)+len(tab.recs))+len(tab.state)+4*len(tab.epoch) {
+	got, want := HashedBytes(1, 1000), 2048*(8+4)+2049*16
+	if got != want || got != 8*(len(tab.keys)+len(tab.recs))+4*len(tab.epoch) {
 		t.Errorf("HashedBytes(1, 1000) = %d, want %d, the table's arrays", got, want)
+	}
+}
+
+// The cost models' per-group size of a hashed table is the form rule's per-slot
+// term: HashedBytes is HashedSlotBytes per slot plus the throwaway record, so
+// the estimate and the rule price one slot alike.
+func TestHashedSlotBytesIsHashedBytesSlot(t *testing.T) {
+	for lanes := range 5 {
+		for _, hint := range []int{1, 1000, 1 << 20} {
+			slots := hintCap(hint)
+			if got, want := HashedBytes(lanes, hint), slots*HashedSlotBytes(lanes)+8*(lanes+1); got != want {
+				t.Errorf("lanes=%d hint=%d: HashedBytes %d, %d slots of HashedSlotBytes %d and the throwaway record make %d",
+					lanes, hint, got, slots, HashedSlotBytes(lanes), want)
+			}
+		}
 	}
 }
 
@@ -366,15 +351,11 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 		// Fused pair folds, masked then plain.
 		tab.AddPairsMasked(keys[third:2*third], vals[third:2*third], cmp[third:2*third])
 		tab.AddPairs(keys[2*third:], vals[2*third:])
-		// Eager aggregation: delete every seventh key of the domain.
-		for k := lo; k < lo+int64(domain); k += 7 {
-			tab.Delete(k)
-		}
 	}
 	type group struct{ key, sum, max, cnt int64 }
 	collect := func(tab *AggTable) []group {
 		var out []group
-		tab.ForEach(false, func(k int64, s int) {
+		tab.ForEach(func(k int64, s int) {
 			out = append(out, group{k, tab.Acc(s, 0), tab.Acc(s, 1), tab.Count(s)})
 		})
 		return out
@@ -427,7 +408,7 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 	type group struct{ key, sum, cnt int64 }
 	collect := func(tab *AggTable) []group {
 		var out []group
-		tab.ForEach(false, func(k int64, s int) { out = append(out, group{k, tab.Acc(s, 0), tab.Count(s)}) })
+		tab.ForEach(func(k int64, s int) { out = append(out, group{k, tab.Acc(s, 0), tab.Count(s)}) })
 		return out
 	}
 	seg := func(i int) ([]int64, []int64, []byte) {
@@ -472,11 +453,6 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 			}
 			src.AddPairsMasked(k, v, m)
 			tab.MergeFrom(src)
-		}},
-		{"Delete", func(tab, _ *AggTable) {
-			for k := lo; k <= hi; k += 7 {
-				tab.Delete(k)
-			}
 		}},
 	}
 	for _, st := range steps {
@@ -554,7 +530,7 @@ func foldAgree(t *testing.T, domain int, data []byte) {
 	slots, ref := make([]int32, tile), make([]int32, tile)
 	type group struct{ key, sum0, sum1, cnt int64 }
 	collect := func(tab *AggTable) (out []group) {
-		tab.ForEach(true, func(k int64, s int) {
+		tab.ForEach(func(k int64, s int) {
 			g := group{key: k, cnt: tab.Count(s)}
 			if tab.nAccs > 0 {
 				g.sum0 = tab.Acc(s, 0)
@@ -633,7 +609,7 @@ func keyMaskAgree(t *testing.T, domain int, data []byte) {
 	vec.Fill(ones, 1)
 	type group struct{ key, sum0, max1, cnt int64 }
 	collect := func(tab *AggTable) (out []group) {
-		tab.ForEach(false, func(k int64, s int) {
+		tab.ForEach(func(k int64, s int) {
 			g := group{key: k, cnt: tab.Count(s)}
 			if tab.nAccs > 0 {
 				g.sum0 = tab.Acc(s, 0)

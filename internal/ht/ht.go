@@ -29,13 +29,6 @@ func hash64(x uint64) uint64 {
 	return x
 }
 
-// slot states for tables that support deletion.
-const (
-	slotEmpty byte = iota
-	slotFull
-	slotTombstone
-)
-
 // nextPow2 returns the smallest power of two >= n (minimum 8).
 func nextPow2(n int) int {
 	c := 8

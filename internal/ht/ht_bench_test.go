@@ -8,9 +8,9 @@ import (
 	"github.com/reprolab/swole/internal/vec"
 )
 
-// Benchmarks pinning the cost model's ht_lookup / ht_null / ht_insert /
-// ht_delete terms: lookups across table sizes (cache classes) and the
-// throwaway fast path key masking relies on.
+// Benchmarks pinning the cost model's ht_lookup / ht_null terms: lookups
+// across table sizes (cache classes) and the throwaway fast path key masking
+// relies on.
 
 var sinkSlot int
 
@@ -45,17 +45,6 @@ func BenchmarkThrowawayLookup(b *testing.B) {
 			sinkSlot += t.Lookup(NullKey) // cached throwaway, no hash
 		}
 	})
-}
-
-func BenchmarkAggInsertDeleteChurn(b *testing.B) {
-	t := NewAggTable(1, 1024)
-	for i := 0; i < b.N; i++ {
-		k := int64(i & 4095)
-		t.Add(t.Lookup(k), 0, 1)
-		if i&7 == 0 {
-			t.Delete(k)
-		}
-	}
 }
 
 func BenchmarkSetProbe(b *testing.B) {

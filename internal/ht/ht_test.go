@@ -49,7 +49,7 @@ func TestAggTableThrowaway(t *testing.T) {
 		t.Errorf("throwaway must not count as a group")
 	}
 	seen := 0
-	tab.ForEach(true, func(int64, int) { seen++ })
+	tab.ForEach(func(int64, int) { seen++ })
 	if seen != 0 {
 		t.Errorf("throwaway must not be visited")
 	}
@@ -65,14 +65,10 @@ func TestAggTableValidityFlags(t *testing.T) {
 	s = tab.Lookup(2)
 	tab.AddMasked(s, 0, 0, 1)
 
-	var validKeys, allKeys []int64
-	tab.ForEach(false, func(k int64, _ int) { validKeys = append(validKeys, k) })
-	tab.ForEach(true, func(k int64, _ int) { allKeys = append(allKeys, k) })
+	var validKeys []int64
+	tab.ForEach(func(k int64, _ int) { validKeys = append(validKeys, k) })
 	if len(validKeys) != 1 || validKeys[0] != 2 {
 		t.Errorf("valid groups = %v, want [2]", validKeys)
-	}
-	if len(allKeys) != 2 {
-		t.Errorf("all groups = %v, want 2 entries", allKeys)
 	}
 	if got := tab.Acc(tab.Find(1), 0); got != 0 {
 		t.Errorf("masked contribution leaked: %d", got)
@@ -108,90 +104,24 @@ func TestAggTableGrowPreservesAggregates(t *testing.T) {
 	}
 }
 
-func TestAggTableDelete(t *testing.T) {
-	tab := NewAggTable(1, 8)
-	for k := int64(0); k < 100; k++ {
-		tab.Add(tab.Lookup(k), 0, k)
-	}
-	for k := int64(0); k < 100; k += 2 {
-		if !tab.Delete(k) {
-			t.Fatalf("Delete(%d) missed", k)
-		}
-	}
-	if tab.Delete(0) {
-		t.Error("double delete succeeded")
-	}
-	if tab.Delete(1000) {
-		t.Error("deleting absent key succeeded")
-	}
-	if tab.Len() != 50 {
-		t.Fatalf("Len=%d, want 50", tab.Len())
-	}
-	for k := int64(1); k < 100; k += 2 {
-		s := tab.Find(k)
-		if s < 0 {
-			t.Fatalf("odd key %d lost after deletes (tombstone chain broken)", k)
-		}
-		if tab.Acc(s, 0) != k {
-			t.Fatalf("odd key %d acc=%d", k, tab.Acc(s, 0))
-		}
-	}
-	for k := int64(0); k < 100; k += 2 {
-		if tab.Find(k) != -2 {
-			t.Fatalf("deleted key %d still found", k)
-		}
-	}
-}
-
-func TestAggTableReinsertAfterDelete(t *testing.T) {
-	// Insert-after-delete must not duplicate keys that sit past a
-	// tombstone on the probe chain.
-	tab := NewAggTable(1, 8)
-	keys := []int64{3, 11, 19, 27, 35} // likely to share chains in a tiny table
-	for _, k := range keys {
-		tab.Add(tab.Lookup(k), 0, 1)
-	}
-	tab.Delete(3)
-	// Re-lookup a still-present key: must find the original, not insert.
-	before := tab.Len()
-	s := tab.Lookup(35)
-	if tab.Len() != before {
-		t.Fatal("Lookup of existing key inserted a duplicate")
-	}
-	tab.Add(s, 0, 1)
-	if got := tab.Acc(tab.Find(35), 0); got != 2 {
-		t.Errorf("acc(35)=%d, want 2", got)
-	}
-	// Re-insert the deleted key; it may reuse the tombstone.
-	tab.Add(tab.Lookup(3), 0, 7)
-	if got := tab.Acc(tab.Find(3), 0); got != 7 {
-		t.Errorf("acc(3)=%d, want 7", got)
-	}
-}
-
 func TestAggTableMatchesMapReference(t *testing.T) {
 	// Property: the table agrees with a map-based reference under random
-	// interleaved inserts and deletes.
+	// inserts into a table that grows under them.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tab := NewAggTable(1, 4)
 		ref := map[int64]int64{}
 		for op := 0; op < 3000; op++ {
 			k := int64(rng.Intn(200))
-			if rng.Intn(4) == 0 {
-				delete(ref, k)
-				tab.Delete(k)
-			} else {
-				v := int64(rng.Intn(100))
-				ref[k] += v
-				tab.Add(tab.Lookup(k), 0, v)
-			}
+			v := int64(rng.Intn(100))
+			ref[k] += v
+			tab.Add(tab.Lookup(k), 0, v)
 		}
 		if tab.Len() != len(ref) {
 			return false
 		}
 		got := map[int64]int64{}
-		tab.ForEach(true, func(k int64, s int) { got[k] = tab.Acc(s, 0) })
+		tab.ForEach(func(k int64, s int) { got[k] = tab.Acc(s, 0) })
 		if len(got) != len(ref) {
 			return false
 		}
@@ -308,35 +238,13 @@ func TestAggTableReset(t *testing.T) {
 	}
 	tab.AddMasked(s, 0, 99, 0) // masked add: must not validate the group
 	n := 0
-	tab.ForEach(false, func(int64, int) { n++ })
+	tab.ForEach(func(int64, int) { n++ })
 	if n != 0 {
 		t.Errorf("invalid group visible after Reset+masked add: %d groups", n)
 	}
 	tab.Add(s, 0, 5)
 	if got := tab.Acc(s, 0); got != 5 {
 		t.Errorf("Acc=%d after Reset+Add(5)", got)
-	}
-}
-
-func TestAggTableResetAfterDelete(t *testing.T) {
-	tab := NewAggTable(1, 8)
-	for k := int64(0); k < 6; k++ {
-		tab.Add(tab.Lookup(k), 0, 1)
-	}
-	tab.Delete(2)
-	tab.Delete(4)
-	tab.Reset()
-	// Tombstones must not leak into the new generation.
-	for k := int64(0); k < 6; k++ {
-		if tab.Find(k) != -2 {
-			t.Errorf("key %d visible after Reset", k)
-		}
-	}
-	for k := int64(0); k < 6; k++ {
-		tab.Add(tab.Lookup(k), 0, int64(k))
-	}
-	if tab.Len() != 6 {
-		t.Errorf("Len=%d after reinserting 6 keys", tab.Len())
 	}
 }
 

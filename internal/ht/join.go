@@ -11,14 +11,11 @@ package ht
 type JoinTable struct {
 	keys  []int64
 	rows  []int32
-	state []byte
-	epoch []uint32
+	epoch []uint32 // slot i holds a key iff epoch[i] == cur
 	cur   uint32
 	len   int
 	mask  uint64
 
-	// Probes counts total probe steps, exposed for cost-model validation.
-	Probes uint64
 	// Grows counts capacity doublings triggered by Insert; 0 after a scan
 	// means the preallocation hint was sufficient.
 	Grows uint64
@@ -31,7 +28,6 @@ func NewJoinTable(hint int) *JoinTable {
 	return &JoinTable{
 		keys:  make([]int64, capacity),
 		rows:  make([]int32, capacity),
-		state: make([]byte, capacity),
 		epoch: make([]uint32, capacity),
 		cur:   1,
 		mask:  uint64(capacity - 1),
@@ -67,10 +63,6 @@ func (t *JoinTable) Len() int { return t.len }
 // Cap returns the slot capacity.
 func (t *JoinTable) Cap() int { return len(t.keys) }
 
-func (t *JoinTable) occupied(i uint64) bool {
-	return t.epoch[i] == t.cur && t.state[i] == slotFull
-}
-
 // Insert adds key -> row, reporting whether the key was new.
 func (t *JoinTable) Insert(key int64, row int32) bool {
 	if t.len >= len(t.keys)*3/4 {
@@ -79,9 +71,7 @@ func (t *JoinTable) Insert(key int64, row int32) bool {
 	}
 	i := hash64(uint64(key)) & t.mask
 	for {
-		t.Probes++
-		if !t.occupied(i) {
-			t.state[i] = slotFull
+		if t.epoch[i] != t.cur {
 			t.epoch[i] = t.cur
 			t.keys[i] = key
 			t.rows[i] = row
@@ -99,8 +89,7 @@ func (t *JoinTable) Insert(key int64, row int32) bool {
 func (t *JoinTable) Probe(key int64) (int32, bool) {
 	i := hash64(uint64(key)) & t.mask
 	for {
-		t.Probes++
-		if !t.occupied(i) {
+		if t.epoch[i] != t.cur {
 			return 0, false
 		}
 		if t.keys[i] == key {
@@ -114,13 +103,12 @@ func (t *JoinTable) rehash(capacity int) {
 	old := *t
 	t.keys = make([]int64, capacity)
 	t.rows = make([]int32, capacity)
-	t.state = make([]byte, capacity)
 	t.epoch = make([]uint32, capacity)
 	t.cur = 1
 	t.mask = uint64(capacity - 1)
 	t.len = 0
 	for i := range old.keys {
-		if old.occupied(uint64(i)) {
+		if old.epoch[i] == old.cur {
 			t.Insert(old.keys[i], old.rows[i])
 		}
 	}
@@ -131,14 +119,11 @@ func (t *JoinTable) rehash(capacity int) {
 // like the other tables.
 type SetTable struct {
 	keys  []int64
-	state []byte
-	epoch []uint32
+	epoch []uint32 // slot i holds a key iff epoch[i] == cur
 	cur   uint32
 	len   int
 	mask  uint64
 
-	// Probes counts total probe steps, exposed for cost-model validation.
-	Probes uint64
 	// Grows counts capacity doublings triggered by Insert.
 	Grows uint64
 }
@@ -149,7 +134,6 @@ func NewSetTable(hint int) *SetTable {
 	capacity := hintCap(hint)
 	return &SetTable{
 		keys:  make([]int64, capacity),
-		state: make([]byte, capacity),
 		epoch: make([]uint32, capacity),
 		cur:   1,
 		mask:  uint64(capacity - 1),
@@ -171,10 +155,6 @@ func (t *SetTable) Reset() {
 // Len returns the number of keys in the set.
 func (t *SetTable) Len() int { return t.len }
 
-func (t *SetTable) occupied(i uint64) bool {
-	return t.epoch[i] == t.cur && t.state[i] == slotFull
-}
-
 // Insert adds key, reporting whether it was new.
 func (t *SetTable) Insert(key int64) bool {
 	if t.len >= len(t.keys)*3/4 {
@@ -183,9 +163,7 @@ func (t *SetTable) Insert(key int64) bool {
 	}
 	i := hash64(uint64(key)) & t.mask
 	for {
-		t.Probes++
-		if !t.occupied(i) {
-			t.state[i] = slotFull
+		if t.epoch[i] != t.cur {
 			t.epoch[i] = t.cur
 			t.keys[i] = key
 			t.len++
@@ -202,8 +180,7 @@ func (t *SetTable) Insert(key int64) bool {
 func (t *SetTable) Contains(key int64) bool {
 	i := hash64(uint64(key)) & t.mask
 	for {
-		t.Probes++
-		if !t.occupied(i) {
+		if t.epoch[i] != t.cur {
 			return false
 		}
 		if t.keys[i] == key {
@@ -216,13 +193,12 @@ func (t *SetTable) Contains(key int64) bool {
 func (t *SetTable) rehash(capacity int) {
 	old := *t
 	t.keys = make([]int64, capacity)
-	t.state = make([]byte, capacity)
 	t.epoch = make([]uint32, capacity)
 	t.cur = 1
 	t.mask = uint64(capacity - 1)
 	t.len = 0
 	for i := range old.keys {
-		if old.occupied(uint64(i)) {
+		if old.epoch[i] == old.cur {
 			t.Insert(old.keys[i])
 		}
 	}

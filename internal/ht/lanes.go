@@ -38,9 +38,8 @@ func (t *AggTable) SetIdentity(acc int, v int64) {
 // the check refuses is resolved out of line (refuse), where any key but
 // NullKey panics. On a hashed one, keys already in the table — nearly every
 // lane once a tile's groups exist — resolve with an inline probe; an absent
-// key ends the lane loop to be inserted by probeInsert (the inline probes
-// are not tallied in Probes). A growth mid-tile moves every group, so the
-// tile is resolved again.
+// key ends the lane loop to be inserted by probeInsert. A growth mid-tile
+// moves every group, so the tile is resolved again.
 func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 	if len(keys) == 0 {
 		return
@@ -63,13 +62,13 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 		return
 	}
 	for i := 0; i < len(keys); i++ {
-		tk, epoch, state, cur, mask := t.keys, t.epoch, t.state, t.cur, t.mask
+		tk, epoch, cur, mask := t.keys, t.epoch, t.cur, t.mask
 		tw := int32(mask + 1)
 	lanes:
 		for ; i < len(keys); i++ {
 			k := keys[i]
 			h := hash64(uint64(k)) & mask
-			if tk[h] == k && epoch[h] == cur && state[h] == slotFull {
+			if tk[h] == k && epoch[h] == cur {
 				slots[i] = int32(h) // at home, as most hits are (NullKey never is)
 				continue
 			}
@@ -77,8 +76,8 @@ func (t *AggTable) LookupTile(keys []int64, slots []int32) {
 				slots[i] = tw
 				continue
 			}
-			for ; epoch[h] == cur && state[h] != slotEmpty; h = (h + 1) & mask {
-				if tk[h] == k && state[h] == slotFull {
+			for ; epoch[h] == cur; h = (h + 1) & mask {
+				if tk[h] == k {
 					slots[i] = int32(h)
 					continue lanes
 				}

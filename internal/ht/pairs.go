@@ -11,12 +11,11 @@ import (
 // (MergeFrom), and folding (key, value) pairs with and without a mask
 // (AddPairs, AddPairsMasked).
 
-// NextLive returns the first slot at or after i holding a group, or -1 when
-// none remain. Groups whose tuple count is zero are skipped unless
-// includeInvalid (see ForEach). Together with Key it lets callers walk the
-// table with a lookahead cursor, which ForEach's callback shape cannot
-// express.
-func (t *AggTable) NextLive(i int, includeInvalid bool) int {
+// NextLive returns the first slot at or after i holding a group with a
+// positive tuple count, or -1 when none remain. Together with Key it lets
+// callers walk the table with a lookahead cursor, which ForEach's callback
+// shape cannot express.
+func (t *AggTable) NextLive(i int) int {
 	if t.span != 0 {
 		for ; i < int(t.span); i++ {
 			if t.count(i) > 0 {
@@ -26,7 +25,7 @@ func (t *AggTable) NextLive(i int, includeInvalid bool) int {
 		return -1
 	}
 	for ; i < len(t.keys); i++ {
-		if t.live(uint64(i)) == slotFull && (includeInvalid || t.recs[i*t.stride+t.nAccs] > 0) {
+		if t.epoch[i] == t.cur && t.recs[i*t.stride+t.nAccs] > 0 {
 			return i
 		}
 	}
@@ -58,7 +57,7 @@ func (t *AggTable) AppendGroups(dst []int64) []int64 {
 		return dst
 	}
 	for i, k := range t.keys {
-		if t.epoch[i] == t.cur && t.state[i] == slotFull && t.recs[i*n+n-1] > 0 {
+		if t.epoch[i] == t.cur && t.recs[i*n+n-1] > 0 {
 			dst = append(dst, k, t.recs[i*n])
 		}
 	}

@@ -11,9 +11,9 @@ func TestNextLiveWalksForEachOrder(t *testing.T) {
 		tab.Add(tab.Lookup(k*7), 0, k)
 	}
 	var want []int64
-	tab.ForEach(false, func(key int64, slot int) { want = append(want, key) })
+	tab.ForEach(func(key int64, slot int) { want = append(want, key) })
 	var got []int64
-	for s := tab.NextLive(0, false); s >= 0; s = tab.NextLive(s+1, false) {
+	for s := tab.NextLive(0); s >= 0; s = tab.NextLive(s + 1) {
 		got = append(got, tab.Key(s))
 	}
 	if len(got) != len(want) {
@@ -44,7 +44,7 @@ func TestMergeFromMatchesLookupAddMerge(t *testing.T) {
 				k := int64(rng.Intn(nsrc+10)) - 20
 				src.Add(src.Lookup(k), 0, int64(rng.Intn(1000)-500))
 			}
-			src.ForEach(false, func(key int64, s int) {
+			src.ForEach(func(key int64, s int) {
 				j := ref.Lookup(key)
 				ref.Add(j, 0, src.Acc(s, 0))
 				for c := src.Count(s); c > 1; c-- {
@@ -58,7 +58,7 @@ func TestMergeFromMatchesLookupAddMerge(t *testing.T) {
 			if dst.Len() != ref.Len() {
 				t.Fatalf("packed=%v nsrc=%d: dst has %d groups, ref %d", packed, nsrc, dst.Len(), ref.Len())
 			}
-			ref.ForEach(false, func(key int64, s int) {
+			ref.ForEach(func(key int64, s int) {
 				j := dst.Find(key)
 				if j < 0 {
 					t.Fatalf("packed=%v nsrc=%d: key %d missing after MergeFrom", packed, nsrc, key)

@@ -87,11 +87,11 @@ func TestPartitionedAggParity(t *testing.T) {
 		small.Reset()
 		small.AddPairs(p.keys[part], p.vals[part])
 		throwaway += small.Acc(-1, 0)
-		small.ForEach(false, func(key int64, s int) { got[key] = small.Acc(s, 0) })
+		small.ForEach(func(key int64, s int) { got[key] = small.Acc(s, 0) })
 	}
 
 	want := map[int64]int64{}
-	direct.ForEach(false, func(key int64, s int) { want[key] = direct.Acc(s, 0) })
+	direct.ForEach(func(key int64, s int) { want[key] = direct.Acc(s, 0) })
 	if len(got) != len(want) {
 		t.Fatalf("%d partitioned groups, want %d", len(got), len(want))
 	}

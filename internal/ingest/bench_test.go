@@ -8,9 +8,7 @@ import (
 	"github.com/reprolab/swole/internal/storage"
 )
 
-// benchRows is the batch size per benchmark op. CI derives the rows/sec
-// gate from it: ns/op must stay at or below benchRows*1000 for the kernel
-// to sustain one million rows per second.
+// benchRows is the batch size per benchmark op.
 const benchRows = 100000
 
 func benchDoc(quoted bool) (Schema, []byte) {
@@ -45,44 +43,37 @@ func benchDoc(quoted bool) (Schema, []byte) {
 	return schema, []byte(sb.String())
 }
 
-// BenchmarkIngestKernel is the warm kernel path: one compiled kernel
-// re-used across batches via Reset. CI gates it at 0 allocs/op and
-// >= 1M rows/sec.
-func BenchmarkIngestKernel(b *testing.B) {
-	schema, doc := benchDoc(false)
-	k, err := NewKernel(schema, Strict)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := k.Parse(doc); err != nil { // warm: grow buffers to capacity
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Reset()
-		if err := k.Parse(doc); err != nil {
-			b.Fatal(err)
+// warmKernel compiles the kernel of one benchmarked path and parses its
+// document once, which grows every buffer to capacity: "plain", "quoted"
+// (every dictionary value quoted) or "skip" (every third row malformed under
+// the Skip policy). It returns the kernel, the document and the rows a batch
+// accepts.
+func warmKernel(tb testing.TB, path string) (*Kernel, []byte, int) {
+	tb.Helper()
+	schema, doc := benchDoc(path == "quoted")
+	policy, accepted := Strict, benchRows
+	if path == "skip" {
+		lines := strings.Split(strings.TrimSuffix(string(doc), "\n"), "\n")
+		for i := 2; i < len(lines); i += 3 {
+			lines[i] = "not,valid"
+			accepted--
 		}
-		if k.Accepted() != benchRows {
-			b.Fatalf("accepted %d", k.Accepted())
-		}
+		doc, policy = []byte(strings.Join(lines, "\n")+"\n"), Skip
 	}
-	b.ReportMetric(float64(benchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkIngestKernelQuoted exercises the quoted-field path (every
-// dictionary value quoted).
-func BenchmarkIngestKernelQuoted(b *testing.B) {
-	schema, doc := benchDoc(true)
-	k, err := NewKernel(schema, Strict)
+	k, err := NewKernel(schema, policy)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := k.Parse(doc); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return k, doc, accepted
+}
+
+// benchKernel times the warm kernel path: one compiled kernel re-used across
+// batches via Reset.
+func benchKernel(b *testing.B, path string) {
+	k, doc, _ := warmKernel(b, path)
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -95,30 +86,27 @@ func BenchmarkIngestKernelQuoted(b *testing.B) {
 	b.ReportMetric(float64(benchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkIngestKernelSkip measures the rejection path: every third row
-// malformed under the Skip policy.
-func BenchmarkIngestKernelSkip(b *testing.B) {
-	schema, clean := benchDoc(false)
-	lines := strings.Split(strings.TrimSuffix(string(clean), "\n"), "\n")
-	for i := 2; i < len(lines); i += 3 {
-		lines[i] = "not,valid"
-	}
-	doc := []byte(strings.Join(lines, "\n") + "\n")
-	k, err := NewKernel(schema, Skip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := k.Parse(doc); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Reset()
-		if err := k.Parse(doc); err != nil {
-			b.Fatal(err)
+func BenchmarkIngestKernel(b *testing.B)       { benchKernel(b, "plain") }
+func BenchmarkIngestKernelQuoted(b *testing.B) { benchKernel(b, "quoted") }
+func BenchmarkIngestKernelSkip(b *testing.B)   { benchKernel(b, "skip") }
+
+// TestWarmBatchZeroAlloc: the warm parse path reuses the kernel's carry
+// buffer, column builders and dictionary probe, so a batch allocates nothing
+// on any benchmarked path, and accepts what it should.
+func TestWarmBatchZeroAlloc(t *testing.T) {
+	for _, path := range []string{"plain", "quoted", "skip"} {
+		k, doc, accepted := warmKernel(t, path)
+		allocs := testing.AllocsPerRun(3, func() {
+			k.Reset()
+			if err := k.Parse(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warm batch, want 0", path, allocs)
+		}
+		if k.Accepted() != accepted {
+			t.Errorf("%s: accepted %d rows, want %d", path, k.Accepted(), accepted)
 		}
 	}
-	b.ReportMetric(float64(benchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }

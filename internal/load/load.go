@@ -104,7 +104,7 @@ type Attribution struct {
 	IngestSeconds float64 `json:"ingest_seconds,omitempty"`
 }
 
-// Report is a finished run, shaped for JSON (BENCH_serving.json).
+// Report is a finished run, shaped for JSON (swoleload -json).
 type Report struct {
 	TargetQPS   float64 `json:"target_qps"`
 	AchievedQPS float64 `json:"achieved_qps"`

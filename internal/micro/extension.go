@@ -73,7 +73,7 @@ func QXEagerAggregation(d *Data, sel int) *ht.AggTable {
 		qual[i] = b2i(d.SX[i] < c)
 	}
 	final := ht.NewAggTable(1, d.Cfg.CCard)
-	partial.ForEach(true, func(key int64, slot int) {
+	partial.ForEach(func(key int64, slot int) {
 		fk := key >> 32
 		if qual[fk] == 1 {
 			s := final.Lookup(int64(int32(uint32(key))))

@@ -28,7 +28,7 @@ func Q2DataCentric(d *Data, sel int) *ht.AggTable {
 // AggToMap converts an AggTable's valid groups to a map for verification.
 func AggToMap(tab *ht.AggTable) map[int64]int64 {
 	out := make(map[int64]int64, tab.Len())
-	tab.ForEach(false, func(key int64, slot int) {
+	tab.ForEach(func(key int64, slot int) {
 		out[key] = tab.Acc(slot, 0)
 	})
 	return out

@@ -53,7 +53,7 @@ func q1Plan() plan.Node {
 // rows; shared by all hand kernels so finalization cost is identical.
 func q1Finalize(tab *ht.AggTable) Rows {
 	var rows Rows
-	tab.ForEach(false, func(key int64, s int) {
+	tab.ForEach(func(key int64, s int) {
 		cnt := tab.Count(s)
 		rows = append(rows, []int64{
 			key / 2, key % 2,

@@ -67,7 +67,7 @@ func q3Plan() plan.Node {
 // table; o_orderkey is dense, so orderdate/shippriority are direct reads.
 func q3Finalize(d *Data, tab *ht.AggTable) Rows {
 	var rows Rows
-	tab.ForEach(false, func(key int64, s int) {
+	tab.ForEach(func(key int64, s int) {
 		rows = append(rows, []int64{
 			key, tab.Acc(s, 0),
 			int64(d.Orders.OrderDate[key]), int64(d.Orders.ShipPriority[key]),

@@ -147,7 +147,7 @@ func (d *Data) Prepare(q Query, s Strategy) (Runner, error) {
 		d.engine = core.NewEngine(d.DB)
 		d.engine.Workers = 1
 	})
-	var prep core.Plan
+	var prep *core.PreparedSelect
 	var err error
 	if s == Hybrid {
 		prep, err = d.engine.PrepareForced(spec, core.TechHybrid)
@@ -158,7 +158,7 @@ func (d *Data) Prepare(q Query, s Strategy) (Runner, error) {
 		return nil, err
 	}
 	return func() (Rows, core.Explain, error) {
-		res, ex, err := prep.RunPartial(context.Background())
+		res, ex, err := prep.RunContext(context.Background())
 		if err != nil {
 			return nil, ex, err
 		}

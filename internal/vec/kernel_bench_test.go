@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Per-variant throughput benchmarks for the specialized kernel layer. The
-// CI kernels job runs these and commits the results as BENCH_kernels.json,
-// pinning the trajectory of each variant against its generic reference.
+// Per-variant throughput benchmarks for the specialized kernel layer, each
+// variant beside its generic reference. TestKernelsZeroAlloc runs the same
+// bodies under the zero-allocation gate.
 
 func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
 	rng := rand.New(rand.NewSource(3))
@@ -22,165 +22,108 @@ func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
 	return
 }
 
-func BenchmarkKernelCmpConst(bm *testing.B) {
-	bm.Run("generic/w8", func(bm *testing.B) {
-		a, _, cmp := kernelData[int8](50)
-		bm.SetBytes(TileSize)
-		for i := 0; i < bm.N; i++ {
-			CmpConstLT(a, 50, cmp)
-		}
-	})
-	bm.Run("unrolled/w8", func(bm *testing.B) {
-		a, _, cmp := kernelData[int8](50)
-		bm.SetBytes(TileSize)
-		for i := 0; i < bm.N; i++ {
-			CmpConstLTU(a, 50, cmp)
-		}
-	})
-	bm.Run("generic/w64", func(bm *testing.B) {
-		a, _, cmp := kernelData[int64](50)
-		bm.SetBytes(TileSize * 8)
-		for i := 0; i < bm.N; i++ {
-			CmpConstLT(a, 50, cmp)
-		}
-	})
-	bm.Run("unrolled/w64", func(bm *testing.B) {
-		a, _, cmp := kernelData[int64](50)
-		bm.SetBytes(TileSize * 8)
-		for i := 0; i < bm.N; i++ {
-			CmpConstLTU(a, 50, cmp)
-		}
-	})
+// kernelCase is one sub-benchmark: the bytes one call reads (reported as
+// throughput; 0 reports none) and the call.
+type kernelCase struct {
+	name  string
+	bytes int64
+	fn    func()
 }
 
-func BenchmarkKernelWiden(bm *testing.B) {
+// kernelCases are the bodies of the BenchmarkKernel functions, keyed by the
+// function's name without its prefix.
+func kernelCases() map[string][]kernelCase {
+	a8, _, cmp8 := kernelData[int8](50)
+	a32, b32, cmp32 := kernelData[int32](50)
+	a64, _, cmp64 := kernelData[int64](50)
 	out := make([]int64, TileSize)
-	bm.Run("generic/w8", func(bm *testing.B) {
-		a, _, _ := kernelData[int8](50)
-		bm.SetBytes(TileSize)
-		for i := 0; i < bm.N; i++ {
-			Widen(a, out)
-		}
-	})
-	bm.Run("unrolled/w8", func(bm *testing.B) {
-		a, _, _ := kernelData[int8](50)
-		bm.SetBytes(TileSize)
-		for i := 0; i < bm.N; i++ {
-			WidenU(a, out)
-		}
-	})
-	bm.Run("generic/w32", func(bm *testing.B) {
-		a, _, _ := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			Widen(a, out)
-		}
-	})
-	bm.Run("unrolled/w32", func(bm *testing.B) {
-		a, _, _ := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			WidenU(a, out)
-		}
-	})
-}
-
-func BenchmarkKernelSumMasked(bm *testing.B) {
-	bm.Run("generic/w32", func(bm *testing.B) {
-		a, _, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumMasked(a, cmp)
-		}
-	})
-	bm.Run("unrolled/w32", func(bm *testing.B) {
-		a, _, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumMaskedU(a, cmp)
-		}
-	})
-	bm.Run("generic-prod/w32", func(bm *testing.B) {
-		a, b, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 8)
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumProdMasked(a, b, cmp)
-		}
-	})
-	bm.Run("unrolled-prod/w32", func(bm *testing.B) {
-		a, b, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 8)
-		for i := 0; i < bm.N; i++ {
-			sinkI64 += SumProdMaskedU(a, b, cmp)
-		}
-	})
-}
-
-func BenchmarkKernelMaskKeys(bm *testing.B) {
-	out := make([]int64, TileSize)
-	bm.Run("generic/w32", func(bm *testing.B) {
-		a, _, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			MaskKeys(a, cmp, -1, out)
-		}
-	})
-	bm.Run("unrolled/w32", func(bm *testing.B) {
-		a, _, cmp := kernelData[int32](50)
-		bm.SetBytes(TileSize * 4)
-		for i := 0; i < bm.N; i++ {
-			MaskKeysU(a, cmp, -1, out)
-		}
-	})
-}
-
-func BenchmarkKernelSel(bm *testing.B) {
+	cases := map[string][]kernelCase{
+		"CmpConst": {
+			{"generic/w8", TileSize, func() { CmpConstLT(a8, 50, cmp8) }},
+			{"unrolled/w8", TileSize, func() { CmpConstLTU(a8, 50, cmp8) }},
+			{"generic/w64", TileSize * 8, func() { CmpConstLT(a64, 50, cmp64) }},
+			{"unrolled/w64", TileSize * 8, func() { CmpConstLTU(a64, 50, cmp64) }},
+		},
+		"Widen": {
+			{"generic/w8", TileSize, func() { Widen(a8, out) }},
+			{"unrolled/w8", TileSize, func() { WidenU(a8, out) }},
+			{"generic/w32", TileSize * 4, func() { Widen(a32, out) }},
+			{"unrolled/w32", TileSize * 4, func() { WidenU(a32, out) }},
+		},
+		"SumMasked": {
+			{"generic/w32", TileSize * 4, func() { sinkI64 += SumMasked(a32, cmp32) }},
+			{"unrolled/w32", TileSize * 4, func() { sinkI64 += SumMaskedU(a32, cmp32) }},
+			{"generic-prod/w32", TileSize * 8, func() { sinkI64 += SumProdMasked(a32, b32, cmp32) }},
+			{"unrolled-prod/w32", TileSize * 8, func() { sinkI64 += SumProdMaskedU(a32, b32, cmp32) }},
+		},
+		"MaskKeys": {
+			{"generic/w32", TileSize * 4, func() { MaskKeys(a32, cmp32, -1, out) }},
+			{"unrolled/w32", TileSize * 4, func() { MaskKeysU(a32, cmp32, -1, out) }},
+		},
+	}
 	sel := make([]int32, TileSize)
 	for _, pct := range []int{1, 50, 99} {
 		_, _, cmp := kernelData[int32](pct)
-		bm.Run("branch/sel"+itoa(pct), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				sinkInt += SelFromCmpBranch(cmp, sel)
-			}
-		})
-		bm.Run("nobranch/sel"+itoa(pct), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				sinkInt += SelFromCmpNoBranch(cmp, sel)
-			}
-		})
-		bm.Run("adaptive/sel"+itoa(pct), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
+		cases["Sel"] = append(cases["Sel"],
+			kernelCase{"branch/sel" + itoa(pct), 0, func() { sinkInt += SelFromCmpBranch(cmp, sel) }},
+			kernelCase{"nobranch/sel" + itoa(pct), 0, func() { sinkInt += SelFromCmpNoBranch(cmp, sel) }},
+			kernelCase{"adaptive/sel" + itoa(pct), 0, func() {
 				n, _ := SelFromCmpAdaptive(cmp, sel)
 				sinkInt += n
+			}},
+		)
+	}
+	// The mask plane's word-at-a-time kernels against the byte loops they
+	// replaced (the fuzz target's references).
+	_, _, a := kernelData[int8](50)
+	_, _, b := kernelData[int8](30)
+	_, _, c := kernelData[int8](50)
+	ones := make([]byte, TileSize)
+	Fill(ones, 1)
+	for _, k := range []struct {
+		name string
+		fn   func()
+	}{
+		{"word/and", func() { And(a, b) }}, {"byte/and", func() { refAnd(a, b) }},
+		{"word/or", func() { Or(a, b) }}, {"byte/or", func() { refOr(a, b) }},
+		{"word/not", func() { Not(a) }}, {"byte/not", func() { refNot(a) }},
+		{"word/fill", func() { Fill(a, 1) }}, {"byte/fill", func() { refFill(a, 1) }},
+		{"word/count", func() { sinkInt += CountOnes(c) }}, {"byte/count", func() { sinkInt += refCount(c) }},
+		{"word/allones", func() { sinkInt += int(b2i(AllOnes(ones))) }},
+	} {
+		cases["MaskOps"] = append(cases["MaskOps"], kernelCase{k.name, TileSize, k.fn})
+	}
+	return cases
+}
+
+func runKernels(bm *testing.B, name string) {
+	for _, c := range kernelCases()[name] {
+		bm.Run(c.name, func(bm *testing.B) {
+			if c.bytes > 0 {
+				bm.SetBytes(c.bytes)
+			}
+			for i := 0; i < bm.N; i++ {
+				c.fn()
 			}
 		})
 	}
 }
 
-// BenchmarkKernelMaskOps prices the mask plane's word-at-a-time kernels
-// against the byte loops they replaced (the fuzz target's references).
-func BenchmarkKernelMaskOps(bm *testing.B) {
-	_, _, a := kernelData[int8](50)
-	_, _, b := kernelData[int8](30)
-	run := func(name string, fn func()) {
-		bm.Run(name, func(bm *testing.B) {
-			bm.SetBytes(TileSize)
-			for i := 0; i < bm.N; i++ {
-				fn()
+func BenchmarkKernelCmpConst(bm *testing.B)  { runKernels(bm, "CmpConst") }
+func BenchmarkKernelWiden(bm *testing.B)     { runKernels(bm, "Widen") }
+func BenchmarkKernelSumMasked(bm *testing.B) { runKernels(bm, "SumMasked") }
+func BenchmarkKernelMaskKeys(bm *testing.B)  { runKernels(bm, "MaskKeys") }
+func BenchmarkKernelSel(bm *testing.B)       { runKernels(bm, "Sel") }
+func BenchmarkKernelMaskOps(bm *testing.B)   { runKernels(bm, "MaskOps") }
+
+// TestKernelsZeroAlloc: the kernels are tile loops over the caller's
+// buffers, and no call of any BenchmarkKernel row may allocate.
+func TestKernelsZeroAlloc(t *testing.T) {
+	for bench, cases := range kernelCases() {
+		for _, c := range cases {
+			if allocs := testing.AllocsPerRun(10, c.fn); allocs != 0 {
+				t.Errorf("BenchmarkKernel%s/%s: %.1f allocs per call, want 0", bench, c.name, allocs)
 			}
-		})
+		}
 	}
-	run("word/and", func() { And(a, b) })
-	run("byte/and", func() { refAnd(a, b) })
-	run("word/or", func() { Or(a, b) })
-	run("byte/or", func() { refOr(a, b) })
-	run("word/not", func() { Not(a) })
-	run("byte/not", func() { refNot(a) })
-	run("word/fill", func() { Fill(a, 1) })
-	run("byte/fill", func() { refFill(a, 1) })
-	_, _, c := kernelData[int8](50)
-	run("word/count", func() { sinkInt += CountOnes(c) })
-	run("byte/count", func() { sinkInt += refCount(c) })
-	Fill(a, 1)
-	run("word/allones", func() { sinkInt += int(b2i(AllOnes(a))) })
 }

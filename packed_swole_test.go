@@ -136,7 +136,7 @@ func TestPackedFormBoundary(t *testing.T) {
 					packed = s.after
 				}
 				checkPackedForm(t, d, s.q, tag, s.domain, s.lanes, packed)
-				checkEveryPath(t, d, s.q, tag, false)
+				checkEveryPath(t, d, s.q, tag)
 			}
 		}
 	}
@@ -165,7 +165,7 @@ func TestSumOverflowWraps(t *testing.T) {
 			"select k, sum(big) as s, count(*) as n from t where x < 50 group by k",
 			"select t_fk, sum(big) from t, d where t_fk = d_pk and d_x < 50 group by t_fk",
 		} {
-			rows := checkEveryPath(t, d, q, tag, false)
+			rows := checkEveryPath(t, d, q, tag)
 			if q == "select sum(big) as s from t" && rows[0][0] != want {
 				t.Fatalf("%s: sum(big) = %d, want the wrapped %d", tag, rows[0][0], want)
 			}

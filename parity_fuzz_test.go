@@ -19,8 +19,8 @@ import (
 // points, cold and warm, at one worker and at 2, 4 or 7. No dimension's
 // primary key is its row position: one is offset, one strided, one
 // shuffled. Every generated statement must also compile through the
-// synthesizer (no interpreter fallback): the same corpus is the
-// planner-coverage gate CI runs.
+// synthesizer (no interpreter fallback): the corpus is the planner's
+// coverage gate.
 
 // fuzzSchema describes the generator's star/snowflake schema: fact f with
 // foreign keys into d1 and d2, and d1 with a foreign key into d3.

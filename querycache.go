@@ -10,7 +10,7 @@ import (
 )
 
 // Plan cache: QuerySwole remembers every SWOLE-shaped statement it has
-// executed as a prepared plan (core.Plan). It is the only plan cache in
+// executed as a prepared plan (*core.PreparedSelect). It is the only plan cache in
 // the system — the core engine compiles plans but keeps none — and its
 // tableDeps are the only invalidation path. A repeated
 // statement skips the SQL frontend, the sampling pass, and the cost-model
@@ -56,7 +56,7 @@ type cachedPlan struct {
 	// result buffer are per-entry and reused across runs. Different
 	// statements run in parallel.
 	mu    sync.Mutex
-	plan  core.Plan
+	plan  *core.PreparedSelect
 	shape string
 	deps  []tableDep
 	gen   uint64 // DB.configGen when the compile began
@@ -109,7 +109,7 @@ func (c *cachedPlan) dependsOn(table string) bool {
 func (c *cachedPlan) answer(ctx context.Context, fn func(*Result)) (Explain, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, cex, err := c.plan.RunPartial(ctx)
+	res, cex, err := c.plan.RunContext(ctx)
 	ex := fromCore(cex)
 	ex.Shape = c.shape
 	if err != nil {
@@ -269,7 +269,7 @@ func (d *DB) PlanCacheLen() int {
 }
 
 // SetWorkers pins the SWOLE executor's morsel worker count; 0 restores
-// the default (one per CPU). Prepared plans bake in their worker count,
+// the default (GOMAXPROCS). Prepared plans bake in their worker count,
 // so changing it clears the plan cache. The count is written under the lock
 // the engine's compiles hold (core.Engine.Reconfigure), so a compile sees one
 // worker count throughout; the cache is cleared after the write, and the

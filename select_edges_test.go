@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/swole/internal/core"
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // Edges of the generic executor's machinery — tile boundaries, empty
@@ -19,16 +20,16 @@ import (
 
 // checkAllTechniques runs q through QuerySwole (cold and warm) and through
 // every forced technique of its menu, each against the interpreter, and
-// requires the tile pipeline to be what runs it. It returns the interpreter's
+// requires the synthesizer to compile it. It returns the interpreter's
 // answer.
 func checkAllTechniques(t *testing.T, d *DB, q string) [][]int64 {
 	t.Helper()
-	return checkEveryPath(t, d, q, "", true)
+	return checkEveryPath(t, d, q, "")
 }
 
-// checkEveryPath is checkAllTechniques for any statement (generic demands
-// one the synthesizer compiles); tag names the configuration in failures.
-func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 {
+// checkEveryPath is checkAllTechniques with tag naming the configuration in
+// failures.
+func checkEveryPath(t *testing.T, d *DB, q, tag string) [][]int64 {
 	t.Helper()
 	want, err := d.Query(q)
 	if err != nil {
@@ -49,10 +50,7 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string, generic bool) [][]int64 
 		if err != nil {
 			t.Fatalf("%s %q forced %s: %v", tag, q, tech, err)
 		}
-		if _, ok := forced.(*core.PreparedSelect); generic && !ok {
-			t.Fatalf("%q lowered onto %T, not the generic executor", q, forced)
-		}
-		res, _, err := forced.RunPartial(context.Background())
+		res, _, err := forced.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,21 +277,16 @@ func TestSelectDictionaryKeyHeader(t *testing.T) {
 
 // pollCtx reports the deadline as exceeded once Err has been called left
 // times: a deterministic mid-scan cancellation, whichever workers poll it.
-// Done is non-nil, as for any context that can be canceled — exec.StopFunc
-// reads a nil Done as "never cancels" and the gang would not poll at all.
 type pollCtx struct {
 	context.Context
 	left atomic.Int64
-	done chan struct{}
 }
 
 func newPollCtx(left int64) *pollCtx {
-	c := &pollCtx{Context: context.Background(), done: make(chan struct{})}
+	c := &pollCtx{Context: context.Background()}
 	c.left.Store(left)
 	return c
 }
-
-func (c *pollCtx) Done() <-chan struct{} { return c.done }
 
 func (c *pollCtx) Err() error {
 	if c.left.Add(-1) < 0 {
@@ -304,7 +297,7 @@ func (c *pollCtx) Err() error {
 
 // A canceled first run returns the context's error and settles the plan:
 // the next run of the same cached plan is correct and bills nothing. The
-// grouped statement scans inline, the scalar one on a gang of four.
+// grouped statement scans on one worker, the scalar one on four.
 func TestSelectCancelMidScan(t *testing.T) {
 	d, err := LoadMicro(MicroConfig{Rows: 300_000, DimRows: 512, GroupKeys: 64, Seed: 3})
 	if err != nil {
@@ -336,6 +329,38 @@ func TestSelectCancelMidScan(t *testing.T) {
 		if !rowsEqual(sortedRows(want.Rows()), sortedRows(res.Rows())) {
 			t.Errorf("run after cancel of %q: wrong answer", q)
 		}
+	}
+}
+
+// A forced plan scans on the gang like any other, in the engine's morsels:
+// with MorselRows at one tile, it polls its context before every tile-sized
+// morsel.
+func TestForcedScanPollsPerMorsel(t *testing.T) {
+	d, err := LoadMicro(MicroConfig{Rows: 64 * vec.TileSize, DimRows: 512, GroupKeys: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.engine.Reconfigure(func() { d.engine.MorselRows = vec.TileSize })
+	p, err := d.Plan("select sum(r_a) as s from r where r_x < 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, ok := core.Synthesize(d.db, p)
+	if !ok {
+		t.Fatal("not synthesized")
+	}
+	forced, err := d.engine.PrepareForced(spec, core.TechValueMasking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 20
+	ctx := newPollCtx(budget)
+	if _, _, err := forced.RunContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if polls := budget - ctx.left.Load(); polls < 64 {
+		t.Errorf("a 64-tile scan in one-tile morsels polled its context %d times, want one per morsel", polls)
 	}
 }
 
@@ -503,7 +528,7 @@ func TestSelectMergedOperands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ex, err := forced.RunPartial(context.Background())
+	_, ex, err := forced.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

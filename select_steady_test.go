@@ -188,7 +188,7 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 				t.Fatalf("%s forced %s: %v", f.name, tech, err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				res, ex, err := forced.RunPartial(context.Background())
+				res, ex, err := forced.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

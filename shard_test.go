@@ -41,7 +41,7 @@ func planWorkers(t *testing.T, d *DB, q string) int {
 		t.Fatalf("%q is not plan-cached", q)
 	}
 	c.mu.Lock()
-	_, ex, err := c.plan.RunPartial(context.Background())
+	_, ex, err := c.plan.RunContext(context.Background())
 	c.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -112,9 +112,8 @@ func BenchmarkSteadySemiJoinAgg(b *testing.B) {
 	benchSteady(b, db, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50")
 }
 
-// The BenchmarkSteadySelect rows repeat three of selectForms, so the
-// steady-state job's zero-allocation gate covers multi-key packing,
-// disjunctions, HAVING and min/max beside the classic shapes.
+// The BenchmarkSteadySelect rows repeat three of selectForms: multi-key
+// packing, disjunctions, HAVING and min/max beside the classic shapes.
 
 // BenchmarkSteadySelectMultiAgg repeats a two-key, three-aggregate group-by
 // (the TPC-H Q1 form: masked lanes over a packed composite key).
@@ -137,32 +136,44 @@ func BenchmarkSteadySelectJoinMinMax(b *testing.B) {
 	benchSteady(b, db, selectForms[6].q)
 }
 
-// BenchmarkSteadyMicroClassic repeats each of the benchmark's 15
-// micro_classic statements (benchmark/stmts.go, in workload order) at the
-// workload's shape — R = 2M, S = 100K, 1M keys of r_c, one worker — one
-// sub-benchmark per statement id: the per-statement timings a change to the
-// classic shapes cites. Every one allocates nothing.
-func BenchmarkSteadyMicroClassic(b *testing.B) {
-	db := steadyDB(b, 2_000_000, 100_000, 1_000_000)
-	db.SetWorkers(1)
-	defer db.SetWorkers(0)
+// steadyStmt is a statement the steady-state benchmarks time and
+// TestQuerySwoleSteadyZeroAlloc gates, under its sub-benchmark id.
+type steadyStmt struct{ id, q string }
+
+// microClassicStatements are the benchmark's 15 micro_classic statements
+// (benchmark/stmts.go, in workload order).
+var microClassicStatements = func() (out []steadyStmt) {
 	for _, sel := range []int{5, 50, 95} {
-		for _, s := range []struct{ id, q string }{
+		for _, s := range []steadyStmt{
 			{"scalar", "select sum(r_a * r_b) as s from r where r_x < %d and r_y = 1"},
 			{"group_r_a", "select r_a, sum(r_b) as s from r where r_x < %d group by r_a"},
 			{"semijoin", "select sum(r_a) as s from r, s where r_fk = s_pk and s_x < %d and r_x < 50"},
 			{"group_r_c", "select r_c, sum(r_b) as s from r where r_x < %d group by r_c"},
 			{"groupjoin", "select r_fk, sum(r_a) as s from r, s where r_fk = s_pk and s_x < %d group by r_fk"},
 		} {
-			b.Run(fmt.Sprintf("%s.s%02d", s.id, sel), func(b *testing.B) { benchSteady(b, db, fmt.Sprintf(s.q, sel)) })
+			out = append(out, steadyStmt{fmt.Sprintf("%s.s%02d", s.id, sel), fmt.Sprintf(s.q, sel)})
 		}
+	}
+	return out
+}()
+
+// BenchmarkSteadyMicroClassic repeats each of microClassicStatements at the
+// workload's shape — R = 2M, S = 100K, 1M keys of r_c, one worker — one
+// sub-benchmark per statement id: the per-statement timings a change to the
+// classic shapes cites.
+func BenchmarkSteadyMicroClassic(b *testing.B) {
+	db := steadyDB(b, 2_000_000, 100_000, 1_000_000)
+	db.SetWorkers(1)
+	defer db.SetWorkers(0)
+	for _, s := range microClassicStatements {
+		b.Run(s.id, func(b *testing.B) { benchSteady(b, db, s.q) })
 	}
 }
 
 // tpchStatements are the benchmark's eight tpch_generic statements
 // (benchmark/workloads.go, in workload order) with the literals the workload
 // draws fixed at one value.
-var tpchStatements = []struct{ id, q string }{
+var tpchStatements = []steadyStmt{
 	{"q1_multiagg", "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_price, count(*) as n " +
 		"from lineitem where l_shipdate <= date '1998-09-05' group by l_returnflag, l_linestatus"},
 	{"or3_having", "select l_shipmode, sum(l_quantity) as q, count(*) as n from lineitem " +
@@ -185,8 +196,7 @@ var tpchStatements = []struct{ id, q string }{
 
 // BenchmarkSteadyTPCH repeats each of tpchStatements at the workload's shape —
 // TPC-H SF 0.2, one worker — one sub-benchmark per statement id: the
-// per-statement timings a change to the tile pipeline cites. Every one
-// allocates nothing.
+// per-statement timings a change to the tile pipeline cites.
 func BenchmarkSteadyTPCH(b *testing.B) {
 	db, ok := steadyCache["tpch"]
 	if !ok {

@@ -1,6 +1,7 @@
 package swole
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -31,10 +32,13 @@ var steadyQueries = []struct {
 }
 
 // TestQuerySwoleSteadyZeroAlloc is the end-to-end tentpole gate: the
-// second and later executions of each supported query shape through the
-// full QuerySwole path — SQL text in, materialized result out — must not
-// allocate, at one worker and at four, whether or not the fact table is
-// sharded (a shard layout is write-side only; the read path never sees it).
+// second and later executions of each gated statement through the full
+// QuerySwole path — SQL text in, materialized result out — must not
+// allocate, at one worker and at four. The gated statements are
+// steadyQueries, whether or not the fact table is sharded (a shard layout is
+// write-side only; the read path never sees it), and at test scale the
+// statements the steady-state benchmarks time: the 15 micro_classic
+// statements, the 8 tpch_generic ones, and the sparse key's hashed group-by.
 func TestQuerySwoleSteadyZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		d := steadyTestDB(t)
@@ -45,30 +49,66 @@ func TestQuerySwoleSteadyZeroAlloc(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			d.SetWorkers(workers)
 			for _, tc := range steadyQueries {
-				if _, ex, err := d.QuerySwole(tc.q); err != nil {
-					t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, tc.name, err)
-				} else if ex.Technique == "interpreter-fallback" {
-					t.Fatalf("shards=%d workers=%d %s: shape fell back to the interpreter", shards, workers, tc.name)
-				} else if (ex.DenseDomain > 0) != tc.dense {
-					t.Fatalf("shards=%d workers=%d %s: DenseDomain=%d, want key-addressed=%v", shards, workers, tc.name, ex.DenseDomain, tc.dense)
-				}
-				// Second execution settles result-array capacity.
-				if _, ex, err := d.QuerySwole(tc.q); err != nil {
-					t.Fatal(err)
-				} else if !ex.PlanCached {
-					t.Fatalf("shards=%d workers=%d %s: second execution missed the plan cache", shards, workers, tc.name)
-				}
-				allocs := testing.AllocsPerRun(20, func() {
-					if _, _, err := d.QuerySwole(tc.q); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("shards=%d workers=%d %s: %.1f allocs per cached execution, want 0", shards, workers, tc.name, allocs)
+				tag := fmt.Sprintf("shards=%d workers=%d %s", shards, workers, tc.name)
+				if ex := steadyZeroAlloc(t, d, tag, tc.q); (ex.DenseDomain > 0) != tc.dense {
+					t.Errorf("%s: DenseDomain=%d, want key-addressed=%v", tag, ex.DenseDomain, tc.dense)
 				}
 			}
 		}
 	}
+	// 4096 keys of r_c: enough that no key-addressed table may cover the
+	// sparse key's range.
+	micro, err := LoadMicro(MicroConfig{Rows: 131_072, DimRows: 1024, GroupKeys: 4096, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer micro.Close()
+	addSparseKey(t, micro)
+	tpch := LoadTPCH(0.01)
+	defer tpch.Close()
+	for _, workers := range []int{1, 4} {
+		micro.SetWorkers(workers)
+		tpch.SetWorkers(workers)
+		for _, s := range microClassicStatements {
+			steadyZeroAlloc(t, micro, fmt.Sprintf("workers=%d micro_classic %s", workers, s.id), s.q)
+		}
+		for _, s := range tpchStatements {
+			steadyZeroAlloc(t, tpch, fmt.Sprintf("workers=%d tpch_generic %s", workers, s.id), s.q)
+		}
+		tag := fmt.Sprintf("workers=%d sparse key", workers)
+		if ex := steadyZeroAlloc(t, micro, tag, sparseKeyQuery); ex.DenseDomain != 0 {
+			t.Errorf("%s: DenseDomain=%d, want the hashed table", tag, ex.DenseDomain)
+		}
+	}
+}
+
+// steadyZeroAlloc executes q cold, then warm until its plan is cached and its
+// result array settled, and fails the test unless a further warm execution
+// allocates nothing. It returns the cold execution's Explain.
+func steadyZeroAlloc(t *testing.T, d *DB, tag, q string) Explain {
+	t.Helper()
+	_, ex, err := d.QuerySwole(q)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if ex.Technique == "interpreter-fallback" {
+		t.Fatalf("%s: statement fell back to the interpreter", tag)
+	}
+	// Second execution settles result-array capacity.
+	if _, warm, err := d.QuerySwole(q); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	} else if !warm.PlanCached {
+		t.Fatalf("%s: second execution missed the plan cache", tag)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := d.QuerySwole(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%s: %.1f allocs per cached execution, want 0", tag, allocs)
+	}
+	return ex
 }
 
 // TestQuerySwoleSteadyAnswersMatchVolcano locks the steady-state executor

@@ -84,7 +84,7 @@ func TestValueAddressingParity(t *testing.T) {
 				for _, stmt := range valueStatements {
 					q := fmt.Sprintf(stmt, key)
 					tag := fmt.Sprintf("appended=%v workers=%d", after, workers)
-					checkEveryPath(t, d, q, tag, true)
+					checkEveryPath(t, d, q, tag)
 					if _, ex, err := d.QuerySwole(q); err != nil {
 						t.Fatalf("%s %q: %v", tag, q, err)
 					} else if !after && ex.DenseDomain != domains[key] {
