@@ -12,11 +12,11 @@ import (
 // columns with storage.Column.Append (sharing backing arrays whenever the
 // physical width holds), registers the replacement table, and lets the
 // existing invalidation machinery do exactly — and only — the work the
-// change requires: the table's version advances, its cached plans are
-// evicted, and its cached statistics are merged incrementally with the
-// delta instead of being dropped. Other tables' plans and statistics are
-// untouched, and no reader waits: a query in flight finishes on the arrays
-// it compiled against.
+// change requires: the catalog holds a new table object, its cached plans
+// are evicted, and its cached statistics move to the new object, merged
+// incrementally with the delta instead of being dropped. Other tables' plans
+// and statistics are untouched, and no reader waits: a query in flight
+// finishes on the arrays it compiled against.
 //
 // On a sharded table the appended rows extend the last row-range shard
 // until it reaches twice the nominal shard size fixed at ShardTable time;
@@ -168,7 +168,8 @@ func kernelMatches(s ingest.Schema, t *storage.Table) bool {
 func (d *DB) appendColumns(name string, cols [][]int64) error {
 	d.shardMu.Lock()
 	defer d.shardMu.Unlock()
-	t := d.db.Table(name)
+	cat := d.db.Catalog()
+	t := cat.Table(name)
 	if t == nil {
 		return fmt.Errorf("swole: append: no table %s", name)
 	}
@@ -186,7 +187,6 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 	}
 	oldRows := t.Rows()
 	newRows := oldRows + n
-	oldVer := d.db.TableVersion(name)
 
 	// Build the replacement table and verify every constraint — foreign-key
 	// extension, parent-key uniqueness — before registering anything, so a
@@ -200,10 +200,10 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 		return err
 	}
 	var childIdx []*storage.FKIndex // extended indexes where name is the child
-	for _, idx := range d.db.FKIndexes() {
+	for _, idx := range cat.FKIndexes() {
 		switch name {
 		case idx.Child:
-			parent := d.db.Table(idx.Parent)
+			parent := cat.Table(idx.Parent)
 			ext, err := storage.ExtendFKIndex(idx, newTab, parent)
 			if err != nil {
 				return err
@@ -236,6 +236,6 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 	// folds the delta into cached statistics instead of dropping them.
 	// Only this table is touched.
 	d.evictPlans(name)
-	d.engine.MergeStatsOnAppend(name, oldVer, oldRows)
+	d.engine.MergeStatsOnAppend(t, newTab)
 	return nil
 }

@@ -33,18 +33,11 @@ func runIngest(cfg harness.Config, path, table, policy string, repeat int) error
 		repeat = 1
 	}
 
-	groups := cfg.MicroR / 10
-	if groups > 100_000 {
-		groups = 100_000
-	}
-	db, err := swole.LoadMicro(swole.MicroConfig{
-		Rows: cfg.MicroR, DimRows: 1000, GroupKeys: groups, Seed: 42,
-	})
+	db, _, err := loadMicro(cfg)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-	db.SetWorkers(cfg.Workers)
 	fmt.Printf("ingest: %s → table %s (policy %s, %d batch(es) of %d bytes)\n",
 		path, table, policy, repeat, len(data))
 	fmt.Printf("dataset: R=%d rows, workers=%d\n\n", cfg.MicroR, cfg.Workers)

@@ -9,10 +9,10 @@
 //	swolebench -fig all          # everything
 //	swolebench -fig 2            # the technique summary table
 //	swolebench -fig scaling -workers 8   # morsel scaling sweep, 1..8 workers
-//	swolebench -repeat 10        # steady state: cold vs plan-cached warm runs
+//	swolebench -repeat 10        # steady state: cold vs plan-cached warm runs,
+//	                             # with each statement's kernel-variant counters
 //	swolebench -query 'select r_c, count(*) as n from r group by r_c having n > 10'
 //	                             # one arbitrary statement: synthesized plan + timings
-//	swolebench -kernel-variants  # per-query kernel-variant selection counters
 //	swolebench -ingest batch.csv -repeat 5
 //	                             # append a CSV batch through the ingestion
 //	                             # kernel 5 times; decode+append throughput
@@ -47,9 +47,8 @@ func realMain() error {
 	fig := flag.String("fig", "all", "figure to regenerate: 2, 6, 8, 9, 10, 11, 12, scaling, or all")
 	csv := flag.Bool("csv", false, "emit micro figures as CSV for plotting")
 	workers := flag.Int("workers", 0, "max morsel workers the scaling figure sweeps to (0 = SWOLE_WORKERS or GOMAXPROCS)")
-	repeat := flag.Int("repeat", 0, "steady-state demo: run each supported query shape N times and report cold vs plan-cached warm timings")
+	repeat := flag.Int("repeat", 0, "steady-state demo: run each supported query shape N times and report cold vs plan-cached warm timings and the kernel-variant counters")
 	query := flag.String("query", "", "run one arbitrary SQL statement against the micro dataset and report its synthesized plan, cold timing, and plan-cached warm timing")
-	variants := flag.Bool("kernel-variants", false, "run each supported query shape and report the kernel-variant selection counters from Explain")
 	ingestFile := flag.String("ingest", "", "append this CSV file to the micro dataset through the table's ingestion kernel and report decode+append throughput (-repeat batches)")
 	ingestTable := flag.String("ingest-table", "r", "table -ingest appends to (CSV fields line up with its columns)")
 	ingestPolicy := flag.String("ingest-policy", "strict", "malformed-row policy for -ingest: strict (refuse the batch) or skip (drop and attribute)")
@@ -87,9 +86,6 @@ func realMain() error {
 	cfg := harness.FromEnv()
 	if *workers > 0 {
 		cfg.Workers = *workers
-	}
-	if *variants {
-		return runKernelVariants(cfg)
 	}
 	if *ingestFile != "" {
 		return runIngest(cfg, *ingestFile, *ingestTable, *ingestPolicy, *repeat)

@@ -53,10 +53,9 @@ func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 		}
 		// The forced plan is dropped here, so the result may keep aliasing
 		// its buffers.
-		c := &cachedPlan{}
-		c.setFields(forced.Fields())
-		c.put(res)
-		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &c.res, Explain: fromCore(ex)})
+		out := newResult(forced.Fields())
+		out.flat = res.Flat
+		runs = append(runs, StrategyRun{Strategy: tech.String(), Runtime: runtime, Result: &out, Explain: fromCore(ex)})
 	}
 	return runs, nil
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/reprolab/swole/internal/exec"
 )
 
 // Concurrency and cancellation semantics of the public DB — the contract
@@ -208,6 +211,50 @@ func TestCancellationSemantics(t *testing.T) {
 		if got[k] != w {
 			t.Errorf("post-cancel group %d = %d, want %d", k, got[k], w)
 		}
+	}
+}
+
+// TestFallbackHonorsDeadline: a statement the synthesizer declines (no
+// aggregate, ORDER BY) runs on the interpreter, whose scan polls the context
+// every few thousand rows. Under a deadline at a tenth of its runtime it
+// returns context.DeadlineExceeded within a few morsels' worth of its scan,
+// not after the whole scan.
+func TestFallbackHonorsDeadline(t *testing.T) {
+	const rows = 1_000_000
+	d, err := LoadMicro(MicroConfig{Rows: rows, GroupKeys: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	q := "select r_a, r_c from r where r_x < 2 order by r_c"
+	full := time.Duration(math.MaxInt64)
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, ex, err := d.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Technique != "interpreter-fallback" {
+			t.Fatalf("statement ran on %s, want the interpreter", ex.Technique)
+		}
+		full = min(full, time.Since(start))
+	}
+	// A few morsels: four morsels' share of the uncanceled run. The best of
+	// three attempts counts, so one scheduler hiccup does not fail the test.
+	deadline, slack := full/10, full*4*exec.DefaultMorselRows/rows
+	over := time.Duration(math.MaxInt64)
+	for i := 0; i < 3 && over > slack; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		_, _, err = d.QueryContext(ctx, q)
+		over = min(over, time.Since(start)-deadline)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	}
+	if over > slack {
+		t.Errorf("returned %v past its %v deadline (uncanceled run %v), want within %v", over, deadline, full, slack)
 	}
 }
 

@@ -115,14 +115,7 @@ func TestDenseGroupParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: volcano: %v", tc.name, err)
 			}
-			p, err := d.Plan(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, ok := core.Synthesize(d.db, p)
-			if !ok {
-				t.Fatalf("%s: not synthesized", tc.name)
-			}
+			spec := synthesized(t, d, q)
 			// Groups come in key order, whichever column the key is projected to.
 			key := slices.IndexFunc(spec.Project, func(p core.SelectProj) bool {
 				c, ok := p.Expr.(*expr.Col)
@@ -157,7 +150,7 @@ func TestDenseGroupParity(t *testing.T) {
 
 				// Every technique the statement can be forced onto.
 				for _, tech := range d.engine.Techniques(spec) {
-					forced, err := d.engine.PrepareForced(spec.Clone(), tech)
+					forced, err := d.engine.PrepareForced(synthesized(t, d, q), tech)
 					if err != nil {
 						t.Fatalf("%s forced %s: %v", tag, tech, err)
 					}
@@ -166,10 +159,7 @@ func TestDenseGroupParity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						c := &cachedPlan{}
-						c.setFields(forced.Fields())
-						c.put(res)
-						if got := c.res.Rows(); !rowsEqual(got, want) {
+						if got := forcedRows(forced, res); !rowsEqual(got, want) {
 							t.Fatalf("%s forced %s rep %d:\nvolcano: %.200v\nswole:   %.200v", tag, tech, rep, want, got)
 						}
 						if (ex.DenseDomain > 0) != tc.dense {

@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"time"
+
+	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/storage"
 )
 
 // The compiled-plan layer. Every statement executes through one pipeline
 // with one mode — compile, keep, re-run:
 //
-//	Prepare(spec)   — send the Select to the tile pipeline (select.go)
+//	Prepare(spec)   — pin one catalog and send the Select to the tile
+//	                 pipeline (select.go)
 //	compile         — validate and bind expressions, sample statistics
 //	                 (through the cache), evaluate the cost models, pick
 //	                 the technique and the group table's form, bind the
@@ -19,8 +23,9 @@ import (
 //	                 allocation in the steady state
 //
 // A plan is compiled exactly once and belongs to whoever prepared it; the
-// engine keeps no plans, so invalidation is the owner's business (the
-// root package's statement cache pins table versions). PrepareForced is the
+// engine keeps no plans, so invalidation is the owner's business (the root
+// package's statement cache drops a plan once the catalog no longer holds a
+// table object the plan reports in Tables). PrepareForced is the
 // same compile with the technique named by the caller and the scan on one
 // worker: forced runs measure kernel character, not parallel speedup.
 //
@@ -35,7 +40,18 @@ type kernelFn = func(w, base, length int)
 const techAuto Technique = -1
 
 // Fields is the result header.
-func (p *PreparedSelect) Fields() []OutField { return p.fields }
+func (p *PreparedSelect) Fields() expr.Fields { return p.fields }
+
+// Tables lists the table objects the plan bound — the root, then each edge's
+// parent — all from the one catalog its compile pinned. The plan answers for
+// the current data while the catalog still holds every one of them.
+func (p *PreparedSelect) Tables() []*storage.Table {
+	tabs := []*storage.Table{p.root}
+	for i := range p.edges {
+		tabs = append(tabs, p.edges[i].parent)
+	}
+	return tabs
+}
 
 // scan runs a kernel over [0, rows) on p.nw workers of the engine's gang,
 // which polls the context at morsel granularity, so a canceled scan stops

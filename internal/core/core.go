@@ -10,10 +10,14 @@
 // with one mode, compile-and-keep: Prepare compiles a Select spec onto the
 // tile pipeline of select.go, validating and planning the query and binding
 // the chosen kernel and plan-owned buffers exactly once, and the caller keeps
-// the plan and re-runs it on the engine's persistent morsel-worker gang. The
-// engine holds no plans: whoever prepared a plan owns it and decides when it
-// is stale. PrepareForced is the same compile with the technique named by
-// the caller. There is exactly one kernel per technique.
+// the plan and re-runs it on the engine's persistent morsel-worker gang. A
+// compile reads one catalog (storage.Catalog), pinned with one lock-free
+// load, for every table, foreign-key index and statistic, so its plan binds
+// one registration whatever writers publish meanwhile. The engine holds no
+// plans: whoever prepared a plan owns it and decides when it is stale, by
+// comparing the table objects it bound (PreparedSelect.Tables) with the
+// current catalog's. PrepareForced is the same compile with the technique
+// named by the caller. There is exactly one kernel per technique.
 //
 // This package is both what a downstream user calls for their own queries
 // and what the paper's figures time: every series of Figures 6 and 8-12
@@ -135,7 +139,7 @@ func (e Explain) String() string {
 // The engine compiles plans and lends them its worker gang; it does not
 // keep them. A compiled plan owns every buffer its runs need, so re-running
 // one samples nothing, plans nothing, and allocates nothing. Sampled
-// statistics are cached per (table version, expression), so a fresh compile
+// statistics are cached per (table object, expression), so a fresh compile
 // of a repeated shape skips the sampling pass. Engine methods are safe for
 // concurrent use; executions serialize on the persistent worker gang's
 // lock.

@@ -98,13 +98,13 @@ func TestAddBound(t *testing.T) {
 	}
 }
 
-// rangeEntry reads the cached range of r.col at the table's current
-// version without going through colRange, so a hit proves an earlier
-// merge wrote it.
+// rangeEntry reads the cached range of the catalog's r.col without going
+// through colRange, so a hit proves an earlier merge wrote it.
 func rangeEntry(e *Engine, col string) (statsEntry, bool) {
+	r := e.DB.MustTable("r")
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats.get(statsKey{table: "r", ver: e.DB.TableVersion("r"), kind: statRange, expr: col})
+	return e.stats.get(statsKey{table: r, col: r.MustColumn(col), kind: statRange})
 }
 
 // appendKeys registers r with extra rows whose r_c values are keys.
@@ -129,7 +129,7 @@ func appendKeys(t *testing.T, db *storage.Database, keys ...int64) {
 func TestMergeStatsOnAppendRange(t *testing.T) {
 	db := testDB(t, 10_000, 100, 8)
 	e := NewEngine(db)
-	if lo, hi := e.colRange("r", db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 7 {
+	if lo, hi := e.colRange(db.MustTable("r"), db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 7 {
 		t.Fatalf("initial range [%d, %d], want [0, 7]", lo, hi)
 	}
 	for _, step := range []struct {
@@ -141,22 +141,19 @@ func TestMergeStatsOnAppendRange(t *testing.T) {
 		{"below", []int64{-40, 2}, -40, 7},
 		{"above", []int64{1, 90_000, 12}, -40, 90_000},
 	} {
-		oldVer, oldRows := db.TableVersion("r"), db.MustTable("r").Rows()
+		old := db.MustTable("r")
 		appendKeys(t, db, step.keys...)
-		e.MergeStatsOnAppend("r", oldVer, oldRows)
+		e.MergeStatsOnAppend(old, db.MustTable("r"))
 		col := db.MustTable("r").MustColumn("r_c")
 		ent, ok := rangeEntry(e, "r_c")
 		if !ok {
-			t.Fatalf("%s: range entry dropped by the append: the next compile rescans the column", step.name)
-		}
-		if ent.col != col {
-			t.Fatalf("%s: merged entry is pinned to the old column object", step.name)
+			t.Fatalf("%s: range entry not moved to the new column: the next compile rescans it", step.name)
 		}
 		if lo, hi := col.Range(); ent.lo != lo || ent.hi != hi || lo != step.lo || hi != step.hi {
 			t.Fatalf("%s: merged range [%d, %d], fresh scan [%d, %d], want [%d, %d]",
 				step.name, ent.lo, ent.hi, lo, hi, step.lo, step.hi)
 		}
-		if lo, hi := e.colRange("r", col); lo != step.lo || hi != step.hi {
+		if lo, hi := e.colRange(db.MustTable("r"), col); lo != step.lo || hi != step.hi {
 			t.Fatalf("%s: colRange [%d, %d] after the merge", step.name, lo, hi)
 		}
 	}
@@ -171,21 +168,19 @@ func TestMergeStatsOnAppendRange(t *testing.T) {
 
 // TestColRangeIgnoresForeignColumns: a compile that overlaps a write can
 // hold a column the catalog has already replaced. colRange answers for the
-// column it was handed and leaves the cache to the catalog's own columns —
-// an entry must describe its version's column, or an append would merge
-// the wrong range forward.
+// column it was handed, and its entry never serves the replacement's column.
 func TestColRangeIgnoresForeignColumns(t *testing.T) {
 	db := testDB(t, 1000, 10, 8)
 	e := NewEngine(db)
-	old := db.MustTable("r").MustColumn("r_c")
+	oldTab := db.MustTable("r")
 	appendKeys(t, db, 500)
-	if lo, hi := e.colRange("r", old); lo != 0 || hi != 7 {
+	if lo, hi := e.colRange(oldTab, oldTab.MustColumn("r_c")); lo != 0 || hi != 7 {
 		t.Fatalf("stale column's range [%d, %d], want its own [0, 7]", lo, hi)
 	}
 	if _, ok := rangeEntry(e, "r_c"); ok {
-		t.Fatal("a replaced column's range was cached under the current version")
+		t.Fatal("a replaced column's range is served for the current column")
 	}
-	if lo, hi := e.colRange("r", db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 500 {
+	if lo, hi := e.colRange(db.MustTable("r"), db.MustTable("r").MustColumn("r_c")); lo != 0 || hi != 500 {
 		t.Fatalf("current column's range [%d, %d], want [0, 500]", lo, hi)
 	}
 	if ent, ok := rangeEntry(e, "r_c"); !ok || ent.hi != 500 {

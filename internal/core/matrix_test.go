@@ -24,7 +24,7 @@ import (
 // answer to a key→sum map (single-row results under key 0).
 func volcanoMap(t *testing.T, db *storage.Database, n plan.Node) map[int64]int64 {
 	t.Helper()
-	res, err := volcano.Run(n, db)
+	res, err := volcano.Run(context.Background(), n, db)
 	if err != nil {
 		t.Fatal(err)
 	}

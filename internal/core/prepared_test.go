@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/storage"
 )
 
 // TestPreparedScalarParity checks a prepared scalar aggregation returns
@@ -322,9 +323,9 @@ func TestStatsCacheVersioned(t *testing.T) {
 	if _, ex, _ := sumOnce(e, scalarSpec(q)); !ex.StatsCached {
 		t.Fatal("want stats hit before table replacement")
 	}
-	// Re-register r (same contents, new version): the old entry's version
-	// no longer matches, so the next plan samples afresh.
-	db.AddTable(db.MustTable("r"))
+	// Register a new table object for r (same columns): the old entry is the
+	// replaced object's, so the next plan samples afresh.
+	db.AddTable(storage.MustNewTable("r", db.MustTable("r").Columns...))
 	if _, ex, _ := sumOnce(e, scalarSpec(q)); ex.StatsCached {
 		t.Fatal("stats reported cached across a table replacement")
 	}

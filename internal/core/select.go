@@ -120,74 +120,11 @@ type Select struct {
 	Project  []SelectProj
 }
 
-// Clone deep-copies the spec's expression trees. Bind mutates expression
-// nodes in place, so every engine a statement is prepared on needs a
-// private tree; sharing one would leave all of them reading whichever
-// engine's columns bound last.
-func (q Select) Clone() Select {
-	q.Filter = expr.Clone(q.Filter)
-	q.Residual = expr.Clone(q.Residual)
-	q.Having = expr.Clone(q.Having)
-	q.Edges = append([]SelectEdge(nil), q.Edges...)
-	for i := range q.Edges {
-		q.Edges[i].Filter = expr.Clone(q.Edges[i].Filter)
-	}
-	q.Aggs = append([]SelectAgg(nil), q.Aggs...)
-	for i := range q.Aggs {
-		q.Aggs[i].Arg = expr.Clone(q.Aggs[i].Arg)
-	}
-	q.Project = append([]SelectProj(nil), q.Project...)
-	for i := range q.Project {
-		q.Project[i].Expr = expr.Clone(q.Project[i].Expr)
-	}
-	return q
-}
-
-// Tables lists the tables a plan for the spec reads: the root — the
-// driving table, whose shard layout a fan-out follows — then each edge's
-// parent.
-func (q Select) Tables() []string {
-	tabs := []string{q.Root}
-	for _, e := range q.Edges {
-		tabs = append(tabs, e.Parent)
-	}
-	return tabs
-}
-
-// OutField describes one output (or intermediate) column of a synthesized
-// plan.
-type OutField struct {
-	Name string
-	Dict *storage.Dict
-	Log  storage.Logical
-}
-
-// fieldSchema is the expr.Source of the aggregate output row: HAVING and the
-// projection read OutFields by position.
-type fieldSchema []OutField
-
-// Leaf implements expr.Source.
-func (f fieldSchema) Leaf(name string) (expr.Leaf, error) {
-	if i := f.index(name); i >= 0 {
-		return expr.Leaf{Slot: i, Dict: f[i].Dict}, nil
-	}
-	return expr.Leaf{}, expr.NoColumn(name)
-}
-
-func (f fieldSchema) index(name string) int {
-	for i, fd := range f {
-		if fd.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // SelectResult is a generic plan's answer, owned by the plan and overwritten
 // by its next run: row i is Flat[i*w:(i+1)*w] for w = len(Fields). No row
 // headers are built; the statement cache serves and encodes from Flat.
 type SelectResult struct {
-	Fields []OutField
+	Fields expr.Fields
 	Flat   []int64
 }
 
@@ -290,7 +227,7 @@ type PreparedSelect struct {
 	e         *Engine
 	nw        int     // workers the scans run on
 	ex        Explain // the compile's record, which every run reports
-	fields    []OutField
+	fields    expr.Fields
 	groupEmit // the emission's (order key, slot) pairs and their sorter
 
 	spec  Select
@@ -330,7 +267,7 @@ type PreparedSelect struct {
 	pk        *storage.Column
 	pkAscends bool
 
-	outFields fieldSchema // group keys then aggregate aliases: HAVING's and the projection's schema
+	outFields expr.Fields // group keys then aggregate aliases: HAVING's and the projection's schema
 	// proj maps each output column to its emission vector: the outFields
 	// column it copies, or the one past them the tile walker evaluates it into.
 	proj []int

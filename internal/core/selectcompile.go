@@ -12,13 +12,15 @@ import (
 	"github.com/reprolab/swole/internal/storage"
 )
 
-// The executor's compile: Prepare resolves a Select spec against the
+// The executor's compile: Prepare resolves a Select spec against one pinned
 // catalog, estimates what the cost models need, picks the aggregation
 // technique, and binds the tile pipeline of select.go. One variant of the
 // pipeline per statement, derived from the spec; nothing here runs again.
 
 // Prepare compiles a statement for the caller to keep and re-run: it resolves
-// tables and foreign-key indexes, binds every expression tree, samples
+// tables and foreign-key indexes from one pinned catalog, so the plan binds a
+// matching pair whatever writers publish meanwhile (Tables reports which
+// table objects it bound), binds every expression tree, samples
 // selectivities and group counts (through the statistics cache), and fixes
 // the aggregation technique via the cost model. The plan scans on all the
 // engine's workers when the statement is ungrouped or its group table is
@@ -44,7 +46,7 @@ func (e *Engine) PrepareForced(spec Select, tech Technique) (*PreparedSelect, er
 // groups by a filtered edge's foreign key (eagerEdge).
 func (e *Engine) Techniques(spec Select) []Technique {
 	techs := selectTechs(spec)
-	if e.eagerEdge(spec) >= 0 {
+	if eagerEdge(e.DB.Catalog(), spec) >= 0 {
 		techs = append(techs, TechEagerAggregation)
 	}
 	return techs
@@ -95,11 +97,11 @@ func canonicalGroupBy(q Select) bool {
 // the lone GROUP BY column, when nothing but that filter reads its parent —
 // no edge chains off it, and the residual and the aggregates read root
 // columns only.
-func (e *Engine) eagerEdge(q Select) int {
+func eagerEdge(cat *storage.Catalog, q Select) int {
 	at := slices.IndexFunc(q.Edges, func(ed SelectEdge) bool {
 		return len(q.GroupBy) == 1 && ed.Src < 0 && ed.FK == q.GroupBy[0] && ed.Filter != nil
 	})
-	root := e.DB.Table(q.Root)
+	root := cat.Table(q.Root)
 	if at < 0 || root == nil || slices.ContainsFunc(q.Edges, func(ed SelectEdge) bool { return ed.Src == at }) {
 		return -1
 	}
@@ -135,6 +137,7 @@ type staged struct {
 // selectCompile carries one statement through the compile's steps.
 type selectCompile struct {
 	e      *Engine
+	cat    *storage.Catalog // the one registration state every lookup reads
 	q      Select
 	p      *PreparedSelect
 	tech   Technique // the caller's, or techAuto
@@ -171,7 +174,8 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	if len(q.Project) == 0 {
 		return nil, fmt.Errorf("core: select without projection")
 	}
-	root := e.DB.Table(q.Root)
+	cat := e.DB.Catalog()
+	root := cat.Table(q.Root)
 	if root == nil {
 		return nil, errNoTable(q.Root)
 	}
@@ -182,7 +186,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	// PlanCached is baked in: every run of this plan replays the prepare-time
 	// decision; the statement cache's first execution resets it to false.
 	p := &PreparedSelect{e: e, nw: 1, spec: q, root: root, ex: Explain{PlanCached: true, Costs: map[string]float64{}}}
-	c := &selectCompile{e: e, q: q, p: p, tech: tech, eager: e.eagerEdge(q), sel: 1, selS: 1, selR: 1, groups: 1}
+	c := &selectCompile{e: e, cat: cat, q: q, p: p, tech: tech, eager: eagerEdge(cat, q), sel: 1, selS: 1, selR: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.chooseWorkers, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
@@ -237,8 +241,8 @@ func (c *selectCompile) bindEdges() error {
 			}
 			childName = c.q.Edges[ed.Src].Parent
 		}
-		idx, parent := c.e.DB.FK(childName, ed.FK, ed.Parent, ed.PK), c.e.DB.Table(ed.Parent)
-		switch child := c.e.DB.Table(childName); {
+		idx, parent := c.cat.FK(childName, ed.FK, ed.Parent, ed.PK), c.cat.Table(ed.Parent)
+		switch child := c.cat.Table(childName); {
 		case parent == nil:
 			return errNoTable(ed.Parent)
 		case idx != nil:
@@ -318,7 +322,7 @@ func (c *selectCompile) planKeys() error {
 		if tc.col.Dict != nil {
 			hi[i] = int64(max(tc.col.Dict.Len(), 1) - 1)
 		} else {
-			lo[i], hi[i] = c.e.colRange(table.Name, tc.col)
+			lo[i], hi[i] = c.e.colRange(table, tc.col)
 		}
 		key := expr.NewCol(g)
 		if err := expr.Bind(key, expr.Columns(table)); err != nil {
@@ -327,7 +331,7 @@ func (c *selectCompile) planKeys() error {
 		groups, hit := c.e.groupCount(table, key)
 		est *= float64(max(groups, 1))
 		c.stat(hit, start)
-		p.outFields = append(p.outFields, OutField{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
+		p.outFields = append(p.outFields, expr.Field{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
 	}
 	p.keys, c.domain = planGroupKeys(lo, hi)
 	limit := float64(max(p.root.Rows(), 1))
@@ -400,7 +404,7 @@ func (c *selectCompile) stageExprs() error {
 			p.aggs[i].lane = c.lanes
 			c.lanes++
 		}
-		p.outFields = append(p.outFields, OutField{Name: a.As, Log: storage.LogInt})
+		p.outFields = append(p.outFields, expr.Field{Name: a.As, Log: storage.LogInt})
 	}
 
 	reached := make([]bool, len(p.edges))
@@ -529,7 +533,7 @@ func (c *selectCompile) chooseEager(direct float64, tech Technique) bool {
 	c.groups = s
 	p.pk = be.parent.Column(be.idx.PK)
 	start := time.Now()
-	p.pkAscends = c.e.colFacts(be.parent.Name, p.pk).ascends
+	p.pkAscends = c.e.colFacts(be.parent, p.pk).ascends
 	c.statsTime += time.Since(start)
 	return true
 }
@@ -717,9 +721,9 @@ func (c *selectCompile) bindOutput() error {
 		if err := expr.Bind(q.Project[i].Expr, p.outFields); err != nil {
 			return err
 		}
-		f, at := OutField{Name: q.Project[i].As, Log: storage.LogInt}, len(p.outFields)+i
+		f, at := expr.Field{Name: q.Project[i].As, Log: storage.LogInt}, len(p.outFields)+i
 		if col, ok := q.Project[i].Expr.(*expr.Col); ok {
-			at = p.outFields.index(col.Name)
+			at = p.outFields.Index(col.Name)
 			f.Dict, f.Log = p.outFields[at].Dict, p.outFields[at].Log
 		}
 		p.fields, p.proj[i] = append(p.fields, f), at

@@ -18,11 +18,14 @@ import (
 // query itself will run.
 //
 // Columns are immutable once a table is registered (see storage.Database),
-// so a sampled statistic stays exact until the table name is re-bound. The
-// cache keys each entry on (table name, table version, statistic kind,
-// expression text): a stale entry simply stops matching once the version
-// bumps. InvalidateStats drops entries eagerly so replaced tables do not pin
-// dead statistics, and an append merges them (MergeStatsOnAppend).
+// and a write registers a new table object, so a table object is its own
+// version and a statistic sampled from it stays exact for as long as anyone
+// holds it. The cache keys a selectivity or a group count on (table object,
+// statistic kind, expression text) and a column's facts on the column object:
+// an entry made from a replaced table cannot match the replacement, whichever
+// catalog the compile that sampled it had pinned. InvalidateStats drops
+// entries eagerly so replaced tables do not pin dead statistics, and an
+// append moves them onto the new table (MergeStatsOnAppend).
 
 type statsKind uint8
 
@@ -36,10 +39,10 @@ const (
 // is the fingerprint: bound expressions over the same column with the same
 // constants render identically, which is exactly the reuse we want.
 type statsKey struct {
-	table string
-	ver   uint64
+	table *storage.Table  // the table object sampled, or the column's
+	col   *storage.Column // statRange: the column whose facts the entry holds
 	kind  statsKind
-	expr  string
+	expr  string // the expression's text; empty for statRange
 }
 
 type statsEntry struct {
@@ -47,7 +50,6 @@ type statsEntry struct {
 	groups  int
 	lo, hi  int64
 	ascends bool
-	col     *storage.Column // the column lo, hi and ascends were read from
 
 	// Incremental-merge state for the append path (MergeStatsOnAppend):
 	// e is a clone of the sampled expression, owned by the cache so
@@ -79,7 +81,7 @@ func sampleStep(rows int) int { return max(1, rows/statsMaxSample) }
 // Selectivities live in their own bounded map: a stream of never-seen
 // filters adds an entry per filter, and must not push out
 // the few range and group-count entries, which cost a pass over a whole key
-// column to rebuild and leave only when their table's version moves.
+// column to rebuild and leave only when their table is replaced.
 type statsCache struct {
 	sel  map[statsKey]statsEntry // statSelectivity
 	kept map[statsKey]statsEntry // statGroups, statRange
@@ -90,8 +92,8 @@ type statsCache struct {
 // query, so a rare full reset beats LRU bookkeeping on the hit path.
 const maxSelectivityEntries = 1024
 
-// maxKeptEntries is the size past which a put sweeps its table's entries of
-// other versions out of the kept map.
+// maxKeptEntries is the size past which a put sweeps the entries of replaced
+// tables of its table's name out of the kept map.
 const maxKeptEntries = 1024
 
 func (c *statsCache) get(k statsKey) (statsEntry, bool) {
@@ -115,10 +117,10 @@ func (c *statsCache) put(k statsKey, e statsEntry) {
 		c.kept = make(map[statsKey]statsEntry)
 	}
 	if len(c.kept) >= maxKeptEntries {
-		// Only a table re-registered without InvalidateStats gets here: its
-		// older versions' entries can never match again.
+		// Only a table re-registered without InvalidateStats gets here: the
+		// entries of the objects it replaced can never match again.
 		for old := range c.kept {
-			if old.table == k.table && old.ver != k.ver {
+			if old.table.Name == k.table.Name && old.table != k.table {
 				delete(c.kept, old)
 			}
 		}
@@ -130,15 +132,14 @@ func (c *statsCache) put(k statsKey, e statsEntry) {
 func (c *statsCache) each(table string, fn func(m map[statsKey]statsEntry, k statsKey, e statsEntry)) {
 	for _, m := range []map[statsKey]statsEntry{c.sel, c.kept} {
 		for k, e := range m {
-			if k.table == table {
+			if k.table.Name == table {
 				fn(m, k, e)
 			}
 		}
 	}
 }
 
-// invalidate drops every entry that references the named table at any
-// version.
+// invalidate drops every entry of every table object of the given name.
 func (c *statsCache) invalidate(table string) {
 	c.each(table, func(m map[statsKey]statsEntry, k statsKey, _ statsEntry) { delete(m, k) })
 }
@@ -225,21 +226,17 @@ type sampler struct {
 	vals []int64
 }
 
-// of returns t's sample. It is kept only while t is what the catalog holds
-// under its name: a compile that overlaps a write may carry an older table,
-// and a dead table's sample must not outlive the call (nor evict the live
-// one).
-func (s *sampler) of(db *storage.Database, t *storage.Table) *tableSample {
+// of returns t's sample, drawn anew when the one kept under t's name is of
+// another table object.
+func (s *sampler) of(t *storage.Table) *tableSample {
 	if ts := s.tables[t.Name]; ts != nil && ts.src == t {
 		return ts
 	}
-	ts := newTableSample(t)
-	if db.Table(t.Name) == t {
-		if s.tables == nil {
-			s.tables = map[string]*tableSample{}
-		}
-		s.tables[t.Name] = ts
+	if s.tables == nil {
+		s.tables = map[string]*tableSample{}
 	}
+	ts := newTableSample(t)
+	s.tables[t.Name] = ts
 	return ts
 }
 
@@ -300,9 +297,9 @@ func estimateGroups(d, n, rows int) int {
 }
 
 // InvalidateStats drops the named table's cached statistics and its sample.
-// Entries self-invalidate via table versions and a sample via its table's
-// identity, so this is about reclaiming memory (and about making eviction
-// observable to tests), not correctness.
+// Entries and samples are keyed on the table object they were drawn from, so
+// this is about reclaiming memory (and about making eviction observable to
+// tests), not correctness.
 func (e *Engine) InvalidateStats(table string) {
 	e.mu.Lock()
 	e.stats.invalidate(table)
@@ -330,20 +327,20 @@ func (e *Engine) SampledColumns(table string) int {
 }
 
 // selectivity returns the selectivity on t of a predicate bound to it, from
-// cache when a current-version entry exists. cached reports a hit. A nil
+// cache when an entry sampled from t exists. cached reports a hit. A nil
 // filter is selectivity 1 and never touches the cache.
 func (e *Engine) selectivity(t *storage.Table, filter expr.Expr) (sel float64, cached bool) {
 	if filter == nil {
 		return 1.0, false
 	}
-	k := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statSelectivity, expr: filter.String()}
+	k := statsKey{table: t, kind: statSelectivity, expr: filter.String()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ent, ok := e.stats.get(k); ok {
 		return ent.sel, true
 	}
 	clone := expr.Clone(filter)
-	sel, n, err := e.samples.selectivity(e.samples.of(e.DB, t), clone)
+	sel, n, err := e.samples.selectivity(e.samples.of(t), clone)
 	if err != nil {
 		// Unreachable for a filter bound to t: estimate like the absent
 		// filter and cache nothing.
@@ -354,9 +351,9 @@ func (e *Engine) selectivity(t *storage.Table, filter expr.Expr) (sel float64, c
 }
 
 // groupCount returns the estimated distinct count on t of a key expression
-// bound to it, from cache when a current-version entry exists.
+// bound to it, from cache when an entry sampled from t exists.
 func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached bool) {
-	k := statsKey{table: t.Name, ver: e.DB.TableVersion(t.Name), kind: statGroups, expr: key.String()}
+	k := statsKey{table: t, kind: statGroups, expr: key.String()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ent, ok := e.stats.get(k); ok {
@@ -365,7 +362,7 @@ func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached
 	rows := t.Rows()
 	seen := map[int64]struct{}{}
 	clone := expr.Clone(key)
-	n, err := e.samples.groupKeys(e.samples.of(e.DB, t), clone, seen)
+	n, err := e.samples.groupKeys(e.samples.of(t), clone, seen)
 	if err != nil {
 		return max(rows, 1), false // unreachable for a key bound to t: every row its own group
 	}
@@ -381,11 +378,11 @@ func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached
 	return groups, false
 }
 
-// colRange returns the smallest and largest value of a column of the named
-// table. Group-key packing sizes key columns from it and a key-addressed
-// group table bakes it in.
-func (e *Engine) colRange(table string, c *storage.Column) (lo, hi int64) {
-	f := e.colFacts(table, c)
+// colRange returns the smallest and largest value of a column of t.
+// Group-key packing sizes key columns from it and a key-addressed group table
+// bakes it in.
+func (e *Engine) colRange(t *storage.Table, c *storage.Column) (lo, hi int64) {
+	f := e.colFacts(t, c)
 	return f.lo, f.hi
 }
 
@@ -398,47 +395,39 @@ func ascendsFrom(c *storage.Column, i int, before bool) bool {
 	return before
 }
 
-// colFacts returns a column's range and whether it never decreases from one
-// row to the next (an eager plan sorts its groups unless its parent's key
-// ascends), from cache when a current-version entry exists. Plans bake both
-// in, so a hit must come from this very column object (columns are
-// immutable; an append or a replacement makes new ones), and the answer is
-// cached only when c is the catalog's column at the version the key names —
-// so an entry's column is its version's, which lets an append merge it.
-func (e *Engine) colFacts(table string, c *storage.Column) statsEntry {
-	k := statsKey{table: table, ver: e.DB.TableVersion(table), kind: statRange, expr: c.Name}
+// colFacts returns the range of t's column c and whether it never decreases
+// from one row to the next (an eager plan sorts its groups unless its
+// parent's key ascends), from cache when an entry for this very column
+// object exists. Columns are immutable, and an append or a replacement makes
+// new ones, so an entry never goes stale.
+func (e *Engine) colFacts(t *storage.Table, c *storage.Column) statsEntry {
+	k := statsKey{table: t, col: c, kind: statRange}
 	e.mu.Lock()
 	ent, ok := e.stats.get(k)
 	e.mu.Unlock()
-	if ok && ent.col == c {
+	if ok {
 		return ent
 	}
-	ent = statsEntry{col: c, ascends: ascendsFrom(c, 1, true)} // a descent ends the walk: a pass only over an ascending column
+	ent = statsEntry{ascends: ascendsFrom(c, 1, true)} // a descent ends the walk: a pass only over an ascending column
 	ent.lo, ent.hi = c.Range()
-	if t := e.DB.Table(table); t != nil && t.Column(c.Name) == c && e.DB.TableVersion(table) == k.ver {
-		e.mu.Lock()
-		e.stats.put(k, ent)
-		e.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.stats.put(k, ent)
+	e.mu.Unlock()
 	return ent
 }
 
-// MergeStatsOnAppend folds appended rows into the cached statistics of the
-// named table instead of dropping them: each entry recorded at oldVer is
-// re-keyed to the current version after reading only the delta rows
-// [oldRows, Rows), sampled and evaluated like a table of their own.
-// Selectivities merge as row-count-weighted averages; group counts union the
-// delta's keys into the retained distinct-sample; a column range becomes the
-// union of the old range and the delta's, and an ascent checks the delta's
-// rows, both pinned to the new column object.
-// Entries without merge state (or whose expressions no longer bind) are
-// dropped and re-sampled lazily, and so is the old table's sample.
-func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
-	t := e.DB.Table(table)
-	newVer := e.DB.TableVersion(table)
-	if t == nil || newVer == oldVer {
-		return
-	}
+// MergeStatsOnAppend folds appended rows into the cached statistics of old,
+// the table an append replaced with t, instead of dropping them: each entry
+// of old moves to t after reading only the delta rows [old.Rows(), t.Rows()),
+// sampled and evaluated like a table of their own. Selectivities merge as
+// row-count-weighted averages; group counts union the delta's keys into the
+// retained distinct-sample; a column range becomes the union of the old range
+// and the delta's, and an ascent checks the delta's rows, both moved to the
+// new column object. Entries of other objects of the name, entries without
+// merge state and entries whose expressions no longer bind are dropped and
+// re-sampled lazily, and so is the old table's sample.
+func (e *Engine) MergeStatsOnAppend(old, t *storage.Table) {
+	oldRows := old.Rows()
 	var delta *tableSample
 	if oldRows <= t.Rows() {
 		if d, err := t.Slice(oldRows, t.Rows()); err == nil {
@@ -447,25 +436,25 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.samples.tables, table)
-	type rekeyed struct {
+	delete(e.samples.tables, t.Name)
+	type moved struct {
 		k statsKey
 		e statsEntry
 	}
-	var out []rekeyed
-	e.stats.each(table, func(m map[statsKey]statsEntry, k statsKey, ent statsEntry) {
+	var out []moved
+	e.stats.each(t.Name, func(m map[statsKey]statsEntry, k statsKey, ent statsEntry) {
 		delete(m, k)
-		if k.ver != oldVer || delta == nil {
-			return // stale: re-sample lazily
+		if k.table != old || delta == nil {
+			return // another object's: re-sample lazily
 		}
 		dn := delta.src.Rows()
 		switch k.kind {
 		case statRange:
-			// The entry's column held rows [0, oldRows) of the new one (see
-			// colFacts), so old range ∪ delta range is the new column's, and it
-			// ascends if it did and still does across the delta's rows.
-			nc, dc := t.Column(k.expr), delta.src.Column(k.expr)
-			if nc == nil || ent.col == nil || ent.col.Len() != oldRows {
+			// The entry's column is rows [0, oldRows) of the new one, so old
+			// range ∪ delta range is the new column's, and it ascends if it did
+			// and still does across the delta's rows.
+			nc, dc := t.Column(k.col.Name), delta.src.Column(k.col.Name)
+			if nc == nil {
 				return
 			}
 			if dn > 0 {
@@ -477,7 +466,7 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 				}
 			}
 			ent.ascends = ascendsFrom(nc, max(oldRows, 1), ent.ascends)
-			ent.col = nc
+			k.col = nc
 		case statSelectivity:
 			if ent.e == nil {
 				return // unmergeable: re-sample lazily
@@ -501,7 +490,8 @@ func (e *Engine) MergeStatsOnAppend(table string, oldVer uint64, oldRows int) {
 			ent.n += n
 			ent.groups = estimateGroups(len(ent.keys), ent.n, t.Rows())
 		}
-		out = append(out, rekeyed{statsKey{table: table, ver: newVer, kind: k.kind, expr: k.expr}, ent})
+		k.table = t
+		out = append(out, moved{k, ent})
 	})
 	for _, r := range out {
 		e.stats.put(r.k, r.e)

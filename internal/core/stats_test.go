@@ -33,7 +33,6 @@ func TestMergeStatsOnAppend(t *testing.T) {
 	db := testDB(t, 10_000, 100, 8)
 	e := NewEngine(db)
 	r := db.MustTable("r")
-	oldVer := db.TableVersion("r")
 	oldRows := r.Rows()
 
 	filter := lt("r_x", 50)
@@ -63,7 +62,7 @@ func TestMergeStatsOnAppend(t *testing.T) {
 
 	const deltaN = 5000
 	appendRows(t, db, deltaN, 4)
-	e.MergeStatsOnAppend("r", oldVer, oldRows)
+	e.MergeStatsOnAppend(r, db.MustTable("r"))
 
 	if got := e.StatsCacheLen(); got != lenBefore {
 		t.Fatalf("stats entries = %d after merge, want %d (updated in place, not dropped)", got, lenBefore)
@@ -105,16 +104,57 @@ func TestMergeStatsOnAppendStaleVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.selectivity(r, filter)
-	oldRows := r.Rows()
 
-	// Two registrations between sample and merge: the entry's version no
-	// longer matches oldVer, so it must be dropped, not merged.
+	// Two registrations between sample and merge: the entry is of a table
+	// object older than the merge's, so it must be dropped, not merged.
 	appendRows(t, db, 100, 1)
-	staleVer := db.TableVersion("r")
+	stale := db.MustTable("r")
 	appendRows(t, db, 100, 1)
-	e.MergeStatsOnAppend("r", staleVer, oldRows+100)
+	e.MergeStatsOnAppend(stale, db.MustTable("r"))
 	if got := e.StatsCacheLen(); got != 0 {
-		t.Fatalf("stats entries = %d, want 0 (stale-version entries dropped)", got)
+		t.Fatalf("stats entries = %d, want 0 (older objects' entries dropped)", got)
+	}
+}
+
+// TestReplacedTableKeepsItsStats: a compile that overlaps a write samples
+// the table object it pinned, which the catalog may already have replaced.
+// Its statistics belong to that object alone: the replacement's compile
+// draws its own sample instead of being served the replaced table's numbers.
+func TestReplacedTableKeepsItsStats(t *testing.T) {
+	db := testDB(t, 2_000, 10, 4)
+	e := NewEngine(db)
+	old := db.MustTable("r")
+	// The replacement's r_x is never below 50 and its r_c holds one key.
+	cols := make([]*storage.Column, len(old.Columns))
+	for i, c := range old.Columns {
+		vals := make([]int64, old.Rows())
+		if c.Name == "r_x" {
+			for j := range vals {
+				vals[j] = 99
+			}
+		}
+		cols[i] = storage.Compress(c.Name, vals, c.Log)
+	}
+	db.AddTable(storage.MustNewTable("r", cols...))
+	repl := db.MustTable("r")
+
+	bound := func(x expr.Expr, tab *storage.Table) expr.Expr {
+		if err := expr.Bind(x, expr.Columns(tab)); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	if sel, _ := e.selectivity(old, bound(lt("r_x", 50), old)); sel <= 0 {
+		t.Fatalf("replaced table's selectivity %v, want > 0", sel)
+	}
+	if g, _ := e.groupCount(old, bound(expr.NewCol("r_c"), old)); g != 4 {
+		t.Fatalf("replaced table's group count %d, want 4", g)
+	}
+	if sel, hit := e.selectivity(repl, bound(lt("r_x", 50), repl)); hit || sel != 0 {
+		t.Errorf("replacement's selectivity %v (cached=%v), want a fresh 0", sel, hit)
+	}
+	if g, hit := e.groupCount(repl, bound(expr.NewCol("r_c"), repl)); hit || g != 1 {
+		t.Errorf("replacement's group count %d (cached=%v), want a fresh 1", g, hit)
 	}
 }
 
@@ -329,7 +369,7 @@ func TestDividingFilterSamplesVectorized(t *testing.T) {
 	}
 
 	// The append path merges such an entry over a delta of zero divisors.
-	oldVer, oldRows := db.TableVersion("t"), tab.Rows()
+	oldRows := tab.Rows()
 	cols := make([]*storage.Column, len(tab.Columns))
 	for i, c := range tab.Columns {
 		delta := make([]int64, 100)
@@ -341,7 +381,7 @@ func TestDividingFilterSamplesVectorized(t *testing.T) {
 		cols[i] = c.Append(delta)
 	}
 	db.AddTable(storage.MustNewTable("t", cols...))
-	e.MergeStatsOnAppend("t", oldVer, oldRows)
+	e.MergeStatsOnAppend(tab, db.MustTable("t"))
 	merged, hit := e.selectivity(db.MustTable("t"), f)
 	if want := (got*float64(oldRows) + 100) / float64(oldRows+100); !hit || math.Abs(merged-want) > 1e-12 {
 		t.Errorf("merged selectivity %v (cached=%v), want %v", merged, hit, want)
@@ -361,7 +401,7 @@ func TestNeverSeenFiltersKeepRangeAndGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups, _ := e.groupCount(r, key)
-	lo, hi := e.colRange("r", r.Column("r_c"))
+	lo, hi := e.colRange(r, r.Column("r_c"))
 	for i := 0; i < 3000; i++ {
 		f := &expr.Logic{Op: expr.Or, Args: []expr.Expr{lt("r_x", int64(i)), lt("r_a", int64(-i))}}
 		if err := expr.Bind(f, expr.Columns(r)); err != nil {

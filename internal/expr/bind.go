@@ -26,6 +26,36 @@ func (s tableSource) Leaf(name string) (Leaf, error) {
 	return Leaf{Col: col, Dict: col.Dict}, nil
 }
 
+// Field describes one column of a positional row schema: a Volcano tuple,
+// or a compiled plan's aggregate output row and result header.
+type Field struct {
+	Name string
+	Dict *storage.Dict
+	Log  storage.Logical
+}
+
+// Fields is a positional row schema: the Source of a row whose columns are
+// slots.
+type Fields []Field
+
+// Leaf implements Source.
+func (f Fields) Leaf(name string) (Leaf, error) {
+	if i := f.Index(name); i >= 0 {
+		return Leaf{Slot: i, Dict: f[i].Dict}, nil
+	}
+	return Leaf{}, NoColumn(name)
+}
+
+// Index returns the position of name, or -1.
+func (f Fields) Index(name string) int {
+	for i, fd := range f {
+		if fd.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // NoColumn is the error of a positional Source — a row or a tile's vectors —
 // asked for a name it does not hold.
 func NoColumn(name string) error {

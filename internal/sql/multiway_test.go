@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"testing"
 
 	"github.com/reprolab/swole/internal/plan"
@@ -210,7 +211,7 @@ func TestHavingErrors(t *testing.T) {
 		if err != nil {
 			continue // frontend rejection is fine too
 		}
-		if _, err := volcano.Run(p, db); err == nil {
+		if _, err := volcano.Run(context.Background(), p, db); err == nil {
 			t.Errorf("%q executed; want a binding error", q)
 		}
 	}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -37,7 +38,7 @@ func TestExpressionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", sqlText, err)
 		}
-		res, err := volcano.Run(p, db)
+		res, err := volcano.Run(context.Background(), p, db)
 		if err != nil {
 			t.Fatalf("run %q: %v", sqlText, err)
 		}
@@ -177,7 +178,7 @@ func TestParserNeverPanics(t *testing.T) {
 			p, err := Compile(string(src), db)
 			if err == nil {
 				// Compiled mutants must also execute cleanly or error.
-				_, _ = volcano.Run(p, db)
+				_, _ = volcano.Run(context.Background(), p, db)
 			}
 		}()
 	}

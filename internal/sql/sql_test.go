@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"testing"
 
 	"github.com/reprolab/swole/internal/storage"
@@ -60,7 +61,7 @@ func run(t *testing.T, db *storage.Database, q string) *volcano.Result {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", q, err)
 	}
-	res, err := volcano.Run(p, db)
+	res, err := volcano.Run(context.Background(), p, db)
 	if err != nil {
 		t.Fatalf("Run(%q): %v", q, err)
 	}
@@ -222,7 +223,7 @@ func TestDecimalAndDateLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := volcano.Run(p, db)
+	res, err := volcano.Run(context.Background(), p, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestParseErrors(t *testing.T) {
 	db := testDB(t)
 	for _, q := range badStatements {
 		if p, err := Compile(q, db); err == nil {
-			if _, err2 := volcano.Run(p, db); err2 == nil {
+			if _, err2 := volcano.Run(context.Background(), p, db); err2 == nil {
 				t.Errorf("accepted bad query %q", q)
 			}
 		}
@@ -315,7 +316,7 @@ func TestStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := volcano.Run(p, db)
+	res, err := volcano.Run(context.Background(), p, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,8 +164,8 @@ func TestDatabase(t *testing.T) {
 	if db.FK("r", "r_fk", "s", "other") != nil {
 		t.Error("phantom index")
 	}
-	if len(db.Tables()) != 2 {
-		t.Errorf("Tables=%v", db.Tables())
+	if db.Table("r") != child || db.Table("s") != parent {
+		t.Error("tables not registered")
 	}
 }
 
@@ -304,7 +304,6 @@ func TestMustHelpers(t *testing.T) {
 	}
 	mustPanic(t, func() { db.MustTable("zz") })
 	mustPanic(t, func() { tab.MustColumn("zz") })
-	mustPanic(t, func() { db.MustFK("a", "b", "c", "d") })
 	mustPanic(t, func() { MustNewTable("bad", Compress("a", []int64{1}, LogInt), Compress("a", []int64{2}, LogInt)) })
 	mustPanic(t, func() { MustParseDate("nope") })
 }
@@ -319,20 +318,57 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-func TestTableVersion(t *testing.T) {
+// TestCatalogSnapshot: a pinned catalog is one registration state. A
+// replacement table and its rebuilt child index publish together, and a
+// reader that pinned the catalog before keeps the old table and index.
+func TestCatalogSnapshot(t *testing.T) {
 	db := NewDatabase()
-	if v := db.TableVersion("t"); v != 0 {
-		t.Fatalf("version %d before registration", v)
+	db.AddTable(MustNewTable("s", Compress("s_pk", []int64{0, 1}, LogInt)))
+	db.AddTable(MustNewTable("r", Compress("r_fk", []int64{1, 0}, LogInt)))
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		t.Fatal(err)
 	}
-	db.AddTable(MustNewTable("t", Compress("a", []int64{1, 2}, LogInt)))
-	if v := db.TableVersion("t"); v != 1 {
-		t.Fatalf("version %d after first AddTable", v)
+	if err := db.AddFKIndex("r", "r_fk", "nope", "s_pk"); err == nil {
+		t.Error("index over a missing table registered")
 	}
-	db.AddTable(MustNewTable("t", Compress("a", []int64{3, 4}, LogInt)))
-	if v := db.TableVersion("t"); v != 2 {
-		t.Fatalf("version %d after replacement", v)
+	before := db.Catalog()
+	oldR, oldIdx := before.Table("r"), before.FK("r", "r_fk", "s", "s_pk")
+
+	r := MustNewTable("r", Compress("r_fk", []int64{1, 0, 1}, LogInt))
+	idx, err := BuildFKIndex(r, "r_fk", before.Table("s"), "s_pk")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := db.TableVersion("other"); v != 0 {
-		t.Fatalf("unrelated table version %d", v)
+	db.AddTable(r, idx)
+	if before.Table("r") != oldR || before.FK("r", "r_fk", "s", "s_pk") != oldIdx {
+		t.Fatal("a registration changed a pinned catalog")
+	}
+	after := db.Catalog()
+	if after.Table("r") != r || after.FK("r", "r_fk", "s", "s_pk") != idx {
+		t.Fatal("table and its child index did not publish together")
+	}
+	if after.Table("s") != before.Table("s") || len(after.FKIndexes()) != 1 {
+		t.Fatal("an untouched registration moved")
+	}
+}
+
+// TestCatalogPinZeroAlloc: pinning the catalog and resolving a table and a
+// foreign-key index from it — what every compile and every cached
+// statement's freshness check do — allocates nothing.
+func TestCatalogPinZeroAlloc(t *testing.T) {
+	db := NewDatabase()
+	db.AddTable(MustNewTable("s", Compress("s_pk", []int64{0, 1}, LogInt)))
+	db.AddTable(MustNewTable("r", Compress("r_fk", []int64{1, 0}, LogInt)))
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		t.Fatal(err)
+	}
+	r := db.Table("r")
+	if n := testing.AllocsPerRun(100, func() {
+		cat := db.Catalog()
+		if cat.Table("r") != r || cat.FK("r", "r_fk", "s", "s_pk") == nil {
+			t.Fatal("lookup failed")
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations per pin and lookup, want 0", n)
 	}
 }

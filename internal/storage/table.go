@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Table is a named collection of equal-length columns.
@@ -111,67 +113,91 @@ func BuildFKIndex(child *Table, fk string, parent *Table, pk string) (*FKIndex, 
 	return idx, nil
 }
 
-// Database is a set of tables plus their foreign-key indexes.
-//
-// Registration maps are guarded by an internal lock, so lookups may race
-// with AddTable/PutFKIndex: a reader sees either the old or the new
-// registration, never a torn map. Column data itself is immutable once
-// registered, so a stale *Table stays readable for as long as anyone
-// holds it — which is what lets a writer replace a table while queries
-// over the old registration keep running.
-type Database struct {
-	mu      sync.RWMutex
+// fkKey names a foreign-key index by its columns. A struct key, so a lookup
+// builds no string.
+type fkKey struct{ child, fk, parent, pk string }
+
+// Catalog is one registration state of a Database: its tables and
+// foreign-key indexes, immutable once published. A reader that resolves a
+// table and the indexes it probes from one Catalog gets a matching pair,
+// whatever writers publish meanwhile. A registered *Table is its own
+// version: a write registers a new table object, so a cached plan or
+// statistic is current exactly while the catalog still holds the object it
+// was made from.
+type Catalog struct {
 	tables  map[string]*Table
-	indexes map[string]*FKIndex // keyed child.fk->parent.pk
-	// versions counts registrations per table name. Columns are immutable
-	// once registered (the store is append-only at the table granularity:
-	// the only mutation is replacing a whole table), so a table's version
-	// changes exactly when its data can have changed — which is what the
-	// statistics and plan caches key their validity on.
-	versions map[string]uint64
+	indexes map[fkKey]*FKIndex
+}
+
+// Table returns the named table or nil.
+func (c *Catalog) Table(name string) *Table { return c.tables[name] }
+
+// FK returns a registered foreign-key index or nil.
+func (c *Catalog) FK(child, fk, parent, pk string) *FKIndex {
+	return c.indexes[fkKey{child, fk, parent, pk}]
+}
+
+// FKIndexes returns the registered foreign-key indexes in unspecified order.
+func (c *Catalog) FKIndexes() []*FKIndex {
+	out := make([]*FKIndex, 0, len(c.indexes))
+	for _, idx := range c.indexes {
+		out = append(out, idx)
+	}
+	return out
+}
+
+// Database is a set of tables plus their foreign-key indexes, held as one
+// immutable Catalog behind an atomic pointer. A registration copies the
+// current catalog under the writer lock, changes the copy and publishes it
+// in one store; a reader pins the current catalog with one lock-free load
+// (Catalog) and allocates nothing. Column data is immutable once
+// registered, so a table of an older catalog stays readable for as long as
+// anyone holds it — which is what lets a writer replace a table while
+// queries over the old registration keep running.
+type Database struct {
+	mu  sync.Mutex // serializes registrations
+	cat atomic.Pointer[Catalog]
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{
-		tables:   map[string]*Table{},
-		indexes:  map[string]*FKIndex{},
-		versions: map[string]uint64{},
-	}
+	db := &Database{}
+	db.cat.Store(&Catalog{tables: map[string]*Table{}, indexes: map[fkKey]*FKIndex{}})
+	return db
 }
 
-// AddTable registers a table, replacing any previous table of that name
-// and bumping the table's version so caches keyed on it invalidate. A
-// write path that rebuilt the table's child foreign-key indexes passes
-// them along: table and indexes then swap under one lock acquisition.
-func (db *Database) AddTable(t *Table, childIdx ...*FKIndex) {
+// Catalog pins the current registration state.
+func (db *Database) Catalog() *Catalog { return db.cat.Load() }
+
+// publish runs change on a copy of the current catalog and publishes the
+// copy, under the writer lock.
+func (db *Database) publish(change func(next *Catalog) error) error {
 	db.mu.Lock()
-	db.tables[t.Name] = t
-	db.versions[t.Name]++
-	for _, idx := range childIdx {
-		db.indexes[fkKey(idx.Child, idx.FK, idx.Parent, idx.PK)] = idx
+	defer db.mu.Unlock()
+	cur := db.cat.Load()
+	next := &Catalog{tables: maps.Clone(cur.tables), indexes: maps.Clone(cur.indexes)}
+	if err := change(next); err != nil {
+		return err
 	}
-	db.mu.Unlock()
+	db.cat.Store(next)
+	return nil
 }
 
-// TableVersion returns the registration count of the named table: 0 if it
-// was never registered, incremented every time AddTable (re)binds the
-// name. Cached statistics and plans record the versions of the tables
-// they depend on and are stale once any recorded version differs.
-func (db *Database) TableVersion(name string) uint64 {
-	db.mu.RLock()
-	v := db.versions[name]
-	db.mu.RUnlock()
-	return v
+// AddTable registers a table, replacing any previous table of that name. A
+// write path that rebuilt the table's child foreign-key indexes passes them
+// along: table and indexes then publish in one catalog.
+func (db *Database) AddTable(t *Table, childIdx ...*FKIndex) {
+	db.publish(func(next *Catalog) error {
+		next.tables[t.Name] = t
+		for _, idx := range childIdx {
+			next.indexes[fkKey{idx.Child, idx.FK, idx.Parent, idx.PK}] = idx
+		}
+		return nil
+	})
 }
 
-// Table returns the named table or nil.
-func (db *Database) Table(name string) *Table {
-	db.mu.RLock()
-	t := db.tables[name]
-	db.mu.RUnlock()
-	return t
-}
+// Table returns the named table of the current catalog, or nil.
+func (db *Database) Table(name string) *Table { return db.Catalog().Table(name) }
 
 // MustTable returns the named table or panics.
 func (db *Database) MustTable(name string) *Table {
@@ -182,64 +208,24 @@ func (db *Database) MustTable(name string) *Table {
 	return t
 }
 
-// Tables returns the table names in unspecified order.
-func (db *Database) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	return names
-}
-
-func fkKey(child, fk, parent, pk string) string {
-	return child + "." + fk + "->" + parent + "." + pk
-}
-
-// AddFKIndex builds and registers a foreign-key index.
+// AddFKIndex builds and registers a foreign-key index over the current
+// child and parent tables.
 func (db *Database) AddFKIndex(child, fk, parent, pk string) error {
-	idx, err := BuildFKIndex(db.MustTable(child), fk, db.MustTable(parent), pk)
-	if err != nil {
-		return err
-	}
-	db.PutFKIndex(idx)
-	return nil
+	return db.publish(func(next *Catalog) error {
+		c, p := next.tables[child], next.tables[parent]
+		if c == nil || p == nil {
+			return fmt.Errorf("storage: fk index %s.%s -> %s.%s: no such table", child, fk, parent, pk)
+		}
+		idx, err := BuildFKIndex(c, fk, p, pk)
+		if err != nil {
+			return err
+		}
+		next.indexes[fkKey{child, fk, parent, pk}] = idx
+		return nil
+	})
 }
 
-// PutFKIndex registers a pre-built foreign-key index, replacing any
-// previous index over the same columns.
-func (db *Database) PutFKIndex(idx *FKIndex) {
-	db.mu.Lock()
-	db.indexes[fkKey(idx.Child, idx.FK, idx.Parent, idx.PK)] = idx
-	db.mu.Unlock()
-}
-
-// FKIndexes returns a snapshot of the registered foreign-key indexes in
-// unspecified order.
-func (db *Database) FKIndexes() []*FKIndex {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*FKIndex, 0, len(db.indexes))
-	for _, idx := range db.indexes {
-		out = append(out, idx)
-	}
-	return out
-}
-
-// FK returns a registered foreign-key index or nil.
+// FK returns a foreign-key index of the current catalog, or nil.
 func (db *Database) FK(child, fk, parent, pk string) *FKIndex {
-	db.mu.RLock()
-	idx := db.indexes[fkKey(child, fk, parent, pk)]
-	db.mu.RUnlock()
-	return idx
-}
-
-// MustFK returns a registered foreign-key index or panics.
-func (db *Database) MustFK(child, fk, parent, pk string) *FKIndex {
-	idx := db.FK(child, fk, parent, pk)
-	if idx == nil {
-		panic("storage: no fk index " + fkKey(child, fk, parent, pk))
-	}
-	return idx
+	return db.Catalog().FK(child, fk, parent, pk)
 }

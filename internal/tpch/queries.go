@@ -125,7 +125,7 @@ func (d *Data) Prepare(q Query, s Strategy) (Runner, error) {
 	if s == Volcano {
 		p := Plan(q)
 		return func() (Rows, core.Explain, error) {
-			res, err := volcano.Run(p, d.DB)
+			res, err := volcano.Run(context.Background(), p, d.DB)
 			if err != nil {
 				return nil, core.Explain{}, err
 			}

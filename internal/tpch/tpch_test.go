@@ -170,7 +170,10 @@ func TestReferentialIntegrity(t *testing.T) {
 		{"lineitem", "l_partkey", "part", "p_partkey"},
 		{"orders", "o_custkey", "customer", "c_custkey"},
 	} {
-		idx := d.DB.MustFK(fk[0], fk[1], fk[2], fk[3])
+		idx := d.DB.FK(fk[0], fk[1], fk[2], fk[3])
+		if idx == nil {
+			t.Fatalf("fk index %v not registered", fk)
+		}
 		child := d.DB.MustTable(fk[0])
 		if len(idx.Pos) != child.Rows() {
 			t.Errorf("fk index %v has %d entries for %d rows", fk, len(idx.Pos), child.Rows())

@@ -63,7 +63,7 @@ func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
 // Counters tallies per-tile kernel-variant choices. It is a fixed-size
 // value type so plan husks can embed one per worker and merge them without
 // allocating; the totals surface in Explain and in swolebench
-// -kernel-variants. Width-indexed arrays use the storage widths in order
+// -repeat. Width-indexed arrays use the storage widths in order
 // int8, int16, int32, int64.
 type Counters struct {
 	SelSparse uint64 // selection tiles built with the branching loop (sparse mask)

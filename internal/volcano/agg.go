@@ -76,19 +76,19 @@ type aggIter struct {
 	spec     *plan.Aggregate
 	in       iterator
 	keyIdx   []int
-	fields   Fields
+	fields   expr.Fields
 	groups   []Row // emitted rows
 	pos      int
-	inFields Fields
+	inFields expr.Fields
 }
 
-func buildAggregate(a *plan.Aggregate, db *storage.Database) (iterator, Fields, error) {
+func buildAggregate(a *plan.Aggregate, db source) (iterator, expr.Fields, error) {
 	in, inFields, err := build(a.Input, db)
 	if err != nil {
 		return nil, nil, err
 	}
 	keyIdx := make([]int, len(a.GroupBy))
-	outFields := make(Fields, 0, len(a.GroupBy)+len(a.Aggs))
+	outFields := make(expr.Fields, 0, len(a.GroupBy)+len(a.Aggs))
 	for i, g := range a.GroupBy {
 		idx := inFields.Index(g)
 		if idx < 0 {
@@ -103,7 +103,7 @@ func buildAggregate(a *plan.Aggregate, db *storage.Database) (iterator, Fields, 
 				return nil, nil, err
 			}
 		}
-		outFields = append(outFields, Field{Name: a.Aggs[i].As, Log: storage.LogInt})
+		outFields = append(outFields, expr.Field{Name: a.Aggs[i].As, Log: storage.LogInt})
 	}
 	if a.Having != nil {
 		// HAVING sees the finalized output row: keys then aggregates.

@@ -28,7 +28,7 @@ type joinIter struct {
 	out Row
 }
 
-func buildJoin(j *plan.Join, db *storage.Database) (iterator, Fields, error) {
+func buildJoin(j *plan.Join, db source) (iterator, expr.Fields, error) {
 	probe, probeFields, err := build(j.Probe, db)
 	if err != nil {
 		return nil, nil, err
@@ -42,11 +42,11 @@ func buildJoin(j *plan.Join, db *storage.Database) (iterator, Fields, error) {
 	if pIx < 0 || bIx < 0 {
 		return nil, nil, fmt.Errorf("volcano: join keys %s/%s not found", j.ProbeKey, j.BuildKey)
 	}
-	var outFields Fields
+	var outFields expr.Fields
 	if j.Semi {
 		outFields = probeFields
 	} else {
-		outFields = append(append(Fields{}, probeFields...), buildFields...)
+		outFields = append(append(expr.Fields{}, probeFields...), buildFields...)
 	}
 	if j.Residual != nil {
 		// The residual sees the concatenated row (or just the probe row
@@ -134,7 +134,7 @@ func (it *joinIter) close() { it.probe.close() }
 // groups stream out (all of them when Outer, matched ones otherwise).
 type groupJoinIter struct {
 	spec    *plan.GroupJoin
-	fields  Fields
+	fields  expr.Fields
 	openFn  func() error
 	rows    []Row
 	matched []bool
@@ -142,7 +142,7 @@ type groupJoinIter struct {
 	pos     int
 }
 
-func buildGroupJoin(g *plan.GroupJoin, db *storage.Database) (iterator, Fields, error) {
+func buildGroupJoin(g *plan.GroupJoin, db source) (iterator, expr.Fields, error) {
 	buildSide, buildFields, err := build(g.Build, db)
 	if err != nil {
 		return nil, nil, err
@@ -163,9 +163,9 @@ func buildGroupJoin(g *plan.GroupJoin, db *storage.Database) (iterator, Fields, 
 			}
 		}
 	}
-	outFields := append(Fields{}, buildFields...)
+	outFields := append(expr.Fields{}, buildFields...)
 	for _, a := range g.Aggs {
-		outFields = append(outFields, Field{Name: a.As, Log: storage.LogInt})
+		outFields = append(outFields, expr.Field{Name: a.As, Log: storage.LogInt})
 	}
 	it := &groupJoinIter{spec: g, fields: outFields}
 	it.init(buildSide, probe, bIx, pIx)

@@ -8,6 +8,7 @@
 package volcano
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -17,42 +18,13 @@ import (
 	"github.com/reprolab/swole/internal/storage"
 )
 
-// Field describes one column of an intermediate row.
-type Field struct {
-	Name string
-	Dict *storage.Dict
-	Log  storage.Logical
-}
-
-// Fields is an intermediate row schema: the expr.Source of a tuple, whose
-// columns are positions.
-type Fields []Field
-
-// Leaf implements expr.Source.
-func (f Fields) Leaf(name string) (expr.Leaf, error) {
-	if i := f.Index(name); i >= 0 {
-		return expr.Leaf{Slot: i, Dict: f[i].Dict}, nil
-	}
-	return expr.Leaf{}, expr.NoColumn(name)
-}
-
-// Index returns the position of name, or -1.
-func (f Fields) Index(name string) int {
-	for i, fd := range f {
-		if fd.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Row is one widened intermediate tuple. An alias, so a result's rows can
 // be the [][]int64 headers a compiled plan already holds (core.SelectResult).
 type Row = []int64
 
 // Result is a fully materialized query answer.
 type Result struct {
-	Fields Fields
+	Fields expr.Fields
 	Rows   []Row
 }
 
@@ -63,12 +35,24 @@ type iterator interface {
 	close()
 }
 
-// Run executes a logical plan and materializes the answer.
-func Run(n plan.Node, db *storage.Database) (*Result, error) {
+// source is what a plan's operators are built over: the one catalog the
+// statement reads, and the statement's context, which scans poll.
+type source struct {
+	ctx context.Context
+	*storage.Catalog
+}
+
+// pollRows is how many rows a scan reads between two polls of the context.
+const pollRows = 4096
+
+// Run executes a logical plan and materializes the answer. Scans poll ctx
+// every pollRows rows, so a canceled or expired statement stops within a few
+// thousand rows and returns ctx's error.
+func Run(ctx context.Context, n plan.Node, db *storage.Database) (*Result, error) {
 	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
-	it, fields, err := build(n, db)
+	it, fields, err := build(n, source{ctx, db.Catalog()})
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +73,7 @@ func Run(n plan.Node, db *storage.Database) (*Result, error) {
 	}
 }
 
-func build(n plan.Node, db *storage.Database) (iterator, Fields, error) {
+func build(n plan.Node, db source) (iterator, expr.Fields, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return buildScan(x, db)
@@ -112,13 +96,14 @@ func build(n plan.Node, db *storage.Database) (iterator, Fields, error) {
 // ---------------------------------------------------------------- scan
 
 type scanIter struct {
+	ctx    context.Context
 	table  *storage.Table
 	filter expr.Expr
 	row    int
 	out    Row
 }
 
-func buildScan(s *plan.Scan, db *storage.Database) (iterator, Fields, error) {
+func buildScan(s *plan.Scan, db source) (iterator, expr.Fields, error) {
 	t := db.Table(s.Table)
 	if t == nil {
 		return nil, nil, fmt.Errorf("volcano: no table %s", s.Table)
@@ -128,11 +113,11 @@ func buildScan(s *plan.Scan, db *storage.Database) (iterator, Fields, error) {
 			return nil, nil, err
 		}
 	}
-	fields := make(Fields, len(t.Columns))
+	fields := make(expr.Fields, len(t.Columns))
 	for i, c := range t.Columns {
-		fields[i] = Field{Name: c.Name, Dict: c.Dict, Log: c.Log}
+		fields[i] = expr.Field{Name: c.Name, Dict: c.Dict, Log: c.Log}
 	}
-	return &scanIter{table: t, filter: s.Filter}, fields, nil
+	return &scanIter{ctx: db.ctx, table: t, filter: s.Filter}, fields, nil
 }
 
 func (it *scanIter) open() error {
@@ -145,6 +130,11 @@ func (it *scanIter) next() (Row, bool, error) {
 	for it.row < it.table.Rows() {
 		r := it.row
 		it.row++
+		if r%pollRows == 0 {
+			if err := it.ctx.Err(); err != nil {
+				return nil, false, err
+			}
+		}
 		if it.filter != nil && expr.Eval(it.filter, r, nil) == 0 {
 			continue
 		}
@@ -166,7 +156,7 @@ type filterIter struct {
 	pred expr.Expr
 }
 
-func buildFilter(f *plan.Filter, db *storage.Database) (iterator, Fields, error) {
+func buildFilter(f *plan.Filter, db source) (iterator, expr.Fields, error) {
 	in, fields, err := build(f.Input, db)
 	if err != nil {
 		return nil, nil, err
@@ -200,17 +190,17 @@ type mapIter struct {
 	exprs []plan.NamedExpr
 }
 
-func buildMap(m *plan.Map, db *storage.Database) (iterator, Fields, error) {
+func buildMap(m *plan.Map, db source) (iterator, expr.Fields, error) {
 	in, fields, err := build(m.Input, db)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(Fields, len(m.Exprs))
+	out := make(expr.Fields, len(m.Exprs))
 	for i, ne := range m.Exprs {
 		if err := expr.Bind(ne.Expr, fields); err != nil {
 			return nil, nil, err
 		}
-		out[i] = Field{Name: ne.As, Log: inferLog(ne.Expr, fields)}
+		out[i] = expr.Field{Name: ne.As, Log: inferLog(ne.Expr, fields)}
 		if c, ok := ne.Expr.(*expr.Col); ok {
 			if idx := fields.Index(c.Name); idx >= 0 {
 				out[i].Dict = fields[idx].Dict
@@ -220,7 +210,7 @@ func buildMap(m *plan.Map, db *storage.Database) (iterator, Fields, error) {
 	return &mapIter{in: in, exprs: m.Exprs}, out, nil
 }
 
-func inferLog(e expr.Expr, fields Fields) storage.Logical {
+func inferLog(e expr.Expr, fields expr.Fields) storage.Logical {
 	if c, ok := e.(*expr.Col); ok {
 		if idx := fields.Index(c.Name); idx >= 0 {
 			return fields[idx].Log
@@ -251,12 +241,12 @@ type sortIter struct {
 	in     iterator
 	keys   []plan.SortKey
 	limit  int
-	fields Fields
+	fields expr.Fields
 	rows   []Row
 	pos    int
 }
 
-func buildSort(s *plan.Sort, db *storage.Database) (iterator, Fields, error) {
+func buildSort(s *plan.Sort, db source) (iterator, expr.Fields, error) {
 	in, fields, err := build(s.Input, db)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func lt(col string, v int64) expr.Expr {
 
 func TestScanFilterCount(t *testing.T) {
 	db := testDB(t, 500)
-	res, err := Run(&plan.Scan{Table: "r", Filter: lt("r_x", 5)}, db)
+	res, err := Run(context.Background(), &plan.Scan{Table: "r", Filter: lt("r_x", 5)}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestScanFilterCount(t *testing.T) {
 		t.Errorf("got %d rows, want %d", len(res.Rows), want)
 	}
 	// Separate Filter node must agree with scan-embedded filter.
-	res2, err := Run(&plan.Filter{Input: &plan.Scan{Table: "r"}, Pred: lt("r_x", 5)}, db)
+	res2, err := Run(context.Background(), &plan.Filter{Input: &plan.Scan{Table: "r"}, Pred: lt("r_x", 5)}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestScalarAggregate(t *testing.T) {
 			{Func: plan.Avg, Arg: expr.NewCol("r_a"), As: "av"},
 		},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEmptyScalarAggregate(t *testing.T) {
 			{Func: plan.Avg, Arg: expr.NewCol("r_a"), As: "av"},
 		},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestGroupByAggregate(t *testing.T) {
 		GroupBy: []string{"r_fk"},
 		Aggs:    []plan.AggSpec{{Func: plan.Sum, Arg: expr.NewCol("r_a"), As: "s"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestMultiKeyGroupBy(t *testing.T) {
 		GroupBy: []string{"r_fk", "r_x"},
 		Aggs:    []plan.AggSpec{{Func: plan.Count, As: "c"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestInnerJoin(t *testing.T) {
 		},
 		Aggs: []plan.AggSpec{{Func: plan.Sum, Arg: expr.NewCol("r_a"), As: "s"}, {Func: plan.Count, As: "c"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestJoinResidual(t *testing.T) {
 		},
 		Aggs: []plan.AggSpec{{Func: plan.Count, As: "c"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSemiJoin(t *testing.T) {
 		BuildKey: "r_fk",
 		Semi:     true,
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestSemiJoin(t *testing.T) {
 func TestDuplicateBuildKeyRejected(t *testing.T) {
 	db := testDB(t, 10)
 	// r_fk has duplicates, so using r as inner-join build side must error.
-	_, err := Run(&plan.Join{
+	_, err := Run(context.Background(), &plan.Join{
 		Probe: &plan.Scan{Table: "s"}, Build: &plan.Scan{Table: "r"},
 		ProbeKey: "s_pk", BuildKey: "r_fk",
 	}, db)
@@ -305,7 +306,7 @@ func TestGroupJoin(t *testing.T) {
 		ProbeKey: "r_fk",
 		Aggs:     []plan.AggSpec{{Func: plan.Sum, Arg: expr.NewCol("r_a"), As: "s"}, {Func: plan.Count, As: "c"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestOuterGroupJoin(t *testing.T) {
 		Aggs:     []plan.AggSpec{{Func: plan.Count, As: "c"}},
 		Outer:    true,
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestMapAndSort(t *testing.T) {
 		Keys:  []plan.SortKey{{Col: "double_a", Desc: true}},
 		Limit: 5,
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestStringPredicatesThroughJoin(t *testing.T) {
 		},
 		Aggs: []plan.AggSpec{{Func: plan.Count, As: "c"}},
 	}
-	res, err := Run(q, db)
+	res, err := Run(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,26 +421,26 @@ func TestStringPredicatesThroughJoin(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	db := testDB(t, 10)
-	if _, err := Run(&plan.Scan{Table: "nope"}, db); err == nil {
+	if _, err := Run(context.Background(), &plan.Scan{Table: "nope"}, db); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := Run(&plan.Scan{Table: "r", Filter: lt("nope", 1)}, db); err == nil {
+	if _, err := Run(context.Background(), &plan.Scan{Table: "r", Filter: lt("nope", 1)}, db); err == nil {
 		t.Error("unknown filter column accepted")
 	}
-	if _, err := Run(&plan.Sort{Input: &plan.Scan{Table: "r"}, Keys: []plan.SortKey{{Col: "zz"}}}, db); err == nil {
+	if _, err := Run(context.Background(), &plan.Sort{Input: &plan.Scan{Table: "r"}, Keys: []plan.SortKey{{Col: "zz"}}}, db); err == nil {
 		t.Error("unknown sort key accepted")
 	}
-	if _, err := Run(&plan.Aggregate{Input: &plan.Scan{Table: "r"}, GroupBy: []string{"zz"}, Aggs: []plan.AggSpec{{Func: plan.Count, As: "c"}}}, db); err == nil {
+	if _, err := Run(context.Background(), &plan.Aggregate{Input: &plan.Scan{Table: "r"}, GroupBy: []string{"zz"}, Aggs: []plan.AggSpec{{Func: plan.Count, As: "c"}}}, db); err == nil {
 		t.Error("unknown group key accepted")
 	}
-	if _, err := Run(&plan.Scan{}, db); err == nil {
+	if _, err := Run(context.Background(), &plan.Scan{}, db); err == nil {
 		t.Error("invalid plan accepted")
 	}
 }
 
 func TestResultHelpers(t *testing.T) {
 	db := testDB(t, 50)
-	res, err := Run(&plan.Aggregate{
+	res, err := Run(context.Background(), &plan.Aggregate{
 		Input:   &plan.Scan{Table: "r"},
 		GroupBy: []string{"r_fk"},
 		Aggs:    []plan.AggSpec{{Func: plan.Count, As: "c"}},

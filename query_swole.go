@@ -155,8 +155,7 @@ func (d *DB) QuerySwole(q string) (res *Result, ex Explain, err error) {
 //     contrast, aliases cache-owned buffers).
 //
 // Statements outside the SWOLE vocabulary fall back to the interpreted
-// engine, which only honors the deadline between operators, not inside a
-// scan.
+// engine, whose scans poll ctx every few thousand rows.
 func (d *DB) QueryContext(ctx context.Context, q string) (res *Result, ex Explain, err error) {
 	ex, err = d.query(ctx, q, func(r *Result) {
 		own := *r
@@ -200,13 +199,8 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 		ex.PlanCached = false
 		return ex, err
 	}
-	vres, err := volcano.Run(p, d.db)
+	vres, err := volcano.Run(ctx, p, d.db)
 	if err != nil {
-		return Explain{}, err
-	}
-	// The interpreter does not poll the context mid-scan; honor an expired
-	// deadline on completion so callers see one consistent contract.
-	if err := ctx.Err(); err != nil {
 		return Explain{}, err
 	}
 	fn(resultOf(vres))
@@ -314,32 +308,21 @@ func planSignature(spec core.Select) string {
 	return b.String()
 }
 
-// prepareShape compiles the synthesized statement on the engine and wraps
-// it as a cache entry with its table-version dependencies and reusable
-// result. The catalog tables always hold every row, so the one plan is the
-// whole statement under any shard layout.
+// prepareShape compiles the synthesized statement on the engine, once, and
+// wraps it as a cache entry with the table objects it bound and its reusable
+// result. The compile reads one pinned catalog, so its tables and
+// foreign-key indexes match even when a write overlaps it; the entry is
+// then merely stale, which the next lookup's freshness check sees. The
+// catalog tables always hold every row, so the one plan is the whole
+// statement under any shard layout.
 func (d *DB) prepareShape(spec core.Select) (*cachedPlan, error) {
 	d.mu.RLock()
 	c := &cachedPlan{shape: planSignature(spec), gen: d.configGen}
 	d.mu.RUnlock()
-	// A compile looks its tables and foreign-key indexes up one at a time,
-	// so one that overlaps a write could pair the old table with the new
-	// index. Such a compile always straddles a version bump: recompile until
-	// one ran entirely inside a single version of every table it reads.
-	for {
-		c.deps = c.deps[:0]
-		for _, tn := range spec.Tables() {
-			c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn)})
-		}
-		var err error
-		if c.plan, err = d.engine.Prepare(spec); err != nil {
-			return nil, err
-		}
-		if c.fresh(d) {
-			break
-		}
-		spec = spec.Clone()
+	plan, err := d.engine.Prepare(spec)
+	if err != nil {
+		return nil, err
 	}
-	c.setFields(c.plan.Fields())
+	c.plan, c.tables, c.res = plan, plan.Tables(), newResult(plan.Fields())
 	return c, nil
 }

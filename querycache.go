@@ -6,13 +6,13 @@ import (
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
-	"github.com/reprolab/swole/internal/volcano"
+	"github.com/reprolab/swole/internal/storage"
 )
 
 // Plan cache: QuerySwole remembers every SWOLE-shaped statement it has
 // executed as a prepared plan (*core.PreparedSelect). It is the only plan cache in
-// the system — the core engine compiles plans but keeps none — and its
-// tableDeps are the only invalidation path. A repeated
+// the system — the core engine compiles plans but keeps none — and the
+// table objects its plans bound are the only invalidation path. A repeated
 // statement skips the SQL frontend, the sampling pass, and the cost-model
 // evaluation entirely, and executes on preallocated resources — the
 // steady-state path allocates nothing after its first execution.
@@ -25,10 +25,12 @@ import (
 // installed on normalized hits (up to the cache bound), making every
 // spelling fast from its second use.
 //
-// Each entry records the versions of the tables it reads. Entries whose
-// tables have been replaced are dropped lazily on lookup, and
-// CreateTable evicts eagerly (plans and statistics both), so a mutated
-// table can never serve a stale answer.
+// Each entry records the table objects its plan bound, all from the one
+// catalog the compile pinned. Every write — CreateTable, an append,
+// ReplaceShard — registers a new table object, so an entry is current
+// exactly while the catalog still holds each of its tables. Entries whose
+// tables have been replaced are dropped lazily on lookup, and writes evict
+// eagerly, so a mutated table can never serve a stale answer.
 //
 // A cached statement's answer stays in the plan: the entry's Result is a
 // header over the plan-owned flat buffer, which the statement's next
@@ -41,48 +43,27 @@ import (
 // than maxCachedPlans distinct steady-state statements is not steady.
 const maxCachedPlans = 256
 
-// tableDep pins one input table at the version the plan was prepared
-// against. Every write — CreateTable, an append, ReplaceShard — registers a
-// replacement table and so moves the version; a plan bound to the old
-// arrays is dropped on its next lookup, and only that table's plans are.
-type tableDep struct {
-	name string
-	ver  uint64
-}
-
 // cachedPlan is one prepared statement and the header of its answer.
 type cachedPlan struct {
 	// mu serializes executions of this statement: the plan's state and its
 	// result buffer are per-entry and reused across runs. Different
 	// statements run in parallel.
-	mu    sync.Mutex
-	plan  *core.PreparedSelect
-	shape string
-	deps  []tableDep
-	gen   uint64 // DB.configGen when the compile began
+	mu     sync.Mutex
+	plan   *core.PreparedSelect
+	shape  string
+	tables []*storage.Table // the plan's tables (PreparedSelect.Tables)
+	gen    uint64           // DB.configGen when the compile began
 
 	// res aliases the plan's flat result buffer; every run repoints it.
 	res Result
 }
 
-// setFields installs the result header.
-func (c *cachedPlan) setFields(fields []core.OutField) {
-	vf := make(volcano.Fields, len(fields))
-	for i, f := range fields {
-		vf[i] = volcano.Field{Name: f.Name, Dict: f.Dict, Log: f.Log}
-	}
-	c.res = newResult(vf)
-}
-
-// put points the entry's result at a plan's answer, which is the row
-// layout already: nothing is copied and no row header is built.
-func (c *cachedPlan) put(res *core.SelectResult) { c.res.flat = res.Flat }
-
-// fresh reports whether every input table is still at its prepared
-// version.
+// fresh reports whether the catalog still holds every table the plan bound:
+// one lock-free catalog load and a pointer comparison per table.
 func (c *cachedPlan) fresh(d *DB) bool {
-	for _, dep := range c.deps {
-		if d.db.TableVersion(dep.name) != dep.ver {
+	cat := d.db.Catalog()
+	for _, t := range c.tables {
+		if cat.Table(t.Name) != t {
 			return false
 		}
 	}
@@ -91,8 +72,8 @@ func (c *cachedPlan) fresh(d *DB) bool {
 
 // dependsOn reports whether the plan reads the named table.
 func (c *cachedPlan) dependsOn(table string) bool {
-	for _, dep := range c.deps {
-		if dep.name == table {
+	for _, t := range c.tables {
+		if t.Name == table {
 			return true
 		}
 	}
@@ -115,7 +96,7 @@ func (c *cachedPlan) answer(ctx context.Context, fn func(*Result)) (Explain, err
 	if err != nil {
 		return ex, err
 	}
-	c.put(res)
+	c.res.flat = res.Flat // the row layout already: nothing is copied
 	fn(&c.res)
 	return ex, nil
 }

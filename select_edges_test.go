@@ -37,6 +37,26 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string) [][]int64 {
 	}
 	checkParity(t, d, q, false, tag+" QuerySwole cold", func() (*Result, Explain, error) { return d.QuerySwole(q) })
 	checkParity(t, d, q, true, tag+" QuerySwole warm", func() (*Result, Explain, error) { return d.QuerySwole(q) })
+	for _, tech := range d.engine.Techniques(synthesized(t, d, q)) {
+		forced, err := d.engine.PrepareForced(synthesized(t, d, q), tech)
+		if err != nil {
+			t.Fatalf("%s %q forced %s: %v", tag, q, tech, err)
+		}
+		res, _, err := forced.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := forcedRows(forced, res); !rowsEqual(sortedRows(want.Rows()), sortedRows(got)) {
+			t.Errorf("%s %q forced %s:\nvolcano: %.300v\nswole:   %.300v", tag, q, tech, sortedRows(want.Rows()), sortedRows(got))
+		}
+	}
+	return want.Rows()
+}
+
+// synthesized compiles q into a spec of its own: a compile binds the spec's
+// expression trees, so every compile gets fresh ones.
+func synthesized(t *testing.T, d *DB, q string) core.Select {
+	t.Helper()
 	p, err := d.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -45,23 +65,14 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string) [][]int64 {
 	if !ok {
 		t.Fatalf("%q: not synthesized", q)
 	}
-	for _, tech := range d.engine.Techniques(spec) {
-		forced, err := d.engine.PrepareForced(spec.Clone(), tech)
-		if err != nil {
-			t.Fatalf("%s %q forced %s: %v", tag, q, tech, err)
-		}
-		res, _, err := forced.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &cachedPlan{}
-		c.setFields(forced.Fields())
-		c.put(res)
-		if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
-			t.Errorf("%s %q forced %s:\nvolcano: %.300v\nswole:   %.300v", tag, q, tech, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
-		}
-	}
-	return want.Rows()
+	return spec
+}
+
+// forcedRows reads a plan's answer through the statement cache's header.
+func forcedRows(p *core.PreparedSelect, res *core.SelectResult) [][]int64 {
+	r := newResult(p.Fields())
+	r.flat = res.Flat
+	return r.Rows()
 }
 
 // keysAscending reports whether the rows' first nk columns ascend

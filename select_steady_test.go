@@ -170,20 +170,13 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 		if len(want.Rows()) == 0 {
 			t.Fatalf("%s: empty answer proves nothing", f.name)
 		}
-		p, err := d.Plan(f.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, ok := core.Synthesize(d.db, p)
-		if !ok {
-			t.Fatalf("%s: not synthesized", f.name)
-		}
+		spec := synthesized(t, d, f.q)
 		menu := d.engine.Techniques(spec)
 		if wantN := 2 + min(len(spec.GroupBy), 1); len(menu) != wantN {
 			t.Fatalf("%s: menu %v, want %d techniques", f.name, menu, wantN)
 		}
 		for _, tech := range menu {
-			forced, err := d.engine.PrepareForced(spec.Clone(), tech)
+			forced, err := d.engine.PrepareForced(synthesized(t, d, f.q), tech)
 			if err != nil {
 				t.Fatalf("%s forced %s: %v", f.name, tech, err)
 			}
@@ -195,15 +188,12 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 				if ex.Technique != tech {
 					t.Errorf("%s forced %s: Explain.Technique=%s", f.name, tech, ex.Technique)
 				}
-				c := &cachedPlan{}
-				c.setFields(forced.Fields())
-				c.put(res)
-				if !rowsEqual(sortedRows(want.Rows()), sortedRows(c.res.Rows())) {
-					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(c.res.Rows()))
+				if got := forcedRows(forced, res); !rowsEqual(sortedRows(want.Rows()), sortedRows(got)) {
+					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(got))
 				}
 			}
 		}
-		if _, err := d.engine.PrepareForced(spec.Clone(), core.TechDataCentric); err == nil {
+		if _, err := d.engine.PrepareForced(synthesized(t, d, f.q), core.TechDataCentric); err == nil {
 			t.Errorf("%s: data-centric accepted on a generic statement", f.name)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // columns are immutable once registered, and plans bind their column
 // arrays when they compile: a write builds a replacement table off to the
 // side and registers it in one step, an in-flight query finishes on the
-// snapshot it compiled against, and the table-version check of the plan
-// cache recompiles the next one. shardMu serializes writers against each
+// catalog it compiled against, and the plan cache's freshness check sees the
+// new table object and recompiles the next one. shardMu serializes writers against each
 // other and guards only the layout metadata below.
 
 // tableShards is the shard layout of one sharded table.
@@ -59,11 +59,12 @@ func (d *DB) ShardTable(name string, k int) error {
 	}
 	d.shardMu.Lock()
 	defer d.shardMu.Unlock()
-	t := d.db.Table(name)
+	cat := d.db.Catalog()
+	t := cat.Table(name)
 	if t == nil {
 		return fmt.Errorf("swole: ShardTable: no table %s", name)
 	}
-	for _, idx := range d.db.FKIndexes() {
+	for _, idx := range cat.FKIndexes() {
 		if idx.Parent == name {
 			return fmt.Errorf("swole: ShardTable: %s is the parent of foreign key %s.%s and cannot be sharded", name, idx.Child, idx.FK)
 		}
@@ -92,8 +93,8 @@ func (d *DB) ShardTable(name string, k int) error {
 // before the shard, the new rows, the old rows after it — and its child
 // foreign-key indexes are built off to the side, and only then are table,
 // indexes and bounds registered together, so a failed replacement changes
-// nothing. The table's version advances, which evicts its plans; its
-// statistics are dropped. Queries in flight finish on the old arrays.
+// nothing. The new table object evicts the table's plans; its statistics
+// are dropped. Queries in flight finish on the old arrays.
 func (d *DB) ReplaceShard(name string, shard int, cols ...Column) error {
 	d.shardMu.Lock()
 	defer d.shardMu.Unlock()
@@ -118,7 +119,8 @@ func (d *DB) ReplaceShard(name string, shard int, cols ...Column) error {
 	if err != nil {
 		return err
 	}
-	old := d.db.Table(name)
+	cat := d.db.Catalog()
+	old := cat.Table(name)
 	if err := matchSchema(old, repl); err != nil {
 		return err
 	}
@@ -126,11 +128,11 @@ func (d *DB) ReplaceShard(name string, shard int, cols ...Column) error {
 	// Index only the new rows — that is the referential-integrity check —
 	// and splice their positions between the old index's untouched ends.
 	var newIdx []*storage.FKIndex
-	for _, idx := range d.db.FKIndexes() {
+	for _, idx := range cat.FKIndexes() {
 		if idx.Child != name {
 			continue
 		}
-		ridx, err := storage.BuildFKIndex(repl, idx.FK, d.db.Table(idx.Parent), idx.PK)
+		ridx, err := storage.BuildFKIndex(repl, idx.FK, cat.Table(idx.Parent), idx.PK)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package swole
 import (
 	"context"
 	"fmt"
+	"github.com/reprolab/swole/internal/storage"
 	"math/rand"
 	"strings"
 	"sync"
@@ -254,7 +255,7 @@ func replacement(n int, fk int64) []Column {
 
 // TestReplaceShardFailureChangesNothing pins ReplaceShard's atomicity:
 // nothing is registered until the replacement table and all of its child
-// indexes are built, so a refused replacement leaves the table version, the
+// indexes are built, so a refused replacement leaves the registered tables, the
 // shard layout, the plan cache and every answer exactly as they were.
 func TestReplaceShardFailureChangesNothing(t *testing.T) {
 	d, err := LoadMicro(MicroConfig{Rows: 20_000, DimRows: 100, GroupKeys: 16, Seed: 3})
@@ -276,7 +277,7 @@ func TestReplaceShardFailureChangesNothing(t *testing.T) {
 		"select s_x, sum(r_b) as q, count(*) as n from r, s where r_fk = s_pk and s_x < 50 group by s_x",
 	}
 	type state struct {
-		vers    [3]uint64
+		tables  [3]*storage.Table
 		counts  [3]int
 		bounds  string
 		plans   int
@@ -285,7 +286,7 @@ func TestReplaceShardFailureChangesNothing(t *testing.T) {
 	snapshot := func(label string) state {
 		var st state
 		for i, tn := range []string{"r", "s", "g"} {
-			st.vers[i], st.counts[i] = d.db.TableVersion(tn), d.ShardCount(tn)
+			st.tables[i], st.counts[i] = d.db.Table(tn), d.ShardCount(tn)
 		}
 		st.bounds = fmt.Sprint(d.shardMeta["r"].bounds, d.shardMeta["g"].bounds)
 		for i, q := range queries {
@@ -347,11 +348,11 @@ func TestReplaceShardFailureChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := snapshot("")
-	if after.vers[0] == before.vers[0] || after.bounds == before.bounds || fmt.Sprint(after.answers) == fmt.Sprint(before.answers) {
+	if after.tables[0] == before.tables[0] || after.bounds == before.bounds || fmt.Sprint(after.answers) == fmt.Sprint(before.answers) {
 		t.Errorf("a successful replacement changed nothing (test is vacuous): %v", after)
 	}
-	if after.vers[1] != before.vers[1] || after.vers[2] != before.vers[2] {
-		t.Errorf("replacing a shard of r re-registered another table: versions %v, were %v", after.vers, before.vers)
+	if after.tables[1] != before.tables[1] || after.tables[2] != before.tables[2] {
+		t.Errorf("replacing a shard of r re-registered another table: %v, were %v", after.tables, before.tables)
 	}
 	for _, q := range queries {
 		checkParity(t, d, q, true, "after replacement", func() (*Result, Explain, error) { return d.QuerySwole(q) })

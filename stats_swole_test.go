@@ -14,7 +14,7 @@ import (
 // never-seen statement's estimate must equal a row-at-a-time pass over the
 // new table's sampled positions — on the classic and the generic compile
 // path — the old table's sample must be gone, and samples must never pile
-// up across versions, all while another goroutine compiles never-seen
+// up across table objects, all while another goroutine compiles never-seen
 // statements of its own.
 func TestSampleFollowsWrites(t *testing.T) {
 	const rows, maxSample = 40_000, 16384 // every other row is sampled

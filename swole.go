@@ -22,10 +22,12 @@
 package swole
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
+	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ingest"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/sql"
@@ -53,7 +55,7 @@ type DB struct {
 	engine *core.Engine
 
 	// Plan cache (querycache.go): prepared SWOLE statements keyed by raw
-	// and whitespace-normalized query text, invalidated by table version.
+	// and whitespace-normalized query text, invalidated by table object.
 	// mu guards only the maps; executions run under each entry's own lock.
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
@@ -150,8 +152,8 @@ func (d *DB) CreateTable(name string, cols ...Column) error {
 	d.db.AddTable(t)
 	delete(d.shardMeta, name)
 	d.shardMu.Unlock()
-	// Registering a name — first time or replacement — bumps the table's
-	// version; drop statistics and plans that read the old data.
+	// Registering a name — first time or replacement — publishes a new table
+	// object; drop statistics and plans that read the old one.
 	d.invalidateTable(name)
 	return nil
 }
@@ -172,13 +174,13 @@ func (d *DB) AddForeignKey(child, fk, parent, pk string) error {
 // Result is a materialized query answer: a header and the values row-major
 // in one flat array, the layout the plans emit and /query encodes from.
 type Result struct {
-	fields volcano.Fields
+	fields expr.Fields
 	cols   []string // fields' names, shared by every copy of the header
 	flat   []int64  // row i is flat[i*len(cols) : (i+1)*len(cols)]
 }
 
 // newResult builds a header over an empty answer.
-func newResult(fields volcano.Fields) Result {
+func newResult(fields expr.Fields) Result {
 	cols := make([]string, len(fields))
 	for i, f := range fields {
 		cols[i] = f.Name
@@ -235,7 +237,7 @@ func (d *DB) Query(q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := volcano.Run(p, d.db)
+	res, err := volcano.Run(context.Background(), p, d.db)
 	if err != nil {
 		return nil, err
 	}
