@@ -18,13 +18,10 @@ import (
 // and statistics are untouched, and no reader waits: a query in flight
 // finishes on the arrays it compiled against.
 //
-// On a sharded table the appended rows extend the last row-range shard
-// until it reaches twice the nominal shard size fixed at ShardTable time;
-// after that the delta becomes a fresh shard. Either way only the layout's
-// bounds move (shard.go).
-//
-// Lock order: ingestMu → shardMu → d.mu; engine mutexes are leaves.
-// shardMu guards the shard layouts and serializes table writers.
+// A batch holds the DB's writeMu from the catalog read its rows decode
+// against to its registration, so it appends to the registration it
+// decoded for: a CreateTable of the same name waits, and the kernel's
+// dictionary codes always belong to the column they land in.
 
 // IngestPolicy controls what a malformed CSV row does to a batch.
 type IngestPolicy = ingest.Policy
@@ -61,9 +58,14 @@ type IngestReport struct {
 // append. The kernel is compiled once per table and reused across
 // batches, so the warm parse path performs zero heap allocations.
 func (d *DB) AppendCSV(table string, data []byte, policy IngestPolicy) (IngestReport, error) {
-	d.ingestMu.Lock()
-	defer d.ingestMu.Unlock()
-	k, err := d.kernelLocked(table)
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	cat := d.db.Catalog()
+	t := cat.Table(table)
+	if t == nil {
+		return IngestReport{}, fmt.Errorf("swole: AppendCSV: no table %s", table)
+	}
+	k, err := d.kernelLocked(t)
 	if err != nil {
 		return IngestReport{}, err
 	}
@@ -81,7 +83,7 @@ func (d *DB) AppendCSV(table string, data []byte, policy IngestPolicy) (IngestRe
 	if k.Accepted() == 0 {
 		return rep, nil
 	}
-	if err := d.appendColumns(table, k.Columns()); err != nil {
+	if err := d.appendColumns(cat, t, k.Columns()); err != nil {
 		rep.Accepted = 0
 		return rep, err
 	}
@@ -96,9 +98,10 @@ func (d *DB) AppendRows(table string, rows [][]int64) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	d.ingestMu.Lock()
-	defer d.ingestMu.Unlock()
-	t := d.db.Table(table)
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	cat := d.db.Catalog()
+	t := cat.Table(table)
 	if t == nil {
 		return fmt.Errorf("swole: AppendRows: no table %s", table)
 	}
@@ -124,25 +127,21 @@ func (d *DB) AppendRows(table string, rows [][]int64) error {
 			}
 		}
 	}
-	return d.appendColumns(table, cols)
+	return d.appendColumns(cat, t, cols)
 }
 
 // kernelLocked returns the table's compiled CSV kernel, rebuilding it when
 // the table's schema has drifted from the one the kernel was compiled for
-// (a CreateTable under the same name). Callers hold ingestMu.
-func (d *DB) kernelLocked(table string) (*ingest.Kernel, error) {
-	t := d.db.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("swole: AppendCSV: no table %s", table)
-	}
-	if k := d.kernels[table]; k != nil && kernelMatches(k.Schema(), t) {
+// (a CreateTable under the same name). Callers hold writeMu.
+func (d *DB) kernelLocked(t *storage.Table) (*ingest.Kernel, error) {
+	if k := d.kernels[t.Name]; k != nil && kernelMatches(k.Schema(), t) {
 		return k, nil
 	}
 	k, err := ingest.NewKernel(ingest.SchemaFor(t), ingest.Strict)
 	if err != nil {
 		return nil, err
 	}
-	d.kernels[table] = k
+	d.kernels[t.Name] = k
 	return k, nil
 }
 
@@ -162,32 +161,11 @@ func kernelMatches(s ingest.Schema, t *storage.Table) bool {
 }
 
 // appendColumns is the one write path under AppendCSV and AppendRows:
-// build the replacement table, verify every constraint before registering
-// anything, register it and move the shard bounds, then run the
-// invalidation protocol. Callers hold ingestMu.
-func (d *DB) appendColumns(name string, cols [][]int64) error {
-	d.shardMu.Lock()
-	defer d.shardMu.Unlock()
-	cat := d.db.Catalog()
-	t := cat.Table(name)
-	if t == nil {
-		return fmt.Errorf("swole: append: no table %s", name)
-	}
-	if len(cols) != len(t.Columns) {
-		return fmt.Errorf("swole: append: %d columns for table %s with %d", len(cols), name, len(t.Columns))
-	}
-	n := len(cols[0])
-	for i, c := range cols {
-		if len(c) != n {
-			return fmt.Errorf("swole: append: column %d has %d values, column 0 has %d", i, len(c), n)
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	oldRows := t.Rows()
-	newRows := oldRows + n
-
+// build the replacement of t from cols (one column of values per table
+// column, as long as each other), verify every constraint before
+// registering anything, register it, then run the invalidation protocol.
+// Callers hold writeMu and read t from cat under it.
+func (d *DB) appendColumns(cat *storage.Catalog, t *storage.Table, cols [][]int64) error {
 	// Build the replacement table and verify every constraint — foreign-key
 	// extension, parent-key uniqueness — before registering anything, so a
 	// failed append leaves no partial state.
@@ -195,13 +173,13 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 	for i, c := range t.Columns {
 		newCols[i] = c.Append(cols[i])
 	}
-	newTab, err := storage.NewTable(name, newCols...)
+	newTab, err := storage.NewTable(t.Name, newCols...)
 	if err != nil {
 		return err
 	}
-	var childIdx []*storage.FKIndex // extended indexes where name is the child
+	var childIdx []*storage.FKIndex // extended indexes where t is the child
 	for _, idx := range cat.FKIndexes() {
-		switch name {
+		switch t.Name {
 		case idx.Child:
 			parent := cat.Table(idx.Parent)
 			ext, err := storage.ExtendFKIndex(idx, newTab, parent)
@@ -218,24 +196,13 @@ func (d *DB) appendColumns(name string, cols [][]int64) error {
 			}
 		}
 	}
-
 	d.db.AddTable(newTab, childIdx...)
-	if meta := d.shardMeta[name]; meta != nil {
-		k := meta.k()
-		if oldRows-meta.bounds[k-1] >= 2*meta.target {
-			// Shard-growth rule: the last shard is already at twice its
-			// nominal size; the delta becomes shard k.
-			meta.bounds = append(meta.bounds, newRows)
-		} else {
-			meta.bounds[k] = newRows
-		}
-	}
 
 	// Invalidation protocol: the eviction covers cached plans (their bound
 	// arrays are length-capped views of the old data); the stats merge
 	// folds the delta into cached statistics instead of dropping them.
 	// Only this table is touched.
-	d.evictPlans(name)
+	d.evictPlans(t.Name)
 	d.engine.MergeStatsOnAppend(t, newTab)
 	return nil
 }

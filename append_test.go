@@ -190,100 +190,6 @@ func TestAppendExtendsFKIndex(t *testing.T) {
 	}
 }
 
-func TestAppendShardedRoutesToLastShard(t *testing.T) {
-	d := cacheTestDB(t, 1) // table t: 4096 rows
-	defer d.Close()
-	if err := d.ShardTable("t", 4); err != nil { // target 1024/shard
-		t.Fatal(err)
-	}
-	ref := func() int64 { return sumQty(t, d, "select sum(a) from t where x < 5") }
-	want := ref()
-	// A small append fits the last shard: the layout stays at 4.
-	rows := make([][]int64, 100)
-	for i := range rows {
-		rows[i] = []int64{int64(i % 7), int64(i % 10), int64(i % 5)}
-	}
-	if err := d.AppendRows("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ShardCount("t"); got != 4 {
-		t.Fatalf("ShardCount = %d after small append, want 4", got)
-	}
-	meta := d.shardMeta["t"]
-	if got := meta.bounds[4]; got != 4196 {
-		t.Fatalf("last bound = %d, want 4196", got)
-	}
-	if got := meta.bounds[3]; got != 3072 {
-		t.Errorf("append moved shard 3's lower bound to %d, want 3072", got)
-	}
-	res, ex, err := d.QuerySwole("select sum(a) from t where x < 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.ShardCount != 0 {
-		t.Errorf("in-process Explain reports a %d-way fan-out", ex.ShardCount)
-	}
-	newWant := ref()
-	if newWant == want {
-		t.Fatal("append did not change the answer (test is vacuous)")
-	}
-	if got := res.Rows()[0][0]; got != newWant {
-		t.Errorf("sharded answer = %d, interpreter = %d", got, newWant)
-	}
-}
-
-func TestAppendShardGrowth(t *testing.T) {
-	d := cacheTestDB(t, 1) // 4096 rows
-	defer d.Close()
-	if err := d.ShardTable("t", 2); err != nil { // target 2048/shard
-		t.Fatal(err)
-	}
-	big := make([][]int64, 2100)
-	for i := range big {
-		big[i] = []int64{int64(i % 7), int64(i % 10), int64(i % 5)}
-	}
-	// First big append: last shard goes 2048 → 4148 rows, still k=2
-	// (growth triggers when the shard is already at 2× target).
-	if err := d.AppendRows("t", big); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ShardCount("t"); got != 2 {
-		t.Fatalf("ShardCount = %d, want 2", got)
-	}
-	// Second append finds the last shard at 4148 >= 2*2048: grows shard 3
-	// covering exactly the delta.
-	if err := d.AppendRows("t", big[:300]); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ShardCount("t"); got != 3 {
-		t.Fatalf("ShardCount = %d after growth, want 3", got)
-	}
-	meta := d.shardMeta["t"]
-	if got := meta.bounds[3] - meta.bounds[2]; got != 300 {
-		t.Errorf("grown shard rows = %d, want 300", got)
-	}
-	if got := d.db.Table("t").Rows(); got != meta.bounds[3] {
-		t.Errorf("table holds %d rows, the layout ends at %d", got, meta.bounds[3])
-	}
-	res, ex, err := d.QuerySwole("select c, sum(a) from t where x < 5 group by c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.ShardCount != 0 {
-		t.Errorf("in-process Explain reports a %d-way fan-out", ex.ShardCount)
-	}
-	refRes, err := d.Query("select c, sum(a) from t where x < 5 group by c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm, wm := rowsAsMap(t, res), rowsAsMap(t, refRes)
-	for k, w := range wm {
-		if gm[k] != w {
-			t.Errorf("group %d = %d, want %d", k, gm[k], w)
-		}
-	}
-}
-
 func TestAppendInvalidatesPlansThenRecaches(t *testing.T) {
 	d := cacheTestDB(t, 1)
 	defer d.Close()

@@ -333,3 +333,21 @@ func TestReconfigureUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// planWorkers reports how many morsel workers q's cached plan runs on.
+func planWorkers(t *testing.T, d *DB, q string) int {
+	t.Helper()
+	d.mu.RLock()
+	c := d.plans[q]
+	d.mu.RUnlock()
+	if c == nil {
+		t.Fatalf("%q is not plan-cached", q)
+	}
+	c.mu.Lock()
+	_, ex, err := c.plan.RunContext(context.Background())
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex.Workers
+}

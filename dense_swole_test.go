@@ -233,7 +233,7 @@ func TestDenseDomainOnBenchmarkStatements(t *testing.T) {
 
 // TestDenseRangeFollowsWrites: a key-addressed plan bakes the key range of
 // the column object it was compiled against. Every write that widens the
-// range — AppendRows above it, AppendCSV below it, a ReplaceShard far past
+// range — AppendRows above it, AppendCSV below it, a ReplaceRows far past
 // it — makes the next run recompile against the new range, and every write
 // to the groupjoin's child, a row referencing a parent key no row referenced
 // before among them, recompiles the groupjoin; each answers exactly as the
@@ -347,15 +347,12 @@ func TestDenseRangeFollowsWrites(t *testing.T) {
 	}
 	check("AppendRows referencing a new parent", 96, 96, 1000)
 
-	if err := d.ShardTable("c", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReplaceShard("c", 1,
+	if err := d.ReplaceRows("c", 2002, 4003,
 		IntColumn("c_k", []int64{5000, 11, 13}), IntColumn("c_fk", []int64{999, 0, 1}), IntColumn("c_v", []int64{1, 2, 3}),
 	); err != nil {
 		t.Fatal(err)
 	}
-	check("ReplaceShard far past the range", 5021, 5021, 1000)
+	check("ReplaceRows far past the range", 5021, 5021, 1000)
 
 	close(stop)
 	wg.Wait()

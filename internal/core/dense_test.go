@@ -158,7 +158,7 @@ func TestMergeStatsOnAppendRange(t *testing.T) {
 		}
 	}
 
-	// A replacement (ReplaceShard, CreateTable) drops the entry: the new
+	// A replacement (ReplaceRows, CreateTable) drops the entry: the new
 	// column shares no prefix with the old one.
 	e.InvalidateStats("r")
 	if _, ok := rangeEntry(e, "r_c"); ok {

@@ -6,7 +6,7 @@ import "fmt"
 // granularity — a table is mutated by registering a replacement — but the
 // replacement built here shares the old backing arrays whenever the new
 // values fit the column's physical width. Readers hold length-bounded
-// slice headers (every shard view is a full slice expression), so writing
+// slice headers (every row-range view is a full slice expression), so writing
 // values past the old length never races with a reader of the old view;
 // the append layer serializes writers externally.
 

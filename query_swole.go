@@ -85,9 +85,8 @@ type Explain struct {
 
 	// The Shard* fields describe a coordinator scatter-gather over shard
 	// processes (cmd/swoled -shards) and are set by the coordinator only.
-	// An in-process execution leaves them zero, whatever the table's
-	// ShardTable layout: that layout is write-side, and the query is one
-	// plan on one engine.
+	// An in-process execution leaves them zero: the query is one plan on
+	// one engine.
 	//
 	// ShardCount is the number of shard processes the query was sent to.
 	ShardCount int
@@ -312,9 +311,7 @@ func planSignature(spec core.Select) string {
 // wraps it as a cache entry with the table objects it bound and its reusable
 // result. The compile reads one pinned catalog, so its tables and
 // foreign-key indexes match even when a write overlaps it; the entry is
-// then merely stale, which the next lookup's freshness check sees. The
-// catalog tables always hold every row, so the one plan is the whole
-// statement under any shard layout.
+// then merely stale, which the next lookup's freshness check sees.
 func (d *DB) prepareShape(spec core.Select) (*cachedPlan, error) {
 	d.mu.RLock()
 	c := &cachedPlan{shape: planSignature(spec), gen: d.configGen}

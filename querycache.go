@@ -27,7 +27,7 @@ import (
 //
 // Each entry records the table objects its plan bound, all from the one
 // catalog the compile pinned. Every write — CreateTable, an append,
-// ReplaceShard — registers a new table object, so an entry is current
+// ReplaceRows — registers a new table object, so an entry is current
 // exactly while the catalog still holds each of its tables. Entries whose
 // tables have been replaced are dropped lazily on lookup, and writes evict
 // eagerly, so a mutated table can never serve a stale answer.
@@ -217,7 +217,7 @@ func (d *DB) dropPlanLocked(c *cachedPlan) {
 }
 
 // invalidateTable evicts cached statistics and plans that read the named
-// table. Called on every CreateTable.
+// table. Called on every replacement (replaceTable).
 func (d *DB) invalidateTable(table string) {
 	d.engine.InvalidateStats(table)
 	d.evictPlans(table)

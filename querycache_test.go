@@ -223,76 +223,46 @@ func TestInvalidationGranularity(t *testing.T) {
 		t.Error("t's plan evicted by u's replacement")
 	}
 
-	// Re-sharding is a layout change, not a data change, and no plan bakes
-	// the layout in: it evicts nothing and drops no statistic, for either
-	// table.
+	// Replacing rows is a data change in one table: exactly that table's
+	// plans go (and its statistics with them); the other table's plan stays
+	// warm. Rows 2048..4095 become one row that passes the filter.
 	if _, _, err := d.QuerySwole("select sum(v) from u where v < 100"); err != nil {
 		t.Fatal(err)
 	}
 	if d.PlanCacheLen() != 2 {
 		t.Fatalf("plan cache holds %d entries, want 2", d.PlanCacheLen())
 	}
-	statsBefore := d.engine.StatsCacheLen()
-	if err := d.ShardTable("t", 2); err != nil {
+	if err := d.ReplaceRows("t", 2048, 4096, IntColumn("a", []int64{11}), IntColumn("x", []int64{0}), IntColumn("c", []int64{0})); err != nil {
 		t.Fatal(err)
 	}
-	if d.PlanCacheLen() != 2 {
-		t.Errorf("re-sharding t left cache len %d, want 2 (nothing evicted)", d.PlanCacheLen())
-	}
-	if got := d.engine.StatsCacheLen(); got != statsBefore {
-		t.Errorf("re-sharding dropped statistics: %d, want %d (layout changes keep stats)", got, statsBefore)
+	if d.PlanCacheLen() != 1 {
+		t.Errorf("ReplaceRows on t left cache len %d, want 1 (u's plan only)", d.PlanCacheLen())
 	}
 	if _, ex, err = d.QuerySwole("select sum(v) from u where v < 100"); err != nil {
 		t.Fatal(err)
 	} else if !ex.PlanCached {
-		t.Error("u's plan evicted by t's re-sharding")
+		t.Error("u's plan evicted by t's ReplaceRows")
 	}
 	res3, ex, err := d.QuerySwole(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.PlanCached {
-		t.Error("t's plan evicted by its own re-sharding")
-	}
-	if got := res3.Rows()[0][0]; got != want {
-		t.Errorf("answer changed after sharding: got %d, want %d", got, want)
-	}
-
-	// Replacing a shard is a data change in one table: exactly that
-	// table's plans go (and its statistics with them); the other table's
-	// plan stays warm. Shard 1 is rows 2048..4095; its replacement is one
-	// row that passes the filter.
-	if err := d.ReplaceShard("t", 1, IntColumn("a", []int64{11}), IntColumn("x", []int64{0}), IntColumn("c", []int64{0})); err != nil {
-		t.Fatal(err)
-	}
-	if d.PlanCacheLen() != 1 {
-		t.Errorf("ReplaceShard on t left cache len %d, want 1 (u's plan only)", d.PlanCacheLen())
-	}
-	if _, ex, err = d.QuerySwole("select sum(v) from u where v < 100"); err != nil {
-		t.Fatal(err)
-	} else if !ex.PlanCached {
-		t.Error("u's plan evicted by t's ReplaceShard")
-	}
-	res3, ex, err = d.QuerySwole(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ex.PlanCached {
-		t.Error("t's stale plan served after ReplaceShard")
+		t.Error("t's stale plan served after ReplaceRows")
 	}
 	ref, err := d.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want = ref.Rows()[0][0]; res3.Rows()[0][0] != want {
-		t.Errorf("post-ReplaceShard answer = %d, interpreter says %d", res3.Rows()[0][0], want)
+		t.Errorf("post-ReplaceRows answer = %d, interpreter says %d", res3.Rows()[0][0], want)
 	}
 
 	// Appending is a data change in one table: it must evict exactly that
 	// table's plans, and — unlike CreateTable — *merge* the table's cached
 	// statistics with the delta rather than dropping them. Other tables'
 	// plans and statistics survive untouched.
-	statsBefore = d.engine.StatsCacheLen()
+	statsBefore := d.engine.StatsCacheLen()
 	if statsBefore == 0 {
 		t.Fatal("no stats cached before append (test is vacuous)")
 	}

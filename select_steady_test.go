@@ -51,21 +51,17 @@ func selectFormDBs(t testing.TB) (micro, fuzz *DB) {
 
 // TestSelectSteadyZeroAlloc is the generic executor's steady-state gate:
 // the third and later QuerySwole executions of every statement form — SQL
-// text in, materialized rows out — allocate nothing, over unsharded fact
-// tables, over fact tables split four ways, and with the ungrouped forms
-// scanning on a gang of four over many small morsels.
+// text in, materialized rows out — allocate nothing, on the default gang
+// and with the ungrouped forms scanning on a gang of four over many small
+// morsels.
 func TestSelectSteadyZeroAlloc(t *testing.T) {
-	for _, cfg := range []struct{ shards, workers int }{{1, 0}, {4, 0}, {1, 4}} {
-		shards := cfg.shards
+	for _, workers := range []int{0, 4} {
 		micro, fuzz := selectFormDBs(t)
 		defer micro.Close()
 		defer fuzz.Close()
-		for d, fact := range map[*DB]string{micro: "r", fuzz: "f"} {
-			if err := d.ShardTable(fact, shards); err != nil {
-				t.Fatal(err)
-			}
-			if cfg.workers > 0 {
-				d.SetWorkers(cfg.workers)
+		if workers > 0 {
+			for _, d := range []*DB{micro, fuzz} {
+				d.SetWorkers(workers)
 				smallMorsels(d)
 			}
 		}
@@ -83,10 +79,10 @@ func TestSelectSteadyZeroAlloc(t *testing.T) {
 					t.Fatalf("%s fell back to the interpreter", f.name)
 				}
 				if rep == 1 && (!ex.PlanCached || ex.FreshAllocs != 0) {
-					t.Errorf("shards=%d %s: second run PlanCached=%t FreshAllocs=%d", shards, f.name, ex.PlanCached, ex.FreshAllocs)
+					t.Errorf("workers=%d %s: second run PlanCached=%t FreshAllocs=%d", workers, f.name, ex.PlanCached, ex.FreshAllocs)
 				}
 				if (ex.DenseDomain > 0) != f.dense {
-					t.Errorf("shards=%d %s: DenseDomain=%d, want key-addressed=%v", shards, f.name, ex.DenseDomain, f.dense)
+					t.Errorf("workers=%d %s: DenseDomain=%d, want key-addressed=%v", workers, f.name, ex.DenseDomain, f.dense)
 				}
 			}
 			allocs := testing.AllocsPerRun(10, func() {
@@ -95,7 +91,7 @@ func TestSelectSteadyZeroAlloc(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("shards=%d %s: %.1f allocs per warm execution, want 0", shards, f.name, allocs)
+				t.Errorf("workers=%d %s: %.1f allocs per warm execution, want 0", workers, f.name, allocs)
 			}
 		}
 	}

@@ -111,11 +111,9 @@ func TestSampleFollowsWrites(t *testing.T) {
 			_, err := d.AppendCSV("c", []byte("1,1,1\n2,2,2\n0,0,0\n0,0,0\n"), IngestStrict)
 			return err
 		}},
-		{"ReplaceShard", func() error {
-			if err := d.ShardTable("c", 4); err != nil {
-				return err
-			}
-			return d.ReplaceShard("c", 1, table(12_000)...)
+		{"ReplaceRows", func() error {
+			n := d.db.Table("c").Rows()
+			return d.ReplaceRows("c", n/4, n/2, table(12_000)...)
 		}},
 		{"CreateTable", func() error { return d.CreateTable("c", table(50_000)...) }},
 	}

@@ -35,24 +35,18 @@ var steadyQueries = []struct {
 // second and later executions of each gated statement through the full
 // QuerySwole path — SQL text in, materialized result out — must not
 // allocate, at one worker and at four. The gated statements are
-// steadyQueries, whether or not the fact table is sharded (a shard layout is
-// write-side only; the read path never sees it), and at test scale the
-// statements the steady-state benchmarks time: the 15 micro_classic
-// statements, the 8 tpch_generic ones, and the sparse key's hashed group-by.
+// steadyQueries, and at test scale the statements the steady-state
+// benchmarks time: the 15 micro_classic statements, the 8 tpch_generic
+// ones, and the sparse key's hashed group-by.
 func TestQuerySwoleSteadyZeroAlloc(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		d := steadyTestDB(t)
-		defer d.Close()
-		if err := d.ShardTable("r", shards); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			d.SetWorkers(workers)
-			for _, tc := range steadyQueries {
-				tag := fmt.Sprintf("shards=%d workers=%d %s", shards, workers, tc.name)
-				if ex := steadyZeroAlloc(t, d, tag, tc.q); (ex.DenseDomain > 0) != tc.dense {
-					t.Errorf("%s: DenseDomain=%d, want key-addressed=%v", tag, ex.DenseDomain, tc.dense)
-				}
+	d := steadyTestDB(t)
+	defer d.Close()
+	for _, workers := range []int{1, 4} {
+		d.SetWorkers(workers)
+		for _, tc := range steadyQueries {
+			tag := fmt.Sprintf("workers=%d %s", workers, tc.name)
+			if ex := steadyZeroAlloc(t, d, tag, tc.q); (ex.DenseDomain > 0) != tc.dense {
+				t.Errorf("%s: DenseDomain=%d, want key-addressed=%v", tag, ex.DenseDomain, tc.dense)
 			}
 		}
 	}

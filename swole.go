@@ -13,6 +13,9 @@
 //     SWOLE executor (QuerySwole) that recognizes the paper's operator
 //     shapes, consults the cost models, and applies value masking, key
 //     masking, access merging, positional bitmaps, or eager aggregation
+//   - a write path that never blocks readers: CreateTable, ReplaceRows,
+//     AppendRows and AppendCSV each register a replacement table, with the
+//     foreign-key indexes naming it rebuilt or extended in the same step
 //   - the code generator (GenerateCode) that emits the Go source each
 //     strategy would produce
 //   - built-in workloads (LoadTPCH, LoadMicro) reproducing the paper's
@@ -44,12 +47,11 @@ import (
 // parallel down to the engine locks below. Note that the *Result
 // returned by QuerySwole aliases cache-owned buffers and is only safe to
 // read until the same statement runs again; concurrent callers should
-// use QueryContext, which returns a private copy. Schema changes
-// (CreateTable, AddForeignKey, ShardTable) and engine reconfiguration
-// (SetWorkers) may run concurrently with queries, and so
-// may the write paths (AppendRows, AppendCSV, ReplaceShard): a writer
+// use QueryContext, which returns a private copy. Engine reconfiguration
+// (SetWorkers) and the writes (CreateTable, AddForeignKey, ReplaceRows,
+// AppendRows, AppendCSV) may run concurrently with queries: a writer
 // registers a replacement table and never blocks a reader — in-flight
-// scans finish on the immutable arrays they started on (see shard.go).
+// scans finish on the immutable arrays they started on (see replace.go).
 type DB struct {
 	db     *storage.Database
 	engine *core.Engine
@@ -62,17 +64,13 @@ type DB struct {
 	normPlans map[string]*cachedPlan
 	configGen uint64 // bumped by SetWorkers; see storePlan
 
-	// Shard layouts (shard.go): the row ranges of tables split with
-	// ShardTable. shardMu guards shardMeta and, held exclusively, serializes
-	// the writers that replace a catalog table.
-	shardMu   sync.RWMutex
-	shardMeta map[string]*tableShards
-
-	// Ingestion (append.go): per-table compiled CSV kernels, reused across
-	// batches so the warm parse path allocates nothing. ingestMu also
-	// serializes whole append batches against each other.
-	ingestMu sync.Mutex
-	kernels  map[string]*ingest.Kernel
+	// writeMu serializes the writes: each holds it from its first catalog
+	// read to its registration, so a write builds on the registration it
+	// read. Lock order: writeMu → d.mu; engine mutexes are leaves. It also
+	// guards kernels, the per-table compiled CSV kernels (append.go), reused
+	// across batches so the warm parse path allocates nothing.
+	writeMu sync.Mutex
+	kernels map[string]*ingest.Kernel
 }
 
 // NewDB returns an empty database.
@@ -88,7 +86,6 @@ func newDBWith(db *storage.Database) *DB {
 		engine:    core.NewEngine(db),
 		plans:     map[string]*cachedPlan{},
 		normPlans: map[string]*cachedPlan{},
-		shardMeta: map[string]*tableShards{},
 		kernels:   map[string]*ingest.Kernel{},
 	}
 }
@@ -131,43 +128,39 @@ func StringColumn(name string, vals []string) Column {
 }
 
 // CreateTable registers a table with the given columns, which must share
-// one length.
+// one length, replacing any table of that name. Replacing a table rebuilds
+// the foreign-key indexes that name it; if one of its foreign keys no
+// longer holds, CreateTable fails and changes nothing.
 func (d *DB) CreateTable(name string, cols ...Column) error {
-	sc := make([]*storage.Column, len(cols))
-	for i, c := range cols {
-		if c.err != nil {
-			return c.err
-		}
-		if c.col == nil {
-			return fmt.Errorf("swole: column %d of table %s is uninitialized", i, name)
-		}
-		sc[i] = c.col
-	}
-	t, err := storage.NewTable(name, sc...)
+	t, err := newTable(name, cols)
 	if err != nil {
 		return err
 	}
-	// A (re)created table starts unsharded.
-	d.shardMu.Lock()
-	d.db.AddTable(t)
-	delete(d.shardMeta, name)
-	d.shardMu.Unlock()
-	// Registering a name — first time or replacement — publishes a new table
-	// object; drop statistics and plans that read the old one.
-	d.invalidateTable(name)
-	return nil
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	return d.replaceTable(d.db.Catalog(), t)
+}
+
+// newTable builds a table from columns under construction.
+func newTable(name string, cols []Column) (*storage.Table, error) {
+	sc := make([]*storage.Column, len(cols))
+	for i, c := range cols {
+		if c.err != nil {
+			return nil, c.err
+		}
+		if c.col == nil {
+			return nil, fmt.Errorf("swole: column %d of table %s is uninitialized", i, name)
+		}
+		sc[i] = c.col
+	}
+	return storage.NewTable(name, sc...)
 }
 
 // AddForeignKey declares and verifies a foreign key from child.fk to
 // parent.pk, building the positional index SWOLE's bitmap joins use.
-// The parent must be unsharded: the index addresses parent rows by
-// position, which replacing a shard of the parent would move.
 func (d *DB) AddForeignKey(child, fk, parent, pk string) error {
-	d.shardMu.Lock()
-	defer d.shardMu.Unlock()
-	if d.shardMeta[parent] != nil {
-		return fmt.Errorf("swole: AddForeignKey: parent table %s is sharded; foreign-key parents cannot be", parent)
-	}
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
 	return d.db.AddFKIndex(child, fk, parent, pk)
 }
 
