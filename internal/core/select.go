@@ -25,18 +25,18 @@ import (
 //	               (Section III-D), so no hash table is built — or, under
 //	               hybrid, narrows the selection vector to the lanes whose
 //	               parent qualified
-//	tile vectors   every joined-schema column the statement reads becomes
-//	               one []int64 vector: widened in place for root columns,
-//	               gathered by position for parent columns
+//	tile vectors   every joined-schema column the statement reads but a fused
+//	               fold's own becomes one []int64 vector: widened in place for
+//	               root columns, gathered by position for parent columns
 //	row stage      residual and aggregate arguments evaluate over whole
 //	               vectors; a residual is one more AND into the mask
-//	group keys     GROUP BY keys pack into one int64 (selectkeys.go); a lone
-//	               key column whose table is key-addressed is its own key,
-//	               its tile vector passed on unpacked
-//	fold           one pass resolves the keys to slots of the worker's
-//	               ht.AggTable and folds the tuple count and a leading sum
-//	               (FoldTile); each further lane folds its value vector over
-//	               the slots
+//	group keys     GROUP BY keys pack into one int64 (selectkeys.go) — a lone
+//	               key column of a key-addressed table is its own key — or,
+//	               for a fused fold, pack inside its loop
+//	fold           one loop resolves the keys to slots of the worker's
+//	               ht.AggTable and folds the count and every lane of a fused
+//	               signature (selectfuse.go), or the count and a leading sum
+//	               (FoldTile) with each further lane folding over the slots
 //
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
@@ -248,6 +248,7 @@ type PreparedSelect struct {
 	// their own names — so its answer is the table's (key, lane 0) pairs
 	// (emitPairs).
 	pairOut bool
+	fused   *fusedFold // the grouped fold in one pass a tile (selectfuse.go), or nil
 
 	// Grouped statements: key packing and one group table per worker, which
 	// the run merges into the first, tab. Scalar statements (tab == nil)
@@ -743,11 +744,15 @@ func (p *PreparedSelect) foldScalar(s *worker, part []int64, base, m int, cmp []
 // from the mask (ht.FoldTileKeyMasked), and a hashed one, whose probe needs
 // a key, is handed keys masked to ht.NullKey. Value masking looks every
 // lane's real key up and has rejected lanes contribute the aggregate's
-// identity and no count. The resolve, the count and a leading sum lane fold
-// in one pass (ht.FoldTile); the lanes after it fold over its slots.
+// identity and no count. A fused fold (selectfuse.go) folds the count and
+// every lane in the loop that resolves the slots; otherwise the resolve, the
+// count and a leading sum fold in one pass (ht.FoldTile), the rest over its slots.
 func (p *PreparedSelect) foldGroups(s *worker, tab *ht.AggTable, base, m int, cmp []byte) {
-	keys := p.keys.fill(s.vecs, m, s.keys)
-	keyMask := p.tech == TechKeyMasking && !p.pairFold
+	keyMask, f, slots := p.tech == TechKeyMasking && !p.pairFold, p.fused, s.slots[:m]
+	var keys []int64
+	if f == nil || f.keys == nil {
+		keys = p.keys.fill(s.vecs, m, s.keys)
+	}
 	switch {
 	case keyMask:
 		s.ctr.KeyMask++
@@ -758,7 +763,11 @@ func (p *PreparedSelect) foldGroups(s *worker, tab *ht.AggTable, base, m int, cm
 	case p.tech == TechValueMasking:
 		s.ctr.MaskedAgg++
 	}
-	fold, slots, lane := p.fold, s.slots[:m], 0
+	if f != nil {
+		f.run(f, tab, base, keys, slots, cmp)
+		return
+	}
+	fold, lane := p.fold, 0
 	var first []int64
 	if len(fold) > 0 {
 		if a := &p.aggs[fold[0]]; a.kind == AggSum || a.kind == AggAvg {

@@ -565,13 +565,21 @@ func (c *selectCompile) sumBound() uint64 {
 // filter.
 func (c *selectCompile) bindRowStage() error {
 	p := c.p
+	// A lone key column addresses a key-addressed table by value — its slot
+	// is still the packed key — unless no table can start at its digit origin.
+	d, lo := int64(p.ex.DenseDomain), int64(0)
+	if o := p.keys.lo; d > 0 && len(c.keyCols) == 1 && o[0] != ht.NullKey && o[0]+(d-1) >= o[0] {
+		lo, p.keys.byValue = o[0], true
+	}
 	need := func(tc tileCol) {
 		if slot(p.cols, tc.name) < 0 {
 			p.cols = append(p.cols, tc)
 		}
 	}
-	for _, tc := range c.keyCols {
-		need(tc)
+	if p.fused = c.fuseFold(); p.fused == nil || p.fused.keys == nil {
+		for _, tc := range c.keyCols {
+			need(tc)
+		}
 	}
 	for _, st := range c.stages {
 		if st.root && p.tech != TechHybrid {
@@ -638,12 +646,6 @@ func (c *selectCompile) bindRowStage() error {
 		p.acc = p.part[1 : 1+c.lanes]
 		c.fresh++
 		return nil
-	}
-	// A lone key column addresses a key-addressed table by value — its slot
-	// is still the packed key — unless no table can start at its digit origin.
-	d, lo := int64(p.ex.DenseDomain), int64(0)
-	if o := p.keys.lo; d > 0 && len(p.keys.cols) == 1 && o[0] != ht.NullKey && o[0]+(d-1) >= o[0] {
-		lo, p.keys.byValue = o[0], true
 	}
 	p.tabs = make([]*ht.AggTable, p.nw)
 	for w := range p.tabs {

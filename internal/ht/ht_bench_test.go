@@ -1,9 +1,13 @@
 package ht
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/reprolab/swole/internal/vec"
 )
@@ -180,5 +184,96 @@ func BenchmarkAggFoldForms(b *testing.B) {
 			})
 		}
 	}
+	// The fused record folds against the lane-by-lane form they replace, at
+	// int8 and int32 argument widths over the same keys and 50% mask:
+	// "perlane" widens the arguments, folds the count (and the first sum)
+	// with FoldTile and the next lane with SumTile, or MinTile and MaxTile;
+	// "fused" is FoldSum2 ("lanes3": count + two sums) or FoldMinMax, reading
+	// the arguments in place. A hashed table resolves its slots first.
+	for _, d := range []struct {
+		name   string
+		domain int
+		skew   bool
+	}{{"k7skew", 7, true}, {"k100", 100, false}, {"k100K", 100_000, false}} {
+		keys, vals, cmp := input(d.domain, d.skew)
+		for _, form := range []string{"hashed", "dense"} {
+			tab := func(minmax bool) *AggTable {
+				t := NewAggTable(2, d.domain)
+				if form == "dense" {
+					t = NewDenseAggTable(2, 0, int64(d.domain-1), false)
+				}
+				if minmax {
+					t.SetIdentity(0, math.MaxInt64)
+					t.SetIdentity(1, math.MinInt64)
+				}
+				return t
+			}
+			name := "fold/" + form + "/%s/%s/w%d/" + d.name
+			benchFusedForms(b, name, tab, keys, narrow[int8](vals), cmp)
+			benchFusedForms(b, name, tab, keys, narrow[int32](vals), cmp)
+		}
+	}
 	sinkSlot += len(out)
+}
+
+// narrow copies vals at a stored width.
+func narrow[T Int](vals []int64) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = T(v)
+	}
+	return out
+}
+
+// benchFusedForms runs BenchmarkAggFoldForms' fused rows for one argument
+// width: lanes3 and minmax, per lane and fused, over tables tab builds. The
+// second sum's argument is the first's, reversed.
+func benchFusedForms[T Int](b *testing.B, name string, tab func(minmax bool) *AggTable, keys []int64, vals []T, cmp []byte) {
+	const rows, tile = 2 << 20, 1024
+	width := int(unsafe.Sizeof(vals[0])) * 8
+	other := slices.Clone(vals)
+	slices.Reverse(other)
+	slots, wa, wb := make([]int32, tile), make([]int64, tile), make([]int64, tile)
+	run := func(kernel, form string, minmax bool, fold func(t *AggTable, k []int64, a, o []T, m []byte)) {
+		t := tab(minmax)
+		b.Run(fmt.Sprintf(name, kernel, form, width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.Reset()
+				for r := 0; r < rows; r += tile {
+					fold(t, keys[r:r+tile], vals[r:r+tile], other[r:r+tile], cmp[r:r+tile])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
+	key := func(t *AggTable, k []int64) TileKey[int32] {
+		t.LookupTile(k, slots)
+		return TileKey[int32]{K0: slots, K1: slots}
+	}
+	run("lanes3", "perlane", false, func(t *AggTable, k []int64, a, o []T, m []byte) {
+		vec.WidenU(a, wa)
+		vec.WidenU(o, wb)
+		t.FoldTile(k, slots, 0, wa, m)
+		t.SumTile(slots, 1, wb, m)
+	})
+	run("lanes3", "fused", false, func(t *AggTable, k []int64, a, o []T, m []byte) {
+		if t.span == 0 {
+			FoldSum2(t, key(t, k), a, o, m, false)
+		} else {
+			FoldSum2(t, TileKey[int64]{K0: k, K1: k}, a, o, m, false)
+		}
+	})
+	run("minmax", "perlane", true, func(t *AggTable, k []int64, a, _ []T, m []byte) {
+		vec.WidenU(a, wa)
+		t.FoldTile(k, slots, 0, nil, m)
+		t.MinTile(slots, 0, wa, m)
+		t.MaxTile(slots, 1, wa, m)
+	})
+	run("minmax", "fused", true, func(t *AggTable, k []int64, a, _ []T, m []byte) {
+		if t.span == 0 {
+			FoldMinMax(t, key(t, k), a, m, false)
+		} else {
+			FoldMinMax(t, TileKey[int64]{K0: k, K1: k}, a, m, false)
+		}
+	})
 }

@@ -65,7 +65,6 @@ func kernelCases() map[string][]kernelCase {
 	for _, pct := range []int{1, 50, 99} {
 		_, _, cmp := kernelData[int32](pct)
 		cases["Sel"] = append(cases["Sel"],
-			kernelCase{"branch/sel" + itoa(pct), 0, func() { sinkInt += SelFromCmpBranch(cmp, sel) }},
 			kernelCase{"nobranch/sel" + itoa(pct), 0, func() { sinkInt += SelFromCmpNoBranch(cmp, sel) }},
 			kernelCase{"adaptive/sel" + itoa(pct), 0, func() {
 				n, _ := SelFromCmpAdaptive(cmp, sel)

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -9,6 +10,8 @@ import (
 // loops they replaced, kept here as the reference: for masks of any length
 // from 0 to 2·TileSize+63 starting at any offset into their backing array,
 // the results agree lane for lane and no byte outside the mask is written.
+// The eight-lane selection build agrees with the byte loop on every prefix
+// of a tile, 0 to TileSize lanes, and writes no index past the prefix.
 
 func refAnd(dst, src []byte) {
 	for i := range dst {
@@ -32,6 +35,17 @@ func refFill(dst []byte, v byte) {
 	for i := range dst {
 		dst[i] = v
 	}
+}
+
+// refSel is the byte-at-a-time selection build.
+func refSel(cmp []byte, sel []int32) (k int) {
+	for j, v := range cmp {
+		if v != 0 {
+			sel[k] = int32(j)
+			k++
+		}
+	}
+	return k
 }
 
 func refCount(m []byte) (n int) {
@@ -119,6 +133,21 @@ func FuzzMaskOps(f *testing.F) {
 		}
 		if got := AllZeros(m); got != (ones == 0) {
 			t.Fatalf("AllZeros: off=%d len=%d with %d set: %t", o, l, ones, got)
+		}
+
+		tile := lanes(data, TileSize, int(off))
+		sel, want32 := make([]int32, TileSize+8), make([]int32, TileSize)
+		for n := 0; n <= TileSize; n++ {
+			for i := range sel {
+				sel[i] = -1
+			}
+			k, d := SelFromCmpAdaptive(tile[:n], sel[:n])
+			if r := refSel(tile[:n], want32); k != r || d != ClassifyDensity(r, n) || !slices.Equal(sel[:k], want32[:r]) {
+				t.Fatalf("SelFromCmpAdaptive: len=%d selects %d (%v), byte loop %d", n, k, d, r)
+			}
+			if i := slices.IndexFunc(sel[n:], func(v int32) bool { return v != -1 }); i >= 0 {
+				t.Fatalf("SelFromCmpAdaptive: len=%d wrote sel[%d], past the tile", n, n+i)
+			}
 		}
 	})
 }

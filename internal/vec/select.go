@@ -1,11 +1,15 @@
 package vec
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // This file implements selection-vector construction, the second inner loop
-// of the hybrid strategy in the paper's Figure 1. Two variants are provided,
-// following Ross (PODS 2002): a branching implementation, which is superior
-// for very low or very high selectivities, and the predicated "no-branch"
-// implementation, which replaces the control dependency with a data
-// dependency to avoid branch mispredictions at intermediate selectivities.
+// of the hybrid strategy in the paper's Figure 1: the predicated "no-branch"
+// loop of the figure, which replaces the control dependency with a data
+// dependency (Ross, PODS 2002), and the eight-lane loop the engine runs
+// (SelFromCmpAdaptive), which takes no branch on a lane at any density.
 
 // SelFromCmpNoBranch appends the indexes of set lanes in cmp to sel using
 // the predicated technique shown in Figure 1 (hybrid, second inner loop):
@@ -27,18 +31,23 @@ func SelFromCmpNoBranch(cmp []byte, sel []int32) int {
 	return k
 }
 
-// SelFromCmpBranch appends the indexes of set lanes in cmp to sel using a
-// conditional branch. Faster than the no-branch variant when the branch is
-// predictable (selectivity near 0% or 100%).
-func SelFromCmpBranch(cmp []byte, sel []int32) int {
-	k := 0
-	for j := range cmp {
-		if cmp[j] != 0 {
-			sel[k] = int32(j)
-			k++
-		}
+// SelFromCmpAdaptive builds a selection vector from cmp eight lanes a step: a
+// multiply packs the eight 0/1 bytes into one byte, selPos lists its set
+// positions, all eight are stored, and the fill advances by the byte's
+// popcount — no branch on a lane, the same cost at every density. The fill
+// never passes the lane index, so nothing past len(cmp) entries of sel is
+// written. It returns the count and its density class (for Counters).
+func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
+	k, j := 0, 0
+	for ; j+8 <= len(cmp); j += 8 {
+		b := binary.LittleEndian.Uint64(cmp[j:]) * 0x0102040810204080 >> 56
+		p, s, o := &selPos[b], sel[k:k+8:k+8], int32(j)
+		s[0], s[1], s[2], s[3] = o+p[0], o+p[1], o+p[2], o+p[3]
+		s[4], s[5], s[6], s[7] = o+p[4], o+p[5], o+p[6], o+p[7]
+		k += bits.OnesCount8(uint8(b))
 	}
-	return k
+	k, _ = SelFromCmpOffset(cmp[j:], j, sel, k)
+	return k, ClassifyDensity(k, len(cmp))
 }
 
 // SelFromCmpOffset is the ROF variant: it appends *global* tuple indexes
@@ -56,3 +65,13 @@ func SelFromCmpOffset(cmp []byte, base int, sel []int32, k int) (fill, consumed 
 	}
 	return k, len(cmp)
 }
+
+// selPos lists each byte's set bit positions, lowest first, at their stored width.
+var selPos = func() (t [256][8]int32) {
+	for b := range t {
+		for k, m := 0, uint8(b); m != 0; k, m = k+1, m&(m-1) {
+			t[b][k] = int32(bits.TrailingZeros8(m))
+		}
+	}
+	return t
+}()

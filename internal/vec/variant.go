@@ -5,17 +5,15 @@ import "fmt"
 // This file implements the adaptive parts of the kernel-variant layer:
 // per-tile mask-density classification and the counters that record which
 // specialized variant actually ran. Ross (PODS 2002) shows branch vs
-// no-branch selection build is a selectivity question; instead of deciding
-// once per query from sampled selectivity, the adaptive kernels decide per
-// tile from a cheap popcount, so skewed columns get the right loop on every
-// tile. See DESIGN.md §11.
+// no-branch selection build is a selectivity question; the selection build
+// here answers it with a loop that branches on no lane, and reports each
+// tile's density class from the count it returns. See DESIGN.md §11.
 
 // Density classifies a tile's comparison vector by how many lanes are set.
 type Density uint8
 
-// Density classes. Sparse and Dense masks make the selection branch
-// predictable, so the branching loop wins there; Mid-density masks
-// mispredict, so the predicated no-branch loop wins.
+// Density classes. Sparse and Dense masks make a per-lane selection branch
+// predictable; Mid-density masks mispredict it.
 const (
 	DensitySparse Density = iota // ≤ 1/16 of lanes set
 	DensityMid                   // in between: mispredict territory
@@ -47,28 +45,15 @@ func ClassifyDensity(ones, n int) Density {
 	}
 }
 
-// SelFromCmpAdaptive builds a selection vector from cmp, picking the
-// branching or predicated loop per tile from a popcount of the mask. It
-// returns the selection count and the density class it chose (callers
-// tally the class into Counters).
-func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
-	ones := CountOnes(cmp)
-	d := ClassifyDensity(ones, len(cmp))
-	if d == DensityMid {
-		return SelFromCmpNoBranch(cmp, sel), d
-	}
-	return SelFromCmpBranch(cmp, sel), d
-}
-
 // Counters tallies per-tile kernel-variant choices. It is a fixed-size
 // value type so plan husks can embed one per worker and merge them without
 // allocating; the totals surface in Explain and in swolebench
 // -repeat. Width-indexed arrays use the storage widths in order
 // int8, int16, int32, int64.
 type Counters struct {
-	SelSparse uint64 // selection tiles built with the branching loop (sparse mask)
-	SelMid    uint64 // selection tiles built with the predicated no-branch loop
-	SelDense  uint64 // selection tiles built with the branching loop (dense mask)
+	SelSparse uint64 // selection tiles over a sparse mask
+	SelMid    uint64 // selection tiles over a mid-density mask
+	SelDense  uint64 // selection tiles over a dense mask
 
 	Cmp   [4]uint64 // cmp-prepass tiles by native lane width
 	Widen [4]uint64 // key/value widen tiles by native lane width

@@ -108,7 +108,7 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 			sel := make([]int32, n)
 			selRef := make([]int32, n)
 			ns, d := SelFromCmpAdaptive(cmp, sel)
-			nr := SelFromCmpBranch(cmp, selRef)
+			nr := SelFromCmpNoBranch(cmp, selRef)
 			if ns != nr || ns != CountOnes(cmp) {
 				t.Fatalf("n=%d pct=%d adaptive count=%d, want %d", n, pct, ns, nr)
 			}
@@ -175,9 +175,6 @@ func TestSelFromCmpEmptyInput(t *testing.T) {
 	}
 	if n := SelFromCmpNoBranch([]byte{}, []int32{}); n != 0 {
 		t.Errorf("SelFromCmpNoBranch(empty)=%d, want 0", n)
-	}
-	if n := SelFromCmpBranch(nil, nil); n != 0 {
-		t.Errorf("SelFromCmpBranch(nil)=%d, want 0", n)
 	}
 	if n, d := SelFromCmpAdaptive(nil, nil); n != 0 || d != DensitySparse {
 		t.Errorf("SelFromCmpAdaptive(nil)=(%d,%v)", n, d)

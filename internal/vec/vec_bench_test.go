@@ -43,9 +43,10 @@ func BenchmarkSelFromCmp(b *testing.B) {
 				sinkInt += SelFromCmpNoBranch(cmp, idx)
 			}
 		})
-		b.Run("branch/sel"+itoa(sel), func(b *testing.B) {
+		b.Run("adaptive/sel"+itoa(sel), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkInt += SelFromCmpBranch(cmp, idx)
+				n, _ := SelFromCmpAdaptive(cmp, idx)
+				sinkInt += n
 			}
 		})
 	}

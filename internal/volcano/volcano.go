@@ -47,7 +47,8 @@ const pollRows = 4096
 
 // Run executes a logical plan and materializes the answer. Scans poll ctx
 // every pollRows rows, so a canceled or expired statement stops within a few
-// thousand rows and returns ctx's error.
+// thousand rows and returns ctx's error; a deadline that passes after the
+// last poll — in a sort, say — fails the statement once the rows are in.
 func Run(ctx context.Context, n plan.Node, db *storage.Database) (*Result, error) {
 	if err := plan.Validate(n); err != nil {
 		return nil, err
@@ -67,7 +68,12 @@ func Run(ctx context.Context, n plan.Node, db *storage.Database) (*Result, error
 			return nil, err
 		}
 		if !ok {
-			return res, nil
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			default:
+				return res, nil
+			}
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -502,3 +502,48 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// deadlineCtx counts its Err calls; with after > 0 its deadline passes once
+// after calls have been made, and Done reports it from then on.
+type deadlineCtx struct {
+	context.Context
+	calls, after int
+}
+
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *deadlineCtx) Err() error {
+	if c.calls++; c.after > 0 && c.calls > c.after {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} {
+	if c.after > 0 && c.calls >= c.after {
+		return closedDone
+	}
+	return nil
+}
+
+// TestRunDeadlineAfterScans: a deadline that passes after the scans' last
+// poll — while the sort orders the rows — still fails the statement. The
+// first run counts the polls; in the second the deadline passes right after
+// the last of them, so only a check after the rows are in can see it.
+func TestRunDeadlineAfterScans(t *testing.T) {
+	db := testDB(t, 3*pollRows+5)
+	q := func() plan.Node {
+		return &plan.Sort{Input: &plan.Scan{Table: "r", Filter: lt("r_x", 5)}, Keys: []plan.SortKey{{Col: "r_a"}}}
+	}
+	count := &deadlineCtx{Context: context.Background()}
+	if _, err := Run(count, q(), db); err != nil {
+		t.Fatal(err)
+	}
+	if count.calls == 0 {
+		t.Fatal("the scan never polled its context")
+	}
+	late := &deadlineCtx{Context: context.Background(), after: count.calls}
+	if _, err := Run(late, q(), db); err != context.DeadlineExceeded {
+		t.Fatalf("deadline passed after the last poll: err %v, want DeadlineExceeded", err)
+	}
+}

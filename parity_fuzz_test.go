@@ -380,7 +380,87 @@ func TestSynthesizerParityFuzz(t *testing.T) {
 			checkParity(t, d, q, true, "QueryContext "+tag, func() (*Result, Explain, error) { return d.QueryContext(ctx, q) })
 		}
 	}
+	// The second stream, on streams of its own: statements over wideFacts'
+	// columns of every stored width.
+	addWideFacts(t, d)
+	wg, wdraw := &wideGen{r: rand.New(rand.NewSource(44))}, rand.New(rand.NewSource(45))
+	for i := 0; i < n; i++ {
+		q := wg.query()
+		for _, workers := range []int{1, []int{2, 4, 7}[wdraw.Intn(3)]} {
+			d.SetWorkers(workers)
+			tag := fmt.Sprintf("wide workers=%d", workers)
+			checkParity(t, d, q, false, "QuerySwole cold "+tag, func() (*Result, Explain, error) { return d.QuerySwole(q) })
+			checkParity(t, d, q, true, "QuerySwole warm "+tag, func() (*Result, Explain, error) { return d.QuerySwole(q) })
+		}
+	}
 	d.SetWorkers(0)
+}
+
+// addWideFacts adds the fact table g, 2,000 rows whose columns are stored at
+// every width: keys g_k8 in [0, 6), g_k16 in [-300, 300) and g_k32 in
+// [70000, 70041); arguments g_a8, g_a16, g_a32 and g_a64 drawn across their
+// width's range (g_a64 beyond ±2^31); and the filter column g_f in [0, 100).
+func addWideFacts(t testing.TB, d *DB) {
+	t.Helper()
+	r := rand.New(rand.NewSource(46))
+	col := func(name string, lo, hi int64) Column {
+		v := make([]int64, 2000)
+		for i := range v {
+			v[i] = lo + r.Int63n(hi-lo)
+		}
+		return IntColumn(name, v)
+	}
+	if err := d.CreateTable("g",
+		col("g_k8", 0, 6), col("g_k16", -300, 300), col("g_k32", 70_000, 70_041),
+		col("g_a8", -100, 101), col("g_a16", -30_000, 30_001), col("g_a32", -2_000_000_000, 2_000_000_001),
+		col("g_a64", -1<<40, 1<<40), col("g_f", 0, 100)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wideGen generates grouped and scalar aggregates over addWideFacts' table:
+// 2-4 aggregates mixing sum, avg, min, max and count over arguments of
+// different widths — a min and a max over one column now and then — grouped
+// by 0-2 keys of different widths, under an optional filter.
+type wideGen struct{ r *rand.Rand }
+
+func (g *wideGen) query() string {
+	args := []string{"g_a8", "g_a16", "g_a32", "g_a64"}
+	keys := []string{"g_k8", "g_k16", "g_k32"}
+	g.r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	keys = keys[:g.r.Intn(3)]
+	var aggs []string
+	if g.r.Intn(4) == 0 {
+		a := args[g.r.Intn(len(args))]
+		aggs = append(aggs, "min("+a+")", "max("+a+")")
+		g.r.Shuffle(2, func(i, j int) { aggs[i], aggs[j] = aggs[j], aggs[i] })
+	}
+	for n := 2 + g.r.Intn(3); len(aggs) < n; {
+		a := args[g.r.Intn(len(args))]
+		switch g.r.Intn(8) {
+		case 0:
+			aggs = append(aggs, "count(*)")
+		case 1:
+			aggs = append(aggs, "avg("+a+")")
+		case 2:
+			aggs = append(aggs, "min("+a+")")
+		case 3:
+			aggs = append(aggs, "max("+a+")")
+		default:
+			aggs = append(aggs, "sum("+a+")")
+		}
+	}
+	for i := range aggs {
+		aggs[i] += fmt.Sprintf(" as s%d", i)
+	}
+	q := "select " + strings.Join(append(append([]string(nil), keys...), aggs...), ", ") + " from g"
+	if f := g.r.Intn(120); f < 100 {
+		q += fmt.Sprintf(" where g_f < %d", f)
+	}
+	if len(keys) > 0 {
+		q += " group by " + strings.Join(keys, ", ")
+	}
+	return q
 }
 
 // TestSynthesizerAcceptance pins the issue's acceptance statement: a

@@ -528,26 +528,37 @@ func TestSelectMergedOperands(t *testing.T) {
 		}
 	}
 
-	// min(v), max(v) under value masking: the key column and v are each
-	// widened once per tile, not v once per aggregate.
-	p, err := d.Plan("select w, min(v) as lo, max(v) as hi from f where tile < 3 group by w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := core.Synthesize(d.db, p)
-	forced, err := d.engine.PrepareForced(spec, core.TechValueMasking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ex, err := forced.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var widened uint64
-	for _, n := range ex.Variants.Widen {
-		widened += n
-	}
-	if tiles := uint64(4); widened != 2*tiles {
-		t.Errorf("value masking widened %d column tiles over %d tiles, want w and v once each (%d)", widened, tiles, 2*tiles)
+	// Under value masking, min(v + w), max(v + w) evaluate their operand once
+	// per tile: the key column w and v are each widened once, not v once per
+	// aggregate. min(v), max(v) fold in one pass that reads the key and v in
+	// place, widening nothing.
+	const tiles = 4
+	for _, c := range []struct {
+		q     string
+		widen uint64
+	}{
+		{"select w, min(v + w) as lo, max(v + w) as hi from f where tile < 3 group by w", 2 * tiles},
+		{"select w, min(v) as lo, max(v) as hi from f where tile < 3 group by w", 0},
+	} {
+		p, err := d.Plan(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := core.Synthesize(d.db, p)
+		forced, err := d.engine.PrepareForced(spec, core.TechValueMasking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ex, err := forced.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var widened uint64
+		for _, n := range ex.Variants.Widen {
+			widened += n
+		}
+		if widened != c.widen {
+			t.Errorf("%q under value masking widened %d column tiles over %d tiles, want %d", c.q, widened, tiles, c.widen)
+		}
 	}
 }

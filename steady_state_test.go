@@ -177,3 +177,38 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 		t.Errorf("warm execution: HTGrows=%d, want 0", ex.HTGrows)
 	}
 }
+
+// TestFusedFoldPins pins the one-pass grouped fold on the two tpch_generic
+// statements whose lanes it fuses: q1_multiagg (two key columns, the count
+// and two sums) and minmax_group (a min and a max over one operand) read
+// their key and argument columns in place — no column tile is widened — and
+// keep the technique, the key-addressed domain and the table footprint they
+// had when every lane folded in a pass of its own.
+func TestFusedFoldPins(t *testing.T) {
+	tpch := LoadTPCH(0.01)
+	defer tpch.Close()
+	want := map[string]struct {
+		tech          string
+		domain, bytes int
+	}{
+		"q1_multiagg":  {"key-masking", 6, 168},
+		"minmax_group": {"value-masking", 7, 192},
+	}
+	for _, s := range tpchStatements {
+		w, ok := want[s.id]
+		if !ok {
+			continue
+		}
+		_, ex, err := tpch.QuerySwole(s.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Variants.Widen != [4]uint64{} {
+			t.Errorf("%s: widened %v column tiles (int8..int64), want none", s.id, ex.Variants.Widen)
+		}
+		if string(ex.Technique) != w.tech || ex.DenseDomain != w.domain || ex.HTBytes != w.bytes {
+			t.Errorf("%s: technique %s, DenseDomain %d, HTBytes %d; want %s, %d, %d",
+				s.id, ex.Technique, ex.DenseDomain, ex.HTBytes, w.tech, w.domain, w.bytes)
+		}
+	}
+}

@@ -20,11 +20,14 @@ import (
 //	k64   int64, [MinInt64, MinInt64+7]: an origin at ht.NullKey
 //	x     [0, 100), the filter column
 //	v     int8 values
+//	v16   int16 values
+//	v32   int32 values
+//	v64   int64 values beyond ±2^31
 func valueKeysDB(t testing.TB) *DB {
 	t.Helper()
 	const n = 4000
 	ints := map[string][]int64{}
-	names := []string{"k8", "k16", "k32", "k64", "x", "v"}
+	names := []string{"k8", "k16", "k32", "k64", "x", "v", "v16", "v32", "v64"}
 	for _, c := range names {
 		ints[c] = make([]int64, n)
 	}
@@ -37,6 +40,9 @@ func valueKeysDB(t testing.TB) *DB {
 		ints["k64"][i] = math.MinInt64 + int64(i%8)
 		ints["x"][i] = int64(i * 37 % 100)
 		ints["v"][i] = int64(i%255 - 127)
+		ints["v16"][i] = int64(i*131%60_001 - 30_000)
+		ints["v32"][i] = int64(i*7919%2_000_001-1_000_000) * 1000
+		ints["v64"][i] = int64(i*104_729%1_000_003-500_000) << 24
 	}
 	cols := []Column{StringColumn("kd", strs)}
 	for _, c := range names {
@@ -53,7 +59,10 @@ func valueKeysDB(t testing.TB) *DB {
 // valueStatements run on the tile pipeline: a fused sum with a max after it,
 // a leading min (the count alone fuses), a bare count(*) (a table with no
 // lanes), two merged lanes, a single sum lane, and a min over the key
-// column, whose tile vector is also the table's keys.
+// column, whose tile vector is also the table's keys. The rest fold a record
+// per lane in one pass, reading each argument at its stored width: two sums
+// of different widths, three sums (an average among them), and a min and a
+// max over one operand — at int32 and, max first, int64 and int16.
 var valueStatements = []string{
 	"select %s, sum(v) as s, count(*) as n, max(v) as m from t where x < 50 group by %[1]s",
 	"select %s, min(v) as lo, count(*) as n from t group by %[1]s having count(*) > 0",
@@ -61,6 +70,11 @@ var valueStatements = []string{
 	"select %s, sum(v) as s, avg(v) as a from t where x < 70 group by %[1]s",
 	"select %s, sum(v) as s, count(*) as n from t where x < 50 group by %[1]s",
 	"select %s, count(*) as n, min(%[1]s) as lo from t where x < 40 group by %[1]s",
+	"select %s, sum(v16) as a, sum(v32) as b, count(*) as n from t where x < 50 group by %[1]s",
+	"select %s, sum(v) as a, avg(v64) as b, sum(v32) as c from t where x < 60 group by %[1]s",
+	"select %s, min(v32) as lo, max(v32) as hi from t where x < 45 group by %[1]s",
+	"select %s, max(v64) as hi, count(*) as n, min(v64) as lo from t group by %[1]s",
+	"select %s, max(v16) as hi, min(v16) as lo from t where x >= 20 group by %[1]s having count(*) > 0",
 }
 
 // TestValueAddressingParity: each key type under each statement answers as
@@ -73,8 +87,8 @@ func TestValueAddressingParity(t *testing.T) {
 	domains := map[string]int{"kd": 6, "k8": 10, "k16": 10, "k32": 20, "k64": 8}
 	for _, after := range []bool{false, true} {
 		if after {
-			// kd, k8, k16, k32, k64, x, v
-			if err := d.AppendRows("t", [][]int64{{0, 5, 100, 5, math.MinInt64 + 100, 0, 7}}); err != nil {
+			// kd, k8, k16, k32, k64, x, v, v16, v32, v64
+			if err := d.AppendRows("t", [][]int64{{0, 5, 100, 5, math.MinInt64 + 100, 0, 7, -7, 1 << 30, -1 << 50}}); err != nil {
 				t.Fatal(err)
 			}
 		}
