@@ -18,8 +18,9 @@ import (
 // PreparedSelect, a tile pipeline of vectorized primitives. Per vec.TileSize
 // tile:
 //
-//	root mask      the root predicate fills the byte mask; a disjunction
-//	               ORs its terms into it and stops at a saturated tile
+//	root mask      the root predicate fills the byte mask, comparing each
+//	               column at its stored width (int8 eight lanes a word); a
+//	               disjunction ORs its terms and stops at a saturated tile
 //	edges          each join edge resolves parent positions through its
 //	               foreign-key index and ANDs its positional bitmap in
 //	               (Section III-D), so no hash table is built — or, under
@@ -35,8 +36,11 @@ import (
 //	               for a fused fold, pack inside its loop
 //	fold           one loop resolves the keys to slots of the worker's
 //	               ht.AggTable and folds the count and every lane of a fused
-//	               signature (selectfuse.go), or the count and a leading sum
-//	               (FoldTile) with each further lane folding over the slots
+//	               signature — one to three sums, or a min and a max — when
+//	               the table is at most fuseBytes (selectfuse.go), or the
+//	               count and a leading sum (FoldTile) with each further lane
+//	               folding over the slots; a scalar sum(a*b) over two root
+//	               columns reads both in place
 //
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
@@ -639,6 +643,14 @@ func (p *PreparedSelect) resolveEdges(s *worker, base, n int, sel []int32) []int
 	return sel
 }
 
+// allLanes is a tile's selection vector when every lane is selected.
+var allLanes = func() (sel [vec.TileSize]int32) {
+	for j := range sel {
+		sel[j] = int32(j)
+	}
+	return sel
+}()
+
 // compact is the hybrid technique's front half: the root mask becomes a
 // selection vector, which the edges resolve parent positions for and their
 // bitmaps narrow, and every tile vector is gathered compacted, so the lanes
@@ -651,9 +663,7 @@ func (p *PreparedSelect) compact(s *worker, base, n int) int {
 		k, d = vec.SelFromCmpAdaptive(s.cmp[:n], s.idx)
 		s.ctr.CountSel(d)
 	} else {
-		for j := range s.idx[:n] {
-			s.idx[j] = int32(j)
-		}
+		copy(s.idx[:n], allLanes[:n])
 	}
 	if k = len(p.resolveEdges(s, base, n, s.idx[:k])); k == 0 {
 		return 0
@@ -725,6 +735,8 @@ func (p *PreparedSelect) foldScalar(s *worker, part []int64, base, m int, cmp []
 			*acc = min(*acc, vec.MinMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
 		case a.kind == AggMax:
 			*acc = max(*acc, vec.MaxMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
+		case a.mul != nil && a.mul[0].col != nil && a.mul[1].col != nil:
+			*acc += storage.SumProdMaskedRange(a.mul[0].col, a.mul[1].col, base, m, cmp)
 		case a.mul != nil:
 			l := p.operand(s, &a.mul[0], base, m, s.keys)
 			r := p.operand(s, &a.mul[1], base, m, s.vals)

@@ -576,6 +576,11 @@ func (c *selectCompile) bindRowStage() error {
 			p.cols = append(p.cols, tc)
 		}
 	}
+	grouped := len(c.q.GroupBy) > 0
+	probes := slices.ContainsFunc(p.edges, func(be boundEdge) bool { return be.used && be.bm != nil })
+	allPass := p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes
+	sum := c.lanes == 1 && slices.ContainsFunc(p.aggs, func(a selAgg) bool { return a.lane >= 0 && (a.kind == AggSum || a.kind == AggAvg) })
+	p.pairFold = grouped && allPass && sum && d > 0
 	if p.fused = c.fuseFold(); p.fused == nil || p.fused.keys == nil {
 		for _, tc := range c.keyCols {
 			need(tc)
@@ -640,7 +645,7 @@ func (c *selectCompile) bindRowStage() error {
 	// Aggregation state: one stripe of scalar lanes per worker, whole cache
 	// lines apart so concurrent folds do not false-share, or one group table
 	// per worker sized from the estimate.
-	if len(c.q.GroupBy) == 0 {
+	if !grouped {
 		p.stride = (1 + c.lanes + 7) &^ 7
 		p.part = make([]int64, p.nw*p.stride)
 		p.acc = p.part[1 : 1+c.lanes]
@@ -663,10 +668,6 @@ func (c *selectCompile) bindRowStage() error {
 	p.tab = p.tabs[0]
 	c.fresh += p.nw
 	p.keys.alloc(c.groups)
-	probes := slices.ContainsFunc(p.edges, func(be boundEdge) bool { return be.used && be.bm != nil })
-	allPass := p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes
-	sum := len(p.fold) == 1 && (p.aggs[p.fold[0]].kind == AggSum || p.aggs[p.fold[0]].kind == AggAvg)
-	p.pairFold = allPass && sum && d > 0
 	p.pairOut = canonicalGroupBy(c.q) && p.keys.mult != nil
 	return nil
 }

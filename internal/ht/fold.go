@@ -3,11 +3,12 @@ package ht
 import "fmt"
 
 // Fused folds: FoldTile or FoldTileKeyMasked and the lane folds after it in
-// one loop a tile, for records of the count after two or three sums, or after
-// a min and a max over one operand, reading every key and argument column at
-// its stored width: the build compiles a loop per combination of widths, and
-// a caller picks one per plan. No loop switches on a lane's kind or walks a
-// list of lanes; the record's shape is a constant, so the state fits registers.
+// one loop a tile, for records of the count after one, two or three sums, or
+// after a min and a max over one operand, reading every key and argument
+// column at its stored width: the build compiles a loop per combination of
+// widths, and a caller picks one per plan. No loop switches on a lane's kind
+// or walks a list of lanes; the record's shape is a constant, so the state
+// fits registers.
 
 // Int is a stored column width: the element types a fused fold reads.
 type Int interface{ int8 | int16 | int32 | int64 }
@@ -36,13 +37,61 @@ func (t *AggTable) fuse(nAccs int, add int64, keyMask bool) (recs []int64, lo, s
 }
 
 // refused vets lane i's key, which a fused fold's range check refused (outside), and
-// counts the lane into the throwaway record, whose lanes are nobody's answer.
+// counts the lane into the throwaway record, whose lanes are nobody's answer:
+// into its last word, whose low half is a packed table's count.
 func refused[K Int](t *AggTable, k TileKey[K], cmp []byte, rej uint64, i int) int {
 	if i < len(k.K1) {
 		t.outside(int64(k.K0[i])*k.M0 + int64(k.K1[i]) + k.Add)
-		t.recs[t.Cap()*t.stride+t.nAccs] += int64(uint64(cmp[i]) | rej&1)
+		t.recs[(t.Cap()+1)*t.stride-1] += int64(uint64(cmp[i]) | rej&1)
 	}
 	return i + 1
+}
+
+// FoldSum1 folds a tile into a key-addressed table's records of one sum and
+// the count, packed (one word, sum<<32 + count) or not, keyed by one column:
+// lane i's key is keys[i] + add. Lane i adds its weight w to the count and
+// a[i]·w to the sum — w is its mask, or 1 under keyMask, as in FoldSum2. cmp
+// nil is the unmasked pair fold: every lane weighs 1 into its key's group.
+// Each form is the loop of the lane pass it replaces, at the stored widths:
+// the pair folds' (foldPairs), and key masking's slot arithmetic with the
+// keys vetted after the loop (FoldTileKeyMasked).
+func FoldSum1[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte, keyMask bool) {
+	if t.span == 0 {
+		panic("ht: FoldSum1 on a hashed table")
+	}
+	recs, lo, span, _ := t.fuse(1, add, false)
+	if !keyMask || cmp == nil {
+		foldPairs(t, keys, add, a, cmp)
+		return
+	}
+	var bad uint64
+	if t.packed() {
+		bad = keyMaskPacked(recs, keys, a, cmp, lo+span, span)
+	} else {
+		bad = keyMask1(recs, keys, a, cmp, lo+span, span)
+	}
+	if bad != 0 {
+		for _, key := range keys {
+			if uint64(key)-lo >= span {
+				t.outside(int64(key) + add)
+			}
+		}
+	}
+}
+
+// keyMask1 is keyMaskFold's loop for FoldSum1, over two-word records at
+// the stored widths and writing no slots.
+func keyMask1[K, A Int](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
+	a, cmp = a[:len(keys)], cmp[:len(keys)]
+	for i, k := range keys {
+		d := uint64(k) - top
+		in := (d &^ (d + span)) >> 63
+		bad |= in ^ 1
+		s := (span + d*(uint64(cmp[i])&in)) * 2
+		recs[s] += int64(a[i])
+		recs[s+1]++
+	}
+	return bad
 }
 
 // FoldSum2 folds a tile into records of two sums and the count: lane i adds its

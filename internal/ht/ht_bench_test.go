@@ -213,7 +213,51 @@ func BenchmarkAggFoldForms(b *testing.B) {
 			benchFusedForms(b, name, tab, keys, narrow[int32](vals), cmp)
 		}
 	}
+	// The one-sum record, fused and per lane, at 100, 100K and 1M keys: its
+	// footprint crosses the bound above which a statement keeps the lane
+	// passes (core's fuseBytes). Keys are stored at int32, as r_c's and
+	// r_fk's are; "perlane" widens the key and the argument and runs FoldTile
+	// (the pair loop of AddPairsMasked), "fused" runs FoldSum1 on both in place.
+	for _, domain := range []int{100, 100_000, 1_000_000} {
+		keys, vals, cmp := input(domain, false)
+		for _, packed := range []bool{false, true} {
+			name := "fold/dense/lanes1/%s/w%d/" + size(domain)
+			if packed {
+				name = "fold/packed/lanes1/%s/w%d/" + size(domain)
+			}
+			tab := NewDenseAggTable(1, 0, int64(domain-1), packed)
+			k32 := narrow[int32](keys)
+			benchFusedOne(b, name, tab, k32, narrow[int8](vals), cmp)
+			benchFusedOne(b, name, tab, k32, narrow[int32](vals), cmp)
+		}
+	}
 	sinkSlot += len(out)
+}
+
+// benchFusedOne runs BenchmarkAggFoldForms' one-sum rows for one argument
+// width: per lane and fused, under a 50% value mask.
+func benchFusedOne[T Int](b *testing.B, name string, tab *AggTable, keys []int32, vals []T, cmp []byte) {
+	const rows, tile = 2 << 20, 1024
+	width := int(unsafe.Sizeof(vals[0])) * 8
+	slots, wk, wa := make([]int32, tile), make([]int64, tile), make([]int64, tile)
+	for _, form := range []string{"perlane", "fused"} {
+		b.Run(fmt.Sprintf(name, form, width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab.Reset()
+				for r := 0; r < rows; r += tile {
+					k, a, m := keys[r:r+tile], vals[r:r+tile], cmp[r:r+tile]
+					if form == "fused" {
+						FoldSum1(tab, k, 0, a, m, false)
+						continue
+					}
+					vec.WidenU(k, wk)
+					vec.WidenU(a, wa)
+					tab.FoldTile(wk, slots, 0, wa, m)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
 }
 
 // narrow copies vals at a stored width.

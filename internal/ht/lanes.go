@@ -253,13 +253,15 @@ func keyMaskFold(recs, keys []int64, slots []int32, vals []int64, cmp []byte, to
 	return bad
 }
 
-func keyMaskPacked(recs, keys, vals []int64, cmp []byte, top, span uint64) (bad uint64) {
-	vals, cmp = vals[:len(keys)], cmp[:len(keys)]
+// keyMaskPacked reads keys and values at their stored widths: it is
+// FoldTileKeyMasked's loop on a packed table and FoldSum1's.
+func keyMaskPacked[K, A Int](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
+	a, cmp = a[:len(keys)], cmp[:len(keys)]
 	for i, k := range keys {
 		d := uint64(k) - top
 		in := (d &^ (d + span)) >> 63
 		bad |= in ^ 1
-		recs[span+d*(uint64(cmp[i])&in)] += vals[i]<<32 + 1
+		recs[span+d*(uint64(cmp[i])&in)] += int64(a[i])<<32 + 1
 	}
 	return bad
 }

@@ -123,53 +123,11 @@ func (t *AggTable) AddPairs(keys, vals []int64) {
 		return
 	}
 	_ = vals[len(keys)-1]
-	switch {
-	case t.packed():
-		t.addPairsPacked(keys, vals)
-	case t.span != 0:
-		t.addPairsDense(keys, vals)
-	default:
+	if t.span == 0 {
 		t.addPairsHashed(keys, vals, nil)
+		return
 	}
-}
-
-// addPairsDense is AddPairs on a key-addressed table. (Its own function, as
-// is the masked one: sharing a frame with another form's loop spills the
-// hot loop's registers.)
-func (t *AggTable) addPairsDense(keys, vals []int64) {
-	lo, span, n, recs, vals := uint64(t.lo), t.span, uint64(t.stride), t.recs, vals[:len(keys)]
-	for i := 0; i < len(keys); i++ {
-		for ; i < len(keys); i++ {
-			u := uint64(keys[i]) - lo
-			if u >= span {
-				break
-			}
-			recs[u*n] += vals[i]
-			recs[u*n+n-1]++
-		}
-		if i < len(keys) {
-			t.refuse(keys[i], 0, vals[i], 1)
-		}
-	}
-}
-
-// addPairsPacked is AddPairs on a packed table: v<<32 + 1 adds the value to
-// the sum and one to the count. recs is the groups' words, so the range
-// check is the bounds check.
-func (t *AggTable) addPairsPacked(keys, vals []int64) {
-	lo, recs, vals := uint64(t.lo), t.recs[:t.span], vals[:len(keys)]
-	for i := 0; i < len(keys); i++ {
-		for ; i < len(keys); i++ {
-			u := uint64(keys[i]) - lo
-			if u >= uint64(len(recs)) {
-				break
-			}
-			recs[u] += vals[i]<<32 + 1
-		}
-		if i < len(keys) {
-			t.refuse(keys[i], 0, vals[i], 1)
-		}
-	}
+	foldPairs(t, keys, 0, vals, nil)
 }
 
 // pairChunk is how many pairs a hashed table resolves at a time; ones is the
@@ -204,49 +162,99 @@ func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
 		return
 	}
 	_, _ = vals[len(keys)-1], cmp[len(keys)-1]
-	switch {
-	case t.packed():
-		t.addPairsMaskedPacked(keys, vals, cmp)
-	case t.span != 0:
-		t.addPairsMaskedDense(keys, vals, cmp)
-	default:
+	if t.span == 0 {
 		t.addPairsHashed(keys, vals, cmp)
+		return
+	}
+	foldPairs(t, keys, 0, vals, cmp)
+}
+
+// foldPairs is the pair fold on a key-addressed table — AddPairs (cmp nil),
+// AddPairsMasked, and FoldSum1 but for key masking — at the stored widths:
+// lane i adds a[i]·m into lane 0 of key keys[i]+add's record and m into its
+// count, m its mask or 1. A lane the range check refuses ends the loop, goes
+// to refuse (its key is its offset from lo plus the table's lo) and the loop
+// resumes. Each form is a loop of its own: sharing a frame with another
+// form's loop spills the hot loop's registers.
+func foldPairs[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte) {
+	lo := uint64(t.lo) - uint64(add)
+	switch {
+	case cmp == nil && t.packed():
+		pairsPacked(t, keys, lo, a)
+	case cmp == nil:
+		pairsDense(t, keys, lo, a)
+	case t.packed():
+		pairsMaskedPacked(t, keys, lo, a, cmp)
+	default:
+		pairsMaskedDense(t, keys, lo, a, cmp)
 	}
 }
 
-func (t *AggTable) addPairsMaskedDense(keys, vals []int64, cmp []byte) {
-	lo, span, n, recs := uint64(t.lo), t.span, uint64(t.stride), t.recs
-	vals, cmp = vals[:len(keys)], cmp[:len(keys)]
+func pairsDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
+	span, n, recs, a := t.span, uint64(t.stride), t.recs, a[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u := uint64(keys[i]) - lo
+			if u >= span {
+				break
+			}
+			recs[u*n] += int64(a[i])
+			recs[u*n+n-1]++
+		}
+		if i < len(keys) {
+			t.refuse(int64(uint64(keys[i])-lo)+t.lo, 0, int64(a[i]), 1)
+		}
+	}
+}
+
+// pairsPacked and pairsMaskedPacked add v<<32 + 1, or (v*m)<<32 + m, to a
+// packed word: the value to the sum and one (m) to the count. recs is the
+// groups' words, so the range check is the bounds check.
+func pairsPacked[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
+	recs, a := t.recs[:t.span], a[:len(keys)]
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			u := uint64(keys[i]) - lo
+			if u >= uint64(len(recs)) {
+				break
+			}
+			recs[u] += int64(a[i])<<32 + 1
+		}
+		if i < len(keys) {
+			t.refuse(int64(uint64(keys[i])-lo)+t.lo, 0, int64(a[i]), 1)
+		}
+	}
+}
+
+func pairsMaskedDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
+	span, n, recs, a, cmp := t.span, uint64(t.stride), t.recs, a[:len(keys)], cmp[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {
 			u, m := uint64(keys[i])-lo, int64(cmp[i])
 			if u >= span {
 				break
 			}
-			recs[u*n] += vals[i] * m
+			recs[u*n] += int64(a[i]) * m
 			recs[u*n+n-1] += m
 		}
 		if i < len(keys) {
-			t.refuse(keys[i], 0, vals[i], int64(cmp[i]))
+			t.refuse(int64(uint64(keys[i])-lo)+t.lo, 0, int64(a[i]), int64(cmp[i]))
 		}
 	}
 }
 
-// addPairsMaskedPacked is AddPairsMasked on a packed table: one add of
-// (v*m)<<32 + m per pair.
-func (t *AggTable) addPairsMaskedPacked(keys, vals []int64, cmp []byte) {
-	lo, recs := uint64(t.lo), t.recs[:t.span]
-	vals, cmp = vals[:len(keys)], cmp[:len(keys)]
+func pairsMaskedPacked[K, A Int](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
+	recs, a, cmp := t.recs[:t.span], a[:len(keys)], cmp[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {
 			u, m := uint64(keys[i])-lo, int64(cmp[i])
 			if u >= uint64(len(recs)) {
 				break
 			}
-			recs[u] += (vals[i]*m)<<32 + m
+			recs[u] += (int64(a[i])*m)<<32 + m
 		}
 		if i < len(keys) {
-			t.refuse(keys[i], 0, vals[i], int64(cmp[i]))
+			t.refuse(int64(uint64(keys[i])-lo)+t.lo, 0, int64(a[i]), int64(cmp[i]))
 		}
 	}
 }

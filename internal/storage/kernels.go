@@ -54,9 +54,9 @@ func kindRange(k Kind) (lo, hi int64) {
 }
 
 // CmpConstInto evaluates column[base+i] op k into out[:n] at the column's
-// native width with the unrolled kernels. It reports false when the
-// constant does not fit the physical width (the caller falls back to the
-// widened int64 path, which is always correct).
+// native width with the unrolled kernels — an int8 column eight lanes a word.
+// It reports false when the constant does not fit the physical width (the
+// caller falls back to the widened int64 path, which is always correct).
 func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bool {
 	lo, hi := kindRange(c.Kind)
 	if k < lo || k > hi {
@@ -64,7 +64,7 @@ func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bo
 	}
 	switch c.Kind {
 	case KindInt8:
-		vec.CmpConstU(op, c.I8[base:base+n], int8(k), out)
+		vec.CmpConstI8(op, c.I8[base:base+n], int8(k), out)
 	case KindInt16:
 		vec.CmpConstU(op, c.I16[base:base+n], int16(k), out)
 	case KindInt32:
@@ -76,8 +76,8 @@ func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bo
 }
 
 // CmpBetweenInto evaluates lo <= column[base+i] <= hi into out[:n] at the
-// column's native width. It reports false when either bound falls outside
-// the physical width.
+// column's native width, an int8 column eight lanes a word. It reports false
+// when either bound falls outside the physical width.
 func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 	rlo, rhi := kindRange(c.Kind)
 	if klo < rlo || klo > rhi || khi < rlo || khi > rhi {
@@ -85,7 +85,7 @@ func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 	}
 	switch c.Kind {
 	case KindInt8:
-		vec.CmpConstBetweenU(c.I8[base:base+n], int8(klo), int8(khi), out)
+		vec.CmpBetweenI8(c.I8[base:base+n], int8(klo), int8(khi), out)
 	case KindInt16:
 		vec.CmpConstBetweenU(c.I16[base:base+n], int16(klo), int16(khi), out)
 	case KindInt32:
@@ -108,6 +108,36 @@ func (c *Column) SumMaskedRange(base, n int, cmp []byte) int64 {
 		return vec.SumMaskedU(c.I32[base:base+n], cmp)
 	default:
 		return vec.SumMaskedU(c.I64[base:base+n], cmp)
+	}
+}
+
+// SumProdMaskedRange sums a[base+i]·b[base+i]·cmp[i] over [base, base+n),
+// reading both columns in place at their stored widths: one unrolled loop per
+// pair of widths, picked once per tile.
+func SumProdMaskedRange(a, b *Column, base, n int, cmp []byte) int64 {
+	switch a.Kind {
+	case KindInt8:
+		return sumProdRange(a.I8[base:base+n], b, base, cmp)
+	case KindInt16:
+		return sumProdRange(a.I16[base:base+n], b, base, cmp)
+	case KindInt32:
+		return sumProdRange(a.I32[base:base+n], b, base, cmp)
+	default:
+		return sumProdRange(a.I64[base:base+n], b, base, cmp)
+	}
+}
+
+func sumProdRange[A vec.Number](a []A, b *Column, base int, cmp []byte) int64 {
+	end := base + len(a)
+	switch b.Kind {
+	case KindInt8:
+		return vec.SumProdMaskedU(a, b.I8[base:end], cmp)
+	case KindInt16:
+		return vec.SumProdMaskedU(a, b.I16[base:end], cmp)
+	case KindInt32:
+		return vec.SumProdMaskedU(a, b.I32[base:end], cmp)
+	default:
+		return vec.SumProdMaskedU(a, b.I64[base:end], cmp)
 	}
 }
 

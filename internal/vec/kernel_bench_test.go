@@ -43,6 +43,14 @@ func kernelCases() map[string][]kernelCase {
 			{"unrolled/w8", TileSize, func() { CmpConstLTU(a8, 50, cmp8) }},
 			{"generic/w64", TileSize * 8, func() { CmpConstLT(a64, 50, cmp64) }},
 			{"unrolled/w64", TileSize * 8, func() { CmpConstLTU(a64, 50, cmp64) }},
+			// int8 eight lanes a word against the unrolled byte loop, per loop
+			// of CmpConstI8: x < k, equality, BETWEEN.
+			{"word/w8/lt", TileSize, func() { CmpConstI8(LT, a8, 50, cmp8) }},
+			{"byte/w8/lt", TileSize, func() { CmpConstU(LT, a8, 50, cmp8) }},
+			{"word/w8/eq", TileSize, func() { CmpConstI8(EQ, a8, 50, cmp8) }},
+			{"byte/w8/eq", TileSize, func() { CmpConstU(EQ, a8, 50, cmp8) }},
+			{"word/w8/between", TileSize, func() { CmpBetweenI8(a8, 10, 40, cmp8) }},
+			{"byte/w8/between", TileSize, func() { CmpConstBetweenU(a8, 10, 40, cmp8) }},
 		},
 		"Widen": {
 			{"generic/w8", TileSize, func() { Widen(a8, out) }},

@@ -11,7 +11,10 @@ import (
 // from 0 to 2·TileSize+63 starting at any offset into their backing array,
 // the results agree lane for lane and no byte outside the mask is written.
 // The eight-lane selection build agrees with the byte loop on every prefix
-// of a tile, 0 to TileSize lanes, and writes no index past the prefix.
+// of a tile, 0 to TileSize lanes, and writes no index past the prefix. The
+// eight-lane int8 compares agree with the byte loop for every operator and
+// BETWEEN, at the fuzzer's constants and at −128 and 127, over the same
+// framed lengths (tails of 1–7 lanes among them) and writing no byte outside.
 
 func refAnd(dst, src []byte) {
 	for i := range dst {
@@ -133,6 +136,38 @@ func FuzzMaskOps(f *testing.F) {
 		}
 		if got := AllZeros(m); got != (ones == 0) {
 			t.Fatalf("AllZeros: off=%d len=%d with %d set: %t", o, l, ones, got)
+		}
+
+		vals := make([]int8, l)
+		for i := range vals {
+			if len(data) > 0 {
+				vals[i] = int8(data[i%len(data)] + byte(i/len(data)))
+			}
+		}
+		var k0, k1 int8
+		if len(data) > 1 {
+			k0, k1 = int8(data[0]), int8(data[1])
+		}
+		for _, k := range []int8{k0, k1, -128, 127} {
+			for op := LT; op <= NE; op++ {
+				whole, m = frame(a)
+				CmpConstI8(op, vals, k, m)
+				CmpConst(op, vals, k, want)
+				check("CmpConstI8 "+op.String(), whole, want)
+			}
+			for _, hi := range []int8{k0, k1, -128, 127} {
+				whole, m = frame(a)
+				CmpBetweenI8(vals, k, hi, m)
+				CmpConstBetween(vals, k, hi, want)
+				check("CmpBetweenI8", whole, want)
+			}
+		}
+		whole, m = frame(a)
+		if CmpConstI8(LE, vals, 127, m); !AllOnes(m) {
+			t.Fatalf("len=%d: x <= 127 is not all ones", l)
+		}
+		if CmpConstI8(GT, vals, 127, m); !AllZeros(m) {
+			t.Fatalf("len=%d: x > 127 is not all zeros", l)
 		}
 
 		tile := lanes(data, TileSize, int(off))

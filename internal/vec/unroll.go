@@ -66,8 +66,9 @@ func SumMaskedU[T Number](vals []T, cmp []byte) int64 {
 }
 
 // SumProdMaskedU is the unrolled masked product aggregation:
-// (a[i]*b[i])*cmp[i] summed into four accumulators.
-func SumProdMaskedU[T Number](a, b []T, cmp []byte) int64 {
+// (a[i]*b[i])*cmp[i] summed into four accumulators. The factors may be
+// stored at different widths; each is widened in the loop.
+func SumProdMaskedU[A, B Number](a []A, b []B, cmp []byte) int64 {
 	n := len(a)
 	if n == 0 {
 		return 0

@@ -2,6 +2,7 @@ package swole
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -183,7 +184,13 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 // and two sums) and minmax_group (a min and a max over one operand) read
 // their key and argument columns in place — no column tile is widened — and
 // keep the technique, the key-addressed domain and the table footprint they
-// had when every lane folded in a pass of its own.
+// had when every lane folded in a pass of its own. On micro_classic's
+// shapes it pins both sides of the rule that fuses a fold only into a group
+// table of at most 1 MB (core's fuseBytes), at a scale whose r_c table
+// (200K keys, 1.6 MB packed) is over the bound and whose r_a and r_fk tables
+// are under it: the r_a group-by and the groupjoin (one sum, one key column)
+// widen no column tile, the r_c group-by still widens its key and argument,
+// and the scalar sum(r_a * r_b) reads both factors in place.
 func TestFusedFoldPins(t *testing.T) {
 	tpch := LoadTPCH(0.01)
 	defer tpch.Close()
@@ -209,6 +216,33 @@ func TestFusedFoldPins(t *testing.T) {
 		if string(ex.Technique) != w.tech || ex.DenseDomain != w.domain || ex.HTBytes != w.bytes {
 			t.Errorf("%s: technique %s, DenseDomain %d, HTBytes %d; want %s, %d, %d",
 				s.id, ex.Technique, ex.DenseDomain, ex.HTBytes, w.tech, w.domain, w.bytes)
+		}
+	}
+
+	micro, err := LoadMicro(MicroConfig{Rows: 100_000, DimRows: 20_000, GroupKeys: 200_000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer micro.Close()
+	micro.SetWorkers(1)
+	for _, m := range []struct {
+		id, tech string
+		over     bool // the group table is over the bound
+		widen    [4]uint64
+	}{
+		{"group_r_a.s50", "value-masking", false, [4]uint64{}},
+		{"groupjoin.s95", "eager-aggregation", false, [4]uint64{}},
+		{"scalar.s95", "value-masking", false, [4]uint64{}},
+		{"group_r_c.s95", "value-masking", true, [4]uint64{98, 0, 98, 0}}, // 98 tiles: r_b at int8, r_c at int32
+	} {
+		i := slices.IndexFunc(microClassicStatements, func(s steadyStmt) bool { return s.id == m.id })
+		_, ex, err := micro.QuerySwole(microClassicStatements[i].q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(ex.Technique) != m.tech || ex.Variants.Widen != m.widen || m.id[:6] != "scalar" && (ex.HTBytes > 1<<20) != m.over {
+			t.Errorf("%s: technique %s, widened %v column tiles (int8..int64), HTBytes %d; want %s, %v, over 1 MB %v",
+				m.id, ex.Technique, ex.Variants.Widen, ex.HTBytes, m.tech, m.widen, m.over)
 		}
 	}
 }
