@@ -170,6 +170,34 @@ func BenchmarkSteadyMicroClassic(b *testing.B) {
 	}
 }
 
+// footprintStatements are the fused folds' record shapes — one sum, three
+// sums, a min and a max — grouped by r_a (101 keys, a group table under
+// core's 1 MB fuse bound) and by r_c (1M keys, over it) at 95 % selectivity.
+var footprintStatements = func() (out []steadyStmt) {
+	for _, key := range []string{"r_a", "r_c"} {
+		for _, s := range []struct{ id, aggs string }{
+			{"sum1", "sum(r_b) as s"},
+			{"sum3", "sum(r_a) as s, sum(r_b) as t, sum(r_y) as u"},
+			{"minmax", "min(r_b) as lo, max(r_b) as hi"},
+		} {
+			out = append(out, steadyStmt{s.id + "_" + key, fmt.Sprintf("select %s, %s from r where r_x < 95 group by %s", key, s.aggs, key)})
+		}
+	}
+	return out
+}()
+
+// BenchmarkSteadyFootprint repeats each of footprintStatements at
+// BenchmarkSteadyMicroClassic's shape: the statements on each side of the
+// footprint rule that picks a fused fold or the lane passes.
+func BenchmarkSteadyFootprint(b *testing.B) {
+	db := steadyDB(b, 2_000_000, 100_000, 1_000_000)
+	db.SetWorkers(1)
+	defer db.SetWorkers(0)
+	for _, s := range footprintStatements {
+		b.Run(s.id, func(b *testing.B) { benchSteady(b, db, s.q) })
+	}
+}
+
 // tpchStatements are the benchmark's eight tpch_generic statements
 // (benchmark/workloads.go, in workload order) with the literals the workload
 // draws fixed at one value.
