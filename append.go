@@ -13,7 +13,8 @@ import (
 // physical width holds), registers the replacement table, and lets the
 // existing invalidation machinery do exactly — and only — the work the
 // change requires: the catalog holds a new table object, its cached plans
-// are evicted, and its cached statistics move to the new object, merged
+// are evicted and retired — each statement's recompile adopts its old plan's
+// buffers — and its cached statistics move to the new object, merged
 // incrementally with the delta instead of being dropped. Other tables' plans
 // and statistics are untouched, and no reader waits: a query in flight
 // finishes on the arrays it compiled against.
@@ -199,10 +200,11 @@ func (d *DB) appendColumns(cat *storage.Catalog, t *storage.Table, cols [][]int6
 	d.db.AddTable(newTab, childIdx...)
 
 	// Invalidation protocol: the eviction covers cached plans (their bound
-	// arrays are length-capped views of the old data); the stats merge
-	// folds the delta into cached statistics instead of dropping them.
-	// Only this table is touched.
-	d.evictPlans(t.Name)
+	// arrays are length-capped views of the old data) and retires them, so
+	// each statement's recompile adopts its plan's buffers; the stats merge
+	// folds the delta into cached statistics instead of dropping them. Only
+	// this table is touched.
+	d.evictPlans(t.Name, true)
 	d.engine.MergeStatsOnAppend(t, newTab)
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"time"
 
@@ -286,7 +287,14 @@ type PreparedSelect struct {
 	// the run is currently on.
 	kMain, kEdge kernelFn
 	curEdge      *boundEdge
+
+	// adopted: a successor took over the plan's buffers (Engine.Reprepare),
+	// so it runs no more.
+	adopted bool
 }
+
+// errAdopted is what a plan whose buffers a successor adopted answers.
+var errAdopted = errors.New("core: plan retired: a successor adopted its buffers")
 
 // RunContext executes the plan under the context's deadline: the scan polls
 // it at morsel granularity, so cancellation stops every worker within one
@@ -296,6 +304,9 @@ type PreparedSelect struct {
 func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {
 	p.e.execMu.Lock()
 	defer p.e.execMu.Unlock()
+	if p.adopted {
+		return nil, Explain{}, errAdopted
+	}
 	err := p.run(ctx)
 	// The engine's scratch is shared by every plan: a canceled scan's
 	// counters are drained too, so they cannot surface in another plan.

@@ -29,6 +29,22 @@ func (e *Engine) Prepare(spec Select) (*PreparedSelect, error) {
 	return e.prepareSelect(spec, techAuto)
 }
 
+// Reprepare is Prepare for a statement whose earlier plan, prev, a write has
+// retired. The compile is Prepare's — every statistic, the technique and the
+// group table's form are decided afresh — but where prev already holds a
+// buffer of the shape the new plan needs, the plan adopts it instead of
+// allocating one: each worker's group table when ht confirms its form
+// (AggTable.Fits), each edge bitmap over a parent of unchanged size, the
+// scalar lanes, the emission's pair and sort buffers and the result buffer.
+// lent reports that prev's caller may still read prev's result: a buffer
+// behind it is not adopted, and the plan only sizes its own from its
+// capacity. prev must be a plan of the same statement on this engine, and
+// once Reprepare succeeds prev never runs again (its RunContext fails); a nil
+// prev makes Reprepare Prepare.
+func (e *Engine) Reprepare(spec Select, prev *PreparedSelect, lent bool) (*PreparedSelect, error) {
+	return e.compileSelect(spec, techAuto, prev, lent)
+}
+
 // PrepareForced compiles a statement under the caller's technique instead
 // of the cost model's pick — strategy comparisons on user queries, ablation
 // studies, kernel parity tests. Techniques lists what a statement accepts.
@@ -142,6 +158,8 @@ type selectCompile struct {
 	p      *PreparedSelect
 	tech   Technique // the caller's, or techAuto
 	params cost.Params
+	prev   *PreparedSelect // a retired plan of the statement to adopt buffers from (Reprepare), or nil
+	lent   bool            // prev's result may still be read: its buffer stays prev's
 
 	sel     float64 // estimated selectivity of the root and edge filters together
 	eager   int     // the edge eager aggregation may run over (eagerEdge), or -1
@@ -164,6 +182,12 @@ type selectCompile struct {
 }
 
 func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error) {
+	return e.compileSelect(q, tech, nil, false)
+}
+
+// compileSelect is the compile under Prepare, PrepareForced and Reprepare:
+// prev, when not nil, is the retired plan whose buffers it adopts.
+func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect, lent bool) (*PreparedSelect, error) {
 	start := time.Now()
 	if len(q.Edges) > maxSelectEdges {
 		return nil, fmt.Errorf("core: %d join edges unsupported (max %d)", len(q.Edges), maxSelectEdges)
@@ -186,7 +210,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	// PlanCached is baked in: every run of this plan replays the prepare-time
 	// decision; the statement cache's first execution resets it to false.
 	p := &PreparedSelect{e: e, nw: 1, spec: q, root: root, ex: Explain{PlanCached: true, Costs: map[string]float64{}}}
-	c := &selectCompile{e: e, cat: cat, q: q, p: p, tech: tech, eager: eagerEdge(cat, q), sel: 1, selS: 1, selR: 1, groups: 1}
+	c := &selectCompile{e: e, cat: cat, q: q, p: p, tech: tech, prev: prev, lent: lent, eager: eagerEdge(cat, q), sel: 1, selS: 1, selR: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.chooseWorkers, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
@@ -199,6 +223,7 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 	if err := c.bindOutput(); err != nil {
 		return nil, err
 	}
+	c.adoptEmission()
 	c.fresh += e.ensureScratchLocked(p.nw, max(len(p.cols), len(p.outFields)+len(p.proj)))
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
@@ -207,7 +232,43 @@ func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error
 		p.kMain = p.tupleKernel
 	}
 	p.compiled(start, c.statsTime)
+	if prev != nil {
+		prev.adopted = true
+	}
 	return p, nil
+}
+
+// adoptBuf hands the plan prev's buffer buf, emptied — or, when buf backs the
+// result prev lent out, a new empty buffer of its capacity.
+func (c *selectCompile) adoptBuf(buf []int64) []int64 {
+	if res := c.prev.res.Flat; c.lent && cap(buf) > 0 && cap(res) > 0 && &buf[:1][0] == &res[:1][0] {
+		return make([]int64, 0, cap(buf))
+	}
+	return buf[:0]
+}
+
+// adoptEmission takes over prev's emission buffers: the (order key, slot)
+// pairs, the radix sort's scratch and the result buffer, which a classic
+// group-by's pairs already are (emitPairs).
+func (c *selectCompile) adoptEmission() {
+	p, prev := c.p, c.prev
+	if prev == nil {
+		return
+	}
+	p.pairs, p.scratch = c.adoptBuf(prev.pairs), c.adoptBuf(prev.scratch)
+	if !p.pairOut {
+		p.res.Flat = c.adoptBuf(prev.res.Flat)
+	}
+}
+
+// adoptBitmap returns prev's bitmap of edge i when it covers rows positions,
+// else a new one.
+func (c *selectCompile) adoptBitmap(i, rows int) *bitmap.Bitmap {
+	if prev := c.prev; prev != nil && i < len(prev.edges) && prev.edges[i].bm != nil && prev.edges[i].bm.Len() == rows {
+		return prev.edges[i].bm
+	}
+	c.fresh++
+	return bitmap.New(rows)
 }
 
 // selectivity samples a filter bound to t through the statistics cache,
@@ -258,8 +319,7 @@ func (c *selectCompile) bindEdges() error {
 			if err := expr.Bind(be.filter, expr.Columns(parent)); err != nil {
 				return err
 			}
-			be.bm, be.used = bitmap.New(parent.Rows()), true
-			c.fresh++
+			be.bm, be.used = c.adoptBitmap(i, parent.Rows()), true
 			p.ex.Costs[fmt.Sprintf("edge%d-bitmap-bytes", i)] = float64(be.bm.Bytes())
 			p.ex.HTBytes += be.bm.Bytes()
 			if s := c.selectivity(parent, be.filter); i == c.eager {
@@ -647,17 +707,27 @@ func (c *selectCompile) bindRowStage() error {
 	// per worker sized from the estimate.
 	if !grouped {
 		p.stride = (1 + c.lanes + 7) &^ 7
-		p.part = make([]int64, p.nw*p.stride)
+		if prev := c.prev; prev != nil && len(prev.part) == p.nw*p.stride {
+			p.part = prev.part
+		} else {
+			p.part = make([]int64, p.nw*p.stride)
+			c.fresh++
+		}
 		p.acc = p.part[1 : 1+c.lanes]
-		c.fresh++
 		return nil
 	}
 	p.tabs = make([]*ht.AggTable, p.nw)
 	for w := range p.tabs {
-		if d > 0 {
-			p.tabs[w] = ht.NewDenseAggTable(c.lanes, lo, lo+d-1, c.packed)
-		} else {
+		hi := lo + d - 1 // lo-1 when hashed: Fits reads hi < lo as a hashed request
+		switch prev := c.prev; {
+		case prev != nil && w < len(prev.tabs) && prev.tabs[w].Fits(c.lanes, lo, hi, c.packed, c.groups):
+			p.tabs[w] = prev.tabs[w]
+		case d > 0:
+			p.tabs[w] = ht.NewDenseAggTable(c.lanes, lo, hi, c.packed)
+			c.fresh++
+		default:
 			p.tabs[w] = ht.NewAggTable(c.lanes, c.groups)
+			c.fresh++
 		}
 		for i := range p.aggs {
 			if a := &p.aggs[i]; a.lane >= 0 && a.identity() != 0 {
@@ -666,7 +736,6 @@ func (c *selectCompile) bindRowStage() error {
 		}
 	}
 	p.tab = p.tabs[0]
-	c.fresh += p.nw
 	p.keys.alloc(c.groups)
 	p.pairOut = canonicalGroupBy(c.q) && p.keys.mult != nil
 	return nil

@@ -55,18 +55,19 @@ type statsEntry struct {
 	// e is a clone of the sampled expression, owned by the cache so
 	// rebinding it against a sample or a delta view cannot race with the
 	// live plan that supplied the original (every rebind happens under the
-	// statistics lock); n counts rows sampled so far; keys is the
-	// distinct-sample behind a group-count estimate, retained only while it
-	// stays under mergeableKeyCap.
+	// statistics lock); n counts rows sampled so far; d is the number of
+	// distinct keys among them behind a group-count estimate, and keys those
+	// keys, retained only while they stay under mergeableKeyCap.
 	e    expr.Expr
-	n    int
+	n, d int
 	keys map[int64]struct{}
 }
 
 // mergeableKeyCap bounds the distinct-sample retained per group-count
-// entry. Low-cardinality keys — the common GROUP BY case — merge exactly;
-// a key that saturates the cap has its sample dropped and the entry falls
-// back to full re-sampling on the next append.
+// entry. Low-cardinality keys — the common GROUP BY case — merge exactly; a
+// key that saturates the cap has its sample dropped, and the entry carries
+// its (distinct, sampled) counts forward, re-estimated at each append's row
+// count.
 const mergeableKeyCap = 4096
 
 // statsMaxSample is the sampling budget of every sampling site: planning and
@@ -288,10 +289,10 @@ func (s *sampler) groupKeys(ts *tableSample, x expr.Expr, seen map[int64]struct{
 
 // estimateGroups turns a distinct-sample (d distinct keys in n sampled of
 // rows total) into a group-count estimate; if the sample saturates, the
-// estimate scales linearly.
+// estimate scales linearly with the rows each sampled row stands for.
 func estimateGroups(d, n, rows int) int {
 	if d > n*3/4 {
-		return d * (rows / max(n, 1))
+		return d * rows / max(n, 1)
 	}
 	return d
 }
@@ -370,9 +371,9 @@ func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached
 	if rows > 0 {
 		groups = estimateGroups(len(seen), n, rows)
 	}
-	fresh := statsEntry{groups: groups, e: clone, n: n, keys: seen}
+	fresh := statsEntry{groups: groups, e: clone, n: n, d: len(seen), keys: seen}
 	if len(seen) > mergeableKeyCap {
-		fresh.e, fresh.keys = nil, nil // too wide to merge; re-sample on append
+		fresh.e, fresh.keys = nil, nil // too wide to merge: an append re-estimates from n and d
 	}
 	e.stats.put(k, fresh)
 	return groups, false
@@ -423,9 +424,12 @@ func (e *Engine) colFacts(t *storage.Table, c *storage.Column) statsEntry {
 // row-count-weighted averages; group counts union the delta's keys into the
 // retained distinct-sample; a column range becomes the union of the old range
 // and the delta's, and an ascent checks the delta's rows, both moved to the
-// new column object. Entries of other objects of the name, entries without
-// merge state and entries whose expressions no longer bind are dropped and
-// re-sampled lazily, and so is the old table's sample.
+// new column object. A group count too wide to keep its keys
+// (mergeableKeyCap) reads no delta: it is re-estimated from the distinct and
+// sampled counts it keeps at the new row count. Entries of other objects of
+// the name, selectivities without merge state and entries whose expressions
+// no longer bind are dropped and re-sampled lazily, and so is the old table's
+// sample.
 func (e *Engine) MergeStatsOnAppend(old, t *storage.Table) {
 	oldRows := old.Rows()
 	var delta *tableSample
@@ -480,15 +484,17 @@ func (e *Engine) MergeStatsOnAppend(old, t *storage.Table) {
 				ent.n += n
 			}
 		case statGroups:
-			if ent.e == nil || ent.keys == nil {
-				return
+			if ent.keys != nil {
+				n, err := e.samples.groupKeys(delta, ent.e, ent.keys)
+				if err != nil {
+					return
+				}
+				ent.n, ent.d = ent.n+n, len(ent.keys)
+				if ent.d > mergeableKeyCap {
+					ent.e, ent.keys = nil, nil
+				}
 			}
-			n, err := e.samples.groupKeys(delta, ent.e, ent.keys)
-			if err != nil || len(ent.keys) > mergeableKeyCap {
-				return
-			}
-			ent.n += n
-			ent.groups = estimateGroups(len(ent.keys), ent.n, t.Rows())
+			ent.groups = estimateGroups(ent.d, ent.n, t.Rows())
 		}
 		k.table = t
 		out = append(out, moved{k, ent})

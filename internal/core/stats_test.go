@@ -455,3 +455,59 @@ func TestSelectivityMissAllocations(t *testing.T) {
 		t.Logf("%d leaves: %v allocations per miss (key and clone: %v)", leaves, miss, parent)
 	}
 }
+
+// TestEstimateGroupsExact pins the group-count estimate: a saturated sample
+// scales by the rows each sampled row stands for, computed without
+// truncating rows/n — a saturated 16,384-row sample of 30,000 rows estimates
+// all 30,000, not 16,384.
+func TestEstimateGroupsExact(t *testing.T) {
+	for _, tc := range []struct{ d, n, rows, want int }{
+		{16384, 16384, 30000, 30000},
+		{13000, 16384, 30000, 23803},
+		{12288, 16384, 30000, 12288}, // exactly three quarters: not saturated
+		{16000, 16384, 1_000_000, 976562},
+		{100, 16384, 1_000_000, 100},
+		{5, 5, 5, 5},
+		{0, 0, 0, 0},
+	} {
+		if got := estimateGroups(tc.d, tc.n, tc.rows); got != tc.want {
+			t.Errorf("estimateGroups(%d, %d, %d) = %d, want %d", tc.d, tc.n, tc.rows, got, tc.want)
+		}
+	}
+}
+
+// TestMergeStatsCarriesWideGroups: a group count whose distinct-sample is too
+// wide to keep (mergeableKeyCap) survives an append — re-estimated from its
+// distinct and sampled counts at the new row count — so the next lookup hits
+// and nothing is sampled again.
+func TestMergeStatsCarriesWideGroups(t *testing.T) {
+	db := testDB(t, 40_000, 10, 1_000_000)
+	e := NewEngine(db)
+	r := db.MustTable("r")
+	key := expr.NewCol("r_c")
+	if err := expr.Bind(key, expr.Columns(r)); err != nil {
+		t.Fatal(err)
+	}
+	g0, _ := e.groupCount(r, key)
+	ent, _ := e.stats.get(statsKey{table: r, kind: statGroups, expr: key.String()})
+	if ent.keys != nil || ent.d <= mergeableKeyCap || g0 != estimateGroups(ent.d, ent.n, r.Rows()) {
+		t.Fatalf("entry keeps %d keys of %d distinct, groups %d: not a wide entry (test is vacuous)", len(ent.keys), ent.d, g0)
+	}
+
+	appendRows(t, db, 5000, 4)
+	grown := db.MustTable("r")
+	e.MergeStatsOnAppend(r, grown)
+	if err := expr.Bind(key, expr.Columns(grown)); err != nil {
+		t.Fatal(err)
+	}
+	g1, hit := e.groupCount(grown, key)
+	if !hit {
+		t.Fatal("wide group count dropped by the append")
+	}
+	if want := estimateGroups(ent.d, ent.n, grown.Rows()); g1 != want || g1 <= g0 {
+		t.Errorf("merged group count = %d, want %d (from %d)", g1, want, g0)
+	}
+	if n := e.SampledColumns("r"); n != 0 {
+		t.Errorf("%d columns sampled after the merge, want 0", n)
+	}
+}

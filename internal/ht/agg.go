@@ -112,6 +112,23 @@ func NewDenseAggTable(nAccs int, lo, hi int64, packed bool) *AggTable {
 	}
 }
 
+// Fits reports whether t is already the table a compile asks for, so that a
+// re-compiled plan may adopt it instead of building one: nAccs lanes and, for
+// a key-addressed request (hi >= lo), the domain [lo, hi] and the packing;
+// for a hashed one (hi < lo) at least the capacity NewAggTable(nAccs, hint)
+// starts at and at most twice it — what a predecessor that outgrew a similar
+// hint reached. Lane identities are not compared: a caller sets them again.
+func (t *AggTable) Fits(nAccs int, lo, hi int64, packed bool, hint int) bool {
+	if t.nAccs != nAccs {
+		return false
+	}
+	if hi < lo {
+		want := hintCap(hint)
+		return t.span == 0 && t.Cap() >= want && t.Cap() <= 2*want
+	}
+	return t.span == uint64(hi)-uint64(lo)+1 && t.lo == lo && t.packed() == packed
+}
+
 // HashedBytes is the footprint of the hashed table NewAggTable(nAccs, hint)
 // builds — its slots and the throwaway record: with DenseBytes, the two sides
 // of the rule by which a compile picks the form.

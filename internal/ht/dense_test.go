@@ -705,3 +705,41 @@ func FuzzAggTableForms(f *testing.F) {
 		keyMaskAgree(t, int(domain)+1, data)
 	})
 }
+
+// TestFits pins the form check a re-prepared plan adopts a group table by:
+// a key-addressed table fits only its own lanes, domain and packing; a hashed
+// one its lanes and a hint whose starting capacity is at most its own and at
+// least half of it.
+func TestFits(t *testing.T) {
+	dense := NewDenseAggTable(1, 10, 99, false)
+	packed := NewDenseAggTable(1, 10, 99, true)
+	hashed := NewAggTable(2, 1000) // capacity 2048
+	for _, tc := range []struct {
+		name   string
+		tab    *AggTable
+		nAccs  int
+		lo, hi int64
+		packed bool
+		hint   int
+		want   bool
+	}{
+		{"dense", dense, 1, 10, 99, false, 0, true},
+		{"dense/lanes", dense, 2, 10, 99, false, 0, false},
+		{"dense/lo", dense, 1, 9, 98, false, 0, false},
+		{"dense/hi", dense, 1, 10, 100, false, 0, false},
+		{"dense/packing", dense, 1, 10, 99, true, 0, false},
+		{"packed", packed, 1, 10, 99, true, 0, true},
+		{"packed/unpacked", packed, 1, 10, 99, false, 0, false},
+		{"dense/hashed", dense, 1, 0, -1, false, 90, false},
+		{"hashed", hashed, 2, 0, -1, false, 1000, true},
+		{"hashed/grown", hashed, 2, 0, -1, false, 300, true}, // starts at 1024: one doubling short
+		{"hashed/oversized", hashed, 2, 0, -1, false, 200, false},
+		{"hashed/small", hashed, 2, 0, -1, false, 1100, false},
+		{"hashed/lanes", hashed, 1, 0, -1, false, 1000, false},
+		{"hashed/dense", hashed, 2, 0, 2047, false, 0, false},
+	} {
+		if got := tc.tab.Fits(tc.nAccs, tc.lo, tc.hi, tc.packed, tc.hint); got != tc.want {
+			t.Errorf("%s: Fits = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

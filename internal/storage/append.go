@@ -106,17 +106,13 @@ func ExtendFKIndex(idx *FKIndex, child, parent *Table) (*FKIndex, error) {
 	if len(idx.Pos) > fkCol.Len() {
 		return nil, fmt.Errorf("storage: extend fk index %s.%s: index covers %d rows but child has %d", idx.Child, idx.FK, len(idx.Pos), fkCol.Len())
 	}
-	pos := make(map[int64]int32, pkCol.Len())
-	for i := 0; i < pkCol.Len(); i++ {
-		k := pkCol.Get(i)
-		if _, dup := pos[k]; dup {
-			return nil, fmt.Errorf("storage: duplicate primary key %d in %s.%s", k, idx.Parent, idx.PK)
-		}
-		pos[k] = int32(i)
+	pos, err := locatePK(pkCol, idx.Parent+"."+idx.PK)
+	if err != nil {
+		return nil, err
 	}
 	out := idx.Pos
 	for i := len(idx.Pos); i < fkCol.Len(); i++ {
-		p, ok := pos[fkCol.Get(i)]
+		p, ok := pos.row(fkCol.Get(i))
 		if !ok {
 			return nil, fmt.Errorf("storage: referential integrity violation: appended %s.%s[%d]=%d has no match in %s.%s",
 				idx.Child, idx.FK, i, fkCol.Get(i), idx.Parent, idx.PK)
@@ -130,13 +126,6 @@ func ExtendFKIndex(idx *FKIndex, child, parent *Table) (*FKIndex, error) {
 // i.e. that it can serve as a primary key. The append path runs it on a
 // parent table's key column after an append, before registering anything.
 func ValidateUniqueKey(c *Column) error {
-	seen := make(map[int64]struct{}, c.Len())
-	for i := 0; i < c.Len(); i++ {
-		v := c.Get(i)
-		if _, dup := seen[v]; dup {
-			return fmt.Errorf("storage: duplicate primary key %d in column %s", v, c.Name)
-		}
-		seen[v] = struct{}{}
-	}
-	return nil
+	_, err := locatePK(c, "column "+c.Name)
+	return err
 }

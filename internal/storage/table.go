@@ -91,19 +91,15 @@ func BuildFKIndex(child *Table, fk string, parent *Table, pk string) (*FKIndex, 
 	if fkCol == nil || pkCol == nil {
 		return nil, fmt.Errorf("storage: fk index %s.%s -> %s.%s: missing column", child.Name, fk, parent.Name, pk)
 	}
-	// Map parent key -> row. Primary keys in the workloads are dense
-	// surrogates, but the index does not assume it.
-	pos := map[int64]int32{}
-	for i := 0; i < pkCol.Len(); i++ {
-		k := pkCol.Get(i)
-		if _, dup := pos[k]; dup {
-			return nil, fmt.Errorf("storage: duplicate primary key %d in %s.%s", k, parent.Name, pk)
-		}
-		pos[k] = int32(i)
+	// Primary keys in the workloads are dense surrogates, which the locator
+	// reads positionally, but the index does not assume it.
+	pos, err := locatePK(pkCol, parent.Name+"."+pk)
+	if err != nil {
+		return nil, err
 	}
 	idx := &FKIndex{Child: child.Name, FK: fk, Parent: parent.Name, PK: pk, Pos: make([]int32, fkCol.Len())}
 	for i := 0; i < fkCol.Len(); i++ {
-		p, ok := pos[fkCol.Get(i)]
+		p, ok := pos.row(fkCol.Get(i))
 		if !ok {
 			return nil, fmt.Errorf("storage: referential integrity violation: %s.%s[%d]=%d has no match in %s.%s",
 				child.Name, fk, i, fkCol.Get(i), parent.Name, pk)

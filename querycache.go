@@ -29,14 +29,24 @@ import (
 // catalog the compile pinned. Every write — CreateTable, an append,
 // ReplaceRows — registers a new table object, so an entry is current
 // exactly while the catalog still holds each of its tables. Entries whose
-// tables have been replaced are dropped lazily on lookup, and writes evict
-// eagerly, so a mutated table can never serve a stale answer.
+// tables have been replaced are dropped lazily on lookup, and every write
+// evicts its table's entries at once, so a mutated table can never serve a
+// stale answer.
+//
+// Eviction is not the end of an entry's buffers. A replacement (CreateTable,
+// ReplaceRows) drops its entries, so no old plan pins replaced data; an
+// append retires them, each under its normalized text. The statement's next
+// compile takes the retired entry and re-prepares on its plan's buffers
+// (core.Engine.Reprepare) — group tables of the same form, bitmaps, emission
+// scratch and the result buffer — deciding every statistic, technique and
+// form afresh. The retired map holds at most maxCachedPlans entries.
 //
 // A cached statement's answer stays in the plan: the entry's Result is a
 // header over the plan-owned flat buffer, which the statement's next
 // execution overwrites. Callers take what must outlive that inside
 // cachedPlan.answer: QueryContext copies, /query encodes, QuerySwole keeps
-// the alias and says so.
+// the alias and says so — and its entry is marked lent, so a successor
+// never adopts the buffer that alias reads.
 
 // maxCachedPlans bounds the cache. Past the bound the cache is cleared
 // wholesale: plans re-prepare in one execution, and a workload with more
@@ -49,10 +59,12 @@ type cachedPlan struct {
 	// result buffer are per-entry and reused across runs. Different
 	// statements run in parallel.
 	mu     sync.Mutex
-	plan   *core.PreparedSelect
+	plan   *core.PreparedSelect // nil once a successor adopted it
 	shape  string
+	norm   string           // the normalized text: the slow key, and the retired one
 	tables []*storage.Table // the plan's tables (PreparedSelect.Tables)
 	gen    uint64           // DB.configGen when the compile began
+	lent   bool             // QuerySwole handed out res: its buffer stays this plan's
 
 	// res aliases the plan's flat result buffer; every run repoints it.
 	res Result
@@ -86,19 +98,25 @@ func (c *cachedPlan) dependsOn(table string) bool {
 // by defer — fn is the caller's code, and its panic must not wedge the
 // statement. A warm run allocates nothing. A canceled run returns the
 // context's error without calling fn, the entry and the plan's pooled
-// resources intact for the next execution.
-func (c *cachedPlan) answer(ctx context.Context, fn func(*Result)) (Explain, error) {
+// resources intact for the next execution. lend marks the entry lent (fn
+// keeps the result). ok is false, and fn not called, when a successor has
+// adopted the plan: the caller compiles the statement instead.
+func (c *cachedPlan) answer(ctx context.Context, lend bool, fn func(*Result)) (ex Explain, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.plan == nil {
+		return Explain{}, false, nil
+	}
 	res, cex, err := c.plan.RunContext(ctx)
-	ex := fromCore(cex)
+	ex = fromCore(cex)
 	ex.Shape = c.shape
 	if err != nil {
-		return ex, err
+		return ex, true, err
 	}
 	c.res.flat = res.Flat // the row layout already: nothing is copied
+	c.lent = c.lent || lend
 	fn(&c.res)
-	return ex, nil
+	return ex, true, nil
 }
 
 // normalizeQuery collapses runs of whitespace to single spaces so
@@ -152,7 +170,7 @@ func normalizeQuery(q string) string {
 // holds the entry's own lock, so different statements execute in
 // parallel (down to the engine locks) while executions of one statement
 // — which reuse the plan's result buffer — still serialize.
-func (d *DB) cachedRun(ctx context.Context, q string, fn func(*Result)) (ex Explain, found bool, err error) {
+func (d *DB) cachedRun(ctx context.Context, q string, lend bool, fn func(*Result)) (ex Explain, found bool, err error) {
 	d.mu.Lock()
 	c := d.plans[q]
 	if c == nil {
@@ -178,8 +196,7 @@ func (d *DB) cachedRun(ctx context.Context, q string, fn func(*Result)) (ex Expl
 		d.mu.Unlock()
 		return Explain{}, false, nil
 	}
-	ex, err = c.answer(ctx, fn)
-	return ex, true, err
+	return c.answer(ctx, lend, fn)
 }
 
 // storePlan inserts a freshly prepared statement under both keys — unless
@@ -197,7 +214,7 @@ func (d *DB) storePlan(q string, c *cachedPlan) {
 		d.normPlans = map[string]*cachedPlan{}
 	}
 	d.plans[q] = c
-	d.normPlans[normalizeQuery(q)] = c
+	d.normPlans[c.norm] = c
 	d.mu.Unlock()
 }
 
@@ -220,13 +237,15 @@ func (d *DB) dropPlanLocked(c *cachedPlan) {
 // table. Called on every replacement (replaceTable).
 func (d *DB) invalidateTable(table string) {
 	d.engine.InvalidateStats(table)
-	d.evictPlans(table)
+	d.evictPlans(table, false)
 }
 
-// evictPlans drops the cached plans that read the named table — and only
-// those; other tables' plans stay warm. The append path uses it directly
-// (it merges the table's statistics instead of dropping them).
-func (d *DB) evictPlans(table string) {
+// evictPlans removes the cached plans that read the named table — and only
+// those; other tables' plans stay warm. retire keeps each under its
+// normalized text for the statement's next compile to adopt (the append
+// path, which also merges the table's statistics instead of dropping them);
+// otherwise they are dropped, as are retired plans of the table.
+func (d *DB) evictPlans(table string, retire bool) {
 	d.mu.Lock()
 	for k, c := range d.plans {
 		if c.dependsOn(table) {
@@ -234,8 +253,22 @@ func (d *DB) evictPlans(table string) {
 		}
 	}
 	for k, c := range d.normPlans {
-		if c.dependsOn(table) {
-			delete(d.normPlans, k)
+		if !c.dependsOn(table) {
+			continue
+		}
+		delete(d.normPlans, k)
+		if retire {
+			if len(d.retired) >= maxCachedPlans {
+				clear(d.retired)
+			}
+			d.retired[k] = c
+		}
+	}
+	if !retire {
+		for k, c := range d.retired {
+			if c.dependsOn(table) {
+				delete(d.retired, k)
+			}
 		}
 	}
 	d.mu.Unlock()
@@ -263,6 +296,7 @@ func (d *DB) SetWorkers(n int) {
 	d.configGen++
 	d.plans = map[string]*cachedPlan{}
 	d.normPlans = map[string]*cachedPlan{}
+	clear(d.retired)
 	d.mu.Unlock()
 }
 

@@ -62,7 +62,8 @@ type DB struct {
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
 	normPlans map[string]*cachedPlan
-	configGen uint64 // bumped by SetWorkers; see storePlan
+	retired   map[string]*cachedPlan // evicted by an append, by normalized text
+	configGen uint64                 // bumped by SetWorkers; see storePlan
 
 	// writeMu serializes the writes: each holds it from its first catalog
 	// read to its registration, so a write builds on the registration it
@@ -86,6 +87,7 @@ func newDBWith(db *storage.Database) *DB {
 		engine:    core.NewEngine(db),
 		plans:     map[string]*cachedPlan{},
 		normPlans: map[string]*cachedPlan{},
+		retired:   map[string]*cachedPlan{},
 		kernels:   map[string]*ingest.Kernel{},
 	}
 }
