@@ -19,20 +19,10 @@
 // kernel (fields line up positionally with the table's columns); appended
 // rows are visible to the next /query. Batches share the query admission
 // slots, and /metrics adds swole_ingest_queries_total{outcome},
-// swole_ingest_rows_total, and swole_ingest_duration_seconds. Coordinator
-// mode has no local data and answers /ingest with 501.
+// swole_ingest_rows_total, and swole_ingest_duration_seconds.
 //
-// Inside one process the cores are used one way: -workers sizes the morsel
-// gang every query scans on. Across processes (see README "Scaling out"):
-//
-//	-shards a,b,...   coordinator mode: no local data — every query
-//	                  scatter-gathers over the listed shard processes
-//	                  (each an ordinary swoled serving one row range)
-//	                  and merges the partials; a shard 429 or timeout
-//	                  fails the query with per-shard attribution in the
-//	                  explain. -per-shard bounds outstanding requests
-//	                  per shard. The /metrics page adds
-//	                  swole_shard_queries_total{shard}.
+// The process uses its cores one way: -workers sizes the morsel gang every
+// query scans on.
 package main
 
 import (
@@ -42,7 +32,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,9 +53,6 @@ func main() {
 		groups = flag.Int("groups", 1_000, "microbenchmark group-key cardinality")
 
 		workers = flag.Int("workers", 0, "morsel worker count per query (0 = GOMAXPROCS)")
-
-		shards   = flag.String("shards", "", "coordinator mode: comma-separated shard addresses (host:port); no local data is loaded")
-		perShard = flag.Int("per-shard", 4, "coordinator mode: outstanding requests per shard")
 	)
 	flag.Parse()
 
@@ -82,48 +68,28 @@ func main() {
 		DrainTimeout:   *drain,
 	}
 
-	var (
-		db  *swole.DB
-		srv *serve.Server
-		err error
-	)
-	if *shards != "" {
-		addrs := strings.Split(*shards, ",")
-		srv, err = serve.NewCoordinator(serve.CoordinatorConfig{
-			Config:   scfg,
-			Shards:   addrs,
-			PerShard: *perShard,
-		})
-		if err != nil {
-			log.Fatalf("coordinator: %v", err)
-		}
-		if err := srv.Start(); err != nil {
-			log.Fatalf("listen: %v", err)
-		}
-		log.Printf("swoled coordinating %d shards on %s (per-shard=%d max-inflight=%d max-queue=%d timeout=%v)",
-			len(addrs), srv.Addr(), *perShard, *maxInflight, *maxQueue, *timeout)
+	start := time.Now()
+	var db *swole.DB
+	if *tpch > 0 {
+		log.Printf("loading TPC-H sf=%g ...", *tpch)
+		db = swole.LoadTPCH(*tpch)
 	} else {
-		start := time.Now()
-		if *tpch > 0 {
-			log.Printf("loading TPC-H sf=%g ...", *tpch)
-			db = swole.LoadTPCH(*tpch)
-		} else {
-			log.Printf("loading microbenchmark (rows=%d dim=%d groups=%d) ...", *rows, *dim, *groups)
-			db, err = swole.LoadMicro(swole.MicroConfig{Rows: *rows, DimRows: *dim, GroupKeys: *groups})
-			if err != nil {
-				log.Fatalf("load dataset: %v", err)
-			}
+		log.Printf("loading microbenchmark (rows=%d dim=%d groups=%d) ...", *rows, *dim, *groups)
+		var err error
+		db, err = swole.LoadMicro(swole.MicroConfig{Rows: *rows, DimRows: *dim, GroupKeys: *groups})
+		if err != nil {
+			log.Fatalf("load dataset: %v", err)
 		}
-		log.Printf("dataset ready in %v", time.Since(start).Round(time.Millisecond))
-		db.SetWorkers(*workers)
-
-		srv = serve.New(db, scfg)
-		if err := srv.Start(); err != nil {
-			log.Fatalf("listen: %v", err)
-		}
-		log.Printf("swoled serving on %s (max-inflight=%d max-queue=%d timeout=%v)",
-			srv.Addr(), *maxInflight, *maxQueue, *timeout)
 	}
+	log.Printf("dataset ready in %v", time.Since(start).Round(time.Millisecond))
+	db.SetWorkers(*workers)
+
+	srv := serve.New(db, scfg)
+	if err := srv.Start(); err != nil {
+		log.Fatalf("listen: %v", err)
+	}
+	log.Printf("swoled serving on %s (max-inflight=%d max-queue=%d timeout=%v)",
+		srv.Addr(), *maxInflight, *maxQueue, *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -134,8 +100,6 @@ func main() {
 		log.Printf("drain incomplete: %v", err)
 		os.Exit(1)
 	}
-	if db != nil {
-		db.Close()
-	}
+	db.Close()
 	fmt.Println("swoled: drained, bye")
 }

@@ -167,9 +167,6 @@ func main() {
 		if s.IngestRows > 0 {
 			fmt.Printf("server      %d rows appended in %.2fs of server-side ingest time\n", s.IngestRows, s.IngestSeconds)
 		}
-		if s.ShardQueries > 0 {
-			fmt.Printf("coordinator %d shard dispatches (swole_shard_queries_total)\n", s.ShardQueries)
-		}
 	} else {
 		fmt.Println("server      /metrics scrape unavailable; no attribution")
 	}

@@ -5,8 +5,8 @@ package expr
 // caches its resolved leaf, a *StrConst its dictionary code —
 // so an expression tree compiled against one table view must never be
 // rebound against another while the first binding is still executing.
-// The shard layer therefore clones a statement's trees once per shard
-// and lets each shard's compile establish its own bound state.
+// The engine's statistics (core's stats.go) therefore bind a clone
+// against the table's sample and leave the plan's tree bound to the table.
 func Clone(e Expr) Expr {
 	if e == nil {
 		return nil

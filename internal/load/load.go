@@ -93,10 +93,6 @@ type Attribution struct {
 	GCPauses          uint64  `json:"gc_pauses"`
 	GCCycles          uint64  `json:"gc_cycles"`
 	GCPauseMaxSeconds float64 `json:"gc_pause_max_seconds"`
-	// ShardQueries is the window's scatter-gather dispatch count, summed
-	// across swole_shard_queries_total{shard}; zero against a non-
-	// coordinator swoled.
-	ShardQueries uint64 `json:"shard_queries,omitempty"`
 	// IngestRows and IngestSeconds are the window's appended-row count and
 	// server-side ingest wall time (its own histogram, so ExecSeconds
 	// stays a pure read-execution figure); zero on read-only runs.
@@ -464,8 +460,8 @@ func postIngest(ctx context.Context, client *http.Client, base string, ing *Inge
 	return d, resp.StatusCode, rep.Accepted, rep.Rejected, nil
 }
 
-// scrape fetches /metrics and extracts the flat counters the attribution
-// needs (histogram sums/counts and the GC figures).
+// scrape fetches /metrics and extracts the unlabeled counters the
+// attribution needs (histogram sums/counts and the GC figures).
 func scrape(ctx context.Context, client *http.Client, base string) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
@@ -485,22 +481,7 @@ func scrape(ctx context.Context, client *http.Client, base string) (map[string]f
 	}
 	vals := map[string]float64{}
 	for _, line := range strings.Split(string(raw), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// Labeled series are summed under the bare metric name; the only
-		// one the attribution wants is the coordinator's per-shard dispatch
-		// counter.
-		if brace := strings.IndexByte(line, '{'); brace >= 0 {
-			name := line[:brace]
-			if name != "swole_shard_queries_total" {
-				continue
-			}
-			if sp := strings.LastIndexByte(line, ' '); sp >= 0 {
-				if f, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64); err == nil {
-					vals[name] += f
-				}
-			}
+		if line == "" || strings.HasPrefix(line, "#") || strings.ContainsRune(line, '{') {
 			continue
 		}
 		name, val, ok := strings.Cut(line, " ")
@@ -530,7 +511,6 @@ func attribute(before, after map[string]float64) *Attribution {
 		GCPauses:          uint64(d("swole_gc_pauses_total")),
 		GCCycles:          uint64(d("swole_gc_cycles_total")),
 		GCPauseMaxSeconds: after["swole_gc_pause_max_seconds"],
-		ShardQueries:      uint64(d("swole_shard_queries_total")),
 		IngestRows:        uint64(d("swole_ingest_rows_total")),
 		IngestSeconds:     d("swole_ingest_duration_seconds_sum"),
 	}

@@ -31,6 +31,13 @@ func queryBody(q string) []byte {
 	return b
 }
 
+// queryResponse decodes a /query success body (appendAnswer writes it).
+type queryResponse struct {
+	Columns []string       `json:"columns"`
+	Rows    [][]int64      `json:"rows"`
+	Explain *swole.Explain `json:"explain,omitempty"`
+}
+
 // reflected is the /query success body as the server wrote it before it
 // stopped reflecting: json.NewEncoder over the response struct.
 func reflected(cols []string, flat []int64, width int, ex swole.Explain) []byte {
@@ -73,7 +80,7 @@ func TestQueryBodyMatchesReflectedEncoding(t *testing.T) {
 		ex := swole.Explain{
 			Technique: "hybrid", Shape: names[rng.Intn(len(names))], Selectivity: rng.Float64(),
 			Costs: map[string]float64{"a<b": rng.Float64(), "hashed": 1e21}, PlanCached: trial%2 == 0,
-			PrepareTime: time.Duration(rng.Intn(1e6)), ShardTimes: []time.Duration{1, 2},
+			PrepareTime: time.Duration(rng.Intn(1e6)), Merged: []string{"a", "b"},
 		}
 		s := NewWithRunner(func(_ context.Context, _ string, rows func([]string, []int64, int)) (swole.Explain, error) {
 			rows(cols, flat, width)

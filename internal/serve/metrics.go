@@ -84,11 +84,6 @@ type metrics struct {
 	ingestSum      float64
 	ingestCnt      uint64
 
-	// shardQueries counts queries dispatched to each shard process by the
-	// scatter-gather coordinator, keyed by shard index; nil on non-
-	// coordinator servers (the metric is then omitted from scrapes).
-	shardQueries map[int]uint64
-
 	inflight atomic.Int64
 	queued   atomic.Int64
 	panics   atomic.Int64 // handler panics answered 500 (Server.recovered)
@@ -120,16 +115,6 @@ func (m *metrics) observeWait(d time.Duration) {
 	}
 	m.waitSum += sec
 	m.waitCnt++
-	m.mu.Unlock()
-}
-
-// observeShard counts one query dispatched to a shard process.
-func (m *metrics) observeShard(shard int) {
-	m.mu.Lock()
-	if m.shardQueries == nil {
-		m.shardQueries = map[int]uint64{}
-	}
-	m.shardQueries[shard]++
 	m.mu.Unlock()
 }
 
@@ -270,19 +255,6 @@ func (m *metrics) render(w *strings.Builder) {
 	fmt.Fprintf(w, "swole_ingest_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.ingestCnt)
 	fmt.Fprintf(w, "swole_ingest_duration_seconds_sum %g\n", m.ingestSum)
 	fmt.Fprintf(w, "swole_ingest_duration_seconds_count %d\n", m.ingestCnt)
-
-	if m.shardQueries != nil {
-		fmt.Fprintf(w, "# HELP swole_shard_queries_total Queries the coordinator dispatched, by shard.\n")
-		fmt.Fprintf(w, "# TYPE swole_shard_queries_total counter\n")
-		shards := make([]int, 0, len(m.shardQueries))
-		for s := range m.shardQueries {
-			shards = append(shards, s)
-		}
-		sort.Ints(shards)
-		for _, s := range shards {
-			fmt.Fprintf(w, "swole_shard_queries_total{shard=\"%d\"} %d\n", s, m.shardQueries[s])
-		}
-	}
 }
 
 // renderGC samples the runtime's GC telemetry at scrape time and emits the

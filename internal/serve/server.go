@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -74,20 +75,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// QueryFunc is the execution backend: swole.(*DB).QueryRows in production,
-// the coordinator's scatter-gather, a stub in tests. A backend presents its
-// answer by calling rows at most once (never: no columns, no rows) with the
-// column names and the values as one flat row-major array; the server encodes
-// inside the call, and both slices are the backend's again when it returns.
+// QueryFunc is the execution backend: swole.(*DB).QueryRows in production, a
+// stub in tests. A backend presents its answer by calling rows at most once
+// (never: no columns, no rows) with the column names and the values as one
+// flat row-major array; the server encodes inside the call, and both slices
+// are the backend's again when it returns.
 type QueryFunc func(ctx context.Context, q string, rows func(cols []string, flat []int64, width int)) (swole.Explain, error)
 
 // IngestFunc is the write backend: swole.(*DB).AppendCSV in production.
-// Servers without one (coordinators, NewWithRunner tests) refuse POST
-// /ingest with 501.
+// Servers without one (NewWithRunner tests) refuse POST /ingest with 501.
 type IngestFunc func(table string, data []byte, policy swole.IngestPolicy) (swole.IngestReport, error)
 
 // maxIngestBody caps a POST /ingest body. One batch parses and appends
-// under the table's ingest lock, so an unbounded body would hold writers
+// under the database's writer lock, so an unbounded body would hold writers
 // (not readers) for its whole parse.
 const maxIngestBody = 64 << 20
 
@@ -100,7 +100,7 @@ var errRejected = errors.New("serve: server saturated, query rejected")
 type Server struct {
 	cfg    Config
 	run    QueryFunc
-	ingest IngestFunc // nil: no write path (coordinator, test runner)
+	ingest IngestFunc // nil: no write path (test runner)
 	m      *metrics
 
 	sem      chan struct{} // admission semaphore, capacity MaxInFlight
@@ -220,23 +220,23 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 type queryRequest struct {
 	Query string `json:"query"`
 	// TimeoutMS overrides the server's default per-query deadline;
-	// negative disables the deadline for this query.
+	// negative, or past what a time.Duration holds, disables the deadline
+	// for this query.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 type errorResponse struct {
 	Error   string `json:"error"`
 	Outcome string `json:"outcome"`
-	// Explain carries per-shard failure attribution when a coordinator
-	// scatter-gather fails partially (Explain.ShardErrors); omitted
-	// otherwise.
-	Explain *swole.Explain `json:"explain,omitempty"`
 }
 
 // deadline derives the query's context from the request's.
 func (s *Server) deadline(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
-	if timeoutMS != 0 {
+	switch {
+	case timeoutMS > math.MaxInt64/int64(time.Millisecond):
+		d = -1 // longer than a Duration holds: no deadline, as a negative one
+	case timeoutMS != 0:
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	if d < 0 {
@@ -367,11 +367,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errRejected) && s.draining.Load() {
 			status = http.StatusServiceUnavailable
 		}
-		eresp := errorResponse{Error: err.Error(), Outcome: outcome}
-		if ex != nil && len(ex.ShardErrors) > 0 {
-			eresp.Explain = ex
-		}
-		writeJSON(w, status, eresp)
+		writeJSON(w, status, errorResponse{Error: err.Error(), Outcome: outcome})
 		return
 	}
 	if len(body) == 0 { // the backend had nothing to present
@@ -398,11 +394,11 @@ type ingestResponse struct {
 
 // handleIngest appends one CSV batch to the table named by the ?table
 // parameter. The batch competes for the same admission slots as queries —
-// an append holds the table's ingest lock and swaps its last shard, so
-// letting unbounded ingests pile up next to a bounded read fleet would
-// defeat the admission controller. Malformed rows follow ?policy:
-// "strict" (default) refuses the whole batch with the offending line,
-// "skip" drops and attributes them.
+// an append holds the database's one writer lock (DB.writeMu) while it
+// parses and registers the batch, so letting unbounded ingests pile up next
+// to a bounded read fleet would defeat the admission controller. Malformed
+// rows follow ?policy: "strict" (default) refuses the whole batch with the
+// offending line, "skip" drops and attributes them.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil {
 		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "this server has no ingest backend", Outcome: outcomeError})

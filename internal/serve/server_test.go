@@ -315,6 +315,37 @@ func TestTimeoutOutcome(t *testing.T) {
 	}
 }
 
+// TestTimeoutBeyondDuration asserts a timeout_ms too large for a
+// time.Duration means no deadline, as a negative one does, instead of
+// wrapping into a microsecond or a negative deadline; an ordinary one still
+// bounds the query.
+func TestTimeoutBeyondDuration(t *testing.T) {
+	var (
+		deadline time.Time
+		bounded  bool
+	)
+	s := NewWithRunner(func(ctx context.Context, _ string, _ func([]string, []int64, int)) (swole.Explain, error) {
+		deadline, bounded = ctx.Deadline()
+		return swole.Explain{Shape: "stub"}, nil
+	}, Config{})
+	for _, timeoutMS := range []int64{18446744073710, 9300000000000} {
+		body, _ := json.Marshal(queryRequest{Query: "q", TimeoutMS: timeoutMS})
+		if rec := post(s, body); rec.Code != http.StatusOK {
+			t.Fatalf("timeout_ms %d: status %d body %s", timeoutMS, rec.Code, rec.Body)
+		}
+		if bounded {
+			t.Errorf("timeout_ms %d: deadline in %v, want none", timeoutMS, time.Until(deadline))
+		}
+	}
+	body, _ := json.Marshal(queryRequest{Query: "q", TimeoutMS: 100})
+	if rec := post(s, body); rec.Code != http.StatusOK {
+		t.Fatalf("timeout_ms 100: status %d body %s", rec.Code, rec.Body)
+	}
+	if left := time.Until(deadline); !bounded || left <= 0 || left > 100*time.Millisecond {
+		t.Errorf("timeout_ms 100: deadline %v (set %v), want within 100ms", left, bounded)
+	}
+}
+
 // TestGracefulDrain starts a query, calls Shutdown concurrently, and
 // asserts (1) new queries are refused while draining, (2) Shutdown waits
 // for the in-flight query, (3) Shutdown returns nil.

@@ -82,22 +82,6 @@ type Explain struct {
 	// interpreter-fallback statements and for plans forced onto the
 	// tuple-at-a-time kernel.
 	Variants KernelVariants
-
-	// The Shard* fields describe a coordinator scatter-gather over shard
-	// processes (cmd/swoled -shards) and are set by the coordinator only.
-	// An in-process execution leaves them zero: the query is one plan on
-	// one engine.
-	//
-	// ShardCount is the number of shard processes the query was sent to.
-	ShardCount int
-	// ShardTimes holds each shard process's response time, indexed by shard.
-	ShardTimes []time.Duration
-	// ShardMergeTime is the wall time of folding the shards' answers into
-	// the final one (group rows combine by key, scalars by summation).
-	ShardMergeTime time.Duration
-	// ShardErrors attributes per-shard failures: entry i names what shard i
-	// returned when the query failed partially. Empty on success.
-	ShardErrors []string
 }
 
 func fromCore(ex core.Explain) Explain {
