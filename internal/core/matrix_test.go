@@ -96,8 +96,8 @@ func TestParityMatrixAllEntryPoints(t *testing.T) {
 		want   map[int64]int64
 		forced []Technique
 	}{
-		{"scalar", scalarSpec(sq), wantScalar, []Technique{TechDataCentric, TechHybrid, TechValueMasking}},
-		{"group", groupSpec(gq), wantGroup, []Technique{TechDataCentric, TechHybrid, TechValueMasking, TechKeyMasking}},
+		{"scalar", scalarSpec(sq), wantScalar, []Technique{TechHybrid, TechValueMasking}},
+		{"group", groupSpec(gq), wantGroup, []Technique{TechHybrid, TechValueMasking, TechKeyMasking}},
 		{"semijoin", semiSpec(mq), wantSemi, []Technique{TechHybrid, TechValueMasking}},
 		{"groupjoin", gjoinSpec(jq), wantGJoin, []Technique{TechHybrid, TechValueMasking, TechKeyMasking, TechEagerAggregation}},
 	}

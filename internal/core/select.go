@@ -52,8 +52,7 @@ import (
 // filtered edge's foreign key may instead aggregate eagerly (Section
 // III-E): keyed by the parent's position, with the edge's filter applied
 // once per group when the groups are emitted. Nothing on the run path works
-// a row at a time — except the forced-only data-centric baseline,
-// tupleKernel — and the emission runs HAVING and the projection a tile of
+// a row at a time, and the emission runs HAVING and the projection a tile of
 // groups at a time, unless the output is the table's own (key, sum) pairs
 // (pairOut).
 //
@@ -545,37 +544,6 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 	}
 }
 
-// tupleKernel is the data-centric baseline (Figure 1, left), forced only: one
-// tuple-at-a-time loop with a branch over a single sum or count, which a
-// grouped statement folds with a Lookup and an Add per qualifying row.
-func (p *PreparedSelect) tupleKernel(w, base, length int) {
-	a, tab := &p.aggs[0], p.tab
-	var key *storage.Column
-	var part []int64
-	if tab != nil {
-		tab, key = p.tabs[w], p.cols[p.keys.cols[0]].col
-	} else {
-		part = p.part[w*p.stride:]
-	}
-	for i := base; i < base+length; i++ {
-		if p.spec.Filter != nil && expr.Eval(p.spec.Filter, i, nil) == 0 {
-			continue
-		}
-		v := int64(0)
-		if a.lane >= 0 {
-			v = expr.Eval(a.arg.e, i, nil)
-		}
-		if tab == nil {
-			part[0]++
-			part[1] += v
-			continue
-		}
-		// A count's table has no lanes: Add's lane 0 is the count word, so
-		// adding 0 there counts the row once.
-		tab.Add(tab.Lookup(p.keys.key(key.Get(i))), 0, v)
-	}
-}
-
 // tile takes rows [base, base+n) from root mask to worker w's accumulator
 // lanes: its group table, or for a scalar statement its stripe. s is worker
 // w's scratch.
@@ -730,7 +698,7 @@ func (p *PreparedSelect) operand(s *worker, x *rowExpr, base, m int, buf []int64
 // reduction kernels (under hybrid the lanes are compacted and the mask all
 // ones).
 func (p *PreparedSelect) foldScalar(s *worker, part []int64, base, m int, cmp []byte) {
-	cnt := vec.CountMask(cmp)
+	cnt := vec.CountOnes(cmp)
 	if cnt == 0 {
 		return
 	}

@@ -70,16 +70,11 @@ func (e *Engine) Techniques(spec Select) []Technique {
 
 // selectTechs is the menu of a statement: the techniques the cost model
 // chooses among, which are also the ones PrepareForced may name. Key masking
-// needs a key. The classic shapes add the data-centric baseline, which only a
-// forced compile runs; Engine.Techniques adds eager aggregation where it
-// applies.
+// needs a key; Engine.Techniques adds eager aggregation where it applies.
 func selectTechs(q Select) []Technique {
 	techs := []Technique{TechHybrid, TechValueMasking}
 	if len(q.GroupBy) > 0 {
 		techs = append(techs, TechKeyMasking)
-	}
-	if classicShape(q) {
-		techs = append([]Technique{TechDataCentric}, techs...)
 	}
 	return techs
 }
@@ -228,9 +223,6 @@ func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect, l
 	p.ex.FreshAllocs = c.fresh
 	p.ex.StatsCached = c.statLookups > 0 && c.statHits == c.statLookups
 	p.kMain, p.kEdge = p.mainKernel, p.edgeKernel
-	if p.tech == TechDataCentric {
-		p.kMain = p.tupleKernel
-	}
 	p.compiled(start, c.statsTime)
 	if prev != nil {
 		prev.adopted = true
@@ -620,9 +612,7 @@ func (c *selectCompile) sumBound() uint64 {
 // row-stage expression, and allocates the aggregation state. Under hybrid
 // the lanes are the selected rows, so every column read gets a vector;
 // under masking the lanes are the tile's rows and an expression over root
-// columns alone reads them in place, at native width. The data-centric loop
-// evaluates the root-bound trees a row at a time, on rows that passed the
-// filter.
+// columns alone reads them in place, at native width.
 func (c *selectCompile) bindRowStage() error {
 	p := c.p
 	// A lone key column addresses a key-addressed table by value — its slot

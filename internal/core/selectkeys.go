@@ -140,17 +140,6 @@ func (g *groupKeys) fill(vecs [][]int64, m int, keys []int64) []int64 {
 	return keys
 }
 
-// key is fill for one value of a lone key column.
-func (g *groupKeys) key(v int64) int64 {
-	switch {
-	case g.byValue:
-		return v
-	case g.mult != nil:
-		return v - g.lo[0] // a lone column's place value is 1
-	}
-	return g.dicts[0].id(v)
-}
-
 // reset empties the chained form's dictionaries for the next run.
 func (g *groupKeys) reset() {
 	for i := range g.dicts {

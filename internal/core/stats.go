@@ -263,7 +263,7 @@ func (s *sampler) selectivity(ts *tableSample, x expr.Expr) (sel float64, n int,
 	for base := 0; base < n; base += vec.TileSize {
 		tl := min(vec.TileSize, n-base)
 		s.ev.EvalBool(x, expr.Rows(base, tl), s.mask)
-		hits += vec.CountMask(s.mask[:tl])
+		hits += vec.CountOnes(s.mask[:tl])
 	}
 	return float64(hits) / float64(n), n, nil
 }

@@ -20,7 +20,8 @@ func TestCloneCopiesAllNodeTypesUnbound(t *testing.T) {
 		t.Fatalf("clone renders differently:\n got %s\nwant %s", got.String(), orig.String())
 	}
 	// No node may be shared: mutating the clone's tree must not touch the
-	// original (this is the property the per-shard compiles rely on).
+	// original (the statistics sampler rebinds its clone of a filter or key
+	// to the table's sample and caches it).
 	var origNodes, cloneNodes []Expr
 	Walk(orig, func(e Expr) { origNodes = append(origNodes, e) })
 	Walk(got, func(e Expr) { cloneNodes = append(cloneNodes, e) })

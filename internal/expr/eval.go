@@ -1,8 +1,8 @@
 package expr
 
 // Eval evaluates a bound expression for a single tuple — the tuple-at-a-time
-// access path of the Volcano engine, HAVING and the projection, and the
-// data-centric kernels, and the reference the tile walker is tested against.
+// access path of the Volcano engine (its filters, join residuals, HAVING and
+// projection) and the reference the tile walker is tested against.
 // A column leaf reads row i of its column and a slot leaf reads row[slot]; a
 // tree bound to one kind of leaf ignores the other argument. Booleans are
 // 0/1, and division is total: a zero divisor yields 0, here and in the tile

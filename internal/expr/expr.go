@@ -2,9 +2,8 @@
 // the logical planner, the interpreted Volcano engine, and the code
 // generator. A tree is bound once (Bind) against whatever its columns are
 // read from and evaluated by one of two walkers that share no code: scalar
-// (Eval: tuple at a time, the data-centric and Volcano access path and the
-// reference) and tiled (Evaluator: vector at a time, the prepass access
-// path).
+// (Eval: tuple at a time, the Volcano access path and the reference) and
+// tiled (Evaluator: vector at a time, the prepass access path).
 //
 // The package also provides the analyses SWOLE's planner needs:
 // computation-cost introspection for the cost models (Section III-A cites

@@ -90,9 +90,9 @@ func BenchmarkIngestKernel(b *testing.B)       { benchKernel(b, "plain") }
 func BenchmarkIngestKernelQuoted(b *testing.B) { benchKernel(b, "quoted") }
 func BenchmarkIngestKernelSkip(b *testing.B)   { benchKernel(b, "skip") }
 
-// TestWarmBatchZeroAlloc: the warm parse path reuses the kernel's carry
-// buffer, column builders and dictionary probe, so a batch allocates nothing
-// on any benchmarked path, and accepts what it should.
+// TestWarmBatchZeroAlloc: the warm parse path reuses the kernel's column
+// builders and dictionary probe, so a batch allocates nothing on any
+// benchmarked path, and accepts what it should.
 func TestWarmBatchZeroAlloc(t *testing.T) {
 	for _, path := range []string{"plain", "quoted", "skip"} {
 		k, doc, accepted := warmKernel(t, path)

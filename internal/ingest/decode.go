@@ -103,38 +103,9 @@ func decodeDecimal(b []byte) (int64, bool) {
 	return int64(v), true
 }
 
-// decodeDate parses YYYY-MM-DD (each part 1..8 digits, month 1-12,
-// day 1-31, mirroring storage.ParseDate's checks) into days since
-// 1970-01-01.
+// decodeDate parses a date under storage.ParseDate's grammar into days
+// since 1970-01-01.
 func decodeDate(b []byte) (int64, bool) {
-	y, i, ok := datePart(b, 0)
-	if !ok {
-		return 0, false
-	}
-	m, i, ok := datePart(b, i)
-	if !ok || m < 1 || m > 12 {
-		return 0, false
-	}
-	d, i, ok := datePart(b, i)
-	if !ok || i != len(b) || d < 1 || d > 31 {
-		return 0, false
-	}
-	return int64(storage.DateFromYMD(y, m, d)), true
-}
-
-// datePart reads a run of 1..8 digits starting at pos and consumes the
-// '-' separator after it, if any.
-func datePart(b []byte, pos int) (v, next int, ok bool) {
-	i := pos
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		v = v*10 + int(b[i]-'0')
-		i++
-	}
-	if i == pos || i-pos > 8 {
-		return 0, 0, false
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	return v, i, true
+	d, err := storage.ParseDate(b)
+	return int64(d), err == nil
 }

@@ -122,7 +122,6 @@ type Kernel struct {
 	frefs []fieldRef // scratch: current row's field extents
 	vals  []int64    // scratch: current row's decoded values
 	unq   []byte     // scratch: unescaped quoted-field content
-	carry []byte     // partial trailing row buffered across Write chunks
 
 	errs     []RowError
 	line     int // 1-based line number of the next unparsed row
@@ -198,92 +197,38 @@ func (k *Kernel) Reset() {
 	k.frefs = k.frefs[:0]
 	k.vals = k.vals[:0]
 	k.unq = k.unq[:0]
-	k.carry = k.carry[:0]
 	k.errs = k.errs[:0]
 	k.line = 1
 	k.accepted, k.rejected = 0, 0
 	k.err = nil
 }
 
-// Write streams a chunk of CSV bytes through the kernel (io.Writer). Rows
-// may span chunk boundaries; the incomplete trailing row is buffered until
-// the next Write or Flush. Under Strict the first malformed row latches an
-// error that Write and Flush keep returning until Reset.
-func (k *Kernel) Write(p []byte) (int, error) {
-	if k.err != nil {
-		return 0, k.err
-	}
-	var err error
-	if len(k.carry) > 0 {
-		k.carry = append(k.carry, p...)
-		var n int
-		n, err = k.scan(k.carry, false)
-		k.carry = k.carry[:copy(k.carry, k.carry[n:])]
-	} else {
-		var n int
-		n, err = k.scan(p, false)
-		k.carry = append(k.carry[:0], p[n:]...)
-	}
-	return len(p), err
-}
-
-// Flush parses the buffered trailing row, if any, as the final row of the
-// input (a terminating newline is optional).
-func (k *Kernel) Flush() error {
-	if k.err != nil {
-		return k.err
-	}
-	if len(k.carry) == 0 {
-		return nil
-	}
-	_, err := k.scan(k.carry, true)
-	k.carry = k.carry[:0]
-	return err
-}
-
-// Parse ingests data as one complete CSV document (Write + Flush) without
-// copying the trailing row through the carry buffer.
+// Parse ingests data as one complete CSV document; a terminating newline
+// is optional. Under Strict the first malformed row latches an error that
+// Parse keeps returning until Reset.
 func (k *Kernel) Parse(data []byte) error {
 	if k.err != nil {
 		return k.err
 	}
-	if len(k.carry) > 0 {
-		if _, err := k.Write(data); err != nil {
-			return err
-		}
-		return k.Flush()
-	}
-	_, err := k.scan(data, true)
-	return err
-}
-
-// scan consumes complete rows from data, leaving a trailing incomplete row
-// unconsumed unless final. It returns the number of bytes consumed and the
-// latched error under Strict.
-func (k *Kernel) scan(data []byte, final bool) (int, error) {
-	pos := 0
-	for pos < len(data) {
-		next, newlines, complete, reason := k.scanRow(data, pos, final)
-		if !complete {
-			return pos, nil
-		}
+	for pos := 0; pos < len(data); {
+		next, newlines, reason := k.scanRow(data, pos)
 		if err := k.processRow(data, reason); err != nil {
 			k.err = err
-			return next, err
+			return err
 		}
 		pos = next
 		k.line += newlines
 	}
-	return pos, nil
+	return nil
 }
 
 // scanRow scans one row starting at pos: a comma-separated field list
-// terminated by a newline (or end of input when final). Quoted fields
-// follow RFC 4180 — "" escapes a quote, commas and newlines are literal
-// inside quotes. It fills k.frefs and returns the position after the row,
-// the number of newline bytes it consumed, whether the row is complete,
-// and a non-empty reason when the row's quoting is structurally malformed.
-func (k *Kernel) scanRow(data []byte, pos int, final bool) (next, newlines int, complete bool, reason string) {
+// terminated by a newline or the end of the input. Quoted fields follow
+// RFC 4180 — "" escapes a quote, commas and newlines are literal inside
+// quotes. It fills k.frefs and returns the position after the row, the
+// number of newline bytes it consumed, and a non-empty reason when the
+// row's quoting is structurally malformed.
+func (k *Kernel) scanRow(data []byte, pos int) (next, newlines int, reason string) {
 	k.frefs = k.frefs[:0]
 	i := pos
 	for {
@@ -293,18 +238,11 @@ func (k *Kernel) scanRow(data []byte, pos int, final bool) (next, newlines int, 
 			escaped := false
 			for {
 				if j >= len(data) {
-					if !final {
-						return 0, 0, false, ""
-					}
 					k.frefs = append(k.frefs, fieldRef{i + 1, len(data), true, escaped})
-					return len(data), newlines, true, "unterminated quoted field"
+					return len(data), newlines, "unterminated quoted field"
 				}
 				c := data[j]
 				if c == '"' {
-					if j+1 >= len(data) && !final {
-						// Could be the first half of an escaped "".
-						return 0, 0, false, ""
-					}
 					if j+1 < len(data) && data[j+1] == '"' {
 						escaped = true
 						j += 2
@@ -320,26 +258,20 @@ func (k *Kernel) scanRow(data []byte, pos int, final bool) (next, newlines int, 
 			k.frefs = append(k.frefs, fieldRef{i + 1, j, true, escaped})
 			j++ // past the closing quote
 			if j >= len(data) {
-				if !final {
-					return 0, 0, false, ""
-				}
-				return len(data), newlines, true, reason
+				return len(data), newlines, reason
 			}
 			switch data[j] {
 			case ',':
 				i = j + 1
 				continue
 			case '\n':
-				return j + 1, newlines + 1, true, reason
+				return j + 1, newlines + 1, reason
 			case '\r':
 				if j+1 >= len(data) {
-					if !final {
-						return 0, 0, false, ""
-					}
-					return len(data), newlines, true, reason
+					return len(data), newlines, reason
 				}
 				if data[j+1] == '\n' {
-					return j + 2, newlines + 1, true, reason
+					return j + 2, newlines + 1, reason
 				}
 			}
 			if reason == "" {
@@ -350,24 +282,18 @@ func (k *Kernel) scanRow(data []byte, pos int, final bool) (next, newlines int, 
 				j++
 			}
 			if j >= len(data) {
-				if !final {
-					return 0, 0, false, ""
-				}
-				return len(data), newlines, true, reason
+				return len(data), newlines, reason
 			}
 			if data[j] == ',' {
 				i = j + 1
 				continue
 			}
-			return j + 1, newlines + 1, true, reason
+			return j + 1, newlines + 1, reason
 		}
 		// Unquoted field: runs to the next comma or newline.
 		j := i
 		for j < len(data) && data[j] != ',' && data[j] != '\n' {
 			j++
-		}
-		if j >= len(data) && !final {
-			return 0, 0, false, ""
 		}
 		hi := j
 		if j < len(data) && hi > i && data[hi-1] == '\r' {
@@ -375,13 +301,13 @@ func (k *Kernel) scanRow(data []byte, pos int, final bool) (next, newlines int, 
 		}
 		k.frefs = append(k.frefs, fieldRef{i, hi, false, false})
 		if j >= len(data) {
-			return len(data), newlines, true, reason
+			return len(data), newlines, reason
 		}
 		if data[j] == ',' {
 			i = j + 1
 			continue
 		}
-		return j + 1, newlines + 1, true, reason
+		return j + 1, newlines + 1, reason
 	}
 }
 

@@ -125,37 +125,6 @@ func TestKernelFieldCountAndLineNumbers(t *testing.T) {
 	}
 }
 
-func TestKernelChunkedWrites(t *testing.T) {
-	// Rows split at every possible chunk boundary must decode identically.
-	csv := "10,1.25,2020-06-15,green\n\"20\",2.50,2021-01-01,\"red\"\n30,0.75,1999-02-28,blue\n"
-	whole, _ := NewKernel(microSchema(), Strict)
-	if err := whole.Parse([]byte(csv)); err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut <= len(csv); cut++ {
-		k, _ := NewKernel(microSchema(), Strict)
-		if _, err := k.Write([]byte(csv[:cut])); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if _, err := k.Write([]byte(csv[cut:])); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if err := k.Flush(); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if k.Accepted() != whole.Accepted() {
-			t.Fatalf("cut %d: accepted %d, want %d", cut, k.Accepted(), whole.Accepted())
-		}
-		for c := range whole.Columns() {
-			for i := range whole.Columns()[c] {
-				if k.Columns()[c][i] != whole.Columns()[c][i] {
-					t.Fatalf("cut %d: col %d row %d differs", cut, c, i)
-				}
-			}
-		}
-	}
-}
-
 func TestKernelUnterminatedQuote(t *testing.T) {
 	k, _ := NewKernel(microSchema(), Skip)
 	if err := k.Parse([]byte("1,1.00,2020-01-01,\"red")); err != nil {
@@ -206,6 +175,22 @@ func TestDecoders(t *testing.T) {
 		if _, ok := decodeDate([]byte(bad)); ok {
 			t.Errorf("decodeDate(%q) accepted", bad)
 		}
+	}
+}
+
+// TestDecodeDateIsParseDate: a CSV date field parses under
+// storage.ParseDate's grammar, so ingest and SQL date literals accept the
+// same dates; a trailing separator is not part of a date.
+func TestDecodeDateIsParseDate(t *testing.T) {
+	for _, in := range []string{"2020-06-15", "2020-6-5", "2020-02-31", "2020-06-15-", "2020-06-15x", " 2020-06-15", "-5-06-15"} {
+		v, ok := decodeDate([]byte(in))
+		d, err := storage.ParseDate(in)
+		if ok != (err == nil) || ok && v != int64(d) {
+			t.Errorf("%q: decodeDate %d,%v but ParseDate %d,%v", in, v, ok, d, err)
+		}
+	}
+	if _, ok := decodeDate([]byte("2020-06-15-")); ok {
+		t.Error(`decodeDate accepted "2020-06-15-"`)
 	}
 }
 

@@ -47,12 +47,6 @@ type Config struct {
 	Seed  uint64
 }
 
-// DefaultConfig returns a laptop-scale configuration preserving the
-// paper's regimes (see DESIGN.md section 2, substitution 5).
-func DefaultConfig() Config {
-	return Config{NR: 2_000_000, NS: 1_000, CCard: 1_000, Seed: 1}
-}
-
 // Data is a generated microbenchmark dataset. Columns are exposed as typed
 // slices because the hand-specialized kernels, like generated code, are
 // written against the physical schema, and the engine wraps them without

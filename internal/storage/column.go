@@ -99,7 +99,7 @@ func (c *Column) Len() int {
 }
 
 // Get returns value i widened to int64 — the scalar access path used by the
-// interpreted Volcano engine and the tuple-at-a-time data-centric kernels.
+// interpreted Volcano engine and expr.Eval.
 func (c *Column) Get(i int) int64 {
 	switch c.Kind {
 	case KindInt8:

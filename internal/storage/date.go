@@ -1,14 +1,19 @@
 package storage
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Dates are stored as int32 days since 1970-01-01 (proleptic Gregorian).
 // The conversions below use the standard civil-date algorithms so that the
 // generators and the date literals in predicates agree exactly.
 
 // DateFromYMD returns the day number of year/month/day.
-func DateFromYMD(y, m, d int) int32 {
-	// Howard Hinnant's days_from_civil.
+func DateFromYMD(y, m, d int) int32 { return int32(daysFromCivil(y, m, d)) }
+
+// daysFromCivil is Howard Hinnant's days_from_civil, unwrapped.
+func daysFromCivil(y, m, d int) int {
 	if m <= 2 {
 		y--
 	}
@@ -25,7 +30,7 @@ func DateFromYMD(y, m, d int) int32 {
 	}
 	doy := (153*mp+2)/5 + d - 1            // [0, 365]
 	doe := yoe*365 + yoe/4 - yoe/100 + doy // [0, 146096]
-	return int32(era*146097 + doe - 719468)
+	return era*146097 + doe - 719468
 }
 
 // YMDFromDate is the inverse of DateFromYMD.
@@ -52,17 +57,52 @@ func YMDFromDate(days int32) (y, m, d int) {
 	return y, m, d
 }
 
-// ParseDate parses "YYYY-MM-DD" into a day number.
-func ParseDate(s string) (int32, error) {
-	var y, m, d int
-	if _, err := fmt.Sscanf(s, "%d-%d-%d", &y, &m, &d); err != nil {
-		return 0, fmt.Errorf("storage: bad date %q: %w", s, err)
+// ParseDate parses "YYYY-MM-DD" into a day number: each part 1 to 8
+// digits, month 1-12, day 1-31 (not checked against the month's length),
+// nothing before or after, and a day number int32 holds. It is the one date
+// grammar — SQL date literals, DateColumn and CSV ingest all parse with it —
+// and allocates nothing on an accepted date or on rejected bytes.
+func ParseDate[T string | []byte](s T) (int32, error) {
+	var part [3]int
+	i := 0
+	for p := range part {
+		if p > 0 {
+			if i == len(s) || s[i] != '-' {
+				return 0, badDate(s)
+			}
+			i++
+		}
+		start := i
+		for i < len(s) && i-start < 8 && '0' <= s[i] && s[i] <= '9' {
+			part[p] = part[p]*10 + int(s[i]-'0')
+			i++
+		}
+		if i == start {
+			return 0, badDate(s)
+		}
 	}
-	if m < 1 || m > 12 || d < 1 || d > 31 {
-		return 0, fmt.Errorf("storage: bad date %q", s)
+	y, m, d := part[0], part[1], part[2]
+	if i != len(s) || m < 1 || m > 12 || d < 1 || d > 31 {
+		return 0, badDate(s)
 	}
-	return DateFromYMD(y, m, d), nil
+	days := daysFromCivil(y, m, d)
+	if days != int(int32(days)) {
+		return 0, badDate(s)
+	}
+	return int32(days), nil
 }
+
+// badDate is ParseDate's error: it names a rejected string, and is one
+// preallocated value for rejected bytes, which the ingest kernel turns into
+// its own per-row message.
+func badDate[T string | []byte](s T) error {
+	if str, ok := any(s).(string); ok {
+		return fmt.Errorf("storage: bad date %q", str)
+	}
+	return errBadDate
+}
+
+var errBadDate = errors.New("storage: bad date")
 
 // MustParseDate is ParseDate for literals known to be valid.
 func MustParseDate(s string) int32 {

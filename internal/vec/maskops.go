@@ -89,10 +89,6 @@ func CountOnes(cmp []byte) int {
 	return total
 }
 
-// CountMask is CountOnes under the name the synthesized plans use for their
-// measured-selectivity feedback.
-func CountMask(cmp []byte) int { return CountOnes(cmp) }
-
 // AllOnes reports whether every lane of a 0/1 byte mask is set, the
 // tile-level short circuit of a disjunction: no later term can add a lane.
 func AllOnes(cmp []byte) bool { return allLanes(cmp, 1) }

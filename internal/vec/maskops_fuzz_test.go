@@ -128,9 +128,6 @@ func FuzzMaskOps(f *testing.F) {
 		if got := CountOnes(m); got != ones {
 			t.Fatalf("CountOnes: off=%d len=%d: %d, byte loop %d", o, l, got, ones)
 		}
-		if got := CountMask(m); got != ones {
-			t.Fatalf("CountMask: off=%d len=%d: %d, byte loop %d", o, l, got, ones)
-		}
 		if got := AllOnes(m); got != (ones == l) {
 			t.Fatalf("AllOnes: off=%d len=%d with %d set: %t", o, l, ones, got)
 		}

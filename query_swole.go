@@ -15,8 +15,7 @@ import (
 
 // KernelVariants aggregates the kernel-variant selection counters for one
 // execution: which specialized tile kernels ran and how often. All zero
-// for interpreter-fallback statements and for plans forced onto the
-// tuple-at-a-time kernel. See Explain.Variants.
+// for interpreter-fallback statements. See Explain.Variants.
 type KernelVariants = vec.Counters
 
 // Explain describes the technique SWOLE chose for a query and the cost
@@ -79,8 +78,7 @@ type Explain struct {
 	// Variants aggregates the kernel-variant selection counters across the
 	// run's workers: adaptive selection-build density classes, native-width
 	// compare and widen lanes, and fused dict/key masking. All zero for
-	// interpreter-fallback statements and for plans forced onto the
-	// tuple-at-a-time kernel.
+	// interpreter-fallback statements.
 	Variants KernelVariants
 }
 
@@ -194,33 +192,6 @@ func (d *DB) query(ctx context.Context, q string, lend bool, fn func(*Result)) (
 	}
 	fn(resultOf(vres))
 	return Explain{Technique: "interpreter-fallback", Shape: "interpreter-fallback"}, nil
-}
-
-// SupportedShapes lists the bounded shape buckets synthesized plans
-// aggregate under (see ShapeBucket): every signature the synthesizer can
-// emit folds into one of these; statements outside the synthesizer's
-// grammar run on the interpreter ("interpreter-fallback"). The list is
-// derived from the component vocabulary, not a registry — there is no
-// fixed set of accepted statements anymore. Exposed for tests and
-// introspection.
-func SupportedShapes() []string {
-	// One representative signature per (join, aggregate) component
-	// combination; the buckets are their ShapeBucket images, deduplicated.
-	sigs := []string{
-		"scan+filter+scalaragg",
-		"scan+filter+groupagg",
-		"scan+filter+join:1+scalaragg",
-		"scan+filter+join:1+groupagg",
-	}
-	seen := map[string]bool{}
-	out := make([]string, 0, len(sigs))
-	for _, sig := range sigs {
-		if b := ShapeBucket(sig); !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // ShapeBucket folds a synthesized plan signature (Explain.Shape) into one

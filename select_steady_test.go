@@ -3,8 +3,6 @@ package swole
 import (
 	"context"
 	"testing"
-
-	"github.com/reprolab/swole/internal/core"
 )
 
 // selectForms are the eight tpch_generic statement forms (benchmark/
@@ -188,9 +186,6 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(got))
 				}
 			}
-		}
-		if _, err := d.engine.PrepareForced(synthesized(t, d, f.q), core.TechDataCentric); err == nil {
-			t.Errorf("%s: data-centric accepted on a generic statement", f.name)
 		}
 	}
 }

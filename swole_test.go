@@ -245,7 +245,7 @@ func TestCompareStrategiesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 3 {
+	if len(runs) != 2 {
 		t.Fatalf("runs=%d", len(runs))
 	}
 	want := runs[0].Result.Rows()[0][0]
@@ -259,7 +259,7 @@ func TestCompareStrategiesScalar(t *testing.T) {
 		}
 		names[r.Strategy] = true
 	}
-	for _, n := range []string{"data-centric", "hybrid", "value-masking"} {
+	for _, n := range []string{"hybrid", "value-masking"} {
 		if !names[n] {
 			t.Errorf("missing strategy %s", n)
 		}
@@ -283,7 +283,7 @@ func TestCompareStrategiesGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 4 {
+	if len(runs) != 3 {
 		t.Fatalf("runs=%d", len(runs))
 	}
 	ref := runs[0].Result.Rows()
@@ -339,15 +339,16 @@ func TestCompareStrategiesGeneric(t *testing.T) {
 	}
 }
 
-func TestSupportedShapes(t *testing.T) {
-	got := SupportedShapes()
-	want := []string{"scalar-agg", "group-agg", "semijoin-agg", "groupjoin-agg"}
-	if len(got) != len(want) {
-		t.Fatalf("shapes %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shapes %v, want %v", got, want)
+func TestShapeBucket(t *testing.T) {
+	for sig, want := range map[string]string{
+		"scan+filter+scalaragg":        "scalar-agg",
+		"scan+filter+groupagg":         "group-agg",
+		"scan+filter+join:1+scalaragg": "semijoin-agg",
+		"scan+filter+join:1+groupagg":  "groupjoin-agg",
+		"interpreter-fallback":         "interpreter-fallback",
+	} {
+		if got := ShapeBucket(sig); got != want {
+			t.Errorf("ShapeBucket(%q) = %q, want %q", sig, got, want)
 		}
 	}
 }
