@@ -12,12 +12,12 @@ import (
 // columns with storage.Column.Append (sharing backing arrays whenever the
 // physical width holds), registers the replacement table, and lets the
 // existing invalidation machinery do exactly — and only — the work the
-// change requires: the catalog holds a new table object, its cached plans
-// are evicted and retired — each statement's recompile adopts its old plan's
-// buffers — and its cached statistics move to the new object, merged
-// incrementally with the delta instead of being dropped. Other tables' plans
-// and statistics are untouched, and no reader waits: a query in flight
-// finishes on the arrays it compiled against.
+// change requires: the catalog holds a new table object, so the cached plans
+// that bound the old one are stale — each re-prepares itself on its next run,
+// keeping its buffers (querycache.go) — and the table's cached statistics move
+// to the new object, merged incrementally with the delta instead of being
+// dropped. Other tables' plans and statistics are untouched, and no reader
+// waits: a query in flight finishes on the arrays it compiled against.
 //
 // A batch holds the DB's writeMu from the catalog read its rows decode
 // against to its registration, so it appends to the registration it
@@ -199,12 +199,11 @@ func (d *DB) appendColumns(cat *storage.Catalog, t *storage.Table, cols [][]int6
 	}
 	d.db.AddTable(newTab, childIdx...)
 
-	// Invalidation protocol: the eviction covers cached plans (their bound
-	// arrays are length-capped views of the old data) and retires them, so
-	// each statement's recompile adopts its plan's buffers; the stats merge
-	// folds the delta into cached statistics instead of dropping them. Only
-	// this table is touched.
-	d.evictPlans(t.Name, true)
+	// Invalidation protocol: the registration alone makes the cached plans
+	// that bound t stale (their arrays are length-capped views of the old
+	// data) — each sees it on its next run and re-prepares in place; the
+	// stats merge folds the delta into cached statistics instead of dropping
+	// them. Only this table is touched.
 	d.engine.MergeStatsOnAppend(t, newTab)
 	return nil
 }

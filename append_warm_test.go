@@ -20,12 +20,12 @@ func flatRows(flat []int64, width int) [][]int64 {
 }
 
 // TestAppendKeepsStatementWarm pins what an append leaves of a statement's
-// execution state. A 100K-key group-by served through QueryRows is re-prepared
-// after an append on its retired plan: the merged statistics serve every
-// lookup (the key is too wide to keep its distinct-sample), the group tables
-// and the result buffer are adopted, so the compile allocates no execution
-// resource and the answer lands in the same array — and the retired plan runs
-// no more. An append that widens the key domain changes the table's form: the
+// execution state. A 100K-key group-by served through QueryRows goes stale on
+// an append, and its cache entry re-prepares in place on the stale plan: the
+// merged statistics serve every lookup (the key is too wide to keep its
+// distinct-sample), the group tables and the result buffer are adopted, so
+// the compile allocates no execution resource and the answer lands in the
+// same array — and the stale plan runs no more. An append that widens the key domain changes the table's form: the
 // re-prepared plan builds a fresh table, and answers right.
 func TestAppendKeepsStatementWarm(t *testing.T) {
 	d, err := LoadMicro(MicroConfig{Rows: 200_000, DimRows: 1_000, GroupKeys: 100_000, Seed: 3})
@@ -108,13 +108,15 @@ func TestAppendKeepsStatementWarm(t *testing.T) {
 }
 
 // TestAppendRacesAdoptingReaders races appends against readers through both
-// hand-out paths while every append retires the statements' plans and their
-// recompiles adopt them. QuerySwole readers each own a statement — its result
-// aliases the plan, so it is theirs until their next call — and QueryRows
-// readers share two, reading the plan's buffer inside the callback. Every
-// batch adds batchSum to each statement's total, so an answer must be its
-// initial total plus a whole number of batches. Run with -race: a successor
-// that adopted a buffer still read, lent or in a callback, is a data race.
+// hand-out paths while every append makes the statements' plans stale and
+// their entries re-prepare in place, the new plan adopting the stale one's
+// buffers. QuerySwole readers each own a statement — its result aliases the
+// plan, so it is theirs until their next call — and QueryRows readers share
+// two, reading the plan's buffer inside the callback. Every batch adds
+// batchSum to each statement's total, so an answer must be its initial total
+// plus a whole number of batches. Run with -race: a re-prepare that adopted a
+// buffer while a callback still read it, or that wrote a statement's buffer
+// from outside the statement's own executions, is a data race.
 func TestAppendRacesAdoptingReaders(t *testing.T) {
 	d := cacheTestDB(t, 1) // t(a, x, c), 4096 rows
 	defer d.Close()
@@ -232,6 +234,67 @@ func TestAppendRacesAdoptingReaders(t *testing.T) {
 		}
 		if want := initial[stmt(k)] + batches*batchSum; got != want {
 			t.Errorf("%s: final total %d, want %d", stmt(k), got, want)
+		}
+	}
+}
+
+// TestAppendCompilesOnce pins that an append costs a statement one compile
+// however many callers meet its stale entry: after each of 20 appends, 8
+// QueryContext callers of one grouped statement, released together, see
+// exactly one run that was not replayed (PlanCached false) — the others wait
+// on the entry's lock and replay the re-prepared plan — every re-prepare
+// adopts its buffers (FreshAllocs 0), and every caller gets the
+// interpreter's answer.
+func TestAppendCompilesOnce(t *testing.T) {
+	d := cacheTestDB(t, 1) // t(a, x, c), 4096 rows
+	defer d.Close()
+	ctx := context.Background()
+	q := "select c, sum(a) as s, count(*) as n from t where x < 5 group by c"
+	for i := 0; i < 2; i++ {
+		if _, _, err := d.QueryContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const appends, readers = 20, 8
+	batch := [][]int64{{3, 1, 2}, {4, 7, 0}, {5, 2, 4}}
+	for i := 0; i < appends; i++ {
+		if err := d.AppendRows("t", batch); err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		res := make([]*Result, readers)
+		exs := make([]Explain, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for k := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res[k], exs[k], errs[k] = d.QueryContext(ctx, q)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		compiles, fresh := 0, 0
+		for k, ex := range exs {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
+			}
+			if !rowsEqual(sortedRows(res[k].Rows()), sortedRows(want.Rows())) {
+				t.Fatalf("append %d, reader %d: %v, want %v", i, k, res[k].Rows(), want.Rows())
+			}
+			if !ex.PlanCached {
+				compiles++
+			}
+			fresh += ex.FreshAllocs
+		}
+		if compiles != 1 || fresh != 0 {
+			t.Errorf("append %d: %d compiles and %d fresh allocations, want 1 and 0", i, compiles, fresh)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // load the micro dataset, append the file's CSV rows through the table's
 // compiled ingestion kernel -repeat times, and report per-batch decode+
 // append throughput plus what the appends did to a warm read plan (the
-// eviction, the incremental stats merge, and the recompile).
+// incremental stats merge, and the stale plan's re-prepare).
 func runIngest(cfg harness.Config, path, table, policy string, repeat int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -43,7 +43,7 @@ func runIngest(cfg harness.Config, path, table, policy string, repeat int) error
 	fmt.Printf("dataset: R=%d rows, workers=%d\n\n", cfg.MicroR, cfg.Workers)
 
 	// Warm a read plan first so the post-append run shows the
-	// invalidation protocol (evict + stats merge + recompile), not a
+	// invalidation protocol (stats merge + re-prepare), not a
 	// cold-start artifact.
 	const readQ = "select sum(r_a) from r where r_x < 50"
 	ctx := context.Background()
@@ -82,8 +82,8 @@ func runIngest(cfg harness.Config, path, table, policy string, repeat int) error
 		accepted, rejected, total.Round(time.Microsecond),
 		float64(accepted+rejected)/total.Seconds()/1e6)
 
-	// The appends evicted this table's plans and merged its cached stats;
-	// show the recompile and the re-cached steady state.
+	// The appends made this table's plans stale and merged its cached stats;
+	// show the re-prepare and the steady state after it.
 	start := time.Now()
 	_, ex, err := db.QueryContext(ctx, readQ)
 	if err != nil {

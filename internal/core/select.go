@@ -293,7 +293,7 @@ type PreparedSelect struct {
 }
 
 // errAdopted is what a plan whose buffers a successor adopted answers.
-var errAdopted = errors.New("core: plan retired: a successor adopted its buffers")
+var errAdopted = errors.New("core: plan superseded: a successor adopted its buffers")
 
 // RunContext executes the plan under the context's deadline: the scan polls
 // it at morsel granularity, so cancellation stops every worker within one

@@ -30,19 +30,18 @@ func (e *Engine) Prepare(spec Select) (*PreparedSelect, error) {
 }
 
 // Reprepare is Prepare for a statement whose earlier plan, prev, a write has
-// retired. The compile is Prepare's — every statistic, the technique and the
-// group table's form are decided afresh — but where prev already holds a
+// made stale. The compile is Prepare's — every statistic, the technique and
+// the group table's form are decided afresh — but where prev already holds a
 // buffer of the shape the new plan needs, the plan adopts it instead of
 // allocating one: each worker's group table when ht confirms its form
 // (AggTable.Fits), each edge bitmap over a parent of unchanged size, the
-// scalar lanes, the emission's pair and sort buffers and the result buffer.
-// lent reports that prev's caller may still read prev's result: a buffer
-// behind it is not adopted, and the plan only sizes its own from its
-// capacity. prev must be a plan of the same statement on this engine, and
-// once Reprepare succeeds prev never runs again (its RunContext fails); a nil
-// prev makes Reprepare Prepare.
-func (e *Engine) Reprepare(spec Select, prev *PreparedSelect, lent bool) (*PreparedSelect, error) {
-	return e.compileSelect(spec, techAuto, prev, lent)
+// scalar lanes, the emission's pair and sort buffers and the result buffer,
+// so the new plan's first run overwrites the answer prev's last run left.
+// prev must be a plan of the same statement on this engine, and once
+// Reprepare succeeds prev never runs again (its RunContext fails); a nil prev
+// makes Reprepare Prepare.
+func (e *Engine) Reprepare(spec Select, prev *PreparedSelect) (*PreparedSelect, error) {
+	return e.compileSelect(spec, techAuto, prev)
 }
 
 // PrepareForced compiles a statement under the caller's technique instead
@@ -153,8 +152,7 @@ type selectCompile struct {
 	p      *PreparedSelect
 	tech   Technique // the caller's, or techAuto
 	params cost.Params
-	prev   *PreparedSelect // a retired plan of the statement to adopt buffers from (Reprepare), or nil
-	lent   bool            // prev's result may still be read: its buffer stays prev's
+	prev   *PreparedSelect // a stale plan of the statement to adopt buffers from (Reprepare), or nil
 
 	sel     float64 // estimated selectivity of the root and edge filters together
 	eager   int     // the edge eager aggregation may run over (eagerEdge), or -1
@@ -177,12 +175,12 @@ type selectCompile struct {
 }
 
 func (e *Engine) prepareSelect(q Select, tech Technique) (*PreparedSelect, error) {
-	return e.compileSelect(q, tech, nil, false)
+	return e.compileSelect(q, tech, nil)
 }
 
 // compileSelect is the compile under Prepare, PrepareForced and Reprepare:
-// prev, when not nil, is the retired plan whose buffers it adopts.
-func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect, lent bool) (*PreparedSelect, error) {
+// prev, when not nil, is the stale plan whose buffers it adopts.
+func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect) (*PreparedSelect, error) {
 	start := time.Now()
 	if len(q.Edges) > maxSelectEdges {
 		return nil, fmt.Errorf("core: %d join edges unsupported (max %d)", len(q.Edges), maxSelectEdges)
@@ -205,7 +203,7 @@ func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect, l
 	// PlanCached is baked in: every run of this plan replays the prepare-time
 	// decision; the statement cache's first execution resets it to false.
 	p := &PreparedSelect{e: e, nw: 1, spec: q, root: root, ex: Explain{PlanCached: true, Costs: map[string]float64{}}}
-	c := &selectCompile{e: e, cat: cat, q: q, p: p, tech: tech, prev: prev, lent: lent, eager: eagerEdge(cat, q), sel: 1, selS: 1, selR: 1, groups: 1}
+	c := &selectCompile{e: e, cat: cat, q: q, p: p, tech: tech, prev: prev, eager: eagerEdge(cat, q), sel: 1, selS: 1, selR: 1, groups: 1}
 	for _, step := range []func() error{c.bindEdges, c.bindFilter, c.planKeys, c.chooseWorkers, c.stageExprs} {
 		if err := step(); err != nil {
 			return nil, err
@@ -230,15 +228,6 @@ func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect, l
 	return p, nil
 }
 
-// adoptBuf hands the plan prev's buffer buf, emptied — or, when buf backs the
-// result prev lent out, a new empty buffer of its capacity.
-func (c *selectCompile) adoptBuf(buf []int64) []int64 {
-	if res := c.prev.res.Flat; c.lent && cap(buf) > 0 && cap(res) > 0 && &buf[:1][0] == &res[:1][0] {
-		return make([]int64, 0, cap(buf))
-	}
-	return buf[:0]
-}
-
 // adoptEmission takes over prev's emission buffers: the (order key, slot)
 // pairs, the radix sort's scratch and the result buffer, which a classic
 // group-by's pairs already are (emitPairs).
@@ -247,9 +236,9 @@ func (c *selectCompile) adoptEmission() {
 	if prev == nil {
 		return
 	}
-	p.pairs, p.scratch = c.adoptBuf(prev.pairs), c.adoptBuf(prev.scratch)
+	p.pairs, p.scratch = prev.pairs[:0], prev.scratch[:0]
 	if !p.pairOut {
-		p.res.Flat = c.adoptBuf(prev.res.Flat)
+		p.res.Flat = prev.res.Flat[:0]
 	}
 }
 

@@ -115,11 +115,12 @@ func fromCore(ex core.Explain) Explain {
 // byte-identical or merely whitespace-reformatted — skips parsing,
 // sampling, and the cost-model decision, and runs on recycled execution
 // state, allocation-free in the steady state. The returned *Result of a
-// cached statement is overwritten by that statement's next execution;
-// copy what must outlive it. Replacing a table with CreateTable evicts
-// every cached plan and statistic that read it.
+// synthesized statement is overwritten by the statement's next execution,
+// including the first one after an append; copy what must outlive it.
+// Replacing a table with CreateTable evicts every cached plan and statistic
+// that read it.
 func (d *DB) QuerySwole(q string) (res *Result, ex Explain, err error) {
-	ex, err = d.query(context.Background(), q, true, func(r *Result) { res = r })
+	ex, err = d.query(context.Background(), q, func(r *Result) { res = r })
 	return res, ex, err
 }
 
@@ -132,13 +133,15 @@ func (d *DB) QuerySwole(q string) (res *Result, ex Explain, err error) {
 //     query, and the call returns ctx's error (context.DeadlineExceeded
 //     or context.Canceled).
 //   - The returned *Result is a private copy, safe to read regardless of
-//     what other goroutines execute afterwards (QuerySwole's result, by
-//     contrast, aliases cache-owned buffers).
+//     what other goroutines execute afterwards. QuerySwole's result, by
+//     contrast, aliases the cached plan's buffer, which is overwritten by
+//     the statement's next execution, including the first one after an
+//     append.
 //
 // Statements outside the SWOLE vocabulary fall back to the interpreted
 // engine, whose scans poll ctx every few thousand rows.
 func (d *DB) QueryContext(ctx context.Context, q string) (res *Result, ex Explain, err error) {
-	ex, err = d.query(ctx, q, false, func(r *Result) {
+	ex, err = d.query(ctx, q, func(r *Result) {
 		own := *r
 		own.flat = append([]int64(nil), r.flat...)
 		res = &own
@@ -153,17 +156,16 @@ func (d *DB) QueryContext(ctx context.Context, q string) (res *Result, ex Explai
 // them only until fn returns, never write them. Other executions of the same
 // statement wait while fn runs; a failing statement does not call it.
 func (d *DB) QueryRows(ctx context.Context, q string, fn func(cols []string, flat []int64, width int)) (Explain, error) {
-	return d.query(ctx, q, false, func(r *Result) { fn(r.cols, r.flat, len(r.cols)) })
+	return d.query(ctx, q, func(r *Result) { fn(r.cols, r.flat, len(r.cols)) })
 }
 
 // query is the shared body of QuerySwole, QueryContext and QueryRows: fn
-// sees the answer once, before query returns. lend says fn keeps the result
-// (QuerySwole), so no successor plan may adopt its buffer.
-func (d *DB) query(ctx context.Context, q string, lend bool, fn func(*Result)) (Explain, error) {
+// sees the answer once, before query returns.
+func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, error) {
 	if err := ctx.Err(); err != nil {
 		return Explain{}, err
 	}
-	if ex, found, err := d.cachedRun(ctx, q, lend, fn); found {
+	if ex, found, err := d.cachedRun(ctx, q, fn); found {
 		return ex, err
 	}
 	p, err := sql.Compile(q, d.db)
@@ -176,15 +178,13 @@ func (d *DB) query(ctx context.Context, q string, lend bool, fn func(*Result)) (
 			return Explain{}, err
 		}
 		d.storePlan(q, c)
-		ex, ok, err := c.answer(ctx, lend, fn)
-		if !ok {
-			// An append retired the new entry and a concurrent compile adopted
-			// it before its first run: compile again.
-			return d.query(ctx, q, lend, fn)
+		// A write that lands before the first run makes the entry stale at
+		// once; it then re-prepares, or — declined — the interpreter answers.
+		if ex, ok, err := c.answer(ctx, d, q, fn); ok {
+			// First execution: the plan was prepared, not replayed.
+			ex.PlanCached = false
+			return ex, err
 		}
-		// First execution: the plan was prepared, not replayed.
-		ex.PlanCached = false
-		return ex, err
 	}
 	vres, err := volcano.Run(ctx, p, d.db)
 	if err != nil {
@@ -272,27 +272,17 @@ func planSignature(spec core.Select) string {
 // wraps it as a cache entry with the table objects it bound and its reusable
 // result. The compile reads one pinned catalog, so its tables and
 // foreign-key indexes match even when a write overlaps it; the entry is
-// then merely stale, which the next lookup's freshness check sees. When an
-// append retired the statement's previous entry, the compile adopts its
-// plan's buffers (core.Engine.Reprepare) under that entry's lock — no run
-// or reader of it holds them then — and the entry answers no more.
+// then merely stale, which its next run's freshness check sees.
 func (d *DB) prepareShape(spec core.Select, norm string) (*cachedPlan, error) {
-	d.mu.Lock()
-	c := &cachedPlan{shape: planSignature(spec), norm: norm, gen: d.configGen}
-	r := d.retired[norm]
-	delete(d.retired, norm)
-	d.mu.Unlock()
-	var prev *core.PreparedSelect
-	lent := false
-	if r != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		prev, lent, r.plan = r.plan, r.lent, nil
-	}
-	plan, err := d.engine.Reprepare(spec, prev, lent)
+	d.mu.RLock()
+	gen := d.configGen
+	d.mu.RUnlock()
+	plan, err := d.engine.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	c.plan, c.tables, c.res = plan, plan.Tables(), newResult(plan.Fields())
-	return c, nil
+	return &cachedPlan{
+		plan: plan, tables: plan.Tables(), res: newResult(plan.Fields()),
+		spec: spec, shape: planSignature(spec), norm: norm, gen: gen,
+	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
+	"github.com/reprolab/swole/internal/sql"
 	"github.com/reprolab/swole/internal/storage"
 )
 
@@ -28,25 +29,22 @@ import (
 // Each entry records the table objects its plan bound, all from the one
 // catalog the compile pinned. Every write — CreateTable, an append,
 // ReplaceRows — registers a new table object, so an entry is current
-// exactly while the catalog still holds each of its tables. Entries whose
-// tables have been replaced are dropped lazily on lookup, and every write
-// evicts its table's entries at once, so a mutated table can never serve a
-// stale answer.
-//
-// Eviction is not the end of an entry's buffers. A replacement (CreateTable,
-// ReplaceRows) drops its entries, so no old plan pins replaced data; an
-// append retires them, each under its normalized text. The statement's next
-// compile takes the retired entry and re-prepares on its plan's buffers
-// (core.Engine.Reprepare) — group tables of the same form, bitmaps, emission
-// scratch and the result buffer — deciding every statistic, technique and
-// form afresh. The retired map holds at most maxCachedPlans entries.
+// exactly while the catalog still holds each of its tables. A replacement
+// (CreateTable, ReplaceRows) evicts its table's entries at once, so no plan
+// pins replaced data. An append leaves them in place: an entry checks its
+// tables under its own lock before every run, and a stale one re-prepares
+// itself there — it compiles its text again, as a cold statement does, and
+// the engine moves the stale plan's buffers into the new plan
+// (core.Engine.Reprepare): group tables of the same form, bitmaps, emission
+// scratch and the result buffer, with every statistic, technique and form
+// decided afresh. Concurrent callers wait on that lock, so one compile
+// serves them all. A mutated table can never serve a stale answer.
 //
 // A cached statement's answer stays in the plan: the entry's Result is a
 // header over the plan-owned flat buffer, which the statement's next
-// execution overwrites. Callers take what must outlive that inside
-// cachedPlan.answer: QueryContext copies, /query encodes, QuerySwole keeps
-// the alias and says so — and its entry is marked lent, so a successor
-// never adopts the buffer that alias reads.
+// execution overwrites — a re-prepared one too, since its plan took over the
+// buffer. Callers take what must outlive that inside cachedPlan.answer:
+// QueryContext copies, /query encodes, QuerySwole keeps the alias and says so.
 
 // maxCachedPlans bounds the cache. Past the bound the cache is cleared
 // wholesale: plans re-prepare in one execution, and a workload with more
@@ -55,23 +53,26 @@ const maxCachedPlans = 256
 
 // cachedPlan is one prepared statement and the header of its answer.
 type cachedPlan struct {
-	// mu serializes executions of this statement: the plan's state and its
-	// result buffer are per-entry and reused across runs. Different
+	// mu serializes executions of this statement and guards plan, tables and
+	// res: the plan's state and its result buffer are per-entry and reused
+	// across runs, and a stale plan is replaced under it. Different
 	// statements run in parallel.
 	mu     sync.Mutex
-	plan   *core.PreparedSelect // nil once a successor adopted it
-	shape  string
-	norm   string           // the normalized text: the slow key, and the retired one
+	plan   *core.PreparedSelect
 	tables []*storage.Table // the plan's tables (PreparedSelect.Tables)
-	gen    uint64           // DB.configGen when the compile began
-	lent   bool             // QuerySwole handed out res: its buffer stays this plan's
-
 	// res aliases the plan's flat result buffer; every run repoints it.
 	res Result
+
+	// Set once when the entry is built; read without c.mu.
+	spec  core.Select // the first compile's: its table names never change
+	shape string
+	norm  string // the normalized text: the slow key
+	gen   uint64 // DB.configGen when the compile began
 }
 
 // fresh reports whether the catalog still holds every table the plan bound:
-// one lock-free catalog load and a pointer comparison per table.
+// one lock-free catalog load and a pointer comparison per table. Callers hold
+// c.mu.
 func (c *cachedPlan) fresh(d *DB) bool {
 	cat := d.db.Catalog()
 	for _, t := range c.tables {
@@ -84,8 +85,11 @@ func (c *cachedPlan) fresh(d *DB) bool {
 
 // dependsOn reports whether the plan reads the named table.
 func (c *cachedPlan) dependsOn(table string) bool {
-	for _, t := range c.tables {
-		if t.Name == table {
+	if c.spec.Root == table {
+		return true
+	}
+	for _, e := range c.spec.Edges {
+		if e.Parent == table {
 			return true
 		}
 	}
@@ -96,31 +100,51 @@ func (c *cachedPlan) dependsOn(table string) bool {
 // entry lock: fn reads the plan-owned buffer in place while the engine's
 // execution lock is already free for other statements. The lock is released
 // by defer — fn is the caller's code, and its panic must not wedge the
-// statement. A warm run allocates nothing. A canceled run returns the
-// context's error without calling fn, the entry and the plan's pooled
-// resources intact for the next execution. lend marks the entry lent (fn
-// keeps the result). ok is false, and fn not called, when a successor has
-// adopted the plan: the caller compiles the statement instead.
-func (c *cachedPlan) answer(ctx context.Context, lend bool, fn func(*Result)) (ex Explain, ok bool, err error) {
+// statement. A warm run allocates nothing. A stale plan is replaced first:
+// q compiles again, as a cold statement does, and core.Engine.Reprepare
+// moves the stale plan's buffers into the new one; that run reports
+// PlanCached false. A canceled run returns the context's error without
+// calling fn, the entry and the plan's pooled resources intact for the next
+// execution. ok is false, and fn not called, when the synthesizer declines
+// the recompiled statement: the entry is dropped, and the caller takes the
+// cold path.
+func (c *cachedPlan) answer(ctx context.Context, d *DB, q string, fn func(*Result)) (ex Explain, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.plan == nil {
-		return Explain{}, false, nil
+	// A write that lands after this check is benign: the run reads the
+	// immutable arrays its plan bound, answering as of just before the swap.
+	cached := c.fresh(d)
+	if !cached {
+		p, err := sql.Compile(q, d.db)
+		if err != nil {
+			return Explain{}, true, err
+		}
+		spec, ok := core.Synthesize(d.db, p)
+		if !ok {
+			d.mu.Lock()
+			d.dropPlanLocked(c)
+			d.mu.Unlock()
+			return Explain{}, false, nil
+		}
+		plan, err := d.engine.Reprepare(spec, c.plan)
+		if err != nil {
+			return Explain{}, true, err
+		}
+		c.plan, c.tables, c.res.fields = plan, plan.Tables(), plan.Fields()
 	}
 	res, cex, err := c.plan.RunContext(ctx)
 	ex = fromCore(cex)
-	ex.Shape = c.shape
+	ex.Shape, ex.PlanCached = c.shape, cached
 	if err != nil {
 		return ex, true, err
 	}
 	c.res.flat = res.Flat // the row layout already: nothing is copied
-	c.lent = c.lent || lend
 	fn(&c.res)
 	return ex, true, nil
 }
 
-// normalizeQuery collapses runs of whitespace to single spaces so
-// reformatted spellings of one statement share a cache entry. Case is
+// normalizeQuery collapses runs of whitespace (sql.IsSpace) to single spaces
+// so reformatted spellings of one statement share a cache entry. Case is
 // preserved: string literals are case-significant, and a lowercased key
 // would conflate them. Single-quoted literals are copied verbatim —
 // whitespace inside them is data, and collapsing it would alias two
@@ -151,7 +175,7 @@ func normalizeQuery(q string) string {
 					break
 				}
 			}
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
+		case sql.IsSpace(c):
 			pendingSpace = true
 		default:
 			if pendingSpace && b.Len() > 0 {
@@ -165,12 +189,12 @@ func normalizeQuery(q string) string {
 }
 
 // cachedRun serves a statement from the plan cache; found reports whether
-// a current cache entry handled it (possibly with an error — a canceled
-// execution). The DB mutex covers only the map lookup; the run itself
-// holds the entry's own lock, so different statements execute in
-// parallel (down to the engine locks) while executions of one statement
-// — which reuse the plan's result buffer — still serialize.
-func (d *DB) cachedRun(ctx context.Context, q string, lend bool, fn func(*Result)) (ex Explain, found bool, err error) {
+// a cache entry handled it (possibly with an error — a canceled execution).
+// The DB mutex covers only the map lookup; the run itself holds the entry's
+// own lock, so different statements execute in parallel (down to the engine
+// locks) while executions of one statement — which reuse the plan's result
+// buffer — still serialize.
+func (d *DB) cachedRun(ctx context.Context, q string, fn func(*Result)) (ex Explain, found bool, err error) {
 	d.mu.Lock()
 	c := d.plans[q]
 	if c == nil {
@@ -187,16 +211,7 @@ func (d *DB) cachedRun(ctx context.Context, q string, lend bool, fn func(*Result
 		}
 	}
 	d.mu.Unlock()
-	// A plan going stale between this check and the run is benign — it
-	// executes against the immutable arrays it was bound to, answering as of
-	// just before the swap.
-	if !c.fresh(d) {
-		d.mu.Lock()
-		d.dropPlanLocked(c)
-		d.mu.Unlock()
-		return Explain{}, false, nil
-	}
-	return c.answer(ctx, lend, fn)
+	return c.answer(ctx, d, q, fn)
 }
 
 // storePlan inserts a freshly prepared statement under both keys — unless
@@ -234,18 +249,11 @@ func (d *DB) dropPlanLocked(c *cachedPlan) {
 }
 
 // invalidateTable evicts cached statistics and plans that read the named
-// table. Called on every replacement (replaceTable).
+// table — and only those; other tables' plans stay warm. Called on every
+// replacement (replaceTable); an append leaves its plans to re-prepare
+// themselves.
 func (d *DB) invalidateTable(table string) {
 	d.engine.InvalidateStats(table)
-	d.evictPlans(table, false)
-}
-
-// evictPlans removes the cached plans that read the named table — and only
-// those; other tables' plans stay warm. retire keeps each under its
-// normalized text for the statement's next compile to adopt (the append
-// path, which also merges the table's statistics instead of dropping them);
-// otherwise they are dropped, as are retired plans of the table.
-func (d *DB) evictPlans(table string, retire bool) {
 	d.mu.Lock()
 	for k, c := range d.plans {
 		if c.dependsOn(table) {
@@ -253,22 +261,8 @@ func (d *DB) evictPlans(table string, retire bool) {
 		}
 	}
 	for k, c := range d.normPlans {
-		if !c.dependsOn(table) {
-			continue
-		}
-		delete(d.normPlans, k)
-		if retire {
-			if len(d.retired) >= maxCachedPlans {
-				clear(d.retired)
-			}
-			d.retired[k] = c
-		}
-	}
-	if !retire {
-		for k, c := range d.retired {
-			if c.dependsOn(table) {
-				delete(d.retired, k)
-			}
+		if c.dependsOn(table) {
+			delete(d.normPlans, k)
 		}
 	}
 	d.mu.Unlock()
@@ -296,7 +290,6 @@ func (d *DB) SetWorkers(n int) {
 	d.configGen++
 	d.plans = map[string]*cachedPlan{}
 	d.normPlans = map[string]*cachedPlan{}
-	clear(d.retired)
 	d.mu.Unlock()
 }
 

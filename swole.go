@@ -62,12 +62,12 @@ type DB struct {
 	mu        sync.RWMutex
 	plans     map[string]*cachedPlan
 	normPlans map[string]*cachedPlan
-	retired   map[string]*cachedPlan // evicted by an append, by normalized text
-	configGen uint64                 // bumped by SetWorkers; see storePlan
+	configGen uint64 // bumped by SetWorkers; see storePlan
 
 	// writeMu serializes the writes: each holds it from its first catalog
 	// read to its registration, so a write builds on the registration it
-	// read. Lock order: writeMu → d.mu; engine mutexes are leaves. It also
+	// read. Lock order: writeMu → d.mu, and a cache entry's lock → d.mu;
+	// engine mutexes are leaves. It also
 	// guards kernels, the per-table compiled CSV kernels (append.go), reused
 	// across batches so the warm parse path allocates nothing.
 	writeMu sync.Mutex
@@ -87,7 +87,6 @@ func newDBWith(db *storage.Database) *DB {
 		engine:    core.NewEngine(db),
 		plans:     map[string]*cachedPlan{},
 		normPlans: map[string]*cachedPlan{},
-		retired:   map[string]*cachedPlan{},
 		kernels:   map[string]*ingest.Kernel{},
 	}
 }
