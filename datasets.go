@@ -40,33 +40,25 @@ func LoadMicro(cfg MicroConfig) (*DB, error) {
 	}
 	m := micro.Generate(micro.Config{NR: cfg.Rows, NS: cfg.DimRows, CCard: cfg.GroupKeys, Seed: cfg.Seed})
 	db := NewDB()
-	wide := func(name string, v []int8) Column {
-		out := make([]int64, len(v))
-		for i, x := range v {
-			out[i] = int64(x)
-		}
-		return IntColumn(name, out)
-	}
-	wide32 := func(name string, v []int32) Column {
-		out := make([]int64, len(v))
-		for i, x := range v {
-			out[i] = int64(x)
-		}
-		return IntColumn(name, out)
-	}
 	if err := db.CreateTable("r",
-		wide("r_a", m.A), wide("r_b", m.B), wide("r_x", m.X), wide("r_y", m.Y),
-		wide32("r_c", m.C), wide32("r_fk", m.FK),
+		microColumn("r_a", m.A), microColumn("r_b", m.B), microColumn("r_x", m.X), microColumn("r_y", m.Y),
+		microColumn("r_c", m.C), microColumn("r_fk", m.FK),
 	); err != nil {
 		return nil, err
 	}
-	if err := db.CreateTable("s", wide32("s_pk", m.SPK), wide("s_x", m.SX)); err != nil {
+	if err := db.CreateTable("s", microColumn("s_pk", m.SPK), microColumn("s_x", m.SX)); err != nil {
 		return nil, err
 	}
 	if err := db.AddForeignKey("r", "r_fk", "s", "s_pk"); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// microColumn builds an integer column straight from the generator's
+// stored width: one copy, at the width null suppression picks.
+func microColumn[T int8 | int32](name string, vals []T) Column {
+	return Column{col: storage.Compress(name, vals, storage.LogInt)}
 }
 
 // GenerateCode emits the Go source that the named strategy's code

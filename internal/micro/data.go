@@ -49,8 +49,10 @@ type Config struct {
 
 // Data is a generated microbenchmark dataset. Columns are exposed as typed
 // slices because the hand-specialized kernels, like generated code, are
-// written against the physical schema, and the engine wraps them without
-// copying.
+// written against the physical schema. The figure harness wraps them
+// without copying; swole.LoadMicro copies each column once, straight from
+// its slice into the width null suppression picks (so r_c is narrower than
+// int32 when CCard allows).
 type Data struct {
 	Cfg Config
 

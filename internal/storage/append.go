@@ -33,19 +33,7 @@ func kindFor(lo, hi int64) Kind {
 // existing views on the old, value-identical array. Name, logical type
 // and dictionary carry over.
 func (c *Column) Append(vals []int64) *Column {
-	lo, hi := int64(0), int64(0)
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	k := kindFor(lo, hi)
-	if k < c.Kind {
-		k = c.Kind
-	}
+	k := max(kindFor(bounds(vals)), c.Kind)
 	out := &Column{Name: c.Name, Kind: k, Log: c.Log, Dict: c.Dict}
 	n := c.Len()
 	switch k {

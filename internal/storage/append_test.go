@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestColumnAppendSameWidth(t *testing.T) {
 	c := Compress("a", []int64{1, 2, 3}, LogInt)
@@ -84,6 +87,25 @@ func TestDictCodeBytes(t *testing.T) {
 	}
 	if _, ok := d.CodeBytes([]byte("z")); ok {
 		t.Fatal("CodeBytes(z) should miss")
+	}
+}
+
+// TestDictCodeBytesZeroAlloc: the ingestion kernels look up every string
+// field of a CSV batch, so a hit and a miss must both stay off the heap,
+// also for values longer than the compiler's small-string buffer.
+func TestDictCodeBytesZeroAlloc(t *testing.T) {
+	long := strings.Repeat("a long dictionary value, ", 4)
+	d := NewDict([]string{"x", "y", long, long + "!"})
+	hit, miss := []byte(long), []byte(long+"?")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := d.CodeBytes(hit); !ok {
+			t.Fatal("hit missed")
+		}
+		if _, ok := d.CodeBytes(miss); ok {
+			t.Fatal("miss hit")
+		}
+	}); allocs != 0 {
+		t.Fatalf("CodeBytes allocates %v per run, want 0", allocs)
 	}
 }
 

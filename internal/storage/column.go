@@ -127,43 +127,14 @@ func NewInt64(name string, vals []int64, log Logical) *Column {
 	return &Column{Name: name, Kind: KindInt64, Log: log, I64: vals}
 }
 
-// Compress builds a column from int64 values using null suppression: the
-// narrowest physical width that losslessly holds every value is chosen
-// (Section IV: "null suppression for low-cardinality integer columns").
-func Compress(name string, vals []int64, log Logical) *Column {
-	lo, hi := int64(0), int64(0)
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	switch {
-	case lo >= -128 && hi <= 127:
-		out := make([]int8, len(vals))
-		for i, v := range vals {
-			out[i] = int8(v)
-		}
-		return &Column{Name: name, Kind: KindInt8, Log: log, I8: out}
-	case lo >= -32768 && hi <= 32767:
-		out := make([]int16, len(vals))
-		for i, v := range vals {
-			out[i] = int16(v)
-		}
-		return &Column{Name: name, Kind: KindInt16, Log: log, I16: out}
-	case lo >= -(1<<31) && hi <= (1<<31)-1:
-		out := make([]int32, len(vals))
-		for i, v := range vals {
-			out[i] = int32(v)
-		}
-		return &Column{Name: name, Kind: KindInt32, Log: log, I32: out}
-	default:
-		out := make([]int64, len(vals))
-		copy(out, vals)
-		return &Column{Name: name, Kind: KindInt64, Log: log, I64: out}
-	}
+// Compress builds a column from values of any stored width using null
+// suppression: the narrowest physical width that losslessly holds every
+// value is chosen (Section IV: "null suppression for low-cardinality
+// integer columns"). The values are always copied, so the caller keeps its
+// slice.
+func Compress[T int8 | int16 | int32 | int64](name string, vals []T, log Logical) *Column {
+	lo, hi := bounds(vals)
+	return build(name, kindFor(lo, hi), log, vals)
 }
 
 // NewStrings builds a dictionary-encoded string column (Section IV:
@@ -173,39 +144,53 @@ func Compress(name string, vals []int64, log Logical) *Column {
 // narrowest width that fits the dictionary size.
 func NewStrings(name string, vals []string) *Column {
 	dict, codes := BuildDict(vals)
-	c := Compress(name, codes, LogString)
-	c.Dict = dict
+	return NewCodes(name, dict, codes)
+}
+
+// NewCodes builds a string column from codes already drawn in d, stored at
+// the width d's size sets rather than the width the observed codes need,
+// so a generator's widths do not depend on which values appear at a given
+// scale. It panics if a code lies outside d.
+func NewCodes[T int8 | int16 | int32 | int64](name string, d *Dict, codes []T) *Column {
+	if lo, hi := bounds(codes); len(codes) > 0 && (lo < 0 || hi >= int64(d.Len())) {
+		panic(fmt.Sprintf("storage: column %s: codes [%d, %d] outside a %d-value dictionary", name, lo, hi, d.Len()))
+	}
+	c := build(name, kindFor(0, int64(d.Len()-1)), LogString, codes)
+	c.Dict = d
 	return c
 }
 
-// NewStringsDict builds a string column over a pre-built dictionary, so
-// the code width is fixed by the vocabulary rather than by which values
-// appear in the data.
-func NewStringsDict(name string, d *Dict, vals []string) (*Column, error) {
-	codes, err := d.Encode(vals)
-	if err != nil {
-		return nil, err
+// bounds returns the smallest and largest of vals and 0.
+func bounds[T int8 | int16 | int32 | int64](vals []T) (lo, hi int64) {
+	for _, v := range vals {
+		lo = min(lo, int64(v))
+		hi = max(hi, int64(v))
 	}
-	// Width follows the dictionary size, not the observed codes.
-	widest := int64(d.Len() - 1)
-	c := Compress(name, append(codes, widest), LogString)
-	trim(c)
-	c.Dict = d
-	return c, nil
+	return lo, hi
 }
 
-// trim drops the sentinel value appended to force the dictionary width.
-func trim(c *Column) {
-	switch c.Kind {
+// build copies vals, which k holds losslessly, into a new column of width k.
+func build[T int8 | int16 | int32 | int64](name string, k Kind, log Logical, vals []T) *Column {
+	c := &Column{Name: name, Kind: k, Log: log}
+	switch k {
 	case KindInt8:
-		c.I8 = c.I8[:len(c.I8)-1]
+		c.I8 = convert[int8](vals)
 	case KindInt16:
-		c.I16 = c.I16[:len(c.I16)-1]
+		c.I16 = convert[int16](vals)
 	case KindInt32:
-		c.I32 = c.I32[:len(c.I32)-1]
+		c.I32 = convert[int32](vals)
 	default:
-		c.I64 = c.I64[:len(c.I64)-1]
+		c.I64 = convert[int64](vals)
 	}
+	return c
+}
+
+func convert[D, S int8 | int16 | int32 | int64](vals []S) []D {
+	out := make([]D, len(vals))
+	for i, v := range vals {
+		out[i] = D(v)
+	}
+	return out
 }
 
 // MemBytes returns the in-memory size of the column's value array.

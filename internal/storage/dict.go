@@ -1,16 +1,15 @@
 package storage
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Dict is an order-preserving string dictionary: code i corresponds to the
 // i-th smallest distinct value, so comparisons on codes mirror comparisons
-// on strings.
+// on strings. It holds only the sorted values; a lookup is a binary search.
 type Dict struct {
 	values []string
-	codes  map[string]int64
 }
 
 // NewDict builds a dictionary over a fixed vocabulary (deduplicated and
@@ -21,40 +20,32 @@ func NewDict(vocab []string) *Dict {
 	return d
 }
 
-// Encode returns the codes for vals, which must all be in the dictionary.
-func (d *Dict) Encode(vals []string) ([]int64, error) {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		c, ok := d.codes[v]
-		if !ok {
-			return nil, fmt.Errorf("storage: value %q not in dictionary", v)
+// BuildDict assigns lexicographically ordered codes to the distinct values
+// of vals and returns the dictionary together with the code of each value.
+// One sort of the positions of vals both finds the distinct values and
+// numbers them: walking the sorted positions, a value unequal to the last
+// distinct one starts the next code, and its position is kept in the
+// sorted prefix the walk has already read.
+func BuildDict(vals []string) (*Dict, []int32) {
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(vals[a], vals[b]) })
+	codes := make([]int32, len(vals))
+	k := 0
+	for _, i := range order {
+		if k == 0 || vals[i] != vals[order[k-1]] {
+			order[k] = i
+			k++
 		}
-		out[i] = c
+		codes[i] = int32(k - 1)
 	}
-	return out, nil
-}
-
-// BuildDict deduplicates vals, assigns lexicographically ordered codes, and
-// returns the dictionary together with the encoded values.
-func BuildDict(vals []string) (*Dict, []int64) {
-	distinct := map[string]struct{}{}
-	for _, v := range vals {
-		distinct[v] = struct{}{}
+	values := make([]string, k)
+	for c, i := range order[:k] {
+		values[c] = vals[i]
 	}
-	values := make([]string, 0, len(distinct))
-	for v := range distinct {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	d := &Dict{values: values, codes: make(map[string]int64, len(values))}
-	for i, v := range values {
-		d.codes[v] = int64(i)
-	}
-	encoded := make([]int64, len(vals))
-	for i, v := range vals {
-		encoded[i] = d.codes[v]
-	}
-	return d, encoded
+	return &Dict{values: values}, codes
 }
 
 // Len returns the number of distinct values.
@@ -65,17 +56,25 @@ func (d *Dict) Value(code int) string { return d.values[code] }
 
 // Code returns the code for s and whether s occurs in the dictionary.
 func (d *Dict) Code(s string) (int64, bool) {
-	c, ok := d.codes[s]
-	return c, ok
+	i, ok := slices.BinarySearch(d.values, s)
+	return int64(i), ok
 }
 
-// CodeBytes is Code for a byte slice. The string conversion in the map
-// index expression does not allocate (the compiler recognises the
-// m[string(b)] form), which is what keeps the ingestion kernels'
-// dictionary lookups off the heap.
+// CodeBytes is Code for a byte slice. The search is written out because
+// string(b) compared against a string does not allocate (the compiler
+// converts in place for a comparison), which is what keeps the ingestion
+// kernels' dictionary lookups off the heap.
 func (d *Dict) CodeBytes(b []byte) (int64, bool) {
-	c, ok := d.codes[string(b)]
-	return c, ok
+	lo, hi := 0, len(d.values)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d.values[m] < string(b) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int64(lo), lo < len(d.values) && d.values[lo] == string(b)
 }
 
 // MatchPred evaluates an arbitrary string predicate once per *distinct*

@@ -34,6 +34,27 @@ func TestCompressPicksNarrowestWidth(t *testing.T) {
 	}
 }
 
+// TestCompressStoredWidths builds columns straight from narrower stored
+// widths: the width still follows the values, and the column never aliases
+// the caller's slice, even when the widths match.
+func TestCompressStoredWidths(t *testing.T) {
+	i8 := []int8{-3, 0, 100}
+	c8 := Compress("a", i8, LogInt)
+	i8[0] = 7
+	if c8.Kind != KindInt8 || c8.I8[0] != -3 || c8.Get(2) != 100 {
+		t.Errorf("int8: kind %v, values %v", c8.Kind, c8.I8)
+	}
+	if c := Compress("b", []int16{1, 300}, LogDate); c.Kind != KindInt16 || c.Log != LogDate || c.Get(1) != 300 {
+		t.Errorf("int16: %v", c)
+	}
+	if c := Compress("c", []int32{0, 99}, LogInt); c.Kind != KindInt8 || c.Get(1) != 99 {
+		t.Errorf("int32 narrowed: %v", c)
+	}
+	if c := Compress("d", []int32{-70000, 1}, LogDecimal); c.Kind != KindInt32 || c.Get(0) != -70000 {
+		t.Errorf("int32: %v", c)
+	}
+}
+
 func TestCompressRoundTrip(t *testing.T) {
 	f := func(vals []int64) bool {
 		col := Compress("c", vals, LogInt)
@@ -232,41 +253,29 @@ func TestGetStringPanicsOnNonString(t *testing.T) {
 	c.GetString(0)
 }
 
-func TestNewStringsDictWidthStability(t *testing.T) {
-	// A 200-entry vocabulary forces int16 codes even when the data holds
-	// only a few distinct values.
+func TestNewCodesWidthStability(t *testing.T) {
+	// A 200-entry vocabulary forces int16 codes even when the codes drawn
+	// are all narrow.
 	vocab := make([]string, 200)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("val-%03d", i)
 	}
 	d := NewDict(vocab)
-	col, err := NewStringsDict("c", d, []string{"val-000", "val-001", "val-000"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Kind != KindInt16 {
-		t.Errorf("kind=%v, want int16 (vocab 200)", col.Kind)
+	col := NewCodes("c", d, []int8{0, 1, 0})
+	if col.Kind != KindInt16 || col.Log != LogString || col.Dict != d {
+		t.Errorf("kind=%v log=%v, want int16 string codes over d (vocab 200)", col.Kind, col.Log)
 	}
 	if col.Len() != 3 {
-		t.Errorf("len=%d after trim, want 3", col.Len())
+		t.Errorf("len=%d, want 3", col.Len())
 	}
 	if col.GetString(1) != "val-001" {
 		t.Errorf("decode: %q", col.GetString(1))
 	}
-	// Unknown value is an error.
-	if _, err := NewStringsDict("c", d, []string{"nope"}); err == nil {
-		t.Error("unknown value accepted")
-	}
-}
-
-func TestDictEncodeErrors(t *testing.T) {
-	d := NewDict([]string{"a", "b"})
-	if _, err := d.Encode([]string{"a", "zz"}); err == nil {
-		t.Error("Encode accepted unknown value")
-	}
-	codes, err := d.Encode([]string{"b", "a"})
-	if err != nil || codes[0] != 1 || codes[1] != 0 {
-		t.Errorf("Encode: %v %v", codes, err)
+	// A code outside the dictionary is the caller's bug.
+	mustPanic(t, func() { NewCodes("c", d, []int16{200}) })
+	mustPanic(t, func() { NewCodes("c", d, []int32{-1}) })
+	if empty := NewCodes("e", NewDict(nil), []int32{}); empty.Len() != 0 || empty.Kind != KindInt8 {
+		t.Errorf("empty: len %d kind %v", empty.Len(), empty.Kind)
 	}
 }
 

@@ -2,7 +2,7 @@ package tpch
 
 import "github.com/reprolab/swole/internal/storage"
 
-// fullVocab returns the complete vocabulary for dictionary stability.
+// partTypeVocab returns the complete vocabulary for dictionary stability.
 func partTypeVocab() []string {
 	out := make([]string, 0, len(typeSyl1)*len(typeSyl2)*len(typeSyl3))
 	for _, a := range typeSyl1 {
@@ -35,148 +35,61 @@ func containerVocab() []string {
 	return out
 }
 
-// buildColumns encodes the string columns, fills the typed slices the hand
-// kernels use, and assembles the column-store Database with its
+// buildColumns assembles the column-store Database from the typed slices,
+// each column built straight from its stored width, and adds the
 // foreign-key indexes.
-func (d *Data) buildColumns(regionStrs, nationStrs, custSegStrs, partTypeStrs,
-	partBrandStrs, partContStrs, orderPrioStrs, orderCommentStrs,
-	liFlagStrs, liStatusStrs, liInstrStrs, liModeStrs []string) {
-
-	mustStr := func(name string, vocab, vals []string) *storage.Column {
-		c, err := storage.NewStringsDict(name, storage.NewDict(vocab), vals)
-		if err != nil {
-			panic(err)
-		}
-		return c
-	}
-	i8codes := func(c *storage.Column) []int8 {
-		out := make([]int8, c.Len())
-		for i := range out {
-			out[i] = int8(c.Get(i))
-		}
-		return out
-	}
-	i16codes := func(c *storage.Column) []int16 {
-		out := make([]int16, c.Len())
-		for i := range out {
-			out[i] = int16(c.Get(i))
-		}
-		return out
-	}
-	i32codes := func(c *storage.Column) []int32 {
-		out := make([]int32, c.Len())
-		for i := range out {
-			out[i] = int32(c.Get(i))
-		}
-		return out
-	}
+func (d *Data) buildColumns() {
 	dense := func(name string, n int) *storage.Column {
-		vals := make([]int64, n)
+		vals := make([]int32, n)
 		for i := range vals {
-			vals[i] = int64(i)
+			vals[i] = int32(i)
 		}
 		return storage.Compress(name, vals, storage.LogInt)
 	}
-	wide8 := func(name string, vals []int8, log storage.Logical) *storage.Column {
-		out := make([]int64, len(vals))
-		for i, v := range vals {
-			out[i] = int64(v)
-		}
-		return storage.Compress(name, out, log)
-	}
-	wide32 := func(name string, vals []int32, log storage.Logical) *storage.Column {
-		out := make([]int64, len(vals))
-		for i, v := range vals {
-			out[i] = int64(v)
-		}
-		return storage.Compress(name, out, log)
-	}
-
+	li := &d.Lineitem
 	db := storage.NewDatabase()
-
-	// region
-	rName := mustStr("r_name", regionNames, regionStrs)
-	d.Region.Name = i8codes(rName)
-	d.Region.NameDict = rName.Dict
-	db.AddTable(storage.MustNewTable("region", dense("r_regionkey", regionRows), rName))
-
-	// nation
-	nName := mustStr("n_name", nationNames, nationStrs)
-	d.Nation.Name = i8codes(nName)
-	d.Nation.NameDict = nName.Dict
+	db.AddTable(storage.MustNewTable("region",
+		dense("r_regionkey", regionRows),
+		storage.NewCodes("r_name", d.Region.NameDict, d.Region.Name)))
 	db.AddTable(storage.MustNewTable("nation",
-		dense("n_nationkey", nationRows), nName,
-		wide8("n_regionkey", d.Nation.RegionKey, storage.LogInt)))
-
-	// supplier
+		dense("n_nationkey", nationRows),
+		storage.NewCodes("n_name", d.Nation.NameDict, d.Nation.Name),
+		storage.Compress("n_regionkey", d.Nation.RegionKey, storage.LogInt)))
 	db.AddTable(storage.MustNewTable("supplier",
 		dense("s_suppkey", len(d.Supplier.NationKey)),
-		wide8("s_nationkey", d.Supplier.NationKey, storage.LogInt)))
-
-	// customer
-	cSeg := mustStr("c_mktsegment", segments, custSegStrs)
-	d.Customer.MktSegment = i8codes(cSeg)
-	d.Customer.SegDict = cSeg.Dict
+		storage.Compress("s_nationkey", d.Supplier.NationKey, storage.LogInt)))
 	db.AddTable(storage.MustNewTable("customer",
-		dense("c_custkey", len(custSegStrs)), cSeg,
-		wide8("c_nationkey", d.Customer.NationKey, storage.LogInt)))
-
-	// part
-	pType := mustStr("p_type", partTypeVocab(), partTypeStrs)
-	pBrand := mustStr("p_brand", brandVocab(), partBrandStrs)
-	pCont := mustStr("p_container", containerVocab(), partContStrs)
-	d.Part.Type = i16codes(pType)
-	d.Part.Brand = i8codes(pBrand)
-	d.Part.Container = i8codes(pCont)
-	d.Part.TypeDict = pType.Dict
-	d.Part.BrandDict = pBrand.Dict
-	d.Part.ContDict = pCont.Dict
+		dense("c_custkey", len(d.Customer.MktSegment)),
+		storage.NewCodes("c_mktsegment", d.Customer.SegDict, d.Customer.MktSegment),
+		storage.Compress("c_nationkey", d.Customer.NationKey, storage.LogInt)))
 	db.AddTable(storage.MustNewTable("part",
-		dense("p_partkey", len(partTypeStrs)), pType, pBrand, pCont,
-		wide8("p_size", d.Part.Size, storage.LogInt)))
-
-	// orders
-	oPrio := mustStr("o_orderpriority", priorities, orderPrioStrs)
-	oComment := storage.NewStrings("o_comment", orderCommentStrs)
-	d.Orders.OrderPriority = i8codes(oPrio)
-	d.Orders.PrioDict = oPrio.Dict
-	d.Orders.Comment = i32codes(oComment)
-	d.Orders.CommentDict = oComment.Dict
+		dense("p_partkey", len(d.Part.Type)),
+		storage.NewCodes("p_type", d.Part.TypeDict, d.Part.Type),
+		storage.NewCodes("p_brand", d.Part.BrandDict, d.Part.Brand),
+		storage.NewCodes("p_container", d.Part.ContDict, d.Part.Container),
+		storage.Compress("p_size", d.Part.Size, storage.LogInt)))
 	db.AddTable(storage.MustNewTable("orders",
 		dense("o_orderkey", len(d.Orders.CustKey)),
-		wide32("o_custkey", d.Orders.CustKey, storage.LogInt),
-		wide32("o_orderdate", d.Orders.OrderDate, storage.LogDate),
-		oPrio,
-		wide8("o_shippriority", d.Orders.ShipPriority, storage.LogInt),
-		oComment))
-
-	// lineitem
-	li := &d.Lineitem
-	lFlag := mustStr("l_returnflag", []string{"A", "N", "R"}, liFlagStrs)
-	lStatus := mustStr("l_linestatus", []string{"F", "O"}, liStatusStrs)
-	lInstr := mustStr("l_shipinstruct", shipInstructs, liInstrStrs)
-	lMode := mustStr("l_shipmode", shipModes, liModeStrs)
-	li.ReturnFlag = i8codes(lFlag)
-	li.LineStatus = i8codes(lStatus)
-	li.ShipInstruct = i8codes(lInstr)
-	li.ShipMode = i8codes(lMode)
-	li.FlagDict = lFlag.Dict
-	li.StatusDict = lStatus.Dict
-	li.InstructDict = lInstr.Dict
-	li.ModeDict = lMode.Dict
+		storage.Compress("o_custkey", d.Orders.CustKey, storage.LogInt),
+		storage.Compress("o_orderdate", d.Orders.OrderDate, storage.LogDate),
+		storage.NewCodes("o_orderpriority", d.Orders.PrioDict, d.Orders.OrderPriority),
+		storage.Compress("o_shippriority", d.Orders.ShipPriority, storage.LogInt),
+		storage.NewCodes("o_comment", d.Orders.CommentDict, d.Orders.Comment)))
 	db.AddTable(storage.MustNewTable("lineitem",
-		wide32("l_orderkey", li.OrderKey, storage.LogInt),
-		wide32("l_partkey", li.PartKey, storage.LogInt),
-		wide32("l_suppkey", li.SuppKey, storage.LogInt),
-		wide8("l_quantity", li.Quantity, storage.LogInt),
-		wide32("l_extendedprice", li.ExtendedPrice, storage.LogDecimal),
-		wide8("l_discount", li.Discount, storage.LogDecimal),
-		wide8("l_tax", li.Tax, storage.LogDecimal),
-		lFlag, lStatus,
-		wide32("l_shipdate", li.ShipDate, storage.LogDate),
-		wide32("l_commitdate", li.CommitDate, storage.LogDate),
-		wide32("l_receiptdate", li.ReceiptDate, storage.LogDate),
-		lInstr, lMode))
+		storage.Compress("l_orderkey", li.OrderKey, storage.LogInt),
+		storage.Compress("l_partkey", li.PartKey, storage.LogInt),
+		storage.Compress("l_suppkey", li.SuppKey, storage.LogInt),
+		storage.Compress("l_quantity", li.Quantity, storage.LogInt),
+		storage.Compress("l_extendedprice", li.ExtendedPrice, storage.LogDecimal),
+		storage.Compress("l_discount", li.Discount, storage.LogDecimal),
+		storage.Compress("l_tax", li.Tax, storage.LogDecimal),
+		storage.NewCodes("l_returnflag", li.FlagDict, li.ReturnFlag),
+		storage.NewCodes("l_linestatus", li.StatusDict, li.LineStatus),
+		storage.Compress("l_shipdate", li.ShipDate, storage.LogDate),
+		storage.Compress("l_commitdate", li.CommitDate, storage.LogDate),
+		storage.Compress("l_receiptdate", li.ReceiptDate, storage.LogDate),
+		storage.NewCodes("l_shipinstruct", li.InstructDict, li.ShipInstruct),
+		storage.NewCodes("l_shipmode", li.ModeDict, li.ShipMode)))
 
 	// Foreign-key indexes: referential integrity checking mandates them
 	// (Section III-D), and they are the only auxiliary structures allowed

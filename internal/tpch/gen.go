@@ -7,6 +7,12 @@
 // plans wherever the plan synthesizer accepts the query — hand-written only
 // where it does not (see DESIGN.md substitution 1).
 //
+// The generator emits what the column store keeps: each string column is
+// drawn as its code in the order-preserving dictionary of its vocabulary
+// (the comments as codes of a dictionary built by one sort), and every
+// column is built from its typed slice at the width it is stored at, with
+// no per-row string and no int64 copy on the way.
+//
 // Scale: the paper runs SF 10 (60M lineitem rows). Row counts here scale
 // linearly with SF; tests use tiny SFs and the benchmark harness reads
 // SWOLE_SF (default 0.1). Selectivity targets match the paper's per-query
@@ -15,7 +21,7 @@
 package tpch
 
 import (
-	"fmt"
+	"strings"
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
@@ -45,7 +51,10 @@ var (
 // Data holds the generated tables twice: as typed slices for the
 // hand-specialized kernels (which, like generated code, are written
 // against the physical schema) and as a column-store Database for the
-// Volcano engine and the engine plans.
+// Volcano engine and the engine plans. The typed slices are what Generate
+// draws, string columns included as their dictionary codes (each *Dict
+// field is the column's dictionary); the Database's columns are one copy
+// of each, narrowed where null suppression allows (the dates to int16).
 type Data struct {
 	SF float64
 	DB *storage.Database
@@ -153,6 +162,9 @@ var (
 	containers1 = []string{"SM", "LG", "MED", "JUMBO", "WRAP"}
 	containers2 = []string{"CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"}
 
+	// A received line is R or A with equal odds, an open one N.
+	returnFlags   = []string{"R", "A", "N"}
+	lineStatuses  = []string{"F", "O"}
 	shipInstructs = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
 	shipModes     = []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
 
@@ -183,19 +195,40 @@ func (s *splitmix64) intn(n int) int { return int(s.next() % uint64(n)) }
 func (s *splitmix64) rangeIn(lo, hi int) int { return lo + s.intn(hi-lo+1) }
 
 // Generate builds the dataset at the given scale factor, deterministically.
+// A draw of vocabulary position i stores that position's code in the
+// vocabulary's dictionary, and the comments share one text arena.
 func Generate(sf float64) *Data {
 	rng := splitmix64(20200417)
 	_, _, nSupp, nCust, nPart, nOrders, _ := TableRows(sf)
 	d := &Data{SF: sf}
+	li := &d.Lineitem
+	vocab := func(dict **storage.Dict, words []string) []int32 {
+		var code []int32
+		*dict, code = storage.BuildDict(words)
+		return code
+	}
+	regionCode := vocab(&d.Region.NameDict, regionNames)
+	nationCode := vocab(&d.Nation.NameDict, nationNames)
+	segCode := vocab(&d.Customer.SegDict, segments)
+	typeCode := vocab(&d.Part.TypeDict, partTypeVocab())
+	brandCode := vocab(&d.Part.BrandDict, brandVocab())
+	contCode := vocab(&d.Part.ContDict, containerVocab())
+	prioCode := vocab(&d.Orders.PrioDict, priorities)
+	flagCode := vocab(&li.FlagDict, returnFlags)
+	statusCode := vocab(&li.StatusDict, lineStatuses)
+	instrCode := vocab(&li.InstructDict, shipInstructs)
+	modeCode := vocab(&li.ModeDict, shipModes)
 
 	// region / nation
 	d.Region.Name = make([]int8, regionRows)
-	regionStrs := make([]string, regionRows)
-	copy(regionStrs, regionNames)
+	for i := range d.Region.Name {
+		d.Region.Name[i] = int8(regionCode[i])
+	}
 	d.Nation.Name = make([]int8, nationRows)
+	for i := range d.Nation.Name {
+		d.Nation.Name[i] = int8(nationCode[i])
+	}
 	d.Nation.RegionKey = append([]int8{}, nationRegion...)
-	nationStrs := make([]string, nationRows)
-	copy(nationStrs, nationNames)
 
 	// supplier
 	d.Supplier.NationKey = make([]int8, nSupp)
@@ -206,48 +239,67 @@ func Generate(sf float64) *Data {
 	// customer
 	d.Customer.MktSegment = make([]int8, nCust)
 	d.Customer.NationKey = make([]int8, nCust)
-	custSegStrs := make([]string, nCust)
 	for i := 0; i < nCust; i++ {
-		seg := rng.intn(len(segments))
-		custSegStrs[i] = segments[seg]
+		d.Customer.MktSegment[i] = int8(segCode[rng.intn(len(segments))])
 		d.Customer.NationKey[i] = int8(rng.intn(nationRows))
 	}
 
-	// part
+	// part: the vocabularies enumerate their syllables outermost first.
+	d.Part.Type = make([]int16, nPart)
+	d.Part.Brand = make([]int8, nPart)
+	d.Part.Container = make([]int8, nPart)
 	d.Part.Size = make([]int8, nPart)
-	partTypeStrs := make([]string, nPart)
-	partBrandStrs := make([]string, nPart)
-	partContStrs := make([]string, nPart)
 	for i := 0; i < nPart; i++ {
-		partTypeStrs[i] = typeSyl1[rng.intn(len(typeSyl1))] + " " +
-			typeSyl2[rng.intn(len(typeSyl2))] + " " + typeSyl3[rng.intn(len(typeSyl3))]
-		partBrandStrs[i] = fmt.Sprintf("Brand#%d%d", rng.rangeIn(1, 5), rng.rangeIn(1, 5))
-		partContStrs[i] = containers1[rng.intn(len(containers1))] + " " +
-			containers2[rng.intn(len(containers2))]
+		t1 := rng.intn(len(typeSyl1))
+		t2 := rng.intn(len(typeSyl2))
+		t3 := rng.intn(len(typeSyl3))
+		d.Part.Type[i] = int16(typeCode[(t1*len(typeSyl2)+t2)*len(typeSyl3)+t3])
+		b1 := rng.rangeIn(1, 5)
+		b2 := rng.rangeIn(1, 5)
+		d.Part.Brand[i] = int8(brandCode[(b1-1)*5+b2-1])
+		c1 := rng.intn(len(containers1))
+		c2 := rng.intn(len(containers2))
+		d.Part.Container[i] = int8(contCode[c1*len(containers2)+c2])
 		d.Part.Size[i] = int8(rng.rangeIn(1, 50))
 	}
 
-	// orders
+	// orders: comment i is text[ends[i-1]:ends[i]].
 	d.Orders.CustKey = make([]int32, nOrders)
 	d.Orders.OrderDate = make([]int32, nOrders)
+	d.Orders.OrderPriority = make([]int8, nOrders)
 	d.Orders.ShipPriority = make([]int8, nOrders)
-	orderPrioStrs := make([]string, nOrders)
-	orderCommentStrs := make([]string, nOrders)
+	var text strings.Builder
+	text.Grow(nOrders * commentBytes)
+	ends := make([]int, nOrders)
 	dateSpan := int(endDate-startDate) + 1
 	for i := 0; i < nOrders; i++ {
 		d.Orders.CustKey[i] = int32(rng.intn(nCust))
 		d.Orders.OrderDate[i] = startDate + int32(rng.intn(dateSpan))
-		orderPrioStrs[i] = priorities[rng.intn(len(priorities))]
-		orderCommentStrs[i] = genComment(&rng)
+		d.Orders.OrderPriority[i] = int8(prioCode[rng.intn(len(priorities))])
+		genComment(&text, &rng)
+		ends[i] = text.Len()
 	}
+	arena, comments := text.String(), make([]string, nOrders)
+	start := 0
+	for i, end := range ends {
+		comments[i], start = arena[start:end], end
+	}
+	d.Orders.CommentDict, d.Orders.Comment = storage.BuildDict(comments)
 
 	// lineitem: 1..7 lines per order, expectation tuned to lineitemPerOrder.
-	li := &d.Lineitem
-	estimate := nOrders * lineitemPerOrder
-	liFlagStrs := make([]string, 0, estimate)
-	liStatusStrs := make([]string, 0, estimate)
-	liInstrStrs := make([]string, 0, estimate)
-	liModeStrs := make([]string, 0, estimate)
+	// The slices are sized for the expected count plus 1/64, which no
+	// scale that matters exceeds: the count's standard deviation is
+	// 2·sqrt(nOrders) lines, 0.09% of it at SF 0.2.
+	expected := nOrders * lineitemPerOrder
+	capacity := expected + expected/64
+	for _, s := range []*[]int32{&li.OrderKey, &li.PartKey, &li.SuppKey, &li.ExtendedPrice,
+		&li.ShipDate, &li.CommitDate, &li.ReceiptDate} {
+		*s = make([]int32, 0, capacity)
+	}
+	for _, s := range []*[]int8{&li.Quantity, &li.Discount, &li.Tax, &li.ReturnFlag,
+		&li.LineStatus, &li.ShipInstruct, &li.ShipMode} {
+		*s = make([]int8, 0, capacity)
+	}
 	for o := 0; o < nOrders; o++ {
 		lines := rng.rangeIn(1, 2*lineitemPerOrder-1)
 		odate := d.Orders.OrderDate[o]
@@ -264,47 +316,46 @@ func Generate(sf float64) *Data {
 			ship := odate + int32(rng.rangeIn(1, 121))
 			li.ShipDate = append(li.ShipDate, ship)
 			li.CommitDate = append(li.CommitDate, odate+int32(rng.rangeIn(30, 90)))
-			li.ReceiptDate = append(li.ReceiptDate, ship+int32(rng.rangeIn(1, 30)))
+			receipt := ship + int32(rng.rangeIn(1, 30))
+			li.ReceiptDate = append(li.ReceiptDate, receipt)
 			// Return flag: R or A for received in the past, N otherwise
-			// (dbgen keys this off receipt date vs the 1995-06-17 cut).
-			if li.ReceiptDate[len(li.ReceiptDate)-1] <= cutDate {
-				if rng.intn(2) == 0 {
-					liFlagStrs = append(liFlagStrs, "R")
-				} else {
-					liFlagStrs = append(liFlagStrs, "A")
-				}
-			} else {
-				liFlagStrs = append(liFlagStrs, "N")
+			// (dbgen keys this off receipt date vs the 1995-06-17 cut);
+			// flag and status index returnFlags and lineStatuses.
+			flag := 2 // N
+			if receipt <= cutDate {
+				flag = rng.intn(2) // R or A
 			}
+			li.ReturnFlag = append(li.ReturnFlag, int8(flagCode[flag]))
+			status := 1 // O
 			if ship <= cutDate {
-				liStatusStrs = append(liStatusStrs, "F")
-			} else {
-				liStatusStrs = append(liStatusStrs, "O")
+				status = 0 // F
 			}
-			liInstrStrs = append(liInstrStrs, shipInstructs[rng.intn(len(shipInstructs))])
-			liModeStrs = append(liModeStrs, shipModes[rng.intn(len(shipModes))])
+			li.LineStatus = append(li.LineStatus, int8(statusCode[status]))
+			li.ShipInstruct = append(li.ShipInstruct, int8(instrCode[rng.intn(len(shipInstructs))]))
+			li.ShipMode = append(li.ShipMode, int8(modeCode[rng.intn(len(shipModes))]))
 		}
 	}
 
-	d.buildColumns(regionStrs, nationStrs, custSegStrs, partTypeStrs,
-		partBrandStrs, partContStrs, orderPrioStrs, orderCommentStrs,
-		liFlagStrs, liStatusStrs, liInstrStrs, liModeStrs)
+	d.buildColumns()
 	return d
 }
 
-// genComment produces a short pseudo-text comment; about 2% contain the
-// "special ... requests" sequence that TPC-H Q13 excludes.
-func genComment(rng *splitmix64) string {
+// commentBytes bounds the mean comment length (45.6 bytes: six words of a
+// mean 6.7 letters, five spaces, and the 2% "special" suffix) with 1/64 to
+// spare, so the text arena is sized once.
+const commentBytes = 47
+
+// genComment appends a short pseudo-text comment to text; about 2% contain
+// the "special ... requests" sequence that TPC-H Q13 excludes.
+func genComment(text *strings.Builder, rng *splitmix64) {
 	n := rng.rangeIn(4, 8)
-	out := ""
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			out += " "
+			text.WriteByte(' ')
 		}
-		out += commentWords[rng.intn(len(commentWords))]
+		text.WriteString(commentWords[rng.intn(len(commentWords))])
 	}
 	if rng.intn(50) == 0 {
-		out = out + " special packages requests"
+		text.WriteString(" special packages requests")
 	}
-	return out
 }

@@ -1,11 +1,17 @@
 package tpch
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/reprolab/swole/internal/core"
+	"github.com/reprolab/swole/internal/storage"
 )
 
 // Shared tiny dataset; generating once keeps the suite fast.
@@ -91,22 +97,89 @@ func sample(r Rows, i int) []int64 {
 	return nil
 }
 
+// TestGenerateDeterministic pins the generated data bit for bit: two runs
+// agree, and an FNV-1a digest of every table's columns (name, Kind, Log,
+// values, dictionary) and of every typed slice and dictionary of Data
+// matches the constant recorded when the generator last changed its output.
+// A reordered RNG draw or a column built at another width changes the
+// digest.
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(0.001)
 	b := Generate(0.001)
-	if len(a.Lineitem.OrderKey) != len(b.Lineitem.OrderKey) {
-		t.Fatal("row counts differ")
+	if digestData(a) != digestData(b) {
+		t.Fatal("two runs differ")
 	}
-	for i := range a.Lineitem.ShipDate {
-		if a.Lineitem.ShipDate[i] != b.Lineitem.ShipDate[i] ||
-			a.Lineitem.ExtendedPrice[i] != b.Lineitem.ExtendedPrice[i] {
-			t.Fatal("lineitem differs between runs")
+	for _, c := range []struct {
+		sf   float64
+		want uint64
+	}{
+		{0.001, 0x89b99724e927ffcb},
+		{0.01, 0x592bebdd88d9354f},
+	} {
+		if got := digestData(Generate(c.sf)); got != c.want {
+			t.Errorf("SF %g: digest %#x, want %#x", c.sf, got, c.want)
 		}
 	}
-	for i := range a.Orders.Comment {
-		if a.Orders.Comment[i] != b.Orders.Comment[i] {
-			t.Fatal("orders differ between runs")
+}
+
+// digestData folds the column store, in table creation order, and then
+// every exported slice and dictionary of Data's per-table structs.
+func digestData(d *Data) uint64 {
+	h := fnv.New64a()
+	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "orders", "lineitem"} {
+		tab := d.DB.Table(name)
+		io.WriteString(h, tab.Name)
+		for _, c := range tab.Columns {
+			io.WriteString(h, c.Name)
+			put(h, [2]int64{int64(c.Kind), int64(c.Log)})
+			switch c.Kind {
+			case storage.KindInt8:
+				put(h, c.I8)
+			case storage.KindInt16:
+				put(h, c.I16)
+			case storage.KindInt32:
+				put(h, c.I32)
+			default:
+				put(h, c.I64)
+			}
+			digestDict(h, c.Dict)
 		}
+	}
+	v := reflect.ValueOf(d).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		tf := v.Type().Field(i)
+		if !tf.IsExported() || tf.Type.Kind() != reflect.Struct {
+			continue
+		}
+		for j := 0; j < tf.Type.NumField(); j++ {
+			io.WriteString(h, tf.Name+"."+tf.Type.Field(j).Name)
+			switch f := v.Field(i).Field(j).Interface().(type) {
+			case *storage.Dict:
+				digestDict(h, f)
+			default:
+				put(h, f)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// put writes v's fixed-size encoding; a field of another type fails loudly
+// rather than dropping out of the digest.
+func put(h hash.Hash64, v any) {
+	if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+		panic(err)
+	}
+}
+
+func digestDict(h hash.Hash64, d *storage.Dict) {
+	if d == nil {
+		return
+	}
+	put(h, int64(d.Len()))
+	for i := 0; i < d.Len(); i++ {
+		put(h, int64(len(d.Value(i))))
+		io.WriteString(h, d.Value(i))
 	}
 }
 
