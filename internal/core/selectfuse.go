@@ -6,6 +6,7 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/storage"
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // fusedFold is the fold of a grouped statement under masking whose lanes ht
@@ -86,11 +87,11 @@ func (c *selectCompile) fuseFold() *fusedFold {
 func byKind[F any](k storage.Kind, fs ...F) F { return fs[k] }
 
 // fuseA, fuseB and fuseC pick the argument widths one at a time.
-func fuseA[K ht.Int](f *fusedFold) {
+func fuseA[K vec.Number](f *fusedFold) {
 	byKind(f.args[0].Kind, fuseB[K, int8], fuseB[K, int16], fuseB[K, int32], fuseB[K, int64])(f)
 }
 
-func fuseB[K, A ht.Int](f *fusedFold) {
+func fuseB[K, A vec.Number](f *fusedFold) {
 	if f.run = foldMinMax[K, A]; len(f.args) == 1 {
 		f.run = foldSum1[K, A]
 	} else if !f.minmax {
@@ -98,14 +99,14 @@ func fuseB[K, A ht.Int](f *fusedFold) {
 	}
 }
 
-func fuseC[K, A, B ht.Int](f *fusedFold) {
+func fuseC[K, A, B vec.Number](f *fusedFold) {
 	if f.run = foldSum2[K, A, B]; len(f.args) == 3 {
 		f.run = byKind(f.args[2].Kind, foldSum3[K, A, B, int8], foldSum3[K, A, B, int16], foldSum3[K, A, B, int32], foldSum3[K, A, B, int64])
 	}
 }
 
 // tileKey is the tile's keys: a hashed table's slots, fill's keys or columns.
-func tileKey[K ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) ht.TileKey[K] {
+func tileKey[K vec.Number](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) ht.TileKey[K] {
 	var k0, k1 []K
 	switch m := len(cmp); {
 	case f.hashed:
@@ -124,7 +125,7 @@ func tileKey[K ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, s
 
 // foldSum1 reads one key column (fuseFold leaves two to fill) and passes a
 // pair fold no mask.
-func foldSum1[K, A ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
+func foldSum1[K, A vec.Number](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
 	a, k := storage.Stored[A](f.args[0], base, len(cmp)), tileKey[K](f, tab, base, keys, slots, cmp)
 	if f.pairs {
 		cmp = nil
@@ -132,16 +133,16 @@ func foldSum1[K, A ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int6
 	ht.FoldSum1(tab, k.K1, k.Add, a, cmp, f.keyMask)
 }
 
-func foldSum2[K, A, B ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
+func foldSum2[K, A, B vec.Number](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
 	a, b := storage.Stored[A](f.args[0], base, len(cmp)), storage.Stored[B](f.args[1], base, len(cmp))
 	ht.FoldSum2(tab, tileKey[K](f, tab, base, keys, slots, cmp), a, b, cmp, f.keyMask)
 }
 
-func foldSum3[K, A, B, C ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
+func foldSum3[K, A, B, C vec.Number](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
 	a, b, c := storage.Stored[A](f.args[0], base, len(cmp)), storage.Stored[B](f.args[1], base, len(cmp)), storage.Stored[C](f.args[2], base, len(cmp))
 	ht.FoldSum3(tab, tileKey[K](f, tab, base, keys, slots, cmp), a, b, c, cmp, f.keyMask)
 }
 
-func foldMinMax[K, A ht.Int](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
+func foldMinMax[K, A vec.Number](f *fusedFold, tab *ht.AggTable, base int, keys []int64, slots []int32, cmp []byte) {
 	ht.FoldMinMax(tab, tileKey[K](f, tab, base, keys, slots, cmp), storage.Stored[A](f.args[0], base, len(cmp)), cmp, f.keyMask)
 }

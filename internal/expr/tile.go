@@ -194,7 +194,7 @@ func (ev *Evaluator) EvalBool(e Expr, t Tile, out []byte) {
 	default:
 		// Integer expression used as a predicate: nonzero is true.
 		v, vp := ev.vals(e, t)
-		vec.CmpConstNE(v[:n], 0, out)
+		vec.CmpConstNEU(v[:n], 0, out)
 		ev.release(v, vp)
 	}
 }

@@ -1,6 +1,10 @@
 package ht
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/reprolab/swole/internal/vec"
+)
 
 // Fused folds: FoldTile or FoldTileKeyMasked and the lane folds after it in
 // one loop a tile, for records of the count after one, two or three sums, or
@@ -10,12 +14,9 @@ import "fmt"
 // or walks a list of lanes; the record's shape is a constant, so the state
 // fits registers.
 
-// Int is a stored column width: the element types a fused fold reads.
-type Int interface{ int8 | int16 | int32 | int64 }
-
 // TileKey is a fused fold's keys, lane i's K0[i]·M0 + K1[i] + Add: two key columns
 // packed in the loop, or one as K0 and K1 with M0 zero (a hashed table's slots).
-type TileKey[K Int] struct {
+type TileKey[K vec.Number] struct {
 	K0, K1  []K
 	M0, Add int64
 }
@@ -39,7 +40,7 @@ func (t *AggTable) fuse(nAccs int, add int64, keyMask bool) (recs []int64, lo, s
 // refused vets lane i's key, which a fused fold's range check refused (outside), and
 // counts the lane into the throwaway record, whose lanes are nobody's answer:
 // into its last word, whose low half is a packed table's count.
-func refused[K Int](t *AggTable, k TileKey[K], cmp []byte, rej uint64, i int) int {
+func refused[K vec.Number](t *AggTable, k TileKey[K], cmp []byte, rej uint64, i int) int {
 	if i < len(k.K1) {
 		t.outside(int64(k.K0[i])*k.M0 + int64(k.K1[i]) + k.Add)
 		t.recs[(t.Cap()+1)*t.stride-1] += int64(uint64(cmp[i]) | rej&1)
@@ -55,7 +56,7 @@ func refused[K Int](t *AggTable, k TileKey[K], cmp []byte, rej uint64, i int) in
 // Each form is the loop of the lane pass it replaces, at the stored widths:
 // the pair folds' (foldPairs), and key masking's slot arithmetic with the
 // keys vetted after the loop (FoldTileKeyMasked).
-func FoldSum1[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte, keyMask bool) {
+func FoldSum1[K, A vec.Number](t *AggTable, keys []K, add int64, a []A, cmp []byte, keyMask bool) {
 	if t.span == 0 {
 		panic("ht: FoldSum1 on a hashed table")
 	}
@@ -81,7 +82,7 @@ func FoldSum1[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte, key
 
 // keyMask1 is keyMaskFold's loop for FoldSum1, over two-word records at
 // the stored widths and writing no slots.
-func keyMask1[K, A Int](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
+func keyMask1[K, A vec.Number](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
 	a, cmp = a[:len(keys)], cmp[:len(keys)]
 	for i, k := range keys {
 		d := uint64(k) - top
@@ -96,7 +97,7 @@ func keyMask1[K, A Int](recs []int64, keys []K, a []A, cmp []byte, top, span uin
 
 // FoldSum2 folds a tile into records of two sums and the count: lane i adds its
 // weight w (its mask; 1 under keyMask) to the count, a[i]·w and b[i]·w to lanes 0, 1.
-func FoldSum2[K, A, B Int](t *AggTable, k TileKey[K], a []A, b []B, cmp []byte, keyMask bool) {
+func FoldSum2[K, A, B vec.Number](t *AggTable, k TileKey[K], a []A, b []B, cmp []byte, keyMask bool) {
 	recs, lo, span, rej := t.fuse(2, k.Add, keyMask)
 	k0, k1, m0, a, b, cmp := k.K0[:len(k.K1)], k.K1, k.M0, a[:len(k.K1)], b[:len(k.K1)], cmp[:len(k.K1)]
 	for i := 0; i < len(k1); i = refused(t, k, cmp, rej, i) {
@@ -114,7 +115,7 @@ func FoldSum2[K, A, B Int](t *AggTable, k TileKey[K], a []A, b []B, cmp []byte, 
 }
 
 // FoldSum3 is FoldSum2 over records of three sums, c[i]·w adding to lane 2.
-func FoldSum3[K, A, B, C Int](t *AggTable, k TileKey[K], a []A, b []B, c []C, cmp []byte, keyMask bool) {
+func FoldSum3[K, A, B, C vec.Number](t *AggTable, k TileKey[K], a []A, b []B, c []C, cmp []byte, keyMask bool) {
 	recs, lo, span, rej := t.fuse(3, k.Add, keyMask)
 	k0, k1, m0, a, b, c, cmp := k.K0[:len(k.K1)], k.K1, k.M0, a[:len(k.K1)], b[:len(k.K1)], c[:len(k.K1)], cmp[:len(k.K1)]
 	for i := 0; i < len(k1); i = refused(t, k, cmp, rej, i) {
@@ -134,7 +135,7 @@ func FoldSum3[K, A, B, C Int](t *AggTable, k TileKey[K], a []A, b []B, c []C, cm
 
 // FoldMinMax folds a tile into records of a min and a max over one operand
 // and the count; a lane of weight zero offers the lanes' identities.
-func FoldMinMax[K, A Int](t *AggTable, k TileKey[K], a []A, cmp []byte, keyMask bool) {
+func FoldMinMax[K, A vec.Number](t *AggTable, k TileKey[K], a []A, cmp []byte, keyMask bool) {
 	recs, lo, span, rej := t.fuse(2, k.Add, keyMask)
 	k0, k1, m0, a, cmp := k.K0[:len(k.K1)], k.K1, k.M0, a[:len(k.K1)], cmp[:len(k.K1)]
 	for i := 0; i < len(k1); i = refused(t, k, cmp, rej, i) {

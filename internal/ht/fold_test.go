@@ -45,7 +45,7 @@ func FuzzFoldSignatures(f *testing.F) {
 }
 
 // foldKeys is FuzzFoldSignatures at key width K, picking the argument width.
-func foldKeys[K Int](t *testing.T, sig, width, density uint8, domain int, data []byte) {
+func foldKeys[K vec.Number](t *testing.T, sig, width, density uint8, domain int, data []byte) {
 	[]func(*testing.T, uint8, uint8, int, []byte){
 		foldSignature[K, int8], foldSignature[K, int16], foldSignature[K, int32], foldSignature[K, int64],
 	}[width%4](t, sig, density, domain, data)
@@ -71,7 +71,7 @@ const (
 // under density, or always at 255) and the seed of its three argument values;
 // a word whose second byte has its top two bits set is NullKey on the int64
 // keys, and 0xeeee in the first two bytes a key past the domain.
-func foldSignature[K, T Int](t *testing.T, sig, density uint8, domain int, data []byte) {
+func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int, data []byte) {
 	w1 := 1 + domain%5
 	w0 := 1 + domain/5
 	lo0, lo1, base := int64(-2), int64(3), int64(-1)<<40
@@ -233,7 +233,7 @@ func recovered(fn func()) (msg string) {
 }
 
 // fuseSig runs signature sig's fused fold.
-func fuseSig[K, T Int](tab *AggTable, sig uint8, k TileKey[K], a, b, c []T, m []byte, keyMask bool) {
+func fuseSig[K, T vec.Number](tab *AggTable, sig uint8, k TileKey[K], a, b, c []T, m []byte, keyMask bool) {
 	switch sig {
 	case sigSum1:
 		if k.M0 != 0 { // two key columns: FoldSum1 reads one, packed in int64

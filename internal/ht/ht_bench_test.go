@@ -236,7 +236,7 @@ func BenchmarkAggFoldForms(b *testing.B) {
 
 // benchFusedOne runs BenchmarkAggFoldForms' one-sum rows for one argument
 // width: per lane and fused, under a 50% value mask.
-func benchFusedOne[T Int](b *testing.B, name string, tab *AggTable, keys []int32, vals []T, cmp []byte) {
+func benchFusedOne[T vec.Number](b *testing.B, name string, tab *AggTable, keys []int32, vals []T, cmp []byte) {
 	const rows, tile = 2 << 20, 1024
 	width := int(unsafe.Sizeof(vals[0])) * 8
 	slots, wk, wa := make([]int32, tile), make([]int64, tile), make([]int64, tile)
@@ -261,7 +261,7 @@ func benchFusedOne[T Int](b *testing.B, name string, tab *AggTable, keys []int32
 }
 
 // narrow copies vals at a stored width.
-func narrow[T Int](vals []int64) []T {
+func narrow[T vec.Number](vals []int64) []T {
 	out := make([]T, len(vals))
 	for i, v := range vals {
 		out[i] = T(v)
@@ -272,7 +272,7 @@ func narrow[T Int](vals []int64) []T {
 // benchFusedForms runs BenchmarkAggFoldForms' fused rows for one argument
 // width: lanes3 and minmax, per lane and fused, over tables tab builds. The
 // second sum's argument is the first's, reversed.
-func benchFusedForms[T Int](b *testing.B, name string, tab func(minmax bool) *AggTable, keys []int64, vals []T, cmp []byte) {
+func benchFusedForms[T vec.Number](b *testing.B, name string, tab func(minmax bool) *AggTable, keys []int64, vals []T, cmp []byte) {
 	const rows, tile = 2 << 20, 1024
 	width := int(unsafe.Sizeof(vals[0])) * 8
 	other := slices.Clone(vals)

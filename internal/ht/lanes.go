@@ -1,6 +1,10 @@
 package ht
 
-import "math"
+import (
+	"math"
+
+	"github.com/reprolab/swole/internal/vec"
+)
 
 // Lane operations: the tile-at-a-time face of AggTable. A generic plan
 // keeps one accumulator lane per aggregate (sums, minima, maxima; every
@@ -255,7 +259,7 @@ func keyMaskFold(recs, keys []int64, slots []int32, vals []int64, cmp []byte, to
 
 // keyMaskPacked reads keys and values at their stored widths: it is
 // FoldTileKeyMasked's loop on a packed table and FoldSum1's.
-func keyMaskPacked[K, A Int](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
+func keyMaskPacked[K, A vec.Number](recs []int64, keys []K, a []A, cmp []byte, top, span uint64) (bad uint64) {
 	a, cmp = a[:len(keys)], cmp[:len(keys)]
 	for i, k := range keys {
 		d := uint64(k) - top

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"slices"
+
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // The pair face of AggTable: walking its groups (NextLive, Key), emitting
@@ -176,7 +178,7 @@ func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
 // to refuse (its key is its offset from lo plus the table's lo) and the loop
 // resumes. Each form is a loop of its own: sharing a frame with another
 // form's loop spills the hot loop's registers.
-func foldPairs[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte) {
+func foldPairs[K, A vec.Number](t *AggTable, keys []K, add int64, a []A, cmp []byte) {
 	lo := uint64(t.lo) - uint64(add)
 	switch {
 	case cmp == nil && t.packed():
@@ -190,7 +192,7 @@ func foldPairs[K, A Int](t *AggTable, keys []K, add int64, a []A, cmp []byte) {
 	}
 }
 
-func pairsDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
+func pairsDense[K, A vec.Number](t *AggTable, keys []K, lo uint64, a []A) {
 	span, n, recs, a := t.span, uint64(t.stride), t.recs, a[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {
@@ -210,7 +212,7 @@ func pairsDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
 // pairsPacked and pairsMaskedPacked add v<<32 + 1, or (v*m)<<32 + m, to a
 // packed word: the value to the sum and one (m) to the count. recs is the
 // groups' words, so the range check is the bounds check.
-func pairsPacked[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
+func pairsPacked[K, A vec.Number](t *AggTable, keys []K, lo uint64, a []A) {
 	recs, a := t.recs[:t.span], a[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {
@@ -226,7 +228,7 @@ func pairsPacked[K, A Int](t *AggTable, keys []K, lo uint64, a []A) {
 	}
 }
 
-func pairsMaskedDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
+func pairsMaskedDense[K, A vec.Number](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
 	span, n, recs, a, cmp := t.span, uint64(t.stride), t.recs, a[:len(keys)], cmp[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {
@@ -243,7 +245,7 @@ func pairsMaskedDense[K, A Int](t *AggTable, keys []K, lo uint64, a []A, cmp []b
 	}
 }
 
-func pairsMaskedPacked[K, A Int](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
+func pairsMaskedPacked[K, A vec.Number](t *AggTable, keys []K, lo uint64, a []A, cmp []byte) {
 	recs, a, cmp := t.recs[:t.span], a[:len(keys)], cmp[:len(keys)]
 	for i := 0; i < len(keys); i++ {
 		for ; i < len(keys); i++ {

@@ -61,8 +61,8 @@ func Q1ROF(d *Data, op Op, sel int) int64 {
 	vec.Tiles(len(d.X), func(base, length int) {
 		x := d.X[base : base+length]
 		y := d.Y[base : base+length]
-		vec.CmpConstLT(x, c, cmp[:])
-		vec.CmpConstEQ(y, 1, tmp[:])
+		vec.CmpConstLTU(x, c, cmp[:])
+		vec.CmpConstEQU(y, 1, tmp[:])
 		vec.And(cmp[:length], tmp[:length])
 		consumed := 0
 		for consumed < length {

@@ -17,8 +17,8 @@ import (
 
 // rPrepass evaluates R's predicate r_x < SEL and r_y = 1 for one tile.
 func rPrepass(d *Data, base, length, sel int, cmp, tmp []byte) {
-	vec.CmpConstLT(d.X[base:base+length], int8(sel), cmp)
-	vec.CmpConstEQ(d.Y[base:base+length], 1, tmp)
+	vec.CmpConstLTU(d.X[base:base+length], int8(sel), cmp)
+	vec.CmpConstEQU(d.Y[base:base+length], 1, tmp)
 	vec.And(cmp[:length], tmp[:length])
 }
 
@@ -51,7 +51,7 @@ func Q4Hybrid(d *Data, sel1, sel2 int) int64 {
 	var cmp, tmp [vec.TileSize]byte
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(d.SX), func(base, length int) {
-		vec.CmpConstLT(d.SX[base:base+length], int8(sel2), cmp[:])
+		vec.CmpConstLTU(d.SX[base:base+length], int8(sel2), cmp[:])
 		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
 		pk := d.SPK[base : base+length]
 		for j := 0; j < n; j++ {

@@ -45,7 +45,7 @@ func Q5Hybrid(d *Data, sel int) *ht.AggTable {
 	var cmp [vec.TileSize]byte
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(d.SX), func(base, length int) {
-		vec.CmpConstLT(d.SX[base:base+length], int8(sel), cmp[:])
+		vec.CmpConstLTU(d.SX[base:base+length], int8(sel), cmp[:])
 		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
 		pk := d.SPK[base : base+length]
 		for j := 0; j < n; j++ {

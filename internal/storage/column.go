@@ -8,7 +8,11 @@
 // exploit (Section III-D).
 package storage
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/reprolab/swole/internal/vec"
+)
 
 // Kind is the physical width of a column after null suppression.
 type Kind int
@@ -132,7 +136,7 @@ func NewInt64(name string, vals []int64, log Logical) *Column {
 // value is chosen (Section IV: "null suppression for low-cardinality
 // integer columns"). The values are always copied, so the caller keeps its
 // slice.
-func Compress[T int8 | int16 | int32 | int64](name string, vals []T, log Logical) *Column {
+func Compress[T vec.Number](name string, vals []T, log Logical) *Column {
 	lo, hi := bounds(vals)
 	return build(name, kindFor(lo, hi), log, vals)
 }
@@ -151,7 +155,7 @@ func NewStrings(name string, vals []string) *Column {
 // the width d's size sets rather than the width the observed codes need,
 // so a generator's widths do not depend on which values appear at a given
 // scale. It panics if a code lies outside d.
-func NewCodes[T int8 | int16 | int32 | int64](name string, d *Dict, codes []T) *Column {
+func NewCodes[T vec.Number](name string, d *Dict, codes []T) *Column {
 	if lo, hi := bounds(codes); len(codes) > 0 && (lo < 0 || hi >= int64(d.Len())) {
 		panic(fmt.Sprintf("storage: column %s: codes [%d, %d] outside a %d-value dictionary", name, lo, hi, d.Len()))
 	}
@@ -161,7 +165,7 @@ func NewCodes[T int8 | int16 | int32 | int64](name string, d *Dict, codes []T) *
 }
 
 // bounds returns the smallest and largest of vals and 0.
-func bounds[T int8 | int16 | int32 | int64](vals []T) (lo, hi int64) {
+func bounds[T vec.Number](vals []T) (lo, hi int64) {
 	for _, v := range vals {
 		lo = min(lo, int64(v))
 		hi = max(hi, int64(v))
@@ -170,7 +174,7 @@ func bounds[T int8 | int16 | int32 | int64](vals []T) (lo, hi int64) {
 }
 
 // build copies vals, which k holds losslessly, into a new column of width k.
-func build[T int8 | int16 | int32 | int64](name string, k Kind, log Logical, vals []T) *Column {
+func build[T vec.Number](name string, k Kind, log Logical, vals []T) *Column {
 	c := &Column{Name: name, Kind: k, Log: log}
 	switch k {
 	case KindInt8:
@@ -185,7 +189,7 @@ func build[T int8 | int16 | int32 | int64](name string, k Kind, log Logical, val
 	return c
 }
 
-func convert[D, S int8 | int16 | int32 | int64](vals []S) []D {
+func convert[D, S vec.Number](vals []S) []D {
 	out := make([]D, len(vals))
 	for i, v := range vals {
 		out[i] = D(v)

@@ -26,7 +26,7 @@ func (c *Column) WidenInto(base, n int, out []int64) {
 // Stored returns rows [base, base+n) of the column as stored: T must be its
 // width's type (int8, int16, int32 or int64), or Stored panics. A kernel
 // generic over the width reads the column in place through it.
-func Stored[T int8 | int16 | int32 | int64](c *Column, base, n int) []T {
+func Stored[T vec.Number](c *Column, base, n int) []T {
 	var p any = &c.I64
 	switch c.Kind {
 	case KindInt8:

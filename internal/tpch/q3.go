@@ -96,7 +96,7 @@ func q3LineitemProbe(d *Data, tab *ht.AggTable) {
 	var cmpv [vec.TileSize]byte
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		vec.CmpConstGT(li.ShipDate[base:base+length], q3Date, cmpv[:])
+		vec.CmpConstGTU(li.ShipDate[base:base+length], q3Date, cmpv[:])
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		ok := li.OrderKey[base : base+length]
 		price := li.ExtendedPrice[base : base+length]
@@ -142,7 +142,7 @@ func q3Hybrid(d *Data) Rows {
 	var cmpv [vec.TileSize]byte
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(d.Customer.MktSegment), func(base, length int) {
-		vec.CmpConstEQ(d.Customer.MktSegment[base:base+length], building, cmpv[:])
+		vec.CmpConstEQU(d.Customer.MktSegment[base:base+length], building, cmpv[:])
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		for j := 0; j < n; j++ {
 			set.Insert(int64(base) + int64(idx[j]))
@@ -151,7 +151,7 @@ func q3Hybrid(d *Data) Rows {
 	o := &d.Orders
 	tab := ht.NewAggTable(1, len(o.CustKey)/8)
 	vec.Tiles(len(o.OrderDate), func(base, length int) {
-		vec.CmpConstLT(o.OrderDate[base:base+length], q3Date, cmpv[:])
+		vec.CmpConstLTU(o.OrderDate[base:base+length], q3Date, cmpv[:])
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		ck := o.CustKey[base : base+length]
 		for j := 0; j < n; j++ {
@@ -176,7 +176,7 @@ func q3Swole(d *Data) Rows {
 	var cmpv [vec.TileSize]byte
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(d.Customer.MktSegment), func(base, length int) {
-		vec.CmpConstEQ(d.Customer.MktSegment[base:base+length], building, cmpv[:])
+		vec.CmpConstEQU(d.Customer.MktSegment[base:base+length], building, cmpv[:])
 		bm.SetFromCmp(base, cmpv[:length])
 	})
 	o := &d.Orders

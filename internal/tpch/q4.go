@@ -103,8 +103,8 @@ func q4Hybrid(d *Data) Rows {
 	o := &d.Orders
 	vec.Tiles(len(o.OrderDate), func(base, length int) {
 		od := o.OrderDate[base : base+length]
-		vec.CmpConstGE(od, q4Lo, cmpv[:])
-		vec.CmpConstLT(od, q4Hi, tmp[:])
+		vec.CmpConstGEU(od, q4Lo, cmpv[:])
+		vec.CmpConstLTU(od, q4Hi, tmp[:])
 		vec.And(cmpv[:length], tmp[:length])
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		prio := o.OrderPriority[base : base+length]
@@ -140,8 +140,8 @@ func q4Swole(d *Data) Rows {
 	o := &d.Orders
 	vec.Tiles(len(o.OrderDate), func(base, length int) {
 		od := o.OrderDate[base : base+length]
-		vec.CmpConstGE(od, q4Lo, cmpv[:])
-		vec.CmpConstLT(od, q4Hi, tmp[:])
+		vec.CmpConstGEU(od, q4Lo, cmpv[:])
+		vec.CmpConstLTU(od, q4Hi, tmp[:])
 		vec.And(cmpv[:length], tmp[:length])
 		prio := o.OrderPriority[base : base+length]
 		for j := 0; j < length; j++ {

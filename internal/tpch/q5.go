@@ -147,8 +147,8 @@ func q5Hybrid(d *Data) Rows {
 	var idx [vec.TileSize]int32
 	vec.Tiles(len(o.OrderDate), func(base, length int) {
 		od := o.OrderDate[base : base+length]
-		vec.CmpConstGE(od, q5Lo, cmpv[:])
-		vec.CmpConstLT(od, q5Hi, tmp[:])
+		vec.CmpConstGEU(od, q5Lo, cmpv[:])
+		vec.CmpConstLTU(od, q5Hi, tmp[:])
 		vec.And(cmpv[:length], tmp[:length])
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		ck := o.CustKey[base : base+length]
@@ -206,8 +206,8 @@ func q5Swole(d *Data) Rows {
 	bmOrders := bitmap.New(len(o.OrderDate))
 	vec.Tiles(len(o.OrderDate), func(base, length int) {
 		od := o.OrderDate[base : base+length]
-		vec.CmpConstGE(od, q5Lo, cmpv[:])
-		vec.CmpConstLT(od, q5Hi, tmp[:])
+		vec.CmpConstGEU(od, q5Lo, cmpv[:])
+		vec.CmpConstLTU(od, q5Hi, tmp[:])
 		vec.And(cmpv[:length], tmp[:length])
 		ck := o.CustKey[base : base+length]
 		for j := 0; j < length; j++ {

@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// Per-variant throughput benchmarks for the specialized kernel layer, each
-// variant beside its generic reference. TestKernelsZeroAlloc runs the same
-// bodies under the zero-allocation gate.
+// Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
+// wide width, the int8 word compares beside the unrolled byte loops, the two
+// selection builds, and the mask plane's word loops beside the byte loops
+// they replaced. TestKernelsZeroAlloc runs the same bodies under the
+// zero-allocation gate.
 
 func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
 	rng := rand.New(rand.NewSource(3))
@@ -39,9 +41,7 @@ func kernelCases() map[string][]kernelCase {
 	out := make([]int64, TileSize)
 	cases := map[string][]kernelCase{
 		"CmpConst": {
-			{"generic/w8", TileSize, func() { CmpConstLT(a8, 50, cmp8) }},
 			{"unrolled/w8", TileSize, func() { CmpConstLTU(a8, 50, cmp8) }},
-			{"generic/w64", TileSize * 8, func() { CmpConstLT(a64, 50, cmp64) }},
 			{"unrolled/w64", TileSize * 8, func() { CmpConstLTU(a64, 50, cmp64) }},
 			// int8 eight lanes a word against the unrolled byte loop, per loop
 			// of CmpConstI8: x < k, equality, BETWEEN.
@@ -53,19 +53,14 @@ func kernelCases() map[string][]kernelCase {
 			{"byte/w8/between", TileSize, func() { CmpConstBetweenU(a8, 10, 40, cmp8) }},
 		},
 		"Widen": {
-			{"generic/w8", TileSize, func() { Widen(a8, out) }},
 			{"unrolled/w8", TileSize, func() { WidenU(a8, out) }},
-			{"generic/w32", TileSize * 4, func() { Widen(a32, out) }},
 			{"unrolled/w32", TileSize * 4, func() { WidenU(a32, out) }},
 		},
 		"SumMasked": {
-			{"generic/w32", TileSize * 4, func() { sinkI64 += SumMasked(a32, cmp32) }},
 			{"unrolled/w32", TileSize * 4, func() { sinkI64 += SumMaskedU(a32, cmp32) }},
-			{"generic-prod/w32", TileSize * 8, func() { sinkI64 += SumProdMasked(a32, b32, cmp32) }},
 			{"unrolled-prod/w32", TileSize * 8, func() { sinkI64 += SumProdMaskedU(a32, b32, cmp32) }},
 		},
 		"MaskKeys": {
-			{"generic/w32", TileSize * 4, func() { MaskKeys(a32, cmp32, -1, out) }},
 			{"unrolled/w32", TileSize * 4, func() { MaskKeysU(a32, cmp32, -1, out) }},
 		},
 	}

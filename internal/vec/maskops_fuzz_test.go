@@ -12,9 +12,10 @@ import (
 // the results agree lane for lane and no byte outside the mask is written.
 // The eight-lane selection build agrees with the byte loop on every prefix
 // of a tile, 0 to TileSize lanes, and writes no index past the prefix. The
-// eight-lane int8 compares agree with the byte loop for every operator and
-// BETWEEN, at the fuzzer's constants and at −128 and 127, over the same
-// framed lengths (tails of 1–7 lanes among them) and writing no byte outside.
+// eight-lane int8 compares agree with the scalar references refCmp and
+// refBetween (variant_test.go) for every operator and BETWEEN, at the
+// fuzzer's constants and at −128 and 127, over the same framed lengths
+// (tails of 1–7 lanes among them) and writing no byte outside.
 
 func refAnd(dst, src []byte) {
 	for i := range dst {
@@ -149,13 +150,17 @@ func FuzzMaskOps(f *testing.F) {
 			for op := LT; op <= NE; op++ {
 				whole, m = frame(a)
 				CmpConstI8(op, vals, k, m)
-				CmpConst(op, vals, k, want)
+				for i, v := range vals {
+					want[i] = refCmp(op, int64(v), int64(k))
+				}
 				check("CmpConstI8 "+op.String(), whole, want)
 			}
 			for _, hi := range []int8{k0, k1, -128, 127} {
 				whole, m = frame(a)
 				CmpBetweenI8(vals, k, hi, m)
-				CmpConstBetween(vals, k, hi, want)
+				for i, v := range vals {
+					want[i] = refBetween(int64(v), int64(k), int64(hi))
+				}
 				check("CmpBetweenI8", whole, want)
 			}
 		}
@@ -174,7 +179,7 @@ func FuzzMaskOps(f *testing.F) {
 				sel[i] = -1
 			}
 			k, d := SelFromCmpAdaptive(tile[:n], sel[:n])
-			if r := refSel(tile[:n], want32); k != r || d != ClassifyDensity(r, n) || !slices.Equal(sel[:k], want32[:r]) {
+			if r := refSel(tile[:n], want32); k != r || d != classifyDensity(r, n) || !slices.Equal(sel[:k], want32[:r]) {
 				t.Fatalf("SelFromCmpAdaptive: len=%d selects %d (%v), byte loop %d", n, k, d, r)
 			}
 			if i := slices.IndexFunc(sel[n:], func(v int32) bool { return v != -1 }); i >= 0 {

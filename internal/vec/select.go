@@ -47,7 +47,7 @@ func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
 		k += bits.OnesCount8(uint8(b))
 	}
 	k, _ = SelFromCmpOffset(cmp[j:], j, sel, k)
-	return k, ClassifyDensity(k, len(cmp))
+	return k, classifyDensity(k, len(cmp))
 }
 
 // SelFromCmpOffset is the ROF variant: it appends *global* tuple indexes

@@ -1,13 +1,17 @@
 package vec
 
-// This file holds the unrolled, width-specialized kernel variants. Go's
-// compiler auto-vectorizes very little (the paper's Go substitution note),
-// so the specialization the paper gets from generated C++ is done by hand
-// here: every hot loop is instantiated per lane width by the generic
-// machinery, processes 64-element sub-tiles through full slice expressions
-// (so bounds checks hoist out of the inner loop), and reductions carry four
-// independent accumulators to break the loop-carried dependency chain.
-// Every variant tolerates zero-length input and short tails.
+// The one loop per lane-wise operation, for every caller (an int8 compare of
+// a stored column takes cmp8.go's word loops): compares against a constant
+// (CmpConstU's six operators, CmpConstBetweenU), widening (WidenU), value
+// masking's sums (SumMaskedU, SumProdMaskedU) and key masking (MaskKeysU).
+// Go auto-vectorizes very little, so the specialization the paper gets from
+// generated C++ is done by hand: each loop is instantiated per lane width,
+// walks 64-element sub-tiles through full slice expressions (bounds checks
+// hoist out), and reductions carry four independent accumulators. Against a
+// plain one-lane loop (2-vCPU Xeon, go1.24.0, 1,024 lanes, medians of 10
+// interleaved runs) the compares win ×1.13–2.00 at every width and widening
+// ×1.23–1.99; the masked sums and key masking gain nothing (×0.90–1.11, the
+// plain loop winning up to 8 of 10). Every kernel takes empty and short tiles.
 
 // SubTile is the unroll granularity of the specialized kernels. 64 lanes of
 // the widest type span eight cache lines — enough work to amortize the loop

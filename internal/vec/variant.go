@@ -2,18 +2,18 @@ package vec
 
 import "fmt"
 
-// This file implements the adaptive parts of the kernel-variant layer:
-// per-tile mask-density classification and the counters that record which
-// specialized variant actually ran. Ross (PODS 2002) shows branch vs
-// no-branch selection build is a selectivity question; the selection build
-// here answers it with a loop that branches on no lane, and reports each
-// tile's density class from the count it returns. See DESIGN.md §11.
+// Per-tile mask-density classes and the counters of which kernels ran. Ross
+// (PODS 2002) makes branch vs no-branch selection a selectivity question;
+// SelFromCmpAdaptive branches on no lane, so the class picks no loop and is
+// only reported: into Counters, whose tally the benchmark's
+// vec.dense_tile_ratio reads. SelFromCmpAdaptive keeps its name because the
+// benchmark's kernel ladder calls it. See DESIGN.md §11.
 
 // Density classifies a tile's comparison vector by how many lanes are set.
 type Density uint8
 
-// Density classes. Sparse and Dense masks make a per-lane selection branch
-// predictable; Mid-density masks mispredict it.
+// Density classes: where a per-lane selection branch would be predictable
+// (Sparse, Dense) and where it would mispredict (Mid). They are reported only.
 const (
 	DensitySparse Density = iota // ≤ 1/16 of lanes set
 	DensityMid                   // in between: mispredict territory
@@ -31,10 +31,10 @@ func (d Density) String() string {
 	return "mid"
 }
 
-// ClassifyDensity buckets a tile with ones set lanes out of n. The 1/16
-// thresholds put the crossover where the branchy loop's misprediction rate
-// stays under ~6%, matching the knees in Ross's figure 3.
-func ClassifyDensity(ones, n int) Density {
+// classifyDensity buckets a tile with ones set lanes out of n. The 1/16
+// thresholds put the boundary where a branching loop's misprediction rate
+// would stay under ~6%, matching the knees in Ross's figure 3.
+func classifyDensity(ones, n int) Density {
 	switch {
 	case ones*16 <= n:
 		return DensitySparse

@@ -6,12 +6,71 @@ import (
 	"testing/quick"
 )
 
-// Property tests for the specialized kernel variants: every unrolled /
-// width-specialized / adaptive kernel must agree with the generic reference
-// implementation on every length (including the 0/1/63/65 tails that fall
-// off the 64-lane sub-tile grid), every mask density (0%, 1%, 50%, 99%,
-// 100%), every physical width the storage layer produces, and dict-coded
-// (small non-negative codes) as well as raw value ranges.
+// Property tests for the kernels: every unrolled, int8 word and eight-lane
+// selection kernel must agree with the scalar references below on every
+// length (including the 0/1/63/65 tails that fall off the 64-lane sub-tile
+// grid), every mask density (0%, 1%, 50%, 99%, 100%), every physical width
+// the storage layer produces, and dict-coded (small non-negative codes) as
+// well as raw value ranges.
+
+// The scalar references, one per operation: a lane at a time, branching on
+// the predicate, with nothing unrolled or packed. FuzzMaskOps and the unit
+// tests hold the kernels to these too.
+
+// refCmp is one lane of a compare: a op b as 0 or 1.
+func refCmp(op CmpOp, a, b int64) byte {
+	var ok bool
+	switch op {
+	case LT:
+		ok = a < b
+	case LE:
+		ok = a <= b
+	case GT:
+		ok = a > b
+	case GE:
+		ok = a >= b
+	case EQ:
+		ok = a == b
+	case NE:
+		ok = a != b
+	}
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// refBetween is one lane of BETWEEN: lo <= x <= hi as 0 or 1.
+func refBetween(x, lo, hi int64) byte { return refCmp(GE, x, lo) & refCmp(LE, x, hi) }
+
+// refSumMasked sums the lanes whose mask is set.
+func refSumMasked[T Number](vals []T, cmp []byte) (sum int64) {
+	for i, v := range vals {
+		if cmp[i] != 0 {
+			sum += int64(v)
+		}
+	}
+	return sum
+}
+
+// refSumProdMasked sums a[i]·b[i] over the lanes whose mask is set.
+func refSumProdMasked[T Number](a, b []T, cmp []byte) (sum int64) {
+	for i := range a {
+		if cmp[i] != 0 {
+			sum += int64(a[i]) * int64(b[i])
+		}
+	}
+	return sum
+}
+
+// refMaskKeys is one lane of key masking: the key where the mask is set,
+// nullKey where it is not.
+func refMaskKeys(key int64, m byte, nullKey int64) int64 {
+	if m == 0 {
+		return nullKey
+	}
+	return key
+}
 
 var variantLens = []int{0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 1000, 1023, TileSize}
 
@@ -31,8 +90,8 @@ func fillMask(rng *rand.Rand, cmp []byte, pct int) {
 	}
 }
 
-// checkVariants runs every specialized kernel against its generic reference
-// for one element type. lo/hi bound the generated values: raw columns use
+// checkVariants runs every kernel against its scalar reference for one
+// element type. lo/hi bound the generated values: raw columns use
 // the full signed range of the width, dict-coded columns use small
 // non-negative codes.
 func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
@@ -43,43 +102,52 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 		b := make([]T, n)
 		cmp := make([]byte, n)
 		out := make([]byte, n)
-		outRef := make([]byte, n)
 		wide := make([]int64, n)
-		wideRef := make([]int64, n)
 		for i := 0; i < n; i++ {
 			a[i] = T(lo + rng.Int63n(span))
 			b[i] = T(lo + rng.Int63n(span))
 		}
 		c := T(lo + rng.Int63n(span))
 
-		// Width-specialized cmp prepass, all six operators plus BETWEEN.
-		for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
-			CmpConstU(op, a, c, out)
-			CmpConst(op, a, c, outRef)
+		// checkLanes holds the mask a kernel wrote to want, lane by lane.
+		checkLanes := func(kernel string, want func(i int) byte) {
+			t.Helper()
 			for i := 0; i < n; i++ {
-				if out[i] != outRef[i] {
-					t.Fatalf("n=%d CmpConstU(%v) lane %d: got %d, want %d", n, op, i, out[i], outRef[i])
+				if w := want(i); out[i] != w {
+					t.Fatalf("n=%d %s lane %d: got %d, want %d", n, kernel, i, out[i], w)
 				}
+			}
+		}
+
+		// Width-specialized cmp prepass, all six operators plus BETWEEN; an
+		// int8 tile also through the eight-lane word loops.
+		a8, isI8 := any(a).([]int8)
+		for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
+			want := func(i int) byte { return refCmp(op, int64(a[i]), int64(c)) }
+			CmpConstU(op, a, c, out)
+			checkLanes("CmpConstU "+op.String(), want)
+			if isI8 {
+				CmpConstI8(op, a8, int8(c), out)
+				checkLanes("CmpConstI8 "+op.String(), want)
 			}
 		}
 		clo, chi := c, T(lo+rng.Int63n(span))
 		if clo > chi {
 			clo, chi = chi, clo
 		}
+		between := func(i int) byte { return refBetween(int64(a[i]), int64(clo), int64(chi)) }
 		CmpConstBetweenU(a, clo, chi, out)
-		CmpConstBetween(a, clo, chi, outRef)
-		for i := 0; i < n; i++ {
-			if out[i] != outRef[i] {
-				t.Fatalf("n=%d CmpConstBetweenU lane %d: got %d, want %d", n, i, out[i], outRef[i])
-			}
+		checkLanes("CmpConstBetweenU", between)
+		if isI8 {
+			CmpBetweenI8(a8, int8(clo), int8(chi), out)
+			checkLanes("CmpBetweenI8", between)
 		}
 
 		// Unrolled widen.
 		WidenU(a, wide)
-		Widen(a, wideRef)
 		for i := 0; i < n; i++ {
-			if wide[i] != wideRef[i] {
-				t.Fatalf("n=%d WidenU lane %d: got %d, want %d", n, i, wide[i], wideRef[i])
+			if wide[i] != int64(a[i]) {
+				t.Fatalf("n=%d WidenU lane %d: got %d, want %d", n, i, wide[i], a[i])
 			}
 		}
 
@@ -87,24 +155,23 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 			fillMask(rng, cmp, pct)
 
 			// Unrolled masked aggregation.
-			if got, want := SumMaskedU(a, cmp), SumMasked(a, cmp); got != want {
+			if got, want := SumMaskedU(a, cmp), refSumMasked(a, cmp); got != want {
 				t.Fatalf("n=%d pct=%d SumMaskedU: got %d, want %d", n, pct, got, want)
 			}
-			if got, want := SumProdMaskedU(a, b, cmp), SumProdMasked(a, b, cmp); got != want {
+			if got, want := SumProdMaskedU(a, b, cmp), refSumProdMasked(a, b, cmp); got != want {
 				t.Fatalf("n=%d pct=%d SumProdMaskedU: got %d, want %d", n, pct, got, want)
 			}
 
 			// Unrolled masked key materialization.
 			MaskKeysU(a, cmp, -1<<62, wide)
-			MaskKeys(a, cmp, -1<<62, wideRef)
 			for i := 0; i < n; i++ {
-				if wide[i] != wideRef[i] {
-					t.Fatalf("n=%d pct=%d MaskKeysU lane %d: got %d, want %d", n, pct, i, wide[i], wideRef[i])
+				if want := refMaskKeys(int64(a[i]), cmp[i], -1<<62); wide[i] != want {
+					t.Fatalf("n=%d pct=%d MaskKeysU lane %d: got %d, want %d", n, pct, i, wide[i], want)
 				}
 			}
 
-			// Adaptive selection build: same vector as the references,
-			// density class consistent with the popcount.
+			// Eight-lane selection build: same vector as the no-branch
+			// loop, density class consistent with the popcount.
 			sel := make([]int32, n)
 			selRef := make([]int32, n)
 			ns, d := SelFromCmpAdaptive(cmp, sel)
@@ -117,7 +184,7 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 					t.Fatalf("n=%d pct=%d adaptive sel[%d]=%d, want %d", n, pct, i, sel[i], selRef[i])
 				}
 			}
-			if want := ClassifyDensity(ns, n); d != want {
+			if want := classifyDensity(ns, n); d != want {
 				t.Fatalf("n=%d pct=%d density=%v, want %v", n, pct, d, want)
 			}
 		}
@@ -139,8 +206,9 @@ func TestVariantsMatchReference(t *testing.T) {
 }
 
 func TestVariantsQuickRandomLengths(t *testing.T) {
-	// Property over arbitrary byte slices: adaptive selection and unrolled
-	// masked sum agree with the references for any mask and any length.
+	// Property over arbitrary byte slices: the eight-lane selection build,
+	// the unrolled masked sums and key masking agree with the references for
+	// any mask and any length.
 	f := func(raw []byte) bool {
 		cmp := make([]byte, len(raw))
 		vals := make([]int32, len(raw))
@@ -160,7 +228,15 @@ func TestVariantsQuickRandomLengths(t *testing.T) {
 				return false
 			}
 		}
-		return SumMaskedU(vals, cmp) == SumMasked(vals, cmp)
+		keys := make([]int64, len(raw))
+		MaskKeysU(vals, cmp, -1, keys)
+		for i := range keys {
+			if keys[i] != refMaskKeys(int64(vals[i]), cmp[i], -1) {
+				return false
+			}
+		}
+		return SumMaskedU(vals, cmp) == refSumMasked(vals, cmp) &&
+			SumProdMaskedU(vals, vals, cmp) == refSumProdMasked(vals, vals, cmp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -182,10 +258,15 @@ func TestSelFromCmpEmptyInput(t *testing.T) {
 }
 
 func TestGenericKernelsEmptyInput(t *testing.T) {
-	// The zero-length guard audit: every generic kernel must tolerate an
-	// empty tile (short final morsels produce them).
-	CmpConst(LT, []int32{}, 0, nil)
-	CmpConstBetween([]int32{}, 0, 1, nil)
+	// The zero-length guard audit: every kernel must tolerate an empty tile
+	// (short final morsels produce them).
+	for op := LT; op <= NE; op++ {
+		CmpConstU(op, []int32{}, 0, nil)
+		CmpConstI8(op, []int8{}, 0, nil)
+		CmpConstI8(op, []int8{}, 127, nil)
+	}
+	CmpConstBetweenU([]int32{}, 0, 1, nil)
+	CmpBetweenI8([]int8{}, 0, 1, nil)
 	CmpCols(EQ, []int32{}, []int32{}, nil)
 	And(nil, nil)
 	Or(nil, nil)
@@ -194,11 +275,11 @@ func TestGenericKernelsEmptyInput(t *testing.T) {
 	if CountOnes(nil) != 0 {
 		t.Error("CountOnes(nil) != 0")
 	}
-	if SumMasked([]int32{}, nil) != 0 || SumProdMasked([]int32{}, nil, nil) != 0 {
+	if SumMaskedU([]int32{}, nil) != 0 || SumProdMaskedU([]int32{}, []int8{}, nil) != 0 {
 		t.Error("masked sums over empty tiles must be 0")
 	}
-	MaskKeys([]int32{}, nil, -1, nil)
-	Widen([]int32{}, nil)
+	MaskKeysU([]int32{}, nil, -1, nil)
+	WidenU([]int32{}, nil)
 	if SumProdTmp([]int32{}, nil) != 0 {
 		t.Error("SumProdTmp over empty tiles must be 0")
 	}
@@ -221,8 +302,8 @@ func TestClassifyDensity(t *testing.T) {
 		{0, 1, DensitySparse},
 	}
 	for _, c := range cases {
-		if got := ClassifyDensity(c.ones, c.n); got != c.want {
-			t.Errorf("ClassifyDensity(%d,%d)=%v, want %v", c.ones, c.n, got, c.want)
+		if got := classifyDensity(c.ones, c.n); got != c.want {
+			t.Errorf("classifyDensity(%d,%d)=%v, want %v", c.ones, c.n, got, c.want)
 		}
 	}
 }

@@ -3,9 +3,9 @@
 //
 // The kernels correspond to the inner loops of the generated code shown in
 // the paper's Figures 1, 3, 4 and 5: predicate "prepass" evaluation into
-// byte-valued comparison vectors, selection-vector construction (both the
-// branching and the predicated "no-branch" variants of Ross, PODS 2002),
-// masked aggregation (the value-masking technique of Section III-A), masked
+// byte-valued comparison vectors, selection-vector construction (the
+// predicated "no-branch" loop of Ross, PODS 2002, and an eight-lane form of
+// it), masked aggregation (the value-masking technique of Section III-A), masked
 // key materialization (key masking, Section III-B), and the sum over a
 // predicate-times-value tile (access merging, Section III-C).
 //
@@ -19,12 +19,11 @@ package vec
 // vector size of 1024, "as suggested by other recent studies".
 const TileSize = 1024
 
-// Number is the constraint for column element types used by the kernels.
-// The storage layer produces int8/int16/int32/int64 physical columns
-// (Section IV: null suppression and fixed-point storage).
-type Number interface {
-	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
-}
+// Number is the set of stored column widths: the storage layer produces
+// int8/int16/int32/int64 physical columns (Section IV: null suppression and
+// fixed-point storage), and every kernel generic over a width, in vec, ht and
+// storage, takes its type from this set.
+type Number interface{ int8 | int16 | int32 | int64 }
 
 // b2i converts a bool to a byte without a visible branch. The Go compiler
 // lowers this pattern to a flag-setting instruction on amd64/arm64.

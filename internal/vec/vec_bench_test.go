@@ -30,7 +30,7 @@ func BenchmarkCmpConstLT(b *testing.B) {
 	vals, _, cmp := benchData(50)
 	b.SetBytes(TileSize * 4)
 	for i := 0; i < b.N; i++ {
-		CmpConstLT(vals, 50, cmp)
+		CmpConstLTU(vals, 50, cmp)
 	}
 }
 

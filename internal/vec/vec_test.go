@@ -40,28 +40,6 @@ func TestTiles(t *testing.T) {
 	}
 }
 
-func refCmp(op CmpOp, a, b int64) byte {
-	var ok bool
-	switch op {
-	case LT:
-		ok = a < b
-	case LE:
-		ok = a <= b
-	case GT:
-		ok = a > b
-	case GE:
-		ok = a >= b
-	case EQ:
-		ok = a == b
-	case NE:
-		ok = a != b
-	}
-	if ok {
-		return 1
-	}
-	return 0
-}
-
 func TestCmpConstAllOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]int32, 777)
@@ -70,7 +48,7 @@ func TestCmpConstAllOps(t *testing.T) {
 	}
 	out := make([]byte, len(vals))
 	for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
-		CmpConst(op, vals, 50, out)
+		CmpConstU(op, vals, 50, out)
 		for i := range vals {
 			if want := refCmp(op, int64(vals[i]), 50); out[i] != want {
 				t.Fatalf("op %v lane %d val %d: got %d, want %d", op, i, vals[i], out[i], want)
@@ -82,15 +60,15 @@ func TestCmpConstAllOps(t *testing.T) {
 func TestCmpConstTypes(t *testing.T) {
 	// Exercise each physical width the storage layer produces.
 	out := make([]byte, 4)
-	CmpConstLT([]int8{-5, 0, 5, 13}, int8(5), out)
+	CmpConstLTU([]int8{-5, 0, 5, 13}, int8(5), out)
 	if out[0] != 1 || out[1] != 1 || out[2] != 0 || out[3] != 0 {
 		t.Errorf("int8: %v", out)
 	}
-	CmpConstGE([]int16{-5, 0, 5, 13}, int16(5), out)
+	CmpConstGEU([]int16{-5, 0, 5, 13}, int16(5), out)
 	if out[0] != 0 || out[1] != 0 || out[2] != 1 || out[3] != 1 {
 		t.Errorf("int16: %v", out)
 	}
-	CmpConstEQ([]int64{1, 2, 3, 2}, int64(2), out)
+	CmpConstEQU([]int64{1, 2, 3, 2}, int64(2), out)
 	if out[0] != 0 || out[1] != 1 || out[2] != 0 || out[3] != 1 {
 		t.Errorf("int64: %v", out)
 	}
@@ -99,7 +77,7 @@ func TestCmpConstTypes(t *testing.T) {
 func TestCmpConstBetween(t *testing.T) {
 	vals := []int32{0, 5, 10, 15, 20}
 	out := make([]byte, len(vals))
-	CmpConstBetween(vals, 5, 15, out)
+	CmpConstBetweenU(vals, 5, 15, out)
 	want := []byte{0, 1, 1, 1, 0}
 	for i := range want {
 		if out[i] != want[i] {
@@ -233,11 +211,11 @@ func TestMaskedSumsMatchBranchingReference(t *testing.T) {
 			wantProd += int64(a[i]) * int64(b[i])
 		}
 	}
-	if got := SumMasked(a, cmp); got != wantSum {
-		t.Errorf("SumMasked=%d, want %d", got, wantSum)
+	if got := SumMaskedU(a, cmp); got != wantSum {
+		t.Errorf("SumMaskedU=%d, want %d", got, wantSum)
 	}
-	if got := SumProdMasked(a, b, cmp); got != wantProd {
-		t.Errorf("SumProdMasked=%d, want %d", got, wantProd)
+	if got := SumProdMaskedU(a, b, cmp); got != wantProd {
+		t.Errorf("SumProdMaskedU=%d, want %d", got, wantProd)
 	}
 }
 
@@ -245,7 +223,7 @@ func TestMaskKeys(t *testing.T) {
 	keys := []int32{7, 8, 9}
 	cmp := []byte{1, 0, 1}
 	out := make([]int64, 3)
-	MaskKeys(keys, cmp, -1, out)
+	MaskKeysU(keys, cmp, -1, out)
 	if out[0] != 7 || out[1] != -1 || out[2] != 9 {
 		t.Errorf("out=%v", out)
 	}
@@ -253,7 +231,7 @@ func TestMaskKeys(t *testing.T) {
 
 func TestWiden(t *testing.T) {
 	out := make([]int64, 3)
-	Widen([]int8{-1, 0, 127}, out)
+	WidenU([]int8{-1, 0, 127}, out)
 	if out[0] != -1 || out[1] != 0 || out[2] != 127 {
 		t.Errorf("out=%v", out)
 	}
