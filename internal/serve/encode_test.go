@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,16 +54,48 @@ func reflected(cols []string, flat []int64, width int, ex swole.Explain) []byte 
 	return b.Bytes()
 }
 
+// appendAnswerRef is appendAnswer as it was written with strconv.AppendInt:
+// the reference FuzzAppendAnswer and BenchmarkAppendAnswer hold the table
+// writer to.
+func appendAnswerRef(b []byte, cols []string, flat []int64, width int) []byte {
+	comma := []byte(",")
+	b = append(b, `{"columns":[`...)
+	for _, c := range cols {
+		b = append(appendName(b, c), ',')
+	}
+	b = append(bytes.TrimSuffix(b, comma), `],"rows":[`...)
+	for i := 0; width > 0 && i+width <= len(flat); i += width {
+		b = append(b, '[')
+		for _, v := range flat[i : i+width] {
+			b = append(strconv.AppendInt(b, v, 10), ',')
+		}
+		b = append(b[:len(b)-1], ']', ',')
+	}
+	return append(bytes.TrimSuffix(b, comma), ']')
+}
+
+// boundaryValues are the int64s where a decimal writer changes its number of
+// digits or of four-digit groups: 0, ±(10^k − 1), ±10^k and ±(10^k + 1) for
+// k = 1…18 (9999/10000 and 99999999/100000000 among them), and both ends of
+// the type.
+func boundaryValues() []int64 {
+	vs := []int64{0, math.MinInt64, math.MaxInt64}
+	for k, p := 1, int64(10); k <= 18; k, p = k+1, p*10 {
+		vs = append(vs, p-1, p, p+1, 1-p, -p, -p-1)
+	}
+	return vs
+}
+
 // TestQueryBodyMatchesReflectedEncoding is the wire-compatibility property:
-// for randomized answers — no rows, no columns, extreme and negative values,
-// column names encoding/json escapes — the body is byte for byte what
-// json.NewEncoder wrote for the old response struct, with its length
-// announced.
+// for the boundary values at every width and for randomized answers — no
+// rows, no columns, extreme and negative values, column names encoding/json
+// escapes — the body is byte for byte what json.NewEncoder wrote for the old
+// response struct, with its length announced.
 func TestQueryBodyMatchesReflectedEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	names := []string{"s", "r_c", `say "hi"`, "a<b", "x&y", "q>r", "naïve", "日本", "tab\there", `back\slash`, "", "\x7f", " "}
-	values := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 42, -9_000_000_000}
-	for trial := 0; trial < 300; trial++ {
+	values := append([]int64{1, -1, 42, -9_000_000_000}, boundaryValues()...)
+	for trial := 0; trial < 305; trial++ {
 		width := rng.Intn(5)
 		nrows := rng.Intn(6)
 		if trial%7 == 0 {
@@ -76,6 +110,10 @@ func TestQueryBodyMatchesReflectedEncoding(t *testing.T) {
 			if flat[i] = values[rng.Intn(len(values))]; rng.Intn(2) == 0 {
 				flat[i] = rng.Int63() - rng.Int63()
 			}
+		}
+		if trial >= 300 { // the whole boundary table, at widths 1…5
+			width = trial - 299
+			cols, flat = names[:width], boundaryValues()
 		}
 		ex := swole.Explain{
 			Technique: "hybrid", Shape: names[rng.Intn(len(names))], Selectivity: rng.Float64(),
@@ -199,6 +237,70 @@ func TestEncodeAllocatesNothingWarm(t *testing.T) {
 	putBody(p, big[:0:maxPooledBody])
 	if cap(*p) != maxPooledBody {
 		t.Error("a buffer at the cap was not kept")
+	}
+}
+
+// FuzzAppendAnswer holds the table writer to the strconv reference byte for
+// byte: any int64s, read eight bytes each from the fuzzer's data, at widths
+// 0…5, under any column names (split on NUL).
+func FuzzAppendAnswer(f *testing.F) {
+	var seed []byte
+	for _, v := range boundaryValues() {
+		seed = binary.LittleEndian.AppendUint64(seed, uint64(v))
+	}
+	f.Add(uint8(1), seed, "v")
+	f.Add(uint8(2), seed, "r_c\x00s")
+	f.Add(uint8(3), seed[:8*7], "a<b\x00\x00naïve")
+	f.Add(uint8(5), seed, "")
+	f.Add(uint8(0), seed[:8], "x")
+	var got, want []byte
+	f.Fuzz(func(t *testing.T, w uint8, data []byte, names string) {
+		width := int(w % 6)
+		flat := make([]int64, len(data)/8)
+		for i := range flat {
+			flat[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		var cols []string
+		if names != "" {
+			cols = strings.Split(names, "\x00")
+		}
+		got = appendAnswer(got[:0], cols, flat, width)
+		want = appendAnswerRef(want[:0], cols, flat, width)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("width %d, values %v, columns %q:\n got  %s\n want %s", width, flat, cols, got, want)
+		}
+	})
+}
+
+// BenchmarkAppendAnswer times the table writer against the strconv reference
+// on two 2-column answers: gc_shape is group_r_c.s50's (99K ascending keys,
+// sums under 1,000), wide is random 63-bit values of both signs.
+func BenchmarkAppendAnswer(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	const rows = 99_000
+	gc, wide := make([]int64, 2*rows), make([]int64, 2*rows)
+	for i := 0; i < rows; i++ {
+		gc[2*i], gc[2*i+1] = int64(i), rng.Int63n(1000)
+		wide[2*i], wide[2*i+1] = rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63()
+	}
+	cols := []string{"r_c", "s"}
+	for _, shape := range []struct {
+		name string
+		flat []int64
+	}{{"gc_shape", gc}, {"wide", wide}} {
+		for _, enc := range []struct {
+			name string
+			fn   func([]byte, []string, []int64, int) []byte
+		}{{"table", appendAnswer}, {"strconv", appendAnswerRef}} {
+			b.Run(shape.name+"/"+enc.name, func(b *testing.B) {
+				buf := enc.fn(nil, cols, shape.flat, 2)
+				b.SetBytes(int64(len(buf)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = enc.fn(buf[:0], cols, shape.flat, 2)
+				}
+			})
+		}
 	}
 }
 

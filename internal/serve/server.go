@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,6 +96,9 @@ const maxIngestBody = 64 << 20
 // errRejected is the admission controller's refusal: in-flight and queue
 // slots are all taken.
 var errRejected = errors.New("serve: server saturated, query rejected")
+
+// errDraining refuses every request that arrives once Shutdown has begun.
+var errDraining = errors.New("serve: server draining, request refused")
 
 // Server is the HTTP query server. Create with New or NewWithRunner,
 // start with Start, stop with Shutdown.
@@ -252,6 +257,8 @@ func outcomeOf(err error) (outcome string, status int) {
 		return outcomeOK, http.StatusOK
 	case errors.Is(err, errRejected):
 		return outcomeRejected, http.StatusTooManyRequests
+	case errors.Is(err, errDraining):
+		return outcomeRejected, http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return outcomeTimeout, http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -280,7 +287,7 @@ func (s *Server) execute(parent context.Context, q string, timeoutMS int64, rows
 		return nil, outcome, status, err
 	}
 	if s.draining.Load() {
-		return fail(errRejected)
+		return fail(errDraining)
 	}
 	ctx, cancel := s.deadline(parent, timeoutMS)
 	defer cancel()
@@ -327,14 +334,64 @@ func appendAnswer(b []byte, cols []string, flat []int64, width int) []byte {
 		b = append(appendName(b, c), ',')
 	}
 	b = append(bytes.TrimSuffix(b, comma), `],"rows":[`...)
+	row := 2 + 21*width // '[', each value's sign, ≤ 19 digits and comma, the closing ','
 	for i := 0; width > 0 && i+width <= len(flat); i += width {
-		b = append(b, '[')
+		n := len(b)
+		b = slices.Grow(b, row)[:n+row]
+		b[n] = '['
+		n++
 		for _, v := range flat[i : i+width] {
-			b = append(strconv.AppendInt(b, v, 10), ',')
+			n = putInt(b, n, v)
+			b[n] = ','
+			n++
 		}
-		b = append(b[:len(b)-1], ']', ',') // the row's last comma closes it
+		b[n-1], b[n] = ']', ',' // the row's last comma closes it
+		b = b[:n+1]
 	}
 	return append(bytes.TrimSuffix(b, comma), ']')
+}
+
+// quads[q] is q in 0…9999 as four ASCII digits, the first in the low byte.
+var quads = func() (t [10000]uint32) {
+	for q := range t {
+		t[q] = uint32('0'+q/1000) | uint32('0'+q/100%10)<<8 | uint32('0'+q/10%10)<<16 | uint32('0'+q%10)<<24
+	}
+	return t
+}()
+
+// putInt writes v in decimal at b[n:], four digits per store, and returns the
+// index past its last digit. b needs 20 bytes from n: a one-group number's
+// store runs up to three bytes past its end, for the caller to overwrite.
+func putInt(b []byte, n int, v int64) int {
+	u := uint64(v)
+	if v < 0 {
+		b[n] = '-'
+		n++
+		u = -u // math.MinInt64 too: its magnitude 1<<63 is a uint64
+	}
+	var low [4]uint32 // the groups below the leading one, least significant first
+	k := 0
+	for ; u >= 10000; k++ {
+		low[k] = quads[u%10000]
+		u /= 10000
+	}
+	zeros := 0 // the leading group's zeros; 0 itself keeps one digit
+	switch {
+	case u < 10:
+		zeros = 3
+	case u < 100:
+		zeros = 2
+	case u < 1000:
+		zeros = 1
+	}
+	binary.LittleEndian.PutUint32(b[n:], quads[u]>>(8*zeros))
+	n += 4 - zeros
+	for k > 0 {
+		k--
+		binary.LittleEndian.PutUint32(b[n:], low[k])
+		n += 4
+	}
+	return n
 }
 
 // appendName appends a column name as a JSON string: plain ASCII quoted as it
@@ -364,9 +421,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		body = appendAnswer(body, cols, flat, width)
 	})
 	if err != nil {
-		if errors.Is(err, errRejected) && s.draining.Load() {
-			status = http.StatusServiceUnavailable
-		}
 		writeJSON(w, status, errorResponse{Error: err.Error(), Outcome: outcome})
 		return
 	}
@@ -427,14 +481,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	fail := func(err error, rep swole.IngestReport) {
 		outcome, status := outcomeOf(err)
-		if errors.Is(err, errRejected) && s.draining.Load() {
-			status = http.StatusServiceUnavailable
-		}
 		s.m.observeIngest(outcome, time.Since(start), rep.Accepted, rep.Rejected)
 		writeJSON(w, status, ingestResponse{IngestReport: rep, Error: err.Error()})
 	}
 	if s.draining.Load() {
-		fail(errRejected, swole.IngestReport{})
+		fail(errDraining, swole.IngestReport{})
 		return
 	}
 	ctx, cancel := s.deadline(r.Context(), 0)

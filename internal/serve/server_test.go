@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +402,26 @@ func TestGracefulDrain(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown never returned")
+	}
+}
+
+// TestExplainDuringDrain: once Shutdown has begun, every endpoint that runs
+// work — /query, /ingest and /explain, which plans and runs its statement —
+// refuses with 503 and an error body, never the saturation 429.
+func TestExplainDuringDrain(t *testing.T) {
+	s := New(newTestDB(t), Config{})
+	s.draining.Store(true)
+	for _, r := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/explain?q=x", nil),
+		httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(queryBody("SELECT SUM(b) FROM t"))),
+		httptest.NewRequest(http.MethodPost, "/ingest?table=t", strings.NewReader("1,2\n")),
+	} {
+		rec := httptest.NewRecorder()
+		s.http.Handler.ServeHTTP(rec, r)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusServiceUnavailable || er.Error == "" {
+			t.Errorf("%s %s while draining: status %d body %s, want 503 with an error", r.Method, r.URL, rec.Code, rec.Body.Bytes())
+		}
 	}
 }
 
