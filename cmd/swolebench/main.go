@@ -8,18 +8,11 @@
 //	swolebench -fig 6            # one figure
 //	swolebench -fig all          # everything
 //	swolebench -fig 2            # the technique summary table
-//	swolebench -fig scaling -workers 8   # morsel scaling sweep, 1..8 workers
-//	swolebench -repeat 10        # steady state: cold vs plan-cached warm runs,
-//	                             # with each statement's kernel-variant counters
-//	swolebench -query 'select r_c, count(*) as n from r group by r_c having n > 10'
-//	                             # one arbitrary statement: synthesized plan + timings
-//	swolebench -ingest batch.csv -repeat 5
-//	                             # append a CSV batch through the ingestion
-//	                             # kernel 5 times; decode+append throughput
-//	swolebench -repeat 10 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	swolebench -fig 8 -csv       # micro figures as CSV for plotting
+//	swolebench -fig 6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Scales come from the environment (SWOLE_SF, SWOLE_MICRO_R, SWOLE_REPS,
-// SWOLE_WORKERS); see internal/harness. Paper scales are SF=10 and R=100M —
+// Scales come from the environment (SWOLE_SF, SWOLE_MICRO_R, SWOLE_REPS);
+// see internal/harness. Paper scales are SF=10 and R=100M —
 // set them only on hardware comparable to the paper's.
 package main
 
@@ -44,15 +37,8 @@ func main() {
 // realMain carries the program body so that os.Exit cannot skip the
 // profile-flushing defers.
 func realMain() error {
-	fig := flag.String("fig", "all", "figure to regenerate: 2, 6, 8, 9, 10, 11, 12, scaling, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2, 6, 8, 9, 10, 11, 12, or all")
 	csv := flag.Bool("csv", false, "emit micro figures as CSV for plotting")
-	workers := flag.Int("workers", 0, "max morsel workers the scaling figure sweeps to (0 = SWOLE_WORKERS or GOMAXPROCS)")
-	repeat := flag.Int("repeat", 0, "steady-state demo: run each supported query shape N times and report cold vs plan-cached warm timings and the kernel-variant counters")
-	query := flag.String("query", "", "run one arbitrary SQL statement against the micro dataset and report its synthesized plan, cold timing, and plan-cached warm timing")
-	ingestFile := flag.String("ingest", "", "append this CSV file to the micro dataset through the table's ingestion kernel and report decode+append throughput (-repeat batches)")
-	ingestTable := flag.String("ingest-table", "r", "table -ingest appends to (CSV fields line up with its columns)")
-	ingestPolicy := flag.String("ingest-policy", "strict", "malformed-row policy for -ingest: strict (refuse the batch) or skip (drop and attribute)")
-	timeout := flag.Duration("timeout", 0, "per-query deadline for -repeat runs; deadline-exceeded runs are counted and reported separately (0 = no deadline)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -84,19 +70,7 @@ func realMain() error {
 	}
 
 	cfg := harness.FromEnv()
-	if *workers > 0 {
-		cfg.Workers = *workers
-	}
-	if *ingestFile != "" {
-		return runIngest(cfg, *ingestFile, *ingestTable, *ingestPolicy, *repeat)
-	}
-	if *query != "" {
-		return runQuery(cfg, *query, *repeat, *timeout)
-	}
-	if *repeat > 0 {
-		return runSteady(cfg, *repeat, *timeout)
-	}
-	fmt.Printf("config: SF=%g micro R=%d reps=%d workers=%d\n\n", cfg.SF, cfg.MicroR, cfg.Reps, cfg.Workers)
+	fmt.Printf("config: SF=%g micro R=%d reps=%d\n\n", cfg.SF, cfg.MicroR, cfg.Reps)
 
 	show := func(figs []harness.Figure) {
 		for _, f := range figs {
@@ -133,8 +107,6 @@ func realMain() error {
 			show(cfg.Fig11())
 		case "12":
 			show(cfg.Fig12())
-		case "scaling":
-			show(cfg.FigScaling())
 		default:
 			return fmt.Errorf("unknown figure %q", name)
 		}
@@ -143,7 +115,7 @@ func realMain() error {
 
 	var figs []string
 	if *fig == "all" {
-		figs = []string{"2", "6", "8", "9", "10", "11", "12", "scaling"}
+		figs = []string{"2", "6", "8", "9", "10", "11", "12"}
 	} else {
 		figs = []string{*fig}
 	}

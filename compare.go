@@ -30,7 +30,7 @@ type StrategyRun struct {
 // data-centric baseline is not among them; GenerateCode emits its loop for
 // a single-table statement.
 func (d *DB) CompareStrategies(q string) ([]StrategyRun, error) {
-	p, err := d.Plan(q)
+	p, err := d.plan(q)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func microColumn[T int8 | int32](name string, vals []T) Column {
 // shapes). Strategies: "data-centric", "hybrid", "rof", "value-masking",
 // "key-masking", "access-merging".
 func (d *DB) GenerateCode(q, strategy string) (string, error) {
-	p, err := d.Plan(q)
+	p, err := d.plan(q)
 	if err != nil {
 		return "", err
 	}

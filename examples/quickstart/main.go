@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -39,7 +40,8 @@ func main() {
 	}
 	fmt.Println("interpreted engine:", ref.Rows()[0][0])
 
-	res, explain, err := db.QuerySwole(q)
+	ctx := context.Background()
+	res, explain, err := db.QueryContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	}
 
 	// At 90% selectivity the pullup wins instead.
-	_, explain, err = db.QuerySwole("select sum(a) from r where x < 90")
+	_, explain, err = db.QueryContext(ctx, "select sum(a) from r where x < 90")
 	if err != nil {
 		log.Fatal(err)
 	}

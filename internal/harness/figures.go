@@ -10,6 +10,7 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/micro"
+	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/tpch"
 )
 
@@ -206,6 +207,58 @@ func microFilter(sel int) expr.Expr {
 		lt("r_x", int64(sel)),
 		&expr.Cmp{Op: expr.EQ, L: expr.NewCol("r_y"), R: &expr.Const{Val: 1}},
 	}}
+}
+
+// microStorageDB wraps a generated microbenchmark dataset as storage
+// tables without copying: the engine's plans read the same typed slices the
+// hand-written baselines do, so the series of one figure compare executors,
+// not data layouts.
+func microStorageDB(d *micro.Data) *storage.Database {
+	i8 := func(name string, v []int8) *storage.Column {
+		return &storage.Column{Name: name, Kind: storage.KindInt8, Log: storage.LogInt, I8: v}
+	}
+	i32 := func(name string, v []int32) *storage.Column {
+		return &storage.Column{Name: name, Kind: storage.KindInt32, Log: storage.LogInt, I32: v}
+	}
+	db := storage.NewDatabase()
+	db.AddTable(storage.MustNewTable("r",
+		i8("r_a", d.A), i8("r_b", d.B), i8("r_x", d.X), i8("r_y", d.Y),
+		i32("r_c", d.C), i32("r_fk", d.FK),
+	))
+	db.AddTable(storage.MustNewTable("s",
+		i32("s_pk", d.SPK), i8("s_x", d.SX),
+	))
+	// Join statements resolve parent positions through the registered index.
+	if err := db.AddFKIndex("r", "r_fk", "s", "s_pk"); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// lt builds the selectivity predicate col < v.
+func lt(col string, v int64) expr.Expr {
+	return &expr.Cmp{Op: expr.LT, L: expr.NewCol(col), R: &expr.Const{Val: v}}
+}
+
+// sumSpec is the Select spec the SQL frontend synthesizes for the
+// microbenchmark statements: one sum aliased "s" under the canonical
+// projection, grouped by the optional key.
+func sumSpec(root string, filter, agg expr.Expr, groupBy ...string) core.Select {
+	spec := core.Select{
+		Root: root, Filter: filter, GroupBy: groupBy,
+		Aggs: []core.SelectAgg{{Kind: core.AggSum, Arg: agg, As: "s"}},
+	}
+	for _, name := range append(groupBy, "s") {
+		spec.Project = append(spec.Project, core.SelectProj{Expr: expr.NewCol(name), As: name})
+	}
+	return spec
+}
+
+// joinS joins the spec's r to s through r_fk, keeping the parents with
+// s_x < sel.
+func joinS(spec core.Select, sel int) core.Select {
+	spec.Edges = []core.SelectEdge{{Src: -1, FK: "r_fk", Parent: "s", PK: "s_pk", Filter: lt("s_x", int64(sel))}}
+	return spec
 }
 
 // arith builds l op r over two columns.

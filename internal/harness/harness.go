@@ -13,7 +13,6 @@
 //	SWOLE_SF       TPC-H scale factor       (default 0.1)
 //	SWOLE_MICRO_R  microbenchmark R rows    (default 2000000)
 //	SWOLE_REPS     timing repetitions       (default 3)
-//	SWOLE_WORKERS  max morsel workers       (default runtime.GOMAXPROCS(0))
 package harness
 
 import (
@@ -28,15 +27,14 @@ import (
 
 // Config scales the experiments.
 type Config struct {
-	SF      float64 // TPC-H scale factor
-	MicroR  int     // rows in the microbenchmark's R
-	Reps    int     // repetitions; the minimum time is reported
-	Workers int     // max morsel workers the scaling experiment sweeps to
+	SF     float64 // TPC-H scale factor
+	MicroR int     // rows in the microbenchmark's R
+	Reps   int     // repetitions; the minimum time is reported
 }
 
 // Default returns the laptop-scale defaults.
 func Default() Config {
-	return Config{SF: 0.1, MicroR: 2_000_000, Reps: 3, Workers: runtime.GOMAXPROCS(0)}
+	return Config{SF: 0.1, MicroR: 2_000_000, Reps: 3}
 }
 
 // FromEnv reads overrides from the environment.
@@ -55,11 +53,6 @@ func FromEnv() Config {
 	if v := os.Getenv("SWOLE_REPS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			cfg.Reps = n
-		}
-	}
-	if v := os.Getenv("SWOLE_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.Workers = n
 		}
 	}
 	return cfg

@@ -3,7 +3,6 @@ package harness
 import (
 	"maps"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,17 +29,6 @@ func TestFromEnv(t *testing.T) {
 	cfg = FromEnv()
 	if cfg.SF != Default().SF || cfg.MicroR != Default().MicroR || cfg.Reps != Default().Reps {
 		t.Errorf("bad env not defaulted: %+v", cfg)
-	}
-}
-
-// The default worker count is the processes the runtime may run Go code on,
-// not the machine's CPUs: a process capped through GOMAXPROCS sweeps to its
-// cap.
-func TestFromEnvWorkersFollowGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	t.Setenv("SWOLE_WORKERS", "")
-	if cfg := FromEnv(); cfg.Workers != 1 {
-		t.Errorf("under GOMAXPROCS(1) on %d CPUs: Workers = %d, want 1", runtime.NumCPU(), cfg.Workers)
 	}
 }
 
@@ -164,7 +152,7 @@ func sample(m map[int64]int64) map[int64]int64 {
 func TestTinyMicroRFigures(t *testing.T) {
 	for _, r := range []int{1, 5} {
 		cfg := Config{MicroR: r, Reps: 1}
-		for _, figs := range [][]Figure{cfg.Fig8(), cfg.Fig9(), cfg.Fig10(), cfg.Fig11(), cfg.Fig12(), cfg.FigScaling()} {
+		for _, figs := range [][]Figure{cfg.Fig8(), cfg.Fig9(), cfg.Fig10(), cfg.Fig11(), cfg.Fig12()} {
 			for _, f := range figs {
 				for _, s := range f.Series {
 					if len(s.Points) == 0 {

@@ -239,8 +239,10 @@ type errorResponse struct {
 func (s *Server) deadline(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	switch {
-	case timeoutMS > math.MaxInt64/int64(time.Millisecond):
-		d = -1 // longer than a Duration holds: no deadline, as a negative one
+	case timeoutMS < 0 || timeoutMS > math.MaxInt64/int64(time.Millisecond):
+		// Negative, or longer than a Duration holds: no deadline. Checked
+		// before the multiply, which wraps past either end of a Duration.
+		d = -1
 	case timeoutMS != 0:
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -316,10 +317,10 @@ func TestTimeoutOutcome(t *testing.T) {
 	}
 }
 
-// TestTimeoutBeyondDuration asserts a timeout_ms too large for a
-// time.Duration means no deadline, as a negative one does, instead of
-// wrapping into a microsecond or a negative deadline; an ordinary one still
-// bounds the query.
+// TestTimeoutBeyondDuration asserts a negative timeout_ms, or one too large
+// for a time.Duration, means no deadline instead of wrapping into a
+// microsecond, zero or negative deadline; an ordinary one still bounds the
+// query.
 func TestTimeoutBeyondDuration(t *testing.T) {
 	var (
 		deadline time.Time
@@ -329,7 +330,7 @@ func TestTimeoutBeyondDuration(t *testing.T) {
 		deadline, bounded = ctx.Deadline()
 		return swole.Explain{Shape: "stub"}, nil
 	}, Config{})
-	for _, timeoutMS := range []int64{18446744073710, 9300000000000} {
+	for _, timeoutMS := range []int64{18446744073710, 9300000000000, -1, -18446744073709, math.MinInt64} {
 		body, _ := json.Marshal(queryRequest{Query: "q", TimeoutMS: timeoutMS})
 		if rec := post(s, body); rec.Code != http.StatusOK {
 			t.Fatalf("timeout_ms %d: status %d body %s", timeoutMS, rec.Code, rec.Body)

@@ -47,9 +47,8 @@ func classifyDensity(ones, n int) Density {
 
 // Counters tallies per-tile kernel-variant choices. It is a fixed-size
 // value type so plan husks can embed one per worker and merge them without
-// allocating; the totals surface in Explain and in swolebench
-// -repeat. Width-indexed arrays use the storage widths in order
-// int8, int16, int32, int64.
+// allocating; the totals surface in Explain. Width-indexed arrays use the
+// storage widths in order int8, int16, int32, int64.
 type Counters struct {
 	SelSparse uint64 // selection tiles over a sparse mask
 	SelMid    uint64 // selection tiles over a mid-density mask

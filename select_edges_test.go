@@ -57,7 +57,7 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string) [][]int64 {
 // expression trees, so every compile gets fresh ones.
 func synthesized(t *testing.T, d *DB, q string) core.Select {
 	t.Helper()
-	p, err := d.Plan(q)
+	p, err := d.plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestForcedScanPollsPerMorsel(t *testing.T) {
 	}
 	defer d.Close()
 	d.engine.Reconfigure(func() { d.engine.MorselRows = vec.TileSize })
-	p, err := d.Plan("select sum(r_a) as s from r where r_x < 50")
+	p, err := d.plan("select sum(r_a) as s from r where r_x < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestSelectMergedOperands(t *testing.T) {
 		{"select w, min(v + w) as lo, max(v + w) as hi from f where tile < 3 group by w", 2 * tiles},
 		{"select w, min(v) as lo, max(v) as hi from f where tile < 3 group by w", 0},
 	} {
-		p, err := d.Plan(c.q)
+		p, err := d.plan(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,8 +247,7 @@ func (d *DB) ExplainPlan(q string) (string, error) {
 	return plan.Format(p), nil
 }
 
-// Plan compiles a SQL statement to its logical plan node (advanced use:
-// custom execution or code generation).
-func (d *DB) Plan(q string) (plan.Node, error) {
+// plan compiles a SQL statement to its logical plan node.
+func (d *DB) plan(q string) (plan.Node, error) {
 	return sql.Compile(q, d.db)
 }
