@@ -298,3 +298,59 @@ func TestAppendCompilesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestColdCompilesOnce pins that a new statement costs one compile however
+// many callers meet it at once: for each of 20 never-seen statements, 8
+// QueryContext callers released together see exactly one run that was not
+// replayed (PlanCached false) — the first to publish the entry compiles it
+// under the entry's lock, the others wait there and replay its plan — and
+// every caller gets the interpreter's answer.
+func TestColdCompilesOnce(t *testing.T) {
+	d := cacheTestDB(t, 1) // t(a, x, c), 4096 rows
+	defer d.Close()
+	ctx := context.Background()
+	const statements, readers = 20, 8
+	for i := 0; i < statements; i++ {
+		q := fmt.Sprintf("select c, sum(a) as s, count(*) as n from t where x < %d group by c", i%10+1)
+		if i >= 10 {
+			q = fmt.Sprintf("select sum(a) from t where x < %d and c < 4", i%10+1)
+		}
+		want, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		res := make([]*Result, readers)
+		exs := make([]Explain, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for k := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res[k], exs[k], errs[k] = d.QueryContext(ctx, q)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		compiles := 0
+		for k, ex := range exs {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
+			}
+			if ex.Technique == "interpreter-fallback" {
+				t.Fatalf("%s: not synthesized", q)
+			}
+			if !rowsEqual(sortedRows(res[k].Rows()), sortedRows(want.Rows())) {
+				t.Fatalf("%s, reader %d: %v, want %v", q, k, res[k].Rows(), want.Rows())
+			}
+			if !ex.PlanCached {
+				compiles++
+			}
+		}
+		if compiles != 1 {
+			t.Errorf("%s: %d compiles, want 1", q, compiles)
+		}
+	}
+}

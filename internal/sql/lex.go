@@ -110,16 +110,13 @@ func lex(src string) ([]token, error) {
 }
 
 func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && IsSpace(l.src[l.pos]) {
+	for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
 		l.pos++
 	}
 }
 
-// IsSpace reports whether the lexer skips c between tokens. It is the one
-// definition of whitespace: a statement cache that collapses whitespace must
-// collapse exactly these bytes, or a text the lexer rejects could share a
-// cache key with one it accepts.
-func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+// isSpace reports whether the lexer skips c between tokens.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func (l *lexer) emit(k tokKind, text string)          { l.emitAt(k, text, l.pos) }
 func (l *lexer) emitAt(k tokKind, text string, p int) { l.toks = append(l.toks, token{k, text, p}) }

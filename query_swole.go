@@ -111,10 +111,10 @@ func fromCore(ex core.Explain) Explain {
 // joins) fall back to the interpreted engine, reported in the Explain as
 // "interpreter-fallback".
 //
-// Synthesized statements are cached as prepared plans: re-executing one —
-// byte-identical or merely whitespace-reformatted — skips parsing,
-// sampling, and the cost-model decision, and runs on recycled execution
-// state, allocation-free in the steady state. The returned *Result of a
+// Synthesized statements are cached as prepared plans, keyed by their
+// text: re-executing one with the same text skips parsing, sampling, and
+// the cost-model decision, and runs on recycled execution state,
+// allocation-free in the steady state. The returned *Result of a
 // synthesized statement is overwritten by the statement's next execution,
 // including the first one after an append; copy what must outlive it.
 // Replacing a table with CreateTable evicts every cached plan and statistic
@@ -173,16 +173,10 @@ func (d *DB) query(ctx context.Context, q string, fn func(*Result)) (Explain, er
 		return Explain{}, err
 	}
 	if spec, ok := core.Synthesize(d.db, p); ok {
-		c, err := d.prepareShape(spec, normalizeQuery(q))
-		if err != nil {
-			return Explain{}, err
-		}
-		d.storePlan(q, c)
-		// A write that lands before the first run makes the entry stale at
-		// once; it then re-prepares, or — declined — the interpreter answers.
-		if ex, ok, err := c.answer(ctx, d, q, fn); ok {
-			// First execution: the plan was prepared, not replayed.
-			ex.PlanCached = false
+		// A cold entry is compiled under its lock like a stale one: published
+		// without a plan, it compiles in answer, and callers that found it
+		// meanwhile wait there and replay that one plan.
+		if ex, ok, err := d.publish(q, spec).answer(ctx, d, q, fn); ok {
 			return ex, err
 		}
 	}
@@ -266,23 +260,4 @@ func planSignature(spec core.Select) string {
 		b.WriteString("+having")
 	}
 	return b.String()
-}
-
-// prepareShape compiles the synthesized statement on the engine, once, and
-// wraps it as a cache entry with the table objects it bound and its reusable
-// result. The compile reads one pinned catalog, so its tables and
-// foreign-key indexes match even when a write overlaps it; the entry is
-// then merely stale, which its next run's freshness check sees.
-func (d *DB) prepareShape(spec core.Select, norm string) (*cachedPlan, error) {
-	d.mu.RLock()
-	gen := d.configGen
-	d.mu.RUnlock()
-	plan, err := d.engine.Prepare(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedPlan{
-		plan: plan, tables: plan.Tables(), res: newResult(plan.Fields()),
-		spec: spec, shape: planSignature(spec), norm: norm, gen: gen,
-	}, nil
 }

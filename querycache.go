@@ -2,7 +2,6 @@ package swole
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
@@ -18,13 +17,12 @@ import (
 // evaluation entirely, and executes on preallocated resources — the
 // steady-state path allocates nothing after its first execution.
 //
-// Two keys index the cache. The raw statement text is the fast key: a
-// byte-identical re-execution hits with a single map lookup and zero
-// allocations. A whitespace-normalized form is the slow key, so that
-// reformatted spellings of one statement ("select  sum(x)\nfrom t" vs
-// "select sum(x) from t") share one prepared plan; raw-text aliases are
-// installed on normalized hits (up to the cache bound), making every
-// spelling fast from its second use.
+// The statement text is the cache's one key: a re-execution of the same
+// bytes hits with a single map lookup and zero allocations, and a text that
+// differs by a byte is a different statement. A new statement is parsed and
+// synthesized, then published as an entry with no plan; its first run
+// compiles it under the entry's lock, the way a stale entry re-prepares, so
+// concurrent callers of a new statement share one compile.
 //
 // Each entry records the table objects its plan bound, all from the one
 // catalog the compile pinned. Every write — CreateTable, an append,
@@ -33,7 +31,7 @@ import (
 // (CreateTable, ReplaceRows) evicts its table's entries at once, so no plan
 // pins replaced data. An append leaves them in place: an entry checks its
 // tables under its own lock before every run, and a stale one re-prepares
-// itself there — it compiles its text again, as a cold statement does, and
+// itself there — it parses and synthesizes its text again, and
 // the engine moves the stale plan's buffers into the new plan
 // (core.Engine.Reprepare): group tables of the same form, bitmaps, emission
 // scratch and the result buffer, with every statistic, technique and form
@@ -51,23 +49,21 @@ import (
 // than maxCachedPlans distinct steady-state statements is not steady.
 const maxCachedPlans = 256
 
-// cachedPlan is one prepared statement and the header of its answer.
+// cachedPlan is one statement and the header of its answer.
 type cachedPlan struct {
 	// mu serializes executions of this statement and guards plan, tables and
 	// res: the plan's state and its result buffer are per-entry and reused
-	// across runs, and a stale plan is replaced under it. Different
-	// statements run in parallel.
+	// across runs, and the plan is compiled (nil until the first run) and
+	// replaced under it. Different statements run in parallel.
 	mu     sync.Mutex
 	plan   *core.PreparedSelect
 	tables []*storage.Table // the plan's tables (PreparedSelect.Tables)
 	// res aliases the plan's flat result buffer; every run repoints it.
 	res Result
 
-	// Set once when the entry is built; read without c.mu.
-	spec  core.Select // the first compile's: its table names never change
+	// Set once when the entry is published; read without c.mu.
+	spec  core.Select // the synthesized statement: its table names never change
 	shape string
-	norm  string // the normalized text: the slow key
-	gen   uint64 // DB.configGen when the compile began
 }
 
 // fresh reports whether the catalog still holds every table the plan bound:
@@ -96,41 +92,32 @@ func (c *cachedPlan) dependsOn(table string) bool {
 	return false
 }
 
-// answer executes the prepared plan and hands the result to fn under the
-// entry lock: fn reads the plan-owned buffer in place while the engine's
-// execution lock is already free for other statements. The lock is released
-// by defer — fn is the caller's code, and its panic must not wedge the
-// statement. A warm run allocates nothing. A stale plan is replaced first:
-// q compiles again, as a cold statement does, and core.Engine.Reprepare
-// moves the stale plan's buffers into the new one; that run reports
-// PlanCached false. A canceled run returns the context's error without
-// calling fn, the entry and the plan's pooled resources intact for the next
-// execution. ok is false, and fn not called, when the synthesizer declines
-// the recompiled statement: the entry is dropped, and the caller takes the
-// cold path.
+// answer executes the statement and hands the result to fn under the entry
+// lock: fn reads the plan-owned buffer in place while the engine's execution
+// lock is already free for other statements. The lock is released by defer —
+// fn is the caller's code, and its panic must not wedge the statement. A warm
+// run allocates nothing. A cold or stale entry is compiled first (prepare);
+// that run reports PlanCached false, and callers that waited on the lock
+// replay its plan. A canceled run returns the context's error without calling
+// fn, the entry and the plan's pooled resources intact for the next
+// execution. An entry whose compile fails is dropped: err is the compile's,
+// or ok is false, and fn not called, when the synthesizer declines the
+// recompiled text, and the caller takes the cold path.
 func (c *cachedPlan) answer(ctx context.Context, d *DB, q string, fn func(*Result)) (ex Explain, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A write that lands after this check is benign: the run reads the
 	// immutable arrays its plan bound, answering as of just before the swap.
-	cached := c.fresh(d)
+	cached := c.plan != nil && c.fresh(d)
 	if !cached {
-		p, err := sql.Compile(q, d.db)
-		if err != nil {
-			return Explain{}, true, err
-		}
-		spec, ok := core.Synthesize(d.db, p)
-		if !ok {
+		if ok, err := c.prepare(d, q); !ok || err != nil {
 			d.mu.Lock()
-			d.dropPlanLocked(c)
+			if d.plans[q] == c {
+				delete(d.plans, q)
+			}
 			d.mu.Unlock()
-			return Explain{}, false, nil
+			return Explain{}, ok, err
 		}
-		plan, err := d.engine.Reprepare(spec, c.plan)
-		if err != nil {
-			return Explain{}, true, err
-		}
-		c.plan, c.tables, c.res.fields = plan, plan.Tables(), plan.Fields()
 	}
 	res, cex, err := c.plan.RunContext(ctx)
 	ex = fromCore(cex)
@@ -143,49 +130,31 @@ func (c *cachedPlan) answer(ctx context.Context, d *DB, q string, fn func(*Resul
 	return ex, true, nil
 }
 
-// normalizeQuery collapses runs of whitespace (sql.IsSpace) to single spaces
-// so reformatted spellings of one statement share a cache entry. Case is
-// preserved: string literals are case-significant, and a lowercased key
-// would conflate them. Single-quoted literals are copied verbatim —
-// whitespace inside them is data, and collapsing it would alias two
-// statements that differ only inside a quoted string onto one plan.
-// A doubled quote (”) inside a literal is the SQL escape for a quote,
-// not a close-and-reopen, and stays inside the literal.
-func normalizeQuery(q string) string {
-	var b strings.Builder
-	b.Grow(len(q))
-	pendingSpace := false
-	for i := 0; i < len(q); i++ {
-		c := q[i]
-		switch {
-		case c == '\'':
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			b.WriteByte(c)
-			for i++; i < len(q); i++ {
-				b.WriteByte(q[i])
-				if q[i] == '\'' {
-					if i+1 < len(q) && q[i+1] == '\'' {
-						i++
-						b.WriteByte(q[i])
-						continue
-					}
-					break
-				}
-			}
-		case sql.IsSpace(c):
-			pendingSpace = true
-		default:
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			b.WriteByte(c)
+// prepare compiles the entry's plan with core.Engine.Reprepare; callers hold
+// c.mu. A cold entry compiles the spec it was published with (a nil prev
+// makes Reprepare Prepare); a stale one parses and synthesizes its text
+// again, and the engine moves the stale plan's buffers into the new plan. ok
+// is false when the synthesizer declines the recompiled text.
+func (c *cachedPlan) prepare(d *DB, q string) (ok bool, err error) {
+	spec := c.spec
+	if c.plan != nil {
+		p, err := sql.Compile(q, d.db)
+		if err != nil {
+			return true, err
+		}
+		if spec, ok = core.Synthesize(d.db, p); !ok {
+			return false, nil
 		}
 	}
-	return b.String()
+	plan, err := d.engine.Reprepare(spec, c.plan)
+	if err != nil {
+		return true, err
+	}
+	if c.plan == nil {
+		c.res = newResult(plan.Fields())
+	}
+	c.plan, c.tables, c.res.fields = plan, plan.Tables(), plan.Fields()
+	return true, nil
 }
 
 // cachedRun serves a statement from the plan cache; found reports whether
@@ -195,57 +164,30 @@ func normalizeQuery(q string) string {
 // locks) while executions of one statement — which reuse the plan's result
 // buffer — still serialize.
 func (d *DB) cachedRun(ctx context.Context, q string, fn func(*Result)) (ex Explain, found bool, err error) {
-	d.mu.Lock()
+	d.mu.RLock()
 	c := d.plans[q]
+	d.mu.RUnlock()
 	if c == nil {
-		norm := normalizeQuery(q)
-		if c = d.normPlans[norm]; c == nil {
-			d.mu.Unlock()
-			return Explain{}, false, nil
-		}
-		// Alias the raw spelling so its next execution is a single lookup —
-		// within the cache bound: past it the spelling keeps resolving
-		// through its normalized form.
-		if len(d.plans) < maxCachedPlans {
-			d.plans[q] = c
-		}
+		return Explain{}, false, nil
 	}
-	d.mu.Unlock()
 	return c.answer(ctx, d, q, fn)
 }
 
-// storePlan inserts a freshly prepared statement under both keys — unless
-// the engine configuration changed since the compile began (c.gen), in
-// which case the plan bakes in a configuration the cache was just cleared
-// of and must not outlive this one execution.
-func (d *DB) storePlan(q string, c *cachedPlan) {
+// publish returns q's entry, inserting one for the synthesized spec, with no
+// plan yet, when the cache holds none: of concurrent cold callers the first
+// inserts, and the rest find its entry and wait on its lock.
+func (d *DB) publish(q string, spec core.Select) *cachedPlan {
 	d.mu.Lock()
-	if c.gen != d.configGen {
-		d.mu.Unlock()
-		return
+	defer d.mu.Unlock()
+	if c := d.plans[q]; c != nil {
+		return c
 	}
-	if len(d.plans) >= maxCachedPlans || len(d.normPlans) >= maxCachedPlans {
+	if len(d.plans) >= maxCachedPlans {
 		d.plans = map[string]*cachedPlan{}
-		d.normPlans = map[string]*cachedPlan{}
 	}
+	c := &cachedPlan{spec: spec, shape: planSignature(spec)}
 	d.plans[q] = c
-	d.normPlans[c.norm] = c
-	d.mu.Unlock()
-}
-
-// dropPlanLocked removes every key pointing at the entry. Callers hold
-// d.mu.
-func (d *DB) dropPlanLocked(c *cachedPlan) {
-	for k, v := range d.plans {
-		if v == c {
-			delete(d.plans, k)
-		}
-	}
-	for k, v := range d.normPlans {
-		if v == c {
-			delete(d.normPlans, k)
-		}
-	}
+	return c
 }
 
 // invalidateTable evicts cached statistics and plans that read the named
@@ -255,21 +197,17 @@ func (d *DB) dropPlanLocked(c *cachedPlan) {
 func (d *DB) invalidateTable(table string) {
 	d.engine.InvalidateStats(table)
 	d.mu.Lock()
-	for k, c := range d.plans {
+	for q, c := range d.plans {
 		if c.dependsOn(table) {
-			delete(d.plans, k)
-		}
-	}
-	for k, c := range d.normPlans {
-		if c.dependsOn(table) {
-			delete(d.normPlans, k)
+			delete(d.plans, q)
 		}
 	}
 	d.mu.Unlock()
 }
 
-// PlanCacheLen reports the number of distinct raw-text keys in the plan
-// cache; exposed for tests and introspection.
+// PlanCacheLen reports the number of statements in the plan cache, one per
+// text; exposed for tests and introspection. The benchmark reads only its
+// change across a write, the entries that write evicted.
 func (d *DB) PlanCacheLen() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -280,16 +218,13 @@ func (d *DB) PlanCacheLen() int {
 // the default (GOMAXPROCS). Prepared plans bake in their worker count,
 // so changing it clears the plan cache. The count is written under the lock
 // the engine's compiles hold (core.Engine.Reconfigure), so a compile sees one
-// worker count throughout; the cache is cleared after the write, and the
-// generation bump makes storePlan drop a statement that compiled under the
-// old count but had not been stored yet — it answers its caller once and
-// never enters the cache.
+// worker count throughout; the cache is cleared after the write, so an entry
+// published before the clear — whichever count its plan was compiled under —
+// answers only the callers that already hold it and never serves again.
 func (d *DB) SetWorkers(n int) {
 	d.engine.Reconfigure(func() { d.engine.Workers = n })
 	d.mu.Lock()
-	d.configGen++
 	d.plans = map[string]*cachedPlan{}
-	d.normPlans = map[string]*cachedPlan{}
 	d.mu.Unlock()
 }
 

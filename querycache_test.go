@@ -40,8 +40,8 @@ func rowsAsMap(t *testing.T, r *Result) map[int64]int64 {
 }
 
 // TestPlanCacheHit checks a repeated statement is served from the plan
-// cache with the same answer, and that a whitespace-reformatted spelling
-// shares the entry.
+// cache with the same answer, and that a reformatted spelling is a
+// statement of its own.
 func TestPlanCacheHit(t *testing.T) {
 	d := cacheTestDB(t, 1)
 	defer d.Close()
@@ -69,20 +69,22 @@ func TestPlanCacheHit(t *testing.T) {
 		t.Errorf("cached answer %d, want %d", got, want)
 	}
 
-	// A reformatted spelling normalizes onto the same plan.
-	res3, ex3, err := d.QuerySwole("select  sum(a)\n\tfrom t   where x < 5")
-	if err != nil {
-		t.Fatal(err)
+	// The text is the key: a reformatted spelling compiles once as a
+	// statement of its own and answers the same.
+	for _, cached := range []bool{false, true} {
+		res3, ex3, err := d.QuerySwole("select  sum(a)\n\tfrom t   where x < 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex3.PlanCached != cached {
+			t.Errorf("reformatted spelling: PlanCached %v, want %v", ex3.PlanCached, cached)
+		}
+		if got := res3.Rows()[0][0]; got != want {
+			t.Errorf("reformatted-spelling answer %d, want %d", got, want)
+		}
 	}
-	if !ex3.PlanCached {
-		t.Error("whitespace-normalized spelling missed the cache")
-	}
-	if got := res3.Rows()[0][0]; got != want {
-		t.Errorf("normalized-spelling answer %d, want %d", got, want)
-	}
-	// Both raw spellings are now aliased.
 	if n := d.PlanCacheLen(); n != 2 {
-		t.Errorf("plan cache holds %d raw keys, want 2", n)
+		t.Errorf("plan cache holds %d statements, want 2", n)
 	}
 }
 
@@ -325,12 +327,11 @@ func TestSetWorkersClearsCache(t *testing.T) {
 	}
 }
 
-// TestNormalizationKeepsLiterals pins the quote-awareness of the cache's
-// whitespace normalization: two statements that differ only inside a
-// quoted string literal are different statements and must not share a
-// normalized cache entry, while whitespace outside literals still
-// collapses onto one plan.
-func TestNormalizationKeepsLiterals(t *testing.T) {
+// TestLiteralTextsStayApart pins that the cache key is the statement text,
+// byte for byte: two statements that differ only inside a quoted string
+// literal are different statements with different answers, cold and warm,
+// and a text the lexer rejects fails however often its neighbour runs.
+func TestLiteralTextsStayApart(t *testing.T) {
 	d := NewDB()
 	defer d.Close()
 	if err := d.CreateTable("r",
@@ -341,44 +342,30 @@ func TestNormalizationKeepsLiterals(t *testing.T) {
 	}
 
 	// One space vs two inside the literal: distinct predicates, distinct
-	// answers. A normalization that collapsed whitespace inside literals
-	// would alias them onto one cached plan and serve the wrong sum.
-	one := "select sum(v) from r where s = 'red apple'"
-	two := "select sum(v) from r where s = 'red  apple'"
-	res1, _, err := d.QuerySwole(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res1.Rows()[0][0]; got != 101 {
-		t.Fatalf("sum for 'red apple' = %d, want 101", got)
-	}
-	res2, ex2, err := d.QuerySwole(two)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex2.PlanCached {
-		t.Error("statement differing only inside a quoted literal hit the other statement's plan")
-	}
-	if got := res2.Rows()[0][0]; got != 10 {
-		t.Fatalf("sum for 'red  apple' = %d, want 10", got)
-	}
-
-	// Whitespace outside literals still normalizes onto the cached plan,
-	// and the literal's interior survives the round trip.
-	res3, ex3, err := d.QuerySwole("select  sum(v)\n\tfrom r where s = 'red  apple'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ex3.PlanCached {
-		t.Error("reformatted spelling (whitespace outside the literal) missed the cache")
-	}
-	if got := res3.Rows()[0][0]; got != 10 {
-		t.Fatalf("reformatted spelling sum = %d, want 10", got)
+	// answers, each from its own plan.
+	for _, cached := range []bool{false, true} {
+		for _, c := range []struct {
+			q    string
+			want int64
+		}{
+			{"select sum(v) from r where s = 'red apple'", 101},
+			{"select sum(v) from r where s = 'red  apple'", 10},
+		} {
+			res, ex, err := d.QuerySwole(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.PlanCached != cached {
+				t.Errorf("%s: PlanCached %v, want %v", c.q, ex.PlanCached, cached)
+			}
+			if got := res.Rows()[0][0]; got != c.want {
+				t.Errorf("%s: sum %d, want %d", c.q, got, c.want)
+			}
+		}
 	}
 
-	// Whitespace is what the lexer skips and nothing more: a vertical tab is
-	// not whitespace, so the text fails cold and, once the single-spaced
-	// spelling is cached, warm too — it must not normalize onto that plan.
+	// A vertical tab is not whitespace to the lexer: the text fails cold and,
+	// once the single-spaced spelling is cached, warm too.
 	vt := "select sum(v) from r\vwhere v < 100"
 	for _, when := range []string{"cold", "warm"} {
 		if _, _, err := d.QuerySwole(vt); err == nil {
@@ -387,12 +374,6 @@ func TestNormalizationKeepsLiterals(t *testing.T) {
 		if _, _, err := d.QuerySwole("select sum(v) from r where v < 100"); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// The doubled-quote escape stays inside the literal: a '' is a quote
-	// character, not a close-and-reopen that would expose the interior.
-	if got := normalizeQuery("select sum(v) from r where s = 'it''s  a  test'"); got != "select sum(v) from r where s = 'it''s  a  test'" {
-		t.Errorf("escaped-quote literal was rewritten: %q", got)
 	}
 }
 
@@ -464,11 +445,11 @@ func TestClassicGroupKeyHeader(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAliasBound pins the cache bound on the raw-text alias path:
-// a client that varies only whitespace reaches one prepared plan through
-// ever-new spellings, and those aliases must not grow the map past
-// maxCachedPlans.
-func TestPlanCacheAliasBound(t *testing.T) {
+// TestPlanCacheBound pins the cache bound: a client that sends ever-new
+// texts — here three times maxCachedPlans distinct ones — never grows the
+// map past maxCachedPlans, and every text compiles once and answers
+// correctly.
+func TestPlanCacheBound(t *testing.T) {
 	db := demoDB(t)
 	q := "select sum(r_a) from r where r_x < 50"
 	want, _, err := db.QuerySwole(q)
@@ -482,14 +463,13 @@ func TestPlanCacheAliasBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Rows()[0][0] != sum {
-			t.Fatalf("spelling %d: %d, want %d", i, res.Rows()[0][0], sum)
+			t.Fatalf("text %d: %d, want %d", i, res.Rows()[0][0], sum)
+		}
+		if ex.PlanCached {
+			t.Fatalf("text %d: a never-seen text reported PlanCached", i)
 		}
 		if n := db.PlanCacheLen(); n > maxCachedPlans {
-			t.Fatalf("spelling %d: %d cached keys, bound %d", i, n, maxCachedPlans)
-		}
-		// Dropping aliases must not cost the plan itself.
-		if i > 0 && !ex.PlanCached {
-			t.Fatalf("spelling %d recompiled", i)
+			t.Fatalf("text %d: %d cached statements, bound %d", i, n, maxCachedPlans)
 		}
 	}
 }

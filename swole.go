@@ -42,9 +42,10 @@ import (
 //
 // A DB is safe for concurrent queries: Query, QuerySwole, and
 // QueryContext may be called from any number of goroutines. Executions
-// of one cached statement serialize on that statement's own lock (its
-// result buffers are per-entry); different statements proceed in
-// parallel down to the engine locks below. Note that the *Result
+// of one statement serialize on that statement's own lock (its result
+// buffers are per-entry), and its compile runs under the same lock, so
+// callers that meet a new or stale statement together share one compile;
+// different statements proceed in parallel down to the engine locks below. Note that the *Result
 // returned by QuerySwole aliases cache-owned buffers and is only safe to
 // read until the same statement runs again; concurrent callers should
 // use QueryContext, which returns a private copy. Engine reconfiguration
@@ -56,13 +57,11 @@ type DB struct {
 	db     *storage.Database
 	engine *core.Engine
 
-	// Plan cache (querycache.go): prepared SWOLE statements keyed by raw
-	// and whitespace-normalized query text, invalidated by table object.
-	// mu guards only the maps; executions run under each entry's own lock.
-	mu        sync.RWMutex
-	plans     map[string]*cachedPlan
-	normPlans map[string]*cachedPlan
-	configGen uint64 // bumped by SetWorkers; see storePlan
+	// Plan cache (querycache.go): SWOLE statements keyed by their text,
+	// invalidated by table object. mu guards only the map; each entry is
+	// compiled and run under its own lock.
+	mu    sync.RWMutex
+	plans map[string]*cachedPlan
 
 	// writeMu serializes the writes: each holds it from its first catalog
 	// read to its registration, so a write builds on the registration it
@@ -83,11 +82,10 @@ func NewDB() *DB {
 // generators use this).
 func newDBWith(db *storage.Database) *DB {
 	return &DB{
-		db:        db,
-		engine:    core.NewEngine(db),
-		plans:     map[string]*cachedPlan{},
-		normPlans: map[string]*cachedPlan{},
-		kernels:   map[string]*ingest.Kernel{},
+		db:      db,
+		engine:  core.NewEngine(db),
+		plans:   map[string]*cachedPlan{},
+		kernels: map[string]*ingest.Kernel{},
 	}
 }
 
