@@ -98,14 +98,10 @@ func ExtendFKIndex(idx *FKIndex, child, parent *Table) (*FKIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := idx.Pos
-	for i := len(idx.Pos); i < fkCol.Len(); i++ {
-		p, ok := pos.row(fkCol.Get(i))
-		if !ok {
-			return nil, fmt.Errorf("storage: referential integrity violation: appended %s.%s[%d]=%d has no match in %s.%s",
-				idx.Child, idx.FK, i, fkCol.Get(i), idx.Parent, idx.PK)
-		}
-		out = append(out, p)
+	out, i := pos.parentRows(idx.Pos, fkCol, len(idx.Pos))
+	if i >= 0 {
+		return nil, fmt.Errorf("storage: referential integrity violation: appended %s.%s[%d]=%d has no match in %s.%s",
+			idx.Child, idx.FK, i, fkCol.Get(i), idx.Parent, idx.PK)
 	}
 	return &FKIndex{Child: idx.Child, FK: idx.FK, Parent: idx.Parent, PK: idx.PK, Pos: out}, nil
 }

@@ -12,12 +12,18 @@ type Dict struct {
 	values []string
 }
 
-// NewDict builds a dictionary over a fixed vocabulary (deduplicated and
-// lexicographically ordered). Generators use this so that code widths do
-// not depend on which values happen to appear at a given scale factor.
+// NewDict builds a dictionary over a vocabulary, deduplicated and ordered
+// by bytes. A strictly ascending vocabulary is taken as it is after one
+// linear check, and the dictionary then keeps the slice: the caller must not
+// change it. Any other input is sorted and deduplicated by BuildDict.
 func NewDict(vocab []string) *Dict {
-	d, _ := BuildDict(vocab)
-	return d
+	for i := 1; i < len(vocab); i++ {
+		if vocab[i-1] >= vocab[i] {
+			d, _ := BuildDict(vocab)
+			return d
+		}
+	}
+	return &Dict{values: vocab}
 }
 
 // BuildDict assigns lexicographically ordered codes to the distinct values

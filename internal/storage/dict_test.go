@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzBuildDict holds BuildDict, Code and CodeBytes to a map-and-sort
-// reference. The fuzzer's bytes are split into short strings (each chunk's
+// FuzzBuildDict holds BuildDict, NewDict, Code and CodeBytes to a
+// map-and-sort reference. The fuzzer's bytes are split into short strings (each chunk's
 // first byte sets its length), so inputs hold duplicates, empty strings,
 // NUL and invalid UTF-8.
 func FuzzBuildDict(f *testing.F) {
@@ -40,6 +40,14 @@ func FuzzBuildDict(f *testing.F) {
 		if d.Len() != len(want) || len(codes) != len(vals) {
 			t.Fatalf("%d values, %d codes; want %d and %d", d.Len(), len(codes), len(want), len(vals))
 		}
+		// NewDict takes BuildDict's ascending values as they are, and
+		// builds the same dictionary from the raw list.
+		if nd := NewDict(d.values); !slices.Equal(nd.values, d.values) {
+			t.Fatalf("NewDict over BuildDict's values = %q, want %q", nd.values, d.values)
+		}
+		if nd := NewDict(vals); !slices.Equal(nd.values, d.values) {
+			t.Fatalf("NewDict(%q) = %q, want %q", vals, nd.values, d.values)
+		}
 		for i, v := range want {
 			if d.Value(i) != v {
 				t.Fatalf("Value(%d) = %q, want %q", i, d.Value(i), v)
@@ -72,4 +80,32 @@ func FuzzBuildDict(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNewDict checks both ways into NewDict: a strictly ascending vocabulary
+// is kept as it is (the dictionary holds the caller's slice, so nothing
+// sorted a copy), and any other input (out of order, or holding a value
+// twice) is sorted and deduplicated without touching the caller's slice.
+func TestNewDict(t *testing.T) {
+	for _, vocab := range [][]string{{"a"}, {"", "a", "ab", "b", "ba"}, {"BOX", "CASE", "box"}} {
+		d := NewDict(vocab)
+		if !slices.Equal(d.values, vocab) || &d.values[0] != &vocab[0] {
+			t.Errorf("NewDict(%q) = %q, not the vocabulary itself", vocab, d.values)
+		}
+	}
+	if d := NewDict(nil); d.Len() != 0 {
+		t.Errorf("NewDict(nil) holds %d values", d.Len())
+	}
+	for _, tc := range []struct{ vocab, want []string }{
+		{[]string{"b", "a"}, []string{"a", "b"}},
+		{[]string{"a", "a"}, []string{"a"}},
+		{[]string{"a", "b", "b", "c"}, []string{"a", "b", "c"}},
+		{[]string{"pear", "apple", "pear", "banana"}, []string{"apple", "banana", "pear"}},
+		{[]string{"box", "BOX", "CASE"}, []string{"BOX", "CASE", "box"}},
+	} {
+		in := slices.Clone(tc.vocab)
+		if d := NewDict(in); !slices.Equal(d.values, tc.want) || !slices.Equal(in, tc.vocab) {
+			t.Errorf("NewDict(%q) = %q, want %q (input now %q)", tc.vocab, d.values, tc.want, in)
+		}
+	}
 }

@@ -1,6 +1,11 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"github.com/reprolab/swole/internal/vec"
+)
 
 // pkLocator maps each value of a primary-key column to its row. A key range
 // of at most compactSlack slots per row is a positional array over the range;
@@ -49,14 +54,52 @@ func errDuplicateKey(k int64, where string) error {
 	return fmt.Errorf("storage: duplicate primary key %d in %s", k, where)
 }
 
-// row returns key k's row, or false when no row holds k.
-func (l *pkLocator) row(k int64) (int32, bool) {
+// parentRows appends to dst the parent row of each key in fk[from:],
+// reading the column at its stored width. When a key has no parent row it
+// stops there and returns that key's row in fk as missing; otherwise
+// missing is -1. An index build starts from an empty dst and row 0; an
+// extension passes the index so far and the first row it does not cover.
+func (l *pkLocator) parentRows(dst []int32, fk *Column, from int) (out []int32, missing int) {
+	switch fk.Kind {
+	case KindInt8:
+		out, missing = rowsAt(l, dst, fk.I8[from:])
+	case KindInt16:
+		out, missing = rowsAt(l, dst, fk.I16[from:])
+	case KindInt32:
+		out, missing = rowsAt(l, dst, fk.I32[from:])
+	default:
+		out, missing = rowsAt(l, dst, fk.I64[from:])
+	}
+	if missing >= 0 {
+		missing += from
+	}
+	return out, missing
+}
+
+// rowsAt is parentRows at one stored key width, one loop per locator form;
+// missing is the position in fk of the first key without a parent row, or
+// -1.
+func rowsAt[T vec.Number](l *pkLocator, dst []int32, fk []T) (out []int32, missing int) {
+	n := len(dst)
+	out = slices.Grow(dst, len(fk))[:n+len(fk)]
+	rows := out[n:]
 	if l.at == nil {
-		r, ok := l.rows[k]
-		return r, ok
+		for i, k := range fk {
+			r, ok := l.rows[int64(k)]
+			if !ok {
+				return out, i
+			}
+			rows[i] = r
+		}
+		return out, -1
 	}
-	if u := uint64(k) - uint64(l.lo); u < uint64(len(l.at)) && l.at[u] > 0 {
-		return l.at[u] - 1, true
+	at, lo := l.at, uint64(l.lo)
+	for i, k := range fk {
+		u := uint64(int64(k)) - lo
+		if u >= uint64(len(at)) || at[u] == 0 {
+			return out, i
+		}
+		rows[i] = at[u] - 1
 	}
-	return 0, false
+	return out, -1
 }

@@ -97,16 +97,12 @@ func BuildFKIndex(child *Table, fk string, parent *Table, pk string) (*FKIndex, 
 	if err != nil {
 		return nil, err
 	}
-	idx := &FKIndex{Child: child.Name, FK: fk, Parent: parent.Name, PK: pk, Pos: make([]int32, fkCol.Len())}
-	for i := 0; i < fkCol.Len(); i++ {
-		p, ok := pos.row(fkCol.Get(i))
-		if !ok {
-			return nil, fmt.Errorf("storage: referential integrity violation: %s.%s[%d]=%d has no match in %s.%s",
-				child.Name, fk, i, fkCol.Get(i), parent.Name, pk)
-		}
-		idx.Pos[i] = p
+	rows, i := pos.parentRows(make([]int32, 0, fkCol.Len()), fkCol, 0)
+	if i >= 0 {
+		return nil, fmt.Errorf("storage: referential integrity violation: %s.%s[%d]=%d has no match in %s.%s",
+			child.Name, fk, i, fkCol.Get(i), parent.Name, pk)
 	}
-	return idx, nil
+	return &FKIndex{Child: child.Name, FK: fk, Parent: parent.Name, PK: pk, Pos: rows}, nil
 }
 
 // fkKey names a foreign-key index by its columns. A struct key, so a lookup

@@ -9,9 +9,10 @@
 //
 // The generator emits what the column store keeps: each string column is
 // drawn as its code in the order-preserving dictionary of its vocabulary
-// (the comments as codes of a dictionary built by one sort), and every
-// column is built from its typed slice at the width it is stored at, with
-// no per-row string and no int64 copy on the way.
+// (each comment as a key that orders as its text, the keys numbered by one
+// radix sort: no string is compared), and every column is built from its
+// typed slice at the width it is stored at, with no per-row string and no
+// int64 copy on the way.
 //
 // Scale: the paper runs SF 10 (60M lineitem rows). Row counts here scale
 // linearly with SF; tests use tiny SFs and the benchmark harness reads
@@ -21,6 +22,7 @@
 package tpch
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -168,7 +170,9 @@ var (
 	shipInstructs = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
 	shipModes     = []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
 
-	commentWords = []string{
+	// A comment is minCommentWords to maxCommentWords words, and about one
+	// in fifty ends in commentSuffix, the sequence TPC-H Q13 excludes.
+	commentWords = [...]string{
 		"carefully", "quickly", "furiously", "slyly", "blithely", "deposits",
 		"packages", "accounts", "pinto", "beans", "foxes", "ideas", "theodolites",
 		"instructions", "dependencies", "excuses", "platelets", "asymptotes",
@@ -176,7 +180,47 @@ var (
 		"among", "above", "after", "final", "regular", "express", "unusual",
 		"ironic", "pending", "bold", "even", "silent",
 	}
+	commentSuffix = [...]string{"special", "packages", "requests"}
+
+	// commentToken lists the comment tokens, the words and the suffix's two
+	// words that are not among them, in byte order after "": a token's index
+	// is its digit in a comment key, and digit 0 ends the comment.
+	// wordDigit[i] is commentWords[i]'s digit, suffixDigit[i]
+	// commentSuffix[i]'s.
+	commentToken = rankTokens()
+	wordDigit    = digitsOf(commentWords[:])
+	suffixDigit  = digitsOf(commentSuffix[:])
 )
+
+const (
+	minCommentWords  = 4
+	maxCommentWords  = 8
+	maxCommentTokens = maxCommentWords + len(commentSuffix)
+
+	// commentRadix is the base of a comment key: one digit per token (the
+	// words, "special" and "requests"; the suffix's "packages" is a word)
+	// and the end digit 0.
+	commentRadix = uint64(len(commentWords) + 2 + 1)
+)
+
+func rankTokens() []string {
+	tokens := slices.Concat([]string{""}, commentWords[:], commentSuffix[:])
+	slices.Sort(tokens)
+	tokens = slices.Compact(tokens)
+	if uint64(len(tokens)) != commentRadix {
+		panic("tpch: comment tokens do not match commentRadix")
+	}
+	return tokens
+}
+
+func digitsOf(words []string) []uint64 {
+	digits := make([]uint64, len(words))
+	for i, w := range words {
+		d, _ := slices.BinarySearch(commentToken, w)
+		digits[i] = uint64(d)
+	}
+	return digits
+}
 
 // splitmix64 is the shared deterministic PRNG.
 type splitmix64 uint64
@@ -196,7 +240,9 @@ func (s *splitmix64) rangeIn(lo, hi int) int { return lo + s.intn(hi-lo+1) }
 
 // Generate builds the dataset at the given scale factor, deterministically.
 // A draw of vocabulary position i stores that position's code in the
-// vocabulary's dictionary, and the comments share one text arena.
+// vocabulary's dictionary. A comment is drawn as its key (genComment), whose
+// order is its text's, so one radix sort of the keys numbers the comments
+// (commentDict) and only the distinct ones are rendered as text.
 func Generate(sf float64) *Data {
 	rng := splitmix64(20200417)
 	_, _, nSupp, nCust, nPart, nOrders, _ := TableRows(sf)
@@ -263,28 +309,21 @@ func Generate(sf float64) *Data {
 		d.Part.Size[i] = int8(rng.rangeIn(1, 50))
 	}
 
-	// orders: comment i is text[ends[i-1]:ends[i]].
+	// orders
 	d.Orders.CustKey = make([]int32, nOrders)
 	d.Orders.OrderDate = make([]int32, nOrders)
 	d.Orders.OrderPriority = make([]int8, nOrders)
 	d.Orders.ShipPriority = make([]int8, nOrders)
-	var text strings.Builder
-	text.Grow(nOrders * commentBytes)
-	ends := make([]int, nOrders)
+	comments := make([]comment, nOrders)
 	dateSpan := int(endDate-startDate) + 1
 	for i := 0; i < nOrders; i++ {
 		d.Orders.CustKey[i] = int32(rng.intn(nCust))
 		d.Orders.OrderDate[i] = startDate + int32(rng.intn(dateSpan))
 		d.Orders.OrderPriority[i] = int8(prioCode[rng.intn(len(priorities))])
-		genComment(&text, &rng)
-		ends[i] = text.Len()
+		key, size := genComment(&rng)
+		comments[i] = comment{key: key, row: int32(i), size: int32(size)}
 	}
-	arena, comments := text.String(), make([]string, nOrders)
-	start := 0
-	for i, end := range ends {
-		comments[i], start = arena[start:end], end
-	}
-	d.Orders.CommentDict, d.Orders.Comment = storage.BuildDict(comments)
+	d.Orders.CommentDict, d.Orders.Comment = commentDict(comments)
 
 	// lineitem: 1..7 lines per order, expectation tuned to lineitemPerOrder.
 	// The slices are sized for the expected count plus 1/64, which no
@@ -340,22 +379,108 @@ func Generate(sf float64) *Data {
 	return d
 }
 
-// commentBytes bounds the mean comment length (45.6 bytes: six words of a
-// mean 6.7 letters, five spaces, and the 2% "special" suffix) with 1/64 to
-// spare, so the text arena is sized once.
-const commentBytes = 47
-
-// genComment appends a short pseudo-text comment to text; about 2% contain
-// the "special ... requests" sequence that TPC-H Q13 excludes.
-func genComment(text *strings.Builder, rng *splitmix64) {
-	n := rng.rangeIn(4, 8)
+// genComment draws a short pseudo-text comment and returns its key and
+// its length in bytes. The key is the comment's tokens as base-commentRadix
+// digits, the first token most significant, padded with end digits to
+// maxCommentTokens. The separator ' ' sorts below every byte of every
+// token, so keys order as the texts do, and equal keys are equal texts.
+func genComment(rng *splitmix64) (key uint64, size int) {
+	n := rng.rangeIn(minCommentWords, maxCommentWords)
+	size = n - 1
 	for i := 0; i < n; i++ {
-		if i > 0 {
-			text.WriteByte(' ')
-		}
-		text.WriteString(commentWords[rng.intn(len(commentWords))])
+		w := rng.intn(len(commentWords))
+		key = key*commentRadix + wordDigit[w]
+		size += len(commentWords[w])
 	}
 	if rng.intn(50) == 0 {
-		text.WriteString(" special packages requests")
+		for i, w := range commentSuffix {
+			key = key*commentRadix + suffixDigit[i]
+			size += 1 + len(w)
+		}
+		n += len(commentSuffix)
 	}
+	for ; n < maxCommentTokens; n++ {
+		key *= commentRadix
+	}
+	return key, size
+}
+
+// comment is one order's comment: its key, its order's row and its length.
+type comment struct {
+	key       uint64
+	row, size int32
+}
+
+// commentDict sorts the comments by key and numbers the distinct keys as
+// codes in one walk, then renders the distinct comments in code order into
+// one text arena of exactly their size. The values arrive ascending, so
+// storage.NewDict takes them without a sort.
+func commentDict(comments []comment) (*storage.Dict, []int32) {
+	comments = sortComments(comments)
+	codes := make([]int32, len(comments))
+	distinct, size := comments[:0], 0
+	for _, c := range comments {
+		if len(distinct) == 0 || c.key != distinct[len(distinct)-1].key {
+			distinct = append(distinct, c)
+			size += int(c.size)
+		}
+		codes[c.row] = int32(len(distinct) - 1)
+	}
+	var text strings.Builder
+	text.Grow(size)
+	values := make([]string, len(distinct))
+	for i, c := range distinct {
+		start := text.Len()
+		var digits [maxCommentTokens]uint64
+		for j, key := len(digits)-1, c.key; j >= 0; j, key = j-1, key/commentRadix {
+			digits[j] = key % commentRadix
+		}
+		for j, d := range digits {
+			if d == 0 {
+				break
+			}
+			if j > 0 {
+				text.WriteByte(' ')
+			}
+			text.WriteString(commentToken[d])
+		}
+		values[i] = text.String()[start:]
+	}
+	return storage.NewDict(values), codes
+}
+
+// sortComments sorts comments by key with a least-significant-digit radix
+// sort, radixBits of the key a pass, and returns the sorted slice (comments
+// or its scratch copy). The histograms of every pass are counted in one walk
+// first; a pass whose digit all keys share moves nothing and is skipped.
+func sortComments(comments []comment) []comment {
+	const (
+		radixBits = 8
+		passes    = (64 + radixBits - 1) / radixBits
+		mask      = 1<<radixBits - 1
+	)
+	var counts [passes][1 << radixBits]int
+	for _, c := range comments {
+		for p := range counts {
+			counts[p][c.key>>(p*radixBits)&mask]++
+		}
+	}
+	src, dst := comments, make([]comment, len(comments))
+	for p := range counts {
+		shift, at := p*radixBits, &counts[p]
+		if len(src) == 0 || at[src[0].key>>shift&mask] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, c := range src {
+			d := c.key >> shift & mask
+			dst[at[d]] = c
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
