@@ -9,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"github.com/reprolab/swole"
+	"github.com/reprolab/swole/internal/sql"
 	"github.com/reprolab/swole/internal/tpch"
+	"github.com/reprolab/swole/internal/volcano"
 )
 
 func main() {
@@ -39,12 +41,21 @@ func main() {
 	}
 
 	if *query != "" {
-		db := swole.LoadTPCH(*sf)
-		res, err := db.Query(*query)
+		// The interpreted reference engine over the dataset in hand, as
+		// swole.DB.Query runs it.
+		res, err := run(*query, d)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tpchgen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\n%s\n", res.StringLimit(20))
+		fmt.Printf("\n%s\n", res.Format(20))
 	}
+}
+
+func run(q string, d *tpch.Data) (*volcano.Result, error) {
+	p, err := sql.Compile(q, d.DB)
+	if err != nil {
+		return nil, err
+	}
+	return volcano.Run(context.Background(), p, d.DB)
 }

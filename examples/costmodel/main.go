@@ -2,7 +2,8 @@
 // cardinality, print the technique SWOLE's cost models choose at each
 // point, and compare the prediction against the engine's plans forced onto
 // each strategy (DB.CompareStrategies) — a miniature of the paper's Figures
-// 8 and 9 with the model overlaid.
+// 8 and 9 with the model overlaid. The model runs on cost.Default(), the
+// fixed paper-era parameters every plan is chosen with.
 //
 //	go run ./examples/costmodel
 package main
@@ -58,9 +59,4 @@ func main() {
 			fmt.Printf("%-10d %-8d %-10v %14.0f %14.0f\n", ns, sel, eager, gj, ea)
 		}
 	}
-
-	fmt.Println("\nHost calibration (optional; deterministic defaults reproduce the paper):")
-	cal := cost.Calibrate()
-	fmt.Printf("  read_cond=%.1f ht(mem)=%.1f comp(mul)=%.1f comp(div)=%.1f (units of one sequential read)\n",
-		cal.ReadCond, cal.HitMem, cal.CompMul, cal.CompDiv)
 }

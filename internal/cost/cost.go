@@ -15,8 +15,9 @@
 //	ht_null    - probe of the key-masking throwaway entry (stays cached)
 //	comp       - computation cost of the aggregate expression
 //
-// Defaults approximate the paper's Intel E5-2660 v2 (32 KB L1, 256 KB L2,
-// 25 MB LLC); Calibrate can re-measure the host.
+// Default is the one source of parameters: fixed costs approximating the
+// paper's Intel E5-2660 v2 (32 KB L1, 256 KB L2, 25 MB LLC), so every
+// decision is reproducible.
 package cost
 
 // Params holds the access-primitive costs and the cache geometry used to
@@ -93,8 +94,7 @@ func Default() Params {
 		MemSaturation: 4,
 		// A 64 B line fetched for ~16 useful bytes of slot state ≈ 4x the
 		// per-byte demand of a stream. Deterministic, like every other
-		// default, so the model's decisions are reproducible; Calibrate
-		// re-measures it on the host.
+		// default, so the model's decisions are reproducible.
 		ProbeMul: 4,
 	}
 }

@@ -201,28 +201,6 @@ func TestHybridGroupMatchesGroupjoinConditionalForm(t *testing.T) {
 	}
 }
 
-func TestCalibrateProducesUsableParams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration is slow")
-	}
-	p := Calibrate()
-	if p.ReadSeq != 1.0 {
-		t.Errorf("ReadSeq=%v, want normalized 1.0", p.ReadSeq)
-	}
-	if p.HitMem <= p.HitL1 {
-		t.Errorf("HitMem (%v) must exceed HitL1 (%v)", p.HitMem, p.HitL1)
-	}
-	if p.CompDiv <= p.CompMul {
-		t.Errorf("division (%v) must cost more than multiplication (%v)", p.CompDiv, p.CompMul)
-	}
-	if p.ReadCond <= p.ReadSeq {
-		t.Errorf("conditional read (%v) must cost more than sequential (%v)", p.ReadCond, p.ReadSeq)
-	}
-	if p.ProbeMul < 1 || p.ProbeMul > 8 {
-		t.Errorf("ProbeMul = %v outside [1, 8]", p.ProbeMul)
-	}
-}
-
 func TestStrategyStrings(t *testing.T) {
 	if ChooseHybrid.String() != "hybrid" || ChooseValueMasking.String() != "value-masking" || ChooseKeyMasking.String() != "key-masking" {
 		t.Error("bad strategy names")

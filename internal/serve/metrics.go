@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	rtmetrics "runtime/metrics"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,18 +55,65 @@ var waitBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
+// histogram is one Prometheus histogram: a count per upper bound (each
+// observation counts in every bucket it fits, as the exposition's cumulative
+// le buckets want), their sum in seconds and the observation count.
+type histogram struct {
+	bounds []float64
+	counts []uint64
+	sum    float64
+	count  uint64
+}
+
+func newHistogram(bounds []float64) histogram {
+	return histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
+}
+
+func (h *histogram) observe(d time.Duration) {
+	sec := d.Seconds()
+	for i, ub := range h.bounds {
+		if sec <= ub {
+			h.counts[i]++
+		}
+	}
+	h.sum += sec
+	h.count++
+}
+
+func (h *histogram) render(w *strings.Builder, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	for i, ub := range h.bounds {
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, ub, h.counts[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, h.count, name, h.sum, name, h.count)
+}
+
+// renderValue writes one unlabeled counter or gauge.
+func renderValue(w *strings.Builder, name, kind, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, kind, name, v)
+}
+
+// renderCounters writes a labeled counter family, one sample per key in the
+// order sorts them, each key's label set written by label.
+func renderCounters[K comparable](w *strings.Builder, name, help string, counts map[K]uint64, order func(a, b K) int, label func(K) string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	keys := make([]K, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, order)
+	for _, k := range keys {
+		fmt.Fprintf(w, "%s{%s} %d\n", name, label(k), counts[k])
+	}
+}
+
 // metrics is the server's registry. The zero value is not ready; use
 // newMetrics.
 type metrics struct {
-	mu      sync.Mutex
-	queries map[[2]string]uint64 // {shape, outcome} → count
-	buckets []uint64             // cumulative-style counts per latencyBuckets entry
-	infSum  float64              // histogram sum (seconds)
-	infCnt  uint64               // histogram count
-
-	waits   []uint64 // cumulative-style counts per waitBuckets entry
-	waitSum float64  // admission-wait sum (seconds)
-	waitCnt uint64   // admission-wait count
+	mu       sync.Mutex
+	queries  map[[2]string]uint64 // {shape, outcome} → count
+	duration histogram            // query wall time
+	wait     histogram            // admission wait, queries only
 
 	gcSamples []rtmetrics.Sample // runtime/metrics scrape buffer
 
@@ -80,9 +128,7 @@ type metrics struct {
 	ingestQueries  map[string]uint64 // outcome → count
 	ingestRows     uint64
 	ingestRejected uint64
-	ingestBuckets  []uint64
-	ingestSum      float64
-	ingestCnt      uint64
+	ingestDuration histogram
 
 	inflight atomic.Int64
 	queued   atomic.Int64
@@ -91,11 +137,11 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		queries:       map[[2]string]uint64{},
-		buckets:       make([]uint64, len(latencyBuckets)),
-		waits:         make([]uint64, len(waitBuckets)),
-		ingestQueries: map[string]uint64{},
-		ingestBuckets: make([]uint64, len(latencyBuckets)),
+		queries:        map[[2]string]uint64{},
+		duration:       newHistogram(latencyBuckets),
+		wait:           newHistogram(waitBuckets),
+		ingestQueries:  map[string]uint64{},
+		ingestDuration: newHistogram(latencyBuckets),
 		gcSamples: []rtmetrics.Sample{
 			{Name: "/gc/pauses:seconds"},
 			{Name: "/gc/cycles/total:gc-cycles"},
@@ -106,15 +152,8 @@ func newMetrics() *metrics {
 // observeWait records how long one query waited for an admission slot
 // (zero for the common uncontended path; rejected queries never reach it).
 func (m *metrics) observeWait(d time.Duration) {
-	sec := d.Seconds()
 	m.mu.Lock()
-	for i, ub := range waitBuckets {
-		if sec <= ub {
-			m.waits[i]++
-		}
-	}
-	m.waitSum += sec
-	m.waitCnt++
+	m.wait.observe(d)
 	m.mu.Unlock()
 }
 
@@ -125,16 +164,9 @@ func (m *metrics) observe(shape, outcome string, d time.Duration, ex *swole.Expl
 	if shape == "" {
 		shape = "unknown"
 	}
-	sec := d.Seconds()
 	m.mu.Lock()
 	m.queries[[2]string{shape, outcome}]++
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			m.buckets[i]++
-		}
-	}
-	m.infSum += sec
-	m.infCnt++
+	m.duration.observe(d)
 	if ex != nil {
 		if ex.PlanCached {
 			m.planCacheHits++
@@ -151,18 +183,11 @@ func (m *metrics) observe(shape, outcome string, d time.Duration, ex *swole.Expl
 // observeIngest records one finished (or refused) ingest batch: its
 // outcome, wall time, and how many rows it appended and rejected.
 func (m *metrics) observeIngest(outcome string, d time.Duration, accepted, rejected int) {
-	sec := d.Seconds()
 	m.mu.Lock()
 	m.ingestQueries[outcome]++
 	m.ingestRows += uint64(accepted)
 	m.ingestRejected += uint64(rejected)
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			m.ingestBuckets[i]++
-		}
-	}
-	m.ingestSum += sec
-	m.ingestCnt++
+	m.ingestDuration.observe(d)
 	m.mu.Unlock()
 }
 
@@ -172,89 +197,27 @@ func (m *metrics) render(w *strings.Builder) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP swole_queries_total Queries served, by shape and outcome.\n")
-	fmt.Fprintf(w, "# TYPE swole_queries_total counter\n")
-	keys := make([][2]string, 0, len(m.queries))
-	for k := range m.queries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "swole_queries_total{shape=%q,outcome=%q} %d\n", k[0], k[1], m.queries[k])
-	}
-
-	fmt.Fprintf(w, "# HELP swole_query_duration_seconds Query wall time, admission wait included.\n")
-	fmt.Fprintf(w, "# TYPE swole_query_duration_seconds histogram\n")
-	for i, ub := range latencyBuckets {
-		fmt.Fprintf(w, "swole_query_duration_seconds_bucket{le=\"%g\"} %d\n", ub, m.buckets[i])
-	}
-	fmt.Fprintf(w, "swole_query_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.infCnt)
-	fmt.Fprintf(w, "swole_query_duration_seconds_sum %g\n", m.infSum)
-	fmt.Fprintf(w, "swole_query_duration_seconds_count %d\n", m.infCnt)
-
-	fmt.Fprintf(w, "# HELP swole_admission_wait_seconds Time queries spent waiting for an admission slot.\n")
-	fmt.Fprintf(w, "# TYPE swole_admission_wait_seconds histogram\n")
-	for i, ub := range waitBuckets {
-		fmt.Fprintf(w, "swole_admission_wait_seconds_bucket{le=\"%g\"} %d\n", ub, m.waits[i])
-	}
-	fmt.Fprintf(w, "swole_admission_wait_seconds_bucket{le=\"+Inf\"} %d\n", m.waitCnt)
-	fmt.Fprintf(w, "swole_admission_wait_seconds_sum %g\n", m.waitSum)
-	fmt.Fprintf(w, "swole_admission_wait_seconds_count %d\n", m.waitCnt)
+	renderCounters(w, "swole_queries_total", "Queries served, by shape and outcome.", m.queries,
+		func(a, b [2]string) int { return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1])) },
+		func(k [2]string) string { return fmt.Sprintf("shape=%q,outcome=%q", k[0], k[1]) })
+	m.duration.render(w, "swole_query_duration_seconds", "Query wall time, admission wait included.")
+	m.wait.render(w, "swole_admission_wait_seconds", "Time queries spent waiting for an admission slot.")
 
 	m.renderGC(w)
 
-	fmt.Fprintf(w, "# HELP swole_inflight_queries Queries admitted and executing now.\n")
-	fmt.Fprintf(w, "# TYPE swole_inflight_queries gauge\n")
-	fmt.Fprintf(w, "swole_inflight_queries %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP swole_queued_queries Queries waiting for admission now.\n")
-	fmt.Fprintf(w, "# TYPE swole_queued_queries gauge\n")
-	fmt.Fprintf(w, "swole_queued_queries %d\n", m.queued.Load())
+	renderValue(w, "swole_inflight_queries", "gauge", "Queries admitted and executing now.", m.inflight.Load())
+	renderValue(w, "swole_queued_queries", "gauge", "Queries waiting for admission now.", m.queued.Load())
+	renderValue(w, "swole_panics_total", "counter", "Request handlers that panicked and were answered 500.", m.panics.Load())
+	renderValue(w, "swole_plan_cache_hits_total", "counter", "Queries whose planning decision was replayed from the plan cache.", m.planCacheHits)
+	renderValue(w, "swole_stats_cache_hits_total", "counter", "Queries planned from cached sampling statistics.", m.statsCacheHits)
+	renderValue(w, "swole_ht_grows_total", "counter", "Hash-table growth events during query execution.", m.htGrows)
+	renderValue(w, "swole_fresh_allocs_total", "counter", "Execution resources newly allocated rather than recycled.", m.freshAllocs)
 
-	engine := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"swole_panics_total", "Request handlers that panicked and were answered 500.", uint64(m.panics.Load())},
-		{"swole_plan_cache_hits_total", "Queries whose planning decision was replayed from the plan cache.", m.planCacheHits},
-		{"swole_stats_cache_hits_total", "Queries planned from cached sampling statistics.", m.statsCacheHits},
-		{"swole_ht_grows_total", "Hash-table growth events during query execution.", m.htGrows},
-		{"swole_fresh_allocs_total", "Execution resources newly allocated rather than recycled.", m.freshAllocs},
-	}
-	for _, c := range engine {
-		fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
-		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
-		fmt.Fprintf(w, "%s %d\n", c.name, c.v)
-	}
-
-	fmt.Fprintf(w, "# HELP swole_ingest_queries_total Ingest batches served, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE swole_ingest_queries_total counter\n")
-	iouts := make([]string, 0, len(m.ingestQueries))
-	for o := range m.ingestQueries {
-		iouts = append(iouts, o)
-	}
-	sort.Strings(iouts)
-	for _, o := range iouts {
-		fmt.Fprintf(w, "swole_ingest_queries_total{outcome=%q} %d\n", o, m.ingestQueries[o])
-	}
-	fmt.Fprintf(w, "# HELP swole_ingest_rows_total Rows accepted and appended by POST /ingest.\n")
-	fmt.Fprintf(w, "# TYPE swole_ingest_rows_total counter\n")
-	fmt.Fprintf(w, "swole_ingest_rows_total %d\n", m.ingestRows)
-	fmt.Fprintf(w, "# HELP swole_ingest_rows_rejected_total Rows refused by POST /ingest (malformed under skip, or whole strict batches).\n")
-	fmt.Fprintf(w, "# TYPE swole_ingest_rows_rejected_total counter\n")
-	fmt.Fprintf(w, "swole_ingest_rows_rejected_total %d\n", m.ingestRejected)
-	fmt.Fprintf(w, "# HELP swole_ingest_duration_seconds Ingest batch wall time, admission wait included.\n")
-	fmt.Fprintf(w, "# TYPE swole_ingest_duration_seconds histogram\n")
-	for i, ub := range latencyBuckets {
-		fmt.Fprintf(w, "swole_ingest_duration_seconds_bucket{le=\"%g\"} %d\n", ub, m.ingestBuckets[i])
-	}
-	fmt.Fprintf(w, "swole_ingest_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.ingestCnt)
-	fmt.Fprintf(w, "swole_ingest_duration_seconds_sum %g\n", m.ingestSum)
-	fmt.Fprintf(w, "swole_ingest_duration_seconds_count %d\n", m.ingestCnt)
+	renderCounters(w, "swole_ingest_queries_total", "Ingest batches served, by outcome.", m.ingestQueries,
+		strings.Compare, func(o string) string { return fmt.Sprintf("outcome=%q", o) })
+	renderValue(w, "swole_ingest_rows_total", "counter", "Rows accepted and appended by POST /ingest.", m.ingestRows)
+	renderValue(w, "swole_ingest_rows_rejected_total", "counter", "Rows refused by POST /ingest (malformed under skip, or whole strict batches).", m.ingestRejected)
+	m.ingestDuration.render(w, "swole_ingest_duration_seconds", "Ingest batch wall time, admission wait included.")
 }
 
 // renderGC samples the runtime's GC telemetry at scrape time and emits the
@@ -286,16 +249,9 @@ func (m *metrics) renderGC(w *strings.Builder) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP swole_gc_pauses_total Stop-the-world GC pauses since process start.\n")
-	fmt.Fprintf(w, "# TYPE swole_gc_pauses_total counter\n")
-	fmt.Fprintf(w, "swole_gc_pauses_total %d\n", pauses)
-	fmt.Fprintf(w, "# HELP swole_gc_pause_max_seconds Upper bound of the longest GC pause observed.\n")
-	fmt.Fprintf(w, "# TYPE swole_gc_pause_max_seconds gauge\n")
-	fmt.Fprintf(w, "swole_gc_pause_max_seconds %g\n", maxPause)
-
+	renderValue(w, "swole_gc_pauses_total", "counter", "Stop-the-world GC pauses since process start.", pauses)
+	renderValue(w, "swole_gc_pause_max_seconds", "gauge", "Upper bound of the longest GC pause observed.", maxPause)
 	if c := m.gcSamples[1]; c.Value.Kind() == rtmetrics.KindUint64 {
-		fmt.Fprintf(w, "# HELP swole_gc_cycles_total Completed GC cycles since process start.\n")
-		fmt.Fprintf(w, "# TYPE swole_gc_cycles_total counter\n")
-		fmt.Fprintf(w, "swole_gc_cycles_total %d\n", c.Value.Uint64())
+		renderValue(w, "swole_gc_cycles_total", "counter", "Completed GC cycles since process start.", c.Value.Uint64())
 	}
 }

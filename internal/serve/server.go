@@ -197,16 +197,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // admit acquires an execution slot, waiting in the bounded queue if the
-// semaphore is full. The returned release must be called exactly once.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
+// semaphore is full. On success the caller frees the slot with <-s.sem.
+func (s *Server) admit(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
+		return nil
 	default:
 	}
 	if s.waiting.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiting.Add(-1)
-		return nil, errRejected
+		return errRejected
 	}
 	s.m.queued.Add(1)
 	defer func() {
@@ -215,10 +215,32 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	}()
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
+}
+
+// admitted is the one door for requests that do work (/query, /explain,
+// /ingest): refused with errDraining once Shutdown has begun, otherwise
+// given its deadline and an admission slot, then counted in flight while
+// work runs. work receives the deadline's context and how long admission
+// waited; it runs only when admission succeeded.
+func (s *Server) admitted(parent context.Context, timeoutMS int64, work func(ctx context.Context, wait time.Duration) error) error {
+	if s.draining.Load() {
+		return errDraining
+	}
+	ctx, cancel := s.deadline(parent, timeoutMS)
+	defer cancel()
+	waitStart := time.Now()
+	if err := s.admit(ctx); err != nil {
+		return err
+	}
+	defer func() { <-s.sem }()
+	wait := time.Since(waitStart)
+	s.m.inflight.Add(1)
+	defer s.m.inflight.Add(-1)
+	return work(ctx, wait)
 }
 
 // queryRequest is the POST /query body.
@@ -283,33 +305,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // returns the explain when one was produced and the classified outcome.
 func (s *Server) execute(parent context.Context, q string, timeoutMS int64, rows func(cols []string, flat []int64, width int)) (*swole.Explain, string, int, error) {
 	start := time.Now()
-	fail := func(err error) (*swole.Explain, string, int, error) {
-		outcome, status := outcomeOf(err)
-		s.m.observe("unknown", outcome, time.Since(start), nil)
-		return nil, outcome, status, err
-	}
-	if s.draining.Load() {
-		return fail(errDraining)
-	}
-	ctx, cancel := s.deadline(parent, timeoutMS)
-	defer cancel()
-	waitStart := time.Now()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return fail(err)
-	}
-	defer release()
-	s.m.observeWait(time.Since(waitStart))
-	s.m.inflight.Add(1)
-	defer s.m.inflight.Add(-1)
-	ex, err := s.run(ctx, q, rows)
+	var ex *swole.Explain
+	err := s.admitted(parent, timeoutMS, func(ctx context.Context, wait time.Duration) error {
+		s.m.observeWait(wait)
+		e, err := s.run(ctx, q, rows)
+		ex = &e
+		return err
+	})
 	outcome, status := outcomeOf(err)
-	// Metrics aggregate under the bounded shape bucket, not the raw
-	// synthesized signature: signatures grow with the statement (join
-	// counts, OR widths, aggregate lists) and would make the shape label's
-	// cardinality unbounded. /explain still reports the full signature.
-	s.m.observe(swole.ShapeBucket(ex.Shape), outcome, time.Since(start), &ex)
-	return &ex, outcome, status, err
+	shape := "unknown" // refused at the door
+	if ex != nil {
+		// Metrics aggregate under the bounded shape bucket, not the raw
+		// synthesized signature: signatures grow with the statement (join
+		// counts, OR widths, aggregate lists) and would make the shape
+		// label's cardinality unbounded. /explain still reports the full
+		// signature.
+		shape = swole.ShapeBucket(ex.Shape)
+	}
+	s.m.observe(shape, outcome, time.Since(start), ex)
+	return ex, outcome, status, err
 }
 
 // Response bodies are built in pooled buffers. One that grew past
@@ -481,32 +495,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	fail := func(err error, rep swole.IngestReport) {
-		outcome, status := outcomeOf(err)
-		s.m.observeIngest(outcome, time.Since(start), rep.Accepted, rep.Rejected)
-		writeJSON(w, status, ingestResponse{IngestReport: rep, Error: err.Error()})
-	}
-	if s.draining.Load() {
-		fail(errDraining, swole.IngestReport{})
-		return
-	}
-	ctx, cancel := s.deadline(r.Context(), 0)
-	defer cancel()
-	release, err := s.admit(ctx)
+	var rep swole.IngestReport
+	err = s.admitted(r.Context(), 0, func(context.Context, time.Duration) error {
+		var err error
+		rep, err = s.ingest(table, body, policy)
+		return err
+	})
+	outcome, status := outcomeOf(err)
+	s.m.observeIngest(outcome, time.Since(start), rep.Accepted, rep.Rejected)
+	resp := ingestResponse{IngestReport: rep}
 	if err != nil {
-		fail(err, swole.IngestReport{})
-		return
+		resp.Error = err.Error()
 	}
-	defer release()
-	s.m.inflight.Add(1)
-	defer s.m.inflight.Add(-1)
-	rep, err := s.ingest(table, body, policy)
-	if err != nil {
-		fail(err, rep)
-		return
-	}
-	s.m.observeIngest(outcomeOK, time.Since(start), rep.Accepted, rep.Rejected)
-	writeJSON(w, http.StatusOK, ingestResponse{IngestReport: rep})
+	writeJSON(w, status, resp)
 }
 
 // handleExplain executes the q parameter (under the same admission and
