@@ -1,10 +1,4 @@
-// Package load is the closed-loop serving-latency harness: a paced HTTP
-// load generator for swoled with an HDR-style latency histogram and
-// server-side attribution scraped from /metrics. It is the measurement
-// half of the serving story — internal/serve shapes load at the door;
-// this package tells you what the tail looked like and where it came
-// from (execution, admission queueing, or GC pauses).
-package load
+package main
 
 import (
 	"math/bits"

@@ -1,4 +1,4 @@
-package load
+package main
 
 import (
 	"bytes"
@@ -29,48 +29,9 @@ import (
 // GC pause counters — the decomposition a tail-latency investigation
 // starts from.
 
-// Query is one entry in the workload mix.
-type Query struct {
-	SQL    string
-	Weight int // relative frequency; <= 0 means 1
-}
-
-// Config parameterizes a load run.
-type Config struct {
-	// Addr is the server's base address: "host:port" or a full URL.
-	Addr string
-	// QPS is the aggregate target rate across all connections; 0 removes
-	// pacing (each connection issues back-to-back requests).
-	QPS float64
-	// Conns is the number of concurrent closed-loop connections; default 4.
-	Conns int
-	// Duration bounds the run; default 10s.
-	Duration time.Duration
-	// Timeout is the per-request HTTP timeout; default 10s.
-	Timeout time.Duration
-	// Mix is the workload; required unless Ingest takes every slot.
-	Mix []Query
-	// Ingest configures the write side of a mixed read/write run; nil
-	// means read-only.
-	Ingest *IngestConfig
-}
-
-// IngestConfig is the write side of a mixed workload: every ingest slot
-// POSTs the same CSV batch to /ingest.
-type IngestConfig struct {
-	// Percent of requests that are ingest batches, 1..100.
-	Percent int
-	// Table receives the batches.
-	Table string
-	// Body is the CSV batch posted on each ingest request.
-	Body []byte
-	// Policy is "strict" (default) or "skip".
-	Policy string
-}
-
-// Outcomes counts finished requests by server classification (mirroring
+// outcomes counts finished requests by server classification (mirroring
 // the serve package's outcome labels, keyed by HTTP status).
-type Outcomes struct {
+type outcomes struct {
 	OK        uint64 `json:"ok"`
 	Rejected  uint64 `json:"rejected"`  // 429/503: admission refused
 	Timeouts  uint64 `json:"timeouts"`  // 504: query deadline exceeded
@@ -78,9 +39,9 @@ type Outcomes struct {
 	Transport uint64 `json:"transport"` // request never got a response
 }
 
-// Attribution is the server-side decomposition of the load window,
+// attribution is the server-side decomposition of the load window,
 // computed by diffing two /metrics scrapes.
-type Attribution struct {
+type attribution struct {
 	// Queries the server finished during the window.
 	Queries uint64 `json:"queries"`
 	// WaitSeconds is the total admission-queue wait; ExecSeconds is total
@@ -100,15 +61,15 @@ type Attribution struct {
 	IngestSeconds float64 `json:"ingest_seconds,omitempty"`
 }
 
-// Report is a finished run, shaped for JSON (swoleload -json).
-type Report struct {
+// report is a finished run, shaped for JSON (-json).
+type report struct {
 	TargetQPS   float64 `json:"target_qps"`
 	AchievedQPS float64 `json:"achieved_qps"`
 	Conns       int     `json:"conns"`
 	DurationSec float64 `json:"duration_seconds"`
 	Requests    uint64  `json:"requests"`
 
-	Outcomes Outcomes `json:"outcomes"`
+	Outcomes outcomes `json:"outcomes"`
 
 	// Latency quantiles in milliseconds, measured client-side request to
 	// full response.
@@ -122,28 +83,28 @@ type Report struct {
 	// Ingest is present on mixed read/write runs: the write side's own
 	// outcome and latency tallies. The top-level quantiles and outcomes
 	// cover reads only, so a p99 gate bounds read latency unpolluted by
-	// batch appends; ErrorRate spans both sides.
-	Ingest *IngestStats `json:"ingest,omitempty"`
+	// batch appends; errorRate spans both sides.
+	Ingest *ingestStats `json:"ingest,omitempty"`
 
 	// Server is nil when the /metrics scrape failed.
-	Server *Attribution `json:"server,omitempty"`
+	Server *attribution `json:"server,omitempty"`
 }
 
-// IngestStats is the write side of a mixed run's report.
-type IngestStats struct {
+// ingestStats is the write side of a mixed run's report.
+type ingestStats struct {
 	Requests     uint64   `json:"requests"`
 	RowsAccepted uint64   `json:"rows_accepted"`
 	RowsRejected uint64   `json:"rows_rejected"`
-	Outcomes     Outcomes `json:"outcomes"`
+	Outcomes     outcomes `json:"outcomes"`
 	P50ms        float64  `json:"p50_ms"`
 	P99ms        float64  `json:"p99_ms"`
 	MaxMs        float64  `json:"max_ms"`
 	MeanMs       float64  `json:"mean_ms"`
 }
 
-// ErrorRate is the fraction of requests — reads and ingests — that did
+// errorRate is the fraction of requests — reads and ingests — that did
 // not come back OK.
-func (r *Report) ErrorRate() float64 {
+func (r *report) errorRate() float64 {
 	total, ok := r.Requests, r.Outcomes.OK
 	if r.Ingest != nil {
 		total += r.Ingest.Requests
@@ -155,10 +116,11 @@ func (r *Report) ErrorRate() float64 {
 	return 1 - float64(ok)/float64(total)
 }
 
-// Gate checks the report against CI bounds: a p99 ceiling (0 disables)
-// and a maximum error rate (negative disables). It returns one message
-// per violation, empty when the run passes.
-func (r *Report) Gate(maxP99 time.Duration, maxErrRate float64) []string {
+// gate checks the report against the run's rules: every request, read or
+// ingest, must come back OK, and the read p99 must stay under maxP99 (0
+// disables that bound). It returns one message per violation, empty when
+// the run passes.
+func (r *report) gate(maxP99 time.Duration) []string {
 	var v []string
 	if r.Requests == 0 {
 		return append(v, "no requests completed")
@@ -166,46 +128,10 @@ func (r *Report) Gate(maxP99 time.Duration, maxErrRate float64) []string {
 	if maxP99 > 0 && time.Duration(r.P99ms*float64(time.Millisecond)) > maxP99 {
 		v = append(v, fmt.Sprintf("p99 %.2fms exceeds gate %v", r.P99ms, maxP99))
 	}
-	if maxErrRate >= 0 {
-		if rate := r.ErrorRate(); rate > maxErrRate {
-			v = append(v, fmt.Sprintf("error rate %.4f exceeds gate %.4f (outcomes %+v)", rate, maxErrRate, r.Outcomes))
-		}
+	if rate := r.errorRate(); rate > 0 {
+		v = append(v, fmt.Sprintf("error rate %.4f: every request must come back OK", rate))
 	}
 	return v
-}
-
-func (c Config) withDefaults() Config {
-	if !strings.Contains(c.Addr, "://") {
-		c.Addr = "http://" + c.Addr
-	}
-	c.Addr = strings.TrimRight(c.Addr, "/")
-	if c.Conns <= 0 {
-		c.Conns = 4
-	}
-	if c.Duration <= 0 {
-		c.Duration = 10 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	return c
-}
-
-// schedule expands the weighted mix into a deterministic round-robin
-// cycle; connection i starts at offset i, so the mix interleaves across
-// connections without shared state or randomness.
-func schedule(mix []Query) []string {
-	var cycle []string
-	for _, q := range mix {
-		w := q.Weight
-		if w <= 0 {
-			w = 1
-		}
-		for i := 0; i < w; i++ {
-			cycle = append(cycle, q.SQL)
-		}
-	}
-	return cycle
 }
 
 // op is one slot of the combined read/write cycle.
@@ -214,37 +140,30 @@ type op struct {
 	sql    string
 }
 
-// buildCycle interleaves ingest slots into the read cycle at the
-// configured percentage, spreading them evenly (Bresenham-style) so that
-// writes arrive steadily rather than in bursts. The combined cycle spans
-// 100 read-cycle repetitions, which preserves both the read weights and
-// the ingest fraction exactly.
-func buildCycle(mix []Query, ing *IngestConfig) []op {
-	reads := schedule(mix)
-	if ing == nil || ing.Percent <= 0 {
-		ops := make([]op, len(reads))
-		for i, sql := range reads {
+// buildCycle interleaves ingest slots into readCycle at ingestWeight
+// percent, spreading them evenly (Bresenham-style) so that writes arrive
+// steadily rather than in bursts. The combined cycle spans 100 read-cycle
+// repetitions, which preserves both the read mix and the ingest fraction
+// exactly. Connection i starts at offset i, so the cycle interleaves
+// across connections without shared state or randomness.
+func buildCycle(ingestWeight int) []op {
+	if ingestWeight <= 0 {
+		ops := make([]op, len(readCycle))
+		for i, sql := range readCycle {
 			ops[i] = op{sql: sql}
 		}
 		return ops
 	}
-	p := ing.Percent
-	if p > 100 {
-		p = 100
-	}
-	n := 100
-	if len(reads) > 0 {
-		n = 100 * len(reads)
-	}
+	n := 100 * len(readCycle)
 	ops := make([]op, 0, n)
 	acc, ri := 0, 0
 	for i := 0; i < n; i++ {
-		acc += p
+		acc += ingestWeight
 		if acc >= 100 {
 			acc -= 100
 			ops = append(ops, op{ingest: true})
 		} else {
-			ops = append(ops, op{sql: reads[ri%len(reads)]})
+			ops = append(ops, op{sql: readCycle[ri%len(readCycle)]})
 			ri++
 		}
 	}
@@ -254,69 +173,55 @@ func buildCycle(mix []Query, ing *IngestConfig) []op {
 // connResult is one connection's private tally, merged after the run.
 type connResult struct {
 	hist Hist
-	out  Outcomes
+	out  outcomes
 
 	ingestHist     Hist
-	ingestOut      Outcomes
+	ingestOut      outcomes
 	ingestAccepted uint64
 	ingestRejected uint64
 }
 
-// Run drives the configured load against the server and reports. It
-// returns an error only for unusable configuration or a totally
-// unreachable server; per-request failures are counted, not fatal.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Mix) == 0 && (cfg.Ingest == nil || cfg.Ingest.Percent < 100) {
-		return nil, fmt.Errorf("load: empty query mix")
-	}
-	if cfg.Ingest != nil && cfg.Ingest.Percent > 0 {
-		if cfg.Ingest.Table == "" {
-			return nil, fmt.Errorf("load: ingest mix needs a table")
-		}
-		if len(cfg.Ingest.Body) == 0 {
-			return nil, fmt.Errorf("load: ingest mix needs a CSV body")
-		}
-	}
-	cycle := buildCycle(cfg.Mix, cfg.Ingest)
+// run drives conns closed-loop connections at qps aggregate for duration
+// against the server at base (a URL), ingestWeight percent of the requests
+// being batchRows-row batches to ingestPath, and reports. Per-request
+// failures are counted, not fatal.
+func run(ctx context.Context, base string, qps float64, conns int, duration time.Duration, ingestWeight int) *report {
+	cycle := buildCycle(ingestWeight)
+	batch := microBatch()
 
 	client := &http.Client{
-		Timeout: cfg.Timeout,
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
-			MaxIdleConns:        cfg.Conns,
-			MaxIdleConnsPerHost: cfg.Conns,
+			MaxIdleConns:        conns,
+			MaxIdleConnsPerHost: conns,
 		},
 	}
 	defer client.CloseIdleConnections()
 
-	before, scrapeErr := scrape(ctx, client, cfg.Addr)
+	before, scrapeErr := scrape(ctx, client, base)
 
-	interval := time.Duration(0)
-	if cfg.QPS > 0 {
-		interval = time.Duration(float64(cfg.Conns) / cfg.QPS * float64(time.Second))
-	}
-
-	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
+	interval := time.Duration(float64(conns) / qps * float64(time.Second))
+	runCtx, cancel := context.WithTimeout(ctx, duration)
 	defer cancel()
-	results := make([]connResult, cfg.Conns)
+	results := make([]connResult, conns)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Conns; c++ {
+	for c := 0; c < conns; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			drive(runCtx, client, cfg.Addr, cycle, c, interval, cfg.Ingest, &results[c])
+			drive(runCtx, client, base, cycle, c, interval, batch, &results[c])
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := &Report{
-		TargetQPS:   cfg.QPS,
-		Conns:       cfg.Conns,
+	rep := &report{
+		TargetQPS:   qps,
+		Conns:       conns,
 		DurationSec: elapsed.Seconds(),
 	}
-	addOutcomes := func(dst, o *Outcomes) {
+	addOutcomes := func(dst, o *outcomes) {
 		dst.OK += o.OK
 		dst.Rejected += o.Rejected
 		dst.Timeouts += o.Timeouts
@@ -324,7 +229,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		dst.Transport += o.Transport
 	}
 	var hist, ingestHist Hist
-	var ingest IngestStats
+	var ingest ingestStats
 	for i := range results {
 		hist.Merge(&results[i].hist)
 		addOutcomes(&rep.Outcomes, &results[i].out)
@@ -343,7 +248,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.P999ms = ms(hist.Quantile(0.999))
 	rep.MaxMs = ms(hist.Max())
 	rep.MeanMs = ms(hist.Mean())
-	if cfg.Ingest != nil && cfg.Ingest.Percent > 0 {
+	if ingestWeight > 0 {
 		ingest.P50ms = ms(ingestHist.Quantile(0.50))
 		ingest.P99ms = ms(ingestHist.Quantile(0.99))
 		ingest.MaxMs = ms(ingestHist.Max())
@@ -352,30 +257,31 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	if scrapeErr == nil {
-		if after, err := scrape(ctx, client, cfg.Addr); err == nil {
+		if after, err := scrape(ctx, client, base); err == nil {
 			rep.Server = attribute(before, after)
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // drive is one connection's closed loop: pace, pick the next slot from
-// the cycle, POST it (query or ingest batch), classify, record.
-func drive(ctx context.Context, client *http.Client, base string, cycle []op, conn int, interval time.Duration, ing *IngestConfig, res *connResult) {
+// the cycle, POST it (query or ingest batch), classify, record. Every
+// connection starts its schedule when the run starts, so the
+// connections' slots coincide: the load arrives as one request from each
+// connection at once, every interval.
+func drive(ctx context.Context, client *http.Client, base string, cycle []op, conn int, interval time.Duration, batch []byte, res *connResult) {
 	next := time.Now()
 	for i := 0; ; i++ {
-		if interval > 0 {
-			if d := time.Until(next); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return
-				}
+		if d := time.Until(next); d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return
 			}
-			next = next.Add(interval)
 		}
+		next = next.Add(interval)
 		if ctx.Err() != nil {
 			return
 		}
@@ -387,7 +293,7 @@ func drive(ctx context.Context, client *http.Client, base string, cycle []op, co
 		if slot.ingest {
 			hist, out = &res.ingestHist, &res.ingestOut
 			var accepted, rejected uint64
-			d, status, accepted, rejected, err = postIngest(ctx, client, base, ing)
+			d, status, accepted, rejected, err = postIngest(ctx, client, base, batch)
 			res.ingestAccepted += accepted
 			res.ingestRejected += rejected
 		} else {
@@ -432,14 +338,10 @@ func post(ctx context.Context, client *http.Client, base, sql string) (time.Dura
 	return time.Since(start), resp.StatusCode, nil
 }
 
-// postIngest issues one CSV batch to /ingest and reads back the report's
-// row counts.
-func postIngest(ctx context.Context, client *http.Client, base string, ing *IngestConfig) (time.Duration, int, uint64, uint64, error) {
-	url := base + "/ingest?table=" + ing.Table
-	if ing.Policy != "" {
-		url += "&policy=" + ing.Policy
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(ing.Body))
+// postIngest POSTs one CSV batch to ingestPath and reads back the
+// report's row counts.
+func postIngest(ctx context.Context, client *http.Client, base string, batch []byte) (time.Duration, int, uint64, uint64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+ingestPath, bytes.NewReader(batch))
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -473,7 +375,7 @@ func scrape(ctx context.Context, client *http.Client, base string) (map[string]f
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("load: /metrics returned %s", resp.Status)
+		return nil, fmt.Errorf("/metrics returned %s", resp.Status)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -496,7 +398,7 @@ func scrape(ctx context.Context, client *http.Client, base string) (map[string]f
 }
 
 // attribute diffs two scrapes into the window's server-side story.
-func attribute(before, after map[string]float64) *Attribution {
+func attribute(before, after map[string]float64) *attribution {
 	d := func(name string) float64 { return after[name] - before[name] }
 	total := d("swole_query_duration_seconds_sum")
 	wait := d("swole_admission_wait_seconds_sum")
@@ -504,7 +406,7 @@ func attribute(before, after map[string]float64) *Attribution {
 	if exec < 0 {
 		exec = 0
 	}
-	return &Attribution{
+	return &attribution{
 		Queries:           uint64(d("swole_query_duration_seconds_count")),
 		WaitSeconds:       wait,
 		ExecSeconds:       exec,

@@ -1,28 +1,26 @@
-// Command swoleload drives a running swoled with closed-loop load and
-// reports tail latency.
+// Command swoleload drives a running swoled with closed-loop load, reports
+// tail latency, and exits nonzero when the run fails its gates. It runs
+// one load shape, CI's (the constants below), read-only or with a share
+// of CSV ingest batches:
 //
-//	swoleload -addr localhost:8080 -qps 200 -conns 8 -duration 30s \
-//	    -query 'select sum(r_a) from r where r_x < 50@3' \
-//	    -query 'select r_c, sum(r_a) from r where r_x < 50 group by r_c@1' \
-//	    -json serving.json -gate-p99 250ms -gate-errors 0
+//	swoleload -addr 127.0.0.1:8080 -json serving.json -gate-p99 250ms
+//	swoleload -addr 127.0.0.1:8080 -ingest-weight 10 \
+//	    -json serving-mixed.json -gate-p99 226ms
 //
-// Each -query takes "sql@weight" (weight optional, default 1); the mix is
-// interleaved deterministically across connections. The run prints a
-// human summary, optionally writes the full report as JSON, and exits
-// nonzero when a gate fails — CI wires -gate-p99 and -gate-errors
-// directly into the job result.
+// Eight closed-loop connections pace toward 100 requests a second for 30
+// seconds. Every connection starts its schedule when the run starts and
+// owes one request every 80 ms, so the load arrives as 8 requests at once
+// every 80 ms, not one request every 10 ms; against swoled's default 4
+// execution slots, up to half of each burst waits in the admission queue,
+// and that wait is part of the measured latency.
 //
-// -ingest-weight N makes N percent of the requests CSV batches POSTed to
-// /ingest (a mixed read/write workload):
-//
-//	swoleload -ingest-weight 10 -ingest-rows 64 -duration 30s \
-//	    -gate-p99 250ms -gate-errors 0
-//
-// Batches come from -ingest-file, or — against the default swoled
-// microbenchmark — from a generated batch of -ingest-rows valid rows for
-// the fact table r. Ingest latencies and outcomes are reported (and
-// gated) separately from reads: -gate-p99 bounds read latency alone,
-// -gate-errors spans both sides.
+// Reads cycle through a fixed 3:1 mix of a masked scalar aggregate and a
+// grouped one. -ingest-weight N makes N percent of the requests 64-row
+// batches of valid fact-table rows POSTed to /ingest?table=r&policy=strict,
+// spread evenly through the cycle; N must lie in 0..99. Ingest latencies
+// and outcomes are reported separately from reads: -gate-p99 bounds read
+// latency alone. Every request, read or ingest, must come back OK, or the
+// run fails.
 package main
 
 import (
@@ -37,118 +35,81 @@ import (
 	"strings"
 	"syscall"
 	"time"
-
-	"github.com/reprolab/swole/internal/load"
 )
 
-// queryFlags collects repeated -query flags, each "sql@weight".
-type queryFlags []load.Query
+// The load shape CI's serving-latency job gates.
+const (
+	ciQPS          = 100
+	ciConns        = 8
+	ciDuration     = 30 * time.Second
+	requestTimeout = 10 * time.Second
 
-func (q *queryFlags) String() string { return fmt.Sprintf("%d queries", len(*q)) }
+	scalarSQL  = "select sum(r_a) from r where r_x < 50"
+	groupedSQL = "select r_c, sum(r_a) from r where r_x < 50 group by r_c"
 
-func (q *queryFlags) Set(s string) error {
-	sql, weight := s, 1
-	// The weight suffix is the part after the LAST @ — SQL text contains
-	// no @, but guard against one anyway by requiring an integer suffix.
-	if at := strings.LastIndex(s, "@"); at > 0 {
-		if w, err := strconv.Atoi(s[at+1:]); err == nil {
-			if w <= 0 {
-				return fmt.Errorf("weight must be positive in %q", s)
-			}
-			sql, weight = s[:at], w
-		}
-	}
-	if strings.TrimSpace(sql) == "" {
-		return fmt.Errorf("empty query")
-	}
-	*q = append(*q, load.Query{SQL: sql, Weight: weight})
-	return nil
-}
+	batchRows  = 64
+	ingestPath = "/ingest?table=r&policy=strict"
+)
 
-// defaultMix exercises the serving path's main shapes against the swoled
-// microbenchmark dataset: a masked scalar aggregate and a grouped one.
-var defaultMix = []load.Query{
-	{SQL: "select sum(r_a) from r where r_x < 50", Weight: 3},
-	{SQL: "select r_c, sum(r_a) from r where r_x < 50 group by r_c", Weight: 1},
-}
+// readCycle is the read mix, three scalar aggregates to one grouped one.
+var readCycle = []string{scalarSQL, scalarSQL, scalarSQL, groupedSQL}
 
-// microBatch generates n valid CSV rows for the swoled microbenchmark
-// fact table r (r_a, r_b, r_x, r_y, r_c, r_fk). Values stay inside the
-// loaded columns' physical widths and r_fk inside the dimension's first
-// 100 keys, so batches append under strict policy against any -dim ≥ 100.
-func microBatch(n int) []byte {
-	if n <= 0 {
-		n = 64
-	}
+// microBatch generates batchRows valid CSV rows for the swoled
+// microbenchmark fact table r (r_a, r_b, r_x, r_y, r_c, r_fk). Values stay
+// inside the loaded columns' physical widths and r_fk inside the
+// dimension's first 100 keys, so batches append under strict policy
+// against any -dim ≥ 100.
+func microBatch() []byte {
 	var b strings.Builder
-	for i := 0; i < n; i++ {
+	for i := 0; i < batchRows; i++ {
 		fmt.Fprintf(&b, "%d,1,%d,1,%d,%d\n", i%9, i%100, i%8, i%100)
 	}
 	return []byte(b.String())
 }
 
+// ingestWeight is -ingest-weight, the percent of requests that are ingest
+// batches. Set refuses a weight outside 0..99, which the flag package
+// reports at parse with exit status 2: 100 or more leaves the cycle no
+// reads to gate, and a negative weight is no share at all.
+type ingestWeight int
+
+func (w *ingestWeight) String() string { return strconv.Itoa(int(*w)) }
+
+func (w *ingestWeight) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return err
+	}
+	if n < 0 || n > 99 {
+		return fmt.Errorf("%d is not a percent in 0..99", n)
+	}
+	*w = ingestWeight(n)
+	return nil
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8080", "swoled address (host:port or URL)")
-		qps      = flag.Float64("qps", 100, "aggregate target rate; 0 = unpaced")
-		conns    = flag.Int("conns", 4, "closed-loop connections")
-		duration = flag.Duration("duration", 10*time.Second, "run length")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout")
 		jsonPath = flag.String("json", "", "write the full report to this file")
-
-		gateP99    = flag.Duration("gate-p99", 0, "fail when the read p99 exceeds this (0 = off)")
-		gateErrors = flag.Float64("gate-errors", -1, "fail when the error rate across reads and ingests exceeds this fraction (negative = off)")
-
-		ingestWeight = flag.Int("ingest-weight", 0, "percent of requests that are CSV batches POSTed to /ingest (0 = read-only)")
-		ingestTable  = flag.String("ingest-table", "r", "table the batches append to")
-		ingestFile   = flag.String("ingest-file", "", "CSV batch to POST (default: generate -ingest-rows micro fact-table rows)")
-		ingestRows   = flag.Int("ingest-rows", 64, "rows per generated batch when -ingest-file is unset")
-		ingestPolicy = flag.String("ingest-policy", "strict", "malformed-row policy: strict or skip")
+		gateP99  = flag.Duration("gate-p99", 0, "fail when the read p99 exceeds this (0 = off)")
+		weight   ingestWeight
 	)
-	var mix queryFlags
-	flag.Var(&mix, "query", "workload entry \"sql@weight\" (repeatable; default: built-in micro mix)")
+	flag.Var(&weight, "ingest-weight", "`percent` of requests that are CSV batches POSTed to /ingest, 0..99 (0 = read-only)")
 	flag.Parse()
-	if len(mix) == 0 {
-		mix = defaultMix
-	}
 
-	var ingest *load.IngestConfig
-	if *ingestWeight > 0 {
-		body := microBatch(*ingestRows)
-		if *ingestFile != "" {
-			b, err := os.ReadFile(*ingestFile)
-			if err != nil {
-				log.Fatalf("swoleload: %v", err)
-			}
-			body = b
-		}
-		ingest = &load.IngestConfig{
-			Percent: *ingestWeight,
-			Table:   *ingestTable,
-			Body:    body,
-			Policy:  *ingestPolicy,
-		}
+	base := strings.TrimRight(*addr, "/")
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("swoleload: %d conns, target %.0f qps, %v against %s", *conns, *qps, *duration, *addr)
-	if ingest != nil {
-		log.Printf("swoleload: %d%% of requests are %d-byte ingest batches to table %s", ingest.Percent, len(ingest.Body), ingest.Table)
+	log.Printf("swoleload: %d conns, target %d qps, %v against %s", ciConns, ciQPS, ciDuration, base)
+	if weight > 0 {
+		log.Printf("swoleload: %d%% of requests are %d-row ingest batches to %s", weight, batchRows, ingestPath)
 	}
-	rep, err := load.Run(ctx, load.Config{
-		Addr:     *addr,
-		QPS:      *qps,
-		Conns:    *conns,
-		Duration: *duration,
-		Timeout:  *timeout,
-		Mix:      mix,
-		Ingest:   ingest,
-	})
-	if err != nil {
-		log.Fatalf("swoleload: %v", err)
-	}
+	rep := run(ctx, base, ciQPS, ciConns, ciDuration, int(weight))
 
 	fmt.Printf("requests %d  achieved %.1f qps (target %.1f)\n", rep.Requests, rep.AchievedQPS, rep.TargetQPS)
 	fmt.Printf("latency ms  p50 %.2f  p90 %.2f  p99 %.2f  p999 %.2f  max %.2f  mean %.2f\n",
@@ -182,7 +143,7 @@ func main() {
 		log.Printf("report written to %s", *jsonPath)
 	}
 
-	if violations := rep.Gate(*gateP99, *gateErrors); len(violations) > 0 {
+	if violations := rep.gate(*gateP99); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "GATE FAILED: "+v)
 		}
