@@ -110,10 +110,12 @@ type Explain struct {
 	// allocations on a plan's first run, 0 in steady state.
 	FreshAllocs int
 
-	// Variants aggregates the kernel-variant selection counters across the
-	// run's workers: which lane widths the compare/widen prepasses ran at,
-	// how tile selection split across the density classes, how many tiles
-	// went through dict-coded or masked forms.
+	// Kernel names the plan's fold key (selectfold.go), the loop every tile
+	// folds with, fixed at compile: e.g. sum2(i8;i16,i64)/keyed/key.
+	Kernel string
+	// Variants aggregates the per-tile counters across the run's workers:
+	// selection density classes, compare and widen lane widths, dict-coded
+	// key tiles.
 	Variants vec.Counters
 }
 
@@ -126,8 +128,8 @@ func (e Explain) String() string {
 	if e.Variants.Total() > 0 {
 		variants = fmt.Sprintf(" variants=[%s]", e.Variants.String())
 	}
-	return fmt.Sprintf("technique=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s prepare=%s(stats=%s) scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
-		e.Technique, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
+	return fmt.Sprintf("technique=%s kernel=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s prepare=%s(stats=%s) scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
+		e.Technique, e.Kernel, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
 		e.PrepareTime, e.StatsTime, e.ScanTime, e.MergeTime, e.StatsCached, e.PlanCached, e.HTGrows, e.FreshAllocs,
 		e.Costs, e.Merged, variants)
 }

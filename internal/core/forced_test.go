@@ -53,12 +53,12 @@ func TestGroupAggForcedAllTechniquesAgree(t *testing.T) {
 	}
 }
 
-// TestForcedKeyMaskingCountsTiles: a forced key-masking plan counts its
-// tiles in Explain.Variants.KeyMask on both table forms — the key-addressed
-// table, whose rejected lanes reach the throwaway record by slot arithmetic
-// with no masked key vector, each counted there as the paper's throwaway
-// entry counts it, and the hashed one, handed keys masked to ht.NullKey —
-// and answers as the reference does.
+// TestForcedKeyMaskingCountsTiles: a forced key-masking plan names its key
+// masking loop in Explain.Kernel on both table forms — on the key-addressed
+// (packed) table the one-sum record, whose rejected lanes reach the throwaway
+// record by slot arithmetic with no masked key vector, each counted there as
+// the paper's throwaway entry counts it; on the hashed one the lane passes,
+// handed keys masked to ht.NullKey — and answers as the reference does.
 func TestForcedKeyMaskingCountsTiles(t *testing.T) {
 	db := testDB(t, 20_000, 100, 17)
 	sparse := testDB(t, 20_000, 100, 17)
@@ -72,10 +72,10 @@ func TestForcedKeyMaskingCountsTiles(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name  string
-		db    *storage.Database
-		dense bool
-	}{{"key-addressed", db, true}, {"hashed", sparse, false}} {
+		name, kernel string
+		db           *storage.Database
+		dense        bool
+	}{{"key-addressed", "sum1(i8;i8)/packed/key", db, true}, {"hashed", "lanes(i64)/hashed/key", sparse, false}} {
 		e := NewEngine(c.db)
 		e.Workers = 1 // one table: its throwaway record saw every rejected row
 		p, err := e.PrepareForced(groupSpec(q), TechKeyMasking)
@@ -86,8 +86,8 @@ func TestForcedKeyMaskingCountsTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex.Technique != TechKeyMasking || (ex.DenseDomain > 0) != c.dense || ex.Variants.KeyMask == 0 {
-			t.Errorf("%s: %s, DenseDomain %d, %d key-masked tiles", c.name, ex.Technique, ex.DenseDomain, ex.Variants.KeyMask)
+		if ex.Technique != TechKeyMasking || (ex.DenseDomain > 0) != c.dense || ex.Kernel != c.kernel {
+			t.Errorf("%s: %s, DenseDomain %d, kernel %s; want kernel %s", c.name, ex.Technique, ex.DenseDomain, ex.Kernel, c.kernel)
 		}
 		if tw := p.tab.Count(-1); c.dense && tw != rejected {
 			t.Errorf("%s: throwaway record counted %d rows, want the %d rejected", c.name, tw, rejected)

@@ -22,10 +22,10 @@ import (
 // the engine and a never-seen statement's compile allocates none.
 type worker struct {
 	ev *expr.Evaluator
-	// ctr is this worker's kernel-variant counters. The evaluator counts into
-	// it too, so the compare/widen prepass counts and the counts the kernels
-	// bump directly land in one place; sumVariants folds them into Explain
-	// after each run.
+	// ctr is this worker's per-tile counters: the evaluator's compare lanes
+	// and dict-key tiles, the tile stage's widens and selection densities
+	// (the fold loop is fixed per plan: Explain.Kernel). sumVariants folds
+	// them into Explain after each run.
 	ctr    vec.Counters
 	cmp    []byte  // 0/1 predicate results, one lane per row
 	tcmp   []byte  // the residual's mask

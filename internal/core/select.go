@@ -27,21 +27,18 @@ import (
 //	               (Section III-D), so no hash table is built — or, under
 //	               hybrid, narrows the selection vector to the lanes whose
 //	               parent qualified
-//	tile vectors   every joined-schema column the statement reads but a fused
+//	tile vectors   every joined-schema column the statement reads but a record
 //	               fold's own becomes one []int64 vector: widened in place for
 //	               root columns, gathered by position for parent columns
 //	row stage      residual and aggregate arguments evaluate over whole
 //	               vectors; a residual is one more AND into the mask
 //	group keys     GROUP BY keys pack into one int64 (selectkeys.go) — a lone
 //	               key column of a key-addressed table is its own key — or,
-//	               for a fused fold, pack inside its loop
-//	fold           one loop resolves the keys to slots of the worker's
-//	               ht.AggTable and folds the count and every lane of a fused
-//	               signature — one to three sums, or a min and a max — when
-//	               the table is at most fuseBytes (selectfuse.go), or the
-//	               count and a leading sum (FoldTile) with each further lane
-//	               folding over the slots; a scalar sum(a*b) over two root
-//	               columns reads both in place
+//	               for a record fold, pack inside its loop
+//	fold           the one loop the plan's fold key names, bound at compile
+//	               and named in Explain.Kernel (selectfold.go); what still
+//	               varies per tile — selection density, compare and widen
+//	               widths, dict-coded keys — is counted in Explain.Variants
 //
 // The cost model picks, per statement at prepare time, how the mask is
 // paid for: hybrid compacts the tile to a selection vector and runs the row
@@ -179,8 +176,7 @@ func (s stageSource) Leaf(name string) (expr.Leaf, error) {
 // already sit.
 type rowExpr struct {
 	e    expr.Expr
-	slot int             // the tile vector holding e when e is a bare column with one, else -1
-	col  *storage.Column // the storage column when e is a bare column without one
+	slot int // the tile vector holding e when e is a bare column with one, else -1
 	// merged: e is an aggregate argument structurally equal to the one folded
 	// just before it, which left the operand vector both fold from (access
 	// merging, Section III-C).
@@ -190,9 +186,16 @@ type rowExpr struct {
 // selAgg is one aggregate with its accumulator lane.
 type selAgg struct {
 	kind AggKind
-	arg  rowExpr   // arg.e == nil for count(*)
-	mul  []rowExpr // the two factors when arg is a product of bare columns
-	lane int       // accumulator lane; -1 for count, which reads the shared tuple count
+	arg  rowExpr // arg.e == nil for count(*)
+	lane int     // accumulator lane; -1 for count, which reads the shared tuple count
+	// shared: another lane's argument is equal, and both fold from one
+	// operand vector (mergeOperands).
+	shared bool
+	// Bound by bindFold: a scalar lane's masked reduction (mul: the factors it
+	// reads from tile vectors), or a lane pass over resolved slots.
+	scalar scalarLane
+	mul    []rowExpr
+	tile   func(t *ht.AggTable, slots []int32, acc int, vals []int64, cmp []byte)
 }
 
 // identity is what a rejected lane contributes under value masking, and
@@ -243,16 +246,16 @@ type PreparedSelect struct {
 	residual rowExpr
 	aggs     []selAgg
 	fold     []int // the aggregates with a lane, equal arguments adjacent
-	// pairFold: every lane of a grouped tile passes — hybrid compacted it, or
-	// nothing filters — and a lone sum folds into a key-addressed table, so
-	// the tile folds as unmasked (key, value) pairs (ht.AddPairs).
-	pairFold bool
+	// The tile's halves, bound at compile: compact or stage, and the loop the
+	// fold key names. fill: it reads a mask no filter writes, all ones.
+	front    func(p *PreparedSelect, s *worker, base, n int) int
+	foldTile foldFn
+	fill     bool
 	// pairOut: the statement is the classic group-by — one packed key column,
 	// one sum or count(*), no HAVING, and the projection key, aggregate under
 	// their own names — so its answer is the table's (key, lane 0) pairs
 	// (emitPairs).
 	pairOut bool
-	fused   *fusedFold // the grouped fold in one pass a tile (selectfuse.go), or nil
 
 	// Grouped statements: key packing and one group table per worker, which
 	// the run merges into the first, tab. Scalar statements (tab == nil)
@@ -548,40 +551,35 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 // lanes: its group table, or for a scalar statement its stripe. s is worker
 // w's scratch.
 func (p *PreparedSelect) tile(s *worker, w, base, n int) {
-	cmp := s.cmp[:n]
 	switch {
 	case p.spec.Filter != nil:
-		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), cmp)
-	case p.tech != TechHybrid && !p.pairFold: // compact selects every lane itself; a pair fold reads no mask
-		vec.Fill(cmp, 1)
+		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), s.cmp[:n])
+	case p.fill:
+		vec.Fill(s.cmp[:n], 1)
 	}
-	m := n // lanes the row stage works on
-	if p.tech == TechHybrid {
-		if m = p.compact(s, base, n); m == 0 {
-			return
-		}
-		cmp = cmp[:m]
-	} else {
-		p.resolveEdges(s, base, n, nil)
-		for c := range p.cols {
-			tc := &p.cols[c]
-			if tc.src < 0 {
-				tc.col.WidenInto(base, n, s.vecs[c])
-				s.ctr.Widen[int(tc.col.Kind)]++
-			} else {
-				tc.col.GatherInto(s.pos[tc.src][:n], s.vecs[c])
-			}
-		}
-		if x := &p.residual; x.e != nil {
-			s.ev.EvalBool(x.e, expr.Tile{Base: base, N: n, Vecs: s.vecs}, s.tcmp)
-			vec.And(cmp, s.tcmp[:n])
+	if m := p.front(p, s, base, n); m > 0 {
+		p.foldTile(p, s, w, base, m, s.cmp[:m])
+	}
+}
+
+// stage is masking's front half: the lanes are the tile's rows, which the
+// edges and the residual AND into the mask once the vectors are filled.
+func (p *PreparedSelect) stage(s *worker, base, n int) int {
+	p.resolveEdges(s, base, n, nil)
+	for c := range p.cols {
+		tc := &p.cols[c]
+		if tc.src < 0 {
+			tc.col.WidenInto(base, n, s.vecs[c])
+			s.ctr.Widen[int(tc.col.Kind)]++
+		} else {
+			tc.col.GatherInto(s.pos[tc.src][:n], s.vecs[c])
 		}
 	}
-	if p.tab == nil {
-		p.foldScalar(s, p.part[w*p.stride:], base, m, cmp)
-	} else {
-		p.foldGroups(s, p.tabs[w], base, m, cmp)
+	if x := &p.residual; x.e != nil {
+		s.ev.EvalBool(x.e, expr.Tile{Base: base, N: n, Vecs: s.vecs}, s.tcmp)
+		vec.And(s.cmp[:n], s.tcmp[:n])
 	}
+	return n
 }
 
 // resolveEdges fills the lane-indexed parent positions of the used edges —
@@ -692,98 +690,4 @@ func (p *PreparedSelect) operand(s *worker, x *rowExpr, base, m int, buf []int64
 		s.ev.EvalInt(x.e, expr.Tile{Base: base, N: m, Vecs: s.vecs}, buf)
 	}
 	return buf[:m]
-}
-
-// foldScalar folds one tile into the worker's scalar lanes with the masked
-// reduction kernels (under hybrid the lanes are compacted and the mask all
-// ones).
-func (p *PreparedSelect) foldScalar(s *worker, part []int64, base, m int, cmp []byte) {
-	cnt := vec.CountOnes(cmp)
-	if cnt == 0 {
-		return
-	}
-	part[0] += int64(cnt)
-	if p.tech != TechHybrid {
-		s.ctr.MaskedAgg++
-	}
-	for _, i := range p.fold {
-		a := &p.aggs[i]
-		acc := &part[1+a.lane]
-		switch {
-		case a.kind == AggMin:
-			*acc = min(*acc, vec.MinMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
-		case a.kind == AggMax:
-			*acc = max(*acc, vec.MaxMasked(p.operand(s, &a.arg, base, m, s.vals), cmp))
-		case a.mul != nil && a.mul[0].col != nil && a.mul[1].col != nil:
-			*acc += storage.SumProdMaskedRange(a.mul[0].col, a.mul[1].col, base, m, cmp)
-		case a.mul != nil:
-			l := p.operand(s, &a.mul[0], base, m, s.keys)
-			r := p.operand(s, &a.mul[1], base, m, s.vals)
-			*acc += vec.SumProdMaskedU(l, r, cmp)
-		case a.arg.col != nil:
-			*acc += a.arg.col.SumMaskedRange(base, m, cmp)
-		default:
-			*acc += vec.SumMaskedU(p.operand(s, &a.arg, base, m, s.vals), cmp)
-		}
-	}
-}
-
-// foldGroups resolves one tile's lanes to group slots and folds every
-// accumulator lane under the mask. Hybrid lanes all qualify (the mask is all
-// ones). Key masking routes rejected lanes to the table's throwaway record,
-// so they never reach a group: a key-addressed table computes their slot
-// from the mask (ht.FoldTileKeyMasked), and a hashed one, whose probe needs
-// a key, is handed keys masked to ht.NullKey. Value masking looks every
-// lane's real key up and has rejected lanes contribute the aggregate's
-// identity and no count. A fused fold (selectfuse.go) folds the count and
-// every lane in the loop that resolves the slots; otherwise the resolve, the
-// count and a leading sum fold in one pass (ht.FoldTile), the rest over its slots.
-func (p *PreparedSelect) foldGroups(s *worker, tab *ht.AggTable, base, m int, cmp []byte) {
-	keyMask, f, slots := p.tech == TechKeyMasking && !p.pairFold, p.fused, s.slots[:m]
-	var keys []int64
-	if f == nil || f.keys == nil {
-		keys = p.keys.fill(s.vecs, m, s.keys)
-	}
-	switch {
-	case keyMask:
-		s.ctr.KeyMask++
-		if p.ex.DenseDomain == 0 {
-			vec.MaskKeysU(keys, cmp, ht.NullKey, s.keys[:m])
-			keys = s.keys[:m]
-		}
-	case p.tech == TechValueMasking:
-		s.ctr.MaskedAgg++
-	}
-	if f != nil {
-		f.run(f, tab, base, keys, slots, cmp)
-		return
-	}
-	fold, lane := p.fold, 0
-	var first []int64
-	if len(fold) > 0 {
-		if a := &p.aggs[fold[0]]; a.kind == AggSum || a.kind == AggAvg {
-			first, lane, fold = p.operand(s, &a.arg, base, m, s.vals), a.lane, fold[1:]
-		}
-	}
-	switch {
-	case p.pairFold:
-		tab.AddPairs(keys, first)
-		return
-	case keyMask && p.ex.DenseDomain > 0:
-		tab.FoldTileKeyMasked(keys, slots, lane, first, cmp)
-	default:
-		tab.FoldTile(keys, slots, lane, first, cmp)
-	}
-	for _, i := range fold {
-		a := &p.aggs[i]
-		v := p.operand(s, &a.arg, base, m, s.vals)
-		switch a.kind {
-		case AggMin:
-			tab.MinTile(slots, a.lane, v, cmp)
-		case AggMax:
-			tab.MaxTile(slots, a.lane, v, cmp)
-		default:
-			tab.SumTile(slots, a.lane, v, cmp)
-		}
-	}
 }

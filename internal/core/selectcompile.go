@@ -616,15 +616,6 @@ func (c *selectCompile) bindRowStage() error {
 		}
 	}
 	grouped := len(c.q.GroupBy) > 0
-	probes := slices.ContainsFunc(p.edges, func(be boundEdge) bool { return be.used && be.bm != nil })
-	allPass := p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes
-	sum := c.lanes == 1 && slices.ContainsFunc(p.aggs, func(a selAgg) bool { return a.lane >= 0 && (a.kind == AggSum || a.kind == AggAvg) })
-	p.pairFold = grouped && allPass && sum && d > 0
-	if p.fused = c.fuseFold(); p.fused == nil || p.fused.keys == nil {
-		for _, tc := range c.keyCols {
-			need(tc)
-		}
-	}
 	for _, st := range c.stages {
 		if st.root && p.tech != TechHybrid {
 			continue
@@ -633,16 +624,26 @@ func (c *selectCompile) bindRowStage() error {
 			need(tc)
 		}
 	}
+	c.mergeOperands()
+	if !c.bindFold() {
+		for _, tc := range c.keyCols {
+			need(tc)
+		}
+	}
+	p.front = (*PreparedSelect).stage
+	if p.tech == TechHybrid {
+		p.front = (*PreparedSelect).compact
+	}
 	// Vectors are grouped by source, so a compacting gather builds one
 	// position vector per source.
 	slices.SortStableFunc(p.cols, func(a, b tileCol) int { return a.src - b.src })
 	for _, tc := range c.keyCols {
 		p.keys.cols = append(p.keys.cols, slot(p.cols, tc.name))
 	}
-	// bare records where a bare column's values already sit.
+	// bare records the tile vector a bare column's values already sit in.
 	bare := func(x *rowExpr) {
 		if col, ok := x.e.(*expr.Col); ok {
-			x.slot, x.col = slot(p.cols, col.Name), col.Column()
+			x.slot = slot(p.cols, col.Name)
 		}
 	}
 	for _, st := range c.stages {
@@ -651,23 +652,6 @@ func (c *selectCompile) bindRowStage() error {
 		}
 		bare(st.x)
 	}
-	// A scalar sum over a product of two bare columns folds fused: split it
-	// into its factors, bound with the product.
-	for i := range p.aggs {
-		a := &p.aggs[i]
-		m, ok := a.arg.e.(*expr.Arith)
-		if !ok || m.Op != expr.Mul || len(c.q.GroupBy) > 0 || a.kind == AggMin || a.kind == AggMax {
-			continue
-		}
-		_, lok := m.L.(*expr.Col)
-		_, rok := m.R.(*expr.Col)
-		if lok && rok {
-			a.mul = []rowExpr{{e: m.L}, {e: m.R}}
-			bare(&a.mul[0])
-			bare(&a.mul[1])
-		}
-	}
-	c.mergeOperands()
 	// An edge's positions are needed by its own bitmap, by its columns, and
 	// by every edge chained off it.
 	for _, tc := range p.cols {
@@ -724,8 +708,8 @@ func (c *selectCompile) bindRowStage() error {
 // "always"): it orders the fold so that aggregates over structurally equal
 // arguments are adjacent and every one after the first folds from the
 // operand vector the first evaluated — min(x) and max(x) read x once per
-// tile. Sharing the vector costs them their fused and native-width folds.
-// The columns read once for several aggregates are Explain.Merged.
+// tile. Sharing the vector costs a scalar lane its native-width fold. The
+// columns read once for several aggregates are Explain.Merged.
 func (c *selectCompile) mergeOperands() {
 	p := c.p
 	text := make([]string, len(p.aggs))
@@ -745,8 +729,7 @@ func (c *selectCompile) mergeOperands() {
 			if b.lane < 0 || b.arg.merged || text[j] != text[i] {
 				continue
 			}
-			a.mul, a.arg.col = nil, nil
-			b.mul, b.arg.col, b.arg.merged = nil, nil, true
+			a.shared, b.shared, b.arg.merged = true, true, true
 			p.fold = append(p.fold, j)
 			for _, name := range expr.Cols(a.arg.e) {
 				if !slices.Contains(p.ex.Merged, name) {

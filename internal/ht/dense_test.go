@@ -1,6 +1,7 @@
 package ht
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -13,6 +14,20 @@ import (
 // The key-addressed form, test for test what ht_test.go, lanes_test.go and
 // pairs_test.go pin for the hashed form, plus the parity fuzzer that
 // drives both with one tuple stream.
+
+// foldKV folds (key, value) pairs into lane 0 and the count, under the mask
+// cmp or, when cmp is nil, every lane: FoldSum1 on a one-lane key-addressed
+// table, FoldTile on any other.
+func foldKV(tab *AggTable, keys, vals []int64, cmp []byte) {
+	if tab.span != 0 && tab.nAccs == 1 {
+		FoldSum1(tab, keys, 0, vals, cmp, false)
+		return
+	}
+	if cmp == nil {
+		cmp = bytes.Repeat([]byte{1}, len(keys))
+	}
+	tab.FoldTile(keys, make([]int32, len(keys)), 0, vals, cmp)
+}
 
 func TestDenseBasic(t *testing.T) {
 	tab := NewDenseAggTable(2, -5, 20, false)
@@ -52,8 +67,8 @@ func TestDenseThrowaway(t *testing.T) {
 	tab.Add(s, 0, 99)
 	tab.AddMasked(s, 0, 50, 1)
 	tab.AddMasked(s, 0, 50, 0)
-	tab.AddPairs([]int64{NullKey, 3}, []int64{1, 2})
-	tab.AddPairsMasked([]int64{NullKey, NullKey}, []int64{10, 20}, []byte{1, 0})
+	FoldSum1(tab, []int64{NullKey, 3}, 0, []int64{1, 2}, nil, false)
+	FoldSum1(tab, []int64{NullKey, NullKey}, 0, []int64{10, 20}, []byte{1, 0}, false)
 	if tab.Acc(-1, 0) != 160 || tab.Count(-1) != 4 {
 		t.Errorf("throwaway=%d count=%d, want 160 and 4", tab.Acc(-1, 0), tab.Count(-1))
 	}
@@ -80,7 +95,7 @@ func TestThrowawayRecordStaysHidden(t *testing.T) {
 		tab := mk()
 		capacity := tab.Cap()
 		tab.Add(-1, 0, 5)
-		tab.AddPairs([]int64{NullKey, NullKey}, []int64{1, 2})
+		foldKV(tab, []int64{NullKey, NullKey}, []int64{1, 2}, nil)
 		slots := make([]int32, 3)
 		tab.FoldTile([]int64{NullKey, NullKey, NullKey}, slots, 0, nil, []byte{1, 1, 0})
 		if tab.span != 0 {
@@ -111,7 +126,7 @@ func TestDenseMaskedZeroCountNotEmitted(t *testing.T) {
 	tab := NewDenseAggTable(1, 0, 9, false)
 	tab.AddMasked(tab.Lookup(1), 0, 42, 0)
 	tab.AddMasked(tab.Lookup(2), 0, 0, 1)
-	tab.AddPairsMasked([]int64{5, 6}, []int64{9, 0}, []byte{0, 1})
+	FoldSum1(tab, []int64{5, 6}, 0, []int64{9, 0}, []byte{0, 1}, false)
 	var keys []int64
 	tab.ForEach(func(k int64, _ int) { keys = append(keys, k) })
 	if !slices.Equal(keys, []int64{2, 6}) {
@@ -173,11 +188,11 @@ func TestDenseResetReuse(t *testing.T) {
 
 func TestDenseFoldPairsAndMerge(t *testing.T) {
 	a, b := NewDenseAggTable(1, 10, 19, false), NewDenseAggTable(1, 10, 19, false)
-	a.AddPairs([]int64{10, 12, 12, NullKey}, []int64{1, 2, 3, 4})
+	FoldSum1(a, []int64{10, 12, 12, NullKey}, 0, []int64{1, 2, 3, 4}, nil, false)
 	if a.Acc(-1, 0) != 4 || a.Count(-1) != 1 {
 		t.Errorf("NullKey pair: throwaway (%d, %d), want (4, 1)", a.Acc(-1, 0), a.Count(-1))
 	}
-	b.AddPairs([]int64{12, 19}, []int64{10, 20})
+	FoldSum1(b, []int64{12, 19}, 0, []int64{10, 20}, nil, false)
 	b.AddMasked(b.Lookup(15), 0, 99, 0) // reached, never counted
 	if merged := a.MergeFrom(b); merged != 2 {
 		t.Errorf("merged %d groups, want 2", merged)
@@ -196,9 +211,9 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 	entry := map[string]func(*AggTable, int64){
 		"Lookup":     func(t *AggTable, k int64) { t.Lookup(k) },
 		"LookupTile": func(t *AggTable, k int64) { t.LookupTile([]int64{3, k}, make([]int32, 2)) },
-		"AddPairs":   func(t *AggTable, k int64) { t.AddPairs([]int64{3, k}, []int64{1, 1}) },
-		"AddPairsMasked": func(t *AggTable, k int64) {
-			t.AddPairsMasked([]int64{3, k}, []int64{1, 1}, []byte{1, 0})
+		"FoldSum1":   func(t *AggTable, k int64) { FoldSum1(t, []int64{3, k}, 0, []int64{1, 1}, nil, false) },
+		"FoldSum1 masked": func(t *AggTable, k int64) {
+			FoldSum1(t, []int64{3, k}, 0, []int64{1, 1}, []byte{1, 0}, false)
 		},
 		"FoldTile": func(t *AggTable, k int64) {
 			t.FoldTile([]int64{3, k}, make([]int32, 2), 0, []int64{1, 1}, []byte{1, 0})
@@ -348,9 +363,9 @@ func formsAgree(t *testing.T, domain int, data []byte) {
 		// Tile lanes: count and sum into lane 0 in one pass, max into lane 1.
 		tab.FoldTile(keys[:third], slots, 0, vals[:third], cmp[:third])
 		tab.MaxTile(slots, 1, vals[:third], cmp[:third])
-		// Fused pair folds, masked then plain.
-		tab.AddPairsMasked(keys[third:2*third], vals[third:2*third], cmp[third:2*third])
-		tab.AddPairs(keys[2*third:], vals[2*third:])
+		// (key, value) pairs, masked then plain.
+		foldKV(tab, keys[third:2*third], vals[third:2*third], cmp[third:2*third])
+		foldKV(tab, keys[2*third:], vals[2*third:], nil)
 	}
 	type group struct{ key, sum, max, cnt int64 }
 	collect := func(tab *AggTable) []group {
@@ -423,8 +438,8 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 			k, v, m := seg(0)
 			tab.FoldTile(k, make([]int32, len(k)), 0, v, m)
 		}},
-		{"AddPairs", func(tab, _ *AggTable) { k, v, _ := seg(1); tab.AddPairs(k, v) }},
-		{"AddPairsMasked", func(tab, _ *AggTable) { k, v, m := seg(2); tab.AddPairsMasked(k, v, m) }},
+		{"pairs", func(tab, _ *AggTable) { k, v, _ := seg(1); foldKV(tab, k, v, nil) }},
+		{"pairs masked", func(tab, _ *AggTable) { k, v, m := seg(2); foldKV(tab, k, v, m) }},
 		{"FoldTile, SumTile", func(tab, _ *AggTable) {
 			k, v, m := seg(3)
 			slots := make([]int32, len(k))
@@ -451,7 +466,7 @@ func packedAgree(t *testing.T, domain int, data []byte) {
 				}
 				return
 			}
-			src.AddPairsMasked(k, v, m)
+			foldKV(src, k, v, m)
 			tab.MergeFrom(src)
 		}},
 	}

@@ -11,17 +11,20 @@ import (
 )
 
 // FuzzFoldSignatures holds each fused fold — FoldSum1, FoldSum2, FoldSum3 and
-// FoldMinMax — at each stored key and argument width to FoldTile
-// (FoldTileKeyMasked under key masking on a key-addressed table) and the lane
-// passes after it over int64 copies of the same columns, tile by tile: on
-// key-addressed tables keyed by two columns packed in the loop and by one, on
-// one keyed by int64 keys — where NullKey lanes take the refuse route and a
-// key outside the domain panics on both sides — and on a hashed table over
-// the slots LookupTile resolves; under value and key masking, at the mask
-// density the fuzzer picks. FoldSum1 runs on packed and unpacked key-addressed
-// tables, and also unmasked (cmp nil) against AddPairs. Groups and the
-// throwaway record's count must agree; its lanes are nobody's answer, which
-// the lane passes leave differently.
+// FoldMinMax — at each stored key and argument width to a reference over
+// int64 copies of the same columns, tile by tile: on key-addressed tables
+// keyed by two columns packed in the loop and by one, on one keyed by int64
+// keys — where NullKey lanes take the refuse route and a key outside the
+// domain panics on both sides — and on a hashed table over the slots
+// LookupTile resolves; under value and key masking, at the mask density the
+// fuzzer picks. The reference of FoldSum2, FoldSum3 and FoldMinMax is FoldTile
+// (FoldTileKeyMasked under key masking on a key-addressed table) and the
+// lane passes after it. FoldSum1 runs on packed and unpacked key-addressed
+// tables, and also unmasked (cmp nil); its reference is a lane at a time,
+// Lookup then Add or AddMasked (perLane), so it shares no loop with the pair
+// folds FoldSum1 and FoldTile run. Groups and the throwaway record's count
+// must agree; its lanes are nobody's answer, which the lane passes leave
+// differently.
 func FuzzFoldSignatures(f *testing.F) {
 	body := strings.Repeat("\x01\x02\x03\x04\xc1\x05\x06\x07\x00\xff\x80\x10\x31\x52\x73\x94", 24)
 	same := func(w uint8) uint8 { return w % 4 * 5 } // key and argument width w
@@ -176,13 +179,14 @@ func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int
 						vec.WidenU(b[lo:hi], wb)
 						vec.WidenU(c[lo:hi], wc)
 						first := wa[:hi-lo]
-						if sig == sigMinMax {
+						switch {
+						case sig == sigSum1:
+							perLane(want, keys, first, m, mode)
+							continue
+						case sig == sigMinMax:
 							first = nil
 						}
 						switch {
-						case mode == pairs:
-							want.AddPairs(keys, first)
-							continue
 						case mode == keyMask && !hashed:
 							want.FoldTileKeyMasked(keys, slots, 0, first, m)
 						case mode == keyMask:
@@ -218,6 +222,24 @@ func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int
 				}
 			}
 		}
+	}
+}
+
+// perLane is FoldSum1's reference: a lane at a time, Lookup resolves its key
+// (NullKey to the throwaway record, one outside the domain panics) and Add
+// folds its value — AddMasked under its mask for value masking, and every
+// rejected lane into the throwaway record whole under key masking.
+func perLane(t *AggTable, keys, vals []int64, cmp []byte, mode int) {
+	for i, k := range keys {
+		slot := t.Lookup(k)
+		switch {
+		case mode == valueMask:
+			t.AddMasked(slot, 0, vals[i], cmp[i])
+			continue
+		case mode == keyMask && cmp[i] == 0:
+			slot = -1
+		}
+		t.Add(slot, 0, vals[i])
 	}
 }
 

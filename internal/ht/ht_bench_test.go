@@ -83,7 +83,9 @@ func size(keys int) string {
 // masked, into each form of the table at three key domains and walks the
 // result: the kernel-level measurement behind the form selection rule
 // (EXPERIMENTS.md). "pertuple" is the Lookup+AddMasked loop a kernel may
-// write itself; "tile" is AddPairsMasked over 1024-pair tiles. The fold/*
+// write itself; "tile" is FoldTile over 1024-pair tiles (FoldSum1's pair
+// loop on a key-addressed table, LookupTile and the slot fold on a hashed
+// one). The fold/*
 // rows are the tile pipeline's grouped fold over 7 skewed keys (half the rows
 // on one), 100 and 100K keys: "onepass" is FoldTile, "threepass" the
 // LookupTile, count loop and SumTile it replaced, and "keymask" key masking
@@ -135,10 +137,11 @@ func BenchmarkAggFoldForms(b *testing.B) {
 					}
 				})
 			})
+			slots := make([]int32, 1024)
 			b.Run(f.name+"/tile/"+size(domain), func(b *testing.B) {
 				run(b, tab, func() {
 					for t := 0; t < rows; t += 1024 {
-						tab.AddPairsMasked(keys[t:t+1024], vals[t:t+1024], cmp[t:t+1024])
+						tab.FoldTile(keys[t:t+1024], slots, 0, vals[t:t+1024], cmp[t:t+1024])
 					}
 				})
 			})
@@ -217,7 +220,7 @@ func BenchmarkAggFoldForms(b *testing.B) {
 	// footprint crosses the bound above which a statement keeps the lane
 	// passes (core's fuseBytes). Keys are stored at int32, as r_c's and
 	// r_fk's are; "perlane" widens the key and the argument and runs FoldTile
-	// (the pair loop of AddPairsMasked), "fused" runs FoldSum1 on both in place.
+	// (FoldSum1's pair loop at int64), "fused" runs FoldSum1 on both in place.
 	for _, domain := range []int{100, 100_000, 1_000_000} {
 		keys, vals, cmp := input(domain, false)
 		for _, packed := range []bool{false, true} {

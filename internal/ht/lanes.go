@@ -111,7 +111,7 @@ func (t *AggTable) sumsOnly(op string) {
 // rejected tuples reached keeps a zero count, which keeps it out of the
 // emission. slots (room for len(keys)) receives every lane's slot for the
 // lanes that fold after this one: a one-lane table folded with vals has none
-// and runs the pair loop of AddPairsMasked, which leaves slots alone. The
+// and runs FoldSum1's pair loop, which leaves slots alone. The
 // hashed form resolves through LookupTile first, so its growth re-resolves
 // the tile before anything is added.
 func (t *AggTable) FoldTile(keys []int64, slots []int32, acc int, vals []int64, cmp []byte) {
@@ -127,7 +127,7 @@ func (t *AggTable) FoldTile(keys []int64, slots []int32, acc int, vals []int64, 
 		t.LookupTile(keys, slots)
 		t.foldSlots(slots, acc, vals, cmp)
 	case t.nAccs == 1 && vals != nil:
-		t.AddPairsMasked(keys, vals, cmp)
+		FoldSum1(t, keys, 0, vals, cmp, false)
 	default:
 		t.foldDense(keys, slots, acc, vals, cmp)
 	}

@@ -1,7 +1,6 @@
 package ht
 
 import (
-	"bytes"
 	"math"
 	"slices"
 
@@ -10,8 +9,9 @@ import (
 
 // The pair face of AggTable: walking its groups (NextLive, Key), emitting
 // them as interleaved (key, sum) pairs (AppendGroups), merging two tables
-// (MergeFrom), and folding (key, value) pairs with and without a mask
-// (AddPairs, AddPairsMasked).
+// (MergeFrom), and the loops that fold (key, value) pairs into a one-sum
+// key-addressed table with and without a mask (foldPairs, which FoldSum1
+// runs).
 
 // NextLive returns the first slot at or after i holding a group with a
 // positive tuple count, or -1 when none remain. Together with Key it lets
@@ -114,65 +114,8 @@ func (dst *AggTable) MergeFrom(src *AggTable) uint64 {
 	return merged
 }
 
-// AddPairs aggregates (key, value) pairs into accumulator 0, counting each
-// tuple: Add(Lookup(keys[i]), 0, vals[i]) for every pair. NullKey pairs
-// land in the throwaway record. On a key-addressed table the loop is a
-// range check, a subtraction and two adds into one record (one when packed);
-// a hashed table resolves the pairs a chunk at a time (LookupTile) and folds
-// them over their slots.
-func (t *AggTable) AddPairs(keys, vals []int64) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = vals[len(keys)-1]
-	if t.span == 0 {
-		t.addPairsHashed(keys, vals, nil)
-		return
-	}
-	foldPairs(t, keys, 0, vals, nil)
-}
-
-// pairChunk is how many pairs a hashed table resolves at a time; ones is the
-// all-ones mask of an unmasked chunk.
-const pairChunk = 256
-
-var ones = bytes.Repeat([]byte{1}, pairChunk)
-
-// addPairsHashed is AddPairs (cmp nil) and AddPairsMasked on a hashed table:
-// LookupTile resolves a chunk of pairs into slots on the stack, and the
-// fold over them (foldSlots) counts NullKey pairs into the throwaway record
-// like any other.
-func (t *AggTable) addPairsHashed(keys, vals []int64, cmp []byte) {
-	var slots [pairChunk]int32
-	for a := 0; a < len(keys); a += pairChunk {
-		b := min(a+pairChunk, len(keys))
-		m := ones[:b-a]
-		if cmp != nil {
-			m = cmp[a:b]
-		}
-		t.LookupTile(keys[a:b], slots[:b-a])
-		t.foldSlots(slots[:b-a], 0, vals[a:b], m)
-	}
-}
-
-// AddPairsMasked is AddPairs under a 0/1 mask, the value-masking fold:
-// AddMasked(Lookup(keys[i]), 0, vals[i], cmp[i]) for every pair. Every
-// lane looks its real key up; a rejected lane adds zero to the sum and to
-// the count.
-func (t *AggTable) AddPairsMasked(keys, vals []int64, cmp []byte) {
-	if len(keys) == 0 {
-		return
-	}
-	_, _ = vals[len(keys)-1], cmp[len(keys)-1]
-	if t.span == 0 {
-		t.addPairsHashed(keys, vals, cmp)
-		return
-	}
-	foldPairs(t, keys, 0, vals, cmp)
-}
-
-// foldPairs is the pair fold on a key-addressed table — AddPairs (cmp nil),
-// AddPairsMasked, and FoldSum1 but for key masking — at the stored widths:
+// foldPairs is the pair fold on a key-addressed table — FoldSum1 but for key
+// masking, unmasked when cmp is nil — at the stored widths:
 // lane i adds a[i]·m into lane 0 of key keys[i]+add's record and m into its
 // count, m its mask or 1. A lane the range check refuses ends the loop, goes
 // to refuse (its key is its offset from lo plus the table's lo) and the loop

@@ -85,7 +85,7 @@ func TestPartitionedAggParity(t *testing.T) {
 	var throwaway int64
 	for part := 0; part < parts; part++ {
 		small.Reset()
-		small.AddPairs(p.keys[part], p.vals[part])
+		foldKV(small, p.keys[part], p.vals[part], nil)
 		throwaway += small.Acc(-1, 0)
 		small.ForEach(func(key int64, s int) { got[key] = small.Acc(s, 0) })
 	}

@@ -5,8 +5,8 @@ import "github.com/reprolab/swole/internal/vec"
 // This file dispatches the width-specialized vec kernels for a column: the
 // Kind switch runs once per tile instead of once per element, so the inner
 // loops are the tight per-width instantiations the paper's generated code
-// would contain. Each method returns which specialized path ran so callers
-// can tally variant counters.
+// would contain. A kernel generic over the width reads a column in place
+// through Stored, instantiated once per plan at its column's width.
 
 // WidenInto copies rows [base, base+n) into out[:n] widened to int64 using
 // the unrolled width-specialized kernel.
@@ -94,51 +94,6 @@ func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 		vec.CmpConstBetweenU(c.I64[base:base+n], klo, khi, out)
 	}
 	return true
-}
-
-// SumMaskedRange sums column[base+i]*cmp[i] over [base, base+n) with the
-// unrolled masked-aggregation kernel at native width.
-func (c *Column) SumMaskedRange(base, n int, cmp []byte) int64 {
-	switch c.Kind {
-	case KindInt8:
-		return vec.SumMaskedU(c.I8[base:base+n], cmp)
-	case KindInt16:
-		return vec.SumMaskedU(c.I16[base:base+n], cmp)
-	case KindInt32:
-		return vec.SumMaskedU(c.I32[base:base+n], cmp)
-	default:
-		return vec.SumMaskedU(c.I64[base:base+n], cmp)
-	}
-}
-
-// SumProdMaskedRange sums a[base+i]·b[base+i]·cmp[i] over [base, base+n),
-// reading both columns in place at their stored widths: one unrolled loop per
-// pair of widths, picked once per tile.
-func SumProdMaskedRange(a, b *Column, base, n int, cmp []byte) int64 {
-	switch a.Kind {
-	case KindInt8:
-		return sumProdRange(a.I8[base:base+n], b, base, cmp)
-	case KindInt16:
-		return sumProdRange(a.I16[base:base+n], b, base, cmp)
-	case KindInt32:
-		return sumProdRange(a.I32[base:base+n], b, base, cmp)
-	default:
-		return sumProdRange(a.I64[base:base+n], b, base, cmp)
-	}
-}
-
-func sumProdRange[A vec.Number](a []A, b *Column, base int, cmp []byte) int64 {
-	end := base + len(a)
-	switch b.Kind {
-	case KindInt8:
-		return vec.SumProdMaskedU(a, b.I8[base:end], cmp)
-	case KindInt16:
-		return vec.SumProdMaskedU(a, b.I16[base:end], cmp)
-	case KindInt32:
-		return vec.SumProdMaskedU(a, b.I32[base:end], cmp)
-	default:
-		return vec.SumProdMaskedU(a, b.I64[base:end], cmp)
-	}
 }
 
 // GatherInto reads the rows named by pos into out[:len(pos)] widened to

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/reprolab/swole/internal/core"
 	"github.com/reprolab/swole/internal/expr"
@@ -252,18 +251,4 @@ func codeOf(d *storage.Dict, s string) int64 {
 		panic("tpch: no dictionary entry for " + s)
 	}
 	return c
-}
-
-// sortCanonical sorts rows lexicographically — used by queries whose SQL
-// ORDER BY does not already fix a total order.
-func sortCanonical(rows Rows) Rows {
-	sort.Slice(rows, func(a, b int) bool {
-		for i := range rows[a] {
-			if rows[a][i] != rows[b][i] {
-				return rows[a][i] < rows[b][i]
-			}
-		}
-		return false
-	})
-	return rows
 }

@@ -45,10 +45,11 @@ func classifyDensity(ones, n int) Density {
 	}
 }
 
-// Counters tallies per-tile kernel-variant choices. It is a fixed-size
-// value type so plan husks can embed one per worker and merge them without
-// allocating; the totals surface in Explain. Width-indexed arrays use the
-// storage widths in order int8, int16, int32, int64.
+// Counters tallies what varies tile by tile (the fold loop is fixed per
+// plan: core's Explain.Kernel). It is a fixed-size value type so each worker
+// embeds one and the run merges them without allocating; the totals surface
+// in Explain. Width-indexed arrays use the storage widths in order int8,
+// int16, int32, int64.
 type Counters struct {
 	SelSparse uint64 // selection tiles over a sparse mask
 	SelMid    uint64 // selection tiles over a mid-density mask
@@ -57,9 +58,7 @@ type Counters struct {
 	Cmp   [4]uint64 // cmp-prepass tiles by native lane width
 	Widen [4]uint64 // key/value widen tiles by native lane width
 
-	DictKeys  uint64 // tiles whose keys came dict-coded (narrow codes)
-	MaskedAgg uint64 // unrolled masked-aggregation tiles
-	KeyMask   uint64 // tiles grouped under key masking: masked slots (key-addressed table) or masked keys (hashed)
+	DictKeys uint64 // tiles whose keys came dict-coded (narrow codes)
 }
 
 // Add accumulates o into c; used to merge per-worker counters at the end
@@ -73,8 +72,6 @@ func (c *Counters) Add(o *Counters) {
 		c.Widen[i] += o.Widen[i]
 	}
 	c.DictKeys += o.DictKeys
-	c.MaskedAgg += o.MaskedAgg
-	c.KeyMask += o.KeyMask
 }
 
 // Reset zeroes the counters in place.
@@ -93,19 +90,16 @@ func (c *Counters) CountSel(d Density) {
 }
 
 // String renders the counters compactly: selection tiles by density class,
-// cmp/widen tiles by lane width (w8..w64), then the dict and masked
-// tallies.
+// cmp/widen tiles by lane width (w8..w64), then the dict tally.
 func (c *Counters) String() string {
-	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d vmask=%d kmask=%d",
-		c.SelSparse, c.SelMid, c.SelDense, c.Cmp, c.Widen,
-		c.DictKeys, c.MaskedAgg, c.KeyMask)
+	return fmt.Sprintf("sel=%d/%d/%d cmp=%v widen=%v dict=%d",
+		c.SelSparse, c.SelMid, c.SelDense, c.Cmp, c.Widen, c.DictKeys)
 }
 
 // Total returns the total number of variant decisions recorded, used to
 // tell "no counters collected" apart from "all zero".
 func (c *Counters) Total() uint64 {
-	t := c.SelSparse + c.SelMid + c.SelDense +
-		c.DictKeys + c.MaskedAgg + c.KeyMask
+	t := c.SelSparse + c.SelMid + c.SelDense + c.DictKeys
 	for i := range c.Cmp {
 		t += c.Cmp[i] + c.Widen[i]
 	}

@@ -315,15 +315,13 @@ func TestCountersAddAndTotal(t *testing.T) {
 	a.CountSel(DensityDense)
 	a.Cmp[0] = 2
 	a.Widen[3] = 3
-	a.DictKeys = 1
-	a.MaskedAgg = 4
-	a.KeyMask = 5
+	a.DictKeys = 5
 	b.Add(&a)
 	b.Add(&a)
 	if b.SelSparse != 2 || b.SelMid != 2 || b.SelDense != 2 {
 		t.Errorf("sel counters: %+v", b)
 	}
-	if b.Cmp[0] != 4 || b.Widen[3] != 6 || b.KeyMask != 10 {
+	if b.Cmp[0] != 4 || b.Widen[3] != 6 || b.DictKeys != 10 {
 		t.Errorf("merged counters: %+v", b)
 	}
 	if got, want := b.Total(), 2*a.Total(); got != want {

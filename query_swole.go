@@ -13,9 +13,9 @@ import (
 	"github.com/reprolab/swole/internal/volcano"
 )
 
-// KernelVariants aggregates the kernel-variant selection counters for one
-// execution: which specialized tile kernels ran and how often. All zero
-// for interpreter-fallback statements. See Explain.Variants.
+// KernelVariants aggregates the per-tile kernel-variant counters of one
+// execution; the fold loop is Explain.Kernel. All zero for
+// interpreter-fallback statements. See Explain.Variants.
 type KernelVariants = vec.Counters
 
 // Explain describes the technique SWOLE chose for a query and the cost
@@ -75,9 +75,13 @@ type Explain struct {
 	// path. The field stays because benchmark/ reads it.
 	Partitioned bool
 
-	// Variants aggregates the kernel-variant selection counters across the
+	// Kernel names the loop every tile folds with, fixed when the plan
+	// compiled, such as "sum1(i32;i8)/packed/value"; empty on a fallback.
+	Kernel string
+
+	// Variants aggregates the per-tile kernel-variant counters across the
 	// run's workers: adaptive selection-build density classes, native-width
-	// compare and widen lanes, and fused dict/key masking. All zero for
+	// compare and widen lanes, and dict-coded key tiles. All zero for
 	// interpreter-fallback statements.
 	Variants KernelVariants
 }
@@ -97,6 +101,7 @@ func fromCore(ex core.Explain) Explain {
 		FreshAllocs: ex.FreshAllocs,
 		PrepareTime: ex.PrepareTime,
 		StatsTime:   ex.StatsTime,
+		Kernel:      ex.Kernel,
 		Variants:    ex.Variants,
 	}
 }

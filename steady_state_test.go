@@ -190,7 +190,12 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 // (200K keys, 1.6 MB packed) is over the bound and whose r_a and r_fk tables
 // are under it: the r_a group-by and the groupjoin (one sum, one key column)
 // widen no column tile, the r_c group-by still widens its key and argument,
-// and the scalar sum(r_a * r_b) reads both factors in place.
+// and the scalar sum(r_a * r_b) reads both factors in place. It also pins
+// the fold key (Explain.Kernel) of every tpch_generic and micro_classic
+// statement — the ht or vec loop each runs and its instantiation widths — and
+// of the scalar statement CI's server smoke asks swoled's /explain for, at
+// that server's dataset (100K rows, 1,000 keys, the default seed) and at
+// several worker counts.
 func TestFusedFoldPins(t *testing.T) {
 	tpch := LoadTPCH(0.01)
 	defer tpch.Close()
@@ -201,14 +206,27 @@ func TestFusedFoldPins(t *testing.T) {
 		"q1_multiagg":  {"key-masking", 6, 168},
 		"minmax_group": {"value-masking", 7, 192},
 	}
+	kernels := map[string]string{
+		"q1_multiagg":     "sum2(i8;i8,i32)/keyed/key",
+		"or3_having":      "sum1(i8;i8)/packed/value",
+		"not_scalar":      "sum(i32)/scalar/value",
+		"join2_group":     "sum1(i64;i64)/packed/none",
+		"snowflake3":      "sum1(i64;i64)/keyed/none",
+		"minmax_group":    "minmax(i8;i32)/keyed/value",
+		"join_minmax":     "min(i64)+max(i64)/scalar/value",
+		"or3_join_having": "lanes(i64)/keyed/value",
+	}
 	for _, s := range tpchStatements {
-		w, ok := want[s.id]
-		if !ok {
-			continue
-		}
 		_, ex, err := tpch.QuerySwole(s.q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ex.Kernel != kernels[s.id] {
+			t.Errorf("%s: kernel %s, want %s", s.id, ex.Kernel, kernels[s.id])
+		}
+		w, ok := want[s.id]
+		if !ok {
+			continue
 		}
 		if ex.Variants.Widen != [4]uint64{} {
 			t.Errorf("%s: widened %v column tiles (int8..int64), want none", s.id, ex.Variants.Widen)
@@ -243,6 +261,46 @@ func TestFusedFoldPins(t *testing.T) {
 		if string(ex.Technique) != m.tech || ex.Variants.Widen != m.widen || m.id[:6] != "scalar" && (ex.HTBytes > 1<<20) != m.over {
 			t.Errorf("%s: technique %s, widened %v column tiles (int8..int64), HTBytes %d; want %s, %v, over 1 MB %v",
 				m.id, ex.Technique, ex.Variants.Widen, ex.HTBytes, m.tech, m.widen, m.over)
+		}
+	}
+	// Hybrid compacts: its sums read tile vectors, and one sum into a
+	// key-addressed table folds as unmasked pairs.
+	for _, s := range microClassicStatements {
+		want := map[string]string{
+			"scalar": "sumprod(i8,i8)/scalar/value", "group_r_a": "sum1(i8;i8)/packed/value",
+			"semijoin": "sum(i8)/scalar/value", "group_r_c": "sum1(i64;i64)/packed/none",
+			"groupjoin": "sum1(i32;i8)/packed/none",
+		}[s.id[:len(s.id)-4]]
+		switch s.id {
+		case "scalar.s05":
+			want = "sumprod(i64,i64)/scalar/value"
+		case "group_r_a.s05":
+			want = "sum1(i64;i64)/packed/none"
+		case "semijoin.s05":
+			want = "sum(i64)/scalar/value"
+		case "groupjoin.s05":
+			want = "sum1(i64;i64)/packed/none"
+		case "group_r_c.s95": // over the bound: the pair loop over widened vectors
+			want = "sum1(i64;i64)/packed/value"
+		}
+		if _, ex, err := micro.QuerySwole(s.q); err != nil {
+			t.Fatal(err)
+		} else if ex.Kernel != want {
+			t.Errorf("%s: %s, kernel %s, want %s", s.id, ex.Technique, ex.Kernel, want)
+		}
+	}
+	// The statement CI's server smoke greps /explain's "Kernel" for.
+	smoke, err := LoadMicro(MicroConfig{Rows: 100_000, DimRows: 1_000, GroupKeys: 1_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer smoke.Close()
+	for _, workers := range []int{1, 2, 4, 8} {
+		smoke.SetWorkers(workers)
+		if _, ex, err := smoke.QuerySwole("select sum(r_b) from r where r_a < 50"); err != nil {
+			t.Fatal(err)
+		} else if ex.Kernel != "sum(i8)/scalar/value" {
+			t.Errorf("server smoke statement at %d workers: %s, kernel %s, want sum(i8)/scalar/value", workers, ex.Technique, ex.Kernel)
 		}
 	}
 }
