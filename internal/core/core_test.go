@@ -6,6 +6,7 @@ import (
 
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/storage"
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // testDB builds a small R/S database with a controllable group-key
@@ -83,17 +84,26 @@ func TestScalarAggBothTechniques(t *testing.T) {
 			t.Errorf("sel=%d (%s): got %d, want %d", sel, ex.Technique, got, want)
 		}
 	}
-	// Decision direction check.
-	_, exLow, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")}))
+	// Decision direction check, on an aggregate value masking folds through
+	// the mask (r_a + r_c is no bare column or product).
+	sum := func() expr.Expr { return &expr.Arith{Op: expr.Add, L: expr.NewCol("r_a"), R: expr.NewCol("r_c")} }
+	_, exLow, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: sum()}))
 	if exLow.Technique != TechHybrid {
 		t.Errorf("1%% selectivity chose %s, want hybrid", exLow.Technique)
 	}
-	_, exHigh, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: expr.NewCol("r_a")}))
+	_, exHigh, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 95), Agg: sum()}))
 	if exHigh.Technique == TechHybrid {
 		t.Errorf("95%% selectivity chose hybrid; pullup expected")
 	}
 	if exLow.Selectivity > 0.05 || exHigh.Selectivity < 0.85 {
 		t.Errorf("selectivity estimates off: %.3f / %.3f", exLow.Selectivity, exHigh.Selectivity)
+	}
+	// Where value masking computes the int8 predicate inline, its own
+	// per-row term prices it under hybrid even at 1%.
+	_, exFused, _ := sumOnce(e, scalarSpec(ScalarAgg{Table: "r", Filter: lt("r_x", 1), Agg: expr.NewCol("r_a")}))
+	if want := e.Params.ValueMaskingFused(30_000); vec.HasAVX2 &&
+		(exFused.Technique != TechValueMasking || exFused.Costs["value-masking"] != want || exFused.Kernel != "sum(i8)/scalar/cmp(i8)/avx2") {
+		t.Errorf("1%% selectivity over int8: %s at %v (%s), want value-masking at %v", exFused.Technique, exFused.Costs, exFused.Kernel, want)
 	}
 }
 

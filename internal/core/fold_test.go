@@ -9,6 +9,7 @@ import (
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
+	"github.com/reprolab/swole/internal/vec"
 	"github.com/reprolab/swole/internal/volcano"
 )
 
@@ -84,7 +85,7 @@ type foldCase struct {
 	tech   Technique
 	keys   []string
 	aggs   []string // "sum:a8", "min:b16", "sum:a8*b16", "sum:p_a8" (through the edge), "count"
-	filter bool     // where x < 50
+	filter int      // compares: 0, where x < 50, or where x < 50 and 1 <= j8
 }
 
 // statement is c's Select spec and its Volcano plan, each with expression
@@ -92,8 +93,13 @@ type foldCase struct {
 func (c foldCase) statement() (Select, plan.Node) {
 	q := Select{Root: "t", GroupBy: c.keys}
 	var in plan.Node = &plan.Scan{Table: "t"}
-	if c.filter {
+	if c.filter > 0 {
 		q.Filter, in = lt("x", 50), &plan.Scan{Table: "t", Filter: lt("x", 50)}
+	}
+	if c.filter > 1 {
+		j8 := func() expr.Expr { return &expr.Cmp{Op: expr.LE, L: &expr.Const{Val: 1}, R: expr.NewCol("j8")} }
+		q.Filter = &expr.Logic{Op: expr.And, Args: []expr.Expr{q.Filter, j8()}}
+		in = &plan.Scan{Table: "t", Filter: &expr.Logic{Op: expr.And, Args: []expr.Expr{lt("x", 50), j8()}}}
 	}
 	var aggs []plan.AggSpec
 	for _, k := range c.keys {
@@ -129,13 +135,14 @@ func (c foldCase) statement() (Select, plan.Node) {
 // bits: an int16 argument below 2^16 rows, an int8 one below 2^24 rows (so
 // its unpacked form, sum1(K;i8)/keyed, needs 2^24 rows and is not listed),
 // never a wider one. A tile vector reads at int64, a hashed table's slots at
-// int32.
+// int32. A scalar fold that computes its predicate inline names its compares
+// (cmp(i8) for x < 50, cmp(i8,i8) with 1 <= j8 too) where the CPU runs it.
 func foldCases(small, wide *storage.Database) (cases []foldCase) {
 	w := []string{"i8", "i16", "i32", "i64"}
 	n := func(i int) string { return w[i][1:] }
 	add := func(kernel string, db *storage.Database, mask string, keys []string, aggs ...string) {
-		tech := map[string]Technique{"value": TechValueMasking, "key": TechKeyMasking, "none": TechValueMasking, "hybrid": TechHybrid}[mask]
-		cases = append(cases, foldCase{kernel, db, tech, keys, aggs, mask != "none"})
+		tech := map[string]Technique{"value": TechValueMasking, "key": TechKeyMasking, "none": TechValueMasking, "hybrid": TechHybrid, "cmp2": TechValueMasking}[mask]
+		cases = append(cases, foldCase{kernel, db, tech, keys, aggs, map[string]int{"value": 1, "key": 1, "hybrid": 1, "cmp2": 2}[mask]})
 	}
 	masks := []string{"value", "key"}
 	for k := range w {
@@ -189,20 +196,40 @@ func foldCases(small, wide *storage.Database) (cases []foldCase) {
 	add("lanes(i64)/keyed/key", small, "key", k8, "sum:p_a32")
 	add("lanes(i64)/packed/key", small, "key", k8, "sum:p_a8")
 	add("lanes(i64)/hashed/key", small, "key", hashed, "sum:a8", "max:b32")
-	// Scalar lanes.
+	// Scalar lanes. The count, sum(a) and sum(a*b) over int8 under an int8
+	// filter compute their predicate inline where the CPU runs the loop, and
+	// keep the mask without a filter.
+	inline := func(lanes string, aggs ...string) {
+		add(lanes+"/scalar/value", small, "none", nil, aggs...)
+		if !vec.HasAVX2 {
+			add(lanes+"/scalar/value", small, "value", nil, aggs...)
+			return
+		}
+		add(lanes+"/scalar/cmp(i8)/avx2", small, "value", nil, aggs...)
+		add(lanes+"/scalar/cmp(i8,i8)/avx2", small, "cmp2", nil, aggs...)
+	}
+	inline("count", "count")
 	for a := range w {
-		add(fmt.Sprintf("sum(%s)/scalar/value", w[a]), small, "value", nil, "sum:a"+n(a))
+		if a == 0 {
+			inline("sum(i8)", "sum:a8")
+		} else {
+			add(fmt.Sprintf("sum(%s)/scalar/value", w[a]), small, "value", nil, "sum:a"+n(a))
+		}
 		for b := range w {
-			add(fmt.Sprintf("sumprod(%s,%s)/scalar/value", w[a], w[b]), small, "value", nil, "sum:a"+n(a)+"*b"+n(b))
+			if a+b == 0 {
+				inline("sumprod(i8,i8)", "sum:a8*b8", "count")
+			} else {
+				add(fmt.Sprintf("sumprod(%s,%s)/scalar/value", w[a], w[b]), small, "value", nil, "sum:a"+n(a)+"*b"+n(b))
+			}
 		}
 	}
 	add("sum(i64)/scalar/value", small, "hybrid", nil, "sum:a8")
 	add("sum(i64)/scalar/value", small, "value", nil, "sum:p_a8")
 	add("sumprod(i64,i64)/scalar/value", small, "hybrid", nil, "sum:a8*b8")
-	add("sumprod(i64,i64)/scalar/value", small, "value", nil, "sum:a8*p_a8")
+	add("sumprod(i8,i64)/scalar/value", small, "value", nil, "sum:a8*p_a8")
+	add("sumprod(i64,i16)/scalar/value", small, "value", nil, "sum:p_a32*b16")
 	add("min(i64)/scalar/value", small, "value", nil, "min:a16")
 	add("max(i64)/scalar/value", small, "value", nil, "max:b32")
-	add("count/scalar/value", small, "value", nil, "count")
 	add("sum(i8)+min(i64)+sum(i64)+sum(i64)/scalar/value", small, "value", nil, "sum:a8", "min:b8", "sum:c8*c8", "sum:c8*c8")
 	return cases
 }

@@ -251,6 +251,9 @@ type PreparedSelect struct {
 	front    func(p *PreparedSelect, s *worker, base, n int) int
 	foldTile foldFn
 	fill     bool
+	// inline: the fold computes the predicate itself (fusedI8), so the tile
+	// evaluates no filter and builds no mask.
+	inline bool
 	// pairOut: the statement is the classic group-by — one packed key column,
 	// one sum or count(*), no HAVING, and the projection key, aggregate under
 	// their own names — so its answer is the table's (key, lane 0) pairs
@@ -552,6 +555,9 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 // w's scratch.
 func (p *PreparedSelect) tile(s *worker, w, base, n int) {
 	switch {
+	case p.inline:
+		p.foldTile(p, s, w, base, n, nil)
+		return
 	case p.spec.Filter != nil:
 		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), s.cmp[:n])
 	case p.fill:

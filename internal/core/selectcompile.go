@@ -162,6 +162,7 @@ type selectCompile struct {
 	groups  int     // estimated group count (1 for a scalar statement)
 	domain  uint64  // distinct packed group keys; 0 when chained or scalar
 	lanes   int     // accumulator lanes
+	fused   fusedI8 // the fold key that computes the predicate inline, if the statement has it
 	packed  bool    // the group table's records are one word (tableForm)
 	htBytes int     // the group table's footprint (tableForm)
 	keyCols []tileCol
@@ -481,9 +482,16 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 	auto := tech == techAuto
 	var strat cost.AggStrategy
 	if len(c.q.GroupBy) == 0 {
-		strat, _ = params.ChooseScalarAgg(rows, c.sel, c.comp)
-		p.ex.Costs["hybrid"] = params.Hybrid(rows, c.sel, c.comp)
-		p.ex.Costs["value-masking"] = params.ValueMasking(rows, c.comp)
+		// Value masking whose loop computes the predicate inline is priced
+		// at that loop's own per-row term.
+		h, vm := params.Hybrid(rows, c.sel, c.comp), params.ValueMasking(rows, c.comp)
+		if c.fused = c.fusedShape(); c.fused.ok {
+			vm = params.ValueMaskingFused(rows)
+		}
+		if strat = cost.ChooseHybrid; vm < h {
+			strat = cost.ChooseValueMasking
+		}
+		p.ex.Costs["hybrid"], p.ex.Costs["value-masking"] = h, vm
 	} else {
 		_, p.ex.Costs["hashed"] = params.ChooseGroupAgg(rows, c.sel, c.comp, c.lanes+1, c.groups*ht.HashedSlotBytes(c.lanes))
 		var direct float64
@@ -621,7 +629,9 @@ func (c *selectCompile) bindRowStage() error {
 			continue
 		}
 		for _, tc := range st.cols {
-			need(tc)
+			if tc.src >= 0 || !c.mixedProduct(st) {
+				need(tc)
+			}
 		}
 	}
 	c.mergeOperands()
@@ -702,6 +712,14 @@ func (c *selectCompile) bindRowStage() error {
 	p.keys.alloc(c.groups)
 	p.pairOut = canonicalGroupBy(c.q) && p.keys.mult != nil
 	return nil
+}
+
+// mixedProduct reports an aggregate argument of a scalar statement under
+// masking that multiplies a root column by a parent column: bindScalar reads
+// the root factor in place at its stored width, so it gets no tile vector.
+func (c *selectCompile) mixedProduct(st staged) bool {
+	_, _, prod := factors(st.x.e)
+	return prod && !st.root && st.x != &c.p.residual && len(c.q.GroupBy) == 0 && c.p.tech != TechHybrid
 }
 
 // mergeOperands is access merging for aggregate operands (Section III-C,

@@ -17,7 +17,10 @@ import (
 // FoldMinMax) or lanes (FoldTile or FoldTileKeyMasked, then SumTile, MinTile
 // or MaxTile per further lane); the widths are the keys' then the arguments'
 // (int64 for tile vectors, int32 for hashed slots); the table scalar, keyed,
-// packed or hashed; the mask value, key or none (the pair fold).
+// packed or hashed; the mask value, key or none (the pair fold). A scalar
+// fold that computes its predicate inline names the compares' widths in the
+// mask's place and then its variant: sum(i8)/scalar/cmp(i8,i8)/avx2
+// (fusedI8).
 
 // widths names stored widths after name, each after its separator in seps (the last repeating).
 func widths(name, seps string, ks ...storage.Kind) string {
@@ -48,7 +51,12 @@ const fuseBytes = 1 << 20
 func (c *selectCompile) bindFold() (keysInPlace bool) {
 	p := c.p
 	p.fill = p.tech != TechHybrid
-	if len(c.q.GroupBy) == 0 {
+	switch {
+	case len(c.q.GroupBy) > 0:
+	case c.fused.ok && p.tech == TechValueMasking:
+		p.inline, p.foldTile, p.ex.Kernel = true, c.fused.bind(), c.fused.name()
+		return false
+	default:
 		p.foldTile, p.ex.Kernel = foldScalar, c.bindScalar()+"/scalar/value"
 		return false
 	}
@@ -292,11 +300,130 @@ func foldScalar(p *PreparedSelect, s *worker, w, base, m int, cmp []byte) {
 	}
 }
 
+// fusedI8 is the fold key whose loop computes the predicate inline
+// (vec.SumFusedI8): value masking as the one loop of the paper's Fig. 3, with
+// no mask written or read back. It covers a scalar statement on the root
+// table whose filter is a conjunction of one or two compares of an int8
+// column against an int8 constant, with no edge and no residual, whose lanes
+// are the count and at most one sum, sum(a) or sum(a*b), over bare int8 root
+// columns; and only where the CPU runs the kernel (vec.HasAVX2).
+type fusedI8 struct {
+	ok   bool
+	x, y *storage.Column // the compared columns; y nil for one compare
+	rng  [2]vec.RangeI8
+	a, b *storage.Column // the sum's factors: b nil for sum(a), both nil for the count alone
+}
+
+// fusedShape is the statement's fusedI8 key, not ok where it has none. It
+// allocates nothing.
+func (c *selectCompile) fusedShape() (f fusedI8) {
+	q := c.q
+	if !vec.HasAVX2 || len(q.GroupBy) > 0 || len(q.Edges) > 0 || q.Residual != nil || q.Filter == nil || c.lanes > 1 {
+		return f
+	}
+	x, y := q.Filter, expr.Expr(nil)
+	if and, ok := x.(*expr.Logic); ok && and.Op == expr.And && len(and.Args) == 2 {
+		x, y = and.Args[0], and.Args[1]
+	}
+	var ok bool
+	if f.x, f.rng[0], ok = cmpI8(x); !ok {
+		return fusedI8{}
+	}
+	if f.y, f.rng[1], ok = cmpI8(y); !ok && y != nil {
+		return fusedI8{}
+	}
+	for _, a := range q.Aggs {
+		if a.Kind == AggCount {
+			continue
+		}
+		l, r, prod := factors(a.Arg)
+		if !prod {
+			l = a.Arg
+		}
+		if f.a = c.rootI8(l); a.Kind != AggSum || f.a == nil {
+			return fusedI8{}
+		}
+		if f.b = c.rootI8(r); prod && f.b == nil {
+			return fusedI8{}
+		}
+	}
+	f.ok = true
+	return f
+}
+
+// cmpI8 is a compare of an int8 column against an int8 constant as the
+// column and the range the fused loop tests.
+func cmpI8(e expr.Expr) (*storage.Column, vec.RangeI8, bool) {
+	col, op, k, ok := expr.ColumnCmp(e)
+	if !ok || col.Kind != storage.KindInt8 || k != int64(int8(k)) {
+		return nil, vec.RangeI8{}, false
+	}
+	return col, vec.CmpRangeI8(op, int8(k)), true
+}
+
+// rootI8 is the int8 root column a bare column reference names, or nil.
+func (c *selectCompile) rootI8(e expr.Expr) *storage.Column {
+	if col, ok := e.(*expr.Col); ok {
+		if sc := c.p.root.Column(col.Name); sc != nil && sc.Kind == storage.KindInt8 {
+			return sc
+		}
+	}
+	return nil
+}
+
+// name is the key: the lanes, the table, the compares' widths and the variant.
+func (f fusedI8) name() string {
+	lanes, cmps := "count", "cmp(i8)"
+	switch {
+	case f.b != nil:
+		lanes = "sumprod(i8,i8)"
+	case f.a != nil:
+		lanes = "sum(i8)"
+	}
+	if f.y != nil {
+		cmps = "cmp(i8,i8)"
+	}
+	return lanes + "/scalar/" + cmps + "/avx2"
+}
+
+// bind is the key's loop: a tile's count, and its sum in lane 0 when the
+// statement has one, into worker w's stripe. Each compare counts as one
+// int8 compare tile in Variants.Cmp, and one over dictionary codes in
+// Variants.DictKeys, as the tile walker counts them.
+func (f fusedI8) bind() foldFn {
+	in := func(col *storage.Column, base, m int) []int8 {
+		if col == nil {
+			return nil
+		}
+		return col.I8[base : base+m]
+	}
+	var cmps, dict uint64
+	for _, col := range []*storage.Column{f.x, f.y} {
+		if col != nil {
+			cmps++
+		}
+		if col != nil && col.Dict != nil {
+			dict++
+		}
+	}
+	return func(p *PreparedSelect, s *worker, w, base, m int, _ []byte) {
+		cnt, sum := vec.SumFusedI8(in(f.x, base, m), f.rng[0], in(f.y, base, m), f.rng[1], in(f.a, base, m), in(f.b, base, m))
+		part := p.part[w*p.stride:]
+		part[0] += cnt
+		if f.a != nil {
+			part[1] += sum
+		}
+		s.ctr.Cmp[storage.KindInt8] += cmps
+		s.ctr.DictKeys += dict
+	}
+}
+
 // bindScalar binds each scalar lane's masked reduction and returns their
 // names joined by "+" ("count" for none): min or max over the operand
 // vector; a sum over a bare column read in place, over a product of two bare
-// columns (both in place, or both from tile vectors), or over the operand
-// vector, which a shared argument always is.
+// columns (both in place, one in place and one from its tile vector, or both
+// from tile vectors), or over the operand vector, which a shared argument
+// always is.
 func (c *selectCompile) bindScalar() string {
 	name := "count"
 	for j, i := range c.p.fold {
@@ -316,6 +443,19 @@ func (c *selectCompile) bindScalar() string {
 		case !a.shared && prod && in[1] != nil && in[2] != nil:
 			a.scalar = byKind(in[1].Kind, storedProd[int8], storedProd[int16], storedProd[int32], storedProd[int64])(in[1], in[2])
 			lane = widths("sumprod", "(,", in[1].Kind, in[2].Kind)
+		case !a.shared && prod && (in[1] == nil) != (in[2] == nil):
+			// One factor in place at its stored width, the other from its tile vector.
+			col, x, ws := in[2], rowExpr{e: l, slot: -1}, [2]storage.Kind{storage.KindInt64, storage.KindInt64}
+			if in[1] != nil {
+				col, x = in[1], rowExpr{e: r, slot: -1}
+				ws[0] = col.Kind
+			} else {
+				ws[1] = col.Kind
+			}
+			a.mul = []rowExpr{x}
+			c.stages = append(c.stages, staged{x: &a.mul[0]})
+			a.scalar = byKind(col.Kind, mixedProd[int8], mixedProd[int16], mixedProd[int32], mixedProd[int64])(col, &a.mul[0])
+			lane = widths("sumprod", "(,", ws[0], ws[1])
 		case !a.shared && prod:
 			a.mul = []rowExpr{{e: l, slot: -1}, {e: r, slot: -1}}
 			c.stages = append(c.stages, staged{x: &a.mul[0]}, staged{x: &a.mul[1]})
@@ -365,6 +505,12 @@ func storedSum[A vec.Number](col *storage.Column) scalarLane { return sumLane(st
 
 func storedProd[A vec.Number](l, r *storage.Column) scalarLane {
 	return byKind(r.Kind, storedProd2[A, int8], storedProd2[A, int16], storedProd2[A, int32], storedProd2[A, int64])(l, r)
+}
+
+func mixedProd[A vec.Number](col *storage.Column, x *rowExpr) scalarLane {
+	return func(p *PreparedSelect, s *worker, acc *int64, base, m int, cmp []byte) {
+		*acc += vec.SumProdMaskedU(storage.Stored[A](col, base, m), p.operand(s, x, base, m, s.vals), cmp)
+	}
 }
 
 func storedProd2[A, B vec.Number](l, r *storage.Column) scalarLane {

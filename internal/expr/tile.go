@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
 
@@ -94,13 +95,7 @@ func (ev *Evaluator) EvalBool(e Expr, t Tile, out []byte) {
 	n := t.N
 	switch x := e.(type) {
 	case *Cmp:
-		l, op := x.L, vec.CmpOp(x.Op)
-		c, lit := constVal(x.R)
-		if !lit {
-			if c, lit = constVal(x.L); lit {
-				l, op = x.R, flipCmp(op) // c op v ⇔ v flip(op) c
-			}
-		}
+		l, op, c, lit := literalRight(x)
 		if !lit {
 			lv, lp := ev.vals(x.L, t)
 			rv, rp := ev.vals(x.R, t)
@@ -306,6 +301,31 @@ func constVal(e Expr) (int64, bool) {
 		return x.Code(), true
 	}
 	return 0, false
+}
+
+// ColumnCmp reports a compare of a bound stored column against a literal
+// as col op c, the literal moved to the right: the form EvalBool compares at
+// the column's stored width.
+func ColumnCmp(e Expr) (col *storage.Column, op vec.CmpOp, c int64, ok bool) {
+	if x, isCmp := e.(*Cmp); isCmp {
+		l, op, c, lit := literalRight(x)
+		if lc, isCol := l.(*Col); lit && isCol && lc.Column() != nil {
+			return lc.Column(), op, c, true
+		}
+	}
+	return nil, 0, 0, false
+}
+
+// literalRight is x as l op c when either side is a literal (lit), the
+// literal moved to the right: c op v ⇔ v flip(op) c.
+func literalRight(x *Cmp) (l Expr, op vec.CmpOp, c int64, lit bool) {
+	l, op = x.L, vec.CmpOp(x.Op)
+	if c, lit = constVal(x.R); !lit {
+		if c, lit = constVal(x.L); lit {
+			l, op = x.R, flipCmp(op)
+		}
+	}
+	return l, op, c, lit
 }
 
 // flipCmp mirrors an operator across its operands: c op v ⇔ v flip(op) c.

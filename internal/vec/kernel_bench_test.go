@@ -7,9 +7,9 @@ import (
 
 // Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
 // wide width, the int8 word compares beside the unrolled byte loops, the two
-// selection builds, and the mask plane's word loops beside the byte loops
-// they replaced. TestKernelsZeroAlloc runs the same bodies under the
-// zero-allocation gate.
+// selection builds, the mask plane's word loops beside the byte loops they
+// replaced, and the fused int8 loop beside the mask path it replaces.
+// TestKernelsZeroAlloc runs the same bodies under the zero-allocation gate.
 
 func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
 	rng := rand.New(rand.NewSource(3))
@@ -95,6 +95,24 @@ func kernelCases() map[string][]kernelCase {
 	} {
 		cases["MaskOps"] = append(cases["MaskOps"], kernelCase{k.name, TileSize, k.fn})
 	}
+	// sum(a*b) where x < 50 and y >= 10 over int8 lanes: the mask path, and
+	// where the CPU runs it the fused loop.
+	x, y, _ := kernelData[int8](0)
+	fa, fb, m := kernelData[int8](0)
+	my := make([]byte, TileSize)
+	cases["Fused"] = []kernelCase{{"mask/w8/sumprod", TileSize * 4, func() {
+		CmpConstI8(LT, x, 50, m)
+		CmpConstI8(GE, y, 10, my)
+		And(m, my)
+		sinkInt += CountOnes(m)
+		sinkI64 += SumProdMaskedU(fa, fb, m)
+	}}}
+	if HasAVX2 {
+		cases["Fused"] = append(cases["Fused"], kernelCase{"avx2/w8/sumprod", TileSize * 4, func() {
+			c, s := SumFusedI8(x, CmpRangeI8(LT, 50), y, CmpRangeI8(GE, 10), fa, fb)
+			sinkI64 += c + s
+		}})
+	}
 	return cases
 }
 
@@ -117,6 +135,7 @@ func BenchmarkKernelSumMasked(bm *testing.B) { runKernels(bm, "SumMasked") }
 func BenchmarkKernelMaskKeys(bm *testing.B)  { runKernels(bm, "MaskKeys") }
 func BenchmarkKernelSel(bm *testing.B)       { runKernels(bm, "Sel") }
 func BenchmarkKernelMaskOps(bm *testing.B)   { runKernels(bm, "MaskOps") }
+func BenchmarkKernelFused(bm *testing.B)     { runKernels(bm, "Fused") }
 
 // TestKernelsZeroAlloc: the kernels are tile loops over the caller's
 // buffers, and no call of any BenchmarkKernel row may allocate.

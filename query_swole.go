@@ -76,7 +76,9 @@ type Explain struct {
 	Partitioned bool
 
 	// Kernel names the loop every tile folds with, fixed when the plan
-	// compiled, such as "sum1(i32;i8)/packed/value"; empty on a fallback.
+	// compiled, such as "sum1(i32;i8)/packed/value", or
+	// "sum(i8)/scalar/cmp(i8)/avx2" for a loop that computes its predicate
+	// inline; empty on a fallback.
 	Kernel string
 
 	// Variants aggregates the per-tile kernel-variant counters across the

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"github.com/reprolab/swole/internal/cost"
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // steadyTestDB builds a small Figure-7-style database with both fact and
@@ -195,7 +198,9 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 // statement — the ht or vec loop each runs and its instantiation widths — and
 // of the scalar statement CI's server smoke asks swoled's /explain for, at
 // that server's dataset (100K rows, 1,000 keys, the default seed) and at
-// several worker counts.
+// several worker counts. Where the CPU runs the fused int8 loop
+// (vec.HasAVX2) the scalar statements compute their predicate inline, and
+// scalar.s05 takes value masking at that loop's own price.
 func TestFusedFoldPins(t *testing.T) {
 	tpch := LoadTPCH(0.01)
 	defer tpch.Close()
@@ -283,11 +288,29 @@ func TestFusedFoldPins(t *testing.T) {
 		case "group_r_c.s95": // over the bound: the pair loop over widened vectors
 			want = "sum1(i64;i64)/packed/value"
 		}
+		if vec.HasAVX2 && s.id[:6] == "scalar" {
+			want = "sumprod(i8,i8)/scalar/cmp(i8,i8)/avx2"
+		}
 		if _, ex, err := micro.QuerySwole(s.q); err != nil {
 			t.Fatal(err)
 		} else if ex.Kernel != want {
 			t.Errorf("%s: %s, kernel %s, want %s", s.id, ex.Technique, ex.Kernel, want)
 		}
+	}
+	i := slices.IndexFunc(microClassicStatements, func(s steadyStmt) bool { return s.id == "scalar.s05" })
+	if _, ex, err := micro.QuerySwole(microClassicStatements[i].q); err != nil {
+		t.Fatal(err)
+	} else if fused := cost.Default().ValueMaskingFused(100_000); vec.HasAVX2 &&
+		(ex.Technique != "value-masking" || ex.Costs["value-masking"] != fused || ex.Costs["hybrid"] <= fused) {
+		t.Errorf("scalar.s05: %s at %v, want value-masking at the fused loop's %v", ex.Technique, ex.Costs, fused)
+	}
+	// Both compares of every tile count at int8, computed inline or not: 98
+	// tiles, none of which the first compare empties at 95 %.
+	i = slices.IndexFunc(microClassicStatements, func(s steadyStmt) bool { return s.id == "scalar.s95" })
+	if _, ex, err := micro.QuerySwole(microClassicStatements[i].q); err != nil {
+		t.Fatal(err)
+	} else if ex.Variants.Cmp != [4]uint64{196, 0, 0, 0} {
+		t.Errorf("scalar.s95: %v compare tiles (int8..int64), want 196 at int8", ex.Variants.Cmp)
 	}
 	// The statement CI's server smoke greps /explain's "Kernel" for.
 	smoke, err := LoadMicro(MicroConfig{Rows: 100_000, DimRows: 1_000, GroupKeys: 1_000})
@@ -295,12 +318,16 @@ func TestFusedFoldPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer smoke.Close()
+	key := "sum(i8)/scalar/value"
+	if vec.HasAVX2 {
+		key = "sum(i8)/scalar/cmp(i8)/avx2"
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		smoke.SetWorkers(workers)
 		if _, ex, err := smoke.QuerySwole("select sum(r_b) from r where r_a < 50"); err != nil {
 			t.Fatal(err)
-		} else if ex.Kernel != "sum(i8)/scalar/value" {
-			t.Errorf("server smoke statement at %d workers: %s, kernel %s, want sum(i8)/scalar/value", workers, ex.Technique, ex.Kernel)
+		} else if ex.Kernel != key {
+			t.Errorf("server smoke statement at %d workers: %s, kernel %s, want %s", workers, ex.Technique, ex.Kernel, key)
 		}
 	}
 }
