@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
@@ -311,6 +312,11 @@ func TestErrors(t *testing.T) {
 	}
 	if _, _, err := groupsOnce(e.PrepareGroupJoinAgg(GroupJoinAgg{Probe: "zz", Build: "s", FK: "r_fk", PK: "s_pk", Agg: expr.NewCol("r_a")})); err == nil {
 		t.Error("unknown probe accepted")
+	}
+	q := Select{Root: "r", GroupBy: []string{"r_fk"}, Aggs: []SelectAgg{{Kind: AggSum, Arg: expr.NewCol("r_a"), As: "s"}},
+		Project: []SelectProj{{Expr: expr.NewCol("s"), As: "s"}}, Order: []plan.SortKey{{Col: "r_fk"}}}
+	if _, err := e.Prepare(q); err == nil {
+		t.Error("ORDER BY a column outside the projection accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -9,15 +10,16 @@ import (
 	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
+	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
 	"github.com/reprolab/swole/internal/vec"
 )
 
 // This file is the compositional executor behind the plan synthesizer: any
 // single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
-// edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
-// PreparedSelect, a tile pipeline of vectorized primitives. Per vec.TileSize
-// tile:
+// edges, multiple aggregates, GROUP BY, HAVING, ORDER BY and LIMIT —
+// compiles into one PreparedSelect, a tile pipeline of vectorized
+// primitives. Per vec.TileSize tile:
 //
 //	root mask      the root predicate fills the byte mask, comparing each
 //	               column at its stored width (int8 eight lanes a word); a
@@ -51,7 +53,7 @@ import (
 // once per group when the groups are emitted. Nothing on the run path works
 // a row at a time, and the emission runs HAVING and the projection a tile of
 // groups at a time, unless the output is the table's own (key, sum) pairs
-// (pairOut).
+// (pairOut); ORDER BY then sorts the emitted rows and LIMIT cuts them.
 //
 // Every scan runs on the engine's worker gang. A statement the cost model
 // compiled scans on all the engine's workers when their partials — stripes of
@@ -119,6 +121,8 @@ type Select struct {
 	Aggs     []SelectAgg
 	Having   expr.Expr // evaluated over the aggregate output row
 	Project  []SelectProj
+	Order    []plan.SortKey // ORDER BY keys, each naming an output column
+	Limit    int            // rows kept after the sort; 0 keeps them all
 }
 
 // SelectResult is a generic plan's answer, owned by the plan and overwritten
@@ -284,6 +288,13 @@ type PreparedSelect struct {
 	proj []int
 	res  SelectResult
 
+	// ORDER BY and LIMIT (orderRows): order is the output columns the rows
+	// sort by, nil when the statement has neither; the sort
+	// permutes row indexes in perm and gathers the rows it keeps into sorted.
+	order  []orderKey
+	perm   []int32
+	sorted []int64
+
 	// The emission's tile, bound per run to worker 0's tile vectors: one
 	// vector per outFields column, then one per output column.
 	out [][]int64
@@ -380,8 +391,56 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 			p.emitGroups()
 		}
 	}
+	p.orderRows()
 	p.ex.MergeTime = time.Since(start)
 	return nil
+}
+
+// orderKey is one output column the result rows sort by.
+type orderKey struct {
+	col  int
+	desc bool
+}
+
+// orderRows sorts the result rows when the plan has a sort order, and cuts
+// them at the statement's LIMIT. The rows kept are gathered through the
+// sorted permutation into the plan's sort buffer and copied back, so the
+// result stays in its own buffer (a classic group-by's is its pairs).
+func (p *PreparedSelect) orderRows() {
+	w := len(p.proj)
+	n := len(p.res.Flat) / w
+	k := n
+	if l := p.spec.Limit; l > 0 {
+		k = min(n, l)
+	}
+	if p.order != nil && n > 1 {
+		p.perm = p.perm[:0]
+		for i := range int32(n) {
+			p.perm = append(p.perm, i)
+		}
+		slices.SortFunc(p.perm, p.compareRows)
+		p.sorted = slices.Grow(p.sorted[:0], k*w)[:k*w]
+		for r, i := range p.perm[:k] {
+			copy(p.sorted[r*w:(r+1)*w], p.res.Flat[int(i)*w:])
+		}
+		copy(p.res.Flat, p.sorted)
+	}
+	p.res.Flat = p.res.Flat[:k*w]
+}
+
+// compareRows orders result rows a and b by the plan's sort order.
+func (p *PreparedSelect) compareRows(a, b int32) int {
+	w := len(p.proj)
+	ra, rb := p.res.Flat[int(a)*w:][:w], p.res.Flat[int(b)*w:][:w]
+	for _, k := range p.order {
+		if c := cmp.Compare(ra[k.col], rb[k.col]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 // mergeParts folds the other workers' stripes into the first by aggregate

@@ -230,14 +230,15 @@ func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect) (
 }
 
 // adoptEmission takes over prev's emission buffers: the (order key, slot)
-// pairs, the radix sort's scratch and the result buffer, which a classic
-// group-by's pairs already are (emitPairs).
+// pairs, the radix sort's scratch, the ORDER BY permutation and buffer, and
+// the result buffer, which a classic group-by's pairs already are
+// (emitPairs).
 func (c *selectCompile) adoptEmission() {
 	p, prev := c.p, c.prev
 	if prev == nil {
 		return
 	}
-	p.pairs, p.scratch = prev.pairs[:0], prev.scratch[:0]
+	p.pairs, p.scratch, p.perm, p.sorted = prev.pairs[:0], prev.scratch[:0], prev.perm[:0], prev.sorted[:0]
 	if !p.pairOut {
 		p.res.Flat = prev.res.Flat[:0]
 	}
@@ -781,5 +782,28 @@ func (c *selectCompile) bindOutput() error {
 		p.fields, p.proj[i] = append(p.fields, f), at
 	}
 	p.res.Fields = p.fields
+	if len(q.Order) > 0 || q.Limit > 0 {
+		return c.bindOrder()
+	}
+	return nil
+}
+
+// bindOrder resolves ORDER BY to output columns and appends every output
+// column ascending, so rows tied on every key order by their columns, left
+// to right, and LIMIT cuts at the same row in every engine.
+func (c *selectCompile) bindOrder() error {
+	p, q := c.p, c.q
+	order := make([]orderKey, 0, len(q.Order)+len(p.proj))
+	for _, k := range q.Order {
+		j := slices.IndexFunc(q.Project, func(pr SelectProj) bool { return pr.As == k.Col })
+		if j < 0 {
+			return fmt.Errorf("core: ORDER BY %s names no output column", k.Col)
+		}
+		order = append(order, orderKey{col: j, desc: k.Desc})
+	}
+	for j := range p.proj {
+		order = append(order, orderKey{col: j})
+	}
+	p.order = order
 	return nil
 }

@@ -17,8 +17,6 @@ type SwoleExplain struct {
 // Figure 6 order.
 func ExplainSwole() []SwoleExplain {
 	return []SwoleExplain{
-		{Q3, []core.Technique{core.TechPositionalBitmap},
-			"bitmap semijoin replaces the customer-orders hash join; eager aggregation rejected (too many keys filtered by the join, IV-A2)"},
 		{Q4, []core.Technique{core.TechPositionalBitmap},
 			"semijoin becomes a positional bitmap over order positions, built and probed with sequential scans (IV-A3)"},
 		{Q5, []core.Technique{core.TechPositionalBitmap},

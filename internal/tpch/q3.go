@@ -3,12 +3,10 @@ package tpch
 import (
 	"sort"
 
-	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/plan"
 	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
 )
 
 // TPC-H Q3: shipping priority. customer (BUILDING segment, 1/5) joins
@@ -18,7 +16,9 @@ import (
 // Paper result: hybrid gains 1.19x; SWOLE gains another 1.48x by replacing
 // the customer-orders join with a positional bitmap semijoin. The cost
 // model declines to rewrite the groupjoin into eager aggregation: too many
-// keys are filtered by the join (Section IV-A2).
+// keys are filtered by the join (Section IV-A2). Hybrid and SWOLE run the
+// plan below on the engine (core.Synthesize lowers the groupjoin and the
+// sort); only the data-centric kernel is hand-written.
 //
 // Canonical output: (o_orderkey, revenue, o_orderdate, o_shippriority)
 // ordered by revenue desc, o_orderdate, o_orderkey; limit 10.
@@ -88,28 +88,6 @@ func q3Finalize(d *Data, tab *ht.AggTable) Rows {
 	return rows
 }
 
-// q3LineitemProbe aggregates qualifying lineitems into the per-order
-// table; identical across datacentric/hybrid/swole except for loop
-// structure, so hybrid and swole share it.
-func q3LineitemProbe(d *Data, tab *ht.AggTable) {
-	li := &d.Lineitem
-	var cmpv [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	vec.Tiles(len(li.ShipDate), func(base, length int) {
-		vec.CmpConstGTU(li.ShipDate[base:base+length], q3Date, cmpv[:])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		ok := li.OrderKey[base : base+length]
-		price := li.ExtendedPrice[base : base+length]
-		disc := li.Discount[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			if s := tab.Find(int64(ok[i])); s >= 0 {
-				tab.Add(s, 0, int64(price[i])*(100-int64(disc[i])))
-			}
-		}
-	})
-}
-
 func q3DataCentric(d *Data) Rows {
 	building := int8(codeOf(d.Customer.SegDict, "BUILDING"))
 	set := ht.NewSetTable(len(d.Customer.MktSegment) / 4)
@@ -133,67 +111,5 @@ func q3DataCentric(d *Data) Rows {
 			}
 		}
 	}
-	return q3Finalize(d, tab)
-}
-
-func q3Hybrid(d *Data) Rows {
-	building := int8(codeOf(d.Customer.SegDict, "BUILDING"))
-	set := ht.NewSetTable(len(d.Customer.MktSegment) / 4)
-	var cmpv [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	vec.Tiles(len(d.Customer.MktSegment), func(base, length int) {
-		vec.CmpConstEQU(d.Customer.MktSegment[base:base+length], building, cmpv[:])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		for j := 0; j < n; j++ {
-			set.Insert(int64(base) + int64(idx[j]))
-		}
-	})
-	o := &d.Orders
-	tab := ht.NewAggTable(1, len(o.CustKey)/8)
-	vec.Tiles(len(o.OrderDate), func(base, length int) {
-		vec.CmpConstLTU(o.OrderDate[base:base+length], q3Date, cmpv[:])
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		ck := o.CustKey[base : base+length]
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			if set.Contains(int64(ck[i])) {
-				tab.Lookup(int64(base) + int64(i))
-			}
-		}
-	})
-	q3LineitemProbe(d, tab)
-	return q3Finalize(d, tab)
-}
-
-// q3Swole replaces the customer-orders join with a positional bitmap
-// (Section III-D): a sequential scan of customer writes the segment
-// predicate into a bitmap over customer positions; the orders scan tests
-// the bit through o_custkey (the foreign-key position) unconditionally —
-// no customer hash table at all.
-func q3Swole(d *Data) Rows {
-	building := int8(codeOf(d.Customer.SegDict, "BUILDING"))
-	bm := bitmap.New(len(d.Customer.MktSegment))
-	var cmpv [vec.TileSize]byte
-	var idx [vec.TileSize]int32
-	vec.Tiles(len(d.Customer.MktSegment), func(base, length int) {
-		vec.CmpConstEQU(d.Customer.MktSegment[base:base+length], building, cmpv[:])
-		bm.SetFromCmp(base, cmpv[:length])
-	})
-	o := &d.Orders
-	tab := ht.NewAggTable(1, len(o.CustKey)/8)
-	vec.Tiles(len(o.OrderDate), func(base, length int) {
-		od := o.OrderDate[base : base+length]
-		ck := o.CustKey[base : base+length]
-		for j := 0; j < length; j++ {
-			cmpv[j] = b2i(od[j] < q3Date) & bm.TestBit(int(ck[j]))
-		}
-		// Qualifying orders are sparse; the cost model picks the
-		// selection-vector insert (Section III-D option 2).
-		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
-		for j := 0; j < n; j++ {
-			tab.Lookup(int64(base) + int64(idx[j]))
-		}
-	})
-	q3LineitemProbe(d, tab)
 	return q3Finalize(d, tab)
 }

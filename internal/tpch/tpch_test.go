@@ -79,12 +79,15 @@ func TestAllQueriesAllStrategiesAgree(t *testing.T) {
 			}
 		}
 	}
-	// The synthesizer accepts exactly the four queries with no hand-written
-	// hybrid or SWOLE.
+	// The synthesizer accepts exactly Q1, Q3, Q6, Q14 and Q19, and those are
+	// the queries with no hand-written hybrid or SWOLE.
 	for _, q := range Queries {
-		_, ok := core.Synthesize(d.DB, enginePlan(Plan(q)))
-		if want := OnEngine(q, Swole); ok != want || OnEngine(q, Hybrid) != want {
-			t.Errorf("%s: synthesizer accepts=%v, runs on the engine=%v", q, ok, want)
+		_, ok := core.Synthesize(d.DB, Plan(q))
+		if want := slices.Contains([]Query{Q1, Q3, Q6, Q14, Q19}, q); ok != want {
+			t.Errorf("%s: synthesizer accepts=%v, want %v", q, ok, want)
+		}
+		if OnEngine(q, Swole) != ok || OnEngine(q, Hybrid) != ok {
+			t.Errorf("%s: synthesizer accepts=%v, runs on the engine=%v", q, ok, OnEngine(q, Swole))
 		}
 	}
 }

@@ -2,7 +2,7 @@ package volcano
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/reprolab/swole/internal/storage"
@@ -11,44 +11,16 @@ import (
 // SortedRows returns a lexicographically sorted copy of the rows, the
 // canonical form used to compare answers across engines.
 func (r *Result) SortedRows() []Row {
-	out := make([]Row, len(r.Rows))
-	copy(out, r.Rows)
-	sort.Slice(out, func(a, b int) bool { return lessRow(out[a], out[b]) })
+	out := slices.Clone(r.Rows)
+	slices.SortFunc(out, slices.Compare)
 	return out
-}
-
-func lessRow(a, b Row) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // EqualRows reports whether rows (in any order) match this result's rows.
 func (r *Result) EqualRows(rows []Row) bool {
-	if len(rows) != len(r.Rows) {
-		return false
-	}
-	mine := r.SortedRows()
-	theirs := make([]Row, len(rows))
-	copy(theirs, rows)
-	sort.Slice(theirs, func(a, b int) bool { return lessRow(theirs[a], theirs[b]) })
-	for i := range mine {
-		if len(mine[i]) != len(theirs[i]) {
-			return false
-		}
-		for j := range mine[i] {
-			if mine[i][j] != theirs[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	theirs := slices.Clone(rows)
+	slices.SortFunc(theirs, slices.Compare)
+	return slices.EqualFunc(r.SortedRows(), theirs, slices.Equal)
 }
 
 // Col returns the values of the named output column.

@@ -8,10 +8,11 @@
 package volcano
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/reprolab/swole/internal/expr"
 	"github.com/reprolab/swole/internal/plan"
@@ -286,18 +287,19 @@ func (it *sortIter) open() error {
 	for i, k := range it.keys {
 		idx[i] = it.fields.Index(k.Col)
 	}
-	sort.SliceStable(it.rows, func(a, b int) bool {
+	// Rows tied on every key order by their columns, left to right,
+	// ascending: the order is total, so LIMIT cuts at the same row in every
+	// engine.
+	slices.SortFunc(it.rows, func(a, b Row) int {
 		for i, k := range it.keys {
-			av, bv := it.rows[a][idx[i]], it.rows[b][idx[i]]
-			if av == bv {
-				continue
+			if d := cmp.Compare(a[idx[i]], b[idx[i]]); d != 0 {
+				if k.Desc {
+					return -d
+				}
+				return d
 			}
-			if k.Desc {
-				return av > bv
-			}
-			return av < bv
 		}
-		return false
+		return slices.Compare(a, b)
 	})
 	if it.limit > 0 && len(it.rows) > it.limit {
 		it.rows = it.rows[:it.limit]

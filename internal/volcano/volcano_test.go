@@ -3,6 +3,7 @@ package volcano
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/reprolab/swole/internal/expr"
@@ -387,6 +388,31 @@ func TestMapAndSort(t *testing.T) {
 	}
 	if res.Fields.Index("double_a") != 1 || len(res.Fields) != 2 {
 		t.Errorf("map fields: %v", res.Fields)
+	}
+}
+
+// TestSortTiesByColumns cuts a LIMIT inside a run of rows tied on the sort
+// key: the tied rows order by their output columns, left to right,
+// ascending, not by the groups' first-seen order.
+func TestSortTiesByColumns(t *testing.T) {
+	db := storage.NewDatabase()
+	db.AddTable(storage.MustNewTable("t",
+		storage.Compress("k", []int64{5, 3, 1, 2, 0, 3, 1, 2, 0}, storage.LogInt)))
+	q := &plan.Sort{
+		Input: &plan.Aggregate{
+			Input:   &plan.Scan{Table: "t"},
+			GroupBy: []string{"k"},
+			Aggs:    []plan.AggSpec{{Func: plan.Count, As: "n"}},
+		},
+		Keys:  []plan.SortKey{{Col: "n", Desc: true}},
+		Limit: 2,
+	}
+	res, err := Run(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Row{{0, 2}, {1, 2}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows %v, want %v", res.Rows, want)
 	}
 }
 

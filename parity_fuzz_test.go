@@ -16,7 +16,8 @@ import (
 // arguments, one or two aggregates across all five functions, multi-key
 // GROUP BY — the root's foreign key among the keys, the groupjoin shape —
 // HAVING — are pinned against the interpreted volcano engine on both entry
-// points, cold and warm, at one worker and at 2, 4 or 7. No dimension's
+// points, cold and warm, at one worker and at 2, 4 or 7, part of the
+// grouped ones under ORDER BY and LIMIT, row by row in order. No dimension's
 // primary key is its row position: one is offset, one strided, one
 // shuffled. Every generated statement must also compile through the
 // synthesizer (no interpreter fallback): the corpus is the planner's
@@ -102,9 +103,11 @@ func fuzzDB(t testing.TB, rows int) *DB {
 }
 
 // fuzzGen generates random single-block aggregate SELECTs over the fuzz
-// schema.
+// schema. ord, when set, orders part of the grouped statements: one or two
+// output columns, ascending or descending, some of them cut by a LIMIT. It
+// is a stream of its own, so r's statements stay what they were.
 type fuzzGen struct {
-	r *rand.Rand
+	r, ord *rand.Rand
 }
 
 // tablesAndJoins picks a join configuration: the FROM tables and the FK
@@ -276,6 +279,21 @@ func (g *fuzzGen) query() string {
 				sb.WriteString(" having s0 > 0")
 			}
 		}
+		if g.ord != nil && g.ord.Intn(3) == 0 {
+			names := append([]string(nil), keys...)
+			for i := range aggs {
+				names = append(names, fmt.Sprintf("s%d", i))
+			}
+			g.ord.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+			names = names[:min(len(names), 1+g.ord.Intn(2))]
+			for i := range names {
+				names[i] += []string{"", " asc", " desc"}[g.ord.Intn(3)]
+			}
+			sb.WriteString(" order by " + strings.Join(names, ", "))
+			if g.ord.Intn(2) == 0 {
+				sb.WriteString(fmt.Sprintf(" limit %d", 1+g.ord.Intn(5)))
+			}
+		}
 	}
 	return sb.String()
 }
@@ -297,6 +315,16 @@ func sortedRows(rows [][]int64) [][]int64 {
 	return out
 }
 
+// answerOrder is q's answer as the comparison reads it: in its own order
+// when q has an ORDER BY or LIMIT, which fixes the order on both engines,
+// and as sortedRows otherwise.
+func answerOrder(q string, rows [][]int64) [][]int64 {
+	if strings.Contains(q, " order by ") || strings.Contains(q, " limit ") {
+		return rows
+	}
+	return sortedRows(rows)
+}
+
 func rowsEqual(a, b [][]int64) bool {
 	if len(a) != len(b) {
 		return false
@@ -315,7 +343,7 @@ func rowsEqual(a, b [][]int64) bool {
 }
 
 // checkParity runs one statement through a SWOLE entry point and pins it
-// against the interpreted baseline.
+// against the interpreted baseline (answerOrder).
 func checkParity(t *testing.T, d *DB, q string, warm bool, via string, run func() (*Result, Explain, error)) {
 	t.Helper()
 	base, err := d.Query(q)
@@ -332,9 +360,9 @@ func checkParity(t *testing.T, d *DB, q string, warm bool, via string, run func(
 	if warm && !ex.PlanCached {
 		t.Errorf("%s warm run of %q was not plan-cached (shape %s)", via, q, ex.Shape)
 	}
-	if !rowsEqual(sortedRows(base.Rows()), sortedRows(res.Rows())) {
-		t.Fatalf("%s mismatch for %q (shape %s):\nvolcano: %v\nswole:   %v",
-			via, q, ex.Shape, sortedRows(base.Rows()), sortedRows(res.Rows()))
+	want, got := answerOrder(q, base.Rows()), answerOrder(q, res.Rows())
+	if !rowsEqual(want, got) {
+		t.Fatalf("%s mismatch for %q (shape %s):\nvolcano: %v\nswole:   %v", via, q, ex.Shape, want, got)
 	}
 	if bc, sc := base.Columns(), res.Columns(); !rowsEqualStr(bc, sc) {
 		t.Fatalf("%s column mismatch for %q: volcano %v, swole %v", via, q, bc, sc)
@@ -367,7 +395,7 @@ func TestSynthesizerParityFuzz(t *testing.T) {
 	d := fuzzDB(t, 2000)
 	defer d.Close()
 	smallMorsels(d)
-	g := &fuzzGen{r: rand.New(rand.NewSource(42))}
+	g := &fuzzGen{r: rand.New(rand.NewSource(42)), ord: rand.New(rand.NewSource(47))}
 	draw := rand.New(rand.NewSource(43)) // its own stream: the statement corpus stays what it was
 	ctx := context.Background()
 	for i := 0; i < n; i++ {

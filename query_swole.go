@@ -112,10 +112,12 @@ func fromCore(ex core.Explain) Explain {
 // executor. Any single-block aggregate SELECT the frontend accepts —
 // filtered scans, up to three foreign-key join edges (star or snowflake),
 // OR/NOT predicate trees, multiple aggregates (sum, count, avg, min,
-// max), GROUP BY, and HAVING — is synthesized into one compiled plan on the
-// engine's tile pipeline.
-// Statements outside that grammar (no aggregate, ORDER BY, unsupported
-// joins) fall back to the interpreted engine, reported in the Explain as
+// max), GROUP BY, HAVING, ORDER BY and LIMIT — is synthesized into one
+// compiled plan on the engine's tile pipeline. Rows tied on every ORDER BY
+// key come in the order of their columns, left to right, ascending, on
+// either engine.
+// Statements outside that grammar (no aggregate, unsupported joins) fall
+// back to the interpreted engine, reported in the Explain as
 // "interpreter-fallback".
 //
 // Synthesized statements are cached as prepared plans, keyed by their
@@ -226,7 +228,7 @@ func ShapeBucket(sig string) string {
 // planSignature renders the spec's component spine: scan, filter (with
 // its OR width when the root predicate is a disjunction), join edge
 // count, the aggregate class (with count and non-additive functions when
-// beyond a single sum/count), and HAVING. The signature is Explain.Shape
+// beyond a single sum/count), HAVING, ORDER BY and LIMIT. The signature is Explain.Shape
 // for every synthesized statement — the classic shapes included — and
 // buckets through ShapeBucket for metrics.
 func planSignature(spec core.Select) string {
@@ -265,6 +267,12 @@ func planSignature(spec core.Select) string {
 	}
 	if spec.Having != nil {
 		b.WriteString("+having")
+	}
+	if len(spec.Order) > 0 {
+		b.WriteString("+sort")
+	}
+	if spec.Limit > 0 {
+		b.WriteString("+limit")
 	}
 	return b.String()
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // selectForms are the eight tpch_generic statement forms (benchmark/
-// workloads.go) transcribed onto the test schemas: none collapses to a
-// classic shape, so each runs on the generic executor. The single-edge and
-// no-edge forms use the micro schema, the multi-edge ones the fuzz schema.
+// workloads.go) transcribed onto the test schemas, a hashed three-key group
+// and an ordered one: none collapses to a classic shape, so each runs on the
+// generic executor. The single-edge and no-edge forms use the micro schema,
+// the multi-edge ones the fuzz schema.
 var selectForms = []struct {
 	name  string
 	fuzz  bool // runs on fuzzDB instead of the micro dataset
@@ -35,6 +36,10 @@ var selectForms = []struct {
 	// one's composite key spans too wide a domain and stays hashed.
 	{"three-key group", false, false,
 		"select r_c, r_fk, r_a, sum(r_b) as q, count(*) as n from r where r_x < 30 group by r_c, r_fk, r_a"},
+	// Sorted by its count, which ties across groups, and cut by a LIMIT
+	// inside a run of tied counts.
+	{"ORDER BY + LIMIT", false, true,
+		"select r_a, sum(r_b) as q, count(*) as n from r where r_x < 50 group by r_a order by n desc limit 6"},
 }
 
 // selectFormDBs builds the two datasets selectForms run on.
@@ -182,8 +187,8 @@ func TestSelectForcedTechniqueParity(t *testing.T) {
 				if ex.Technique != tech {
 					t.Errorf("%s forced %s: Explain.Technique=%s", f.name, tech, ex.Technique)
 				}
-				if got := forcedRows(forced, res); !rowsEqual(sortedRows(want.Rows()), sortedRows(got)) {
-					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, sortedRows(want.Rows()), sortedRows(got))
+				if w, got := answerOrder(f.q, want.Rows()), answerOrder(f.q, forcedRows(forced, res)); !rowsEqual(w, got) {
+					t.Errorf("%s forced %s rep %d:\nvolcano: %v\nswole:   %v", f.name, tech, rep, w, got)
 				}
 			}
 		}

@@ -22,7 +22,8 @@ func steadyTestDB(t testing.TB) *DB {
 
 // steadyQueries are the gated shapes: scalar, group-by and semijoin
 // aggregation, and — aggregating into key-addressed tables (dense) — a
-// classic group-by, a groupjoin and a generic grouped statement.
+// classic group-by, a groupjoin, a generic grouped statement and a group-by
+// sorted and cut by ORDER BY and LIMIT.
 var steadyQueries = []struct {
 	name  string
 	dense bool
@@ -33,6 +34,7 @@ var steadyQueries = []struct {
 	{"semijoin-agg", false, "select sum(r_a) from r, s where r_fk = s_pk and s_x < 50 and r_x < 50"},
 	{"groupjoin-agg", true, "select r_fk, sum(r_a) from r, s where r_fk = s_pk and s_x < 50 group by r_fk"},
 	{"generic-group", true, "select r_c, sum(r_a) as q, count(*) as n from r where r_x < 50 group by r_c having count(*) > 0"},
+	{"ordered-group", true, "select r_c, sum(r_a) as s from r group by r_c order by s desc limit 3"},
 }
 
 // TestQuerySwoleSteadyZeroAlloc is the end-to-end tentpole gate: the

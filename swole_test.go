@@ -155,17 +155,51 @@ func TestQuerySwoleGroupJoin(t *testing.T) {
 
 func TestQuerySwoleFallback(t *testing.T) {
 	db := demoDB(t)
-	// ORDER BY is outside the executor's vocabulary.
-	q := "select r_c, sum(r_a) as s from r group by r_c order by s desc limit 3"
+	// A statement without an aggregate is outside the executor's vocabulary.
+	q := "select r_a, r_c from r where r_x < 2 order by r_c"
 	got, ex, err := db.QuerySwole(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Technique != "interpreter-fallback" {
-		t.Errorf("technique=%s, want fallback", ex.Technique)
+	if ex.Technique != "interpreter-fallback" || ex.Shape != "interpreter-fallback" {
+		t.Errorf("technique=%s shape=%s, want fallback", ex.Technique, ex.Shape)
 	}
-	if got.NumRows() != 3 {
-		t.Errorf("rows=%d", got.NumRows())
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() == 0 || !rowsEqual(got.Rows(), want.Rows()) {
+		t.Errorf("rows %v, want %v", got.Rows(), want.Rows())
+	}
+}
+
+// TestQuerySwoleOrderBy runs a grouped statement with ORDER BY and LIMIT on
+// the engine: a synthesized shape, the interpreter's rows in the
+// interpreter's order, a plan-cached replay, and the shape's bucket.
+func TestQuerySwoleOrderBy(t *testing.T) {
+	db := demoDB(t)
+	q := "select r_c, sum(r_a) as s from r group by r_c order by s desc limit 3"
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		got, ex, err := db.QuerySwole(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Shape != "scan+groupagg+sort+limit" {
+			t.Errorf("run %d: shape %q", run, ex.Shape)
+		}
+		if ex.PlanCached != (run > 0) {
+			t.Errorf("run %d: PlanCached=%v", run, ex.PlanCached)
+		}
+		if got.NumRows() != 3 || !rowsEqual(got.Rows(), want.Rows()) {
+			t.Errorf("run %d: rows %v, want %v in order", run, got.Rows(), want.Rows())
+		}
+		if b := ShapeBucket(ex.Shape); b != "group-agg" {
+			t.Errorf("run %d: bucket %q, want group-agg", run, b)
+		}
 	}
 }
 
@@ -345,6 +379,7 @@ func TestShapeBucket(t *testing.T) {
 		"scan+filter+groupagg":         "group-agg",
 		"scan+filter+join:1+scalaragg": "semijoin-agg",
 		"scan+filter+join:1+groupagg":  "groupjoin-agg",
+		"scan+groupagg+sort+limit":     "group-agg",
 		"interpreter-fallback":         "interpreter-fallback",
 	} {
 		if got := ShapeBucket(sig); got != want {
