@@ -16,9 +16,11 @@ import (
 // foldDB is TestFoldKernels' data: a root table t of rows rows holding, at
 // each stored width W (8, 16, 32, 64), two group-key columns kW (13 keys from
 // -3) and jW (5 keys) and three argument columns aW, bW and cW spanning the
-// width both ways; a hashed key kh (ten keys and one at 2^40); a filter
-// column x in [0, 100); and a foreign key fk into a parent p whose p_a8 and
-// p_a32 are argument columns read through the edge.
+// width both ways; int8 group keys h8 (3 keys) and q8 (16 keys) and an int32
+// argument d32 within ±10^6, whose sums vec.NarrowI32 proves fit int32
+// lanes; a hashed key kh (ten keys and one at 2^40); a filter column x in
+// [0, 100); and a foreign key fk into a parent p whose p_a8 and p_a32 are
+// argument columns read through the edge.
 func foldDB(t *testing.T, rows int) *storage.Database {
 	t.Helper()
 	rng := uint64(rows)
@@ -65,6 +67,10 @@ func foldDB(t *testing.T, rows int) *storage.Database {
 			cols = append(cols, at(arg+n, w, rows, func(int) int64 { return next(2*span[w]+1) - span[w] }))
 		}
 	}
+	cols = append(cols,
+		at("h8", storage.KindInt8, rows, func(int) int64 { return next(3) }),
+		at("q8", storage.KindInt8, rows, func(int) int64 { return next(16) }),
+		at("d32", storage.KindInt32, rows, func(int) int64 { return next(2_000_001) - 1_000_000 }))
 	db := storage.NewDatabase()
 	db.AddTable(storage.MustNewTable("t", cols...))
 	db.AddTable(storage.MustNewTable("p",
@@ -137,6 +143,10 @@ func (c foldCase) statement() (Select, plan.Node) {
 // never a wider one. A tile vector reads at int64, a hashed table's slots at
 // int32. A scalar fold that computes its predicate inline names its compares
 // (cmp(i8) for x < 50, cmp(i8,i8) with 1 <= j8 too) where the CPU runs it.
+// Where it runs the small group tables' fold (vec.HasAVX2), a record over
+// int8 keys of at most 15 (13 for k8, 3·5 for h8 and j8) folding int8 or
+// int32 sums, or an int32 min and max, under masking names it (/avx2); a
+// domain of 16 (q8) keeps the Go loop.
 func foldCases(small, wide *storage.Database) (cases []foldCase) {
 	w := []string{"i8", "i16", "i32", "i64"}
 	n := func(i int) string { return w[i][1:] }
@@ -145,18 +155,26 @@ func foldCases(small, wide *storage.Database) (cases []foldCase) {
 		cases = append(cases, foldCase{kernel, db, tech, keys, aggs, map[string]int{"value": 1, "key": 1, "hybrid": 1, "cmp2": 2}[mask]})
 	}
 	masks := []string{"value", "key"}
+	// avx2 is the variant a small table's record over int8 keys and int8 or
+	// int32 arguments names.
+	avx2 := func(small bool, mask string) string {
+		if vec.HasAVX2 && small && mask != "none" {
+			return "/avx2"
+		}
+		return ""
+	}
 	for k := range w {
 		key, pair := []string{"k" + n(k)}, []string{"k" + n(k), "j" + n(k)}
 		for a := range w {
 			for _, mask := range []string{"value", "key", "none"} {
 				table := map[bool]string{true: "packed", false: "keyed"}[a < 2]
-				add(fmt.Sprintf("sum1(%s;%s)/%s/%s", w[k], w[a], table, mask), small, mask, key, "sum:a"+n(a))
+				add(fmt.Sprintf("sum1(%s;%s)/%s/%s%s", w[k], w[a], table, mask, avx2(k == 0 && a%2 == 0, mask)), small, mask, key, "sum:a"+n(a))
 				if a == 1 {
 					add(fmt.Sprintf("sum1(%s;i16)/keyed/%s", w[k], mask), wide, mask, key, "sum:a16")
 				}
 			}
 			for _, mask := range masks {
-				add(fmt.Sprintf("minmax(%s;%s)/keyed/%s", w[k], w[a], mask), small, mask, key, "min:a"+n(a), "max:a"+n(a))
+				add(fmt.Sprintf("minmax(%s;%s)/keyed/%s%s", w[k], w[a], mask, avx2(k == 0 && a == 2, mask)), small, mask, key, "min:a"+n(a), "max:a"+n(a))
 				for b := range w {
 					add(fmt.Sprintf("sum2(%s;%s,%s)/keyed/%s", w[k], w[a], w[b], mask), small, mask, pair, "sum:a"+n(a), "sum:b"+n(b))
 					for c := range w {
@@ -166,6 +184,19 @@ func foldCases(small, wide *storage.Database) (cases []foldCase) {
 				}
 			}
 		}
+	}
+	for _, mask := range masks {
+		for a := 0; a < 4; a += 2 {
+			for b := 0; b < 4; b += 2 {
+				add(fmt.Sprintf("sum2(i8;%s,%s)/keyed/%s%s", w[a], w[b], mask, avx2(true, mask)), small, mask, []string{"k8"}, "sum:a"+n(a), "sum:b"+n(b))
+			}
+		}
+		// Two key columns over 15 keys, an int32 sum in int32 lanes: q1_multiagg's shape.
+		add("sum2(i8;i8,i32)/keyed/"+mask+avx2(true, mask), small, mask, []string{"h8", "j8"}, "sum:a8", "sum:d32")
+		add("minmax(i8;i32)/keyed/"+mask+avx2(true, mask), small, mask, []string{"h8", "j8"}, "min:d32", "max:d32")
+		add("sum1(i8;i32)/keyed/"+mask+avx2(true, mask), small, mask, []string{"h8"}, "sum:d32")
+		// 16 keys: over the bound.
+		add("sum1(i8;i8)/packed/"+mask, small, mask, []string{"q8"}, "sum:a8")
 	}
 	hashed := []string{"kh"}
 	for a := range w {
@@ -284,7 +315,7 @@ func TestFoldKernels(t *testing.T) {
 		}
 		if p.tab != nil {
 			tw, want := p.tab.Count(-1), int64(0)
-			if strings.HasSuffix(c.kernel, "/key") && !strings.Contains(c.kernel, "/hashed/") {
+			if strings.HasSuffix(strings.TrimSuffix(c.kernel, "/avx2"), "/key") && !strings.Contains(c.kernel, "/hashed/") {
 				want = rejected[c.db]
 			}
 			if tw != want {

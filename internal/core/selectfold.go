@@ -20,7 +20,9 @@ import (
 // packed or hashed; the mask value, key or none (the pair fold). A scalar
 // fold that computes its predicate inline names the compares' widths in the
 // mask's place and then its variant: sum(i8)/scalar/cmp(i8,i8)/avx2
-// (fusedI8).
+// (fusedI8); a record fold into a small group table by the AVX2 passes
+// names the variant after the mask: sum2(i8;i8,i32)/keyed/key/avx2
+// (groupFold).
 
 // widths names stored widths after name, each after its separator in seps (the last repeating).
 func widths(name, seps string, ks ...storage.Kind) string {
@@ -44,10 +46,11 @@ const fuseBytes = 1 << 20
 
 // bindFold names the fold key in Explain.Kernel, binds its loop (p.foldTile)
 // and p.fill, and reports whether the loop reads the key columns in place.
-// Grouped, it takes a record fold where recordFold admits one, else one sum
-// on a keyed table folds as pairs (sum1 over tile vectors) unless key masking
-// routes its rejected lanes, else the lane passes. One sum whose every lane
-// passes (hybrid, or nothing filters) reads no mask.
+// Grouped, it takes a record fold where recordFold admits one (by the AVX2
+// passes where groupFold admits them), else one sum on a keyed table folds
+// as pairs (sum1 over tile vectors) unless key masking routes its rejected
+// lanes, else the lane passes. One sum whose every lane passes (hybrid, or
+// nothing filters) reads no mask.
 func (c *selectCompile) bindFold() (keysInPlace bool) {
 	p := c.p
 	p.fill = p.tech != TechHybrid
@@ -82,10 +85,14 @@ func (c *selectCompile) bindFold() (keysInPlace bool) {
 	if pairs && (p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes) {
 		mask, p.fill = "none", false
 	}
-	r := c.recordFold(table == "hashed", mask)
+	r, variant := c.recordFold(table == "hashed", mask), ""
 	switch {
 	case r != nil:
 		record, ws = r.record, r.widths
+		if p.foldTile = c.groupFold(r, mask); p.foldTile != nil {
+			variant = "/avx2"
+			break
+		}
 		p.foldTile = byKind(r.kind, bindRecord[int8], bindRecord[int16], bindRecord[int32], bindRecord[int64])(r, keys, mask)
 	case pairs && mask != "key":
 		record, ws = "sum1", "(i64;i64)"
@@ -101,7 +108,7 @@ func (c *selectCompile) bindFold() (keysInPlace bool) {
 		}
 		p.foldTile = lanePass(keys, resolve, lead, acc, rest)
 	}
-	p.ex.Kernel = record + ws + "/" + table + "/" + mask
+	p.ex.Kernel = record + ws + "/" + table + "/" + mask + variant
 	return r != nil && r.keys != nil
 }
 
@@ -170,6 +177,71 @@ func (c *selectCompile) recordFold(hashed bool, mask string) *recordFold {
 	}
 	r.widths = widths("", "(;,", ws...)
 	return r
+}
+
+// groupFold binds r's loop over a small group table (ht.FoldSum1Groups,
+// FoldSum2Groups or FoldMinMaxGroups: vec.GroupFold's AVX2 passes) where the
+// CPU runs it and r has its shape: keys read in place at int8 into a
+// key-addressed table of at most vec.GroupSlots records, the throwaway
+// record included, under value or key masking; one or two sums over int8 or
+// int32 columns, or a min and a max over an int32 one. An int32 sum folds in
+// int32 lanes where the column's range proves them exact (vec.NarrowI32),
+// else widened. Elsewhere it returns nil, allocating nothing.
+func (c *selectCompile) groupFold(r *recordFold, mask string) foldFn {
+	p := c.p
+	if !vec.HasAVX2 || r.keys == nil || r.kind != storage.KindInt8 || mask == "none" ||
+		p.ex.DenseDomain+1 > vec.GroupSlots || r.record == "sum3" {
+		return nil
+	}
+	var wide [2]bool
+	for i, col := range r.args {
+		if col.Kind != storage.KindInt8 && col.Kind != storage.KindInt32 || r.record == "minmax" && col.Kind != storage.KindInt32 {
+			return nil
+		}
+		if col.Kind == storage.KindInt32 {
+			wide[i] = !vec.NarrowI32(c.e.colRange(p.root, col))
+		}
+	}
+	i8 := func(col *storage.Column) bool { return col.Kind == storage.KindInt8 }
+	switch {
+	case r.record == "minmax":
+		return groupMinMax(r)
+	case r.record == "sum1" && i8(r.args[0]):
+		return groupSum1[int8](r, wide[0])
+	case r.record == "sum1":
+		return groupSum1[int32](r, wide[0])
+	case i8(r.args[0]) && i8(r.args[1]):
+		return groupSum2[int8, int8](r, wide)
+	case i8(r.args[0]):
+		return groupSum2[int8, int32](r, wide)
+	case i8(r.args[1]):
+		return groupSum2[int32, int8](r, wide)
+	}
+	return groupSum2[int32, int32](r, wide)
+}
+
+// groupKey is a tile's keys in place, as a small group table's fold reads them.
+func groupKey(r *recordFold, base, m int) ht.TileKey[int8] {
+	return ht.TileKey[int8]{K0: r.keys[0].I8[base : base+m], K1: r.keys[len(r.keys)-1].I8[base : base+m], M0: r.mul, Add: r.add}
+}
+
+func groupSum1[A int8 | int32](r *recordFold, wide bool) foldFn {
+	return func(p *PreparedSelect, _ *worker, w, base, m int, cmp []byte) {
+		ht.FoldSum1Groups(p.tabs[w], r.keys[0].I8[base:base+m], r.add, storage.Stored[A](r.args[0], base, m), cmp, r.keyMask, wide)
+	}
+}
+
+func groupSum2[A, B int8 | int32](r *recordFold, wide [2]bool) foldFn {
+	return func(p *PreparedSelect, _ *worker, w, base, m int, cmp []byte) {
+		a := r.args
+		ht.FoldSum2Groups(p.tabs[w], groupKey(r, base, m), storage.Stored[A](a[0], base, m), storage.Stored[B](a[1], base, m), cmp, r.keyMask, wide)
+	}
+}
+
+func groupMinMax(r *recordFold) foldFn {
+	return func(p *PreparedSelect, _ *worker, w, base, m int, cmp []byte) {
+		ht.FoldMinMaxGroups(p.tabs[w], groupKey(r, base, m), r.args[0].I32[base:base+m], cmp, r.keyMask)
+	}
 }
 
 // byKind is the one of fs instantiated at a column's stored width.

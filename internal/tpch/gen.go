@@ -23,8 +23,8 @@ package tpch
 
 import (
 	"slices"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"github.com/reprolab/swole/internal/core"
 	"github.com/reprolab/swole/internal/storage"
@@ -413,7 +413,9 @@ type comment struct {
 
 // commentDict sorts the comments by key and numbers the distinct keys as
 // codes in one walk, then renders the distinct comments in code order into
-// one text arena of exactly their size. The values arrive ascending, so
+// one byte arena of exactly their size, which becomes one string that every
+// value is a slice of. A key's digits decode as two independent chains, its
+// high five digits and its low six. The values arrive ascending, so
 // storage.NewDict takes them without a sort.
 func commentDict(comments []comment) (*storage.Dict, []int32) {
 	comments = sortComments(comments)
@@ -426,25 +428,33 @@ func commentDict(comments []comment) (*storage.Dict, []int32) {
 		}
 		codes[c.row] = int32(len(distinct) - 1)
 	}
-	var text strings.Builder
-	text.Grow(size)
-	values := make([]string, len(distinct))
-	for i, c := range distinct {
-		start := text.Len()
+	const low = commentRadix * commentRadix * commentRadix * commentRadix * commentRadix * commentRadix
+	text := make([]byte, 0, size)
+	for _, c := range distinct {
 		var digits [maxCommentTokens]uint64
-		for j, key := len(digits)-1, c.key; j >= 0; j, key = j-1, key/commentRadix {
-			digits[j] = key % commentRadix
+		hi, lo := c.key/low, c.key%low
+		for j := range 6 {
+			digits[len(digits)-1-j], lo = lo%commentRadix, lo/commentRadix
+			if j < len(digits)-6 {
+				digits[len(digits)-7-j], hi = hi%commentRadix, hi/commentRadix
+			}
 		}
 		for j, d := range digits {
 			if d == 0 {
 				break
 			}
 			if j > 0 {
-				text.WriteByte(' ')
+				text = append(text, ' ')
 			}
-			text.WriteString(commentToken[d])
+			text = append(text, commentToken[d]...)
 		}
-		values[i] = text.String()[start:]
+	}
+	if len(text) != size {
+		panic("tpch: comment sizes disagree with their texts")
+	}
+	arena, values := unsafe.String(unsafe.SliceData(text), size), make([]string, len(distinct))
+	for i, off := 0, 0; i < len(distinct); i++ {
+		values[i], off = arena[off:off+int(distinct[i].size)], off+int(distinct[i].size)
 	}
 	return storage.NewDict(values), codes
 }

@@ -113,6 +113,54 @@ func kernelCases() map[string][]kernelCase {
 			sinkI64 += c + s
 		}})
 	}
+	if HasAVX2 {
+		cases["Groups"] = groupCases()
+	}
+	return cases
+}
+
+// groupCases are GroupFold's passes over one tile into a table of 2, 8, 16
+// and 32 slots (one key fewer, and the throwaway record), called directly so
+// that they run past GroupSlots: the records of ht's BenchmarkKernelGroups,
+// without adding the sums into a table. Half the lanes pass; sum1 and minmax
+// are under value masking, sum2 and sum2w (int32 sums widened) under key
+// masking.
+func groupCases() (cases []kernelCase) {
+	k, a8, _ := kernelData[int8](0)
+	a32, _, cmp := kernelData[int32](50)
+	var slots [TileSize + 32]byte
+	var cnt, x, y [2 * GroupSlots]int64
+	out := func(a *[2 * GroupSlots]int64) *[GroupSlots]int64 { return (*[GroupSlots]int64)(a[:]) }
+	for _, n := range []int{2, 8, 16, 32} {
+		keys := make([]int8, TileSize)
+		for i := range keys {
+			keys[i] = int8(int(k[i]) % (n - 1))
+		}
+		pass := func(reject int) {
+			key := [4]int16{0, 0, int16(n - 2), int16(reject)}
+			groupSlots(&keys[0], &keys[0], &cmp[0], TileSize, &key, &slots[0])
+		}
+		cases = append(cases,
+			kernelCase{"avx2/sum1/" + itoa(n), TileSize * 3, func() {
+				pass(0xff)
+				groupSumI8(&slots[0], TileSize, &a8[0], n-1, out(&cnt), out(&x))
+			}},
+			kernelCase{"avx2/sum2/" + itoa(n), TileSize * 7, func() {
+				pass(n - 1)
+				groupSumI8(&slots[0], TileSize, &a8[0], n, out(&cnt), out(&x))
+				groupSumI32(&slots[0], TileSize, &a32[0], n, out(&cnt), out(&y))
+			}},
+			kernelCase{"avx2/sum2w/" + itoa(n), TileSize * 7, func() {
+				pass(n - 1)
+				groupSumI8(&slots[0], TileSize, &a8[0], n, out(&cnt), out(&x))
+				groupSumI32W(&slots[0], TileSize, &a32[0], n, out(&cnt), out(&y))
+			}},
+			kernelCase{"avx2/minmax/" + itoa(n), TileSize * 6, func() {
+				pass(0xff)
+				groupMinMaxI32(&slots[0], TileSize, &a32[0], n-1, out(&cnt), out(&x), out(&y))
+			}},
+		)
+	}
 	return cases
 }
 
@@ -136,6 +184,7 @@ func BenchmarkKernelMaskKeys(bm *testing.B)  { runKernels(bm, "MaskKeys") }
 func BenchmarkKernelSel(bm *testing.B)       { runKernels(bm, "Sel") }
 func BenchmarkKernelMaskOps(bm *testing.B)   { runKernels(bm, "MaskOps") }
 func BenchmarkKernelFused(bm *testing.B)     { runKernels(bm, "Fused") }
+func BenchmarkKernelGroups(bm *testing.B)    { runKernels(bm, "Groups") }
 
 // TestKernelsZeroAlloc: the kernels are tile loops over the caller's
 // buffers, and no call of any BenchmarkKernel row may allocate.

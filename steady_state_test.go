@@ -184,10 +184,11 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 	}
 }
 
-// TestFusedFoldPins pins the one-pass grouped fold on the two tpch_generic
+// TestFusedFoldPins pins the one-pass grouped fold on the three tpch_generic
 // statements whose lanes it fuses: q1_multiagg (two key columns, the count
-// and two sums) and minmax_group (a min and a max over one operand) read
-// their key and argument columns in place — no column tile is widened — and
+// and two sums), minmax_group (a min and a max over one operand) and
+// or3_having (one sum, packed) read their key and argument columns in
+// place — no column tile is widened — and
 // keep the technique, the key-addressed domain and the table footprint they
 // had when every lane folded in a pass of its own. On micro_classic's
 // shapes it pins both sides of the rule that fuses a fold only into a group
@@ -200,9 +201,13 @@ func TestSteadyStateExplainCounters(t *testing.T) {
 // statement — the ht or vec loop each runs and its instantiation widths — and
 // of the scalar statement CI's server smoke asks swoled's /explain for, at
 // that server's dataset (100K rows, 1,000 keys, the default seed) and at
-// several worker counts. Where the CPU runs the fused int8 loop
-// (vec.HasAVX2) the scalar statements compute their predicate inline, and
-// scalar.s05 takes value masking at that loop's own price.
+// several worker counts, and of the grouped statement it asks for too.
+// Where the CPU runs the fused int8 loop (vec.HasAVX2) the scalar
+// statements compute their predicate inline, and scalar.s05 takes value
+// masking at that loop's own price; there q1_multiagg, or3_having and
+// minmax_group, whose int8 keys address a table of at most 16 records,
+// fold by the AVX2 passes (the /avx2 variant) with the technique, domain
+// and footprint pinned above.
 func TestFusedFoldPins(t *testing.T) {
 	tpch := LoadTPCH(0.01)
 	defer tpch.Close()
@@ -212,6 +217,7 @@ func TestFusedFoldPins(t *testing.T) {
 	}{
 		"q1_multiagg":  {"key-masking", 6, 168},
 		"minmax_group": {"value-masking", 7, 192},
+		"or3_having":   {"value-masking", 7, 64},
 	}
 	kernels := map[string]string{
 		"q1_multiagg":     "sum2(i8;i8,i32)/keyed/key",
@@ -222,6 +228,11 @@ func TestFusedFoldPins(t *testing.T) {
 		"minmax_group":    "minmax(i8;i32)/keyed/value",
 		"join_minmax":     "min(i64)+max(i64)/scalar/value",
 		"or3_join_having": "lanes(i64)/keyed/value",
+	}
+	if vec.HasAVX2 { // a small group table over int8 keys folds one slot a pass
+		for _, id := range []string{"q1_multiagg", "or3_having", "minmax_group"} {
+			kernels[id] += "/avx2"
+		}
 	}
 	for _, s := range tpchStatements {
 		_, ex, err := tpch.QuerySwole(s.q)
@@ -332,4 +343,21 @@ func TestFusedFoldPins(t *testing.T) {
 			t.Errorf("server smoke statement at %d workers: %s, kernel %s, want %s", workers, ex.Technique, ex.Kernel, key)
 		}
 	}
+	// The grouped statement CI's server smoke greps /explain's "Kernel" for:
+	// r_y, one int8 value, keys a small group table.
+	key = "sum1(i8;i8)/packed/value"
+	if vec.HasAVX2 {
+		key += "/avx2"
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		smoke.SetWorkers(workers)
+		if _, ex, err := smoke.QuerySwole(smokeGrouped); err != nil {
+			t.Fatal(err)
+		} else if ex.Kernel != key || ex.DenseDomain != 1 {
+			t.Errorf("grouped server smoke statement at %d workers: %s, kernel %s over %d keys, want %s over 1", workers, ex.Technique, ex.Kernel, ex.DenseDomain, key)
+		}
+	}
 }
+
+// smokeGrouped is the grouped statement of CI's server smoke.
+const smokeGrouped = "select r_y, sum(r_b) as s, count(*) as n from r where r_a < 50 group by r_y"
