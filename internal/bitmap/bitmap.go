@@ -12,11 +12,19 @@
 // selection-vector driven alternative — one Set per qualifying row — went
 // with its last caller, the semijoin hand plan. Combining bitmaps is
 // word-wise.
+//
+// The probe tests one parent bit per lane, into a mask (AndGather) or
+// narrowing a selection vector (SelectGather). Where vec.HasAVX2 both run
+// AVX2 kernels over whole steps (vec.AndBits, vec.SelectBits), which gather
+// eight lanes' bitmap words per instruction, and the Go loop takes the lanes
+// after them; a position outside the bitmap panics either way.
 package bitmap
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"github.com/reprolab/swole/internal/vec"
 )
 
 // Bitmap is a fixed-length positional bitmap over row offsets [0, Len).
@@ -132,8 +140,9 @@ func (b *Bitmap) AndGather(pos []int32, cmp []byte) {
 	}
 	words := b.words
 	_ = cmp[len(pos)-1]
-	for j, p := range pos {
-		cmp[j] &= byte(words[uint32(p)>>6] >> (uint32(p) & 63) & 1)
+	i := vec.AndBits(words, pos, cmp)
+	for j, p := range pos[i:] {
+		cmp[i+j] &= byte(words[uint32(p)>>6] >> (uint32(p) & 63) & 1)
 	}
 }
 
@@ -141,8 +150,9 @@ func (b *Bitmap) AndGather(pos []int32, cmp []byte) {
 // place, the lanes j of sel whose parent pos[j] is set, and returns how many
 // it kept. The other lanes of pos are not read.
 func (b *Bitmap) SelectGather(pos []int32, sel []int32) int {
-	words, k := b.words, 0
-	for _, j := range sel {
+	words := b.words
+	i, k := vec.SelectBits(words, pos, sel)
+	for _, j := range sel[i:] {
 		p := uint32(pos[j])
 		sel[k] = j
 		k += int(words[p>>6] >> (p & 63) & 1)

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -96,6 +97,64 @@ func TestPackZeroAlloc(t *testing.T) {
 		i := 0
 		if allocs := testing.AllocsPerRun(10, func() { c.fn(i); i++ }); allocs != 0 {
 			t.Errorf("BenchmarkKernelBitmapPack/%s: %.1f allocs per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// probeCases probe a 1,024-lane tile of random positions into a half-set
+// bitmap the size of part's (40,000 bits, 5 KB) and of orders' (300,000
+// bits, 37.5 KB) at SF 0.2: AndGather into a mask whose lanes are set at
+// 100, 50 and 5 %, and SelectGather over a selection of those lanes (each
+// call first restores the selection, in both rows), by the method — the AVX2
+// kernels where vec.HasAVX2 — and by the Go loops it replaced (the fuzz
+// target's references).
+func probeCases() (cases []packCase) {
+	for _, t := range []struct {
+		name string
+		bits int
+	}{{"part", 40_000}, {"orders", 300_000}} {
+		bm, probe := benchBitmap(t.bits, 50)
+		pos := probe[:1024]
+		for _, pct := range []int{100, 50, 5} {
+			rng := rand.New(rand.NewSource(int64(pct)))
+			cmp, tile := make([]byte, len(pos)), make([]byte, len(pos))
+			var lanes []int32
+			for j := range cmp {
+				if rng.Intn(100) < pct {
+					cmp[j] = 1
+					lanes = append(lanes, int32(j))
+				}
+			}
+			sel := make([]int32, len(lanes))
+			suffix := "/" + t.name + "/sel" + strconv.Itoa(pct)
+			cases = append(cases,
+				packCase{"method/and" + suffix, func(int) { copy(tile, cmp); bm.AndGather(pos, tile) }},
+				packCase{"go/and" + suffix, func(int) { copy(tile, cmp); refAndGather(bm.words, pos, tile) }},
+				packCase{"method/select" + suffix, func(int) { copy(sel, lanes); sinkByte += byte(bm.SelectGather(pos, sel)) }},
+				packCase{"go/select" + suffix, func(int) { copy(sel, lanes); sinkByte += byte(refSelectGather(bm.words, pos, sel)) }},
+			)
+		}
+	}
+	return cases
+}
+
+// BenchmarkKernelBitmapProbe prices the probeCases per 1,024-lane tile.
+func BenchmarkKernelBitmapProbe(b *testing.B) {
+	for _, c := range probeCases() {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.fn(i)
+			}
+		})
+	}
+}
+
+// TestProbeZeroAlloc: no call of any BenchmarkKernelBitmapProbe row
+// allocates.
+func TestProbeZeroAlloc(t *testing.T) {
+	for _, c := range probeCases() {
+		if allocs := testing.AllocsPerRun(10, func() { c.fn(0) }); allocs != 0 {
+			t.Errorf("BenchmarkKernelBitmapProbe/%s: %.1f allocs per call, want 0", c.name, allocs)
 		}
 	}
 }

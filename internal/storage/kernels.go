@@ -54,9 +54,10 @@ func kindRange(k Kind) (lo, hi int64) {
 }
 
 // CmpConstInto evaluates column[base+i] op k into out[:n] at the column's
-// native width with the unrolled kernels — an int8 column eight lanes a word.
-// It reports false when the constant does not fit the physical width (the
-// caller falls back to the widened int64 path, which is always correct).
+// native width with the unrolled kernels — an int8 column eight lanes a word,
+// an int16 one 32 lanes a step where vec.HasAVX2. It reports false when the
+// constant does not fit the physical width (the caller falls back to the
+// widened int64 path, which is always correct).
 func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bool {
 	lo, hi := kindRange(c.Kind)
 	if k < lo || k > hi {
@@ -66,7 +67,7 @@ func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bo
 	case KindInt8:
 		vec.CmpConstI8(op, c.I8[base:base+n], int8(k), out)
 	case KindInt16:
-		vec.CmpConstU(op, c.I16[base:base+n], int16(k), out)
+		vec.CmpConstI16(op, c.I16[base:base+n], int16(k), out)
 	case KindInt32:
 		vec.CmpConstU(op, c.I32[base:base+n], int32(k), out)
 	default:
@@ -76,8 +77,9 @@ func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bo
 }
 
 // CmpBetweenInto evaluates lo <= column[base+i] <= hi into out[:n] at the
-// column's native width, an int8 column eight lanes a word. It reports false
-// when either bound falls outside the physical width.
+// column's native width, an int8 column eight lanes a word and an int16 one
+// 32 lanes a step where vec.HasAVX2. It reports false when either bound falls
+// outside the physical width.
 func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 	rlo, rhi := kindRange(c.Kind)
 	if klo < rlo || klo > rhi || khi < rlo || khi > rhi {
@@ -87,7 +89,7 @@ func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
 	case KindInt8:
 		vec.CmpBetweenI8(c.I8[base:base+n], int8(klo), int8(khi), out)
 	case KindInt16:
-		vec.CmpConstBetweenU(c.I16[base:base+n], int16(klo), int16(khi), out)
+		vec.CmpBetweenI16(c.I16[base:base+n], int16(klo), int16(khi), out)
 	case KindInt32:
 		vec.CmpConstBetweenU(c.I32[base:base+n], int32(klo), int32(khi), out)
 	default:

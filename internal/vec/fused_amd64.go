@@ -2,11 +2,14 @@
 
 package vec
 
-// HasAVX2 reports whether the CPU and the operating system run AVX2, which
-// SumFusedI8 needs. It is set once, at package initialisation.
+// HasAVX2 reports whether the CPU and the operating system run AVX2 and
+// POPCNT, which every kernel of this package's assembly needs: SumFusedI8,
+// GroupFold, AndBits, SelectBits and the int16 compares. It is set once, at
+// package initialisation.
 var HasAVX2 = avx2()
 
-// avx2 reads CPUID and XCR0: AVX2 present, and YMM state saved by the OS.
+// avx2 reads CPUID and XCR0: AVX2 and POPCNT present, and YMM state saved by
+// the OS.
 func avx2() bool
 
 // fusedI8 is SumFusedI8's loop over n lanes: whole 16-lane steps, then, when

@@ -13,8 +13,8 @@ TEXT ·avx2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX // OSXSAVE and AVX
-	CMPL CX, $0x18000000
+	ANDL $0x18800000, CX // OSXSAVE, AVX and POPCNT
+	CMPL CX, $0x18800000
 	JNE  no
 	XORL CX, CX
 	XGETBV               // XCR0: XMM and YMM state saved

@@ -2,8 +2,8 @@
 
 package vec
 
-// HasAVX2 is false on a build without the AVX2 kernel: callers keep to the
-// mask path.
+// HasAVX2 is false on a build without the AVX2 kernels: callers keep to the
+// Go loops.
 const HasAVX2 = false
 
 func fusedI8(x, y, a, b *int8, n int, k *[6]int16) (count, sum int64) {

@@ -6,9 +6,10 @@ import (
 )
 
 // Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
-// wide width, the int8 word compares beside the unrolled byte loops, the two
-// selection builds, the mask plane's word loops beside the byte loops they
-// replaced, and the fused int8 loop beside the mask path it replaces.
+// wide width, the int8 word compares and the int16 range compare beside the
+// unrolled loops, the two selection builds, the mask plane's word loops
+// beside the byte loops they replaced, and the fused int8 loop beside the
+// mask path it replaces.
 // TestKernelsZeroAlloc runs the same bodies under the zero-allocation gate.
 
 func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
@@ -36,6 +37,7 @@ type kernelCase struct {
 // function's name without its prefix.
 func kernelCases() map[string][]kernelCase {
 	a8, _, cmp8 := kernelData[int8](50)
+	a16, _, cmp16 := kernelData[int16](50)
 	a32, b32, cmp32 := kernelData[int32](50)
 	a64, _, cmp64 := kernelData[int64](50)
 	out := make([]int64, TileSize)
@@ -51,6 +53,14 @@ func kernelCases() map[string][]kernelCase {
 			{"byte/w8/eq", TileSize, func() { CmpConstU(EQ, a8, 50, cmp8) }},
 			{"word/w8/between", TileSize, func() { CmpBetweenI8(a8, 10, 40, cmp8) }},
 			{"byte/w8/between", TileSize, func() { CmpConstBetweenU(a8, 10, 40, cmp8) }},
+			// int16 as one range compare (AVX2 where HasAVX2) against the
+			// unrolled loop, per operator class.
+			{"range/w16/lt", TileSize * 2, func() { CmpConstI16(LT, a16, 50, cmp16) }},
+			{"unrolled/w16/lt", TileSize * 2, func() { CmpConstU(LT, a16, 50, cmp16) }},
+			{"range/w16/eq", TileSize * 2, func() { CmpConstI16(EQ, a16, 50, cmp16) }},
+			{"unrolled/w16/eq", TileSize * 2, func() { CmpConstU(EQ, a16, 50, cmp16) }},
+			{"range/w16/between", TileSize * 2, func() { CmpBetweenI16(a16, 10, 40, cmp16) }},
+			{"unrolled/w16/between", TileSize * 2, func() { CmpConstBetweenU(a16, 10, 40, cmp16) }},
 		},
 		"Widen": {
 			{"unrolled/w8", TileSize, func() { WidenU(a8, out) }},
