@@ -113,6 +113,13 @@ type Explain struct {
 	// Kernel names the plan's fold key (selectfold.go), the loop every tile
 	// folds with, fixed at compile: e.g. sum2(i8;i16,i64)/keyed/key.
 	Kernel string
+	// Filter names the loop the root filter runs in, fixed at compile: the
+	// one-pass kernel as its leaves' widths — clauses joined by ",", the
+	// leaves of a clause by "|" — and its variant, e.g. cmp(i8|i8|i16)/avx2
+	// (expr.CompileFilter); eval for the tile walker (Evaluator.EvalBool);
+	// fold where the fold key computes it (Kernel); empty without a root
+	// filter. Edge filters compile by the same rule.
+	Filter string
 	// Variants aggregates the per-tile counters across the run's workers:
 	// selection density classes, compare and widen lane widths, dict-coded
 	// key tiles.
@@ -128,8 +135,8 @@ func (e Explain) String() string {
 	if e.Variants.Total() > 0 {
 		variants = fmt.Sprintf(" variants=[%s]", e.Variants.String())
 	}
-	return fmt.Sprintf("technique=%s kernel=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s prepare=%s(stats=%s) scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
-		e.Technique, e.Kernel, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
+	return fmt.Sprintf("technique=%s kernel=%s filter=%s sel=%.3f comp=%.1f ht=%dB workers=%d%s prepare=%s(stats=%s) scan=%s merge=%s stats_cached=%t plan_cached=%t ht_grows=%d fresh_allocs=%d costs=%v merged=%v%s",
+		e.Technique, e.Kernel, e.Filter, e.Selectivity, e.CompCost, e.HTBytes, e.Workers, part,
 		e.PrepareTime, e.StatsTime, e.ScanTime, e.MergeTime, e.StatsCached, e.PlanCached, e.HTGrows, e.FreshAllocs,
 		e.Costs, e.Merged, variants)
 }

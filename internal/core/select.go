@@ -21,9 +21,12 @@ import (
 // compiles into one PreparedSelect, a tile pipeline of vectorized
 // primitives. Per vec.TileSize tile:
 //
-//	root mask      the root predicate fills the byte mask, comparing each
-//	               column at its stored width (int8 eight lanes a word); a
-//	               disjunction ORs its terms and stops at a saturated tile
+//	root mask      the root predicate fills the byte mask: in one AVX2 pass
+//	               when it is an AND of ORs of constant compares over int8
+//	               and int16 columns (expr.CompileFilter, named in
+//	               Explain.Filter), else on the tile walker, comparing each
+//	               column at its stored width; there a disjunction ORs its
+//	               terms and stops at a saturated tile
 //	edges          each join edge resolves parent positions through its
 //	               foreign-key index and ANDs its positional bitmap in
 //	               (Section III-D), so no hash table is built — or, under
@@ -139,6 +142,7 @@ type boundEdge struct {
 	idx    *storage.FKIndex
 	parent *storage.Table
 	filter expr.Expr      // bound to parent
+	prog   vec.Filter     // filter's one-pass kernel, empty where it has none
 	bm     *bitmap.Bitmap // parent-side qualifying positions; nil without filter
 	used   bool           // a filter, a column or a later edge needs its positions
 }
@@ -258,6 +262,8 @@ type PreparedSelect struct {
 	// inline: the fold computes the predicate itself (fusedI8), so the tile
 	// evaluates no filter and builds no mask.
 	inline bool
+	// filter is the root filter's one-pass kernel, empty where it has none.
+	filter vec.Filter
 	// pairOut: the statement is the classic group-by — one packed key column,
 	// one sum or count(*), no HAVING, and the projection key, aggregate under
 	// their own names — so its answer is the table's (key, lane 0) pairs
@@ -590,13 +596,18 @@ func (p *PreparedSelect) emitRows(n int) {
 }
 
 // edgeKernel evaluates the current edge's parent-side filter into its
-// positional bitmap. Workers share the one bitmap: morsels are multiples of 64
-// rows, so no two of them write the same word.
+// positional bitmap, in one pass where the filter kernel covers it. Workers
+// share the one bitmap: morsels are multiples of 64 rows, so no two of them
+// write the same word.
 func (p *PreparedSelect) edgeKernel(w, base, length int) {
 	s, be := p.e.scratch[w], p.curEdge
 	for tb := 0; tb < length; tb += vec.TileSize {
 		b, n := base+tb, min(vec.TileSize, length-tb)
-		s.ev.EvalBool(be.filter, expr.Rows(b, n), s.cmp)
+		if be.prog.Eval(b, n, s.cmp[:n]) {
+			be.prog.Count(&s.ctr)
+		} else {
+			s.ev.EvalBool(be.filter, expr.Rows(b, n), s.cmp)
+		}
 		be.bm.SetFromCmp(b, s.cmp[:n])
 	}
 }
@@ -617,6 +628,8 @@ func (p *PreparedSelect) tile(s *worker, w, base, n int) {
 	case p.inline:
 		p.foldTile(p, s, w, base, n, nil)
 		return
+	case p.filter.Eval(base, n, s.cmp[:n]):
+		p.filter.Count(&s.ctr)
 	case p.spec.Filter != nil:
 		s.ev.EvalBool(p.spec.Filter, expr.Rows(base, n), s.cmp[:n])
 	case p.fill:

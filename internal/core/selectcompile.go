@@ -217,6 +217,7 @@ func (e *Engine) compileSelect(q Select, tech Technique, prev *PreparedSelect) (
 	if err := c.bindOutput(); err != nil {
 		return nil, err
 	}
+	c.bindFilters()
 	c.adoptEmission()
 	c.fresh += e.ensureScratchLocked(p.nw, max(len(p.cols), len(p.outFields)+len(p.proj)))
 	p.ex.FreshAllocs = c.fresh
@@ -314,6 +315,27 @@ func (c *selectCompile) bindEdges() error {
 		p.edges = append(p.edges, be)
 	}
 	return nil
+}
+
+// bindFilters compiles the root filter and each edge filter to the one-pass
+// kernel where it covers them (expr.CompileFilter), and names the root
+// filter's loop in Explain.Filter.
+func (c *selectCompile) bindFilters() {
+	p := c.p
+	for i := range p.edges {
+		if be := &p.edges[i]; be.filter != nil {
+			expr.CompileFilter(be.filter, &be.prog)
+		}
+	}
+	switch {
+	case c.q.Filter == nil:
+	case p.inline:
+		p.ex.Filter = "fold"
+	case expr.CompileFilter(c.q.Filter, &p.filter):
+		p.ex.Filter = p.filter.String()
+	default:
+		p.ex.Filter = "eval"
+	}
 }
 
 // bindFilter binds the root predicate and estimates its selectivity.

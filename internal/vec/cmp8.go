@@ -2,11 +2,12 @@ package vec
 
 import "unsafe"
 
-// Eight-lane int8 compares. An int8 tile is read eight lanes to a 64-bit
-// word, one comparison over the word's bytes (SWAR) sets each byte's top bit
-// where its lane passes, and a shift makes the top bits eight 0/1 mask lanes
-// written with one store; a tail of under eight lanes runs the same formula a
-// byte at a time. The six operators need three loops: x < k (LT, GE as its
+// Eight-lane int8 compares, for the lanes after the AVX2 range compare's
+// whole 32-lane steps (filter.go) and for every lane on a build without it.
+// An int8 tile is read eight lanes to a 64-bit word, one comparison over the
+// word's bytes (SWAR) sets each byte's top bit where its lane passes, and a
+// shift makes the top bits eight 0/1 mask lanes written with one store; a
+// tail of under eight lanes runs the same formula a byte at a time. The six operators need three loops: x < k (LT, GE as its
 // inverse, and LE and GT as x < c+1), equality (EQ, NE) and BETWEEN.
 
 const (
@@ -39,8 +40,12 @@ func above(x, c, ct uint64) uint64 {
 	return (^x&c | ^(x^c)&^t) & top8
 }
 
-// CmpConstI8 is CmpConstU over int8 lanes, eight lanes a word.
+// CmpConstI8 is CmpConstU over int8 lanes, 32 lanes a step where HasAVX2,
+// else eight lanes a word.
 func CmpConstI8(op CmpOp, vals []int8, c int8, out []byte) {
+	lo, hi, not := CmpRange(op, int64(c))
+	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), false, len(vals), lo, hi, not, out)
+	vals, out = vals[i:], out[i:]
 	switch {
 	case op == EQ || op == NE:
 		eq8(vals, c, op == EQ, out)
@@ -87,11 +92,13 @@ func eq8(vals []int8, c int8, eq bool, out []byte) {
 	}
 }
 
-// CmpBetweenI8 is CmpConstBetweenU over int8 lanes, eight lanes a word: a
-// lane passes unless it is below lo or above hi (so none does when lo > hi).
+// CmpBetweenI8 is CmpConstBetweenU over int8 lanes, 32 lanes a step where
+// HasAVX2, else eight lanes a word: a lane passes unless it is below lo or
+// above hi (so none does when lo > hi).
 func CmpBetweenI8(vals []int8, lo, hi int8, out []byte) {
-	v, i := bytesOf(vals), 0
-	out = out[:len(v)]
+	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), false, len(vals), int64(lo), int64(hi), false, out)
+	v := bytesOf(vals[i:])
+	out, i = out[i:i+len(v)], 0
 	k, h := lanes8(lo)^top8, lanes8(hi)
 	kl, ht := k&low7, h|top8
 	for ; i+8 <= len(v); i += 8 {

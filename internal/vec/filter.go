@@ -1,0 +1,204 @@
+package vec
+
+import (
+	"math"
+	"slices"
+	"unsafe"
+)
+
+// Filters in one pass (paper §III-A, Fig. 3: the predicate evaluated in the
+// access loop). A Filter is a conjunction of clauses, each an OR of leaves,
+// and a leaf is one range compare of a stored int8 or int16 column: a lane
+// passes where lo <= x <= hi, XOR not. Every compare operator, BETWEEN and
+// each item of an IN list maps onto one leaf (CmpRange). The kernel
+// (filter_amd64.s) takes 32 lanes a step: it evaluates every leaf in
+// registers — VPCMPGTB over int8 lanes, VPCMPGTW then VPACKSSWB and VPERMQ
+// over int16 ones — ORs the leaves of a clause, ANDs the clauses and stores
+// the step's 32 mask bytes, each 0 or 1. A run of lanes that is not a whole
+// number of steps ends with one more step over its last 32 lanes. The
+// one-leaf compares CmpConstI8, CmpBetweenI8, CmpConstI16 and CmpBetweenI16
+// run the same kernel over their whole steps. A build without the kernel
+// (HasAVX2 false) has no Filter: Eval reports false, and the callers keep to
+// their Go loops.
+
+// FilterLeaf is one compare of a Filter: a lane of the column passes where
+// Lo <= x <= Hi, or where it does not under Not. Exactly one of I8 and I16
+// holds the column. A bound outside the column's width clamps to it, so a
+// leaf may pass every lane or none.
+type FilterLeaf struct {
+	I8     []int8
+	I16    []int16
+	Lo, Hi int64
+	Not    bool
+	Dict   bool // the lanes are dictionary codes (Counters.DictKeys)
+}
+
+// Filter is a compiled conjunction of clauses of leaves. The zero Filter has
+// no leaves and evaluates nothing; Grow, then Add and EndClause per clause,
+// build one. Eval only reads it, so workers share one.
+type Filter struct {
+	steps []filterLeaf
+	rows  int       // lanes every leaf's column holds
+	cmp   [2]uint64 // leaves by width: int8, int16
+	dict  uint64    // leaves over dictionary codes
+}
+
+// filterLeaf is a leaf as the kernel reads it, 128 bytes: the bounds and the
+// not mask broadcast to a step's lanes, the column's first lane, and flags
+// (leafWide: int16 lanes; leafEnd and leafFirst: the last and the first
+// leaf of its clause).
+type filterLeaf struct {
+	lo, hi, not [32]byte
+	x           unsafe.Pointer
+	flags       uint64
+	_           [16]byte
+}
+
+const (
+	leafWide = 1 << iota
+	leafEnd
+	leafFirst
+)
+
+// CmpRange is x op c as lo <= x <= hi XOR not: x <> c is x = c under not,
+// and x < MinInt64 and x > MaxInt64 are the empty range [1, 0].
+func CmpRange(op CmpOp, c int64) (lo, hi int64, not bool) {
+	switch op {
+	case LT:
+		if c == math.MinInt64 {
+			return 1, 0, false
+		}
+		return math.MinInt64, c - 1, false
+	case LE:
+		return math.MinInt64, c, false
+	case GT:
+		if c == math.MaxInt64 {
+			return 1, 0, false
+		}
+		return c + 1, math.MaxInt64, false
+	case GE:
+		return c, math.MaxInt64, false
+	}
+	return c, c, op == NE
+}
+
+// set fills the leaf for the column at x, int16 lanes when wide: the range
+// clamped to the width, an empty one as the full range under the opposite
+// not, so that lo <= hi always.
+func (l *filterLeaf) set(x unsafe.Pointer, wide bool, lo, hi int64, not bool) {
+	wlo, whi, lane, rep := int64(math.MinInt8), int64(math.MaxInt8), uint64(0xff), uint64(ones)
+	if l.x, l.flags = x, 0; wide {
+		wlo, whi, lane, rep, l.flags = math.MinInt16, math.MaxInt16, 0xffff, 0x0001000100010001, leafWide
+	}
+	if lo, hi = max(lo, wlo), min(hi, whi); lo > hi {
+		lo, hi, not = wlo, whi, !not
+	}
+	// Each bound in every lane of a word, stored four words a vector.
+	lw, hw, nw := (uint64(lo)&lane)*rep, (uint64(hi)&lane)*rep, -uint64(b2i(not))
+	for i := 0; i < 32; i += 8 {
+		le.PutUint64(l.lo[i:], lw)
+		le.PutUint64(l.hi[i:], hw)
+		le.PutUint64(l.not[i:], nw)
+	}
+}
+
+// Grow makes room for n more leaves.
+func (f *Filter) Grow(n int) { f.steps = slices.Grow(f.steps, n) }
+
+// Add appends a leaf to the clause being built.
+func (f *Filter) Add(l FilterLeaf) {
+	first := len(f.steps) == 0 || f.steps[len(f.steps)-1].flags&leafEnd != 0
+	if len(f.steps) == 0 {
+		f.rows = math.MaxInt
+	}
+	x, rows, wide := unsafe.Pointer(unsafe.SliceData(l.I8)), len(l.I8), l.I8 == nil
+	if wide {
+		x, rows = unsafe.Pointer(unsafe.SliceData(l.I16)), len(l.I16)
+	}
+	f.steps = append(f.steps, filterLeaf{})
+	s := &f.steps[len(f.steps)-1]
+	s.set(x, wide, l.Lo, l.Hi, l.Not)
+	f.rows = min(f.rows, rows)
+	if first {
+		s.flags |= leafFirst
+	}
+	f.cmp[b2i(wide)]++
+	if l.Dict {
+		f.dict++
+	}
+}
+
+// EndClause closes the clause being built, which holds at least one leaf.
+func (f *Filter) EndClause() { f.steps[len(f.steps)-1].flags |= leafEnd }
+
+// Eval writes out[i] = 1 where row base+i passes the filter and 0 where it
+// does not, for i < n, and reports whether it ran: not for an empty Filter,
+// on a build without the kernel, or for fewer than 32 lanes. Rows past the
+// columns panic.
+func (f *Filter) Eval(base, n int, out []byte) bool {
+	if len(f.steps) == 0 || !HasAVX2 || n < 32 {
+		return false
+	}
+	if base < 0 || n > f.rows-base {
+		panic("vec: Filter.Eval past its columns")
+	}
+	_ = out[n-1]
+	filterSteps(&f.steps[0], len(f.steps), base, n, &out[0])
+	return true
+}
+
+// Count tallies one tile of the filter: a compare tile per leaf at its
+// width, and a dictionary-key tile per leaf over codes.
+func (f *Filter) Count(c *Counters) {
+	c.Cmp[0] += f.cmp[0]
+	c.Cmp[1] += f.cmp[1]
+	c.DictKeys += f.dict
+}
+
+// String names the filter by its leaves' widths — clauses joined by ",",
+// the leaves of a clause by "|" — and its variant: cmp(i8|i8|i16,i16)/avx2.
+func (f *Filter) String() string {
+	b := append(make([]byte, 0, 32), "cmp("...)
+	for i, s := range f.steps {
+		switch {
+		case i == 0:
+		case f.steps[i-1].flags&leafEnd != 0:
+			b = append(b, ',')
+		default:
+			b = append(b, '|')
+		}
+		b = append(b, [2]string{"i8", "i16"}[s.flags&leafWide]...)
+	}
+	return string(append(b, ")/avx2"...))
+}
+
+// rangeSteps writes out[i] = (lo <= x[i] <= hi) XOR not over the whole
+// 32-lane steps of the n lanes at x — int16 lanes when wide, else int8 — as
+// a Filter of one leaf, and returns how many lanes it wrote: none on a build
+// without the kernel or for fewer than 32 lanes.
+func rangeSteps(x unsafe.Pointer, wide bool, n int, lo, hi int64, not bool, out []byte) int {
+	n &^= 31
+	if !HasAVX2 || n == 0 {
+		return 0
+	}
+	_ = out[n-1]
+	var l filterLeaf
+	l.set(x, wide, lo, hi, not)
+	l.flags |= leafFirst | leafEnd
+	filterSteps(&l, 1, 0, n, &out[0])
+	return n
+}
+
+// CmpConstI16 is CmpConstU over int16 lanes, 32 lanes a step where HasAVX2.
+func CmpConstI16(op CmpOp, vals []int16, c int16, out []byte) {
+	lo, hi, not := CmpRange(op, int64(c))
+	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), true, len(vals), lo, hi, not, out)
+	CmpConstU(op, vals[i:], c, out[i:])
+}
+
+// CmpBetweenI16 is CmpConstBetweenU over int16 lanes, 32 lanes a step where
+// HasAVX2: none passes when lo > hi.
+func CmpBetweenI16(vals []int16, lo, hi int16, out []byte) {
+	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), true, len(vals), int64(lo), int64(hi), false, out)
+	CmpConstBetweenU(vals[i:], lo, hi, out[i:])
+}

@@ -1,0 +1,104 @@
+package vec
+
+import (
+	"fmt"
+	"slices"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded maps a page between two inaccessible ones and returns an n-lane
+// slice at its start and one at its end: a read just outside either faults.
+func guarded[T any](t *testing.T, n int) (head, tail []T) {
+	t.Helper()
+	page := syscall.Getpagesize()
+	m, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Munmap(m) })
+	if err := syscall.Mprotect(m[:page], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Mprotect(m[2*page:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	size := int(unsafe.Sizeof(*new(T)))
+	head = unsafe.Slice((*T)(unsafe.Pointer(&m[page])), n)
+	tail = unsafe.Slice((*T)(unsafe.Pointer(&m[2*page-n*size])), n)
+	return head, tail
+}
+
+// TestFilterOutOfRange: the filter kernel and the one-leaf compares read no
+// lane outside the rows they are given — the columns lie against
+// inaccessible pages on both sides, and the rows run from the first lane or
+// end at the last, at whole steps and with a last step that overlaps the
+// one before — and a filter asked for rows past its columns panics instead
+// of reading them. On a build without the kernel the filter declines and the
+// compares run their Go loops over the same pages.
+func TestFilterOutOfRange(t *testing.T) {
+	const rows = 1100
+	for ai, a := range pairOf(guarded[int8](t, rows)) {
+		for bi, b := range pairOf(guarded[int16](t, rows)) {
+			for i := range a {
+				a[i], b[i] = int8(i*7), int16(i*263)
+			}
+			// (a < 5 OR b >= 1000) AND NOT (a BETWEEN -3 AND 70)
+			var f Filter
+			f.Add(FilterLeaf{I8: a, Lo: -128, Hi: 4})
+			f.Add(FilterLeaf{I16: b, Lo: 1000, Hi: 1 << 20})
+			f.EndClause()
+			f.Add(FilterLeaf{I8: a, Lo: -3, Hi: 70, Not: true})
+			f.EndClause()
+			pass := func(i int) byte { return b2i((a[i] < 5 || b[i] >= 1000) && (a[i] < -3 || a[i] > 70)) }
+			for _, n := range []int{32, 33, 40, 64, 95, 1024, rows} {
+				for _, base := range []int{0, rows - n} {
+					name := fmt.Sprintf("a %d, b %d, rows [%d, %d)", ai, bi, base, base+n)
+					out := make([]byte, n)
+					if !f.Eval(base, n, out) {
+						if HasAVX2 {
+							t.Fatalf("%s: the kernel declined", name)
+						}
+					} else {
+						for i, v := range out {
+							if v != pass(base+i) {
+								t.Fatalf("%s: lane %d is %d, want %d", name, i, v, pass(base+i))
+							}
+						}
+					}
+					x, y := a[base:base+n], b[base:base+n]
+					want := make([]byte, n)
+					CmpConstI8(LT, x, 5, out)
+					CmpConstU(LT, x, 5, want)
+					CmpBetweenI8(x[:n/2], -3, 70, out[:n/2])
+					CmpConstBetweenU(x[:n/2], -3, 70, want[:n/2])
+					if !slices.Equal(out, want) {
+						t.Fatalf("%s: int8 compares %v, want %v", name, out, want)
+					}
+					CmpConstI16(GE, y, 1000, out)
+					CmpConstU(GE, y, 1000, want)
+					CmpBetweenI16(y[n/2:], -300, 9000, out[n/2:])
+					CmpConstBetweenU(y[n/2:], -300, 9000, want[n/2:])
+					if !slices.Equal(out, want) {
+						t.Fatalf("%s: int16 compares %v, want %v", name, out, want)
+					}
+				}
+			}
+			if HasAVX2 {
+				for _, r := range [][2]int{{rows - 31, 32}, {-1, 32}, {0, rows + 1}} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("a %d, b %d: rows [%d, %d) past the columns did not panic", ai, bi, r[0], r[0]+r[1])
+							}
+						}()
+						f.Eval(r[0], r[1], make([]byte, r[1]))
+					}()
+				}
+			}
+		}
+	}
+}
+
+func pairOf[T any](a, b T) [2]T { return [2]T{a, b} }

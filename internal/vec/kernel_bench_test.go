@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,8 +9,9 @@ import (
 // Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
 // wide width, the int8 word compares and the int16 range compare beside the
 // unrolled loops, the two selection builds, the mask plane's word loops
-// beside the byte loops they replaced, and the fused int8 loop beside the
-// mask path it replaces.
+// beside the byte loops they replaced, the fused int8 loop beside the
+// mask path it replaces, and the one-pass filter beside the tile walker's
+// passes.
 // TestKernelsZeroAlloc runs the same bodies under the zero-allocation gate.
 
 func kernelData[T Number](pct int) (a, b []T, cmp []byte) {
@@ -126,6 +128,71 @@ func kernelCases() map[string][]kernelCase {
 	if HasAVX2 {
 		cases["Groups"] = groupCases()
 	}
+	cases["Filter"] = filterCases()
+	return cases
+}
+
+// filterCases are tpch_generic's four root filter shapes over 1,024 lanes,
+// each as the tile walker's passes (eval: Evaluator.EvalBool's calls, a
+// compare per leaf into a scratch mask, the saturation check before each
+// later term, then And, Or or Not) and, where the CPU runs it, as one
+// Filter (avx2). q1_multiagg: d <= c, int16; minmax_group: x > 25 AND d >=
+// c; or3_having: x < 5 OR y > 8 OR d < c; not_scalar: NOT (x BETWEEN 10 AND
+// 40) AND y < 5 AND d >= c — x and y int8, d int16.
+func filterCases() (cases []kernelCase) {
+	x, y, out := kernelData[int8](0)
+	d16, _, tmp := kernelData[int16](0)
+	const c = 60
+	shapes := []struct {
+		name   string
+		eval   func()
+		leaves [][]FilterLeaf
+	}{
+		{"one-i16", func() { CmpConstI16(LE, d16, c, out) },
+			[][]FilterLeaf{{{I16: d16, Lo: math.MinInt16, Hi: c}}}},
+		{"and-i8-i16", func() {
+			CmpConstI8(GT, x, 25, out)
+			if !AllZeros(out) {
+				CmpConstI16(GE, d16, c, tmp)
+				And(out, tmp)
+			}
+		}, [][]FilterLeaf{{{I8: x, Lo: 26, Hi: math.MaxInt8}}, {{I16: d16, Lo: c, Hi: math.MaxInt16}}}},
+		{"or-i8-i8-i16", func() {
+			CmpConstI8(LT, x, 5, out)
+			for _, f := range []func(){func() { CmpConstI8(GT, y, 8, tmp) }, func() { CmpConstI16(LT, d16, c, tmp) }} {
+				if AllOnes(out) {
+					break
+				}
+				f()
+				Or(out, tmp)
+			}
+		}, [][]FilterLeaf{{{I8: x, Lo: math.MinInt8, Hi: 4}, {I8: y, Lo: 9, Hi: math.MaxInt8}, {I16: d16, Lo: math.MinInt16, Hi: c - 1}}}},
+		{"not-between-and-i8-i16", func() {
+			CmpBetweenI8(x, 10, 40, out)
+			Not(out)
+			for _, f := range []func(){func() { CmpConstI8(LT, y, 5, tmp) }, func() { CmpConstI16(GE, d16, c, tmp) }} {
+				if AllZeros(out) {
+					break
+				}
+				f()
+				And(out, tmp)
+			}
+		}, [][]FilterLeaf{{{I8: x, Lo: 10, Hi: 40, Not: true}}, {{I8: y, Lo: math.MinInt8, Hi: 4}}, {{I16: d16, Lo: c, Hi: math.MaxInt16}}}},
+	}
+	for _, s := range shapes {
+		cases = append(cases, kernelCase{"eval/" + s.name, TileSize, s.eval})
+		if !HasAVX2 {
+			continue
+		}
+		f := new(Filter)
+		for _, clause := range s.leaves {
+			for _, l := range clause {
+				f.Add(l)
+			}
+			f.EndClause()
+		}
+		cases = append(cases, kernelCase{"avx2/" + s.name, TileSize, func() { f.Eval(0, TileSize, out) }})
+	}
 	return cases
 }
 
@@ -195,6 +262,7 @@ func BenchmarkKernelSel(bm *testing.B)       { runKernels(bm, "Sel") }
 func BenchmarkKernelMaskOps(bm *testing.B)   { runKernels(bm, "MaskOps") }
 func BenchmarkKernelFused(bm *testing.B)     { runKernels(bm, "Fused") }
 func BenchmarkKernelGroups(bm *testing.B)    { runKernels(bm, "Groups") }
+func BenchmarkKernelFilter(bm *testing.B)    { runKernels(bm, "Filter") }
 
 // TestKernelsZeroAlloc: the kernels are tile loops over the caller's
 // buffers, and no call of any BenchmarkKernel row may allocate.

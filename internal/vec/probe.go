@@ -2,21 +2,19 @@ package vec
 
 import "math"
 
-// Positional-bitmap probes and int16 range compares in AVX2 (probe_amd64.s),
-// where the Go loops test one lane at a time. A probe reads the bitmap as
-// 32-bit words: bit p is bit p&31 of word p>>5, which is where it lies in
-// the little-endian 64-bit words, and one VPGATHERDD fetches eight lanes'
-// words. AndBits shifts each lane's bit down and packs 32 lanes to bytes;
+// Positional-bitmap probes in AVX2 (probe_amd64.s), where the Go loops test
+// one lane at a time. A probe reads the bitmap as 32-bit words: bit p is bit
+// p&31 of word p>>5, which is where it lies in the little-endian 64-bit
+// words, and one VPGATHERDD fetches eight lanes' words. AndBits shifts each lane's bit down and packs 32 lanes to bytes;
 // SelectBits first gathers the lanes' positions through the selection
 // vector, shifts each bit to the top, reads eight at once with VMOVMSKPS and
 // compacts the selection in place through selPos, which never writes past
 // the lane it reads. Every gather is masked to the lanes whose index lies in
 // its slice, and a kernel returns the largest index it saw, so the wrapper
-// fails an index outside the slice as the Go loop's index check does. The
-// int16 compare is lo <= x <= hi XOR not, 32 lanes a step, onto which every
-// operator and BETWEEN maps. Each kernel takes whole steps only; the caller
-// runs the lanes after them through its Go loop, which is also the whole
-// loop on a build without the kernels (HasAVX2 false).
+// fails an index outside the slice as the Go loop's index check does. Each
+// kernel takes whole steps only; the caller runs the lanes after them
+// through its Go loop, which is also the whole loop on a build without the
+// kernels (HasAVX2 false).
 
 // AndBits ANDs bit pos[j] of the bitmap words into cmp[j] for the first lanes
 // of pos, a multiple of 32, and returns how many it took: none on a build
@@ -54,52 +52,3 @@ func SelectBits(words []uint64, pos, sel []int32) (read, kept int) {
 // limit is the last of n > 0 indexes as a gather's unsigned bound: for the
 // bitmap, n is its count of 32-bit words.
 func limit(n int) uint32 { return uint32(min(uint64(n-1), math.MaxUint32)) }
-
-// CmpConstI16 is CmpConstU over int16 lanes, 32 lanes a step where HasAVX2.
-func CmpConstI16(op CmpOp, vals []int16, c int16, out []byte) {
-	lo, hi, not := rangeI16(op, c)
-	i := cmpRangeI16(vals, lo, hi, not, out)
-	CmpConstU(op, vals[i:], c, out[i:])
-}
-
-// CmpBetweenI16 is CmpConstBetweenU over int16 lanes, 32 lanes a step where
-// HasAVX2: none passes when lo > hi.
-func CmpBetweenI16(vals []int16, lo, hi int16, out []byte) {
-	i := cmpRangeI16(vals, lo, hi, false, out)
-	CmpConstBetweenU(vals[i:], lo, hi, out[i:])
-}
-
-// rangeI16 is x op c as lo <= x <= hi XOR not. x < MinInt16 and x > MaxInt16
-// are the empty [MaxInt16, MinInt16], and x <> c is x = c under not.
-func rangeI16(op CmpOp, c int16) (lo, hi int16, not bool) {
-	switch op {
-	case LT:
-		if c == math.MinInt16 {
-			return math.MaxInt16, math.MinInt16, false
-		}
-		return math.MinInt16, c - 1, false
-	case LE:
-		return math.MinInt16, c, false
-	case GT:
-		if c == math.MaxInt16 {
-			return math.MaxInt16, math.MinInt16, false
-		}
-		return c + 1, math.MaxInt16, false
-	case GE:
-		return c, math.MaxInt16, false
-	}
-	return c, c, op == NE
-}
-
-// cmpRangeI16 writes out[i] = (lo <= vals[i] <= hi) XOR not for the first
-// lanes of vals, a multiple of 32, and returns how many: none on a build
-// without the kernel or for fewer than 32 lanes.
-func cmpRangeI16(vals []int16, lo, hi int16, not bool, out []byte) int {
-	n := len(vals) &^ 31
-	if !HasAVX2 || n == 0 {
-		return 0
-	}
-	_ = out[n-1]
-	rangeI16Steps(&vals[0], n, lo, hi, -int16(b2i(not)), &out[0])
-	return n
-}

@@ -14,9 +14,3 @@ func andBits(words *uint64, lim uint32, pos *int32, cmp *byte, n int) (top uint3
 //
 //go:noescape
 func selectBits(words *uint64, lim uint32, pos *int32, plim uint32, sel *int32, n int) (kept int, top, topSel uint32)
-
-// rangeI16Steps is cmpRangeI16's loop over n lanes, a multiple of 32; not is
-// 0 or -1.
-//
-//go:noescape
-func rangeI16Steps(x *int16, n int, lo, hi, not int16, out *byte)

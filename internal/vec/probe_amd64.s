@@ -136,36 +136,3 @@ step:
 	MOVL AX, topSel+60(FP)
 	VZEROUPPER
 	RET
-
-// func rangeI16Steps(x *int16, n int, lo, hi, not int16, out *byte)
-TEXT ·rangeI16Steps(SB), NOSPLIT, $0-32
-	MOVQ         x+0(FP), SI
-	MOVQ         n+8(FP), CX
-	VPBROADCASTW lo+16(FP), Y8
-	VPBROADCASTW hi+18(FP), Y9
-	VPBROADCASTW not+20(FP), Y10
-	MOVQ         out+24(FP), DI
-	VPCMPEQB     Y11, Y11, Y11
-	VPABSB       Y11, Y11 // bytes of 1
-	XORQ         DX, DX
-
-step:
-	// A lane fails where it lies outside [lo, hi], XOR not; it passes as 1.
-	VMOVDQU   (SI)(DX*2), Y0
-	VMOVDQU   32(SI)(DX*2), Y1
-	VPCMPGTW  Y9, Y0, Y2
-	VPCMPGTW  Y0, Y8, Y3
-	VPOR      Y3, Y2, Y2
-	VPCMPGTW  Y9, Y1, Y3
-	VPCMPGTW  Y1, Y8, Y4
-	VPOR      Y4, Y3, Y3
-	VPACKSSWB Y3, Y2, Y2
-	VPERMQ    $0xd8, Y2, Y2
-	VPXOR     Y10, Y2, Y2
-	VPANDN    Y11, Y2, Y2
-	VMOVDQU   Y2, (DI)(DX*1)
-	ADDQ      $32, DX
-	CMPQ      DX, CX
-	JB        step
-	VZEROUPPER
-	RET

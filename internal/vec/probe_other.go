@@ -9,7 +9,3 @@ func andBits(words *uint64, lim uint32, pos *int32, cmp *byte, n int) (top uint3
 func selectBits(words *uint64, lim uint32, pos *int32, plim uint32, sel *int32, n int) (kept int, top, topSel uint32) {
 	panic("vec: SelectBits needs HasAVX2")
 }
-
-func rangeI16Steps(x *int16, n int, lo, hi, not int16, out *byte) {
-	panic("vec: CmpConstI16 needs HasAVX2")
-}

@@ -81,6 +81,13 @@ type Explain struct {
 	// inline; empty on a fallback.
 	Kernel string
 
+	// Filter names the loop the root filter runs in, fixed when the plan
+	// compiled: "cmp(i8|i8|i16)/avx2" for the one-pass kernel (clauses
+	// joined by ",", the leaves of a clause by "|", each at its column's
+	// stored width), "eval" for the tile walker, "fold" where the Kernel
+	// computes it inline; empty without a filter or on a fallback.
+	Filter string
+
 	// Variants aggregates the per-tile kernel-variant counters across the
 	// run's workers: adaptive selection-build density classes, native-width
 	// compare and widen lanes, and dict-coded key tiles. All zero for
@@ -104,6 +111,7 @@ func fromCore(ex core.Explain) Explain {
 		PrepareTime: ex.PrepareTime,
 		StatsTime:   ex.StatsTime,
 		Kernel:      ex.Kernel,
+		Filter:      ex.Filter,
 		Variants:    ex.Variants,
 	}
 }

@@ -229,9 +229,27 @@ func TestFusedFoldPins(t *testing.T) {
 		"join_minmax":     "min(i64)+max(i64)/scalar/value",
 		"or3_join_having": "lanes(i64)/keyed/value",
 	}
+	// The loop each root filter runs in: the one-pass kernel over its
+	// leaves' widths where the CPU runs it, else the tile walker.
+	filters := map[string]string{
+		"q1_multiagg":     "cmp(i16)/avx2",
+		"or3_having":      "cmp(i8|i8|i16)/avx2",
+		"not_scalar":      "cmp(i8,i8,i16)/avx2",
+		"join2_group":     "",
+		"snowflake3":      "cmp(i8)/avx2",
+		"minmax_group":    "cmp(i8,i16)/avx2",
+		"join_minmax":     "cmp(i16)/avx2",
+		"or3_join_having": "cmp(i8|i8|i8)/avx2",
+	}
 	if vec.HasAVX2 { // a small group table over int8 keys folds one slot a pass
 		for _, id := range []string{"q1_multiagg", "or3_having", "minmax_group"} {
 			kernels[id] += "/avx2"
+		}
+	} else {
+		for id, f := range filters {
+			if f != "" {
+				filters[id] = "eval"
+			}
 		}
 	}
 	for _, s := range tpchStatements {
@@ -241,6 +259,9 @@ func TestFusedFoldPins(t *testing.T) {
 		}
 		if ex.Kernel != kernels[s.id] {
 			t.Errorf("%s: kernel %s, want %s", s.id, ex.Kernel, kernels[s.id])
+		}
+		if ex.Filter != filters[s.id] {
+			t.Errorf("%s: filter %s, want %s", s.id, ex.Filter, filters[s.id])
 		}
 		w, ok := want[s.id]
 		if !ok {
@@ -301,13 +322,19 @@ func TestFusedFoldPins(t *testing.T) {
 		case "group_r_c.s95": // over the bound: the pair loop over widened vectors
 			want = "sum1(i64;i64)/packed/value"
 		}
+		// The root filter: r_x (and r_y) at int8, one clause each; the
+		// groupjoin filters only its edge.
+		filter := map[bool]string{true: "cmp(i8)/avx2", false: "eval"}[vec.HasAVX2]
+		if s.id[:9] == "groupjoin" {
+			filter = ""
+		}
 		if vec.HasAVX2 && s.id[:6] == "scalar" {
-			want = "sumprod(i8,i8)/scalar/cmp(i8,i8)/avx2"
+			want, filter = "sumprod(i8,i8)/scalar/cmp(i8,i8)/avx2", "fold"
 		}
 		if _, ex, err := micro.QuerySwole(s.q); err != nil {
 			t.Fatal(err)
-		} else if ex.Kernel != want {
-			t.Errorf("%s: %s, kernel %s, want %s", s.id, ex.Technique, ex.Kernel, want)
+		} else if ex.Kernel != want || ex.Filter != filter {
+			t.Errorf("%s: %s, kernel %s, filter %s; want %s, %s", s.id, ex.Technique, ex.Kernel, ex.Filter, want, filter)
 		}
 	}
 	i := slices.IndexFunc(microClassicStatements, func(s steadyStmt) bool { return s.id == "scalar.s05" })
