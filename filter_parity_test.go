@@ -10,9 +10,13 @@ import (
 // width — an int8 l_quantity or p_size against 300, -500 or 1000, an int16
 // l_shipdate against -40000 — matches every row or none, and the one-pass
 // filter kernel clamps such a leaf to the full range or the empty one where
-// the tile walker widened the tile to int64. Each statement, and its NOT,
-// agrees with the interpreter on every path, as a root filter and as an
-// edge's, and where the CPU runs the kernel the root filter runs in it.
+// the tile walker widened the tile to int64. The tile walker clamps it the
+// same way where the kernel declines the filter (eval): an int32 leaf in the
+// clause, or an OR over an AND. A scalar int8 sum fuses its compares into the
+// fold (vec.SumFusedI8), BETWEEN, NOT and the clamped constant among them.
+// Each statement, and its NOT, agrees with the interpreter on every path, as
+// a root filter and as an edge's, and where the CPU runs the kernels the root
+// filter runs in the one named.
 func TestFilterConstantsOutsideWidth(t *testing.T) {
 	d := LoadTPCH(0.01)
 	defer d.Close()
@@ -24,8 +28,16 @@ func TestFilterConstantsOutsideWidth(t *testing.T) {
 		{"select l_shipmode, count(*) as n from lineitem where not (l_quantity > -500) group by l_shipmode", "cmp(i8)/avx2"},
 		{"select count(*) as n, min(l_quantity) as q from lineitem where l_shipdate >= -40000", "cmp(i16)/avx2"},
 		{"select count(*) as n, min(l_quantity) as q from lineitem where not (l_shipdate >= -40000)", "cmp(i16)/avx2"},
-		{"select count(*) as n, sum(p_size) as s from part where p_size between -5 and 1000", "cmp(i8)/avx2"},
-		{"select count(*) as n, sum(p_size) as s from part where not (p_size between -5 and 1000)", "cmp(i8)/avx2"},
+		{"select count(*) as n, sum(p_size) as s from part where p_size between -5 and 1000", "fold"},
+		{"select count(*) as n, sum(p_size) as s from part where not (p_size between -5 and 1000)", "fold"},
+		{"select count(*) as n, sum(l_quantity) as q from lineitem where not (l_quantity between -5 and 30) and l_discount < 300", "fold"},
+		{"select count(*) as n, sum(l_quantity * l_discount) as q from lineitem where l_quantity between -500 and 24 and not (l_discount between 2 and 300)", "fold"},
+		{"select count(*) as n, sum(l_extendedprice) as s from lineitem where l_quantity < 300 or l_extendedprice < 100000", "eval"},
+		{"select count(*) as n, sum(l_extendedprice) as s from lineitem where not (l_quantity > -500) or l_extendedprice < 100000", "eval"},
+		{"select count(*) as n, min(l_quantity) as q from lineitem where l_shipdate >= -40000 or l_extendedprice < 5", "eval"},
+		{"select count(*) as n, min(l_quantity) as q from lineitem where not (l_shipdate between -40000 and 40000) or l_extendedprice < 5", "eval"},
+		{"select l_shipmode, count(*) as n from lineitem where (l_quantity > -500 and l_shipdate < 40000) or l_discount = 3 group by l_shipmode", "eval"},
+		{"select l_shipmode, count(*) as n from lineitem where (l_quantity < 300 and not (l_shipdate between -40000 and 5)) or l_discount = 3 group by l_shipmode", "eval"},
 		{"select count(*) as n, sum(l_quantity) as q from lineitem, part where l_partkey = p_partkey and p_size between -5 and 1000", ""},
 		{"select count(*) as n, sum(l_quantity) as q from lineitem, part where l_partkey = p_partkey and not (p_size between -5 and 1000)", ""},
 		{"select p_brand, count(*) as n from lineitem, part where l_partkey = p_partkey and l_quantity < 300 and not (p_size between -5 and 1000) group by p_brand", "cmp(i8)/avx2"},

@@ -375,15 +375,16 @@ func foldScalar(p *PreparedSelect, s *worker, w, base, m int, cmp []byte) {
 // fusedI8 is the fold key whose loop computes the predicate inline
 // (vec.SumFusedI8): value masking as the one loop of the paper's Fig. 3, with
 // no mask written or read back. It covers a scalar statement on the root
-// table whose filter is a conjunction of one or two compares of an int8
-// column against an int8 constant, with no edge and no residual, whose lanes
-// are the count and at most one sum, sum(a) or sum(a*b), over bare int8 root
+// table whose filter is a conjunction of one or two range compares of an
+// int8 column against constants (expr.RangeLeaf: a compare, or BETWEEN,
+// possibly under NOT), with no edge and no residual, whose lanes are the
+// count and at most one sum, sum(a) or sum(a*b), over bare int8 root
 // columns; and only where the CPU runs the kernel (vec.HasAVX2).
 type fusedI8 struct {
 	ok   bool
-	x, y *storage.Column // the compared columns; y nil for one compare
-	rng  [2]vec.RangeI8
-	a, b *storage.Column // the sum's factors: b nil for sum(a), both nil for the count alone
+	x, y *storage.Column   // the compared columns; y nil for one compare
+	rng  [2]vec.FilterLeaf // their ranges, the lanes left empty
+	a, b *storage.Column   // the sum's factors: b nil for sum(a), both nil for the count alone
 }
 
 // fusedShape is the statement's fusedI8 key, not ok where it has none. It
@@ -398,10 +399,10 @@ func (c *selectCompile) fusedShape() (f fusedI8) {
 		x, y = and.Args[0], and.Args[1]
 	}
 	var ok bool
-	if f.x, f.rng[0], ok = cmpI8(x); !ok {
+	if f.x, f.rng[0], ok = rangeI8(x); !ok {
 		return fusedI8{}
 	}
-	if f.y, f.rng[1], ok = cmpI8(y); !ok && y != nil {
+	if f.y, f.rng[1], ok = rangeI8(y); !ok && y != nil {
 		return fusedI8{}
 	}
 	for _, a := range q.Aggs {
@@ -423,14 +424,16 @@ func (c *selectCompile) fusedShape() (f fusedI8) {
 	return f
 }
 
-// cmpI8 is a compare of an int8 column against an int8 constant as the
-// column and the range the fused loop tests.
-func cmpI8(e expr.Expr) (*storage.Column, vec.RangeI8, bool) {
-	col, op, k, ok := expr.ColumnCmp(e)
-	if !ok || col.Kind != storage.KindInt8 || k != int64(int8(k)) {
-		return nil, vec.RangeI8{}, false
+// rangeI8 is a range compare of a stored int8 column as the column and the
+// range the fused loop tests.
+func rangeI8(e expr.Expr) (*storage.Column, vec.FilterLeaf, bool) {
+	x, lo, hi, not, ok := expr.RangeLeaf(e)
+	if col, isCol := x.(*expr.Col); ok && isCol {
+		if sc := col.Column(); sc != nil && sc.Kind == storage.KindInt8 {
+			return sc, vec.FilterLeaf{Lo: lo, Hi: hi, Not: not}, true
+		}
 	}
-	return col, vec.CmpRangeI8(op, int8(k)), true
+	return nil, vec.FilterLeaf{}, false
 }
 
 // rootI8 is the int8 root column a bare column reference names, or nil.
@@ -479,7 +482,9 @@ func (f fusedI8) bind() foldFn {
 		}
 	}
 	return func(p *PreparedSelect, s *worker, w, base, m int, _ []byte) {
-		cnt, sum := vec.SumFusedI8(in(f.x, base, m), f.rng[0], in(f.y, base, m), f.rng[1], in(f.a, base, m), in(f.b, base, m))
+		cx, cy := f.rng[0], f.rng[1]
+		cx.I8, cy.I8 = in(f.x, base, m), in(f.y, base, m)
+		cnt, sum := vec.SumFusedI8(cx, cy, in(f.a, base, m), in(f.b, base, m))
 		part := p.part[w*p.stride:]
 		part[0] += cnt
 		if f.a != nil {

@@ -84,19 +84,10 @@ func (b *filterBuild) or(e Expr) bool {
 	return false
 }
 
-// leaf adds e's leaves, under not when not: one for a compare or BETWEEN,
-// one per item of an IN, which under not must have one item.
+// leaf adds e's leaves, under not when not: one for a compare or BETWEEN
+// (RangeLeaf), one per item of an IN, which under not must have one item.
 func (b *filterBuild) leaf(e Expr, not bool) bool {
-	switch x := e.(type) {
-	case *Cmp:
-		l, op, c, lit := literalRight(x)
-		lo, hi, neg := vec.CmpRange(op, c)
-		return lit && b.add(l, lo, hi, neg != not)
-	case *Between:
-		lo, okLo := constVal(x.Lo)
-		hi, okHi := constVal(x.Hi)
-		return okLo && okHi && b.add(x.X, lo, hi, not)
-	case *In:
+	if x, ok := e.(*In); ok {
 		if len(x.List) == 0 || not && len(x.List) > 1 {
 			return false
 		}
@@ -107,7 +98,8 @@ func (b *filterBuild) leaf(e Expr, not bool) bool {
 		}
 		return true
 	}
-	return false
+	x, lo, hi, neg, ok := RangeLeaf(e)
+	return ok && b.add(x, lo, hi, neg != not)
 }
 
 // eq adds x = item, or x <> item under not.

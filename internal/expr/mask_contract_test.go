@@ -10,10 +10,12 @@ import (
 
 // TestMaskProducersEmitZeroOne pins the contract the word-at-a-time mask
 // plane rests on (vec/maskops.go sums and packs eight lanes per word): every
-// producer of a mask — the unrolled vec compare kernels, the native-width
-// column kernels (an int8 column's eight-lane word compares among them), and the tile walker under both bindings down
-// to its "nonzero integer is true" default — writes bytes 0 and 1 only, over
-// random columns of every physical width. The output is poisoned
+// producer of a mask — the unrolled vec compare kernels, the range compare
+// at each stored width (Column.CmpRangeInto, the AVX2 kernel over int8 and
+// int16 columns among them, with bounds inside and past the width), and the
+// tile walker under both bindings down to its "nonzero integer is true"
+// default — writes bytes 0 and 1 only, over random columns of every
+// physical width. The output is poisoned
 // first, so a lane a producer skipped fails too.
 
 func zeroOne(t *testing.T, who string, mask []byte) {
@@ -40,9 +42,10 @@ func checkCmpKernels[T vec.Number](t *testing.T, r *rand.Rand, vals []T, out []b
 	for i := range other {
 		other[i] = vals[r.Intn(len(vals))]
 	}
+	loops := [...]func([]T, T, []byte){vec.CmpConstLTU[T], vec.CmpConstLEU[T], vec.CmpConstGTU[T], vec.CmpConstGEU[T], vec.CmpConstEQU[T], vec.CmpConstNEU[T]}
 	for op := vec.LT; op <= vec.NE; op++ {
-		vec.CmpConstU(op, vals, c, poison(out))
-		zeroOne(t, "CmpConstU "+op.String(), out)
+		loops[op](vals, c, poison(out))
+		zeroOne(t, "CmpConst "+op.String(), out)
 		vec.CmpCols(op, vals, other, poison(out))
 		zeroOne(t, "CmpCols "+op.String(), out)
 	}
@@ -96,16 +99,21 @@ func TestMaskProducersEmitZeroOne(t *testing.T) {
 		checkCmpKernels(t, r, cols[3].I64, out)
 		for _, c := range cols[:4] {
 			k := raw[c.Name][r.Intn(n)]
-			for op := vec.LT; op <= vec.NE; op++ {
-				if !c.CmpConstInto(op, k, 0, n, poison(out[:n])) {
-					t.Fatalf("CmpConstInto refused an in-range literal on %s", c.Name)
+			for _, kk := range []int64{k, -1 << 40, 1 << 40} {
+				for op := vec.LT; op <= vec.NE; op++ {
+					lo, hi, not := vec.CmpRange(op, kk)
+					c.CmpRangeInto(lo, hi, not, 0, n, poison(out[:n]))
+					zeroOne(t, "CmpRangeInto "+op.String()+" "+c.Name, out[:n])
+					c.CmpRangeInto(lo, hi, !not, 0, n, poison(out[:n]))
+					zeroOne(t, "CmpRangeInto NOT "+op.String()+" "+c.Name, out[:n])
 				}
-				zeroOne(t, "CmpConstInto "+c.Name, out[:n])
 			}
-			if !c.CmpBetweenInto(k, raw[c.Name][r.Intn(n)], 0, n, poison(out[:n])) {
-				t.Fatalf("CmpBetweenInto refused in-range bounds on %s", c.Name)
+			for _, b := range [][2]int64{{k, raw[c.Name][r.Intn(n)]}, {-1 << 40, k}, {k, 1 << 40}, {1 << 40, -1 << 40}} {
+				c.CmpRangeInto(b[0], b[1], false, 0, n, poison(out[:n]))
+				zeroOne(t, "CmpRangeInto BETWEEN "+c.Name, out[:n])
+				c.CmpRangeInto(b[0], b[1], true, 0, n, poison(out[:n]))
+				zeroOne(t, "CmpRangeInto NOT BETWEEN "+c.Name, out[:n])
 			}
-			zeroOne(t, "CmpBetweenInto "+c.Name, out[:n])
 		}
 
 		col, num := NewCol, func(v int64) Expr { return &Const{Val: v} }

@@ -1,9 +1,6 @@
 package expr
 
-import (
-	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
-)
+import "github.com/reprolab/swole/internal/vec"
 
 // Evaluator is the tile walker: it evaluates bound expressions a tile at a
 // time with one type switch per node, reusing scratch buffers across calls,
@@ -93,53 +90,40 @@ func (ev *Evaluator) count(kind int, dict bool) {
 // out[:t.N] — the prepass loop of Figure 1.
 func (ev *Evaluator) EvalBool(e Expr, t Tile, out []byte) {
 	n := t.N
+	if x, lo, hi, not, ok := RangeLeaf(e); ok {
+		// A stored column compares at its stored width, hoisting the Kind
+		// switch out of the loop (control-flow duplication by hand).
+		if col, isCol := x.(*Col); isCol && col.at().Col != nil {
+			sc := col.at().Col
+			sc.CmpRangeInto(lo, hi, not, t.Base, n, out)
+			ev.count(int(sc.Kind), sc.Dict != nil)
+			return
+		}
+		v, p := ev.vals(x, t)
+		vec.CmpRangeU(v[:n], lo, hi, not, out)
+		ev.release(v, p)
+		ev.count(3, false)
+		return
+	}
 	switch x := e.(type) {
 	case *Cmp:
-		l, op, c, lit := literalRight(x)
-		if !lit {
-			lv, lp := ev.vals(x.L, t)
-			rv, rp := ev.vals(x.R, t)
-			vec.CmpCols(op, lv[:n], rv[:n], out)
-			ev.release(lv, lp)
-			ev.release(rv, rp)
-		} else {
-			// Width-specialized fast path: a stored column against a literal
-			// compares at the column's physical width, hoisting the Kind
-			// switch out of the loop (control-flow duplication by hand).
-			if col, ok := l.(*Col); ok {
-				if sc := col.at().Col; sc != nil && sc.CmpConstInto(op, c, t.Base, n, out) {
-					ev.count(int(sc.Kind), sc.Dict != nil)
-					return
-				}
-			}
-			v, p := ev.vals(l, t)
-			vec.CmpConstU(op, v[:n], c, out)
-			ev.release(v, p)
-		}
+		lv, lp := ev.vals(x.L, t)
+		rv, rp := ev.vals(x.R, t)
+		vec.CmpCols(vec.CmpOp(x.Op), lv[:n], rv[:n], out)
+		ev.release(lv, lp)
+		ev.release(rv, rp)
 		ev.count(3, false)
 	case *Between:
-		lo, okLo := constVal(x.Lo)
-		hi, okHi := constVal(x.Hi)
-		if col, ok := x.X.(*Col); ok && okLo && okHi {
-			if sc := col.at().Col; sc != nil && sc.CmpBetweenInto(lo, hi, t.Base, n, out) {
-				ev.count(int(sc.Kind), false)
-				return
-			}
-		}
 		v, vp := ev.vals(x.X, t)
-		if okLo && okHi {
-			vec.CmpConstBetweenU(v[:n], lo, hi, out)
-		} else {
-			l, lp := ev.vals(x.Lo, t)
-			h, hp := ev.vals(x.Hi, t)
-			tmp := ev.getBool()
-			vec.CmpCols(vec.GE, v[:n], l[:n], out)
-			vec.CmpCols(vec.LE, v[:n], h[:n], tmp)
-			vec.And(out[:n], tmp[:n])
-			ev.putBool(tmp)
-			ev.release(l, lp)
-			ev.release(h, hp)
-		}
+		l, lp := ev.vals(x.Lo, t)
+		h, hp := ev.vals(x.Hi, t)
+		tmp := ev.getBool()
+		vec.CmpCols(vec.GE, v[:n], l[:n], out)
+		vec.CmpCols(vec.LE, v[:n], h[:n], tmp)
+		vec.And(out[:n], tmp[:n])
+		ev.putBool(tmp)
+		ev.release(l, lp)
+		ev.release(h, hp)
 		ev.release(v, vp)
 		ev.count(3, false)
 	case *In:
@@ -303,17 +287,27 @@ func constVal(e Expr) (int64, bool) {
 	return 0, false
 }
 
-// ColumnCmp reports a compare of a bound stored column against a literal
-// as col op c, the literal moved to the right: the form EvalBool compares at
-// the column's stored width.
-func ColumnCmp(e Expr) (col *storage.Column, op vec.CmpOp, c int64, ok bool) {
-	if x, isCmp := e.(*Cmp); isCmp {
-		l, op, c, lit := literalRight(x)
-		if lc, isCol := l.(*Col); lit && isCol && lc.Column() != nil {
-			return lc.Column(), op, c, true
+// RangeLeaf is e as lo <= x <= hi XOR not (vec.CmpRange), the one form of a
+// compare against constants: a compare with a literal on either side, or
+// BETWEEN two literals, either possibly under NOT. The filter kernel, the
+// tile walker and the fused scalar loop all read it.
+func RangeLeaf(e Expr) (x Expr, lo, hi int64, not, ok bool) {
+	switch y := e.(type) {
+	case *Logic:
+		if y.Op == Not {
+			x, lo, hi, not, ok = RangeLeaf(y.Args[0])
+			return x, lo, hi, !not, ok
 		}
+	case *Cmp:
+		l, op, c, lit := literalRight(y)
+		lo, hi, not = vec.CmpRange(op, c)
+		return l, lo, hi, not, lit
+	case *Between:
+		lo, okLo := constVal(y.Lo)
+		hi, okHi := constVal(y.Hi)
+		return y.X, lo, hi, false, okLo && okHi
 	}
-	return nil, 0, 0, false
+	return nil, 0, 0, false, false
 }
 
 // literalRight is x as l op c when either side is a literal (lit), the

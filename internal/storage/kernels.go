@@ -39,63 +39,20 @@ func Stored[T vec.Number](c *Column, base, n int) []T {
 	return (*p.(*[]T))[base : base+n]
 }
 
-// kindRange returns the value range representable at the column's width.
-func kindRange(k Kind) (lo, hi int64) {
-	switch k {
-	case KindInt8:
-		return -1 << 7, 1<<7 - 1
-	case KindInt16:
-		return -1 << 15, 1<<15 - 1
-	case KindInt32:
-		return -1 << 31, 1<<31 - 1
-	default:
-		return -1 << 63, 1<<63 - 1
-	}
-}
-
-// CmpConstInto evaluates column[base+i] op k into out[:n] at the column's
-// native width with the unrolled kernels — an int8 column eight lanes a word,
-// an int16 one 32 lanes a step where vec.HasAVX2. It reports false when the
-// constant does not fit the physical width (the caller falls back to the
-// widened int64 path, which is always correct).
-func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bool {
-	lo, hi := kindRange(c.Kind)
-	if k < lo || k > hi {
-		return false
-	}
+// CmpRangeInto writes out[i] = (lo <= column[base+i] <= hi) XOR not for i <
+// n at the column's stored width (vec.CmpRangeU, a range from vec.CmpRange):
+// a bound past the width clamps to it.
+func (c *Column) CmpRangeInto(lo, hi int64, not bool, base, n int, out []byte) {
 	switch c.Kind {
 	case KindInt8:
-		vec.CmpConstI8(op, c.I8[base:base+n], int8(k), out)
+		vec.CmpRangeU(c.I8[base:base+n], lo, hi, not, out)
 	case KindInt16:
-		vec.CmpConstI16(op, c.I16[base:base+n], int16(k), out)
+		vec.CmpRangeU(c.I16[base:base+n], lo, hi, not, out)
 	case KindInt32:
-		vec.CmpConstU(op, c.I32[base:base+n], int32(k), out)
+		vec.CmpRangeU(c.I32[base:base+n], lo, hi, not, out)
 	default:
-		vec.CmpConstU(op, c.I64[base:base+n], k, out)
+		vec.CmpRangeU(c.I64[base:base+n], lo, hi, not, out)
 	}
-	return true
-}
-
-// CmpBetweenInto evaluates lo <= column[base+i] <= hi into out[:n] at the
-// column's native width, an int8 column eight lanes a word and an int16 one
-// 32 lanes a step where vec.HasAVX2. It reports false when either bound falls
-// outside the physical width.
-func (c *Column) CmpBetweenInto(klo, khi int64, base, n int, out []byte) bool {
-	rlo, rhi := kindRange(c.Kind)
-	if klo < rlo || klo > rhi || khi < rlo || khi > rhi {
-		return false
-	}
-	switch c.Kind {
-	case KindInt8:
-		vec.CmpBetweenI8(c.I8[base:base+n], int8(klo), int8(khi), out)
-	case KindInt16:
-		vec.CmpBetweenI16(c.I16[base:base+n], int16(klo), int16(khi), out)
-	case KindInt32:
-		vec.CmpConstBetweenU(c.I32[base:base+n], int32(klo), int32(khi), out)
-	default:
-		vec.CmpConstBetweenU(c.I64[base:base+n], klo, khi, out)
-	}
-	return true
 }
 
 // GatherInto reads the rows named by pos into out[:len(pos)] widened to

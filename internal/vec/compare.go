@@ -4,8 +4,7 @@ package vec
 // full tile into a comparison vector of 0/1 bytes, removing the control
 // dependency that prevents vectorization in the data-centric strategy. This
 // file holds the operators and the column-against-column compare; a column
-// against a constant runs the unrolled loops of unroll.go, or for int8 the
-// word loops of cmp8.go.
+// against constants is one range compare (CmpRange, CmpRangeU in filter.go).
 
 // CmpOp identifies a comparison operator of the prepass kernels.
 type CmpOp int

@@ -9,22 +9,23 @@ import (
 // Filters in one pass (paper §III-A, Fig. 3: the predicate evaluated in the
 // access loop). A Filter is a conjunction of clauses, each an OR of leaves,
 // and a leaf is one range compare of a stored int8 or int16 column: a lane
-// passes where lo <= x <= hi, XOR not. Every compare operator, BETWEEN and
-// each item of an IN list maps onto one leaf (CmpRange). The kernel
-// (filter_amd64.s) takes 32 lanes a step: it evaluates every leaf in
-// registers — VPCMPGTB over int8 lanes, VPCMPGTW then VPACKSSWB and VPERMQ
-// over int16 ones — ORs the leaves of a clause, ANDs the clauses and stores
-// the step's 32 mask bytes, each 0 or 1. A run of lanes that is not a whole
-// number of steps ends with one more step over its last 32 lanes. The
-// one-leaf compares CmpConstI8, CmpBetweenI8, CmpConstI16 and CmpBetweenI16
-// run the same kernel over their whole steps. A build without the kernel
-// (HasAVX2 false) has no Filter: Eval reports false, and the callers keep to
-// their Go loops.
+// passes where lo <= x <= hi, XOR not. Every compare against constants is
+// that range (CmpRange): each operator, BETWEEN and each item of an IN list,
+// clamped to the column's width. The kernel (filter_amd64.s) takes 32 lanes
+// a step: it evaluates every leaf in registers — VPCMPGTB over int8 lanes,
+// VPCMPGTW then VPACKSSWB and VPERMQ over int16 ones — ORs the leaves of a
+// clause, ANDs the clauses and stores the step's 32 mask bytes, each 0 or 1.
+// A run of lanes that is not a whole number of steps ends with one more step
+// over its last 32 lanes. CmpRangeU, the one compare of a column against
+// constants, runs the same kernel with one leaf over int8 and int16 tiles of
+// 32 lanes or more, and unroll.go's loops over every other tile. A build
+// without the kernel (HasAVX2 false) has no Filter: Eval reports false, and
+// the callers keep to the Go loops.
 
-// FilterLeaf is one compare of a Filter: a lane of the column passes where
-// Lo <= x <= Hi, or where it does not under Not. Exactly one of I8 and I16
-// holds the column. A bound outside the column's width clamps to it, so a
-// leaf may pass every lane or none.
+// FilterLeaf is one compare of a Filter, or of SumFusedI8: a lane of the
+// column passes where Lo <= x <= Hi, or where it does not under Not. Exactly
+// one of I8 and I16 holds the column. A bound outside the column's width
+// clamps to it, so a leaf may pass every lane or none.
 type FilterLeaf struct {
 	I8     []int8
 	I16    []int16
@@ -82,16 +83,32 @@ func CmpRange(op CmpOp, c int64) (lo, hi int64, not bool) {
 	return c, c, op == NE
 }
 
-// set fills the leaf for the column at x, int16 lanes when wide: the range
-// clamped to the width, an empty one as the full range under the opposite
-// not, so that lo <= hi always.
-func (l *filterLeaf) set(x unsafe.Pointer, wide bool, lo, hi int64, not bool) {
-	wlo, whi, lane, rep := int64(math.MinInt8), int64(math.MaxInt8), uint64(0xff), uint64(ones)
-	if l.x, l.flags = x, 0; wide {
-		wlo, whi, lane, rep, l.flags = math.MinInt16, math.MaxInt16, 0xffff, 0x0001000100010001, leafWide
-	}
+// width is the range of values a T holds.
+func width[T Number]() (lo, hi int64) {
+	bits := 8 * unsafe.Sizeof(T(0))
+	return -1 << (bits - 1), 1<<(bits-1) - 1
+}
+
+// clampRange is lo <= x <= hi XOR not for x a T: the range clamped to T's
+// width, an empty one as the full width under the opposite not, so that lo
+// <= hi always.
+func clampRange[T Number](lo, hi int64, not bool) (int64, int64, bool) {
+	wlo, whi := width[T]()
 	if lo, hi = max(lo, wlo), min(hi, whi); lo > hi {
-		lo, hi, not = wlo, whi, !not
+		return wlo, whi, !not
+	}
+	return lo, hi, not
+}
+
+// set fills the leaf for the column at x, int16 lanes when wide, with the
+// range clamped to the width.
+func (l *filterLeaf) set(x unsafe.Pointer, wide bool, lo, hi int64, not bool) {
+	lane, rep := uint64(0xff), uint64(ones)
+	if l.x, l.flags = x, 0; wide {
+		lane, rep, l.flags = 0xffff, 0x0001000100010001, leafWide
+		lo, hi, not = clampRange[int16](lo, hi, not)
+	} else {
+		lo, hi, not = clampRange[int8](lo, hi, not)
 	}
 	// Each bound in every lane of a word, stored four words a vector.
 	lw, hw, nw := (uint64(lo)&lane)*rep, (uint64(hi)&lane)*rep, -uint64(b2i(not))
@@ -172,33 +189,43 @@ func (f *Filter) String() string {
 	return string(append(b, ")/avx2"...))
 }
 
-// rangeSteps writes out[i] = (lo <= x[i] <= hi) XOR not over the whole
-// 32-lane steps of the n lanes at x — int16 lanes when wide, else int8 — as
-// a Filter of one leaf, and returns how many lanes it wrote: none on a build
-// without the kernel or for fewer than 32 lanes.
-func rangeSteps(x unsafe.Pointer, wide bool, n int, lo, hi int64, not bool, out []byte) int {
-	n &^= 31
-	if !HasAVX2 || n == 0 {
-		return 0
+// CmpRangeU writes out[i] = (lo <= vals[i] <= hi) XOR not at the lanes'
+// stored width, a bound past the width clamped to it. Over 32 or more int8
+// or int16 lanes where HasAVX2 it runs the Filter kernel with one leaf, whose
+// last step overlaps the one before. Every other tile takes one of unroll.go's
+// loops: an operator where a bound is at the width's end or lo = hi, else
+// BETWEEN, negated by a second pass under not.
+func CmpRangeU[T Number](vals []T, lo, hi int64, not bool, out []byte) {
+	n, size := len(vals), unsafe.Sizeof(T(0))
+	if HasAVX2 && n >= 32 && size <= 2 {
+		_ = out[n-1]
+		var l filterLeaf
+		l.set(unsafe.Pointer(unsafe.SliceData(vals)), size == 2, lo, hi, not)
+		l.flags |= leafFirst | leafEnd
+		filterSteps(&l, 1, 0, n, &out[0])
+		return
 	}
-	_ = out[n-1]
-	var l filterLeaf
-	l.set(x, wide, lo, hi, not)
-	l.flags |= leafFirst | leafEnd
-	filterSteps(&l, 1, 0, n, &out[0])
-	return n
-}
-
-// CmpConstI16 is CmpConstU over int16 lanes, 32 lanes a step where HasAVX2.
-func CmpConstI16(op CmpOp, vals []int16, c int16, out []byte) {
-	lo, hi, not := CmpRange(op, int64(c))
-	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), true, len(vals), lo, hi, not, out)
-	CmpConstU(op, vals[i:], c, out[i:])
-}
-
-// CmpBetweenI16 is CmpConstBetweenU over int16 lanes, 32 lanes a step where
-// HasAVX2: none passes when lo > hi.
-func CmpBetweenI16(vals []int16, lo, hi int16, out []byte) {
-	i := rangeSteps(unsafe.Pointer(unsafe.SliceData(vals)), true, len(vals), int64(lo), int64(hi), false, out)
-	CmpConstBetweenU(vals[i:], lo, hi, out[i:])
+	lo, hi, not = clampRange[T](lo, hi, not)
+	wlo, whi := width[T]()
+	switch l, h := T(lo), T(hi); {
+	case lo == wlo && hi == whi:
+		Fill(out[:n], b2i(!not))
+	case lo == hi && not:
+		CmpConstNEU(vals, l, out)
+	case lo == hi:
+		CmpConstEQU(vals, l, out)
+	case lo == wlo && not:
+		CmpConstGTU(vals, h, out)
+	case lo == wlo:
+		CmpConstLEU(vals, h, out)
+	case hi == whi && not:
+		CmpConstLTU(vals, l, out)
+	case hi == whi:
+		CmpConstGEU(vals, l, out)
+	default:
+		CmpConstBetweenU(vals, l, h, out)
+		if not {
+			Not(out[:n])
+		}
+	}
 }

@@ -2,7 +2,7 @@ package vec
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -30,13 +30,13 @@ func guarded[T any](t *testing.T, n int) (head, tail []T) {
 	return head, tail
 }
 
-// TestFilterOutOfRange: the filter kernel and the one-leaf compares read no
-// lane outside the rows they are given — the columns lie against
-// inaccessible pages on both sides, and the rows run from the first lane or
-// end at the last, at whole steps and with a last step that overlaps the
-// one before — and a filter asked for rows past its columns panics instead
-// of reading them. On a build without the kernel the filter declines and the
-// compares run their Go loops over the same pages.
+// TestFilterOutOfRange: the filter kernel and the one-leaf compare
+// (CmpRangeU) read no lane outside the rows they are given — the columns lie
+// against inaccessible pages on both sides, and the rows run from the first
+// lane or end at the last: under 32 lanes, at whole steps, and with a last
+// step that overlaps the one before — and a filter asked for rows past its
+// columns panics instead of reading them. On a build without the kernel the
+// filter declines and the compares run their Go loops over the same pages.
 func TestFilterOutOfRange(t *testing.T) {
 	const rows = 1100
 	for ai, a := range pairOf(guarded[int8](t, rows)) {
@@ -52,37 +52,27 @@ func TestFilterOutOfRange(t *testing.T) {
 			f.Add(FilterLeaf{I8: a, Lo: -3, Hi: 70, Not: true})
 			f.EndClause()
 			pass := func(i int) byte { return b2i((a[i] < 5 || b[i] >= 1000) && (a[i] < -3 || a[i] > 70)) }
-			for _, n := range []int{32, 33, 40, 64, 95, 1024, rows} {
+			for _, n := range []int{1, 7, 31, 32, 33, 40, 64, 95, 1024, rows} {
 				for _, base := range []int{0, rows - n} {
 					name := fmt.Sprintf("a %d, b %d, rows [%d, %d)", ai, bi, base, base+n)
 					out := make([]byte, n)
-					if !f.Eval(base, n, out) {
-						if HasAVX2 {
-							t.Fatalf("%s: the kernel declined", name)
-						}
-					} else {
+					switch ok := f.Eval(base, n, out); {
+					case ok:
 						for i, v := range out {
 							if v != pass(base+i) {
 								t.Fatalf("%s: lane %d is %d, want %d", name, i, v, pass(base+i))
 							}
 						}
+					case HasAVX2 && n >= 32:
+						t.Fatalf("%s: the kernel declined", name)
 					}
 					x, y := a[base:base+n], b[base:base+n]
-					want := make([]byte, n)
-					CmpConstI8(LT, x, 5, out)
-					CmpConstU(LT, x, 5, want)
-					CmpBetweenI8(x[:n/2], -3, 70, out[:n/2])
-					CmpConstBetweenU(x[:n/2], -3, 70, want[:n/2])
-					if !slices.Equal(out, want) {
-						t.Fatalf("%s: int8 compares %v, want %v", name, out, want)
-					}
-					CmpConstI16(GE, y, 1000, out)
-					CmpConstU(GE, y, 1000, want)
-					CmpBetweenI16(y[n/2:], -300, 9000, out[n/2:])
-					CmpConstBetweenU(y[n/2:], -300, 9000, want[n/2:])
-					if !slices.Equal(out, want) {
-						t.Fatalf("%s: int16 compares %v, want %v", name, out, want)
-					}
+					checkRangeLanes(t, name+": a < 5", x, math.MinInt64, 4, false)
+					checkRangeLanes(t, name+": NOT (a BETWEEN -3 AND 70)", x, -3, 70, true)
+					checkRangeLanes(t, name+": a > 300", x, 301, math.MaxInt64, false)
+					checkRangeLanes(t, name+": b >= 1000", y, 1000, math.MaxInt64, false)
+					checkRangeLanes(t, name+": b BETWEEN -300 AND 9000", y, -300, 9000, false)
+					checkRangeLanes(t, name+": NOT (b BETWEEN -40000 AND 5)", y, -40000, 5, true)
 				}
 			}
 			if HasAVX2 {
@@ -102,3 +92,15 @@ func TestFilterOutOfRange(t *testing.T) {
 }
 
 func pairOf[T any](a, b T) [2]T { return [2]T{a, b} }
+
+// checkRangeLanes holds CmpRangeU over vals to a lane-at-a-time test.
+func checkRangeLanes[T Number](t *testing.T, name string, vals []T, lo, hi int64, not bool) {
+	t.Helper()
+	out := make([]byte, len(vals))
+	CmpRangeU(vals, lo, hi, not, out)
+	for i, v := range vals {
+		if want := b2i((lo <= int64(v) && int64(v) <= hi) != not); out[i] != want {
+			t.Fatalf("%s: lane %d is %d, want %d", name, i, out[i], want)
+		}
+	}
+}

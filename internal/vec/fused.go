@@ -4,42 +4,15 @@ import "math"
 
 // Value masking in one loop (paper Fig. 3): SumFusedI8 computes a lane's
 // comparison and folds its masked value in the same pass, where the mask
-// path writes a byte mask per tile (CmpConstI8, And) and reads it back
+// path writes a byte mask per tile (CmpRangeU, And) and reads it back
 // (CountOnes, SumMaskedU, SumProdMaskedU). The loop is AVX2 assembly
-// (fused_amd64.s): int8 lanes widen to int16, compare, and multiply and
+// (fused_amd64.s): int8 lanes widen to int16, pass one or two range leaves
+// (CmpRange, clamped to int8 as a Filter's leaves are), and multiply and
 // pair-sum with VPMADDWD into int32 lane sums, 16 lanes a step. An int8
 // product fits int16 and a tile's pair sums fit int32, so the stored widths
 // alone keep the sums exact. HasAVX2 reports whether this CPU runs it; no
 // build without it (other architectures, or the purego tag) has a kernel, and
 // callers keep to the mask path there.
-
-// RangeI8 is one int8 compare of the fused loop: over lanes widened to
-// int16, a lane passes where Lo <= x <= Hi, or where it does not under Not.
-type RangeI8 struct {
-	Lo, Hi int16
-	Not    bool
-}
-
-// CmpRangeI8 is x op c as a range. Widened, the six operators need no
-// special case at the ends: x < -128 is the empty [-128, -129], x > 127 the
-// empty [128, 127], and x <> c is x = c under Not.
-func CmpRangeI8(op CmpOp, c int8) RangeI8 {
-	k := int16(c)
-	switch op {
-	case LT:
-		return RangeI8{Lo: math.MinInt8, Hi: k - 1}
-	case LE:
-		return RangeI8{Lo: math.MinInt8, Hi: k}
-	case GT:
-		return RangeI8{Lo: k + 1, Hi: math.MaxInt8}
-	case GE:
-		return RangeI8{Lo: k, Hi: math.MaxInt8}
-	}
-	return RangeI8{Lo: k, Hi: k, Not: op == NE}
-}
-
-// passAll is the second compare of a predicate with one: every lane passes.
-var passAll = RangeI8{Lo: math.MinInt16, Hi: math.MaxInt16}
 
 // onesI8 is the second factor of a sum over one column.
 var onesI8 = func() (o [TileSize]int8) {
@@ -49,19 +22,26 @@ var onesI8 = func() (o [TileSize]int8) {
 	return o
 }()
 
-// SumFusedI8 returns the number of lanes i < len(x) where x[i] passes cx and
-// y[i] passes cy, and the sum over those lanes of a[i]*b[i] — of a[i] when b
-// is nil, 0 when a is nil. A nil y is no second compare. y, a and b, where
-// given, hold at least len(x) lanes. It needs HasAVX2.
-func SumFusedI8(x []int8, cx RangeI8, y []int8, cy RangeI8, a, b []int8) (count, sum int64) {
+// SumFusedI8 returns the number of lanes i < len(cx.I8) where cx.I8[i]
+// passes cx and cy.I8[i] passes cy, and the sum over those lanes of a[i]*b[i]
+// — of a[i] when b is nil, 0 when a is nil. Each compare is a range leaf
+// (CmpRange) over int8 lanes, clamped to int8 as a Filter's leaf is; a nil
+// cy.I8 is no second compare. cy.I8, a and b, where given, hold at least
+// len(cx.I8) lanes. It needs HasAVX2.
+func SumFusedI8(cx, cy FilterLeaf, a, b []int8) (count, sum int64) {
+	x, y := cx.I8, cy.I8
 	if y == nil {
-		y, cy = x, passAll
+		y, cy = x, FilterLeaf{Lo: math.MinInt64, Hi: math.MaxInt64}
 	}
 	lane := a != nil
 	if !lane {
 		a = x // summed and dropped
 	}
-	k := [6]int16{cx.Lo, cx.Hi, -int16(b2i(cx.Not)), cy.Lo, cy.Hi, -int16(b2i(cy.Not))}
+	var k [6]int16
+	for i, c := range [2]FilterLeaf{cx, cy} {
+		lo, hi, not := clampRange[int8](c.Lo, c.Hi, c.Not)
+		k[3*i], k[3*i+1], k[3*i+2] = int16(lo), int16(hi), -int16(b2i(not))
+	}
 	for i := 0; i < len(x); i += TileSize {
 		j := min(i+TileSize, len(x))
 		bt := onesI8[:j-i]

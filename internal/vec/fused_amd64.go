@@ -4,8 +4,8 @@ package vec
 
 // HasAVX2 reports whether the CPU and the operating system run AVX2 and
 // POPCNT, which every kernel of this package's assembly needs: SumFusedI8,
-// GroupFold, AndBits, SelectBits and the int16 compares. It is set once, at
-// package initialisation.
+// GroupFold, AndBits, SelectBits, Filter and CmpRangeU's one-leaf filter. It
+// is set once, at package initialisation.
 var HasAVX2 = avx2()
 
 // avx2 reads CPUID and XCR0: AVX2 and POPCNT present, and YMM state saved by

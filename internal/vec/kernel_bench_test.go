@@ -7,8 +7,7 @@ import (
 )
 
 // Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
-// wide width, the int8 word compares and the int16 range compare beside the
-// unrolled loops, the two selection builds, the mask plane's word loops
+// wide width, the range compare at every width beside the unrolled loops, the two selection builds, the mask plane's word loops
 // beside the byte loops they replaced, the fused int8 loop beside the
 // mask path it replaces, and the one-pass filter beside the tile walker's
 // passes.
@@ -47,22 +46,27 @@ func kernelCases() map[string][]kernelCase {
 		"CmpConst": {
 			{"unrolled/w8", TileSize, func() { CmpConstLTU(a8, 50, cmp8) }},
 			{"unrolled/w64", TileSize * 8, func() { CmpConstLTU(a64, 50, cmp64) }},
-			// int8 eight lanes a word against the unrolled byte loop, per loop
-			// of CmpConstI8: x < k, equality, BETWEEN.
-			{"word/w8/lt", TileSize, func() { CmpConstI8(LT, a8, 50, cmp8) }},
-			{"byte/w8/lt", TileSize, func() { CmpConstU(LT, a8, 50, cmp8) }},
-			{"word/w8/eq", TileSize, func() { CmpConstI8(EQ, a8, 50, cmp8) }},
-			{"byte/w8/eq", TileSize, func() { CmpConstU(EQ, a8, 50, cmp8) }},
-			{"word/w8/between", TileSize, func() { CmpBetweenI8(a8, 10, 40, cmp8) }},
+			// Each width through CmpRangeU — the AVX2 range compare over int8
+			// and int16 where HasAVX2, an unrolled loop over int32 and int64 —
+			// per operator class, beside the unrolled loop of the operator
+			// (unrolled/w8 is x < k's): x < k, equality, BETWEEN.
+			{"range/w8/lt", TileSize, func() { CmpRangeU(a8, math.MinInt64, 49, false, cmp8) }},
+			{"range/w8/eq", TileSize, func() { CmpRangeU(a8, 50, 50, false, cmp8) }},
+			{"byte/w8/eq", TileSize, func() { CmpConstEQU(a8, 50, cmp8) }},
+			{"range/w8/between", TileSize, func() { CmpRangeU(a8, 10, 40, false, cmp8) }},
 			{"byte/w8/between", TileSize, func() { CmpConstBetweenU(a8, 10, 40, cmp8) }},
-			// int16 as one range compare (AVX2 where HasAVX2) against the
-			// unrolled loop, per operator class.
-			{"range/w16/lt", TileSize * 2, func() { CmpConstI16(LT, a16, 50, cmp16) }},
-			{"unrolled/w16/lt", TileSize * 2, func() { CmpConstU(LT, a16, 50, cmp16) }},
-			{"range/w16/eq", TileSize * 2, func() { CmpConstI16(EQ, a16, 50, cmp16) }},
-			{"unrolled/w16/eq", TileSize * 2, func() { CmpConstU(EQ, a16, 50, cmp16) }},
-			{"range/w16/between", TileSize * 2, func() { CmpBetweenI16(a16, 10, 40, cmp16) }},
+			{"range/w16/lt", TileSize * 2, func() { CmpRangeU(a16, math.MinInt64, 49, false, cmp16) }},
+			{"unrolled/w16/lt", TileSize * 2, func() { CmpConstLTU(a16, 50, cmp16) }},
+			{"range/w16/eq", TileSize * 2, func() { CmpRangeU(a16, 50, 50, false, cmp16) }},
+			{"unrolled/w16/eq", TileSize * 2, func() { CmpConstEQU(a16, 50, cmp16) }},
+			{"range/w16/between", TileSize * 2, func() { CmpRangeU(a16, 10, 40, false, cmp16) }},
 			{"unrolled/w16/between", TileSize * 2, func() { CmpConstBetweenU(a16, 10, 40, cmp16) }},
+			{"range/w32/lt", TileSize * 4, func() { CmpRangeU(a32, math.MinInt64, 49, false, cmp32) }},
+			{"range/w32/eq", TileSize * 4, func() { CmpRangeU(a32, 50, 50, false, cmp32) }},
+			{"range/w32/between", TileSize * 4, func() { CmpRangeU(a32, 10, 40, false, cmp32) }},
+			{"range/w64/lt", TileSize * 8, func() { CmpRangeU(a64, math.MinInt64, 49, false, cmp64) }},
+			{"range/w64/eq", TileSize * 8, func() { CmpRangeU(a64, 50, 50, false, cmp64) }},
+			{"range/w64/between", TileSize * 8, func() { CmpRangeU(a64, 10, 40, false, cmp64) }},
 		},
 		"Widen": {
 			{"unrolled/w8", TileSize, func() { WidenU(a8, out) }},
@@ -113,15 +117,15 @@ func kernelCases() map[string][]kernelCase {
 	fa, fb, m := kernelData[int8](0)
 	my := make([]byte, TileSize)
 	cases["Fused"] = []kernelCase{{"mask/w8/sumprod", TileSize * 4, func() {
-		CmpConstI8(LT, x, 50, m)
-		CmpConstI8(GE, y, 10, my)
+		CmpRangeU(x, math.MinInt64, 49, false, m)
+		CmpRangeU(y, 10, math.MaxInt64, false, my)
 		And(m, my)
 		sinkInt += CountOnes(m)
 		sinkI64 += SumProdMaskedU(fa, fb, m)
 	}}}
 	if HasAVX2 {
 		cases["Fused"] = append(cases["Fused"], kernelCase{"avx2/w8/sumprod", TileSize * 4, func() {
-			c, s := SumFusedI8(x, CmpRangeI8(LT, 50), y, CmpRangeI8(GE, 10), fa, fb)
+			c, s := SumFusedI8(FilterLeaf{I8: x, Lo: math.MinInt64, Hi: 49}, FilterLeaf{I8: y, Lo: 10, Hi: math.MaxInt64}, fa, fb)
 			sinkI64 += c + s
 		}})
 	}
@@ -148,18 +152,18 @@ func filterCases() (cases []kernelCase) {
 		eval   func()
 		leaves [][]FilterLeaf
 	}{
-		{"one-i16", func() { CmpConstI16(LE, d16, c, out) },
+		{"one-i16", func() { CmpRangeU(d16, math.MinInt64, c, false, out) },
 			[][]FilterLeaf{{{I16: d16, Lo: math.MinInt16, Hi: c}}}},
 		{"and-i8-i16", func() {
-			CmpConstI8(GT, x, 25, out)
+			CmpRangeU(x, 26, math.MaxInt64, false, out)
 			if !AllZeros(out) {
-				CmpConstI16(GE, d16, c, tmp)
+				CmpRangeU(d16, c, math.MaxInt64, false, tmp)
 				And(out, tmp)
 			}
 		}, [][]FilterLeaf{{{I8: x, Lo: 26, Hi: math.MaxInt8}}, {{I16: d16, Lo: c, Hi: math.MaxInt16}}}},
 		{"or-i8-i8-i16", func() {
-			CmpConstI8(LT, x, 5, out)
-			for _, f := range []func(){func() { CmpConstI8(GT, y, 8, tmp) }, func() { CmpConstI16(LT, d16, c, tmp) }} {
+			CmpRangeU(x, math.MinInt64, 4, false, out)
+			for _, f := range []func(){func() { CmpRangeU(y, 9, math.MaxInt64, false, tmp) }, func() { CmpRangeU(d16, math.MinInt64, c-1, false, tmp) }} {
 				if AllOnes(out) {
 					break
 				}
@@ -168,9 +172,8 @@ func filterCases() (cases []kernelCase) {
 			}
 		}, [][]FilterLeaf{{{I8: x, Lo: math.MinInt8, Hi: 4}, {I8: y, Lo: 9, Hi: math.MaxInt8}, {I16: d16, Lo: math.MinInt16, Hi: c - 1}}}},
 		{"not-between-and-i8-i16", func() {
-			CmpBetweenI8(x, 10, 40, out)
-			Not(out)
-			for _, f := range []func(){func() { CmpConstI8(LT, y, 5, tmp) }, func() { CmpConstI16(GE, d16, c, tmp) }} {
+			CmpRangeU(x, 10, 40, true, out)
+			for _, f := range []func(){func() { CmpRangeU(y, math.MinInt64, 4, false, tmp) }, func() { CmpRangeU(d16, c, math.MaxInt64, false, tmp) }} {
 				if AllZeros(out) {
 					break
 				}

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 )
@@ -12,10 +13,10 @@ import (
 // the results agree lane for lane and no byte outside the mask is written.
 // The eight-lane selection build agrees with the byte loop on every prefix
 // of a tile, 0 to TileSize lanes, and writes no index past the prefix. The
-// eight-lane int8 compares agree with the scalar references refCmp and
-// refBetween (variant_test.go) for every operator and BETWEEN, at the
-// fuzzer's constants and at −128 and 127, over the same framed lengths
-// (tails of 1–7 lanes among them) and writing no byte outside.
+// range compare over int8 lanes (CmpRangeU) agrees with the scalar
+// references refCmp and refBetween (variant_test.go) for every operator and
+// BETWEEN, at the fuzzer's constants, at −128 and 127 and one past each,
+// over the same framed lengths and writing no byte outside.
 
 func refAnd(dst, src []byte) {
 	for i := range dst {
@@ -146,29 +147,30 @@ func FuzzMaskOps(f *testing.F) {
 		if len(data) > 1 {
 			k0, k1 = int8(data[0]), int8(data[1])
 		}
-		for _, k := range []int8{k0, k1, -128, 127} {
+		for _, k := range []int64{int64(k0), int64(k1), -128, 127, -129, 128} {
 			for op := LT; op <= NE; op++ {
 				whole, m = frame(a)
-				CmpConstI8(op, vals, k, m)
+				lo, hi, not := CmpRange(op, k)
+				CmpRangeU(vals, lo, hi, not, m)
 				for i, v := range vals {
-					want[i] = refCmp(op, int64(v), int64(k))
+					want[i] = refCmp(op, int64(v), k)
 				}
-				check("CmpConstI8 "+op.String(), whole, want)
+				check("CmpRangeU "+op.String(), whole, want)
 			}
-			for _, hi := range []int8{k0, k1, -128, 127} {
+			for _, hi := range []int64{int64(k0), int64(k1), -128, 127, 128} {
 				whole, m = frame(a)
-				CmpBetweenI8(vals, k, hi, m)
+				CmpRangeU(vals, k, hi, false, m)
 				for i, v := range vals {
-					want[i] = refBetween(int64(v), int64(k), int64(hi))
+					want[i] = refBetween(int64(v), k, hi)
 				}
-				check("CmpBetweenI8", whole, want)
+				check("CmpRangeU between", whole, want)
 			}
 		}
 		whole, m = frame(a)
-		if CmpConstI8(LE, vals, 127, m); !AllOnes(m) {
+		if CmpRangeU(vals, math.MinInt64, 127, false, m); !AllOnes(m) {
 			t.Fatalf("len=%d: x <= 127 is not all ones", l)
 		}
-		if CmpConstI8(GT, vals, 127, m); !AllZeros(m) {
+		if CmpRangeU(vals, 128, math.MaxInt64, false, m); !AllZeros(m) {
 			t.Fatalf("len=%d: x > 127 is not all zeros", l)
 		}
 

@@ -1,17 +1,20 @@
 package vec
 
-// The one loop per lane-wise operation, for every caller (an int8 compare of
-// a stored column takes cmp8.go's word loops): compares against a constant
-// (CmpConstU's six operators, CmpConstBetweenU), widening (WidenU), value
-// masking's sums (SumMaskedU, SumProdMaskedU) and key masking (MaskKeysU).
-// Go auto-vectorizes very little, so the specialization the paper gets from
-// generated C++ is done by hand: each loop is instantiated per lane width,
-// walks 64-element sub-tiles through full slice expressions (bounds checks
-// hoist out), and reductions carry four independent accumulators. Against a
-// plain one-lane loop (2-vCPU Xeon, go1.24.0, 1,024 lanes, medians of 10
-// interleaved runs) the compares win ×1.13–2.00 at every width and widening
-// ×1.23–1.99; the masked sums and key masking gain nothing (×0.90–1.11, the
-// plain loop winning up to 8 of 10). Every kernel takes empty and short tiles.
+// The one loop per lane-wise operation, for every caller: compares against a
+// constant (the six operators' loops and CmpConstBetweenU, which CmpRangeU
+// picks from where the AVX2 range compare does not run), widening (WidenU),
+// value masking's sums (SumMaskedU, SumProdMaskedU) and key masking
+// (MaskKeysU). Go auto-vectorizes very little, so the specialization the
+// paper gets from generated C++ is done by hand: each loop is instantiated
+// per lane width, walks 64-element sub-tiles through full slice expressions
+// (bounds checks hoist out), and reductions carry four independent
+// accumulators. Against a plain one-lane loop (2-vCPU Xeon, go1.24.0, 1,024
+// lanes) the compares win ×1.13–2.00 at every width and widening ×1.23–1.99,
+// and the plain masked sums read slower beyond the unrolled ones' spread
+// (SumMaskedU ×1.25–1.59 at every width, SumProdMaskedU ×1.29 at int32; 7
+// alternating rounds). Key masking gains nothing unrolled (the plain loop
+// ×0.83–1.08), so it is a plain loop. Every kernel takes empty and short
+// tiles.
 
 // SubTile is the unroll granularity of the specialized kernels. 64 lanes of
 // the widest type span eight cache lines — enough work to amortize the loop
@@ -98,54 +101,21 @@ func SumProdMaskedU[A, B Number](a []A, b []B, cmp []byte) int64 {
 	return s0 + s1 + s2 + s3
 }
 
-// MaskKeysU materializes masked group-by keys (key masking, Section III-B)
-// unrolled over sub-tiles. Failed lanes get nullKey via a conditional move;
-// the inner loop has no branches.
+// MaskKeysU materializes masked group-by keys (key masking, Section III-B):
+// failed lanes get nullKey through a conditional move, so the loop has no
+// branches.
 func MaskKeysU[T Number](keys []T, cmp []byte, nullKey int64, out []int64) {
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return
 	}
-	_ = cmp[n-1]
-	_ = out[n-1]
-	i := 0
-	for ; i+SubTile <= n; i += SubTile {
-		kv := keys[i : i+SubTile : i+SubTile]
-		m := cmp[i : i+SubTile : i+SubTile]
-		o := out[i : i+SubTile : i+SubTile]
-		for j := 0; j < SubTile; j++ {
-			k := int64(kv[j])
-			if m[j] == 0 {
-				k = nullKey
-			}
-			o[j] = k
-		}
-	}
-	for ; i < n; i++ {
-		k := int64(keys[i])
+	_ = cmp[len(keys)-1]
+	_ = out[len(keys)-1]
+	for i, v := range keys {
+		k := int64(v)
 		if cmp[i] == 0 {
 			k = nullKey
 		}
 		out[i] = k
-	}
-}
-
-// CmpConstU evaluates vals[i] op c into out at the tile's native width,
-// dispatching once per tile to an unrolled branch-free loop.
-func CmpConstU[T Number](op CmpOp, vals []T, c T, out []byte) {
-	switch op {
-	case LT:
-		CmpConstLTU(vals, c, out)
-	case LE:
-		CmpConstLEU(vals, c, out)
-	case GT:
-		CmpConstGTU(vals, c, out)
-	case GE:
-		CmpConstGEU(vals, c, out)
-	case EQ:
-		CmpConstEQU(vals, c, out)
-	case NE:
-		CmpConstNEU(vals, c, out)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// Property tests for the kernels: every unrolled, int8 word and eight-lane
-// selection kernel must agree with the scalar references below on every
+// Property tests for the kernels: every unrolled kernel, the range compare
+// (CmpRangeU) and the eight-lane selection kernel must agree with the scalar references below on every
 // length (including the 0/1/63/65 tails that fall off the 64-lane sub-tile
 // grid), every mask density (0%, 1%, 50%, 99%, 100%), every physical width
 // the storage layer produces, and dict-coded (small non-negative codes) as
@@ -42,6 +42,11 @@ func refCmp(op CmpOp, a, b int64) byte {
 
 // refBetween is one lane of BETWEEN: lo <= x <= hi as 0 or 1.
 func refBetween(x, lo, hi int64) byte { return refCmp(GE, x, lo) & refCmp(LE, x, hi) }
+
+// cmpLoop is the unrolled loop of one operator.
+func cmpLoop[T Number](op CmpOp) func(vals []T, c T, out []byte) {
+	return [...]func([]T, T, []byte){CmpConstLTU[T], CmpConstLEU[T], CmpConstGTU[T], CmpConstGEU[T], CmpConstEQU[T], CmpConstNEU[T]}[op]
+}
 
 // refSumMasked sums the lanes whose mask is set.
 func refSumMasked[T Number](vals []T, cmp []byte) (sum int64) {
@@ -119,17 +124,15 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 			}
 		}
 
-		// Width-specialized cmp prepass, all six operators plus BETWEEN; an
-		// int8 tile also through the eight-lane word loops.
-		a8, isI8 := any(a).([]int8)
+		// Width-specialized cmp prepass, all six operators plus BETWEEN, as
+		// each unrolled loop and as a range (CmpRangeU).
 		for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
 			want := func(i int) byte { return refCmp(op, int64(a[i]), int64(c)) }
-			CmpConstU(op, a, c, out)
-			checkLanes("CmpConstU "+op.String(), want)
-			if isI8 {
-				CmpConstI8(op, a8, int8(c), out)
-				checkLanes("CmpConstI8 "+op.String(), want)
-			}
+			cmpLoop[T](op)(a, c, out)
+			checkLanes("CmpConst "+op.String(), want)
+			lo, hi, not := CmpRange(op, int64(c))
+			CmpRangeU(a, lo, hi, not, out)
+			checkLanes("CmpRangeU "+op.String(), want)
 		}
 		clo, chi := c, T(lo+rng.Int63n(span))
 		if clo > chi {
@@ -138,10 +141,8 @@ func checkVariants[T Number](t *testing.T, rng *rand.Rand, lo, hi int64) {
 		between := func(i int) byte { return refBetween(int64(a[i]), int64(clo), int64(chi)) }
 		CmpConstBetweenU(a, clo, chi, out)
 		checkLanes("CmpConstBetweenU", between)
-		if isI8 {
-			CmpBetweenI8(a8, int8(clo), int8(chi), out)
-			checkLanes("CmpBetweenI8", between)
-		}
+		CmpRangeU(a, int64(clo), int64(chi), false, out)
+		checkLanes("CmpRangeU between", between)
 
 		// Unrolled widen.
 		WidenU(a, wide)
@@ -261,12 +262,15 @@ func TestGenericKernelsEmptyInput(t *testing.T) {
 	// The zero-length guard audit: every kernel must tolerate an empty tile
 	// (short final morsels produce them).
 	for op := LT; op <= NE; op++ {
-		CmpConstU(op, []int32{}, 0, nil)
-		CmpConstI8(op, []int8{}, 0, nil)
-		CmpConstI8(op, []int8{}, 127, nil)
+		cmpLoop[int32](op)([]int32{}, 0, nil)
+		for _, c := range []int64{0, 127, 1 << 40} {
+			lo, hi, not := CmpRange(op, c)
+			CmpRangeU([]int8{}, lo, hi, not, nil)
+			CmpRangeU([]int64{}, lo, hi, not, nil)
+		}
 	}
 	CmpConstBetweenU([]int32{}, 0, 1, nil)
-	CmpBetweenI8([]int8{}, 0, 1, nil)
+	CmpRangeU([]int8{}, 0, 1, true, nil)
 	CmpCols(EQ, []int32{}, []int32{}, nil)
 	And(nil, nil)
 	Or(nil, nil)

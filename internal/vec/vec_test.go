@@ -48,7 +48,7 @@ func TestCmpConstAllOps(t *testing.T) {
 	}
 	out := make([]byte, len(vals))
 	for _, op := range []CmpOp{LT, LE, GT, GE, EQ, NE} {
-		CmpConstU(op, vals, 50, out)
+		cmpLoop[int32](op)(vals, 50, out)
 		for i := range vals {
 			if want := refCmp(op, int64(vals[i]), 50); out[i] != want {
 				t.Fatalf("op %v lane %d val %d: got %d, want %d", op, i, vals[i], out[i], want)
