@@ -16,10 +16,10 @@ import (
 // worker is one gang worker's private scratch: its expression evaluator and
 // kernel-variant counters, and its tile buffers — the root mask, the
 // residual's mask, the selection vector, key and value vectors, group slots,
-// gather positions, per-edge parent positions, and one int64 vector per
-// joined-schema column a statement reads. Workers never exchange scratch, and
-// nothing in it outlives a tile, so one set per worker serves every plan on
-// the engine and a never-seen statement's compile allocates none.
+// per-edge parent positions, and one int64 vector per joined-schema column a
+// statement reads. Workers never exchange scratch, and nothing in it outlives
+// a tile, so one set per worker serves every plan on the engine and a
+// never-seen statement's compile allocates none.
 type worker struct {
 	ev *expr.Evaluator
 	// ctr is this worker's per-tile counters: the evaluator's compare lanes
@@ -33,8 +33,7 @@ type worker struct {
 	keys   []int64 // materialized group keys
 	vals   []int64 // materialized aggregate operands
 	slots  []int32
-	gpos   []int32
-	pos    [maxSelectEdges][]int32 // lane-indexed parent positions per edge
+	pos    [maxSelectEdges][]int32 // parent positions per edge: lane-indexed, or in the selection's order (boundEdge.ordered)
 	posBuf [maxSelectEdges][]int32 // backing for edges chained off another edge
 	vecs   [][]int64
 }
@@ -50,7 +49,6 @@ func newWorker() *worker {
 		keys:  make([]int64, vec.TileSize),
 		vals:  make([]int64, vec.TileSize),
 		slots: tile(),
-		gpos:  tile(),
 	}
 	for i := range s.posBuf {
 		s.posBuf[i] = tile()

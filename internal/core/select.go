@@ -145,6 +145,9 @@ type boundEdge struct {
 	prog   vec.Filter     // filter's one-pass kernel, empty where it has none
 	bm     *bitmap.Bitmap // parent-side qualifying positions; nil without filter
 	used   bool           // a filter, a column or a later edge needs its positions
+	// ordered: compact keeps its positions in the selection's order — a
+	// chained edge that no bitmap from it on narrows the selection after.
+	ordered bool
 }
 
 // tileCol is one joined-schema column the row stage reads through a tile
@@ -660,11 +663,14 @@ func (p *PreparedSelect) stage(s *worker, base, n int) int {
 	return n
 }
 
-// resolveEdges fills the lane-indexed parent positions of the used edges —
-// for the lanes of sel, or for all n when sel is nil — and applies every
-// filtered edge's bitmap: ANDed into the mask, or narrowing sel to the lanes
-// whose parent qualified, which it returns. An edge off the root reads its
-// positions straight from the foreign-key index.
+// resolveEdges fills the parent positions of the used edges — for the lanes
+// of sel, or for all n when sel is nil — and applies every filtered edge's
+// bitmap: ANDed into the mask, or narrowing sel to the lanes whose parent
+// qualified, which it returns. An edge off the root reads its positions
+// straight from the foreign-key index, lane-indexed; a chained edge chases its
+// source edge's: lane-indexed (vec.ChaseSel) where a bitmap narrows sel
+// after, else in sel's order (vec.GatherPos), which are the same lanes when
+// sel is nil.
 func (p *PreparedSelect) resolveEdges(s *worker, base, n int, sel []int32) []int32 {
 	for i := range p.edges {
 		be := &p.edges[i]
@@ -672,19 +678,18 @@ func (p *PreparedSelect) resolveEdges(s *worker, base, n int, sel []int32) []int
 			continue
 		}
 		var pos []int32
-		if be.src < 0 {
+		switch src := s.pos[max(be.src, 0)]; {
+		case be.src < 0:
 			pos = be.idx.Pos[base : base+n]
-		} else {
+		case sel == nil || p.edges[be.src].ordered:
+			pos = s.posBuf[i][:len(src)]
+			vec.GatherPos(be.idx.Pos, nil, src, pos)
+		case be.ordered:
+			pos = s.posBuf[i][:len(sel)]
+			vec.GatherPos(be.idx.Pos, src, sel, pos)
+		default:
 			pos = s.posBuf[i][:n]
-			src, fk := s.pos[be.src], be.idx.Pos
-			if sel == nil {
-				for j := range pos {
-					pos[j] = fk[src[j]]
-				}
-			}
-			for _, j := range sel {
-				pos[j] = fk[src[j]]
-			}
+			vec.ChaseSel(be.idx.Pos, src, sel, pos)
 		}
 		s.pos[i] = pos
 		switch {
@@ -708,7 +713,8 @@ var allLanes = func() (sel [vec.TileSize]int32) {
 
 // compact is the hybrid technique's front half: the root mask becomes a
 // selection vector, which the edges resolve parent positions for and their
-// bitmaps narrow, and every tile vector is gathered compacted, so the lanes
+// bitmaps narrow, and every tile vector is gathered by the selection at its
+// column's stored width (storage.Column.GatherSelInto), so the lanes
 // of the row stage are exactly the rows that passed. It returns the lane
 // count; the mask is all ones over them afterwards.
 func (p *PreparedSelect) compact(s *worker, base, n int) int {
@@ -723,22 +729,16 @@ func (p *PreparedSelect) compact(s *worker, base, n int) int {
 	if k = len(p.resolveEdges(s, base, n, s.idx[:k])); k == 0 {
 		return 0
 	}
-	sel, gpos := s.idx[:k], s.gpos[:k]
-	for c, at := 0, -2; c < len(p.cols); c++ {
-		tc := &p.cols[c]
-		if tc.src != at { // cols are grouped by source: one position vector each
-			if at = tc.src; at < 0 {
-				for j, l := range sel {
-					gpos[j] = int32(base) + l
-				}
-			} else {
-				src := s.pos[at]
-				for j, l := range sel {
-					gpos[j] = src[l]
-				}
-			}
+	sel := s.idx[:k]
+	for c := range p.cols {
+		switch tc := &p.cols[c]; {
+		case tc.src < 0:
+			tc.col.GatherSelInto(base, nil, sel, s.vecs[c])
+		case p.edges[tc.src].ordered:
+			tc.col.GatherSelInto(0, nil, s.pos[tc.src], s.vecs[c])
+		default:
+			tc.col.GatherSelInto(0, s.pos[tc.src], sel, s.vecs[c])
 		}
-		tc.col.GatherInto(gpos, s.vecs[c])
 	}
 	if x := &p.residual; x.e != nil {
 		s.ev.EvalBool(x.e, expr.Tile{N: k, Vecs: s.vecs}, s.tcmp)

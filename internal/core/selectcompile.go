@@ -667,9 +667,6 @@ func (c *selectCompile) bindRowStage() error {
 	if p.tech == TechHybrid {
 		p.front = (*PreparedSelect).compact
 	}
-	// Vectors are grouped by source, so a compacting gather builds one
-	// position vector per source.
-	slices.SortStableFunc(p.cols, func(a, b tileCol) int { return a.src - b.src })
 	for _, tc := range c.keyCols {
 		p.keys.cols = append(p.keys.cols, slot(p.cols, tc.name))
 	}
@@ -692,10 +689,14 @@ func (c *selectCompile) bindRowStage() error {
 			p.edges[tc.src].used = true
 		}
 	}
+	narrowed := false
 	for i := len(p.edges) - 1; i >= 0; i-- {
-		if src := p.edges[i].src; p.edges[i].used && src >= 0 {
-			p.edges[src].used = true
+		be := &p.edges[i]
+		if be.used && be.src >= 0 {
+			p.edges[be.src].used = true
 		}
+		narrowed = narrowed || be.bm != nil
+		be.ordered = be.src >= 0 && !narrowed
 	}
 
 	// Aggregation state: one stripe of scalar lanes per worker, whole cache

@@ -481,13 +481,16 @@ func (f fusedI8) bind() foldFn {
 			dict++
 		}
 	}
+	// The loop captures f's fields, not f: past 128 bytes a captured value
+	// moves to the heap, one more allocation per compile.
+	x, y, a, b, rx, ry := f.x, f.y, f.a, f.b, f.rng[0], f.rng[1]
 	return func(p *PreparedSelect, s *worker, w, base, m int, _ []byte) {
-		cx, cy := f.rng[0], f.rng[1]
-		cx.I8, cy.I8 = in(f.x, base, m), in(f.y, base, m)
-		cnt, sum := vec.SumFusedI8(cx, cy, in(f.a, base, m), in(f.b, base, m))
+		cx, cy := rx, ry
+		cx.I8, cy.I8 = in(x, base, m), in(y, base, m)
+		cnt, sum := vec.SumFusedI8(cx, cy, in(a, base, m), in(b, base, m))
 		part := p.part[w*p.stride:]
 		part[0] += cnt
-		if f.a != nil {
+		if a != nil {
 			part[1] += sum
 		}
 		s.ctr.Cmp[storage.KindInt8] += cmps

@@ -59,26 +59,23 @@ func (c *Column) CmpRangeInto(lo, hi int64, not bool, base, n int, out []byte) {
 // int64 — the positional access of a join edge: pos holds parent-row
 // positions resolved through a foreign-key index (or the selected rows of a
 // tile), and the Kind switch runs once per tile, never per value.
-func (c *Column) GatherInto(pos []int32, out []int64) {
+func (c *Column) GatherInto(pos []int32, out []int64) { c.GatherSelInto(0, nil, pos, out) }
+
+// GatherSelInto reads one row for each lane j of sel into out[:len(sel)]
+// widened to int64, at the column's stored width (vec.GatherSel): row
+// base+sel[j] — a root column's selected rows of the tile from row base — or,
+// when src is given, row base+src[sel[j]] — a parent column, src the tile's
+// lane-indexed parent positions.
+func (c *Column) GatherSelInto(base int, src, sel []int32, out []int64) {
 	switch c.Kind {
 	case KindInt8:
-		gather(c.I8, pos, out)
+		vec.GatherSel(c.I8[base:], src, sel, out)
 	case KindInt16:
-		gather(c.I16, pos, out)
+		vec.GatherSel(c.I16[base:], src, sel, out)
 	case KindInt32:
-		gather(c.I32, pos, out)
+		vec.GatherSel(c.I32[base:], src, sel, out)
 	default:
-		gather(c.I64, pos, out)
-	}
-}
-
-func gather[T vec.Number](vals []T, pos []int32, out []int64) {
-	if len(pos) == 0 {
-		return
-	}
-	_ = out[len(pos)-1]
-	for i, p := range pos {
-		out[i] = int64(vals[p])
+		vec.GatherSel(c.I64[base:], src, sel, out)
 	}
 }
 

@@ -64,3 +64,29 @@ func TestRangeMatchesGet(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherSelIntoMatchesGet: a root column's selected rows of a tile, and a
+// parent column's rows through lane-indexed positions, read as Get does.
+func TestGatherSelIntoMatchesGet(t *testing.T) {
+	const n = 3000
+	r := rand.New(rand.NewSource(6))
+	for _, c := range kindColumns(n) {
+		for _, base := range []int{0, 1, 1975} {
+			src, sel := make([]int32, 1024), make([]int32, 0, 1024)
+			for l := range src {
+				src[l] = int32(r.Intn(n))
+				if base+l < n && r.Intn(3) > 0 {
+					sel = append(sel, int32(l))
+				}
+			}
+			root, edge := make([]int64, len(sel)), make([]int64, len(sel))
+			c.GatherSelInto(base, nil, sel, root)
+			c.GatherSelInto(0, src, sel, edge)
+			for j, l := range sel {
+				if root[j] != c.Get(base+int(l)) || edge[j] != c.Get(int(src[l])) {
+					t.Fatalf("%s base %d lane %d: root %d, edge %d, want %d and %d", c.Kind, base, j, root[j], edge[j], c.Get(base+int(l)), c.Get(int(src[l])))
+				}
+			}
+		}
+	}
+}

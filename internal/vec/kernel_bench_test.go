@@ -7,7 +7,8 @@ import (
 )
 
 // Per-kernel throughput benchmarks: the unrolled kernels at a narrow and a
-// wide width, the range compare at every width beside the unrolled loops, the two selection builds, the mask plane's word loops
+// wide width, the range compare at every width beside the unrolled loops, the two selection builds, the selection build's
+// kernel and the gathers by selection beside their Go loops, the mask plane's word loops
 // beside the byte loops they replaced, the fused int8 loop beside the
 // mask path it replaces, and the one-pass filter beside the tile walker's
 // passes.
@@ -91,6 +92,19 @@ func kernelCases() map[string][]kernelCase {
 			}},
 		)
 	}
+	// The selection build at 5, 50 and 95 %: the Go loop, and
+	// SelFromCmpAdaptive, 32 lanes a step in AVX2 where HasAVX2.
+	for _, pct := range []int{5, 50, 95} {
+		_, _, cmp := kernelData[int32](pct)
+		cases["SelFromMask"] = append(cases["SelFromMask"],
+			kernelCase{"go/sel" + itoa(pct), TileSize, func() { sinkInt += selFromCmpGo(cmp, 0, sel, 0) }},
+			kernelCase{"method/sel" + itoa(pct), TileSize, func() {
+				n, _ := SelFromCmpAdaptive(cmp, sel)
+				sinkInt += n
+			}},
+		)
+	}
+	cases["GatherSel"] = gatherCases()
 	// The mask plane's word-at-a-time kernels against the byte loops they
 	// replaced (the fuzz target's references).
 	_, _, a := kernelData[int8](50)
@@ -134,6 +148,62 @@ func kernelCases() map[string][]kernelCase {
 	}
 	cases["Filter"] = filterCases()
 	return cases
+}
+
+// gatherCases are GatherSel's Go loop ("go") and the method ("method", the
+// kernel where HasAVX2) at each width, and GatherPos's (pos), over half the
+// lanes
+// of a tile: a parent column of 300,000 rows (orders at SF 0.2) read through
+// lane-indexed positions that ascend from a random row (seq, a child sorted
+// by its key) or fall anywhere (fk), and a root column's selected rows (root).
+func gatherCases() (cases []kernelCase) {
+	const rows = 300_000
+	rng := rand.New(rand.NewSource(4))
+	seq, fk, sel := make([]int32, TileSize), make([]int32, TileSize), make([]int32, 0, TileSize)
+	start := rng.Intn(rows - TileSize)
+	for l := range seq {
+		seq[l], fk[l] = int32(start+l), int32(rng.Intn(rows))
+		if rng.Intn(2) == 0 {
+			sel = append(sel, int32(l))
+		}
+	}
+	out, pos, parent := make([]int64, TileSize), make([]int32, TileSize), make([]int32, rows)
+	for i := range parent {
+		parent[i] = int32(rng.Intn(rows))
+	}
+	add := func(name string, bytes int64, goLoop, method func()) {
+		cases = append(cases, kernelCase{"go/" + name, bytes, goLoop}, kernelCase{"method/" + name, bytes, method})
+	}
+	width := func(w string, size int64, gather func(src []int32, out []int64), loop func(src []int32, out []int64)) {
+		for _, src := range []struct {
+			name string
+			pos  []int32
+		}{{"seq", seq}, {"fk", fk}} {
+			add(w+"/"+src.name, int64(len(sel))*size, func() { loop(src.pos, out) }, func() { gather(src.pos, out) })
+		}
+		add(w+"/root", int64(len(sel))*size, func() { loop(nil, out) }, func() { gather(nil, out) })
+	}
+	w8, w16, w32, w64 := gatherColumn[int8](rng, rows), gatherColumn[int16](rng, rows), gatherColumn[int32](rng, rows), gatherColumn[int64](rng, rows)
+	width("w8", 1, func(src []int32, out []int64) { GatherSel(w8, src, sel, out) }, func(src []int32, out []int64) { gatherSelGo(w8, src, sel, out) })
+	width("w16", 2, func(src []int32, out []int64) { GatherSel(w16, src, sel, out) }, func(src []int32, out []int64) { gatherSelGo(w16, src, sel, out) })
+	width("w32", 4, func(src []int32, out []int64) { GatherSel(w32, src, sel, out) }, func(src []int32, out []int64) { gatherSelGo(w32, src, sel, out) })
+	width("w64", 8, func(src []int32, out []int64) { GatherSel(w64, src, sel, out) }, func(src []int32, out []int64) { gatherSelGo(w64, src, sel, out) })
+	for _, src := range []struct {
+		name string
+		pos  []int32
+	}{{"seq", seq}, {"fk", fk}} {
+		add("pos/"+src.name, int64(len(sel))*4, func() { gatherPosGo(parent, src.pos, sel, pos) }, func() { GatherPos(parent, src.pos, sel, pos) })
+	}
+	return cases
+}
+
+// gatherColumn is a column of n random values of width T.
+func gatherColumn[T Number](rng *rand.Rand, n int) []T {
+	c := make([]T, n)
+	for i := range c {
+		c[i] = T(rng.Uint64())
+	}
+	return c
 }
 
 // filterCases are tpch_generic's four root filter shapes over 1,024 lanes,
@@ -266,6 +336,9 @@ func BenchmarkKernelMaskOps(bm *testing.B)   { runKernels(bm, "MaskOps") }
 func BenchmarkKernelFused(bm *testing.B)     { runKernels(bm, "Fused") }
 func BenchmarkKernelGroups(bm *testing.B)    { runKernels(bm, "Groups") }
 func BenchmarkKernelFilter(bm *testing.B)    { runKernels(bm, "Filter") }
+
+func BenchmarkKernelSelFromMask(bm *testing.B) { runKernels(bm, "SelFromMask") }
+func BenchmarkKernelGatherSel(bm *testing.B)   { runKernels(bm, "GatherSel") }
 
 // TestKernelsZeroAlloc: the kernels are tile loops over the caller's
 // buffers, and no call of any BenchmarkKernel row may allocate.

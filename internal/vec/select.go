@@ -9,7 +9,8 @@ import (
 // of the hybrid strategy in the paper's Figure 1: the predicated "no-branch"
 // loop of the figure, which replaces the control dependency with a data
 // dependency (Ross, PODS 2002), and the eight-lane loop the engine runs
-// (SelFromCmpAdaptive), which takes no branch on a lane at any density.
+// (SelFromCmpAdaptive, 32 lanes a step in AVX2), which takes no branch on a
+// lane at any density.
 
 // SelFromCmpNoBranch appends the indexes of set lanes in cmp to sel using
 // the predicated technique shown in Figure 1 (hybrid, second inner loop):
@@ -34,11 +35,24 @@ func SelFromCmpNoBranch(cmp []byte, sel []int32) int {
 // SelFromCmpAdaptive builds a selection vector from cmp eight lanes a step: a
 // multiply packs the eight 0/1 bytes into one byte, selPos lists its set
 // positions, all eight are stored, and the fill advances by the byte's
-// popcount — no branch on a lane, the same cost at every density. The fill
+// popcount — no branch on a lane, the same cost at every density. Where
+// HasAVX2, whole steps of 32 lanes run in gather_amd64.s: VPMOVMSKB reads the
+// 32 bytes at once and each byte of the mask takes the same path. The fill
 // never passes the lane index, so nothing past len(cmp) entries of sel is
 // written. It returns the count and its density class (for Counters).
 func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
-	k, j := 0, 0
+	j, k := 0, 0
+	if n := len(cmp) &^ 31; HasAVX2 && n > 0 {
+		_ = sel[n-1]
+		j, k = n, selFromMask(&cmp[0], n, &sel[0])
+	}
+	k = selFromCmpGo(cmp, j, sel, k)
+	return k, classifyDensity(k, len(cmp))
+}
+
+// selFromCmpGo is SelFromCmpAdaptive's Go loop from lane j of cmp, with k
+// lanes kept so far.
+func selFromCmpGo(cmp []byte, j int, sel []int32, k int) int {
 	for ; j+8 <= len(cmp); j += 8 {
 		b := binary.LittleEndian.Uint64(cmp[j:]) * 0x0102040810204080 >> 56
 		p, s, o := &selPos[b], sel[k:k+8:k+8], int32(j)
@@ -47,7 +61,7 @@ func SelFromCmpAdaptive(cmp []byte, sel []int32) (int, Density) {
 		k += bits.OnesCount8(uint8(b))
 	}
 	k, _ = SelFromCmpOffset(cmp[j:], j, sel, k)
-	return k, classifyDensity(k, len(cmp))
+	return k
 }
 
 // SelFromCmpOffset is the ROF variant: it appends *global* tuple indexes
