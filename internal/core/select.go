@@ -262,9 +262,10 @@ type PreparedSelect struct {
 	front    func(p *PreparedSelect, s *worker, base, n int) int
 	foldTile foldFn
 	fill     bool
-	// inline: the fold computes the predicate itself (fusedI8), so the tile
-	// evaluates no filter and builds no mask.
+	// inline: the root filter's kernel folds the tile's count and its sum
+	// over fa (times fb) itself where it runs (inlineFold): no mask is built.
 	inline bool
+	fa, fb []int8
 	// filter is the root filter's one-pass kernel, empty where it has none.
 	filter vec.Filter
 	// pairOut: the statement is the classic group-by — one packed key column,
@@ -627,10 +628,15 @@ func (p *PreparedSelect) mainKernel(w, base, length int) {
 // lanes: its group table, or for a scalar statement its stripe. s is worker
 // w's scratch.
 func (p *PreparedSelect) tile(s *worker, w, base, n int) {
+	if p.inline {
+		if cnt, sum, ok := p.filter.Fold(base, n, p.fa, p.fb); ok {
+			part := p.part[w*p.stride:]
+			part[0], part[1] = part[0]+cnt, part[1]+sum
+			p.filter.Count(&s.ctr)
+			return
+		}
+	}
 	switch {
-	case p.inline:
-		p.foldTile(p, s, w, base, n, nil)
-		return
 	case p.filter.Eval(base, n, s.cmp[:n]):
 		p.filter.Count(&s.ctr)
 	case p.spec.Filter != nil:

@@ -162,7 +162,6 @@ type selectCompile struct {
 	groups  int     // estimated group count (1 for a scalar statement)
 	domain  uint64  // distinct packed group keys; 0 when chained or scalar
 	lanes   int     // accumulator lanes
-	fused   fusedI8 // the fold key that computes the predicate inline, if the statement has it
 	packed  bool    // the group table's records are one word (tableForm)
 	htBytes int     // the group table's footprint (tableForm)
 	keyCols []tileCol
@@ -317,9 +316,9 @@ func (c *selectCompile) bindEdges() error {
 	return nil
 }
 
-// bindFilters compiles the root filter and each edge filter to the one-pass
-// kernel where it covers them (expr.CompileFilter), and names the root
-// filter's loop in Explain.Filter.
+// bindFilters compiles each edge filter to the one-pass kernel where it
+// covers it (expr.CompileFilter), and names the root filter's loop in
+// Explain.Filter.
 func (c *selectCompile) bindFilters() {
 	p := c.p
 	for i := range p.edges {
@@ -331,14 +330,15 @@ func (c *selectCompile) bindFilters() {
 	case c.q.Filter == nil:
 	case p.inline:
 		p.ex.Filter = "fold"
-	case expr.CompileFilter(c.q.Filter, &p.filter):
+	case p.filter.Leaves() > 0:
 		p.ex.Filter = p.filter.String()
 	default:
 		p.ex.Filter = "eval"
 	}
 }
 
-// bindFilter binds the root predicate and estimates its selectivity.
+// bindFilter binds the root predicate, compiles it to the one-pass kernel
+// where that covers it (read by inlineFold), and estimates its selectivity.
 func (c *selectCompile) bindFilter() error {
 	if c.q.Filter == nil {
 		return nil
@@ -346,6 +346,7 @@ func (c *selectCompile) bindFilter() error {
 	if err := expr.Bind(c.q.Filter, expr.Columns(c.p.root)); err != nil {
 		return err
 	}
+	expr.CompileFilter(c.q.Filter, &c.p.filter)
 	c.selR *= c.selectivity(c.p.root, c.q.Filter)
 	return nil
 }
@@ -508,7 +509,7 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 		// Value masking whose loop computes the predicate inline is priced
 		// at that loop's own per-row term.
 		h, vm := params.Hybrid(rows, c.sel, c.comp), params.ValueMasking(rows, c.comp)
-		if c.fused = c.fusedShape(); c.fused.ok {
+		if _, _, ok := c.inlineFold(); ok {
 			vm = params.ValueMaskingFused(rows)
 		}
 		if strat = cost.ChooseHybrid; vm < h {

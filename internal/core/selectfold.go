@@ -18,9 +18,9 @@ import (
 // or MaxTile per further lane); the widths are the keys' then the arguments'
 // (int64 for tile vectors, int32 for hashed slots); the table scalar, keyed,
 // packed or hashed; the mask value, key or none (the pair fold). A scalar
-// fold that computes its predicate inline names the compares' widths in the
-// mask's place and then its variant: sum(i8)/scalar/cmp(i8,i8)/avx2
-// (fusedI8); a record fold into a small group table by the AVX2 passes
+// fold that computes its predicate inline names its root filter in the
+// mask's place (vec.Filter.String): sum(i8)/scalar/cmp(i8,i8)/avx2
+// (inlineFold); a record fold into a small group table by the AVX2 passes
 // names the variant after the mask: sum2(i8;i8,i32)/keyed/key/avx2
 // (groupFold).
 
@@ -54,13 +54,12 @@ const fuseBytes = 1 << 20
 func (c *selectCompile) bindFold() (keysInPlace bool) {
 	p := c.p
 	p.fill = p.tech != TechHybrid
-	switch {
-	case len(c.q.GroupBy) > 0:
-	case c.fused.ok && p.tech == TechValueMasking:
-		p.inline, p.foldTile, p.ex.Kernel = true, c.fused.bind(), c.fused.name()
-		return false
-	default:
-		p.foldTile, p.ex.Kernel = foldScalar, c.bindScalar()+"/scalar/value"
+	if len(c.q.GroupBy) == 0 {
+		lanes, mask := c.bindScalar(), "value"
+		if a, b, ok := c.inlineFold(); ok && p.tech == TechValueMasking {
+			p.inline, p.fa, p.fb, mask = true, a, b, p.filter.String()
+		}
+		p.foldTile, p.ex.Kernel = foldScalar, lanes+"/scalar/"+mask
 		return false
 	}
 	record, ws, table, mask, keys := "lanes", "(i64)", "keyed", "value", tileKeyFn[int64](filled)
@@ -372,130 +371,42 @@ func foldScalar(p *PreparedSelect, s *worker, w, base, m int, cmp []byte) {
 	}
 }
 
-// fusedI8 is the fold key whose loop computes the predicate inline
-// (vec.SumFusedI8): value masking as the one loop of the paper's Fig. 3, with
-// no mask written or read back. It covers a scalar statement on the root
-// table whose filter is a conjunction of one or two range compares of an
-// int8 column against constants (expr.RangeLeaf: a compare, or BETWEEN,
-// possibly under NOT), with no edge and no residual, whose lanes are the
-// count and at most one sum, sum(a) or sum(a*b), over bare int8 root
-// columns; and only where the CPU runs the kernel (vec.HasAVX2).
-type fusedI8 struct {
-	ok   bool
-	x, y *storage.Column   // the compared columns; y nil for one compare
-	rng  [2]vec.FilterLeaf // their ranges, the lanes left empty
-	a, b *storage.Column   // the sum's factors: b nil for sum(a), both nil for the count alone
-}
-
-// fusedShape is the statement's fusedI8 key, not ok where it has none. It
-// allocates nothing.
-func (c *selectCompile) fusedShape() (f fusedI8) {
-	q := c.q
-	if !vec.HasAVX2 || len(q.GroupBy) > 0 || len(q.Edges) > 0 || q.Residual != nil || q.Filter == nil || c.lanes > 1 {
-		return f
+// inlineFold reports whether a scalar plan folds through its root filter's
+// kernel (vec.Filter.Fold), value masking as the one loop of the paper's
+// Fig. 3, and returns its sum's int8 factors: b nil for sum(a), both nil for
+// the count alone. It takes a statement with no edge and no residual whose
+// lanes are the count and at most one sum(a) or sum(a*b) over bare int8 root
+// columns, and whose root filter compiled to at most two leaves (bindFilter),
+// what ValueMaskingFused's price was measured on.
+func (c *selectCompile) inlineFold() (a, b []int8, ok bool) {
+	q, leaves := c.q, c.p.filter.Leaves()
+	if len(q.GroupBy) > 0 || len(q.Edges) > 0 || q.Residual != nil || leaves == 0 || leaves > 2 || c.lanes > 1 {
+		return nil, nil, false
 	}
-	x, y := q.Filter, expr.Expr(nil)
-	if and, ok := x.(*expr.Logic); ok && and.Op == expr.And && len(and.Args) == 2 {
-		x, y = and.Args[0], and.Args[1]
+	i8 := func(e expr.Expr) []int8 {
+		if col, ok := e.(*expr.Col); ok {
+			if sc := c.p.root.Column(col.Name); sc != nil && sc.Kind == storage.KindInt8 {
+				return sc.I8
+			}
+		}
+		return nil
 	}
-	var ok bool
-	if f.x, f.rng[0], ok = rangeI8(x); !ok {
-		return fusedI8{}
-	}
-	if f.y, f.rng[1], ok = rangeI8(y); !ok && y != nil {
-		return fusedI8{}
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == AggCount {
+	for _, g := range q.Aggs {
+		if g.Kind == AggCount {
 			continue
 		}
-		l, r, prod := factors(a.Arg)
+		l, r, prod := factors(g.Arg)
 		if !prod {
-			l = a.Arg
+			l = g.Arg
 		}
-		if f.a = c.rootI8(l); a.Kind != AggSum || f.a == nil {
-			return fusedI8{}
+		if a = i8(l); g.Kind != AggSum || a == nil {
+			return nil, nil, false
 		}
-		if f.b = c.rootI8(r); prod && f.b == nil {
-			return fusedI8{}
-		}
-	}
-	f.ok = true
-	return f
-}
-
-// rangeI8 is a range compare of a stored int8 column as the column and the
-// range the fused loop tests.
-func rangeI8(e expr.Expr) (*storage.Column, vec.FilterLeaf, bool) {
-	x, lo, hi, not, ok := expr.RangeLeaf(e)
-	if col, isCol := x.(*expr.Col); ok && isCol {
-		if sc := col.Column(); sc != nil && sc.Kind == storage.KindInt8 {
-			return sc, vec.FilterLeaf{Lo: lo, Hi: hi, Not: not}, true
+		if b = i8(r); prod && b == nil {
+			return nil, nil, false
 		}
 	}
-	return nil, vec.FilterLeaf{}, false
-}
-
-// rootI8 is the int8 root column a bare column reference names, or nil.
-func (c *selectCompile) rootI8(e expr.Expr) *storage.Column {
-	if col, ok := e.(*expr.Col); ok {
-		if sc := c.p.root.Column(col.Name); sc != nil && sc.Kind == storage.KindInt8 {
-			return sc
-		}
-	}
-	return nil
-}
-
-// name is the key: the lanes, the table, the compares' widths and the variant.
-func (f fusedI8) name() string {
-	lanes, cmps := "count", "cmp(i8)"
-	switch {
-	case f.b != nil:
-		lanes = "sumprod(i8,i8)"
-	case f.a != nil:
-		lanes = "sum(i8)"
-	}
-	if f.y != nil {
-		cmps = "cmp(i8,i8)"
-	}
-	return lanes + "/scalar/" + cmps + "/avx2"
-}
-
-// bind is the key's loop: a tile's count, and its sum in lane 0 when the
-// statement has one, into worker w's stripe. Each compare counts as one
-// int8 compare tile in Variants.Cmp, and one over dictionary codes in
-// Variants.DictKeys, as the tile walker counts them.
-func (f fusedI8) bind() foldFn {
-	in := func(col *storage.Column, base, m int) []int8 {
-		if col == nil {
-			return nil
-		}
-		return col.I8[base : base+m]
-	}
-	var cmps, dict uint64
-	for _, col := range []*storage.Column{f.x, f.y} {
-		if col != nil {
-			cmps++
-		}
-		if col != nil && col.Dict != nil {
-			dict++
-		}
-	}
-	// The loop captures f's fields, not f: past 128 bytes a captured value
-	// moves to the heap, one more allocation per compile.
-	x, y, a, b, rx, ry := f.x, f.y, f.a, f.b, f.rng[0], f.rng[1]
-	return func(p *PreparedSelect, s *worker, w, base, m int, _ []byte) {
-		cx, cy := rx, ry
-		cx.I8, cy.I8 = in(x, base, m), in(y, base, m)
-		cnt, sum := vec.SumFusedI8(cx, cy, in(a, base, m), in(b, base, m))
-		part := p.part[w*p.stride:]
-		part[0] += cnt
-		if a != nil {
-			part[1] += sum
-		}
-		s.ctr.Cmp[storage.KindInt8] += cmps
-		s.ctr.DictKeys += dict
-	}
+	return a, b, true
 }
 
 // bindScalar binds each scalar lane's masked reduction and returns their

@@ -229,18 +229,20 @@ func (p Params) ValueMasking(r int, comp float64) float64 {
 }
 
 // fusedI8 is the per-row cost, in sequential reads, of scalar value masking
-// whose loop computes its int8 predicate inline (vec.SumFusedI8). From
-// BenchmarkKernelFused at 1,024 lanes (2-vCPU Xeon, AVX2): the fused loop
-// 223–250 ns against 2,568–2,832 ns for the mask path it replaces, whose
-// ValueMasking price for that sum(a*b) is 2 a row: 2 × 0.087.
+// whose loop computes its predicate inline (vec.Filter.Fold, at most two
+// leaves). From BenchmarkKernelFused, sum(a*b) under two int8 leaves at 1,024
+// lanes (2-vCPU Xeon, AVX2): its first, separate kernel 223–250 ns against
+// 2,568–2,832 ns for the mask path, whose ValueMasking price is 2 a row:
+// 2 × 0.087. The filter kernel's fold reads 124–251 ns against 1,031–2,312
+// (two sets of 7 rounds); the constant is kept.
 const fusedI8 = 0.18
 
 // ValueMaskingFused is ValueMasking for a statement whose loop computes its
-// int8 predicate inline (paper Fig. 3 as one loop):
+// predicate inline (paper Fig. 3 as one loop):
 //
 //	VM_fused = R * read_seq * fused_i8
 //
-// The loop's compares and products are a fixed few instructions per 16
+// The loop's compares and products are a fixed few instructions per 64
 // lanes, so comp does not enter it.
 func (p Params) ValueMaskingFused(r int) float64 {
 	return float64(r) * p.ReadSeq * fusedI8

@@ -27,12 +27,15 @@ type Workers struct {
 	// claim: once it is done workers stop claiming and the scan winds down
 	// within one morsel per worker. The wake/done protocol always completes
 	// normally, so a canceled scan leaves the gang and the caller's
-	// per-worker state reusable.
+	// per-worker state reusable. fault is the first panic a worker's fn
+	// raised, which RunCtx re-raises on its caller once every worker is done.
 	ctx     context.Context
 	fn      func(worker, base, length int)
 	total   int
 	morsels int
 	next    atomic.Int64
+	faultMu sync.Mutex
+	fault   any
 
 	wake []chan struct{}
 	done sync.WaitGroup
@@ -78,8 +81,18 @@ func (w *Workers) park(id int) {
 }
 
 // drain claims and executes morsels until the counter is exhausted or the
-// scan's context is done.
+// scan's context is done. A panic in fn is recorded and exhausts the counter.
 func (w *Workers) drain(id int) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.faultMu.Lock()
+			if w.fault == nil {
+				w.fault = p
+			}
+			w.faultMu.Unlock()
+			w.next.Store(int64(w.morsels))
+		}
+	}()
 	m := w.morsel
 	for w.ctx.Err() == nil {
 		i := int(w.next.Add(1)) - 1
@@ -111,6 +124,9 @@ func (w *Workers) Run(n int, fn func(worker, base, length int)) {
 // canceled or deadline-exceeded scan stops within one morsel per worker and
 // returns normally — the caller detects cancellation via ctx.Err() and must
 // treat the scanned partial state as garbage (it is reset by the next run).
+// A panic in fn, on any worker, stops the scan the same way, and RunCtx
+// re-raises the first one on its caller once every worker has returned; the
+// gang stays usable.
 func (w *Workers) RunCtx(ctx context.Context, n, workers int, fn func(worker, base, length int)) {
 	if n <= 0 {
 		return
@@ -131,6 +147,10 @@ func (w *Workers) RunCtx(ctx context.Context, n, workers int, fn func(worker, ba
 		w.done.Wait()
 	}
 	w.ctx, w.fn = nil, nil
+	if p := w.fault; p != nil {
+		w.fault = nil
+		panic(p)
+	}
 }
 
 // Close releases the gang's goroutines. The gang must be idle.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -125,5 +126,52 @@ func TestWorkersZeroAlloc(t *testing.T) {
 			t.Errorf("workers=%d: %.1f allocs per cancelable scan, want 0", workers, allocs)
 		}
 		w.Close()
+	}
+}
+
+// TestRunPanicReachesCaller: a panic in fn, on a helper or on worker 0 (the
+// caller's goroutine), does not end the process: the barrier completes,
+// RunCtx re-raises the panic on its caller, and the gang's next scan covers
+// every morsel once.
+func TestRunPanicReachesCaller(t *testing.T) {
+	const workers = 4
+	w := NewWorkers(workers, vec.TileSize)
+	defer w.Close()
+	n := 64 * vec.TileSize
+	run := func(fn func(worker, base, length int)) (p any) {
+		defer func() { p = recover() }()
+		w.Run(n, fn)
+		return nil
+	}
+	for _, helper := range []bool{true, false} {
+		want := map[bool]string{true: "helper", false: "caller"}[helper]
+		// Worker 0 waits until a helper has entered fn, so a helper is
+		// sure to run one.
+		entered, once := make(chan struct{}), sync.Once{}
+		p := run(func(worker, _, _ int) {
+			switch {
+			case worker != 0:
+				once.Do(func() { close(entered) })
+				if helper {
+					panic("helper")
+				}
+			case !helper:
+				panic("caller")
+			default:
+				<-entered
+			}
+		})
+		if p != want {
+			t.Errorf("panic on the caller: %v, want %q", p, want)
+		}
+		seen := make([]atomic.Int32, n/vec.TileSize)
+		if p := run(func(_, base, _ int) { seen[base/vec.TileSize].Add(1) }); p != nil {
+			t.Fatalf("the scan after a panic panicked: %v", p)
+		}
+		for i := range seen {
+			if c := seen[i].Load(); c != 1 {
+				t.Fatalf("after a panic on the %s: morsel %d ran %d times", want, i, c)
+			}
+		}
 	}
 }

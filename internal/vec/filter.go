@@ -11,19 +11,22 @@ import (
 // and a leaf is one range compare of a stored int8 or int16 column: a lane
 // passes where lo <= x <= hi, XOR not. Every compare against constants is
 // that range (CmpRange): each operator, BETWEEN and each item of an IN list,
-// clamped to the column's width. The kernel (filter_amd64.s) takes 32 lanes
+// clamped to the column's width. The kernel (filter_amd64.s) takes 64 lanes
 // a step: it evaluates every leaf in registers — VPCMPGTB over int8 lanes,
 // VPCMPGTW then VPACKSSWB and VPERMQ over int16 ones — ORs the leaves of a
-// clause, ANDs the clauses and stores the step's 32 mask bytes, each 0 or 1.
-// A run of lanes that is not a whole number of steps ends with one more step
-// over its last 32 lanes. CmpRangeU, the one compare of a column against
+// clause, ANDs the clauses, and stores the step's mask bytes, each 0 or 1
+// (Eval), or folds them (Fold: value masking as the one loop of Fig. 3): it
+// counts them and pair-sums int8 a·b or a over them into int32 lanes, exact
+// by the stored widths over a tile. A run of lanes that is not a whole number
+// of steps ends with one more step over its last 64 lanes, whose fold skips
+// the lanes taken before. CmpRangeU, the one compare of a column against
 // constants, runs the same kernel with one leaf over int8 and int16 tiles of
 // 32 lanes or more, and unroll.go's loops over every other tile. A build
-// without the kernel (HasAVX2 false) has no Filter: Eval reports false, and
-// the callers keep to the Go loops.
+// without the kernel (HasAVX2 false) has no Filter: Eval and Fold report
+// false, and the callers keep to the Go loops.
 
-// FilterLeaf is one compare of a Filter, or of SumFusedI8: a lane of the
-// column passes where Lo <= x <= Hi, or where it does not under Not. Exactly
+// FilterLeaf is one compare of a Filter: a lane of the column passes where
+// Lo <= x <= Hi, or where it does not under Not. Exactly
 // one of I8 and I16 holds the column. A bound outside the column's width
 // clamps to it, so a leaf may pass every lane or none.
 type FilterLeaf struct {
@@ -160,9 +163,35 @@ func (f *Filter) Eval(base, n int, out []byte) bool {
 		panic("vec: Filter.Eval past its columns")
 	}
 	_ = out[n-1]
-	filterSteps(&f.steps[0], len(f.steps), base, n, &out[0])
+	filterSteps(&f.steps[0], len(f.steps), base, n, &out[0], nil, nil)
 	return true
 }
+
+// Fold returns the number of rows base+i, i < n, that pass the filter and
+// the sum over them of a[base+i]*b[base+i], of a[base+i] where b is nil, 0
+// where a is nil, and reports whether it ran, where Eval would. It runs the
+// kernel a tile at a time, over which the int32 lane sums are exact. Rows
+// past the columns, a's and b's included, panic.
+func (f *Filter) Fold(base, n int, a, b []int8) (count, sum int64, ok bool) {
+	if len(f.steps) == 0 || !HasAVX2 || n < 32 {
+		return 0, 0, false
+	}
+	if base < 0 || n > f.rows-base || a != nil && n > len(a)-base || b != nil && n > len(b)-base {
+		panic("vec: Filter.Fold past its columns")
+	}
+	for end := base + n; base < end; {
+		m := end - base
+		if m >= TileSize+32 {
+			m = TileSize
+		}
+		c, s := filterSteps(&f.steps[0], len(f.steps), base, m, nil, unsafe.SliceData(a), unsafe.SliceData(b))
+		count, sum, base = count+c, sum+s, base+m
+	}
+	return count, sum, true
+}
+
+// Leaves is the number of leaves the filter compares.
+func (f *Filter) Leaves() int { return len(f.steps) }
 
 // Count tallies one tile of the filter: a compare tile per leaf at its
 // width, and a dictionary-key tile per leaf over codes.
@@ -202,7 +231,7 @@ func CmpRangeU[T Number](vals []T, lo, hi int64, not bool, out []byte) {
 		var l filterLeaf
 		l.set(unsafe.Pointer(unsafe.SliceData(vals)), size == 2, lo, hi, not)
 		l.flags |= leafFirst | leafEnd
-		filterSteps(&l, 1, 0, n, &out[0])
+		filterSteps(&l, 1, 0, n, &out[0], nil, nil)
 		return
 	}
 	lo, hi, not = clampRange[T](lo, hi, not)

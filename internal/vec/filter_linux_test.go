@@ -30,13 +30,14 @@ func guarded[T any](t *testing.T, n int) (head, tail []T) {
 	return head, tail
 }
 
-// TestFilterOutOfRange: the filter kernel and the one-leaf compare
-// (CmpRangeU) read no lane outside the rows they are given — the columns lie
-// against inaccessible pages on both sides, and the rows run from the first
-// lane or end at the last: under 32 lanes, at whole steps, and with a last
-// step that overlaps the one before — and a filter asked for rows past its
-// columns panics instead of reading them. On a build without the kernel the
-// filter declines and the compares run their Go loops over the same pages.
+// TestFilterOutOfRange: the filter kernel, its fold and the one-leaf compare
+// (CmpRangeU) read no lane outside the rows they are given — the columns,
+// the summed ones included, lie against inaccessible pages on both sides,
+// and the rows run from the first lane or end at the last: under 32 lanes,
+// at whole steps, and with a last step that overlaps the one before — and a
+// filter asked for rows past its columns, or past a summed column, panics
+// instead of reading them. On a build without the kernel the filter declines
+// and the compares run their Go loops over the same pages.
 func TestFilterOutOfRange(t *testing.T) {
 	const rows = 1100
 	for ai, a := range pairOf(guarded[int8](t, rows)) {
@@ -66,6 +67,24 @@ func TestFilterOutOfRange(t *testing.T) {
 					case HasAVX2 && n >= 32:
 						t.Fatalf("%s: the kernel declined", name)
 					}
+					var cnt, sum, sumSq int64
+					for i := base; i < base+n; i++ {
+						if pass(i) == 1 {
+							cnt, sum, sumSq = cnt+1, sum+int64(a[i]), sumSq+int64(a[i])*int64(a[i])
+						}
+					}
+					for _, fd := range []struct {
+						a, b []int8
+						sum  int64
+					}{{nil, nil, 0}, {a, nil, sum}, {a, a, sumSq}} {
+						c, s, ok := f.Fold(base, n, fd.a, fd.b)
+						switch {
+						case ok && (c != cnt || s != fd.sum):
+							t.Fatalf("%s: fold a %t, b %t: count %d, sum %d; want %d, %d", name, fd.a != nil, fd.b != nil, c, s, cnt, fd.sum)
+						case !ok && HasAVX2 && n >= 32:
+							t.Fatalf("%s: the fold declined", name)
+						}
+					}
 					x, y := a[base:base+n], b[base:base+n]
 					checkRangeLanes(t, name+": a < 5", x, math.MinInt64, 4, false)
 					checkRangeLanes(t, name+": NOT (a BETWEEN -3 AND 70)", x, -3, 70, true)
@@ -76,16 +95,21 @@ func TestFilterOutOfRange(t *testing.T) {
 				}
 			}
 			if HasAVX2 {
-				for _, r := range [][2]int{{rows - 31, 32}, {-1, 32}, {0, rows + 1}} {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("a %d, b %d: rows [%d, %d) past the columns did not panic", ai, bi, r[0], r[0]+r[1])
-							}
-						}()
-						f.Eval(r[0], r[1], make([]byte, r[1]))
+				panics := func(what string, call func()) {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("a %d, b %d: %s did not panic", ai, bi, what)
+						}
 					}()
+					call()
 				}
+				for _, r := range [][2]int{{rows - 31, 32}, {-1, 32}, {0, rows + 1}} {
+					what := fmt.Sprintf("rows [%d, %d) past the columns", r[0], r[0]+r[1])
+					panics(what, func() { f.Eval(r[0], r[1], make([]byte, r[1])) })
+					panics("folding "+what, func() { f.Fold(r[0], r[1], a, nil) })
+				}
+				panics("folding past a", func() { f.Fold(0, rows, a[:rows-1], nil) })
+				panics("folding past b", func() { f.Fold(rows-40, 40, a, a[:rows-1]) })
 			}
 		}
 	}

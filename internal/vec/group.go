@@ -9,9 +9,9 @@ package vec
 // and folds the lanes that match: the count (byte lanes), an int8 sum
 // (VPMADDUBSW pair sums into int16 lanes, exact for a tile), an int32 sum
 // (int32 lanes where NarrowI32 proves them exact, else int64 lanes) and an
-// int32 min and max. As in SumFusedI8, a length that is not a multiple of 32
-// ends in a step over the last 32 lanes, with the lanes the loop took marked
-// as no slot. HasAVX2 reports whether this CPU runs it; a build without the
+// int32 min and max. As in Filter.Fold, a length that is not a multiple of
+// 32 ends in a step over the last 32 lanes, with the lanes the loop took
+// marked as no slot (from the mask table ·taken). HasAVX2 reports whether this CPU runs it; a build without the
 // kernel has none, and callers keep to the Go loops there.
 
 // GroupSlots bounds GroupFold's table: the domain and, under key masking,

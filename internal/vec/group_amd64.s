@@ -2,18 +2,6 @@
 
 #include "textflag.h"
 
-// gtail<>+r marks the first 32-r lanes of the tail block taken: 32 bytes of
-// 0xff (no slot), then 32 of 0.
-DATA gtail<>+0(SB)/8, $-1
-DATA gtail<>+8(SB)/8, $-1
-DATA gtail<>+16(SB)/8, $-1
-DATA gtail<>+24(SB)/8, $-1
-DATA gtail<>+32(SB)/8, $0
-DATA gtail<>+40(SB)/8, $0
-DATA gtail<>+48(SB)/8, $0
-DATA gtail<>+56(SB)/8, $0
-GLOBL gtail<>(SB), RODATA|NOPTR, $64
-
 // SLOT computes the slot bytes of the 32 lanes at DX into Y0: k0·m0 + k1 + c
 // in int16 lanes (Y8 m0, Y9 c), their unsigned maximum into Y13, packed to
 // bytes in lane order, and Y11's byte where the lane's cmp byte is 0.
@@ -69,7 +57,7 @@ next:
 	// The tail block: the last 32 lanes, the 32-r the loop took marked taken.
 	LEAQ    -32(CX), DX
 	SLOT
-	LEAQ    gtail<>(SB), AX
+	LEAQ    ·taken(SB), AX
 	VPOR    (AX)(R10*1), Y0, Y0
 	VMOVDQU Y0, (R9)(BX*1)
 

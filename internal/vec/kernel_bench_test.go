@@ -126,7 +126,7 @@ func kernelCases() map[string][]kernelCase {
 		cases["MaskOps"] = append(cases["MaskOps"], kernelCase{k.name, TileSize, k.fn})
 	}
 	// sum(a*b) where x < 50 and y >= 10 over int8 lanes: the mask path, and
-	// where the CPU runs it the fused loop.
+	// where the CPU runs it the filter kernel's fold.
 	x, y, _ := kernelData[int8](0)
 	fa, fb, m := kernelData[int8](0)
 	my := make([]byte, TileSize)
@@ -138,8 +138,13 @@ func kernelCases() map[string][]kernelCase {
 		sinkI64 += SumProdMaskedU(fa, fb, m)
 	}}}
 	if HasAVX2 {
+		var f Filter
+		f.Add(FilterLeaf{I8: x, Lo: math.MinInt64, Hi: 49})
+		f.EndClause()
+		f.Add(FilterLeaf{I8: y, Lo: 10, Hi: math.MaxInt64})
+		f.EndClause()
 		cases["Fused"] = append(cases["Fused"], kernelCase{"avx2/w8/sumprod", TileSize * 4, func() {
-			c, s := SumFusedI8(FilterLeaf{I8: x, Lo: math.MinInt64, Hi: 49}, FilterLeaf{I8: y, Lo: 10, Hi: math.MaxInt64}, fa, fb)
+			c, s, _ := f.Fold(0, TileSize, fa, fb)
 			sinkI64 += c + s
 		}})
 	}
