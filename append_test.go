@@ -2,6 +2,7 @@ package swole
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -215,6 +216,47 @@ func TestAppendInvalidatesPlansThenRecaches(t *testing.T) {
 	}
 	if _, ex, err = d.QuerySwole(q); err != nil || !ex.PlanCached {
 		t.Errorf("plan did not re-cache after append (err %v)", err)
+	}
+}
+
+// TestAppendWidensKeysPastPacking: an append that widens a cached
+// statement's group key past 63 bits leaves the statement without a plan —
+// its re-prepare is refused (core.ErrKeysUnpacked) — so its cache entry is
+// dropped and it answers on the interpreter exactly as Volcano does.
+func TestAppendWidensKeysPastPacking(t *testing.T) {
+	d := NewDB()
+	defer d.Close()
+	if err := d.CreateTable("t", IntColumn("k", []int64{-5, 0, 7, 7, 3}), IntColumn("v", []int64{1, 2, 3, 4, 5})); err != nil {
+		t.Fatal(err)
+	}
+	q := "select k, sum(v) as s, count(*) as n from t group by k"
+	for rep := 0; rep < 2; rep++ {
+		if _, ex, err := d.QuerySwole(q); err != nil || ex.Technique == "interpreter-fallback" || ex.PlanCached != (rep == 1) {
+			t.Fatalf("rep %d before the append: %s, cached %v (err %v)", rep, ex.Technique, ex.PlanCached, err)
+		}
+	}
+	entries := d.PlanCacheLen()
+	if err := d.AppendRows("t", [][]int64{{math.MinInt64, 6}, {math.MaxInt64, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 2; rep++ {
+		res, ex, err := d.QuerySwole(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Technique != "interpreter-fallback" {
+			t.Errorf("rep %d after the append: technique %s, want interpreter-fallback", rep, ex.Technique)
+		}
+		if !rowsEqual(res.Rows(), want.Rows()) {
+			t.Errorf("rep %d after the append:\nvolcano: %v\nswole:   %v", rep, want.Rows(), res.Rows())
+		}
+		if n := d.PlanCacheLen(); n != entries-1 {
+			t.Errorf("rep %d after the append: %d cache entries, want %d (the statement's dropped)", rep, n, entries-1)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //	f_neg   [-5000, -4000]        negative origin             → key-addressed
 //	f_wide  [0, 1M), ~unique      a record array four times
 //	                              the hashed table            → hashed
-//	f_full  spans all of int64    no domain                   → hashed
+//	f_full  spans all of int64    does not pack               → interpreter
 //	f_sp    50 keys 10^7 apart    few groups, a 490M range    → hashed
 //	f_fk    [0, 2000) into d_pk   dense primary key           → key-addressed
 func denseTestDB(t testing.TB) *DB {
@@ -83,7 +83,6 @@ var denseStatements = []struct {
 	{"int8 key", true, "select f_k8, sum(f_v) from f where f_x < %d group by f_k8"},
 	{"negative origin", true, "select f_neg, sum(f_v) from f where f_x < %d group by f_neg"},
 	{"1M-wide sparse key", false, "select f_wide, sum(f_v) from f where f_x < %d group by f_wide"},
-	{"full int64 range", false, "select f_full, sum(f_v) from f where f_x < %d group by f_full"},
 	{"sparse key, few groups", false, "select f_sp, sum(f_v) from f where f_x < %d group by f_sp"},
 	{"count(*)", true, "select f_k8, count(*) as n from f where f_x < %d group by f_k8"},
 	{"reordered, aliased projection", true, "select sum(f_v) as s, f_neg as k from f where f_x < %d group by f_neg"},
@@ -92,7 +91,23 @@ var denseStatements = []struct {
 	{"generic dict min/max", true, "select f_tag, min(f_v) as lo, max(f_v) as hi, count(*) as n from f where f_x < %d group by f_tag having count(*) > 0"},
 	{"generic over a join", true, "select d_x, sum(f_v) as s, count(*) as n from f, d where f_fk = d_pk and f_x < %d group by d_x"},
 	{"generic 1M-wide sparse key", false, "select f_wide, sum(f_v) as s, count(*) as n from f where f_x < %d group by f_wide"},
-	{"generic chained keys", false, "select f_full, f_k8, sum(f_v) as s, count(*) as n from f where f_x < %d group by f_full, f_k8"},
+}
+
+// TestDenseGroupParityUnpacked: keys that do not pack into 63 bits — a full
+// int64 range alone or under a narrow key — have no compiled plan, and
+// answer on the interpreter at every worker count.
+func TestDenseGroupParityUnpacked(t *testing.T) {
+	d := denseTestDB(t)
+	defer d.Close()
+	for _, q := range []string{
+		"select f_full, sum(f_v) from f where f_x < %d group by f_full",
+		"select f_full, f_k8, sum(f_v) as s, count(*) as n from f where f_x < %d group by f_full, f_k8",
+	} {
+		for _, workers := range []int{1, 2} {
+			d.SetWorkers(workers)
+			checkFallback(t, d, fmt.Sprintf(q, 60))
+		}
+	}
 }
 
 // TestDenseGroupParity: every statement, on each side of the form rule,

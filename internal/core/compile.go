@@ -89,8 +89,8 @@ func (p *PreparedSelect) settle() {
 }
 
 // groupEmit holds interleaved (order key, value) pairs and sorts them by
-// key: a hashed table's groups on their way out, and the ranks of chained
-// group keys. Both buffers persist across runs.
+// key: a hashed table's groups, or an eager plan's parent keys, on their way
+// out. Both buffers persist across runs.
 type groupEmit struct {
 	pairs   []int64 // interleaved (key, value) pairs awaiting the sort
 	scratch []int64 // radix-sort ping-pong buffer

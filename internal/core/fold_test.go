@@ -140,8 +140,7 @@ func (c foldCase) statement() (Select, plan.Node) {
 // record packs exactly when its argument's width proves every sum fits 32
 // bits: an int16 argument below 2^16 rows, an int8 one below 2^24 rows (so
 // its unpacked form, sum1(K;i8)/keyed, needs 2^24 rows and is not listed),
-// never a wider one. A tile vector reads at int64, a hashed table's slots at
-// int32. A scalar fold that computes its predicate inline names its compares
+// never a wider one. A tile vector reads at int64. A scalar fold that computes its predicate inline names its compares
 // (cmp(i8) for x < 50, cmp(i8,i8) with 1 <= j8 too) where the CPU runs it.
 // Where it runs the small group tables' fold (vec.HasAVX2), a record over
 // int8 keys of at most 15 (13 for k8, 3·5 for h8 and j8) folding int8 or
@@ -198,15 +197,16 @@ func foldCases(small, wide *storage.Database) (cases []foldCase) {
 		// 16 keys: over the bound.
 		add("sum1(i8;i8)/packed/"+mask, small, mask, []string{"q8"}, "sum:a8")
 	}
+	// A hashed table folds every record by the lane passes.
 	hashed := []string{"kh"}
 	for a := range w {
 		for _, mask := range masks {
-			add(fmt.Sprintf("minmax(i32;%s)/hashed/%s", w[a], mask), small, mask, hashed, "max:a"+n(a), "min:a"+n(a))
+			lanes := "lanes(i64)/hashed/" + mask
+			add(lanes, small, mask, hashed, "max:a"+n(a), "min:a"+n(a))
 			for b := range w {
-				add(fmt.Sprintf("sum2(i32;%s,%s)/hashed/%s", w[a], w[b], mask), small, mask, hashed, "sum:a"+n(a), "sum:b"+n(b))
+				add(lanes, small, mask, hashed, "sum:a"+n(a), "sum:b"+n(b))
 				for c := range w {
-					add(fmt.Sprintf("sum3(i32;%s,%s,%s)/hashed/%s", w[a], w[b], w[c], mask), small, mask, hashed,
-						"sum:a"+n(a), "sum:b"+n(b), "sum:c"+n(c))
+					add(lanes, small, mask, hashed, "sum:a"+n(a), "sum:b"+n(b), "sum:c"+n(c))
 				}
 			}
 		}

@@ -268,7 +268,7 @@ type PreparedSelect struct {
 	fa, fb []int8
 	// filter is the root filter's one-pass kernel, empty where it has none.
 	filter vec.Filter
-	// pairOut: the statement is the classic group-by — one packed key column,
+	// pairOut: the statement is the classic group-by — one key column,
 	// one sum or count(*), no HAVING, and the projection key, aggregate under
 	// their own names — so its answer is the table's (key, lane 0) pairs
 	// (emitPairs).
@@ -366,7 +366,6 @@ func (p *PreparedSelect) run(ctx context.Context) error {
 		for _, tab := range p.tabs {
 			tab.Reset()
 		}
-		p.keys.reset()
 		grows0 = growsSum(p.tabs)
 	} else {
 		for w := 0; w < len(p.part); w += p.stride {
@@ -503,7 +502,6 @@ func (p *PreparedSelect) emitGroups() {
 		}
 		return
 	}
-	p.keys.rank(&p.groupEmit)
 	p.reset()
 	for slot := tab.NextLive(0); slot >= 0; slot = tab.NextLive(slot + 1) {
 		switch {
@@ -511,7 +509,7 @@ func (p *PreparedSelect) emitGroups() {
 		case bm != nil:
 			p.add(p.pk.Get(slot), int64(slot))
 		default:
-			p.add(p.keys.sortKey(tab.Key(slot)), int64(slot))
+			p.add(tab.Key(slot), int64(slot))
 		}
 	}
 	p.sortPairs()

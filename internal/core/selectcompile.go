@@ -160,7 +160,7 @@ type selectCompile struct {
 	selR    float64 // sel without the eager edge's: what the eager plan's root mask keeps
 	comp    float64 // the row stage's computation cost per tuple
 	groups  int     // estimated group count (1 for a scalar statement)
-	domain  uint64  // distinct packed group keys; 0 when chained or scalar
+	domain  uint64  // distinct packed group keys; 0 when scalar
 	lanes   int     // accumulator lanes
 	packed  bool    // the group table's records are one word (tableForm)
 	htBytes int     // the group table's footprint (tableForm)
@@ -370,7 +370,8 @@ func (c *selectCompile) locate(name string) (tileCol, *storage.Table, error) {
 // planKeys plans the GROUP BY columns' packing — each column's value range
 // sizes its digit: the dictionary for strings, the exact cached min/max for
 // everything else, so narrow columns holding a handful of values pack
-// narrowly — and estimates the group count.
+// narrowly — and estimates the group count. Keys that do not pack refuse the
+// statement (ErrKeysUnpacked).
 func (c *selectCompile) planKeys() error {
 	p, nk := c.p, len(c.q.GroupBy)
 	if nk == 0 {
@@ -399,12 +400,11 @@ func (c *selectCompile) planKeys() error {
 		c.stat(hit, start)
 		p.outFields = append(p.outFields, expr.Field{Name: g, Dict: tc.col.Dict, Log: tc.col.Log})
 	}
-	p.keys, c.domain = planGroupKeys(lo, hi)
-	limit := float64(max(p.root.Rows(), 1))
-	if c.domain > 0 {
-		limit = min(limit, float64(c.domain))
+	var err error
+	if p.keys, c.domain, err = planGroupKeys(lo, hi); err != nil {
+		return err
 	}
-	c.groups = int(min(est, limit))
+	c.groups = int(min(est, float64(max(p.root.Rows(), 1)), float64(c.domain)))
 	return nil
 }
 
@@ -562,7 +562,7 @@ func (c *selectCompile) chooseTechnique(tech Technique) {
 func (c *selectCompile) priceGroups(sel float64) (cost.AggStrategy, float64) {
 	p, rows := c.p, c.p.root.Rows()
 	var form cost.Params
-	// A packed key is its own slot: [0, D) for D packed keys, none (-1) when chained.
+	// A packed key is its own slot: [0, D) for D packed keys.
 	form, c.htBytes, p.ex.DenseDomain, c.packed = tableForm(c.params, 0, int64(c.domain-1), c.lanes, c.groups, rows, c.sumBound())
 	nAggs := c.lanes + 1
 	if c.packed {
@@ -602,7 +602,7 @@ func (c *selectCompile) chooseEager(direct float64, tech Technique) bool {
 	// foreign key gets the key's values.
 	pos := &storage.Column{Name: "#position", Kind: storage.KindInt32, Log: storage.LogInt, I32: be.idx.Pos}
 	p.eager, be.used, c.keyCols[0] = be.bm, false, tileCol{name: pos.Name, src: -1, col: pos}
-	p.keys, c.domain = planGroupKeys([]int64{0}, []int64{hi})
+	p.keys, c.domain, _ = planGroupKeys([]int64{0}, []int64{hi}) // a parent's positions always pack
 	c.groups = s
 	p.pk = be.parent.Column(be.idx.PK)
 	start := time.Now()
@@ -734,8 +734,7 @@ func (c *selectCompile) bindRowStage() error {
 		}
 	}
 	p.tab = p.tabs[0]
-	p.keys.alloc(c.groups)
-	p.pairOut = canonicalGroupBy(c.q) && p.keys.mult != nil
+	p.pairOut = canonicalGroupBy(c.q)
 	return nil
 }
 

@@ -16,10 +16,10 @@ import (
 // sumprod, min or max, joined by "+"), sum1–sum3 or minmax (ht.FoldSum1..3,
 // FoldMinMax) or lanes (FoldTile or FoldTileKeyMasked, then SumTile, MinTile
 // or MaxTile per further lane); the widths are the keys' then the arguments'
-// (int64 for tile vectors, int32 for hashed slots); the table scalar, keyed,
-// packed or hashed; the mask value, key or none (the pair fold). A scalar
-// fold that computes its predicate inline names its root filter in the
-// mask's place (vec.Filter.String): sum(i8)/scalar/cmp(i8,i8)/avx2
+// (int64 for tile vectors); the table scalar, keyed, packed or hashed (a
+// hashed table folds by the lane passes alone); the mask value, key or none
+// (the pair fold). A scalar fold that computes its predicate inline names
+// its root filter in the mask's place (vec.Filter.String): sum(i8)/scalar/cmp(i8,i8)/avx2
 // (inlineFold); a record fold into a small group table by the AVX2 passes
 // names the variant after the mask: sum2(i8;i8,i32)/keyed/key/avx2
 // (groupFold).
@@ -37,11 +37,10 @@ func widths(name, seps string, ks ...storage.Kind) string {
 // or stripe.
 type foldFn func(p *PreparedSelect, s *worker, w, base, m int, cmp []byte)
 
-// fuseBytes bounds the group table a record fold folds into: a key-addressed
-// table's record array, or the estimate of a hashed one. Over it the record
-// loop measured no faster than the lane passes for one sum and slower for two
-// or three (BenchmarkSteadyFootprint; EXPERIMENTS.md, "Classic shapes at
-// stored width").
+// fuseBytes bounds the record array of the key-addressed table a record fold
+// folds into. Over it the record loop measured no faster than the lane passes
+// for one sum and slower for two or three (BenchmarkSteadyFootprint;
+// EXPERIMENTS.md, "Classic shapes at stored width").
 const fuseBytes = 1 << 20
 
 // bindFold names the fold key in Explain.Kernel, binds its loop (p.foldTile)
@@ -84,7 +83,7 @@ func (c *selectCompile) bindFold() (keysInPlace bool) {
 	if pairs && (p.tech == TechHybrid || c.q.Filter == nil && c.q.Residual == nil && !probes) {
 		mask, p.fill = "none", false
 	}
-	r, variant := c.recordFold(table == "hashed", mask), ""
+	r, variant := c.recordFold(mask), ""
 	switch {
 	case r != nil:
 		record, ws = r.record, r.widths
@@ -92,7 +91,7 @@ func (c *selectCompile) bindFold() (keysInPlace bool) {
 			variant = "/avx2"
 			break
 		}
-		p.foldTile = byKind(r.kind, bindRecord[int8], bindRecord[int16], bindRecord[int32], bindRecord[int64])(r, keys, mask)
+		p.foldTile = byKind(r.kind, bindRecord[int8], bindRecord[int16], bindRecord[int32], bindRecord[int64])(r, mask)
 	case pairs && mask != "key":
 		record, ws = "sum1", "(i64;i64)"
 		p.foldTile = sum1(keys, lead, mask)
@@ -114,8 +113,8 @@ func (c *selectCompile) bindFold() (keysInPlace bool) {
 // recordFold is a record fold's key parts and what its loop reads in place.
 type recordFold struct {
 	record, widths string
-	kind           storage.Kind      // the keys' width: int32 for a hashed table's slots, int64 for packed keys
-	keys           []*storage.Column // one or two root key columns of one width, or nil: packed keys or slots
+	kind           storage.Kind      // the keys' width: the key columns', or int64 for packed keys
+	keys           []*storage.Column // one or two root key columns of one width, or nil: packed keys
 	mul, add       int64             // in-place keys are keys[0]·mul + keys[last] + add
 	args           []*storage.Column // by lane; minmax's one operand
 	keyMask        bool              // key masking on a key-addressed table
@@ -123,13 +122,13 @@ type recordFold struct {
 
 // recordFold admits a record fold — one to three sums or averages, or a min
 // and a max over one operand, each over a bare root column — under masking
-// into a group table of at most fuseBytes (for one sum, key-addressed), or
-// returns nil. Min and max trade lanes: min first. Keys are read in place as
-// at most two root columns of one width (one for sum1) on a keyed table.
-func (c *selectCompile) recordFold(hashed bool, mask string) *recordFold {
+// into a key-addressed table of at most fuseBytes, or returns nil. Min and
+// max trade lanes: min first. Keys are read in place as at most two root
+// columns of one width (one for sum1).
+func (c *selectCompile) recordFold(mask string) *recordFold {
 	p := c.p
 	if c.lanes < 1 || c.lanes > 3 || p.tech != TechValueMasking && p.tech != TechKeyMasking ||
-		c.htBytes > fuseBytes || c.lanes == 1 && hashed {
+		c.htBytes > fuseBytes || p.ex.DenseDomain == 0 {
 		return nil
 	}
 	var cols [3]*storage.Column // by lane; nothing is allocated for a statement without a record fold
@@ -152,12 +151,12 @@ func (c *selectCompile) recordFold(hashed bool, mask string) *recordFold {
 		lanes[0].lane, lanes[1].lane = lanes[1].lane, lanes[0].lane
 	}
 	r := &recordFold{record: [...]string{"", "sum1", "sum2", "sum3"}[c.lanes], kind: storage.KindInt64,
-		args: append([]*storage.Column(nil), cols[:c.lanes]...), keyMask: mask == "key" && !hashed}
+		args: append([]*storage.Column(nil), cols[:c.lanes]...), keyMask: mask == "key"}
 	if minmax {
 		r.record, r.args = "minmax", r.args[:1]
 	}
 	for _, tc := range c.keyCols {
-		if r.keys = append(r.keys, tc.col); hashed || len(c.keyCols) > min(c.lanes, 2) || tc.src >= 0 || tc.col.Kind != c.keyCols[0].col.Kind {
+		if r.keys = append(r.keys, tc.col); len(c.keyCols) > min(c.lanes, 2) || tc.src >= 0 || tc.col.Kind != c.keyCols[0].col.Kind {
 			r.keys = nil // not in place
 			break
 		}
@@ -165,9 +164,7 @@ func (c *selectCompile) recordFold(hashed bool, mask string) *recordFold {
 	for i := 0; i < len(r.keys) && !p.keys.byValue; i++ { // packed keys: a lone or last place value is 1
 		r.add, r.mul = r.add-p.keys.lo[i]*p.keys.mult[i], p.keys.mult[0]*int64(i)
 	}
-	if hashed {
-		r.kind = storage.KindInt32
-	} else if r.keys != nil {
+	if r.keys != nil {
 		r.kind = r.keys[0].Kind
 	}
 	ws := append(make([]storage.Kind, 0, 4), r.kind)
@@ -247,8 +244,8 @@ func groupMinMax(r *recordFold) foldFn {
 func byKind[F any](k storage.Kind, fs ...F) F { return fs[k] }
 
 // bindRecord binds r's loop at key width K, then each argument's width.
-func bindRecord[K vec.Number](r *recordFold, keys tileKeyFn[int64], mask string) foldFn {
-	return byKind(r.args[0].Kind, record1[K, int8], record1[K, int16], record1[K, int32], record1[K, int64])(r, keyed[K](r, keys), mask)
+func bindRecord[K vec.Number](r *recordFold, mask string) foldFn {
+	return byKind(r.args[0].Kind, record1[K, int8], record1[K, int16], record1[K, int32], record1[K, int64])(r, keyed[K](r), mask)
 }
 
 func record1[K, A vec.Number](r *recordFold, key tileKeyFn[K], mask string) foldFn {
@@ -311,22 +308,15 @@ func nulled(p *PreparedSelect, s *worker, _ *ht.AggTable, _, m int, cmp []byte) 
 }
 
 // keyed binds where a record fold's keys come from: its key columns read in
-// place, the slots a hashed table resolves the packed keys to, or those keys.
-func keyed[K vec.Number](r *recordFold, keys tileKeyFn[int64]) tileKeyFn[K] {
-	switch {
-	case r.keys != nil:
-		return func(_ *PreparedSelect, _ *worker, _ *ht.AggTable, base, m int, _ []byte) ht.TileKey[K] {
-			k0, k1 := storage.Stored[K](r.keys[0], base, m), storage.Stored[K](r.keys[len(r.keys)-1], base, m)
-			return ht.TileKey[K]{K0: k0, K1: k1, M0: r.mul, Add: r.add}
-		}
-	case r.kind == storage.KindInt32:
-		return any(tileKeyFn[int32](func(p *PreparedSelect, s *worker, tab *ht.AggTable, base, m int, cmp []byte) ht.TileKey[int32] {
-			slots := s.slots[:m]
-			tab.LookupTile(keys(p, s, tab, base, m, cmp).K1, slots)
-			return ht.TileKey[int32]{K0: slots, K1: slots}
-		})).(tileKeyFn[K])
+// place, or the packed keys.
+func keyed[K vec.Number](r *recordFold) tileKeyFn[K] {
+	if r.keys == nil {
+		return any(tileKeyFn[int64](filled)).(tileKeyFn[K])
 	}
-	return any(keys).(tileKeyFn[K])
+	return func(_ *PreparedSelect, _ *worker, _ *ht.AggTable, base, m int, _ []byte) ht.TileKey[K] {
+		k0, k1 := storage.Stored[K](r.keys[0], base, m), storage.Stored[K](r.keys[len(r.keys)-1], base, m)
+		return ht.TileKey[K]{K0: k0, K1: k1, M0: r.mul, Add: r.add}
+	}
 }
 
 // argFn returns a tile's values of a fold's argument.

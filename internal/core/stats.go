@@ -228,17 +228,27 @@ type sampler struct {
 }
 
 // of returns t's sample, drawn anew when the one kept under t's name is of
-// another table object.
-func (s *sampler) of(t *storage.Table) *tableSample {
+// another table object. A new sample is kept only when t is cur, the table
+// the catalog holds under its name: a compile that pinned a catalog before a
+// write samples the replaced object without evicting the current one's.
+func (s *sampler) of(t, cur *storage.Table) *tableSample {
 	if ts := s.tables[t.Name]; ts != nil && ts.src == t {
+		return ts
+	}
+	ts := newTableSample(t)
+	if t != cur {
 		return ts
 	}
 	if s.tables == nil {
 		s.tables = map[string]*tableSample{}
 	}
-	ts := newTableSample(t)
 	s.tables[t.Name] = ts
 	return ts
+}
+
+// sampleOf is t's sample (sampler.of); callers hold e.mu.
+func (e *Engine) sampleOf(t *storage.Table) *tableSample {
+	return e.samples.of(t, e.DB.Catalog().Table(t.Name))
 }
 
 func (s *sampler) scratch() {
@@ -341,7 +351,7 @@ func (e *Engine) selectivity(t *storage.Table, filter expr.Expr) (sel float64, c
 		return ent.sel, true
 	}
 	clone := expr.Clone(filter)
-	sel, n, err := e.samples.selectivity(e.samples.of(t), clone)
+	sel, n, err := e.samples.selectivity(e.sampleOf(t), clone)
 	if err != nil {
 		// Unreachable for a filter bound to t: estimate like the absent
 		// filter and cache nothing.
@@ -363,7 +373,7 @@ func (e *Engine) groupCount(t *storage.Table, key expr.Expr) (groups int, cached
 	rows := t.Rows()
 	seen := map[int64]struct{}{}
 	clone := expr.Clone(key)
-	n, err := e.samples.groupKeys(e.samples.of(t), clone, seen)
+	n, err := e.samples.groupKeys(e.sampleOf(t), clone, seen)
 	if err != nil {
 		return max(rows, 1), false // unreachable for a key bound to t: every row its own group
 	}

@@ -342,6 +342,40 @@ func TestVectorSamplerMatchesRowSampler(t *testing.T) {
 // divides by a column — guarded by a short-circuit or not — is estimated like
 // any other, on the sampled columns a tile at a time, equals the row-at-a-time
 // reference bit for bit, and merges on append the same way.
+// TestStaleCompileKeepsCurrentSample: a compile that pinned its catalog
+// before a write samples the object it pinned, but the sample the engine
+// keeps under the table's name stays the current object's — not evicted by
+// the replaced one's, not redrawn.
+func TestStaleCompileKeepsCurrentSample(t *testing.T) {
+	db := samplerDB(3 * statsMaxSample)
+	e := NewEngine(db)
+	old := db.MustTable("t")
+	cols := make([]*storage.Column, len(old.Columns))
+	for i, c := range old.Columns {
+		cols[i] = c.Append(make([]int64, 10))
+	}
+	db.AddTable(storage.MustNewTable("t", cols...))
+	cur := db.MustTable("t")
+	bound := func(x expr.Expr, tab *storage.Table) expr.Expr {
+		if err := expr.Bind(x, expr.Columns(tab)); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	e.selectivity(cur, bound(lt("i8", 50), cur))
+	e.groupCount(cur, bound(expr.NewCol("i16"), cur))
+	kept := e.samples.tables["t"]
+	if n := e.SampledColumns("t"); n != 2 || kept == nil || kept.src != cur {
+		t.Fatalf("%d column samples of the current table, want i8 and i16", n)
+	}
+	if sel, _ := e.selectivity(old, bound(lt("i32", 50_000), old)); sel <= 0 || sel >= 1 {
+		t.Errorf("the replaced table's selectivity %v, want a sampled share", sel)
+	}
+	if n := e.SampledColumns("t"); n != 2 || e.samples.tables["t"] != kept {
+		t.Errorf("after sampling the replaced table: %d column samples, same sample %v; want 2 and the same", n, e.samples.tables["t"] == kept)
+	}
+}
+
 func TestDividingFilterSamplesVectorized(t *testing.T) {
 	db := samplerDB(3 * statsMaxSample)
 	tab := db.MustTable("t")

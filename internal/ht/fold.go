@@ -15,26 +15,27 @@ import (
 // fits registers.
 
 // TileKey is a fused fold's keys, lane i's K0[i]·M0 + K1[i] + Add: two key columns
-// packed in the loop, or one as K0 and K1 with M0 zero (a hashed table's slots).
+// packed in the loop, or one as K0 and K1 with M0 zero.
 type TileKey[K vec.Number] struct {
 	K0, K1  []K
 	M0, Add int64
 }
 
 // fuse returns a fused fold's records (of nAccs lanes); the origin of a key's
-// offset, its slot when under span (the domain, or a hashed table's slots);
-// and rej, all ones under key masking, where rejected lanes go to the throwaway record.
+// offset, its slot when under span (the domain); and rej, all ones under key
+// masking, where rejected lanes go to the throwaway record. Fused folds are
+// key-addressed only: a hashed table folds by the lane passes.
 func (t *AggTable) fuse(nAccs int, add int64, keyMask bool) (recs []int64, lo, span, rej uint64) {
-	if t.nAccs != nAccs {
+	switch {
+	case t.span == 0:
+		panic("ht: a fused fold on a hashed table")
+	case t.nAccs != nAccs:
 		panic(fmt.Sprintf("ht: a fused fold of %d lanes on a table of %d", nAccs, t.nAccs))
-	}
-	if span = t.span; span == 0 {
-		span = uint64(t.Cap()) + 1
 	}
 	if keyMask {
 		rej = ^uint64(0)
 	}
-	return t.recs, uint64(t.lo) - uint64(add), span, rej
+	return t.recs, uint64(t.lo) - uint64(add), t.span, rej
 }
 
 // refused vets lane i's key, which a fused fold's range check refused (outside), and
@@ -57,9 +58,6 @@ func refused[K vec.Number](t *AggTable, k TileKey[K], cmp []byte, rej uint64, i 
 // the pair folds' (foldPairs), and key masking's slot arithmetic with the
 // keys vetted after the loop (FoldTileKeyMasked).
 func FoldSum1[K, A vec.Number](t *AggTable, keys []K, add int64, a []A, cmp []byte, keyMask bool) {
-	if t.span == 0 {
-		panic("ht: FoldSum1 on a hashed table")
-	}
 	recs, lo, span, _ := t.fuse(1, add, false)
 	if !keyMask || cmp == nil {
 		foldPairs(t, keys, add, a, cmp)

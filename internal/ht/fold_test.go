@@ -13,13 +13,12 @@ import (
 // FuzzFoldSignatures holds each fused fold — FoldSum1, FoldSum2, FoldSum3 and
 // FoldMinMax — at each stored key and argument width to a reference over
 // int64 copies of the same columns, tile by tile: on key-addressed tables
-// keyed by two columns packed in the loop and by one, on one keyed by int64
-// keys — where NullKey lanes take the refuse route and a key outside the
-// domain panics on both sides — and on a hashed table over the slots
-// LookupTile resolves; under value and key masking, at the mask density the
-// fuzzer picks. The reference of FoldSum2, FoldSum3 and FoldMinMax is FoldTile
-// (FoldTileKeyMasked under key masking on a key-addressed table) and the
-// lane passes after it. FoldSum1 runs on packed and unpacked key-addressed
+// keyed by two columns packed in the loop and by one, and on one keyed by
+// int64 keys — where NullKey lanes take the refuse route and a key outside
+// the domain panics on both sides; under value and key masking, at the mask
+// density the fuzzer picks. The reference of FoldSum2, FoldSum3 and
+// FoldMinMax is FoldTile (FoldTileKeyMasked under key masking) and the lane
+// passes after it. FoldSum1 runs on packed and unpacked key-addressed
 // tables, and also unmasked (cmp nil); its reference is a lane at a time,
 // Lookup then Add or AddMasked (perLane), so it shares no loop with the pair
 // folds FoldSum1 and FoldTile run. Groups and the throwaway record's count
@@ -129,24 +128,11 @@ func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int
 			func(tab *AggTable, lo, hi int, keys []int64, m []byte, keyMask bool) {
 				fuseSig(tab, sig, TileKey[int64]{K0: keys, K1: keys}, a[lo:hi], b[lo:hi], c[lo:hi], m, keyMask)
 			}},
-		{"hashed", wide, 0, -1,
-			func(tab *AggTable, lo, hi int, keys []int64, m []byte, _ bool) {
-				tab.LookupTile(keys, slots)
-				k := TileKey[int32]{K0: slots[:hi-lo], K1: slots[:hi-lo]}
-				fuseSig(tab, sig, k, a[lo:hi], b[lo:hi], c[lo:hi], m, false)
-			}},
 	} {
-		hashed := form.hi < form.lo
-		if hashed && sig == sigSum1 {
-			continue // FoldSum1 is key-addressed only
-		}
 		for _, pack := range tables {
 			for _, mode := range modes {
 				tag := fmt.Sprintf("signature %d, %s, packed %v, mode %d, key width %T, width %T, domain %d", sig, form.name, pack, mode, c0[:0], a[:0], domain)
-				got, want := NewAggTable(lanes, 1), NewAggTable(lanes, 1)
-				if !hashed {
-					got, want = NewDenseAggTable(lanes, form.lo, form.hi, pack), NewDenseAggTable(lanes, form.lo, form.hi, pack)
-				}
+				got, want := NewDenseAggTable(lanes, form.lo, form.hi, pack), NewDenseAggTable(lanes, form.lo, form.hi, pack)
 				if sig == sigMinMax {
 					for _, tab := range []*AggTable{got, want} {
 						tab.SetIdentity(0, math.MaxInt64)
@@ -155,18 +141,13 @@ func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int
 					}
 				}
 				const tile = 100
-				masked := make([]int64, tile)
 				wa, wb, wc := make([]int64, tile), make([]int64, tile), make([]int64, tile)
 				gotPanic := recovered(func() {
 					for lo := 0; lo < len(cmp); lo += tile {
 						hi := min(lo+tile, len(cmp))
 						m, keys := cmp[lo:hi], form.keys[lo:hi]
-						switch {
-						case mode == pairs:
+						if mode == pairs {
 							m = nil
-						case hashed && mode == keyMask:
-							vec.MaskKeysU(keys, m, NullKey, masked)
-							keys = masked[:hi-lo]
 						}
 						form.fold(got, lo, hi, keys, m, mode == keyMask)
 					}
@@ -186,13 +167,9 @@ func foldSignature[K, T vec.Number](t *testing.T, sig, density uint8, domain int
 						case sig == sigMinMax:
 							first = nil
 						}
-						switch {
-						case mode == keyMask && !hashed:
+						if mode == keyMask {
 							want.FoldTileKeyMasked(keys, slots, 0, first, m)
-						case mode == keyMask:
-							vec.MaskKeysU(keys, m, NullKey, masked)
-							want.FoldTile(masked[:hi-lo], slots, 0, first, m)
-						default:
+						} else {
 							want.FoldTile(keys, slots, 0, first, m)
 						}
 						s := slots[:hi-lo]

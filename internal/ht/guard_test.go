@@ -44,7 +44,7 @@ func TestJoinAndSetTableHintClamp(t *testing.T) {
 
 		st := NewSetTable(hint)
 		for k := int64(0); k < 20; k++ {
-			st.Insert(k)
+			st.Add(k)
 		}
 		if st.Len() != 20 || !st.Contains(19) {
 			t.Errorf("NewSetTable(%d): len=%d Contains(19)=%v", hint, st.Len(), st.Contains(19))
@@ -186,4 +186,16 @@ func TestKeyMaskedFoldRefusesOutsideKeys(t *testing.T) {
 		}()
 		NewAggTable(1, 8).FoldTileKeyMasked([]int64{3}, make([]int32, 1), 0, nil, []byte{1})
 	}()
+	// A hashed table folds by the lane passes alone: every fused fold refuses it.
+	k, a := TileKey[int64]{K0: []int64{3}, K1: []int64{3}}, []int64{5}
+	for name, fold := range map[string]func(*AggTable){
+		"FoldSum1":   func(t *AggTable) { FoldSum1(t, k.K1, 0, a, []byte{1}, false) },
+		"FoldSum2":   func(t *AggTable) { FoldSum2(t, k, a, a, []byte{1}, false) },
+		"FoldSum3":   func(t *AggTable) { FoldSum3(t, k, a, a, a, []byte{1}, true) },
+		"FoldMinMax": func(t *AggTable) { FoldMinMax(t, k, a, []byte{1}, false) },
+	} {
+		if msg := recovered(func() { fold(NewAggTable(2, 8)) }); msg != "ht: a fused fold on a hashed table" {
+			t.Errorf("%s on a hashed table: panicked %q", name, msg)
+		}
+	}
 }

@@ -1,8 +1,9 @@
 // Package ht implements the open-addressing hash tables used by every
 // strategy in this repository: AggTable for group-by aggregation (including
 // the throwaway record required by SWOLE's key masking and the
-// validity bookkeeping required by value masking, paper Section III-B),
-// JoinTable for equijoin build sides, and SetTable for semijoins.
+// validity bookkeeping required by value masking, paper Section III-B), and
+// KeyTable, a table of unique keys: JoinTable for equijoin build sides and
+// SetTable for semijoins.
 //
 // All tables use 64-bit keys with a Murmur3-style finalizer hash and linear
 // probing over power-of-two capacities. Multi-attribute keys are packed into

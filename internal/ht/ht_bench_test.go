@@ -54,7 +54,7 @@ func BenchmarkThrowawayLookup(b *testing.B) {
 func BenchmarkSetProbe(b *testing.B) {
 	s := NewSetTable(1 << 20)
 	for i := 0; i < 1<<20; i++ {
-		s.Insert(int64(i * 3))
+		s.Add(int64(i * 3))
 	}
 	b.ResetTimer()
 	hits := 0
@@ -64,6 +64,23 @@ func BenchmarkSetProbe(b *testing.B) {
 		}
 	}
 	sinkSlot += hits
+}
+
+// BenchmarkJoinProbe is BenchmarkSetProbe on a join table: a hit also loads
+// its row.
+func BenchmarkJoinProbe(b *testing.B) {
+	t := NewJoinTable(1 << 20)
+	for i := 0; i < 1<<20; i++ {
+		t.Insert(int64(i*3), int32(i))
+	}
+	b.ResetTimer()
+	sum := int32(0)
+	for i := 0; i < b.N; i++ {
+		if row, ok := t.Probe(int64(i & (1<<21 - 1))); ok {
+			sum += row
+		}
+	}
+	sinkSlot += int(sum)
 }
 
 func size(keys int) string {

@@ -164,7 +164,7 @@ func TestJoinTable(t *testing.T) {
 func TestSetTable(t *testing.T) {
 	s := NewSetTable(4)
 	for i := 0; i < 500; i++ {
-		s.Insert(int64(i * 3))
+		s.Add(int64(i * 3))
 	}
 	if s.Len() != 500 {
 		t.Fatalf("Len=%d", s.Len())
@@ -177,7 +177,7 @@ func TestSetTable(t *testing.T) {
 	if s.Contains(1) || s.Contains(1501) {
 		t.Error("false positive")
 	}
-	if s.Insert(3) {
+	if s.Add(3) {
 		t.Error("duplicate insert reported new")
 	}
 }
@@ -285,7 +285,7 @@ func TestJoinAndSetTableReset(t *testing.T) {
 
 	st := NewSetTable(8)
 	for k := int64(0); k < 8; k++ {
-		st.Insert(k)
+		st.Add(k)
 	}
 	st.Reset()
 	if st.Len() != 0 {
@@ -294,7 +294,7 @@ func TestJoinAndSetTableReset(t *testing.T) {
 	if st.Contains(5) {
 		t.Error("SetTable key survived Reset")
 	}
-	if !st.Insert(5) {
+	if !st.Add(5) {
 		t.Error("reinsert after Reset reported duplicate")
 	}
 
@@ -303,7 +303,7 @@ func TestJoinAndSetTableReset(t *testing.T) {
 		st.Reset()
 		for k := int64(0); k < 8; k++ {
 			jt.Insert(k, int32(k))
-			st.Insert(k)
+			st.Add(k)
 		}
 	})
 	if allocs != 0 {

@@ -29,7 +29,7 @@ func Q4DataCentric(d *Data, sel1, sel2 int) int64 {
 	c2 := int8(sel2)
 	for i := range d.SX {
 		if d.SX[i] < c2 {
-			set.Insert(int64(d.SPK[i]))
+			set.Add(int64(d.SPK[i]))
 		}
 	}
 	c1 := int8(sel1)
@@ -55,7 +55,7 @@ func Q4Hybrid(d *Data, sel1, sel2 int) int64 {
 		n := vec.SelFromCmpNoBranch(cmp[:length], idx[:])
 		pk := d.SPK[base : base+length]
 		for j := 0; j < n; j++ {
-			set.Insert(int64(pk[idx[j]]))
+			set.Add(int64(pk[idx[j]]))
 		}
 	})
 	var sum int64

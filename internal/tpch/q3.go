@@ -93,7 +93,7 @@ func q3DataCentric(d *Data) Rows {
 	set := ht.NewSetTable(len(d.Customer.MktSegment) / 4)
 	for c, seg := range d.Customer.MktSegment {
 		if seg == building {
-			set.Insert(int64(c))
+			set.Add(int64(c))
 		}
 	}
 	o := &d.Orders

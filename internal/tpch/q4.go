@@ -71,7 +71,7 @@ func q4DataCentric(d *Data) Rows {
 	set := ht.NewSetTable(len(d.Orders.CustKey) / 8)
 	for i := range li.OrderKey {
 		if li.CommitDate[i] < li.ReceiptDate[i] {
-			set.Insert(int64(li.OrderKey[i]))
+			set.Add(int64(li.OrderKey[i]))
 		}
 	}
 	counts := make([]int64, len(priorities))
@@ -96,7 +96,7 @@ func q4Hybrid(d *Data) Rows {
 		n := vec.SelFromCmpNoBranch(cmpv[:length], idx[:])
 		ok := li.OrderKey[base : base+length]
 		for j := 0; j < n; j++ {
-			set.Insert(int64(ok[idx[j]]))
+			set.Add(int64(ok[idx[j]]))
 		}
 	})
 	counts := make([]int64, len(priorities))

@@ -87,7 +87,7 @@ func (it *joinIter) open() error {
 		}
 		key := row[it.buildKeyIx]
 		if it.spec.Semi {
-			it.set.Insert(key)
+			it.set.Add(key)
 		} else {
 			if !it.table.Insert(key, int32(len(it.buildRows))) {
 				return fmt.Errorf("volcano: duplicate build key %d in inner join on %s", key, it.spec.BuildKey)

@@ -2,6 +2,7 @@ package swole
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"github.com/reprolab/swole/internal/core"
@@ -101,8 +102,8 @@ func (c *cachedPlan) dependsOn(table string) bool {
 // replay its plan. A canceled run returns the context's error without calling
 // fn, the entry and the plan's pooled resources intact for the next
 // execution. An entry whose compile fails is dropped: err is the compile's,
-// or ok is false, and fn not called, when the synthesizer declines the
-// recompiled text, and the caller takes the cold path.
+// or ok is false, and fn not called, when the synthesizer or the compile
+// declines the statement, and the caller takes the cold path.
 func (c *cachedPlan) answer(ctx context.Context, d *DB, q string, fn func(*Result)) (ex Explain, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,7 +135,9 @@ func (c *cachedPlan) answer(ctx context.Context, d *DB, q string, fn func(*Resul
 // c.mu. A cold entry compiles the spec it was published with (a nil prev
 // makes Reprepare Prepare); a stale one parses and synthesizes its text
 // again, and the engine moves the stale plan's buffers into the new plan. ok
-// is false when the synthesizer declines the recompiled text.
+// is false when the synthesizer declines the recompiled text, or the compile
+// the statement: its group keys do not pack (core.ErrKeysUnpacked), which an
+// append can make true of a cached statement.
 func (c *cachedPlan) prepare(d *DB, q string) (ok bool, err error) {
 	spec := c.spec
 	if c.plan != nil {
@@ -147,6 +150,9 @@ func (c *cachedPlan) prepare(d *DB, q string) (ok bool, err error) {
 		}
 	}
 	plan, err := d.engine.Reprepare(spec, c.plan)
+	if errors.Is(err, core.ErrKeysUnpacked) {
+		return false, nil
+	}
 	if err != nil {
 		return true, err
 	}

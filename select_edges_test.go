@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 )
 
 // Edges of the generic executor's machinery — tile boundaries, empty
-// inputs, key packing and its chained fallback, table growth, parent
+// inputs, key packing and the interpreter past it, table growth, parent
 // columns through chained edges, dictionary headers, cancellation — each
 // against the interpreter, and where it matters under every technique.
 
@@ -51,6 +52,54 @@ func checkEveryPath(t *testing.T, d *DB, q, tag string) [][]int64 {
 		}
 	}
 	return want.Rows()
+}
+
+// checkFallback: a statement whose group keys do not pack into 63 bits has
+// no compiled plan — the compile refuses it with core.ErrKeysUnpacked — so
+// QuerySwole, QueryContext and QueryRows answer it on the interpreter,
+// cold and again, exactly as Volcano does, and the plan cache keeps no
+// entry for it.
+func checkFallback(t *testing.T, d *DB, q string) {
+	t.Helper()
+	want, err := d.Query(q)
+	if err != nil {
+		t.Fatalf("volcano failed %q: %v", q, err)
+	}
+	if _, err := d.engine.Prepare(synthesized(t, d, q)); !errors.Is(err, core.ErrKeysUnpacked) {
+		t.Fatalf("%q: compile error %v, want core.ErrKeysUnpacked", q, err)
+	}
+	ctx := context.Background()
+	entries := d.PlanCacheLen()
+	for _, via := range []struct {
+		name string
+		run  func() (*Result, Explain, error)
+	}{
+		{"QuerySwole", func() (*Result, Explain, error) { return d.QuerySwole(q) }},
+		{"QueryContext", func() (*Result, Explain, error) { return d.QueryContext(ctx, q) }},
+		{"QueryRows", func() (*Result, Explain, error) {
+			var res Result
+			ex, err := d.QueryRows(ctx, q, func(cols []string, flat []int64, _ int) {
+				res = Result{cols: slices.Clone(cols), flat: slices.Clone(flat)}
+			})
+			return &res, ex, err
+		}},
+	} {
+		for rep := 0; rep < 2; rep++ {
+			res, ex, err := via.run()
+			if err != nil {
+				t.Fatalf("%s rep %d %q: %v", via.name, rep, q, err)
+			}
+			if ex.Technique != "interpreter-fallback" || ex.Shape != "interpreter-fallback" {
+				t.Errorf("%s rep %d %q: technique %q, shape %q; want interpreter-fallback", via.name, rep, q, ex.Technique, ex.Shape)
+			}
+			if !rowsEqual(res.Rows(), want.Rows()) || !slices.Equal(res.Columns(), want.Columns()) {
+				t.Errorf("%s rep %d %q:\nvolcano: %v %.300v\nswole:   %v %.300v", via.name, rep, q, want.Columns(), want.Rows(), res.Columns(), res.Rows())
+			}
+		}
+	}
+	if n := d.PlanCacheLen(); n != entries {
+		t.Errorf("%q: the plan cache holds %d entries after the fallback, %d before", q, n, entries)
+	}
 }
 
 // synthesized compiles q into a spec of its own: a compile binds the spec's
@@ -145,32 +194,33 @@ func TestSelectKeyPacking(t *testing.T) {
 	val := mk(func(i int) int64 { return int64(i%19 - 9) })
 	x := mk(func(i int) int64 { return int64(i % 10) })
 	cases := []struct {
-		name string
-		keys [][]int64
+		name     string
+		keys     [][]int64
+		unpacked bool // no plan: the interpreter answers (checkFallback)
 	}{
 		// Small span at the very bottom of int64: packs, and the digit of
 		// MinInt64 itself — ht.NullKey as a raw key — is 0.
-		{"near MinInt64", [][]int64{mk(func(i int) int64 { return math.MinInt64 + int64(i%5) })}},
-		// Negative and positive keys over a span too wide for 63 bits: chained.
+		{"near MinInt64", [][]int64{mk(func(i int) int64 { return math.MinInt64 + int64(i%5) })}, false},
+		// Negative and positive keys over a span too wide for 63 bits.
 		{"full-range single key", [][]int64{mk(func(i int) int64 {
 			return []int64{math.MinInt64, math.MinInt64 + 1, -7, 0, 3, math.MaxInt64 - 1, math.MaxInt64}[i%7]
-		})}},
-		// Two wide int64 columns whose composite cannot pack: chained pairwise.
+		})}, true},
+		// Two wide int64 columns whose composite cannot pack.
 		{"unpackable composite", [][]int64{
 			mk(func(i int) int64 { return int64(i%6-3) * (1 << 40) }),
 			mk(func(i int) int64 { return int64(i%4-2)*(1<<41) + int64(i%3) }),
-		}},
-		// Three columns, the middle one narrow: a three-level chain.
+		}, true},
+		// Three columns, the middle one narrow, the composite too wide.
 		{"three-level chain", [][]int64{
 			mk(func(i int) int64 { return int64(i%3-1) * (1 << 50) }),
 			mk(func(i int) int64 { return int64(i % 4) }),
 			mk(func(i int) int64 { return int64(i%5-2) * (1 << 45) }),
-		}},
+		}, true},
 		// Mixed signs that do pack.
 		{"negative packable pair", [][]int64{
 			mk(func(i int) int64 { return int64(i%9) - 100_000 }),
 			mk(func(i int) int64 { return int64(i%4)*1000 - 2000 }),
-		}},
+		}, false},
 	}
 	for _, c := range cases {
 		d := NewDB()
@@ -185,6 +235,11 @@ func TestSelectKeyPacking(t *testing.T) {
 		}
 		list := strings.Join(names, ", ")
 		q := "select " + list + ", sum(v) as s, count(*) as n from t where x < 6 group by " + list
+		if c.unpacked {
+			checkFallback(t, d, q)
+			d.Close()
+			continue
+		}
 		checkAllTechniques(t, d, q)
 		res, _, err := d.QuerySwole(q)
 		if err != nil {
